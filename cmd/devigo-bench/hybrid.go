@@ -29,22 +29,11 @@ type HybridSweepPoint struct {
 	BitExact         bool    `json:"bit_exact_vs_1worker"`
 }
 
-// HybridDispatchPoint compares the persistent pool against the legacy
-// per-call fork-join dispatch at one worker count (native engine, same
-// tiles in the same per-tile order, so the results are bit-identical and
-// only the dispatch mechanism differs).
-type HybridDispatchPoint struct {
-	Workers          int     `json:"workers"`
-	PoolGptss        float64 `json:"pool_gptss"`
-	ForkJoinGptss    float64 `json:"forkjoin_gptss"`
-	PoolOverForkJoin float64 `json:"pool_over_forkjoin"`
-}
-
 // HybridReport is the BENCH_hybrid.json schema: the MPI+X shared-memory
-// tier's certification record — zero-allocation dispatch, pool-vs-
-// fork-join overhead, worker scaling with bit-exactness, the measured
-// dispatch sync cost, the joint autotuner's worker choice and the pool's
-// obs counters from a 4-rank full-overlap run.
+// tier's certification record — zero-allocation dispatch, worker scaling
+// with bit-exactness, the measured dispatch sync cost, the joint
+// autotuner's worker choice and the pool's obs counters from a 4-rank
+// full-overlap run.
 type HybridReport struct {
 	Scenario   string `json:"scenario"`
 	Shape      []int  `json:"shape"`
@@ -67,12 +56,11 @@ type HybridReport struct {
 	// The kernel dispatch contributes zero; the small residual is the
 	// source-injection wrapper.
 	SteadyAllocsPerStep float64 `json:"steady_allocs_per_step"`
-	// SyncCostSec is the measured per-dispatch fork-join overhead of a
+	// SyncCostSec is the measured per-dispatch wake/join overhead of a
 	// 4-worker pool on this machine (Pool.SyncCost) — the figure the
 	// autotuner injects as perfmodel.Host.PoolSync.
-	SyncCostSec float64               `json:"sync_cost_sec"`
-	Dispatch    []HybridDispatchPoint `json:"dispatch"`
-	Sweep       []HybridSweepPoint    `json:"sweep"`
+	SyncCostSec float64            `json:"sync_cost_sec"`
+	Sweep       []HybridSweepPoint `json:"sweep"`
 	// AutotuneModelWorkers / AutotuneSearchWorkers are the worker counts
 	// the two policies settle on with the (mode x workers x tile x k)
 	// space open; on a multi-core host the model policy must exploit the
@@ -105,9 +93,8 @@ type hybridTask struct{ hits []int64 }
 func (t *hybridTask) RunTile(w, tile int) { t.hits[tile]++ }
 
 // runHybrid measures the persistent MPI+X worker runtime and writes
-// BENCH_hybrid.json: allocation certification, pool-vs-fork-join
-// dispatch comparison, a worker scaling sweep over all three engines
-// with bit-exactness against the 1-worker baseline, the joint
+// BENCH_hybrid.json: allocation certification, a worker scaling sweep
+// over all three engines with bit-exactness against the 1-worker baseline, the joint
 // autotuner's worker selection and the pool counters of a 4-rank
 // full-overlap time-tiled run.
 func runHybrid(size, nt int, outDir string) error {
@@ -138,37 +125,17 @@ func runHybrid(size, nt int, outDir string) error {
 	p.Close()
 	fmt.Printf("  pool sync cost (4 workers): %.2f us/dispatch\n", report.SyncCostSec*1e6)
 
-	// --- Pool vs fork-join dispatch ---------------------------------------
-	fmt.Printf("%-10s %14s %14s %12s\n", "dispatch", "pool GPts/s", "forkjoin", "pool/fj")
-	for _, w := range []int{1, 4} {
-		pool, err := hybridRun(core.EngineNative, w, nt, size, false)
-		if err != nil {
-			return err
-		}
-		fj, err := hybridRun(core.EngineNative, w, nt, size, true)
-		if err != nil {
-			return err
-		}
-		pt := HybridDispatchPoint{Workers: w,
-			PoolGptss: pool.Perf.GPtss(), ForkJoinGptss: fj.Perf.GPtss()}
-		if pt.ForkJoinGptss > 0 {
-			pt.PoolOverForkJoin = pt.PoolGptss / pt.ForkJoinGptss
-		}
-		report.Dispatch = append(report.Dispatch, pt)
-		fmt.Printf("w=%-8d %14.4f %14.4f %11.2fx\n", w, pt.PoolGptss, pt.ForkJoinGptss, pt.PoolOverForkJoin)
-	}
-
 	// --- Worker scaling sweep, all three engines --------------------------
 	fmt.Printf("%-14s %8s %14s %10s %10s\n", "engine", "workers", "GPts/s", "vs w=1", "bit-exact")
 	for _, engine := range []string{core.EngineInterpreter, core.EngineBytecode, core.EngineNative} {
-		ref, err := hybridRun(engine, 1, nt, size, false)
+		ref, err := hybridRun(engine, 1, nt, size)
 		if err != nil {
 			return err
 		}
 		for _, w := range []int{1, 2, 4, 7} {
 			res := ref
 			if w != 1 {
-				if res, err = hybridRun(engine, w, nt, size, false); err != nil {
+				if res, err = hybridRun(engine, w, nt, size); err != nil {
 					return err
 				}
 			}
@@ -281,7 +248,7 @@ func measureSteadyAllocsPerStep(size int) (float64, error) {
 
 // hybridRun builds a fresh acoustic model (every run needs pristine
 // initial state for the bit-exactness comparison) and measures nt steps.
-func hybridRun(engine string, workers, nt, size int, forkJoin bool) (*propagators.RunResult, error) {
+func hybridRun(engine string, workers, nt, size int) (*propagators.RunResult, error) {
 	m, err := propagators.Build("acoustic", propagators.Config{
 		Shape: []int{size, size}, SpaceOrder: hybridSO, NBL: 8, Velocity: 1.5,
 	})
@@ -290,10 +257,10 @@ func hybridRun(engine string, workers, nt, size int, forkJoin bool) (*propagator
 	}
 	res, err := propagators.Run(m, nil, propagators.RunConfig{
 		NT: nt, NReceivers: 4, Engine: engine,
-		Workers: workers, TileRows: 4, ForkJoin: forkJoin,
+		Workers: workers, TileRows: 4,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s w=%d forkJoin=%v: %w", engine, workers, forkJoin, err)
+		return nil, fmt.Errorf("%s w=%d: %w", engine, workers, err)
 	}
 	res.Op.Close()
 	if res.Perf.GPtss() <= 0 {

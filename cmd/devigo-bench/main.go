@@ -65,9 +65,8 @@
 //
 // -exp hybrid certifies the persistent MPI+X worker runtime: raw pool
 // dispatches and the full engine path are measured for steady-state heap
-// allocations (the dispatch protocol must allocate exactly zero), the
-// persistent pool races the legacy fork-join dispatch, a worker scaling
-// sweep over all three engines records throughput plus bit-exactness
+// allocations (the dispatch protocol must allocate exactly zero), a worker
+// scaling sweep over all three engines records throughput plus bit-exactness
 // against the 1-worker baseline, the joint autotuner reports the team
 // size it picks with the workers axis open, and a 4-rank full-overlap
 // time-tiled run snapshots the pool's sync/idle/steal counters — writing

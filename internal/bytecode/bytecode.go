@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"devigo/internal/field"
+	"devigo/internal/runtime"
 )
 
 // Vector opcodes. Each instruction operates on whole inner-dimension rows:
@@ -42,24 +43,29 @@ import (
 // slot, an equation index, an integer exponent — or the second source
 // register in the VV forms.
 const (
-	opLoad   byte = iota // rd[i] = float64(row(slots[b])[i])
-	opStore              // row(eqs[b])[i] = float32(reg_a[i])
-	opCopy               // rd[i] = reg_a[i]
-	opMovS               // rd[i] = pool[b] (broadcast)
-	opAddVV              // rd[i] = reg_a[i] + reg_b[i]
-	opAddVS              // rd[i] = reg_a[i] + pool[b]
-	opMulVV              // rd[i] = reg_a[i] * reg_b[i]
-	opMulVS              // rd[i] = reg_a[i] * pool[b]
-	opMaddVV             // rd[i] = reg_a[i]*reg_b[i] + reg_c[i]
-	opMaddVS             // rd[i] = reg_a[i]*pool[b] + reg_c[i]
-	opPowV               // rd[i] = ipow(reg_a[i], b)
+	OpLoad   byte = iota // rd[i] = float64(row(slots[b])[i])
+	OpStore              // row(eqs[b])[i] = float32(reg_a[i])
+	OpCopy               // rd[i] = reg_a[i]
+	OpMovS               // rd[i] = pool[b] (broadcast)
+	OpAddVV              // rd[i] = reg_a[i] + reg_b[i]
+	OpAddVS              // rd[i] = reg_a[i] + pool[b]
+	OpMulVV              // rd[i] = reg_a[i] * reg_b[i]
+	OpMulVS              // rd[i] = reg_a[i] * pool[b]
+	OpMaddVV             // rd[i] = reg_a[i]*reg_b[i] + reg_c[i]
+	OpMaddVS             // rd[i] = reg_a[i]*pool[b] + reg_c[i]
+	OpPowV               // rd[i] = ipow(reg_a[i], b)
 )
 
-// instr is one register-VM instruction; field use per opcode is documented
-// on the opcode constants.
-type instr struct {
-	op          byte
-	rd, a, b, c int32
+// NumOpcodes is the size of the vector-opcode vocabulary.
+const NumOpcodes = int(OpPowV) + 1
+
+// Instr is one register-VM instruction. Field use per opcode is documented
+// on the opcode constants: Rd, A and C address row registers; B addresses
+// the scalar pool, a load slot, an equation index, an integer exponent, or
+// the second source register (VV forms).
+type Instr struct {
+	Op          byte
+	Rd, A, B, C int32
 }
 
 // Scalar-prelude opcodes, executed once per Bind over the scalar pool.
@@ -74,39 +80,14 @@ type scalarInstr struct {
 	dst, a, b int32
 }
 
-// slot is a resolved field access: which function, which time offset, and
-// the per-dimension stencil offset. The flat buffer displacement is
-// derived from the field's *current* strides at every Run, so reallocating
-// ghost storage (deep halos for a larger exchange interval) never requires
-// recompiling kernels.
-type slot struct {
-	fieldIdx int
-	timeOff  int
-	off      [maxDims]int
-}
-
-// maxDims bounds the spatial dimensionality of compiled kernels (the
-// compiler's dimension names are x, y, z).
-const maxDims = 3
-
-// eqOut records where one equation's row store lands.
-type eqOut struct {
-	outField   int
-	outTimeOff int
-}
-
 // Kernel is a compiled loop nest: flat bytecode plus the resolved storage
 // it executes against. It is the bytecode engine's counterpart of
 // runtime.Kernel and satisfies the same execution contract.
 type Kernel struct {
-	Fields []*field.Function
-	names  []string
-	slots  []slot
-	eqs    []eqOut
-
 	// prog is the flat row program: temporary assignments, then each
-	// equation's expression followed by its store, in source order.
-	prog []instr
+	// equation's expression followed by its store, in source order. Load
+	// slots and store outputs index the driver binding's Slots and Outs.
+	prog []Instr
 	// prelude derives bind-time scalars (hoisted invariants, reciprocals).
 	prelude []scalarInstr
 	// pool is the scalar-pool template: constants are pre-filled; symbol
@@ -122,10 +103,31 @@ type Kernel struct {
 	numRegs int
 	flops   int
 
-	// st is the kernel's private reusable dispatch state (slot tables,
-	// per-worker scratch). Allocated at compile time and replaced on
+	// drv is the kernel's private tile driver: the field binding plus the
+	// reusable dispatch state. Allocated at compile time and replaced on
 	// Rebind, never shared between kernel copies.
-	st *bcState
+	drv *runtime.Driver[scratch]
+}
+
+// Binding returns the storage the kernel executes against (the native
+// engine binds its own driver to it, and the segment extraction reads the
+// slot and output tables).
+func (k *Kernel) Binding() *runtime.Binding { return k.drv.Binding }
+
+// Rebind returns a copy of the kernel executing against different storage
+// (see runtime.Binding.Rebind): the compiled program, scalar pool and
+// prelude are shared with the receiver — they are immutable after
+// compilation — while the copy gets a private driver, so it is safe to run
+// concurrently with the original (the opcache runs rebound kernels across
+// shots in parallel).
+func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
+	bd, err := k.drv.Rebind(fields)
+	if err != nil {
+		return nil, err
+	}
+	nk := *k
+	nk.drv = runtime.NewDriver[scratch](bd)
+	return &nk, nil
 }
 
 // BindSyms builds the execution-time scalar pool from a name->value map:
@@ -148,7 +150,7 @@ func (k *Kernel) BindSyms(vals map[string]float64) ([]float64, error) {
 		case sMul:
 			pool[in.dst] = pool[in.a] * pool[in.b]
 		case sPow:
-			pool[in.dst] = ipow(pool[in.a], int(in.b))
+			pool[in.dst] = runtime.Ipow(pool[in.a], int(in.b))
 		}
 	}
 	return pool, nil
@@ -178,25 +180,3 @@ func (k *Kernel) PoolSize() int { return len(k.pool) }
 // cost model scales this by a per-instruction latency to predict compute
 // time.
 func (k *Kernel) InstrsPerPoint() int { return k.ProgramLen() }
-
-// ipow mirrors the interpreter's integer power helper exactly: repeated
-// multiplication starting from 1, with a final reciprocal for negative
-// exponents. Keeping the operation order identical keeps results
-// bit-exact across engines.
-func ipow(v float64, e int) float64 {
-	if e == 0 {
-		return 1
-	}
-	neg := e < 0
-	if neg {
-		e = -e
-	}
-	out := 1.0
-	for i := 0; i < e; i++ {
-		out *= v
-	}
-	if neg {
-		return 1 / out
-	}
-	return out
-}

@@ -220,7 +220,9 @@ func TestTiledAndParallelMatchSequential(t *testing.T) {
 	}
 	seq := run(nil)
 	tiled := run(&runtime.ExecOpts{TileRows: 4})
-	par := run(&runtime.ExecOpts{Workers: 4, TileRows: 2})
+	p := runtime.NewPool(4, 0)
+	defer p.Close()
+	par := run(&runtime.ExecOpts{TileRows: 2, Pool: p})
 	compareBuf(t, "tiled", seq.Buf(1), tiled.Buf(1))
 	compareBuf(t, "parallel", seq.Buf(1), par.Buf(1))
 }
@@ -275,7 +277,7 @@ func TestLoadDeduplication(t *testing.T) {
 	}
 	loads := 0
 	for _, in := range k.prog {
-		if in.op == opLoad {
+		if in.Op == OpLoad {
 			loads++
 		}
 	}
@@ -303,7 +305,7 @@ func TestConstantFoldingAndStrengthReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, in := range k.prog {
-		if in.op == opPowV {
+		if in.Op == OpPowV {
 			t.Error("scalar power must be strength-reduced to a bind-time reciprocal")
 		}
 	}

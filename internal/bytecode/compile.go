@@ -6,6 +6,7 @@ import (
 
 	"devigo/internal/field"
 	"devigo/internal/ir"
+	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
@@ -24,11 +25,10 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	k := &Kernel{Radius: append([]int(nil), radius...)}
 	c := &compiler{
 		k:           k,
+		bd:          &runtime.Binding{},
 		fields:      fields,
-		fieldIdx:    map[string]int{},
 		symPool:     map[string]int32{},
 		constPool:   map[uint64]int32{},
-		slotIdx:     map[slot]int32{},
 		tempReg:     map[string]int32{},
 		scalarCache: map[string]int32{},
 		loadCache:   map[int32]int32{},
@@ -48,10 +48,10 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			reg = res.idx
 		case oScalar:
 			reg = c.allocReg()
-			c.emit(instr{op: opMovS, rd: reg, b: res.idx})
+			c.emit(Instr{Op: OpMovS, Rd: reg, B: res.idx})
 		default: // pinned (cached load or earlier temp): keep a private copy
 			reg = c.allocReg()
-			c.emit(instr{op: opCopy, rd: reg, a: res.idx})
+			c.emit(Instr{Op: OpCopy, Rd: reg, A: res.idx})
 		}
 		c.tempReg[a.Name] = reg
 	}
@@ -64,7 +64,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		if !ok {
 			return nil, fmt.Errorf("bytecode: equation LHS must be a function access, got %s", eq.LHS)
 		}
-		fi, err := c.getField(lhs.Fun.Name)
+		fi, err := c.bd.AddField(lhs.Fun.Name, fields)
 		if err != nil {
 			return nil, err
 		}
@@ -74,12 +74,12 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		}
 		if res.kind == oScalar {
 			reg := c.allocReg()
-			c.emit(instr{op: opMovS, rd: reg, b: res.idx})
+			c.emit(Instr{Op: OpMovS, Rd: reg, B: res.idx})
 			res = opnd{kind: oScratch, idx: reg}
 		}
-		ei := int32(len(k.eqs))
-		k.eqs = append(k.eqs, eqOut{outField: fi, outTimeOff: lhs.TimeOff})
-		c.emit(instr{op: opStore, a: res.idx, b: ei})
+		ei := int32(len(c.bd.Outs))
+		c.bd.Outs = append(c.bd.Outs, runtime.Out{Field: fi, TimeOff: lhs.TimeOff})
+		c.emit(Instr{Op: OpStore, A: res.idx, B: ei})
 		if res.kind == oScratch {
 			c.freeRegs = append(c.freeRegs, res.idx)
 		}
@@ -87,18 +87,11 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		k.flops += symbolic.FlopCount(eq.RHS) + 1
 	}
 
-	// Validate that all fields share the local domain shape; differing
-	// halo widths are fine (strides are resolved at execution time).
-	for i := 1; i < len(k.Fields); i++ {
-		for d := range k.Fields[0].LocalShape {
-			if k.Fields[i].LocalShape[d] != k.Fields[0].LocalShape[d] {
-				return nil, fmt.Errorf("bytecode: fields %s and %s disagree on local shape",
-					k.names[0], k.names[i])
-			}
-		}
+	if err := c.bd.Validate(); err != nil {
+		return nil, err
 	}
 	k.numRegs = int(c.nextReg)
-	k.st = newBCState(k)
+	k.drv = runtime.NewDriver[scratch](c.bd)
 	return k, nil
 }
 
@@ -118,12 +111,11 @@ const (
 
 type compiler struct {
 	k      *Kernel
+	bd     *runtime.Binding
 	fields map[string]*field.Function
 
-	fieldIdx  map[string]int
 	symPool   map[string]int32 // scalar symbol -> pool slot
 	constPool map[uint64]int32 // float64 bits -> pool slot
-	slotIdx   map[slot]int32
 	tempReg   map[string]int32 // CSE temporary -> pinned register
 	// scalarCache dedups bind-time evaluation of identical scalar
 	// subtrees (canonical string -> pool slot).
@@ -142,7 +134,7 @@ type compiler struct {
 	nextReg  int32
 }
 
-func (c *compiler) emit(in instr) { c.k.prog = append(c.k.prog, in) }
+func (c *compiler) emit(in Instr) { c.k.prog = append(c.k.prog, in) }
 
 func (c *compiler) allocReg() int32 {
 	if n := len(c.freeRegs); n > 0 {
@@ -175,28 +167,13 @@ func (c *compiler) releaseExcept(rd int32, os ...opnd) {
 	}
 }
 
-func (c *compiler) getField(name string) (int, error) {
-	if i, ok := c.fieldIdx[name]; ok {
-		return i, nil
-	}
-	f, ok := c.fields[name]
-	if !ok {
-		return 0, fmt.Errorf("bytecode: no storage registered for field %q", name)
-	}
-	i := len(c.k.Fields)
-	c.fieldIdx[name] = i
-	c.k.Fields = append(c.k.Fields, f)
-	c.k.names = append(c.k.names, name)
-	return i, nil
-}
-
 // invalidate evicts cached loads of the field an equation just stored to,
 // regardless of time offset (cyclic time buffers may alias offsets).
 func (c *compiler) invalidate(fieldIdx int) {
-	for si := range c.k.slots {
+	for si := range c.bd.Slots {
 		si32 := int32(si)
 		reg, cached := c.loadCache[si32]
-		if !cached || c.k.slots[si].fieldIdx != fieldIdx {
+		if !cached || c.bd.Slots[si].Field != fieldIdx {
 			continue
 		}
 		delete(c.loadCache, si32)
@@ -256,7 +233,7 @@ func (c *compiler) scalarBin(op byte, a, b int32) int32 {
 
 func (c *compiler) scalarPow(a int32, exp int) int32 {
 	if c.known[a] {
-		return c.addConst(ipow(c.k.pool[a], exp))
+		return c.addConst(runtime.Ipow(c.k.pool[a], exp))
 	}
 	dst := c.addPoolSlot(0, false)
 	c.k.prelude = append(c.k.prelude, scalarInstr{op: sPow, dst: dst, a: a, b: int32(exp)})
@@ -370,7 +347,7 @@ func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
 			return opnd{}, err
 		}
 		rd := c.pick(base)
-		c.emit(instr{op: opPowV, rd: rd, a: base.idx, b: int32(v.Exp)})
+		c.emit(Instr{Op: OpPowV, Rd: rd, A: base.idx, B: int32(v.Exp)})
 		c.releaseExcept(rd, base)
 		return opnd{kind: oScratch, idx: rd}, nil
 	case symbolic.Deriv:
@@ -383,26 +360,20 @@ func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
 // load resolves a field access to a slot and returns the register caching
 // its row, emitting the load only on first use.
 func (c *compiler) load(a symbolic.Access) (opnd, error) {
-	fi, err := c.getField(a.Fun.Name)
+	fi, err := c.bd.AddField(a.Fun.Name, c.fields)
 	if err != nil {
 		return opnd{}, err
 	}
-	if len(a.Off) > maxDims {
-		return opnd{}, fmt.Errorf("bytecode: access %s exceeds %d dimensions", a, maxDims)
+	slot, err := c.bd.AddSlot(fi, a.TimeOff, a.Off)
+	if err != nil {
+		return opnd{}, err
 	}
-	s := slot{fieldIdx: fi, timeOff: a.TimeOff}
-	copy(s.off[:], a.Off)
-	si, ok := c.slotIdx[s]
-	if !ok {
-		si = int32(len(c.k.slots))
-		c.slotIdx[s] = si
-		c.k.slots = append(c.k.slots, s)
-	}
+	si := int32(slot)
 	if reg, cached := c.loadCache[si]; cached {
 		return opnd{kind: oPinned, idx: reg}, nil
 	}
 	reg := c.allocReg()
-	c.emit(instr{op: opLoad, rd: reg, b: si})
+	c.emit(Instr{Op: OpLoad, Rd: reg, B: si})
 	c.loadCache[si] = reg
 	c.cacheReg[reg] = si
 	return opnd{kind: oPinned, idx: reg}, nil
@@ -487,21 +458,21 @@ func (c *compiler) addTerm(acc opnd, term symbolic.Expr) (opnd, error) {
 		return c.addVS(v, acc.idx), nil
 	}
 	rd := c.pick(acc, v)
-	c.emit(instr{op: opAddVV, rd: rd, a: acc.idx, b: v.idx})
+	c.emit(Instr{Op: OpAddVV, Rd: rd, A: acc.idx, B: v.idx})
 	c.releaseExcept(rd, acc, v)
 	return opnd{kind: oScratch, idx: rd}, nil
 }
 
 func (c *compiler) addVS(v opnd, s int32) opnd {
 	rd := c.pick(v)
-	c.emit(instr{op: opAddVS, rd: rd, a: v.idx, b: s})
+	c.emit(Instr{Op: OpAddVS, Rd: rd, A: v.idx, B: s})
 	c.releaseExcept(rd, v)
 	return opnd{kind: oScratch, idx: rd}
 }
 
 func (c *compiler) mulVS(v opnd, s int32) opnd {
 	rd := c.pick(v)
-	c.emit(instr{op: opMulVS, rd: rd, a: v.idx, b: s})
+	c.emit(Instr{Op: OpMulVS, Rd: rd, A: v.idx, B: s})
 	c.releaseExcept(rd, v)
 	return opnd{kind: oScratch, idx: rd}
 }
@@ -512,17 +483,17 @@ func (c *compiler) madd(x, y, acc opnd) opnd {
 	switch {
 	case x.kind == oScalar:
 		rd := c.pick(acc, y)
-		c.emit(instr{op: opMaddVS, rd: rd, a: y.idx, b: x.idx, c: acc.idx})
+		c.emit(Instr{Op: OpMaddVS, Rd: rd, A: y.idx, B: x.idx, C: acc.idx})
 		c.releaseExcept(rd, acc, y)
 		return opnd{kind: oScratch, idx: rd}
 	case y.kind == oScalar:
 		rd := c.pick(acc, x)
-		c.emit(instr{op: opMaddVS, rd: rd, a: x.idx, b: y.idx, c: acc.idx})
+		c.emit(Instr{Op: OpMaddVS, Rd: rd, A: x.idx, B: y.idx, C: acc.idx})
 		c.releaseExcept(rd, acc, x)
 		return opnd{kind: oScratch, idx: rd}
 	default:
 		rd := c.pick(acc, x, y)
-		c.emit(instr{op: opMaddVV, rd: rd, a: x.idx, b: y.idx, c: acc.idx})
+		c.emit(Instr{Op: OpMaddVV, Rd: rd, A: x.idx, B: y.idx, C: acc.idx})
 		c.releaseExcept(rd, acc, x, y)
 		return opnd{kind: oScratch, idx: rd}
 	}
@@ -569,7 +540,7 @@ func (c *compiler) compileMul(factors []symbolic.Expr) (opnd, error) {
 			continue
 		}
 		rd := c.pick(acc, v)
-		c.emit(instr{op: opMulVV, rd: rd, a: acc.idx, b: v.idx})
+		c.emit(Instr{Op: OpMulVV, Rd: rd, A: acc.idx, B: v.idx})
 		c.releaseExcept(rd, acc, v)
 		acc = opnd{kind: oScratch, idx: rd}
 	}

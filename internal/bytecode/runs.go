@@ -10,106 +10,39 @@ package bytecode
 // conformance tests assert that every opcode and every run shape stays
 // covered by real scenario kernels.
 
-// Exported opcode values, mirroring the internal constants one-to-one.
-const (
-	OpLoad   byte = opLoad
-	OpStore  byte = opStore
-	OpCopy   byte = opCopy
-	OpMovS   byte = opMovS
-	OpAddVV  byte = opAddVV
-	OpAddVS  byte = opAddVS
-	OpMulVV  byte = opMulVV
-	OpMulVS  byte = opMulVS
-	OpMaddVV byte = opMaddVV
-	OpMaddVS byte = opMaddVS
-	OpPowV   byte = opPowV
-)
-
-// NumOpcodes is the size of the vector-opcode vocabulary.
-const NumOpcodes = int(opPowV) + 1
+import "devigo/internal/runtime"
 
 // OpName returns the mnemonic of a vector opcode.
 func OpName(op byte) string {
 	switch op {
-	case opLoad:
+	case OpLoad:
 		return "load"
-	case opStore:
+	case OpStore:
 		return "store"
-	case opCopy:
+	case OpCopy:
 		return "copy"
-	case opMovS:
+	case OpMovS:
 		return "movs"
-	case opAddVV:
+	case OpAddVV:
 		return "addvv"
-	case opAddVS:
+	case OpAddVS:
 		return "addvs"
-	case opMulVV:
+	case OpMulVV:
 		return "mulvv"
-	case opMulVS:
+	case OpMulVS:
 		return "mulvs"
-	case opMaddVV:
+	case OpMaddVV:
 		return "maddvv"
-	case opMaddVS:
+	case OpMaddVS:
 		return "maddvs"
-	case opPowV:
+	case OpPowV:
 		return "powv"
 	}
 	return "?"
 }
 
-// Instr is the exported view of one row-program instruction. Field use per
-// opcode matches the internal opcode documentation: Rd, A and C address
-// row registers; B addresses the scalar pool, a load slot, an equation
-// index, an integer exponent, or the second source register (VV forms).
-type Instr struct {
-	Op          byte
-	Rd, A, B, C int32
-}
-
-// Program returns the compiled row program as exported instructions.
-func (k *Kernel) Program() []Instr {
-	out := make([]Instr, len(k.prog))
-	for i, in := range k.prog {
-		out[i] = Instr{Op: in.op, Rd: in.rd, A: in.a, B: in.b, C: in.c}
-	}
-	return out
-}
-
-// SlotRef describes one resolved field access of the program: which bound
-// field (index into FieldNames), which time offset, and the per-dimension
-// stencil offset.
-type SlotRef struct {
-	Field   int
-	TimeOff int
-	Off     [3]int
-}
-
-// Slots returns the program's load-slot table.
-func (k *Kernel) Slots() []SlotRef {
-	out := make([]SlotRef, len(k.slots))
-	for i, s := range k.slots {
-		out[i] = SlotRef{Field: s.fieldIdx, TimeOff: s.timeOff, Off: s.off}
-	}
-	return out
-}
-
-// EqRef describes where one equation's store lands.
-type EqRef struct {
-	Field   int
-	TimeOff int
-}
-
-// EqOuts returns the program's equation-output table.
-func (k *Kernel) EqOuts() []EqRef {
-	out := make([]EqRef, len(k.eqs))
-	for i, e := range k.eqs {
-		out[i] = EqRef{Field: e.outField, TimeOff: e.outTimeOff}
-	}
-	return out
-}
-
-// FieldNames returns the kernel's bound field names in field-index order.
-func (k *Kernel) FieldNames() []string { return k.names }
+// Program returns the compiled row program (shared, read-only).
+func (k *Kernel) Program() []Instr { return k.prog }
 
 // ---------------------------------------------------------------------------
 // Opcode-run extraction: partitioning the row program into fused chains.
@@ -344,10 +277,10 @@ const (
 // that loads a stored buffer at a nonzero stencil offset (which would make
 // per-point execution see neighbors the row-sweep order has not written
 // yet) falls back to one verbatim VM segment.
-func ExtractSegments(prog []Instr, slots []SlotRef, eqs []EqRef) []Segment {
+func ExtractSegments(prog []Instr, slots []runtime.Slot, eqs []runtime.Out) []Segment {
 	for _, e := range eqs {
 		for _, s := range slots {
-			if s.Field == e.Field && s.TimeOff == e.TimeOff && s.Off != [3]int{} {
+			if s.Field == e.Field && s.TimeOff == e.TimeOff && s.Off != [runtime.MaxDims]int{} {
 				return []Segment{{Shape: ShapeVM, Lo: 0, Hi: len(prog),
 					VM: append([]Instr(nil), prog...)}}
 			}
@@ -387,7 +320,7 @@ func ExtractSegments(prog []Instr, slots []SlotRef, eqs []EqRef) []Segment {
 // materializeMask marks load instructions whose register is consumed after
 // a store to the loaded buffer: deferring those would re-read overwritten
 // memory, so they are pinned to their original program position instead.
-func materializeMask(prog []Instr, slots []SlotRef, eqs []EqRef) []bool {
+func materializeMask(prog []Instr, slots []runtime.Slot, eqs []runtime.Out) []bool {
 	type bufKey struct{ f, t int }
 	storeAt := map[bufKey][]int{}
 	for i, in := range prog {
@@ -978,12 +911,7 @@ func mergeLink(in Instr, cls func(int32) (byte, int32)) (Link, bool) {
 	return Link{}, false
 }
 
-// Ipow exposes the engines' shared integer-power helper: repeated
-// multiplication with a final reciprocal for negative exponents. The
-// native engine calls it so all three engines share one operation order.
-func Ipow(v float64, e int) float64 { return ipow(v, e) }
-
 // Segments extracts the kernel's own fused-segment partition.
 func (k *Kernel) Segments() []Segment {
-	return ExtractSegments(k.Program(), k.Slots(), k.EqOuts())
+	return ExtractSegments(k.prog, k.drv.Slots, k.drv.Outs)
 }

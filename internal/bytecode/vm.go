@@ -1,310 +1,105 @@
 package bytecode
 
-import (
-	"sync"
+import "devigo/internal/runtime"
 
-	"devigo/internal/runtime"
-)
-
-// bcScratch is one worker's private sweep state: the odometer, the
-// per-field row bases and the whole-row register file. Allocated once per
-// worker and reused across tiles and timesteps; regs grows monotonically
-// if a Retarget lengthens rows.
-type bcScratch struct {
-	idx   []int
-	bases []int
-	regs  []float64
-}
-
-// bcState is the kernel's reusable dispatch state, allocated eagerly at
-// compile/Rebind time so the steady-state Run path performs no heap
-// allocation. Slice *contents* are refilled every Run (buffer rotation
-// makes the t-dependent data pointers change per step); the backing
-// arrays persist. Rebind installs a fresh state in the copy, so rebound
-// kernels stay safe to run concurrently with the original.
-type bcState struct {
-	task     bcTask
-	slotData [][]float32
-	slotOff  []int
-	outData  [][]float32
-	ws       []*bcScratch
-}
-
-func newBCState(k *Kernel) *bcState {
-	return &bcState{
-		slotData: make([][]float32, len(k.slots)),
-		slotOff:  make([]int, len(k.slots)),
-		outData:  make([][]float32, len(k.eqs)),
-	}
-}
-
-// refill resolves the per-(field,timeOff) data slices — and each slot's
-// flat stencil displacement against the field's *current* strides — once
-// per Run, so buffer rotation and ghost-storage reallocation between
-// steps stay transparent without re-deriving any geometry.
-func (st *bcState) refill(k *Kernel, t int, b runtime.Box) {
-	for i, s := range k.slots {
-		f := k.Fields[s.fieldIdx]
-		st.slotData[i] = f.Buf(t + s.timeOff).Data
-		flat := 0
-		for d := 0; d < len(b.Lo); d++ {
-			flat += s.off[d] * f.Bufs[0].Strides[d]
-		}
-		st.slotOff[i] = flat
-	}
-	for i, e := range k.eqs {
-		st.outData[i] = k.Fields[e.outField].Buf(t + e.outTimeOff).Data
-	}
-}
-
-// ensureScratch grows the per-worker scratch table to `workers` entries
-// and every active register file to regLen. Called from the
-// single-threaded dispatch prologue only, never from workers, so the pool
-// path indexes a stable table.
-func (st *bcState) ensureScratch(workers, nd, nf, regLen int) {
-	for len(st.ws) < workers {
-		st.ws = append(st.ws, &bcScratch{idx: make([]int, nd), bases: make([]int, nf)})
-	}
-	for _, sc := range st.ws[:workers] {
-		if len(sc.regs) < regLen {
-			sc.regs = make([]float64, regLen)
-		}
-	}
-}
-
-// bcTask adapts one Run invocation to the pool's Task contract. It lives
-// inside the kernel's bcState so handing it to the pool converts a
-// pointer to an interface without allocating.
-type bcTask struct {
-	k        *Kernel
-	b        runtime.Box
-	pool     []float64
-	tileRows int
-	maxRow   int
-}
-
-// RunTile executes one row band with worker w's scratch.
-func (tk *bcTask) RunTile(w, tile int) {
-	lo, hi := runtime.TileBounds(tk.b, tile, tk.tileRows)
-	tk.k.runTile(tk.k.st.ws[w], tk.b, lo, hi, tk.maxRow, tk.pool)
+// scratch is one worker's private whole-row register file: numRegs rows
+// of stride points each. Allocated once per worker and reused across tiles
+// and timesteps; it grows monotonically if a Retarget lengthens rows.
+type scratch struct {
+	regs   []float64
+	stride int
 }
 
 // Run executes the compiled program at every point of the box for logical
-// timestep t, with the scalar pool from BindSyms. It preserves the
-// interpreter's execution contract exactly: row-major point order,
-// equations in program order at each point, tiling over the outer
-// dimension, optional worker-pool parallelism and the Progress prod
-// between tiles — so all halo-exchange modes run unchanged on either
-// engine, and results are bit-identical for every worker count and
-// dispatch mode (tiles are disjoint row bands).
+// timestep t, with the scalar pool from BindSyms. The shared tile driver
+// gives it the interpreter's execution contract exactly: row-major point
+// order, equations in program order on each row, tiling over the outer
+// dimension, worker-pool parallelism and the Progress prod between tiles.
 func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {
-	if b.Empty() {
-		return
-	}
-	workers, tileRows := 1, 0
-	var progress func()
-	var wp *runtime.Pool
-	steal := false
-	if opts != nil {
-		if opts.Workers > 1 {
-			workers = opts.Workers
-		}
-		tileRows = opts.TileRows
-		progress = opts.Progress
-		if opts.Pool != nil && opts.Pool.Workers() > 1 {
-			wp = opts.Pool
-			workers = wp.Workers()
-		}
-		steal = opts.Steal
-	}
-	nd := len(b.Lo)
-	outer := b.Hi[0] - b.Lo[0]
-	if tileRows <= 0 || tileRows > outer {
-		tileRows = outer
-	}
-	ntiles := runtime.TileCount(b, tileRows)
-	// The register file holds whole rows; size it for the longest row a
-	// tile can produce (in 1-D the tile itself is the row).
-	maxRow := b.Hi[nd-1] - b.Lo[nd-1]
-	if nd == 1 {
-		maxRow = tileRows
-	}
-
-	st := k.st
-	st.refill(k, t, b)
-	st.ensureScratch(workers, nd, len(k.Fields), k.numRegs*maxRow)
-
-	if wp != nil {
-		st.task = bcTask{k: k, b: b, pool: pool, tileRows: tileRows, maxRow: maxRow}
-		wp.Run(&st.task, ntiles, t, steal, progress)
-		return
-	}
-	if workers <= 1 {
-		sc := st.ws[0]
-		for tile := 0; tile < ntiles; tile++ {
-			lo, hi := runtime.TileBounds(b, tile, tileRows)
-			k.runTile(sc, b, lo, hi, maxRow, pool)
-			if progress != nil {
-				progress()
-			}
-		}
-		return
-	}
-	k.forkJoinRun(b, pool, workers, ntiles, tileRows, maxRow, nd, progress)
+	k.drv.Run(k, t, b, pool, opts)
 }
 
-// forkJoinRun is the legacy fork-join dispatch: fresh goroutines, a tile
-// channel and per-goroutine scratch on every call. Kept selectable (nil
-// Pool) as the overhead baseline the persistent pool is benchmarked
-// against. Split out of Run so its goroutine closure does not force heap
-// allocation of Run's locals on the (alloc-free) pool and serial paths.
-func (k *Kernel) forkJoinRun(b runtime.Box, pool []float64, workers, ntiles, tileRows, maxRow, nd int, progress func()) {
-	var wg sync.WaitGroup
-	work := make(chan int, ntiles)
-	for i := 0; i < ntiles; i++ {
-		work <- i
+// Prep implements runtime.RowExec: the register file holds whole rows, so
+// it is sized for the longest row of the sweep.
+func (k *Kernel) Prep(sc *scratch, maxRow int, _ []float64) {
+	if n := k.numRegs * maxRow; len(sc.regs) < n {
+		sc.regs = make([]float64, n)
 	}
-	close(work)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(isFirst bool) {
-			defer wg.Done()
-			sc := &bcScratch{
-				idx:   make([]int, nd),
-				bases: make([]int, len(k.Fields)),
-				regs:  make([]float64, k.numRegs*maxRow),
-			}
-			for tile := range work {
-				lo, hi := runtime.TileBounds(b, tile, tileRows)
-				k.runTile(sc, b, lo, hi, maxRow, pool)
-				// One worker doubles as the progress engine, mirroring
-				// the sacrificed OpenMP thread of the paper's full mode.
-				if isFirst && progress != nil {
-					progress()
-				}
-			}
-		}(wkr == 0)
-	}
-	wg.Wait()
+	sc.stride = maxRow
 }
 
-// runTile executes rows [lo,hi) of the box's outer dimension with worker
-// scratch sc: an odometer over dims 0..nd-2, the innermost dimension as
-// the contiguous row one sweep processes at once.
-func (k *Kernel) runTile(sc *bcScratch, b runtime.Box, lo, hi, maxRow int, pool []float64) {
-	st := k.st
-	nd := len(b.Lo)
-	idx := sc.idx[:nd]
-	copy(idx, b.Lo)
-	idx[0] = lo
-	bases := sc.bases[:len(k.Fields)]
-	rowLen := b.Hi[nd-1] - b.Lo[nd-1]
-	if nd == 1 {
-		rowLen = hi - lo
-	}
-	for {
-		// Row start base per field (domain-relative -> buffer index).
-		for fi, f := range k.Fields {
-			base := 0
-			for d := 0; d < nd; d++ {
-				base += (idx[d] + f.Halo[d]) * f.Bufs[0].Strides[d]
-			}
-			bases[fi] = base
-		}
-		k.sweep(sc.regs, maxRow, rowLen, bases, st.slotData, st.slotOff, st.outData, pool)
-		// Advance the odometer over dims nd-2 .. 0 (dim 0 bounded by
-		// the tile).
-		d := nd - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			limit := b.Hi[d]
-			if d == 0 {
-				limit = hi
-			}
-			if idx[d] < limit {
-				break
-			}
-			if d == 0 {
-				break
-			}
-			idx[d] = b.Lo[d]
-		}
-		if d < 0 {
-			break
-		}
-		if d == 0 && idx[0] >= hi {
-			break
-		}
-	}
+// ExecRow implements runtime.RowExec: one sweep of the row program.
+func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
+	Sweep(k.prog, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
 }
 
-// sweep executes the flat program once over one row of n points. stride is
-// the register-file row pitch (>= n); slotOff carries the per-slot flat
-// stencil displacements resolved against the current field strides.
-func (k *Kernel) sweep(regs []float64, stride, n int, bases []int, slotData [][]float32, slotOff []int, outData [][]float32, pool []float64) {
-	reg := func(r int32) []float64 {
-		off := int(r) * stride
+// Sweep executes a row program once over one row of n points, one whole-row
+// pass per instruction. regs is the register file with row pitch stride
+// (>= n); bases are the row's per-field start indices and r the slot and
+// output data resolved for this Run. Exported so the native engine's
+// VM-fallback segments run the very same code as the bytecode engine.
+func Sweep(prog []Instr, r *runtime.Resolved, regs []float64, stride, n int, bases []int, pool []float64) {
+	reg := func(i int32) []float64 {
+		off := int(i) * stride
 		return regs[off : off+n]
 	}
-	for pi := range k.prog {
-		in := &k.prog[pi]
-		switch in.op {
-		case opLoad:
-			s := &k.slots[in.b]
-			off := bases[s.fieldIdx] + slotOff[in.b]
-			src := slotData[in.b][off : off+n]
-			rd := reg(in.rd)
+	for pi := range prog {
+		in := &prog[pi]
+		switch in.Op {
+		case OpLoad:
+			off := bases[r.Slots[in.B].Field] + r.SlotOff[in.B]
+			src := r.SlotData[in.B][off : off+n]
+			rd := reg(in.Rd)
 			for i, v := range src {
 				rd[i] = float64(v)
 			}
-		case opStore:
-			e := &k.eqs[in.b]
-			off := bases[e.outField]
-			dst := outData[in.b][off : off+n]
-			ra := reg(in.a)
+		case OpStore:
+			off := bases[r.Outs[in.B].Field]
+			dst := r.OutData[in.B][off : off+n]
+			ra := reg(in.A)
 			for i, v := range ra {
 				dst[i] = float32(v)
 			}
-		case opCopy:
-			copy(reg(in.rd), reg(in.a))
-		case opMovS:
-			rd, v := reg(in.rd), pool[in.b]
+		case OpCopy:
+			copy(reg(in.Rd), reg(in.A))
+		case OpMovS:
+			rd, v := reg(in.Rd), pool[in.B]
 			for i := range rd {
 				rd[i] = v
 			}
-		case opAddVV:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			rb := reg(in.b)[:len(rd)]
+		case OpAddVV:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			rb := reg(in.B)[:len(rd)]
 			for i := range rd {
 				rd[i] = ra[i] + rb[i]
 			}
-		case opAddVS:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			s := pool[in.b]
+		case OpAddVS:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			s := pool[in.B]
 			for i := range rd {
 				rd[i] = ra[i] + s
 			}
-		case opMulVV:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			rb := reg(in.b)[:len(rd)]
+		case OpMulVV:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			rb := reg(in.B)[:len(rd)]
 			for i := range rd {
 				rd[i] = ra[i] * rb[i]
 			}
-		case opMulVS:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			s := pool[in.b]
+		case OpMulVS:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			s := pool[in.B]
 			for i := range rd {
 				rd[i] = ra[i] * s
 			}
-		case opMaddVV:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			rb := reg(in.b)[:len(rd)]
-			rc := reg(in.c)[:len(rd)]
+		case OpMaddVV:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			rb := reg(in.B)[:len(rd)]
+			rc := reg(in.C)[:len(rd)]
 			// Mul then add, each rounded: dispatch fusion only. The
 			// explicit float64 conversion forces the intermediate
 			// rounding (Go spec), forbidding hardware-FMA contraction on
@@ -313,20 +108,20 @@ func (k *Kernel) sweep(regs []float64, stride, n int, bases []int, slotData [][]
 			for i := range rd {
 				rd[i] = float64(ra[i]*rb[i]) + rc[i]
 			}
-		case opMaddVS:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			rc := reg(in.c)[:len(rd)]
-			s := pool[in.b]
+		case OpMaddVS:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			rc := reg(in.C)[:len(rd)]
+			s := pool[in.B]
 			for i := range rd {
 				rd[i] = float64(ra[i]*s) + rc[i]
 			}
-		case opPowV:
-			rd := reg(in.rd)
-			ra := reg(in.a)[:len(rd)]
-			e := int(in.b)
+		case OpPowV:
+			rd := reg(in.Rd)
+			ra := reg(in.A)[:len(rd)]
+			e := int(in.B)
 			for i := range rd {
-				rd[i] = ipow(ra[i], e)
+				rd[i] = runtime.Ipow(ra[i], e)
 			}
 		}
 	}

@@ -158,24 +158,27 @@ func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	return nil
 }
 
-// measurePoolSync replaces the host model's order-of-magnitude fork-join
-// cost with the measured dispatch cost (publish + wake + join) of a
-// persistent worker pool on this machine, so the workers axis is ranked
-// against real sync overhead. The operator's own pool is probed when one
-// is live; otherwise a transient team of the planning width is timed and
-// released. Fork-join operators keep the model default — per-call
-// goroutine dispatch is what they will actually pay.
+// measurePoolSync replaces the host model's order-of-magnitude sync cost
+// with the measured dispatch cost (publish + wake + join) of a persistent
+// worker pool on this machine, so the workers axis is ranked against real
+// sync overhead. The operator's own pool is probed when one is live;
+// otherwise a transient team of the planning width is timed and released.
+// The measurement is rank-local, so a distributed run adopts the slowest
+// rank's figure (allreduced max): every rank must feed Plan/Tune the same
+// host model or they build different shortlists and then reduce the trial
+// times of different candidates.
 func (op *Operator) measurePoolSync(h *perfmodel.Host, maxWorkers int) {
-	if op.forkJoin || maxWorkers <= 1 {
-		return
+	if maxWorkers > 1 {
+		p := op.pool
+		if p == nil || p.Workers() <= 1 {
+			p = runtime.NewPool(maxWorkers, op.obsRank())
+			defer p.Close()
+		}
+		h.PoolSync = p.SyncCost()
 	}
-	if op.pool != nil && op.pool.Workers() > 1 {
-		h.PoolSync = op.pool.SyncCost()
-		return
+	if op.ctx != nil && !op.ctx.Serial() {
+		h.PoolSync = op.ctx.Comm.AllreduceScalar(h.PoolSync, mpi.OpMax)
 	}
-	p := runtime.NewPool(maxWorkers, op.obsRank())
-	defer p.Close()
-	h.PoolSync = p.SyncCost()
 }
 
 // tileProfile derives the exchange-interval figures of the profile: the

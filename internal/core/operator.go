@@ -61,14 +61,10 @@ type Operator struct {
 	// shrinking time-tile shell boxes are load-imbalanced across the
 	// static block-cyclic partition, so only they opt into stealing.
 	shellOpts runtime.ExecOpts
-	// pool is the persistent per-rank worker team (nil when serial or
-	// fork-join dispatch is forced). Workers spawn once and park between
-	// dispatches; the pool survives Retarget/RetargetTimeTile/Rebind and
-	// is released by Close.
+	// pool is the persistent per-rank worker team (nil when serial).
+	// Workers spawn once and park between dispatches; the pool survives
+	// Retarget/RetargetTimeTile/Rebind and is released by Close.
 	pool *runtime.Pool
-	// forkJoin pins the legacy per-call goroutine dispatch (the baseline
-	// the hybrid benchmark compares the pool against).
-	forkJoin bool
 	// mode is the operator's own halo pattern: seeded from the context at
 	// construction, switchable afterwards via Retarget (the context is
 	// shared between operators and is never mutated).
@@ -140,7 +136,7 @@ type Perf struct {
 	TuneSteps  int
 	TunePoints int64
 	// Engine names the execution engine the kernels compiled to
-	// (EngineBytecode or EngineInterpreter).
+	// (EngineBytecode, EngineNative or EngineInterpreter).
 	Engine string
 }
 
@@ -172,15 +168,11 @@ type Options struct {
 	// DEVIGO_WORKERS environment variable applies when unset (0); both
 	// count as forced — the autotuner never overrides an explicit choice.
 	Workers int
-	// ForkJoin forces the legacy per-call goroutine dispatch instead of
-	// the persistent worker pool — the overhead baseline devigo-bench's
-	// hybrid experiment measures the pool against.
-	ForkJoin bool
 	// TileRows controls progress granularity for overlap mode.
 	TileRows int
-	// Engine selects the execution engine: EngineBytecode (default) or
-	// EngineInterpreter. The DEVIGO_ENGINE environment variable applies
-	// when unset.
+	// Engine selects the execution engine: EngineBytecode (default),
+	// EngineNative or EngineInterpreter. The DEVIGO_ENGINE environment
+	// variable applies when unset.
 	Engine string
 	// TimeTile is the requested halo-exchange interval k: ghost regions
 	// are exchanged k·radius deep once every k timesteps and the shrinking
@@ -354,7 +346,6 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if opts != nil {
 		op.execOpts.TileRows = opts.TileRows
 		op.forcedTileRows = opts.TileRows > 0
-		op.forkJoin = opts.ForkJoin
 	}
 	op.execOpts.Workers = workersReq
 	op.forcedWorkers = workersReq > 0
@@ -425,15 +416,15 @@ func (op *Operator) obsRank() int {
 
 // ensurePool reconciles the persistent worker team with the operator's
 // current worker count: it spawns a team when more than one worker is
-// configured (unless fork-join dispatch is forced), resizes by replacing
-// a mismatched or closed team, and releases the team when the operator
+// configured, resizes by replacing a mismatched or closed team, and
+// releases the team when the operator
 // drops back to serial. It also refreshes shellOpts, the stealing twin of
 // execOpts. Called at the head of every Apply and after every autotune
 // adoption — the pool itself survives Retarget/RetargetTimeTile/Rebind
 // untouched (those never change the worker count).
 func (op *Operator) ensurePool() {
 	w := op.execOpts.Workers
-	if w <= 1 || op.forkJoin {
+	if w <= 1 {
 		if op.pool != nil {
 			op.pool.Close()
 			op.pool = nil
@@ -464,8 +455,8 @@ func (op *Operator) Close() {
 	}
 }
 
-// Pool exposes the operator's persistent worker team (nil when serial or
-// fork-join dispatch is forced) — benchmarks read its dispatch counters.
+// Pool exposes the operator's persistent worker team (nil when serial) —
+// benchmarks read its dispatch counters.
 func (op *Operator) Pool() *runtime.Pool { return op.pool }
 
 // buildExchangers instantiates one exchanger per exchanged field for the
@@ -721,7 +712,18 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 		// A sibling operator sharing this schedule key may already have
 		// tuned: adopt its configuration and skip the warmup/trial steps
 		// entirely — the cached choice is bit-exact like every candidate.
-		if cfg, ok := op.cachedTuneConfig(); ok {
+		cfg, ok := op.cachedTuneConfig()
+		if op.ctx != nil && !op.ctx.Serial() {
+			// A concurrent shot may publish its entry between two ranks'
+			// lookups: adopt only when every rank hit, so no rank enters
+			// the autotuner's collectives alone.
+			hit := 0.0
+			if ok {
+				hit = 1
+			}
+			ok = op.ctx.Comm.AllreduceScalar(hit, mpi.OpMin) == 1
+		}
+		if ok {
 			if err := op.adopt(cfg); err != nil {
 				return err
 			}

@@ -157,19 +157,6 @@ func TestOperatorPoolLifecycle(t *testing.T) {
 	op.Close() // idempotent
 }
 
-func TestOperatorForkJoinSkipsPool(t *testing.T) {
-	serial, _ := applyDiffusion(t, nil, 3)
-	got, op := applyDiffusion(t, &Options{Workers: 4, ForkJoin: true}, 3)
-	if op.Pool() != nil {
-		t.Fatal("ForkJoin operator spawned a persistent pool")
-	}
-	for i := range serial {
-		if got[i] != serial[i] {
-			t.Fatalf("fork-join result diverges from serial at %d: %v != %v", i, got[i], serial[i])
-		}
-	}
-}
-
 func TestWorkersEnvSpawnsPool(t *testing.T) {
 	t.Setenv(WorkersEnvVar, "2")
 	serial := func() []float32 {

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"devigo/internal/bytecode"
+	"devigo/internal/runtime"
 )
 
 // stripN is the accumulator strip length: long enough to amortize one
@@ -42,7 +43,7 @@ func fsl(p unsafe.Pointer, n int) []float32 { return unsafe.Slice((*float32)(p),
 func powStrip(d unsafe.Pointer, e, n int) {
 	dd := dsl(d, n)
 	for i := range dd {
-		dd[i] = bytecode.Ipow(dd[i], e)
+		dd[i] = runtime.Ipow(dd[i], e)
 	}
 }
 
@@ -108,11 +109,11 @@ func (ex *exec) runStrip(ls []xlink, base, m int, ap, tp unsafe.Pointer) {
 
 		case bytecode.LkPowF:
 			for i := 0; i < m; i++ {
-				ex.acc[i] = bytecode.Ipow(fx(l.pa, base+i), l.exp)
+				ex.acc[i] = runtime.Ipow(fx(l.pa, base+i), l.exp)
 			}
 		case bytecode.LkPowR:
 			for i := 0; i < m; i++ {
-				ex.acc[i] = bytecode.Ipow(rx(l.pa, base+i), l.exp)
+				ex.acc[i] = runtime.Ipow(rx(l.pa, base+i), l.exp)
 			}
 
 		case bytecode.LkMaddFSR:
@@ -264,9 +265,9 @@ func scalarPoint(ls []xlink, i int) {
 		case bytecode.LkAddRR:
 			a = rx(l.pa, i) + rx(l.pb, i)
 		case bytecode.LkPowF:
-			a = bytecode.Ipow(fx(l.pa, i), l.exp)
+			a = runtime.Ipow(fx(l.pa, i), l.exp)
 		case bytecode.LkPowR:
-			a = bytecode.Ipow(rx(l.pa, i), l.exp)
+			a = runtime.Ipow(rx(l.pa, i), l.exp)
 		case bytecode.LkMaddFSF:
 			a = float64(fx(l.pa, i)*l.sv) + fx(l.pc, i)
 		case bytecode.LkMaddFSR:
@@ -310,7 +311,7 @@ func scalarPoint(ls []xlink, i int) {
 		case bytecode.LkAccMaddRR:
 			a = float64(rx(l.pa, i)*rx(l.pb, i)) + a
 		case bytecode.LkAccPow:
-			a = bytecode.Ipow(a, l.exp)
+			a = runtime.Ipow(a, l.exp)
 		case bytecode.LkTMulFS:
 			t = fx(l.pa, i) * l.sv
 		case bytecode.LkTMulRS:

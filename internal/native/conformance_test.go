@@ -203,6 +203,8 @@ func confBox(f *field.Function) runtime.Box {
 func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	opSeen := make([]bool, bytecode.NumOpcodes)
 	shapeSeen := map[bytecode.Shape]bool{}
+	team := runtime.NewPool(3, 0)
+	defer team.Close()
 
 	for name, n := range confScenarios(t) {
 		t.Run(name, func(t *testing.T) {
@@ -247,7 +249,7 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {Workers: 3, TileRows: 2}} {
+			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {TileRows: 2, Pool: team}} {
 				kB.Run(0, confBox(n.fB[n.outs[0]]), poolB, opts)
 				nk.Run(0, confBox(n.fN[n.outs[0]]), poolN, opts)
 				for _, fn := range n.outs {

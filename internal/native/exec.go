@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"devigo/internal/bytecode"
@@ -165,24 +164,6 @@ type exec struct {
 	acc, tt []float64
 }
 
-// newExec instantiates the template for one worker: scalars come from the
-// bound pool, register-row pointers from the worker's register file.
-func (k *Kernel) newExec(pool, regs []float64, stride int) *exec {
-	e := &exec{
-		links: append([]xlink(nil), k.tm.links...),
-		acc:   make([]float64, stripN),
-		tt:    make([]float64, stripN),
-	}
-	for _, p := range k.tm.ss {
-		e.links[p.li].sv = pool[p.pool]
-	}
-	for _, p := range k.tm.rs {
-		ptr := unsafe.Pointer(&regs[int(p.reg)*stride])
-		setPtr(&e.links[p.li], p.pos, ptr)
-	}
-	return e
-}
-
 func setPtr(l *xlink, pos int8, p unsafe.Pointer) {
 	switch pos {
 	case 0:
@@ -197,12 +178,11 @@ func setPtr(l *xlink, pos int8, p unsafe.Pointer) {
 // patchRow points every field operand at the current row. The single
 // bounds check per operand here replaces the VM's per-instruction slice
 // checks; a violation panics exactly where the VM's slicing would.
-func (k *Kernel) patchRow(e *exec, n int, bases []int,
-	slotData [][]float32, slotOff []int, outData [][]float32) {
+func (k *Kernel) patchRow(e *exec, n int, bases []int) {
+	r := &k.drv.Resolved
 	for _, p := range k.tm.fs {
-		s := &k.slots[p.slot]
-		off := bases[s.Field] + slotOff[p.slot]
-		data := slotData[p.slot]
+		off := bases[r.Slots[p.slot].Field] + r.SlotOff[p.slot]
+		data := r.SlotData[p.slot]
 		if off < 0 || off+n > len(data) {
 			panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
 				off, off+n, p.slot, len(data)))
@@ -210,8 +190,8 @@ func (k *Kernel) patchRow(e *exec, n int, bases []int,
 		setPtr(&e.links[p.li], p.pos, unsafe.Pointer(&data[off]))
 	}
 	for _, p := range k.tm.es {
-		off := bases[k.eqs[p.eq].Field]
-		data := outData[p.eq]
+		off := bases[r.Outs[p.eq].Field]
+		data := r.OutData[p.eq]
 		if off < 0 || off+n > len(data) {
 			panic(fmt.Sprintf("native: store row [%d:%d) out of bounds of eq %d (len %d)",
 				off, off+n, p.eq, len(data)))
@@ -220,67 +200,32 @@ func (k *Kernel) patchRow(e *exec, n int, bases []int,
 	}
 }
 
-// natScratch is one worker's private sweep state: the odometer, the
-// per-field row bases, the register file and a cached exec whose
-// register-row pointers are re-patched (allocation-free) whenever the
-// row pitch or the register backing array changes.
-type natScratch struct {
-	idx    []int
-	bases  []int
+// scratch is one worker's private sweep state: the register file and a
+// cached exec whose register-row pointers are re-patched (allocation-free)
+// whenever the row pitch or the register backing array changes.
+type scratch struct {
 	regs   []float64
 	ex     *exec
 	stride int
 }
 
-// natState is the kernel's reusable dispatch state, allocated eagerly at
-// Wrap/Rebind time so the steady-state Run path performs no heap
-// allocation. Slice *contents* are refilled every Run (buffer rotation
-// makes the t-dependent data pointers change per step); the backing
-// arrays persist. Rebind installs a fresh state in the copy, so rebound
-// kernels stay safe to run concurrently with the original.
-type natState struct {
-	task     natTask
-	slotData [][]float32
-	slotOff  []int
-	outData  [][]float32
-	ws       []*natScratch
+// Run executes the fused program at every point of the box for logical
+// timestep t. The shared tile driver gives it the engine execution
+// contract exactly — row-major point order, equations in program order on
+// each row, tiling over the outer dimension, worker-pool parallelism and
+// the Progress prod between tiles — so all halo-exchange modes run
+// unchanged.
+func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {
+	k.drv.Run(k, t, b, pool, opts)
 }
 
-func newNatState(k *Kernel) *natState {
-	return &natState{
-		slotData: make([][]float32, len(k.slots)),
-		slotOff:  make([]int, len(k.slots)),
-		outData:  make([][]float32, len(k.eqs)),
-	}
-}
-
-// refill resolves the per-(field,timeOff) data slices and flat stencil
-// displacements against the current strides, once per Run.
-func (st *natState) refill(k *Kernel, t int, b runtime.Box) {
-	fields := k.bk.Fields
-	for i, s := range k.slots {
-		f := fields[s.Field]
-		st.slotData[i] = f.Buf(t + s.TimeOff).Data
-		flat := 0
-		for d := 0; d < len(b.Lo); d++ {
-			flat += s.Off[d] * f.Bufs[0].Strides[d]
-		}
-		st.slotOff[i] = flat
-	}
-	for i, e := range k.eqs {
-		st.outData[i] = fields[e.Field].Buf(t + e.TimeOff).Data
-	}
-}
-
-// prep readies worker scratch sc for a Run with the given register-file
-// length and row pitch. Register rows are re-pointed only when geometry
-// changed; scalar-pool values are refreshed every Run (BindSyms produces a
-// new pool per operator/shot). Steady state with unchanged geometry
-// performs no allocation. Called from the single-threaded dispatch
-// prologue only.
-func (k *Kernel) prep(sc *natScratch, pool []float64, regLen, stride int) {
-	if len(sc.regs) < regLen {
-		sc.regs = make([]float64, regLen)
+// Prep implements runtime.RowExec. Register rows are re-pointed only when
+// geometry changed; scalar-pool values are refreshed every Run (BindSyms
+// produces a new pool per operator/shot). Steady state with unchanged
+// geometry performs no allocation.
+func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
+	if n := k.bk.NumRegisters() * maxRow; len(sc.regs) < n {
+		sc.regs = make([]float64, n)
 		sc.ex = nil
 	}
 	if sc.ex == nil {
@@ -291,10 +236,10 @@ func (k *Kernel) prep(sc *natScratch, pool []float64, regLen, stride int) {
 		}
 		sc.stride = -1
 	}
-	if sc.stride != stride {
-		sc.stride = stride
+	if sc.stride != maxRow {
+		sc.stride = maxRow
 		for _, p := range k.tm.rs {
-			setPtr(&sc.ex.links[p.li], p.pos, unsafe.Pointer(&sc.regs[int(p.reg)*stride]))
+			setPtr(&sc.ex.links[p.li], p.pos, unsafe.Pointer(&sc.regs[int(p.reg)*maxRow]))
 		}
 	}
 	for _, p := range k.tm.ss {
@@ -302,282 +247,16 @@ func (k *Kernel) prep(sc *natScratch, pool []float64, regLen, stride int) {
 	}
 }
 
-// ensureScratch grows the per-worker scratch table to `workers` entries.
-// Called from the single-threaded dispatch prologue only, never from
-// workers, so the pool path indexes a stable table.
-func (st *natState) ensureScratch(workers, nd, nf int) {
-	for len(st.ws) < workers {
-		st.ws = append(st.ws, &natScratch{idx: make([]int, nd), bases: make([]int, nf)})
-	}
-}
-
-// natTask adapts one Run invocation to the pool's Task contract. It lives
-// inside the kernel's natState so handing it to the pool converts a
-// pointer to an interface without allocating.
-type natTask struct {
-	k        *Kernel
-	b        runtime.Box
-	pool     []float64
-	tileRows int
-	maxRow   int
-}
-
-// RunTile executes one row band with worker w's scratch.
-func (tk *natTask) RunTile(w, tile int) {
-	lo, hi := runtime.TileBounds(tk.b, tile, tk.tileRows)
-	tk.k.runTile(tk.k.st.ws[w], tk.b, lo, hi, tk.maxRow, tk.pool)
-}
-
-// runTile executes rows [lo,hi) of the box's outer dimension with worker
-// scratch sc: an odometer over dims 0..nd-2, the innermost dimension as
-// the contiguous row.
-func (k *Kernel) runTile(sc *natScratch, b runtime.Box, lo, hi, maxRow int, pool []float64) {
-	st := k.st
-	fields := k.bk.Fields
-	nd := len(b.Lo)
-	idx := sc.idx[:nd]
-	copy(idx, b.Lo)
-	idx[0] = lo
-	bases := sc.bases[:len(fields)]
-	rowLen := b.Hi[nd-1] - b.Lo[nd-1]
-	if nd == 1 {
-		rowLen = hi - lo
-	}
-	for {
-		for fi, f := range fields {
-			base := 0
-			for d := 0; d < nd; d++ {
-				base += (idx[d] + f.Halo[d]) * f.Bufs[0].Strides[d]
-			}
-			bases[fi] = base
-		}
-		k.execRow(sc.ex, sc.regs, maxRow, rowLen, bases, st.slotData, st.slotOff, st.outData, pool)
-		d := nd - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			limit := b.Hi[d]
-			if d == 0 {
-				limit = hi
-			}
-			if idx[d] < limit {
-				break
-			}
-			if d == 0 {
-				break
-			}
-			idx[d] = b.Lo[d]
-		}
-		if d < 0 {
-			break
-		}
-		if d == 0 && idx[0] >= hi {
-			break
-		}
-	}
-}
-
-// Run executes the fused program at every point of the box for logical
-// timestep t. It preserves the engine execution contract exactly —
-// row-major point order, equations in program order at each point, tiling
-// over the outer dimension, worker-pool parallelism and the Progress prod
-// between tiles — so all halo-exchange modes run unchanged (this loop
-// structure mirrors the bytecode VM's Run), and results are bit-identical
-// for every worker count and dispatch mode (tiles are disjoint row bands).
-func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {
-	if b.Empty() {
-		return
-	}
-	workers, tileRows := 1, 0
-	var progress func()
-	var wp *runtime.Pool
-	steal := false
-	if opts != nil {
-		if opts.Workers > 1 {
-			workers = opts.Workers
-		}
-		tileRows = opts.TileRows
-		progress = opts.Progress
-		if opts.Pool != nil && opts.Pool.Workers() > 1 {
-			wp = opts.Pool
-			workers = wp.Workers()
-		}
-		steal = opts.Steal
-	}
-	nd := len(b.Lo)
-	outer := b.Hi[0] - b.Lo[0]
-	if tileRows <= 0 || tileRows > outer {
-		tileRows = outer
-	}
-	ntiles := runtime.TileCount(b, tileRows)
-	maxRow := b.Hi[nd-1] - b.Lo[nd-1]
-	if nd == 1 {
-		maxRow = tileRows
-	}
-	numRegs := k.bk.NumRegisters()
-
-	st := k.st
-	st.refill(k, t, b)
-	st.ensureScratch(workers, nd, len(k.bk.Fields))
-
-	if wp != nil {
-		for _, sc := range st.ws[:workers] {
-			k.prep(sc, pool, numRegs*maxRow, maxRow)
-		}
-		st.task = natTask{k: k, b: b, pool: pool, tileRows: tileRows, maxRow: maxRow}
-		wp.Run(&st.task, ntiles, t, steal, progress)
-		return
-	}
-	if workers <= 1 {
-		sc := st.ws[0]
-		k.prep(sc, pool, numRegs*maxRow, maxRow)
-		for tile := 0; tile < ntiles; tile++ {
-			lo, hi := runtime.TileBounds(b, tile, tileRows)
-			k.runTile(sc, b, lo, hi, maxRow, pool)
-			if progress != nil {
-				progress()
-			}
-		}
-		return
-	}
-	k.forkJoinRun(b, pool, workers, ntiles, tileRows, maxRow, nd, numRegs, progress)
-}
-
-// forkJoinRun is the legacy fork-join dispatch: fresh goroutines, a tile
-// channel and per-goroutine scratch on every call. Kept selectable (nil
-// Pool) as the overhead baseline the persistent pool is benchmarked
-// against. Split out of Run so its goroutine closure does not force heap
-// allocation of Run's locals on the (alloc-free) pool and serial paths.
-func (k *Kernel) forkJoinRun(b runtime.Box, pool []float64, workers, ntiles, tileRows, maxRow, nd, numRegs int, progress func()) {
-	var wg sync.WaitGroup
-	work := make(chan int, ntiles)
-	for i := 0; i < ntiles; i++ {
-		work <- i
-	}
-	close(work)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(isFirst bool) {
-			defer wg.Done()
-			sc := &natScratch{
-				idx:    make([]int, nd),
-				bases:  make([]int, len(k.bk.Fields)),
-				regs:   make([]float64, numRegs*maxRow),
-				stride: maxRow,
-			}
-			sc.ex = k.newExec(pool, sc.regs, maxRow)
-			for tile := range work {
-				lo, hi := runtime.TileBounds(b, tile, tileRows)
-				k.runTile(sc, b, lo, hi, maxRow, pool)
-				// One worker doubles as the progress engine, mirroring
-				// the sacrificed OpenMP thread of the paper's full mode.
-				if isFirst && progress != nil {
-					progress()
-				}
-			}
-		}(wkr == 0)
-	}
-	wg.Wait()
-}
-
-// execRow runs every segment once over one row of n points.
-func (k *Kernel) execRow(ex *exec, regs []float64, stride, n int, bases []int,
-	slotData [][]float32, slotOff []int, outData [][]float32, pool []float64) {
-	k.patchRow(ex, n, bases, slotData, slotOff, outData)
+// ExecRow implements runtime.RowExec: every segment once over the row,
+// fused chains through the strip primitives and VM-fallback segments
+// through the bytecode engine's own row sweep.
+func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
+	k.patchRow(sc.ex, n, bases)
 	for _, seg := range k.segs {
 		if seg.shape == bytecode.ShapeVM {
-			k.sweepVM(seg.vm, regs, stride, n, bases, slotData, slotOff, outData, pool)
+			bytecode.Sweep(seg.vm, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
 			continue
 		}
-		ex.runChain(ex.links[seg.lkLo:seg.lkHi], n)
-	}
-}
-
-// sweepVM executes fallback instructions with per-instruction row sweeps,
-// arm for arm identical to the bytecode VM (including the explicit
-// float64 conversions that pin the madd rounding).
-func (k *Kernel) sweepVM(prog []bytecode.Instr, regs []float64, stride, n int,
-	bases []int, slotData [][]float32, slotOff []int, outData [][]float32, pool []float64) {
-	reg := func(r int32) []float64 {
-		off := int(r) * stride
-		return regs[off : off+n]
-	}
-	for pi := range prog {
-		in := &prog[pi]
-		switch in.Op {
-		case bytecode.OpLoad:
-			s := &k.slots[in.B]
-			off := bases[s.Field] + slotOff[in.B]
-			src := slotData[in.B][off : off+n]
-			rd := reg(in.Rd)
-			for i, v := range src {
-				rd[i] = float64(v)
-			}
-		case bytecode.OpStore:
-			e := &k.eqs[in.B]
-			off := bases[e.Field]
-			dst := outData[in.B][off : off+n]
-			ra := reg(in.A)
-			for i, v := range ra {
-				dst[i] = float32(v)
-			}
-		case bytecode.OpCopy:
-			copy(reg(in.Rd), reg(in.A))
-		case bytecode.OpMovS:
-			rd, v := reg(in.Rd), pool[in.B]
-			for i := range rd {
-				rd[i] = v
-			}
-		case bytecode.OpAddVV:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			rb := reg(in.B)[:len(rd)]
-			for i := range rd {
-				rd[i] = ra[i] + rb[i]
-			}
-		case bytecode.OpAddVS:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			s := pool[in.B]
-			for i := range rd {
-				rd[i] = ra[i] + s
-			}
-		case bytecode.OpMulVV:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			rb := reg(in.B)[:len(rd)]
-			for i := range rd {
-				rd[i] = ra[i] * rb[i]
-			}
-		case bytecode.OpMulVS:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			s := pool[in.B]
-			for i := range rd {
-				rd[i] = ra[i] * s
-			}
-		case bytecode.OpMaddVV:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			rb := reg(in.B)[:len(rd)]
-			rc := reg(in.C)[:len(rd)]
-			for i := range rd {
-				rd[i] = float64(ra[i]*rb[i]) + rc[i]
-			}
-		case bytecode.OpMaddVS:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			rc := reg(in.C)[:len(rd)]
-			s := pool[in.B]
-			for i := range rd {
-				rd[i] = float64(ra[i]*s) + rc[i]
-			}
-		case bytecode.OpPowV:
-			rd := reg(in.Rd)
-			ra := reg(in.A)[:len(rd)]
-			e := int(in.B)
-			for i := range rd {
-				rd[i] = bytecode.Ipow(ra[i], e)
-			}
-		}
+		sc.ex.runChain(sc.ex.links[seg.lkLo:seg.lkHi], n)
 	}
 }

@@ -31,26 +31,26 @@ package native
 import (
 	"devigo/internal/bytecode"
 	"devigo/internal/field"
+	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
 // Kernel is a compiled loop nest lowered to fused segment programs. It
 // wraps the bytecode kernel it was derived from (sharing its program,
-// scalar pool, slot tables and field bindings) and satisfies the same
-// execution contract (core.ExecKernel).
+// scalar pool and field binding) and satisfies the same execution
+// contract (core.ExecKernel).
 type Kernel struct {
-	bk    *bytecode.Kernel
-	slots []bytecode.SlotRef
-	eqs   []bytecode.EqRef
-	segs  []segment
-	tm    *tmpl
+	bk   *bytecode.Kernel
+	segs []segment
+	tm   *tmpl
 	// fusedInstrs is the per-point dispatch count after fusion: one per
 	// chain link plus one per fallback VM instruction.
 	fusedInstrs int
-	// st is the kernel's private reusable dispatch state (slot tables,
-	// per-worker scratch and cached execs). Allocated at Wrap time and
-	// replaced on Rebind, never shared between kernel copies.
-	st *natState
+	// drv is the kernel's private tile driver over the bytecode kernel's
+	// binding (per-worker scratch and cached execs live in it). Allocated
+	// at Wrap time and replaced on Rebind, never shared between kernel
+	// copies.
+	drv *runtime.Driver[scratch]
 }
 
 // segment is one executable region: either a fused link chain or a VM
@@ -78,7 +78,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 // The receiver shares the bytecode kernel's immutable tables; Run never
 // mutates them.
 func Wrap(bk *bytecode.Kernel) *Kernel {
-	k := &Kernel{bk: bk, slots: bk.Slots(), eqs: bk.EqOuts()}
+	k := &Kernel{bk: bk, drv: runtime.NewDriver[scratch](bk.Binding())}
 	segs := bk.Segments()
 	k.segs = make([]segment, len(segs))
 	nlinks := 0
@@ -94,7 +94,6 @@ func Wrap(bk *bytecode.Kernel) *Kernel {
 		}
 	}
 	k.buildTemplate(segs)
-	k.st = newNatState(k)
 	return k
 }
 
@@ -126,11 +125,10 @@ func (k *Kernel) InstrsPerPoint() int { return k.fusedInstrs }
 
 // Rebind returns a copy of the kernel executing against different storage,
 // resolved by field name. The fused segments, link templates, program and
-// scalar pool are shared with the receiver — like bytecode.Rebind, Run
-// resolves buffer pointers and strides on every call, so the copy is safe
-// to run concurrently with the original. This is the opcache contract:
-// one native compilation is shared across every shot with the same
-// schedule key.
+// scalar pool are shared with the receiver; the copy gets a private
+// driver, so it is safe to run concurrently with the original. This is the
+// opcache contract: one native compilation is shared across every shot
+// with the same schedule key.
 func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
 	bk, err := k.bk.Rebind(fields)
 	if err != nil {
@@ -138,8 +136,6 @@ func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
 	}
 	nk := *k
 	nk.bk = bk
-	// A private dispatch state keeps the copy concurrency-safe against the
-	// original (the opcache runs rebound kernels across shots in parallel).
-	nk.st = newNatState(&nk)
+	nk.drv = runtime.NewDriver[scratch](bk.Binding())
 	return &nk, nil
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"devigo/internal/bytecode"
+	"devigo/internal/runtime"
 )
 
 // The strip primitives must match the scalar reference semantics bit for
@@ -189,7 +189,7 @@ func TestPowSpecializations(t *testing.T) {
 			default:
 				powStrip(unsafe.Pointer(&d[0]), e, 4)
 			}
-			want := bytecode.Ipow(v, e)
+			want := runtime.Ipow(v, e)
 			for lane, got := range d {
 				if !eqBits(got, want) {
 					t.Fatalf("pow exp %d val %v lane %d: got %v, want %v", e, v, lane, got, want)

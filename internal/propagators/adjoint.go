@@ -112,9 +112,6 @@ type AdjointConfig struct {
 	// Workers / TileRows forward to the executor.
 	Workers  int
 	TileRows int
-	// ForkJoin forces the legacy per-call goroutine dispatch instead of
-	// the persistent worker pool (core.Options.ForkJoin).
-	ForkJoin bool
 	// TimeTile requests the halo-exchange interval k for the reverse
 	// sweep; 0 consults DEVIGO_TIME_TILE.
 	TimeTile int
@@ -174,7 +171,7 @@ func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult
 	}
 	op, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx,
 		&core.Options{Name: adj.Name, Workers: ac.Workers, TileRows: ac.TileRows,
-			ForkJoin: ac.ForkJoin, TimeTile: ac.TimeTile, Engine: ac.Engine})
+			TimeTile: ac.TimeTile, Engine: ac.Engine})
 	if err != nil {
 		return nil, err
 	}

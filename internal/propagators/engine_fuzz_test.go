@@ -35,13 +35,13 @@ type fuzzCase struct {
 	k        int
 	workers  int
 	tileRows int
-	forkJoin bool
 }
 
 // decodeFuzzCase maps arbitrary bytes onto a valid-looking configuration
 // (missing bytes default to zero). Every value is clamped into the cheap
 // regime: the fuzzer's job is breadth over lowering shapes, not grid
-// scale.
+// scale. Byte 9 once selected a since-removed dispatch mode and is now
+// ignored, so checked-in corpus entries keep their meaning.
 func decodeFuzzCase(data []byte) fuzzCase {
 	b := func(i int) int {
 		if i < len(data) {
@@ -60,7 +60,6 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		k:        1 + b(6)%4,
 		workers:  1 + b(7)%7,
 		tileRows: 1 + b(8)%5,
-		forkJoin: b(9)%2 == 1,
 	}
 }
 
@@ -71,7 +70,7 @@ func fuzzSerial(fc fuzzCase, engine string) (*Model, *RunResult, error) {
 		return nil, nil, err
 	}
 	res, err := Run(m, nil, RunConfig{NT: fc.nt, NReceivers: 4, Engine: engine,
-		Workers: fc.workers, TileRows: fc.tileRows, ForkJoin: fc.forkJoin})
+		Workers: fc.workers, TileRows: fc.tileRows})
 	if res != nil {
 		res.Op.Close()
 	}
@@ -108,7 +107,7 @@ func fuzzDMP(t *testing.T, fc fuzzCase, engine string) (float64, [][]float64, er
 		}
 		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: fc.mode}
 		res, err := Run(m, ctx, RunConfig{NT: fc.nt, NReceivers: 4, Engine: engine,
-			Workers: fc.workers, TileRows: fc.tileRows, TimeTile: fc.k, ForkJoin: fc.forkJoin})
+			Workers: fc.workers, TileRows: fc.tileRows, TimeTile: fc.k})
 		if err != nil {
 			runErr = err
 			return
@@ -135,9 +134,9 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add([]byte{2, 5, 5, 1, 2, 1, 1, 2, 1}) // tti, diagonal, k=2
 	f.Add([]byte{3, 0, 3, 2, 7, 0, 0, 1, 3}) // viscoelastic, basic, so-8
 	// Worker-pool tier: workers > 1 with time tiling and the native
-	// engine's bulk-row chains, pool and fork-join dispatch both pinned.
+	// engine's bulk-row chains.
 	f.Add([]byte{0, 3, 6, 1, 5, 2, 3, 5, 2, 0}) // acoustic, full, k=4, 6-worker pool
-	f.Add([]byte{2, 7, 1, 2, 4, 2, 1, 6, 3, 1}) // tti, full, k=2, 7 workers fork-join
+	f.Add([]byte{2, 7, 1, 2, 4, 2, 1, 6, 3, 1}) // tti, full, k=2, 7-worker pool
 	f.Add([]byte{1, 2, 8, 0, 6, 1, 3, 3, 1, 0}) // elastic, diag, k=4, 4-worker pool
 
 	f.Fuzz(func(t *testing.T, data []byte) {

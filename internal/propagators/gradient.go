@@ -40,9 +40,6 @@ type GradientConfig struct {
 	// Workers / TileRows forward to the executor.
 	Workers  int
 	TileRows int
-	// ForkJoin forces the legacy per-call goroutine dispatch instead of
-	// the persistent worker pool (core.Options.ForkJoin).
-	ForkJoin bool
 	// TimeTile requests the halo-exchange interval k for the forward and
 	// adjoint operators; 0 consults DEVIGO_TIME_TILE.
 	TimeTile int
@@ -128,7 +125,6 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 		ReceiverCoords: gc.ReceiverCoords,
 		Checkpoint:     store,
 		Workers:        gc.Workers, TileRows: gc.TileRows,
-		ForkJoin: gc.ForkJoin,
 		TimeTile: gc.TimeTile,
 		Engine:   gc.Engine,
 		Autotune: gc.Autotune,
@@ -174,7 +170,7 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	}
 	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx,
 		&core.Options{Name: adj.Name, Workers: gc.Workers, TileRows: gc.TileRows,
-			ForkJoin: gc.ForkJoin, TimeTile: gc.TimeTile, Engine: gc.Engine, Cache: gc.Cache})
+			TimeTile: gc.TimeTile, Engine: gc.Engine, Cache: gc.Cache})
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +303,7 @@ func imagingOperator(fwd, adj *Model, ctx *core.Context, gc *GradientConfig) (*f
 	}
 	op, err := core.NewOperator([]symbolic.Eq{eq}, fields, fwd.Grid, ctx,
 		&core.Options{Name: "imaging", Workers: gc.Workers, TileRows: gc.TileRows,
-			ForkJoin: gc.ForkJoin, Engine: gc.Engine, Cache: gc.Cache})
+			Engine: gc.Engine, Cache: gc.Cache})
 	if err != nil {
 		return nil, nil, err
 	}

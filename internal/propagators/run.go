@@ -40,9 +40,6 @@ type RunConfig struct {
 	// Workers / TileRows forward to the executor.
 	Workers  int
 	TileRows int
-	// ForkJoin forces the legacy per-call goroutine dispatch instead of
-	// the persistent worker pool (core.Options.ForkJoin).
-	ForkJoin bool
 	// TimeTile requests the halo-exchange interval k (deep halos exchanged
 	// once every k steps, bit-exact vs k=1); 0 consults DEVIGO_TIME_TILE.
 	TimeTile int
@@ -91,7 +88,7 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 	}
 	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx,
 		&core.Options{Name: m.Name, Workers: rc.Workers, TileRows: rc.TileRows,
-			ForkJoin: rc.ForkJoin, TimeTile: rc.TimeTile, Engine: rc.Engine, Cache: rc.Cache})
+			TimeTile: rc.TimeTile, Engine: rc.Engine, Cache: rc.Cache})
 	if err != nil {
 		return nil, err
 	}

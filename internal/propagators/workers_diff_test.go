@@ -12,20 +12,19 @@ import (
 // The worker-count-invariance suite pins the shared-memory tier's
 // correctness contract: tiles are disjoint row bands with a fixed
 // row-major point order inside each, so the wavefields must be
-// *bit-identical* at every worker count, on every engine, for both the
-// persistent pool and the legacy fork-join dispatch, with and without
+// *bit-identical* at every worker count, on every engine, with and without
 // time tiling. Equality is exact (==), not tolerance-based.
 
 // runWorkers executes nt steps of a freshly built model with the given
 // engine/worker configuration and closes the operator's pool.
-func runWorkers(t *testing.T, engine string, workers, k int, forkJoin bool) (*Model, *RunResult) {
+func runWorkers(t *testing.T, engine string, workers, k int) (*Model, *RunResult) {
 	t.Helper()
 	m, err := Build("acoustic", serialCfg([]int{24, 24}, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(m, nil, RunConfig{NT: 20, NReceivers: 4, Engine: engine,
-		Workers: workers, TileRows: 3, TimeTile: k, ForkJoin: forkJoin})
+		Workers: workers, TileRows: 3, TimeTile: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +37,9 @@ func TestWorkerCountInvariance_Serial(t *testing.T) {
 	for _, engine := range engines {
 		for _, k := range []int{1, 4} {
 			t.Run(engine+"/k"+string(rune('0'+k)), func(t *testing.T) {
-				mRef, resRef := runWorkers(t, engine, 1, k, false)
+				mRef, resRef := runWorkers(t, engine, 1, k)
 				for _, w := range []int{2, 4, 7} {
-					mW, resW := runWorkers(t, engine, w, k, false)
+					mW, resW := runWorkers(t, engine, w, k)
 					if resRef.Norm != resW.Norm {
 						t.Errorf("workers=%d: norms diverge: %v vs %v", w, resRef.Norm, resW.Norm)
 					}
@@ -58,20 +57,17 @@ func TestWorkerCountInvariance_Serial(t *testing.T) {
 	}
 }
 
-func TestPoolMatchesForkJoinBitExact(t *testing.T) {
-	// The two dispatch mechanisms execute the same tiles in the same
-	// per-tile order; only the scheduling differs, so results match the
-	// serial baseline bit for bit on both.
+func TestPoolMatchesSerialBitExact(t *testing.T) {
+	// A pooled run executes the same tiles in the same per-tile order as
+	// a serial one; only the scheduling differs, so results match bit for
+	// bit.
 	for _, engine := range []string{core.EngineBytecode, core.EngineNative} {
-		mRef, resRef := runWorkers(t, engine, 1, 1, false)
-		mPool, resPool := runWorkers(t, engine, 4, 1, false)
-		mFJ, resFJ := runWorkers(t, engine, 4, 1, true)
-		if resRef.Norm != resPool.Norm || resRef.Norm != resFJ.Norm {
-			t.Errorf("%s: norms diverge: serial %v, pool %v, fork-join %v",
-				engine, resRef.Norm, resPool.Norm, resFJ.Norm)
+		mRef, resRef := runWorkers(t, engine, 1, 1)
+		mPool, resPool := runWorkers(t, engine, 4, 1)
+		if resRef.Norm != resPool.Norm {
+			t.Errorf("%s: norms diverge: serial %v, pool %v", engine, resRef.Norm, resPool.Norm)
 		}
 		compareModels(t, "pool", engine, mRef, mPool)
-		compareModels(t, "forkjoin", engine, mRef, mFJ)
 	}
 }
 

@@ -1,243 +1,47 @@
 package runtime
 
-import (
-	"sync"
-)
-
 // stackCap bounds expression depth; TTI kernels stay far below this.
 const stackCap = 256
 
 // tempCap bounds the per-point CSE temporary register file.
 const tempCap = 512
 
-// ExecOpts tunes kernel execution.
-type ExecOpts struct {
-	// Workers is the number of parallel workers (simulated OpenMP
-	// threads); <=1 runs sequentially. Ignored when Pool is set (the pool
-	// knows its own team size).
-	Workers int
-	// TileRows is the number of outer-dimension rows per tile; the
-	// Progress hook runs between tiles. <=0 disables tiling (one tile).
-	TileRows int
-	// Progress is prodded between tiles (full mode's MPI_Test call site).
-	Progress func()
-	// Pool, when non-nil with more than one worker, dispatches tiles to
-	// the persistent worker team instead of forking goroutines per call.
-	// Workers > 1 with a nil Pool keeps the legacy fork-join dispatch —
-	// the baseline devigo-bench's hybrid experiment compares against.
-	Pool *Pool
-	// Steal lets pool workers that drain their static block-cyclic stripe
-	// claim other workers' remaining tiles. The operator enables it only
-	// for the shrinking time-tile shell sweeps.
-	Steal bool
-}
-
-// Box is a half-open iteration box in domain-relative coordinates
-// (0 = first owned point per dimension).
-type Box struct {
-	Lo, Hi []int
-}
-
-// Size returns the point count of the box.
-func (b Box) Size() int {
-	n := 1
-	for d := range b.Lo {
-		e := b.Hi[d] - b.Lo[d]
-		if e <= 0 {
-			return 0
-		}
-		n *= e
-	}
-	return n
-}
-
-// Empty reports whether the box has no points.
-func (b Box) Empty() bool { return b.Size() == 0 }
-
-// TileBounds maps a tile index to its half-open outer-dimension row band.
-// Shared by every engine so the tile decomposition — and therefore the
-// pool's static block-cyclic ownership — is identical across engines.
-func TileBounds(b Box, tile, tileRows int) (lo, hi int) {
-	lo = b.Lo[0] + tile*tileRows
-	hi = lo + tileRows
-	if hi > b.Hi[0] {
-		hi = b.Hi[0]
-	}
-	return lo, hi
-}
-
-// TileCount is the number of tileRows-row bands covering the box's outer
-// dimension.
-func TileCount(b Box, tileRows int) int {
-	return (b.Hi[0] - b.Lo[0] + tileRows - 1) / tileRows
-}
-
-// irScratch is one worker's private evaluation state: the odometer, the
-// per-field row bases, the expression stack and the CSE temporaries.
-// Allocated once per worker and reused across tiles and timesteps.
+// irScratch is one worker's private evaluation state: the expression
+// stack and the CSE temporaries.
 type irScratch struct {
-	idx   []int
-	bases []int
 	stack [stackCap]float64
 	temps [tempCap]float64
-}
-
-// runState is the kernel's reusable dispatch state, allocated eagerly at
-// compile/Rebind time so the steady-state Run path performs no heap
-// allocation. Slice *contents* are refilled every Run (buffer rotation
-// makes the t-dependent data pointers change per step); the backing
-// arrays persist. Rebind installs a fresh runState in the copy, so
-// rebound kernels stay safe to run concurrently with the original.
-type runState struct {
-	task     irTask
-	slotData [][]float32
-	slotOff  []int
-	outData  [][]float32
-	ws       []*irScratch
-}
-
-func newRunState(k *Kernel) *runState {
-	return &runState{
-		slotData: make([][]float32, len(k.slots)),
-		slotOff:  make([]int, len(k.slots)),
-		outData:  make([][]float32, len(k.Eqs)),
-	}
-}
-
-// refill resolves the per-(field,timeOff) data slices — and each slot's
-// flat stencil displacement against the field's *current* strides — once
-// per Run, so buffer rotation and ghost-storage reallocation between
-// steps stay transparent without re-deriving any geometry.
-func (st *runState) refill(k *Kernel, t int, b Box) {
-	for i, s := range k.slots {
-		f := k.Fields[s.fieldIdx]
-		st.slotData[i] = f.Buf(t + s.timeOff).Data
-		flat := 0
-		for d := 0; d < len(b.Lo); d++ {
-			flat += s.off[d] * f.Bufs[0].Strides[d]
-		}
-		st.slotOff[i] = flat
-	}
-	for i, e := range k.Eqs {
-		st.outData[i] = k.Fields[e.outField].Buf(t + e.outTimeOff).Data
-	}
-}
-
-// ensureScratch grows the per-worker scratch table to `workers` entries.
-// Called from the single-threaded dispatch prologue only, never from
-// workers, so the pool path indexes a stable table.
-func (st *runState) ensureScratch(workers, nd, nf int) {
-	for len(st.ws) < workers {
-		st.ws = append(st.ws, &irScratch{idx: make([]int, nd), bases: make([]int, nf)})
-	}
-}
-
-// irTask adapts one Run invocation to the pool's Task contract. It lives
-// inside the kernel's runState so handing it to the pool converts a
-// pointer to an interface without allocating.
-type irTask struct {
-	k        *Kernel
-	b        Box
-	syms     []float64
-	tileRows int
-}
-
-// RunTile executes one row band with worker w's scratch.
-func (tk *irTask) RunTile(w, tile int) {
-	lo, hi := TileBounds(tk.b, tile, tk.tileRows)
-	tk.k.sweepTile(tk.k.st.ws[w], tk.b, lo, hi, tk.syms)
 }
 
 // Run executes every equation of the kernel at every point of the box for
 // logical timestep t, with scalars bound via syms (from BindSyms). Points
 // run in row-major order; equations run in program order at each point.
-// Tiles are disjoint row bands, so results are bit-identical for every
-// worker count and dispatch mode.
 func (k *Kernel) Run(t int, b Box, syms []float64, opts *ExecOpts) {
-	if b.Empty() {
-		return
-	}
-	workers, tileRows := 1, 0
-	var progress func()
-	var pool *Pool
-	steal := false
-	if opts != nil {
-		if opts.Workers > 1 {
-			workers = opts.Workers
-		}
-		tileRows = opts.TileRows
-		progress = opts.Progress
-		if opts.Pool != nil && opts.Pool.Workers() > 1 {
-			pool = opts.Pool
-			workers = pool.Workers()
-		}
-		steal = opts.Steal
-	}
-	outer := b.Hi[0] - b.Lo[0]
-	if tileRows <= 0 || tileRows > outer {
-		tileRows = outer
-	}
-	ntiles := TileCount(b, tileRows)
-	nd := len(b.Lo)
-
-	st := k.st
-	st.refill(k, t, b)
-	st.ensureScratch(workers, nd, len(k.Fields))
-
-	if pool != nil {
-		st.task = irTask{k: k, b: b, syms: syms, tileRows: tileRows}
-		pool.Run(&st.task, ntiles, t, steal, progress)
-		return
-	}
-	if workers <= 1 {
-		for tile := 0; tile < ntiles; tile++ {
-			lo, hi := TileBounds(b, tile, tileRows)
-			k.sweepTile(st.ws[0], b, lo, hi, syms)
-			if progress != nil {
-				progress()
-			}
-		}
-		return
-	}
-	k.forkJoinRun(b, syms, workers, ntiles, tileRows, nd, progress)
+	k.drv.Run(k, t, b, syms, opts)
 }
 
-// forkJoinRun is the legacy fork-join dispatch: fresh goroutines, a tile
-// channel and per-goroutine scratch on every call. Kept selectable (nil
-// Pool) as the overhead baseline the persistent pool is benchmarked
-// against. Split out of Run so its goroutine closure does not force heap
-// allocation of Run's locals on the (alloc-free) pool and serial paths.
-func (k *Kernel) forkJoinRun(b Box, syms []float64, workers, ntiles, tileRows, nd int, progress func()) {
-	var wg sync.WaitGroup
-	work := make(chan int, ntiles)
-	for i := 0; i < ntiles; i++ {
-		work <- i
+// Prep implements RowExec; the fixed-size scratch needs no preparation.
+func (k *Kernel) Prep(*irScratch, int, []float64) {}
+
+// ExecRow implements RowExec: at each point of the row, the temporaries
+// then the equations, so later equations observe earlier stores exactly
+// as a per-point loop nest would.
+func (k *Kernel) ExecRow(sc *irScratch, n int, bases []int, syms []float64) {
+	d := k.drv
+	for x := 0; x < n; x++ {
+		for ti := range k.Temps {
+			sc.temps[ti] = k.evalEq(sc, &k.Temps[ti], bases, x, syms)
+		}
+		for ei := range k.Eqs {
+			d.OutData[ei][bases[d.Outs[ei].Field]+x] = float32(k.evalEq(sc, &k.Eqs[ei], bases, x, syms))
+		}
 	}
-	close(work)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(isFirst bool) {
-			defer wg.Done()
-			sc := &irScratch{idx: make([]int, nd), bases: make([]int, len(k.Fields))}
-			for tile := range work {
-				lo, hi := TileBounds(b, tile, tileRows)
-				k.sweepTile(sc, b, lo, hi, syms)
-				// One worker doubles as the progress engine, mirroring the
-				// sacrificed OpenMP thread of the paper's full mode.
-				if isFirst && progress != nil {
-					progress()
-				}
-			}
-		}(wkr == 0)
-	}
-	wg.Wait()
 }
 
 // evalEq evaluates one compiled equation at row offset x with worker
-// scratch sc. slotData is indexed per slot, but opLoad uses in.a as both
-// slot and data index; they are the same by construction in refill.
-func (k *Kernel) evalEq(sc *irScratch, e *CompiledEq, x int, syms []float64) float64 {
-	st := k.st
+// scratch sc.
+func (k *Kernel) evalEq(sc *irScratch, e *CompiledEq, bases []int, x int, syms []float64) float64 {
+	d := k.drv
 	sp := 0
 	for pi := range e.prog {
 		in := &e.prog[pi]
@@ -252,8 +56,7 @@ func (k *Kernel) evalEq(sc *irScratch, e *CompiledEq, x int, syms []float64) flo
 			sc.stack[sp] = sc.temps[in.a]
 			sp++
 		case opLoad:
-			s := &k.slots[in.a]
-			sc.stack[sp] = float64(st.slotData[in.a][sc.bases[s.fieldIdx]+x+st.slotOff[in.a]])
+			sc.stack[sp] = float64(d.SlotData[in.a][bases[d.Slots[in.a].Field]+x+d.SlotOff[in.a]])
 			sp++
 		case opAdd:
 			n := in.a
@@ -273,73 +76,17 @@ func (k *Kernel) evalEq(sc *irScratch, e *CompiledEq, x int, syms []float64) flo
 			sc.stack[sp-1] = acc
 		case opPow:
 			v := sc.stack[sp-1]
-			sc.stack[sp-1] = ipow(v, in.a)
+			sc.stack[sp-1] = Ipow(v, in.a)
 		}
 	}
 	return sc.stack[0]
 }
 
-// sweepTile executes rows [lo,hi) of the box's outer dimension with
-// worker scratch sc: an odometer over dims 0..nd-2, the innermost dim as
-// the contiguous row.
-func (k *Kernel) sweepTile(sc *irScratch, b Box, lo, hi int, syms []float64) {
-	st := k.st
-	nd := len(b.Lo)
-	idx := sc.idx[:nd]
-	copy(idx, b.Lo)
-	idx[0] = lo
-	bases := sc.bases[:len(k.Fields)]
-	rowLen := b.Hi[nd-1] - b.Lo[nd-1]
-	if nd == 1 {
-		// Dim 0 is both the tiled and the contiguous dimension.
-		rowLen = hi - lo
-	}
-	for {
-		// Row start base per field (domain-relative -> buffer index).
-		for fi, f := range k.Fields {
-			base := 0
-			for d := 0; d < nd; d++ {
-				base += (idx[d] + f.Halo[d]) * f.Bufs[0].Strides[d]
-			}
-			bases[fi] = base
-		}
-		for x := 0; x < rowLen; x++ {
-			for ti := range k.Temps {
-				sc.temps[ti] = k.evalEq(sc, &k.Temps[ti], x, syms)
-			}
-			for ei := range k.Eqs {
-				e := &k.Eqs[ei]
-				st.outData[ei][bases[e.outField]+x] = float32(k.evalEq(sc, e, x, syms))
-			}
-		}
-		// Advance the odometer over dims nd-2 .. 0 (dim 0 bounded by the
-		// tile).
-		d := nd - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			limit := b.Hi[d]
-			if d == 0 {
-				limit = hi
-			}
-			if idx[d] < limit {
-				break
-			}
-			if d == 0 {
-				break
-			}
-			idx[d] = b.Lo[d]
-		}
-		if d < 0 {
-			// 1-D box: single row done.
-			break
-		}
-		if d == 0 && idx[0] >= hi {
-			break
-		}
-	}
-}
-
-func ipow(v float64, e int) float64 {
+// Ipow is the engines' shared integer-power helper: repeated
+// multiplication starting from 1, with a final reciprocal for negative
+// exponents. Every engine calls this one definition, so the operation
+// order — and therefore every bit of the result — is identical across them.
+func Ipow(v float64, e int) float64 {
 	if e == 0 {
 		return 1
 	}

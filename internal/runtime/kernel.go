@@ -31,36 +31,18 @@ type instr struct {
 	v  float64
 }
 
-// slot is a resolved field access: which function, which time offset, and
-// the per-dimension stencil offset. The flat buffer displacement is
-// derived from the field's *current* strides at every Run, so reallocating
-// ghost storage (deep halos for a larger exchange interval) never requires
-// recompiling kernels.
-type slot struct {
-	fieldIdx int
-	timeOff  int
-	off      [maxDims]int
-}
-
-// maxDims bounds the spatial dimensionality of compiled kernels (the
-// compiler's dimension names are x, y, z).
-const maxDims = 3
-
 // CompiledEq is one lowered equation ready to execute.
 type CompiledEq struct {
-	outField   int
-	outTimeOff int
-	prog       []instr
-	maxStack   int
-	flops      int
+	prog     []instr
+	maxStack int
+	flops    int
 }
 
 // Kernel is a compiled cluster: every equation of one fused loop nest.
 type Kernel struct {
-	Fields []*field.Function
-	names  []string
-	Eqs    []CompiledEq
-	slots  []slot
+	// Eqs are the update equations; Eqs[i] stores to the driver binding's
+	// Outs[i].
+	Eqs []CompiledEq
 	// Temps are per-point scalar temporaries (CSE extractions), executed
 	// in order before the equations at every point; temps[i] receives the
 	// result of Temps[i].
@@ -70,10 +52,10 @@ type Kernel struct {
 	SymNames []string
 	// Radius is the stencil radius per dimension (halo requirement).
 	Radius []int
-	// st is the kernel's private reusable dispatch state (slot tables,
-	// per-worker scratch). Allocated at compile time and replaced on
+	// drv is the kernel's private tile driver: the field binding plus the
+	// reusable dispatch state. Allocated at compile time and replaced on
 	// Rebind, never shared between kernel copies.
-	st *runState
+	drv *Driver[irScratch]
 }
 
 // CompileCluster resolves a cluster against concrete field storage.
@@ -90,28 +72,13 @@ func CompileCluster(c *ir.Cluster, fields map[string]*field.Function) (*Kernel, 
 func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	fields map[string]*field.Function) (*Kernel, error) {
 	k := &Kernel{Radius: append([]int(nil), radius...)}
-	fieldIdx := map[string]int{}
+	bd := &Binding{}
 	symIdx := map[string]int{}
-	slotIdx := map[slot]int{}
 	tempIdx := map[string]int{}
 	for i, a := range assigns {
 		tempIdx[a.Name] = i
 	}
 
-	getField := func(name string) (int, error) {
-		if i, ok := fieldIdx[name]; ok {
-			return i, nil
-		}
-		f, ok := fields[name]
-		if !ok {
-			return 0, fmt.Errorf("runtime: no storage registered for field %q", name)
-		}
-		i := len(k.Fields)
-		fieldIdx[name] = i
-		k.Fields = append(k.Fields, f)
-		k.names = append(k.names, name)
-		return i, nil
-	}
 	getSym := func(name string) int {
 		if i, ok := symIdx[name]; ok {
 			return i
@@ -121,16 +88,6 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		k.SymNames = append(k.SymNames, name)
 		return i
 	}
-	getSlot := func(s slot) int {
-		if i, ok := slotIdx[s]; ok {
-			return i
-		}
-		i := len(k.slots)
-		slotIdx[s] = i
-		k.slots = append(k.slots, s)
-		return i
-	}
-
 	var compile func(e symbolic.Expr, prog *[]instr, depth int, maxDepth *int) error
 	compile = func(e symbolic.Expr, prog *[]instr, depth int, maxDepth *int) error {
 		bump := func(d int) {
@@ -151,16 +108,15 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			}
 			bump(depth + 1)
 		case symbolic.Access:
-			fi, err := getField(v.Fun.Name)
+			fi, err := bd.AddField(v.Fun.Name, fields)
 			if err != nil {
 				return err
 			}
-			if len(v.Off) > maxDims {
-				return fmt.Errorf("runtime: access %s exceeds %d dimensions", v, maxDims)
+			si, err := bd.AddSlot(fi, v.TimeOff, v.Off)
+			if err != nil {
+				return err
 			}
-			s := slot{fieldIdx: fi, timeOff: v.TimeOff}
-			copy(s.off[:], v.Off)
-			*prog = append(*prog, instr{op: opLoad, a: getSlot(s)})
+			*prog = append(*prog, instr{op: opLoad, a: si})
 			bump(depth + 1)
 		case symbolic.Add:
 			// Binary accumulation keeps the stack depth proportional to
@@ -219,11 +175,12 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	}
 	for _, eq := range eqs {
 		lhs := eq.LHS.(symbolic.Access)
-		fi, err := getField(lhs.Fun.Name)
+		fi, err := bd.AddField(lhs.Fun.Name, fields)
 		if err != nil {
 			return nil, err
 		}
-		ce := CompiledEq{outField: fi, outTimeOff: lhs.TimeOff, flops: symbolic.FlopCount(eq.RHS)}
+		bd.Outs = append(bd.Outs, Out{Field: fi, TimeOff: lhs.TimeOff})
+		ce := CompiledEq{flops: symbolic.FlopCount(eq.RHS)}
 		if err := compile(eq.RHS, &ce.prog, 0, &ce.maxStack); err != nil {
 			return nil, err
 		}
@@ -232,18 +189,27 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		}
 		k.Eqs = append(k.Eqs, ce)
 	}
-	// Validate that all fields share the local domain shape; differing halo
-	// widths are fine (strides are resolved at execution time).
-	for i := 1; i < len(k.Fields); i++ {
-		for d := range k.Fields[0].LocalShape {
-			if k.Fields[i].LocalShape[d] != k.Fields[0].LocalShape[d] {
-				return nil, fmt.Errorf("runtime: fields %s and %s disagree on local shape",
-					k.names[0], k.names[i])
-			}
-		}
+	if err := bd.Validate(); err != nil {
+		return nil, err
 	}
-	k.st = newRunState(k)
+	k.drv = NewDriver[irScratch](bd)
 	return k, nil
+}
+
+// Rebind returns a copy of the kernel executing against different storage
+// (see Binding.Rebind): the compiled per-point programs and symbol table
+// are shared with the receiver — they are immutable after compilation —
+// while the copy gets a private driver, so it is safe to run concurrently
+// with the original (the opcache runs rebound kernels across shots in
+// parallel).
+func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
+	bd, err := k.drv.Rebind(fields)
+	if err != nil {
+		return nil, err
+	}
+	nk := *k
+	nk.drv = NewDriver[irScratch](bd)
+	return &nk, nil
 }
 
 // StencilRadius returns the per-dimension stencil radius (the execution

@@ -8,8 +8,8 @@ import (
 	"devigo/internal/obs"
 )
 
-// Task is one dispatched kernel invocation: the engines hand the pool an
-// object that can execute any tile of the current sweep. RunTile(w, tile)
+// Task is one dispatched kernel invocation: the tile driver hands the pool
+// an object that can execute any tile of the current sweep. RunTile(w, tile)
 // executes tile `tile` using worker w's private scratch; tiles partition
 // the outer dimension into disjoint row bands, so any assignment of tiles
 // to workers produces bit-identical results.

@@ -137,7 +137,9 @@ func TestTiledAndParallelMatchSequential(t *testing.T) {
 
 	kPar, uPar := mk()
 	init(uPar)
-	kPar.Run(0, fullDomainBox(&uPar.Function), symsOf(kPar), &ExecOpts{Workers: 4, TileRows: 2})
+	p := NewPool(4, 0)
+	defer p.Close()
+	kPar.Run(0, fullDomainBox(&uPar.Function), symsOf(kPar), &ExecOpts{TileRows: 2, Pool: p})
 
 	for i := range uSeq.Buf(1).Data {
 		if uSeq.Buf(1).Data[i] != uTile.Buf(1).Data[i] {
@@ -233,8 +235,8 @@ func TestIpow(t *testing.T) {
 		{2, 3, 8}, {2, -1, 0.5}, {5, 0, 1}, {3, -2, 1.0 / 9},
 	}
 	for _, c := range cases {
-		if got := ipow(c.v, c.e); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("ipow(%v,%d) = %v, want %v", c.v, c.e, got, c.want)
+		if got := Ipow(c.v, c.e); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Ipow(%v,%d) = %v, want %v", c.v, c.e, got, c.want)
 		}
 	}
 }
