@@ -25,7 +25,8 @@ import (
 //	                 the acceptance benchmark)
 //	adjoint          dot-product certification, gradient sanity, checkpointing
 //	autotune-exact   sweep schema, bit-exactness, model-ratio sanity
-//	autotune-timing  search policy within 15% of the exhaustive best
+//	autotune-timing  search policy within 15%, model policy within 35% of
+//	                 the exhaustive best
 //	autotune         both autotune groups
 //	timetile         bit-exactness and message-amortization ratios
 //	transport        inproc-vs-TCP bit-exactness, traffic parity, schema sanity
@@ -251,6 +252,13 @@ func checkAutotuneFile(path string, exact, timing bool, add func(file, msg strin
 	}
 	if timing {
 		for _, sc := range r.Scenarios {
+			// The cost model's top choice must be competitive with the
+			// measured best (its mode/worker/tile ranking, not just its
+			// sanity, is under test).
+			if c, ok := sc.Chosen["model"]; ok && c.RatioVsBest > 1.35 {
+				add(name, fmt.Sprintf("scenario %s: chosen.model.ratio_vs_best = %.3f, want <= 1.35",
+					sc.Name, c.RatioVsBest))
+			}
 			if c, ok := sc.Chosen["search"]; !ok {
 				add(name, fmt.Sprintf("scenario %s: missing chosen.search", sc.Name))
 			} else if c.RatioVsBest > 1.15 {

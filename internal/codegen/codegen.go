@@ -1,7 +1,10 @@
 // Package codegen emits C-like source from an IET — the textual face of
 // the devigo compiler, mirroring the generated code of paper Listing 11.
-// The emitted text documents exactly what a C backend would compile; the
-// executable path (internal/runtime) executes the same schedule.
+// The emitted text documents exactly what a C backend would compile, and
+// the tree it prints is the tree core.Operator.Apply executes: every
+// haloupdate/halowait and every CORE/REMAINDER split in the source is one
+// the executor performs (core's TestTreeIsTheProgram and the propagators'
+// TestTTIFullOverlapsScratchCluster enforce it).
 package codegen
 
 import (

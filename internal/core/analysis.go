@@ -14,7 +14,9 @@ import (
 // to (paper Section IV-C).
 func (op *Operator) FlopsPerPointOptimized() int {
 	total := 0
-	iet.Walk(op.Tree, func(n iet.Node) {
+	// The built tree holds every nest once (a lowered OverlapSection
+	// carries its nest twice, as Core and Remainder).
+	iet.Walk(op.built, func(n iet.Node) {
 		nest, ok := n.(iet.LoopNest)
 		if !ok {
 			return
@@ -26,16 +28,6 @@ func (op *Operator) FlopsPerPointOptimized() int {
 			total += symbolic.FlopCount(e.RHS) + 1
 		}
 	})
-	// Overlap sections duplicate the nest (CORE + REMAINDER); count once.
-	dups := 0
-	iet.Walk(op.Tree, func(n iet.Node) {
-		if _, ok := n.(iet.OverlapSection); ok {
-			dups++
-		}
-	})
-	if dups > 0 {
-		total /= 2
-	}
 	return total
 }
 

@@ -129,7 +129,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 }
 
 // adopt applies a planned configuration to the operator's runtime knobs,
-// retargeting the halo pattern and/or exchange interval when the choice
+// reconfiguring the halo pattern and/or exchange interval when the choice
 // differs from the current one.
 func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	if cfg.Workers > 0 {
@@ -138,24 +138,17 @@ func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	if cfg.TileRows > 0 {
 		op.execOpts.TileRows = cfg.TileRows
 	}
-	// Resize the persistent team (and its stealing twin shellOpts) to the
-	// adopted worker count before the next dispatch.
+	// Resize the persistent team to the adopted worker count before the
+	// next dispatch.
 	op.ensurePool()
-	if op.ctx != nil && !op.ctx.Serial() && cfg.Mode != halo.ModeNone && cfg.Mode != op.mode {
-		if err := op.Retarget(cfg.Mode); err != nil {
-			return err
-		}
+	if op.ctx == nil || op.ctx.Serial() {
+		return nil
 	}
-	if op.ctx != nil && !op.ctx.Serial() {
-		k := cfg.TimeTile
-		if k < 1 {
-			k = 1
-		}
-		if k != op.TimeTile() {
-			return op.RetargetTimeTile(k)
-		}
+	mode := cfg.Mode
+	if mode == halo.ModeNone {
+		mode = op.mode
 	}
-	return nil
+	return op.Reconfigure(mode, max(cfg.TimeTile, 1))
 }
 
 // measurePoolSync replaces the host model's order-of-magnitude sync cost

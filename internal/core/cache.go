@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"sort"
 
-	"devigo/internal/bytecode"
 	"devigo/internal/field"
 	"devigo/internal/grid"
 	"devigo/internal/ir"
-	"devigo/internal/native"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
 	"devigo/internal/perfmodel"
-	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
@@ -148,27 +145,8 @@ func (op *Operator) compileKernels(engine string, compileAll func() ([]ExecKerne
 	obs.Add(rank, obs.CtrOpCacheHits, 1)
 	rebound := make([]ExecKernel, len(cached))
 	for i, k := range cached {
-		switch t := k.(type) {
-		case *bytecode.Kernel:
-			rk, err := t.Rebind(op.Fields)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", op.Name, err)
-			}
-			rebound[i] = rk
-		case *runtime.Kernel:
-			rk, err := t.Rebind(op.Fields)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", op.Name, err)
-			}
-			rebound[i] = rk
-		case *native.Kernel:
-			rk, err := t.Rebind(op.Fields)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", op.Name, err)
-			}
-			rebound[i] = rk
-		default:
-			return nil, fmt.Errorf("core: %s: cannot rebind cached kernel of type %T", op.Name, k)
+		if rebound[i], err = rebindKernel(k, op.Fields); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", op.Name, err)
 		}
 	}
 	return rebound, nil

@@ -87,3 +87,28 @@ func compileStep(engine string, assigns []symbolic.Assignment, eqs []symbolic.Eq
 		return bytecode.CompileNest(assigns, eqs, radius, fields)
 	}
 }
+
+// rebindKernel returns a copy of a cached compiled kernel executing
+// against another operator's storage, resolved by field name (each
+// engine's Kernel.Rebind; the copy is safe to run concurrently with the
+// original).
+func rebindKernel(k ExecKernel, fields map[string]*field.Function) (ExecKernel, error) {
+	switch t := k.(type) {
+	case *bytecode.Kernel:
+		return rebound(t.Rebind(fields))
+	case *runtime.Kernel:
+		return rebound(t.Rebind(fields))
+	case *native.Kernel:
+		return rebound(t.Rebind(fields))
+	}
+	return nil, fmt.Errorf("cannot rebind cached kernel of type %T", k)
+}
+
+// rebound widens an engine's typed Rebind result to the engine-neutral
+// contract without wrapping a nil kernel in a non-nil interface.
+func rebound[K ExecKernel](k K, err error) (ExecKernel, error) {
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
+}

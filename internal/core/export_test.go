@@ -1,0 +1,26 @@
+package core
+
+import "devigo/internal/ir"
+
+// ProgramSweep is a test-only view of one sweep of the flattened program.
+type ProgramSweep struct {
+	Halos   []ir.HaloReq
+	Overlap bool
+}
+
+// Program exposes the flattened step program to the external tree≡program
+// consistency test (package core_test imports the propagators, which this
+// package cannot).
+func (op *Operator) Program() (k int, preamble []ir.HaloReq, sweeps []ProgramSweep) {
+	reqs := func(xs []exchange) []ir.HaloReq {
+		var out []ir.HaloReq
+		for _, x := range xs {
+			out = append(out, x.req)
+		}
+		return out
+	}
+	for _, sw := range op.prog.sweeps {
+		sweeps = append(sweeps, ProgramSweep{Halos: reqs(sw.halos), Overlap: sw.overlap})
+	}
+	return op.prog.k, reqs(op.prog.preamble), sweeps
+}

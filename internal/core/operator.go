@@ -7,7 +7,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"devigo/internal/codegen"
 	"devigo/internal/field"
@@ -43,30 +42,24 @@ type Operator struct {
 	Fields map[string]*field.Function
 
 	Schedule *ir.Schedule
-	Tree     iet.Callable
-	CCode    string
+	// Tree is the lowered IET for the current halo mode and exchange
+	// interval: CCode prints it and Apply executes it (through prog).
+	Tree  iet.Callable
+	CCode string
 
-	ctx        *Context
-	kernels    []ExecKernel
-	exchangers map[string]halo.Exchanger
-	// tileExchangers holds one exchanger per tile-start (field, timeOff)
-	// requirement. Distinct streams per requirement are essential under
-	// the overlapped pattern: the tile head posts every deep exchange
-	// asynchronously at once, and two in-flight exchanges of different
-	// time buffers of the same field must not cross-match tags or share
-	// receive buffers.
-	tileExchangers map[ir.HaloReq]halo.Exchanger
-	execOpts       runtime.ExecOpts
-	// shellOpts mirrors execOpts with work-stealing enabled: the
-	// shrinking time-tile shell boxes are load-imbalanced across the
-	// static block-cyclic partition, so only they opt into stealing.
-	shellOpts runtime.ExecOpts
+	ctx     *Context
+	kernels []ExecKernel
+	// built is the un-lowered iet.Build result every (re)lowering starts
+	// from; prog is Tree flattened into what Apply runs (see program.go).
+	built    iet.Callable
+	prog     program
+	execOpts runtime.ExecOpts
 	// pool is the persistent per-rank worker team (nil when serial).
 	// Workers spawn once and park between dispatches; the pool survives
-	// Retarget/RetargetTimeTile/Rebind and is released by Close.
+	// Reconfigure/Rebind and is released by Close.
 	pool *runtime.Pool
 	// mode is the operator's own halo pattern: seeded from the context at
-	// construction, switchable afterwards via Retarget (the context is
+	// construction, switchable afterwards via Reconfigure (the context is
 	// shared between operators and is never mutated).
 	mode halo.Mode
 	// forcedWorkers/forcedTileRows record knobs pinned through Options;
@@ -87,15 +80,15 @@ type Operator struct {
 	// time tiling).
 	hasScratch bool
 	// tileProvisioned marks that an exchange interval > 1 was explicitly
-	// requested (Options.TimeTile, DEVIGO_TIME_TILE or RetargetTimeTile):
+	// requested (Options.TimeTile, DEVIGO_TIME_TILE or Reconfigure):
 	// only then does the autotuner's k-axis open. Default operators keep
 	// the classic exchange-every-step candidate space.
 	tileProvisioned bool
 	// baseHalo snapshots every field's ghost width before any deep-halo
 	// growth — the exchange depth of the classic k=1 schedule.
 	baseHalo map[string][]int
-	// exHalo records each exchanged field's allocated ghost width at
-	// exchanger-build time, so Apply can detect a sibling operator growing
+	// exHalo records each exchanged field's allocated ghost width when the
+	// program was flattened, so Apply can detect a sibling operator growing
 	// shared storage and rebuild stale preallocated exchange regions.
 	exHalo map[string][]int
 	// shellLo/shellHi cap the ghost-shell extension per dimension per side
@@ -307,16 +300,16 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	}
 
 	op := &Operator{
-		Name:       name,
-		Grid:       g,
-		Fields:     fields,
-		Schedule:   sched,
-		ctx:        ctx,
-		mode:       mode,
-		exchangers: map[string]halo.Exchanger{},
-		baseHalo:   map[string][]int{},
-		cache:      cache,
-		cacheKey:   cacheKey,
+		Name:     name,
+		Grid:     g,
+		Fields:   fields,
+		Schedule: sched,
+		built:    iet.Build(name, sched),
+		ctx:      ctx,
+		mode:     mode,
+		baseHalo: map[string][]int{},
+		cache:    cache,
+		cacheKey: cacheKey,
 	}
 	op.perf.Engine = engine
 	op.hasScratch = len(scratchExt) > 0
@@ -335,14 +328,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	// the classic one-exchange-per-step schedule.
 	op.tileProvisioned = tileReq > 1
 	op.plan = op.selectTilePlan(tileReq)
-	if op.plan != nil {
-		for fname, alloc := range op.plan.Alloc {
-			if f, ok := fields[fname]; ok {
-				f.GrowHalo(alloc)
-			}
-		}
-	}
-	op.Tree = op.lowerTree()
+	op.growHalos()
 	if opts != nil {
 		op.execOpts.TileRows = opts.TileRows
 		op.forcedTileRows = opts.TileRows > 0
@@ -357,14 +343,17 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	// temporaries become per-point registers; hoisted invariants are
 	// evaluated once per Apply), recording the extended compute box of
 	// scratch-producing steps.
-	nests := collectNests(op.Tree)
+	var nests []iet.LoopNest
+	iet.Walk(op.built, func(n iet.Node) {
+		switch v := n.(type) {
+		case iet.LoopNest:
+			nests = append(nests, v)
+		case iet.ScalarAssign:
+			op.invariants = append(op.invariants, symbolic.Assignment{Name: v.Name, Value: v.Value})
+		}
+	})
 	if len(nests) != len(sched.Steps) {
 		return nil, fmt.Errorf("core: internal: %d nests for %d steps", len(nests), len(sched.Steps))
-	}
-	for _, n := range op.Tree.Body {
-		if sa, ok := n.(iet.ScalarAssign); ok {
-			op.invariants = append(op.invariants, symbolic.Assignment{Name: sa.Name, Value: sa.Value})
-		}
 	}
 	compileAll := func() ([]ExecKernel, error) {
 		ks := make([]ExecKernel, 0, len(sched.Steps))
@@ -393,8 +382,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		op.stepExt = append(op.stepExt, ext)
 	}
 
-	op.buildExchangers()
-	op.emitCode()
+	op.lower()
 	if obs.Active() {
 		instrs := 0
 		for _, k := range op.kernels {
@@ -418,9 +406,8 @@ func (op *Operator) obsRank() int {
 // current worker count: it spawns a team when more than one worker is
 // configured, resizes by replacing a mismatched or closed team, and
 // releases the team when the operator
-// drops back to serial. It also refreshes shellOpts, the stealing twin of
-// execOpts. Called at the head of every Apply and after every autotune
-// adoption — the pool itself survives Retarget/RetargetTimeTile/Rebind
+// drops back to serial. Called at the head of every Apply and after every
+// autotune adoption — the pool itself survives Reconfigure/Rebind
 // untouched (those never change the worker count).
 func (op *Operator) ensurePool() {
 	w := op.execOpts.Workers
@@ -439,8 +426,6 @@ func (op *Operator) ensurePool() {
 		}
 		op.execOpts.Pool = op.pool
 	}
-	op.shellOpts = op.execOpts
-	op.shellOpts.Steal = true
 }
 
 // Close releases the operator's persistent worker team (its parked
@@ -451,63 +436,12 @@ func (op *Operator) Close() {
 		op.pool.Close()
 		op.pool = nil
 		op.execOpts.Pool = nil
-		op.shellOpts.Pool = nil
 	}
 }
 
 // Pool exposes the operator's persistent worker team (nil when serial) —
 // benchmarks read its dispatch counters.
 func (op *Operator) Pool() *runtime.Pool { return op.pool }
-
-// buildExchangers instantiates one exchanger per exchanged field for the
-// operator's current mode and exchange depth (clearing any previous set —
-// Retarget and RetargetTimeTile rebuild through here). Stream numbering
-// follows schedule order so tags stay stable across rebuilds.
-func (op *Operator) buildExchangers() {
-	op.exchangers = map[string]halo.Exchanger{}
-	op.tileExchangers = map[ir.HaloReq]halo.Exchanger{}
-	op.exHalo = map[string][]int{}
-	if op.mode == halo.ModeNone || op.ctx == nil || op.ctx.Serial() {
-		return
-	}
-	stream := 0
-	addEx := func(reqs []ir.HaloReq) {
-		for _, h := range reqs {
-			if _, ok := op.exchangers[h.Field]; ok {
-				continue
-			}
-			f, ok := op.Fields[h.Field]
-			if !ok {
-				continue
-			}
-			op.exchangers[h.Field] = halo.NewDepth(op.mode, op.ctx.Cart, f, stream, op.exchangeDepth(h.Field))
-			op.exHalo[h.Field] = append([]int(nil), f.Halo...)
-			stream++
-		}
-	}
-	addEx(op.Schedule.Preamble)
-	if op.plan == nil {
-		for _, st := range op.Schedule.Steps {
-			addEx(st.Halos)
-		}
-		return
-	}
-	// Under a tile plan the per-step exchangers are never invoked (the
-	// tile-start set supersedes them), so only the preamble/hoisted
-	// parameter exchangers and the per-requirement tile exchangers are
-	// built — diag/full exchangers preallocate deep per-neighbour buffers,
-	// so dead ones would double that storage.
-	addEx(op.plan.Hoisted)
-	for _, h := range op.plan.Halos {
-		f, ok := op.Fields[h.Field]
-		if !ok {
-			continue
-		}
-		op.tileExchangers[h] = halo.NewDepth(op.mode, op.ctx.Cart, f, stream, op.exchangeDepth(h.Field))
-		op.exHalo[h.Field] = append([]int(nil), f.Halo...)
-		stream++
-	}
-}
 
 // ensureExchangers rebuilds the exchanger set when another operator
 // sharing this one's fields has grown their ghost storage since the
@@ -521,7 +455,7 @@ func (op *Operator) ensureExchangers() {
 		}
 		for d := range rec {
 			if f.Halo[d] != rec[d] {
-				op.buildExchangers()
+				op.flatten()
 				return
 			}
 		}
@@ -539,27 +473,50 @@ func (op *Operator) emitCode() {
 	op.CCode = em.EmitC(op.Tree)
 }
 
-// Retarget re-lowers the operator onto a different halo-exchange pattern:
-// the IET is rebuilt with the new mode's HaloSpot lowering, the exchanger
-// set is reinstantiated, and the generated source is refreshed. Compiled
-// kernels are untouched — the per-point programs are identical across
-// modes, which is why switching patterns (even between timesteps, as the
-// search autotuner does) never changes results. It is an error on a
-// serial operator.
-func (op *Operator) Retarget(mode halo.Mode) error {
+// Reconfigure re-lowers the operator onto a halo-exchange pattern and
+// exchange interval: the largest feasible interval <= k is planned
+// (falling back to 1 when the schedule cannot tile), ghost storage is
+// grown as needed, and the tree, the program with its exchangers and the
+// generated source are re-derived from the built IET. Compiled kernels
+// survive — they resolve strides at execution time and the per-point
+// programs are identical across modes and intervals, which is why
+// switching (even between timesteps, as the search autotuner does) never
+// changes results. It is an error on a serial operator.
+func (op *Operator) Reconfigure(mode halo.Mode, k int) error {
 	if op.ctx == nil || op.ctx.Serial() {
-		return fmt.Errorf("core: %s: Retarget requires a distributed context", op.Name)
+		return fmt.Errorf("core: %s: Reconfigure requires a distributed context", op.Name)
 	}
 	if mode == halo.ModeNone {
-		return fmt.Errorf("core: %s: cannot Retarget to mode none", op.Name)
+		return fmt.Errorf("core: %s: cannot Reconfigure to mode none", op.Name)
 	}
-	if mode == op.mode {
+	if k < 1 {
+		return fmt.Errorf("core: %s: exchange interval must be >= 1, got %d", op.Name, k)
+	}
+	if k > 1 {
+		op.tileProvisioned = true
+	}
+	cur := op.TimeTile()
+	plan := op.selectTilePlan(k)
+	newK := 1
+	if plan != nil {
+		newK = plan.K
+	}
+	if mode == op.mode && newK == cur {
 		return nil
 	}
 	op.mode = mode
-	op.Tree = op.lowerTree()
-	op.buildExchangers()
-	op.emitCode()
+	op.plan = plan
+	op.tilePos = 0
+	op.growHalos()
+	op.lower()
+	if plan != nil && newK != cur {
+		// A switch can happen mid-run (the search autotuner reconfigures
+		// between timesteps), after Apply's preamble already ran — refresh
+		// the time-invariant ghosts at the new depths right away. The
+		// exchanges are collective, and every rank adopts configurations in
+		// lockstep, so this cannot deadlock or skew.
+		op.runPreamble()
+	}
 	return nil
 }
 
@@ -632,29 +589,8 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	// dispatch; a Close between Applies is undone here.
 	op.ensurePool()
 
-	// Preamble: hoisted exchanges of time-invariant fields, once — the
-	// schedule's own preamble plus the parameters the time-tiling shell
-	// recompute reads in the ghost region. Their traffic is classified as
-	// preamble (not steady-state) in the obs metrics.
+	op.runPreamble()
 	rank := op.obsRank()
-	obs.SetPreamble(rank, true)
-	psp := obs.Begin(rank, obs.PhaseExchange, -1)
-	start := time.Now()
-	for _, h := range op.Schedule.Preamble {
-		if ex, ok := op.exchangers[h.Field]; ok {
-			ex.Exchange(0)
-		}
-	}
-	if op.plan != nil {
-		for _, h := range op.plan.Hoisted {
-			if ex, ok := op.exchangers[h.Field]; ok {
-				ex.Exchange(0)
-			}
-		}
-	}
-	op.perf.HaloSeconds += time.Since(start).Seconds()
-	psp.End()
-	obs.SetPreamble(rank, false)
 
 	anyField := op.anyField()
 	if anyField == nil {
@@ -668,33 +604,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	}
 	op.tilePos = 0
 	step := func(t int) {
-		if op.plan != nil {
-			op.tiledStep(t, bound, localShape, remaining)
-		} else {
-			for si, st := range op.Schedule.Steps {
-				k := op.kernels[si]
-				if op.useOverlap(si) && op.stepExt[si] == 0 {
-					op.applyOverlap(si, st, t, bound[si], localShape)
-				} else {
-					sp := obs.Begin(rank, obs.PhaseExchange, t)
-					hs := time.Now()
-					for _, h := range st.Halos {
-						if ex, ok := op.exchangers[h.Field]; ok {
-							ex.Exchange(t + h.TimeOff)
-						}
-					}
-					op.perf.HaloSeconds += time.Since(hs).Seconds()
-					sp.End()
-					sp = obs.Begin(rank, obs.PhaseCompute, t)
-					cs := time.Now()
-					box := extendedBox(localShape, op.stepExt[si])
-					k.Run(t, box, bound[si], &op.execOpts)
-					op.perf.ComputeSeconds += time.Since(cs).Seconds()
-					op.perf.PointsUpdated += int64(box.Size())
-					sp.End()
-				}
-			}
-		}
+		op.step(t, bound, localShape, remaining)
 		if a.PostStep != nil {
 			a.PostStep(t)
 		}
@@ -765,69 +675,6 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	return nil
 }
 
-// useOverlap reports whether step si runs under the full pattern.
-func (op *Operator) useOverlap(si int) bool {
-	if op.ctx == nil || op.ctx.Serial() || op.mode != halo.ModeFull {
-		return false
-	}
-	return len(op.Schedule.Steps[si].Halos) > 0
-}
-
-// applyOverlap executes one step in full mode: async exchange start, CORE
-// compute with MPI_Test progress prods, wait, REMAINDER compute.
-func (op *Operator) applyOverlap(si int, st ir.Step, t int, syms []float64, localShape []int) {
-	k := op.kernels[si]
-	each := func(fn func(ex halo.Exchanger, t int)) {
-		for _, h := range st.Halos {
-			if ex, ok := op.exchangers[h.Field]; ok {
-				fn(ex, t+h.TimeOff)
-			}
-		}
-	}
-	op.overlapSweep(k, t, fullBox(localShape), coreBox(localShape, k.StencilRadius()), syms,
-		func() { each(func(ex halo.Exchanger, tt int) { ex.Start(tt) }) },
-		func() { each(func(ex halo.Exchanger, tt int) { ex.Progress() }) },
-		func() { each(func(ex halo.Exchanger, tt int) { ex.Finish(tt) }) })
-}
-
-// overlapSweep is the shared CORE/REMAINDER choreography of the full
-// pattern, used by both the classic per-step overlap and the tile-start
-// deep overlap: post the exchanges, compute the CORE box with progress
-// prods between tiles, complete the exchanges, then sweep the remainder
-// of the outer box.
-func (op *Operator) overlapSweep(k ExecKernel, t int, outer, core runtime.Box, syms []float64, start, progress, finish func()) {
-	rank := op.obsRank()
-	sp := obs.Begin(rank, obs.PhaseExchange, t)
-	hs := time.Now()
-	start()
-	op.perf.HaloSeconds += time.Since(hs).Seconds()
-	sp.End()
-
-	sp = obs.Begin(rank, obs.PhaseCompute, t)
-	cs := time.Now()
-	opts := op.execOpts
-	opts.Progress = progress
-	k.Run(t, core, syms, &opts)
-	op.perf.ComputeSeconds += time.Since(cs).Seconds()
-	op.perf.PointsUpdated += int64(core.Size())
-	sp.End()
-
-	sp = obs.Begin(rank, obs.PhaseExchange, t)
-	ws := time.Now()
-	finish()
-	op.perf.HaloSeconds += time.Since(ws).Seconds()
-	sp.End()
-
-	sp = obs.Begin(rank, obs.PhaseCompute, t)
-	rs := time.Now()
-	for _, rb := range remainderBoxes(outer, core) {
-		k.Run(t, rb, syms, &op.execOpts)
-		op.perf.PointsUpdated += int64(rb.Size())
-	}
-	op.perf.ComputeSeconds += time.Since(rs).Seconds()
-	sp.End()
-}
-
 func (op *Operator) anyField() *field.Function {
 	for _, st := range op.Schedule.Steps {
 		for _, e := range st.Cluster.Eqs {
@@ -860,49 +707,9 @@ func (op *Operator) Engine() string { return op.perf.Engine }
 // must treat it as read-only.
 func (op *Operator) Kernels() []ExecKernel { return op.kernels }
 
-// collectNests returns the loop nests of the time-loop body in step order,
-// looking through overlap sections (whose Core and Remainder share one
-// nest) and time tiles (whose body repeats per substep).
-func collectNests(tree iet.Callable) []iet.LoopNest {
-	var out []iet.LoopNest
-	pick := func(body []iet.Node) {
-		for _, c := range body {
-			switch v := c.(type) {
-			case iet.LoopNest:
-				out = append(out, v)
-			case iet.OverlapSection:
-				out = append(out, v.Core)
-			}
-		}
-	}
-	for _, n := range tree.Body {
-		switch v := n.(type) {
-		case iet.TimeLoop:
-			pick(v.Body)
-		case iet.TimeTile:
-			pick(v.Body)
-		}
-	}
-	return out
-}
-
 func fullBox(shape []int) runtime.Box {
 	b := runtime.Box{Lo: make([]int, len(shape)), Hi: make([]int, len(shape))}
 	copy(b.Hi, shape)
-	return b
-}
-
-// extendedBox widens the domain box by ext points per side — the redundant
-// computation region of CIRE scratch clusters.
-func extendedBox(shape []int, ext int) runtime.Box {
-	b := fullBox(shape)
-	if ext == 0 {
-		return b
-	}
-	for d := range b.Lo {
-		b.Lo[d] -= ext
-		b.Hi[d] += ext
-	}
 	return b
 }
 
@@ -920,12 +727,4 @@ func coreBox(shape, radius []int) runtime.Box {
 		}
 	}
 	return core
-}
-
-// splitCoreRemainder splits the local domain into the CORE box (points
-// whose stencil never reads exchanged halo data) and the REMAINDER slabs —
-// the logical decomposition of the paper's full mode (Fig. 5c).
-func splitCoreRemainder(shape, radius []int) (runtime.Box, []runtime.Box) {
-	core := coreBox(shape, radius)
-	return core, remainderBoxes(fullBox(shape), core)
 }

@@ -341,7 +341,9 @@ func TestPerfReportCountsPoints(t *testing.T) {
 }
 
 func TestSplitCoreRemainder(t *testing.T) {
-	core, rem := splitCoreRemainder([]int{10, 8}, []int{2, 2})
+	shape := []int{10, 8}
+	core := coreBox(shape, []int{2, 2})
+	rem := remainderBoxes(fullBox(shape), core)
 	if core.Lo[0] != 2 || core.Hi[0] != 8 || core.Lo[1] != 2 || core.Hi[1] != 6 {
 		t.Errorf("core = %+v", core)
 	}

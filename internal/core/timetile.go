@@ -5,12 +5,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"devigo/internal/halo"
-	"devigo/internal/iet"
 	"devigo/internal/ir"
-	"devigo/internal/obs"
 	"devigo/internal/runtime"
 )
 
@@ -77,7 +74,7 @@ func tileFits(p *ir.TilePlan, minChunk, topology []int) bool {
 
 // allocFits reports whether a plan's required ghost allocation fits the
 // operator's fields as currently allocated (the autotuner never grows
-// storage mid-run; only construction and explicit RetargetTimeTile do).
+// storage mid-run; only construction and explicit Reconfigure do).
 func (op *Operator) allocFits(p *ir.TilePlan) bool {
 	for name, alloc := range p.Alloc {
 		f, ok := op.Fields[name]
@@ -118,7 +115,7 @@ func (op *Operator) selectTilePlan(k int) *ir.TilePlan {
 // MaxTileCandidate) whose plan fits both the decomposition chunks and the
 // *current* ghost allocation — the k-axis bound the autotuner plans over.
 // The axis only opens once an interval > 1 was explicitly provisioned
-// (construction or RetargetTimeTile): default operators keep the classic
+// (construction or Reconfigure): default operators keep the classic
 // candidate space and never pay deep-halo storage.
 func (op *Operator) maxFeasibleTile() int {
 	if op.ctx == nil || op.ctx.Serial() || !op.tileProvisioned {
@@ -175,66 +172,17 @@ func (op *Operator) InjectDepth() []int {
 	return depth
 }
 
-// RetargetTimeTile re-lowers the operator onto a different exchange
-// interval: the largest feasible interval <= k is planned (falling back
-// to 1 when the schedule cannot tile or the context is serial), ghost
-// storage is grown as needed — compiled kernels survive because they
-// resolve strides at execution time — the exchanger set is rebuilt at the
-// new depths, and the IET/source are refreshed. Like Retarget, switching
-// k never changes results: the redundant shell recompute evaluates
-// identical expressions on identical data.
-func (op *Operator) RetargetTimeTile(k int) error {
-	if k < 1 {
-		return fmt.Errorf("core: %s: exchange interval must be >= 1, got %d", op.Name, k)
+// growHalos deepens ghost storage to what the active plan requires: the
+// exchanged region plus the redundant shell writes.
+func (op *Operator) growHalos() {
+	if op.plan == nil {
+		return
 	}
-	if k > 1 {
-		op.tileProvisioned = true
-	}
-	cur := op.TimeTile()
-	plan := op.selectTilePlan(k)
-	newK := 1
-	if plan != nil {
-		newK = plan.K
-	}
-	if newK == cur {
-		return nil
-	}
-	op.plan = plan
-	op.tilePos = 0
-	if plan != nil {
-		for name, alloc := range plan.Alloc {
-			if f, ok := op.Fields[name]; ok {
-				f.GrowHalo(alloc)
-			}
+	for name, alloc := range op.plan.Alloc {
+		if f, ok := op.Fields[name]; ok {
+			f.GrowHalo(alloc)
 		}
 	}
-	op.buildExchangers()
-	if plan != nil && op.ctx != nil && !op.ctx.Serial() {
-		// A switch can happen mid-run (the search autotuner retargets
-		// between timesteps), after Apply's preamble already ran — refresh
-		// the time-invariant ghosts at the new depths right away. The
-		// exchanges are collective, and every rank adopts configurations in
-		// lockstep, so this cannot deadlock or skew. Like Apply's preamble,
-		// the traffic is classified as once-per-run in the obs metrics.
-		rank := op.obsRank()
-		obs.SetPreamble(rank, true)
-		hs := time.Now()
-		for _, h := range op.Schedule.Preamble {
-			if ex, ok := op.exchangers[h.Field]; ok {
-				ex.Exchange(0)
-			}
-		}
-		for _, h := range plan.Hoisted {
-			if ex, ok := op.exchangers[h.Field]; ok {
-				ex.Exchange(0)
-			}
-		}
-		op.perf.HaloSeconds += time.Since(hs).Seconds()
-		obs.SetPreamble(rank, false)
-	}
-	op.Tree = op.lowerTree()
-	op.emitCode()
-	return nil
 }
 
 // exchangeDepth returns the ghost width the operator exchanges for a
@@ -246,141 +194,6 @@ func (op *Operator) exchangeDepth(name string) []int {
 		return op.plan.Depth[name]
 	}
 	return op.baseHalo[name]
-}
-
-// lowerTree lowers the schedule IET for the operator's current halo mode
-// and exchange interval.
-func (op *Operator) lowerTree() iet.Callable {
-	built := iet.Build(op.Name, op.Schedule)
-	if op.plan != nil {
-		return iet.LowerTimeTile(built, op.mode, op.plan.K, op.plan.Halos)
-	}
-	return iet.LowerHalos(built, op.mode)
-}
-
-// shellBox returns the compute box of schedule step si at tile substep j:
-// the owned box extended by the shrinking ghost shell, clipped where the
-// shell would fall off the global domain.
-func (op *Operator) shellBox(localShape []int, j, si int) runtime.Box {
-	p := op.plan
-	nd := len(localShape)
-	b := runtime.Box{Lo: make([]int, nd), Hi: make([]int, nd)}
-	for d := 0; d < nd; d++ {
-		ext := (op.tileLen-1-j)*p.Stride[d] + p.Tails[si][d]
-		lo, hi := ext, ext
-		if lo > op.shellLo[d] {
-			lo = op.shellLo[d]
-		}
-		if hi > op.shellHi[d] {
-			hi = op.shellHi[d]
-		}
-		b.Lo[d] = -lo
-		b.Hi[d] = localShape[d] + hi
-	}
-	return b
-}
-
-// tiledStep executes one timestep of the time-tiled schedule: at the head
-// of a tile every pre-tile buffer is exchanged at the deep ghost width
-// (asynchronously overlapped with the first cluster's CORE compute under
-// the full pattern), then every cluster sweeps its owned-plus-shell box.
-// remaining is the number of steps left in this Apply including the
-// current one — a tile never outlives its Apply, so short windows (the
-// adjoint driver applies one step at a time) degenerate gracefully to the
-// k=1 schedule instead of paying shell recompute they cannot amortize.
-func (op *Operator) tiledStep(t int, bound [][]float64, localShape []int, remaining int) {
-	p := op.plan
-	if op.tilePos == 0 {
-		op.tileLen = p.K
-		if remaining < op.tileLen {
-			op.tileLen = remaining
-		}
-		if op.tileLen < 1 {
-			op.tileLen = 1
-		}
-	}
-	j := op.tilePos
-	rank := op.obsRank()
-	overlap := op.mode == halo.ModeFull && j == 0
-	if j == 0 && !overlap {
-		sp := obs.Begin(rank, obs.PhaseExchange, t)
-		hs := time.Now()
-		for _, h := range p.Halos {
-			if ex, ok := op.tileExchangers[h]; ok {
-				ex.Exchange(t + h.TimeOff)
-			}
-		}
-		op.perf.HaloSeconds += time.Since(hs).Seconds()
-		sp.End()
-	}
-	owned := fullBox(localShape)
-	ownedPts := int64(owned.Size())
-	for si := range op.Schedule.Steps {
-		k := op.kernels[si]
-		box := op.shellBox(localShape, j, si)
-		obs.Add(rank, obs.CtrShellPoints, int64(box.Size())-ownedPts)
-		if overlap && si == 0 {
-			op.applyTileOverlap(t, si, box, bound[si], localShape)
-			continue
-		}
-		if obs.TracingEnabled() && box.Size() > owned.Size() {
-			// Split the sweep so the trace separates owned compute from the
-			// redundant shell recompute. Per-point updates within one
-			// schedule step are independent, so sweeping the owned box and
-			// the shell slabs separately is bit-identical to one sweep.
-			cs := time.Now()
-			sp := obs.Begin(rank, obs.PhaseCompute, t)
-			k.Run(t, owned, bound[si], &op.execOpts)
-			sp.End()
-			sp = obs.Begin(rank, obs.PhaseShell, t)
-			for _, rb := range remainderBoxes(box, owned) {
-				// Shell slabs are thin and uneven: let drained workers
-				// steal across the static partition.
-				k.Run(t, rb, bound[si], &op.shellOpts)
-			}
-			sp.End()
-			op.perf.ComputeSeconds += time.Since(cs).Seconds()
-			op.perf.PointsUpdated += int64(box.Size())
-			continue
-		}
-		sp := obs.Begin(rank, obs.PhaseCompute, t)
-		cs := time.Now()
-		eo := &op.execOpts
-		if box.Size() > owned.Size() {
-			// The sweep includes the shrinking ghost shell — the
-			// load-imbalanced case bounded stealing exists for.
-			eo = &op.shellOpts
-		}
-		k.Run(t, box, bound[si], eo)
-		op.perf.ComputeSeconds += time.Since(cs).Seconds()
-		op.perf.PointsUpdated += int64(box.Size())
-		sp.End()
-	}
-	op.tilePos++
-	if op.tilePos >= op.tileLen {
-		op.tilePos = 0
-	}
-}
-
-// applyTileOverlap runs the first cluster of a tile's first substep under
-// the full pattern: the deep exchange is posted asynchronously, the CORE
-// box (owned shrunk by the cluster radius, so no read touches in-flight
-// halo data) computes with MPI_Test progress prods, then the exchange
-// completes and the remainder of the owned-plus-shell box — the boundary
-// ring plus the redundant shell — is swept.
-func (op *Operator) applyTileOverlap(t, si int, outer runtime.Box, syms []float64, localShape []int) {
-	k := op.kernels[si]
-	each := func(fn func(ex halo.Exchanger, tt int)) {
-		for _, h := range op.plan.Halos {
-			if ex, ok := op.tileExchangers[h]; ok {
-				fn(ex, t+h.TimeOff)
-			}
-		}
-	}
-	op.overlapSweep(k, t, outer, coreBox(localShape, k.StencilRadius()), syms,
-		func() { each(func(ex halo.Exchanger, tt int) { ex.Start(tt) }) },
-		func() { each(func(ex halo.Exchanger, tt int) { ex.Progress() }) },
-		func() { each(func(ex halo.Exchanger, tt int) { ex.Finish(tt) }) })
 }
 
 // remainderBoxes peels outer minus inner into disjoint slabs (inner must
@@ -431,35 +244,13 @@ func (op *Operator) CommStats() CommStats {
 	if f == nil {
 		return out
 	}
-	local := f.LocalShape
-	if op.plan != nil {
-		k := float64(op.plan.K)
-		for _, h := range op.plan.Halos {
-			m, b := halo.TrafficDepth(op.mode, local, op.plan.Depth[h.Field])
+	k := float64(op.prog.k)
+	for _, sw := range op.prog.sweeps {
+		for _, h := range sw.halos {
+			m, b := halo.TrafficDepth(op.mode, f.LocalShape, op.exchangeDepth(h.req.Field))
 			out.MsgsPerStep += float64(m) / k
 			out.BytesPerStep += b / k
 		}
-		return out
-	}
-	for _, st := range op.Schedule.Steps {
-		for _, h := range st.Halos {
-			var depth []int
-			if ff, ok := op.Fields[h.Field]; ok {
-				depth = op.exchangeDepthOr(h.Field, ff.Halo)
-			}
-			m, b := halo.TrafficDepth(op.mode, local, depth)
-			out.MsgsPerStep += float64(m)
-			out.BytesPerStep += b
-		}
 	}
 	return out
-}
-
-// exchangeDepthOr returns the exchange depth for a field, falling back to
-// the given default when none is recorded.
-func (op *Operator) exchangeDepthOr(name string, def []int) []int {
-	if d := op.exchangeDepth(name); d != nil {
-		return d
-	}
-	return def
 }

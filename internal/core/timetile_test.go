@@ -124,32 +124,37 @@ func TestTimeTileLoweringAndCode(t *testing.T) {
 	})
 }
 
-// RetargetTimeTile switches the interval live without recompiling
-// kernels, and switching back restores the classic lowering.
-func TestRetargetTimeTileLive(t *testing.T) {
+// Reconfigure switches the interval live without recompiling kernels, and
+// switching back restores the classic lowering.
+func TestReconfigureLive(t *testing.T) {
 	ttOperator(t, 1, halo.ModeDiagonal, func(c *mpi.Comm, op *Operator, u *field.TimeFunction) {
 		if op.TimeTile() != 1 {
 			t.Fatalf("initial interval = %d", op.TimeTile())
 		}
-		if err := op.RetargetTimeTile(4); err != nil {
+		if err := op.Reconfigure(halo.ModeDiagonal, 4); err != nil {
 			t.Fatal(err)
 		}
 		if op.TimeTile() != 4 {
-			t.Errorf("after retarget interval = %d, want 4", op.TimeTile())
+			t.Errorf("after reconfigure interval = %d, want 4", op.TimeTile())
 		}
 		if !strings.Contains(op.CCode, "haloupdate_deep") {
-			t.Error("retargeted code lacks the deep update")
+			t.Error("reconfigured code lacks the deep update")
 		}
-		if err := op.RetargetTimeTile(1); err != nil {
+		if err := op.Reconfigure(halo.ModeDiagonal, 1); err != nil {
 			t.Fatal(err)
 		}
 		if op.TimeTile() != 1 || strings.Contains(op.CCode, "haloupdate_deep") {
-			t.Errorf("retarget back to 1 left interval %d / tiled code", op.TimeTile())
+			t.Errorf("reconfigure back to 1 left interval %d / tiled code", op.TimeTile())
 		}
-		if err := op.RetargetTimeTile(0); err == nil {
+		if err := op.Reconfigure(halo.ModeDiagonal, 0); err == nil {
 			t.Error("interval 0 accepted")
 		}
 	})
+	g := grid.MustNew([]int{8, 8}, nil)
+	u, _ := field.NewTimeFunction("u", g, 2, 1, nil)
+	if err := buildDiffusionOp(t, g, u, nil).Reconfigure(halo.ModeDiagonal, 1); err == nil {
+		t.Error("Reconfigure accepted a serial operator")
+	}
 }
 
 // Applying with tiling is bit-exact vs k=1 on raw operators too (no

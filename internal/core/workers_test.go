@@ -177,14 +177,14 @@ func TestWorkersEnvSpawnsPool(t *testing.T) {
 	}
 }
 
-// TestPoolSurvivesRetargetChurn drives a multi-worker operator through
-// mid-run Retarget / RetargetTimeTile churn on every rank of a 4-rank
+// TestPoolSurvivesReconfigureChurn drives a multi-worker operator through
+// mid-run Reconfigure churn (interval and mode) on every rank of a 4-rank
 // world: the persistent team must survive every transition (same pool
 // object — those calls never change the worker count) and the final
 // wavefield must stay bit-identical to an unchurned serial-worker run.
 // The race job runs this under -race to certify the park/dispatch
 // protocol against the exchanger rebuilds.
-func TestPoolSurvivesRetargetChurn(t *testing.T) {
+func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 	run := func(workers int, churn bool) []float32 {
 		g := grid.MustNew([]int{16, 16}, nil)
 		w := mpi.NewWorld(4)
@@ -224,16 +224,16 @@ func TestPoolSurvivesRetargetChurn(t *testing.T) {
 				t.Errorf("rank %d: pool = %v before churn", c.Rank(), p)
 			}
 			if churn {
-				if err := op.RetargetTimeTile(4); err != nil {
+				if err := op.Reconfigure(halo.ModeDiagonal, 4); err != nil {
 					t.Error(err)
 				}
 			}
 			apply(4, 11)
 			if churn {
-				if err := op.RetargetTimeTile(1); err != nil {
+				if err := op.Reconfigure(halo.ModeDiagonal, 1); err != nil {
 					t.Error(err)
 				}
-				if err := op.Retarget(halo.ModeFull); err != nil {
+				if err := op.Reconfigure(halo.ModeFull, 1); err != nil {
 					t.Error(err)
 				}
 			}

@@ -47,11 +47,13 @@ func newDiagonal(cart *mpi.CartComm, f *field.Function, stream int, depth []int)
 
 func (d *diagonalExchanger) Mode() Mode { return ModeDiagonal }
 
-func (d *diagonalExchanger) Exchange(t int) {
+// start posts every receive, then packs and sends every slab of time
+// buffer t — the first half of the single-step exchange. The returned
+// receive requests (nil at absent neighbours) are completed by finish.
+func (d *diagonalExchanger) start(t int) []*mpi.Request {
 	buf := d.f.Buf(t)
 	tid := d.stream + 1
 	reqs := make([]*mpi.Request, len(d.offsets))
-	// Single step: post every receive, then every send, then wait all.
 	for i, o := range d.offsets {
 		if d.nbrs[i] == mpi.ProcNull {
 			continue
@@ -66,10 +68,21 @@ func (d *diagonalExchanger) Exchange(t int) {
 		buf.Pack(d.sendReg[i], d.sendBuf[i])
 		sp.End()
 		sp = obs.BeginStream(d.rank, tid, obs.PhaseSend, t)
+		// The transport snapshots the payload at post time, so a blocking
+		// Send is also the full pattern's Isend: the buffer is reusable at
+		// once and nothing is left to wait for on the send side.
 		d.cart.Send(d.nbrs[i], mpi.OffsetTag(d.stream, o), d.sendBuf[i])
 		sp.End()
 		obs.CountMsg(d.rank, 4*int64(len(d.sendBuf[i])))
 	}
+	return reqs
+}
+
+// finish waits for the receives start posted and unpacks them into the
+// halo of time buffer t.
+func (d *diagonalExchanger) finish(t int, reqs []*mpi.Request) {
+	buf := d.f.Buf(t)
+	tid := d.stream + 1
 	for i, r := range reqs {
 		if r == nil {
 			continue
@@ -83,6 +96,7 @@ func (d *diagonalExchanger) Exchange(t int) {
 	}
 }
 
+func (d *diagonalExchanger) Exchange(t int) { d.finish(t, d.start(t)) }
 func (d *diagonalExchanger) Start(t int)    { d.Exchange(t) }
 func (d *diagonalExchanger) Progress() bool { return true }
 func (d *diagonalExchanger) Finish(t int)   {}

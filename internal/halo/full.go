@@ -3,7 +3,6 @@ package halo
 import (
 	"devigo/internal/field"
 	"devigo/internal/mpi"
-	"devigo/internal/obs"
 )
 
 // fullExchanger implements the paper's full (overlap) pattern: the same
@@ -12,11 +11,14 @@ import (
 // are in flight, prodding the progress engine via Progress (the MPI_Test
 // calls the generated code inserts between loop-tiling blocks); Finish
 // waits for the remaining receives, unpacks the halos, after which the
-// caller computes the REMAINDER areas.
+// caller computes the REMAINDER areas. The two halves are the diagonal
+// exchanger's own (whose Exchange, inherited here, runs them back to
+// back); this type only holds the requests in between.
 type fullExchanger struct {
 	*diagonalExchanger
+	// pending holds the receives of the exchange in flight (nil between
+	// exchanges).
 	pending []*mpi.Request
-	started bool
 }
 
 func newFull(cart *mpi.CartComm, f *field.Function, stream int, depth []int) *fullExchanger {
@@ -25,62 +27,11 @@ func newFull(cart *mpi.CartComm, f *field.Function, stream int, depth []int) *fu
 
 func (e *fullExchanger) Mode() Mode { return ModeFull }
 
-func (e *fullExchanger) Start(t int) {
-	buf := e.f.Buf(t)
-	tid := e.stream + 1
-	e.pending = make([]*mpi.Request, len(e.offsets))
-	for i, o := range e.offsets {
-		if e.nbrs[i] == mpi.ProcNull {
-			continue
-		}
-		e.pending[i] = e.cart.Irecv(e.nbrs[i], mpi.OffsetTag(e.stream, negate(o)), e.recvBuf[i])
-	}
-	for i, o := range e.offsets {
-		if e.nbrs[i] == mpi.ProcNull {
-			continue
-		}
-		sp := obs.BeginStream(e.rank, tid, obs.PhasePack, t)
-		buf.Pack(e.sendReg[i], e.sendBuf[i])
-		sp.End()
-		sp = obs.BeginStream(e.rank, tid, obs.PhaseSend, t)
-		// Isend: buffered, completes immediately in this runtime but keeps
-		// the schedule shape of the generated code.
-		e.cart.Isend(e.nbrs[i], mpi.OffsetTag(e.stream, o), e.sendBuf[i])
-		sp.End()
-		obs.CountMsg(e.rank, 4*int64(len(e.sendBuf[i])))
-	}
-	e.started = true
-}
+func (e *fullExchanger) Start(t int) { e.pending = e.start(t) }
 
-func (e *fullExchanger) Progress() bool {
-	if !e.started {
-		return true
-	}
-	return mpi.Testall(e.pending)
-}
+func (e *fullExchanger) Progress() bool { return mpi.Testall(e.pending) }
 
 func (e *fullExchanger) Finish(t int) {
-	if !e.started {
-		return
-	}
-	buf := e.f.Buf(t)
-	tid := e.stream + 1
-	for i, r := range e.pending {
-		if r == nil {
-			continue
-		}
-		sp := obs.BeginStream(e.rank, tid, obs.PhaseWait, t)
-		r.Wait()
-		sp.End()
-		sp = obs.BeginStream(e.rank, tid, obs.PhaseUnpack, t)
-		buf.Unpack(e.recvReg[i], e.recvBuf[i])
-		sp.End()
-	}
+	e.finish(t, e.pending)
 	e.pending = nil
-	e.started = false
-}
-
-func (e *fullExchanger) Exchange(t int) {
-	e.Start(t)
-	e.Finish(t)
 }

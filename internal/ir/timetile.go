@@ -72,10 +72,6 @@ func (p *TilePlan) MaxDepth() int {
 	return w
 }
 
-// MaxStride returns the largest per-dimension shell consumption of one
-// timestep.
-func (p *TilePlan) MaxStride() []int { return p.Stride }
-
 // PlanTimeTile analyses a schedule for exchange-interval-k execution. It
 // returns the plan, or nil with a human-readable reason when the schedule
 // cannot legally tile (the operator then falls back to k=1):

