@@ -7,8 +7,8 @@ package bytecode
 // per instruction — but extracting the runs here, from the same program
 // both engines execute, is what keeps the two backends bit-exact: the
 // native engine lowers the *identical* operation sequence, and the
-// conformance tests assert that every opcode and every run shape stays
-// covered by real scenario kernels.
+// conformance tests assert that every opcode, every run shape and every
+// link form stays covered by scenario kernels.
 
 import "devigo/internal/runtime"
 
@@ -51,9 +51,10 @@ func (k *Kernel) Program() []Instr { return k.prog }
 // Real compiled programs are dominated by *accumulation chains*: a value is
 // opened (mulvs/maddvs/...), extended by madds, scaled, and finally stored
 // — with the interleaved loads feeding each tap. The extraction rediscovers
-// those chains and lowers them into a per-point *link* program the native
-// engine executes with the accumulator held in a CPU register: one fused
-// loop replaces a dozen row passes.
+// those chains and lowers them into a *link* program — one operation ×
+// operands × destination per link — that the native engine executes over
+// cache-resident accumulator strips: one fused pass replaces a dozen row
+// passes.
 //
 // Three analyses make the fusion exact:
 //
@@ -68,20 +69,15 @@ func (k *Kernel) Program() []Instr { return k.prog }
 //
 //   - Register provenance. Every register is tracked as slot-backed (a
 //     deferred load), row-backed (materialized by a VM instruction or a
-//     chain's LkToRow terminator), or chain-owned. Chain operands resolve
-//     to F (re-read field), R (read the register row) or S (scalar pool).
+//     chain's torow terminator), or chain-owned. Chain operands resolve
+//     to F (re-read field), R (read the register row), S (scalar pool) or
+//     one of the chain's two strips (acc, t).
 //
 //   - Scratch chains. Per-tap compound coefficients (mulvs t=..; mulvs
-//     t=t*..; maddvv acc+=t*load) lower into a second accumulator: the
-//     LkT* links build t and a LkMerge* link folds it into acc, so the
-//     scratch register is never materialized either.
-//
-// Commutative canonicalization: mul/add vector operands are swapped into
-// F-before-R order so one link kind covers both orders. IEEE mul/add are
-// commutative in value (including signed zeros); the only observable
-// difference under swapping is *which* NaN payload survives when both
-// operands are NaN, and every runtime-generated NaN carries the canonical
-// quiet payload, so the engines stay bit-exact even after overflow.
+//     t=t*..; maddvv acc+=t*load) lower into a second accumulator:
+//     links with destination t build it and a link reading both acc and t
+//     folds it into acc, so the scratch register is never materialized
+//     either.
 
 // Shape classifies one extracted segment.
 type Shape int
@@ -91,11 +87,11 @@ const (
 	// instructions with per-instruction row sweeps, exactly like the VM.
 	ShapeVM Shape = iota
 	// ShapeChain is a fused accumulation chain whose value survives the
-	// chain: the terminating LkToRow link materializes the accumulator
+	// chain: the terminating torow link materializes the accumulator
 	// into its register row for later segments.
 	ShapeChain
 	// ShapeChainStore is a fused chain consumed solely by the store that
-	// terminates it: the LkStore link rounds the accumulator to float32
+	// terminates it: the store link rounds the accumulator to float32
 	// straight into field memory and no row is ever written.
 	ShapeChainStore
 )
@@ -114,121 +110,86 @@ func (s Shape) String() string {
 	return "?"
 }
 
-// LinkKind enumerates the fused per-point operations of a chain. Operand
-// classes in the mnemonic: F = field access (A/B/C is a load-slot index;
-// the link re-reads float32 memory and widens), R = register row (index
-// into the row-register file), S = scalar pool entry. "f()" below denotes
-// the float32→float64 widening read of an F operand. Every multiply-add
-// rounds after the multiply and after the add — float64(x*y) + z — exactly
-// like the VM's madd opcodes (dispatch fusion, not IEEE fusion).
-type LinkKind byte
+// LinkOp is a link's operation. LinkMadd rounds after the multiply and
+// after the add — float64(x*y) + z — exactly like the VM's madd opcodes
+// (dispatch fusion, not IEEE fusion).
+type LinkOp byte
 
 const (
-	// Terminators.
-	LkToRow LinkKind = iota // regs[A][i] = acc
-	LkStore                 // out(eq A)[i] = float32(acc)
-
-	// Chain openers: acc = ...
-	LkMovS    // acc = S[A]
-	LkMulFS   // acc = f(A) * S[B]
-	LkMulRS   // acc = R[A] * S[B]
-	LkMulFF   // acc = f(A) * f(B)
-	LkMulFR   // acc = f(A) * R[B]
-	LkMulRR   // acc = R[A] * R[B]
-	LkAddFS   // acc = f(A) + S[B]
-	LkAddRS   // acc = R[A] + S[B]
-	LkAddFF   // acc = f(A) + f(B)
-	LkAddFR   // acc = f(A) + R[B]
-	LkAddRR   // acc = R[A] + R[B]
-	LkPowF    // acc = ipow(f(A), B)
-	LkPowR    // acc = ipow(R[A], B)
-	LkMaddFSF // acc = f64(f(A)*S[B]) + f(C)
-	LkMaddFSR // acc = f64(f(A)*S[B]) + R[C]
-	LkMaddRSF // acc = f64(R[A]*S[B]) + f(C)
-	LkMaddRSR // acc = f64(R[A]*S[B]) + R[C]
-	LkMaddFFF // acc = f64(f(A)*f(B)) + f(C)
-	LkMaddFFR // acc = f64(f(A)*f(B)) + R[C]
-	LkMaddFRF // acc = f64(f(A)*R[B]) + f(C)
-	LkMaddFRR // acc = f64(f(A)*R[B]) + R[C]
-	LkMaddRRF // acc = f64(R[A]*R[B]) + f(C)
-	LkMaddRRR // acc = f64(R[A]*R[B]) + R[C]
-
-	// Accumulator links: acc = op(acc, ...).
-	LkAccAddS   // acc = acc + S[A]
-	LkAccMulS   // acc = acc * S[A]
-	LkAccAddF   // acc = acc + f(A)
-	LkAccAddR   // acc = acc + R[A]
-	LkAccMulF   // acc = acc * f(A)
-	LkAccMulR   // acc = acc * R[A]
-	LkAccMaddFS // acc = f64(f(A)*S[B]) + acc
-	LkAccMaddRS // acc = f64(R[A]*S[B]) + acc
-	LkAccMaddFF // acc = f64(f(A)*f(B)) + acc
-	LkAccMaddFR // acc = f64(f(A)*R[B]) + acc
-	LkAccMaddRR // acc = f64(R[A]*R[B]) + acc
-	LkAccPow    // acc = ipow(acc, A)
-
-	// Scratch-accumulator links: t = ...
-	LkTMulFS  // t = f(A) * S[B]
-	LkTMulRS  // t = R[A] * S[B]
-	LkTMulFF  // t = f(A) * f(B)
-	LkTMulFR  // t = f(A) * R[B]
-	LkTMulRR  // t = R[A] * R[B]
-	LkTMulS   // t = t * S[A]
-	LkTMulF   // t = t * f(A)
-	LkTMulR   // t = t * R[A]
-	LkTMaddFS // t = f64(f(A)*S[B]) + t
-	LkTMaddRS // t = f64(R[A]*S[B]) + t
-
-	// Merges: fold the scratch accumulator into acc.
-	LkMergeMulT   // acc = acc * t
-	LkMergeAddT   // acc = acc + t
-	LkMergeMaddTS // acc = f64(t*S[A]) + acc
-	LkMergeMaddTF // acc = f64(t*f(A)) + acc
-	LkMergeMaddTR // acc = f64(t*R[A]) + acc
-
-	// NumLinkKinds is the size of the LinkKind vocabulary (one past the
-	// last kind); dispatch tables index [NumLinkKinds]T arrays by kind.
-	NumLinkKinds
+	LinkMov   LinkOp = iota // dst = X
+	LinkMul                 // dst = X * Y
+	LinkAdd                 // dst = X + Y
+	LinkMadd                // dst = f64(X*Y) + Z
+	LinkPow                 // dst = ipow(X, N)
+	LinkToRow               // terminator: regs[N][i] = X
+	LinkStore               // terminator: out(eq N)[i] = float32(X)
 )
 
-var linkNames = [NumLinkKinds]string{
-	LkToRow: "torow", LkStore: "store",
-	LkMovS: "movs", LkMulFS: "mul.fs", LkMulRS: "mul.rs", LkMulFF: "mul.ff",
-	LkMulFR: "mul.fr", LkMulRR: "mul.rr", LkAddFS: "add.fs", LkAddRS: "add.rs",
-	LkAddFF: "add.ff", LkAddFR: "add.fr", LkAddRR: "add.rr",
-	LkPowF: "pow.f", LkPowR: "pow.r",
-	LkMaddFSF: "madd.fs.f", LkMaddFSR: "madd.fs.r", LkMaddRSF: "madd.rs.f",
-	LkMaddRSR: "madd.rs.r", LkMaddFFF: "madd.ff.f", LkMaddFFR: "madd.ff.r",
-	LkMaddFRF: "madd.fr.f", LkMaddFRR: "madd.fr.r", LkMaddRRF: "madd.rr.f",
-	LkMaddRRR: "madd.rr.r",
-	LkAccAddS: "acc.add.s", LkAccMulS: "acc.mul.s", LkAccAddF: "acc.add.f",
-	LkAccAddR: "acc.add.r", LkAccMulF: "acc.mul.f", LkAccMulR: "acc.mul.r",
-	LkAccMaddFS: "acc.madd.fs", LkAccMaddRS: "acc.madd.rs",
-	LkAccMaddFF: "acc.madd.ff", LkAccMaddFR: "acc.madd.fr", LkAccMaddRR: "acc.madd.rr",
-	LkAccPow: "acc.pow",
-	LkTMulFS: "t.mul.fs", LkTMulRS: "t.mul.rs", LkTMulFF: "t.mul.ff",
-	LkTMulFR: "t.mul.fr", LkTMulRR: "t.mul.rr", LkTMulS: "t.mul.s",
-	LkTMulF: "t.mul.f", LkTMulR: "t.mul.r",
-	LkTMaddFS: "t.madd.fs", LkTMaddRS: "t.madd.rs",
-	LkMergeMulT: "merge.mul.t", LkMergeAddT: "merge.add.t",
-	LkMergeMaddTS: "merge.madd.ts", LkMergeMaddTF: "merge.madd.tf",
-	LkMergeMaddTR: "merge.madd.tr",
+var linkOpNames = [...]string{"mov", "mul", "add", "madd", "pow", "torow", "store"}
+
+// Class is where an operand's value lives. The declaration order is the
+// canonical order of a commutative operand pair (see lowerLink).
+type Class byte
+
+const (
+	ClassNone Class = iota // operand absent (or, during lowering, a dead register)
+	ClassF                 // field access: Index is a load slot, re-read as float32 and widened
+	ClassAcc               // the chain's accumulator strip
+	ClassT                 // the chain's scratch strip
+	ClassR                 // register row: Index is a row register
+	ClassS                 // scalar: Index is a pool entry
+)
+
+const classLetters = "-fatrs"
+
+// Operand is one source of a link.
+type Operand struct {
+	Class Class
+	Index int32
 }
 
-// String returns the kind's diagnostic mnemonic (e.g. "acc.madd.fs");
-// the operand-class vocabulary is documented on LinkKind.
-func (k LinkKind) String() string {
-	if k < NumLinkKinds {
-		return linkNames[k]
-	}
-	return "?"
-}
-
-// Link is one fused per-point operation; A, B, C are interpreted per
-// LinkKind (slot index, register index, pool index, or integer exponent).
+// Link is one fused per-point operation of a chain, in factored form: an
+// operation, up to three source operands and the strip its result lands
+// in. Dst is ClassAcc or ClassT; the two terminators drain the accumulator
+// (X is always ClassAcc) into the register row or equation output N. N is
+// also LinkPow's exponent.
 type Link struct {
-	Kind    LinkKind
-	A, B, C int32
+	Op      LinkOp
+	Dst     Class
+	X, Y, Z Operand
+	N       int32
+}
+
+// String composes the link's form from its parts — operation, then one
+// class letter per operand (f a t r s), prefixed "t." when the result
+// lands in the scratch strip: "mul.fs", "madd.fsa", "t.mul.ft", "store".
+// Indices are omitted, so equal strings mean equal executor paths.
+func (l Link) String() string {
+	s := linkOpNames[l.Op]
+	if l.Op >= LinkToRow {
+		return s
+	}
+	if l.Dst == ClassT {
+		s = "t." + s
+	}
+	s += "."
+	for _, o := range [...]Operand{l.X, l.Y, l.Z} {
+		if o.Class != ClassNone {
+			s += classLetters[o.Class : o.Class+1]
+		}
+	}
+	return s
+}
+
+// count reports how many of the link's operands have class c.
+func (l Link) count(c Class) int {
+	n := 0
+	for _, o := range [...]Operand{l.X, l.Y, l.Z} {
+		if o.Class == c {
+			n++
+		}
+	}
+	return n
 }
 
 // Segment is one contiguous region [Lo, Hi) of the row program, lowered
@@ -252,15 +213,6 @@ type regSrc struct {
 	kind byte
 	slot int32
 }
-
-// operand classes during lowering.
-const (
-	clF byte = iota // slot-backed: re-read field memory
-	clR             // row-backed: read the register row
-	clAcc
-	clT
-	clBad
-)
 
 // ExtractSegments partitions a row program into fused chain segments and
 // VM fallback segments. The partition is a pure function of the program
@@ -474,20 +426,20 @@ func (x *extractor) tryChain(i int) (Segment, int, bool) {
 	snapJ, snapLinks, snapComputes := -1, 0, 0
 	var snapSrc []regSrc
 
-	cls := func(r int32) (byte, int32) {
+	cls := func(r int32) (Class, int32) {
 		switch {
 		case r == acc && acc >= 0:
-			return clAcc, r
+			return ClassAcc, r
 		case r == tacc && tacc >= 0:
-			return clT, r
+			return ClassT, r
 		}
 		switch s := lsrc[r]; s.kind {
 		case srcSlot:
-			return clF, s.slot
+			return ClassF, s.slot
 		case srcRow:
-			return clR, r
+			return ClassR, r
 		}
-		return clBad, r
+		return ClassNone, r
 	}
 
 	j := i
@@ -505,53 +457,32 @@ loop:
 			j++
 			continue
 		}
-		if in.Op == OpStore {
-			break // stores only terminate chains (handled below)
+		l, ok := lowerLink(in, cls)
+		if !ok {
+			break // store, copy or a dead operand: the chain ends here
 		}
-		switch {
-		case acc < 0:
-			l, ok := openerLink(in, cls)
-			if !ok {
-				return Segment{}, 0, false
-			}
+		switch place(&l, acc >= 0, tacc >= 0) {
+		case roleOpen:
 			acc = in.Rd
-			links = append(links, l)
-			computes++
-		case tacc >= 0 && touches(in, cls, clT):
-			if touches(in, cls, clAcc) {
-				// Merge t into acc.
-				l, ok := mergeLink(in, cls)
-				if !ok || !regDead(prog, j+1, tacc) {
-					break loop
-				}
-				if in.Rd != acc && !regDead(prog, j+1, acc) {
-					break loop
-				}
-				if in.Rd != acc {
-					lsrc[acc] = regSrc{}
-					acc = in.Rd
-				}
-				lsrc[tacc] = regSrc{}
-				tacc = -1
-				snapJ = -1
-				links = append(links, l)
-				computes++
-			} else {
-				l, ok := tAccLink(in, cls)
-				if !ok || in.Rd != tacc {
-					break loop
-				}
-				links = append(links, l)
-				computes++
-			}
-		case touches(in, cls, clAcc):
-			if tacc >= 0 {
-				break loop // acc must not advance past an open t-chain
-			}
-			l, ok := accLink(in, cls)
-			if !ok {
+		case roleMerge:
+			if !regDead(prog, j+1, tacc) {
 				break loop
 			}
+			if in.Rd != acc && !regDead(prog, j+1, acc) {
+				break loop
+			}
+			if in.Rd != acc {
+				lsrc[acc] = regSrc{}
+				acc = in.Rd
+			}
+			lsrc[tacc] = regSrc{}
+			tacc = -1
+			snapJ = -1
+		case roleAdvanceT:
+			if in.Rd != tacc {
+				break loop // no handoff: the scratch register stays fixed until merged
+			}
+		case roleAdvance:
 			if in.Rd != acc {
 				// Accumulator handoff: the value moves to a new register.
 				if !regDead(prog, j+1, acc) {
@@ -560,23 +491,18 @@ loop:
 				lsrc[acc] = regSrc{}
 				acc = in.Rd
 			}
-			links = append(links, l)
-			computes++
-		default:
-			// Neither accumulator involved: tentatively open a scratch chain.
-			if tacc >= 0 {
-				break loop
-			}
-			l, ok := tOpenerLink(in, cls)
-			if !ok || in.Rd == acc {
+		case roleOpenT:
+			if in.Rd == acc {
 				break loop
 			}
 			snapJ, snapLinks, snapComputes = j, len(links), computes
 			snapSrc = append([]regSrc(nil), lsrc...)
 			tacc = in.Rd
-			links = append(links, l)
-			computes++
+		default:
+			break loop
 		}
+		links = append(links, l)
+		computes++
 		j++
 	}
 
@@ -589,9 +515,10 @@ loop:
 	}
 
 	seg := Segment{Lo: i}
+	drain := Link{Dst: ClassAcc, X: Operand{Class: ClassAcc}}
 	if j < len(prog) && prog[j].Op == OpStore && prog[j].A == acc && regDead(prog, j+1, acc) {
 		seg.Shape = ShapeChainStore
-		links = append(links, Link{Kind: LkStore, A: prog[j].B})
+		drain.Op, drain.N = LinkStore, prog[j].B
 		lsrc[acc] = regSrc{}
 		j++
 	} else {
@@ -599,316 +526,137 @@ loop:
 			return Segment{}, 0, false
 		}
 		seg.Shape = ShapeChain
-		links = append(links, Link{Kind: LkToRow, A: acc})
+		drain.Op, drain.N = LinkToRow, acc
 		lsrc[acc] = regSrc{kind: srcRow}
 	}
 	if computes < 1 {
 		return Segment{}, 0, false
 	}
 	seg.Hi = j
-	seg.Links = links
+	seg.Links = append(links, drain)
 	copy(x.src, lsrc)
 	return seg, j, true
 }
 
-// touches reports whether any vector operand of in has class c.
-func touches(in Instr, cls func(int32) (byte, int32), c byte) bool {
-	for _, r := range vecReads(in) {
-		k, _ := cls(r)
-		if k == c {
-			return true
-		}
+// lowerLink builds the link computing in's result: the opcode fixes the
+// operation, cls the class of each register operand. It fails on the
+// non-arithmetic opcodes (load, store, copy) and on a dead register.
+//
+// Commutative canonicalization: the operands of a VV multiply or add (and
+// a madd's multiplicands) are put in Class order, F first. IEEE mul/add
+// are commutative in value (including signed zeros); the only observable
+// difference under swapping is *which* NaN payload survives when both
+// operands are NaN, and every runtime-generated NaN carries the canonical
+// quiet payload, so the engines stay bit-exact even after overflow.
+func lowerLink(in Instr, cls func(int32) (Class, int32)) (Link, bool) {
+	ok := true
+	v := func(r int32) Operand {
+		c, idx := cls(r)
+		ok = ok && c != ClassNone
+		return Operand{c, idx}
 	}
-	return false
-}
-
-// canon orders a commutative (class, idx) operand pair F-before-R.
-func canon(ka byte, ia int32, kb byte, ib int32) (byte, int32, byte, int32) {
-	if ka == clR && kb == clF {
-		return kb, ib, ka, ia
-	}
-	return ka, ia, kb, ib
-}
-
-// openerLink lowers an instruction that produces a fresh accumulator.
-func openerLink(in Instr, cls func(int32) (byte, int32)) (Link, bool) {
+	s := Operand{ClassS, in.B}
+	l := Link{Dst: ClassAcc}
 	switch in.Op {
 	case OpMovS:
-		return Link{Kind: LkMovS, A: in.B}, true
-	case OpMulVS, OpAddVS:
-		ka, ia := cls(in.A)
-		var k LinkKind
-		switch {
-		case in.Op == OpMulVS && ka == clF:
-			k = LkMulFS
-		case in.Op == OpMulVS && ka == clR:
-			k = LkMulRS
-		case in.Op == OpAddVS && ka == clF:
-			k = LkAddFS
-		case in.Op == OpAddVS && ka == clR:
-			k = LkAddRS
-		default:
-			return Link{}, false
-		}
-		return Link{Kind: k, A: ia, B: in.B}, true
-	case OpMulVV, OpAddVV:
-		ka, ia := cls(in.A)
-		kb, ib := cls(in.B)
-		ka, ia, kb, ib = canon(ka, ia, kb, ib)
-		var k LinkKind
-		switch {
-		case ka == clF && kb == clF:
-			k = LkMulFF
-		case ka == clF && kb == clR:
-			k = LkMulFR
-		case ka == clR && kb == clR:
-			k = LkMulRR
-		default:
-			return Link{}, false
-		}
-		if in.Op == OpAddVV {
-			k += LkAddFF - LkMulFF
-		}
-		return Link{Kind: k, A: ia, B: ib}, true
-	case OpPowV:
-		switch ka, ia := cls(in.A); ka {
-		case clF:
-			return Link{Kind: LkPowF, A: ia, B: in.B}, true
-		case clR:
-			return Link{Kind: LkPowR, A: ia, B: in.B}, true
-		}
+		l.Op, l.X = LinkMov, s
+	case OpMulVS:
+		l.Op, l.X, l.Y = LinkMul, v(in.A), s
+	case OpAddVS:
+		l.Op, l.X, l.Y = LinkAdd, v(in.A), s
+	case OpMulVV:
+		l.Op, l.X, l.Y = LinkMul, v(in.A), v(in.B)
+	case OpAddVV:
+		l.Op, l.X, l.Y = LinkAdd, v(in.A), v(in.B)
 	case OpMaddVS:
-		ka, ia := cls(in.A)
-		kc, ic := cls(in.C)
-		var k LinkKind
-		switch {
-		case ka == clF && kc == clF:
-			k = LkMaddFSF
-		case ka == clF && kc == clR:
-			k = LkMaddFSR
-		case ka == clR && kc == clF:
-			k = LkMaddRSF
-		case ka == clR && kc == clR:
-			k = LkMaddRSR
-		default:
-			return Link{}, false
-		}
-		return Link{Kind: k, A: ia, B: in.B, C: ic}, true
+		l.Op, l.X, l.Y, l.Z = LinkMadd, v(in.A), s, v(in.C)
 	case OpMaddVV:
-		ka, ia := cls(in.A)
-		kb, ib := cls(in.B)
-		kc, ic := cls(in.C)
-		ka, ia, kb, ib = canon(ka, ia, kb, ib)
-		var k LinkKind
-		switch {
-		case ka == clF && kb == clF && kc == clF:
-			k = LkMaddFFF
-		case ka == clF && kb == clF && kc == clR:
-			k = LkMaddFFR
-		case ka == clF && kb == clR && kc == clF:
-			k = LkMaddFRF
-		case ka == clF && kb == clR && kc == clR:
-			k = LkMaddFRR
-		case ka == clR && kb == clR && kc == clF:
-			k = LkMaddRRF
-		case ka == clR && kb == clR && kc == clR:
-			k = LkMaddRRR
-		default:
-			return Link{}, false
-		}
-		return Link{Kind: k, A: ia, B: ib, C: ic}, true
-	}
-	return Link{}, false
-}
-
-// accLink lowers an instruction that advances the accumulator (reading it
-// and producing its next value, possibly into a different register).
-func accLink(in Instr, cls func(int32) (byte, int32)) (Link, bool) {
-	switch in.Op {
-	case OpAddVS, OpMulVS:
-		if ka, _ := cls(in.A); ka != clAcc {
-			return Link{}, false
-		}
-		if in.Op == OpAddVS {
-			return Link{Kind: LkAccAddS, A: in.B}, true
-		}
-		return Link{Kind: LkAccMulS, A: in.B}, true
-	case OpAddVV, OpMulVV:
-		ka, ia := cls(in.A)
-		kb, ib := cls(in.B)
-		ko, io := kb, ib
-		if kb == clAcc {
-			if ka == clAcc {
-				return Link{}, false
-			}
-			ko, io = ka, ia
-		} else if ka != clAcc {
-			return Link{}, false
-		}
-		var k LinkKind
-		switch {
-		case in.Op == OpAddVV && ko == clF:
-			k = LkAccAddF
-		case in.Op == OpAddVV && ko == clR:
-			k = LkAccAddR
-		case in.Op == OpMulVV && ko == clF:
-			k = LkAccMulF
-		case in.Op == OpMulVV && ko == clR:
-			k = LkAccMulR
-		default:
-			return Link{}, false
-		}
-		return Link{Kind: k, A: io}, true
-	case OpMaddVS:
-		ka, ia := cls(in.A)
-		kc, _ := cls(in.C)
-		if kc != clAcc {
-			return Link{}, false
-		}
-		switch ka {
-		case clF:
-			return Link{Kind: LkAccMaddFS, A: ia, B: in.B}, true
-		case clR:
-			return Link{Kind: LkAccMaddRS, A: ia, B: in.B}, true
-		}
-	case OpMaddVV:
-		ka, ia := cls(in.A)
-		kb, ib := cls(in.B)
-		kc, _ := cls(in.C)
-		if kc != clAcc {
-			return Link{}, false
-		}
-		ka, ia, kb, ib = canon(ka, ia, kb, ib)
-		var k LinkKind
-		switch {
-		case ka == clF && kb == clF:
-			k = LkAccMaddFF
-		case ka == clF && kb == clR:
-			k = LkAccMaddFR
-		case ka == clR && kb == clR:
-			k = LkAccMaddRR
-		default:
-			return Link{}, false
-		}
-		return Link{Kind: k, A: ia, B: ib}, true
+		l.Op, l.X, l.Y, l.Z = LinkMadd, v(in.A), v(in.B), v(in.C)
 	case OpPowV:
-		if ka, _ := cls(in.A); ka != clAcc {
-			return Link{}, false
-		}
-		return Link{Kind: LkAccPow, A: in.B}, true
-	}
-	return Link{}, false
-}
-
-// tOpenerLink lowers an instruction opening a scratch chain.
-func tOpenerLink(in Instr, cls func(int32) (byte, int32)) (Link, bool) {
-	l, ok := openerLink(in, cls)
-	if !ok {
-		return Link{}, false
-	}
-	switch l.Kind {
-	case LkMulFS:
-		l.Kind = LkTMulFS
-	case LkMulRS:
-		l.Kind = LkTMulRS
-	case LkMulFF:
-		l.Kind = LkTMulFF
-	case LkMulFR:
-		l.Kind = LkTMulFR
-	case LkMulRR:
-		l.Kind = LkTMulRR
+		l.Op, l.X, l.N = LinkPow, v(in.A), in.B
 	default:
 		return Link{}, false
 	}
-	return l, true
+	if l.Y.Class != ClassNone && l.X.Class > l.Y.Class {
+		l.X, l.Y = l.Y, l.X
+	}
+	return l, ok
 }
 
-// tAccLink lowers an instruction advancing the scratch accumulator in
-// place (no handoff: the scratch register must stay fixed until merged).
-func tAccLink(in Instr, cls func(int32) (byte, int32)) (Link, bool) {
-	switch in.Op {
-	case OpMulVS:
-		if ka, _ := cls(in.A); ka != clT {
-			return Link{}, false
+// role is the position a link may take in a chain.
+type role byte
+
+const (
+	roleNone     role = iota // the link cannot extend the chain
+	roleOpen                 // acc = op(...): opens the chain
+	roleAdvance              // acc = op(acc, ...)
+	roleOpenT                // t = ...: tentatively opens a scratch chain
+	roleAdvanceT             // t = op(t, ...)
+	roleMerge                // acc = op(acc, t, ...): folds the scratch chain in
+)
+
+// place decides which role a lowered link may take given which
+// accumulators are open, and sets its destination. The rules are over
+// operand classes only: an accumulator enters a link at most once; a madd
+// extends an accumulator only as its addend; the scratch chain is opened
+// by a multiply and advanced by a multiply or a scalar madd (per-tap
+// compound coefficients need no more), and the main accumulator does not
+// advance while it is open.
+func place(l *Link, accOpen, tOpen bool) role {
+	nAcc, nT := l.count(ClassAcc), l.count(ClassT)
+	ontoAcc := nAcc == 1 && (l.Op != LinkMadd || l.Z.Class == ClassAcc)
+	switch {
+	case !accOpen:
+		return roleOpen
+	case nAcc > 0 && nT > 0:
+		if ontoAcc && nT == 1 {
+			return roleMerge
 		}
-		return Link{Kind: LkTMulS, A: in.B}, true
-	case OpMulVV:
-		ka, ia := cls(in.A)
-		kb, ib := cls(in.B)
-		ko, io := kb, ib
-		if kb == clT {
-			if ka == clT {
-				return Link{}, false
-			}
-			ko, io = ka, ia
-		} else if ka != clT {
-			return Link{}, false
+	case nT > 0:
+		if nT == 1 && (l.Op == LinkMul || l.Op == LinkMadd && l.Y.Class == ClassS && l.Z.Class == ClassT) {
+			l.Dst = ClassT
+			return roleAdvanceT
 		}
-		switch ko {
-		case clF:
-			return Link{Kind: LkTMulF, A: io}, true
-		case clR:
-			return Link{Kind: LkTMulR, A: io}, true
+	case nAcc > 0:
+		if ontoAcc && !tOpen {
+			return roleAdvance
 		}
-	case OpMaddVS:
-		ka, ia := cls(in.A)
-		kc, _ := cls(in.C)
-		if kc != clT {
-			return Link{}, false
-		}
-		switch ka {
-		case clF:
-			return Link{Kind: LkTMaddFS, A: ia, B: in.B}, true
-		case clR:
-			return Link{Kind: LkTMaddRS, A: ia, B: in.B}, true
-		}
+	case l.Op == LinkMul && !tOpen:
+		l.Dst = ClassT
+		return roleOpenT
 	}
-	return Link{}, false
+	return roleNone
 }
 
-// mergeLink lowers an instruction folding the scratch accumulator into acc.
-func mergeLink(in Instr, cls func(int32) (byte, int32)) (Link, bool) {
-	switch in.Op {
-	case OpMulVV, OpAddVV:
-		ka, _ := cls(in.A)
-		kb, _ := cls(in.B)
-		if !(ka == clAcc && kb == clT || ka == clT && kb == clAcc) {
-			return Link{}, false
-		}
-		if in.Op == OpMulVV {
-			return Link{Kind: LkMergeMulT}, true
-		}
-		return Link{Kind: LkMergeAddT}, true
-	case OpMaddVS:
-		ka, _ := cls(in.A)
-		kc, _ := cls(in.C)
-		if ka == clT && kc == clAcc {
-			return Link{Kind: LkMergeMaddTS, A: in.B}, true
-		}
-	case OpMaddVV:
-		ka, ia := cls(in.A)
-		kb, ib := cls(in.B)
-		kc, _ := cls(in.C)
-		if kc != clAcc {
-			return Link{}, false
-		}
-		ko, io := kb, ib
-		if kb == clT {
-			if ka == clT {
-				return Link{}, false
+// LinkForms enumerates the String form of every link the extraction can
+// emit, by running each arithmetic opcode over every assignment of operand
+// classes and accumulator state through lowerLink and place — the rules
+// tryChain applies — rather than from a table. The native conformance
+// ledger requires a scenario for each.
+func LinkForms() []string {
+	forms := []string{Link{Op: LinkToRow}.String(), Link{Op: LinkStore}.String()}
+	seen := map[string]bool{}
+	classes := [...]Class{ClassF, ClassR, ClassAcc, ClassT}
+	for op := OpMovS; op <= OpPowV; op++ {
+		for a := 0; a < 64; a++ {
+			regs := [3]Class{classes[a&3], classes[a>>2&3], classes[a>>4]}
+			cls := func(r int32) (Class, int32) { return regs[r], r }
+			l, ok := lowerLink(Instr{Op: op, A: 0, B: 1, C: 2}, cls)
+			if !ok {
+				continue
 			}
-			ko, io = ka, ia
-		} else if ka != clT {
-			return Link{}, false
-		}
-		switch ko {
-		case clF:
-			return Link{Kind: LkMergeMaddTF, A: io}, true
-		case clR:
-			return Link{Kind: LkMergeMaddTR, A: io}, true
+			accOpen := l.count(ClassAcc)+l.count(ClassT) > 0
+			tOpen := l.count(ClassT) > 0
+			for _, st := range [...][2]bool{{accOpen, tOpen}, {true, tOpen}, {true, true}} {
+				cand := l
+				if place(&cand, st[0], st[1]) != roleNone && !seen[cand.String()] {
+					seen[cand.String()] = true
+					forms = append(forms, cand.String())
+				}
+			}
 		}
 	}
-	return Link{}, false
+	return forms
 }
 
 // Segments extracts the kernel's own fused-segment partition.

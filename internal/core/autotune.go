@@ -90,7 +90,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 	// on top of it, so reporting the active plan's deep depth here would
 	// double-count and overcharge the k=1 candidates.
 	width := 0
-	for name := range op.exHalo {
+	for name := range op.exchanged {
 		base, ok := op.baseHalo[name]
 		if !ok {
 			if f, okF := op.Fields[name]; okF {

@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"devigo/internal/codegen"
 	"devigo/internal/field"
@@ -87,10 +88,12 @@ type Operator struct {
 	// baseHalo snapshots every field's ghost width before any deep-halo
 	// growth — the exchange depth of the classic k=1 schedule.
 	baseHalo map[string][]int
-	// exHalo records each exchanged field's allocated ghost width when the
-	// program was flattened, so Apply can detect a sibling operator growing
-	// shared storage and rebuild stale preallocated exchange regions.
-	exHalo map[string][]int
+	// exchanged is the set of fields the program holds an exchanger for.
+	exchanged map[string]bool
+	// seenHalo records every field's allocated ghost width when the program
+	// and the source were last derived from the tree, so Apply can detect a
+	// sibling operator growing shared storage (see ensureExchangers).
+	seenHalo map[string][]int
 	// shellLo/shellHi cap the ghost-shell extension per dimension per side
 	// (grid points available beyond the owned box).
 	shellLo, shellHi []int
@@ -208,7 +211,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if err != nil {
 		return nil, err
 	}
-	workersReq, err := resolveWorkers(requestedWorkers)
+	workersReq, err := ResolveWorkers(requestedWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -443,21 +446,18 @@ func (op *Operator) Close() {
 // benchmarks read its dispatch counters.
 func (op *Operator) Pool() *runtime.Pool { return op.pool }
 
-// ensureExchangers rebuilds the exchanger set when another operator
-// sharing this one's fields has grown their ghost storage since the
-// exchangers preallocated their regions (a gradient run interleaves
-// forward, adjoint and imaging operators over shared parameter fields).
+// ensureExchangers re-derives what depends on the fields' ghost widths
+// when another operator sharing this one's fields has grown their storage
+// since (a gradient run interleaves forward, adjoint and imaging operators
+// over shared parameter fields): the exchangers preallocated their regions
+// at the old widths, and the generated source indexes every access by
+// them.
 func (op *Operator) ensureExchangers() {
-	for name, rec := range op.exHalo {
-		f, ok := op.Fields[name]
-		if !ok {
-			continue
-		}
-		for d := range rec {
-			if f.Halo[d] != rec[d] {
-				op.flatten()
-				return
-			}
+	for name, rec := range op.seenHalo {
+		if !slices.Equal(op.Fields[name].Halo, rec) {
+			op.flatten()
+			op.emitCode()
+			return
 		}
 	}
 }
@@ -466,9 +466,11 @@ func (op *Operator) ensureExchangers() {
 // from the operator's current IET.
 func (op *Operator) emitCode() {
 	em := &codegen.Emitter{Halo: map[string][]int{}, TimeBufs: map[string]int{}}
+	op.seenHalo = map[string][]int{}
 	for n, f := range op.Fields {
 		em.Halo[n] = f.Halo
 		em.TimeBufs[n] = len(f.Bufs)
+		op.seenHalo[n] = slices.Clone(f.Halo)
 	}
 	op.CCode = em.EmitC(op.Tree)
 }

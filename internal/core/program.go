@@ -94,7 +94,7 @@ func (op *Operator) lower() {
 // must not cross-match tags or share receive buffers. Streams are numbered
 // in tree order, so tags agree across ranks and across rebuilds.
 func (op *Operator) flatten() {
-	op.exHalo = map[string][]int{}
+	op.exchanged = map[string]bool{}
 	table := map[ir.HaloReq]exchange{}
 	bind := func(reqs []ir.HaloReq) []exchange {
 		var out []exchange
@@ -107,7 +107,7 @@ func (op *Operator) flatten() {
 				}
 				e = exchange{req: h, ex: halo.NewDepth(op.mode, op.ctx.Cart, f, len(table), op.exchangeDepth(h.Field))}
 				table[h] = e
-				op.exHalo[h.Field] = append([]int(nil), f.Halo...)
+				op.exchanged[h.Field] = true
 			}
 			out = append(out, e)
 		}

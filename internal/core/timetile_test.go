@@ -228,3 +228,76 @@ func TestTimeTileProfileAndCandidates(t *testing.T) {
 		}
 	})
 }
+
+// A sibling operator that grows shared ghost storage makes this operator's
+// exchangers and generated source stale; its next Apply re-derives both,
+// so CCode equals that of a fresh operator built on the grown fields.
+func TestSiblingHaloGrowthReEmitsCode(t *testing.T) {
+	w := mpi.NewWorld(4)
+	err := w.Run(func(c *mpi.Comm) {
+		g := grid.MustNew([]int{16, 16}, nil)
+		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fc := &field.Config{Decomp: dec, Rank: c.Rank()}
+		m, err := field.NewFunction("m", g, 2, fc)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		u, errU := field.NewTimeFunction("u", g, 2, 1, fc)
+		v, errV := field.NewTimeFunction("v", g, 2, 1, fc)
+		if errU != nil || errV != nil {
+			t.Error(errU, errV)
+			return
+		}
+		// build makes a diffusion operator over a wavefield and the shared
+		// parameter m.
+		build := func(u *field.TimeFunction, k int) *Operator {
+			upd := symbolic.NewAdd(symbolic.At(u.Ref),
+				symbolic.NewMul(symbolic.Float(0.1), symbolic.At(m.Ref), symbolic.Laplace(symbolic.At(u.Ref), 2, 2)))
+			ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
+			op, err := NewOperator([]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}},
+				map[string]*field.Function{u.Name: &u.Function, "m": m}, g, ctx, &Options{TimeTile: k})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return op
+		}
+		first := build(u, 1)
+		if first == nil {
+			return
+		}
+		before, width := first.CCode, m.Halo[0]
+		if build(v, 4) == nil {
+			return
+		}
+		if m.Halo[0] <= width {
+			t.Errorf("the tiled sibling left m's ghost width at %d; the test needs it grown", m.Halo[0])
+			return
+		}
+		if err := first.Apply(&ApplyOpts{TimeM: 0, TimeN: 0, Syms: map[string]float64{"dt": 1}}); err != nil {
+			t.Error(err)
+			return
+		}
+		if first.CCode == before {
+			t.Error("CCode still indexes m by its old ghost width after Apply")
+		}
+		fresh := build(u, 1) // over the same, now grown, storage
+		if fresh != nil && first.CCode != fresh.CCode {
+			t.Errorf("re-emitted code differs from a fresh operator's:\n--- applied ---\n%s\n--- fresh ---\n%s",
+				first.CCode, fresh.CCode)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

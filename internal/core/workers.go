@@ -14,13 +14,15 @@ import (
 // overrides an explicit user choice.
 const WorkersEnvVar = "DEVIGO_WORKERS"
 
-// resolveWorkers picks the requested worker count: explicit
+// ResolveWorkers picks the requested worker count: explicit
 // Options.Workers wins, then the DEVIGO_WORKERS environment variable,
 // then 0 (unforced — the operator runs serial until an autotune policy
 // picks a team size). A bad value is a configuration error naming the
 // value, where it came from, and what is accepted — matching
-// resolveEngine's style.
-func resolveWorkers(requested int) (int, error) {
+// resolveEngine's style. Exported so callers that size other tiers around
+// the per-rank team (RunShots' oversubscription guard) resolve it the same
+// way and fail before starting any work.
+func ResolveWorkers(requested int) (int, error) {
 	if requested > 0 {
 		return requested, nil
 	}

@@ -14,32 +14,32 @@ import (
 
 func TestResolveWorkersVocabulary(t *testing.T) {
 	// Explicit request wins over everything.
-	if got, err := resolveWorkers(3); err != nil || got != 3 {
-		t.Errorf("resolveWorkers(3) = %d, %v; want 3", got, err)
+	if got, err := ResolveWorkers(3); err != nil || got != 3 {
+		t.Errorf("ResolveWorkers(3) = %d, %v; want 3", got, err)
 	}
 	// Unset everywhere -> 0 (unforced: the autotuner may pick a team).
-	if got, err := resolveWorkers(0); err != nil || got != 0 {
-		t.Errorf("resolveWorkers(0) = %d, %v; want 0", got, err)
+	if got, err := ResolveWorkers(0); err != nil || got != 0 {
+		t.Errorf("ResolveWorkers(0) = %d, %v; want 0", got, err)
 	}
 	// Environment fallback, with surrounding whitespace tolerated.
 	t.Setenv(WorkersEnvVar, " 4 ")
-	if got, err := resolveWorkers(0); err != nil || got != 4 {
-		t.Errorf("env resolveWorkers(0) = %d, %v; want 4", got, err)
+	if got, err := ResolveWorkers(0); err != nil || got != 4 {
+		t.Errorf("env ResolveWorkers(0) = %d, %v; want 4", got, err)
 	}
 	// Explicit still wins over the environment.
-	if got, err := resolveWorkers(2); err != nil || got != 2 {
+	if got, err := ResolveWorkers(2); err != nil || got != 2 {
 		t.Errorf("explicit over env = %d, %v; want 2", got, err)
 	}
 }
 
 func TestResolveWorkersRejectsBad(t *testing.T) {
-	if _, err := resolveWorkers(-1); err == nil ||
+	if _, err := ResolveWorkers(-1); err == nil ||
 		!strings.Contains(err.Error(), "Options.Workers") {
 		t.Errorf("negative explicit count should blame Options.Workers, got %v", err)
 	}
 	for _, bad := range []string{"zero", "0", "-2", "1.5"} {
 		t.Setenv(WorkersEnvVar, bad)
-		_, err := resolveWorkers(0)
+		_, err := ResolveWorkers(0)
 		if err == nil {
 			t.Errorf("bad $%s=%q accepted", WorkersEnvVar, bad)
 			continue

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,15 +14,16 @@ import (
 )
 
 // The conformance table: a set of small scenario kernels whose union
-// exercises every bytecode opcode and every native segment shape. Each
-// scenario compiles the same symbolic nest with both engines over
-// identically initialised fields, runs them (sequentially, tiled, and
-// with a worker pool; grid widths are chosen so both the vectorized
-// strips and the scalar remainder tail execute), asserts bit-identical
-// output, and contributes its compiled program and lowered segments to
-// the coverage ledger. The final assertions fail if any opcode or any
-// run shape is left unexercised — so adding an opcode or a segment shape
-// without extending this table is a test failure, not a silent gap.
+// exercises every bytecode opcode, every native segment shape and every
+// link form the chain extraction can emit. Each scenario compiles the
+// same symbolic nest with both engines over identically initialised
+// fields, runs them (sequentially, tiled, and with a worker pool; grid
+// widths are chosen so both the assembly strip body and the pure-Go
+// remainder execute), asserts bit-identical output, and contributes its
+// compiled program and lowered segments to
+// the coverage ledger. The final assertions fail if any opcode, run shape
+// or link form is left unexercised — so adding one without extending this
+// table is a test failure, not a silent gap.
 
 // confNest is one scenario's symbolic input plus its scratch state: two
 // disjoint field sets (one per engine) built over the same grid.
@@ -90,7 +92,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 
 	// Temporaries + per-point powers: opCopy (an assignment aliasing a
 	// cached load), opPowV, mulvv/maddvv, and a surviving register row
-	// (ShapeChain ending in LkToRow).
+	// (ShapeChain ending in a torow link).
 	{
 		g := grid.MustNew([]int{12, 21}, nil)
 		uB, uN := confTimeFn(t, "u", g, 2)
@@ -163,6 +165,75 @@ func confScenarios(t *testing.T) map[string]confNest {
 		}
 	}
 
+	// The link-form sweep: one equation per operand pattern, written so
+	// the compiler emits each arithmetic opcode over every mix of deferred
+	// loads (F), register rows (R, the three temporaries), pool scalars
+	// and the two accumulators — as chain opener, accumulator advance,
+	// scratch-chain open/advance and merge. paren keeps a product out of
+	// the enclosing sum's madd fusion (a one-term Add compiles to its
+	// term), which is how a scratch chain ends in a plain add or mul.
+	{
+		g := grid.MustNew([]int{7, 13}, nil)
+		fB, fN := map[string]*field.Function{}, map[string]*field.Function{}
+		uB, uN := confTimeFn(t, "u", g, 2)
+		fB["u"], fN["u"] = &uB.Function, &uN.Function
+		ref := uB.Ref
+		fa, fb := symbolic.Shifted(ref, 0, 0, -1), symbolic.Shifted(ref, 0, 0, 1)
+		fc, fd := symbolic.Shifted(ref, 0, -1, 0), symbolic.Shifted(ref, 0, 1, 0)
+		r0, r1, r2 := symbolic.S("r0"), symbolic.S("r1"), symbolic.S("r2")
+		s1, s2, s3 := symbolic.S("dt"), symbolic.S("c1"), symbolic.S("c2")
+		mul := func(f ...symbolic.Expr) symbolic.Expr { return symbolic.Mul{Factors: f} }
+		add := func(t ...symbolic.Expr) symbolic.Expr { return symbolic.Add{Terms: t} }
+		paren := func(e symbolic.Expr) symbolic.Expr { return add(e) }
+		rhs := []symbolic.Expr{
+			add(fa, fb),                             // add.ff
+			add(fa, r0),                             // add.fr
+			add(r0, r1),                             // add.rr
+			add(r0, s1),                             // add.rs
+			add(mul(fa, s1), s2, fb),                // mul.fs add.as add.fa
+			add(mul(fa, s1), paren(mul(fb, s2))),    // t.mul.fs add.at
+			mul(fa, fb, s1, fc),                     // mul.ff mul.as mul.fa
+			mul(fa, r0, paren(mul(fb, s1))),         // mul.fr mul.at
+			symbolic.Pow{Base: mul(r0, s1), Exp: 2}, // mul.rs pow.a
+			add(fc, mul(fa, fb)),                    // madd.fff
+			add(fc, mul(fa, r0)),                    // madd.frf
+			add(fc, mul(r0, r1)),                    // madd.rrf
+			add(r0, mul(fa, fb)),                    // madd.ffr
+			add(r0, mul(fa, r1)),                    // madd.frr
+			add(r2, mul(r0, r1)),                    // madd.rrr
+			add(fc, mul(fa, s1)),                    // madd.fsf
+			add(fc, mul(r0, s1)),                    // madd.rsf
+			add(r0, mul(fa, s1)),                    // madd.fsr
+			add(r1, mul(r0, s1)),                    // madd.rsr
+			add(mul(fa, s1), mul(fb, r0), mul(r0, r1), mul(r0, s2)), // madd.fra madd.rra madd.rsa
+			add(mul(fa, s1),
+				mul(fb, s2, s3, fc), // t.mul.fs t.mul.ts madd.fta
+				mul(fb, fc, fd, r0), // t.mul.ff t.mul.ft madd.tra
+				mul(r0, s2, fb),     // t.mul.rs
+				mul(r0, r1, r2, fb), // t.mul.rr t.mul.tr
+				mul(fb, fc, s2)),    // madd.tsa
+			add(mul(fa, s1), mul(add(mul(fb, s2), mul(fc, s3), mul(r0, s2)), fd)), // t.madd.fst t.madd.rst
+		}
+		n := confNest{
+			assigns: []symbolic.Assignment{
+				{Name: "r0", Value: symbolic.At(ref)},
+				{Name: "r1", Value: add(mul(fa, s1), s2)},
+				{Name: "r2", Value: add(fd, s3)},
+			},
+			radius: []int{1, 1},
+			fB:     fB, fN: fN,
+			vals: map[string]float64{"dt": 0.37, "c1": -1.25, "c2": 0.0625},
+		}
+		for i, e := range rhs {
+			name := fmt.Sprintf("o%d", i)
+			oB, oN := confTimeFn(t, name, g, 2)
+			fB[name], fN[name] = &oB.Function, &oN.Function
+			n.eqs = append(n.eqs, symbolic.Eq{LHS: symbolic.ForwardStencil(oB.Ref), RHS: e})
+			n.outs = append(n.outs, name)
+		}
+		out["link-forms"] = n
+	}
+
 	// Cross-equation aliasing at a nonzero offset: the second equation
 	// reads the first equation's freshly stored row one point to the left,
 	// which the segment extractor must refuse to fuse — the whole program
@@ -203,6 +274,7 @@ func confBox(f *field.Function) runtime.Box {
 func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	opSeen := make([]bool, bytecode.NumOpcodes)
 	shapeSeen := map[bytecode.Shape]bool{}
+	formSeen := map[string]bool{}
 	team := runtime.NewPool(3, 0)
 	defer team.Close()
 
@@ -235,10 +307,18 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			for _, in := range nk.Bytecode().Program() {
 				opSeen[in.Op] = true
 			}
+			// A link form counts as executed only on a row that runs both
+			// the strip body and the pure-Go tail.
+			row := n.fN[n.outs[0]].LocalShape[len(n.fN[n.outs[0]].LocalShape)-1]
 			for _, seg := range nk.Segments() {
 				shapeSeen[seg.Shape] = true
 				for _, in := range seg.VM {
 					opSeen[in.Op] = true
+				}
+				for _, l := range seg.Links {
+					if row >= 4 && row%4 != 0 {
+						formSeen[l.String()] = true
+					}
 				}
 			}
 			poolB, err := kB.BindSyms(n.vals)
@@ -280,6 +360,11 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	for si, sn := range bytecode.ShapeNames() {
 		if !shapeSeen[bytecode.Shape(si)] {
 			t.Errorf("segment shape %q not exercised by any conformance scenario", sn)
+		}
+	}
+	for _, form := range bytecode.LinkForms() {
+		if !formSeen[form] {
+			t.Errorf("link form %q not executed by any conformance scenario", form)
 		}
 	}
 }

@@ -8,171 +8,135 @@ import (
 	"devigo/internal/runtime"
 )
 
-// xlink is one fused per-point operation, executable form: operand
-// pointers are patched per worker (register rows) and per row (field
-// accesses), the scalar operand is resolved from the bound pool once per
-// worker. kind/exp are copied from the kernel template.
-type xlink struct {
-	kind       bytecode.LinkKind
-	exp        int
-	sv         float64
-	pa, pb, pc unsafe.Pointer
-}
-
-// Operand patch descriptors, precomputed at Wrap time.
-type patchF struct {
-	li   int32 // link index in the flat array
-	pos  int8  // which pointer: 0=pa 1=pb 2=pc
-	slot int32
-}
-type patchR struct {
+// patch says which pointer of which link (0 = destination, 1..3 = X, Y, Z)
+// takes the address of table entry idx; which table is the list it is on.
+type patch struct {
 	li  int32
 	pos int8
-	reg int32
-}
-type patchS struct {
-	li   int32
-	pool int32
-}
-type patchE struct {
-	li int32
-	eq int32
+	idx int32
 }
 
-// tmpl is the kernel's immutable executable template.
+// tmpl is the kernel's immutable executable template: the flat link array
+// with primitives, steps and exponents filled and pointers nil, plus one
+// patch list per operand class.
 type tmpl struct {
-	links []xlink // kinds and exponents filled; pointers nil
-	fs    []patchF
-	rs    []patchR
-	ss    []patchS
-	es    []patchE
+	links  []xlink
+	fs     []patch // load slots, re-pointed every row
+	es     []patch // equation outputs, re-pointed every row
+	rs     []patch // register rows, re-pointed when the row pitch changes
+	strips []patch // idx 0 = the worker's acc strip, 1 = its t strip
+	ss     []patch // scalar-pool entries, copied into sv every Run
 }
 
-// buildTemplate flattens the chain segments' links and derives the patch
-// lists from each link kind's operand roles.
+// buildTemplate flattens the chain segments' links into the template and
+// records each segment's link range.
 func (k *Kernel) buildTemplate(segs []bytecode.Segment) {
 	t := &tmpl{}
-	li := func() int32 { return int32(len(t.links)) }
-	// Operand-role helpers: field access, register row, pool scalar.
-	f := func(pos int8, slot int32) { t.fs = append(t.fs, patchF{li(), pos, slot}) }
-	r := func(pos int8, reg int32) { t.rs = append(t.rs, patchR{li(), pos, reg}) }
-	s := func(pool int32) { t.ss = append(t.ss, patchS{li(), pool}) }
-	for _, seg := range segs {
-		if seg.Shape == bytecode.ShapeVM {
-			continue
-		}
+	k.segs = make([]segment, len(segs))
+	for i, seg := range segs {
+		k.segs[i] = segment{shape: seg.Shape, vm: seg.VM, lkLo: len(t.links)}
+		k.fusedInstrs += len(seg.Links) + len(seg.VM)
 		for _, l := range seg.Links {
-			x := xlink{kind: l.Kind}
-			switch l.Kind {
-			case bytecode.LkToRow:
-				r(0, l.A)
-			case bytecode.LkStore:
-				t.es = append(t.es, patchE{li(), l.A})
-			case bytecode.LkMovS, bytecode.LkAccAddS, bytecode.LkAccMulS,
-				bytecode.LkTMulS, bytecode.LkMergeMaddTS:
-				s(l.A)
-			case bytecode.LkMulFS, bytecode.LkAddFS, bytecode.LkTMulFS,
-				bytecode.LkAccMaddFS, bytecode.LkTMaddFS:
-				f(0, l.A)
-				s(l.B)
-			case bytecode.LkMulRS, bytecode.LkAddRS, bytecode.LkTMulRS,
-				bytecode.LkAccMaddRS, bytecode.LkTMaddRS:
-				r(0, l.A)
-				s(l.B)
-			case bytecode.LkMulFF, bytecode.LkAddFF, bytecode.LkTMulFF,
-				bytecode.LkAccMaddFF:
-				f(0, l.A)
-				f(1, l.B)
-			case bytecode.LkMulFR, bytecode.LkAddFR, bytecode.LkTMulFR,
-				bytecode.LkAccMaddFR:
-				f(0, l.A)
-				r(1, l.B)
-			case bytecode.LkMulRR, bytecode.LkAddRR, bytecode.LkTMulRR,
-				bytecode.LkAccMaddRR:
-				r(0, l.A)
-				r(1, l.B)
-			case bytecode.LkPowF:
-				f(0, l.A)
-				x.exp = int(l.B)
-			case bytecode.LkPowR:
-				r(0, l.A)
-				x.exp = int(l.B)
-			case bytecode.LkAccPow:
-				x.exp = int(l.A)
-			case bytecode.LkMaddFSF:
-				f(0, l.A)
-				s(l.B)
-				f(2, l.C)
-			case bytecode.LkMaddFSR:
-				f(0, l.A)
-				s(l.B)
-				r(2, l.C)
-			case bytecode.LkMaddRSF:
-				r(0, l.A)
-				s(l.B)
-				f(2, l.C)
-			case bytecode.LkMaddRSR:
-				r(0, l.A)
-				s(l.B)
-				r(2, l.C)
-			case bytecode.LkMaddFFF:
-				f(0, l.A)
-				f(1, l.B)
-				f(2, l.C)
-			case bytecode.LkMaddFFR:
-				f(0, l.A)
-				f(1, l.B)
-				r(2, l.C)
-			case bytecode.LkMaddFRF:
-				f(0, l.A)
-				r(1, l.B)
-				f(2, l.C)
-			case bytecode.LkMaddFRR:
-				f(0, l.A)
-				r(1, l.B)
-				r(2, l.C)
-			case bytecode.LkMaddRRF:
-				r(0, l.A)
-				r(1, l.B)
-				f(2, l.C)
-			case bytecode.LkMaddRRR:
-				r(0, l.A)
-				r(1, l.B)
-				r(2, l.C)
-			case bytecode.LkAccAddF, bytecode.LkAccMulF, bytecode.LkTMulF,
-				bytecode.LkMergeMaddTF:
-				f(0, l.A)
-			case bytecode.LkAccAddR, bytecode.LkAccMulR, bytecode.LkTMulR,
-				bytecode.LkMergeMaddTR:
-				r(0, l.A)
-			case bytecode.LkMergeMulT, bytecode.LkMergeAddT:
-				// no operands beyond the two accumulators
-			default:
-				panic(fmt.Sprintf("native: unhandled link kind %v", l.Kind))
-			}
-			t.links = append(t.links, x)
+			t.add(l)
 		}
+		k.segs[i].lkHi = len(t.links)
 	}
 	k.tm = t
 }
 
-// exec is the per-worker executable state: a private copy of the link
-// array with register-row pointers and pool scalars resolved, plus the
-// worker's accumulator and scratch strips.
-type exec struct {
-	links   []xlink
-	acc, tt []float64
+// add appends one link: the destination and every operand go on their
+// class's patch list with their per-point step.
+func (t *tmpl) add(l bytecode.Link) {
+	if l.Op == bytecode.LinkMadd && l.Z.Class == bytecode.ClassF {
+		// No primitive takes a float32 addend: run the product link, then
+		// add the field row to it. f64(x*y) + f(z) == f(z) + f64(x*y)
+		// bitwise, IEEE addition commuting in value.
+		t.add(bytecode.Link{Op: bytecode.LinkMul, Dst: l.Dst, X: l.X, Y: l.Y})
+		t.add(bytecode.Link{Op: bytecode.LinkAdd, Dst: l.Dst, X: l.Z, Y: bytecode.Operand{Class: l.Dst}})
+		return
+	}
+	li := int32(len(t.links))
+	x := xlink{prim: primOf(l), exp: int(l.N)}
+	operand := func(pos int8, o bytecode.Operand) {
+		switch o.Class {
+		case bytecode.ClassF:
+			t.fs = append(t.fs, patch{li, pos, o.Index})
+			x.step[pos] = 4
+		case bytecode.ClassR:
+			t.rs = append(t.rs, patch{li, pos, o.Index})
+			x.step[pos] = 8
+		case bytecode.ClassAcc:
+			t.strips = append(t.strips, patch{li, pos, 0})
+		case bytecode.ClassT:
+			t.strips = append(t.strips, patch{li, pos, 1})
+		case bytecode.ClassS:
+			t.ss = append(t.ss, patch{li, pos, o.Index})
+		}
+	}
+	switch l.Op {
+	case bytecode.LinkToRow:
+		operand(0, bytecode.Operand{Class: bytecode.ClassR, Index: l.N})
+	case bytecode.LinkStore:
+		t.es = append(t.es, patch{li, 0, l.N})
+		x.step[0] = 4
+	default:
+		operand(0, bytecode.Operand{Class: l.Dst})
+	}
+	operand(1, l.X)
+	operand(2, l.Y)
+	operand(3, l.Z)
+	t.links = append(t.links, x)
 }
 
-func setPtr(l *xlink, pos int8, p unsafe.Pointer) {
-	switch pos {
-	case 0:
-		l.pa = p
-	case 1:
-		l.pb = p
-	default:
-		l.pc = p
+// primOf selects a link's primitive from its operation and its operands'
+// memory kinds; acc, t and register rows are all float64 rows to it.
+func primOf(l bytecode.Link) prim {
+	fx, fy, sy := l.X.Class == bytecode.ClassF, l.Y.Class == bytecode.ClassF, l.Y.Class == bytecode.ClassS
+	pairing := pMulRR
+	switch {
+	case fx && sy:
+		pairing = pMulFS
+	case sy:
+		pairing = pMulRS
+	case fx && fy:
+		pairing = pMulFF
+	case fx:
+		pairing = pMulFR
 	}
+	pairing -= pMulFS // the pairing's offset within any of the three families
+	switch l.Op {
+	case bytecode.LinkMov:
+		return pMovS
+	case bytecode.LinkMul:
+		return pMulFS + pairing
+	case bytecode.LinkAdd:
+		return pAddFS + pairing
+	case bytecode.LinkMadd:
+		return pMaddFS + pairing
+	case bytecode.LinkToRow:
+		return pCopy
+	case bytecode.LinkStore:
+		return pStore
+	}
+	switch { // LinkPow
+	case fx:
+		return pPowF
+	case l.N == 2:
+		return pSq
+	case l.N == -1:
+		return pRecip
+	case l.N == -2:
+		return pRecipSq
+	}
+	return pPowR
+}
+
+// exec is the per-worker executable state: a private copy of the link
+// array with register-row and strip pointers and pool scalars resolved,
+// plus the worker's accumulator and scratch strips.
+type exec struct {
+	links  []xlink
+	strips [2][]float64 // acc, t
 }
 
 // patchRow points every field operand at the current row. The single
@@ -181,22 +145,22 @@ func setPtr(l *xlink, pos int8, p unsafe.Pointer) {
 func (k *Kernel) patchRow(e *exec, n int, bases []int) {
 	r := &k.drv.Resolved
 	for _, p := range k.tm.fs {
-		off := bases[r.Slots[p.slot].Field] + r.SlotOff[p.slot]
-		data := r.SlotData[p.slot]
+		off := bases[r.Slots[p.idx].Field] + r.SlotOff[p.idx]
+		data := r.SlotData[p.idx]
 		if off < 0 || off+n > len(data) {
 			panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
-				off, off+n, p.slot, len(data)))
+				off, off+n, p.idx, len(data)))
 		}
-		setPtr(&e.links[p.li], p.pos, unsafe.Pointer(&data[off]))
+		e.links[p.li].p[p.pos] = unsafe.Pointer(&data[off])
 	}
 	for _, p := range k.tm.es {
-		off := bases[r.Outs[p.eq].Field]
-		data := r.OutData[p.eq]
+		off := bases[r.Outs[p.idx].Field]
+		data := r.OutData[p.idx]
 		if off < 0 || off+n > len(data) {
 			panic(fmt.Sprintf("native: store row [%d:%d) out of bounds of eq %d (len %d)",
-				off, off+n, p.eq, len(data)))
+				off, off+n, p.idx, len(data)))
 		}
-		e.links[p.li].pa = unsafe.Pointer(&data[off])
+		e.links[p.li].p[p.pos] = unsafe.Pointer(&data[off])
 	}
 }
 
@@ -230,20 +194,22 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 	}
 	if sc.ex == nil {
 		sc.ex = &exec{
-			links: append([]xlink(nil), k.tm.links...),
-			acc:   make([]float64, stripN),
-			tt:    make([]float64, stripN),
+			links:  append([]xlink(nil), k.tm.links...),
+			strips: [2][]float64{make([]float64, stripN), make([]float64, stripN)},
+		}
+		for _, p := range k.tm.strips {
+			sc.ex.links[p.li].p[p.pos] = unsafe.Pointer(&sc.ex.strips[p.idx][0])
 		}
 		sc.stride = -1
 	}
 	if sc.stride != maxRow {
 		sc.stride = maxRow
 		for _, p := range k.tm.rs {
-			setPtr(&sc.ex.links[p.li], p.pos, unsafe.Pointer(&sc.regs[int(p.reg)*maxRow]))
+			sc.ex.links[p.li].p[p.pos] = unsafe.Pointer(&sc.regs[int(p.idx)*maxRow])
 		}
 	}
 	for _, p := range k.tm.ss {
-		sc.ex.links[p.li].sv = pool[p.pool]
+		sc.ex.links[p.li].sv = pool[p.idx]
 	}
 }
 
@@ -257,6 +223,6 @@ func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
 			bytecode.Sweep(seg.vm, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
 			continue
 		}
-		sc.ex.runChain(sc.ex.links[seg.lkLo:seg.lkHi], n)
+		runChain(sc.ex.links[seg.lkLo:seg.lkHi], n)
 	}
 }

@@ -5,19 +5,23 @@
 // The engine reuses the bytecode compiler wholesale — symbolic lowering,
 // load caching, madd fusion, scalar-pool hoisting — and then re-lowers the
 // compiled row program through bytecode.ExtractSegments into fused
-// accumulation chains (see the LinkKind vocabulary in package bytecode).
-// Each chain executes over fixed-width strips of the row (256 points):
-// every link dispatches one SIMD primitive over the whole strip — AVX2
-// assembly on amd64, an equivalent pure-Go loop elsewhere — with field
-// operands read through unsafe pointers patched once per row (one bounds
-// check per operand per row instead of per point). The primitives widen
-// float32 lanes to float64 exactly as the VM's load opcode does and
-// round after every multiply and after every add (multiply and add are
-// emitted as separate correctly-rounded IEEE instructions, never FMA) —
-// so the engine is bit-exact with the bytecode VM and the interpreter by
-// construction, NaN payloads and signed zeros included. Rows split into
-// a vectorized n&^3 body plus a per-point scalar tail, so any row width
-// runs. Program regions that do not lower to chains fall back to
+// accumulation chains of links, each an operation × operands × destination
+// (see bytecode.Link). Each chain executes over fixed-width strips of the
+// row (256 points), its accumulator and scratch values held in two
+// per-worker strips that the executor treats as ordinary float64 row
+// operands. Every link dispatches one strip primitive, selected from its
+// operation and its operands' memory kinds — AVX2 assembly on amd64, an
+// equivalent pure-Go loop elsewhere — with field operands read through
+// unsafe pointers patched once per row (one bounds check per operand per
+// row instead of per point). The primitives widen float32 lanes to float64
+// exactly as the VM's load opcode does and round after every multiply and
+// after every add (multiply and add are emitted as separate
+// correctly-rounded IEEE instructions, never FMA) — so the engine is
+// bit-exact with the bytecode VM and the interpreter by construction, NaN
+// payloads and signed zeros included. The assembly takes the n&^3 body of
+// a row; the same links run the n&3 remainder through the pure-Go
+// primitives, so any row width runs and the portable path is exercised on
+// every platform. Program regions that do not lower to chains fall back to
 // per-instruction row sweeps identical to the VM's.
 //
 // The speedup comes from three removals: the full-row intermediate
@@ -79,21 +83,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 // mutates them.
 func Wrap(bk *bytecode.Kernel) *Kernel {
 	k := &Kernel{bk: bk, drv: runtime.NewDriver[scratch](bk.Binding())}
-	segs := bk.Segments()
-	k.segs = make([]segment, len(segs))
-	nlinks := 0
-	for i, s := range segs {
-		k.segs[i] = segment{shape: s.Shape, vm: s.VM}
-		if s.Shape != bytecode.ShapeVM {
-			k.segs[i].lkLo = nlinks
-			nlinks += len(s.Links)
-			k.segs[i].lkHi = nlinks
-			k.fusedInstrs += len(s.Links)
-		} else {
-			k.fusedInstrs += len(s.VM)
-		}
-	}
-	k.buildTemplate(segs)
+	k.buildTemplate(bk.Segments())
 	return k
 }
 

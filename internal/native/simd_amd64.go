@@ -1,8 +1,9 @@
 //go:build amd64
 
 // AVX2 strip primitives. Each processes n points (n must be a multiple of
-// 4; callers route remainders through the scalar tail). Bit-exactness with
-// the scalar engines holds because every vector instruction used —
+// 4; runChain routes the remainder through the pure-Go twins in goPrims).
+// Bit-exactness with the scalar engines holds because every vector
+// instruction used —
 // VCVTPS2PD, VMULPD, VADDPD, VDIVPD, VCVTPD2PS — performs the same
 // correctly-rounded IEEE-754 operation as its scalar counterpart, and no
 // FMA contraction is ever emitted: a madd is one VMULPD (rounding the
@@ -76,3 +77,56 @@ func vrecip(d, a unsafe.Pointer, n int)
 
 //go:noescape
 func vrecipSq(d, a unsafe.Pointer, n int)
+
+// runStrip applies every link of the chain to m points (a multiple of 4)
+// starting at base: one assembly primitive per link.
+func runStrip(ls []xlink, base, m int) {
+	for li := range ls {
+		l := &ls[li]
+		d, x, y, z := l.at(0, base), l.at(1, base), l.at(2, base), l.at(3, base)
+		switch l.prim {
+		case pMovS:
+			vmovS(d, l.sv, m)
+		case pStore:
+			vcvtStore(d, x, m)
+		case pMulFS:
+			vmulFS(d, x, l.sv, m)
+		case pMulRS:
+			vmulRS(d, x, l.sv, m)
+		case pMulFF:
+			vmulFF(d, x, y, m)
+		case pMulFR:
+			vmulFR(d, x, y, m)
+		case pMulRR:
+			vmulRR(d, x, y, m)
+		case pAddFS:
+			vaddFS(d, x, l.sv, m)
+		case pAddRS:
+			vaddRS(d, x, l.sv, m)
+		case pAddFF:
+			vaddFF(d, x, y, m)
+		case pAddFR:
+			vaddFR(d, x, y, m)
+		case pAddRR:
+			vaddRR(d, x, y, m)
+		case pMaddFS:
+			vmaddFS(d, x, l.sv, z, m)
+		case pMaddRS:
+			vmaddRS(d, x, l.sv, z, m)
+		case pMaddFF:
+			vmaddFF(d, x, y, z, m)
+		case pMaddFR:
+			vmaddFR(d, x, y, z, m)
+		case pMaddRR:
+			vmaddRR(d, x, y, z, m)
+		case pSq:
+			vsq(d, x, m)
+		case pRecip:
+			vrecip(d, x, m)
+		case pRecipSq:
+			vrecipSq(d, x, m)
+		default: // pCopy, pPowF, pPowR have no assembly twin
+			goPrims[l.prim](d, x, y, z, l.sv, l.exp, m)
+		}
+	}
+}

@@ -1,149 +1,167 @@
-//go:build !amd64
-
-// Pure-Go strip primitives, semantically identical to the amd64 assembly
-// versions (simd_amd64.s): same pointer conventions, same rounding at
-// every step. Performance is scalar, correctness is bit-exact.
-
 package native
 
-import "unsafe"
+import (
+	"unsafe"
 
-func vmovS(d unsafe.Pointer, s float64, n int) {
-	dd := dsl(d, n)
-	for i := range dd {
-		dd[i] = s
-	}
-}
+	"devigo/internal/runtime"
+)
 
-func vmulRS(d, a unsafe.Pointer, s float64, n int) {
-	dd, aa := dsl(d, n), dsl(a, n)
-	for i := range dd {
-		dd[i] = aa[i] * s
-	}
-}
+// The pure-Go strip primitives: the definition of what each prim computes,
+// compiled on every GOARCH. On amd64 they run the n&3 row remainder the
+// assembly cannot take and are the reference simd_test.go holds the
+// assembly to; elsewhere they run everything. d is the destination, x/y/z
+// the operands (float32 rows where the prim's name says F, float64 rows or
+// strips otherwise), s the scalar operand, e the integer exponent. dst may
+// alias any source: element i is read before it is written. Every
+// multiply-add is written float64(x*y) + z: the explicit conversion pins
+// the intermediate rounding (Go spec), forbidding the FMA contraction that
+// would break bit-exactness with the other engines.
 
-func vmulRR(d, a, b unsafe.Pointer, n int) {
-	dd, aa, bb := dsl(d, n), dsl(a, n), dsl(b, n)
-	for i := range dd {
-		dd[i] = aa[i] * bb[i]
-	}
-}
+// Unsafe strip views.
+func dsl(p unsafe.Pointer, n int) []float64 { return unsafe.Slice((*float64)(p), n) }
+func fsl(p unsafe.Pointer, n int) []float32 { return unsafe.Slice((*float32)(p), n) }
 
-func vmulFS(d, f unsafe.Pointer, s float64, n int) {
-	dd, ff := dsl(d, n), fsl(f, n)
-	for i := range dd {
-		dd[i] = float64(ff[i]) * s
-	}
-}
+type goPrim func(d, x, y, z unsafe.Pointer, s float64, e, n int)
 
-func vmulFR(d, f, r unsafe.Pointer, n int) {
-	dd, ff, rr := dsl(d, n), fsl(f, n), dsl(r, n)
-	for i := range dd {
-		dd[i] = float64(ff[i]) * rr[i]
-	}
-}
-
-func vmulFF(d, f, g unsafe.Pointer, n int) {
-	dd, ff, gg := dsl(d, n), fsl(f, n), fsl(g, n)
-	for i := range dd {
-		dd[i] = float64(ff[i]) * float64(gg[i])
-	}
-}
-
-func vaddRS(d, a unsafe.Pointer, s float64, n int) {
-	dd, aa := dsl(d, n), dsl(a, n)
-	for i := range dd {
-		dd[i] = aa[i] + s
-	}
-}
-
-func vaddRR(d, a, b unsafe.Pointer, n int) {
-	dd, aa, bb := dsl(d, n), dsl(a, n), dsl(b, n)
-	for i := range dd {
-		dd[i] = aa[i] + bb[i]
-	}
-}
-
-func vaddFS(d, f unsafe.Pointer, s float64, n int) {
-	dd, ff := dsl(d, n), fsl(f, n)
-	for i := range dd {
-		dd[i] = float64(ff[i]) + s
-	}
-}
-
-func vaddFR(d, f, r unsafe.Pointer, n int) {
-	dd, ff, rr := dsl(d, n), fsl(f, n), dsl(r, n)
-	for i := range dd {
-		dd[i] = float64(ff[i]) + rr[i]
-	}
-}
-
-func vaddFF(d, f, g unsafe.Pointer, n int) {
-	dd, ff, gg := dsl(d, n), fsl(f, n), fsl(g, n)
-	for i := range dd {
-		dd[i] = float64(ff[i]) + float64(gg[i])
-	}
-}
-
-func vmaddFS(d, f unsafe.Pointer, s float64, c unsafe.Pointer, n int) {
-	dd, ff, cc := dsl(d, n), fsl(f, n), dsl(c, n)
-	for i := range dd {
-		dd[i] = float64(float64(ff[i])*s) + cc[i]
-	}
-}
-
-func vmaddFF(d, f, g, c unsafe.Pointer, n int) {
-	dd, ff, gg, cc := dsl(d, n), fsl(f, n), fsl(g, n), dsl(c, n)
-	for i := range dd {
-		dd[i] = float64(float64(ff[i])*float64(gg[i])) + cc[i]
-	}
-}
-
-func vmaddFR(d, f, r, c unsafe.Pointer, n int) {
-	dd, ff, rr, cc := dsl(d, n), fsl(f, n), dsl(r, n), dsl(c, n)
-	for i := range dd {
-		dd[i] = float64(float64(ff[i])*rr[i]) + cc[i]
-	}
-}
-
-func vmaddRS(d, a unsafe.Pointer, s float64, c unsafe.Pointer, n int) {
-	dd, aa, cc := dsl(d, n), dsl(a, n), dsl(c, n)
-	for i := range dd {
-		dd[i] = float64(aa[i]*s) + cc[i]
-	}
-}
-
-func vmaddRR(d, a, b, c unsafe.Pointer, n int) {
-	dd, aa, bb, cc := dsl(d, n), dsl(a, n), dsl(b, n), dsl(c, n)
-	for i := range dd {
-		dd[i] = float64(aa[i]*bb[i]) + cc[i]
-	}
-}
-
-func vcvtStore(o, a unsafe.Pointer, n int) {
-	oo, aa := fsl(o, n), dsl(a, n)
-	for i := range oo {
-		oo[i] = float32(aa[i])
-	}
-}
-
-func vsq(d, a unsafe.Pointer, n int) {
-	dd, aa := dsl(d, n), dsl(a, n)
-	for i := range dd {
-		dd[i] = aa[i] * aa[i]
-	}
-}
-
-func vrecip(d, a unsafe.Pointer, n int) {
-	dd, aa := dsl(d, n), dsl(a, n)
-	for i := range dd {
-		dd[i] = 1 / aa[i]
-	}
-}
-
-func vrecipSq(d, a unsafe.Pointer, n int) {
-	dd, aa := dsl(d, n), dsl(a, n)
-	for i := range dd {
-		dd[i] = 1 / (aa[i] * aa[i])
-	}
+var goPrims = [numPrims]goPrim{
+	pMovS: func(d, _, _, _ unsafe.Pointer, s float64, _, n int) {
+		dd := dsl(d, n)
+		for i := range dd {
+			dd[i] = s
+		}
+	},
+	pStore: func(d, x, _, _ unsafe.Pointer, _ float64, _, n int) {
+		oo, aa := fsl(d, n), dsl(x, n)
+		for i := range oo {
+			oo[i] = float32(aa[i])
+		}
+	},
+	pMulFS: func(d, x, _, _ unsafe.Pointer, s float64, _, n int) {
+		dd, ff := dsl(d, n), fsl(x, n)
+		for i := range dd {
+			dd[i] = float64(ff[i]) * s
+		}
+	},
+	pMulRS: func(d, x, _, _ unsafe.Pointer, s float64, _, n int) {
+		dd, aa := dsl(d, n), dsl(x, n)
+		for i := range dd {
+			dd[i] = aa[i] * s
+		}
+	},
+	pMulFF: func(d, x, y, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, ff, gg := dsl(d, n), fsl(x, n), fsl(y, n)
+		for i := range dd {
+			dd[i] = float64(ff[i]) * float64(gg[i])
+		}
+	},
+	pMulFR: func(d, x, y, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, ff, rr := dsl(d, n), fsl(x, n), dsl(y, n)
+		for i := range dd {
+			dd[i] = float64(ff[i]) * rr[i]
+		}
+	},
+	pMulRR: func(d, x, y, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, aa, bb := dsl(d, n), dsl(x, n), dsl(y, n)
+		for i := range dd {
+			dd[i] = aa[i] * bb[i]
+		}
+	},
+	pAddFS: func(d, x, _, _ unsafe.Pointer, s float64, _, n int) {
+		dd, ff := dsl(d, n), fsl(x, n)
+		for i := range dd {
+			dd[i] = float64(ff[i]) + s
+		}
+	},
+	pAddRS: func(d, x, _, _ unsafe.Pointer, s float64, _, n int) {
+		dd, aa := dsl(d, n), dsl(x, n)
+		for i := range dd {
+			dd[i] = aa[i] + s
+		}
+	},
+	pAddFF: func(d, x, y, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, ff, gg := dsl(d, n), fsl(x, n), fsl(y, n)
+		for i := range dd {
+			dd[i] = float64(ff[i]) + float64(gg[i])
+		}
+	},
+	pAddFR: func(d, x, y, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, ff, rr := dsl(d, n), fsl(x, n), dsl(y, n)
+		for i := range dd {
+			dd[i] = float64(ff[i]) + rr[i]
+		}
+	},
+	pAddRR: func(d, x, y, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, aa, bb := dsl(d, n), dsl(x, n), dsl(y, n)
+		for i := range dd {
+			dd[i] = aa[i] + bb[i]
+		}
+	},
+	pMaddFS: func(d, x, _, z unsafe.Pointer, s float64, _, n int) {
+		dd, ff, cc := dsl(d, n), fsl(x, n), dsl(z, n)
+		for i := range dd {
+			dd[i] = float64(float64(ff[i])*s) + cc[i]
+		}
+	},
+	pMaddRS: func(d, x, _, z unsafe.Pointer, s float64, _, n int) {
+		dd, aa, cc := dsl(d, n), dsl(x, n), dsl(z, n)
+		for i := range dd {
+			dd[i] = float64(aa[i]*s) + cc[i]
+		}
+	},
+	pMaddFF: func(d, x, y, z unsafe.Pointer, _ float64, _, n int) {
+		dd, ff, gg, cc := dsl(d, n), fsl(x, n), fsl(y, n), dsl(z, n)
+		for i := range dd {
+			dd[i] = float64(float64(ff[i])*float64(gg[i])) + cc[i]
+		}
+	},
+	pMaddFR: func(d, x, y, z unsafe.Pointer, _ float64, _, n int) {
+		dd, ff, rr, cc := dsl(d, n), fsl(x, n), dsl(y, n), dsl(z, n)
+		for i := range dd {
+			dd[i] = float64(float64(ff[i])*rr[i]) + cc[i]
+		}
+	},
+	pMaddRR: func(d, x, y, z unsafe.Pointer, _ float64, _, n int) {
+		dd, aa, bb, cc := dsl(d, n), dsl(x, n), dsl(y, n), dsl(z, n)
+		for i := range dd {
+			dd[i] = float64(aa[i]*bb[i]) + cc[i]
+		}
+	},
+	// The three pow specializations reproduce Ipow exactly: its multiply
+	// cascade starts at 1.0 and 1*v == v, hence v^2 == v*v, v^-1 == 1/v
+	// and v^-2 == 1/(v*v), all with Ipow's own rounding sequence.
+	pSq: func(d, x, _, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, aa := dsl(d, n), dsl(x, n)
+		for i := range dd {
+			dd[i] = aa[i] * aa[i]
+		}
+	},
+	pRecip: func(d, x, _, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, aa := dsl(d, n), dsl(x, n)
+		for i := range dd {
+			dd[i] = 1 / aa[i]
+		}
+	},
+	pRecipSq: func(d, x, _, _ unsafe.Pointer, _ float64, _, n int) {
+		dd, aa := dsl(d, n), dsl(x, n)
+		for i := range dd {
+			dd[i] = 1 / (aa[i] * aa[i])
+		}
+	},
+	pCopy: func(d, x, _, _ unsafe.Pointer, _ float64, _, n int) {
+		copy(dsl(d, n), dsl(x, n))
+	},
+	// General integer powers are rare and loop-carried, so they stay scalar
+	// on every GOARCH.
+	pPowF: func(d, x, _, _ unsafe.Pointer, _ float64, e, n int) {
+		dd, ff := dsl(d, n), fsl(x, n)
+		for i := range dd {
+			dd[i] = runtime.Ipow(float64(ff[i]), e)
+		}
+	},
+	pPowR: func(d, x, _, _ unsafe.Pointer, _ float64, e, n int) {
+		dd, aa := dsl(d, n), dsl(x, n)
+		for i := range dd {
+			dd[i] = runtime.Ipow(aa[i], e)
+		}
+	},
 }

@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package native
+
+// runStrip applies every link of the chain to m points starting at base.
+// Without assembly primitives that is the pure-Go executor.
+func runStrip(ls []xlink, base, m int) { runGo(ls, base, m) }

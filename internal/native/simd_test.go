@@ -6,192 +6,211 @@ import (
 	"testing"
 	"unsafe"
 
+	"devigo/internal/bytecode"
 	"devigo/internal/runtime"
 )
 
-// The strip primitives must match the scalar reference semantics bit for
-// bit on every lane — including NaN, infinities, negative zero and
-// subnormals — on both the amd64 assembly and the generic Go builds. Odd
-// lengths exercise the callers' multiple-of-4 contract at n=0.
+// The assembly strip primitives must match their pure-Go twins bit for bit
+// on every lane — including NaN, infinities, negative zero, subnormals and
+// float32 overflow — with the destination distinct from and aliasing each
+// float64 source. Links are bound to test buffers through the kernel's own
+// template (tmpl.add and its patch lists), so primitive selection and
+// operand routing are under test too. On a GOARCH without assembly both
+// sides are the Go twins and the comparison is trivially true; the
+// conformance table holds those to the bytecode VM.
 
-func stripInputs(t *testing.T, n int) (a, b, c []float64, f, g []float32) {
-	t.Helper()
+// stripBufs is the storage a test template is bound to.
+type stripBufs struct {
+	f32    [3][]float32 // load slots 0..2
+	f64    [3][]float64 // register rows 0..2
+	out    []float32    // equation output 0
+	strips [2][]float64 // acc, t
+	pool   []float64
+}
+
+func newStripBufs(n int) *stripBufs {
 	rng := rand.New(rand.NewSource(42))
-	a = make([]float64, n)
-	b = make([]float64, n)
-	c = make([]float64, n)
-	f = make([]float32, n)
-	g = make([]float32, n)
-	specials64 := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.2250738585072014e-308}
+	specials64 := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e-300}
 	specials32 := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 1e-45, -1.1754944e-38}
-	for i := 0; i < n; i++ {
-		a[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
-		b[i] = rng.NormFloat64()
-		c[i] = rng.NormFloat64() * 1e3
-		f[i] = float32(rng.NormFloat64())
-		g[i] = float32(rng.NormFloat64() * 1e-3)
-		if i%11 == 3 {
-			a[i] = specials64[i%len(specials64)]
-			f[i] = specials32[i%len(specials32)]
-		}
-	}
-	return
-}
-
-func eqBits(x, y float64) bool {
-	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
-}
-
-func checkStrip(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	for i := range want {
-		if !eqBits(got[i], want[i]) {
-			t.Fatalf("%s: lane %d: got %v (%#x), want %v (%#x)",
-				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-}
-
-func TestStripPrimitivesMatchScalar(t *testing.T) {
-	const n = 64
-	a, b, c, f, g := stripInputs(t, n)
-	s := 1.7182818284590452
-
-	d := make([]float64, n)
-	want := make([]float64, n)
-	pd := unsafe.Pointer(&d[0])
-	pa := unsafe.Pointer(&a[0])
-	pb := unsafe.Pointer(&b[0])
-	pc := unsafe.Pointer(&c[0])
-	pf := unsafe.Pointer(&f[0])
-	pg := unsafe.Pointer(&g[0])
-
-	cases := []struct {
-		name string
-		run  func()
-		ref  func(i int) float64
-	}{
-		{"vmovS", func() { vmovS(pd, s, n) }, func(i int) float64 { return s }},
-		{"vmulRS", func() { vmulRS(pd, pa, s, n) }, func(i int) float64 { return a[i] * s }},
-		{"vmulRR", func() { vmulRR(pd, pa, pb, n) }, func(i int) float64 { return a[i] * b[i] }},
-		{"vmulFS", func() { vmulFS(pd, pf, s, n) }, func(i int) float64 { return float64(f[i]) * s }},
-		{"vmulFR", func() { vmulFR(pd, pf, pa, n) }, func(i int) float64 { return float64(f[i]) * a[i] }},
-		{"vmulFF", func() { vmulFF(pd, pf, pg, n) }, func(i int) float64 { return float64(f[i]) * float64(g[i]) }},
-		{"vaddRS", func() { vaddRS(pd, pa, s, n) }, func(i int) float64 { return a[i] + s }},
-		{"vaddRR", func() { vaddRR(pd, pa, pb, n) }, func(i int) float64 { return a[i] + b[i] }},
-		{"vaddFS", func() { vaddFS(pd, pf, s, n) }, func(i int) float64 { return float64(f[i]) + s }},
-		{"vaddFR", func() { vaddFR(pd, pf, pa, n) }, func(i int) float64 { return float64(f[i]) + a[i] }},
-		{"vaddFF", func() { vaddFF(pd, pf, pg, n) }, func(i int) float64 { return float64(f[i]) + float64(g[i]) }},
-		{"vmaddFS", func() { vmaddFS(pd, pf, s, pc, n) }, func(i int) float64 { return float64(float64(f[i])*s) + c[i] }},
-		{"vmaddFF", func() { vmaddFF(pd, pf, pg, pc, n) }, func(i int) float64 { return float64(float64(f[i])*float64(g[i])) + c[i] }},
-		{"vmaddFR", func() { vmaddFR(pd, pf, pa, pc, n) }, func(i int) float64 { return float64(float64(f[i])*a[i]) + c[i] }},
-		{"vmaddRS", func() { vmaddRS(pd, pa, s, pc, n) }, func(i int) float64 { return float64(a[i]*s) + c[i] }},
-		{"vmaddRR", func() { vmaddRR(pd, pa, pb, pc, n) }, func(i int) float64 { return float64(a[i]*b[i]) + c[i] }},
-		{"vsq", func() { vsq(pd, pa, n) }, func(i int) float64 { return a[i] * a[i] }},
-		{"vrecip", func() { vrecip(pd, pa, n) }, func(i int) float64 { return 1 / a[i] }},
-		{"vrecipSq", func() { vrecipSq(pd, pa, n) }, func(i int) float64 { return 1 / (a[i] * a[i]) }},
-	}
-	for _, tc := range cases {
-		for i := range d {
-			d[i] = math.NaN()
-		}
-		tc.run()
+	b := &stripBufs{out: make([]float32, n), pool: []float64{1.7182818284590452}}
+	for k := range b.f64 {
+		b.f64[k] = make([]float64, n)
+		b.f32[k] = make([]float32, n)
 		for i := 0; i < n; i++ {
-			want[i] = tc.ref(i)
-		}
-		checkStrip(t, tc.name, d, want)
-	}
-}
-
-// TestStripPrimitivesInPlace exercises dst aliasing a source operand — the
-// accumulate forms the chain executor relies on (acc = f(acc, ...)).
-func TestStripPrimitivesInPlace(t *testing.T) {
-	const n = 32
-	a, _, _, f, _ := stripInputs(t, n)
-	s := -0.325
-
-	d := make([]float64, n)
-	want := make([]float64, n)
-	pd := unsafe.Pointer(&d[0])
-	pf := unsafe.Pointer(&f[0])
-
-	reset := func() {
-		copy(d, a)
-		copy(want, a)
-	}
-
-	reset()
-	vmaddFS(pd, pf, s, pd, n)
-	for i := range want {
-		want[i] = float64(float64(f[i])*s) + want[i]
-	}
-	checkStrip(t, "vmaddFS in-place", d, want)
-
-	reset()
-	vmulRS(pd, pd, s, n)
-	for i := range want {
-		want[i] *= s
-	}
-	checkStrip(t, "vmulRS in-place", d, want)
-
-	reset()
-	vaddFR(pd, pf, pd, n)
-	for i := range want {
-		want[i] = float64(f[i]) + want[i]
-	}
-	checkStrip(t, "vaddFR in-place", d, want)
-
-	reset()
-	vrecipSq(pd, pd, n)
-	for i := range want {
-		want[i] = 1 / (want[i] * want[i])
-	}
-	checkStrip(t, "vrecipSq in-place", d, want)
-}
-
-// TestStripCvtStore checks the float64->float32 narrowing store against
-// Go's conversion, lane by lane.
-func TestStripCvtStore(t *testing.T) {
-	const n = 32
-	a, _, _, _, _ := stripInputs(t, n)
-	a[0] = 1e300  // overflows to +Inf in float32
-	a[1] = -1e300 // -Inf
-	a[2] = 1e-300 // underflows to 0
-	out := make([]float32, n)
-	vcvtStore(unsafe.Pointer(&out[0]), unsafe.Pointer(&a[0]), n)
-	for i := range out {
-		want := float32(a[i])
-		if math.Float32bits(out[i]) != math.Float32bits(want) &&
-			!(math.IsNaN(float64(out[i])) && math.IsNaN(float64(want))) {
-			t.Fatalf("vcvtStore lane %d: got %v, want %v", i, out[i], want)
+			b.f64[k][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+			b.f32[k][i] = float32(rng.NormFloat64())
+			if i%11 == 3+k {
+				b.f64[k][i] = specials64[i%len(specials64)]
+				b.f32[k][i] = specials32[i%len(specials32)]
+			}
 		}
 	}
+	// The strips start out as copies of rows 0 and 1, so a link reading
+	// acc or t is the destination-aliases-source form of the same link
+	// reading that row.
+	b.strips = [2][]float64{append([]float64(nil), b.f64[0]...), append([]float64(nil), b.f64[1]...)}
+	return b
 }
 
-// TestPowSpecializations pins the AccPow fast paths to ipow's exact
+// bind resolves a template's patch lists against the buffers, the way
+// Prep and patchRow resolve them against a kernel's storage.
+func (b *stripBufs) bind(tm *tmpl) []xlink {
+	ls := append([]xlink(nil), tm.links...)
+	for _, p := range tm.fs {
+		ls[p.li].p[p.pos] = unsafe.Pointer(&b.f32[p.idx][0])
+	}
+	for _, p := range tm.rs {
+		ls[p.li].p[p.pos] = unsafe.Pointer(&b.f64[p.idx][0])
+	}
+	for _, p := range tm.es {
+		ls[p.li].p[p.pos] = unsafe.Pointer(&b.out[0])
+	}
+	for _, p := range tm.strips {
+		ls[p.li].p[p.pos] = unsafe.Pointer(&b.strips[p.idx][0])
+	}
+	for _, p := range tm.ss {
+		ls[p.li].sv = b.pool[p.idx]
+	}
+	return ls
+}
+
+// results gathers what a chain's terminators write (torow into row 2,
+// store into the output), as bits. NaNs compare equal whatever their
+// payload: which operand's payload survives an operation on two NaNs is
+// the compiler's choice in the Go twins.
+func (b *stripBufs) results() []uint64 {
+	var bits []uint64
+	for _, v := range b.f64[2] {
+		bits = append(bits, math.Float64bits(v))
+	}
+	for _, v := range b.out {
+		bits = append(bits, math.Float64bits(float64(v)))
+	}
+	for i, w := range bits {
+		if math.IsNaN(math.Float64frombits(w)) {
+			bits[i] = math.Float64bits(math.NaN())
+		}
+	}
+	return bits
+}
+
+// runBoth executes the links through exec (the strip executor or the whole
+// chain executor) and through the pure-Go executor on identical fresh
+// buffers and fails on the first differing bit.
+func runBoth(t *testing.T, name string, links []bytecode.Link, n int, exec func(ls []xlink, n int)) *tmpl {
+	t.Helper()
+	tm := &tmpl{}
+	for _, l := range links {
+		tm.add(l)
+	}
+	got, want := newStripBufs(n), newStripBufs(n)
+	exec(got.bind(tm), n)
+	runGo(want.bind(tm), 0, n)
+	g, w := got.results(), want.results()
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("%s: result word %d: got %#x, pure Go %#x", name, i, g[i], w[i])
+		}
+	}
+	return tm
+}
+
+func TestStripPrimitivesMatchGoTwins(t *testing.T) {
+	F := func(i int32) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassF, Index: i} }
+	R := func(i int32) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassR, Index: i} }
+	S := bytecode.Operand{Class: bytecode.ClassS}
+	acc := bytecode.Operand{Class: bytecode.ClassAcc}
+
+	links := []bytecode.Link{
+		{Op: bytecode.LinkMov, X: S},
+		{Op: bytecode.LinkStore, X: acc},
+		{Op: bytecode.LinkToRow, X: acc, N: 2},
+		{Op: bytecode.LinkPow, X: F(0), N: 3},
+	}
+	for _, e := range []int32{2, -1, -2, 3, -4} {
+		links = append(links, bytecode.Link{Op: bytecode.LinkPow, X: R(0), N: e})
+	}
+	for _, op := range []bytecode.LinkOp{bytecode.LinkMul, bytecode.LinkAdd, bytecode.LinkMadd} {
+		for _, xy := range [][2]bytecode.Operand{{F(0), S}, {R(0), S}, {F(0), F(1)}, {F(0), R(1)}, {R(0), R(1)}} {
+			l := bytecode.Link{Op: op, X: xy[0], Y: xy[1]}
+			if op == bytecode.LinkMadd {
+				l.Z = R(2)
+			}
+			links = append(links, l)
+		}
+	}
+
+	var seen [numPrims]bool
+	strip := func(ls []xlink, n int) { runStrip(ls, 0, n) }
+	for _, l := range links {
+		l.Dst = bytecode.ClassAcc
+		// The link as written, then with each register-row operand in turn
+		// replaced by the destination strip.
+		variants := []bytecode.Link{l}
+		for k := 0; k < 3; k++ {
+			v := l
+			if o := [...]*bytecode.Operand{&v.X, &v.Y, &v.Z}[k]; o.Class == bytecode.ClassR {
+				*o = acc
+				variants = append(variants, v)
+			}
+		}
+		for _, v := range variants {
+			// Drain the accumulator where results() looks.
+			chain := []bytecode.Link{v, {Op: bytecode.LinkToRow, X: acc, N: 2}, {Op: bytecode.LinkStore, X: acc}}
+			tm := runBoth(t, v.String(), chain, 64, strip)
+			seen[tm.links[0].prim] = true
+		}
+	}
+	for p := prim(0); p < numPrims; p++ {
+		if !seen[p] {
+			t.Errorf("primitive %d is not compared against its pure-Go twin", p)
+		}
+	}
+}
+
+// TestRunChainBodyAndTail runs a chain using both strips over a row of
+// several strips plus a remainder: strip-relative acc/t addressing, the
+// per-point steps of field and register rows at base > 0, and the hand-over
+// from the assembly body to the pure-Go tail.
+func TestRunChainBodyAndTail(t *testing.T) {
+	F := func(i int32) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassF, Index: i} }
+	S := bytecode.Operand{Class: bytecode.ClassS}
+	acc := bytecode.Operand{Class: bytecode.ClassAcc}
+	tt := bytecode.Operand{Class: bytecode.ClassT}
+	r1 := bytecode.Operand{Class: bytecode.ClassR, Index: 1}
+	chain := []bytecode.Link{
+		{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: F(0), Y: S},
+		{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: F(1), Y: r1},
+		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(2), Y: tt, Z: acc},
+		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(1), Y: F(2), Z: F(0)}, // expands to mul + add
+		{Op: bytecode.LinkPow, Dst: bytecode.ClassAcc, X: acc, N: -2},
+		{Op: bytecode.LinkToRow, X: acc, N: 2},
+		{Op: bytecode.LinkStore, X: acc},
+	}
+	for _, n := range []int{1, 3, 4, 7, stripN + 2, 2*stripN + 7} {
+		tm := runBoth(t, "chain", chain, n, runChain)
+		if len(tm.links) != len(chain)+1 {
+			t.Fatalf("template has %d links, want %d (the field-addend madd expands to two)", len(tm.links), len(chain)+1)
+		}
+	}
+}
+
+// TestPowSpecializations pins the pow fast paths to Ipow's exact
 // multiply-cascade results for every specialized exponent.
 func TestPowSpecializations(t *testing.T) {
 	vals := []float64{2.5, -3, 0.1, 0, math.Inf(1), math.NaN(), 5e-324, 1e200}
 	for _, e := range []int{0, 1, 2, -1, -2, 3, -4} {
 		for _, v := range vals {
-			d := []float64{v, v, v, v}
-			switch e {
-			case 0:
-				vmovS(unsafe.Pointer(&d[0]), 1, 4)
-			case 1:
-				// identity
-			case 2:
-				vsq(unsafe.Pointer(&d[0]), unsafe.Pointer(&d[0]), 4)
-			case -1:
-				vrecip(unsafe.Pointer(&d[0]), unsafe.Pointer(&d[0]), 4)
-			case -2:
-				vrecipSq(unsafe.Pointer(&d[0]), unsafe.Pointer(&d[0]), 4)
-			default:
-				powStrip(unsafe.Pointer(&d[0]), e, 4)
+			tm := &tmpl{}
+			tm.add(bytecode.Link{Op: bytecode.LinkPow, Dst: bytecode.ClassAcc, X: bytecode.Operand{Class: bytecode.ClassAcc}, N: int32(e)})
+			b := newStripBufs(4)
+			for i := range b.strips[0] {
+				b.strips[0][i] = v
 			}
+			runStrip(b.bind(tm), 0, 4)
 			want := runtime.Ipow(v, e)
-			for lane, got := range d {
-				if !eqBits(got, want) {
+			for lane, got := range b.strips[0] {
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 					t.Fatalf("pow exp %d val %v lane %d: got %v, want %v", e, v, lane, got, want)
 				}
 			}

@@ -219,7 +219,9 @@ func TestResetClears(t *testing.T) {
 // 150ns. Real instrumented code paths execute a handful of such calls per
 // timestep (tens of microseconds of kernel work), so this bound keeps the
 // disabled overhead far below the 2% acceptance budget; the end-to-end
-// check lives in propagators' TestObsOverheadDisabled.
+// check lives in propagators' TestObsOverheadDisabled. Under the race
+// detector the calls still run (they are what it checks) but the bound is
+// not asserted: its instrumentation, not the gate, sets the cost there.
 func TestDisabledCallCost(t *testing.T) {
 	reset()
 	res := testing.Benchmark(func(b *testing.B) {
@@ -230,7 +232,7 @@ func TestDisabledCallCost(t *testing.T) {
 		}
 	})
 	perOp := float64(res.NsPerOp())
-	if perOp > 150 {
+	if perOp > 150 && !raceEnabled {
 		t.Errorf("disabled Begin/End+CountMsg costs %.1f ns, want <= 150", perOp)
 	}
 	t.Logf("disabled instrumentation: %.2f ns per Begin/End+CountMsg", perOp)

@@ -222,3 +222,38 @@ func TestEngineDifferential_NativeFaster(t *testing.T) {
 	t.Logf("acoustic 96x96 so-8: native %.3f GPts/s, bytecode %.3f GPts/s (%.2fx)",
 		gN, gB, gN/gB)
 }
+
+// TestNativeInstrsPerPointPinned pins the native engine's fused dispatch
+// count — one per chain link plus one per VM-fallback instruction, summed
+// over an operator's kernels — for every propagator on a 2-D grid. The
+// count is the segment partition's fingerprint (the autotuner's cost model
+// and the construct-cold benchmark golden read it), so a change to the
+// chain extraction that fuses more, less or differently shows up here.
+func TestNativeInstrsPerPointPinned(t *testing.T) {
+	want := map[string][2]int{ // space order 8, 16
+		"acoustic":     {32, 48},
+		"elastic":      {265, 505},
+		"tti":          {370, 674},
+		"viscoelastic": {475, 907},
+	}
+	for _, name := range ModelNames() {
+		for i, so := range []int{8, 16} {
+			m, err := Build(name, serialCfg([]int{40, 44}, so))
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, nil,
+				&core.Options{Name: name, Engine: core.EngineNative})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for _, k := range op.Kernels() {
+				got += k.InstrsPerPoint()
+			}
+			if got != want[name][i] {
+				t.Errorf("%s so-%d: native instrs/point = %d, want %d", name, so, got, want[name][i])
+			}
+		}
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"math"
 	"os"
 	goruntime "runtime"
-	"strconv"
-	"strings"
 
 	"devigo/internal/core"
 	"devigo/internal/field"
@@ -134,6 +132,12 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The per-rank compute team, resolved exactly as every shot's operators
+	// will resolve it, so a bad request fails here and not inside shot 0.
+	computeWorkers, err := core.ResolveWorkers(sc.Gradient.Workers)
+	if err != nil {
+		return nil, err
+	}
 	ranks := sc.Ranks
 	mode := halo.ModeBasic
 	if ranks > 1 {
@@ -159,7 +163,6 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	// compute team: it shrinks until the product fits the host's cores,
 	// with the decision logged. computeWorkers stays 0 (operator default)
 	// when no clamp is needed.
-	computeWorkers := resolveComputeWorkers(sc.Gradient.Workers)
 	if computeWorkers > 1 {
 		lanes := workers
 		if ranks > 1 {
@@ -287,23 +290,6 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		res.CacheStats = cache.Stats()
 	}
 	return res, nil
-}
-
-// resolveComputeWorkers mirrors the operator's per-rank worker
-// resolution for the oversubscription guard: explicit
-// GradientConfig.Workers, then $DEVIGO_WORKERS, then 0 (operator
-// default). A malformed environment value counts as 0 here and is
-// rejected with a proper error when the operator is built.
-func resolveComputeWorkers(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	if s := strings.TrimSpace(os.Getenv(core.WorkersEnvVar)); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return 0
 }
 
 // scatterOwned copies a field's owned DOMAIN at time buffer t into the

@@ -1,6 +1,7 @@
 package propagators
 
 import (
+	"strings"
 	"testing"
 
 	"devigo/internal/core"
@@ -339,26 +340,18 @@ func TestRunShotsRaceNative(t *testing.T) {
 	}
 }
 
-func TestResolveComputeWorkers(t *testing.T) {
-	t.Setenv(core.WorkersEnvVar, "")
-	if got := resolveComputeWorkers(3); got != 3 {
-		t.Errorf("explicit compute workers = %d, want 3", got)
+// A malformed $DEVIGO_WORKERS fails the survey up front — before any shot
+// builds an operator — with the error naming the variable.
+func TestRunShotsRejectsBadWorkersEnvUpFront(t *testing.T) {
+	t.Setenv(core.WorkersEnvVar, "two")
+	_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
+		Gradient: surveyGradient(), Shots: surveyShots(),
+	})
+	if err == nil || !strings.Contains(err.Error(), core.WorkersEnvVar) {
+		t.Fatalf("RunShots with %s=two: err = %v, want one naming the variable", core.WorkersEnvVar, err)
 	}
-	if got := resolveComputeWorkers(0); got != 0 {
-		t.Errorf("unset compute workers = %d, want 0 (operator default)", got)
-	}
-	t.Setenv(core.WorkersEnvVar, "5")
-	if got := resolveComputeWorkers(0); got != 5 {
-		t.Errorf("env compute workers = %d, want 5", got)
-	}
-	if got := resolveComputeWorkers(2); got != 2 {
-		t.Errorf("explicit over env = %d, want 2", got)
-	}
-	// Malformed env is ignored here; the operator build rejects it with a
-	// proper configuration error.
-	t.Setenv(core.WorkersEnvVar, "lots")
-	if got := resolveComputeWorkers(0); got != 0 {
-		t.Errorf("bad env compute workers = %d, want 0", got)
+	if strings.Contains(err.Error(), "shot ") {
+		t.Errorf("the failure surfaced inside a shot, not before the survey started: %v", err)
 	}
 }
 
