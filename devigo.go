@@ -30,7 +30,7 @@
 // loop-invariant scalars (including 1/dt-style reciprocals) are folded at
 // compile time or evaluated once per Apply. The native engine
 // (internal/native) re-lowers that same bytecode into fused accumulation
-// chains executed strip by strip through SIMD primitives (AVX2 assembly
+// chains executed strip by strip through SIMD primitives (AVX assembly
 // on amd64, equivalent pure Go elsewhere), about three times faster
 // again. The reference expression-tree interpreter (internal/runtime)
 // remains the escape hatch and the differential-testing baseline. All

@@ -221,8 +221,8 @@ func remainderBoxes(outer, inner runtime.Box) []runtime.Box {
 // CommStats is the modelled steady-state per-timestep communication
 // volume of an operator's current configuration, with deep-halo exchanges
 // amortized over the exchange interval. The numbers come from
-// halo.Traffic / halo.AmortizedTraffic — the same accounting the
-// performance models use — so benchmark gates compare like with like.
+// halo.RankTraffic: the accounting the performance models use
+// (halo.Traffic), restricted to the neighbours this rank has.
 type CommStats struct {
 	// TimeTile is the exchange interval the stats are amortized over.
 	TimeTile int `json:"time_tile"`
@@ -232,22 +232,20 @@ type CommStats struct {
 	BytesPerStep float64 `json:"bytes_per_step"`
 }
 
-// CommStats reports the operator's modelled per-timestep communication
-// (zero when serial). Preamble exchanges happen once per run and are
-// excluded from the steady state.
+// CommStats reports this rank's modelled per-timestep communication (zero
+// when serial): what its exchangers post given the neighbours it has, so a
+// rank on a non-periodic boundary reports less than an interior one.
+// Preamble exchanges happen once per run and are excluded from the steady
+// state.
 func (op *Operator) CommStats() CommStats {
 	out := CommStats{TimeTile: op.TimeTile()}
 	if op.ctx == nil || op.ctx.Serial() || op.mode == halo.ModeNone {
 		return out
 	}
-	f := op.anyField()
-	if f == nil {
-		return out
-	}
 	k := float64(op.prog.k)
 	for _, sw := range op.prog.sweeps {
 		for _, h := range sw.halos {
-			m, b := halo.TrafficDepth(op.mode, f.LocalShape, op.exchangeDepth(h.req.Field))
+			m, b := halo.RankTraffic(op.mode, op.ctx.Cart, op.Fields[h.req.Field], op.exchangeDepth(h.req.Field))
 			out.MsgsPerStep += float64(m) / k
 			out.BytesPerStep += b / k
 		}

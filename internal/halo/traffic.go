@@ -1,5 +1,10 @@
 package halo
 
+import (
+	"devigo/internal/field"
+	"devigo/internal/mpi"
+)
+
 // Traffic returns the per-timestep communication volume one exchanged
 // field stream generates under a mode, for a rank owning a local box of
 // the given shape with ghost width points per side: the number of
@@ -39,33 +44,41 @@ func Traffic(mode Mode, local []int, width int) (msgs int, bytes float64) {
 	return msgs, bytes
 }
 
-// TrafficDepth is the per-dimension-exact variant of Traffic: depth[d]
-// is the exchanged ghost width of dimension d, so the byte volume is the
-// exact anisotropic shell prod(local[d]+2*depth[d]) - prod(local[d]) the
-// exchangers ship (Traffic's scalar width is the isotropic special case).
-// The obs subsystem's measured counters must equal this prediction
-// exactly for interior ranks — the differential suite enforces it.
-func TrafficDepth(mode Mode, local, depth []int) (msgs int, bytes float64) {
-	width := 0
-	for _, w := range depth {
-		if w > width {
-			width = w
+// RankTraffic is the exact per-exchange traffic of the rank that owns f in
+// a Cartesian world, at ghost depth depth[d] per dimension (nil: the full
+// allocated width): one message per neighbour the rank has
+// (cart.Neighbor(offset) is not ProcNull) and the bytes of the regions it
+// sends them — what the mode's exchanger posts. A rank with its whole
+// neighbourhood (any rank of a periodic world) sends Traffic's message
+// count and the whole anisotropic shell prod(local[d]+2*depth[d]) -
+// prod(local[d]); a rank on a non-periodic boundary sends less of both.
+// The obs subsystem's measured counters must equal this exactly — the
+// differential suite enforces it.
+func RankTraffic(mode Mode, cart *mpi.CartComm, f *field.Function, depth []int) (msgs int, bytes float64) {
+	nd := f.NDims()
+	send := func(offset []int, includeHalo []bool) {
+		if cart.Neighbor(offset) != mpi.ProcNull {
+			msgs++
+			bytes += 4 * float64(f.SendRegionDepth(offset, includeHalo, depth).Size())
 		}
 	}
-	if mode == ModeNone || width <= 0 {
-		return 0, 0
-	}
-	msgs, _ = Traffic(mode, local, width)
-	outer, inner := 1.0, 1.0
-	for d := range local {
-		w := 0
-		if d < len(depth) {
-			w = depth[d]
+	switch mode {
+	case ModeBasic:
+		includeHalo := make([]bool, nd) // dimensions already swept
+		for d := 0; d < nd; d++ {
+			for _, s := range []int{-1, 1} {
+				offset := make([]int, nd)
+				offset[d] = s
+				send(offset, includeHalo)
+			}
+			includeHalo[d] = true
 		}
-		outer *= float64(local[d]) + 2*float64(w)
-		inner *= float64(local[d])
+	case ModeDiagonal, ModeFull:
+		for _, o := range mpi.NeighborOffsets(nd) {
+			send(o, nil)
+		}
 	}
-	return msgs, 4 * (outer - inner)
+	return msgs, bytes
 }
 
 // AmortizedTraffic reports the steady-state per-timestep communication of

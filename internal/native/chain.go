@@ -8,11 +8,12 @@ import "unsafe"
 const stripN = 256
 
 // prim names one strip primitive. Every primitive exists twice: as a
-// pure-Go loop in goPrims (simd_generic.go, every GOARCH) and, on amd64,
-// as an AVX2 routine (simd_amd64.s) — except the three at the end, which
-// are pure Go everywhere. The mul, add and madd families each come in the
-// five operand pairings FS RS FF FR RR (F = float32 field row, R = float64
-// row or strip, S = broadcast scalar), in that order.
+// pure-Go loop (simd_generic.go, every GOARCH) and, on amd64, as an AVX
+// routine (simd_amd64.s) — except the three at the end, which are pure Go
+// everywhere. The mul, add and madd families each come in the five operand
+// pairings FS RS FF FR RR (F = float32 field row, R = float64 row or strip,
+// S = broadcast scalar), in that order; the F×S madd is pTaps, a tap run
+// of one.
 type prim uint8
 
 const (
@@ -28,8 +29,8 @@ const (
 	pAddFF
 	pAddFR
 	pAddRR
-	pMaddFS // d = f64(x * (s | y)) + z, z a float64 row or strip
-	pMaddRS
+	pTaps   // d = z + Σ taps, in link order, z a float64 row or strip (see term)
+	pMaddRS // d = f64(x * (s | y)) + z
 	pMaddFF
 	pMaddFR
 	pMaddRR
@@ -50,13 +51,31 @@ const (
 // acc and t ordinary float64 operands: no primitive knows them. Pointers
 // are patched per worker (register rows, strips) and per row (field
 // accesses); sv is the scalar operand, resolved from the bound pool once
-// per Run.
+// per Run. A pTaps link reads no X or Y: its taps are the term table.
 type xlink struct {
-	prim prim
-	step [4]uint8
-	exp  int
-	sv   float64
-	p    [4]unsafe.Pointer
+	prim  prim
+	step  [4]uint8
+	exp   int
+	sv    float64
+	p     [4]unsafe.Pointer
+	terms []term
+}
+
+// term is one tap of a pTaps run, in the layout vtaps reads. With f and g
+// the float32 field rows p[0] and p[1], widened exactly, the tap adds to
+// the running sum
+//
+//	n == 0: f64(f·s[0])              madd.fsa
+//	n == 1: f64(f·(g·s[0]))          t.mul.fs ; madd.fta
+//	n == 2: f64(f·((g·s[0])·s[1]))   t.mul.fs ; t.mul.ts ; madd.fta
+//
+// rounding after every multiply and after the add, as the links it
+// replaces do. Field pointers address the row's first point: the run is
+// handed the strip's base.
+type term struct {
+	p [2]unsafe.Pointer
+	s [2]float64
+	n int
 }
 
 // at returns operand i's pointer at point base of the row.
@@ -87,6 +106,10 @@ func runChain(ls []xlink, n int) {
 func runGo(ls []xlink, base, m int) {
 	for li := range ls {
 		l := &ls[li]
+		if l.prim == pTaps {
+			goTaps(l.at(0, base), l.at(3, base), l.terms, base, m)
+			continue
+		}
 		goPrims[l.prim](l.at(0, base), l.at(1, base), l.at(2, base), l.at(3, base), l.sv, l.exp, m)
 	}
 }

@@ -17,13 +17,14 @@ import (
 // exercises every bytecode opcode, every native segment shape and every
 // link form the chain extraction can emit. Each scenario compiles the
 // same symbolic nest with both engines over identically initialised
-// fields, runs them (sequentially, tiled, and with a worker pool; grid
-// widths are chosen so both the assembly strip body and the pure-Go
+// fields, runs them (sequentially, tiled, and with worker pools of two and
+// three, each through the assembly executor and through the pure-Go one;
+// grid widths are chosen so both the assembly strip body and the pure-Go
 // remainder execute), asserts bit-identical output, and contributes its
-// compiled program and lowered segments to
-// the coverage ledger. The final assertions fail if any opcode, run shape
-// or link form is left unexercised — so adding one without extending this
-// table is a test failure, not a silent gap.
+// compiled program and lowered segments to the coverage ledger. The final
+// assertions fail if any opcode, run shape, link form or tap form is left
+// unexercised — so adding one without extending this table is a test
+// failure, not a silent gap.
 
 // confNest is one scenario's symbolic input plus its scratch state: two
 // disjoint field sets (one per engine) built over the same grid.
@@ -234,6 +235,32 @@ func confScenarios(t *testing.T) map[string]confNest {
 		out["link-forms"] = n
 	}
 
+	// A stencil-like sum whose taps take all three forms — scalar
+	// coefficient, field × scalar coefficient, field × scalar × scalar —
+	// in mixed order: one run of taps, on a row of 16 + 4 + 3 points.
+	{
+		g := grid.MustNew([]int{5, 23}, nil)
+		uB, uN := confTimeFn(t, "u", g, 2)
+		ref := uB.Ref
+		fa, fb := symbolic.Shifted(ref, 0, 0, -1), symbolic.Shifted(ref, 0, 0, 1)
+		fc, fd := symbolic.Shifted(ref, 0, -1, 0), symbolic.Shifted(ref, 0, 1, 0)
+		s1, s2, s3 := symbolic.S("dt"), symbolic.S("c1"), symbolic.S("c2")
+		mul := func(f ...symbolic.Expr) symbolic.Expr { return symbolic.Mul{Factors: f} }
+		rhs := symbolic.Add{Terms: []symbolic.Expr{
+			mul(fa, s1),
+			mul(fb, s2, fc), mul(fc, s3), mul(fd, s2, s3, fa), mul(fb, s1),
+			mul(fa, s3, s1, fd), mul(fc, s1, fb), mul(fd, s2),
+		}}
+		out["tap-run"] = confNest{
+			eqs:    []symbolic.Eq{{LHS: symbolic.ForwardStencil(ref), RHS: rhs}},
+			radius: []int{1, 1},
+			fB:     map[string]*field.Function{"u": &uB.Function},
+			fN:     map[string]*field.Function{"u": &uN.Function},
+			outs:   []string{"u"},
+			vals:   map[string]float64{"dt": 0.37, "c1": -1.25, "c2": 0.0625},
+		}
+	}
+
 	// Cross-equation aliasing at a nonzero offset: the second equation
 	// reads the first equation's freshly stored row one point to the left,
 	// which the segment extractor must refuse to fuse — the whole program
@@ -275,8 +302,15 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	opSeen := make([]bool, bytecode.NumOpcodes)
 	shapeSeen := map[bytecode.Shape]bool{}
 	formSeen := map[string]bool{}
-	team := runtime.NewPool(3, 0)
+	var tapSeen [3]bool // by term.n: the tap spans n+1 links
+	team, pair := runtime.NewPool(3, 0), runtime.NewPool(2, 0)
 	defer team.Close()
+	defer pair.Close()
+	executors := []bool{false} // hasAVX settings to run under
+	if hasAVX {
+		executors = []bool{true, false}
+		defer func() { hasAVX = true }()
+	}
 
 	for name, n := range confScenarios(t) {
 		t.Run(name, func(t *testing.T) {
@@ -321,6 +355,15 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 					}
 				}
 			}
+			// A tap run counts only on a row whose strip takes the 16-point
+			// blocks, the 4-point blocks and the tail.
+			if body := row &^ 3; body >= 16 && body%16 != 0 && body < row {
+				for _, l := range nk.tm.links {
+					for _, tap := range l.terms {
+						tapSeen[tap.n] = tapSeen[tap.n] || len(l.terms) > 1
+					}
+				}
+			}
 			poolB, err := kB.BindSyms(n.vals)
 			if err != nil {
 				t.Fatal(err)
@@ -329,17 +372,21 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {TileRows: 2, Pool: team}} {
+			// The pooled runs are the -race check that term tables, which
+			// patchRow writes, are per-worker copies.
+			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {TileRows: 2, Pool: team}, {TileRows: 1, Pool: pair}} {
 				kB.Run(0, confBox(n.fB[n.outs[0]]), poolB, opts)
-				nk.Run(0, confBox(n.fN[n.outs[0]]), poolN, opts)
-				for _, fn := range n.outs {
-					fb, fn2 := n.fB[fn], n.fN[fn]
-					for bi := range fb.Bufs {
-						da, db := fb.Bufs[bi].Data, fn2.Bufs[bi].Data
-						for i := range da {
-							if da[i] != db[i] && !(math.IsNaN(float64(da[i])) && math.IsNaN(float64(db[i]))) {
-								t.Fatalf("%s: field %s buf %d lane %d: bytecode %v, native %v",
-									name, fn, bi, i, da[i], db[i])
+				for _, hasAVX = range executors { // assigns the package switch
+					nk.Run(0, confBox(n.fN[n.outs[0]]), poolN, opts)
+					for _, fn := range n.outs {
+						fb, fn2 := n.fB[fn], n.fN[fn]
+						for bi := range fb.Bufs {
+							da, db := fb.Bufs[bi].Data, fn2.Bufs[bi].Data
+							for i := range da {
+								if da[i] != db[i] && !(math.IsNaN(float64(da[i])) && math.IsNaN(float64(db[i]))) {
+									t.Fatalf("%s (assembly=%v): field %s buf %d lane %d: bytecode %v, native %v",
+										name, hasAVX, fn, bi, i, da[i], db[i])
+								}
 							}
 						}
 					}
@@ -365,6 +412,11 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	for _, form := range bytecode.LinkForms() {
 		if !formSeen[form] {
 			t.Errorf("link form %q not executed by any conformance scenario", form)
+		}
+	}
+	for n, seen := range tapSeen {
+		if !seen {
+			t.Errorf("tap-run: no conformance scenario runs a %d-link tap inside a run of taps over 16-point blocks, 4-point blocks and a tail", n+1)
 		}
 	}
 }

@@ -8,17 +8,36 @@ import (
 	"devigo/internal/runtime"
 )
 
-// patch says which pointer of which link (0 = destination, 1..3 = X, Y, Z)
-// takes the address of table entry idx; which table is the list it is on.
+// patch says which pointer takes the address of table entry idx; which
+// table is the list it is on. With ti < 0 the pointer is link li's own
+// (pos 0 = destination, 1..3 = X, Y, Z); otherwise it belongs to term ti
+// of a pTaps link (pos 0 = f, 1 = g). On the scalar list pos selects the
+// term's scalar the same way.
 type patch struct {
-	li  int32
-	pos int8
-	idx int32
+	li, ti int32
+	pos    int8
+	idx    int32
+}
+
+// ptr returns the pointer a patch re-points.
+func (l *xlink) ptr(p patch) *unsafe.Pointer {
+	if p.ti < 0 {
+		return &l.p[p.pos]
+	}
+	return &l.terms[p.ti].p[p.pos]
+}
+
+// scalar returns the scalar a patch on the ss list refreshes.
+func (l *xlink) scalar(p patch) *float64 {
+	if p.ti < 0 {
+		return &l.sv
+	}
+	return &l.terms[p.ti].s[p.pos]
 }
 
 // tmpl is the kernel's immutable executable template: the flat link array
-// with primitives, steps and exponents filled and pointers nil, plus one
-// patch list per operand class.
+// with primitives, steps, exponents and term tables filled and pointers
+// nil, plus one patch list per operand class.
 type tmpl struct {
 	links  []xlink
 	fs     []patch // load slots, re-pointed every row
@@ -29,19 +48,54 @@ type tmpl struct {
 }
 
 // buildTemplate flattens the chain segments' links into the template and
-// records each segment's link range.
+// records each segment's link range. Fusing tap runs is the executor's
+// business: the dispatch count stays one per bytecode link.
 func (k *Kernel) buildTemplate(segs []bytecode.Segment) {
 	t := &tmpl{}
 	k.segs = make([]segment, len(segs))
 	for i, seg := range segs {
 		k.segs[i] = segment{shape: seg.Shape, vm: seg.VM, lkLo: len(t.links)}
 		k.fusedInstrs += len(seg.Links) + len(seg.VM)
-		for _, l := range seg.Links {
-			t.add(l)
-		}
+		t.addChain(seg.Links)
 		k.segs[i].lkHi = len(t.links)
 	}
 	k.tm = t
+}
+
+// addChain appends one chain: every maximal run of taps as one pTaps link
+// (addTaps), every other link as itself.
+func (t *tmpl) addChain(ls []bytecode.Link) {
+	for len(ls) > 0 {
+		n := t.addTaps(ls)
+		if n == 0 {
+			t.add(ls[0])
+			n = 1
+		}
+		ls = ls[n:]
+	}
+}
+
+// operand puts one operand of link li (or, with ti >= 0, of its term ti)
+// on its class's patch list and returns the bytes it advances per point.
+func (t *tmpl) operand(li, ti int32, pos int8, o bytecode.Operand) uint8 {
+	p := patch{li, ti, pos, o.Index}
+	switch o.Class {
+	case bytecode.ClassF:
+		t.fs = append(t.fs, p)
+		return 4
+	case bytecode.ClassR:
+		t.rs = append(t.rs, p)
+		return 8
+	case bytecode.ClassAcc:
+		p.idx = 0
+		t.strips = append(t.strips, p)
+	case bytecode.ClassT:
+		p.idx = 1
+		t.strips = append(t.strips, p)
+	case bytecode.ClassS:
+		t.ss = append(t.ss, p)
+	}
+	return 0
 }
 
 // add appends one link: the destination and every operand go on their
@@ -57,27 +111,12 @@ func (t *tmpl) add(l bytecode.Link) {
 	}
 	li := int32(len(t.links))
 	x := xlink{prim: primOf(l), exp: int(l.N)}
-	operand := func(pos int8, o bytecode.Operand) {
-		switch o.Class {
-		case bytecode.ClassF:
-			t.fs = append(t.fs, patch{li, pos, o.Index})
-			x.step[pos] = 4
-		case bytecode.ClassR:
-			t.rs = append(t.rs, patch{li, pos, o.Index})
-			x.step[pos] = 8
-		case bytecode.ClassAcc:
-			t.strips = append(t.strips, patch{li, pos, 0})
-		case bytecode.ClassT:
-			t.strips = append(t.strips, patch{li, pos, 1})
-		case bytecode.ClassS:
-			t.ss = append(t.ss, patch{li, pos, o.Index})
-		}
-	}
+	operand := func(pos int8, o bytecode.Operand) { x.step[pos] = t.operand(li, -1, pos, o) }
 	switch l.Op {
 	case bytecode.LinkToRow:
 		operand(0, bytecode.Operand{Class: bytecode.ClassR, Index: l.N})
 	case bytecode.LinkStore:
-		t.es = append(t.es, patch{li, 0, l.N})
+		t.es = append(t.es, patch{li, -1, 0, l.N})
 		x.step[0] = 4
 	default:
 		operand(0, bytecode.Operand{Class: l.Dst})
@@ -88,8 +127,90 @@ func (t *tmpl) add(l bytecode.Link) {
 	t.links = append(t.links, x)
 }
 
+// tapAt reports how many links the tap at the head of ls spans, 0 if
+// there is none. A tap adds one product to a running sum: the plain F×S
+// madd, or the compound form t = g·s [; t = t·s2] ; acc = f64(f·t) + acc.
+// The executor never writes the compound form's t, so the form is a tap
+// only if the next link touching t reopens it.
+func tapAt(ls []bytecode.Link) int {
+	const F, T, S = bytecode.ClassF, bytecode.ClassT, bytecode.ClassS
+	if l := ls[0]; l.Op == bytecode.LinkMadd && l.X.Class == F && l.Y.Class == S && l.Z.Class != F {
+		return 1
+	}
+	scales := func(l bytecode.Link, x bytecode.Class) bool {
+		return l.Op == bytecode.LinkMul && l.Dst == T && l.X.Class == x && l.Y.Class == S
+	}
+	if !scales(ls[0], F) {
+		return 0
+	}
+	n := 1
+	if n < len(ls) && scales(ls[n], T) {
+		n++
+	}
+	if n == len(ls) {
+		return 0
+	}
+	if m := ls[n]; m.Op != bytecode.LinkMadd || m.Dst != bytecode.ClassAcc ||
+		m.X.Class != F || m.Y.Class != T || m.Z.Class != bytecode.ClassAcc {
+		return 0
+	}
+	n++
+	for _, l := range ls[n:] {
+		if l.X.Class == T || l.Y.Class == T || l.Z.Class == T {
+			return 0
+		}
+		if l.Dst == T {
+			break
+		}
+	}
+	return n
+}
+
+// addTaps appends the maximal run of taps at the head of ls as one pTaps
+// link and returns the number of links it absorbed (0: ls opens with no
+// tap). The first tap's madd fixes the run's addend z and destination d;
+// the run extends over every following tap that accumulates d onto d.
+func (t *tmpl) addTaps(ls []bytecode.Link) int {
+	li := int32(len(t.links))
+	x := xlink{prim: pTaps}
+	var d bytecode.Class
+	used := 0
+	for used < len(ls) {
+		span := tapAt(ls[used:])
+		if span == 0 {
+			break
+		}
+		tap := ls[used : used+span]
+		madd := tap[span-1]
+		if used == 0 {
+			d = madd.Dst
+			x.step[0] = t.operand(li, -1, 0, bytecode.Operand{Class: d})
+			x.step[3] = t.operand(li, -1, 3, madd.Z)
+		} else if madd.Dst != d || madd.Z.Class != d {
+			break
+		}
+		ti := int32(len(x.terms))
+		x.terms = append(x.terms, term{n: span - 1})
+		t.operand(li, ti, 0, madd.X) // f
+		if span == 1 {
+			t.operand(li, ti, 0, madd.Y) // s
+		} else {
+			t.operand(li, ti, 1, tap[0].X) // g
+			for i, scale := range tap[:span-1] {
+				t.operand(li, ti, int8(i), scale.Y) // s, s2
+			}
+		}
+		used += span
+	}
+	if used > 0 {
+		t.links = append(t.links, x)
+	}
+	return used
+}
+
 // primOf selects a link's primitive from its operation and its operands'
-// memory kinds; acc, t and register rows are all float64 rows to it.
+// memory kinds; acc, t and register rows are all float64 rows to it. pTaps
+// sits where the madd family's F×S pairing would.
 func primOf(l bytecode.Link) prim {
 	fx, fy, sy := l.X.Class == bytecode.ClassF, l.Y.Class == bytecode.ClassF, l.Y.Class == bytecode.ClassS
 	pairing := pMulRR
@@ -112,7 +233,7 @@ func primOf(l bytecode.Link) prim {
 	case bytecode.LinkAdd:
 		return pAddFS + pairing
 	case bytecode.LinkMadd:
-		return pMaddFS + pairing
+		return pTaps + pairing // addTaps takes every F×S madd first
 	case bytecode.LinkToRow:
 		return pCopy
 	case bytecode.LinkStore:
@@ -151,7 +272,7 @@ func (k *Kernel) patchRow(e *exec, n int, bases []int) {
 			panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
 				off, off+n, p.idx, len(data)))
 		}
-		e.links[p.li].p[p.pos] = unsafe.Pointer(&data[off])
+		*e.links[p.li].ptr(p) = unsafe.Pointer(&data[off])
 	}
 	for _, p := range k.tm.es {
 		off := bases[r.Outs[p.idx].Field]
@@ -197,6 +318,10 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 			links:  append([]xlink(nil), k.tm.links...),
 			strips: [2][]float64{make([]float64, stripN), make([]float64, stripN)},
 		}
+		for i := range sc.ex.links { // the copy above shares the term tables
+			l := &sc.ex.links[i]
+			l.terms = append([]term(nil), l.terms...)
+		}
 		for _, p := range k.tm.strips {
 			sc.ex.links[p.li].p[p.pos] = unsafe.Pointer(&sc.ex.strips[p.idx][0])
 		}
@@ -209,7 +334,7 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 		}
 	}
 	for _, p := range k.tm.ss {
-		sc.ex.links[p.li].sv = pool[p.idx]
+		*sc.ex.links[p.li].scalar(p) = pool[p.idx]
 	}
 }
 

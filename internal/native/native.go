@@ -10,12 +10,18 @@
 // row (256 points), its accumulator and scratch values held in two
 // per-worker strips that the executor treats as ordinary float64 row
 // operands. Every link dispatches one strip primitive, selected from its
-// operation and its operands' memory kinds — AVX2 assembly on amd64, an
-// equivalent pure-Go loop elsewhere — with field operands read through
-// unsafe pointers patched once per row (one bounds check per operand per
-// row instead of per point). The primitives widen float32 lanes to float64
-// exactly as the VM's load opcode does and round after every multiply and
-// after every add (multiply and add are emitted as separate
+// operation and its operands' memory kinds — AVX assembly on amd64 (on a
+// host that has it: CPUID and XGETBV are probed once), an equivalent
+// pure-Go loop elsewhere — with field operands read through unsafe
+// pointers patched once per row (one bounds check per operand per row
+// instead of per point). One primitive takes more than a link: a run of
+// taps — consecutive links that each add one product f·s, or f·(g·s[·s2])
+// built in the scratch strip, to the accumulator, which is what a stencil
+// is made of — executes as a single pTaps dispatch that carries the sum
+// through registers, in link order, instead of storing and reloading the
+// accumulator strip once per tap. The primitives widen float32 lanes to
+// float64 exactly as the VM's load opcode does and round after every
+// multiply and after every add (multiply and add are emitted as separate
 // correctly-rounded IEEE instructions, never FMA) — so the engine is
 // bit-exact with the bytecode VM and the interpreter by construction, NaN
 // payloads and signed zeros included. The assembly takes the n&^3 body of
@@ -24,12 +30,14 @@
 // every platform. Program regions that do not lower to chains fall back to
 // per-instruction row sweeps identical to the VM's.
 //
-// The speedup comes from three removals: the full-row intermediate
+// The speedup comes from four removals: the full-row intermediate
 // traffic (the VM materializes every instruction's result as a whole
 // register row; chain values stream through a cache-resident strip
 // accumulator instead), the per-instruction row passes (one fused pass
-// per chain), and the per-instruction slice bounds checks (hoisted to
-// row-patch time), plus 4-lane SIMD arithmetic inside each primitive.
+// per chain), the per-instruction slice bounds checks (hoisted to
+// row-patch time), and the accumulator traffic of a stencil's taps (one
+// load and one store of the strip per run of taps, not per tap), plus
+// 4-lane SIMD arithmetic inside each primitive.
 package native
 
 import (
@@ -47,8 +55,8 @@ type Kernel struct {
 	bk   *bytecode.Kernel
 	segs []segment
 	tm   *tmpl
-	// fusedInstrs is the per-point dispatch count after fusion: one per
-	// chain link plus one per fallback VM instruction.
+	// fusedInstrs is the per-point link count after fusion: one per chain
+	// link plus one per fallback VM instruction.
 	fusedInstrs int
 	// drv is the kernel's private tile driver over the bytecode kernel's
 	// binding (per-worker scratch and cached execs live in it). Allocated
@@ -107,10 +115,12 @@ func (k *Kernel) FlopsPerPoint() int { return k.bk.FlopsPerPoint() }
 // StencilRadius returns the per-dimension stencil radius.
 func (k *Kernel) StencilRadius() []int { return k.bk.StencilRadius() }
 
-// InstrsPerPoint reports the number of fused dispatches per grid point:
-// one per chain link plus one per fallback VM instruction. It is lower
-// than the bytecode kernel's count (loads are absorbed into chain
-// operands), which is how the autotuner's cost model ranks the engine.
+// InstrsPerPoint reports the number of links per grid point: one per chain
+// link plus one per fallback VM instruction. It is lower than the bytecode
+// kernel's count (loads are absorbed into chain operands), which is how
+// the autotuner's cost model ranks the engine. It is a property of the
+// segment partition, not of the executor: a run of taps the executor
+// dispatches as one primitive still counts one per link.
 func (k *Kernel) InstrsPerPoint() int { return k.fusedInstrs }
 
 // Rebind returns a copy of the kernel executing against different storage,

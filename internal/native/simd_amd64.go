@@ -1,6 +1,6 @@
 //go:build amd64
 
-// AVX2 strip primitives. Each processes n points (n must be a multiple of
+// AVX strip primitives. Each processes n points (n must be a multiple of
 // 4; runChain routes the remainder through the pure-Go twins in goPrims).
 // Bit-exactness with the scalar engines holds because every vector
 // instruction used —
@@ -52,7 +52,7 @@ func vaddFR(d, f, r unsafe.Pointer, n int)
 func vaddFF(d, f, f2 unsafe.Pointer, n int)
 
 //go:noescape
-func vmaddFS(d, f unsafe.Pointer, s float64, c unsafe.Pointer, n int)
+func vtaps(d, z unsafe.Pointer, terms *term, k, base, n int)
 
 //go:noescape
 func vmaddFF(d, f, f2, c unsafe.Pointer, n int)
@@ -78,9 +78,21 @@ func vrecip(d, a unsafe.Pointer, n int)
 //go:noescape
 func vrecipSq(d, a unsafe.Pointer, n int)
 
+// cpuAVX probes CPUID and XGETBV for AVX with OS-enabled YMM state.
+func cpuAVX() bool
+
+// hasAVX says whether this host can run the assembly primitives. The
+// platform sets it; tests clear it to run the pure-Go executor instead.
+var hasAVX = cpuAVX()
+
 // runStrip applies every link of the chain to m points (a multiple of 4)
-// starting at base: one assembly primitive per link.
+// starting at base: one assembly primitive per link, or the pure-Go
+// executor on a host without AVX.
 func runStrip(ls []xlink, base, m int) {
+	if !hasAVX {
+		runGo(ls, base, m)
+		return
+	}
 	for li := range ls {
 		l := &ls[li]
 		d, x, y, z := l.at(0, base), l.at(1, base), l.at(2, base), l.at(3, base)
@@ -109,8 +121,8 @@ func runStrip(ls []xlink, base, m int) {
 			vaddFR(d, x, y, m)
 		case pAddRR:
 			vaddRR(d, x, y, m)
-		case pMaddFS:
-			vmaddFS(d, x, l.sv, z, m)
+		case pTaps:
+			vtaps(d, z, &l.terms[0], len(l.terms), base, m)
 		case pMaddRS:
 			vmaddRS(d, x, l.sv, z, m)
 		case pMaddFF:

@@ -1,6 +1,6 @@
 //go:build amd64
 
-// AVX2 strip primitives (see simd_amd64.go for the contract). All loops
+// AVX strip primitives (see simd_amd64.go for the contract). All loops
 // assume n is a positive multiple of 4 (or zero) and advance raw pointers,
 // so no indexed addressing or bounds state is needed. float32 operands are
 // widened with VCVTPS2PD (exact), products and sums round with VMULPD /
@@ -244,27 +244,127 @@ addffdone:
 	VZEROUPPER
 	RET
 
-// func vmaddFS(d, f unsafe.Pointer, s float64, c unsafe.Pointer, n int)
-TEXT ·vmaddFS(SB), NOSPLIT, $0-40
+// func vtaps(d, z unsafe.Pointer, terms *term, k, base, n int)
+//
+// d = z + Σ terms[0..k), the sum held in registers across the taps: four
+// accumulators over 16 points, then one over 4. Each tap is the
+// instruction sequence of the links it stands for — VCVTPS2PD, VMULPD with
+// the field value as first source, VADDPD with the product as first
+// source — so rounding and NaN propagation are theirs. A term is 40
+// bytes: f, g, s, s2, n (see chain.go).
+TEXT ·vtaps(SB), NOSPLIT, $0-48
 	MOVQ d+0(FP), DI
-	MOVQ f+8(FP), SI
-	VBROADCASTSD s+16(FP), Y0
-	MOVQ c+24(FP), R8
-	MOVQ n+32(FP), CX
-	SHRQ $2, CX
-	JZ   maddfsdone
-maddfsloop:
-	VMOVUPS    (SI), X1
-	VCVTPS2PD  X1, Y1
-	VMULPD     Y0, Y1, Y1
-	VADDPD     (R8), Y1, Y1
-	VMOVUPD    Y1, (DI)
-	ADDQ $16, SI
-	ADDQ $32, R8
+	MOVQ z+8(FP), R8
+	MOVQ terms+16(FP), R9
+	MOVQ k+24(FP), R10
+	MOVQ base+32(FP), BX
+	MOVQ n+40(FP), CX
+	SHLQ $2, BX // the strip's byte offset in a field row
+taps16:
+	CMPQ CX, $16
+	JLT  taps4
+	VMOVUPD 0(R8), Y0
+	VMOVUPD 32(R8), Y1
+	VMOVUPD 64(R8), Y2
+	VMOVUPD 96(R8), Y3
+	MOVQ R9, R11
+	MOVQ R10, R12
+term16:
+	MOVQ 0(R11), SI
+	ADDQ BX, SI
+	VBROADCASTSD 16(R11), Y12
+	CMPQ 32(R11), $0
+	JNE  scale16
+	VCVTPS2PD 0(SI), Y8
+	VCVTPS2PD 16(SI), Y9
+	VCVTPS2PD 32(SI), Y10
+	VCVTPS2PD 48(SI), Y11
+	VMULPD Y12, Y8, Y8
+	VMULPD Y12, Y9, Y9
+	VMULPD Y12, Y10, Y10
+	VMULPD Y12, Y11, Y11
+sum16:
+	VADDPD Y0, Y8, Y0
+	VADDPD Y1, Y9, Y1
+	VADDPD Y2, Y10, Y2
+	VADDPD Y3, Y11, Y3
+	ADDQ $40, R11
+	DECQ R12
+	JNZ  term16
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R8
+	ADDQ $64, BX
+	SUBQ $16, CX
+	JMP  taps16
+scale16: // t = g·s [·s2], then f·t
+	MOVQ 8(R11), DX
+	ADDQ BX, DX
+	VCVTPS2PD 0(DX), Y4
+	VCVTPS2PD 16(DX), Y5
+	VCVTPS2PD 32(DX), Y6
+	VCVTPS2PD 48(DX), Y7
+	VMULPD Y12, Y4, Y4
+	VMULPD Y12, Y5, Y5
+	VMULPD Y12, Y6, Y6
+	VMULPD Y12, Y7, Y7
+	CMPQ 32(R11), $1
+	JEQ  fold16
+	VBROADCASTSD 24(R11), Y12
+	VMULPD Y12, Y4, Y4
+	VMULPD Y12, Y5, Y5
+	VMULPD Y12, Y6, Y6
+	VMULPD Y12, Y7, Y7
+fold16:
+	VCVTPS2PD 0(SI), Y8
+	VCVTPS2PD 16(SI), Y9
+	VCVTPS2PD 32(SI), Y10
+	VCVTPS2PD 48(SI), Y11
+	VMULPD Y4, Y8, Y8
+	VMULPD Y5, Y9, Y9
+	VMULPD Y6, Y10, Y10
+	VMULPD Y7, Y11, Y11
+	JMP  sum16
+taps4:
+	TESTQ CX, CX
+	JZ   tapsdone
+	VMOVUPD (R8), Y0
+	MOVQ R9, R11
+	MOVQ R10, R12
+term4:
+	MOVQ 0(R11), SI
+	VBROADCASTSD 16(R11), Y12
+	CMPQ 32(R11), $0
+	JNE  scale4
+	VCVTPS2PD (SI)(BX*1), Y8
+	VMULPD Y12, Y8, Y8
+sum4:
+	VADDPD Y0, Y8, Y0
+	ADDQ $40, R11
+	DECQ R12
+	JNZ  term4
+	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
-	DECQ CX
-	JNZ  maddfsloop
-maddfsdone:
+	ADDQ $32, R8
+	ADDQ $16, BX
+	SUBQ $4, CX
+	JMP  taps4
+scale4:
+	MOVQ 8(R11), DX
+	VCVTPS2PD (DX)(BX*1), Y4
+	VMULPD Y12, Y4, Y4
+	CMPQ 32(R11), $1
+	JEQ  fold4
+	VBROADCASTSD 24(R11), Y12
+	VMULPD Y12, Y4, Y4
+fold4:
+	VCVTPS2PD (SI)(BX*1), Y8
+	VMULPD Y4, Y8, Y8
+	JMP  sum4
+tapsdone:
 	VZEROUPPER
 	RET
 
@@ -444,4 +544,25 @@ recipsqloop:
 	JNZ  recipsqloop
 recipsqdone:
 	VZEROUPPER
+	RET
+
+// func cpuAVX() bool
+//
+// CPUID.1:ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0 must
+// have the SSE and AVX state bits (1, 2) set: the OS saves the YMM halves.
+TEXT ·cpuAVX(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+noavx:
 	RET

@@ -96,12 +96,7 @@ var goPrims = [numPrims]goPrim{
 			dd[i] = aa[i] + bb[i]
 		}
 	},
-	pMaddFS: func(d, x, _, z unsafe.Pointer, s float64, _, n int) {
-		dd, ff, cc := dsl(d, n), fsl(x, n), dsl(z, n)
-		for i := range dd {
-			dd[i] = float64(float64(ff[i])*s) + cc[i]
-		}
-	},
+	pTaps: nil, // takes a term table, not operands: goTaps
 	pMaddRS: func(d, x, _, z unsafe.Pointer, s float64, _, n int) {
 		dd, aa, cc := dsl(d, n), dsl(x, n), dsl(z, n)
 		for i := range dd {
@@ -164,4 +159,27 @@ var goPrims = [numPrims]goPrim{
 			dd[i] = runtime.Ipow(aa[i], e)
 		}
 	},
+}
+
+// goTaps is pTaps in pure Go: d[i] = z[i] + Σ taps, the sum carried in
+// link order through one local per point. ts' field pointers address the
+// row's first point and d, z the strip's, which starts base points in.
+func goTaps(d, z unsafe.Pointer, ts []term, base, n int) {
+	dd, zz := dsl(d, n), dsl(z, n)
+	for i := range dd {
+		acc := zz[i]
+		at := uintptr(base+i) * 4
+		for k := range ts {
+			t := &ts[k]
+			v := t.s[0]
+			if t.n > 0 {
+				v = float64(*(*float32)(unsafe.Add(t.p[1], at))) * v
+			}
+			if t.n > 1 {
+				v = v * t.s[1]
+			}
+			acc = float64(float64(*(*float32)(unsafe.Add(t.p[0], at)))*v) + acc
+		}
+		dd[i] = acc
+	}
 }

@@ -172,12 +172,21 @@ func MaxWorkersDefault() int { return runtime.GOMAXPROCS(0) }
 // two-bound roofline scales — the memory-traffic bound is engine-
 // independent, so on bandwidth-bound profiles the engines correctly
 // converge in the model just as they do on hardware.
+//
+// The native figure is (native.kernel_ns_per_point / native.instrs_per_point)
+// over the same quotient for bytecode, from the repo benchmark's per-layer
+// kernel probes (`bench/run.sh --workload strong-2rank --trace 1`: acoustic
+// so-8 on a cache-resident 256² grid, 32 links against 51 VM instructions
+// per point) on a 2-vCPU Xeon @ 2.1 GHz VM: 5.3 ns against 26.1 ns per
+// point, 0.167 against 0.51 ns per instruction, median of five runs
+// (0.31–0.34). The per-link executor it replaces measured 0.47 there
+// (0.34–0.48), against the 0.3 PR 9 calibrated on another host.
 func EngineInstrFactor(engine string) float64 {
 	switch engine {
 	case "interpreter":
 		return 10.0
 	case "native":
-		return 0.3
+		return 0.33
 	}
 	return 1.0
 }

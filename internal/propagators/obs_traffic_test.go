@@ -1,6 +1,7 @@
 package propagators
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,28 +16,29 @@ import (
 // obs subsystem measures at the exchangers must equal the halo.Traffic /
 // halo.AmortizedTraffic predictions (the numbers CommStats and the
 // performance models are built on) EXACTLY — not approximately — for
-// every halo mode and exchange interval. The runs use a fully periodic
-// Cartesian topology so that every rank is interior (the closed-form
-// predictions assume a complete neighbourhood); counters, not physics,
-// are under test.
+// every halo mode and exchange interval: on a fully periodic 2x2 world,
+// where every rank is interior and CommStats equals the closed-form
+// halo.Traffic figures, and on a non-periodic 2-rank world, where each
+// rank has one neighbour and CommStats must count only that one. Counters,
+// not physics, are under test.
 
-// obsTrafficRun executes one 4-rank periodic run with obs metrics on and
-// returns the world-total measured steady counters plus rank-0's modelled
-// CommStats and effective interval.
-func obsTrafficRun(t *testing.T, model string, shape []int, mode halo.Mode, nt, k int) (obs.RankMetrics, core.CommStats, int) {
+// obsTrafficRun executes one run over a topo-shaped Cartesian world with
+// obs metrics on and returns the world-total measured steady counters, the
+// ranks' modelled CommStats summed (rank order) and the effective interval.
+func obsTrafficRun(t *testing.T, model string, shape, topo []int, periodic bool, mode halo.Mode, nt, k int) (obs.RankMetrics, core.CommStats, int) {
 	t.Helper()
 	obs.Reset()
-	var stats core.CommStats
 	var effK int
-	w := mpi.NewWorld(4)
+	w := mpi.NewWorld(topo[0] * topo[1])
+	perRank := make([]core.CommStats, w.Size())
 	err := w.Run(func(c *mpi.Comm) {
 		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		dec, err := grid.NewDecomposition(g, c.Size(), topo)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, []bool{true, true})
+		cart, err := mpi.CartCreate(c, dec.Topology, []bool{periodic, periodic})
 		if err != nil {
 			t.Error(err)
 			return
@@ -53,13 +55,18 @@ func obsTrafficRun(t *testing.T, model string, shape []int, mode halo.Mode, nt, 
 			t.Error(err)
 			return
 		}
+		perRank[c.Rank()] = res.Op.CommStats()
 		if c.Rank() == 0 {
-			stats = res.Op.CommStats()
 			effK = res.Op.TimeTile()
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var stats core.CommStats
+	for _, s := range perRank {
+		stats.MsgsPerStep += s.MsgsPerStep
+		stats.BytesPerStep += s.BytesPerStep
 	}
 	return obs.Snapshot().Total, stats, effK
 }
@@ -76,43 +83,49 @@ func TestObsTrafficMatchesModelExactly(t *testing.T) {
 	if testing.Short() {
 		models = []string{"acoustic"}
 	}
+	worlds := []struct {
+		topo     []int
+		periodic bool
+		ks       []int
+	}{
+		{[]int{2, 2}, true, []int{1, 2, 4}},
+		{[]int{2, 1}, false, []int{1, 4}},
+	}
 	for _, model := range models {
 		for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
-			for _, k := range []int{1, 2, 4} {
-				total, stats, effK := obsTrafficRun(t, model, shape, mode, nt, k)
-				if effK != k {
-					t.Fatalf("%s/%s k=%d: effective interval %d (test needs the requested one)",
-						model, mode, k, effK)
-				}
-				// Predictions are per rank per step; all 4 ranks are interior
-				// under the periodic topology. nt is a multiple of k and k is
-				// a power of two, so the expected totals are exact in float64.
-				wantMsgs := stats.MsgsPerStep * float64(nt) * 4
-				wantBytes := stats.BytesPerStep * float64(nt) * 4
-				if wantMsgs <= 0 {
-					t.Fatalf("%s/%s k=%d: model predicts no traffic", model, mode, k)
-				}
-				if got := float64(total.StepMsgs); got != wantMsgs {
-					t.Errorf("%s/%s k=%d: measured %v msgs, model predicts %v",
-						model, mode, k, got, wantMsgs)
-				}
-				if got := float64(total.StepBytes); got != wantBytes {
-					t.Errorf("%s/%s k=%d: measured %v bytes, model predicts %v",
-						model, mode, k, got, wantBytes)
-				}
-				// The expected totals must themselves be integral — a
-				// fractional product would mean the exactness setup
-				// (nt multiple of k) is broken, not the counters.
-				if math.Trunc(wantMsgs) != wantMsgs || math.Trunc(wantBytes) != wantBytes {
-					t.Fatalf("%s/%s k=%d: non-integral expectation msgs=%v bytes=%v",
-						model, mode, k, wantMsgs, wantBytes)
-				}
-				// Tiled plans hoist the time-invariant parameter exchanges
-				// (the shell recompute reads them in the ghost region); they
-				// must be classified as preamble, never as steady state.
-				if effK > 1 && total.PreambleMsgs <= 0 {
-					t.Errorf("%s/%s k=%d: expected hoisted preamble exchanges to be classified separately",
-						model, mode, k)
+			for _, w := range worlds {
+				for _, k := range w.ks {
+					name := fmt.Sprintf("%s/%s %v periodic=%v k=%d", model, mode, w.topo, w.periodic, k)
+					total, stats, effK := obsTrafficRun(t, model, shape, w.topo, w.periodic, mode, nt, k)
+					if effK != k {
+						t.Fatalf("%s: effective interval %d (test needs the requested one)", name, effK)
+					}
+					// Predictions are per rank per step, summed over the
+					// ranks. nt is a multiple of k and k is a power of two,
+					// so the expected totals are exact in float64.
+					wantMsgs := stats.MsgsPerStep * float64(nt)
+					wantBytes := stats.BytesPerStep * float64(nt)
+					if wantMsgs <= 0 {
+						t.Fatalf("%s: model predicts no traffic", name)
+					}
+					if got := float64(total.StepMsgs); got != wantMsgs {
+						t.Errorf("%s: measured %v msgs, model predicts %v", name, got, wantMsgs)
+					}
+					if got := float64(total.StepBytes); got != wantBytes {
+						t.Errorf("%s: measured %v bytes, model predicts %v", name, got, wantBytes)
+					}
+					// The expected totals must themselves be integral — a
+					// fractional product would mean the exactness setup
+					// (nt multiple of k) is broken, not the counters.
+					if math.Trunc(wantMsgs) != wantMsgs || math.Trunc(wantBytes) != wantBytes {
+						t.Fatalf("%s: non-integral expectation msgs=%v bytes=%v", name, wantMsgs, wantBytes)
+					}
+					// Tiled plans hoist the time-invariant parameter exchanges
+					// (the shell recompute reads them in the ghost region); they
+					// must be classified as preamble, never as steady state.
+					if effK > 1 && total.PreambleMsgs <= 0 {
+						t.Errorf("%s: expected hoisted preamble exchanges to be classified separately", name)
+					}
 				}
 			}
 		}
