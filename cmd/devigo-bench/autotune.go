@@ -1,10 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"devigo/internal/core"
 	"devigo/internal/grid"
@@ -57,9 +57,30 @@ type AutotuneScenario struct {
 	Obs obs.Metrics `json:"obs"`
 }
 
+// HostFingerprint names the machine a sweep ran on, so its timings are
+// never read as another host's.
+type HostFingerprint struct {
+	OS        string `json:"os"`
+	Arch      string `json:"arch"`
+	MaxProcs  int    `json:"maxprocs"`
+	NumCPU    int    `json:"numcpu"`
+	GoVersion string `json:"go_version"`
+}
+
+func hostFingerprint() HostFingerprint {
+	return HostFingerprint{
+		OS:        runtime.GOOS,
+		Arch:      runtime.GOARCH,
+		MaxProcs:  runtime.GOMAXPROCS(0),
+		NumCPU:    runtime.NumCPU(),
+		GoVersion: runtime.Version(),
+	}
+}
+
 // AutotuneReport is the BENCH_autotune.json schema: chosen-vs-exhaustive-
-// best per scenario.
+// best per scenario, on the host that measured it.
 type AutotuneReport struct {
+	Host       HostFingerprint    `json:"host"`
 	MaxWorkers int                `json:"max_workers"`
 	Scenarios  []AutotuneScenario `json:"scenarios"`
 }
@@ -90,7 +111,7 @@ func runAutotuneExp(models []string, sos []int, size, nt int, outDir string) err
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	report := AutotuneReport{MaxWorkers: perfmodel.MaxWorkersDefault()}
+	report := AutotuneReport{Host: hostFingerprint(), MaxWorkers: perfmodel.MaxWorkersDefault()}
 	scenarios := make([]autotuneScenario, 0, len(models)+1)
 	for _, m := range models {
 		scenarios = append(scenarios, autotuneScenario{name: m, model: m, ranks: 1})
@@ -115,11 +136,7 @@ func runAutotuneExp(models []string, sos []int, size, nt int, outDir string) err
 	}
 
 	path := filepath.Join(outDir, "BENCH_autotune.json")
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, &report); err != nil {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", path)
@@ -223,36 +240,60 @@ func lookupCandidate(cands []AutotuneCandidate, eff core.EffectiveConfig) (Autot
 	return AutotuneCandidate{}, false
 }
 
+// eachRank runs body once per rank of the scenario's world — with a nil
+// Comm when the scenario is serial — and returns the first failure.
+func eachRank(ranks int, body func(c *mpi.Comm) error) error {
+	if ranks == 1 {
+		return body(nil)
+	}
+	errs := make([]error, ranks)
+	if err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) { errs[c.Rank()] = body(c) }); err != nil {
+		return err
+	}
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// buildRank builds this rank's model of the scenario and, under DMP, its
+// execution context in the given halo mode (nil when serial).
+func buildRank(sc autotuneScenario, c *mpi.Comm, shape []int, so int, mode halo.Mode) (*propagators.Model, *core.Context, error) {
+	cfg := propagators.Config{Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5}
+	var ctx *core.Context
+	if c != nil {
+		g := grid.MustNew(shape, nil)
+		dec, err := grid.NewDecomposition(g, c.Size(), nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg.Decomp = dec
+		cfg.Rank = c.Rank()
+		ctx = &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
+	}
+	m, err := propagators.Build(sc.model, cfg)
+	return m, ctx, err
+}
+
 // autotuneProfile compiles the scenario's operator once (no timesteps)
 // and extracts its autotuner profile, so the sweep enumerates exactly the
 // candidate set the tuner plans over.
 func autotuneProfile(sc autotuneScenario, shape []int, so int) (perfmodel.OpProfile, error) {
 	var prof perfmodel.OpProfile
-	build := func(c *mpi.Comm) error {
-		cfg := propagators.Config{Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5}
-		var ctx *core.Context
-		if c != nil {
-			g := grid.MustNew(shape, nil)
-			dec, err := grid.NewDecomposition(g, c.Size(), nil)
-			if err != nil {
-				return err
-			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
-			if err != nil {
-				return err
-			}
-			cfg.Decomp = dec
-			cfg.Rank = c.Rank()
-			ctx = &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: sc.mode}
-		}
-		m, err := propagators.Build(sc.model, cfg)
+	err := eachRank(sc.ranks, func(c *mpi.Comm) error {
+		m, ctx, err := buildRank(sc, c, shape, so, sc.mode)
 		if err != nil {
 			return err
 		}
 		// TimeTile pinned to 1 so a stray DEVIGO_TIME_TILE cannot open the
 		// k-axis: this experiment's contract is the classic
-		// (mode x workers x tile_rows) space; -exp timetile owns the
-		// exchange-interval axis.
+		// (mode x workers x tile_rows) space.
 		op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, &core.Options{TimeTile: 1})
 		if err != nil {
 			return err
@@ -261,21 +302,8 @@ func autotuneProfile(sc autotuneScenario, shape []int, so int) (perfmodel.OpProf
 			prof = op.Profile()
 		}
 		return nil
-	}
-	if sc.ranks == 1 {
-		return prof, build(nil)
-	}
-	errs := make([]error, sc.ranks)
-	w := mpi.NewWorld(sc.ranks)
-	if err := w.Run(func(c *mpi.Comm) { errs[c.Rank()] = build(c) }); err != nil {
-		return prof, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return prof, e
-		}
-	}
-	return prof, nil
+	})
+	return prof, err
 }
 
 // autotuneRunOne executes one scenario run, either forced to a candidate
@@ -284,82 +312,34 @@ func autotuneRunOne(sc autotuneScenario, shape []int, so, nt int, cand perfmodel
 	// Deep-halo capacity is deliberately NOT provisioned here — TimeTile
 	// is pinned to 1 on every run (candidates carry time_tile 1; a stray
 	// DEVIGO_TIME_TILE must not leak in), so the candidate space is the
-	// classic (mode x workers x tile_rows) grid. The exchange-interval
-	// axis has its own experiment and gates (-exp timetile), whose sweep
-	// opens the axis explicitly.
-	rcOf := func() propagators.RunConfig {
-		rc := propagators.RunConfig{NT: nt, NReceivers: 4, TimeTile: 1}
-		if policy == "" {
-			rc.Workers = cand.Workers
-			rc.TileRows = cand.TileRows
-			rc.TimeTile = cand.TimeTile
-			rc.Autotune = core.AutotuneOff
-		} else {
-			rc.Autotune = policy
-		}
-		return rc
-	}
-	if sc.ranks == 1 {
-		m, err := propagators.Build(sc.model, propagators.Config{
-			Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5,
-		})
-		if err != nil {
-			return atRun{}, err
-		}
-		res, err := propagators.Run(m, nil, rcOf())
-		if err != nil {
-			return atRun{}, err
-		}
-		p := res.Perf
-		return atRun{seconds: p.ComputeSeconds + p.HaloSeconds, norm: res.Norm, eff: res.Op.Config()}, nil
-	}
-
+	// classic (mode x workers x tile_rows) grid.
+	rc := propagators.RunConfig{NT: nt, NReceivers: 4, TimeTile: 1, Autotune: policy}
 	mode := sc.mode
 	if policy == "" {
+		rc.Workers = cand.Workers
+		rc.TileRows = cand.TileRows
+		rc.TimeTile = cand.TimeTile
+		rc.Autotune = core.AutotuneOff
 		mode = cand.Mode
 	}
 	var out atRun
-	errs := make([]error, sc.ranks)
-	w := mpi.NewWorld(sc.ranks)
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), nil)
+	err := eachRank(sc.ranks, func(c *mpi.Comm) error {
+		m, ctx, err := buildRank(sc, c, shape, so, mode)
 		if err != nil {
-			errs[c.Rank()] = err
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		res, err := propagators.Run(m, ctx, rc)
 		if err != nil {
-			errs[c.Rank()] = err
-			return
+			return err
 		}
-		cfg := propagators.Config{Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5,
-			Decomp: dec, Rank: c.Rank()}
-		m, err := propagators.Build(sc.model, cfg)
-		if err != nil {
-			errs[c.Rank()] = err
-			return
+		sec := res.Perf.ComputeSeconds + res.Perf.HaloSeconds
+		if c != nil {
+			sec = c.AllreduceScalar(sec, mpi.OpMax)
 		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		res, err := propagators.Run(m, ctx, rcOf())
-		if err != nil {
-			errs[c.Rank()] = err
-			return
-		}
-		p := res.Perf
-		sec := p.ComputeSeconds + p.HaloSeconds
-		sec = c.AllreduceScalar(sec, mpi.OpMax)
-		if c.Rank() == 0 {
+		if c == nil || c.Rank() == 0 {
 			out = atRun{seconds: sec, norm: res.Norm, eff: res.Op.Config()}
 		}
+		return nil
 	})
-	if err != nil {
-		return out, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return out, e
-		}
-	}
-	return out, nil
+	return out, err
 }

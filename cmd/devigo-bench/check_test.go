@@ -1,0 +1,107 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// autotuneReport builds a two-scenario report whose first scenario carries
+// the given chosen-vs-best ratios.
+func autotuneReport(host HostFingerprint, model, search float64, bitExact bool) AutotuneReport {
+	choice := func(m, s float64) map[string]AutotuneChoice {
+		return map[string]AutotuneChoice{"model": {RatioVsBest: m}, "search": {RatioVsBest: s}}
+	}
+	return AutotuneReport{Host: host, Scenarios: []AutotuneScenario{
+		{Name: "acoustic", BitExact: bitExact, Chosen: choice(model, search)},
+		{Name: "acoustic-dmp4", BitExact: true, Chosen: choice(1, 1)},
+	}}
+}
+
+func TestCheckAutotune(t *testing.T) {
+	host := hostFingerprint()
+	both := map[string]bool{"autotune-exact": true, "autotune-timing": true}
+	for _, tc := range []struct {
+		name   string
+		report AutotuneReport
+		groups map[string]bool
+		want   []string // one substring per expected violation, in order
+	}{
+		{"clean", autotuneReport(host, 1.05, 1, true), both, nil},
+		{"host-less", autotuneReport(HostFingerprint{}, 1, 1, true), both, []string{"no host block"}},
+		{"host-less, timing only", autotuneReport(HostFingerprint{}, 1, 1, true),
+			map[string]bool{"autotune-timing": true}, []string{"no host block"}},
+		{"model beyond 35%", autotuneReport(host, 1.36, 1, true), both,
+			[]string{"acoustic: chosen.model.ratio_vs_best = 1.360"}},
+		{"search beyond 15%", autotuneReport(host, 1, 1.16, true), both,
+			[]string{"acoustic: chosen.search.ratio_vs_best = 1.160"}},
+		{"model ratio below 1", autotuneReport(host, 0.99, 1, true), both,
+			[]string{"acoustic: chosen.model.ratio_vs_best = 0.990"}},
+		{"all three", autotuneReport(host, 1.36, 1.16, false), both,
+			[]string{"bit_exact = false", "chosen.model.ratio_vs_best = 1.360", "chosen.search.ratio_vs_best = 1.160"}},
+		{"timing not selected", autotuneReport(host, 1.36, 1.16, true),
+			map[string]bool{"autotune-exact": true}, nil},
+		{"one scenario", AutotuneReport{Host: host, Scenarios: autotuneReport(host, 1, 1, true).Scenarios[:1]}, both,
+			[]string{"1 scenarios, want >= 2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "BENCH_autotune.json")
+			if err := writeJSON(path, &tc.report); err != nil {
+				t.Fatal(err)
+			}
+			got := checkAutotune(path, tc.groups)
+			if len(got) != len(tc.want) {
+				t.Fatalf("violations = %q, want %d matching %q", got, len(tc.want), tc.want)
+			}
+			for i, want := range tc.want {
+				if !strings.Contains(got[i], want) {
+					t.Errorf("violation %d = %q, want it to contain %q", i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+func TestRunCheckErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := runCheck(dir, "exec"); err == nil || !strings.Contains(err.Error(), `unknown check group "exec"`) {
+		t.Errorf("removed group: err = %v, want unknown check group", err)
+	}
+	if err := runCheck(dir, ""); err == nil || !strings.Contains(err.Error(), "1 perf/correctness gate(s) violated") {
+		t.Errorf("missing report: err = %v, want one violation", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_autotune.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkAutotune(filepath.Join(dir, "BENCH_autotune.json"), nil); len(got) != 1 || !strings.Contains(got[0], "malformed JSON") {
+		t.Errorf("malformed report: violations = %q", got)
+	}
+}
+
+// The checked-in report passes its hard gates and names its host; the same
+// report in the schema of the parent commit — no host block — is rejected.
+func TestCheckedInAutotuneReport(t *testing.T) {
+	const root = "../../BENCH_autotune.json"
+	exact := map[string]bool{"autotune-exact": true}
+	if got := checkAutotune(root, exact); len(got) != 0 {
+		t.Errorf("checked-in BENCH_autotune.json: %q", got)
+	}
+	data, err := os.ReadFile(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	delete(raw, "host")
+	path := filepath.Join(t.TempDir(), "BENCH_autotune.json")
+	if err := writeJSON(path, raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkAutotune(path, exact); len(got) != 1 || !strings.Contains(got[0], "no host block") {
+		t.Errorf("host-less report: violations = %q, want the host violation", got)
+	}
+}

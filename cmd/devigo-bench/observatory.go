@@ -1,241 +1,334 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"devigo/internal/core"
-	"devigo/internal/grid"
-	"devigo/internal/halo"
-	"devigo/internal/mpi"
-	"devigo/internal/obs"
-	"devigo/internal/perfreport"
-	"devigo/internal/propagators"
 )
 
-// ObsHost fingerprints the machine a sweep ran on; regression baselines
-// only compare runs with identical fingerprints, so a laptop run never
-// gates against a CI-runner history.
-type ObsHost struct {
-	OS        string `json:"os"`
-	Arch      string `json:"arch"`
-	MaxProcs  int    `json:"maxprocs"`
-	NumCPU    int    `json:"numcpu"`
-	GoVersion string `json:"go_version"`
-}
-
-func hostFingerprint() ObsHost {
-	return ObsHost{
-		OS:        runtime.GOOS,
-		Arch:      runtime.GOARCH,
-		MaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
-	}
-}
-
-// Key collapses the fingerprint into the string history entries are
-// matched on.
-func (h ObsHost) Key() string {
-	return fmt.Sprintf("%s/%s/p%d/c%d/%s", h.OS, h.Arch, h.MaxProcs, h.NumCPU, h.GoVersion)
-}
-
-// ObsRun is one measured sweep point of the observatory.
+// ObsRun is one workload block of a bench/run.sh transcript: every metric
+// on its final JSON line (the end-to-end three, or with --trace 1 the
+// per-layer set).
 type ObsRun struct {
-	// Name keys the run in the history ("acoustic r4 diag k4").
-	Name     string `json:"name"`
-	Scenario string `json:"scenario"`
-	Ranks    int    `json:"ranks"`
-	// Mode / K are the halo pattern and exchange interval (empty / 0 when
-	// serial).
-	Mode string `json:"mode,omitempty"`
-	K    int    `json:"k,omitempty"`
-	Size int    `json:"size"`
-	NT   int    `json:"nt"`
-	// Gptss is the measured steady-state throughput; Seconds the slowest
-	// rank's compute+halo time.
-	Gptss   float64 `json:"gptss"`
-	Seconds float64 `json:"seconds"`
-	// AI and GFlops place the run on the roofline: operational intensity
-	// (flop/byte, from the kernel characterization) against achieved
-	// flop rate (measured GPts/s x flops/point).
-	AI            float64 `json:"ai"`
-	GFlops        float64 `json:"gflops"`
-	FlopsPerPoint int     `json:"flops_per_point"`
-	// Measured* are the obs counters' per-rank-per-step traffic; Model*
-	// the CommStats closed-form predictions. The sweep runs on a fully
-	// periodic topology (every rank interior), where the two must agree.
-	MeasuredMsgsPerStep  float64 `json:"measured_msgs_per_step,omitempty"`
-	MeasuredBytesPerStep float64 `json:"measured_bytes_per_step,omitempty"`
-	ModelMsgsPerStep     float64 `json:"model_msgs_per_step,omitempty"`
-	ModelBytesPerStep    float64 `json:"model_bytes_per_step,omitempty"`
-	// RecvWaitSec is the world-total receive-wait time.
-	RecvWaitSec float64 `json:"recv_wait_sec,omitempty"`
-	// Tuned marks autotuned (search-policy) runs; Regret is their
-	// chosen-vs-best-measured-trial gap.
-	Tuned  bool    `json:"tuned,omitempty"`
-	Regret float64 `json:"autotune_regret,omitempty"`
-	// Decisions is the tuner's decision log for tuned runs.
-	Decisions []obs.Decision `json:"autotune_decisions,omitempty"`
+	Workload string             `json:"workload"`
+	Metrics  map[string]float64 `json:"metrics"`
 }
 
-// ObsBaseline is one run's comparison against the stored same-host
-// history.
+// ObsBaseline is one end-to-end metric of one workload held against the
+// stored same-host history.
 type ObsBaseline struct {
-	Run string `json:"run"`
-	// Gptss is the current measurement; Baseline the median of the last
-	// (up to) 5 same-fingerprint history entries; Samples how many fed it.
-	Gptss    float64 `json:"gptss"`
+	Workload string  `json:"workload"`
+	Metric   string  `json:"metric"`
+	Value    float64 `json:"value"`
+	// Baseline is the median of the last (up to) baselineWindow same-host
+	// history entries, Samples how many fed it, Ratio Value/Baseline (0
+	// without a baseline).
 	Baseline float64 `json:"baseline,omitempty"`
 	Samples  int     `json:"samples"`
-	// Ratio is Gptss/Baseline (0 without a baseline); Regressed marks
-	// ratio < regressThreshold.
-	Ratio     float64 `json:"ratio,omitempty"`
-	Regressed bool    `json:"regressed"`
+	Ratio    float64 `json:"ratio,omitempty"`
+	// Regressed marks a value worse than the baseline by more than the
+	// metric's BENCHMARK.json bound, in its `better` direction.
+	Regressed bool `json:"regressed"`
 }
 
 // ObservatoryReport is the BENCH_observatory.json schema.
 type ObservatoryReport struct {
-	GeneratedAt string        `json:"generated_at"`
-	Host        ObsHost       `json:"host"`
-	Runs        []ObsRun      `json:"runs"`
-	Baselines   []ObsBaseline `json:"baselines"`
-	// Regressions counts baselined runs that fell below the threshold.
-	Regressions int `json:"regressions"`
-	// HistoryEntries is the history length after appending this sweep.
+	GeneratedAt string `json:"generated_at"`
+	// Host is the benchmark's own `host` line.
+	Host        map[string]any `json:"host"`
+	Runs        []ObsRun       `json:"runs"`
+	Baselines   []ObsBaseline  `json:"baselines"`
+	Regressions int            `json:"regressions"`
+	// HistoryEntries is the history length after appending this run.
 	HistoryEntries int `json:"history_entries"`
 }
 
-// HistoryEntry is one stored sweep: a timestamp, the host fingerprint
-// and the per-run throughputs.
+// HistoryEntry is one stored benchmark run: a timestamp, the host line and
+// every metric per workload.
 type HistoryEntry struct {
-	Time  string             `json:"time"`
-	Host  ObsHost            `json:"host"`
-	Gptss map[string]float64 `json:"gptss"`
+	Time      string                        `json:"time"`
+	Host      map[string]any                `json:"host"`
+	Workloads map[string]map[string]float64 `json:"workloads"`
 }
 
-// History is the BENCH_history.json schema — the observatory's stored
-// run record, bounded to historyCap entries.
+// History is the BENCH_history.json schema — the observatory's stored run
+// record, bounded to historyCap entries.
 type History struct {
 	Entries []HistoryEntry `json:"entries"`
 }
 
 const (
-	// regressThreshold fails a run measuring below this fraction of its
-	// same-host baseline median (>15% slowdown).
-	regressThreshold = 0.85
 	// baselineWindow is how many recent same-host entries feed the median.
 	baselineWindow = 5
 	// historyCap bounds the stored history.
 	historyCap = 100
 )
 
-// runObservatory executes the continuous-perf sweep: measure every
-// configured scenario x ranks x mode x interval point, compare against
-// the same-host history, persist history + report + HTML, and fail on
-// regression unless regressWarn downgrades it to a warning (the first
-// run on a host has no baseline and only warns).
-func runObservatory(outDir, historyPath string, regressWarn bool) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
+// hostKey is what history entries are matched on: the host line minus the
+// commit, so a run only ever gates against runs of the same machine, core
+// count and toolchain, whichever commit they measured.
+func hostKey(host map[string]any) string {
+	h := make(map[string]any, len(host))
+	for k, v := range host {
+		if k != "commit" {
+			h[k] = v
+		}
 	}
-	if historyPath == "" {
-		historyPath = filepath.Join(outDir, "BENCH_history.json")
-	}
-	host := hostFingerprint()
-	fmt.Printf("Perf observatory sweep on %s\n", host.Key())
+	key, _ := json.Marshal(h) // map keys marshal sorted
+	return string(key)
+}
 
-	runs, err := observatorySweep()
+// endToEndMetric is one `end_to_end` row of BENCHMARK.json.
+type endToEndMetric struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// worse reports whether v is worse than base by more than the metric's
+// bound — the benchmark's own definition of a regression.
+func (m endToEndMetric) worse(v, base float64) bool {
+	if m.Better == "lower" {
+		return v > base*(1+m.Bound)
+	}
+	return v < base*(1-m.Bound)
+}
+
+// loadEndToEnd reads the end-to-end metric definitions from the
+// BENCHMARK.json of the enclosing checkout (the nearest one at or above
+// the working directory).
+func loadEndToEnd() ([]endToEndMetric, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(dir, "BENCHMARK.json"))
+		if err == nil {
+			var b struct {
+				EndToEnd []endToEndMetric `json:"end_to_end"`
+			}
+			if err := json.Unmarshal(data, &b); err != nil {
+				return nil, fmt.Errorf("%s: %w", filepath.Join(dir, "BENCHMARK.json"), err)
+			}
+			return b.EndToEnd, nil
+		}
+		if !os.IsNotExist(err) {
+			return nil, err
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return nil, fmt.Errorf("no BENCHMARK.json at or above the working directory: run from inside the repository")
+		}
+		dir = parent
+	}
+}
+
+// parseTranscript reads the text bench/run.sh prints: per workload a
+// `== <workload> ...` header, a `host {...}` line and a final JSON result
+// line. Everything else (progress lines, the human-readable table, config
+// and span lines) is skipped. A block that is cut short, reports failed
+// checks or ran on a different host than the others is an error.
+func parseTranscript(in io.Reader) (host map[string]any, runs []ObsRun, err error) {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(nil, 1<<20)
+	open := ""                   // workload of the block being read
+	var blockHost map[string]any // its host line
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "== "):
+			if open != "" {
+				return nil, nil, fmt.Errorf("workload %s: no result JSON line before the next block (truncated input?)", open)
+			}
+			f := strings.Fields(line)
+			if len(f) < 2 {
+				return nil, nil, fmt.Errorf("malformed block header %q", line)
+			}
+			open, blockHost = f[1], nil
+		case open != "" && strings.HasPrefix(line, "host "):
+			if err := json.Unmarshal([]byte(line[len("host "):]), &blockHost); err != nil {
+				return nil, nil, fmt.Errorf("workload %s: host line: %w", open, err)
+			}
+		case open != "" && strings.HasPrefix(line, "{"):
+			var res struct {
+				Correct bool `json:"correct"`
+				Failed  int  `json:"failed"`
+				Metrics map[string]struct {
+					Value float64 `json:"value"`
+				} `json:"metrics"`
+			}
+			if err := json.Unmarshal([]byte(line), &res); err != nil {
+				return nil, nil, fmt.Errorf("workload %s: result line: %w", open, err)
+			}
+			if !res.Correct {
+				return nil, nil, fmt.Errorf("workload %s: the benchmark reported correct=false (%d failed checks); its timings are not recorded", open, res.Failed)
+			}
+			if blockHost == nil {
+				return nil, nil, fmt.Errorf("workload %s: no host line", open)
+			}
+			if host == nil {
+				host = blockHost
+			} else if hostKey(host) != hostKey(blockHost) {
+				return nil, nil, fmt.Errorf("workload %s: ran on %s, earlier blocks on %s", open, hostKey(blockHost), hostKey(host))
+			}
+			run := ObsRun{Workload: open, Metrics: map[string]float64{}}
+			for name, m := range res.Metrics {
+				run.Metrics[name] = m.Value
+			}
+			runs = append(runs, run)
+			open = ""
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	if open != "" {
+		return nil, nil, fmt.Errorf("workload %s: no result JSON line (truncated input?)", open)
+	}
+	if len(runs) == 0 {
+		return nil, nil, fmt.Errorf("no `== <workload>` block on standard input: pipe the output of bench/run.sh in")
+	}
+	return host, runs, nil
+}
+
+// runObservatory ingests one benchmark transcript: compare every
+// end-to-end metric against the same-host history, persist history +
+// report + HTML, and fail on regression (the first run on a host has no
+// baseline and only records).
+func runObservatory(in io.Reader, w io.Writer, outDir, historyPath string) error {
+	defs, err := loadEndToEnd()
 	if err != nil {
 		return err
 	}
-
+	host, runs, err := parseTranscript(in)
+	if err != nil {
+		return err
+	}
 	hist, err := loadHistory(historyPath)
 	if err != nil {
 		return err
 	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	key := hostKey(host)
+	fmt.Fprintf(w, "Perf observatory: %d workload(s) on %s\n", len(runs), key)
+
 	report := ObservatoryReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Host:        host,
 		Runs:        runs,
 	}
+	entry := HistoryEntry{Time: report.GeneratedAt, Host: host, Workloads: map[string]map[string]float64{}}
 	for _, r := range runs {
-		b := baselineOf(hist, host, r.Name, r.Gptss)
-		report.Baselines = append(report.Baselines, b)
-		if b.Regressed {
-			report.Regressions++
+		entry.Workloads[r.Workload] = r.Metrics
+		for _, d := range defs {
+			v, ok := r.Metrics[d.Name]
+			if !ok {
+				continue
+			}
+			b := baselineOf(hist, key, r.Workload, d, v)
+			report.Baselines = append(report.Baselines, b)
+			if b.Regressed {
+				report.Regressions++
+			}
 		}
-	}
-
-	entry := HistoryEntry{Time: report.GeneratedAt, Host: host, Gptss: map[string]float64{}}
-	for _, r := range runs {
-		entry.Gptss[r.Name] = r.Gptss
 	}
 	hist.Entries = append(hist.Entries, entry)
 	if len(hist.Entries) > historyCap {
 		hist.Entries = hist.Entries[len(hist.Entries)-historyCap:]
 	}
 	report.HistoryEntries = len(hist.Entries)
+
+	reportPath := filepath.Join(outDir, "BENCH_observatory.json")
+	htmlPath := filepath.Join(outDir, "observatory.html")
 	if err := writeJSON(historyPath, &hist); err != nil {
 		return err
 	}
-	if err := writeJSON(filepath.Join(outDir, "BENCH_observatory.json"), &report); err != nil {
+	if err := writeJSON(reportPath, &report); err != nil {
 		return err
 	}
-	htmlPath := filepath.Join(outDir, "observatory.html")
-	if err := os.WriteFile(htmlPath, []byte(observatoryHTML(&report, &hist)), 0o644); err != nil {
+	if err := os.WriteFile(htmlPath, []byte(observatoryHTML(&report)), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s, %s, %s\n", filepath.Join(outDir, "BENCH_observatory.json"), historyPath, htmlPath)
+	fmt.Fprintf(w, "  wrote %s, %s, %s\n", reportPath, historyPath, htmlPath)
 
 	baselined := 0
 	for _, b := range report.Baselines {
-		if b.Samples > 0 {
-			baselined++
-			state := "ok"
-			if b.Regressed {
-				state = "REGRESSED"
-			}
-			fmt.Printf("  %-28s %8.4f GPts/s  baseline %8.4f (x%.2f, %d samples)  %s\n",
-				b.Run, b.Gptss, b.Baseline, b.Ratio, b.Samples, state)
+		if b.Samples == 0 {
+			continue
 		}
+		baselined++
+		state := "ok"
+		if b.Regressed {
+			state = "REGRESSED"
+		}
+		fmt.Fprintf(w, "  %-16s %-18s %12.6g  baseline %12.6g (x%.2f, %d samples)  %s\n",
+			b.Workload, b.Metric, b.Value, b.Baseline, b.Ratio, b.Samples, state)
 	}
-	if baselined == 0 {
-		fmt.Println("  no same-host baseline yet (first observatory run on this fingerprint): recording only")
+	switch {
+	case len(report.Baselines) == 0:
+		fmt.Fprintln(w, "  no end-to-end metric on the result lines (a --trace 1 run): recording only")
+	case baselined == 0:
+		fmt.Fprintln(w, "  no same-host baseline yet (first run on this host): recording only")
 	}
 	if report.Regressions > 0 {
-		msg := fmt.Errorf("%d run(s) regressed >%d%% below the same-host baseline median",
-			report.Regressions, int((1-regressThreshold)*100))
-		if regressWarn {
-			fmt.Println("  WARNING:", msg)
-			return nil
-		}
-		return msg
+		return fmt.Errorf("%d end-to-end metric(s) worse than the same-host baseline median by more than their BENCHMARK.json bound", report.Regressions)
 	}
 	return nil
 }
 
-// runObservatoryDiff is the observatory's -diff mode: instead of
-// sweeping, it loads the stored history and prints the per-run
-// throughput delta between two entries. spec is "a,b" where each side
-// resolves an entry by exact timestamp or by integer index (0 = oldest;
-// negative counts back from the newest, so "-2,-1" compares the last two
-// runs). Cross-host comparisons are allowed but flagged, since absolute
-// throughput only means something on one fingerprint.
-func runObservatoryDiff(outDir, historyPath, spec string) error {
-	if historyPath == "" {
-		historyPath = filepath.Join(outDir, "BENCH_history.json")
+// baselineOf holds one metric value against the median of its last
+// baselineWindow history entries from the host with the given key.
+func baselineOf(hist History, key, workload string, d endToEndMetric, v float64) ObsBaseline {
+	b := ObsBaseline{Workload: workload, Metric: d.Name, Value: v}
+	var vals []float64
+	for i := len(hist.Entries) - 1; i >= 0 && len(vals) < baselineWindow; i-- {
+		e := hist.Entries[i]
+		if hostKey(e.Host) != key {
+			continue
+		}
+		if old, ok := e.Workloads[workload][d.Name]; ok && old > 0 {
+			vals = append(vals, old)
+		}
 	}
+	b.Samples = len(vals)
+	if len(vals) == 0 {
+		return b
+	}
+	sort.Float64s(vals)
+	mid := len(vals) / 2
+	b.Baseline = vals[mid]
+	if len(vals)%2 == 0 {
+		b.Baseline = (vals[mid-1] + vals[mid]) / 2
+	}
+	b.Ratio = v / b.Baseline
+	b.Regressed = d.worse(v, b.Baseline)
+	return b
+}
+
+// runObservatoryDiff is the observatory's -diff mode: it loads the stored
+// history and prints the per-metric delta between two entries. spec is
+// "a,b" where each side resolves an entry by exact timestamp or by integer
+// index (0 = oldest; negative counts back from the newest, so "-2,-1"
+// compares the last two runs). Cross-host comparisons are allowed but
+// flagged, since absolute figures only mean something on one host.
+func runObservatoryDiff(w io.Writer, historyPath, spec string) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
 		return fmt.Errorf("-diff wants two comma-separated entries, got %q", spec)
+	}
+	defs, err := loadEndToEnd()
+	if err != nil {
+		return err
 	}
 	hist, err := loadHistory(historyPath)
 	if err != nil {
@@ -252,45 +345,52 @@ func runObservatoryDiff(outDir, historyPath, spec string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Observatory diff: %s -> %s\n", a.Time, b.Time)
-	if a.Host.Key() != b.Host.Key() {
-		fmt.Printf("  WARNING: entries ran on different hosts (%s vs %s); ratios are not comparable\n",
-			a.Host.Key(), b.Host.Key())
+	fmt.Fprintf(w, "Observatory diff: %s -> %s\n", a.Time, b.Time)
+	if hostKey(a.Host) != hostKey(b.Host) {
+		fmt.Fprintf(w, "  WARNING: entries ran on different hosts (%s vs %s); ratios are not comparable\n",
+			hostKey(a.Host), hostKey(b.Host))
 	}
-	names := make([]string, 0, len(a.Gptss)+len(b.Gptss))
-	seen := map[string]bool{}
-	for name := range a.Gptss {
-		names = append(names, name)
-		seen[name] = true
-	}
-	for name := range b.Gptss {
-		if !seen[name] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	fmt.Printf("%-28s %12s %12s %8s\n", "run", "a GPts/s", "b GPts/s", "b/a")
-	for _, name := range names {
-		ga, oka := a.Gptss[name]
-		gb, okb := b.Gptss[name]
-		switch {
-		case !oka:
-			fmt.Printf("%-28s %12s %12.4f %8s\n", name, "-", gb, "new")
-		case !okb:
-			fmt.Printf("%-28s %12.4f %12s %8s\n", name, ga, "-", "gone")
-		default:
-			tag := ""
-			if ga > 0 {
-				ratio := gb / ga
-				tag = fmt.Sprintf("%.2fx", ratio)
-				if ratio < regressThreshold {
-					tag += " REGRESSED"
+	fmt.Fprintf(w, "%-16s %-34s %14s %14s %s\n", "workload", "metric", "a", "b", "b/a")
+	for _, wl := range unionKeys(a.Workloads, b.Workloads) {
+		for _, name := range unionKeys(a.Workloads[wl], b.Workloads[wl]) {
+			va, oka := a.Workloads[wl][name]
+			vb, okb := b.Workloads[wl][name]
+			switch {
+			case !oka:
+				fmt.Fprintf(w, "%-16s %-34s %14s %14.6g new\n", wl, name, "-", vb)
+			case !okb:
+				fmt.Fprintf(w, "%-16s %-34s %14.6g %14s gone\n", wl, name, va, "-")
+			default:
+				tag := ""
+				if va > 0 {
+					tag = fmt.Sprintf("%.2fx", vb/va)
 				}
+				for _, d := range defs {
+					if d.Name == name && d.worse(vb, va) {
+						tag += " REGRESSED"
+					}
+				}
+				fmt.Fprintf(w, "%-16s %-34s %14.6g %14.6g %s\n", wl, name, va, vb, tag)
 			}
-			fmt.Printf("%-28s %12.4f %12.4f %8s\n", name, ga, gb, tag)
 		}
 	}
 	return nil
+}
+
+// unionKeys is the sorted union of two maps' keys.
+func unionKeys[V any](a, b map[string]V) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, m := range []map[string]V{a, b} {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // resolveHistoryEntry finds one history entry by exact timestamp match,
@@ -312,194 +412,6 @@ func resolveHistoryEntry(hist History, key string) (HistoryEntry, error) {
 		return HistoryEntry{}, fmt.Errorf("history index %q out of range (0..%d)", key, len(hist.Entries)-1)
 	}
 	return hist.Entries[idx], nil
-}
-
-// observatorySweep measures every sweep point. Serial points carry the
-// roofline placement; 4-rank periodic points carry the measured-vs-model
-// traffic; tuned points carry the decision log and regret.
-func observatorySweep() ([]ObsRun, error) {
-	var runs []ObsRun
-	for _, model := range []string{"acoustic", "elastic"} {
-		r, err := observatorySerial(model, 128, 12, false)
-		if err != nil {
-			return nil, fmt.Errorf("%s serial: %w", model, err)
-		}
-		runs = append(runs, r)
-		// The tuned run needs headroom past the search budget (warmup +
-		// trials) so steady-state steps remain for the throughput figure.
-		t, err := observatorySerial(model, 128, 32, true)
-		if err != nil {
-			return nil, fmt.Errorf("%s tuned: %w", model, err)
-		}
-		runs = append(runs, t)
-		for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
-			for _, k := range []int{1, 4} {
-				r, err := observatoryDMP(model, mode, 64, 8, k)
-				if err != nil {
-					return nil, fmt.Errorf("%s r4 %s k=%d: %w", model, mode, k, err)
-				}
-				runs = append(runs, r)
-			}
-		}
-	}
-	return runs, nil
-}
-
-// observatorySerial measures one serial run; tuned runs use the search
-// autotune policy and keep the decision log.
-func observatorySerial(model string, size, nt int, tuned bool) (ObsRun, error) {
-	obs.EnableMetrics()
-	obs.Reset()
-	m, err := propagators.Build(model, propagators.Config{
-		Shape: []int{size, size}, SpaceOrder: 4, NBL: 8, Velocity: 1.5,
-	})
-	if err != nil {
-		return ObsRun{}, err
-	}
-	rc := propagators.RunConfig{NT: nt}
-	name := model + " serial"
-	if tuned {
-		rc.Autotune = core.AutotuneSearch
-		name = model + " tuned"
-	}
-	res, err := propagators.Run(m, nil, rc)
-	if err != nil {
-		return ObsRun{}, err
-	}
-	kc, err := perfreport.Characterize(model, 4)
-	if err != nil {
-		return ObsRun{}, err
-	}
-	snap := obs.Snapshot()
-	out := ObsRun{
-		Name: name, Scenario: model, Ranks: 1, Size: size, NT: nt,
-		Gptss:         res.Perf.GPtss(),
-		Seconds:       res.Perf.ComputeSeconds + res.Perf.HaloSeconds,
-		AI:            kc.OperationalIntensity(),
-		FlopsPerPoint: res.Perf.FlopsPerPoint,
-		Tuned:         tuned,
-	}
-	out.GFlops = out.Gptss * float64(out.FlopsPerPoint)
-	if tuned {
-		out.Regret = snap.Regret
-		out.Decisions = snap.Decisions
-	}
-	if out.Gptss <= 0 {
-		return out, fmt.Errorf("degenerate throughput")
-	}
-	return out, nil
-}
-
-// observatoryDMP measures one 4-rank run on a fully periodic topology
-// (every rank interior, so the closed-form traffic model applies exactly)
-// and records both the measured obs counters and the model prediction.
-func observatoryDMP(model string, mode halo.Mode, size, nt, k int) (ObsRun, error) {
-	obs.EnableMetrics()
-	obs.Reset()
-	const ranks = 4
-	shape := []int{size, size}
-	var stats core.CommStats
-	var gptss, seconds float64
-	errs := make([]error, ranks)
-	w := mpi.NewWorld(ranks)
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			errs[c.Rank()] = err
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, []bool{true, true})
-		if err != nil {
-			errs[c.Rank()] = err
-			return
-		}
-		cfg := propagators.Config{Shape: shape, SpaceOrder: 4, NBL: 2,
-			Velocity: 1.5, Decomp: dec, Rank: c.Rank()}
-		m, err := propagators.Build(model, cfg)
-		if err != nil {
-			errs[c.Rank()] = err
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		res, err := propagators.Run(m, ctx, propagators.RunConfig{NT: nt, TimeTile: k, Workers: 1})
-		if err != nil {
-			errs[c.Rank()] = err
-			return
-		}
-		sec := res.Perf.ComputeSeconds + res.Perf.HaloSeconds
-		sec = c.AllreduceScalar(sec, mpi.OpMax)
-		pts := c.AllreduceScalar(float64(res.Perf.PointsUpdated), mpi.OpSum)
-		if c.Rank() == 0 {
-			stats = res.Op.CommStats()
-			seconds = sec
-			if sec > 0 {
-				gptss = pts / sec / 1e9
-			}
-		}
-	})
-	if err != nil {
-		return ObsRun{}, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return ObsRun{}, e
-		}
-	}
-	kc, err := perfreport.Characterize(model, 4)
-	if err != nil {
-		return ObsRun{}, err
-	}
-	total := obs.Snapshot().Total
-	perStep := float64(nt) * ranks
-	out := ObsRun{
-		Name:     fmt.Sprintf("%s r%d %s k%d", model, ranks, mode, k),
-		Scenario: model, Ranks: ranks, Mode: mode.String(), K: k,
-		Size: size, NT: nt,
-		Gptss: gptss, Seconds: seconds,
-		AI:                   kc.OperationalIntensity(),
-		MeasuredMsgsPerStep:  float64(total.StepMsgs) / perStep,
-		MeasuredBytesPerStep: float64(total.StepBytes) / perStep,
-		ModelMsgsPerStep:     stats.MsgsPerStep,
-		ModelBytesPerStep:    stats.BytesPerStep,
-		RecvWaitSec:          float64(total.RecvWaitNs) / 1e9,
-	}
-	if gptss <= 0 {
-		return out, fmt.Errorf("degenerate throughput")
-	}
-	return out, nil
-}
-
-// baselineOf computes one run's same-host baseline: the median Gptss of
-// its last baselineWindow same-fingerprint history entries.
-func baselineOf(hist History, host ObsHost, run string, gptss float64) ObsBaseline {
-	b := ObsBaseline{Run: run, Gptss: gptss}
-	var vals []float64
-	for i := len(hist.Entries) - 1; i >= 0 && len(vals) < baselineWindow; i-- {
-		e := hist.Entries[i]
-		if e.Host.Key() != host.Key() {
-			continue
-		}
-		if v, ok := e.Gptss[run]; ok && v > 0 {
-			vals = append(vals, v)
-		}
-	}
-	b.Samples = len(vals)
-	if len(vals) == 0 {
-		return b
-	}
-	sort.Float64s(vals)
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		b.Baseline = vals[mid]
-	} else {
-		b.Baseline = (vals[mid-1] + vals[mid]) / 2
-	}
-	if b.Baseline > 0 {
-		b.Ratio = gptss / b.Baseline
-		b.Regressed = b.Ratio < regressThreshold
-	}
-	return b
 }
 
 func loadHistory(path string) (History, error) {

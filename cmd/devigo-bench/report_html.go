@@ -19,18 +19,20 @@ import (
 // charts, and a table view under every chart so no value is gated on
 // color or hover.
 
-// observatoryHTML renders the full report.
-func observatoryHTML(r *ObservatoryReport, hist *History) string {
+// observatoryHTML renders the full report. The baselines table is always
+// there; the roofline, halo-traffic and model-error panels read per-layer
+// metrics and so appear only when the ingested run was a `--trace 1` one.
+func observatoryHTML(r *ObservatoryReport) string {
 	var b strings.Builder
 	b.WriteString(htmlHead)
 	fmt.Fprintf(&b, `<header><h1>devigo perf observatory</h1>
 <p class="sub">generated %s · host %s · history depth %d</p></header>
-`, html.EscapeString(r.GeneratedAt), html.EscapeString(r.Host.Key()), r.HistoryEntries)
+`, html.EscapeString(r.GeneratedAt), html.EscapeString(hostKey(r.Host)), r.HistoryEntries)
 
 	writeKPIRow(&b, r)
 	writeRoofline(&b, r)
 	writeCommChart(&b, r)
-	writeAutotune(&b, r)
+	writeModelError(&b, r)
 	writeBaselines(&b, r)
 
 	b.WriteString("</main></body></html>\n")
@@ -93,33 +95,22 @@ details > summary { cursor: pointer; color: var(--ink-2); font-size: 12.5px; mar
 
 // writeKPIRow emits the headline stat tiles.
 func writeKPIRow(b *strings.Builder, r *ObservatoryReport) {
-	best := ObsRun{}
-	regret, tuned := 0.0, false
-	for _, run := range r.Runs {
-		if run.Gptss > best.Gptss {
-			best = run
-		}
-		if run.Tuned {
-			tuned = true
-			if run.Regret > regret {
-				regret = run.Regret
-			}
+	baselined := 0
+	for _, bl := range r.Baselines {
+		if bl.Samples > 0 {
+			baselined++
 		}
 	}
 	fmt.Fprintf(b, `<div class="kpis">
-<div class="kpi"><div class="label">Sweep runs</div><div class="value">%d</div><div class="note">scenario × ranks × mode × k</div></div>
-<div class="kpi"><div class="label">Best throughput</div><div class="value">%.3f</div><div class="note">GPts/s · %s</div></div>
-`, len(r.Runs), best.Gptss, html.EscapeString(best.Name))
+<div class="kpi"><div class="label">Workloads</div><div class="value">%d</div><div class="note">blocks of the bench/run.sh transcript</div></div>
+<div class="kpi"><div class="label">Baselined metrics</div><div class="value">%d</div><div class="note">end-to-end, vs same-host median</div></div>
+`, len(r.Runs), baselined)
 	if r.Regressions > 0 {
-		fmt.Fprintf(b, `<div class="kpi"><div class="label">Regressions</div><div class="value bad">▲ %d</div><div class="note">&gt;15%% below same-host baseline</div></div>
+		fmt.Fprintf(b, `<div class="kpi"><div class="label">Regressions</div><div class="value bad">▲ %d</div><div class="note">worse than baseline by more than the bound</div></div>
 `, r.Regressions)
 	} else {
 		fmt.Fprintf(b, `<div class="kpi"><div class="label">Regressions</div><div class="value good">✓ 0</div><div class="note">vs same-host baseline median</div></div>
 `)
-	}
-	if tuned {
-		fmt.Fprintf(b, `<div class="kpi"><div class="label">Autotune regret</div><div class="value">%.1f%%</div><div class="note">worst chosen-vs-best trial gap</div></div>
-`, regret*100)
 	}
 	b.WriteString("</div>\n")
 }
@@ -155,24 +146,40 @@ func trimNum(v float64) string {
 	return strings.TrimRight(s, ".")
 }
 
-// writeRoofline emits the roofline scatter: serial runs placed by
-// operational intensity against achieved GFLOP/s, with the autotuner
-// host model's DRAM-bandwidth bound as a muted reference diagonal.
-// Single series, so the points are direct-labeled and need no legend.
+// rooflinePoint places one workload's native kernel on the roofline from
+// its per-layer metrics: operational intensity (flops over bytes moved per
+// computed point) against achieved flop rate (flops per kernel
+// nanosecond).
+type rooflinePoint struct {
+	Name                string
+	AI, GFlops, NsPerPt float64
+}
+
+// writeRoofline emits the roofline scatter: every workload whose run
+// carried the native kernel metrics, with the DRAM-bandwidth bound (the
+// run's own measured triad when it has one, else the autotuner host
+// model's) as a muted reference diagonal. Single series, so the points are
+// direct-labeled and need no legend.
 func writeRoofline(b *strings.Builder, r *ObservatoryReport) {
-	var pts []ObsRun
+	var pts []rooflinePoint
 	maxX, maxY := 0.0, 0.0
+	bw, bwName := perfmodel.DefaultHost().MemBandwidth/1e9, "host-model" // GB/s
 	for _, run := range r.Runs {
-		if run.Ranks == 1 && run.GFlops > 0 {
-			pts = append(pts, run)
-			maxX = math.Max(maxX, run.AI)
-			maxY = math.Max(maxY, run.GFlops)
+		m := run.Metrics
+		if t := m["host.triad_gbps"]; t > 0 {
+			bw, bwName = t, "measured triad"
+		}
+		flops, bytes, ns := m["native.flops_per_point"], m["native.bytes_per_point_computed"], m["native.kernel_ns_per_point"]
+		if flops > 0 && bytes > 0 && ns > 0 {
+			p := rooflinePoint{Name: run.Workload, AI: flops / bytes, GFlops: flops / ns, NsPerPt: ns}
+			pts = append(pts, p)
+			maxX = math.Max(maxX, p.AI)
+			maxY = math.Max(maxY, p.GFlops)
 		}
 	}
 	if len(pts) == 0 {
 		return
 	}
-	bw := perfmodel.DefaultHost().MemBandwidth / 1e9 // GB/s
 	maxY = math.Max(maxY, math.Min(maxX*bw, maxY*2))
 	const W, H = 640, 300
 	const L, R, T, B = 54, 16, 14, 40
@@ -182,9 +189,9 @@ func writeRoofline(b *strings.Builder, r *ObservatoryReport) {
 	X := func(v float64) float64 { return L + v/xmax*pw }
 	Y := func(v float64) float64 { return T + ph - v/ymax*ph }
 
-	b.WriteString(`<section class="card"><h2>Roofline — measured serial kernels</h2>
-<p class="sub">achieved GFLOP/s against operational intensity; diagonal = autotuner host-model DRAM bound</p>
-`)
+	fmt.Fprintf(b, `<section class="card"><h2>Roofline — measured native kernels</h2>
+<p class="sub">achieved GFLOP/s against operational intensity; diagonal = %s DRAM bound</p>
+`, bwName)
 	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" role="img" aria-label="Roofline scatter of measured serial kernel performance">`, W, H)
 	for _, v := range yticks {
 		fmt.Fprintf(b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`, L, Y(v), W-R, Y(v))
@@ -201,8 +208,8 @@ func writeRoofline(b *strings.Builder, r *ObservatoryReport) {
 	fmt.Fprintf(b, `<text x="%.1f" y="%.1f" text-anchor="end">DRAM bound %.0f GB/s</text>`,
 		X(xEnd)-4, Y(xEnd*bw)+14, bw)
 	for _, p := range pts {
-		fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="6" fill="var(--series-1)" stroke="var(--surface-1)" stroke-width="2"><title>%s: AI %.2f F/B, %.2f GFLOP/s (%.3f GPts/s)</title></circle>`,
-			X(p.AI), Y(p.GFlops), html.EscapeString(p.Name), p.AI, p.GFlops, p.Gptss)
+		fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="6" fill="var(--series-1)" stroke="var(--surface-1)" stroke-width="2"><title>%s: AI %.2f F/B, %.2f GFLOP/s (%.2f ns/point)</title></circle>`,
+			X(p.AI), Y(p.GFlops), html.EscapeString(p.Name), p.AI, p.GFlops, p.NsPerPt)
 		fmt.Fprintf(b, `<text class="val" x="%.1f" y="%.1f">%s</text>`,
 			X(p.AI)+9, Y(p.GFlops)+4, html.EscapeString(p.Name))
 	}
@@ -211,50 +218,51 @@ func writeRoofline(b *strings.Builder, r *ObservatoryReport) {
 	b.WriteString("</svg>\n")
 
 	b.WriteString(`<details><summary>Table view</summary><table>
-<tr><th>run</th><th class="num">AI (F/B)</th><th class="num">GFLOP/s</th><th class="num">GPts/s</th><th class="num">flops/point</th></tr>`)
+<tr><th>workload</th><th class="num">AI (F/B)</th><th class="num">GFLOP/s</th><th class="num">kernel ns/point</th></tr>`)
 	for _, p := range pts {
-		fmt.Fprintf(b, `<tr><td>%s</td><td class="num">%.2f</td><td class="num">%.2f</td><td class="num">%.4f</td><td class="num">%d</td></tr>`,
-			html.EscapeString(p.Name), p.AI, p.GFlops, p.Gptss, p.FlopsPerPoint)
+		fmt.Fprintf(b, `<tr><td>%s</td><td class="num">%.2f</td><td class="num">%.2f</td><td class="num">%.3f</td></tr>`,
+			html.EscapeString(p.Name), p.AI, p.GFlops, p.NsPerPt)
 	}
 	b.WriteString("</table></details></section>\n")
 }
 
 // writeCommChart emits the measured-vs-model communication chart:
 // grouped bars (two series, legend present) of per-rank per-step halo
-// bytes for every 4-rank sweep point. On the periodic sweep topology the
-// pairs must coincide — visible daylight between a group's bars is a
-// model bug.
+// messages for every workload that exchanged any. CommStats counts real
+// neighbours, so the pairs must coincide — visible daylight between a
+// group's bars is a model bug.
 func writeCommChart(b *strings.Builder, r *ObservatoryReport) {
 	var runs []ObsRun
 	maxV := 0.0
 	for _, run := range r.Runs {
-		if run.Ranks > 1 {
+		meas, model := run.Metrics["halo.msgs_per_step"], run.Metrics["halo.model_msgs_per_step"]
+		if meas > 0 || model > 0 {
 			runs = append(runs, run)
-			maxV = math.Max(maxV, math.Max(run.MeasuredBytesPerStep, run.ModelBytesPerStep))
+			maxV = math.Max(maxV, math.Max(meas, model))
 		}
 	}
 	if len(runs) == 0 {
 		return
 	}
-	const barW, gap, groupGap = 12, 2, 16
+	const barW, gap, groupGap = 28, 2, 64
 	groupW := 2*barW + gap
-	const L, R, T, B = 54, 16, 14, 46
+	const L, R, T, B = 54, 16, 14, 32
 	W := L + R + len(runs)*(groupW+groupGap)
-	const H = 300
+	const H = 260
 	ph := float64(H - T - B)
-	yticks := niceTicks(maxV/1024*1.1, 5) // KB axis
-	ymax := yticks[len(yticks)-1] * 1024
+	yticks := niceTicks(maxV*1.1, 5)
+	ymax := yticks[len(yticks)-1]
 	Y := func(v float64) float64 { return T + ph - v/ymax*ph }
 
 	b.WriteString(`<section class="card"><h2>Halo traffic — measured vs model</h2>
-<p class="sub">per-rank per-step exchanged bytes, 4-rank periodic sweep; the obs counters must match the closed-form prediction</p>
+<p class="sub">per-rank per-step halo messages; the obs counters must match the closed-form prediction</p>
 <div class="legend"><span><span class="key" style="background:var(--series-1)"></span>measured (obs counters)</span>
 <span><span class="key" style="background:var(--series-2)"></span>model (CommStats)</span></div>
 `)
-	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" role="img" aria-label="Measured versus modelled halo bytes per step">`, W, H)
+	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" role="img" aria-label="Measured versus modelled halo messages per step">`, W, H)
 	for _, v := range yticks {
-		fmt.Fprintf(b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`, L, Y(v*1024), W-R, Y(v*1024))
-		fmt.Fprintf(b, `<text x="%d" y="%.1f" text-anchor="end">%s</text>`, L-6, Y(v*1024)+4, trimNum(v))
+		fmt.Fprintf(b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`, L, Y(v), W-R, Y(v))
+		fmt.Fprintf(b, `<text x="%d" y="%.1f" text-anchor="end">%s</text>`, L-6, Y(v)+4, trimNum(v))
 	}
 	bar := func(x, v float64, color, tip string) {
 		y := Y(v)
@@ -269,75 +277,64 @@ func writeCommChart(b *strings.Builder, r *ObservatoryReport) {
 	}
 	for i, run := range runs {
 		x := float64(L + i*(groupW+groupGap) + groupGap/2)
-		bar(x, run.MeasuredBytesPerStep, "var(--series-1)",
-			fmt.Sprintf("%s measured: %.0f B/step", html.EscapeString(run.Name), run.MeasuredBytesPerStep))
-		bar(x+barW+gap, run.ModelBytesPerStep, "var(--series-2)",
-			fmt.Sprintf("%s model: %.0f B/step", html.EscapeString(run.Name), run.ModelBytesPerStep))
-		lab := fmt.Sprintf("%s k%d", run.Mode, run.K)
-		fmt.Fprintf(b, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`, x+float64(groupW)/2, H-B+14, html.EscapeString(lab))
-		fmt.Fprintf(b, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`, x+float64(groupW)/2, H-B+27, html.EscapeString(run.Scenario))
+		name := html.EscapeString(run.Workload)
+		meas, model := run.Metrics["halo.msgs_per_step"], run.Metrics["halo.model_msgs_per_step"]
+		bar(x, meas, "var(--series-1)", fmt.Sprintf("%s measured: %.2f msgs/step", name, meas))
+		bar(x+barW+gap, model, "var(--series-2)", fmt.Sprintf("%s model: %.2f msgs/step", name, model))
+		fmt.Fprintf(b, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`, x+float64(groupW)/2, H-B+14, name)
 	}
 	fmt.Fprintf(b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="var(--axis)" stroke-width="1"/>`, L, Y(0), W-R, Y(0))
-	fmt.Fprintf(b, `<text transform="translate(12,%.1f) rotate(-90)" text-anchor="middle">KB per rank per step</text>`, T+ph/2)
+	fmt.Fprintf(b, `<text transform="translate(12,%.1f) rotate(-90)" text-anchor="middle">messages per rank per step</text>`, T+ph/2)
 	b.WriteString("</svg>\n")
 
 	b.WriteString(`<details><summary>Table view</summary><table>
-<tr><th>run</th><th class="num">measured B/step</th><th class="num">model B/step</th><th class="num">measured msgs/step</th><th class="num">model msgs/step</th><th class="num">recv wait (s)</th></tr>`)
+<tr><th>workload</th><th class="num">measured msgs/step</th><th class="num">model msgs/step</th><th class="num">bytes/step</th><th class="num">wait ns/step</th></tr>`)
 	for _, run := range runs {
-		fmt.Fprintf(b, `<tr><td>%s</td><td class="num">%.0f</td><td class="num">%.0f</td><td class="num">%.2f</td><td class="num">%.2f</td><td class="num">%.4f</td></tr>`,
-			html.EscapeString(run.Name), run.MeasuredBytesPerStep, run.ModelBytesPerStep,
-			run.MeasuredMsgsPerStep, run.ModelMsgsPerStep, run.RecvWaitSec)
+		m := run.Metrics
+		fmt.Fprintf(b, `<tr><td>%s</td><td class="num">%.2f</td><td class="num">%.2f</td><td class="num">%.0f</td><td class="num">%.0f</td></tr>`,
+			html.EscapeString(run.Workload), m["halo.msgs_per_step"], m["halo.model_msgs_per_step"],
+			m["halo.bytes_per_step"], m["halo.wait_ns_per_step"])
 	}
 	b.WriteString("</table></details></section>\n")
 }
 
-// writeAutotune emits the tuner section: per-tuned-run regret and the
-// full decision log (a table — the values are the story, not a shape).
-func writeAutotune(b *strings.Builder, r *ObservatoryReport) {
-	var tuned []ObsRun
+// writeModelError emits the cost model's per-workload prediction error (a
+// table — the values are the story, not a shape).
+func writeModelError(b *strings.Builder, r *ObservatoryReport) {
+	rows := 0
 	for _, run := range r.Runs {
-		if run.Tuned {
-			tuned = append(tuned, run)
+		e, ok := run.Metrics["perfmodel.predict_err"]
+		if !ok {
+			continue
 		}
-	}
-	if len(tuned) == 0 {
-		return
-	}
-	b.WriteString(`<section class="card"><h2>Autotuner decisions</h2>
-<p class="sub">search-policy trial log per tuned run; regret is the chosen configuration's gap over the best measured trial</p>
-<table><tr><th>run</th><th>policy</th><th>configuration</th><th class="num">predicted ms/step</th><th class="num">measured ms/step</th><th>chosen</th></tr>`)
-	for _, run := range tuned {
-		for _, d := range run.Decisions {
-			chosen := ""
-			if d.Chosen {
-				chosen = "✓"
-			}
-			measured := "—"
-			if d.MeasuredSec > 0 {
-				measured = fmt.Sprintf("%.3f", d.MeasuredSec*1e3)
-			}
-			fmt.Fprintf(b, `<tr><td>%s</td><td>%s</td><td>%s</td><td class="num">%.3f</td><td class="num">%s</td><td>%s</td></tr>`,
-				html.EscapeString(run.Name), html.EscapeString(d.Policy),
-				html.EscapeString(d.Config), d.PredictedSec*1e3, measured, chosen)
+		if rows == 0 {
+			b.WriteString(`<section class="card"><h2>Cost-model error</h2>
+<p class="sub">perfmodel.predict_err: relative gap between the autotuner model's predicted step time and the measured one</p>
+<table><tr><th>workload</th><th class="num">predict_err</th></tr>`)
 		}
-		fmt.Fprintf(b, `<tr><td colspan="4"></td><td class="num"><strong>regret %.1f%%</strong></td><td></td></tr>`,
-			run.Regret*100)
+		rows++
+		fmt.Fprintf(b, `<tr><td>%s</td><td class="num">%.3f</td></tr>`, html.EscapeString(run.Workload), e)
 	}
-	b.WriteString("</table></section>\n")
+	if rows > 0 {
+		b.WriteString("</table></section>\n")
+	}
 }
 
-// writeBaselines emits the regression table: current throughput against
-// the same-host baseline median. The table is the canonical view; status
-// is carried by icon + label, never color alone.
+// writeBaselines emits the regression table: every end-to-end metric
+// against the same-host baseline median. The table is the canonical view;
+// status is carried by icon + label, never color alone.
 func writeBaselines(b *strings.Builder, r *ObservatoryReport) {
+	if len(r.Baselines) == 0 {
+		return
+	}
 	b.WriteString(`<section class="card"><h2>Same-host baselines</h2>
-<p class="sub">current GPts/s vs the median of the last 5 same-fingerprint history entries; &gt;15% below fails CI</p>
-<table><tr><th>run</th><th class="num">GPts/s</th><th class="num">baseline</th><th class="num">ratio</th><th class="num">samples</th><th>status</th></tr>`)
+<p class="sub">end-to-end metrics vs the median of the last 5 same-host history entries; worse by more than the metric's BENCHMARK.json bound fails CI</p>
+<table><tr><th>workload</th><th>metric</th><th class="num">value</th><th class="num">baseline</th><th class="num">ratio</th><th class="num">samples</th><th>status</th></tr>`)
 	for _, bl := range r.Baselines {
 		base, ratio := "—", "—"
 		status := `<span class="sub">no baseline yet</span>`
 		if bl.Samples > 0 {
-			base = fmt.Sprintf("%.4f", bl.Baseline)
+			base = fmt.Sprintf("%.6g", bl.Baseline)
 			ratio = fmt.Sprintf("%.2f", bl.Ratio)
 			if bl.Regressed {
 				status = `<span class="bad">▲ regressed</span>`
@@ -345,8 +342,8 @@ func writeBaselines(b *strings.Builder, r *ObservatoryReport) {
 				status = `<span class="good">✓ ok</span>`
 			}
 		}
-		fmt.Fprintf(b, `<tr><td>%s</td><td class="num">%.4f</td><td class="num">%s</td><td class="num">%s</td><td class="num">%d</td><td>%s</td></tr>`,
-			html.EscapeString(bl.Run), bl.Gptss, base, ratio, bl.Samples, status)
+		fmt.Fprintf(b, `<tr><td>%s</td><td>%s</td><td class="num">%.6g</td><td class="num">%s</td><td class="num">%s</td><td class="num">%d</td><td>%s</td></tr>`,
+			html.EscapeString(bl.Workload), html.EscapeString(bl.Metric), bl.Value, base, ratio, bl.Samples, status)
 	}
 	b.WriteString("</table></section>\n")
 }

@@ -136,9 +136,14 @@ type Perf struct {
 	Engine string
 }
 
-// GPtss returns the achieved steady-state throughput in gigapoints per
+// GPtss returns this rank's steady-state sweep rate in gigapoints per
 // second (autotune warmup/trial steps are excluded — they live in the
-// Tune* counters). It is robust to partially populated counters: a NaN or
+// Tune* counters). It is rank-local and redundant-inclusive: PointsUpdated
+// counts every point of every swept box on this rank — owned points,
+// time-tile ghost shells and CIRE extensions alike — and the divisor is
+// this rank's own seconds, so it is neither a global figure nor a count of
+// useful work (that is global grid points x steps over the slowest rank's
+// seconds; devigo-run and bench/ report it). It is robust to partially populated counters: a NaN or
 // negative section time (a clock glitch, or a caller that only filled one
 // of the two sections) contributes zero rather than poisoning the result.
 func (p Perf) GPtss() float64 {

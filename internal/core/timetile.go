@@ -26,8 +26,7 @@ import (
 // tiling with zero code changes.
 const TimeTileEnvVar = "DEVIGO_TIME_TILE"
 
-// MaxTileCandidate caps the exchange interval the autotuner explores (and
-// the default devigo-bench sweep).
+// MaxTileCandidate caps the exchange interval the autotuner explores.
 const MaxTileCandidate = 8
 
 // resolveTimeTile picks the requested exchange interval: explicit

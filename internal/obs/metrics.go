@@ -86,8 +86,8 @@ type RankMetrics struct {
 	StealCount int64 `json:"steal_count"`
 }
 
-// Metrics is a full snapshot of the metrics registry — the "obs" block
-// embedded in every BENCH_*.json report.
+// Metrics is a full snapshot of the metrics registry — what
+// DEVIGO_METRICS writes and the "obs" block of BENCH_autotune.json.
 type Metrics struct {
 	// Ranks holds one entry per rank that recorded anything.
 	Ranks []RankMetrics `json:"ranks,omitempty"`

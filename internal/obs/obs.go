@@ -13,7 +13,7 @@
 //   - Counters: structured per-rank counts (messages, bytes, receive-wait
 //     nanoseconds, redundant shell points, warmup/trial/steady steps)
 //     plus the autotuner's decision log, snapshotted into the Metrics
-//     report embedded in every BENCH_*.json — see Snapshot.
+//     report DEVIGO_METRICS writes — see Snapshot.
 //
 // Everything is off by default. The DEVIGO_TRACE and DEVIGO_METRICS
 // environment variables (or EnableTracing/EnableMetrics) switch the

@@ -198,11 +198,11 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 			}
 		}
 	}
-	// Coarser intervals must not recompute more than nt steps total and
-	// finer ones not fewer than nt - k.
+	// Every interval here is > 1, so the reverse sweep must re-integrate
+	// some steps — but never more than nt in total.
 	for k, rec := range stats {
-		if rec > 8 {
-			t.Errorf("interval %d recomputed %d steps (> nt)", k, rec)
+		if rec <= 0 || rec > 8 {
+			t.Errorf("interval %d recomputed %d steps, want within (0, nt]", k, rec)
 		}
 	}
 }

@@ -182,8 +182,9 @@ func TestEngineDifferential_DMPAllModelsAllModes(t *testing.T) {
 }
 
 // TestEngineDifferential_BytecodeFaster is a coarse perf regression guard
-// (the precise numbers live in cmd/devigo-bench): on the acoustic kernel
-// the register VM must not be slower than the tree-walking interpreter.
+// (the measured figure is bench/'s bytecode.kernel_ns_per_point): on the
+// acoustic kernel the register VM must not be slower than the tree-walking
+// interpreter.
 func TestEngineDifferential_BytecodeFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf guard skipped in -short")
@@ -204,7 +205,8 @@ func TestEngineDifferential_BytecodeFaster(t *testing.T) {
 
 // TestEngineDifferential_NativeFaster guards the native engine's reason to
 // exist: fused bulk-row chains must beat the per-instruction register VM
-// on the acoustic kernel (the precise ≥3x gate lives in devigo-bench).
+// on the acoustic kernel (the measured ratio is bench/'s
+// bytecode. over native.kernel_ns_per_point).
 func TestEngineDifferential_NativeFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf guard skipped in -short")
@@ -229,6 +231,9 @@ func TestEngineDifferential_NativeFaster(t *testing.T) {
 // count is the segment partition's fingerprint (the autotuner's cost model
 // and the construct-cold benchmark golden read it), so a change to the
 // chain extraction that fuses more, less or differently shows up here.
+// The flop accounting must not move with it: the native engine reuses the
+// bytecode compiler, so a flops/point that differs from bytecode's means a
+// lost or double-counted instruction.
 func TestNativeInstrsPerPointPinned(t *testing.T) {
 	want := map[string][2]int{ // space order 8, 16
 		"acoustic":     {32, 48},
@@ -247,12 +252,24 @@ func TestNativeInstrsPerPointPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := 0
+			opB, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, nil,
+				&core.Options{Name: name, Engine: core.EngineBytecode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, flops, flopsB := 0, 0, 0
 			for _, k := range op.Kernels() {
 				got += k.InstrsPerPoint()
+				flops += k.FlopsPerPoint()
+			}
+			for _, k := range opB.Kernels() {
+				flopsB += k.FlopsPerPoint()
 			}
 			if got != want[name][i] {
 				t.Errorf("%s so-%d: native instrs/point = %d, want %d", name, so, got, want[name][i])
+			}
+			if flops <= 0 || flops != flopsB {
+				t.Errorf("%s so-%d: native flops/point = %d, bytecode %d: want equal and > 0", name, so, flops, flopsB)
 			}
 		}
 	}

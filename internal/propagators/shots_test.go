@@ -223,6 +223,10 @@ func TestRunShotsCacheAccounting(t *testing.T) {
 	if total.ShotWorkers != 2 {
 		t.Errorf("obs shot-workers gauge = %d, want 2", total.ShotWorkers)
 	}
+	if total.CkptSaves <= 0 || total.CkptRestores <= 0 {
+		t.Errorf("obs checkpoint counters = %d saves / %d restores, want both > 0 (every shot checkpoints its forward run)",
+			total.CkptSaves, total.CkptRestores)
+	}
 }
 
 // TestRunShotsResidualMisfit: a shot observing its own synthetics has zero

@@ -324,14 +324,16 @@ func TestTimeTile_AutotuneSelectsDeepInterval(t *testing.T) {
 	assertSameTraces(t, "autotune", refTraces, traces)
 }
 
-// Real MPI accounting: at k=4 the elastic model's halo messages must drop
-// by at least 2x versus k=1 (the ISSUE's strong-scaling lever). Receivers
-// are disabled so the counters see only halo traffic plus the one final
-// norm reduction.
+// Real MPI accounting: widening the exchange interval must amortize the
+// halo messages. The two-stream elastic schedule reaches ~1/k (<= 0.30 of
+// the k=1 count at k=4, <= 0.20 at k=8); acoustic pays a once-per-run
+// hoisted parameter exchange k=1 never does, so it only has to drop at
+// k=4, and every model must at least halve by k=8. Receivers are disabled
+// so the counters see only halo traffic plus the one final norm reduction.
 func TestTimeTile_MessageCountDrops(t *testing.T) {
-	shape := []int{32, 32}
-	const so, nt = 4, 32
-	count := func(k int) (int, float64) {
+	shape := []int{48, 48}
+	const so, nt = 4, 64
+	count := func(model string, k int) (int, float64) {
 		w := mpi.NewWorld(4)
 		var norm float64
 		err := w.Run(func(c *mpi.Comm) {
@@ -349,7 +351,7 @@ func TestTimeTile_MessageCountDrops(t *testing.T) {
 			cfg := serialCfg(shape, so)
 			cfg.Decomp = dec
 			cfg.Rank = c.Rank()
-			m, err := Build("elastic", cfg)
+			m, err := Build(model, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -373,13 +375,25 @@ func TestTimeTile_MessageCountDrops(t *testing.T) {
 		}
 		return msgs, norm
 	}
-	m1, n1 := count(1)
-	m4, n4 := count(4)
-	if n1 != n4 {
-		t.Fatalf("norms diverge while counting messages: %v vs %v", n1, n4)
+	for _, tc := range []struct {
+		model    string
+		maxRatio map[int]float64 // by k
+	}{
+		{"elastic", map[int]float64{4: 0.30, 8: 0.20}},
+		{"acoustic", map[int]float64{4: 0.99, 8: 0.5}},
+	} {
+		m1, n1 := count(tc.model, 1)
+		for _, k := range []int{4, 8} {
+			mk, nk := count(tc.model, k)
+			if n1 != nk {
+				t.Fatalf("%s k=%d: norms diverge while counting messages: %v vs %v", tc.model, k, n1, nk)
+			}
+			ratio := float64(mk) / float64(m1)
+			if ratio > tc.maxRatio[k] {
+				t.Errorf("%s k=%d sent %d messages vs %d at k=1: ratio %.3f, want <= %.2f",
+					tc.model, k, mk, m1, ratio, tc.maxRatio[k])
+			}
+			t.Logf("%s messages: k=1 %d, k=%d %d (ratio %.3f)", tc.model, m1, k, mk, ratio)
+		}
 	}
-	if float64(m4) > float64(m1)/2 {
-		t.Errorf("k=4 sent %d messages vs %d at k=1: want at least a 2x drop", m4, m1)
-	}
-	t.Logf("messages: k=1 %d, k=4 %d (%.2fx reduction)", m1, m4, float64(m1)/float64(m4))
 }

@@ -17,10 +17,13 @@ import (
 // interface is byte-for-byte the same, so any divergence is a transport
 // bug — framing, ordering, or a float that didn't round-trip the wire.
 
-// dmpOutcome is everything a distributed run externalizes.
+// dmpOutcome is everything a distributed run externalizes: the result,
+// and the world-summed traffic the run put on the transport (the schedule
+// above the Transport interface must not depend on the wire).
 type dmpOutcome struct {
-	norm   float64
-	traces [][]float64
+	norm        float64
+	traces      [][]float64
+	msgs, bytes float64
 }
 
 // runDMPOver runs one 2x2-decomposed model under the given world runner
@@ -58,9 +61,14 @@ func runDMPOver(t *testing.T, runWorld func(f func(c *mpi.Comm)) error,
 			t.Error(err)
 			return
 		}
+		// Read before the reductions below add their own sends.
+		st := c.Transport().Stats()
+		msgs := c.AllreduceScalar(float64(st.MsgsSent), mpi.OpSum)
+		bytes := c.AllreduceScalar(float64(st.BytesSent), mpi.OpSum)
 		if c.Rank() == 0 {
 			out.norm = res.Norm
 			out.traces = res.Receivers
+			out.msgs, out.bytes = msgs, bytes
 		}
 	})
 	if err != nil {
@@ -87,6 +95,10 @@ func requireIdentical(t *testing.T, label string, a, b dmpOutcome) {
 	t.Helper()
 	if a.norm != b.norm {
 		t.Errorf("%s: norms diverge across transports: inproc %v, tcp %v", label, a.norm, b.norm)
+	}
+	if a.msgs <= 0 || a.msgs != b.msgs || a.bytes != b.bytes {
+		t.Errorf("%s: traffic diverges across transports: inproc %v msgs / %v B, tcp %v msgs / %v B",
+			label, a.msgs, a.bytes, b.msgs, b.bytes)
 	}
 	if len(a.traces) != len(b.traces) {
 		t.Fatalf("%s: trace lengths diverge: %d vs %d", label, len(a.traces), len(b.traces))

@@ -1,6 +1,7 @@
 package propagators
 
 import (
+	"runtime"
 	"testing"
 
 	"devigo/internal/core"
@@ -54,6 +55,38 @@ func TestWorkerCountInvariance_Serial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPooledRunSteadyStateAllocs bounds the per-timestep heap allocations
+// of the full engine path on a pooled native operator. A long and a short
+// run pay identical build/compile/spawn costs, so the malloc-count delta
+// over the extra steps is the steady-state figure: kernel dispatch is
+// alloc-free and only the source-injection wrapper's small constant
+// remains.
+func TestPooledRunSteadyStateAllocs(t *testing.T) {
+	const short, long, maxPerStep = 10, 110, 32
+	mallocs := func(nt int) uint64 {
+		m, err := Build("acoustic", Config{Shape: []int{96, 96}, SpaceOrder: 4, NBL: 8, Velocity: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(m, nil, RunConfig{NT: nt, Engine: core.EngineNative, Workers: 4, TileRows: 4})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Op.Close()
+		return m1.Mallocs - m0.Mallocs
+	}
+	mallocs(short) // warm code paths once
+	s, l := mallocs(short), mallocs(long)
+	if perStep := (float64(l) - float64(s)) / (long - short); perStep > maxPerStep {
+		t.Errorf("pooled native Run allocates %.1f times per step (%d mallocs at nt=%d, %d at nt=%d), want <= %d",
+			perStep, l, long, s, short, maxPerStep)
 	}
 }
 

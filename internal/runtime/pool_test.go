@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"devigo/internal/grid"
+	"devigo/internal/obs"
 )
 
 // recordTask records, per tile, how many times it ran and which worker
@@ -194,6 +195,10 @@ func TestPoolNilAndCloseSemantics(t *testing.T) {
 }
 
 func TestPoolStatsAccumulate(t *testing.T) {
+	obs.EnableMetrics()
+	defer func() { obs.DisableAll(); obs.Reset() }()
+	obs.Reset()
+
 	p := NewPool(2, 0)
 	defer p.Close()
 	rt := newRecordTask(8)
@@ -206,6 +211,10 @@ func TestPoolStatsAccumulate(t *testing.T) {
 	}
 	if st.SyncNs < before.SyncNs {
 		t.Fatal("SyncNs went backwards")
+	}
+	// The same join waits land in the metrics registry.
+	if got := obs.Snapshot().Total.PoolSyncNs; got <= 0 || got != st.SyncNs-before.SyncNs {
+		t.Errorf("obs pool_sync_ns = %d, want the pool's own %d (> 0)", got, st.SyncNs-before.SyncNs)
 	}
 }
 
