@@ -21,18 +21,18 @@
 // # Execution engines
 //
 // Operators execute through one of three engines, selected by
-// DEVIGO_ENGINE=bytecode|native|interpreter in the environment — the
+// DEVIGO_ENGINE=native|bytecode|interpreter in the environment — the
 // selector for users of this package; code inside this module can also
-// set core.Options.Engine directly. The default is the bytecode engine
-// (internal/bytecode): each loop nest compiles to flat register bytecode
-// run by a row-sweep VM — one instruction dispatch processes a whole
-// inner-dimension row, duplicate stencil reads load once, and
-// loop-invariant scalars (including 1/dt-style reciprocals) are folded at
-// compile time or evaluated once per Apply. The native engine
-// (internal/native) re-lowers that same bytecode into fused accumulation
-// chains executed strip by strip through SIMD primitives (AVX assembly
-// on amd64, equivalent pure Go elsewhere), about three times faster
-// again. The reference expression-tree interpreter (internal/runtime)
+// set core.Options.Engine directly. Each loop nest first compiles to flat
+// register bytecode (internal/bytecode): duplicate stencil reads load
+// once, and loop-invariant scalars (including 1/dt-style reciprocals) are
+// folded at compile time or evaluated once per Apply. The default, the
+// native engine (internal/native), re-lowers that bytecode into fused
+// accumulation chains executed strip by strip through SIMD primitives
+// (AVX assembly on amd64, equivalent pure Go elsewhere). The bytecode
+// engine runs the same program through a row-sweep VM — one instruction
+// dispatch per whole inner-dimension row — about three times slower.
+// The reference expression-tree interpreter (internal/runtime)
 // remains the escape hatch and the differential-testing baseline. All
 // three are bit-exact: they produce identical float32 fields for
 // identical inputs, serially and under any DMP mode, so switching engines

@@ -36,13 +36,26 @@ type Store struct {
 	// field, in the state "ready to execute step s" (i.e. taken after step
 	// s-1 completed, injections included).
 	snaps map[int][][][]float32
-	// levels maps a logical time level t to a copy of each field's cyclic
-	// buffer Buf(t) — the recompute cache of the segment currently being
-	// consumed by the reverse sweep.
-	levels map[int][][]float32
+	// levels[:live] is the recompute cache of the segment the reverse
+	// sweep is consuming: one copy of each field's cyclic buffer Buf(t)
+	// per cached level, in no particular order (a segment is Interval+2
+	// levels, so lookups scan). levels[live:] is the free-list: entries
+	// PruneLevels dropped, whose buffers the next RecordLevel reuses.
+	levels []level
+	live   int
+	// resident names the cached level a live cyclic buffer is known to
+	// hold (no entry when unknown), so LoadLevel can skip a copy that would
+	// change nothing.
+	resident map[*field.Buffer]int
 
 	// Stats accumulates the cost counters reported by benchmarks.
 	Stats Stats
+}
+
+// level is one cached time level: a copy of every field's Buf(t).
+type level struct {
+	t    int
+	bufs [][]float32
 }
 
 // Stats counts the memory/recompute cost of a checkpointed run.
@@ -77,7 +90,7 @@ func New(interval int, fields ...*field.Function) *Store {
 		Interval: interval,
 		fields:   fields,
 		snaps:    map[int][][][]float32{},
-		levels:   map[int][][]float32{},
+		resident: map[*field.Buffer]int{},
 	}
 }
 
@@ -91,33 +104,36 @@ func (s *Store) SaveIfDue(t int) {
 }
 
 // Save unconditionally snapshots every buffer of every field under step
-// key t. Saving the same step twice overwrites (idempotent for reruns).
+// key t. Saving the same step twice overwrites the first snapshot in place
+// (idempotent for reruns).
 func (s *Store) Save(t int) {
 	sp := obs.Begin(s.Rank, obs.PhaseCkptSave, t)
 	defer func() {
 		sp.End()
 		obs.Add(s.Rank, obs.CtrCkptSaves, 1)
 	}()
-	_, existed := s.snaps[t]
-	snap := make([][][]float32, len(s.fields))
-	for fi, f := range s.fields {
-		snap[fi] = make([][]float32, len(f.Bufs))
-		for bi, b := range f.Bufs {
-			cp := make([]float32, len(b.Data))
-			copy(cp, b.Data)
-			snap[fi][bi] = cp
-			if !existed {
+	snap, existed := s.snaps[t]
+	if !existed {
+		snap = make([][][]float32, len(s.fields))
+		for fi, f := range s.fields {
+			snap[fi] = make([][]float32, len(f.Bufs))
+			for bi, b := range f.Bufs {
+				snap[fi][bi] = make([]float32, len(b.Data))
 				s.Stats.SnapshotBytes += int64(4 * len(b.Data))
 			}
 		}
-	}
-	s.snaps[t] = snap
-	if !existed {
+		s.snaps[t] = snap
 		s.Stats.Snapshots++
+	}
+	for fi, f := range s.fields {
+		for bi, b := range f.Bufs {
+			copy(snap[fi][bi], b.Data)
+		}
 	}
 }
 
-// Restore copies snapshot t back into the live field buffers.
+// Restore copies snapshot t back into the live field buffers. Whatever
+// levels they held are gone, so every later LoadLevel copies again.
 func (s *Store) Restore(t int) error {
 	snap, ok := s.snaps[t]
 	if !ok {
@@ -129,6 +145,7 @@ func (s *Store) Restore(t int) error {
 			copy(b.Data, snap[fi][bi])
 		}
 	}
+	clear(s.resident)
 	sp.End()
 	obs.Add(s.Rank, obs.CtrCkptRestores, 1)
 	return nil
@@ -158,44 +175,80 @@ func (s *Store) SnapshotSteps() []int {
 	return out
 }
 
+// find returns the index of cached level t in levels[:live], or -1.
+func (s *Store) find(t int) int {
+	for i := range s.levels[:s.live] {
+		if s.levels[i].t == t {
+			return i
+		}
+	}
+	return -1
+}
+
 // RecordLevel caches a copy of each field's cyclic buffer for logical
-// time level t — called while recomputing a segment forward.
+// time level t — called while recomputing a segment forward, right after
+// the step (and its injection) that wrote Buf(t). Recording a cached level
+// again overwrites it in place; a new level takes its buffers from the
+// free-list PruneLevels fills, so a reverse sweep allocates level buffers
+// for its first segment only.
 func (s *Store) RecordLevel(t int) {
-	lv := make([][]float32, len(s.fields))
+	i := s.find(t)
+	if i < 0 {
+		i = s.live
+		if i == len(s.levels) {
+			s.levels = append(s.levels, level{bufs: make([][]float32, len(s.fields))})
+		}
+		s.levels[i].t = t
+		s.live++
+	}
+	lv := s.levels[i].bufs
 	for fi, f := range s.fields {
 		b := f.Buf(t)
-		cp := make([]float32, len(b.Data))
-		copy(cp, b.Data)
-		lv[fi] = cp
+		if len(lv[fi]) != len(b.Data) { // first use, or ghost storage was reallocated
+			lv[fi] = make([]float32, len(b.Data))
+		}
+		copy(lv[fi], b.Data)
+		s.resident[b] = t
 	}
-	s.levels[t] = lv
 }
 
 // HasLevel reports whether time level t is cached.
-func (s *Store) HasLevel(t int) bool {
-	_, ok := s.levels[t]
-	return ok
-}
+func (s *Store) HasLevel(t int) bool { return s.find(t) >= 0 }
 
-// LoadLevel copies cached time level t back into each field's cyclic
-// buffer Buf(t).
+// LoadLevel makes each field's cyclic buffer Buf(t) hold cached time
+// level t. A buffer that already holds it — recorded from or loaded into
+// it, and not overwritten through the store since — is left alone: the
+// reverse sweep asks for levels j-1, j, j+1 at every step, and two of the
+// three are the previous step's. The store sees the live buffers change
+// only through RecordLevel, LoadLevel and Restore; a caller that steps
+// the fields records every level it writes or restores a snapshot before
+// it loads again (halo exchanges of a recorded level only refresh ghost
+// points, which no consumer of a loaded level reads).
 func (s *Store) LoadLevel(t int) error {
-	lv, ok := s.levels[t]
-	if !ok {
+	i := s.find(t)
+	if i < 0 {
 		return fmt.Errorf("checkpoint: time level %d not cached", t)
 	}
 	for fi, f := range s.fields {
-		copy(f.Buf(t).Data, lv[fi])
+		b := f.Buf(t)
+		if held, ok := s.resident[b]; !ok || held != t {
+			copy(b.Data, s.levels[i].bufs[fi])
+			s.resident[b] = t
+		}
 	}
 	return nil
 }
 
 // PruneLevels drops cached levels outside [lo, hi], bounding the cache to
-// the segment the reverse sweep is consuming.
+// the segment the reverse sweep is consuming. Their buffers go to the
+// free-list.
 func (s *Store) PruneLevels(lo, hi int) {
-	for t := range s.levels {
-		if t < lo || t > hi {
-			delete(s.levels, t)
+	for i := 0; i < s.live; {
+		if t := s.levels[i].t; t < lo || t > hi {
+			s.live--
+			s.levels[i], s.levels[s.live] = s.levels[s.live], s.levels[i]
+			continue
 		}
+		i++
 	}
 }

@@ -58,10 +58,20 @@ func TestSaveRestoreRoundtrip(t *testing.T) {
 func TestSaveIsIdempotentInStats(t *testing.T) {
 	u := testField(t)
 	s := New(2, &u.Function)
+	fill(u, 0, 5)
 	s.Save(0)
+	fill(u, 0, 9)
 	s.Save(0)
 	if s.Stats.Snapshots != 1 {
 		t.Fatalf("re-saving a step must not double-count: %d", s.Stats.Snapshots)
+	}
+	// The second save overwrote the first in place.
+	u.Buf(0).Fill(-1)
+	if err := s.Restore(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := u.Buf(0).Data[0]; got != 9 {
+		t.Fatalf("restored %v, want the re-saved 9", got)
 	}
 }
 
@@ -136,6 +146,104 @@ func TestLevelCacheCyclicAndPrune(t *testing.T) {
 	}
 	if err := s.LoadLevel(5); err == nil {
 		t.Fatal("expected error loading pruned level")
+	}
+}
+
+// TestLevelCacheThroughTwoSegments drives the store the way the reverse
+// sweep does — restore a snapshot, prune, re-integrate the segment forward
+// recording every level, then consume levels j-1, j, j+1 downwards — over
+// both segments of an 8-step run with interval 4, and holds every
+// LoadLevel to the recorded bits whether it copied or found the level
+// resident.
+func TestLevelCacheThroughTwoSegments(t *testing.T) {
+	const k, nt = 4, 8
+	u := testField(t)
+	s := New(k, &u.Function)
+	val := func(lvl int) float32 { return float32(1000 * (lvl + 2)) }
+	step := func(t int) { fill(u, t+1, val(t+1)) } // a forward step writes Buf(t+1)
+	expect := func(what string, lvl int) {
+		t.Helper()
+		for i, got := range u.Buf(lvl).Data {
+			if want := val(lvl) + float32(i); got != want {
+				t.Fatalf("%s: Buf(%d)[%d] = %v, want level %d's %v", what, lvl, i, got, lvl, want)
+			}
+		}
+	}
+	load := func(what string, lvl int) {
+		t.Helper()
+		if err := s.LoadLevel(lvl); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		expect(what, lvl)
+	}
+
+	fill(u, -1, val(-1))
+	fill(u, 0, val(0))
+	s.SaveIfDue(0)
+	for t := 0; t < nt; t++ {
+		step(t)
+		s.SaveIfDue(t + 1)
+	}
+
+	for _, seg := range []struct{ snap, top int }{{4, 8}, {0, 4}} {
+		if err := s.Restore(seg.snap); err != nil {
+			t.Fatal(err)
+		}
+		s.PruneLevels(seg.snap-1, seg.snap+k)
+		s.RecordLevel(seg.snap - 1)
+		s.RecordLevel(seg.snap)
+		for t := seg.snap; t < seg.snap+k; t++ {
+			step(t)
+			s.RecordLevel(t + 1)
+		}
+		for j := seg.top - 1; j >= seg.snap; j-- {
+			for _, lvl := range []int{j - 1, j, j + 1} {
+				load("first load", lvl)
+				// A resident level is not copied again: a write the store
+				// cannot see survives the second load.
+				u.Buf(lvl).Data[0] = -1
+				if err := s.LoadLevel(lvl); err != nil {
+					t.Fatal(err)
+				}
+				if got := u.Buf(lvl).Data[0]; got != -1 {
+					t.Fatalf("level %d was resident but LoadLevel copied it again (Data[0] = %v)", lvl, got)
+				}
+				u.Buf(lvl).Data[0] = val(lvl)
+				// Corrupt the buffer through the store — load the cached
+				// level sharing it — then reload: a load wrongly skipped on
+				// stale residency leaves the other level's bits behind.
+				other := lvl + 3
+				if !s.HasLevel(other) {
+					other = lvl - 3
+				}
+				load("aliasing load", other)
+				load("reload", lvl)
+			}
+		}
+		if seg.snap == 0 {
+			break
+		}
+		// Restore overwrites every live buffer, so nothing stays resident:
+		// the buffer that held level snap+1 now holds the snapshot's
+		// level snap-2, and the next load must copy.
+		if err := s.Restore(seg.snap); err != nil {
+			t.Fatal(err)
+		}
+		expect("restored snapshot", seg.snap-2)
+		for _, lvl := range []int{seg.snap - 1, seg.snap, seg.snap + 1} {
+			load("load after Restore", lvl)
+		}
+	}
+
+	// Steady state: a segment's levels come from the ones the previous
+	// segment's prune freed.
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.PruneLevels(0, -1) // an empty window frees every level
+		for lvl := 10; lvl < 10+k+2; lvl++ {
+			s.RecordLevel(lvl)
+		}
+	}); allocs != 0 {
+		t.Errorf("recording a segment's %d levels after a prune allocates %v times, want 0", k+2, allocs)
 	}
 }
 

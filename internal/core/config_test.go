@@ -11,8 +11,9 @@ import (
 // would run the wrong engine or policy without anyone noticing.
 
 func TestResolveEngineVocabulary(t *testing.T) {
+	t.Setenv(EngineEnvVar, "") // "" must reach the built-in default, whatever CI exports
 	for in, want := range map[string]string{
-		"":            EngineBytecode,
+		"":            EngineNative,
 		"bytecode":    EngineBytecode,
 		"vm":          EngineBytecode,
 		"interpreter": EngineInterpreter,

@@ -12,12 +12,14 @@ import (
 	"devigo/internal/symbolic"
 )
 
-// Execution engines. The bytecode register VM is the default; the
-// expression-tree interpreter remains as the reference implementation and
-// escape hatch; the native engine re-lowers the bytecode program into
-// fused bulk-row chains for peak per-rank throughput. All three produce
-// bit-identical results — the differential and fuzz tests enforce it — so
-// the choice is purely a performance/debugging one.
+// Execution engines. The native engine is the default: it re-lowers the
+// bytecode program into fused bulk-row chains for peak per-rank
+// throughput, falling back segment-wise to the bytecode row sweep and
+// strip-wise to pure-Go primitives, so it runs on every host. The bytecode
+// register VM is its lowering and stays selectable; the expression-tree
+// interpreter remains as the reference implementation and escape hatch.
+// All three produce bit-identical results — the differential and fuzz
+// tests enforce it — so the choice is purely a performance/debugging one.
 const (
 	// EngineBytecode compiles each cluster to flat register bytecode run
 	// by a row-sweep VM (package bytecode).
@@ -50,7 +52,7 @@ type ExecKernel interface {
 func EngineNames() []string { return []string{EngineBytecode, EngineInterpreter, EngineNative} }
 
 // resolveEngine picks the execution engine: explicit Options.Engine wins,
-// then the DEVIGO_ENGINE environment variable, then the bytecode default.
+// then the DEVIGO_ENGINE environment variable, then the native default.
 // A value outside the vocabulary is a configuration error naming the bad
 // value, where it came from, and what is accepted — matching the halo
 // package's ParseMode style.
@@ -62,14 +64,12 @@ func resolveEngine(requested string) (string, error) {
 		source = "$" + EngineEnvVar
 	}
 	switch e {
-	case "":
-		return EngineBytecode, nil
+	case "", EngineNative:
+		return EngineNative, nil
 	case EngineBytecode, "vm":
 		return EngineBytecode, nil
 	case EngineInterpreter, "interp":
 		return EngineInterpreter, nil
-	case EngineNative:
-		return EngineNative, nil
 	}
 	return "", fmt.Errorf("core: unknown engine %q in %s (valid: %s; aliases: vm, interp)",
 		e, source, strings.Join(EngineNames(), ", "))

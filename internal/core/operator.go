@@ -171,8 +171,8 @@ type Options struct {
 	Workers int
 	// TileRows controls progress granularity for overlap mode.
 	TileRows int
-	// Engine selects the execution engine: EngineBytecode (default),
-	// EngineNative or EngineInterpreter. The DEVIGO_ENGINE environment
+	// Engine selects the execution engine: EngineNative (default),
+	// EngineBytecode or EngineInterpreter. The DEVIGO_ENGINE environment
 	// variable applies when unset.
 	Engine string
 	// TimeTile is the requested halo-exchange interval k: ghost regions

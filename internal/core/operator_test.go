@@ -400,13 +400,15 @@ func TestEngineSelection(t *testing.T) {
 			map[string]*field.Function{"u": &u.Function}, g, nil, &Options{Engine: engine})
 	}
 
-	// Default is the bytecode register VM.
+	// Default is the native engine ($DEVIGO_ENGINE cleared: CI runs this
+	// package once under DEVIGO_ENGINE=bytecode).
+	t.Setenv(EngineEnvVar, "")
 	op, err := mk("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Engine() != EngineBytecode {
-		t.Errorf("default engine = %q, want %q", op.Engine(), EngineBytecode)
+	if op.Engine() != EngineNative {
+		t.Errorf("default engine = %q, want %q", op.Engine(), EngineNative)
 	}
 	// Explicit interpreter selection, preserved across ResetPerf.
 	op, err = mk(EngineInterpreter)

@@ -420,3 +420,43 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestRowBoundsGuard pins the guarantee patchRow's per-buffer check keeps:
+// a box whose stencil reads stay inside the allocation runs, ghost rows
+// included, and one that reaches a row past it panics before any primitive
+// touches memory, naming the operand as the per-operand check did.
+func TestRowBoundsGuard(t *testing.T) {
+	n := confScenarios(t)["diffusion"]
+	bk, err := bytecode.CompileCluster(n.cluster, n.fN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nk := Wrap(bk)
+	pool, err := nk.BindSyms(n.vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := n.fN["u"]
+	// The widest box the radius-2 stencil can sweep: the owned points plus
+	// halo-2 ghost points per side.
+	b := confBox(u)
+	for d := range b.Lo {
+		b.Lo[d] -= u.Halo[d] - 2
+		b.Hi[d] += u.Halo[d] - 2
+	}
+	nk.Run(0, b, pool, nil)
+
+	b.Hi[0] += 3 // the last row's +2 read now starts past the buffer
+	defer func() {
+		msg := fmt.Sprint(recover())
+		var lo, hi, slot, size int
+		if _, err := fmt.Sscanf(msg, "native: row [%d:%d) out of bounds of slot %d (len %d)", &lo, &hi, &slot, &size); err != nil {
+			t.Fatalf("panic %q does not name the operand's row", msg)
+		}
+		if size != len(u.Buf(0).Data) || hi <= size || hi-lo != b.Hi[1]-b.Lo[1] {
+			t.Errorf("panic %q: want a %d-point row ending past the buffer's %d", msg, b.Hi[1]-b.Lo[1], len(u.Buf(0).Data))
+		}
+	}()
+	nk.Run(0, b, pool, nil)
+	t.Fatal("a row past the allocation ran")
+}

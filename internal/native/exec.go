@@ -40,7 +40,7 @@ func (l *xlink) scalar(p patch) *float64 {
 // nil, plus one patch list per operand class.
 type tmpl struct {
 	links  []xlink
-	fs     []patch // load slots, re-pointed every row
+	fs     []patch // load slots, re-pointed every row (see fieldPtr)
 	es     []patch // equation outputs, re-pointed every row
 	rs     []patch // register rows, re-pointed when the row pitch changes
 	strips []patch // idx 0 = the worker's acc strip, 1 = its t strip
@@ -60,6 +60,7 @@ func (k *Kernel) buildTemplate(segs []bytecode.Segment) {
 		k.segs[i].lkHi = len(t.links)
 	}
 	k.tm = t
+	k.groupLoads()
 }
 
 // addChain appends one chain: every maximal run of taps as one pTaps link
@@ -252,28 +253,114 @@ func primOf(l bytecode.Link) prim {
 	return pPowR
 }
 
+// rowGroup is one field buffer the chains read: the load slots of one
+// (field, time offset) share its data and its row base, and differ only by
+// their flat stencil displacement. lo and hi are the least and greatest
+// displacement among them, so the group's rows span [base+lo, base+hi+n):
+// that span inside the buffer puts every member's row inside it.
+type rowGroup struct {
+	field  int // index into the driver's row bases
+	data   []float32
+	lo, hi int
+	row    unsafe.Pointer // &data[base+lo] on the current row
+}
+
+// fieldPtr is one field operand of the worker's links: the pointer to
+// re-point every row, the row pointer of the group it reads, and its
+// distance from it in bytes.
+type fieldPtr struct {
+	dst, row *unsafe.Pointer
+	off      int
+}
+
 // exec is the per-worker executable state: a private copy of the link
 // array with register-row and strip pointers and pool scalars resolved,
-// plus the worker's accumulator and scratch strips.
+// plus the worker's accumulator and scratch strips. fs parallels the
+// template's fs patch list.
 type exec struct {
 	links  []xlink
 	strips [2][]float64 // acc, t
+	groups []rowGroup
+	fs     []fieldPtr
 }
 
-// patchRow points every field operand at the current row. The single
-// bounds check per operand here replaces the VM's per-instruction slice
-// checks; a violation panics exactly where the VM's slicing would.
-func (k *Kernel) patchRow(e *exec, n int, bases []int) {
-	r := &k.drv.Resolved
-	for _, p := range k.tm.fs {
-		off := bases[r.Slots[p.idx].Field] + r.SlotOff[p.idx]
-		data := r.SlotData[p.idx]
-		if off < 0 || off+n > len(data) {
-			panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
-				off, off+n, p.idx, len(data)))
+// groupLoads numbers the field buffers behind the template's fs patches:
+// fsGroup[i] is the group of patch i, groupSlot[g] the first slot seen of
+// group g (any member names the group's field and data).
+func (k *Kernel) groupLoads() {
+	slots := k.bk.Binding().Slots
+	type buffer struct{ field, timeOff int }
+	seen := map[buffer]int32{}
+	k.fsGroup = make([]int32, len(k.tm.fs))
+	for i, p := range k.tm.fs {
+		b := buffer{slots[p.idx].Field, slots[p.idx].TimeOff}
+		g, ok := seen[b]
+		if !ok {
+			g = int32(len(k.groupSlot))
+			seen[b] = g
+			k.groupSlot = append(k.groupSlot, p.idx)
 		}
-		*e.links[p.li].ptr(p) = unsafe.Pointer(&data[off])
+		k.fsGroup[i] = g
 	}
+}
+
+// newExec builds one worker's executable state from the template.
+func (k *Kernel) newExec() *exec {
+	e := &exec{
+		links:  append([]xlink(nil), k.tm.links...),
+		strips: [2][]float64{make([]float64, stripN), make([]float64, stripN)},
+		groups: make([]rowGroup, len(k.groupSlot)),
+		fs:     make([]fieldPtr, len(k.tm.fs)),
+	}
+	for i := range e.links { // the copy above shares the term tables
+		l := &e.links[i]
+		l.terms = append([]term(nil), l.terms...)
+	}
+	for _, p := range k.tm.strips {
+		e.links[p.li].p[p.pos] = unsafe.Pointer(&e.strips[p.idx][0])
+	}
+	for i, p := range k.tm.fs {
+		e.fs[i] = fieldPtr{dst: e.links[p.li].ptr(p), row: &e.groups[k.fsGroup[i]].row}
+	}
+	return e
+}
+
+// resolveGroups refreshes the groups' data and displacement extents, and
+// every field operand's distance from its group's row pointer, against the
+// driver's Resolved — once per Run: buffer rotation moves the data, halo
+// growth the displacements.
+func (k *Kernel) resolveGroups(e *exec) {
+	r := &k.drv.Resolved
+	for g, slot := range k.groupSlot {
+		off := r.SlotOff[slot]
+		e.groups[g] = rowGroup{field: r.Slots[slot].Field, data: r.SlotData[slot], lo: off, hi: off}
+	}
+	for i, p := range k.tm.fs {
+		g := &e.groups[k.fsGroup[i]]
+		g.lo, g.hi = min(g.lo, r.SlotOff[p.idx]), max(g.hi, r.SlotOff[p.idx])
+	}
+	for i, p := range k.tm.fs {
+		e.fs[i].off = 4 * (r.SlotOff[p.idx] - e.groups[k.fsGroup[i]].lo)
+	}
+}
+
+// patchRow points every field operand at the current row. One bounds check
+// per field buffer per row — the group's extent, which contains every
+// member's row — replaces the VM's per-instruction slice checks; a
+// violation panics exactly where the VM's slicing would.
+func (k *Kernel) patchRow(e *exec, n int, bases []int) {
+	for gi := range e.groups {
+		g := &e.groups[gi]
+		lo := bases[g.field] + g.lo
+		if lo < 0 || bases[g.field]+g.hi+n > len(g.data) {
+			k.rowOutOfBounds(n, bases)
+		}
+		g.row = unsafe.Pointer(&g.data[lo])
+	}
+	for _, f := range e.fs {
+		*f.dst = unsafe.Add(*f.row, f.off)
+	}
+	r := &k.drv.Resolved
 	for _, p := range k.tm.es {
 		off := bases[r.Outs[p.idx].Field]
 		data := r.OutData[p.idx]
@@ -282,6 +369,19 @@ func (k *Kernel) patchRow(e *exec, n int, bases []int) {
 				off, off+n, p.idx, len(data)))
 		}
 		e.links[p.li].p[p.pos] = unsafe.Pointer(&data[off])
+	}
+}
+
+// rowOutOfBounds names the first field operand whose row leaves its
+// buffer, once a group's extent did.
+func (k *Kernel) rowOutOfBounds(n int, bases []int) {
+	r := &k.drv.Resolved
+	for _, p := range k.tm.fs {
+		off := bases[r.Slots[p.idx].Field] + r.SlotOff[p.idx]
+		if data := r.SlotData[p.idx]; off < 0 || off+n > len(data) {
+			panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
+				off, off+n, p.idx, len(data)))
+		}
 	}
 }
 
@@ -305,26 +405,17 @@ func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpt
 }
 
 // Prep implements runtime.RowExec. Register rows are re-pointed only when
-// geometry changed; scalar-pool values are refreshed every Run (BindSyms
-// produces a new pool per operator/shot). Steady state with unchanged
-// geometry performs no allocation.
+// geometry changed; scalar-pool values and the field-buffer groups are
+// refreshed every Run (BindSyms produces a new pool per operator/shot, the
+// driver a new Resolved per step). Steady state with unchanged geometry
+// performs no allocation.
 func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 	if n := k.bk.NumRegisters() * maxRow; len(sc.regs) < n {
 		sc.regs = make([]float64, n)
 		sc.ex = nil
 	}
 	if sc.ex == nil {
-		sc.ex = &exec{
-			links:  append([]xlink(nil), k.tm.links...),
-			strips: [2][]float64{make([]float64, stripN), make([]float64, stripN)},
-		}
-		for i := range sc.ex.links { // the copy above shares the term tables
-			l := &sc.ex.links[i]
-			l.terms = append([]term(nil), l.terms...)
-		}
-		for _, p := range k.tm.strips {
-			sc.ex.links[p.li].p[p.pos] = unsafe.Pointer(&sc.ex.strips[p.idx][0])
-		}
+		sc.ex = k.newExec()
 		sc.stride = -1
 	}
 	if sc.stride != maxRow {
@@ -336,6 +427,7 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 	for _, p := range k.tm.ss {
 		*sc.ex.links[p.li].scalar(p) = pool[p.idx]
 	}
+	k.resolveGroups(sc.ex)
 }
 
 // ExecRow implements runtime.RowExec: every segment once over the row,

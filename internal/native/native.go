@@ -13,7 +13,7 @@
 // operation and its operands' memory kinds — AVX assembly on amd64 (on a
 // host that has it: CPUID and XGETBV are probed once), an equivalent
 // pure-Go loop elsewhere — with field operands read through unsafe
-// pointers patched once per row (one bounds check per operand per row
+// pointers patched once per row (one bounds check per field buffer per row
 // instead of per point). One primitive takes more than a link: a run of
 // taps — consecutive links that each add one product f·s, or f·(g·s[·s2])
 // built in the scratch strip, to the accumulator, which is what a stencil
@@ -55,6 +55,10 @@ type Kernel struct {
 	bk   *bytecode.Kernel
 	segs []segment
 	tm   *tmpl
+	// fsGroup and groupSlot partition the template's field operands by the
+	// buffer they read (see groupLoads); immutable, shared by Rebind copies.
+	fsGroup   []int32
+	groupSlot []int32
 	// fusedInstrs is the per-point link count after fusion: one per chain
 	// link plus one per fallback VM instruction.
 	fusedInstrs int

@@ -62,7 +62,8 @@ type OpProfile struct {
 	InstrsPerPoint int
 	// Engine is the execution engine the kernels compiled for ("bytecode",
 	// "interpreter", "native"); it scales the instruction-latency term of
-	// the roofline (see EngineInstrFactor). Empty means bytecode.
+	// the roofline (see EngineInstrFactor). core always names the engine it
+	// resolved; an empty name scales like bytecode, the factor's unit.
 	Engine string
 	// StreamsPerPoint counts distinct (field, timeOffset) data streams
 	// touched per point: 4 bytes each of DRAM traffic per update.

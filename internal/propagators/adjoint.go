@@ -192,6 +192,7 @@ func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult
 
 	res := &AdjointResult{NT: nt, DT: dt, Op: op, SrcTraces: make([]float64, nt)}
 	vals := make([]float32, len(ac.RecCoords))
+	var hook firstErr
 	postStep := func(t int) {
 		// The reverse iteration t wrote buffer t-1 (= the adjoint state
 		// w[t-1]); inject the matching receiver sample — mirrored into the
@@ -199,7 +200,7 @@ func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult
 		for r, d := range ac.RecData[t-1] {
 			vals[r] = float32(d) * scale
 		}
-		_ = rec.InjectDeep(v, t-1, vals, op.InjectDepth())
+		hook.keep(adjointInject(adj, rec, v, t, vals, op.InjectDepth()))
 		res.SrcTraces[t-1] = src.Interpolate(v, t-1, commOf(ctx))[0]
 	}
 	if err := op.Apply(&core.ApplyOpts{
@@ -212,9 +213,21 @@ func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult
 	}); err != nil {
 		return nil, err
 	}
+	if hook.err != nil {
+		return nil, hook.err
+	}
 	res.Perf = op.Report()
 	res.Norm = fieldNorm(adj, ctx, 0)
 	return res, nil
+}
+
+// adjointInject adds reverse step t's receiver samples into the adjoint
+// state that step wrote, buffer t-1 of v.
+func adjointInject(adj *Model, rec *sparse.SparseFunction, v *field.Function, t int, vals []float32, depth []int) error {
+	if err := rec.InjectDeep(v, t-1, vals, depth); err != nil {
+		return fmt.Errorf("propagators: %s: receiver injection at step %d: %w", adj.Name, t, err)
+	}
+	return nil
 }
 
 // DotTestResult reports one adjointness certification: the two sides of

@@ -213,14 +213,18 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 			end = nt
 		}
 		if end > s {
+			var hook firstErr
 			if err := fres.Op.Apply(&core.ApplyOpts{
 				TimeM: s, TimeN: end - 1, Syms: syms,
 				PostStep: func(t int) {
-					srcs.inject(m, t, fres.Op.InjectDepth())
+					hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
 					store.RecordLevel(t + 1)
 				},
 			}); err != nil {
 				return err
+			}
+			if hook.err != nil {
+				return hook.err
 			}
 			store.Stats.RecomputedSteps += end - s
 		}
@@ -232,6 +236,7 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	// u.dt2 (levels j-1, j, j+1) with the adjoint field at level j.
 	res.SrcTraces = make([]float64, nt)
 	vals := make([]float32, srcs.rec.NPoints())
+	var hook firstErr
 	for t := nt; t >= 1; t-- {
 		j := t - 1
 		if err := ensureLevels(j-1, j+1); err != nil {
@@ -249,11 +254,14 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 				for r, d := range adjSrc[t-1] {
 					vals[r] = float32(d) * scale
 				}
-				_ = srcs.rec.InjectDeep(v, t-1, vals, adjOp.InjectDepth())
+				hook.keep(adjointInject(adj, srcs.rec, v, t, vals, adjOp.InjectDepth()))
 				res.SrcTraces[t-1] = srcs.src.Interpolate(v, t-1, commOf(ctx))[0]
 			},
 		}); err != nil {
 			return nil, err
+		}
+		if hook.err != nil {
+			return nil, hook.err
 		}
 		if err := imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms}); err != nil {
 			return nil, err

@@ -97,7 +97,13 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return forward(m, ctx, op, srcs, &rc, nt, dt)
+}
 
+// forward steps a compiled model nt times, injecting srcs' source and
+// recording its receivers after every step.
+func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
+	rc *RunConfig, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
 	if rc.Checkpoint != nil {
 		if ctx != nil && ctx.Comm != nil {
@@ -105,8 +111,9 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 		}
 		rc.Checkpoint.SaveIfDue(0)
 	}
+	var hook firstErr
 	postStep := func(t int) {
-		srcs.inject(m, t, op.InjectDepth())
+		hook.keep(srcs.inject(m, t, op.InjectDepth()))
 		if srcs.rec != nil {
 			res.Receivers = append(res.Receivers,
 				srcs.rec.Interpolate(m.Fields[m.WaveFields[0]], t+1, commOf(ctx)))
@@ -124,9 +131,22 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 	}); err != nil {
 		return nil, err
 	}
+	if hook.err != nil {
+		return nil, hook.err
+	}
 	res.Perf = op.Report()
 	res.Norm = fieldNorm(m, ctx, nt)
 	return res, nil
+}
+
+// firstErr keeps the first error a PostStep hook hits. The hook cannot
+// return one, so its caller checks err right after the Apply that ran it.
+type firstErr struct{ err error }
+
+func (f *firstErr) keep(err error) {
+	if f.err == nil {
+		f.err = err
+	}
 }
 
 // sourceSetup bundles the sparse source/receiver machinery of a run so
@@ -191,15 +211,18 @@ func injectionScale(m *Model, dt float64) float32 {
 // region (core.Operator.InjectDepth) so time-tiled shell recompute
 // observes neighbour injections bit-exactly; nil injects owned points
 // only, the classic k=1 behaviour.
-func (s *sourceSetup) inject(m *Model, t int, depth []int) {
+func (s *sourceSetup) inject(m *Model, t int, depth []int) error {
 	var amp float32
 	if t >= 0 && t < len(s.wavelet) {
 		amp = s.wavelet[t]
 	}
 	val := []float32{amp * s.scale}
 	for _, fname := range m.SourceFields {
-		_ = s.src.InjectDeep(m.Fields[fname], t+1, val, depth)
+		if err := s.src.InjectDeep(m.Fields[fname], t+1, val, depth); err != nil {
+			return fmt.Errorf("propagators: %s: source injection into %s at step %d: %w", m.Name, fname, t, err)
+		}
 	}
+	return nil
 }
 
 // commOf extracts the communicator of a context (nil when serial).

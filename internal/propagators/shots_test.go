@@ -8,6 +8,7 @@ import (
 	"devigo/internal/grid"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
+	"devigo/internal/sparse"
 )
 
 // surveyConfig is the shared grid/velocity configuration of the shot
@@ -179,6 +180,94 @@ func TestRunShotsBitExactDMP(t *testing.T) {
 	}
 }
 
+// TestRunGradientDefaultEngineBitExact certifies the default on the exact
+// user path: RunGradient with no engine named runs the native engine on
+// both operators and reproduces the bytecode engine's gradient, receivers
+// and source traces bit for bit — at a checkpoint interval that divides NT
+// and at one with NT % k == 1, where the last reverse step needs a forward
+// level one past the final segment's window (ensureLevels' edge).
+func TestRunGradientDefaultEngineBitExact(t *testing.T) {
+	t.Setenv(core.EngineEnvVar, "")
+	run := func(engine string, k int) *GradientResult {
+		t.Helper()
+		m, err := Build("acoustic", surveyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc := surveyGradient()
+		gc.Engine = engine
+		gc.CheckpointInterval = k
+		res, err := RunGradient(m, nil, gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, k := range []int{4, 7} { // NT = 8
+		got, want := run("", k), run(core.EngineBytecode, k)
+		if f, a := got.ForwardConfig.Engine, got.AdjointConfig.Engine; f != core.EngineNative || a != core.EngineNative {
+			t.Errorf("k=%d: default engines forward %q, adjoint %q; want %q for both", k, f, a, core.EngineNative)
+		}
+		if want.ForwardConfig.Engine != core.EngineBytecode {
+			t.Fatalf("k=%d: reference ran %q", k, want.ForwardConfig.Engine)
+		}
+		g, w := got.Gradient.Bufs[0].Data, want.Gradient.Bufs[0].Data
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("k=%d: gradient diverges from bytecode at %d: %v vs %v", k, i, g[i], w[i])
+			}
+		}
+		for step := range want.Receivers {
+			for r, v := range want.Receivers[step] {
+				if got.Receivers[step][r] != v {
+					t.Fatalf("k=%d: receiver %d at step %d: %v vs %v", k, r, step, got.Receivers[step][r], v)
+				}
+			}
+			if got.SrcTraces[step] != want.SrcTraces[step] {
+				t.Fatalf("k=%d: source trace at step %d: %v vs %v", k, step, got.SrcTraces[step], want.SrcTraces[step])
+			}
+		}
+		if got.GradNorm == 0 {
+			t.Fatalf("k=%d: zero gradient", k)
+		}
+	}
+}
+
+// TestInjectionErrorSurfaces: a hook whose injection fails must fail the
+// run that ran it, naming model and step, instead of finishing on a field
+// that silently missed its source. No public configuration builds a
+// source whose point count disagrees with its one wavelet sample per step,
+// so the test hands forward such a source directly.
+func TestInjectionErrorSurfaces(t *testing.T) {
+	m, err := Build("acoustic", surveyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, nil, &core.Options{Name: m.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	rc := RunConfig{NT: 4, Wavelet: []float32{1, -2, 1}}
+	srcs, err := buildSources(m, &rc, m.CriticalDt, rc.NT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs.src, err = sparse.New("src", m.Grid, [][]float64{{8, 8}, {12, 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := forward(m, nil, op, srcs, &rc, rc.NT, m.CriticalDt)
+	if err == nil {
+		t.Fatalf("forward returned a result (norm %v) although every injection failed", res.Norm)
+	}
+	for _, frag := range []string{m.Name, "step 0", "1 values for 2 points"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("injection error %q lacks %q", err, frag)
+		}
+	}
+}
+
 // TestRunShotsCacheAccounting pins the service's deterministic cache
 // arithmetic: a survey of N shots compiles each of the three gradient
 // schedules (forward, adjoint, imaging) exactly once — 3 misses, 3(N-1)
@@ -323,24 +412,30 @@ func TestRunShotsRace(t *testing.T) {
 	}
 }
 
-// TestRunShotsRaceNative is the native engine's arm of the race pass:
+// TestRunShotsRaceEngines is the per-engine arm of the race pass, for the
+// default engine and the one it replaced (every default-engine shot test
+// runs native, so bytecode's concurrent rebind is covered here only):
 // concurrent shot workers share one operator cache, so the singleflight
-// compile, the per-shot Rebind of the cached native kernels (the chain
-// template is shared, the field bindings are per-shot) and the strip
-// executor's worker pools all run under the race detector at once.
-func TestRunShotsRaceNative(t *testing.T) {
-	gc := surveyGradient()
-	gc.Engine = core.EngineNative
-	cache := opcache.New()
-	// Two passes over the same cache: the first compiles (singleflight
-	// under contention), the second rebinds cache hits concurrently.
-	for pass := 0; pass < 2; pass++ {
-		_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-			Gradient: gc, Shots: surveyShots(), Workers: 3, Cache: cache,
+// compile, the per-shot Rebind of the cached kernels (program and chain
+// template are shared, the field bindings are per-shot) and the row
+// executors' worker pools all run under the race detector at once.
+func TestRunShotsRaceEngines(t *testing.T) {
+	for _, engine := range []string{core.EngineBytecode, core.EngineNative} {
+		t.Run(engine, func(t *testing.T) {
+			gc := surveyGradient()
+			gc.Engine = engine
+			cache := opcache.New()
+			// Two passes over the same cache: the first compiles (singleflight
+			// under contention), the second rebinds cache hits concurrently.
+			for pass := 0; pass < 2; pass++ {
+				_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
+					Gradient: gc, Shots: surveyShots(), Workers: 3, Cache: cache,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
