@@ -7,7 +7,6 @@ import (
 	"runtime"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/obs"
@@ -147,12 +146,13 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 	obs.EnableMetrics()
 	obs.Reset()
 	shape := []int{size, size}
+	cfg := propagators.Config{Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5}
 	block := &AutotuneScenario{
 		Name: sc.name, Shape: shape, SpaceOrder: so, NT: nt, Ranks: sc.ranks,
 		Chosen: map[string]AutotuneChoice{},
 	}
 
-	prof, err := autotuneProfile(sc, shape, so)
+	prof, err := autotuneProfile(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 	for _, c := range cands {
 		best := atRun{}
 		for rep := 0; rep < reps; rep++ {
-			r, err := autotuneRunOne(sc, shape, so, nt, c, "")
+			r, err := autotuneRunOne(sc, cfg, nt, c, "")
 			if err != nil {
 				return nil, err
 			}
@@ -204,7 +204,7 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 
 	// Let each policy choose, then price the choice with its sweep entry.
 	for _, policy := range []string{core.AutotuneModel, core.AutotuneSearch} {
-		r, err := autotuneRunOne(sc, shape, so, nt, perfmodel.ExecConfig{}, policy)
+		r, err := autotuneRunOne(sc, cfg, nt, perfmodel.ExecConfig{}, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -240,54 +240,13 @@ func lookupCandidate(cands []AutotuneCandidate, eff core.EffectiveConfig) (Autot
 	return AutotuneCandidate{}, false
 }
 
-// eachRank runs body once per rank of the scenario's world — with a nil
-// Comm when the scenario is serial — and returns the first failure.
-func eachRank(ranks int, body func(c *mpi.Comm) error) error {
-	if ranks == 1 {
-		return body(nil)
-	}
-	errs := make([]error, ranks)
-	if err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) { errs[c.Rank()] = body(c) }); err != nil {
-		return err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// buildRank builds this rank's model of the scenario and, under DMP, its
-// execution context in the given halo mode (nil when serial).
-func buildRank(sc autotuneScenario, c *mpi.Comm, shape []int, so int, mode halo.Mode) (*propagators.Model, *core.Context, error) {
-	cfg := propagators.Config{Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5}
-	var ctx *core.Context
-	if c != nil {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		ctx = &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-	}
-	m, err := propagators.Build(sc.model, cfg)
-	return m, ctx, err
-}
-
 // autotuneProfile compiles the scenario's operator once (no timesteps)
 // and extracts its autotuner profile, so the sweep enumerates exactly the
 // candidate set the tuner plans over.
-func autotuneProfile(sc autotuneScenario, shape []int, so int) (perfmodel.OpProfile, error) {
+func autotuneProfile(sc autotuneScenario, cfg propagators.Config) (perfmodel.OpProfile, error) {
 	var prof perfmodel.OpProfile
-	err := eachRank(sc.ranks, func(c *mpi.Comm) error {
-		m, ctx, err := buildRank(sc, c, shape, so, sc.mode)
+	err := mpi.RunRanks(sc.ranks, func(c *mpi.Comm) error {
+		m, ctx, err := propagators.OnRank(c, sc.model, cfg, sc.mode, nil)
 		if err != nil {
 			return err
 		}
@@ -298,7 +257,7 @@ func autotuneProfile(sc autotuneScenario, shape []int, so int) (perfmodel.OpProf
 		if err != nil {
 			return err
 		}
-		if c == nil || c.Rank() == 0 {
+		if c.Rank() == 0 {
 			prof = op.Profile()
 		}
 		return nil
@@ -308,7 +267,7 @@ func autotuneProfile(sc autotuneScenario, shape []int, so int) (perfmodel.OpProf
 
 // autotuneRunOne executes one scenario run, either forced to a candidate
 // configuration (policy == "") or self-configuring under a policy.
-func autotuneRunOne(sc autotuneScenario, shape []int, so, nt int, cand perfmodel.ExecConfig, policy string) (atRun, error) {
+func autotuneRunOne(sc autotuneScenario, cfg propagators.Config, nt int, cand perfmodel.ExecConfig, policy string) (atRun, error) {
 	// Deep-halo capacity is deliberately NOT provisioned here — TimeTile
 	// is pinned to 1 on every run (candidates carry time_tile 1; a stray
 	// DEVIGO_TIME_TILE must not leak in), so the candidate space is the
@@ -323,8 +282,8 @@ func autotuneRunOne(sc autotuneScenario, shape []int, so, nt int, cand perfmodel
 		mode = cand.Mode
 	}
 	var out atRun
-	err := eachRank(sc.ranks, func(c *mpi.Comm) error {
-		m, ctx, err := buildRank(sc, c, shape, so, mode)
+	err := mpi.RunRanks(sc.ranks, func(c *mpi.Comm) error {
+		m, ctx, err := propagators.OnRank(c, sc.model, cfg, mode, nil)
 		if err != nil {
 			return err
 		}
@@ -332,11 +291,8 @@ func autotuneRunOne(sc autotuneScenario, shape []int, so, nt int, cand perfmodel
 		if err != nil {
 			return err
 		}
-		sec := res.Perf.ComputeSeconds + res.Perf.HaloSeconds
-		if c != nil {
-			sec = c.AllreduceScalar(sec, mpi.OpMax)
-		}
-		if c == nil || c.Rank() == 0 {
+		sec := c.AllreduceScalar(res.Perf.ComputeSeconds+res.Perf.HaloSeconds, mpi.OpMax)
+		if c.Rank() == 0 {
 			out = atRun{seconds: sec, norm: res.Norm, eff: res.Op.Config()}
 		}
 		return nil

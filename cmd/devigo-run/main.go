@@ -20,7 +20,6 @@ import (
 	"os"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/obs"
@@ -61,43 +60,20 @@ func main() {
 		return
 	}
 
-	if *ranks == 1 {
-		m, err := propagators.Build(*model, baseCfg)
-		fail(err)
-		res, err := propagators.Run(m, nil, propagators.RunConfig{NT: *nt, NReceivers: *nrec})
-		fail(err)
-		report("serial", res, gridPoints, res.Perf.ComputeSeconds+res.Perf.HaloSeconds)
-		fail(obs.FlushEnv())
-		return
-	}
-
 	mode, err := halo.ParseMode(*mpiMode)
 	fail(err)
 
-	rankBody := func(c *mpi.Comm) {
-		g, err := grid.New(shape, nil)
+	// One rank program for every world size and transport: a world of one
+	// is the serial run (OnRank hands it the undecomposed model and a nil
+	// context), and an error returned here fails the whole world.
+	rankBody := func(c *mpi.Comm) error {
+		m, ctx, err := propagators.OnRank(c, *model, baseCfg, mode, nil)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		dec, err := grid.NewDecomposition(g, c.Size(), nil)
-		if err != nil {
-			panic(err)
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			panic(err)
-		}
-		cfg := baseCfg
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := propagators.Build(*model, cfg)
-		if err != nil {
-			panic(err)
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 		res, err := propagators.Run(m, ctx, propagators.RunConfig{NT: *nt, NReceivers: *nrec, TimeTile: *tile})
 		if err != nil {
-			panic(err)
+			return err
 		}
 		// Traffic accounting works the same over any transport: snapshot
 		// the local counters, then sum across ranks with the runtime's
@@ -109,19 +85,22 @@ func main() {
 		// The run is as fast as its slowest rank.
 		seconds := c.AllreduceScalar(res.Perf.ComputeSeconds+res.Perf.HaloSeconds, mpi.OpMax)
 		if c.Rank() == 0 {
-			label := fmt.Sprintf("%d ranks (%s), %s mode, topology %v", c.Size(), *transport, mode, dec.Topology)
+			label := "serial"
+			if ctx != nil {
+				label = fmt.Sprintf("%d ranks (%s), %s mode, topology %v", c.Size(), *transport, mode, ctx.Decomp.Topology)
+			}
 			if k := res.Op.TimeTile(); k > 1 {
 				label += fmt.Sprintf(", exchange interval %d", k)
 			}
 			report(label, res, gridPoints, seconds)
 			fmt.Printf("  MPI traffic: %d messages, %.1f MB total\n", int64(msgs), bytes/1e6)
 		}
+		return nil
 	}
 
 	switch *transport {
 	case "inproc":
-		w := mpi.NewWorld(*ranks)
-		fail(w.Run(rankBody))
+		fail(mpi.RunRanks(*ranks, rankBody))
 		// One flush for the whole world: the per-rank recorders are
 		// global, so the trace holds every rank's spans (one Perfetto
 		// process per rank).

@@ -96,19 +96,19 @@ type DMPConfig struct {
 // RunDMP spawns an in-process MPI world and runs f once per rank — the
 // devigo equivalent of launching the unmodified script under mpirun. The
 // body receives the rank's Env; grids created through env.NewGrid are
-// domain-decomposed automatically. After the world completes, any
-// observability outputs requested through the environment (DEVIGO_TRACE,
-// DEVIGO_METRICS) are flushed once for all ranks.
+// domain-decomposed automatically. A rank whose body returns an error (or
+// panics) fails its world: its peers' pending receives fail instead of
+// waiting, and RunDMP returns that rank's error, "mpi: rank r: …". After
+// the world completes, any observability outputs requested through the
+// environment (DEVIGO_TRACE, DEVIGO_METRICS) are flushed once for all
+// ranks.
 func RunDMP(cfg DMPConfig, f func(env *Env) error) error {
 	mode, err := halo.ParseMode(cfg.Mode)
 	if err != nil {
 		return err
 	}
-	w := mpi.NewWorld(cfg.Ranks)
-	if err := w.Run(func(c *mpi.Comm) {
-		if err := f(&Env{comm: c, mode: mode}); err != nil {
-			panic(err)
-		}
+	if err := mpi.RunRanks(cfg.Ranks, func(c *mpi.Comm) error {
+		return f(&Env{comm: c, mode: mode})
 	}); err != nil {
 		return err
 	}

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/propagators"
@@ -47,33 +45,20 @@ func main() {
 	serialNorm := res.Norm
 
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
-		w := mpi.NewWorld(8)
 		var norm float64
-		err := w.Run(func(c *mpi.Comm) {
-			g := grid.MustNew(config().Shape, nil)
-			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2, 2})
+		err := mpi.RunRanks(8, func(c *mpi.Comm) error {
+			dm, ctx, err := propagators.OnRank(c, "acoustic", config(), mode, []int{2, 2, 2})
 			if err != nil {
-				panic(err)
+				return err
 			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
-			if err != nil {
-				panic(err)
-			}
-			cfg := config()
-			cfg.Decomp = dec
-			cfg.Rank = c.Rank()
-			dm, err := propagators.Acoustic(cfg)
-			if err != nil {
-				panic(err)
-			}
-			ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 			dres, err := propagators.Run(dm, ctx, propagators.RunConfig{NT: nt, NReceivers: 8})
 			if err != nil {
-				panic(err)
+				return err
 			}
 			if c.Rank() == 0 {
 				norm = dres.Norm
 			}
+			return nil
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/propagators"
@@ -44,7 +42,7 @@ func gradientConfig() propagators.GradientConfig {
 
 func main() {
 	// Exact-arithmetic certification first: the gate CI enforces.
-	cert, err := propagators.RunDotTest(nil, "")
+	cert, err := propagators.RunDotTest(nil, halo.ModeNone, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,36 +62,23 @@ func main() {
 	report("serial", res)
 
 	// The identical gradient over 4 ranks with overlapped halo exchange.
-	w := mpi.NewWorld(4)
-	err = w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew([]int{shapeEdge, shapeEdge}, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), nil)
+	err = mpi.RunRanks(4, func(c *mpi.Comm) error {
+		dm, ctx, err := propagators.OnRank(c, "acoustic", config(), halo.ModeFull, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := config()
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		dm, err := propagators.Acoustic(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeFull}
 		dres, err := propagators.RunGradient(dm, ctx, gradientConfig())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if c.Rank() == 0 {
 			report("4-rank full", dres)
 			if propagators.RelDot(dres.GradNorm, res.GradNorm) > 1e-9 {
-				log.Fatalf("distributed gradient diverges: %v vs %v", dres.GradNorm, res.GradNorm)
+				return fmt.Errorf("distributed gradient diverges: %v vs %v", dres.GradNorm, res.GradNorm)
 			}
 			fmt.Println("\ndistributed gradient matches serial")
 		}
+		return nil
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -120,7 +120,7 @@ func (k *Kernel) Binding() *runtime.Binding { return k.drv.Binding }
 // compilation — while the copy gets a private driver, so it is safe to run
 // concurrently with the original (the opcache runs rebound kernels across
 // shots in parallel).
-func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
+func (k *Kernel) Rebind(fields map[string]*field.Function) (runtime.ExecKernel, error) {
 	bd, err := k.drv.Rebind(fields)
 	if err != nil {
 		return nil, err

@@ -77,7 +77,7 @@ func resolveAutotune(requested string) (string, error) {
 func (op *Operator) Profile() perfmodel.OpProfile {
 	shape := append([]int(nil), op.Grid.Shape...)
 	ranks := 1
-	if op.ctx != nil && !op.ctx.Serial() && op.ctx.Decomp != nil {
+	if !op.ctx.Serial() && op.ctx.Decomp != nil {
 		shape = op.ctx.Decomp.MaxLocalShape()
 		ranks = op.ctx.Comm.Size()
 	}
@@ -107,7 +107,6 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 	p := perfmodel.OpProfile{
 		LocalShape:      shape,
 		InstrsPerPoint:  instrs,
-		Engine:          op.perf.Engine,
 		StreamsPerPoint: op.StreamCount(),
 		HaloStreams:     op.HaloStreamCount(),
 		HaloWidth:       width,
@@ -141,7 +140,7 @@ func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	// Resize the persistent team to the adopted worker count before the
 	// next dispatch.
 	op.ensurePool()
-	if op.ctx == nil || op.ctx.Serial() {
+	if op.ctx.Serial() {
 		return nil
 	}
 	mode := cfg.Mode
@@ -169,7 +168,7 @@ func (op *Operator) measurePoolSync(h *perfmodel.Host, maxWorkers int) {
 		}
 		h.PoolSync = p.SyncCost()
 	}
-	if op.ctx != nil && !op.ctx.Serial() {
+	if !op.ctx.Serial() {
 		h.PoolSync = op.ctx.Comm.AllreduceScalar(h.PoolSync, mpi.OpMax)
 	}
 }
@@ -178,7 +177,7 @@ func (op *Operator) measurePoolSync(h *perfmodel.Host, maxWorkers int) {
 // per-timestep shell stride (max over dimensions) and the tile-start
 // stream count, from a k=2 probe plan (both are interval-independent).
 func (op *Operator) tileProfile() (stride, streams int) {
-	if op.ctx == nil || op.ctx.Serial() {
+	if op.ctx.Serial() {
 		return 0, 0
 	}
 	p, _ := ir.PlanTimeTile(op.Schedule, 2, op.isTimeField, op.hasScratch)
@@ -272,7 +271,7 @@ func (op *Operator) autotune(policy string, step func(int), next *int, remaining
 		avg := time.Since(t0).Seconds() / float64(steps)
 		sp.End()
 		obs.Add(rank, obs.CtrTrialSteps, int64(steps))
-		if op.ctx != nil && !op.ctx.Serial() {
+		if !op.ctx.Serial() {
 			avg = op.ctx.Comm.AllreduceScalar(avg, mpi.OpMax)
 		}
 		return avg, nil
@@ -294,12 +293,6 @@ func (op *Operator) autotune(policy string, step func(int), next *int, remaining
 				Chosen:       tr.Config.String() == cfg.String(),
 			})
 		}
-	}
-	if os.Getenv("DEVIGO_TUNE_DEBUG") != "" && (op.ctx == nil || op.ctx.Comm.Rank() == 0) {
-		for _, tr := range trialLog {
-			fmt.Fprintf(os.Stderr, "devigo-tune: trial %s = %.6fs/step\n", tr.Config, tr.Seconds)
-		}
-		fmt.Fprintf(os.Stderr, "devigo-tune: chose %s\n", cfg)
 	}
 	if err := op.adopt(cfg); err != nil {
 		return err

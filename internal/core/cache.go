@@ -145,7 +145,10 @@ func (op *Operator) compileKernels(engine string, compileAll func() ([]ExecKerne
 	obs.Add(rank, obs.CtrOpCacheHits, 1)
 	rebound := make([]ExecKernel, len(cached))
 	for i, k := range cached {
-		if rebound[i], err = rebindKernel(k, op.Fields); err != nil {
+		// Each engine's own Rebind: a copy executing against this
+		// operator's storage, resolved by field name, safe to run
+		// concurrently with the cached original.
+		if rebound[i], err = k.Rebind(op.Fields); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", op.Name, err)
 		}
 	}

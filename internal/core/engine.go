@@ -34,18 +34,10 @@ const (
 // EngineEnvVar overrides the default engine when Options.Engine is unset.
 const EngineEnvVar = "DEVIGO_ENGINE"
 
-// ExecKernel is the per-cluster execution contract every engine satisfies.
-// Run's scalar vector is whatever the same kernel's BindSyms produced
-// (the interpreter's symbol bindings, the bytecode/native engines' scalar
-// pool). Exported so the cross-engine conformance tests can inspect an
-// operator's compiled kernels.
-type ExecKernel interface {
-	Run(t int, b runtime.Box, syms []float64, opts *runtime.ExecOpts)
-	BindSyms(vals map[string]float64) ([]float64, error)
-	FlopsPerPoint() int
-	InstrsPerPoint() int
-	StencilRadius() []int
-}
+// ExecKernel is the per-cluster execution contract every engine satisfies
+// (runtime.ExecKernel). Exported here so the cross-engine conformance
+// tests can inspect an operator's compiled kernels.
+type ExecKernel = runtime.ExecKernel
 
 // EngineNames lists the canonical engine names accepted by
 // Options.Engine and $DEVIGO_ENGINE ("vm" and "interp" are aliases).
@@ -86,29 +78,4 @@ func compileStep(engine string, assigns []symbolic.Assignment, eqs []symbolic.Eq
 	default:
 		return bytecode.CompileNest(assigns, eqs, radius, fields)
 	}
-}
-
-// rebindKernel returns a copy of a cached compiled kernel executing
-// against another operator's storage, resolved by field name (each
-// engine's Kernel.Rebind; the copy is safe to run concurrently with the
-// original).
-func rebindKernel(k ExecKernel, fields map[string]*field.Function) (ExecKernel, error) {
-	switch t := k.(type) {
-	case *bytecode.Kernel:
-		return rebound(t.Rebind(fields))
-	case *runtime.Kernel:
-		return rebound(t.Rebind(fields))
-	case *native.Kernel:
-		return rebound(t.Rebind(fields))
-	}
-	return nil, fmt.Errorf("cannot rebind cached kernel of type %T", k)
-}
-
-// rebound widens an engine's typed Rebind result to the engine-neutral
-// contract without wrapping a nil kernel in a non-nil interface.
-func rebound[K ExecKernel](k K, err error) (ExecKernel, error) {
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
 }

@@ -303,7 +303,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		storeSchedule(cache, cacheKey, sched, len(scratchExt) > 0)
 	}
 	mode := halo.ModeNone
-	if ctx != nil && !ctx.Serial() {
+	if !ctx.Serial() {
 		mode = ctx.Mode
 	}
 
@@ -326,7 +326,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	}
 	op.shellLo = make([]int, nd)
 	op.shellHi = make([]int, nd)
-	if ctx != nil && !ctx.Serial() && ctx.Decomp != nil {
+	if !ctx.Serial() && ctx.Decomp != nil {
 		op.shellLo, op.shellHi = ctx.Decomp.ShellCaps(ctx.Comm.Rank())
 	}
 	// Communication-avoiding time tiling: adopt the largest legal exchange
@@ -490,7 +490,7 @@ func (op *Operator) emitCode() {
 // switching (even between timesteps, as the search autotuner does) never
 // changes results. It is an error on a serial operator.
 func (op *Operator) Reconfigure(mode halo.Mode, k int) error {
-	if op.ctx == nil || op.ctx.Serial() {
+	if op.ctx.Serial() {
 		return fmt.Errorf("core: %s: Reconfigure requires a distributed context", op.Name)
 	}
 	if mode == halo.ModeNone {
@@ -630,7 +630,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 		// tuned: adopt its configuration and skip the warmup/trial steps
 		// entirely — the cached choice is bit-exact like every candidate.
 		cfg, ok := op.cachedTuneConfig()
-		if op.ctx != nil && !op.ctx.Serial() {
+		if !op.ctx.Serial() {
 			// A concurrent shot may publish its entry between two ranks'
 			// lookups: adopt only when every rank hit, so no rank enters
 			// the autotuner's collectives alone.

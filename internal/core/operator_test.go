@@ -109,6 +109,21 @@ func TestDiffusionDecaysAndStaysFinite(t *testing.T) {
 	}
 }
 
+// rankContext decomposes g over c's world as topo and returns the calling
+// rank's context: the test-side twin of propagators.OnRank's sequence
+// (core cannot import propagators).
+func rankContext(c *mpi.Comm, g *grid.Grid, topo []int, mode halo.Mode) (*Context, error) {
+	dec, err := grid.NewDecomposition(g, c.Size(), topo)
+	if err != nil {
+		return nil, err
+	}
+	cart, err := mpi.CartCreate(c, dec.Topology, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}, nil
+}
+
 // runDistributedDiffusion runs nt steps on nranks with the given mode and
 // gathers the global result on rank 0.
 func runDistributedDiffusion(t testing.TB, shape []int, topo []int, mode halo.Mode, so, nt int) []float32 {
@@ -117,26 +132,17 @@ func runDistributedDiffusion(t testing.TB, shape []int, topo []int, mode halo.Mo
 	for _, v := range topo {
 		nranks *= v
 	}
-	w := mpi.NewWorld(nranks)
 	var result []float32
-	err := w.Run(func(c *mpi.Comm) {
-		dec, err := grid.NewDecomposition(g, c.Size(), topo)
+	err := mpi.RunRanks(nranks, func(c *mpi.Comm) error {
+		ctx, err := rankContext(c, g, topo, mode)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		u, err := field.NewTimeFunction("u", g, so, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		u, err := field.NewTimeFunction("u", g, so, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		arr := ddata.New(&u.Function, dec, c.Rank())
+		arr := ddata.New(&u.Function, ctx.Decomp, c.Rank())
 		// Deterministic initial condition as a function of global coords.
 		slices := make([]ddata.Slice, len(shape))
 		for d := range slices {
@@ -152,13 +158,13 @@ func runDistributedDiffusion(t testing.TB, shape []int, topo []int, mode halo.Mo
 		op := buildDiffusionOp(t, g, u, ctx)
 		dt := 0.1
 		if err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: nt - 1, Syms: map[string]float64{"dt": dt}}); err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		out := arr.Gather(c, 0, nt)
 		if c.Rank() == 0 {
 			result = out
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,18 +241,18 @@ func TestListing3_RankLocalViews(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := mpi.NewWorld(4)
-	err := w.Run(func(c *mpi.Comm) {
-		dec, _ := grid.NewDecomposition(g, 4, []int{2, 2})
-		cart, _ := mpi.CartCreate(c, dec.Topology, nil)
-		ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeBasic}
+	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+		ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeBasic)
+		if err != nil {
+			return err
+		}
+		dec := ctx.Decomp
 		u, _ := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
 		arr := ddata.New(&u.Function, dec, c.Rank())
 		_ = arr.SetSlice(0, []ddata.Slice{ddata.SliceRange(1, -1), ddata.SliceRange(1, -1)}, 1)
 		op := buildDiffusionOp(t, g, u, ctx)
 		if err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: 0, Syms: map[string]float64{"dt": dt}}); err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		origin := dec.LocalOrigin(c.Rank())
 		for i := 0; i < 2; i++ {
@@ -258,6 +264,7 @@ func TestListing3_RankLocalViews(t *testing.T) {
 				}
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,17 +294,18 @@ func TestGeneratedCodeShape(t *testing.T) {
 func TestGeneratedCodeHaloCallsPerMode(t *testing.T) {
 	g := grid.MustNew([]int{8, 8}, nil)
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeFull} {
-		w := mpi.NewWorld(4)
 		var code string
-		err := w.Run(func(c *mpi.Comm) {
-			dec, _ := grid.NewDecomposition(g, 4, []int{2, 2})
-			cart, _ := mpi.CartCreate(c, dec.Topology, nil)
-			ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-			u, _ := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
+		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+			ctx, err := rankContext(c, g, []int{2, 2}, mode)
+			if err != nil {
+				return err
+			}
+			u, _ := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
 			op := buildDiffusionOp(t, g, u, ctx)
 			if c.Rank() == 0 {
 				code = op.CCode
 			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/iet"
 	"devigo/internal/ir"
@@ -38,34 +37,21 @@ func TestTreeIsTheProgram(t *testing.T) {
 		for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
 			for _, k := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/k%d", model, mode, k)
-				err := mpi.NewWorld(2).Run(func(c *mpi.Comm) {
-					g := grid.MustNew(shape, nil)
-					dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 1})
+				err := mpi.RunRanks(2, func(c *mpi.Comm) error {
+					m, ctx, err := propagators.OnRank(c, model, propagators.Config{
+						Shape: shape, SpaceOrder: 8, NBL: 4, Velocity: 1.5}, mode, []int{2, 1})
 					if err != nil {
-						t.Error(err)
-						return
+						return err
 					}
-					cart, err := mpi.CartCreate(c, dec.Topology, nil)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					m, err := propagators.Build(model, propagators.Config{
-						Shape: shape, SpaceOrder: 8, NBL: 4, Velocity: 1.5, Decomp: dec, Rank: c.Rank()})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 					op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, &core.Options{Name: m.Name, TimeTile: k})
 					if err != nil {
-						t.Error(err)
-						return
+						return err
 					}
 					if c.Rank() != 0 || (k > 1 && op.TilePlan() == nil) {
-						return // untileable (CIRE scratch): covered at k=1
+						return nil // untileable (CIRE scratch): covered at k=1
 					}
 					checkTreeIsProgram(t, name, op)
+					return nil
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -94,7 +94,7 @@ func (op *Operator) allocFits(p *ir.TilePlan) bool {
 // refusal — CIRE scratch, multi-writer fields — or depths exceeding the
 // decomposition's chunks).
 func (op *Operator) selectTilePlan(k int) *ir.TilePlan {
-	if op.ctx == nil || op.ctx.Serial() || k < 2 {
+	if op.ctx.Serial() || k < 2 {
 		return nil
 	}
 	minChunk := op.ctx.Decomp.MinChunk()
@@ -117,7 +117,7 @@ func (op *Operator) selectTilePlan(k int) *ir.TilePlan {
 // (construction or Reconfigure): default operators keep the classic
 // candidate space and never pay deep-halo storage.
 func (op *Operator) maxFeasibleTile() int {
-	if op.ctx == nil || op.ctx.Serial() || !op.tileProvisioned {
+	if op.ctx.Serial() || !op.tileProvisioned {
 		return 1
 	}
 	minChunk := op.ctx.Decomp.MinChunk()
@@ -238,7 +238,7 @@ type CommStats struct {
 // state.
 func (op *Operator) CommStats() CommStats {
 	out := CommStats{TimeTile: op.TimeTile()}
-	if op.ctx == nil || op.ctx.Serial() || op.mode == halo.ModeNone {
+	if op.ctx.Serial() || op.mode == halo.ModeNone {
 		return out
 	}
 	k := float64(op.prog.k)

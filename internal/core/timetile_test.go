@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,35 +67,26 @@ func TestResolveTimeTile(t *testing.T) {
 func ttOperator(t *testing.T, k int, mode halo.Mode, fn func(c *mpi.Comm, op *Operator, u *field.TimeFunction)) {
 	t.Helper()
 	shape := []int{16, 16}
-	w := mpi.NewWorld(4)
-	err := w.Run(func(c *mpi.Comm) {
+	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
 		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		ctx, err := rankContext(c, g, []int{2, 2}, mode)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
 		if err != nil {
-			t.Error(err)
-			return
-		}
-		u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
-		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		upd := symbolic.NewAdd(symbolic.At(u.Ref),
 			symbolic.NewMul(symbolic.Float(0.1), symbolic.Laplace(symbolic.At(u.Ref), 2, 2)))
 		eq := symbolic.Eq{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}
-		ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 		op, err := NewOperator([]symbolic.Eq{eq}, map[string]*field.Function{"u": &u.Function}, g, ctx,
 			&Options{TimeTile: k})
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		fn(c, op, u)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +165,7 @@ func TestTimeTileApplyBitExactAndCommStats(t *testing.T) {
 				}
 			}
 			if err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: 9, Syms: map[string]float64{"dt": 1}}); err != nil {
-				t.Error(err)
-				return
+				panic(err) // fail the world: the peers go on to the allreduce below
 			}
 			sum := float32(0)
 			for i := 0; i < u.LocalShape[0]; i++ {
@@ -233,69 +224,59 @@ func TestTimeTileProfileAndCandidates(t *testing.T) {
 // exchangers and generated source stale; its next Apply re-derives both,
 // so CCode equals that of a fresh operator built on the grown fields.
 func TestSiblingHaloGrowthReEmitsCode(t *testing.T) {
-	w := mpi.NewWorld(4)
-	err := w.Run(func(c *mpi.Comm) {
+	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
 		g := grid.MustNew([]int{16, 16}, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeDiagonal)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		fc := &field.Config{Decomp: dec, Rank: c.Rank()}
+		fc := &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()}
 		m, err := field.NewFunction("m", g, 2, fc)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		u, errU := field.NewTimeFunction("u", g, 2, 1, fc)
-		v, errV := field.NewTimeFunction("v", g, 2, 1, fc)
-		if errU != nil || errV != nil {
-			t.Error(errU, errV)
-			return
+		u, err := field.NewTimeFunction("u", g, 2, 1, fc)
+		if err != nil {
+			return err
+		}
+		v, err := field.NewTimeFunction("v", g, 2, 1, fc)
+		if err != nil {
+			return err
 		}
 		// build makes a diffusion operator over a wavefield and the shared
 		// parameter m.
-		build := func(u *field.TimeFunction, k int) *Operator {
+		build := func(u *field.TimeFunction, k int) (*Operator, error) {
 			upd := symbolic.NewAdd(symbolic.At(u.Ref),
 				symbolic.NewMul(symbolic.Float(0.1), symbolic.At(m.Ref), symbolic.Laplace(symbolic.At(u.Ref), 2, 2)))
-			ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
-			op, err := NewOperator([]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}},
+			return NewOperator([]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}},
 				map[string]*field.Function{u.Name: &u.Function, "m": m}, g, ctx, &Options{TimeTile: k})
-			if err != nil {
-				t.Error(err)
-				return nil
-			}
-			return op
 		}
-		first := build(u, 1)
-		if first == nil {
-			return
+		first, err := build(u, 1)
+		if err != nil {
+			return err
 		}
 		before, width := first.CCode, m.Halo[0]
-		if build(v, 4) == nil {
-			return
+		if _, err := build(v, 4); err != nil {
+			return err
 		}
 		if m.Halo[0] <= width {
-			t.Errorf("the tiled sibling left m's ghost width at %d; the test needs it grown", m.Halo[0])
-			return
+			return fmt.Errorf("the tiled sibling left m's ghost width at %d; the test needs it grown", m.Halo[0])
 		}
 		if err := first.Apply(&ApplyOpts{TimeM: 0, TimeN: 0, Syms: map[string]float64{"dt": 1}}); err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		if first.CCode == before {
 			t.Error("CCode still indexes m by its old ghost width after Apply")
 		}
-		fresh := build(u, 1) // over the same, now grown, storage
-		if fresh != nil && first.CCode != fresh.CCode {
+		fresh, err := build(u, 1) // over the same, now grown, storage
+		if err != nil {
+			return err
+		}
+		if first.CCode != fresh.CCode {
 			t.Errorf("re-emitted code differs from a fresh operator's:\n--- applied ---\n%s\n--- fresh ---\n%s",
 				first.CCode, fresh.CCode)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

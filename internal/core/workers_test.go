@@ -187,57 +187,52 @@ func TestWorkersEnvSpawnsPool(t *testing.T) {
 func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 	run := func(workers int, churn bool) []float32 {
 		g := grid.MustNew([]int{16, 16}, nil)
-		w := mpi.NewWorld(4)
 		var out []float32
-		err := w.Run(func(c *mpi.Comm) {
-			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+			ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeDiagonal)
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
+			u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
-			ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
-			u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			arr := ddata.New(&u.Function, dec, c.Rank())
+			arr := ddata.New(&u.Function, ctx.Decomp, c.Rank())
 			slices := []ddata.Slice{ddata.SliceAll(), ddata.SliceAll()}
 			_ = arr.SetFunc(0, slices, func(gc []int) float32 {
 				return float32(gc[0]*3+gc[1]) * 0.01
 			})
 			op := buildDiffusionOpWithCtx(t, g, u, ctx, &Options{Workers: workers, TileRows: 2})
 			defer op.Close()
-			apply := func(lo, hi int) {
-				if err := op.Apply(&ApplyOpts{TimeM: lo, TimeN: hi, Syms: map[string]float64{"dt": 0.05}}); err != nil {
-					t.Error(err)
-				}
+			apply := func(lo, hi int) error {
+				return op.Apply(&ApplyOpts{TimeM: lo, TimeN: hi, Syms: map[string]float64{"dt": 0.05}})
 			}
-			apply(0, 3)
+			if err := apply(0, 3); err != nil {
+				return err
+			}
 			p := op.Pool()
 			if workers > 1 && (p == nil || p.Workers() != workers) {
 				t.Errorf("rank %d: pool = %v before churn", c.Rank(), p)
 			}
 			if churn {
 				if err := op.Reconfigure(halo.ModeDiagonal, 4); err != nil {
-					t.Error(err)
+					return err
 				}
 			}
-			apply(4, 11)
+			if err := apply(4, 11); err != nil {
+				return err
+			}
 			if churn {
 				if err := op.Reconfigure(halo.ModeDiagonal, 1); err != nil {
-					t.Error(err)
+					return err
 				}
 				if err := op.Reconfigure(halo.ModeFull, 1); err != nil {
-					t.Error(err)
+					return err
 				}
 			}
-			apply(12, 15)
+			if err := apply(12, 15); err != nil {
+				return err
+			}
 			if workers > 1 && op.Pool() != p {
 				t.Errorf("rank %d: churn replaced the persistent pool", c.Rank())
 			}
@@ -245,6 +240,7 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 			if c.Rank() == 0 {
 				out = res
 			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -22,8 +22,8 @@ type message struct {
 
 // mailbox queues messages from one fixed sender to one fixed receiver.
 // The TCP transport reuses it as the per-source inbox its connection
-// readers feed, which is why it also supports deadlines (popTimeout)
-// and failure injection (fail): a wire can die, a goroutine cannot.
+// readers feed, which is why pop takes a deadline: a wire can go silent,
+// a goroutine cannot. Both transports poison it (fail) when a peer dies.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -70,39 +70,22 @@ func (m *mailbox) take(i int) []float32 {
 	return data
 }
 
-// pop removes and returns the first message with the given tag, blocking
-// until one arrives.
-func (m *mailbox) pop(tag int) ([]float32, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i := range m.queue {
-			if m.queue[i].tag == tag {
-				return m.take(i), nil
-			}
-		}
-		if m.err != nil {
-			return nil, m.err
-		}
-		m.cond.Wait()
-	}
-}
-
-// errRecvTimeout marks a popTimeout deadline expiry.
+// errRecvTimeout marks a pop deadline expiry.
 var errRecvTimeout = errors.New("receive deadline exceeded")
 
-// popTimeout is pop with a deadline: it fails with errRecvTimeout once d
-// elapses without a matching message, turning a hung peer into an error
-// instead of a deadlock. d <= 0 means no deadline.
-func (m *mailbox) popTimeout(tag int, d time.Duration) ([]float32, error) {
-	if d <= 0 {
-		return m.pop(tag)
+// pop removes and returns the first message with the given tag, blocking
+// until one arrives, the mailbox is poisoned, or — when d > 0 — the
+// deadline d elapses (errRecvTimeout): a failed or hung peer becomes an
+// error instead of a deadlock. d <= 0 means no deadline.
+func (m *mailbox) pop(tag int, d time.Duration) ([]float32, error) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+		// sync.Cond has no timed wait; a timer broadcast wakes the waiters
+		// so the deadline check below runs.
+		timer := time.AfterFunc(d, m.cond.Broadcast)
+		defer timer.Stop()
 	}
-	deadline := time.Now().Add(d)
-	// sync.Cond has no timed wait; a timer broadcast wakes the waiters
-	// so the deadline check below runs.
-	timer := time.AfterFunc(d, m.cond.Broadcast)
-	defer timer.Stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -114,7 +97,7 @@ func (m *mailbox) popTimeout(tag int, d time.Duration) ([]float32, error) {
 		if m.err != nil {
 			return nil, m.err
 		}
-		if !time.Now().Before(deadline) {
+		if d > 0 && !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("%w (%s)", errRecvTimeout, d)
 		}
 		m.cond.Wait()
@@ -168,33 +151,45 @@ func (w *World) StatsSnapshot() []Stats {
 	return append([]Stats(nil), w.stats...)
 }
 
-// Run executes f once per rank, each on its own goroutine, and waits for all
-// to finish. A panic on any rank is recovered and returned as an error
-// (first one wins); remaining ranks may deadlock-free finish or be
-// abandoned — Run still returns after all goroutines exit or panic.
-func (w *World) Run(f func(c *Comm)) (err error) {
-	var wg sync.WaitGroup
-	errs := make(chan error, w.size)
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs <- fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-				}
-			}()
-			c := NewComm(&inprocTransport{world: w, rank: rank})
-			c.world = w
-			f(c)
-		}(r)
+// Run executes f once per rank, each on its own goroutine, and waits for
+// all of them: RunRanks for bodies that have no error to return. A panic
+// on any rank fails the world (see runWorld).
+func (w *World) Run(f func(c *Comm)) error {
+	return w.run(func(c *Comm) error { f(c); return nil })
+}
+
+// RunRanks executes body once per rank of a fresh in-process world of n
+// ranks and returns the first rank's failure, nil when every rank
+// succeeded. n == 1 is an ordinary world of one: callers do not branch on
+// serial.
+func RunRanks(n int, body func(c *Comm) error) error {
+	if n < 1 {
+		return fmt.Errorf("mpi: world size %d < 1", n)
 	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		return e
-	default:
-		return nil
+	return NewWorld(n).run(body)
+}
+
+// run is runWorld over this world's mailboxes: a failed rank poisons them.
+func (w *World) run(body func(c *Comm) error) error {
+	return runWorld(w.size, func(rank int) (*Comm, func(error), error) {
+		return NewComm(&inprocTransport{world: w, rank: rank}), w.poison, nil
+	}, body)
+}
+
+// poison fails every mailbox of the world once a rank has failed: peers
+// blocked in (or later reaching) a receive unwind instead of waiting for
+// messages that will never be sent. A goroutine rank cannot time out the
+// way a remote peer can, so this is the in-process hung-peer guarantee. A
+// poisoned world stays failed.
+func (w *World) poison(err error) {
+	if err == nil {
+		return
+	}
+	err = fmt.Errorf("world failed: %w", err)
+	for _, row := range w.mailboxes {
+		for _, m := range row {
+			m.fail(err)
+		}
 	}
 }
 
@@ -224,12 +219,12 @@ func (t *inprocTransport) Send(dst, tag int, data []float32) error {
 	return nil
 }
 
-// Recv blocks on the source mailbox until a matching message arrives.
-// Goroutine ranks cannot hang the way a remote peer can, so there is no
-// deadline — a lost message here is a schedule bug, and the zero-change
-// behavior of the pre-Transport runtime is preserved.
+// Recv blocks on the source mailbox until a matching message arrives or
+// the world fails. Goroutine ranks cannot hang the way a remote peer can,
+// so there is no deadline: a rank that dies poisons the mailbox instead
+// (World.poison), and a lost message is a schedule bug.
 func (t *inprocTransport) Recv(src, tag int) ([]float32, error) {
-	return t.world.mailboxes[src][t.rank].pop(tag)
+	return t.world.mailboxes[src][t.rank].pop(tag, 0)
 }
 
 // TryRecv polls the source mailbox.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -18,59 +17,44 @@ import (
 // cmd/devigo-run's launcher mode and the CI multi-process smoke build
 // on.
 
-// RunTCPLocal executes f once per rank over a loopback TCP world and
-// returns the first rank error (a panic inside f is recovered by
-// RunRank). Listeners are bound on port 0 before any transport starts,
-// so no port is ever picked racily. timeout <= 0 means the default
-// deadline.
-func RunTCPLocal(n int, timeout time.Duration, f func(c *Comm)) error {
+// bindLocal binds n port-0 loopback listeners and returns them with
+// their addresses in rank order: ports picked by the kernel, never raced.
+func bindLocal(n int) ([]net.Listener, []string, error) {
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range lns[:r] {
+				l.Close()
+			}
+			return nil, nil, fmt.Errorf("mpi: tcp: bind rank %d: %w", r, err)
+		}
+		lns[r], addrs[r] = ln, ln.Addr().String()
+	}
+	return lns, addrs, nil
+}
+
+// RunTCPLocal executes body once per rank over a loopback TCP world and
+// returns the first rank failure, exactly as RunRanks does in process (a
+// failing rank closes its connections, which fails its peers' receives).
+// Listeners are bound before any transport starts. timeout <= 0 means the
+// default deadline.
+func RunTCPLocal(n int, timeout time.Duration, body func(c *Comm) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: tcp: world size %d < 1", n)
 	}
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for r := 0; r < n; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	lns, addrs, err := bindLocal(n)
+	if err != nil {
+		return err
+	}
+	return runWorld(n, func(rank int) (*Comm, func(error), error) {
+		t, err := NewTCPTransport(TCPConfig{Rank: rank, Addrs: addrs, Timeout: timeout, Listener: lns[rank]})
 		if err != nil {
-			for _, l := range lns {
-				if l != nil {
-					l.Close()
-				}
-			}
-			return fmt.Errorf("mpi: tcp: bind rank %d: %w", r, err)
+			return nil, nil, err
 		}
-		lns[r] = ln
-		addrs[r] = ln.Addr().String()
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			t, err := NewTCPTransport(TCPConfig{
-				Rank:     rank,
-				Addrs:    addrs,
-				Timeout:  timeout,
-				Listener: lns[rank],
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer t.Close()
-			if err := RunRank(t, f); err != nil {
-				errs <- err
-			}
-		}(r)
-	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		return e
-	default:
-		return nil
-	}
+		return NewComm(t), func(error) { t.Close() }, nil
+	}, body)
 }
 
 // FreeLocalAddrs reserves n distinct loopback host:port addresses by
@@ -78,23 +62,11 @@ func RunTCPLocal(n int, timeout time.Duration, f func(c *Comm)) error {
 // between close and the rank process's own bind is the usual free-port
 // race; acceptable for a local launcher.
 func FreeLocalAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, 0, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns {
-				l.Close()
-			}
-			return nil, fmt.Errorf("mpi: tcp: reserve port: %w", err)
-		}
-		lns = append(lns, ln)
-		addrs[i] = ln.Addr().String()
-	}
+	lns, addrs, err := bindLocal(n)
 	for _, l := range lns {
 		l.Close()
 	}
-	return addrs, nil
+	return addrs, err
 }
 
 // WriteHostfile writes one host:port per line (rank order) to path.

@@ -19,6 +19,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 )
 
 // ProcNull is the null process rank: sends and receives addressed to it are
@@ -31,18 +32,12 @@ type Comm struct {
 	rank int
 	size int
 	t    Transport
-	// world is the in-process World this Comm belongs to, nil for
-	// out-of-process transports (kept for the world-wide accounting
-	// snapshot the in-process tests and benchmarks consume).
-	world *World
 	// collSeq numbers collective operations so that their internal
 	// point-to-point traffic cannot be confused with user messages.
 	collSeq int
 }
 
-// NewComm wraps a transport in a communicator. Out-of-process rank
-// programs (the TCP launcher's children) build their Comm here; the
-// in-process path goes through World.Run.
+// NewComm wraps a transport in a communicator.
 func NewComm(t Transport) *Comm {
 	return &Comm{rank: t.Rank(), size: t.Size(), t: t}
 }
@@ -52,10 +47,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
 func (c *Comm) Size() int { return c.size }
-
-// World returns the underlying in-process world (for its accounting
-// snapshot); nil when the Comm runs over an out-of-process transport.
-func (c *Comm) World() *World { return c.world }
 
 // Transport exposes the delivery substrate (for transport-level
 // accounting and teardown).
@@ -109,17 +100,65 @@ func (c *Comm) SendRecv(dst, sendTag int, sendData []float32, src, recvTag int, 
 	return c.Recv(src, recvTag, recvBuf)
 }
 
-// RunRank executes f as one rank over an established transport,
-// recovering a panic into an error — the single-process counterpart of
-// World.Run used by rank-per-process transports, so a transport failure
-// (a hung peer's recv deadline, a dead connection) surfaces as a clean
-// error and a non-zero exit instead of a deadlock or a stack trace.
-func RunRank(t Transport, f func(c *Comm)) (err error) {
+// RunRank executes body as one rank over an established transport — the
+// single-process counterpart of RunRanks used by rank-per-process
+// transports — so a returned error, a panic or a transport failure (a
+// hung peer's recv deadline, a dead connection) surfaces as one clean
+// error naming the rank, and a non-zero exit, instead of a deadlock or a
+// stack trace.
+func RunRank(t Transport, body func(c *Comm) error) error {
+	return runRank(NewComm(t), body)
+}
+
+// runRank is the one place a rank body's failure becomes an error:
+// "mpi: rank r: …" for a returned error and for a recovered panic alike.
+func runRank(c *Comm, body func(c *Comm) error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = fmt.Errorf("mpi: rank %d panicked: %v", t.Rank(), rec)
+			err = fmt.Errorf("mpi: rank %d: panic: %v", c.rank, rec)
 		}
 	}()
-	f(NewComm(t))
+	if err := body(c); err != nil {
+		return fmt.Errorf("mpi: rank %d: %w", c.rank, err)
+	}
 	return nil
+}
+
+// runWorld is the one spawn / recover / collect implementation behind
+// World.Run, RunRanks and RunTCPLocal. open establishes rank r's Comm and
+// returns its release function; the runner calls release with the rank's
+// outcome as soon as its body ends, and release(err != nil) must make
+// every peer's pending and future receives fail (the in-process world
+// poisons its mailboxes, a TCP rank drops its connections). A failure is
+// recorded before it is released, so the error returned is the root
+// cause — the first rank to fail — and never a peer's secondary "world
+// failed" unwinding; the call returns once every rank has ended.
+func runWorld(n int, open func(rank int) (*Comm, func(error), error), body func(c *Comm) error) error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c, release, err := open(rank)
+			if err == nil {
+				err = runRank(c, body)
+			}
+			if err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
+			if release != nil {
+				release(err)
+			}
+		}(r)
+	}
+	wg.Wait()
+	return first
 }

@@ -445,7 +445,7 @@ func (t *TCPTransport) failInbox(src int, err error) {
 // the peer, the tag and the deadline — the clean-failure half of the
 // hung-peer guarantee.
 func (t *TCPTransport) Recv(src, tag int) ([]float32, error) {
-	data, err := t.inbox[src].popTimeout(tag, t.timeout)
+	data, err := t.inbox[src].pop(tag, t.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
 	}

@@ -33,7 +33,10 @@ package mpi
 //
 // Transports report failures (peer death, deadline expiry, teardown)
 // as errors rather than deadlocking; the Comm layer converts them to
-// panics that World.Run / RunRank recover into a per-rank error.
+// panics that the world runners (RunRanks, World.Run, RunTCPLocal,
+// RunRank) recover into a per-rank error. A failed rank fails its world:
+// the runner makes its peers' receives fail too, and returns the first
+// failure — the root cause — once every rank has unwound.
 type Transport interface {
 	// Rank returns the calling rank.
 	Rank() int

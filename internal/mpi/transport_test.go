@@ -23,7 +23,9 @@ var transports = []struct {
 	run  func(n int, f func(c *Comm)) error
 }{
 	{"inproc", func(n int, f func(c *Comm)) error { return NewWorld(n).Run(f) }},
-	{"tcp", func(n int, f func(c *Comm)) error { return RunTCPLocal(n, 30*time.Second, f) }},
+	{"tcp", func(n int, f func(c *Comm)) error {
+		return RunTCPLocal(n, 30*time.Second, func(c *Comm) error { f(c); return nil })
+	}},
 }
 
 func forEachTransport(t *testing.T, n int, f func(c *Comm)) {
@@ -287,10 +289,10 @@ func TestMailboxTakeZeroesVacatedSlot(t *testing.T) {
 	m := newMailbox()
 	m.push(1, make([]float32, 4))
 	m.push(2, make([]float32, 1<<20))
-	if _, err := m.pop(1); err != nil {
+	if _, err := m.pop(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.pop(2); err != nil {
+	if _, err := m.pop(2, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Queue is empty but its backing array still has the slots the two
@@ -306,24 +308,24 @@ func TestMailboxTakeZeroesVacatedSlot(t *testing.T) {
 func TestMailboxPopTimeout(t *testing.T) {
 	m := newMailbox()
 	start := time.Now()
-	_, err := m.popTimeout(5, 50*time.Millisecond)
+	_, err := m.pop(5, 50*time.Millisecond)
 	if err == nil {
-		t.Fatal("popTimeout on an empty mailbox must fail")
+		t.Fatal("pop with a deadline on an empty mailbox must fail")
 	}
 	if !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("want a deadline error, got %v", err)
 	}
 	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("popTimeout returned before its deadline")
+		t.Fatal("pop returned before its deadline")
 	}
 	// A message that arrives while waiting must be delivered.
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		m.push(6, []float32{42})
 	}()
-	data, err := m.popTimeout(6, time.Second)
+	data, err := m.pop(6, time.Second)
 	if err != nil || len(data) != 1 || data[0] != 42 {
-		t.Fatalf("popTimeout missed a delivered message: %v %v", data, err)
+		t.Fatalf("pop missed a delivered message: %v %v", data, err)
 	}
 }
 
@@ -331,13 +333,14 @@ func TestTCPHungPeerDeadline(t *testing.T) {
 	// The hung-peer guarantee: a receive whose sender never sends fails
 	// with a deadline error after the timeout, not a deadlock, and the
 	// world run returns it as a clean error.
-	err := RunTCPLocal(2, 500*time.Millisecond, func(c *Comm) {
+	err := RunTCPLocal(2, 500*time.Millisecond, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := make([]float32, 1)
 			c.Recv(1, 99, buf) // rank 1 never sends: must trip the deadline
 		}
 		// rank 1 exits immediately; its connection teardown or rank 0's
 		// deadline both surface as errors, never a hang.
+		return nil
 	})
 	if err == nil {
 		t.Fatal("a hung peer must produce an error")
@@ -400,7 +403,7 @@ func TestTCPDialRetryWaitsForLateListener(t *testing.T) {
 
 func TestTCPStatsAccounting(t *testing.T) {
 	// Transport-level stats must count messages and payload bytes.
-	err := RunTCPLocal(2, 10*time.Second, func(c *Comm) {
+	err := RunTCPLocal(2, 10*time.Second, func(c *Comm) error {
 		peer := 1 - c.Rank()
 		c.Send(peer, 1, make([]float32, 10))
 		c.Send(peer, 2, make([]float32, 5))
@@ -409,8 +412,9 @@ func TestTCPStatsAccounting(t *testing.T) {
 		c.Recv(peer, 2, buf)
 		st := c.Transport().Stats()
 		if st.MsgsSent != 2 || st.BytesSent != 60 {
-			failf("rank %d stats: %+v, want 2 msgs / 60 bytes", c.Rank(), st)
+			return fmt.Errorf("stats: %+v, want 2 msgs / 60 bytes", st)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

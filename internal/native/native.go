@@ -50,7 +50,7 @@ import (
 // Kernel is a compiled loop nest lowered to fused segment programs. It
 // wraps the bytecode kernel it was derived from (sharing its program,
 // scalar pool and field binding) and satisfies the same execution
-// contract (core.ExecKernel).
+// contract (runtime.ExecKernel).
 type Kernel struct {
 	bk   *bytecode.Kernel
 	segs []segment
@@ -133,13 +133,13 @@ func (k *Kernel) InstrsPerPoint() int { return k.fusedInstrs }
 // driver, so it is safe to run concurrently with the original. This is the
 // opcache contract: one native compilation is shared across every shot
 // with the same schedule key.
-func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
-	bk, err := k.bk.Rebind(fields)
+func (k *Kernel) Rebind(fields map[string]*field.Function) (runtime.ExecKernel, error) {
+	rb, err := k.bk.Rebind(fields)
 	if err != nil {
 		return nil, err
 	}
 	nk := *k
-	nk.bk = bk
-	nk.drv = runtime.NewDriver[scratch](bk.Binding())
+	nk.bk = rb.(*bytecode.Kernel) // a bytecode kernel rebinds to a bytecode kernel
+	nk.drv = runtime.NewDriver[scratch](nk.bk.Binding())
 	return &nk, nil
 }

@@ -57,14 +57,10 @@ type OpProfile struct {
 	// LocalShape is the slowest rank's owned box (the global shape when
 	// serial) — the per-step critical path is computed on it.
 	LocalShape []int
-	// InstrsPerPoint is the summed per-point VM instruction count of the
-	// operator's compiled kernels (bytecode or interpreter programs).
+	// InstrsPerPoint is the summed per-point instruction count of the
+	// operator's compiled kernels, in the compiling engine's own unit
+	// (fused-chain links for the production native engine).
 	InstrsPerPoint int
-	// Engine is the execution engine the kernels compiled for ("bytecode",
-	// "interpreter", "native"); it scales the instruction-latency term of
-	// the roofline (see EngineInstrFactor). core always names the engine it
-	// resolved; an empty name scales like bytecode, the factor's unit.
-	Engine string
 	// StreamsPerPoint counts distinct (field, timeOffset) data streams
 	// touched per point: 4 bytes each of DRAM traffic per update.
 	StreamsPerPoint int
@@ -108,7 +104,10 @@ type OpProfile struct {
 // the induced *ranking* matters, and the empirical search (Tune) corrects
 // residual model error on the shortlist.
 type Host struct {
-	// SecondsPerInstr is the per-point cost of one VM instruction.
+	// SecondsPerInstr is the per-point cost of one instruction of the
+	// production (native) engine: one fused-chain link. Which engine runs
+	// is package core's decision alone; the model prices the one the tuner
+	// ships with and has no engine axis.
 	SecondsPerInstr float64
 	// MemBandwidth is the sustainable DRAM bandwidth of the compute loop
 	// (bytes/s); per-point cost is the max of the instruction-latency and
@@ -146,9 +145,21 @@ type Host struct {
 // The constants are order-of-magnitude figures for a contemporary x86
 // core; they only need to induce the right ranking, and the search policy
 // re-measures the shortlist anyway.
+//
+// SecondsPerInstr is the order-of-magnitude 1 ns of a register-VM
+// instruction scaled by the measured native/bytecode ratio: (native.
+// kernel_ns_per_point / native.instrs_per_point) over the same quotient
+// for bytecode, from the repo benchmark's per-layer kernel probes
+// (`bench/run.sh --workload strong-2rank --trace 1`: acoustic so-8 on a
+// cache-resident 256² grid, 32 links against 51 VM instructions per
+// point) on a 2-vCPU Xeon @ 2.1 GHz VM: 5.3 ns against 26.1 ns per point,
+// 0.167 against 0.51 ns per instruction, ratio 0.33 as the median of five
+// runs (0.31–0.34). The absolute figure that measurement implies
+// (0.167 ns per link) is not adopted here: recalibrating the constants
+// from the host is ROADMAP item 4.
 func DefaultHost() Host {
 	return Host{
-		SecondsPerInstr:   1.0e-9,
+		SecondsPerInstr:   1.0e-9 * 0.33,
 		MemBandwidth:      8e9,
 		WorkerSpawn:       3e-6,
 		PoolSync:          2.0e-6,
@@ -163,34 +174,6 @@ func DefaultHost() Host {
 
 // MaxWorkersDefault returns the default worker-pool cap: GOMAXPROCS.
 func MaxWorkersDefault() int { return runtime.GOMAXPROCS(0) }
-
-// EngineInstrFactor scales Host.SecondsPerInstr by execution engine. The
-// figures are calibration ratios from the repo's own BENCH measurements:
-// the interpreter's per-point stack dispatch runs an order of magnitude
-// slower than the register VM, while the native engine's fused bulk-row
-// chains (SIMD strips on amd64) retire the same instruction stream
-// several times faster. Only the instruction-latency leg of the
-// two-bound roofline scales — the memory-traffic bound is engine-
-// independent, so on bandwidth-bound profiles the engines correctly
-// converge in the model just as they do on hardware.
-//
-// The native figure is (native.kernel_ns_per_point / native.instrs_per_point)
-// over the same quotient for bytecode, from the repo benchmark's per-layer
-// kernel probes (`bench/run.sh --workload strong-2rank --trace 1`: acoustic
-// so-8 on a cache-resident 256² grid, 32 links against 51 VM instructions
-// per point) on a 2-vCPU Xeon @ 2.1 GHz VM: 5.3 ns against 26.1 ns per
-// point, 0.167 against 0.51 ns per instruction, median of five runs
-// (0.31–0.34). The per-link executor it replaces measured 0.47 there
-// (0.34–0.48), against the 0.3 PR 9 calibrated on another host.
-func EngineInstrFactor(engine string) float64 {
-	switch engine {
-	case "interpreter":
-		return 10.0
-	case "native":
-		return 0.33
-	}
-	return 1.0
-}
 
 // Candidates enumerates the configuration space the autotuner considers
 // for a profile: halo modes (when distributed), power-of-two worker
@@ -292,7 +275,7 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 		w = ntiles
 	}
 
-	instrPP := float64(p.InstrsPerPoint) * h.SecondsPerInstr * EngineInstrFactor(p.Engine)
+	instrPP := float64(p.InstrsPerPoint) * h.SecondsPerInstr
 	memPP := 4 * float64(p.StreamsPerPoint) / h.MemBandwidth
 	// The slowest worker drains ceil(ntiles/w) tiles; tile quantisation is
 	// what makes tiny tiles balance better and huge tiles serialise.

@@ -262,57 +262,6 @@ func TestExecConfigString(t *testing.T) {
 	}
 }
 
-// The engine axis of the roofline: instruction-bound profiles must rank
-// native < bytecode < interpreter in predicted step time, while
-// bandwidth-bound profiles collapse the gap (the memory leg of the
-// two-bound model is engine-independent).
-func TestPredictEngineAxis(t *testing.T) {
-	h := DefaultHost()
-	cfg := ExecConfig{Workers: 1, TileRows: 128}
-	p := serialProfile(128) // 40 instr/pt, 4 streams: instruction-bound
-	times := map[string]float64{}
-	for _, e := range []string{"interpreter", "bytecode", "native"} {
-		p.Engine = e
-		times[e] = h.Predict(p, cfg)
-	}
-	if !(times["native"] < times["bytecode"] && times["bytecode"] < times["interpreter"]) {
-		t.Fatalf("engine ranking wrong: %v", times)
-	}
-	if r := times["interpreter"] / times["bytecode"]; r < 3 {
-		t.Errorf("interpreter/bytecode predicted ratio %.2f, want >= 3 (matches the measured gap)", r)
-	}
-	if r := times["bytecode"] / times["native"]; r < 2 {
-		t.Errorf("bytecode/native predicted ratio %.2f, want >= 2 (matches the measured gap)", r)
-	}
-
-	// Bandwidth-bound: crank streams until the memory bound dominates even
-	// the interpreter's instruction cost; all engines then predict equal.
-	p.InstrsPerPoint = 1
-	p.StreamsPerPoint = 4000
-	p.Engine = "native"
-	n := h.Predict(p, cfg)
-	p.Engine = "bytecode"
-	b := h.Predict(p, cfg)
-	if n != b {
-		t.Errorf("bandwidth-bound profile should be engine-independent: native %v, bytecode %v", n, b)
-	}
-}
-
-func TestEngineInstrFactorVocabulary(t *testing.T) {
-	if f := EngineInstrFactor(""); f != 1.0 {
-		t.Errorf("empty engine factor = %v, want 1 (bytecode default)", f)
-	}
-	if f := EngineInstrFactor("bytecode"); f != 1.0 {
-		t.Errorf("bytecode factor = %v, want 1", f)
-	}
-	if !(EngineInstrFactor("native") < 1.0) {
-		t.Error("native factor should be < 1")
-	}
-	if !(EngineInstrFactor("interpreter") > 1.0) {
-		t.Error("interpreter factor should be > 1")
-	}
-}
-
 // The pool-sync term is a fixed per-launch cost: charged exactly once for
 // any multi-worker configuration, never for serial ones. This is the knob
 // the operator overrides with the measured dispatch cost of its

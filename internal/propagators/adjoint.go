@@ -6,6 +6,8 @@ import (
 
 	"devigo/internal/core"
 	"devigo/internal/field"
+	"devigo/internal/halo"
+	"devigo/internal/mpi"
 	"devigo/internal/sparse"
 	"devigo/internal/symbolic"
 )
@@ -260,15 +262,12 @@ func RelDot(a, b float64) float64 {
 // offset, scale or stencil asymmetry) shows up as an O(1) relative gap
 // while a correct transpose yields ~0, far below the 1e-8 gate that
 // float32 rounding noise would otherwise drown.
-func RunDotTest(ctx *core.Context, engine string) (*DotTestResult, error) {
+//
+// c is the calling rank of the world to certify on under halo pattern mode
+// (nil, or a world of one: serial).
+func RunDotTest(c *mpi.Comm, mode halo.Mode, engine string) (*DotTestResult, error) {
 	const nt = 8
-	shape := []int{24, 24}
-	cfg := Config{Shape: shape, SpaceOrder: 2, NBL: 0, Velocity: 1}
-	if ctx != nil && ctx.Decomp != nil {
-		cfg.Decomp = ctx.Decomp
-		cfg.Rank = ctx.Comm.Rank()
-	}
-	m, err := Acoustic(cfg)
+	m, ctx, err := OnRank(c, "acoustic", Config{Shape: []int{24, 24}, SpaceOrder: 2, NBL: 0, Velocity: 1}, mode, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 )
@@ -27,7 +26,7 @@ func engines() []string {
 func TestAdjointDotProduct_Serial(t *testing.T) {
 	for _, engine := range engines() {
 		t.Run(engine, func(t *testing.T) {
-			res, err := RunDotTest(nil, engine)
+			res, err := RunDotTest(nil, halo.ModeNone, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,31 +45,17 @@ func TestAdjointDotProduct_DMPAllModes(t *testing.T) {
 	// The serial result is the cross-check baseline: the certification
 	// config is arithmetically exact, so every mode/engine/ranking must
 	// reproduce the identical dot products bit for bit.
-	base, err := RunDotTest(nil, core.EngineBytecode)
+	base, err := RunDotTest(nil, halo.ModeNone, core.EngineBytecode)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range engines() {
 		for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
 			t.Run(engine+"/"+mode.String(), func(t *testing.T) {
-				w := mpi.NewWorld(4)
-				err := w.Run(func(c *mpi.Comm) {
-					g := grid.MustNew([]int{24, 24}, nil)
-					dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+				err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+					res, err := RunDotTest(c, mode, engine)
 					if err != nil {
-						t.Error(err)
-						return
-					}
-					cart, err := mpi.CartCreate(c, dec.Topology, nil)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-					res, err := RunDotTest(ctx, engine)
-					if err != nil {
-						t.Error(err)
-						return
+						return err
 					}
 					if res.RelErr > dotTol {
 						t.Errorf("rank %d: identity violated: %v vs %v (rel %v)",
@@ -80,6 +65,7 @@ func TestAdjointDotProduct_DMPAllModes(t *testing.T) {
 						t.Errorf("rank %d: dots diverge from serial: (%v,%v) vs (%v,%v)",
 							c.Rank(), res.DotForward, res.DotAdjoint, base.DotForward, base.DotAdjoint)
 					}
+					return nil
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -150,15 +136,25 @@ func exactGradientConfig(interval int) GradientConfig {
 	}
 }
 
-func exactAcoustic(t *testing.T, dec *grid.Decomposition, rank int) *Model {
+func exactAcoustic(t *testing.T) *Model {
 	t.Helper()
-	cfg := Config{Shape: []int{24, 24}, SpaceOrder: 2, NBL: 0, Velocity: 1, Decomp: dec, Rank: rank}
-	m, err := Acoustic(cfg)
+	m, _, err := exactOnRank(nil, halo.ModeNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillConst(m.Fields["m"], 2)
 	return m
+}
+
+// exactOnRank is exactAcoustic on one rank of a 2x2 world (nil: serial),
+// with the rank's context.
+func exactOnRank(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
+	m, ctx, err := OnRank(c, "acoustic",
+		Config{Shape: []int{24, 24}, SpaceOrder: 2, NBL: 0, Velocity: 1}, mode, []int{2, 2})
+	if err != nil {
+		return nil, nil, err
+	}
+	fillConst(m.Fields["m"], 2)
+	return m, ctx, nil
 }
 
 // TestGradientCheckpointInvariance is the checkpointing subsystem's
@@ -170,7 +166,7 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 	grads := map[int][]float32{}
 	stats := map[int]int{}
 	for _, k := range []int{2, 3, 5, 100} {
-		m := exactAcoustic(t, nil, 0)
+		m := exactAcoustic(t)
 		res, err := RunGradient(m, nil, exactGradientConfig(k))
 		if err != nil {
 			t.Fatal(err)
@@ -216,14 +212,14 @@ func TestGradientEveryIntervalAlignment(t *testing.T) {
 	for _, nt := range []int{7, 8, 9} {
 		gc := exactGradientConfig(1)
 		gc.NT = nt
-		base, err := RunGradient(exactAcoustic(t, nil, 0), nil, gc)
+		base, err := RunGradient(exactAcoustic(t), nil, gc)
 		if err != nil {
 			t.Fatalf("nt=%d k=1: %v", nt, err)
 		}
 		for k := 2; k <= nt+1; k++ {
 			gc := exactGradientConfig(k)
 			gc.NT = nt
-			res, err := RunGradient(exactAcoustic(t, nil, 0), nil, gc)
+			res, err := RunGradient(exactAcoustic(t), nil, gc)
 			if err != nil {
 				t.Fatalf("nt=%d k=%d: %v", nt, k, err)
 			}
@@ -238,34 +234,23 @@ func TestGradientEveryIntervalAlignment(t *testing.T) {
 // TestGradientDMP runs the full checkpointed gradient on 4 ranks with
 // worker-pool parallelism and compares against the serial result.
 func TestGradientDMP(t *testing.T) {
-	serial, err := RunGradient(exactAcoustic(t, nil, 0), nil, exactGradientConfig(3))
+	serial, err := RunGradient(exactAcoustic(t), nil, exactGradientConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
 		t.Run(mode.String(), func(t *testing.T) {
-			w := mpi.NewWorld(4)
-			err := w.Run(func(c *mpi.Comm) {
-				g := grid.MustNew([]int{24, 24}, nil)
-				dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+			err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+				m, ctx, err := exactOnRank(c, mode)
 				if err != nil {
-					t.Error(err)
-					return
+					return err
 				}
-				cart, err := mpi.CartCreate(c, dec.Topology, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-				m := exactAcoustic(t, dec, c.Rank())
 				gc := exactGradientConfig(3)
 				gc.Workers = 2
 				gc.TileRows = 3
 				res, err := RunGradient(m, ctx, gc)
 				if err != nil {
-					t.Error(err)
-					return
+					return err
 				}
 				if res.RelErr > dotTol {
 					t.Errorf("rank %d: dot identity violated: rel %v", c.Rank(), res.RelErr)
@@ -279,6 +264,7 @@ func TestGradientDMP(t *testing.T) {
 				if math.Abs(res.GradNorm-serial.GradNorm) > 1e-12*serial.GradNorm {
 					t.Errorf("rank %d: gradient norm %v != serial %v", c.Rank(), res.GradNorm, serial.GradNorm)
 				}
+				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +277,7 @@ func TestGradientDMP(t *testing.T) {
 // equal to the synthetics yields a zero adjoint source and hence a zero
 // gradient.
 func TestGradientResidualSource(t *testing.T) {
-	m := exactAcoustic(t, nil, 0)
+	m := exactAcoustic(t)
 	fres, err := Run(m, nil, RunConfig{
 		NT: 8, DT: 1, Wavelet: []float32{1, -2, 1},
 		SourceCoords:   []float64{12, 12},
@@ -300,7 +286,7 @@ func TestGradientResidualSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := exactAcoustic(t, nil, 0)
+	m2 := exactAcoustic(t)
 	gc := exactGradientConfig(3)
 	gc.ObsData = fres.Receivers
 	res, err := RunGradient(m2, nil, gc)
@@ -313,7 +299,7 @@ func TestGradientResidualSource(t *testing.T) {
 }
 
 func TestAdjointModelStructure(t *testing.T) {
-	m := exactAcoustic(t, nil, 0)
+	m := exactAcoustic(t)
 	adj, err := Adjoint(m)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +328,7 @@ func TestAdjointModelStructure(t *testing.T) {
 }
 
 func TestRunAdjointValidation(t *testing.T) {
-	m := exactAcoustic(t, nil, 0)
+	m := exactAcoustic(t)
 	rec := [][]float64{{6, 5}}
 	if _, err := RunAdjoint(m, nil, AdjointConfig{RecCoords: rec}); err == nil {
 		t.Error("missing NT should error")

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
-	"devigo/internal/mpi"
 )
 
 // runAutotuned runs a serial acoustic scenario with the given autotune
@@ -111,43 +109,16 @@ func TestAutotuneDMPBitExactAndConsistent(t *testing.T) {
 	const so, nt = 4, 20
 	refNorm, _ := runDMP(t, "acoustic", shape, []int{2, 2}, halo.ModeDiagonal, so, nt)
 
-	w := mpi.NewWorld(4)
-	cfgs := make([]core.EffectiveConfig, 4)
-	var norm float64
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build("acoustic", cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeBasic}
-		res, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, Autotune: core.AutotuneSearch})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfgs[c.Rank()] = res.Op.Config()
-		if c.Rank() == 0 {
-			norm = res.Norm
-		}
-	})
+	out, err := runOnRanks("acoustic", shape, []int{2, 2}, halo.ModeBasic, so,
+		RunConfig{NT: nt, NReceivers: 4, Autotune: core.AutotuneSearch})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfgs := make([]core.EffectiveConfig, 4)
+	for r, res := range out {
+		cfgs[r] = res.Op.Config()
+	}
+	norm := out[0].Norm
 	for r := 1; r < 4; r++ {
 		if cfgs[r] != cfgs[0] {
 			t.Fatalf("rank %d chose %+v, rank 0 chose %+v", r, cfgs[r], cfgs[0])

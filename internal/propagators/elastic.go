@@ -1,38 +1,6 @@
 package propagators
 
-import (
-	"fmt"
-
-	"devigo/internal/field"
-	"devigo/internal/symbolic"
-)
-
-// dimNames for component naming.
-var comp = []string{"x", "y", "z"}
-
-// stagSide returns the staggered-derivative side for differentiating field
-// B along dim when the result is evaluated at field A's position: +1 when A
-// sits half a cell above B in that dimension, -1 when below, 0 when
-// co-located (centered — not used by the velocity–stress scheme).
-func stagSide(aStag, bStag int) int {
-	switch {
-	case aStag == 1 && bStag == 0:
-		return +1
-	case aStag == 0 && bStag == 1:
-		return -1
-	}
-	return 0
-}
-
-// dStag builds the staggered first derivative of expr along dim at the
-// evaluation position implied by the stagger pair.
-func dStag(e symbolic.Expr, dim, so, aStag, bStag int) symbolic.Expr {
-	side := stagSide(aStag, bStag)
-	if side == 0 {
-		return symbolic.Dx(e, dim, so)
-	}
-	return symbolic.DxStaggered(e, dim, so, side)
-}
+import "devigo/internal/symbolic"
 
 // Elastic builds the isotropic elastic wave propagator (paper Section
 // IV-B3, Appendix A3): the first-order velocity–stress system of Virieux
@@ -44,76 +12,18 @@ func dStag(e symbolic.Expr, dim, so, aStag, bStag int) symbolic.Expr {
 // In 3-D the working set is 22 fields: 3 velocity components and 6 stress
 // components with 2 time buffers each, plus lam, mu, b, damp.
 func Elastic(cfg Config) (*Model, error) {
-	c := cfg.withDefaults()
-	if err := validateShape(&c, 4); err != nil {
-		return nil, err
-	}
-	g, err := makeGrid(&c)
+	s, err := newVelStress("elastic", cfg)
 	if err != nil {
 		return nil, err
 	}
-	so := c.SpaceOrder
-	nd := g.NDims()
-	if nd < 2 {
-		return nil, fmt.Errorf("propagators: elastic needs 2 or 3 dimensions")
-	}
-
-	fields := map[string]*field.Function{}
-	// Velocities: v_d staggered in dimension d.
-	vs := make([]*field.TimeFunction, nd)
-	for d := 0; d < nd; d++ {
-		st := make([]int, nd)
-		st[d] = 1
-		v, err := field.NewTimeFunction("v"+comp[d], g, so, 1, fieldCfg(&c, st))
-		if err != nil {
-			return nil, err
-		}
-		vs[d] = v
-		fields[v.Name] = &v.Function
-	}
-	// Stresses: tau_dd at nodes, tau_de (d<e) staggered in d and e.
-	taus := make([][]*field.TimeFunction, nd)
-	for d := range taus {
-		taus[d] = make([]*field.TimeFunction, nd)
-	}
-	var tauNames []string
-	for d := 0; d < nd; d++ {
-		for e := d; e < nd; e++ {
-			st := make([]int, nd)
-			if d != e {
-				st[d], st[e] = 1, 1
-			}
-			name := "t" + comp[d] + comp[e]
-			tf, err := field.NewTimeFunction(name, g, so, 1, fieldCfg(&c, st))
-			if err != nil {
-				return nil, err
-			}
-			taus[d][e] = tf
-			taus[e][d] = tf
-			fields[name] = &tf.Function
-			tauNames = append(tauNames, name)
-		}
-	}
-	lam, err := field.NewFunction("lam", g, so, fieldCfg(&c, nil))
+	p, err := s.params("lam", "mu", "b", "damp")
 	if err != nil {
 		return nil, err
 	}
-	mu, err := field.NewFunction("mu", g, so, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
-	}
-	b, err := field.NewFunction("b", g, so, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
-	}
-	damp, err := field.NewFunction("damp", g, so, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
-	}
-	fields["lam"], fields["mu"], fields["b"], fields["damp"] = lam, mu, b, damp
+	lam, mu, b, damp := p[0], p[1], p[2], p[3]
 
 	// Homogeneous medium: vp = Velocity, vs = vp/sqrt(3), rho = 1.
-	vp := c.Velocity
+	vp := s.c.Velocity
 	vsSpeed := vp / 1.7320508075688772
 	rho := 1.0
 	muV := rho * vsSpeed * vsSpeed
@@ -121,100 +31,42 @@ func Elastic(cfg Config) (*Model, error) {
 	fillConst(lam, float32(lamV))
 	fillConst(mu, float32(muV))
 	fillConst(b, float32(1/rho))
-	dampField(damp, c.NBL, 0.05)
+	dampField(damp, s.c.NBL, 0.05)
 
-	var eqs []symbolic.Eq
-	var waveFields []string
-
-	// Velocity updates: v_d.dt = b * sum_e D_e tau_de - damp*v_d.
-	for d := 0; d < nd; d++ {
-		v := vs[d]
-		var divT []symbolic.Expr
-		for e := 0; e < nd; e++ {
-			tde := taus[d][e]
-			divT = append(divT, dStag(symbolic.At(tde.Ref), e, so, v.Stagger[e], tde.Stagger[e]))
-		}
-		rhs := symbolic.Sub(
-			symbolic.NewMul(symbolic.At(b.Ref), symbolic.NewAdd(divT...)),
-			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(v.Ref)),
-		)
-		sol, err := symbolic.Solve(symbolic.Eq{LHS: symbolic.Dt(symbolic.At(v.Ref), 1), RHS: rhs},
-			symbolic.ForwardStencil(v.Ref))
-		if err != nil {
-			return nil, err
-		}
-		eqs = append(eqs, symbolic.Eq{LHS: symbolic.ForwardStencil(v.Ref), RHS: sol})
-		waveFields = append(waveFields, v.Name)
-	}
-
-	// Divergence of the *updated* velocity (leapfrog), evaluated at the
-	// target stress position.
-	divV := func(target *field.TimeFunction) symbolic.Expr {
-		var terms []symbolic.Expr
-		for e := 0; e < nd; e++ {
-			terms = append(terms, dStag(symbolic.ForwardStencil(vs[e].Ref), e, so,
-				target.Stagger[e], vs[e].Stagger[e]))
-		}
-		return symbolic.NewAdd(terms...)
+	if err := s.velocities(b, damp); err != nil {
+		return nil, err
 	}
 
 	// Normal stresses: tau_dd.dt = lam*div(v) + 2mu*D_d v_d - damp*tau_dd.
-	for d := 0; d < nd; d++ {
-		tdd := taus[d][d]
+	for d := 0; d < s.nd; d++ {
+		tdd := s.taus[d][d]
 		rhs := symbolic.Sub(
 			symbolic.NewAdd(
-				symbolic.NewMul(symbolic.At(lam.Ref), divV(tdd)),
-				symbolic.NewMul(symbolic.Int(2), symbolic.At(mu.Ref),
-					dStag(symbolic.ForwardStencil(vs[d].Ref), d, so, tdd.Stagger[d], vs[d].Stagger[d])),
+				symbolic.NewMul(symbolic.At(lam.Ref), s.divV(tdd)),
+				symbolic.NewMul(symbolic.Int(2), symbolic.At(mu.Ref), s.dv(tdd, d, d)),
 			),
 			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tdd.Ref)),
 		)
-		sol, err := symbolic.Solve(symbolic.Eq{LHS: symbolic.Dt(symbolic.At(tdd.Ref), 1), RHS: rhs},
-			symbolic.ForwardStencil(tdd.Ref))
-		if err != nil {
+		if err := s.solve(tdd, rhs); err != nil {
 			return nil, err
 		}
-		eqs = append(eqs, symbolic.Eq{LHS: symbolic.ForwardStencil(tdd.Ref), RHS: sol})
-		waveFields = append(waveFields, tdd.Name)
 	}
 
 	// Shear stresses: tau_de.dt = mu*(D_e v_d + D_d v_e) - damp*tau_de.
-	for d := 0; d < nd; d++ {
-		for e := d + 1; e < nd; e++ {
-			tde := taus[d][e]
+	for d := 0; d < s.nd; d++ {
+		for e := d + 1; e < s.nd; e++ {
+			tde := s.taus[d][e]
 			rhs := symbolic.Sub(
-				symbolic.NewMul(symbolic.At(mu.Ref), symbolic.NewAdd(
-					dStag(symbolic.ForwardStencil(vs[d].Ref), e, so, tde.Stagger[e], vs[d].Stagger[e]),
-					dStag(symbolic.ForwardStencil(vs[e].Ref), d, so, tde.Stagger[d], vs[e].Stagger[d]),
-				)),
+				symbolic.NewMul(symbolic.At(mu.Ref), s.strain(tde, d, e)),
 				symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tde.Ref)),
 			)
-			sol, err := symbolic.Solve(symbolic.Eq{LHS: symbolic.Dt(symbolic.At(tde.Ref), 1), RHS: rhs},
-				symbolic.ForwardStencil(tde.Ref))
-			if err != nil {
+			if err := s.solve(tde, rhs); err != nil {
 				return nil, err
 			}
-			eqs = append(eqs, symbolic.Eq{LHS: symbolic.ForwardStencil(tde.Ref), RHS: sol})
-			waveFields = append(waveFields, tde.Name)
 		}
 	}
 
-	nTau := nd * (nd + 1) / 2
-	var srcFields []string
-	for d := 0; d < nd; d++ {
-		srcFields = append(srcFields, taus[d][d].Name)
-	}
-	_ = tauNames
-	return &Model{
-		Name:             "elastic",
-		Grid:             g,
-		SpaceOrder:       so,
-		Eqs:              eqs,
-		Fields:           fields,
-		WaveFields:       waveFields,
-		SourceFields:     srcFields,
-		CriticalDt:       criticalDt(g, vp) * 0.9, // stricter CFL for the coupled system
-		WorkingSetFields: 2*(nd+nTau) + 4,
-		Cfg:              c,
-	}, nil
+	nTau := s.nd * (s.nd + 1) / 2
+	// A stricter CFL for the coupled system.
+	return s.model("elastic", criticalDt(s.g, vp)*0.9, 2*(s.nd+nTau)+4), nil
 }

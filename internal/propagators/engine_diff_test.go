@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
-	"devigo/internal/mpi"
 )
 
 // The differential suite is the execution engines' acceptance gate: for
@@ -105,45 +103,9 @@ func TestEngineDifferential_Serial3D(t *testing.T) {
 // interval k and returns the rank-0 norm and receiver traces.
 func runEngineDMP(t *testing.T, name, engine string, shape []int, mode halo.Mode, so, nt, k int) (float64, [][]float64) {
 	t.Helper()
-	w := mpi.NewWorld(4)
-	var norm float64
-	var traces [][]float64
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build(name, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		res, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, Engine: engine,
-			Workers: 2, TileRows: 3, TimeTile: k})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			norm = res.Norm
-			traces = res.Receivers
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return norm, traces
+	res := rank0(t, name, shape, []int{2, 2}, mode, so, RunConfig{NT: nt, NReceivers: 4, Engine: engine,
+		Workers: 2, TileRows: 3, TimeTile: k})
+	return res.Norm, res.Receivers
 }
 
 func TestEngineDifferential_DMPAllModelsAllModes(t *testing.T) {

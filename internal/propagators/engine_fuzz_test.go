@@ -1,12 +1,11 @@
 package propagators
 
 import (
+	"strings"
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
-	"devigo/internal/mpi"
 )
 
 // FuzzEnginesAgree is the randomized arm of the differential suite: the
@@ -79,49 +78,14 @@ func fuzzSerial(fc fuzzCase, engine string) (*Model, *RunResult, error) {
 
 // fuzzDMP runs the case over a 2x2 decomposition and returns the rank-0
 // norm and receiver traces.
-func fuzzDMP(t *testing.T, fc fuzzCase, engine string) (float64, [][]float64, error) {
-	t.Helper()
-	w := mpi.NewWorld(4)
-	var norm float64
-	var traces [][]float64
-	var runErr error
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew([]int{fc.rows, fc.cols}, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			runErr = err
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			runErr = err
-			return
-		}
-		cfg := serialCfg([]int{fc.rows, fc.cols}, fc.so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build(fc.model, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: fc.mode}
-		res, err := Run(m, ctx, RunConfig{NT: fc.nt, NReceivers: 4, Engine: engine,
+func fuzzDMP(fc fuzzCase, engine string) (float64, [][]float64, error) {
+	out, err := runOnRanks(fc.model, []int{fc.rows, fc.cols}, []int{2, 2}, fc.mode, fc.so,
+		RunConfig{NT: fc.nt, NReceivers: 4, Engine: engine,
 			Workers: fc.workers, TileRows: fc.tileRows, TimeTile: fc.k})
-		if err != nil {
-			runErr = err
-			return
-		}
-		res.Op.Close()
-		if c.Rank() == 0 {
-			norm = res.Norm
-			traces = res.Receivers
-		}
-	})
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	return norm, traces, runErr
+	return out[0].Norm, out[0].Receivers, nil
 }
 
 func FuzzEnginesAgree(f *testing.F) {
@@ -169,11 +133,14 @@ func FuzzEnginesAgree(f *testing.F) {
 			compareModels(t, fc.model, engine, mB, mX)
 		}
 
-		normB, tracesB, err := fuzzDMP(t, fc, core.EngineBytecode)
+		normB, tracesB, err := fuzzDMP(fc, core.EngineBytecode)
 		if err != nil {
-			t.Skip(err)
+			if strings.Contains(err.Error(), "panic:") {
+				t.Fatalf("%+v: bytecode 4-rank run panicked: %v", fc, err)
+			}
+			t.Skip(err) // an infeasible case (shape, halo, decomposition), not a finding
 		}
-		normN, tracesN, err := fuzzDMP(t, fc, core.EngineNative)
+		normN, tracesN, err := fuzzDMP(fc, core.EngineNative)
 		if err != nil {
 			t.Fatalf("%+v: native 4-rank failed where bytecode ran: %v", fc, err)
 		}

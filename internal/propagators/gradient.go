@@ -111,10 +111,7 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 		k = checkpoint.DefaultInterval(nt)
 	}
 	u := m.Fields[m.WaveFields[0]]
-	store := checkpoint.New(k, u)
-	if ctx != nil && ctx.Comm != nil {
-		store.Rank = ctx.Comm.Rank()
-	}
+	store := checkpoint.New(k, u) // forward() stamps it with this rank
 
 	// Phase 1: checkpointed forward integration recording synthetics.
 	rc := RunConfig{

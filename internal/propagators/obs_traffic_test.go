@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/obs"
@@ -29,36 +28,25 @@ func obsTrafficRun(t *testing.T, model string, shape, topo []int, periodic bool,
 	t.Helper()
 	obs.Reset()
 	var effK int
-	w := mpi.NewWorld(topo[0] * topo[1])
-	perRank := make([]core.CommStats, w.Size())
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), topo)
+	perRank := make([]core.CommStats, topo[0]*topo[1])
+	err := mpi.RunRanks(len(perRank), func(c *mpi.Comm) error {
+		m, ctx, err := OnRank(c, model, Config{Shape: shape, SpaceOrder: 4, NBL: 2}, mode, topo)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, []bool{periodic, periodic})
-		if err != nil {
-			t.Error(err)
-			return
+		// The one thing OnRank does not offer: a periodic world.
+		if ctx.Cart, err = mpi.CartCreate(c, topo, []bool{periodic, periodic}); err != nil {
+			return err
 		}
-		cfg := Config{Shape: shape, SpaceOrder: 4, NBL: 2, Decomp: dec, Rank: c.Rank()}
-		m, err := Build(model, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 		res, err := Run(m, ctx, RunConfig{NT: nt, TimeTile: k, Workers: 1})
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		perRank[c.Rank()] = res.Op.CommStats()
 		if c.Rank() == 0 {
 			effK = res.Op.TimeTile()
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

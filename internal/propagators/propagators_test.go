@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"devigo/internal/core"
 	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/ir"
@@ -184,52 +183,48 @@ func TestAllModelsRunStable3D(t *testing.T) {
 	}
 }
 
-// runDMP executes a model distributed over the topology and returns the
-// final checksum plus receiver traces from rank 0.
-func runDMP(t *testing.T, name string, shape, topo []int, mode halo.Mode, so, nt int) (float64, [][]float64) {
-	t.Helper()
+// runOnRanks runs a model over an in-process world decomposed as topo —
+// one straight-line rank body on OnRank — and returns every rank's result
+// (operators closed), or the first rank's failure.
+func runOnRanks(name string, shape, topo []int, mode halo.Mode, so int, rc RunConfig) ([]*RunResult, error) {
 	nranks := 1
 	for _, v := range topo {
 		nranks *= v
 	}
-	w := mpi.NewWorld(nranks)
-	var norm float64
-	var traces [][]float64
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), topo)
+	out := make([]*RunResult, nranks)
+	err := mpi.RunRanks(nranks, func(c *mpi.Comm) error {
+		m, ctx, err := OnRank(c, name, serialCfg(shape, so), mode, topo)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		res, err := Run(m, ctx, rc)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build(name, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		res, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			norm = res.Norm
-			traces = res.Receivers
-		}
+		res.Op.Close()
+		out[c.Rank()] = res
+		return nil
 	})
+	return out, err
+}
+
+// rank0 is runOnRanks for callers that compare rank 0's checksum and
+// traces; any rank's failure fails the test.
+func rank0(t *testing.T, name string, shape, topo []int, mode halo.Mode, so int, rc RunConfig) *RunResult {
+	t.Helper()
+	out, err := runOnRanks(name, shape, topo, mode, so, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return norm, traces
+	return out[0]
+}
+
+// runDMP executes a model distributed over the topology and returns the
+// final checksum plus receiver traces from rank 0.
+func runDMP(t *testing.T, name string, shape, topo []int, mode halo.Mode, so, nt int) (float64, [][]float64) {
+	t.Helper()
+	res := rank0(t, name, shape, topo, mode, so, RunConfig{NT: nt, NReceivers: 4})
+	return res.Norm, res.Receivers
 }
 
 func TestDMPEquivalence_AllModelsAllModes(t *testing.T) {

@@ -1,6 +1,7 @@
 package propagators
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -8,7 +9,6 @@ import (
 
 	"devigo/internal/core"
 	"devigo/internal/field"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/opcache"
@@ -44,11 +44,12 @@ type ShotsConfig struct {
 	// bit-identical for every worker count.
 	Workers int
 	// Ranks is the MPI world size per shot: each shot solves in its own
-	// in-process world of this many ranks. <= 1 runs shots serially
-	// (no decomposition).
+	// in-process world of this many ranks. <= 1 is a world of one: the
+	// serial solve, no decomposition.
 	Ranks int
 	// Mode is the halo-exchange pattern of the per-shot worlds ("basic",
-	// "diag", "full"; "" defaults to basic). Ignored when Ranks <= 1.
+	// "diag", "full"; "" defaults to basic). A world of one exchanges
+	// nothing, whatever the mode.
 	Mode string
 	// Cache is the compiled-operator cache shared by every shot. Nil
 	// consults DEVIGO_OPCACHE: the service default is a fresh cache per
@@ -106,7 +107,7 @@ type shotOutcome struct {
 
 // RunShots runs a shot-parallel FWI gradient survey: model names the
 // propagator (Build dispatch), cfg the shared grid/velocity configuration
-// (its Decomp/Rank must be unset — RunShots owns the per-world
+// (its Decomp/Rank must be unset — OnRank owns the per-world
 // decomposition), and sc the survey. Each shot builds a fresh Model,
 // solves a checkpointed forward+adjoint gradient in its own in-process
 // world, and streams its gradient to the reducer, which stacks in
@@ -117,9 +118,6 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	n := len(sc.Shots)
 	if n == 0 {
 		return nil, fmt.Errorf("propagators: ShotsConfig needs at least one shot")
-	}
-	if cfg.Decomp != nil || cfg.Rank != 0 {
-		return nil, fmt.Errorf("propagators: RunShots owns the decomposition; leave Config.Decomp/Rank unset")
 	}
 	cache := sc.Cache
 	if cache == nil {
@@ -138,16 +136,10 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranks := sc.Ranks
-	mode := halo.ModeBasic
-	if ranks > 1 {
-		ms := sc.Mode
-		if ms == "" {
-			ms = "basic"
-		}
-		if mode, err = halo.ParseMode(ms); err != nil {
-			return nil, err
-		}
+	ranks := max(sc.Ranks, 1)
+	mode, err := halo.ParseMode(cmp.Or(sc.Mode, "basic"))
+	if err != nil {
+		return nil, err
 	}
 
 	shape := append([]int(nil), cfg.Shape...)
@@ -164,14 +156,10 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	// with the decision logged. computeWorkers stays 0 (operator default)
 	// when no clamp is needed.
 	if computeWorkers > 1 {
-		lanes := workers
-		if ranks > 1 {
-			lanes *= ranks
-		}
-		if clamped := shotsched.ClampWorkers(computeWorkers, lanes, goruntime.NumCPU()); clamped != computeWorkers {
+		if clamped := shotsched.ClampWorkers(computeWorkers, workers*ranks, goruntime.NumCPU()); clamped != computeWorkers {
 			fmt.Fprintf(os.Stderr,
 				"devigo: clamping per-rank compute workers %d -> %d (%d shots in flight x %d ranks on %d cores)\n",
-				computeWorkers, clamped, workers, max(ranks, 1), goruntime.NumCPU())
+				computeWorkers, clamped, workers, ranks, goruntime.NumCPU())
 			computeWorkers = clamped
 		}
 	}
@@ -193,51 +181,17 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 			gc.ObsData = s.ObsData
 		}
 		out := &shotOutcome{grad: make([]float32, total)}
-		if ranks <= 1 {
-			m, err := Build(model, cfg)
+		// One world per shot; a world of one is the serial solve. A rank
+		// that fails fails its world, so the shot returns that rank's
+		// error instead of leaving its peers in a receive.
+		err := mpi.RunRanks(ranks, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, model, cfg, mode, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			res, err := RunGradient(m, nil, gc)
-			if err != nil {
-				return nil, err
-			}
-			scatterOwned(out.grad, shape, res.Gradient, 0)
-			out.misfit = misfitOf(res.Receivers, s.ObsData)
-			out.gradNorm, out.relErr = res.GradNorm, res.RelErr
-			return out, nil
-		}
-		errs := make([]error, ranks)
-		w := mpi.NewWorld(ranks)
-		werr := w.Run(func(c *mpi.Comm) {
-			g, err := grid.New(shape, cfg.Extent)
-			if err != nil {
-				errs[c.Rank()] = err
-				return
-			}
-			dec, err := grid.NewDecomposition(g, c.Size(), nil)
-			if err != nil {
-				errs[c.Rank()] = err
-				return
-			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
-			if err != nil {
-				errs[c.Rank()] = err
-				return
-			}
-			lcfg := cfg
-			lcfg.Decomp = dec
-			lcfg.Rank = c.Rank()
-			m, err := Build(model, lcfg)
-			if err != nil {
-				errs[c.Rank()] = err
-				return
-			}
-			ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 			res, err := RunGradient(m, ctx, gc)
 			if err != nil {
-				errs[c.Rank()] = err
-				return
+				return err
 			}
 			// Ranks own disjoint boxes of the global gradient, so the
 			// concurrent scatters never touch the same element.
@@ -246,14 +200,10 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 				out.misfit = misfitOf(res.Receivers, s.ObsData)
 				out.gradNorm, out.relErr = res.GradNorm, res.RelErr
 			}
+			return nil
 		})
-		if werr != nil {
-			return nil, werr
-		}
-		for r, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("rank %d: %w", r, err)
-			}
+		if err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

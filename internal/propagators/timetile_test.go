@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 )
@@ -19,44 +18,9 @@ import (
 // receiver traces and the effective exchange interval.
 func ttRun(t *testing.T, model string, shape []int, mode halo.Mode, engine string, so, nt, k int) (float64, [][]float64, int) {
 	t.Helper()
-	w := mpi.NewWorld(4)
-	var norm float64
-	var traces [][]float64
-	var eff int
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build(model, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
-		res, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, TimeTile: k, Engine: engine, Workers: 2, TileRows: 3})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			norm, traces, eff = res.Norm, res.Receivers, res.Op.TimeTile()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return norm, traces, eff
+	res := rank0(t, model, shape, []int{2, 2}, mode, so,
+		RunConfig{NT: nt, NReceivers: 4, TimeTile: k, Engine: engine, Workers: 2, TileRows: 3})
+	return res.Norm, res.Receivers, res.Op.TimeTile()
 }
 
 func assertSameTraces(t *testing.T, label string, a, b [][]float64) {
@@ -140,41 +104,22 @@ func TestTimeTile_AdjointBitExact(t *testing.T) {
 	shape := []int{24, 24}
 	const so, nt = 4, 16
 	run := func(k int) (float64, []float64) {
-		w := mpi.NewWorld(4)
 		var norm float64
 		var traces []float64
-		err := w.Run(func(c *mpi.Comm) {
-			g := grid.MustNew(shape, nil)
-			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, "acoustic", serialCfg(shape, so), halo.ModeDiagonal, []int{2, 2})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cfg := serialCfg(shape, so)
-			cfg.Decomp = dec
-			cfg.Rank = c.Rank()
-			m, err := Build("acoustic", cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
 			fres, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, TimeTile: k})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			ares, err := RunAdjoint(m, ctx, AdjointConfig{
 				NT: nt, RecCoords: ReceiverLine(m.Grid, 4), RecData: fres.Receivers, TimeTile: k,
 			})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			if c.Rank() == 0 {
 				norm, traces = ares.Norm, ares.SrcTraces
@@ -182,6 +127,7 @@ func TestTimeTile_AdjointBitExact(t *testing.T) {
 					t.Errorf("adjoint operator did not tile: interval %d", ares.Op.TimeTile())
 				}
 			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -209,37 +155,20 @@ func TestTimeTile_GradientBitExact(t *testing.T) {
 	shape := []int{24, 24}
 	const so, nt = 4, 12
 	run := func(k int) (float64, float64) {
-		w := mpi.NewWorld(4)
 		var gnorm, relErr float64
-		err := w.Run(func(c *mpi.Comm) {
-			g := grid.MustNew(shape, nil)
-			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, "acoustic", serialCfg(shape, so), halo.ModeDiagonal, []int{2, 2})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cfg := serialCfg(shape, so)
-			cfg.Decomp = dec
-			cfg.Rank = c.Rank()
-			m, err := Build("acoustic", cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
 			res, err := RunGradient(m, ctx, GradientConfig{NT: nt, NReceivers: 4, CheckpointInterval: 3, TimeTile: k})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			if c.Rank() == 0 {
 				gnorm, relErr = res.GradNorm, res.RelErr
 			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -278,43 +207,9 @@ func TestTimeTile_AutotuneSelectsDeepInterval(t *testing.T) {
 	shape := []int{32, 32}
 	const so, nt = 4, 24
 	refNorm, refTraces, _ := ttRun(t, "acoustic", shape, halo.ModeDiagonal, core.EngineBytecode, so, nt, 1)
-	w := mpi.NewWorld(4)
-	var norm float64
-	var traces [][]float64
-	var cfgEff core.EffectiveConfig
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build("acoustic", cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
-		res, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, TimeTile: 8, Autotune: core.AutotuneModel})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			norm, traces, cfgEff = res.Norm, res.Receivers, res.Op.Config()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rank0(t, "acoustic", shape, []int{2, 2}, halo.ModeDiagonal, so,
+		RunConfig{NT: nt, NReceivers: 4, TimeTile: 8, Autotune: core.AutotuneModel})
+	norm, traces, cfgEff := res.Norm, res.Receivers, res.Op.Config()
 	if cfgEff.TimeTile < 2 {
 		t.Errorf("model policy chose interval %d on a latency-dominated config, want >= 2 (%+v)", cfgEff.TimeTile, cfgEff)
 	}
@@ -334,44 +229,29 @@ func TestTimeTile_MessageCountDrops(t *testing.T) {
 	shape := []int{48, 48}
 	const so, nt = 4, 64
 	count := func(model string, k int) (int, float64) {
-		w := mpi.NewWorld(4)
 		var norm float64
-		err := w.Run(func(c *mpi.Comm) {
-			g := grid.MustNew(shape, nil)
-			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+		sent := make([]int, 4)
+		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, model, serialCfg(shape, so), halo.ModeDiagonal, []int{2, 2})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
-			cart, err := mpi.CartCreate(c, dec.Topology, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cfg := serialCfg(shape, so)
-			cfg.Decomp = dec
-			cfg.Rank = c.Rank()
-			m, err := Build(model, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}
 			res, err := Run(m, ctx, RunConfig{NT: nt, TimeTile: k})
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
+			sent[c.Rank()] = c.Transport().Stats().MsgsSent
 			if c.Rank() == 0 {
 				norm = res.Norm
 			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		msgs := 0
-		for _, s := range w.StatsSnapshot() {
-			msgs += s.MsgsSent
+		for _, n := range sent {
+			msgs += n
 		}
 		return msgs, norm
 	}

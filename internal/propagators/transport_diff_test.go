@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 )
@@ -28,38 +27,21 @@ type dmpOutcome struct {
 
 // runDMPOver runs one 2x2-decomposed model under the given world runner
 // and collects the rank-0 outcome.
-func runDMPOver(t *testing.T, runWorld func(f func(c *mpi.Comm)) error,
+func runDMPOver(t *testing.T, runWorld func(body func(c *mpi.Comm) error) error,
 	name, engine string, shape []int, mode halo.Mode, so, nt, k int) dmpOutcome {
 	t.Helper()
 	var out dmpOutcome
-	err := runWorld(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
+	err := runWorld(func(c *mpi.Comm) error {
+		m, ctx, err := OnRank(c, name, serialCfg(shape, so), mode, []int{2, 2})
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, so)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build(name, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
 		res, err := Run(m, ctx, RunConfig{
 			NT: nt, NReceivers: 4, Engine: engine,
 			Workers: 2, TileRows: 3, TimeTile: k,
 		})
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		// Read before the reductions below add their own sends.
 		st := c.Transport().Stats()
@@ -70,6 +52,7 @@ func runDMPOver(t *testing.T, runWorld func(f func(c *mpi.Comm)) error,
 			out.traces = res.Receivers
 			out.msgs, out.bytes = msgs, bytes
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +62,13 @@ func runDMPOver(t *testing.T, runWorld func(f func(c *mpi.Comm)) error,
 
 func runDMPInproc(t *testing.T, name, engine string, shape []int, mode halo.Mode, so, nt, k int) dmpOutcome {
 	t.Helper()
-	return runDMPOver(t, mpi.NewWorld(4).Run, name, engine, shape, mode, so, nt, k)
+	runner := func(body func(c *mpi.Comm) error) error { return mpi.RunRanks(4, body) }
+	return runDMPOver(t, runner, name, engine, shape, mode, so, nt, k)
 }
 
 func runDMPTCP(t *testing.T, name, engine string, shape []int, mode halo.Mode, so, nt, k int) dmpOutcome {
 	t.Helper()
-	runner := func(f func(c *mpi.Comm)) error {
-		return mpi.RunTCPLocal(4, 2*time.Minute, f)
-	}
+	runner := func(body func(c *mpi.Comm) error) error { return mpi.RunTCPLocal(4, 2*time.Minute, body) }
 	return runDMPOver(t, runner, name, engine, shape, mode, so, nt, k)
 }
 

@@ -1,11 +1,6 @@
 package propagators
 
-import (
-	"fmt"
-
-	"devigo/internal/field"
-	"devigo/internal/symbolic"
-)
+import "devigo/internal/symbolic"
 
 // Viscoelastic builds the visco-elastic propagator (paper Section IV-B4,
 // Appendix A4, after Robertsson et al.): the elastic velocity–stress
@@ -23,224 +18,99 @@ import (
 // stencil updates and a 35-field working set (the paper quotes 36),
 // the highest memory footprint of the four models.
 func Viscoelastic(cfg Config) (*Model, error) {
-	c := cfg.withDefaults()
-	if err := validateShape(&c, 4); err != nil {
-		return nil, err
-	}
-	g, err := makeGrid(&c)
+	s, err := newVelStress("viscoelastic", cfg)
 	if err != nil {
 		return nil, err
 	}
-	so := c.SpaceOrder
-	nd := g.NDims()
-	if nd < 2 {
-		return nil, fmt.Errorf("propagators: viscoelastic needs 2 or 3 dimensions")
-	}
-
-	fields := map[string]*field.Function{}
-	vs := make([]*field.TimeFunction, nd)
-	for d := 0; d < nd; d++ {
-		stg := make([]int, nd)
-		stg[d] = 1
-		v, err := field.NewTimeFunction("v"+comp[d], g, so, 1, fieldCfg(&c, stg))
-		if err != nil {
-			return nil, err
-		}
-		vs[d] = v
-		fields[v.Name] = &v.Function
-	}
-	taus := make([][]*field.TimeFunction, nd)
-	rs := make([][]*field.TimeFunction, nd)
-	for d := range taus {
-		taus[d] = make([]*field.TimeFunction, nd)
-		rs[d] = make([]*field.TimeFunction, nd)
-	}
-	for d := 0; d < nd; d++ {
-		for e := d; e < nd; e++ {
-			stg := make([]int, nd)
-			if d != e {
-				stg[d], stg[e] = 1, 1
-			}
-			tf, err := field.NewTimeFunction("t"+comp[d]+comp[e], g, so, 1, fieldCfg(&c, stg))
-			if err != nil {
-				return nil, err
-			}
-			taus[d][e], taus[e][d] = tf, tf
-			fields[tf.Name] = &tf.Function
-			rf, err := field.NewTimeFunction("r"+comp[d]+comp[e], g, so, 1, fieldCfg(&c, stg))
-			if err != nil {
-				return nil, err
-			}
-			rs[d][e], rs[e][d] = rf, rf
-			fields[rf.Name] = &rf.Function
-		}
-	}
-	newF := func(name string) (*field.Function, error) {
-		f, err := field.NewFunction(name, g, so, fieldCfg(&c, nil))
-		if err != nil {
-			return nil, err
-		}
-		fields[name] = f
-		return f, nil
-	}
-	b, err := newF("b")
+	// Memory variables, co-located with their stress components.
+	rs, err := s.tensor("r")
 	if err != nil {
 		return nil, err
 	}
-	damp, err := newF("damp")
+	p, err := s.params("b", "damp", "ptt", "stt", "its")
 	if err != nil {
 		return nil, err
 	}
-	ptt, err := newF("ptt")
-	if err != nil {
-		return nil, err
-	}
-	stt, err := newF("stt")
-	if err != nil {
-		return nil, err
-	}
-	its, err := newF("its")
-	if err != nil {
-		return nil, err
-	}
+	b, damp, ptt, stt, its := p[0], p[1], p[2], p[3], p[4]
 
 	// Medium: homogeneous with modest attenuation; the stress relaxation
 	// time is kept well above the timestep for explicit stability.
-	vp := c.Velocity
+	vp := s.c.Velocity
 	vsSpeed := vp / 1.7320508075688772
 	rho := 1.0
 	muV := rho * vsSpeed * vsSpeed
 	piV := rho * vp * vp
-	dtc := criticalDt(g, vp)
+	dtc := criticalDt(s.g, vp)
 	tauSigma := 40 * dtc
 	tauPe, tauSe := 1.06, 1.09 // strain/stress relaxation ratios (Q ~ 30)
 	fillConst(b, float32(1/rho))
-	dampField(damp, c.NBL, 0.05)
+	dampField(damp, s.c.NBL, 0.05)
 	fillConst(ptt, float32(piV*tauPe))
 	fillConst(stt, float32(2*muV*tauSe))
 	fillConst(its, float32(1/tauSigma))
-	dampF := symbolic.At(damp.Ref)
 
-	var eqs []symbolic.Eq
-	var waveFields []string
-	solveFwd := func(tf *field.TimeFunction, rhs symbolic.Expr) error {
-		sol, err := symbolic.Solve(symbolic.Eq{LHS: symbolic.Dt(symbolic.At(tf.Ref), 1), RHS: rhs},
-			symbolic.ForwardStencil(tf.Ref))
-		if err != nil {
-			return err
-		}
-		eqs = append(eqs, symbolic.Eq{LHS: symbolic.ForwardStencil(tf.Ref), RHS: sol})
-		waveFields = append(waveFields, tf.Name)
-		return nil
-	}
-
-	// Velocities.
-	for d := 0; d < nd; d++ {
-		v := vs[d]
-		var divT []symbolic.Expr
-		for e := 0; e < nd; e++ {
-			tde := taus[d][e]
-			divT = append(divT, dStag(symbolic.At(tde.Ref), e, so, v.Stagger[e], tde.Stagger[e]))
-		}
-		rhs := symbolic.Sub(
-			symbolic.NewMul(symbolic.At(b.Ref), symbolic.NewAdd(divT...)),
-			symbolic.NewMul(dampF, symbolic.At(v.Ref)),
-		)
-		if err := solveFwd(v, rhs); err != nil {
-			return nil, err
-		}
-	}
-
-	divV := func(target *field.TimeFunction) symbolic.Expr {
-		var terms []symbolic.Expr
-		for e := 0; e < nd; e++ {
-			terms = append(terms, dStag(symbolic.ForwardStencil(vs[e].Ref), e, so,
-				target.Stagger[e], vs[e].Stagger[e]))
-		}
-		return symbolic.NewAdd(terms...)
-	}
-	strain := func(target *field.TimeFunction, d, e int) symbolic.Expr {
-		return symbolic.NewAdd(
-			dStag(symbolic.ForwardStencil(vs[d].Ref), e, so, target.Stagger[e], vs[d].Stagger[e]),
-			dStag(symbolic.ForwardStencil(vs[e].Ref), d, so, target.Stagger[d], vs[e].Stagger[d]),
-		)
+	if err := s.velocities(b, damp); err != nil {
+		return nil, err
 	}
 
 	// Memory variables (read v[t+1], so they form the second cluster).
-	for d := 0; d < nd; d++ {
+	for d := 0; d < s.nd; d++ {
 		rdd := rs[d][d]
-		ddv := dStag(symbolic.ForwardStencil(vs[d].Ref), d, so, rdd.Stagger[d], vs[d].Stagger[d])
 		inner := symbolic.NewAdd(
 			symbolic.At(rdd.Ref),
-			symbolic.NewMul(symbolic.Sub(symbolic.At(ptt.Ref), symbolic.At(stt.Ref)), divV(rdd)),
-			symbolic.NewMul(symbolic.At(stt.Ref), ddv),
+			symbolic.NewMul(symbolic.Sub(symbolic.At(ptt.Ref), symbolic.At(stt.Ref)), s.divV(rdd)),
+			symbolic.NewMul(symbolic.At(stt.Ref), s.dv(rdd, d, d)),
 		)
 		rhs := symbolic.Neg(symbolic.NewMul(symbolic.At(its.Ref), inner))
-		if err := solveFwd(rdd, rhs); err != nil {
+		if err := s.solve(rdd, rhs); err != nil {
 			return nil, err
 		}
 	}
-	for d := 0; d < nd; d++ {
-		for e := d + 1; e < nd; e++ {
+	for d := 0; d < s.nd; d++ {
+		for e := d + 1; e < s.nd; e++ {
 			rde := rs[d][e]
 			inner := symbolic.NewAdd(
 				symbolic.At(rde.Ref),
-				symbolic.NewMul(symbolic.Rat(1, 2), symbolic.At(stt.Ref), strain(rde, d, e)),
+				symbolic.NewMul(symbolic.Rat(1, 2), symbolic.At(stt.Ref), s.strain(rde, d, e)),
 			)
 			rhs := symbolic.Neg(symbolic.NewMul(symbolic.At(its.Ref), inner))
-			if err := solveFwd(rde, rhs); err != nil {
+			if err := s.solve(rde, rhs); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	// Stresses (read v[t+1] and r[t+1]).
-	for d := 0; d < nd; d++ {
-		tdd := taus[d][d]
-		ddv := dStag(symbolic.ForwardStencil(vs[d].Ref), d, so, tdd.Stagger[d], vs[d].Stagger[d])
+	for d := 0; d < s.nd; d++ {
+		tdd := s.taus[d][d]
 		rhs := symbolic.Sub(
 			symbolic.NewAdd(
-				symbolic.NewMul(symbolic.At(ptt.Ref), divV(tdd)),
-				symbolic.NewMul(symbolic.At(stt.Ref), symbolic.Sub(ddv, divV(tdd))),
+				symbolic.NewMul(symbolic.At(ptt.Ref), s.divV(tdd)),
+				symbolic.NewMul(symbolic.At(stt.Ref), symbolic.Sub(s.dv(tdd, d, d), s.divV(tdd))),
 				symbolic.ForwardStencil(rs[d][d].Ref),
 			),
-			symbolic.NewMul(dampF, symbolic.At(tdd.Ref)),
+			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tdd.Ref)),
 		)
-		if err := solveFwd(tdd, rhs); err != nil {
+		if err := s.solve(tdd, rhs); err != nil {
 			return nil, err
 		}
 	}
-	for d := 0; d < nd; d++ {
-		for e := d + 1; e < nd; e++ {
-			tde := taus[d][e]
+	for d := 0; d < s.nd; d++ {
+		for e := d + 1; e < s.nd; e++ {
+			tde := s.taus[d][e]
 			rhs := symbolic.Sub(
 				symbolic.NewAdd(
-					symbolic.NewMul(symbolic.Rat(1, 2), symbolic.At(stt.Ref), strain(tde, d, e)),
+					symbolic.NewMul(symbolic.Rat(1, 2), symbolic.At(stt.Ref), s.strain(tde, d, e)),
 					symbolic.ForwardStencil(rs[d][e].Ref),
 				),
-				symbolic.NewMul(dampF, symbolic.At(tde.Ref)),
+				symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tde.Ref)),
 			)
-			if err := solveFwd(tde, rhs); err != nil {
+			if err := s.solve(tde, rhs); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	nTau := nd * (nd + 1) / 2
-	var srcFields []string
-	for d := 0; d < nd; d++ {
-		srcFields = append(srcFields, taus[d][d].Name)
-	}
-	return &Model{
-		Name:             "viscoelastic",
-		Grid:             g,
-		SpaceOrder:       so,
-		Eqs:              eqs,
-		Fields:           fields,
-		WaveFields:       waveFields,
-		SourceFields:     srcFields,
-		CriticalDt:       dtc * 0.85,
-		WorkingSetFields: 2*(nd+2*nTau) + 5,
-		Cfg:              c,
-	}, nil
+	nTau := s.nd * (s.nd + 1) / 2
+	return s.model("viscoelastic", dtc*0.85, 2*(s.nd+2*nTau)+5), nil
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"devigo/internal/core"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
-	"devigo/internal/mpi"
 )
 
 // The worker-count-invariance suite pins the shared-memory tier's
@@ -135,45 +133,7 @@ func TestWorkerCountInvariance_DMP(t *testing.T) {
 // count (each of the 4 ranks spawns its own persistent team).
 func runWorkersDMP(t *testing.T, engine string, workers, k int) (float64, [][]float64) {
 	t.Helper()
-	shape := []int{24, 24}
-	w := mpi.NewWorld(4)
-	var norm float64
-	var traces [][]float64
-	err := w.Run(func(c *mpi.Comm) {
-		g := grid.MustNew(shape, nil)
-		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := serialCfg(shape, 4)
-		cfg.Decomp = dec
-		cfg.Rank = c.Rank()
-		m, err := Build("acoustic", cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ctx := &core.Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeFull}
-		res, err := Run(m, ctx, RunConfig{NT: 16, NReceivers: 4, Engine: engine,
-			Workers: workers, TileRows: 3, TimeTile: k})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		res.Op.Close()
-		if c.Rank() == 0 {
-			norm = res.Norm
-			traces = res.Receivers
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return norm, traces
+	res := rank0(t, "acoustic", []int{24, 24}, []int{2, 2}, halo.ModeFull, 4, RunConfig{NT: 16, NReceivers: 4,
+		Engine: engine, Workers: workers, TileRows: 3, TimeTile: k})
+	return res.Norm, res.Receivers
 }

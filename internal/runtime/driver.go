@@ -156,6 +156,24 @@ func (bd *Binding) Rebind(fields map[string]*field.Function) (*Binding, error) {
 	return nb, nil
 }
 
+// ExecKernel is the per-cluster execution contract every engine's compiled
+// kernel satisfies — what package core holds once compileStep has picked
+// an engine. Run's scalar vector is whatever the same kernel's BindSyms
+// produced (the interpreter's symbol bindings, the bytecode/native
+// engines' scalar pool). Rebind returns a copy executing against other
+// storage, resolved by field name (see Binding.Rebind): the compiled
+// program is shared, the driver is private, so the copy may run
+// concurrently with the original — how the operator cache shares one
+// compilation across shots.
+type ExecKernel interface {
+	Run(t int, b Box, syms []float64, opts *ExecOpts)
+	BindSyms(vals map[string]float64) ([]float64, error)
+	FlopsPerPoint() int
+	InstrsPerPoint() int
+	StencilRadius() []int
+	Rebind(fields map[string]*field.Function) (ExecKernel, error)
+}
+
 // RowExec is the engine half of a kernel sweep. The Driver owns the loop
 // nest; the engine executes its program one contiguous row at a time, so
 // the engine boundary is crossed once per row, never per point. S is the

@@ -202,7 +202,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 // while the copy gets a private driver, so it is safe to run concurrently
 // with the original (the opcache runs rebound kernels across shots in
 // parallel).
-func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
+func (k *Kernel) Rebind(fields map[string]*field.Function) (ExecKernel, error) {
 	bd, err := k.drv.Rebind(fields)
 	if err != nil {
 		return nil, err
