@@ -117,12 +117,10 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 		MaxTimeTile:     op.maxFeasibleTile(),
 		TileStride:      stride,
 		TileStreams:     streams,
+		TileRows:        op.execOpts.TileRows,
 	}
 	if op.forcedWorkers {
 		p.ForcedWorkers = op.execOpts.Workers
-	}
-	if op.forcedTileRows {
-		p.ForcedTileRows = op.execOpts.TileRows
 	}
 	return p
 }
@@ -133,9 +131,6 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	if cfg.Workers > 0 {
 		op.execOpts.Workers = cfg.Workers
-	}
-	if cfg.TileRows > 0 {
-		op.execOpts.TileRows = cfg.TileRows
 	}
 	// Resize the persistent team to the adopted worker count before the
 	// next dispatch.

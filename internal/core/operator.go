@@ -63,10 +63,9 @@ type Operator struct {
 	// construction, switchable afterwards via Reconfigure (the context is
 	// shared between operators and is never mutated).
 	mode halo.Mode
-	// forcedWorkers/forcedTileRows record knobs pinned through Options;
-	// the autotuner never overrides an explicit user choice.
-	forcedWorkers  bool
-	forcedTileRows bool
+	// forcedWorkers records a worker count pinned through Options; the
+	// autotuner never overrides an explicit user choice.
+	forcedWorkers bool
 	// tuned is set once an autotune policy has configured the operator;
 	// later Apply calls reuse the choice instead of re-tuning.
 	tuned      bool
@@ -339,7 +338,6 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	op.growHalos()
 	if opts != nil {
 		op.execOpts.TileRows = opts.TileRows
-		op.forcedTileRows = opts.TileRows > 0
 	}
 	op.execOpts.Workers = workersReq
 	op.forcedWorkers = workersReq > 0

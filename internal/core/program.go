@@ -21,7 +21,7 @@ import (
 // names, bound to the exchanger that performs it.
 type exchange struct {
 	req ir.HaloReq
-	ex  halo.Exchanger
+	ex  *halo.Exchanger
 }
 
 // sweep is one loop nest of the timestep body (sweep i runs kernel i of
@@ -158,9 +158,14 @@ func (op *Operator) runPreamble() {
 	obs.SetPreamble(rank, false)
 }
 
-// step executes one timestep of the program: every sweep computes its box
-// after (or, when the tree overlaps them, around) its exchanges. remaining
-// is the number of steps left in this Apply including the current one — a
+// step executes one timestep of the program. Every sweep is one
+// choreography — start its exchanges, compute while they are in flight
+// (MPI_Test progress prods between tiles), finish them, compute the rest
+// of the sweep's box — and the tree only picks what is computed in flight:
+// CORE (owned shrunk by the cluster radius, so no read touches in-flight
+// halo data) where it overlaps the exchanges, nothing otherwise, which
+// makes the exchange synchronous and the rest the whole box. remaining is
+// the number of steps left in this Apply including the current one — a
 // tile never outlives its Apply, so short windows (the adjoint driver
 // applies one step at a time) degenerate gracefully to the k=1 schedule
 // instead of paying shell recompute they cannot amortize.
@@ -171,112 +176,92 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 	}
 	j := op.tilePos
 	rank := op.obsRank()
-	ownedPts := 1
-	for _, n := range localShape {
-		ownedPts *= n
-	}
+	owned := fullBox(localShape)
 	for si, sw := range pr.sweeps {
 		k := op.kernels[si]
 		box := op.sweepBox(localShape, j, si)
-		// shell: the sweep includes the shrinking ghost shell of a tile.
-		shell := false
+		// rest is what the exchanges must complete for, shell what follows it.
+		rest, restOpts := box, &op.execOpts
+		var shell []runtime.Box
+		var steal *runtime.ExecOpts
 		if pr.k > 1 {
-			obs.Add(rank, obs.CtrShellPoints, int64(box.Size()-ownedPts))
-			shell = box.Size() > ownedPts
+			obs.Add(rank, obs.CtrShellPoints, int64(box.Size()-owned.Size()))
+			if box.Size() > owned.Size() {
+				// The sweep includes the shrinking ghost shell of a tile.
+				// Shell slabs are thin and uneven across the static
+				// block-cyclic partition: only passes that include them let
+				// drained workers steal.
+				o := op.execOpts
+				o.Steal = true
+				steal = &o
+				if obs.TracingEnabled() {
+					// Peel the shell off so the trace separates owned
+					// compute from the redundant recompute. Per-point
+					// updates within one schedule step are independent, so
+					// the split is bit-identical to one sweep.
+					rest, shell = owned, remainderBoxes(box, owned)
+				} else {
+					restOpts = steal
+				}
+			}
 		}
+		// Only a tile's first substep exchanges.
 		halos := sw.halos
 		if j > 0 {
 			halos = nil
 		}
+		// What runs while the exchanges are in flight, and what after: the
+		// tree says CORE and the rest peeled around it, or nothing and rest.
+		var inflight []runtime.Box
+		after := []runtime.Box{rest}
 		if sw.overlap && len(halos) > 0 {
-			op.overlapSweep(k, t, box, coreBox(localShape, k.StencilRadius()), bound[si], halos)
-			continue
+			core := coreBox(localShape, k.StencilRadius())
+			inflight, after = []runtime.Box{core}, remainderBoxes(rest, core)
 		}
-		if len(halos) > 0 {
-			sp := obs.Begin(rank, obs.PhaseExchange, t)
-			hs := time.Now()
-			for _, h := range halos {
-				h.ex.Exchange(t + h.req.TimeOff)
+		op.exchangeSection(t, halos, (*halo.Exchanger).Start)
+		if inflight != nil {
+			prod := op.execOpts
+			prod.Progress = func() {
+				for _, h := range halos {
+					h.ex.Progress()
+				}
 			}
-			op.perf.HaloSeconds += time.Since(hs).Seconds()
-			sp.End()
+			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &prod)
 		}
-		cs := time.Now()
-		sp := obs.Begin(rank, obs.PhaseCompute, t)
-		opts := &op.execOpts
-		if shell {
-			// Shell slabs are thin and uneven across the static
-			// block-cyclic partition: only sweeps that include them let
-			// drained workers steal.
-			steal := op.execOpts
-			steal.Steal = true
-			opts = &steal
+		op.exchangeSection(t, halos, (*halo.Exchanger).Finish)
+		op.computeSection(obs.PhaseCompute, t, si, bound[si], after, restOpts)
+		if shell != nil {
+			op.computeSection(obs.PhaseShell, t, si, bound[si], shell, steal)
 		}
-		if shell && obs.TracingEnabled() {
-			// Split the sweep so the trace separates owned compute from the
-			// redundant shell recompute. Per-point updates within one
-			// schedule step are independent, so sweeping the owned box and
-			// the shell slabs separately is bit-identical to one sweep.
-			owned := fullBox(localShape)
-			k.Run(t, owned, bound[si], &op.execOpts)
-			sp.End()
-			sp = obs.Begin(rank, obs.PhaseShell, t)
-			for _, rb := range remainderBoxes(box, owned) {
-				k.Run(t, rb, bound[si], opts)
-			}
-		} else {
-			k.Run(t, box, bound[si], opts)
-		}
-		sp.End()
-		op.perf.ComputeSeconds += time.Since(cs).Seconds()
-		op.perf.PointsUpdated += int64(box.Size())
 	}
 	op.tilePos = (j + 1) % op.tileLen
 }
 
-// overlapSweep is the CORE/REMAINDER choreography of the full pattern:
-// post the exchanges, compute the CORE box (owned shrunk by the cluster
-// radius, so no read touches in-flight halo data) with MPI_Test progress
-// prods between tiles, complete the exchanges, then sweep the remainder of
-// the outer box — the boundary ring plus any CIRE extension or ghost shell.
-func (op *Operator) overlapSweep(k ExecKernel, t int, outer, core runtime.Box, syms []float64, halos []exchange) {
-	rank := op.obsRank()
-	sp := obs.Begin(rank, obs.PhaseExchange, t)
+// exchangeSection runs one half of a sweep's exchanges inside one exchange
+// span, on the halo clock.
+func (op *Operator) exchangeSection(t int, halos []exchange, half func(*halo.Exchanger, int)) {
+	if len(halos) == 0 {
+		return
+	}
+	sp := obs.Begin(op.obsRank(), obs.PhaseExchange, t)
 	hs := time.Now()
 	for _, h := range halos {
-		h.ex.Start(t + h.req.TimeOff)
+		half(h.ex, t+h.req.TimeOff)
 	}
 	op.perf.HaloSeconds += time.Since(hs).Seconds()
 	sp.End()
+}
 
-	sp = obs.Begin(rank, obs.PhaseCompute, t)
+// computeSection runs kernel si over boxes inside one span of the given
+// phase, on the compute clock.
+func (op *Operator) computeSection(ph obs.Phase, t, si int, syms []float64, boxes []runtime.Box, opts *runtime.ExecOpts) {
+	sp := obs.Begin(op.obsRank(), ph, t)
 	cs := time.Now()
-	opts := op.execOpts
-	opts.Progress = func() {
-		for _, h := range halos {
-			h.ex.Progress()
-		}
+	for _, b := range boxes {
+		op.kernels[si].Run(t, b, syms, opts)
+		op.perf.PointsUpdated += int64(b.Size())
 	}
-	k.Run(t, core, syms, &opts)
 	op.perf.ComputeSeconds += time.Since(cs).Seconds()
-	op.perf.PointsUpdated += int64(core.Size())
-	sp.End()
-
-	sp = obs.Begin(rank, obs.PhaseExchange, t)
-	ws := time.Now()
-	for _, h := range halos {
-		h.ex.Finish(t + h.req.TimeOff)
-	}
-	op.perf.HaloSeconds += time.Since(ws).Seconds()
-	sp.End()
-
-	sp = obs.Begin(rank, obs.PhaseCompute, t)
-	rs := time.Now()
-	for _, rb := range remainderBoxes(outer, core) {
-		k.Run(t, rb, syms, &op.execOpts)
-		op.perf.PointsUpdated += int64(rb.Size())
-	}
-	op.perf.ComputeSeconds += time.Since(rs).Seconds()
 	sp.End()
 }
 

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"devigo/internal/halo"
 	"devigo/internal/ir"
 	"devigo/internal/runtime"
 )
@@ -217,11 +216,10 @@ func remainderBoxes(outer, inner runtime.Box) []runtime.Box {
 	return rem
 }
 
-// CommStats is the modelled steady-state per-timestep communication
-// volume of an operator's current configuration, with deep-halo exchanges
-// amortized over the exchange interval. The numbers come from
-// halo.RankTraffic: the accounting the performance models use
-// (halo.Traffic), restricted to the neighbours this rank has.
+// CommStats is the steady-state per-timestep communication volume of an
+// operator's current configuration, with deep-halo exchanges amortized
+// over the exchange interval. The numbers are the exchangers' own
+// (halo.Exchanger.Traffic): what their message tables send.
 type CommStats struct {
 	// TimeTile is the exchange interval the stats are amortized over.
 	TimeTile int `json:"time_tile"`
@@ -231,20 +229,17 @@ type CommStats struct {
 	BytesPerStep float64 `json:"bytes_per_step"`
 }
 
-// CommStats reports this rank's modelled per-timestep communication (zero
-// when serial): what its exchangers post given the neighbours it has, so a
+// CommStats reports this rank's per-timestep communication (zero when
+// serial): what its exchangers post given the neighbours it has, so a
 // rank on a non-periodic boundary reports less than an interior one.
 // Preamble exchanges happen once per run and are excluded from the steady
 // state.
 func (op *Operator) CommStats() CommStats {
 	out := CommStats{TimeTile: op.TimeTile()}
-	if op.ctx.Serial() || op.mode == halo.ModeNone {
-		return out
-	}
 	k := float64(op.prog.k)
 	for _, sw := range op.prog.sweeps {
 		for _, h := range sw.halos {
-			m, b := halo.RankTraffic(op.mode, op.ctx.Cart, op.Fields[h.req.Field], op.exchangeDepth(h.req.Field))
+			m, b := h.ex.Traffic()
 			out.MsgsPerStep += float64(m) / k
 			out.BytesPerStep += b / k
 		}

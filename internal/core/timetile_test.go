@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"devigo/internal/field"
@@ -10,35 +14,68 @@ import (
 	"devigo/internal/halo"
 	"devigo/internal/iet"
 	"devigo/internal/mpi"
+	"devigo/internal/obs"
 	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
 func TestRemainderBoxesPartition(t *testing.T) {
-	outer := runtime.Box{Lo: []int{-2, -3}, Hi: []int{10, 11}}
-	inner := runtime.Box{Lo: []int{1, 2}, Hi: []int{7, 8}}
-	rem := remainderBoxes(outer, inner)
-	total := inner.Size()
-	for i, b := range rem {
-		total += b.Size()
-		// Disjoint from inner and from each other.
-		for d := range b.Lo {
-			if b.Lo[d] < outer.Lo[d] || b.Hi[d] > outer.Hi[d] {
-				t.Errorf("box %d escapes outer: %+v", i, b)
+	// covers marks every point of inner and of the slabs, failing on a
+	// point outside outer or covered twice, and returns the count.
+	covers := func(name string, outer, inner runtime.Box, rem []runtime.Box) int {
+		seen := map[[3]int]bool{}
+		for i, b := range append([]runtime.Box{inner}, rem...) {
+			if b.Empty() {
+				if i > 0 {
+					t.Errorf("%s: slab %d is empty: %+v", name, i, b)
+				}
+				continue
+			}
+			lo, hi := [3]int{}, [3]int{1, 1, 1}
+			copy(lo[:], b.Lo)
+			copy(hi[:], b.Hi)
+			for x := lo[0]; x < hi[0]; x++ {
+				for y := lo[1]; y < hi[1]; y++ {
+					for z := lo[2]; z < hi[2]; z++ {
+						p := [3]int{x, y, z}
+						for d := range b.Lo {
+							if p[d] < outer.Lo[d] || p[d] >= outer.Hi[d] {
+								t.Fatalf("%s: box %d escapes outer: %+v", name, i, b)
+							}
+						}
+						if seen[p] {
+							t.Fatalf("%s: point %v covered twice", name, p)
+						}
+						seen[p] = true
+					}
+				}
 			}
 		}
+		return len(seen)
 	}
-	if total != outer.Size() {
-		t.Errorf("partition covers %d points, outer has %d", total, outer.Size())
+	outer := runtime.Box{Lo: []int{-2, -3}, Hi: []int{10, 11}}
+	inner := runtime.Box{Lo: []int{1, 2}, Hi: []int{7, 8}}
+	if n := covers("2-D", outer, inner, remainderBoxes(outer, inner)); n != outer.Size() {
+		t.Errorf("2-D partition covers %d points, outer has %d", n, outer.Size())
 	}
-	// Empty inner: the whole outer comes back.
-	rem = remainderBoxes(outer, runtime.Box{Lo: []int{0, 0}, Hi: []int{0, 0}})
-	sum := 0
-	for _, b := range rem {
-		sum += b.Size()
+	// CORE/REMAINDER of a 3-D owned box.
+	shape := []int{12, 10, 8}
+	owned, core := fullBox(shape), coreBox(shape, []int{4, 4, 2})
+	if n := covers("3-D", owned, core, remainderBoxes(owned, core)); n != owned.Size() {
+		t.Errorf("3-D partition covers %d points, owned has %d", n, owned.Size())
 	}
-	if sum != outer.Size() {
-		t.Errorf("empty-inner partition covers %d, want %d", sum, outer.Size())
+	// A local domain smaller than twice the radius has an empty CORE and
+	// the REMAINDER is all of it.
+	tiny := []int{4, 4}
+	if core := coreBox(tiny, []int{4, 4}); !core.Empty() {
+		t.Errorf("tiny-domain core = %+v, want empty", core)
+	} else if n := covers("tiny", fullBox(tiny), core, remainderBoxes(fullBox(tiny), core)); n != 16 {
+		t.Errorf("tiny-domain remainder covers %d points, want 16", n)
+	}
+	// No inner box: the whole outer comes back as one box.
+	rem := remainderBoxes(outer, runtime.Box{Lo: outer.Lo, Hi: outer.Lo})
+	if len(rem) != 1 || !reflect.DeepEqual(rem[0], outer) {
+		t.Errorf("empty-inner remainder = %+v, want [%+v]", rem, outer)
 	}
 }
 
@@ -280,5 +317,234 @@ func TestSiblingHaloGrowthReEmitsCode(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordedRun is one kernel Run a recKernel saw.
+type recordedRun struct {
+	t             int
+	box           runtime.Box
+	prods, steals bool
+}
+
+// recKernel records every Run before delegating to the compiled kernel.
+type recKernel struct {
+	ExecKernel
+	runs *[]recordedRun
+}
+
+func (r recKernel) Run(t int, b runtime.Box, syms []float64, opts *runtime.ExecOpts) {
+	*r.runs = append(*r.runs, recordedRun{t: t, prods: opts.Progress != nil, steals: opts.Steal,
+		box: runtime.Box{Lo: append([]int(nil), b.Lo...), Hi: append([]int(nil), b.Hi...)}})
+	r.ExecKernel.Run(t, b, syms, opts)
+}
+
+// record applies steps [0, nt) of a ttOperator with its one kernel wrapped
+// in a recKernel and hands every rank's recorded runs to check.
+func record(t *testing.T, k int, mode halo.Mode, nt int, check func(rank int, op *Operator, local []int, runs []recordedRun)) {
+	t.Helper()
+	ttOperator(t, k, mode, func(c *mpi.Comm, op *Operator, u *field.TimeFunction) {
+		var runs []recordedRun
+		op.kernels[0] = recKernel{op.kernels[0], &runs}
+		if err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: nt - 1, Syms: map[string]float64{"dt": 1}}); err != nil {
+			panic(err)
+		}
+		check(c.Rank(), op, u.LocalShape, runs)
+	})
+}
+
+// The untraced sweep partition: a sweep that does not overlap its
+// exchanges is one Run over its whole box; one that does is CORE, with the
+// progress hook, then remainderBoxes(outer, CORE) in order — at k=1 and at
+// the head of a time tile, whose later substeps exchange nothing and so are
+// one Run each over the shrinking box.
+func TestSweepPartition(t *testing.T) {
+	boxes := func(runs []recordedRun) []runtime.Box {
+		var out []runtime.Box
+		for _, r := range runs {
+			out = append(out, r.box)
+		}
+		return out
+	}
+	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal} {
+		record(t, 1, mode, 1, func(rank int, op *Operator, local []int, runs []recordedRun) {
+			if want := []runtime.Box{fullBox(local)}; !reflect.DeepEqual(boxes(runs), want) {
+				t.Errorf("%s rank %d: runs %+v, want %+v", mode, rank, boxes(runs), want)
+			}
+			if runs[0].prods || runs[0].steals {
+				t.Errorf("%s rank %d: synchronous sweep ran with progress=%v steal=%v", mode, rank, runs[0].prods, runs[0].steals)
+			}
+		})
+	}
+	record(t, 1, halo.ModeFull, 1, func(rank int, op *Operator, local []int, runs []recordedRun) {
+		core := coreBox(local, op.kernels[0].StencilRadius())
+		want := append([]runtime.Box{core}, remainderBoxes(fullBox(local), core)...)
+		if !reflect.DeepEqual(boxes(runs), want) {
+			t.Errorf("full rank %d: runs %+v, want %+v", rank, boxes(runs), want)
+		}
+		for i, r := range runs {
+			if r.prods != (i == 0) || r.steals {
+				t.Errorf("full rank %d: run %d progress=%v steal=%v; only CORE prods, nothing steals without a shell",
+					rank, i, r.prods, r.steals)
+			}
+		}
+	})
+	record(t, 4, halo.ModeFull, 4, func(rank int, op *Operator, local []int, runs []recordedRun) {
+		core := coreBox(local, op.kernels[0].StencilRadius())
+		op.tileLen = 4
+		want := append([]runtime.Box{core}, remainderBoxes(op.sweepBox(local, 0, 0), core)...)
+		for j := 1; j < 4; j++ {
+			want = append(want, op.sweepBox(local, j, 0))
+		}
+		if !reflect.DeepEqual(boxes(runs), want) {
+			t.Errorf("full k=4 rank %d: runs %+v, want %+v", rank, boxes(runs), want)
+		}
+		for i, r := range runs {
+			// Every pass but CORE belongs to a sweep that includes shell
+			// slabs, until the tile's last substep sweeps the owned box.
+			wantSteal := i > 0
+			if r.t > 0 {
+				wantSteal = r.box.Size() > fullBox(local).Size()
+			}
+			if r.steals != wantSteal {
+				t.Errorf("full k=4 rank %d: run %d (t=%d, %+v) steal=%v, want %v", rank, i, r.t, r.box, r.steals, wantSteal)
+			}
+		}
+	})
+}
+
+// A traced run peels the ghost shell off every sweep that has one — the
+// overlapped head substep of a tile included — into a shell span: under
+// full with a two-step tile, each rank's trace holds exactly one, at the
+// head step, and the stealing passes it covers sweep exactly the points
+// the shell counter reports, none of them owned.
+func TestTracedOverlapHeadSplitsShell(t *testing.T) {
+	obs.Reset()
+	obs.EnableTracing()
+	defer func() { obs.DisableAll(); obs.Reset() }()
+	shellPts := map[int]int{}
+	var mu sync.Mutex
+	record(t, 2, halo.ModeFull, 2, func(rank int, op *Operator, local []int, runs []recordedRun) {
+		core, owned := coreBox(local, op.kernels[0].StencilRadius()), fullBox(local)
+		ring := remainderBoxes(owned, core)
+		pts := 0
+		for i, r := range runs {
+			switch {
+			case i == 0:
+				if !reflect.DeepEqual(r.box, core) || !r.prods {
+					t.Errorf("rank %d: first run %+v (progress=%v), want CORE with the hook", rank, r.box, r.prods)
+				}
+			case i <= len(ring):
+				if !reflect.DeepEqual(r.box, ring[i-1]) || r.steals {
+					t.Errorf("rank %d: run %d = %+v (steal=%v), want owned remainder %+v", rank, i, r.box, r.steals, ring[i-1])
+				}
+			case r.t == 0:
+				if !r.steals {
+					t.Errorf("rank %d: shell pass %+v does not steal", rank, r.box)
+				}
+				for _, o := range append(ring, core) {
+					if overlaps(r.box, o) {
+						t.Errorf("rank %d: shell pass %+v recomputes owned points of %+v", rank, r.box, o)
+					}
+				}
+				pts += r.box.Size()
+			default:
+				if !reflect.DeepEqual(r.box, owned) || r.steals {
+					t.Errorf("rank %d: last substep ran %+v (steal=%v), want the owned box", rank, r.box, r.steals)
+				}
+			}
+		}
+		mu.Lock()
+		shellPts[rank] = pts
+		mu.Unlock()
+	})
+	obs.DisableAll()
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph, Name string
+			Pid      int
+			Args     struct{ Step int }
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[int][]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" && e.Name == obs.PhaseShell.String() {
+			spans[e.Pid] = append(spans[e.Pid], e.Args.Step)
+		}
+	}
+	for _, rm := range obs.Snapshot().Ranks {
+		if rm.ShellPoints == 0 {
+			t.Errorf("rank %d recomputed no shell: the test needs one", rm.Rank)
+		}
+		if int64(shellPts[rm.Rank]) != rm.ShellPoints {
+			t.Errorf("rank %d: shell passes swept %d points, CtrShellPoints = %d", rm.Rank, shellPts[rm.Rank], rm.ShellPoints)
+		}
+		if !reflect.DeepEqual(spans[rm.Rank], []int{0}) {
+			t.Errorf("rank %d: shell spans at steps %v, want exactly one at the tile head (step 0)", rm.Rank, spans[rm.Rank])
+		}
+	}
+}
+
+// overlaps reports whether two boxes share a point.
+func overlaps(a, b runtime.Box) bool {
+	for d := range a.Lo {
+		if max(a.Lo[d], b.Lo[d]) >= min(a.Hi[d], b.Hi[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// An exchanger's table fixes its regions at construction, so an operator
+// whose field a sibling deepened afterwards (GrowHalo moves every owned
+// and ghost cell in the buffer) must rebuild its exchangers before the
+// next exchange — under basic too, which used to recompute its regions on
+// every call. The grown run must reproduce an undisturbed one bit for bit.
+func TestSiblingHaloGrowthRefillsGhosts(t *testing.T) {
+	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
+		var mu sync.Mutex
+		sums := map[bool]map[int][]float32{false: {}, true: {}}
+		for _, grow := range []bool{false, true} {
+			ttOperator(t, 1, mode, func(c *mpi.Comm, op *Operator, u *field.TimeFunction) {
+				for i := 0; i < u.LocalShape[0]; i++ {
+					for j := 0; j < u.LocalShape[1]; j++ {
+						u.SetDomain(0, float32((u.Origin[0]+i)*31+(u.Origin[1]+j)*7)/100, i, j)
+					}
+				}
+				run := func(m, n int) {
+					if err := op.Apply(&ApplyOpts{TimeM: m, TimeN: n, Syms: map[string]float64{"dt": 1}}); err != nil {
+						panic(err)
+					}
+				}
+				run(0, 1) // the exchangers have run at the original width
+				if grow {
+					width := u.Halo[0]
+					u.GrowHalo([]int{width + 3, width + 3})
+					if u.Halo[0] != width+3 {
+						panic("GrowHalo left the ghost width unchanged")
+					}
+				}
+				run(2, 3)
+				var owned []float32
+				for i := 0; i < u.LocalShape[0]; i++ {
+					for j := 0; j < u.LocalShape[1]; j++ {
+						owned = append(owned, u.AtDomain(4, i, j))
+					}
+				}
+				mu.Lock()
+				sums[grow][c.Rank()] = owned
+				mu.Unlock()
+			})
+		}
+		if !reflect.DeepEqual(sums[true], sums[false]) {
+			t.Errorf("%s: a run whose field grew between Applies diverges from an undisturbed one", mode)
+		}
 	}
 }

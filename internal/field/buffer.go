@@ -86,11 +86,6 @@ func (r Region) Shape() []int {
 	return out
 }
 
-// Clone deep-copies the region.
-func (r Region) Clone() Region {
-	return Region{Lo: append([]int(nil), r.Lo...), Hi: append([]int(nil), r.Hi...)}
-}
-
 // Pack copies the region's elements into dst (row-major order within the
 // region) and returns the element count. dst must have capacity >= Size.
 func (b *Buffer) Pack(r Region, dst []float32) int {

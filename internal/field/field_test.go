@@ -119,10 +119,6 @@ func TestFunctionGeometrySerial(t *testing.T) {
 	if !reflect.DeepEqual(dom.Lo, []int{4, 4}) || !reflect.DeepEqual(dom.Hi, []int{24, 20}) {
 		t.Errorf("domain = %+v", dom)
 	}
-	core := f.CoreRegion()
-	if !reflect.DeepEqual(core.Lo, []int{8, 8}) || !reflect.DeepEqual(core.Hi, []int{20, 16}) {
-		t.Errorf("core = %+v", core)
-	}
 }
 
 func TestTimeFunctionBuffers(t *testing.T) {
@@ -168,60 +164,15 @@ func TestFunctionDistributedGeometry(t *testing.T) {
 	}
 }
 
-func TestOwnedRegionsPartitionDomainMinusCore(t *testing.T) {
-	f := mkFunc(t, []int{12, 10, 8}, 4)
-	dom := f.DomainRegion()
-	core := f.CoreRegion()
-	owned := f.OwnedRegions()
-	total := 0
-	for _, r := range owned {
-		total += r.Size()
-	}
-	if total != dom.Size()-core.Size() {
-		t.Errorf("owned regions cover %d points, want %d", total, dom.Size()-core.Size())
-	}
-	// Disjointness: mark every covered point.
-	seen := map[[3]int]bool{}
-	for _, r := range owned {
-		for i := r.Lo[0]; i < r.Hi[0]; i++ {
-			for j := r.Lo[1]; j < r.Hi[1]; j++ {
-				for k := r.Lo[2]; k < r.Hi[2]; k++ {
-					key := [3]int{i, j, k}
-					if seen[key] {
-						t.Fatalf("point %v covered twice", key)
-					}
-					seen[key] = true
-				}
-			}
-		}
-	}
-}
-
-func TestOwnedRegionsTinyDomain(t *testing.T) {
-	// Local domain smaller than 2*halo: CORE is empty, OWNED is all of it.
-	f := mkFunc(t, []int{4, 4}, 8) // halo 4 >= shape/2
-	if !f.CoreRegion().Empty() {
-		t.Error("core should be empty for a tiny domain")
-	}
-	owned := f.OwnedRegions()
-	total := 0
-	for _, r := range owned {
-		total += r.Size()
-	}
-	if total != f.DomainRegion().Size() {
-		t.Errorf("owned must cover the whole domain, got %d", total)
-	}
-}
-
 func TestSendRecvRegionsGeometry(t *testing.T) {
 	f := mkFunc(t, []int{10, 10}, 2) // halo 2
 	// Send towards +x: last 2 owned rows.
-	s := f.SendRegion([]int{1, 0}, nil)
+	s := f.SendRegionDepth([]int{1, 0}, nil, nil)
 	if s.Lo[0] != 10 || s.Hi[0] != 12 || s.Lo[1] != 2 || s.Hi[1] != 12 {
 		t.Errorf("send +x region = %+v", s)
 	}
 	// Recv from +x: the high halo rows.
-	r := f.RecvRegion([]int{1, 0}, nil)
+	r := f.RecvRegionDepth([]int{1, 0}, nil, nil)
 	if r.Lo[0] != 12 || r.Hi[0] != 14 {
 		t.Errorf("recv +x region = %+v", r)
 	}
@@ -230,7 +181,7 @@ func TestSendRecvRegionsGeometry(t *testing.T) {
 		t.Errorf("send shape %v != recv shape %v", s.Shape(), r.Shape())
 	}
 	// Diagonal corner: both dims restricted to width-2 slabs.
-	c := f.SendRegion([]int{-1, 1}, nil)
+	c := f.SendRegionDepth([]int{-1, 1}, nil, nil)
 	if c.Size() != 4 {
 		t.Errorf("corner send size = %d, want 4", c.Size())
 	}
@@ -238,7 +189,7 @@ func TestSendRecvRegionsGeometry(t *testing.T) {
 
 func TestSendRegionIncludeHaloForBasicSweep(t *testing.T) {
 	f := mkFunc(t, []int{10, 10}, 2)
-	s := f.SendRegion([]int{1, 0}, []bool{false, true})
+	s := f.SendRegionDepth([]int{1, 0}, []bool{false, true}, nil)
 	// Dim 1 spans the full allocation (halo included) for the basic
 	// dimension sweep.
 	if s.Lo[1] != 0 || s.Hi[1] != 14 {
@@ -256,8 +207,8 @@ func TestSendRecvRegionShapesMatchAcrossRanks(t *testing.T) {
 		for i := range o {
 			neg[i] = -o[i]
 		}
-		s := f.SendRegion(o, nil)
-		r := f.RecvRegion(neg, nil)
+		s := f.SendRegionDepth(o, nil, nil)
+		r := f.RecvRegionDepth(neg, nil, nil)
 		if !reflect.DeepEqual(s.Shape(), r.Shape()) {
 			t.Errorf("offset %v: send %v recv %v", o, s.Shape(), r.Shape())
 		}

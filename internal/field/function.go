@@ -211,128 +211,57 @@ func (f *Function) FullRegion() Region {
 	return r
 }
 
-// CoreRegion is the part of DOMAIN whose stencil reads stay inside DOMAIN:
-// DOMAIN shrunk by the halo width on every side. It may be empty for tiny
-// local domains.
-func (f *Function) CoreRegion() Region {
-	r := f.DomainRegion()
-	for d := range r.Lo {
-		r.Lo[d] += f.Halo[d]
-		r.Hi[d] -= f.Halo[d]
-		if r.Hi[d] < r.Lo[d] {
-			r.Hi[d] = r.Lo[d]
+// Slab is the one geometry of a halo exchange, in the buffer coordinates
+// of a box owning local[d] points with halo[d] allocated ghost points per
+// side: the region exchanged with the neighbour at the given topology
+// offset (entries in {-1,0,1}) at depth[d] points per side (nil: the full
+// allocated width). recv false gives the OWNED band shipped to that
+// neighbour, recv true the GHOST band it fills. Zero-offset dimensions
+// span the owned extent; includeHalo widens them by depth[d] ghost points
+// per side — the part of the halo a depth-wide sweep of that dimension
+// has already filled (the basic pattern's dimension sweep).
+func Slab(local, halo, offset []int, includeHalo []bool, depth []int, recv bool) Region {
+	nd := len(local)
+	r := Region{Lo: make([]int, nd), Hi: make([]int, nd)}
+	for d := 0; d < nd; d++ {
+		h, n := halo[d], local[d]
+		g := h
+		if depth != nil {
+			g = depth[d]
+		}
+		// shift moves the owned band onto the ghost band beside it.
+		shift := 0
+		if recv {
+			shift = g
+		}
+		switch offset[d] {
+		case 0:
+			if includeHalo != nil && includeHalo[d] {
+				r.Lo[d], r.Hi[d] = h-g, h+n+g
+			} else {
+				r.Lo[d], r.Hi[d] = h, h+n
+			}
+		case 1:
+			r.Lo[d], r.Hi[d] = h+n-g+shift, h+n+shift
+		case -1:
+			r.Lo[d], r.Hi[d] = h-shift, h+g-shift
+		default:
+			panic("field: offset entries must be -1, 0 or 1")
 		}
 	}
 	return r
 }
 
-// OwnedRegions decomposes DOMAIN minus CORE into disjoint slabs — the
-// REMAINDER areas of the full pattern (faces and strips along decomposed
-// dimensions). The slabs are ordered deterministically.
-func (f *Function) OwnedRegions() []Region {
-	dom := f.DomainRegion()
-	core := f.CoreRegion()
-	if core.Empty() {
-		return []Region{dom}
-	}
-	var out []Region
-	// Peel the two outer slabs per dimension, shrinking the box as we go so
-	// slabs are disjoint.
-	box := dom.Clone()
-	for d := range box.Lo {
-		lowT := box.Clone()
-		lowT.Hi[d] = core.Lo[d]
-		if !lowT.Empty() {
-			out = append(out, lowT)
-		}
-		highT := box.Clone()
-		highT.Lo[d] = core.Hi[d]
-		if !highT.Empty() {
-			out = append(out, highT)
-		}
-		box.Lo[d] = core.Lo[d]
-		box.Hi[d] = core.Hi[d]
-	}
-	return out
-}
-
-// SendRegion returns the OWNED slab that must be shipped to the neighbour
-// at the given topology offset (entries in {-1,0,1}). Zero offsets span the
-// domain extent; includeHalo widens zero-offset dimensions to the full
-// allocated extent (used by the basic mode's dimension-sweep exchange).
-func (f *Function) SendRegion(offset []int, includeHalo []bool) Region {
-	return f.SendRegionDepth(offset, includeHalo, nil)
-}
-
-// SendRegionDepth is SendRegion with an explicit exchange depth per
-// dimension: the slab shipped is depth[d] points wide instead of the full
-// allocated ghost width, and includeHalo dimensions span the owned extent
-// plus depth[d] ghost points per side (the part of the halo a depth-wide
-// sweep has already filled). nil depth means the full allocated width —
-// the plain SendRegion behaviour.
+// SendRegionDepth returns the OWNED slab shipped to the neighbour at
+// offset (see Slab).
 func (f *Function) SendRegionDepth(offset []int, includeHalo []bool, depth []int) Region {
-	nd := f.NDims()
-	r := Region{Lo: make([]int, nd), Hi: make([]int, nd)}
-	for d := 0; d < nd; d++ {
-		h := f.Halo[d]
-		n := f.LocalShape[d]
-		g := h
-		if depth != nil {
-			g = depth[d]
-		}
-		switch offset[d] {
-		case 0:
-			if includeHalo != nil && includeHalo[d] {
-				r.Lo[d], r.Hi[d] = h-g, h+n+g
-			} else {
-				r.Lo[d], r.Hi[d] = h, h+n
-			}
-		case 1:
-			r.Lo[d], r.Hi[d] = h+n-g, h+n
-		case -1:
-			r.Lo[d], r.Hi[d] = h, h+g
-		default:
-			panic("field: offset entries must be -1, 0 or 1")
-		}
-	}
-	return r
+	return Slab(f.LocalShape, f.Halo, offset, includeHalo, depth, false)
 }
 
-// RecvRegion returns the HALO slab populated by the neighbour at the given
-// offset.
-func (f *Function) RecvRegion(offset []int, includeHalo []bool) Region {
-	return f.RecvRegionDepth(offset, includeHalo, nil)
-}
-
-// RecvRegionDepth is RecvRegion with an explicit exchange depth per
-// dimension; the received slab is the depth[d]-wide ghost band adjacent to
-// the owned box. nil depth means the full allocated width.
+// RecvRegionDepth returns the HALO slab populated by the neighbour at
+// offset (see Slab).
 func (f *Function) RecvRegionDepth(offset []int, includeHalo []bool, depth []int) Region {
-	nd := f.NDims()
-	r := Region{Lo: make([]int, nd), Hi: make([]int, nd)}
-	for d := 0; d < nd; d++ {
-		h := f.Halo[d]
-		n := f.LocalShape[d]
-		g := h
-		if depth != nil {
-			g = depth[d]
-		}
-		switch offset[d] {
-		case 0:
-			if includeHalo != nil && includeHalo[d] {
-				r.Lo[d], r.Hi[d] = h-g, h+n+g
-			} else {
-				r.Lo[d], r.Hi[d] = h, h+n
-			}
-		case 1:
-			r.Lo[d], r.Hi[d] = h+n, h+n+g
-		case -1:
-			r.Lo[d], r.Hi[d] = h-g, h
-		default:
-			panic("field: offset entries must be -1, 0 or 1")
-		}
-	}
-	return r
+	return Slab(f.LocalShape, f.Halo, offset, includeHalo, depth, true)
 }
 
 // SetDomain writes v at domain-relative coordinates (0-based within the

@@ -2,14 +2,18 @@
 // computation/communication patterns (Table I, Fig. 5):
 //
 //   - basic: synchronous multi-step face exchanges, 2 messages per
-//     dimension (6 in 3-D), exchange buffers allocated at call time;
+//     dimension (6 in 3-D);
 //   - diagonal: synchronous single-step exchange over the full
-//     {-1,0,1}^n neighbourhood (26 messages in 3-D), preallocated buffers;
-//   - full: asynchronous single-step exchange overlapped with CORE
-//     computation, with MPI_Test progress prods, then REMAINDER updates.
+//     {-1,0,1}^n neighbourhood (26 messages in 3-D);
+//   - full: the diagonal message set posted asynchronously and overlapped
+//     with CORE computation, with MPI_Test progress prods, then REMAINDER
+//     updates.
 //
-// Exchangers operate on one field over one Cartesian communicator; the
-// compiler instantiates one exchanger per (field, operator) pair.
+// The patterns differ only in which neighbour gets which slab, in how
+// many phases (messages) and in whether the caller computes between Start
+// and Finish; one table-driven Exchanger runs them all. An Exchanger
+// operates on one field over one Cartesian communicator; the compiler
+// instantiates one per (field, time offset) requirement of an operator.
 package halo
 
 import (
@@ -18,6 +22,7 @@ import (
 
 	"devigo/internal/field"
 	"devigo/internal/mpi"
+	"devigo/internal/obs"
 )
 
 // Mode selects the communication pattern.
@@ -74,28 +79,84 @@ func ParseMode(s string) (Mode, error) {
 	return ModeNone, fmt.Errorf("halo: unknown MPI mode %q (valid: %s)", s, strings.Join(ModeNames(), ", "))
 }
 
-// Exchanger fills a field's halo region from its neighbours. Exchange is
-// the synchronous entry point; Start/Progress/Finish expose the split
-// protocol that the full pattern overlaps with computation (for the other
-// modes Start+Finish degenerate to Exchange).
-type Exchanger interface {
-	// Exchange synchronously updates the halo of time buffer t.
-	Exchange(t int)
-	// Start posts the sends/receives for time buffer t.
-	Start(t int)
-	// Progress prods the progress engine (MPI_Test) and reports whether
-	// all receives have completed.
-	Progress() bool
-	// Finish blocks until all receives completed and halos are unpacked.
-	Finish(t int)
-	// Mode identifies the pattern.
-	Mode() Mode
+// message is one slab a pattern ships: the topology offset of the
+// neighbour it goes to, and the dimensions along which the slab spans the
+// already-filled ghost band besides the owned extent (nil: none).
+type message struct {
+	offset      []int
+	includeHalo []bool
+}
+
+// messages enumerates a mode's exchange as ordered phases, each complete
+// before the next begins: the one place in the repository that says which
+// neighbours a pattern talks to. Basic sweeps the dimensions, two faces
+// per phase, later phases widened by the dimensions already swept so
+// corner data propagates transitively (Fig. 5a: step A then step B);
+// diagonal and full post the whole {-1,0,1}^n neighbourhood in one phase.
+func messages(mode Mode, nd int) [][]message {
+	switch mode {
+	case ModeNone:
+		return nil
+	case ModeBasic:
+		phases := make([][]message, nd)
+		for d := range phases {
+			swept := make([]bool, nd)
+			for k := 0; k < d; k++ {
+				swept[k] = true
+			}
+			for _, s := range []int{-1, 1} {
+				offset := make([]int, nd)
+				offset[d] = s
+				phases[d] = append(phases[d], message{offset, swept})
+			}
+		}
+		return phases
+	case ModeDiagonal, ModeFull:
+		var phase []message
+		for _, o := range mpi.NeighborOffsets(nd) {
+			phase = append(phase, message{offset: o})
+		}
+		return [][]message{phase}
+	}
+	panic("halo: invalid mode")
+}
+
+// row is one message of an exchanger's table, bound to this rank: the
+// neighbour, the tags (which encode the sender's direction of travel, so
+// the message from Neighbor(o) carries the tag of -o), the owned slab
+// packed into sendBuf and the ghost slab unpacked from recvBuf.
+type row struct {
+	nbr              int
+	sendTag, recvTag int
+	sendReg, recvReg field.Region
+	sendBuf, recvBuf []float32
+}
+
+// Exchanger fills one field's halo from its neighbours by walking a
+// message table built once: a mode is nothing but the table's
+// constructor. Exchange is the synchronous entry point; Start, Progress
+// and Finish split it around the last phase so the caller can compute
+// while that phase's messages are in flight (the full pattern's CORE
+// overlap — available, if not used, under every mode).
+//
+// Buffers are preallocated for every mode. Table I lists basic's as
+// allocated at call time; that column describes Devito's implementation,
+// not the pattern, and perfmodel still prices it for the paper's clusters.
+type Exchanger struct {
+	cart   *mpi.CartComm
+	f      *field.Function
+	rank   int
+	stream int
+	phases [][]row
+	// pending holds the receives of the phase in flight, one per row (nil
+	// between exchanges).
+	pending []*mpi.Request
 }
 
 // New constructs the exchanger for the given mode, exchanging the field's
 // full allocated ghost width. stream must be unique per (field, operator)
 // so concurrent exchanges cannot cross-match.
-func New(mode Mode, cart *mpi.CartComm, f *field.Function, stream int) Exchanger {
+func New(mode Mode, cart *mpi.CartComm, f *field.Function, stream int) *Exchanger {
 	return NewDepth(mode, cart, f, stream, nil)
 }
 
@@ -107,28 +168,118 @@ func New(mode Mode, cart *mpi.CartComm, f *field.Function, stream int) Exchanger
 // exceed the field's allocated halo, and a one-hop exchange additionally
 // requires depth not to exceed the smallest neighbouring chunk — both are
 // the caller's (the compiler's) responsibility when it picks the exchange
-// interval.
-func NewDepth(mode Mode, cart *mpi.CartComm, f *field.Function, stream int, depth []int) Exchanger {
-	switch mode {
-	case ModeNone:
-		return nullExchanger{}
-	case ModeBasic:
-		return newBasic(cart, f, stream, depth)
-	case ModeDiagonal:
-		return newDiagonal(cart, f, stream, depth)
-	case ModeFull:
-		return newFull(cart, f, stream, depth)
+// interval. The regions are fixed here: a field whose ghost storage grows
+// afterwards needs a new exchanger.
+func NewDepth(mode Mode, cart *mpi.CartComm, f *field.Function, stream int, depth []int) *Exchanger {
+	x := &Exchanger{cart: cart, f: f, stream: stream}
+	if mode == ModeNone {
+		return x
 	}
-	panic("halo: invalid mode")
+	x.rank = cart.Rank()
+	for _, phase := range messages(mode, f.NDims()) {
+		var rows []row
+		for _, m := range phase {
+			nbr := cart.Neighbor(m.offset)
+			if nbr == mpi.ProcNull {
+				continue
+			}
+			r := row{
+				nbr:     nbr,
+				sendTag: mpi.OffsetTag(stream, m.offset),
+				recvTag: mpi.OffsetTag(stream, negate(m.offset)),
+				sendReg: f.SendRegionDepth(m.offset, m.includeHalo, depth),
+				recvReg: f.RecvRegionDepth(m.offset, m.includeHalo, depth),
+			}
+			r.sendBuf = make([]float32, r.sendReg.Size())
+			r.recvBuf = make([]float32, r.recvReg.Size())
+			rows = append(rows, r)
+		}
+		x.phases = append(x.phases, rows)
+	}
+	return x
 }
 
-type nullExchanger struct{}
+// Traffic is what one Exchange posts from this rank: a message per table
+// row and the float32 payload of its send region. A rank on a
+// non-periodic boundary has fewer rows, so less of both, than Traffic's
+// interior figure.
+func (x *Exchanger) Traffic() (msgs int, bytes float64) {
+	for _, rows := range x.phases {
+		msgs += len(rows)
+		for i := range rows {
+			bytes += 4 * float64(len(rows[i].sendBuf))
+		}
+	}
+	return msgs, bytes
+}
 
-func (nullExchanger) Exchange(int)   {}
-func (nullExchanger) Start(int)      {}
-func (nullExchanger) Progress() bool { return true }
-func (nullExchanger) Finish(int)     {}
-func (nullExchanger) Mode() Mode     { return ModeNone }
+// post starts one phase on time buffer t: every receive is posted, then
+// every slab packed and sent. The transport snapshots a payload at post
+// time, so the blocking Send is also the asynchronous pattern's Isend:
+// the buffer is reusable at once and only receives are left pending.
+func (x *Exchanger) post(t int, rows []row) {
+	buf := x.f.Buf(t)
+	tid := x.stream + 1
+	x.pending = x.pending[:0]
+	for i := range rows {
+		r := &rows[i]
+		x.pending = append(x.pending, x.cart.Irecv(r.nbr, r.recvTag, r.recvBuf))
+	}
+	for i := range rows {
+		r := &rows[i]
+		sp := obs.BeginStream(x.rank, tid, obs.PhasePack, t)
+		buf.Pack(r.sendReg, r.sendBuf)
+		sp.End()
+		sp = obs.BeginStream(x.rank, tid, obs.PhaseSend, t)
+		x.cart.Send(r.nbr, r.sendTag, r.sendBuf)
+		sp.End()
+		obs.CountMsg(x.rank, 4*int64(len(r.sendBuf)))
+	}
+}
+
+// complete waits for the receives post left pending and unpacks them into
+// the halo of time buffer t.
+func (x *Exchanger) complete(t int, rows []row) {
+	buf := x.f.Buf(t)
+	tid := x.stream + 1
+	for i, req := range x.pending {
+		sp := obs.BeginStream(x.rank, tid, obs.PhaseWait, t)
+		req.Wait()
+		sp.End()
+		sp = obs.BeginStream(x.rank, tid, obs.PhaseUnpack, t)
+		buf.Unpack(rows[i].recvReg, rows[i].recvBuf)
+		sp.End()
+	}
+	x.pending = x.pending[:0]
+}
+
+// Start runs every phase of the exchange of time buffer t but the last
+// to completion and posts the last.
+func (x *Exchanger) Start(t int) {
+	for i, rows := range x.phases {
+		x.post(t, rows)
+		if i < len(x.phases)-1 {
+			x.complete(t, rows)
+		}
+	}
+}
+
+// Progress prods the progress engine (MPI_Test) and reports whether every
+// receive Start left pending has arrived.
+func (x *Exchanger) Progress() bool { return mpi.Testall(x.pending) }
+
+// Finish blocks until the phase Start posted has arrived and unpacks it.
+func (x *Exchanger) Finish(t int) {
+	if n := len(x.phases); n > 0 {
+		x.complete(t, x.phases[n-1])
+	}
+}
+
+// Exchange synchronously updates the halo of time buffer t.
+func (x *Exchanger) Exchange(t int) {
+	x.Start(t)
+	x.Finish(t)
+}
 
 func negate(o []int) []int {
 	n := make([]int, len(o))

@@ -2,6 +2,7 @@ package halo
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"devigo/internal/field"
@@ -265,22 +266,62 @@ func TestDiagonalSmallerTotalBytesThanBasic(t *testing.T) {
 
 func TestFullOverlapProtocol(t *testing.T) {
 	// Start -> compute-like delay -> Progress ticks -> Finish must deliver
-	// the same halos as a synchronous exchange.
-	g := grid.MustNew([]int{16, 16}, nil)
-	w := mpi.NewWorld(4)
-	err := w.Run(func(c *mpi.Comm) {
-		f, _, cart := distField(t, c, g, []int{2, 2}, 4)
-		ex := New(ModeFull, cart, f, 0)
-		ex.Start(0)
-		// Simulated CORE computation with progress prods.
-		for i := 0; i < 5; i++ {
-			ex.Progress()
+	// the same halos as a synchronous exchange, under every mode: the
+	// split is the exchanger's, not the full pattern's.
+	cases := []struct{ shape, topo []int }{
+		{[]int{16, 16}, []int{2, 2}},
+		{[]int{12, 12, 12}, []int{2, 2, 2}},
+	}
+	for _, mode := range []Mode{ModeBasic, ModeDiagonal, ModeFull} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/%dD", mode, len(tc.shape)), func(t *testing.T) {
+				g := grid.MustNew(tc.shape, nil)
+				w := mpi.NewWorld(1 << len(tc.topo))
+				err := w.Run(func(c *mpi.Comm) {
+					f, _, cart := distField(t, c, g, tc.topo, 4)
+					ref, _, _ := distField(t, c, g, tc.topo, 4)
+					New(mode, cart, ref, 1).Exchange(0)
+					ex := New(mode, cart, f, 0)
+					ex.Start(0)
+					// Simulated CORE computation with progress prods.
+					for i := 0; i < 5; i++ {
+						ex.Progress()
+					}
+					// The last phase is only posted: the faces it fills (the
+					// last dimension's, under every mode) are still empty.
+					nd := f.NDims()
+					for _, s := range []int{-1, 1} {
+						o := make([]int, nd)
+						o[nd-1] = s
+						if cart.Neighbor(o) == mpi.ProcNull {
+							continue
+						}
+						r := f.RecvRegionDepth(o, nil, nil)
+						face := make([]float32, r.Size())
+						f.Buf(0).Pack(r, face)
+						for _, v := range face {
+							if v != 0 {
+								t.Errorf("%s rank %d: ghost face %v written before Finish", mode, c.Rank(), o)
+								break
+							}
+						}
+					}
+					ex.Finish(0)
+					if n := verifyHalo(t, f, c.Rank(), mode.String()+"-split"); n == 0 {
+						t.Errorf("%s rank %d: no halo cells verified", mode, c.Rank())
+					}
+					if !reflect.DeepEqual(f.Buf(0).Data, ref.Buf(0).Data) {
+						t.Errorf("%s rank %d: split exchange and Exchange leave different buffers", mode, c.Rank())
+					}
+					if !ex.Progress() {
+						t.Errorf("%s rank %d: receives still pending after Finish", mode, c.Rank())
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		ex.Finish(0)
-		verifyHalo(t, f, c.Rank(), "full-split")
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

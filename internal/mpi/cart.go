@@ -72,16 +72,6 @@ func (c *CartComm) RankOf(coords []int) int {
 	return rank
 }
 
-// Shift returns the (source, destination) ranks displaced by disp along
-// dim — MPI_Cart_shift.
-func (c *CartComm) Shift(dim, disp int) (src, dst int) {
-	up := append([]int(nil), c.coords...)
-	up[dim] += disp
-	down := append([]int(nil), c.coords...)
-	down[dim] -= disp
-	return c.RankOf(down), c.RankOf(up)
-}
-
 // Neighbor returns the rank at the given coordinate offset from the caller,
 // or ProcNull outside the grid.
 func (c *CartComm) Neighbor(offset []int) int {
@@ -113,20 +103,6 @@ func NeighborOffsets(ndims int) [][]int {
 			v /= 3
 		}
 		if !zero {
-			out = append(out, offset)
-		}
-	}
-	return out
-}
-
-// FaceOffsets enumerates only the 2*ndims axis-aligned unit offsets (the
-// basic pattern's message set).
-func FaceOffsets(ndims int) [][]int {
-	var out [][]int
-	for d := 0; d < ndims; d++ {
-		for _, s := range []int{-1, 1} {
-			offset := make([]int, ndims)
-			offset[d] = s
 			out = append(out, offset)
 		}
 	}

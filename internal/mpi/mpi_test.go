@@ -109,8 +109,7 @@ func TestIsendIrecvWait(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			req := c.Isend(1, 9, []float32{3.5})
-			req.Wait()
+			c.Send(1, 9, []float32{3.5})
 		} else {
 			buf := make([]float32, 1)
 			req := c.Irecv(0, 9, buf)
@@ -324,7 +323,7 @@ func TestCartCreateAndShift(t *testing.T) {
 		if got := coords[0]*2 + coords[1]; got != c.Rank() {
 			t.Errorf("rank %d coords %v inconsistent", c.Rank(), coords)
 		}
-		src, dst := cc.Shift(0, 1)
+		src, dst := cc.Neighbor([]int{-1, 0}), cc.Neighbor([]int{1, 0})
 		wantDst := ProcNull
 		if coords[0]+1 < 3 {
 			wantDst = (coords[0]+1)*2 + coords[1]
@@ -334,7 +333,7 @@ func TestCartCreateAndShift(t *testing.T) {
 			wantSrc = (coords[0]-1)*2 + coords[1]
 		}
 		if src != wantSrc || dst != wantDst {
-			t.Errorf("rank %d shift = (%d,%d), want (%d,%d)", c.Rank(), src, dst, wantSrc, wantDst)
+			t.Errorf("rank %d neighbours along dim 0 = (%d,%d), want (%d,%d)", c.Rank(), src, dst, wantSrc, wantDst)
 		}
 	})
 	if err != nil {
@@ -350,9 +349,9 @@ func TestCartPeriodicWraps(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		src, dst := cc.Shift(0, 1)
+		src, dst := cc.Neighbor([]int{-1}), cc.Neighbor([]int{1})
 		if dst != (c.Rank()+1)%4 || src != (c.Rank()+3)%4 {
-			t.Errorf("rank %d periodic shift = (%d,%d)", c.Rank(), src, dst)
+			t.Errorf("rank %d periodic neighbours = (%d,%d)", c.Rank(), src, dst)
 		}
 	})
 	if err != nil {
@@ -361,15 +360,9 @@ func TestCartPeriodicWraps(t *testing.T) {
 }
 
 func TestNeighborOffsetsCounts(t *testing.T) {
-	// Paper Table I: 6 face messages vs 26 full-neighbourhood messages in 3-D.
-	if got := len(FaceOffsets(3)); got != 6 {
-		t.Errorf("3-D faces = %d, want 6", got)
-	}
+	// Paper Table I: 26 full-neighbourhood messages in 3-D.
 	if got := len(NeighborOffsets(3)); got != 26 {
 		t.Errorf("3-D neighbourhood = %d, want 26", got)
-	}
-	if got := len(FaceOffsets(2)); got != 4 {
-		t.Errorf("2-D faces = %d, want 4", got)
 	}
 	if got := len(NeighborOffsets(2)); got != 8 {
 		t.Errorf("2-D neighbourhood = %d, want 8", got)

@@ -2,28 +2,17 @@ package mpi
 
 import "fmt"
 
-// Request is the handle of a nonblocking operation, completed by Wait or
-// polled by Test — the counterpart of MPI_Request.
+// Request is the handle of a nonblocking receive, completed by Wait or
+// polled by Test — the counterpart of MPI_Request. Sends need none: the
+// Transport contract snapshots a payload at post time, so a blocking Send
+// is already an Isend whose buffer is reusable at once.
 type Request struct {
 	comm *Comm
-	// kind discriminates send/recv; sends complete at post time under the
-	// transport contract's post-time buffer ownership.
-	isRecv bool
-	src    int
-	tag    int
-	buf    []float32
-	done   bool
-	n      int
-}
-
-// Isend posts a nonblocking send. The Transport contract snapshots the
-// payload at post time (see Transport's buffer-ownership rules), so the
-// request is born complete and the caller may mutate the source buffer
-// immediately — on every transport, not just the in-process one; it
-// still participates in Waitall for schedule fidelity.
-func (c *Comm) Isend(dst, tag int, data []float32) *Request {
-	c.Send(dst, tag, data)
-	return &Request{comm: c, done: true}
+	src  int
+	tag  int
+	buf  []float32
+	done bool
+	n    int
 }
 
 // Irecv posts a nonblocking receive into buf. Completion happens at Wait or
@@ -33,11 +22,11 @@ func (c *Comm) Irecv(src, tag int, buf []float32) *Request {
 		return &Request{comm: c, done: true}
 	}
 	c.checkRank(src)
-	return &Request{comm: c, isRecv: true, src: src, tag: tag, buf: buf}
+	return &Request{comm: c, src: src, tag: tag, buf: buf}
 }
 
 // Wait blocks until the request completes and returns the received element
-// count (0 for sends).
+// count.
 func (r *Request) Wait() int {
 	if r.done {
 		return r.n
@@ -82,15 +71,6 @@ func (r *Request) complete(data []float32) {
 
 // Done reports whether the request has already completed (without polling).
 func (r *Request) Done() bool { return r.done }
-
-// Waitall completes every request.
-func Waitall(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
-}
 
 // Testall polls every request once and reports whether all are complete.
 func Testall(reqs []*Request) bool {

@@ -22,9 +22,7 @@ package mpi
 // A transport snapshots the payload *before Send returns* (post-time
 // ownership): the caller may mutate or reuse the buffer as soon as the
 // call comes back, and the receiver is guaranteed to observe the
-// values the buffer held at post time. Comm.Isend inherits this
-// contract — it posts through Send — so mutating a source buffer
-// between Isend and Waitall is safe on every transport, not an
+// values the buffer held at post time, on every transport — not an
 // accident of the in-process implementation. Slices returned by Recv
 // and TryRecv are owned by the caller; the transport never touches
 // them again.

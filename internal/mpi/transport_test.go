@@ -95,18 +95,18 @@ func TestConformanceProcNull(t *testing.T) {
 }
 
 func TestConformanceIsendBufferOwnership(t *testing.T) {
-	// The Transport contract snapshots the payload before Send/Isend
-	// returns: mutating the source buffer immediately after the post
-	// must not corrupt the message on any transport.
+	// The Transport contract snapshots the payload before Send returns
+	// (which is what makes it an Isend): mutating the source buffer
+	// immediately after the post must not corrupt the message on any
+	// transport.
 	forEachTransport(t, 2, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			buf := []float32{1, 2, 3, 4}
-			req := c.Isend(1, 5, buf)
+			c.Send(1, 5, buf)
 			for i := range buf {
 				buf[i] = -99 // mutate immediately after the post
 			}
-			req.Wait()
 			c.Send(1, 6, buf) // second message proves the first was a snapshot
 		case 1:
 			got := make([]float32, 4)
@@ -114,7 +114,7 @@ func TestConformanceIsendBufferOwnership(t *testing.T) {
 			want := []float32{1, 2, 3, 4}
 			for i := range want {
 				if got[i] != want[i] {
-					failf("Isend payload not snapshotted at post: got %v", got)
+					failf("Send payload not snapshotted at post: got %v", got)
 				}
 			}
 			c.Recv(0, 6, got)
@@ -127,7 +127,7 @@ func TestConformanceIsendBufferOwnership(t *testing.T) {
 
 func TestConformanceWaitallInterleavedDepthTags(t *testing.T) {
 	// The deep-halo exchanger posts one Irecv per (stream, offset) pair
-	// across several depth streams before any send, then Waitalls. The
+	// across several depth streams before any send, then waits on all. The
 	// tags interleave arbitrarily on the wire; completion must sort
 	// them out.
 	const k = 4
@@ -145,7 +145,9 @@ func TestConformanceWaitallInterleavedDepthTags(t *testing.T) {
 			v := float32(10*c.Rank() + s)
 			c.Send(peer, OffsetTag(s, []int{1, 0, 0}), []float32{v, v, v})
 		}
-		Waitall(reqs)
+		for _, r := range reqs {
+			r.Wait()
+		}
 		for s := 0; s < k; s++ {
 			want := float32(10*peer + s)
 			for _, got := range bufs[s] {

@@ -89,11 +89,14 @@ type OpProfile struct {
 	// tile-start deep exchange ships (>= HaloStreams: older time levels
 	// that a k=1 schedule never exchanges join the set).
 	TileStreams int
-	// ForcedWorkers/ForcedTileRows pin user-specified knobs: when > 0 the
+	// ForcedWorkers pins a user-specified worker count: when > 0 the
 	// candidate set only contains that value, so explicit configuration
 	// always wins over the tuner.
-	ForcedWorkers  int
-	ForcedTileRows int
+	ForcedWorkers int
+	// TileRows is the operator's outer-dimension tile height. It is not a
+	// tuned axis — no height beat the default outside run-to-run noise on
+	// any measured group (ROADMAP item 4) — so every candidate carries it.
+	TileRows int
 }
 
 // Host is the calibrated single-machine cost model the autotuner ranks
@@ -176,12 +179,12 @@ func DefaultHost() Host {
 func MaxWorkersDefault() int { return runtime.GOMAXPROCS(0) }
 
 // Candidates enumerates the configuration space the autotuner considers
-// for a profile: halo modes (when distributed), power-of-two worker
-// counts up to the host cap, and a small ladder of tile heights. Forced
-// knobs collapse their axis to the pinned value. The enumeration is
-// deterministic, and devigo-bench's exhaustive autotune sweep iterates
-// exactly this set, so a tuner choice always has a sweep entry to be
-// compared against.
+// for a profile: halo modes and exchange intervals (when distributed) and
+// power-of-two worker counts up to the host cap, all at the operator's
+// tile height. A forced worker count collapses its axis to the pinned
+// value. The enumeration is deterministic, and devigo-bench's exhaustive
+// autotune sweep iterates exactly this set, so a tuner choice always has a
+// sweep entry to be compared against.
 func Candidates(p OpProfile) []ExecConfig {
 	rows := 1
 	if len(p.LocalShape) > 0 {
@@ -206,23 +209,6 @@ func Candidates(p OpProfile) []ExecConfig {
 			workers = append(workers, wcap)
 		}
 	}
-	var tiles []int
-	switch {
-	case p.ForcedTileRows > 0:
-		tiles = []int{p.ForcedTileRows}
-	default:
-		seen := map[int]bool{}
-		for _, t := range []int{4, 8, 32, rows} {
-			if t < 1 || t > rows || seen[t] {
-				continue
-			}
-			seen[t] = true
-			tiles = append(tiles, t)
-		}
-		if len(tiles) == 0 {
-			tiles = []int{rows}
-		}
-	}
 	modes := []halo.Mode{p.Mode}
 	if p.Ranks > 1 && p.Mode != halo.ModeNone {
 		modes = []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull}
@@ -238,10 +224,8 @@ func Candidates(p OpProfile) []ExecConfig {
 	var out []ExecConfig
 	for _, m := range modes {
 		for _, w := range workers {
-			for _, t := range tiles {
-				for _, k := range ks {
-					out = append(out, ExecConfig{Mode: m, Workers: w, TileRows: t, TimeTile: k})
-				}
+			for _, k := range ks {
+				out = append(out, ExecConfig{Mode: m, Workers: w, TileRows: p.TileRows, TimeTile: k})
 			}
 		}
 	}
@@ -364,7 +348,7 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 
 // Plan ranks the candidate configurations of a profile by predicted step
 // time, fastest first. Ties break deterministically (mode, then workers,
-// then tile rows) so every rank of a distributed run computes the same
+// then interval) so every rank of a distributed run computes the same
 // order from the same profile.
 func Plan(h Host, p OpProfile) []ExecConfig {
 	cands := Candidates(p)
@@ -386,9 +370,6 @@ func Plan(h Host, p OpProfile) []ExecConfig {
 		}
 		if ca.Workers != cb.Workers {
 			return ca.Workers < cb.Workers
-		}
-		if ca.TileRows != cb.TileRows {
-			return ca.TileRows < cb.TileRows
 		}
 		return ca.TimeTile < cb.TimeTile
 	})
@@ -418,7 +399,7 @@ type Trial struct {
 // tuneGroup is the qualitative half of a configuration: the
 // communication pattern and whether it time-tiles. The empirical search
 // decides the group first, then refines the quantitative knobs (workers,
-// tile rows, exact interval) within it.
+// exact interval) within it.
 type tuneGroup struct {
 	mode  halo.Mode
 	tiled bool
@@ -445,8 +426,8 @@ func groupHeads(plan []ExecConfig) []ExecConfig {
 // (halo mode, deep-tiled or not) — so the communication patterns and the
 // exchange-interval axis are always spanned even when the cost model
 // misranks a whole mode. Phase 2 spends up to `trials` further
-// measurements refining the quantitative knobs (workers, tile rows, the
-// exact interval) within the winning group, in model-rank order. The
+// measurements refining the quantitative knobs (workers, the exact
+// interval) within the winning group, in model-rank order. The
 // measure callback is expected to time a few real timesteps of the live
 // simulation — sound because every candidate is bit-exact — and may
 // return ErrTuneBudget to stop the search; the best measurement so far

@@ -164,17 +164,21 @@ func CenterSource(g *grid.Grid) []float64 {
 	return out
 }
 
-// ReceiverLine returns n receiver coordinates along the first dimension at
-// fixed depth in the remaining ones.
+// ReceiverLine returns n receiver coordinates evenly spaced along the
+// first dimension, end to end, at fixed depth in the remaining ones. A
+// line of one is its midpoint; n < 1 is no receivers.
 func ReceiverLine(g *grid.Grid, n int) [][]float64 {
-	out := make([][]float64, n)
+	var out [][]float64
 	for i := 0; i < n; i++ {
 		c := make([]float64, g.NDims())
-		c[0] = g.Extent[0] * float64(i) / float64(n-1)
+		c[0] = g.Extent[0] / 2
+		if n > 1 {
+			c[0] = g.Extent[0] * float64(i) / float64(n-1)
+		}
 		for d := 1; d < g.NDims(); d++ {
 			c[d] = g.Extent[d] / 4
 		}
-		out[i] = c
+		out = append(out, c)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package propagators
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"devigo/internal/grid"
@@ -289,6 +290,39 @@ func TestRunNeedsNTOrTime(t *testing.T) {
 	m, _ := Acoustic(serialCfg([]int{16, 16}, 4))
 	if _, err := Run(m, nil, RunConfig{}); err == nil {
 		t.Error("missing NT and Time should fail")
+	}
+}
+
+// A source or receiver position that is not a number must fail the run by
+// name instead of injecting NaN into the wavefield, and a receiver "line"
+// of one, which used to record nothing, must say how to place one receiver.
+func TestRunRejectsBadSourceAndReceiverLayouts(t *testing.T) {
+	m, _ := Acoustic(serialCfg([]int{16, 16}, 4))
+	mid := m.Grid.Extent[0] / 2
+	for name, rc := range map[string]RunConfig{
+		"NaN source":    {NT: 2, SourceCoords: []float64{math.NaN(), mid}},
+		"+Inf source":   {NT: 2, SourceCoords: []float64{mid, math.Inf(1)}},
+		"-Inf receiver": {NT: 2, ReceiverCoords: [][]float64{{mid, mid}, {math.Inf(-1), mid}}},
+	} {
+		_, err := Run(m, nil, rc)
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: err = %v, want the non-finite coordinate named", name, err)
+		}
+	}
+	_, err := Run(m, nil, RunConfig{NT: 2, NReceivers: 1})
+	if err == nil || !strings.Contains(err.Error(), "ReceiverCoords") {
+		t.Errorf("NReceivers=1: err = %v, want a pointer to ReceiverCoords", err)
+	}
+	line := ReceiverLine(m.Grid, 1)
+	if len(line) != 1 || line[0][0] != mid {
+		t.Errorf("ReceiverLine(1) = %v, want the line's midpoint", line)
+	}
+	res, err := Run(m, nil, RunConfig{NT: 2, ReceiverCoords: line})
+	if err != nil || len(res.Receivers) != 2 || len(res.Receivers[0]) != 1 {
+		t.Errorf("one receiver through ReceiverCoords: err %v, traces %v", err, res)
+	}
+	if got := ReceiverLine(m.Grid, 0); len(got) != 0 {
+		t.Errorf("ReceiverLine(0) = %v, want none", got)
 	}
 }
 

@@ -23,7 +23,9 @@ type RunConfig struct {
 	DT float64
 	// F0 is the Ricker peak frequency (default derived from the grid).
 	F0 float64
-	// NReceivers is the receiver line length (0 disables receivers).
+	// NReceivers is the receiver line length (0 disables receivers; a
+	// line has two ends, so 1 is an error — place a single receiver with
+	// ReceiverCoords).
 	NReceivers int
 	// ReceiverCoords overrides the default ReceiverLine placement; when
 	// set, NReceivers is ignored.
@@ -185,6 +187,8 @@ func buildSources(m *Model, rc *RunConfig, dt float64, nt int) (*sourceSetup, er
 	switch {
 	case rc.ReceiverCoords != nil:
 		rec, err = sparse.New("rec", m.Grid, rc.ReceiverCoords)
+	case rc.NReceivers == 1:
+		return nil, fmt.Errorf("propagators: NReceivers=1 is not a line; place a single receiver with ReceiverCoords")
 	case rc.NReceivers > 1:
 		rec, err = sparse.New("rec", m.Grid, ReceiverLine(m.Grid, rc.NReceivers))
 	}

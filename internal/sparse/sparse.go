@@ -22,7 +22,9 @@ type SparseFunction struct {
 	Coords [][]float64 // npoints x ndims, in physical units
 }
 
-// New validates coordinates against the grid extent.
+// New validates coordinates against the grid extent. Non-finite
+// coordinates are rejected by name: NaN compares false against both
+// bounds and would otherwise pass as inside.
 func New(name string, g *grid.Grid, coords [][]float64) (*SparseFunction, error) {
 	nd := g.NDims()
 	for i, c := range coords {
@@ -30,6 +32,9 @@ func New(name string, g *grid.Grid, coords [][]float64) (*SparseFunction, error)
 			return nil, fmt.Errorf("sparse: point %d has %d coordinates, want %d", i, len(c), nd)
 		}
 		for d, x := range c {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("sparse: point %d coordinate %d is %g, want a finite position in [0,%g]", i, d, x, g.Extent[d])
+			}
 			if x < 0 || x > g.Extent[d] {
 				return nil, fmt.Errorf("sparse: point %d coordinate %g outside extent [0,%g]", i, x, g.Extent[d])
 			}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,14 @@ func TestNewValidatesCoords(t *testing.T) {
 	}
 	if _, err := New("src", g, [][]float64{{4.5, 3.3}}); err != nil {
 		t.Errorf("valid point rejected: %v", err)
+	}
+	// NaN compares false against both bounds: it must be rejected by name,
+	// with the point and dimension, not pass as inside the extent.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := New("src", g, [][]float64{{4.5, 3.3}, {2, bad}})
+		if err == nil || !strings.Contains(err.Error(), "point 1 coordinate 1") {
+			t.Errorf("coordinate %g: err = %v, want point 1 coordinate 1 rejected", bad, err)
+		}
 	}
 }
 
