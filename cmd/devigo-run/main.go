@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"devigo/internal/core"
@@ -95,7 +96,8 @@ func main() {
 			report(label, res, gridPoints, seconds)
 			fmt.Printf("  MPI traffic: %d messages, %.1f MB total\n", int64(msgs), bytes/1e6)
 		}
-		return nil
+		// The norm is global, so every rank reaches the same verdict.
+		return checkNorm(*model, res.NT, res.Norm)
 	}
 
 	switch *transport {
@@ -156,6 +158,16 @@ func report(label string, res *propagators.RunResult, gridPoints int, seconds fl
 	fmt.Printf("  this rank swept: %.1f Mpts/s incl. redundant points, flops/point=%d, compute %.2fs, halo %.2fs\n",
 		res.Perf.GPtss()*1e3, res.Perf.FlopsPerPoint,
 		res.Perf.ComputeSeconds, res.Perf.HaloSeconds)
+}
+
+// checkNorm is the run's own sanity check: a wavefield whose norm is NaN
+// or infinite has diverged, and a diverged run must not exit 0 with a
+// throughput figure.
+func checkNorm(model string, nt int, norm float64) error {
+	if math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return fmt.Errorf("model %s diverged: norm=%v after %d steps", model, norm, nt)
+	}
+	return nil
 }
 
 // fail exits with the error after flushing any requested trace/metrics

@@ -79,8 +79,7 @@ type TCPTransport struct {
 	inbox []*mailbox // indexed by source rank
 	ln    net.Listener
 
-	statsMu sync.Mutex
-	stats   Stats
+	stats counters
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -120,7 +119,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		inbox:   make([]*mailbox, n),
 	}
 	for s := 0; s < n; s++ {
-		t.inbox[s] = newMailbox()
+		t.inbox[s] = newMailbox(&t.stats)
 	}
 	if n == 1 {
 		return t, nil
@@ -390,10 +389,7 @@ func (t *TCPTransport) Send(dst, tag int, data []float32) error {
 	if err := p.w.Flush(); err != nil {
 		return fmt.Errorf("write to rank %d: %w", dst, err)
 	}
-	t.statsMu.Lock()
-	t.stats.MsgsSent++
-	t.stats.BytesSent += int64(len(data)) * 4
-	t.statsMu.Unlock()
+	t.stats.sent(len(data))
 	return nil
 }
 
@@ -461,12 +457,8 @@ func (t *TCPTransport) TryRecv(src, tag int) ([]float32, bool, error) {
 	return data, ok, nil
 }
 
-// Stats returns the calling rank's send accounting.
-func (t *TCPTransport) Stats() Stats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.stats
-}
+// Stats returns the calling rank's accounting.
+func (t *TCPTransport) Stats() Stats { return t.stats.snapshot() }
 
 // Close tears down every connection; pending receives fail.
 func (t *TCPTransport) Close() error {

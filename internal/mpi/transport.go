@@ -52,7 +52,7 @@ type Transport interface {
 	// TryRecv returns the oldest matching message if one has already
 	// been delivered, without blocking.
 	TryRecv(src, tag int) ([]float32, bool, error)
-	// Stats returns the calling rank's send-side accounting.
+	// Stats returns the calling rank's accounting.
 	Stats() Stats
 	// Close tears the transport down; subsequent and in-flight
 	// operations fail with an error rather than hanging.
@@ -64,4 +64,8 @@ type Transport interface {
 type Stats struct {
 	MsgsSent  int
 	BytesSent int64
+	// RecvParks counts the receives that outlasted the poll and parked the
+	// receiving goroutine: the peer was later than pollBound, i.e. the
+	// ranks are imbalanced (or the wire is slow), not merely out of phase.
+	RecvParks int
 }

@@ -283,54 +283,6 @@ func TestConformanceEmptyMessage(t *testing.T) {
 	})
 }
 
-func TestMailboxTakeZeroesVacatedSlot(t *testing.T) {
-	// Regression: the slice delete in take() must zero the vacated tail
-	// slot. Before the fix, popping from the front left the backing
-	// array's tail element aliasing the last message's payload, pinning
-	// a halo-buffer-sized allocation for the queue's lifetime.
-	m := newMailbox()
-	m.push(1, make([]float32, 4))
-	m.push(2, make([]float32, 1<<20))
-	if _, err := m.pop(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.pop(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Queue is empty but its backing array still has the slots the two
-	// messages occupied; both must have been zeroed on removal.
-	full := m.queue[:cap(m.queue)]
-	for i, msg := range full {
-		if msg.data != nil {
-			t.Fatalf("vacated slot %d still references a %d-element payload", i, len(msg.data))
-		}
-	}
-}
-
-func TestMailboxPopTimeout(t *testing.T) {
-	m := newMailbox()
-	start := time.Now()
-	_, err := m.pop(5, 50*time.Millisecond)
-	if err == nil {
-		t.Fatal("pop with a deadline on an empty mailbox must fail")
-	}
-	if !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("want a deadline error, got %v", err)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("pop returned before its deadline")
-	}
-	// A message that arrives while waiting must be delivered.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		m.push(6, []float32{42})
-	}()
-	data, err := m.pop(6, time.Second)
-	if err != nil || len(data) != 1 || data[0] != 42 {
-		t.Fatalf("pop missed a delivered message: %v %v", data, err)
-	}
-}
-
 func TestTCPHungPeerDeadline(t *testing.T) {
 	// The hung-peer guarantee: a receive whose sender never sends fails
 	// with a deadline error after the timeout, not a deadlock, and the

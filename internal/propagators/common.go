@@ -82,6 +82,27 @@ func makeGrid(c *Config) (*grid.Grid, error) {
 	return grid.New(c.Shape, c.Extent)
 }
 
+// domainRows calls fn once per contiguous row of f's DOMAIN in its first
+// buffer: idx holds the row's domain-relative coordinates (last entry 0),
+// row its LocalShape[last] elements.
+func domainRows(f *field.Function, fn func(idx []int, row []float32)) {
+	buf := f.Buf(0)
+	last := f.NDims() - 1
+	idx := make([]int, last+1)
+	var rec func(d, base int)
+	rec = func(d, base int) {
+		if d == last {
+			base += f.Halo[d] * buf.Strides[d]
+			fn(idx, buf.Data[base:base+f.LocalShape[d]])
+			return
+		}
+		for idx[d] = 0; idx[d] < f.LocalShape[d]; idx[d]++ {
+			rec(d+1, base+(idx[d]+f.Halo[d])*buf.Strides[d])
+		}
+	}
+	rec(0, 0)
+}
+
 // dampField fills an absorbing-boundary damping profile: zero in the
 // interior, growing quadratically towards the domain faces over the NBL
 // outermost points (Devito's damp field).
@@ -89,52 +110,38 @@ func dampField(f *field.Function, nbl int, coeff float64) {
 	if nbl <= 0 {
 		return
 	}
-	nd := f.NDims()
 	shape := f.Grid.Shape
-	idx := make([]int, nd)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == nd {
-			// Distance to the nearest face, in points.
-			depth := 0.0
-			for k := 0; k < nd; k++ {
-				g := f.Origin[k] + idx[k]
-				dist := g
-				if shape[k]-1-g < dist {
-					dist = shape[k] - 1 - g
-				}
-				if dist < nbl {
-					pen := float64(nbl-dist) / float64(nbl)
-					if pen > depth {
-						depth = pen
-					}
-				}
-			}
-			f.SetDomain(0, float32(coeff*depth*depth), idx...)
-			return
+	// penalty is how far into the layer local point i of dimension k sits:
+	// 0 outside it, 1 on the face.
+	penalty := func(k, i int) float64 {
+		g := f.Origin[k] + i
+		dist := min(g, shape[k]-1-g)
+		if dist >= nbl {
+			return 0
 		}
-		for idx[d] = 0; idx[d] < f.LocalShape[d]; idx[d]++ {
-			rec(d + 1)
-		}
+		return float64(nbl-dist) / float64(nbl)
 	}
-	rec(0)
+	last := f.NDims() - 1
+	domainRows(f, func(idx []int, row []float32) {
+		// The deepest penalty over the row's fixed coordinates.
+		outer := 0.0
+		for k := 0; k < last; k++ {
+			outer = max(outer, penalty(k, idx[k]))
+		}
+		for i := range row {
+			depth := max(outer, penalty(last, i))
+			row[i] = float32(coeff * depth * depth)
+		}
+	})
 }
 
 // fillConst sets a field's DOMAIN to a constant.
 func fillConst(f *field.Function, v float32) {
-	nd := f.NDims()
-	idx := make([]int, nd)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == nd {
-			f.SetDomain(0, v, idx...)
-			return
+	domainRows(f, func(_ []int, row []float32) {
+		for i := range row {
+			row[i] = v
 		}
-		for idx[d] = 0; idx[d] < f.LocalShape[d]; idx[d]++ {
-			rec(d + 1)
-		}
-	}
-	rec(0)
+	})
 }
 
 // criticalDt computes the CFL bound dt <= coeff * h_min / v_max. The
