@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,6 +141,14 @@ func runAutotuneExp(models []string, sos []int, size, nt int, outDir string) err
 	}
 	fmt.Printf("  wrote %s\n", path)
 	return nil
+}
+
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenario, error) {

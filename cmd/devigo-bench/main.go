@@ -1,7 +1,8 @@
-// devigo-bench renders the paper's modeled evaluation, sweeps the
-// autotuner, and keeps the perf observatory's history. It measures no
-// throughput of its own: a timing is a per-layer metric of the repository
-// benchmark (bench/, see bench/README.md) and a certification is a go test.
+// devigo-bench renders the paper's modeled evaluation and sweeps the
+// autotuner. It measures no throughput of its own: a timing is a per-layer
+// metric of the repository benchmark (bench/, see bench/README.md), two
+// commits are compared by alternating bench/run.sh pairs whose runs are
+// listed in CHANGES.md, and a certification is a go test.
 //
 // The modeled tables — every strong-scaling table and figure (Tables
 // III-XXXIV, Figures 8-11 and 13-20), the weak-scaling runtime figures
@@ -26,23 +27,12 @@
 //
 //	devigo-bench -exp autotune -model acoustic -size 128 -nt 16 -out /tmp/bench
 //	devigo-bench -check -dir /tmp/bench -only autotune-exact,autotune-timing
-//
-// -exp observatory reads the text bench/run.sh prints from standard input,
-// appends every metric of every workload to a run history keyed by the
-// benchmark's host line, fails when an end-to-end metric is worse than the
-// median of the last 5 same-host entries by more than its BENCHMARK.json
-// bound, and renders a static HTML report; with -diff it instead compares
-// two stored entries (timestamps or indices, negative from the newest):
-//
-//	bash bench/run.sh --workload all --seconds 5 | devigo-bench -exp observatory -history BENCH_history.json -out .
-//	devigo-bench -exp observatory -history BENCH_history.json -diff -2,-1
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -52,26 +42,28 @@ import (
 	"devigo/internal/perfreport"
 )
 
+// experiments is the -exp vocabulary, printed by the flag's help and by
+// run's unknown-experiment error.
+const experiments = "strong|weak|roofline|selectmode|autotune|all"
+
 func main() {
-	exp := flag.String("exp", "strong", "experiment: strong|weak|roofline|selectmode|autotune|observatory|all")
+	exp := flag.String("exp", "strong", "experiment: "+experiments)
 	model := flag.String("model", "acoustic", "kernel: acoustic|elastic|tti|viscoelastic|all")
 	arch := flag.String("arch", "cpu", "platform: cpu|gpu|all")
 	soFlag := flag.String("so", "8", "space orders, comma separated (4,8,12,16)")
 	size := flag.Int("size", 256, "autotune: square grid extent per side")
 	nt := flag.Int("nt", 30, "autotune: timesteps to measure")
-	out := flag.String("out", ".", "autotune/observatory: directory for BENCH_*.json and observatory.html")
+	out := flag.String("out", ".", "autotune: directory BENCH_autotune.json is written to")
 	check := flag.Bool("check", false, "validate BENCH_autotune.json in -dir instead of running an experiment")
 	dir := flag.String("dir", ".", "check: directory holding BENCH_autotune.json")
 	only := flag.String("only", "", "check: comma-separated gate groups (autotune,autotune-exact,autotune-timing)")
-	history := flag.String("history", "", "observatory: run-history JSON path (default <out>/BENCH_history.json)")
-	diff := flag.String("diff", "", "observatory: compare two history entries (\"a,b\": timestamps or indices, negative from newest) instead of reading a run")
 	flag.Parse()
 
 	err := func() error {
 		if *check {
 			return runCheck(*dir, *only)
 		}
-		return run(*exp, *model, *arch, *soFlag, *size, *nt, *out, *history, *diff)
+		return run(*exp, *model, *arch, *soFlag, *size, *nt, *out)
 	}()
 	if ferr := obs.FlushEnv(); ferr != nil && err == nil {
 		err = ferr
@@ -84,7 +76,7 @@ func main() {
 
 // run dispatches one experiment; any failure propagates to a non-zero
 // exit so CI jobs consuming the tool can actually fail.
-func run(exp, model, arch, soFlag string, size, nt int, out, history, diff string) error {
+func run(exp, model, arch, soFlag string, size, nt int, out string) error {
 	sos, err := parseSOs(soFlag)
 	if err != nil {
 		return err
@@ -116,14 +108,6 @@ func run(exp, model, arch, soFlag string, size, nt int, out, history, diff strin
 		return runSelectMode(sos)
 	case "autotune":
 		return runAutotuneExp(models, sos, size, nt, out)
-	case "observatory":
-		if history == "" {
-			history = filepath.Join(out, "BENCH_history.json")
-		}
-		if diff != "" {
-			return runObservatoryDiff(os.Stdout, history, diff)
-		}
-		return runObservatory(os.Stdin, os.Stdout, out, history)
 	case "all":
 		all := []string{"acoustic", "elastic", "tti", "viscoelastic"}
 		both := []perfmodel.Machine{perfmodel.Archer2Node(), perfmodel.TursaA100()}
@@ -138,7 +122,7 @@ func run(exp, model, arch, soFlag string, size, nt int, out, history, diff strin
 		}
 		return runSelectMode([]int{8})
 	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return fmt.Errorf("unknown experiment %q (valid: %s)", exp, experiments)
 }
 
 func runStrong(models []string, sos []int, machines []perfmodel.Machine) error {

@@ -106,7 +106,7 @@ func main() {
 		// One flush for the whole world: the per-rank recorders are
 		// global, so the trace holds every rank's spans (one Perfetto
 		// process per rank).
-		fail(obs.FlushEnv())
+		flush()
 	case "tcp":
 		if os.Getenv(mpi.RankEnvVar) == "" {
 			// Launcher mode: spawn one copy of this exact invocation per
@@ -123,7 +123,7 @@ func main() {
 		// trace/metrics files (suffixed by rank) instead of clobbering
 		// one path.
 		suffixObsPaths(t.Rank())
-		fail(obs.FlushEnv())
+		flush()
 	default:
 		fail(fmt.Errorf("unknown transport %q (valid: inproc, tcp)", *transport))
 	}
@@ -179,6 +179,16 @@ func fail(err error) {
 			fmt.Fprintln(os.Stderr, "devigo-run: flush observability:", ferr)
 		}
 		fmt.Fprintln(os.Stderr, "devigo-run:", err)
+		os.Exit(1)
+	}
+}
+
+// flush writes the trace/metrics output a successful run asked for; a
+// path that cannot be written fails the run (fail would flush a second
+// time and report it twice).
+func flush() {
+	if err := obs.FlushEnv(); err != nil {
+		fmt.Fprintln(os.Stderr, "devigo-run: flush observability:", err)
 		os.Exit(1)
 	}
 }

@@ -218,37 +218,9 @@ func (a *Array) Gather(c *mpi.Comm, root, t int) []float32 {
 	g := a.F.Grid
 	out := make([]float32, g.Points())
 	place := func(rank int, data []float32) {
-		origin := a.Decomp.LocalOrigin(rank)
-		shape := a.Decomp.LocalShape(rank)
-		// Row-major scatter of the rank's chunk into the global array.
-		nd := len(shape)
-		idx := make([]int, nd)
-		pos := 0
-		for {
-			goff := 0
-			for d := 0; d < nd; d++ {
-				gidx := origin[d] + idx[d]
-				stride := 1
-				for k := d + 1; k < nd; k++ {
-					stride *= g.Shape[k]
-				}
-				goff += gidx * stride
-			}
-			rowLen := shape[nd-1]
-			copy(out[goff:goff+rowLen], data[pos:pos+rowLen])
-			pos += rowLen
-			d := nd - 2
-			for ; d >= 0; d-- {
-				idx[d]++
-				if idx[d] < shape[d] {
-					break
-				}
-				idx[d] = 0
-			}
-			if d < 0 {
-				break
-			}
-		}
+		grid.BoxRows(g.Shape, a.Decomp.LocalOrigin(rank), a.Decomp.LocalShape(rank), func(goff, loff, rowLen int) {
+			copy(out[goff:goff+rowLen], data[loff:loff+rowLen])
+		})
 	}
 	place(root, local)
 	for r := 0; r < c.Size(); r++ {
@@ -275,38 +247,15 @@ func (a *Array) Scatter(c *mpi.Comm, root, t int, data []float32) {
 	dom := a.F.DomainRegion()
 	const tagBase = 1 << 21
 	extract := func(rank int) []float32 {
-		origin := a.Decomp.LocalOrigin(rank)
 		shape := a.Decomp.LocalShape(rank)
 		n := 1
 		for _, s := range shape {
 			n *= s
 		}
-		out := make([]float32, 0, n)
-		nd := len(shape)
-		idx := make([]int, nd)
-		for {
-			goff := 0
-			for d := 0; d < nd; d++ {
-				stride := 1
-				for k := d + 1; k < nd; k++ {
-					stride *= g.Shape[k]
-				}
-				goff += (origin[d] + idx[d]) * stride
-			}
-			rowLen := shape[nd-1]
-			out = append(out, data[goff:goff+rowLen]...)
-			d := nd - 2
-			for ; d >= 0; d-- {
-				idx[d]++
-				if idx[d] < shape[d] {
-					break
-				}
-				idx[d] = 0
-			}
-			if d < 0 {
-				break
-			}
-		}
+		out := make([]float32, n)
+		grid.BoxRows(g.Shape, a.Decomp.LocalOrigin(rank), shape, func(goff, loff, rowLen int) {
+			copy(out[loff:loff+rowLen], data[goff:goff+rowLen])
+		})
 		return out
 	}
 	if c == nil || c.Size() == 1 {

@@ -84,3 +84,42 @@ func (g *Grid) SpacingSymbols() []string {
 	names := []string{"h_x", "h_y", "h_z"}
 	return names[:g.NDims()]
 }
+
+// BoxRows walks the rows (runs along the last dimension) of the box with
+// the given origin and shape inside a row-major array of shape gshape,
+// in row-major order. fn receives each row's offset in the global array,
+// its offset in the box's own dense row-major array, and its length.
+// A box with an empty extent has no rows.
+func BoxRows(gshape, origin, shape []int, fn func(globalOff, localOff, rowLen int)) {
+	for _, s := range shape {
+		if s <= 0 {
+			return
+		}
+	}
+	nd := len(shape)
+	gstr := make([]int, nd)
+	for d, s := nd-1, 1; d >= 0; d-- {
+		gstr[d] = s
+		s *= gshape[d]
+	}
+	rowLen := shape[nd-1]
+	idx := make([]int, nd)
+	for loff := 0; ; loff += rowLen {
+		goff := 0
+		for d, i := range idx {
+			goff += (origin[d] + i) * gstr[d]
+		}
+		fn(goff, loff, rowLen)
+		d := nd - 2
+		for ; d >= 0; d-- {
+			idx[d]++
+			if idx[d] < shape[d] {
+				break
+			}
+			idx[d] = 0
+		}
+		if d < 0 {
+			return
+		}
+	}
+}

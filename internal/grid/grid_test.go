@@ -188,3 +188,40 @@ func TestDecompositionTooManyProcs(t *testing.T) {
 		t.Error("splitting 4 points over 8 procs should fail")
 	}
 }
+
+// BoxRows visits every point of the box exactly once, in the box's own
+// row-major order, at the point's offset in the global array.
+func TestBoxRowsMatchesPointwiseWalk(t *testing.T) {
+	for _, tc := range []struct{ gshape, origin, shape []int }{
+		{[]int{7}, []int{2}, []int{4}},
+		{[]int{5, 6}, []int{1, 2}, []int{3, 4}},
+		{[]int{4, 5, 6}, []int{1, 0, 3}, []int{3, 5, 2}},
+		{[]int{3, 2, 4, 5}, []int{1, 1, 0, 2}, []int{2, 1, 4, 3}},
+		{[]int{4, 5, 6}, []int{1, 0, 3}, []int{3, 0, 2}}, // empty: no rows
+	} {
+		var got []int // global offset of each box point, in visiting order
+		BoxRows(tc.gshape, tc.origin, tc.shape, func(goff, loff, rowLen int) {
+			if loff != len(got) {
+				t.Errorf("%v: row at local offset %d after %d points", tc, loff, len(got))
+			}
+			for i := 0; i < rowLen; i++ {
+				got = append(got, goff+i)
+			}
+		})
+		var want []int
+		var walk func(d, goff int)
+		walk = func(d, goff int) {
+			if d == len(tc.shape) {
+				want = append(want, goff)
+				return
+			}
+			for i := 0; i < tc.shape[d]; i++ {
+				walk(d+1, goff*tc.gshape[d]+tc.origin[d]+i)
+			}
+		}
+		walk(0, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: offsets %v, want %v", tc, got, want)
+		}
+	}
+}

@@ -196,18 +196,3 @@ func TestFlopsPerPointPositive(t *testing.T) {
 		t.Errorf("flops per point = %d, suspiciously low", f)
 	}
 }
-
-func TestTimeBufferCount(t *testing.T) {
-	u := timeFunc("u", 1)
-	eq := symbolic.Eq{
-		LHS: symbolic.ForwardStencil(u),
-		RHS: symbolic.NewAdd(symbolic.At(u), symbolic.Backward(u)),
-	}
-	clusters, err := Lower([]symbolic.Eq{eq}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := TimeBufferCount(clusters, "u"); n != 3 {
-		t.Errorf("time buffers = %d, want 3", n)
-	}
-}

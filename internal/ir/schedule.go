@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"sort"
-
-	"devigo/internal/symbolic"
-)
+import "sort"
 
 // BuildSchedule performs the halo-placement analysis over the ordered
 // clusters, producing the schedule tree (paper Listing 4). The analysis is
@@ -131,24 +127,4 @@ func (s *Schedule) String() string {
 		}
 	}
 	return out
-}
-
-// TimeBufferCount returns how many distinct time buffers of a field the
-// schedule touches — used to validate storage allocation.
-func TimeBufferCount(clusters []*Cluster, fieldName string) int {
-	offs := map[int]bool{}
-	for _, c := range clusters {
-		for _, e := range c.Eqs {
-			lhs := e.LHS.(symbolic.Access)
-			if lhs.Fun.Name == fieldName {
-				offs[lhs.TimeOff] = true
-			}
-			for _, a := range symbolic.Accesses(e.RHS) {
-				if a.Fun.Name == fieldName {
-					offs[a.TimeOff] = true
-				}
-			}
-		}
-	}
-	return len(offs)
 }

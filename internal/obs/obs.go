@@ -249,9 +249,6 @@ func DisableAll() { mode.Store(modeOff) }
 // TracingEnabled reports whether spans are being recorded.
 func TracingEnabled() bool { return mode.Load() == modeTrace }
 
-// MetricsEnabled reports whether counters are being recorded.
-func MetricsEnabled() bool { return mode.Load() != modeOff }
-
 // Active reports whether any recording is on — the single cheap check
 // instrumentation sites gate on.
 func Active() bool { return mode.Load() != modeOff }

@@ -190,8 +190,13 @@ func ReceiverLine(g *grid.Grid, n int) [][]float64 {
 	return out
 }
 
-// validateShape guards against degenerate configurations.
+// validateShape guards against degenerate configurations: a space order
+// the finite-difference offsets would silently floor to the next lower
+// even one, or a grid too small to hold a stencil.
 func validateShape(c *Config, minPoints int) error {
+	if c.SpaceOrder < 2 || c.SpaceOrder%2 != 0 {
+		return fmt.Errorf("propagators: SpaceOrder=%d unsupported (need an even order >= 2)", c.SpaceOrder)
+	}
 	for d, s := range c.Shape {
 		if s < minPoints {
 			return fmt.Errorf("propagators: shape[%d]=%d too small (need >= %d)", d, s, minPoints)

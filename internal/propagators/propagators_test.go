@@ -1,6 +1,7 @@
 package propagators
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -286,10 +287,33 @@ func TestBuildUnknownModel(t *testing.T) {
 	}
 }
 
+// A space order the offsets would floor (odd) or cannot express (< 2) is
+// rejected by name for every model, not run as a lower-order scheme.
+func TestBuildRejectsBadSpaceOrder(t *testing.T) {
+	for _, model := range ModelNames() {
+		for _, so := range []int{3, 1, -2, 7} {
+			_, err := Build(model, serialCfg([]int{16, 16}, so))
+			if want := fmt.Sprintf("SpaceOrder=%d", so); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s so=%d: err = %v, want it to name %s", model, so, err, want)
+			}
+		}
+	}
+}
+
 func TestRunNeedsNTOrTime(t *testing.T) {
 	m, _ := Acoustic(serialCfg([]int{16, 16}, 4))
-	if _, err := Run(m, nil, RunConfig{}); err == nil {
-		t.Error("missing NT and Time should fail")
+	for name, tc := range map[string]struct {
+		rc   RunConfig
+		want string
+	}{
+		"neither":           {RunConfig{}, "needs NT or Time"},
+		"negative Time":     {RunConfig{Time: -1}, "needs NT or Time"},
+		"negative NT":       {RunConfig{NT: -5}, "needs NT >= 0, got -5"},
+		"negative NT, Time": {RunConfig{NT: -5, Time: 10}, "needs NT >= 0, got -5"},
+	} {
+		if _, err := Run(m, nil, tc.rc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
 	}
 }
 

@@ -82,6 +82,9 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 		dt = rc.DT
 	}
 	nt := rc.NT
+	if nt < 0 {
+		return nil, fmt.Errorf("propagators: RunConfig needs NT >= 0, got %d", nt)
+	}
 	if nt == 0 {
 		if rc.Time <= 0 {
 			return nil, fmt.Errorf("propagators: RunConfig needs NT or Time")

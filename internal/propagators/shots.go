@@ -9,6 +9,7 @@ import (
 
 	"devigo/internal/core"
 	"devigo/internal/field"
+	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/opcache"
@@ -250,36 +251,9 @@ func scatterOwned(dst []float32, gshape []int, f *field.Function, t int) {
 	dom := f.DomainRegion()
 	tmp := make([]float32, dom.Size())
 	f.Buf(t).Pack(dom, tmp)
-	nd := len(gshape)
-	gstr := make([]int, nd)
-	s := 1
-	for d := nd - 1; d >= 0; d-- {
-		gstr[d] = s
-		s *= gshape[d]
-	}
-	ls := f.LocalShape
-	rowLen := ls[nd-1]
-	idx := make([]int, nd)
-	src := 0
-	for {
-		g := 0
-		for d := 0; d < nd; d++ {
-			g += (f.Origin[d] + idx[d]) * gstr[d]
-		}
-		copy(dst[g:g+rowLen], tmp[src:src+rowLen])
-		src += rowLen
-		d := nd - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < ls[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
-	}
+	grid.BoxRows(gshape, f.Origin, f.LocalShape, func(goff, loff, rowLen int) {
+		copy(dst[goff:goff+rowLen], tmp[loff:loff+rowLen])
+	})
 }
 
 // misfitOf is the least-squares data misfit 0.5*sum(residual^2) with
