@@ -204,9 +204,9 @@ func BenchmarkAblation_ModeSelection(b *testing.B) {
 // --- Real-execution benchmarks: the compiled kernels and the in-process
 // --- MPI runtime measured on this machine.
 
-func benchKernelExec(b *testing.B, model string, shape []int, so int) {
+func benchKernelExec(b *testing.B, model string, shape []int, so, nbl int) {
 	m, err := propagators.Build(model, propagators.Config{
-		Shape: shape, SpaceOrder: so, NBL: 0, Velocity: 1.5,
+		Shape: shape, SpaceOrder: so, NBL: nbl, Velocity: 1.5,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -217,7 +217,7 @@ func benchKernelExec(b *testing.B, model string, shape []int, so int) {
 	}
 	pts := 1
 	for _, s := range shape {
-		pts *= s
+		pts *= s + 2*nbl
 	}
 	b.SetBytes(int64(pts) * 4)
 	b.ResetTimer()
@@ -229,26 +229,42 @@ func benchKernelExec(b *testing.B, model string, shape []int, so int) {
 	b.StopTimer()
 	perf := op.Report()
 	b.ReportMetric(perf.GPtss()*1e3, "Mpts/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts), "ns/point")
 }
 
 func BenchmarkExec_Acoustic3D_SO8(b *testing.B) {
-	benchKernelExec(b, "acoustic", []int{48, 48, 48}, 8)
+	benchKernelExec(b, "acoustic", []int{48, 48, 48}, 8, 0)
 }
 
 func BenchmarkExec_Acoustic2D_SO4(b *testing.B) {
-	benchKernelExec(b, "acoustic", []int{192, 192}, 4)
+	benchKernelExec(b, "acoustic", []int{192, 192}, 4, 0)
+}
+
+// The acoustic so-8 kernel on rows as wide as the repository benchmark's
+// stepping workloads sweep (bench/workloads.go): survey-8shot's 128,
+// strong-2rank / deep-2rank's 256 + 2*8 and stream-2048's 2048 + 2*8.
+func BenchmarkExec_Acoustic2D_SO8_Row128(b *testing.B) {
+	benchKernelExec(b, "acoustic", []int{128, 128}, 8, 0)
+}
+
+func BenchmarkExec_Acoustic2D_SO8_Row272(b *testing.B) {
+	benchKernelExec(b, "acoustic", []int{256, 256}, 8, 8)
+}
+
+func BenchmarkExec_Acoustic2D_SO8_Row2064(b *testing.B) {
+	benchKernelExec(b, "acoustic", []int{256, 2048}, 8, 8)
 }
 
 func BenchmarkExec_Elastic2D_SO8(b *testing.B) {
-	benchKernelExec(b, "elastic", []int{96, 96}, 8)
+	benchKernelExec(b, "elastic", []int{96, 96}, 8, 0)
 }
 
 func BenchmarkExec_TTI2D_SO8(b *testing.B) {
-	benchKernelExec(b, "tti", []int{64, 64}, 8)
+	benchKernelExec(b, "tti", []int{64, 64}, 8, 0)
 }
 
 func BenchmarkExec_Viscoelastic2D_SO8(b *testing.B) {
-	benchKernelExec(b, "viscoelastic", []int{64, 64}, 8)
+	benchKernelExec(b, "viscoelastic", []int{64, 64}, 8, 0)
 }
 
 func benchHaloExchange(b *testing.B, mode halo.Mode) {

@@ -628,33 +628,49 @@ func place(l *Link, accOpen, tOpen bool) role {
 	return roleNone
 }
 
-// LinkForms enumerates the String form of every link the extraction can
-// emit, by running each arithmetic opcode over every assignment of operand
-// classes and accumulator state through lowerLink and place — the rules
-// tryChain applies — rather than from a table. The native conformance
-// ledger requires a scenario for each.
-func LinkForms() []string {
-	forms := []string{Link{Op: LinkToRow}.String(), Link{Op: LinkStore}.String()}
+// LinkShapes enumerates every link the extraction can emit, one
+// representative (indices zero, LinkPow's exponent 1) per String form, by
+// running each arithmetic opcode over every assignment of operand classes
+// and accumulator state through lowerLink and place — the rules tryChain
+// applies — rather than from a table. The native engine derives its
+// handler set from this list and its conformance ledger requires a
+// scenario for each entry.
+func LinkShapes() []Link {
+	shapes := []Link{
+		{Op: LinkToRow, Dst: ClassAcc, X: Operand{Class: ClassAcc}},
+		{Op: LinkStore, Dst: ClassAcc, X: Operand{Class: ClassAcc}},
+	}
 	seen := map[string]bool{}
 	classes := [...]Class{ClassF, ClassR, ClassAcc, ClassT}
 	for op := OpMovS; op <= OpPowV; op++ {
 		for a := 0; a < 64; a++ {
 			regs := [3]Class{classes[a&3], classes[a>>2&3], classes[a>>4]}
-			cls := func(r int32) (Class, int32) { return regs[r], r }
+			cls := func(r int32) (Class, int32) { return regs[r], 0 }
 			l, ok := lowerLink(Instr{Op: op, A: 0, B: 1, C: 2}, cls)
 			if !ok {
 				continue
 			}
+			l.X.Index, l.Y.Index = 0, 0 // a scalar operand carries the probe's pool index
 			accOpen := l.count(ClassAcc)+l.count(ClassT) > 0
 			tOpen := l.count(ClassT) > 0
 			for _, st := range [...][2]bool{{accOpen, tOpen}, {true, tOpen}, {true, true}} {
 				cand := l
 				if place(&cand, st[0], st[1]) != roleNone && !seen[cand.String()] {
 					seen[cand.String()] = true
-					forms = append(forms, cand.String())
+					shapes = append(shapes, cand)
 				}
 			}
 		}
+	}
+	return shapes
+}
+
+// LinkForms lists the String form of every link shape, in LinkShapes
+// order.
+func LinkForms() []string {
+	var forms []string
+	for _, l := range LinkShapes() {
+		forms = append(forms, l.String())
 	}
 	return forms
 }

@@ -3,6 +3,8 @@ package native
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"devigo/internal/bytecode"
@@ -19,12 +21,13 @@ import (
 // same symbolic nest with both engines over identically initialised
 // fields, runs them (sequentially, tiled, and with worker pools of two and
 // three, each through the assembly executor and through the pure-Go one;
-// grid widths are chosen so both the assembly strip body and the pure-Go
-// remainder execute), asserts bit-identical output, and contributes its
-// compiled program and lowered segments to the coverage ledger. The final
-// assertions fail if any opcode, run shape, link form or tap form is left
-// unexercised — so adding one without extending this table is a test
-// failure, not a silent gap.
+// row widths are chosen so the 16-point blocks, the 4-point blocks and the
+// pure-Go remainder all execute), asserts bit-identical output, and
+// contributes its compiled program and lowered segments to the coverage
+// ledger. The final assertions fail if any opcode, segment shape or link
+// form is left unexercised, or if a form was run by anything but its own
+// handler — so adding one without extending this table is a test failure,
+// not a silent gap.
 
 // confNest is one scenario's symbolic input plus its scratch state: two
 // disjoint field sets (one per engine) built over the same grid.
@@ -71,7 +74,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 	// real pipeline): load/mulvs/addvv/madd chains ending in a store
 	// (ShapeChainStore).
 	{
-		g := grid.MustNew([]int{17, 13}, []float64{3, 5})
+		g := grid.MustNew([]int{13, 23}, []float64{3, 5})
 		uB, uN := confTimeFn(t, "u", g, 4)
 		eq := symbolic.Eq{LHS: symbolic.Dt(symbolic.At(uB.Ref), 1), RHS: symbolic.Laplace(symbolic.At(uB.Ref), 2, 4)}
 		sol, err := symbolic.Solve(eq, symbolic.ForwardStencil(uB.Ref))
@@ -138,7 +141,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 
 	// Pure scalar RHS: opMovS broadcast.
 	{
-		g := grid.MustNew([]int{6, 9}, nil)
+		g := grid.MustNew([]int{6, 23}, nil)
 		uB, uN := confTimeFn(t, "u", g, 2)
 		rhs := symbolic.NewMul(symbolic.S("dt"), symbolic.S("dt"))
 		out["scalar-broadcast"] = confNest{
@@ -174,7 +177,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 	// the enclosing sum's madd fusion (a one-term Add compiles to its
 	// term), which is how a scratch chain ends in a plain add or mul.
 	{
-		g := grid.MustNew([]int{7, 13}, nil)
+		g := grid.MustNew([]int{7, 23}, nil)
 		fB, fN := map[string]*field.Function{}, map[string]*field.Function{}
 		uB, uN := confTimeFn(t, "u", g, 2)
 		fB["u"], fN["u"] = &uB.Function, &uN.Function
@@ -237,7 +240,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 
 	// A stencil-like sum whose taps take all three forms — scalar
 	// coefficient, field × scalar coefficient, field × scalar × scalar —
-	// in mixed order: one run of taps, on a row of 16 + 4 + 3 points.
+	// in mixed order, on a row of 16 + 4 + 3 points.
 	{
 		g := grid.MustNew([]int{5, 23}, nil)
 		uB, uN := confTimeFn(t, "u", g, 2)
@@ -254,6 +257,62 @@ func confScenarios(t *testing.T) map[string]confNest {
 		out["tap-run"] = confNest{
 			eqs:    []symbolic.Eq{{LHS: symbolic.ForwardStencil(ref), RHS: rhs}},
 			radius: []int{1, 1},
+			fB:     map[string]*field.Function{"u": &uB.Function},
+			fN:     map[string]*field.Function{"u": &uN.Function},
+			outs:   []string{"u"},
+			vals:   map[string]float64{"dt": 0.37, "c1": -1.25, "c2": 0.0625},
+		}
+	}
+
+	// Three chains in one run: the second consumes the first's register
+	// row, the third both rows, and a fourth equation re-reads, at offset
+	// zero, the buffer the third has just stored — everything a run's block
+	// order has to keep point-local (TestRunSpansSegmentsBlockMajor). The
+	// row is two 16-point blocks, a 4-point block and a tail of three.
+	{
+		g := grid.MustNew([]int{9, 39}, nil)
+		uB, uN := confTimeFn(t, "u", g, 2)
+		vB, vN := confTimeFn(t, "v", g, 2)
+		ref := uB.Ref
+		fa, fb := symbolic.Shifted(ref, 0, 0, -1), symbolic.Shifted(ref, 0, 0, 1)
+		fc, fd := symbolic.Shifted(ref, 0, -1, 0), symbolic.Shifted(ref, 0, 1, 0)
+		r0, r1 := symbolic.S("r0"), symbolic.S("r1")
+		s1, s2, s3 := symbolic.S("dt"), symbolic.S("c1"), symbolic.S("c2")
+		out["three-chains"] = confNest{
+			assigns: []symbolic.Assignment{
+				{Name: "r0", Value: symbolic.NewAdd(symbolic.NewMul(fa, s1), s2)},
+				{Name: "r1", Value: symbolic.NewAdd(symbolic.NewMul(r0, fb), symbolic.NewMul(fc, s3))},
+			},
+			eqs: []symbolic.Eq{
+				{LHS: symbolic.ForwardStencil(ref), RHS: symbolic.NewAdd(symbolic.NewMul(r1, r0), symbolic.NewMul(fd, s1))},
+				{LHS: symbolic.ForwardStencil(vB.Ref), RHS: symbolic.NewAdd(symbolic.NewMul(symbolic.Shifted(ref, 1, 0, 0), s2), r1)},
+			},
+			radius: []int{1, 1},
+			fB:     map[string]*field.Function{"u": &uB.Function, "v": &vB.Function},
+			fN:     map[string]*field.Function{"u": &uN.Function, "v": &vN.Function},
+			outs:   []string{"u", "v"},
+			vals:   map[string]float64{"dt": 0.37, "c1": -1.25, "c2": 0.0625},
+		}
+	}
+
+	// A VM instruction between two chains that reads the first chain's
+	// register row: r2 is read twice, so it is materialized, and one add is
+	// too short to be a chain, so the VM sweeps it over the whole row —
+	// which the run before it must have finished (TestRunEndsAtVMSegment).
+	{
+		g := grid.MustNew([]int{8, 39}, nil)
+		uB, uN := confTimeFn(t, "u", g, 2)
+		ref := uB.Ref
+		fa, fb := symbolic.Shifted(ref, 0, 0, -1), symbolic.Shifted(ref, 0, 0, 1)
+		r1, r2 := symbolic.S("r1"), symbolic.S("r2")
+		s1, s2, s3 := symbolic.S("dt"), symbolic.S("c1"), symbolic.S("c2")
+		out["chain-vm-chain"] = confNest{
+			assigns: []symbolic.Assignment{
+				{Name: "r1", Value: symbolic.NewAdd(symbolic.NewMul(fa, s1), s2)},
+				{Name: "r2", Value: symbolic.NewAdd(r1, s3)},
+			},
+			eqs:    []symbolic.Eq{{LHS: symbolic.ForwardStencil(ref), RHS: symbolic.NewAdd(symbolic.NewMul(r2, fb), symbolic.NewMul(r2, fa), r1)}},
+			radius: []int{0, 1},
 			fB:     map[string]*field.Function{"u": &uB.Function},
 			fN:     map[string]*field.Function{"u": &uN.Function},
 			outs:   []string{"u"},
@@ -295,72 +354,100 @@ func confBox(f *field.Function) runtime.Box {
 	return b
 }
 
+// confCompile compiles the scenario with both engines, each over its own
+// field set.
+func confCompile(t *testing.T, n confNest) (*bytecode.Kernel, *Kernel) {
+	t.Helper()
+	compile := func(fields map[string]*field.Function) *bytecode.Kernel {
+		var k *bytecode.Kernel
+		var err error
+		if n.cluster != nil {
+			k, err = bytecode.CompileCluster(n.cluster, fields)
+		} else {
+			k, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, fields)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	return compile(n.fB), Wrap(compile(n.fN))
+}
+
+// confSameFields fails on the first output lane where the two engines'
+// field sets differ.
+func confSameFields(t *testing.T, n confNest, label string) {
+	t.Helper()
+	for _, name := range n.outs {
+		fb, fn := n.fB[name], n.fN[name]
+		for bi := range fb.Bufs {
+			da, db := fb.Bufs[bi].Data, fn.Bufs[bi].Data
+			for i := range da {
+				if da[i] != db[i] && !(math.IsNaN(float64(da[i])) && math.IsNaN(float64(db[i]))) {
+					t.Fatalf("%s: field %s buf %d lane %d: reference %v, native %v", label, name, bi, i, da[i], db[i])
+				}
+			}
+		}
+	}
+}
+
+// confExecutors lists the hasAVX settings to run under — the assembly where
+// the host has it, and always the pure-Go executor — and returns the
+// function that restores the package switch.
+func confExecutors() ([]bool, func()) {
+	host := hasAVX
+	if host {
+		return []bool{true, false}, func() { hasAVX = host }
+	}
+	return []bool{false}, func() {}
+}
+
+// takesEveryWidth reports whether a row of n points runs the 16-point
+// blocks, the 4-point blocks and the pure-Go tail.
+func takesEveryWidth(n int) bool {
+	body := n &^ 3
+	return body >= blockN && body%blockN != 0 && body < n
+}
+
 // TestConformanceOpcodeAndShapeCoverage is the table driver: bit-exact
 // native-vs-bytecode execution per scenario, then the coverage
 // assertions over the union.
 func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	opSeen := make([]bool, bytecode.NumOpcodes)
 	shapeSeen := map[bytecode.Shape]bool{}
-	formSeen := map[string]bool{}
-	var tapSeen [3]bool // by term.n: the tap spans n+1 links
+	// ranBy[form] is the set of executors that ran a link of that form on a
+	// row that takes every block width: the names of the handlers the
+	// template bound.
+	ranBy := map[string]map[string]bool{}
 	team, pair := runtime.NewPool(3, 0), runtime.NewPool(2, 0)
 	defer team.Close()
 	defer pair.Close()
-	executors := []bool{false} // hasAVX settings to run under
-	if hasAVX {
-		executors = []bool{true, false}
-		defer func() { hasAVX = true }()
-	}
+	executors, restore := confExecutors()
+	defer restore()
 
 	for name, n := range confScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			var kB *bytecode.Kernel
-			var nk *Kernel
-			var err error
-			if n.cluster != nil {
-				kB, err = bytecode.CompileCluster(n.cluster, n.fB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var bkN *bytecode.Kernel
-				bkN, err = bytecode.CompileCluster(n.cluster, n.fN)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nk = Wrap(bkN)
-			} else {
-				kB, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, n.fB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nk, err = CompileNest(n.assigns, n.eqs, n.radius, n.fN)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+			kB, nk := confCompile(t, n)
 			for _, in := range nk.Bytecode().Program() {
 				opSeen[in.Op] = true
 			}
-			// A link form counts as executed only on a row that runs both
-			// the strip body and the pure-Go tail.
-			row := n.fN[n.outs[0]].LocalShape[len(n.fN[n.outs[0]].LocalShape)-1]
+			shape := n.fN[n.outs[0]].LocalShape
+			row := shape[len(shape)-1]
 			for _, seg := range nk.Segments() {
 				shapeSeen[seg.Shape] = true
 				for _, in := range seg.VM {
 					opSeen[in.Op] = true
 				}
 				for _, l := range seg.Links {
-					if row >= 4 && row%4 != 0 {
-						formSeen[l.String()] = true
+					f := formOf(l)
+					if h := handlers(formIndex[f]); hasAVX && (h[0] == 0 || h[1] == 0) {
+						t.Errorf("link form %s has no assembly handler", f)
 					}
-				}
-			}
-			// A tap run counts only on a row whose strip takes the 16-point
-			// blocks, the 4-point blocks and the tail.
-			if body := row &^ 3; body >= 16 && body%16 != 0 && body < row {
-				for _, l := range nk.tm.links {
-					for _, tap := range l.terms {
-						tapSeen[tap.n] = tapSeen[tap.n] || len(l.terms) > 1
+					if takesEveryWidth(row) {
+						if ranBy[l.String()] == nil {
+							ranBy[l.String()] = map[string]bool{}
+						}
+						ranBy[l.String()][f.String()] = true
 					}
 				}
 			}
@@ -372,24 +459,13 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The pooled runs are the -race check that term tables, which
+			// The pooled runs are the -race check that op tables, which
 			// patchRow writes, are per-worker copies.
 			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {TileRows: 2, Pool: team}, {TileRows: 1, Pool: pair}} {
 				kB.Run(0, confBox(n.fB[n.outs[0]]), poolB, opts)
 				for _, hasAVX = range executors { // assigns the package switch
 					nk.Run(0, confBox(n.fN[n.outs[0]]), poolN, opts)
-					for _, fn := range n.outs {
-						fb, fn2 := n.fB[fn], n.fN[fn]
-						for bi := range fb.Bufs {
-							da, db := fb.Bufs[bi].Data, fn2.Bufs[bi].Data
-							for i := range da {
-								if da[i] != db[i] && !(math.IsNaN(float64(da[i])) && math.IsNaN(float64(db[i]))) {
-									t.Fatalf("%s (assembly=%v): field %s buf %d lane %d: bytecode %v, native %v",
-										name, hasAVX, fn, bi, i, da[i], db[i])
-								}
-							}
-						}
-					}
+					confSameFields(t, n, fmt.Sprintf("%s (assembly=%v)", name, hasAVX))
 				}
 			}
 			if kB.FlopsPerPoint() != nk.FlopsPerPoint() {
@@ -409,15 +485,173 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			t.Errorf("segment shape %q not exercised by any conformance scenario", sn)
 		}
 	}
+	// One executor per form: the run handler named after it (a power's
+	// handlers, one per exponent kind, are named after it too). The table
+	// is docs/ARCHITECTURE.md's.
+	t.Log("form -> executor (run handlers; no other executor exists)")
 	for _, form := range bytecode.LinkForms() {
-		if !formSeen[form] {
-			t.Errorf("link form %q not executed by any conformance scenario", form)
+		var by []string
+		for h := range ranBy[form] {
+			by = append(by, h)
+			if h != form && !strings.HasPrefix(h, form+"^") {
+				t.Errorf("link form %q was run by %q, not by its own handler", form, h)
+			}
+		}
+		if len(by) == 0 {
+			t.Errorf("link form %q not executed by any conformance scenario on a row that takes the 16-point blocks, the 4-point blocks and the tail", form)
+		}
+		sort.Strings(by)
+		t.Logf("%-12s %s", form, strings.Join(by, " "))
+	}
+}
+
+// TestRunSpansSegmentsBlockMajor: the chain segments of one run execute
+// block-major — all of them on one block of 16 points, then the next block
+// — and that order gives the bits of the order it replaces, one segment at
+// a time over the whole row. The program is three chains, the second
+// reading the first's register row and the third both, plus an equation
+// that re-reads at offset zero what the third has just stored. The
+// reference is the same program with an (empty) VM segment between every
+// two chains, which ends the run there, executed by the pure-Go executor.
+func TestRunSpansSegmentsBlockMajor(t *testing.T) {
+	n := confScenarios(t)["three-chains"]
+	kB, nk := confCompile(t, n)
+	segs := nk.Segments()
+	var shapes []string
+	for _, seg := range segs {
+		shapes = append(shapes, seg.Shape.String())
+	}
+	if got := strings.Join(shapes, " "); got != "chain chain chain-store chain-store" || len(nk.pieces) != 1 {
+		t.Fatalf("program lowered to %q in %d pieces, want four chain segments in one run", got, len(nk.pieces))
+	}
+	if row := segs[0].Links[len(segs[0].Links)-1].N; segs[1].Links[0].Y != opR(int(row)) {
+		t.Fatalf("segment 1 opens with %v, want a read of segment 0's register row %d", segs[1].Links[0], row)
+	}
+	bd := nk.Bytecode().Binding()
+	if slot, out := bd.Slots[segs[3].Links[0].X.Index], bd.Outs[0]; slot != (runtime.Slot{Field: out.Field, TimeOff: out.TimeOff}) {
+		t.Fatalf("segment 3 reads slot %+v, want a zero-offset re-read of equation 0's output %+v", slot, out)
+	}
+
+	// The reference: kB's program wrapped segment-at-a-time.
+	ref := Wrap(kB)
+	var split []bytecode.Segment
+	for i, seg := range segs {
+		if i > 0 {
+			split = append(split, bytecode.Segment{Shape: bytecode.ShapeVM})
+		}
+		split = append(split, seg)
+	}
+	ref.tm, ref.pieces = buildTemplate(split)
+	ref.groupLoads()
+	if len(ref.pieces) != 2*len(segs)-1 {
+		t.Fatalf("reference has %d pieces, want every segment its own run", len(ref.pieces))
+	}
+	poolB, err := ref.BindSyms(n.vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolN, err := nk.BindSyms(n.vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	team := runtime.NewPool(3, 0)
+	defer team.Close()
+	executors, restore := confExecutors()
+	defer restore()
+	hasAVX = false
+	ref.Run(0, confBox(n.fB["u"]), poolB, nil)
+	for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 1, Pool: team}} {
+		for _, hasAVX = range executors {
+			nk.Run(0, confBox(n.fN["u"]), poolN, opts)
+			confSameFields(t, n, fmt.Sprintf("block-major (assembly=%v, pool=%v) vs segment-at-a-time", hasAVX, opts != nil))
 		}
 	}
-	for n, seen := range tapSeen {
-		if !seen {
-			t.Errorf("tap-run: no conformance scenario runs a %d-link tap inside a run of taps over 16-point blocks, 4-point blocks and a tail", n+1)
+}
+
+// TestRunEndsAtVMSegment: a VM segment between two chains ends the run
+// before it, so its row sweep reads the complete register row the first
+// chain drained into, and a second run starts after it.
+func TestRunEndsAtVMSegment(t *testing.T) {
+	n := confScenarios(t)["chain-vm-chain"]
+	kB, nk := confCompile(t, n)
+	segs := nk.Segments()
+	if len(segs) != 3 || segs[0].Shape != bytecode.ShapeChain || segs[1].Shape != bytecode.ShapeVM || segs[2].Shape != bytecode.ShapeChainStore {
+		t.Fatalf("program lowered to %d segments, want chain, vm, chain-store", len(segs))
+	}
+	if row := segs[0].Links[len(segs[0].Links)-1].N; len(segs[1].VM) != 1 || segs[1].VM[0].A != row {
+		t.Fatalf("the VM segment is %v, want one instruction reading the first chain's register row %d", segs[1].VM, row)
+	}
+	first, last := len(segs[0].Links), len(segs[2].Links)
+	want := []piece{{lo: 0, hi: first}, {vm: segs[1].VM}, {lo: first + 1, hi: first + 1 + last}}
+	if fmt.Sprint(nk.pieces) != fmt.Sprint(want) {
+		t.Fatalf("pieces %v, want two runs around the VM segment: %v", nk.pieces, want)
+	}
+	for _, end := range []int{first, first + 1 + last} {
+		if nk.tm.forms[end].op != opEnd {
+			t.Fatalf("op %d is %s, want the end sentinel of a run", end, nk.tm.forms[end])
 		}
+	}
+	poolB, err := kB.BindSyms(n.vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolN, err := nk.BindSyms(n.vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executors, restore := confExecutors()
+	defer restore()
+	kB.Run(0, confBox(n.fB["u"]), poolB, nil)
+	for _, hasAVX = range executors {
+		nk.Run(0, confBox(n.fN["u"]), poolN, nil)
+		confSameFields(t, n, fmt.Sprintf("chain-vm-chain (assembly=%v)", hasAVX))
+	}
+}
+
+// TestChainSegmentsArePointLocal pins the invariant buildTemplate's block
+// order rests on: whatever the extraction lowers to a chain reads the
+// buffers the program stores at offset zero only. The scenarios include a
+// chain that does re-read a stored buffer (three-chains) and a program
+// that reads one at a nonzero offset, which must have no chain at all.
+func TestChainSegmentsArePointLocal(t *testing.T) {
+	rereads := 0
+	for name, n := range confScenarios(t) {
+		_, nk := confCompile(t, n)
+		bd := nk.Bytecode().Binding()
+		stored := map[runtime.Out]bool{}
+		for _, out := range bd.Outs {
+			stored[out] = true
+		}
+		shifted := false // the program reads a stored buffer off the point
+		for _, slot := range bd.Slots {
+			if stored[runtime.Out{Field: slot.Field, TimeOff: slot.TimeOff}] && slot.Off != [runtime.MaxDims]int{} {
+				shifted = true
+			}
+		}
+		for _, seg := range nk.Segments() {
+			if shifted && seg.Shape != bytecode.ShapeVM {
+				t.Errorf("%s: a %s segment in a program that reads a stored buffer at a nonzero offset", name, seg.Shape)
+			}
+			for _, l := range seg.Links {
+				for _, o := range [...]bytecode.Operand{l.X, l.Y, l.Z} {
+					if o.Class != bytecode.ClassF {
+						continue
+					}
+					if slot := bd.Slots[o.Index]; stored[runtime.Out{Field: slot.Field, TimeOff: slot.TimeOff}] {
+						rereads++
+						if slot.Off != [runtime.MaxDims]int{} {
+							t.Errorf("%s: chain link %s reads stored buffer %+v off the point", name, l, slot)
+						}
+					}
+				}
+			}
+		}
+		if name == "store-alias-vm" && !shifted {
+			t.Errorf("%s no longer reads a stored buffer at a nonzero offset", name)
+		}
+	}
+	if rereads == 0 {
+		t.Error("no scenario re-reads a stored buffer inside a chain: the invariant is not exercised")
 	}
 }
 

@@ -1,43 +1,49 @@
-// Package native is devigo's third execution engine: specialized Go
-// bulk-row kernels that execute whole opcode *runs* per row instead of
-// dispatching the register VM once per instruction.
+// Package native is devigo's third execution engine: the compiled row
+// program re-lowered into *runs* of fused links that execute a row block by
+// block in registers, instead of dispatching the register VM once per
+// instruction over the whole row.
 //
 // The engine reuses the bytecode compiler wholesale — symbolic lowering,
 // load caching, madd fusion, scalar-pool hoisting — and then re-lowers the
 // compiled row program through bytecode.ExtractSegments into fused
 // accumulation chains of links, each an operation × operands × destination
-// (see bytecode.Link). Each chain executes over fixed-width strips of the
-// row (256 points), its accumulator and scratch values held in two
-// per-worker strips that the executor treats as ordinary float64 row
-// operands. Every link dispatches one strip primitive, selected from its
-// operation and its operands' memory kinds — AVX assembly on amd64 (on a
-// host that has it: CPUID and XGETBV are probed once), an equivalent
-// pure-Go loop elsewhere — with field operands read through unsafe
-// pointers patched once per row (one bounds check per field buffer per row
-// instead of per point). One primitive takes more than a link: a run of
-// taps — consecutive links that each add one product f·s, or f·(g·s[·s2])
-// built in the scratch strip, to the accumulator, which is what a stencil
-// is made of — executes as a single pTaps dispatch that carries the sum
-// through registers, in link order, instead of storing and reloading the
-// accumulator strip once per tap. The primitives widen float32 lanes to
-// float64 exactly as the VM's load opcode does and round after every
-// multiply and after every add (multiply and add are emitted as separate
-// correctly-rounded IEEE instructions, never FMA) — so the engine is
-// bit-exact with the bytecode VM and the interpreter by construction, NaN
-// payloads and signed zeros included. The assembly takes the n&^3 body of
-// a row; the same links run the n&3 remainder through the pure-Go
-// primitives, so any row width runs and the portable path is exercised on
+// (see bytecode.Link). Consecutive chain segments form one run, and a run
+// executes block-major: every link of every segment on one block of 16
+// points, then the next block (then blocks of 4 points, then the n&3
+// remainder). Within a block the chain's accumulator and scratch value,
+// acc and t, are two groups of four YMM registers; every link form has one
+// handler that does the link's arithmetic in place in its destination's
+// registers and jumps to the next link's handler, so a run is one call per
+// row and one threaded dispatch per link per block, and nothing a chain
+// computes touches memory before a torow or store link writes it. Field
+// operands are read through unsafe pointers patched once per row (one
+// bounds check per field buffer per row instead of per point). The handlers
+// are AVX assembly on amd64 (on a host that has it: CPUID and XGETBV are
+// probed once), generated from the form list; the same op table runs
+// through an equivalent pure-Go executor elsewhere. Both widen float32
+// lanes to float64 exactly as the VM's load opcode does and round after
+// every multiply and after every add (multiply and add are emitted as
+// separate correctly-rounded IEEE instructions, never FMA) — so the engine
+// is bit-exact with the bytecode VM and the interpreter by construction,
+// NaN payloads and signed zeros included. The assembly takes the n&^3 body
+// of a row; the same ops run the n&3 remainder through the pure-Go
+// executor, so any row width runs and the portable path is exercised on
 // every platform. Program regions that do not lower to chains fall back to
-// per-instruction row sweeps identical to the VM's.
+// per-instruction row sweeps identical to the VM's, and end the run before
+// them.
 //
-// The speedup comes from four removals: the full-row intermediate
-// traffic (the VM materializes every instruction's result as a whole
-// register row; chain values stream through a cache-resident strip
-// accumulator instead), the per-instruction row passes (one fused pass
-// per chain), the per-instruction slice bounds checks (hoisted to
-// row-patch time), and the accumulator traffic of a stencil's taps (one
-// load and one store of the strip per run of taps, not per tap), plus
-// 4-lane SIMD arithmetic inside each primitive.
+// The speedup comes from six removals: the full-row intermediate traffic
+// (the VM materializes every instruction's result as a whole register row;
+// chain values never leave the registers), the per-instruction row passes
+// (one fused pass per run), the per-instruction slice bounds checks
+// (hoisted to row-patch time), the accumulator traffic of a stencil's taps
+// (acc stays in registers from the link that opens it to the one that
+// drains it), the accumulator traffic of every other link (the openers and
+// closers around the taps work on the same registers), and the
+// segment-at-a-time passes (a chain's divide or store retires under the
+// next segment's taps on the same block, and a register row one segment
+// drains into is read back by the next while it is still in the store
+// buffer), plus 4-lane SIMD arithmetic inside each handler.
 package native
 
 import (
@@ -52,9 +58,11 @@ import (
 // scalar pool and field binding) and satisfies the same execution
 // contract (runtime.ExecKernel).
 type Kernel struct {
-	bk   *bytecode.Kernel
-	segs []segment
-	tm   *tmpl
+	bk *bytecode.Kernel
+	// tm is the executable template and pieces a row's execution in order:
+	// runs of tm's ops and VM-fallback instruction lists (see piece).
+	tm     *tmpl
+	pieces []piece
 	// fsGroup and groupSlot partition the template's field operands by the
 	// buffer they read (see groupLoads); immutable, shared by Rebind copies.
 	fsGroup   []int32
@@ -67,15 +75,6 @@ type Kernel struct {
 	// at Wrap time and replaced on Rebind, never shared between kernel
 	// copies.
 	drv *runtime.Driver[scratch]
-}
-
-// segment is one executable region: either a fused link chain or a VM
-// fallback instruction list, in program order.
-type segment struct {
-	shape bytecode.Shape
-	// Link range within the kernel's flat link array (chain shapes).
-	lkLo, lkHi int
-	vm         []bytecode.Instr
 }
 
 // CompileNest compiles one optimized loop nest for the native engine: the
@@ -95,7 +94,12 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 // mutates them.
 func Wrap(bk *bytecode.Kernel) *Kernel {
 	k := &Kernel{bk: bk, drv: runtime.NewDriver[scratch](bk.Binding())}
-	k.buildTemplate(bk.Segments())
+	segs := bk.Segments()
+	for _, seg := range segs {
+		k.fusedInstrs += len(seg.Links) + len(seg.VM)
+	}
+	k.tm, k.pieces = buildTemplate(segs)
+	k.groupLoads()
 	return k
 }
 
@@ -105,6 +109,20 @@ func (k *Kernel) Bytecode() *bytecode.Kernel { return k.bk }
 
 // Segments re-derives the kernel's fused-segment partition.
 func (k *Kernel) Segments() []bytecode.Segment { return k.bk.Segments() }
+
+// Runs reports how the kernel executes a row (introspection for tests and
+// the docs' listings): one entry per piece, in order — for a run the form
+// of each of its links, which names the handler that executes it, and an
+// empty entry for a VM-fallback segment.
+func (k *Kernel) Runs() [][]string {
+	runs := make([][]string, len(k.pieces))
+	for i, pc := range k.pieces {
+		for _, f := range k.tm.forms[pc.lo:pc.hi] {
+			runs[i] = append(runs[i], f.String())
+		}
+	}
+	return runs
+}
 
 // BindSyms delegates to the bytecode kernel: the scalar pool layout and
 // the bind-time prelude are shared between the two engines.
@@ -123,8 +141,8 @@ func (k *Kernel) StencilRadius() []int { return k.bk.StencilRadius() }
 // link plus one per fallback VM instruction. It is lower than the bytecode
 // kernel's count (loads are absorbed into chain operands), which is how
 // the autotuner's cost model ranks the engine. It is a property of the
-// segment partition, not of the executor: a run of taps the executor
-// dispatches as one primitive still counts one per link.
+// segment partition, not of the executor: joining segments into one run
+// does not change it.
 func (k *Kernel) InstrsPerPoint() int { return k.fusedInstrs }
 
 // Rebind returns a copy of the kernel executing against different storage,

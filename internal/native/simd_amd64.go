@@ -1,144 +1,58 @@
 //go:build amd64
 
-// AVX strip primitives. Each processes n points (n must be a multiple of
-// 4; runChain routes the remainder through the pure-Go twins in goPrims).
-// Bit-exactness with the scalar engines holds because every vector
-// instruction used —
+// The AVX block executor. simd_amd64.s holds one handler per form and
+// block width (generated: see asmgen_test.go), each of which does its
+// link's arithmetic on one block — acc in Y0–Y3, t in Y4–Y7, in place in
+// the destination's registers — and then jumps to the next op's handler;
+// the end sentinel's handler advances the block and re-enters the table,
+// first over 16-point blocks, then over 4-point ones. So a run is one call
+// per row and one threaded dispatch per link per block. Bit-exactness with
+// the scalar engines holds because every vector instruction used —
 // VCVTPS2PD, VMULPD, VADDPD, VDIVPD, VCVTPD2PS — performs the same
 // correctly-rounded IEEE-754 operation as its scalar counterpart, and no
 // FMA contraction is ever emitted: a madd is one VMULPD (rounding the
 // product) followed by one VADDPD, exactly matching the VM's
 // float64(a*b) + c.
-//
-// Pointer conventions: d/a/b/c address float64 strips or register rows,
-// f/g address float32 field rows. dst may alias any source (element i is
-// read before it is written).
 
 package native
 
 import "unsafe"
 
+// runBlocks executes the op table at ops — a run's links and its end
+// sentinel — over the first n points of the row; n is a positive multiple
+// of 4.
+//
 //go:noescape
-func vmovS(d unsafe.Pointer, s float64, n int)
+func runBlocks(ops *xop, n int)
 
-//go:noescape
-func vmulRS(d, a unsafe.Pointer, s float64, n int)
-
-//go:noescape
-func vmulRR(d, a, b unsafe.Pointer, n int)
-
-//go:noescape
-func vmulFS(d, f unsafe.Pointer, s float64, n int)
-
-//go:noescape
-func vmulFR(d, f, r unsafe.Pointer, n int)
-
-//go:noescape
-func vmulFF(d, f, f2 unsafe.Pointer, n int)
-
-//go:noescape
-func vaddRS(d, a unsafe.Pointer, s float64, n int)
-
-//go:noescape
-func vaddRR(d, a, b unsafe.Pointer, n int)
-
-//go:noescape
-func vaddFS(d, f unsafe.Pointer, s float64, n int)
-
-//go:noescape
-func vaddFR(d, f, r unsafe.Pointer, n int)
-
-//go:noescape
-func vaddFF(d, f, f2 unsafe.Pointer, n int)
-
-//go:noescape
-func vtaps(d, z unsafe.Pointer, terms *term, k, base, n int)
-
-//go:noescape
-func vmaddFF(d, f, f2, c unsafe.Pointer, n int)
-
-//go:noescape
-func vmaddFR(d, f, r, c unsafe.Pointer, n int)
-
-//go:noescape
-func vmaddRS(d, a unsafe.Pointer, s float64, c unsafe.Pointer, n int)
-
-//go:noescape
-func vmaddRR(d, a, b, c unsafe.Pointer, n int)
-
-//go:noescape
-func vcvtStore(o, a unsafe.Pointer, n int)
-
-//go:noescape
-func vsq(d, a unsafe.Pointer, n int)
-
-//go:noescape
-func vrecip(d, a unsafe.Pointer, n int)
-
-//go:noescape
-func vrecipSq(d, a unsafe.Pointer, n int)
+// handlerTable returns the first entry of the assembly's handler table:
+// per form, in forms order, the addresses of its 16-point and 4-point
+// handlers.
+func handlerTable() *[2]uintptr
 
 // cpuAVX probes CPUID and XGETBV for AVX with OS-enabled YMM state.
 func cpuAVX() bool
 
-// hasAVX says whether this host can run the assembly primitives. The
+// hasAVX says whether this host can run the assembly handlers. The
 // platform sets it; tests clear it to run the pure-Go executor instead.
 var hasAVX = cpuAVX()
 
-// runStrip applies every link of the chain to m points (a multiple of 4)
-// starting at base: one assembly primitive per link, or the pure-Go
-// executor on a host without AVX.
-func runStrip(ls []xlink, base, m int) {
-	if !hasAVX {
-		runGo(ls, base, m)
-		return
-	}
-	for li := range ls {
-		l := &ls[li]
-		d, x, y, z := l.at(0, base), l.at(1, base), l.at(2, base), l.at(3, base)
-		switch l.prim {
-		case pMovS:
-			vmovS(d, l.sv, m)
-		case pStore:
-			vcvtStore(d, x, m)
-		case pMulFS:
-			vmulFS(d, x, l.sv, m)
-		case pMulRS:
-			vmulRS(d, x, l.sv, m)
-		case pMulFF:
-			vmulFF(d, x, y, m)
-		case pMulFR:
-			vmulFR(d, x, y, m)
-		case pMulRR:
-			vmulRR(d, x, y, m)
-		case pAddFS:
-			vaddFS(d, x, l.sv, m)
-		case pAddRS:
-			vaddRS(d, x, l.sv, m)
-		case pAddFF:
-			vaddFF(d, x, y, m)
-		case pAddFR:
-			vaddFR(d, x, y, m)
-		case pAddRR:
-			vaddRR(d, x, y, m)
-		case pTaps:
-			vtaps(d, z, &l.terms[0], len(l.terms), base, m)
-		case pMaddRS:
-			vmaddRS(d, x, l.sv, z, m)
-		case pMaddFF:
-			vmaddFF(d, x, y, z, m)
-		case pMaddFR:
-			vmaddFR(d, x, y, z, m)
-		case pMaddRR:
-			vmaddRR(d, x, y, z, m)
-		case pSq:
-			vsq(d, x, m)
-		case pRecip:
-			vrecip(d, x, m)
-		case pRecipSq:
-			vrecipSq(d, x, m)
-		default: // pCopy, pPowF, pPowR have no assembly twin
-			goPrims[l.prim](d, x, y, z, l.sv, l.exp, m)
+// handlers returns form i's handler addresses.
+func handlers(i int32) [2]uintptr {
+	return unsafe.Slice(handlerTable(), len(forms))[i]
+}
+
+// runOps executes one run over a row of n points: the assembly takes the
+// n&^3 body and the pure-Go executor the remainder — or the whole row on a
+// host without AVX.
+func runOps(fs []form, ops []xop, n int) {
+	nv := 0
+	if hasAVX {
+		if nv = n &^ 3; nv > 0 {
+			runBlocks(&ops[0], nv)
 		}
+	}
+	if nv < n {
+		goRun(fs, ops, nv, n)
 	}
 }

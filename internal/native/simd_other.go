@@ -2,9 +2,12 @@
 
 package native
 
-// hasAVX is never set off amd64: there are no assembly primitives to run.
+// hasAVX is never set off amd64: there are no assembly handlers to run.
 var hasAVX = false
 
-// runStrip applies every link of the chain to m points starting at base.
-// Without assembly primitives that is the pure-Go executor.
-func runStrip(ls []xlink, base, m int) { runGo(ls, base, m) }
+// handlers returns form i's handler addresses: none.
+func handlers(int32) [2]uintptr { return [2]uintptr{} }
+
+// runOps executes one run over a row of n points. Without assembly that
+// is the pure-Go executor.
+func runOps(fs []form, ops []xop, n int) { goRun(fs, ops, 0, n) }

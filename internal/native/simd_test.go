@@ -13,14 +13,15 @@ import (
 	"devigo/internal/runtime"
 )
 
-// The assembly strip primitives must match their pure-Go twins bit for bit
-// on every lane — including NaN, infinities, negative zero, subnormals and
-// float32 overflow — with the destination distinct from and aliasing each
-// float64 source. Links are bound to test buffers through the kernel's own
-// template (tmpl.add and its patch lists), so primitive selection and
-// operand routing are under test too. On a GOARCH without assembly both
-// sides are the Go twins and the comparison is trivially true; the
-// conformance table holds those to the bytecode VM.
+// The assembly run handlers must match the pure-Go executor bit for bit on
+// every lane — including NaN, infinities, negative zero, subnormals and
+// float32 overflow — and both must match the links executed one at a time,
+// each over the whole row. Links are bound to test buffers through the
+// kernel's own template (tmpl.add and its patch lists), so handler
+// selection and operand routing are under test too. On a GOARCH without
+// assembly runOps is the Go executor and the first comparison is trivially
+// true; the second and the conformance table still hold it to a definition
+// and to the bytecode VM.
 
 // -noavx makes the whole test binary see a host without AVX, so that an
 // amd64 runner can take every test through the pure-Go executor (CI does,
@@ -35,71 +36,83 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// stripBufs is the storage a test template is bound to.
-type stripBufs struct {
-	f32    [3][]float32 // load slots 0..2
-	f64    [3][]float64 // register rows 0..2
-	out    []float32    // equation output 0
-	strips [2][]float64 // acc, t
-	pool   []float64
+// Operand shorthands for hand-written links.
+var (
+	opAcc = bytecode.Operand{Class: bytecode.ClassAcc}
+	opT   = bytecode.Operand{Class: bytecode.ClassT}
+)
+
+func opF(i int) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassF, Index: int32(i)} }
+func opR(i int) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassR, Index: int32(i)} }
+func opS(i int) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassS, Index: int32(i)} }
+
+// drainRow is the register row the test chains drain into; poolOne the
+// pool entry holding 1.0.
+const (
+	drainRow = 3
+	poolOne  = 4
+)
+
+// rowBufs is the storage a test template is bound to.
+type rowBufs struct {
+	f32  [3][]float32 // load slots 0..2
+	f64  [4][]float64 // register rows 0..3
+	out  []float32    // equation output 0
+	pool []float64
 }
 
-func newStripBufs(n int) *stripBufs {
+func newRowBufs(n int) *rowBufs {
 	rng := rand.New(rand.NewSource(42))
 	specials64 := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e-300}
 	specials32 := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 1e-45, -1.1754944e-38}
-	b := &stripBufs{out: make([]float32, n), pool: []float64{1.7182818284590452, -0.37, 1e-160, 3e200}}
+	b := &rowBufs{out: make([]float32, n), pool: []float64{1.7182818284590452, -0.37, 1e-160, 3e200, 1}}
 	for k := range b.f64 {
 		b.f64[k] = make([]float64, n)
-		b.f32[k] = make([]float32, n)
-		for i := 0; i < n; i++ {
+		for i := range b.f64[k] {
 			b.f64[k][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
-			b.f32[k][i] = float32(rng.NormFloat64())
 			if i%11 == 3+k {
 				b.f64[k][i] = specials64[i%len(specials64)]
+			}
+		}
+	}
+	for k := range b.f32 {
+		b.f32[k] = make([]float32, n)
+		for i := range b.f32[k] {
+			b.f32[k][i] = float32(rng.NormFloat64())
+			if i%11 == 3+k {
 				b.f32[k][i] = specials32[i%len(specials32)]
 			}
 		}
 	}
-	// The strips start out as copies of rows 0 and 1, so a link reading
-	// acc or t is the destination-aliases-source form of the same link
-	// reading that row.
-	b.strips = [2][]float64{append([]float64(nil), b.f64[0]...), append([]float64(nil), b.f64[1]...)}
 	return b
 }
 
 // bind resolves a template's patch lists against the buffers, the way
 // Prep and patchRow resolve them against a kernel's storage.
-func (b *stripBufs) bind(tm *tmpl) []xlink {
-	ls := append([]xlink(nil), tm.links...)
-	for i := range ls {
-		ls[i].terms = append([]term(nil), ls[i].terms...)
-	}
+func (b *rowBufs) bind(tm *tmpl) []xop {
+	ops := append([]xop(nil), tm.ops...)
 	for _, p := range tm.fs {
-		*ls[p.li].ptr(p) = unsafe.Pointer(&b.f32[p.idx][0])
+		ops[p.li].p[p.pos] = unsafe.Pointer(&b.f32[p.idx][0])
 	}
 	for _, p := range tm.rs {
-		ls[p.li].p[p.pos] = unsafe.Pointer(&b.f64[p.idx][0])
+		ops[p.li].p[p.pos] = unsafe.Pointer(&b.f64[p.idx][0])
 	}
 	for _, p := range tm.es {
-		ls[p.li].p[p.pos] = unsafe.Pointer(&b.out[0])
-	}
-	for _, p := range tm.strips {
-		ls[p.li].p[p.pos] = unsafe.Pointer(&b.strips[p.idx][0])
+		ops[p.li].p[p.pos] = unsafe.Pointer(&b.out[0])
 	}
 	for _, p := range tm.ss {
-		*ls[p.li].scalar(p) = b.pool[p.idx]
+		ops[p.li].s = math.Float64bits(b.pool[p.idx])
 	}
-	return ls
+	return ops
 }
 
-// results gathers what a chain's terminators write (torow into row 2,
-// store into the output), as bits. NaNs compare equal whatever their
+// results gathers what a chain's terminators write (torow into the drain
+// row, store into the output), as bits. NaNs compare equal whatever their
 // payload: which operand's payload survives an operation on two NaNs is
-// the compiler's choice in the Go twins.
-func (b *stripBufs) results() []uint64 {
+// the compiler's choice in the Go executor.
+func (b *rowBufs) results() []uint64 {
 	var bits []uint64
-	for _, v := range b.f64[2] {
+	for _, v := range b.f64[drainRow] {
 		bits = append(bits, math.Float64bits(v))
 	}
 	for _, v := range b.out {
@@ -113,188 +126,217 @@ func (b *stripBufs) results() []uint64 {
 	return bits
 }
 
-// runBoth executes the links through exec (the strip executor or the whole
-// chain executor) and through the pure-Go executor on identical fresh
-// buffers and fails on the first differing bit.
-func runBoth(t *testing.T, name string, links []bytecode.Link, n int, exec func(ls []xlink, n int)) *tmpl {
+// runTemplate makes one run of the links: the template the kernel would
+// build for a single chain segment.
+func runTemplate(links []bytecode.Link) *tmpl {
+	tm, _ := buildTemplate([]bytecode.Segment{{Shape: bytecode.ShapeChain, Links: links}})
+	return tm
+}
+
+// linkByLink is the definition the executors are held to: every link in
+// turn over the whole row, one point at a time, acc and t two rows.
+func linkByLink(fs []form, ops []xop, n int) {
+	acc, t := make([]float64, n), make([]float64, n)
+	for k, f := range fs {
+		o := &ops[k]
+		for i := 0; i < n; i++ {
+			val := func(c bytecode.Class, pos int) float64 {
+				switch c {
+				case bytecode.ClassF:
+					return float64(fsl(o.p[pos], n)[i])
+				case bytecode.ClassR:
+					return dsl(o.p[pos], n)[i]
+				case bytecode.ClassS:
+					return math.Float64frombits(o.s)
+				case bytecode.ClassAcc:
+					return acc[i]
+				case bytecode.ClassT:
+					return t[i]
+				}
+				return 0
+			}
+			x, y, z := val(f.x, 0), val(f.y, 1), val(f.z, 2)
+			var v float64
+			switch f.op {
+			case bytecode.LinkMov:
+				v = x
+			case bytecode.LinkMul:
+				v = x * y
+			case bytecode.LinkAdd:
+				v = x + y
+			case bytecode.LinkMadd:
+				v = float64(x*y) + z
+			case bytecode.LinkPow:
+				v = runtime.Ipow(x, int(int64(o.s)))
+			case bytecode.LinkToRow:
+				dsl(o.p[0], n)[i] = x
+				continue
+			case bytecode.LinkStore:
+				fsl(o.p[0], n)[i] = float32(x)
+				continue
+			}
+			if f.dst == bytecode.ClassT {
+				t[i] = v
+			} else {
+				acc[i] = v
+			}
+		}
+	}
+}
+
+// checkRun executes the links as one run over a row of n points through
+// runOps (the assembly and its Go tail), through the Go executor alone and
+// link by link, on identical fresh buffers, and fails on the first
+// differing bit.
+func checkRun(t *testing.T, name string, links []bytecode.Link, n int) *tmpl {
 	t.Helper()
-	tm := &tmpl{}
-	tm.addChain(links)
-	got, want := newStripBufs(n), newStripBufs(n)
-	exec(got.bind(tm), n)
-	runGo(want.bind(tm), 0, n)
-	g, w := got.results(), want.results()
-	for i := range w {
-		if g[i] != w[i] {
-			t.Fatalf("%s: result word %d: got %#x, pure Go %#x", name, i, g[i], w[i])
+	tm := runTemplate(links)
+	fs := tm.forms[:len(tm.forms)-1]
+	asm, twin, def := newRowBufs(n), newRowBufs(n), newRowBufs(n)
+	runOps(fs, asm.bind(tm), n)
+	goRun(fs, twin.bind(tm), 0, n)
+	linkByLink(fs, def.bind(tm), n)
+	a, g, d := asm.results(), twin.results(), def.results()
+	for i := range d {
+		if a[i] != g[i] {
+			t.Fatalf("%s n=%d: result word %d: run %#x, pure Go %#x", name, n, i, a[i], g[i])
+		}
+		if g[i] != d[i] {
+			t.Fatalf("%s n=%d: result word %d: pure Go %#x, link by link %#x", name, n, i, g[i], d[i])
 		}
 	}
 	return tm
 }
 
-func TestStripPrimitivesMatchGoTwins(t *testing.T) {
-	F := func(i int32) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassF, Index: i} }
-	R := func(i int32) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassR, Index: i} }
-	S := bytecode.Operand{Class: bytecode.ClassS}
-	acc := bytecode.Operand{Class: bytecode.ClassAcc}
+// rowWidths are the row widths the run tests sweep: every remainder of the
+// 16-point and 4-point blocks on short rows, and the widths around the
+// benchmark workloads' rows.
+func rowWidths() []int {
+	ns := []int{255, 256, 257, 272, 2064}
+	for n := 1; n <= 35; n++ {
+		ns = append(ns, n)
+	}
+	return ns
+}
 
-	links := []bytecode.Link{
-		{Op: bytecode.LinkMov, X: S},
-		{Op: bytecode.LinkStore, X: acc},
-		{Op: bytecode.LinkToRow, X: acc, N: 2},
-		{Op: bytecode.LinkPow, X: F(0), N: 3},
-	}
-	for _, e := range []int32{2, -1, -2, 3, -4} {
-		links = append(links, bytecode.Link{Op: bytecode.LinkPow, X: R(0), N: e})
-	}
-	for _, op := range []bytecode.LinkOp{bytecode.LinkMul, bytecode.LinkAdd, bytecode.LinkMadd} {
-		for _, xy := range [][2]bytecode.Operand{{F(0), S}, {R(0), S}, {F(0), F(1)}, {F(0), R(1)}, {R(0), R(1)}} {
-			l := bytecode.Link{Op: op, X: xy[0], Y: xy[1]}
-			if op == bytecode.LinkMadd {
-				l.Z = R(2)
-			}
-			links = append(links, l)
+// TestHandlersMatchGoTwin runs every handler — every entry of forms, at
+// both block widths — against the Go executor. A handler reads acc and t
+// from registers, so each is run inside a minimal run that first loads acc
+// and t from rows 0 and 1 (times 1.0: exact) and afterwards drains acc, or
+// t through acc, into the drain row and the output. Each register-row
+// operand is also pointed, in turn, at the drain row, which a later link of
+// the same block overwrites.
+func TestHandlersMatchGoTwin(t *testing.T) {
+	one := opS(poolOne)
+	torow := bytecode.Link{Op: bytecode.LinkToRow, X: opAcc, N: drainRow}
+	store := bytecode.Link{Op: bytecode.LinkStore, X: opAcc}
+	seen := map[form]bool{}
+	for _, f := range forms[1:] {
+		l := bytecode.Link{Op: f.op, Dst: f.dst, N: int32(f.exp)}
+		switch f.op {
+		case bytecode.LinkToRow:
+			l = torow
+		case bytecode.LinkStore:
+			l = store
 		}
-	}
-
-	var seen [numPrims]bool
-	strip := func(ls []xlink, n int) { runStrip(ls, 0, n) }
-	for _, l := range links {
-		l.Dst = bytecode.ClassAcc
-		// The link as written, then with each register-row operand in turn
-		// replaced by the destination strip.
+		for pos, c := range [...]bytecode.Class{f.x, f.y, f.z} {
+			o := [...]*bytecode.Operand{&l.X, &l.Y, &l.Z}[pos]
+			*o = bytecode.Operand{Class: c, Index: int32(pos)} // slot, row or pool entry pos
+		}
+		if formOf(l) != f {
+			t.Fatalf("form %s: rebuilt link %s has form %s", f, l, formOf(l))
+		}
 		variants := []bytecode.Link{l}
-		for k := 0; k < 3; k++ {
+		if f.op == bytecode.LinkPow && f.exp == 0 { // the general loop: a few more exponents
+			for _, e := range []int32{1, 3, -3} {
+				l.N = e
+				variants = append(variants, l)
+			}
+		}
+		for pos := 0; pos < 3; pos++ {
 			v := l
-			if o := [...]*bytecode.Operand{&v.X, &v.Y, &v.Z}[k]; o.Class == bytecode.ClassR {
-				*o = acc
+			if o := [...]*bytecode.Operand{&v.X, &v.Y, &v.Z}[pos]; o.Class == bytecode.ClassR {
+				o.Index = drainRow
 				variants = append(variants, v)
 			}
 		}
 		for _, v := range variants {
-			// Drain the accumulator where results() looks.
-			chain := []bytecode.Link{v, {Op: bytecode.LinkToRow, X: acc, N: 2}, {Op: bytecode.LinkStore, X: acc}}
-			tm := runBoth(t, v.String(), chain, 64, strip)
-			seen[tm.links[0].prim] = true
-		}
-	}
-	for p := prim(0); p < numPrims; p++ {
-		if !seen[p] {
-			t.Errorf("primitive %d is not compared against its pure-Go twin", p)
-		}
-	}
-}
-
-// TestRunChainBodyAndTail runs a chain using both strips over a row of
-// several strips plus a remainder: strip-relative acc/t addressing, the
-// per-point steps of field and register rows at base > 0, and the hand-over
-// from the assembly body to the pure-Go tail.
-func TestRunChainBodyAndTail(t *testing.T) {
-	F := func(i int32) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassF, Index: i} }
-	S := bytecode.Operand{Class: bytecode.ClassS}
-	acc := bytecode.Operand{Class: bytecode.ClassAcc}
-	tt := bytecode.Operand{Class: bytecode.ClassT}
-	r1 := bytecode.Operand{Class: bytecode.ClassR, Index: 1}
-	chain := []bytecode.Link{
-		{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: F(0), Y: S},
-		{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: F(1), Y: r1},
-		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(2), Y: tt, Z: acc},
-		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(1), Y: F(2), Z: F(0)}, // expands to mul + add
-		{Op: bytecode.LinkPow, Dst: bytecode.ClassAcc, X: acc, N: -2},
-		{Op: bytecode.LinkToRow, X: acc, N: 2},
-		{Op: bytecode.LinkStore, X: acc},
-	}
-	for _, n := range []int{1, 3, 4, 7, stripN + 2, 2*stripN + 7} {
-		tm := runBoth(t, "chain", chain, n, runChain)
-		if len(tm.links) != len(chain)+1 {
-			t.Fatalf("template has %d links, want %d (the field-addend madd expands to two)", len(tm.links), len(chain)+1)
-		}
-	}
-}
-
-// TestPowSpecializations pins the pow fast paths to Ipow's exact
-// multiply-cascade results for every specialized exponent.
-func TestPowSpecializations(t *testing.T) {
-	vals := []float64{2.5, -3, 0.1, 0, math.Inf(1), math.NaN(), 5e-324, 1e200}
-	for _, e := range []int{0, 1, 2, -1, -2, 3, -4} {
-		for _, v := range vals {
-			tm := &tmpl{}
-			tm.add(bytecode.Link{Op: bytecode.LinkPow, Dst: bytecode.ClassAcc, X: bytecode.Operand{Class: bytecode.ClassAcc}, N: int32(e)})
-			b := newStripBufs(4)
-			for i := range b.strips[0] {
-				b.strips[0][i] = v
+			run := []bytecode.Link{
+				{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: opR(0), Y: one},
+				{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: opR(1), Y: one},
+				v,
 			}
-			runStrip(b.bind(tm), 0, 4)
-			want := runtime.Ipow(v, e)
-			for lane, got := range b.strips[0] {
-				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("pow exp %d val %v lane %d: got %v, want %v", e, v, lane, got, want)
+			if f.dst == bytecode.ClassT {
+				run = append(run,
+					bytecode.Link{Op: bytecode.LinkMov, Dst: bytecode.ClassAcc, X: one},
+					bytecode.Link{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: opAcc, Y: opT})
+			}
+			run = append(run, torow, store)
+			for _, n := range []int{4, 16, 16 + 4 + 3, 2*16 + 3*4 + 1} {
+				tm := checkRun(t, f.String(), run, n)
+				if tm.forms[2] != f {
+					t.Fatalf("form %s: the template bound %s", f, tm.forms[2])
+				}
+				if hasAVX && (tm.ops[2].h[0] == 0 || tm.ops[2].h[1] == 0) {
+					t.Fatalf("form %s has no assembly handler", f)
 				}
 			}
 		}
+		seen[f] = true
+	}
+	for _, l := range bytecode.LinkShapes() {
+		if !seen[formOf(l)] {
+			t.Errorf("link form %s has no handler in forms", l)
+		}
 	}
 }
 
-// tapKinds are the three tap forms by the number of links they span: the
-// plain madd.fsa, t.mul.fs ; madd.fta, and t.mul.fs ; t.mul.ts ; madd.fta.
-// tapLinks writes tap i of a run in form kind, cycling through the load
+// tapLinks writes tap i of a stencil sum in one of the three forms taps
+// take, by the number of links they span — the plain madd.fsa, t.mul.fs ;
+// madd.fta, and t.mul.fs ; t.mul.ts ; madd.fta — cycling through the load
 // slots and pool scalars so neighbouring taps differ.
 func tapLinks(kind, i int) []bytecode.Link {
-	F := func(j int) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassF, Index: int32(j % 3)} }
-	S := func(j int) bytecode.Operand { return bytecode.Operand{Class: bytecode.ClassS, Index: int32(j % 4)} }
-	acc := bytecode.Operand{Class: bytecode.ClassAcc}
-	tt := bytecode.Operand{Class: bytecode.ClassT}
+	F := func(j int) bytecode.Operand { return opF(j % 3) }
+	S := func(j int) bytecode.Operand { return opS(j % 4) }
 	switch kind {
 	case 1:
-		return []bytecode.Link{{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(i), Y: S(i), Z: acc}}
+		return []bytecode.Link{{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(i), Y: S(i), Z: opAcc}}
 	case 2:
 		return []bytecode.Link{
 			{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: F(i + 1), Y: S(i)},
-			{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(i), Y: tt, Z: acc}}
+			{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(i), Y: opT, Z: opAcc}}
 	}
 	return []bytecode.Link{
 		{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: F(i + 1), Y: S(i)},
-		{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: tt, Y: S(i + 1)},
-		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(i), Y: tt, Z: acc}}
+		{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: opT, Y: S(i + 1)},
+		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: F(i), Y: opT, Z: opAcc}}
 }
 
-// runUnfused executes the links one primitive each (a chain of one link
-// has nothing to fuse: an F×S madd is a run of one) through the pure-Go
-// executor: the definition of what a chain computes.
-func runUnfused(links []bytecode.Link, n int) []uint64 {
-	tm := &tmpl{}
-	for i := range links {
-		tm.addChain(links[i : i+1])
-	}
-	b := newStripBufs(n)
-	runGo(b.bind(tm), 0, n)
-	return b.results()
-}
-
-// checkChain holds a chain's fused template, run through the assembly and
-// through the Go twins, to its unfused link sequence, bit for bit.
-func checkChain(t *testing.T, name string, chain []bytecode.Link, n int) *tmpl {
-	t.Helper()
-	tm := runBoth(t, name, chain, n, runChain)
-	got, want := newStripBufs(n), runUnfused(chain, n)
-	runGo(got.bind(tm), 0, n)
-	for i, g := range got.results() {
-		if g != want[i] {
-			t.Fatalf("%s n=%d: result word %d: fused %#x, link by link %#x", name, n, i, g, want[i])
-		}
-	}
-	return tm
-}
-
-// TestTapRunsMatchTheirLinks: a run of k taps — every order of the three
-// forms for k <= 2, seeded mixes and the three pure runs beyond — executes
-// as one pTaps link and produces the bits of its links run one at a time,
-// over widths that take the 16-point blocks, the 4-point blocks and the
-// pure-Go tail, with the sum opened in acc (d aliases z) and in a register
-// row (it does not). newStripBufs seeds NaN, infinities, signed zeros and
+// TestRunMatchesItsLinks: a multi-link run produces the bits of its links
+// executed one at a time, over every row width of rowWidths. The runs are a
+// chain that uses both accumulators, a field-row addend, a reciprocal
+// square and a scratch value read again after the tap that built it (t is
+// a register group, not a dead temporary), and stencil sums of k taps —
+// every order of the three tap forms for k <= 2, seeded mixes and the three
+// pure sums beyond — opened in acc and, where the first tap is plain, on a
+// register row. newRowBufs seeds NaN, infinities, signed zeros and
 // subnormals into every row.
-func TestTapRunsMatchTheirLinks(t *testing.T) {
-	acc := bytecode.Operand{Class: bytecode.ClassAcc}
+func TestRunMatchesItsLinks(t *testing.T) {
+	torow := bytecode.Link{Op: bytecode.LinkToRow, X: opAcc, N: drainRow}
+	store := bytecode.Link{Op: bytecode.LinkStore, X: opAcc}
+	chain := []bytecode.Link{
+		{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: opF(0), Y: opS(0)},
+		{Op: bytecode.LinkMul, Dst: bytecode.ClassT, X: opF(1), Y: opR(1)},
+		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: opF(2), Y: opT, Z: opAcc},
+		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: opF(0), Y: opT, Z: opAcc}, // t read again
+		{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc, X: opF(1), Y: opF(2), Z: opF(0)},
+		{Op: bytecode.LinkPow, Dst: bytecode.ClassAcc, X: opAcc, N: -2},
+		torow, store,
+	}
+	for _, n := range rowWidths() {
+		checkRun(t, "chain", chain, n)
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 7, 18, 20} {
 		var orders [][]int
@@ -313,25 +355,27 @@ func TestTapRunsMatchTheirLinks(t *testing.T) {
 		}
 		for _, order := range orders {
 			for _, rowAddend := range []bool{false, true} {
-				// mul.fs opens acc; with rowAddend the run's first tap is
+				// mul.fs opens acc; with rowAddend the first tap is
 				// rewritten to add onto register row 1 instead.
-				chain := []bytecode.Link{{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc,
-					X: bytecode.Operand{Class: bytecode.ClassF}, Y: bytecode.Operand{Class: bytecode.ClassS}}}
+				sum := []bytecode.Link{{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: opF(0), Y: opS(0)}}
 				for i, kind := range order {
-					chain = append(chain, tapLinks(kind, i)...)
+					sum = append(sum, tapLinks(kind, i)...)
 				}
 				if rowAddend {
 					if order[0] != 1 {
 						continue // only a plain tap takes a row addend
 					}
-					chain[1].Z = bytecode.Operand{Class: bytecode.ClassR, Index: 1}
+					sum[1].Z = opR(1)
 				}
-				chain = append(chain, bytecode.Link{Op: bytecode.LinkToRow, X: acc, N: 2}, bytecode.Link{Op: bytecode.LinkStore, X: acc})
+				sum = append(sum, torow, store)
 				name := fmt.Sprintf("taps %v row-addend=%v", order, rowAddend)
-				for _, n := range []int{4, 12, 16, 20, 252, 256, 259} {
-					tm := checkChain(t, name, chain, n)
-					if len(tm.links) != 4 || tm.links[1].prim != pTaps || len(tm.links[1].terms) != k {
-						t.Fatalf("%s: template is %d links, want mul, one run of %d taps, torow, store", name, len(tm.links), k)
+				widths := []int{4, 12, 16, 20, 252, 256, 259}
+				if k == 20 {
+					widths = rowWidths()
+				}
+				for _, n := range widths {
+					if tm := checkRun(t, name, sum, n); len(tm.ops) != len(sum)+1 {
+						t.Fatalf("%s: template is %d ops, want one per link and the end sentinel", name, len(tm.ops))
 					}
 				}
 			}
@@ -339,32 +383,43 @@ func TestTapRunsMatchTheirLinks(t *testing.T) {
 	}
 }
 
-// TestTapNeedsDeadScratch: the executor never writes a fused compound
-// tap's t, so a form whose t is read again must stay three links. The
-// chain extraction cannot emit such a chain (it merges t only when its
-// register is dead), hence the hand-written one.
-func TestTapNeedsDeadScratch(t *testing.T) {
-	acc := bytecode.Operand{Class: bytecode.ClassAcc}
-	tt := bytecode.Operand{Class: bytecode.ClassT}
-	// mov opens acc, a three-link tap follows, then next, then the drains.
-	chainWith := func(next ...bytecode.Link) []bytecode.Link {
-		chain := []bytecode.Link{{Op: bytecode.LinkMov, Dst: bytecode.ClassAcc, X: bytecode.Operand{Class: bytecode.ClassS}}}
-		chain = append(chain, tapLinks(3, 0)...)
-		chain = append(chain, next...)
-		return append(chain, bytecode.Link{Op: bytecode.LinkToRow, X: acc, N: 2}, bytecode.Link{Op: bytecode.LinkStore, X: acc})
-	}
-	reread := chainWith(bytecode.Link{Op: bytecode.LinkMadd, Dst: bytecode.ClassAcc,
-		X: bytecode.Operand{Class: bytecode.ClassF, Index: 2}, Y: tt, Z: acc})
-	for _, n := range []int{20, 259} {
-		tm := checkChain(t, "t read after its tap", reread, n)
-		for _, l := range tm.links {
-			if l.prim == pTaps {
-				t.Fatalf("a compound form whose t is read again was fused: %d links for %d", len(tm.links), len(reread))
+// TestPowSpecializations pins the pow handlers to Ipow's exact
+// multiply-cascade results for the specialized exponents and the general
+// loop, on a row that takes a 16-point block, a 4-point block and the tail.
+func TestPowSpecializations(t *testing.T) {
+	vals := []float64{2.5, -3, 0.1, 0, math.Inf(1), math.NaN(), 5e-324, 1e200}
+	const n = 16 + 4 + 3
+	for _, e := range []int{0, 1, 2, -1, -2, 3, -4} {
+		for _, v := range vals {
+			tm := runTemplate([]bytecode.Link{
+				{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: opR(0), Y: opS(poolOne)},
+				{Op: bytecode.LinkPow, Dst: bytecode.ClassAcc, X: opAcc, N: int32(e)},
+				{Op: bytecode.LinkToRow, X: opAcc, N: drainRow},
+			})
+			b := newRowBufs(n)
+			for i := range b.f64[0] {
+				b.f64[0][i] = v
+			}
+			runOps(tm.forms[:len(tm.forms)-1], b.bind(tm), n)
+			want := runtime.Ipow(v, e)
+			for lane, got := range b.f64[drainRow] {
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("pow exp %d val %v lane %d: got %v, want %v", e, v, lane, got, want)
+				}
 			}
 		}
 	}
-	// The same form followed by a tap that reopens t is a tap.
-	if tm := checkChain(t, "t reopened", chainWith(tapLinks(2, 1)...), 20); len(tm.links) != 4 {
-		t.Fatalf("reopened t: template is %d links, want mov, one run, torow, store", len(tm.links))
-	}
+}
+
+// TestUnknownFormPanics reaches tmpl.add's invariant: a link whose form
+// bytecode.LinkShapes does not list has no handler, and building a template
+// for it panics by name rather than running something else.
+func TestUnknownFormPanics(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); msg != "native: link form mul.ss is not in bytecode.LinkShapes" {
+			t.Fatalf("panic %q does not name the form", msg)
+		}
+	}()
+	runTemplate([]bytecode.Link{{Op: bytecode.LinkMul, Dst: bytecode.ClassAcc, X: opS(0), Y: opS(1)}})
+	t.Fatal("a link with two scalar operands got a handler")
 }

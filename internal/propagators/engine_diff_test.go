@@ -1,10 +1,15 @@
 package propagators
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
+	"devigo/internal/bytecode"
 	"devigo/internal/core"
 	"devigo/internal/halo"
+	"devigo/internal/native"
 )
 
 // The differential suite is the execution engines' acceptance gate: for
@@ -235,4 +240,102 @@ func TestNativeInstrsPerPointPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPropagatorKernelsAreRuns walks every kernel the repo's real programs
+// compile to — the four propagators at space orders 4, 8 and 16 in 2-D and
+// 3-D, the acoustic adjoint and the imaging condition — and checks the
+// executor's view of each against the segment partition: every chain link
+// sits in a run under the handler of its own form, consecutive chain
+// segments share one run, and only a VM segment separates two runs. It
+// logs the forms these programs emit; all of them are bytecode.LinkForms
+// entries, each of which has a handler (native's TestHandlersMatchGoTwin).
+func TestPropagatorKernelsAreRuns(t *testing.T) {
+	known := map[string]bool{}
+	for _, f := range bytecode.LinkForms() {
+		known[f] = true
+	}
+	emitted := map[string]bool{}
+	check := func(label string, op *core.Operator) {
+		for ki, ek := range op.Kernels() {
+			k, ok := ek.(*native.Kernel)
+			if !ok {
+				t.Fatalf("%s kernel %d is a %T, want the native engine's", label, ki, ek)
+			}
+			// What the runs should be, from the segment partition.
+			var want [][]string
+			open := false
+			for _, seg := range k.Segments() {
+				if seg.Shape == bytecode.ShapeVM {
+					want, open = append(want, nil), false
+					continue
+				}
+				if !open {
+					want, open = append(want, nil), true
+				}
+				for _, l := range seg.Links {
+					if !known[l.String()] {
+						t.Errorf("%s kernel %d emits %s, which bytecode.LinkForms does not list", label, ki, l)
+					}
+					emitted[l.String()] = true
+					want[len(want)-1] = append(want[len(want)-1], l.String())
+				}
+			}
+			got := k.Runs()
+			if len(got) != len(want) {
+				t.Fatalf("%s kernel %d executes as %d pieces, want %d (one run per VM-free stretch)", label, ki, len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("%s kernel %d piece %d has %d links, want %d", label, ki, i, len(got[i]), len(want[i]))
+				}
+				for j, form := range want[i] {
+					if h := got[i][j]; h != form && !strings.HasPrefix(h, form+"^") {
+						t.Errorf("%s kernel %d: link %s runs under handler %s", label, ki, form, h)
+					}
+				}
+			}
+		}
+	}
+	opts := func(name string) *core.Options { return &core.Options{Name: name, Engine: core.EngineNative} }
+	for _, name := range ModelNames() {
+		for _, so := range []int{4, 8, 16} {
+			for _, shape := range [][]int{{40, 44}, {20, 22, 24}} {
+				m, err := Build(name, serialCfg(shape, so))
+				if err != nil {
+					t.Fatal(err)
+				}
+				op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, nil, opts(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s so-%d %d-D", name, so, len(shape)), op)
+			}
+		}
+	}
+	fwd, err := Build("acoustic", serialCfg([]int{40, 44}, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj, err := Adjoint(fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, nil, opts("adjoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("acoustic adjoint", adjOp)
+	_, imgOp, err := imagingOperator(fwd, adj, nil, &GradientConfig{Engine: core.EngineNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("imaging", imgOp)
+
+	var forms []string
+	for f := range emitted {
+		forms = append(forms, f)
+	}
+	sort.Strings(forms)
+	t.Logf("%d of %d link forms emitted by the real programs: %s", len(forms), len(known), strings.Join(forms, " "))
 }
