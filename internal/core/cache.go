@@ -84,11 +84,10 @@ func tuneKey(key string) string    { return key + "/tune" }
 // cachedSchedule looks up the lowered cluster schedule for a key. Only
 // scratch-free schedules are published (storeSchedule), so a hit implies
 // the CIRE pass found nothing to materialise: the symbolic front-end —
-// derivative expansion with exact-rational coefficient solves, cluster
-// lowering, schedule optimization — can be skipped wholesale. The schedule
-// is immutable after construction and its expressions reference symbolic
-// field refs rather than storage, so sharing one *ir.Schedule across
-// concurrently running operators is safe.
+// derivative expansion, cluster lowering, schedule optimization — can be
+// skipped wholesale. The schedule is immutable after construction and its
+// expressions reference symbolic field refs rather than storage, so
+// sharing one *ir.Schedule across concurrently running operators is safe.
 func cachedSchedule(cache *opcache.Cache, key string) (*ir.Schedule, bool) {
 	if cache == nil || key == "" {
 		return nil, false

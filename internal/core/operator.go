@@ -244,9 +244,9 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	var scratchExt map[string]int
 	if cached, ok := cachedSchedule(cache, cacheKey); ok {
 		// Front-end bypass: a published schedule is scratch-free by
-		// construction, so CIRE, derivative expansion (the exact-rational
-		// FD coefficient solves that dominate operator construction),
-		// cluster lowering and schedule optimization are all skipped.
+		// construction, so CIRE, derivative expansion, cluster lowering
+		// (ir.Lower alone is about a quarter of a cold construction) and
+		// schedule optimization are all skipped.
 		sched = cached
 	} else {
 		eqs, scratchExt, err = applyCIRE(eqs, fields, g, decomp, rank)

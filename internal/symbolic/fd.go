@@ -3,44 +3,118 @@ package symbolic
 import (
 	"fmt"
 	"math/big"
+	"strconv"
+	"strings"
+	"sync"
 )
 
 // FDWeights computes exact finite-difference weights for the m-th derivative
-// on the integer stencil offsets given, assuming unit spacing. The weights w
-// satisfy sum_k w[k] * f(offset[k]*h) = f^(m)(0) * h^m + O(h^(len-m)).
+// at 0 on the stencil offsets given (in grid spacings; staggered stencils use
+// half-integer offsets), assuming unit spacing. The weights w satisfy
+// sum_k w[k] * f(offset[k]*h) = f^(m)(0) * h^m + O(h^(len-m)), and are the
+// unique such n-point weights. w[k] belongs to offsets[k].
 //
-// Offsets are expressed in units of half grid spacings when halfStep is true
-// (staggered stencils); the returned weights then already include the
-// corresponding 2^m factor so that dividing by h^m remains correct.
+// Weights come from Fornberg's recurrence ("Generation of finite difference
+// formulas on arbitrarily spaced grids", Math. Comp. 51, 1988) in exact
+// rationals and are memoised per (m, offsets): every derivative node of
+// every operator asks for one of a few dozen stencils. Each call returns
+// its own slice and rationals, so callers may modify them.
 func FDWeights(m int, offsets []*big.Rat) ([]*big.Rat, error) {
-	n := len(offsets)
-	if m >= n {
-		return nil, fmt.Errorf("symbolic: need more than %d points for derivative order %d", m, m)
+	var key strings.Builder
+	key.WriteString(strconv.Itoa(m))
+	for _, o := range offsets {
+		key.WriteByte(' ')
+		key.WriteString(o.RatString())
 	}
-	// Solve the Taylor-table (Vandermonde) system:
-	//   sum_k w_k * offsets_k^j / j! = delta_{j,m}   for j = 0..n-1
-	A := make([][]*big.Rat, n)
-	for j := 0; j < n; j++ {
-		A[j] = make([]*big.Rat, n+1)
-		fact := factorialRat(j)
-		for k := 0; k < n; k++ {
-			p := ratPow(offsets[k], j)
-			A[j][k] = new(big.Rat).Quo(p, fact)
+	w, ok := fdMemo.Load(key.String())
+	if !ok {
+		if err := checkStencil(m, offsets); err != nil {
+			return nil, err
 		}
-		if j == m {
-			A[j][n] = big.NewRat(1, 1)
-		} else {
-			A[j][n] = new(big.Rat)
+		w, _ = fdMemo.LoadOrStore(key.String(), fornberg(m, offsets))
+	}
+	return copyRats(w.([]*big.Rat)), nil
+}
+
+// fdMemo maps "m o_0 o_1 ..." (offsets as RatStrings) to the weights
+// FDWeights computed for it. The stored slices are never handed out.
+var fdMemo sync.Map
+
+// checkStencil rejects the inputs the recurrence cannot take: it divides
+// by the differences of offsets.
+func checkStencil(m int, offsets []*big.Rat) error {
+	if m < 0 {
+		return fmt.Errorf("symbolic: negative derivative order %d", m)
+	}
+	if m >= len(offsets) {
+		return fmt.Errorf("symbolic: need more than %d points for derivative order %d", m, m)
+	}
+	for i, a := range offsets {
+		for _, b := range offsets[:i] {
+			if a.Cmp(b) == 0 {
+				return fmt.Errorf("symbolic: stencil offset %s repeats", a.RatString())
+			}
 		}
 	}
-	if err := gaussSolve(A); err != nil {
-		return nil, err
+	return nil
+}
+
+// fornberg runs Fornberg's recurrence for the weights of derivatives 0..m
+// at 0 on the distinct nodes x, adding one node at a time: c[j][k] is the
+// weight of x[j] for the k-th derivative over the nodes seen so far.
+// O(len(x)^2 * m) rational operations; returns the m-th derivative column.
+func fornberg(m int, x []*big.Rat) []*big.Rat {
+	n := len(x)
+	c := make([][]big.Rat, n)
+	for i := range c {
+		c[i] = make([]big.Rat, m+1)
+	}
+	c[0][0].SetInt64(1)
+	var prod, prevProd, diff, scale, t, u, kr big.Rat
+	prevProd.SetInt64(1)
+	for i := 1; i < n; i++ {
+		top := min(i, m)
+		prod.SetInt64(1)
+		for j := 0; j < i; j++ {
+			diff.Sub(x[i], x[j])
+			prod.Mul(&prod, &diff)
+			if j == i-1 {
+				// The new node's weights, from the previous node's.
+				scale.Quo(&prevProd, &prod)
+				for k := top; k >= 1; k-- {
+					t.Mul(kr.SetInt64(int64(k)), &c[i-1][k-1])
+					u.Mul(x[i-1], &c[i-1][k])
+					t.Sub(&t, &u)
+					c[i][k].Mul(&scale, &t)
+				}
+				c[i][0].Mul(x[i-1], &c[i-1][0])
+				c[i][0].Mul(&c[i][0], &scale)
+				c[i][0].Neg(&c[i][0])
+			}
+			for k := top; k >= 1; k-- {
+				t.Mul(x[i], &c[j][k])
+				u.Mul(kr.SetInt64(int64(k)), &c[j][k-1])
+				t.Sub(&t, &u)
+				c[j][k].Quo(&t, &diff)
+			}
+			c[j][0].Mul(x[i], &c[j][0])
+			c[j][0].Quo(&c[j][0], &diff)
+		}
+		prevProd.Set(&prod)
 	}
 	w := make([]*big.Rat, n)
-	for k := 0; k < n; k++ {
-		w[k] = A[k][n]
+	for j := range w {
+		w[j] = new(big.Rat).Set(&c[j][m])
 	}
-	return w, nil
+	return w
+}
+
+func copyRats(rs []*big.Rat) []*big.Rat {
+	out := make([]*big.Rat, len(rs))
+	for i, r := range rs {
+		out[i] = new(big.Rat).Set(r)
+	}
+	return out
 }
 
 // CentralOffsets returns the centered integer offsets used for an m-th
@@ -85,57 +159,6 @@ func StaggeredOffsets(acc, side int) []*big.Rat {
 		}
 	}
 	return out
-}
-
-func factorialRat(n int) *big.Rat {
-	f := big.NewRat(1, 1)
-	for i := 2; i <= n; i++ {
-		f.Mul(f, big.NewRat(int64(i), 1))
-	}
-	return f
-}
-
-func ratPow(r *big.Rat, n int) *big.Rat {
-	out := big.NewRat(1, 1)
-	for i := 0; i < n; i++ {
-		out.Mul(out, r)
-	}
-	return out
-}
-
-// gaussSolve performs in-place Gauss-Jordan elimination on an n x (n+1)
-// augmented rational matrix, leaving the solution in column n.
-func gaussSolve(A [][]*big.Rat) error {
-	n := len(A)
-	for col := 0; col < n; col++ {
-		// Partial pivot: find a nonzero entry.
-		pivot := -1
-		for row := col; row < n; row++ {
-			if A[row][col].Sign() != 0 {
-				pivot = row
-				break
-			}
-		}
-		if pivot < 0 {
-			return fmt.Errorf("symbolic: singular Taylor system")
-		}
-		A[col], A[pivot] = A[pivot], A[col]
-		inv := new(big.Rat).Inv(A[col][col])
-		for j := col; j <= n; j++ {
-			A[col][j] = new(big.Rat).Mul(A[col][j], inv)
-		}
-		for row := 0; row < n; row++ {
-			if row == col || A[row][col].Sign() == 0 {
-				continue
-			}
-			factor := new(big.Rat).Set(A[row][col])
-			for j := col; j <= n; j++ {
-				t := new(big.Rat).Mul(factor, A[col][j])
-				A[row][j] = new(big.Rat).Sub(A[row][j], t)
-			}
-		}
-	}
-	return nil
 }
 
 // spacingSymbol returns the canonical spacing symbol for a dimension index:
