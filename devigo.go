@@ -20,23 +20,18 @@
 //
 // # Execution engines
 //
-// Operators execute through one of three engines, selected by
-// DEVIGO_ENGINE=native|bytecode|interpreter in the environment — the
-// selector for users of this package; code inside this module can also
-// set core.Options.Engine directly. Each loop nest first compiles to flat
-// register bytecode (internal/bytecode): duplicate stencil reads load
-// once, and loop-invariant scalars (including 1/dt-style reciprocals) are
-// folded at compile time or evaluated once per Apply. The default, the
-// native engine (internal/native), re-lowers that bytecode into fused
-// accumulation chains executed strip by strip through SIMD primitives
-// (AVX assembly on amd64, equivalent pure Go elsewhere). The bytecode
-// engine runs the same program through a row-sweep VM — one instruction
-// dispatch per whole inner-dimension row — about three times slower.
-// The reference expression-tree interpreter (internal/runtime)
-// remains the escape hatch and the differential-testing baseline. All
-// three are bit-exact: they produce identical float32 fields for
-// identical inputs, serially and under any DMP mode, so switching engines
-// never changes results.
+// Operators execute through the native engine (internal/native). Each
+// loop nest first compiles to flat register bytecode (internal/bytecode):
+// duplicate stencil reads load once, and loop-invariant scalars (including
+// 1/dt-style reciprocals) are folded at compile time or evaluated once per
+// Apply. The native engine re-lowers every instruction of that bytecode
+// into one run of fused links per kernel, executed 16 points at a time
+// with the accumulators in registers (generated AVX handlers on amd64,
+// equivalent pure Go elsewhere). The bytecode engine's row-sweep VM and
+// the expression-tree interpreter (internal/runtime) stay as its oracles,
+// selected by core.Options.Engine inside this module: all three are
+// bit-exact, producing identical float32 fields for identical inputs,
+// serially and under any DMP mode.
 package devigo
 
 import (

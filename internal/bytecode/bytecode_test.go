@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -321,5 +322,49 @@ func TestConstantFoldingAndStrengthReduction(t *testing.T) {
 	}
 	if got := math.Float64bits(pool[k.symSlots[0]]); got != math.Float64bits(4) {
 		t.Errorf("dt slot = %x", got)
+	}
+}
+
+// TestExtractSegmentsRefusesNonPointLocal reaches the two cases of
+// checkPointLocal with hand-written programs, since the compiler emits
+// neither: a load consumed after a store to its buffer, and a read of a
+// stored buffer at a nonzero offset. Each is an error naming the equation
+// and the slot, and the same programs without the hazard lower.
+func TestExtractSegmentsRefusesNonPointLocal(t *testing.T) {
+	bd := &runtime.Binding{
+		Names: []string{"u", "v"},
+		Slots: []runtime.Slot{{Field: 0, TimeOff: 1}, {Field: 1}},
+		Outs:  []runtime.Out{{Field: 0, TimeOff: 1}, {Field: 1, TimeOff: 1}},
+	}
+	// r0 = u[t+1]; r1 = v[t]; r2 = r1*r1; store u[t+1] = r2; then r0 is
+	// consumed by the store of v[t+1] or, in the safe program, before it.
+	past := []Instr{
+		{Op: OpLoad, Rd: 0, B: 0}, {Op: OpLoad, Rd: 1, B: 1},
+		{Op: OpMulVV, Rd: 2, A: 1, B: 1}, {Op: OpStore, A: 2, B: 0},
+		{Op: OpStore, A: 0, B: 1},
+	}
+	if _, err := ExtractSegments(past, bd); err == nil ||
+		err.Error() != "bytecode: equation 0 stores u at time offset +1 after slot 0 loads it and before the load is consumed" {
+		t.Errorf("a load consumed past a store to its buffer: got %v", err)
+	}
+	before := []Instr{past[0], past[1], {Op: OpAddVV, Rd: 3, A: 0, B: 1}, past[2], past[3], {Op: OpStore, A: 3, B: 1}}
+	segs, err := ExtractSegments(before, bd)
+	if err != nil {
+		t.Fatalf("a load consumed before the store: %v", err)
+	}
+	var forms []string
+	for _, seg := range segs {
+		for _, l := range seg.Links {
+			forms = append(forms, l.String())
+		}
+	}
+	if got := fmt.Sprint(forms); got != "[add.ff torow mul.ff store mov.r store]" {
+		t.Errorf("lowered to %s", got)
+	}
+
+	bd.Slots[0].Off[1] = -1
+	if _, err := ExtractSegments(before, bd); err == nil ||
+		err.Error() != "bytecode: equation 0 stores u at time offset +1, which slot 0 reads at stencil offset [0 -1 0]: the read is not point-local" {
+		t.Errorf("an offset read of a stored buffer: got %v", err)
 	}
 }

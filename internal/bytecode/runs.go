@@ -7,10 +7,14 @@ package bytecode
 // per instruction — but extracting the runs here, from the same program
 // both engines execute, is what keeps the two backends bit-exact: the
 // native engine lowers the *identical* operation sequence, and the
-// conformance tests assert that every opcode, every run shape and every
-// link form stays covered by scenario kernels.
+// conformance tests assert that every opcode and every link form stays
+// covered by scenario kernels.
 
-import "devigo/internal/runtime"
+import (
+	"fmt"
+
+	"devigo/internal/runtime"
+)
 
 // OpName returns the mnemonic of a vector opcode.
 func OpName(op byte) string {
@@ -51,64 +55,31 @@ func (k *Kernel) Program() []Instr { return k.prog }
 // Real compiled programs are dominated by *accumulation chains*: a value is
 // opened (mulvs/maddvs/...), extended by madds, scaled, and finally stored
 // — with the interleaved loads feeding each tap. The extraction rediscovers
-// those chains and lowers them into a *link* program — one operation ×
-// operands × destination per link — that the native engine executes over
-// cache-resident accumulator strips: one fused pass replaces a dozen row
-// passes.
+// those chains and lowers every instruction of the program into a *link*
+// program — one operation × operands × destination per link — that the
+// native engine executes as one run, block by block in registers: one
+// fused pass replaces a dozen row passes.
 //
 // Three analyses make the fusion exact:
 //
 //   - Deferred loads. A load instruction materializes a float64 row from
 //     float32 field memory. Inside a chain the row is never built: each
 //     consuming link re-reads the field directly (class F operand). Because
-//     float32→float64 conversion is exact and loads are pure (the program
-//     never stores to a buffer it loads — ExtractSegments falls back to a
-//     single VM segment if it does), re-reading per use is bit-identical to
-//     loading once. Loads whose consumers end up in VM segments are
-//     re-emitted there at first use.
+//     float32→float64 conversion is exact and no load is consumed past a
+//     store to its buffer (ExtractSegments refuses a program where one
+//     is), re-reading per use is bit-identical to loading once.
 //
 //   - Register provenance. Every register is tracked as slot-backed (a
-//     deferred load), row-backed (materialized by a VM instruction or a
-//     chain's torow terminator), or chain-owned. Chain operands resolve
-//     to F (re-read field), R (read the register row), S (scalar pool) or
-//     one of the chain's two strips (acc, t).
+//     deferred load), row-backed (materialized by a chain's torow
+//     terminator), or chain-owned. Chain operands resolve to F (re-read
+//     field), R (read the register row), S (scalar pool) or one of the
+//     chain's two accumulators (acc, t).
 //
 //   - Scratch chains. Per-tap compound coefficients (mulvs t=..; mulvs
 //     t=t*..; maddvv acc+=t*load) lower into a second accumulator:
 //     links with destination t build it and a link reading both acc and t
 //     folds it into acc, so the scratch register is never materialized
 //     either.
-
-// Shape classifies one extracted segment.
-type Shape int
-
-const (
-	// ShapeVM is the fallback: the native engine executes the segment's
-	// instructions with per-instruction row sweeps, exactly like the VM.
-	ShapeVM Shape = iota
-	// ShapeChain is a fused accumulation chain whose value survives the
-	// chain: the terminating torow link materializes the accumulator
-	// into its register row for later segments.
-	ShapeChain
-	// ShapeChainStore is a fused chain consumed solely by the store that
-	// terminates it: the store link rounds the accumulator to float32
-	// straight into field memory and no row is ever written.
-	ShapeChainStore
-)
-
-// ShapeNames lists every segment shape with its diagnostic name, in Shape
-// order (the conformance table test iterates this).
-func ShapeNames() []string { return []string{"vm", "chain", "chain-store"} }
-
-// String returns the shape's diagnostic name ("vm", "chain",
-// "chain-store").
-func (s Shape) String() string {
-	names := ShapeNames()
-	if int(s) >= 0 && int(s) < len(names) {
-		return names[s]
-	}
-	return "?"
-}
 
 // LinkOp is a link's operation. LinkMadd rounds after the multiply and
 // after the add — float64(x*y) + z — exactly like the VM's madd opcodes
@@ -192,14 +163,12 @@ func (l Link) count(c Class) int {
 	return n
 }
 
-// Segment is one contiguous region [Lo, Hi) of the row program, lowered
-// either to a fused link chain (Links) or to a verbatim VM instruction
-// list (VM — which may re-emit deferred load instructions consumed here).
+// Segment is one contiguous region [Lo, Hi) of the row program lowered to
+// a fused link chain. Its last link is its one terminator: a torow when the
+// chain's value outlives it, a store when the value is only stored.
 type Segment struct {
-	Shape  Shape
 	Lo, Hi int
 	Links  []Link
-	VM     []Instr
 }
 
 // register provenance during extraction.
@@ -214,104 +183,90 @@ type regSrc struct {
 	slot int32
 }
 
-// ExtractSegments partitions a row program into fused chain segments and
-// VM fallback segments. The partition is a pure function of the program
-// and its slot/eq tables, so every rank (and every Rebind copy) derives
-// the identical segment list.
+// ExtractSegments lowers every instruction of a row program into fused
+// chain segments, which the native engine executes as one run. The
+// partition is a pure function of the program and its binding, so every
+// rank (and every Rebind copy) derives the identical segment list.
 //
-// Deferral safety around stores: a deferred load must never observe a
-// store to its own buffer that the VM's earlier load would have missed.
-// Point-local aliasing (a CIRE scratch kernel re-reading the zero-offset
-// point it overwrites) is safe — each point's reads precede its own store
-// in both orders — so only two cases restrict fusion: a load whose
-// register is consumed *past* a store to the loaded buffer is pinned to
-// its original position in a VM segment (materializeMask), and a program
-// that loads a stored buffer at a nonzero stencil offset (which would make
-// per-point execution see neighbors the row-sweep order has not written
-// yet) falls back to one verbatim VM segment.
-func ExtractSegments(prog []Instr, slots []runtime.Slot, eqs []runtime.Out) []Segment {
-	for _, e := range eqs {
-		for _, s := range slots {
-			if s.Field == e.Field && s.TimeOff == e.TimeOff && s.Off != [runtime.MaxDims]int{} {
-				return []Segment{{Shape: ShapeVM, Lo: 0, Hi: len(prog),
-					VM: append([]Instr(nil), prog...)}}
-			}
-		}
+// A load is deferred into the links that consume it, and a run executes
+// them point by point, so the program must not tell the two orders apart
+// (checkPointLocal); ExtractSegments returns checkPointLocal's error for a
+// program that can.
+func ExtractSegments(prog []Instr, bd *runtime.Binding) ([]Segment, error) {
+	if err := checkPointLocal(prog, bd); err != nil {
+		return nil, err
 	}
-	x := &extractor{prog: prog, src: makeSrc(prog), vmHave: map[int32]int32{},
-		mustMat: materializeMask(prog, slots, eqs)}
-	i := 0
-	for i < len(prog) {
-		in := prog[i]
-		if in.Op == OpLoad {
-			if x.mustMat[i] {
-				x.vmEmit(i, in)
-				x.src[in.Rd] = regSrc{kind: srcRow}
-				i++
-				continue
-			}
+	x := &extractor{prog: prog, src: makeSrc(prog)}
+	var segs []Segment
+	for i := 0; i < len(prog); {
+		if in := prog[i]; in.Op == OpLoad {
 			x.src[in.Rd] = regSrc{kind: srcSlot, slot: in.B}
-			delete(x.vmHave, in.Rd)
 			i++
 			continue
 		}
-		if seg, next, ok := x.tryChain(i); ok {
-			x.flushVM(i)
-			x.segs = append(x.segs, seg)
-			i = next
-			x.vmLo = next
-			continue
+		seg, err := x.chain(i)
+		if err != nil {
+			return nil, err
 		}
-		x.vmEmit(i, in)
-		i++
+		segs = append(segs, seg)
+		i = seg.Hi
 	}
-	x.flushVM(len(prog))
-	return x.segs
+	return segs, nil
 }
 
-// materializeMask marks load instructions whose register is consumed after
-// a store to the loaded buffer: deferring those would re-read overwritten
-// memory, so they are pinned to their original program position instead.
-func materializeMask(prog []Instr, slots []runtime.Slot, eqs []runtime.Out) []bool {
-	type bufKey struct{ f, t int }
-	storeAt := map[bufKey][]int{}
-	for i, in := range prog {
-		if in.Op == OpStore {
-			e := eqs[in.B]
-			k := bufKey{e.Field, e.TimeOff}
-			storeAt[k] = append(storeAt[k], i)
-		}
+// checkPointLocal is the precondition of deferring loads into a run: a
+// deferred load must never observe a store to its own buffer that the
+// VM's row sweep would not have. Point-local aliasing (a CIRE scratch
+// kernel re-reading the zero-offset point it overwrites) is safe — each
+// point's reads precede its own store in both orders — so two cases
+// remain, and each is an error naming the equation and the slot:
+//
+//   - a read of a stored buffer at a nonzero stencil offset, which would
+//     make per-point execution see neighbours the row sweep has not
+//     written yet (ir splits such reads across equations into separate
+//     clusters);
+//   - a load consumed past a store to its buffer, which would re-read
+//     overwritten memory (the compiler drops a field's cached loads when
+//     an equation stores it).
+func checkPointLocal(prog []Instr, bd *runtime.Binding) error {
+	storer := map[runtime.Out]int{} // a stored buffer -> the first equation storing it
+	for e := len(bd.Outs) - 1; e >= 0; e-- {
+		storer[bd.Outs[e]] = e
 	}
-	mask := make([]bool, len(prog))
-	if len(storeAt) == 0 {
-		return mask
+	buffer := func(e int) string {
+		o := bd.Outs[e]
+		return fmt.Sprintf("equation %d stores %s at time offset %+d", e, bd.Names[o.Field], o.TimeOff)
+	}
+	for si, s := range bd.Slots {
+		if e, ok := storer[runtime.Out{Field: s.Field, TimeOff: s.TimeOff}]; ok && s.Off != [runtime.MaxDims]int{} {
+			return fmt.Errorf("bytecode: %s, which slot %d reads at stencil offset %v: the read is not point-local",
+				buffer(e), si, s.Off)
+		}
 	}
 	for i, in := range prog {
 		if in.Op != OpLoad {
 			continue
 		}
-		s := slots[in.B]
-		ps := storeAt[bufKey{s.Field, s.TimeOff}]
-		if len(ps) == 0 {
+		s := bd.Slots[in.B]
+		if _, ok := storer[runtime.Out{Field: s.Field, TimeOff: s.TimeOff}]; !ok {
 			continue
 		}
-	consumers:
-		for j := i + 1; j < len(prog); j++ {
-			jn := prog[j]
-			if readsReg(jn, in.Rd) {
-				for _, p := range ps {
-					if p > i && p <= j {
-						mask[i] = true
-						break consumers
-					}
-				}
+		storedBy := -1 // the first equation to store the loaded buffer since the load
+		for _, jn := range prog[i+1:] {
+			if storedBy >= 0 && readsReg(jn, in.Rd) {
+				return fmt.Errorf("bytecode: %s after slot %d loads it and before the load is consumed",
+					buffer(storedBy), in.B)
 			}
-			if jn.Op != OpStore && jn.Rd == in.Rd {
+			if jn.Op == OpStore {
+				if o := bd.Outs[jn.B]; storedBy < 0 && o.Field == s.Field && o.TimeOff == s.TimeOff {
+					storedBy = int(jn.B)
+				}
+			} else if jn.Rd == in.Rd {
 				break
 			}
 		}
 	}
-	return mask
+	return nil
 }
 
 func makeSrc(prog []Instr) []regSrc {
@@ -331,43 +286,8 @@ func makeSrc(prog []Instr) []regSrc {
 }
 
 type extractor struct {
-	prog    []Instr
-	src     []regSrc
-	segs    []Segment
-	vm      []Instr
-	vmLo    int
-	vmHave  map[int32]int32 // reg -> 1+slot already loaded in the open VM segment
-	mustMat []bool          // loads that cannot be deferred (see materializeMask)
-}
-
-func (x *extractor) flushVM(hi int) {
-	if len(x.vm) > 0 {
-		x.segs = append(x.segs, Segment{Shape: ShapeVM, Lo: x.vmLo, Hi: hi, VM: x.vm})
-		x.vm = nil
-	}
-	for k := range x.vmHave {
-		delete(x.vmHave, k)
-	}
-	x.vmLo = hi
-}
-
-// vmEmit routes one instruction to the open VM segment, materializing any
-// deferred loads it consumes first.
-func (x *extractor) vmEmit(i int, in Instr) {
-	if len(x.vm) == 0 {
-		x.vmLo = i
-	}
-	for _, r := range vecReads(in) {
-		if s := x.src[r]; s.kind == srcSlot && x.vmHave[r] != s.slot+1 {
-			x.vm = append(x.vm, Instr{Op: OpLoad, Rd: r, B: s.slot})
-			x.vmHave[r] = s.slot + 1
-		}
-	}
-	x.vm = append(x.vm, in)
-	if in.Op != OpStore {
-		x.src[in.Rd] = regSrc{kind: srcRow}
-		delete(x.vmHave, in.Rd)
-	}
+	prog []Instr
+	src  []regSrc
 }
 
 // vecReads lists the row registers an instruction reads.
@@ -402,28 +322,27 @@ func regDead(prog []Instr, from int, r int32) bool {
 		if readsReg(in, r) {
 			return false
 		}
-		if in.Op != OpStore && in.Op != OpLoad && in.Rd == r {
-			return true
-		}
-		if in.Op == OpLoad && in.Rd == r {
+		if in.Op != OpStore && in.Rd == r {
 			return true
 		}
 	}
 	return true
 }
 
-// tryChain attempts to lower a fused chain starting at prog[i]. On success
-// it returns the segment and the index of the first instruction after it,
-// and commits the provenance updates of everything the chain consumed.
-func (x *extractor) tryChain(i int) (Segment, int, bool) {
+// chain lowers the fused chain starting at prog[i], which is not a load,
+// and commits the provenance updates of everything the chain consumed. A
+// chain takes at least one instruction: a store no chain feeds moves the
+// stored value into acc first (mov.f or mov.r), and any other instruction
+// opens a chain of its own. The error is a register read before any
+// instruction wrote it.
+func (x *extractor) chain(i int) (Segment, error) {
 	prog := x.prog
 	lsrc := append([]regSrc(nil), x.src...)
 	acc, tacc := int32(-1), int32(-1)
 	var links []Link
-	computes := 0
 	// Scratch-chain backtrack point: if a tentative t-chain never merges,
 	// the main chain ends before it.
-	snapJ, snapLinks, snapComputes := -1, 0, 0
+	snapJ, snapLinks := -1, 0
 	var snapSrc []regSrc
 
 	cls := func(r int32) (Class, int32) {
@@ -441,6 +360,19 @@ func (x *extractor) tryChain(i int) (Segment, int, bool) {
 		}
 		return ClassNone, r
 	}
+	dead := func() error {
+		return fmt.Errorf("bytecode: instruction %d (%s) reads a register no earlier instruction wrote", i, OpName(prog[i].Op))
+	}
+	drain := Link{Dst: ClassAcc, X: Operand{Class: ClassAcc}}
+
+	if in := prog[i]; in.Op == OpStore {
+		c, idx := cls(in.A)
+		if c == ClassNone {
+			return Segment{}, dead()
+		}
+		drain.Op, drain.N = LinkStore, in.B
+		return Segment{Lo: i, Hi: i + 1, Links: []Link{{Op: LinkMov, Dst: ClassAcc, X: Operand{c, idx}}, drain}}, nil
+	}
 
 	j := i
 loop:
@@ -450,16 +382,13 @@ loop:
 			if in.Rd == acc || in.Rd == tacc {
 				break // the load would clobber a live accumulator register
 			}
-			if x.mustMat[j] {
-				break // pinned load: the top-level walk materializes it
-			}
 			lsrc[in.Rd] = regSrc{kind: srcSlot, slot: in.B}
 			j++
 			continue
 		}
 		l, ok := lowerLink(in, cls)
 		if !ok {
-			break // store, copy or a dead operand: the chain ends here
+			break // a store or a dead operand: the chain ends here
 		}
 		switch place(&l, acc >= 0, tacc >= 0) {
 		case roleOpen:
@@ -495,52 +424,38 @@ loop:
 			if in.Rd == acc {
 				break loop
 			}
-			snapJ, snapLinks, snapComputes = j, len(links), computes
+			snapJ, snapLinks = j, len(links)
 			snapSrc = append([]regSrc(nil), lsrc...)
 			tacc = in.Rd
 		default:
 			break loop
 		}
 		links = append(links, l)
-		computes++
 		j++
 	}
 
 	if tacc >= 0 && snapJ >= 0 {
 		// The scratch chain never merged: rewind to just before it opened.
-		j, links, computes, lsrc = snapJ, links[:snapLinks], snapComputes, snapSrc
+		j, links, lsrc = snapJ, links[:snapLinks], snapSrc
 	}
 	if acc < 0 {
-		return Segment{}, 0, false
+		return Segment{}, dead()
 	}
-
-	seg := Segment{Lo: i}
-	drain := Link{Dst: ClassAcc, X: Operand{Class: ClassAcc}}
 	if j < len(prog) && prog[j].Op == OpStore && prog[j].A == acc && regDead(prog, j+1, acc) {
-		seg.Shape = ShapeChainStore
 		drain.Op, drain.N = LinkStore, prog[j].B
 		lsrc[acc] = regSrc{}
 		j++
 	} else {
-		if computes < 2 {
-			return Segment{}, 0, false
-		}
-		seg.Shape = ShapeChain
 		drain.Op, drain.N = LinkToRow, acc
 		lsrc[acc] = regSrc{kind: srcRow}
 	}
-	if computes < 1 {
-		return Segment{}, 0, false
-	}
-	seg.Hi = j
-	seg.Links = append(links, drain)
 	copy(x.src, lsrc)
-	return seg, j, true
+	return Segment{Lo: i, Hi: j, Links: append(links, drain)}, nil
 }
 
 // lowerLink builds the link computing in's result: the opcode fixes the
-// operation, cls the class of each register operand. It fails on the
-// non-arithmetic opcodes (load, store, copy) and on a dead register.
+// operation, cls the class of each register operand. It fails on a load,
+// a store and a dead register.
 //
 // Commutative canonicalization: the operands of a VV multiply or add (and
 // a madd's multiplicands) are put in Class order, F first. IEEE mul/add
@@ -558,6 +473,8 @@ func lowerLink(in Instr, cls func(int32) (Class, int32)) (Link, bool) {
 	s := Operand{ClassS, in.B}
 	l := Link{Dst: ClassAcc}
 	switch in.Op {
+	case OpCopy:
+		l.Op, l.X = LinkMov, v(in.A)
 	case OpMovS:
 		l.Op, l.X = LinkMov, s
 	case OpMulVS:
@@ -600,8 +517,8 @@ const (
 // operand classes only: an accumulator enters a link at most once; a madd
 // extends an accumulator only as its addend; the scratch chain is opened
 // by a multiply and advanced by a multiply or a scalar madd (per-tap
-// compound coefficients need no more), and the main accumulator does not
-// advance while it is open.
+// compound coefficients need no more), the main accumulator does not
+// advance while it is open, and a move only opens a chain.
 func place(l *Link, accOpen, tOpen bool) role {
 	nAcc, nT := l.count(ClassAcc), l.count(ClassT)
 	ontoAcc := nAcc == 1 && (l.Op != LinkMadd || l.Z.Class == ClassAcc)
@@ -618,7 +535,7 @@ func place(l *Link, accOpen, tOpen bool) role {
 			return roleAdvanceT
 		}
 	case nAcc > 0:
-		if ontoAcc && !tOpen {
+		if ontoAcc && !tOpen && l.Op != LinkMov {
 			return roleAdvance
 		}
 	case l.Op == LinkMul && !tOpen:
@@ -630,9 +547,9 @@ func place(l *Link, accOpen, tOpen bool) role {
 
 // LinkShapes enumerates every link the extraction can emit, one
 // representative (indices zero, LinkPow's exponent 1) per String form, by
-// running each arithmetic opcode over every assignment of operand classes
-// and accumulator state through lowerLink and place — the rules tryChain
-// applies — rather than from a table. The native engine derives its
+// running each opcode a link computes over every assignment of operand
+// classes and accumulator state through lowerLink and place — the rules
+// chain applies — rather than from a table. The native engine derives its
 // handler set from this list and its conformance ledger requires a
 // scenario for each entry.
 func LinkShapes() []Link {
@@ -642,7 +559,7 @@ func LinkShapes() []Link {
 	}
 	seen := map[string]bool{}
 	classes := [...]Class{ClassF, ClassR, ClassAcc, ClassT}
-	for op := OpMovS; op <= OpPowV; op++ {
+	for op := OpCopy; op <= OpPowV; op++ {
 		for a := 0; a < 64; a++ {
 			regs := [3]Class{classes[a&3], classes[a>>2&3], classes[a>>4]}
 			cls := func(r int32) (Class, int32) { return regs[r], 0 }
@@ -675,7 +592,8 @@ func LinkForms() []string {
 	return forms
 }
 
-// Segments extracts the kernel's own fused-segment partition.
-func (k *Kernel) Segments() []Segment {
-	return ExtractSegments(k.prog, k.drv.Slots, k.drv.Outs)
+// Segments extracts the kernel's own fused-segment partition (see
+// ExtractSegments for the error).
+func (k *Kernel) Segments() ([]Segment, error) {
+	return ExtractSegments(k.prog, k.drv.Binding)
 }

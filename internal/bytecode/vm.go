@@ -30,15 +30,14 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, _ []float64) {
 
 // ExecRow implements runtime.RowExec: one sweep of the row program.
 func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
-	Sweep(k.prog, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
+	sweep(k.prog, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
 }
 
-// Sweep executes a row program once over one row of n points, one whole-row
+// sweep executes a row program once over one row of n points, one whole-row
 // pass per instruction. regs is the register file with row pitch stride
 // (>= n); bases are the row's per-field start indices and r the slot and
-// output data resolved for this Run. Exported so the native engine's
-// VM-fallback segments run the very same code as the bytecode engine.
-func Sweep(prog []Instr, r *runtime.Resolved, regs []float64, stride, n int, bases []int, pool []float64) {
+// output data resolved for this Run.
+func sweep(prog []Instr, r *runtime.Resolved, regs []float64, stride, n int, bases []int, pool []float64) {
 	reg := func(i int32) []float64 {
 		off := int(i) * stride
 		return regs[off : off+n]

@@ -5,19 +5,16 @@ import (
 	"testing"
 )
 
-// Environment-driven configuration must reject bad values with errors
-// that name the value, its provenance (the flag/field or the
-// environment variable) and the accepted vocabulary — a silent fallback
-// would run the wrong engine or policy without anyone noticing.
+// Configuration must reject bad values with errors that name the value,
+// its provenance (the flag/field or the environment variable) and the
+// accepted vocabulary — a silent fallback would run the wrong engine or
+// policy without anyone noticing.
 
 func TestResolveEngineVocabulary(t *testing.T) {
-	t.Setenv(EngineEnvVar, "") // "" must reach the built-in default, whatever CI exports
 	for in, want := range map[string]string{
 		"":            EngineNative,
 		"bytecode":    EngineBytecode,
-		"vm":          EngineBytecode,
 		"interpreter": EngineInterpreter,
-		"interp":      EngineInterpreter,
 		"native":      EngineNative,
 		" Native ":    EngineNative,
 		" Bytecode ":  EngineBytecode,
@@ -25,6 +22,11 @@ func TestResolveEngineVocabulary(t *testing.T) {
 		got, err := resolveEngine(in)
 		if err != nil || got != want {
 			t.Errorf("resolveEngine(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, alias := range []string{"vm", "interp"} {
+		if got, err := resolveEngine(alias); err == nil {
+			t.Errorf("resolveEngine(%q) = %q: the engine aliases are gone", alias, got)
 		}
 	}
 }
@@ -38,24 +40,6 @@ func TestResolveEngineRejectsUnknown(t *testing.T) {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("engine error %q lacks %q", err, frag)
 		}
-	}
-}
-
-func TestResolveEngineRejectsBadEnv(t *testing.T) {
-	t.Setenv(EngineEnvVar, "turbo")
-	_, err := resolveEngine("")
-	if err == nil {
-		t.Fatal("bad $" + EngineEnvVar + " accepted")
-	}
-	for _, frag := range []string{`"turbo"`, "$" + EngineEnvVar, EngineBytecode, EngineInterpreter, EngineNative} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("engine env error %q lacks %q", err, frag)
-		}
-	}
-	// An explicit request must win over (and never blame) the environment.
-	t.Setenv(EngineEnvVar, "nonsense")
-	if got, err := resolveEngine(EngineInterpreter); err != nil || got != EngineInterpreter {
-		t.Errorf("explicit engine over bad env: got %q, %v", got, err)
 	}
 }
 
@@ -91,14 +75,5 @@ func TestResolveAutotuneRejectsBadEnv(t *testing.T) {
 	if _, err := resolveAutotune("always"); err == nil ||
 		!strings.Contains(err.Error(), "ApplyOpts.Autotune") {
 		t.Errorf("explicit bad policy should blame ApplyOpts.Autotune, got %v", err)
-	}
-}
-
-func TestBadEngineEnvPropagatesFromNewOperator(t *testing.T) {
-	t.Setenv(EngineEnvVar, "warp")
-	_, err := NewOperator(nil, nil, nil, nil, &Options{Name: "cfgtest"})
-	if err == nil || !strings.Contains(err.Error(), "$"+EngineEnvVar) {
-		t.Fatalf("NewOperator with bad $%s: got %v, want a configuration error naming the variable",
-			EngineEnvVar, err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"devigo/internal/bytecode"
@@ -12,14 +11,13 @@ import (
 	"devigo/internal/symbolic"
 )
 
-// Execution engines. The native engine is the default: it re-lowers the
-// bytecode program into fused bulk-row chains for peak per-rank
-// throughput, falling back segment-wise to the bytecode row sweep and
-// strip-wise to pure-Go primitives, so it runs on every host. The bytecode
-// register VM is its lowering and stays selectable; the expression-tree
-// interpreter remains as the reference implementation and escape hatch.
-// All three produce bit-identical results — the differential and fuzz
-// tests enforce it — so the choice is purely a performance/debugging one.
+// Execution engines. The native engine is the production one: it re-lowers
+// the bytecode program into one run of fused links per kernel, executed by
+// AVX handlers where the host has them and by a pure-Go twin elsewhere, so
+// it runs on every host. The bytecode register VM is its lowering and the
+// expression-tree interpreter the reference implementation; both stay
+// selectable through Options.Engine as the oracles the differential and
+// fuzz tests hold the native engine to, bit for bit.
 const (
 	// EngineBytecode compiles each cluster to flat register bytecode run
 	// by a row-sweep VM (package bytecode).
@@ -31,40 +29,28 @@ const (
 	EngineNative = "native"
 )
 
-// EngineEnvVar overrides the default engine when Options.Engine is unset.
-const EngineEnvVar = "DEVIGO_ENGINE"
-
 // ExecKernel is the per-cluster execution contract every engine satisfies
 // (runtime.ExecKernel). Exported here so the cross-engine conformance
 // tests can inspect an operator's compiled kernels.
 type ExecKernel = runtime.ExecKernel
 
-// EngineNames lists the canonical engine names accepted by
-// Options.Engine and $DEVIGO_ENGINE ("vm" and "interp" are aliases).
+// EngineNames lists the engine names Options.Engine accepts.
 func EngineNames() []string { return []string{EngineBytecode, EngineInterpreter, EngineNative} }
 
-// resolveEngine picks the execution engine: explicit Options.Engine wins,
-// then the DEVIGO_ENGINE environment variable, then the native default.
-// A value outside the vocabulary is a configuration error naming the bad
-// value, where it came from, and what is accepted — matching the halo
-// package's ParseMode style.
+// resolveEngine picks the execution engine Options.Engine names, the
+// native engine when it names none. A value outside the vocabulary is a
+// configuration error naming the bad value and what is accepted —
+// matching the halo package's ParseMode style.
 func resolveEngine(requested string) (string, error) {
 	e := strings.ToLower(strings.TrimSpace(requested))
-	source := "Options.Engine"
-	if e == "" {
-		e = strings.ToLower(strings.TrimSpace(os.Getenv(EngineEnvVar)))
-		source = "$" + EngineEnvVar
-	}
 	switch e {
-	case "", EngineNative:
+	case "":
 		return EngineNative, nil
-	case EngineBytecode, "vm":
-		return EngineBytecode, nil
-	case EngineInterpreter, "interp":
-		return EngineInterpreter, nil
+	case EngineNative, EngineBytecode, EngineInterpreter:
+		return e, nil
 	}
-	return "", fmt.Errorf("core: unknown engine %q in %s (valid: %s; aliases: vm, interp)",
-		e, source, strings.Join(EngineNames(), ", "))
+	return "", fmt.Errorf("core: unknown engine %q in Options.Engine (valid: %s)",
+		e, strings.Join(EngineNames(), ", "))
 }
 
 // compileStep compiles one optimized loop nest with the selected engine.

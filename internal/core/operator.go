@@ -170,9 +170,9 @@ type Options struct {
 	Workers int
 	// TileRows controls progress granularity for overlap mode.
 	TileRows int
-	// Engine selects the execution engine: EngineNative (default),
-	// EngineBytecode or EngineInterpreter. The DEVIGO_ENGINE environment
-	// variable applies when unset.
+	// Engine selects the execution engine: EngineNative (the default and
+	// the production engine), or one of its two oracles, EngineBytecode
+	// and EngineInterpreter.
 	Engine string
 	// TimeTile is the requested halo-exchange interval k: ghost regions
 	// are exchanged k·radius deep once every k timesteps and the shrinking

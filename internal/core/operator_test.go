@@ -408,9 +408,7 @@ func TestEngineSelection(t *testing.T) {
 			map[string]*field.Function{"u": &u.Function}, g, nil, &Options{Engine: engine})
 	}
 
-	// Default is the native engine ($DEVIGO_ENGINE cleared: CI runs this
-	// package once under DEVIGO_ENGINE=bytecode).
-	t.Setenv(EngineEnvVar, "")
+	// Default is the native engine.
 	op, err := mk("")
 	if err != nil {
 		t.Fatal(err)
@@ -433,15 +431,6 @@ func TestEngineSelection(t *testing.T) {
 	// Unknown engines are rejected.
 	if _, err := mk("llvm"); err == nil {
 		t.Error("unknown engine should error")
-	}
-	// Environment-variable fallback.
-	t.Setenv(EngineEnvVar, EngineInterpreter)
-	op, err = mk("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op.Engine() != EngineInterpreter {
-		t.Errorf("env-selected engine = %q, want %q", op.Engine(), EngineInterpreter)
 	}
 }
 

@@ -19,7 +19,7 @@ const WorkersEnvVar = "DEVIGO_WORKERS"
 // then 0 (unforced — the operator runs serial until an autotune policy
 // picks a team size). A bad value is a configuration error naming the
 // value, where it came from, and what is accepted — matching
-// resolveEngine's style. Exported so callers that size other tiers around
+// resolveAutotune's style. Exported so callers that size other tiers around
 // the per-rank team (RunShots' oversubscription guard) resolve it the same
 // way and fail before starting any work.
 func ResolveWorkers(requested int) (int, error) {

@@ -13,7 +13,7 @@ import (
 
 // simd_amd64.s is generated: one handler per entry of forms and block
 // width, emitted from the form's parts by the few rules below, so that the
-// 124 handlers cannot drift apart by hand. The test fails when the
+// 128 handlers cannot drift apart by hand. The test fails when the
 // checked-in file is not what the generator prints;
 //
 //	go test ./internal/native/ -run TestHandlersAreGenerated -args -update-asm
@@ -242,6 +242,10 @@ func (g *asmGen) handler(f form, width int) {
 		g.end(width)
 		return
 	case bytecode.LinkMov:
+		if f.x != bytecode.ClassS {
+			g.load(0, f.x, "SI", d)
+			break
+		}
 		g.ins("VBROADCASTSD %d(R11), %s", offS, d[0])
 		for j := 1; j < g.lanes; j++ {
 			g.ins("VMOVAPD %s, %s", d[0], d[j])

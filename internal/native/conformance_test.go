@@ -16,18 +16,18 @@ import (
 )
 
 // The conformance table: a set of small scenario kernels whose union
-// exercises every bytecode opcode, every native segment shape and every
-// link form the chain extraction can emit. Each scenario compiles the
-// same symbolic nest with both engines over identically initialised
-// fields, runs them (sequentially, tiled, and with worker pools of two and
-// three, each through the assembly executor and through the pure-Go one;
-// row widths are chosen so the 16-point blocks, the 4-point blocks and the
-// pure-Go remainder all execute), asserts bit-identical output, and
-// contributes its compiled program and lowered segments to the coverage
-// ledger. The final assertions fail if any opcode, segment shape or link
-// form is left unexercised, or if a form was run by anything but its own
-// handler — so adding one without extending this table is a test failure,
-// not a silent gap.
+// exercises every bytecode opcode and every link form the chain extraction
+// can emit. Each scenario compiles the same symbolic nest with both engines
+// over identically initialised fields, runs them (sequentially, tiled, and
+// with worker pools of two and three, each through the assembly executor
+// and through the pure-Go one; row widths are chosen so the 16-point
+// blocks, the 4-point blocks and the pure-Go remainder all execute),
+// asserts bit-identical output, and contributes its compiled program and
+// lowered segments to the coverage ledger. The final assertions fail if any opcode or link form is left
+// unexercised, or if a form was run by anything but its own handler — so
+// adding one without extending this table is a test failure, not a silent
+// gap. A scenario the native engine must refuse instead asserts the error
+// and holds the bytecode engine to the interpreter.
 
 // confNest is one scenario's symbolic input plus its scratch state: two
 // disjoint field sets (one per engine) built over the same grid.
@@ -39,6 +39,7 @@ type confNest struct {
 	fB, fN  map[string]*field.Function
 	outs    []string // fields whose buffers are compared
 	vals    map[string]float64
+	refuse  string // set when Wrap must refuse the program: a fragment of its error
 }
 
 // confTimeFn allocates one identically-initialised time function per
@@ -71,8 +72,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 	out := map[string]confNest{}
 
 	// Diffusion stencil (derivatives expanded through ir.Lower, like the
-	// real pipeline): load/mulvs/addvv/madd chains ending in a store
-	// (ShapeChainStore).
+	// real pipeline): load/mulvs/addvv/madd chains ending in a store link.
 	{
 		g := grid.MustNew([]int{13, 23}, []float64{3, 5})
 		uB, uN := confTimeFn(t, "u", g, 4)
@@ -95,8 +95,8 @@ func confScenarios(t *testing.T) map[string]confNest {
 	}
 
 	// Temporaries + per-point powers: opCopy (an assignment aliasing a
-	// cached load), opPowV, mulvv/maddvv, and a surviving register row
-	// (ShapeChain ending in a torow link).
+	// cached load, a mov.f link), opPowV, mulvv/maddvv, and a surviving
+	// register row (a chain ending in a torow link).
 	{
 		g := grid.MustNew([]int{12, 21}, nil)
 		uB, uN := confTimeFn(t, "u", g, 2)
@@ -171,11 +171,13 @@ func confScenarios(t *testing.T) map[string]confNest {
 
 	// The link-form sweep: one equation per operand pattern, written so
 	// the compiler emits each arithmetic opcode over every mix of deferred
-	// loads (F), register rows (R, the three temporaries), pool scalars
-	// and the two accumulators — as chain opener, accumulator advance,
-	// scratch-chain open/advance and merge. paren keeps a product out of
-	// the enclosing sum's madd fusion (a one-term Add compiles to its
-	// term), which is how a scratch chain ends in a plain add or mul.
+	// loads (F), register rows (R, the temporaries), pool scalars and the
+	// two accumulators — as chain opener, accumulator advance,
+	// scratch-chain open/advance and merge — and both copies a temporary
+	// compiles to (mov.f of a load, mov.r of an earlier temporary). paren
+	// keeps a product out of the enclosing sum's madd fusion (a one-term
+	// Add compiles to its term), which is how a scratch chain ends in a
+	// plain add or mul.
 	{
 		g := grid.MustNew([]int{7, 23}, nil)
 		fB, fN := map[string]*field.Function{}, map[string]*field.Function{}
@@ -184,12 +186,13 @@ func confScenarios(t *testing.T) map[string]confNest {
 		ref := uB.Ref
 		fa, fb := symbolic.Shifted(ref, 0, 0, -1), symbolic.Shifted(ref, 0, 0, 1)
 		fc, fd := symbolic.Shifted(ref, 0, -1, 0), symbolic.Shifted(ref, 0, 1, 0)
-		r0, r1, r2 := symbolic.S("r0"), symbolic.S("r1"), symbolic.S("r2")
+		r0, r1, r2, r3 := symbolic.S("r0"), symbolic.S("r1"), symbolic.S("r2"), symbolic.S("r3")
 		s1, s2, s3 := symbolic.S("dt"), symbolic.S("c1"), symbolic.S("c2")
 		mul := func(f ...symbolic.Expr) symbolic.Expr { return symbolic.Mul{Factors: f} }
 		add := func(t ...symbolic.Expr) symbolic.Expr { return symbolic.Add{Terms: t} }
 		paren := func(e symbolic.Expr) symbolic.Expr { return add(e) }
 		rhs := []symbolic.Expr{
+			add(r3, fa),                             // add.fr of the mov.r copy
 			add(fa, fb),                             // add.ff
 			add(fa, r0),                             // add.fr
 			add(r0, r1),                             // add.rr
@@ -220,9 +223,10 @@ func confScenarios(t *testing.T) map[string]confNest {
 		}
 		n := confNest{
 			assigns: []symbolic.Assignment{
-				{Name: "r0", Value: symbolic.At(ref)},
+				{Name: "r0", Value: symbolic.At(ref)}, // mov.f
 				{Name: "r1", Value: add(mul(fa, s1), s2)},
 				{Name: "r2", Value: add(fd, s3)},
+				{Name: "r3", Value: r0}, // mov.r
 			},
 			radius: []int{1, 1},
 			fB:     fB, fN: fN,
@@ -295,10 +299,9 @@ func confScenarios(t *testing.T) map[string]confNest {
 		}
 	}
 
-	// A VM instruction between two chains that reads the first chain's
-	// register row: r2 is read twice, so it is materialized, and one add is
-	// too short to be a chain, so the VM sweeps it over the whole row —
-	// which the run before it must have finished (TestRunEndsAtVMSegment).
+	// A one-compute chain between two chains, inside their run: r2 is read
+	// twice, so it is drained into a register row, and its one add reads
+	// the first chain's row (TestRunSpansSegmentsBlockMajor).
 	{
 		g := grid.MustNew([]int{8, 39}, nil)
 		uB, uN := confTimeFn(t, "u", g, 2)
@@ -306,7 +309,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 		fa, fb := symbolic.Shifted(ref, 0, 0, -1), symbolic.Shifted(ref, 0, 0, 1)
 		r1, r2 := symbolic.S("r1"), symbolic.S("r2")
 		s1, s2, s3 := symbolic.S("dt"), symbolic.S("c1"), symbolic.S("c2")
-		out["chain-vm-chain"] = confNest{
+		out["one-compute-chain"] = confNest{
 			assigns: []symbolic.Assignment{
 				{Name: "r1", Value: symbolic.NewAdd(symbolic.NewMul(fa, s1), s2)},
 				{Name: "r2", Value: symbolic.NewAdd(r1, s3)},
@@ -322,9 +325,10 @@ func confScenarios(t *testing.T) map[string]confNest {
 
 	// Cross-equation aliasing at a nonzero offset: the second equation
 	// reads the first equation's freshly stored row one point to the left,
-	// which the segment extractor must refuse to fuse — the whole program
-	// drops to a verbatim VM segment (ShapeVM), the native engine's
-	// correctness escape hatch.
+	// which a run, executing point by point, would see already overwritten.
+	// The native engine refuses the program, naming the equation and the
+	// slot; the bytecode engine's row sweeps still run it. (ir splits such
+	// equations into separate kernels, so no operator reaches this.)
 	{
 		g := grid.MustNew([]int{6, 18}, nil)
 		uB, uN := confTimeFn(t, "u", g, 2)
@@ -342,6 +346,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 			fN:     map[string]*field.Function{"u": &uN.Function, "v": &vN.Function},
 			outs:   []string{"u", "v"},
 			vals:   map[string]float64{"dt": 0.5},
+			refuse: "equation 0 stores u at time offset +1, which slot 1 reads at stencil offset [0 -1 0]",
 		}
 	}
 	return out
@@ -354,24 +359,54 @@ func confBox(f *field.Function) runtime.Box {
 	return b
 }
 
+// confBytecode compiles the scenario's nest with the bytecode compiler
+// over one of its field sets.
+func confBytecode(t *testing.T, n confNest, fields map[string]*field.Function) *bytecode.Kernel {
+	t.Helper()
+	var k *bytecode.Kernel
+	var err error
+	if n.cluster != nil {
+		k, err = bytecode.CompileCluster(n.cluster, fields)
+	} else {
+		k, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, fields)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // confCompile compiles the scenario with both engines, each over its own
 // field set.
 func confCompile(t *testing.T, n confNest) (*bytecode.Kernel, *Kernel) {
 	t.Helper()
-	compile := func(fields map[string]*field.Function) *bytecode.Kernel {
-		var k *bytecode.Kernel
-		var err error
-		if n.cluster != nil {
-			k, err = bytecode.CompileCluster(n.cluster, fields)
-		} else {
-			k, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, fields)
-		}
+	nk, err := Wrap(confBytecode(t, n, n.fN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return confBytecode(t, n, n.fB), nk
+}
+
+// confRefused asserts that Wrap refuses the scenario with its error, and
+// that the bytecode engine still runs it, bit for bit as the interpreter.
+func confRefused(t *testing.T, n confNest) {
+	t.Helper()
+	if _, err := Wrap(confBytecode(t, n, n.fN)); err == nil || !strings.Contains(err.Error(), n.refuse) {
+		t.Fatalf("Wrap returned %v, want an error containing %q", err, n.refuse)
+	}
+	kB := confBytecode(t, n, n.fB)
+	kI, err := runtime.CompileNest(n.assigns, n.eqs, n.radius, n.fN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []runtime.ExecKernel{kB, kI} {
+		pool, err := k.BindSyms(n.vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k
+		k.Run(0, confBox(n.fB[n.outs[0]]), pool, nil)
 	}
-	return compile(n.fB), Wrap(compile(n.fN))
+	confSameFields(t, n, "bytecode vs interpreter")
 }
 
 // confSameFields fails on the first output lane where the two engines'
@@ -414,7 +449,6 @@ func takesEveryWidth(n int) bool {
 // assertions over the union.
 func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 	opSeen := make([]bool, bytecode.NumOpcodes)
-	shapeSeen := map[bytecode.Shape]bool{}
 	// ranBy[form] is the set of executors that ran a link of that form on a
 	// row that takes every block width: the names of the handlers the
 	// template bound.
@@ -427,17 +461,19 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 
 	for name, n := range confScenarios(t) {
 		t.Run(name, func(t *testing.T) {
+			if n.refuse != "" {
+				confRefused(t, n)
+				return
+			}
 			kB, nk := confCompile(t, n)
 			for _, in := range nk.Bytecode().Program() {
 				opSeen[in.Op] = true
 			}
 			shape := n.fN[n.outs[0]].LocalShape
 			row := shape[len(shape)-1]
+			links := 0
 			for _, seg := range nk.Segments() {
-				shapeSeen[seg.Shape] = true
-				for _, in := range seg.VM {
-					opSeen[in.Op] = true
-				}
+				links += len(seg.Links)
 				for _, l := range seg.Links {
 					f := formOf(l)
 					if h := handlers(formIndex[f]); hasAVX && (h[0] == 0 || h[1] == 0) {
@@ -450,6 +486,9 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 						ranBy[l.String()][f.String()] = true
 					}
 				}
+			}
+			if len(nk.tm.ops) != links+1 || nk.tm.forms[links].op != opEnd {
+				t.Fatalf("template is %d ops, want the %d links of every segment and one end sentinel: one run", len(nk.tm.ops), links)
 			}
 			poolB, err := kB.BindSyms(n.vals)
 			if err != nil {
@@ -480,11 +519,6 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			t.Errorf("opcode %q not exercised by any conformance scenario", bytecode.OpName(byte(op)))
 		}
 	}
-	for si, sn := range bytecode.ShapeNames() {
-		if !shapeSeen[bytecode.Shape(si)] {
-			t.Errorf("segment shape %q not exercised by any conformance scenario", sn)
-		}
-	}
 	// One executor per form: the run handler named after it (a power's
 	// handlers, one per exponent kind, are named after it too). The table
 	// is docs/ARCHITECTURE.md's.
@@ -508,116 +542,118 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 // TestRunSpansSegmentsBlockMajor: the chain segments of one run execute
 // block-major — all of them on one block of 16 points, then the next block
 // — and that order gives the bits of the order it replaces, one segment at
-// a time over the whole row. The program is three chains, the second
+// a time over the whole row. three-chains is three chains, the second
 // reading the first's register row and the third both, plus an equation
-// that re-reads at offset zero what the third has just stored. The
-// reference is the same program with an (empty) VM segment between every
-// two chains, which ends the run there, executed by the pure-Go executor.
+// that re-reads at offset zero what the third has just stored;
+// one-compute-chain has a chain of a single add between two chains, reading
+// the first's register row. The reference runs every segment as a template
+// of its own, through the pure-Go executor.
 func TestRunSpansSegmentsBlockMajor(t *testing.T) {
-	n := confScenarios(t)["three-chains"]
-	kB, nk := confCompile(t, n)
-	segs := nk.Segments()
-	var shapes []string
-	for _, seg := range segs {
-		shapes = append(shapes, seg.Shape.String())
-	}
-	if got := strings.Join(shapes, " "); got != "chain chain chain-store chain-store" || len(nk.pieces) != 1 {
-		t.Fatalf("program lowered to %q in %d pieces, want four chain segments in one run", got, len(nk.pieces))
-	}
-	if row := segs[0].Links[len(segs[0].Links)-1].N; segs[1].Links[0].Y != opR(int(row)) {
-		t.Fatalf("segment 1 opens with %v, want a read of segment 0's register row %d", segs[1].Links[0], row)
-	}
-	bd := nk.Bytecode().Binding()
-	if slot, out := bd.Slots[segs[3].Links[0].X.Index], bd.Outs[0]; slot != (runtime.Slot{Field: out.Field, TimeOff: out.TimeOff}) {
-		t.Fatalf("segment 3 reads slot %+v, want a zero-offset re-read of equation 0's output %+v", slot, out)
-	}
+	for name, drains := range map[string]string{
+		"three-chains":      "torow torow store store",
+		"one-compute-chain": "torow torow store",
+	} {
+		t.Run(name, func(t *testing.T) {
+			n := confScenarios(t)[name]
+			kB, nk := confCompile(t, n)
+			segs := nk.Segments()
+			var got []string
+			for _, seg := range segs {
+				got = append(got, seg.Links[len(seg.Links)-1].String())
+			}
+			if strings.Join(got, " ") != drains {
+				t.Fatalf("program lowered to segments ending %q, want %q", got, drains)
+			}
+			row := opR(int(segs[0].Links[len(segs[0].Links)-1].N))
+			if l := segs[1].Links[0]; l.X != row && l.Y != row && l.Z != row {
+				t.Fatalf("segment 1 opens with %v, want a read of segment 0's register row %d", l, row.Index)
+			}
+			bd := nk.Bytecode().Binding()
+			switch name {
+			case "three-chains":
+				if slot, out := bd.Slots[segs[3].Links[0].X.Index], bd.Outs[0]; slot != (runtime.Slot{Field: out.Field, TimeOff: out.TimeOff}) {
+					t.Fatalf("segment 3 reads slot %+v, want a zero-offset re-read of equation 0's output %+v", slot, out)
+				}
+			case "one-compute-chain":
+				if len(segs[1].Links) != 2 {
+					t.Fatalf("segment 1 is %v, want one compute and its torow", segs[1].Links)
+				}
+			}
 
-	// The reference: kB's program wrapped segment-at-a-time.
-	ref := Wrap(kB)
-	var split []bytecode.Segment
-	for i, seg := range segs {
-		if i > 0 {
-			split = append(split, bytecode.Segment{Shape: bytecode.ShapeVM})
-		}
-		split = append(split, seg)
-	}
-	ref.tm, ref.pieces = buildTemplate(split)
-	ref.groupLoads()
-	if len(ref.pieces) != 2*len(segs)-1 {
-		t.Fatalf("reference has %d pieces, want every segment its own run", len(ref.pieces))
-	}
-	poolB, err := ref.BindSyms(n.vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poolN, err := nk.BindSyms(n.vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	team := runtime.NewPool(3, 0)
-	defer team.Close()
-	executors, restore := confExecutors()
-	defer restore()
-	hasAVX = false
-	ref.Run(0, confBox(n.fB["u"]), poolB, nil)
-	for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 1, Pool: team}} {
-		for _, hasAVX = range executors {
-			nk.Run(0, confBox(n.fN["u"]), poolN, opts)
-			confSameFields(t, n, fmt.Sprintf("block-major (assembly=%v, pool=%v) vs segment-at-a-time", hasAVX, opts != nil))
-		}
+			ref, err := Wrap(kB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := &segmentAtATime{scs: map[*scratch][]scratch{}}
+			for _, s := range segs {
+				part := *ref
+				part.tm = buildTemplate([]bytecode.Segment{s})
+				part.groupLoads()
+				seg.parts = append(seg.parts, &part)
+			}
+			poolB, err := ref.BindSyms(n.vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poolN, err := nk.BindSyms(n.vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			team := runtime.NewPool(3, 0)
+			defer team.Close()
+			executors, restore := confExecutors()
+			defer restore()
+			hasAVX = false
+			ref.drv.Run(seg, 0, confBox(n.fB["u"]), poolB, nil)
+			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 1, Pool: team}} {
+				for _, hasAVX = range executors {
+					nk.Run(0, confBox(n.fN["u"]), poolN, opts)
+					confSameFields(t, n, fmt.Sprintf("block-major (assembly=%v, pool=%v) vs segment-at-a-time", hasAVX, opts != nil))
+				}
+			}
+		})
 	}
 }
 
-// TestRunEndsAtVMSegment: a VM segment between two chains ends the run
-// before it, so its row sweep reads the complete register row the first
-// chain drained into, and a second run starts after it.
-func TestRunEndsAtVMSegment(t *testing.T) {
-	n := confScenarios(t)["chain-vm-chain"]
-	kB, nk := confCompile(t, n)
-	segs := nk.Segments()
-	if len(segs) != 3 || segs[0].Shape != bytecode.ShapeChain || segs[1].Shape != bytecode.ShapeVM || segs[2].Shape != bytecode.ShapeChainStore {
-		t.Fatalf("program lowered to %d segments, want chain, vm, chain-store", len(segs))
+// segmentAtATime is the order a run's block-major walk replaces: every
+// segment a run of its own, executed over the whole row before the next.
+// Its parts share one driver, the one it is run by, and each worker's
+// parts share one register file.
+type segmentAtATime struct {
+	parts []*Kernel
+	scs   map[*scratch][]scratch // per worker, one scratch per part
+}
+
+func (s *segmentAtATime) Prep(sc *scratch, maxRow int, pool []float64) {
+	if n := s.parts[0].bk.NumRegisters() * maxRow; len(sc.regs) < n {
+		sc.regs = make([]float64, n)
+		s.scs[sc] = nil
 	}
-	if row := segs[0].Links[len(segs[0].Links)-1].N; len(segs[1].VM) != 1 || segs[1].VM[0].A != row {
-		t.Fatalf("the VM segment is %v, want one instruction reading the first chain's register row %d", segs[1].VM, row)
+	if s.scs[sc] == nil {
+		s.scs[sc] = make([]scratch, len(s.parts))
 	}
-	first, last := len(segs[0].Links), len(segs[2].Links)
-	want := []piece{{lo: 0, hi: first}, {vm: segs[1].VM}, {lo: first + 1, hi: first + 1 + last}}
-	if fmt.Sprint(nk.pieces) != fmt.Sprint(want) {
-		t.Fatalf("pieces %v, want two runs around the VM segment: %v", nk.pieces, want)
+	for i, k := range s.parts {
+		s.scs[sc][i].regs = sc.regs
+		k.Prep(&s.scs[sc][i], maxRow, pool)
 	}
-	for _, end := range []int{first, first + 1 + last} {
-		if nk.tm.forms[end].op != opEnd {
-			t.Fatalf("op %d is %s, want the end sentinel of a run", end, nk.tm.forms[end])
-		}
-	}
-	poolB, err := kB.BindSyms(n.vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poolN, err := nk.BindSyms(n.vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	executors, restore := confExecutors()
-	defer restore()
-	kB.Run(0, confBox(n.fB["u"]), poolB, nil)
-	for _, hasAVX = range executors {
-		nk.Run(0, confBox(n.fN["u"]), poolN, nil)
-		confSameFields(t, n, fmt.Sprintf("chain-vm-chain (assembly=%v)", hasAVX))
+}
+
+func (s *segmentAtATime) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
+	for i, k := range s.parts {
+		k.ExecRow(&s.scs[sc][i], n, bases, pool)
 	}
 }
 
 // TestChainSegmentsArePointLocal pins the invariant buildTemplate's block
-// order rests on: whatever the extraction lowers to a chain reads the
+// order rests on: whatever the extraction lowers to a run reads the
 // buffers the program stores at offset zero only. The scenarios include a
 // chain that does re-read a stored buffer (three-chains) and a program
-// that reads one at a nonzero offset, which must have no chain at all.
+// that reads one at a nonzero offset, which Wrap must refuse.
 func TestChainSegmentsArePointLocal(t *testing.T) {
 	rereads := 0
 	for name, n := range confScenarios(t) {
-		_, nk := confCompile(t, n)
-		bd := nk.Bytecode().Binding()
+		bk := confBytecode(t, n, n.fN)
+		bd := bk.Binding()
 		stored := map[runtime.Out]bool{}
 		for _, out := range bd.Outs {
 			stored[out] = true
@@ -628,10 +664,20 @@ func TestChainSegmentsArePointLocal(t *testing.T) {
 				shifted = true
 			}
 		}
-		for _, seg := range nk.Segments() {
-			if shifted && seg.Shape != bytecode.ShapeVM {
-				t.Errorf("%s: a %s segment in a program that reads a stored buffer at a nonzero offset", name, seg.Shape)
+		if name == "store-alias-vm" && !shifted {
+			t.Errorf("%s no longer reads a stored buffer at a nonzero offset", name)
+		}
+		nk, err := Wrap(bk)
+		if shifted {
+			if err == nil {
+				t.Errorf("%s: a program that reads a stored buffer at a nonzero offset lowered to a run", name)
 			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, seg := range nk.Segments() {
 			for _, l := range seg.Links {
 				for _, o := range [...]bytecode.Operand{l.X, l.Y, l.Z} {
 					if o.Class != bytecode.ClassF {
@@ -645,9 +691,6 @@ func TestChainSegmentsArePointLocal(t *testing.T) {
 					}
 				}
 			}
-		}
-		if name == "store-alias-vm" && !shifted {
-			t.Errorf("%s no longer reads a stored buffer at a nonzero offset", name)
 		}
 	}
 	if rereads == 0 {
@@ -665,7 +708,10 @@ func TestRowBoundsGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nk := Wrap(bk)
+	nk, err := Wrap(bk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool, err := nk.BindSyms(n.vals)
 	if err != nil {
 		t.Fatal(err)

@@ -30,53 +30,27 @@ type tmpl struct {
 	ss    []patch // scalar-pool entries, copied into s every Run
 }
 
-// piece is one step of a row's execution: a run — ops[lo:hi] of the
-// template are its links and ops[hi] its end sentinel — or the instruction
-// list of a VM-fallback segment.
-type piece struct {
-	lo, hi int
-	vm     []bytecode.Instr
-}
-
-// buildTemplate flattens the segments into the op table and forms the
-// runs. Consecutive chain segments join one run, which the executors walk
+// buildTemplate flattens the segments into the op table of one run: every
+// segment's links, then the end sentinel. The executors walk the run
 // block-major: every link of every segment on one block of 16 points, then
 // the next block. That order is legal for exactly the reason fusing a chain
 // over a row is: chain segments communicate only point-locally. A register
 // row a chain drains into (torow) is read back at the same point; and
-// ExtractSegments sends a program that loads a stored buffer at a nonzero
-// offset to one VM segment and pins a load consumed past a store of its
-// buffer into a VM segment, so a field access inside a run either reads a
-// buffer the run never stores or re-reads, at offset zero, the point its
-// own block just stored (TestChainSegmentsArePointLocal). A VM segment
-// sweeps whole rows, so it ends the run before it.
-func buildTemplate(segs []bytecode.Segment) (*tmpl, []piece) {
+// ExtractSegments refuses a program that reads a stored buffer at a
+// nonzero offset or consumes a load past a store of its buffer, so a field
+// access inside the run either reads a buffer the run never stores or
+// re-reads, at offset zero, the point its own block just stored
+// (TestChainSegmentsArePointLocal).
+func buildTemplate(segs []bytecode.Segment) *tmpl {
 	t := &tmpl{}
-	var pieces []piece
-	open := -1 // first op of the open run
-	closeRun := func() {
-		if open >= 0 {
-			pieces = append(pieces, piece{lo: open, hi: len(t.ops)})
-			t.forms = append(t.forms, forms[0])
-			t.ops = append(t.ops, xop{h: handlers(0)})
-			open = -1
-		}
-	}
 	for _, seg := range segs {
-		if seg.Shape == bytecode.ShapeVM {
-			closeRun()
-			pieces = append(pieces, piece{vm: seg.VM})
-			continue
-		}
-		if open < 0 {
-			open = len(t.ops)
-		}
 		for _, l := range seg.Links {
 			t.add(l)
 		}
 	}
-	closeRun()
-	return t, pieces
+	t.forms = append(t.forms, forms[0])
+	t.ops = append(t.ops, xop{h: handlers(0)})
+	return t
 }
 
 // add appends one link: its form's handlers, and every operand that lives
@@ -279,16 +253,8 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 	k.resolveGroups(sc.ex)
 }
 
-// ExecRow implements runtime.RowExec: every piece once over the row, runs
-// through the block executor and VM-fallback segments through the bytecode
-// engine's own row sweep.
-func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
+// ExecRow implements runtime.RowExec: the run once over the row.
+func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, _ []float64) {
 	k.patchRow(sc.ex, n, bases)
-	for _, pc := range k.pieces {
-		if pc.lo == pc.hi { // no links: a VM segment
-			bytecode.Sweep(pc.vm, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
-			continue
-		}
-		runOps(k.tm.forms[pc.lo:pc.hi], sc.ex.ops[pc.lo:pc.hi+1], n)
-	}
+	runOps(k.tm.forms[:len(k.tm.forms)-1], sc.ex.ops, n)
 }

@@ -1,17 +1,18 @@
-// Package native is devigo's third execution engine: the compiled row
-// program re-lowered into *runs* of fused links that execute a row block by
-// block in registers, instead of dispatching the register VM once per
+// Package native is devigo's production execution engine: the compiled row
+// program re-lowered into one *run* of fused links that executes a row block
+// by block in registers, instead of dispatching the register VM once per
 // instruction over the whole row.
 //
 // The engine reuses the bytecode compiler wholesale — symbolic lowering,
 // load caching, madd fusion, scalar-pool hoisting — and then re-lowers the
 // compiled row program through bytecode.ExtractSegments into fused
 // accumulation chains of links, each an operation × operands × destination
-// (see bytecode.Link). Consecutive chain segments form one run, and a run
-// executes block-major: every link of every segment on one block of 16
-// points, then the next block (then blocks of 4 points, then the n&3
-// remainder). Within a block the chain's accumulator and scratch value,
-// acc and t, are two groups of four YMM registers; every link form has one
+// (see bytecode.Link). Every instruction of the program lowers to a link,
+// so a kernel's chain segments form exactly one run, and the run executes
+// block-major: every link of every segment on one block of 16 points, then
+// the next block (then blocks of 4 points, then the n&3 remainder). Within
+// a block the chain's accumulator and scratch value, acc and t, are two
+// groups of four YMM registers; every link form has one
 // handler that does the link's arithmetic in place in its destination's
 // registers and jumps to the next link's handler, so a run is one call per
 // row and one threaded dispatch per link per block, and nothing a chain
@@ -28,9 +29,8 @@
 // NaN payloads and signed zeros included. The assembly takes the n&^3 body
 // of a row; the same ops run the n&3 remainder through the pure-Go
 // executor, so any row width runs and the portable path is exercised on
-// every platform. Program regions that do not lower to chains fall back to
-// per-instruction row sweeps identical to the VM's, and end the run before
-// them.
+// every platform. A program whose loads cannot be deferred into a run
+// point by point is refused with an error at Wrap, not run another way.
 //
 // The speedup comes from six removals: the full-row intermediate traffic
 // (the VM materializes every instruction's result as a whole register row;
@@ -47,29 +47,26 @@
 package native
 
 import (
+	"fmt"
+
 	"devigo/internal/bytecode"
 	"devigo/internal/field"
 	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
-// Kernel is a compiled loop nest lowered to fused segment programs. It
+// Kernel is a compiled loop nest lowered to one run of fused links. It
 // wraps the bytecode kernel it was derived from (sharing its program,
 // scalar pool and field binding) and satisfies the same execution
 // contract (runtime.ExecKernel).
 type Kernel struct {
 	bk *bytecode.Kernel
-	// tm is the executable template and pieces a row's execution in order:
-	// runs of tm's ops and VM-fallback instruction lists (see piece).
-	tm     *tmpl
-	pieces []piece
+	// tm is the executable template: the run's links and its end sentinel.
+	tm *tmpl
 	// fsGroup and groupSlot partition the template's field operands by the
 	// buffer they read (see groupLoads); immutable, shared by Rebind copies.
 	fsGroup   []int32
 	groupSlot []int32
-	// fusedInstrs is the per-point link count after fusion: one per chain
-	// link plus one per fallback VM instruction.
-	fusedInstrs int
 	// drv is the kernel's private tile driver over the bytecode kernel's
 	// binding (per-worker scratch and cached execs live in it). Allocated
 	// at Wrap time and replaced on Rebind, never shared between kernel
@@ -79,49 +76,51 @@ type Kernel struct {
 
 // CompileNest compiles one optimized loop nest for the native engine: the
 // bytecode compiler produces the row program, and the segment extraction
-// re-lowers it into fused chains.
+// re-lowers it into fused chains (see Wrap for the error).
 func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	fields map[string]*field.Function) (*Kernel, error) {
 	bk, err := bytecode.CompileNest(assigns, eqs, radius, fields)
 	if err != nil {
 		return nil, err
 	}
-	return Wrap(bk), nil
+	return Wrap(bk)
 }
 
 // Wrap lowers an already-compiled bytecode kernel into a native kernel.
 // The receiver shares the bytecode kernel's immutable tables; Run never
-// mutates them.
-func Wrap(bk *bytecode.Kernel) *Kernel {
-	k := &Kernel{bk: bk, drv: runtime.NewDriver[scratch](bk.Binding())}
-	segs := bk.Segments()
-	for _, seg := range segs {
-		k.fusedInstrs += len(seg.Links) + len(seg.VM)
+// mutates them. The error, which names the equation and the slot, is a
+// program whose loads cannot be deferred into a run (see
+// bytecode.ExtractSegments); the bytecode kernel still runs such a program.
+func Wrap(bk *bytecode.Kernel) (*Kernel, error) {
+	segs, err := bk.Segments()
+	if err != nil {
+		return nil, fmt.Errorf("native: cannot lower the kernel to one run: %w", err)
 	}
-	k.tm, k.pieces = buildTemplate(segs)
+	k := &Kernel{bk: bk, tm: buildTemplate(segs), drv: runtime.NewDriver[scratch](bk.Binding())}
 	k.groupLoads()
-	return k
+	return k, nil
 }
 
 // Bytecode returns the underlying bytecode kernel (introspection for
 // tests, the compilation report and the docs' lowering traces).
 func (k *Kernel) Bytecode() *bytecode.Kernel { return k.bk }
 
-// Segments re-derives the kernel's fused-segment partition.
-func (k *Kernel) Segments() []bytecode.Segment { return k.bk.Segments() }
+// Segments re-derives the kernel's fused-segment partition, which Wrap
+// has already lowered without error.
+func (k *Kernel) Segments() []bytecode.Segment {
+	segs, _ := k.bk.Segments()
+	return segs
+}
 
-// Runs reports how the kernel executes a row (introspection for tests and
-// the docs' listings): one entry per piece, in order — for a run the form
-// of each of its links, which names the handler that executes it, and an
-// empty entry for a VM-fallback segment.
-func (k *Kernel) Runs() [][]string {
-	runs := make([][]string, len(k.pieces))
-	for i, pc := range k.pieces {
-		for _, f := range k.tm.forms[pc.lo:pc.hi] {
-			runs[i] = append(runs[i], f.String())
-		}
+// RunForms reports how the kernel executes a row (introspection for tests
+// and the docs' listings): the form of each link of its run, in order,
+// which names the handler that executes it.
+func (k *Kernel) RunForms() []string {
+	var forms []string
+	for _, f := range k.tm.forms[:len(k.tm.forms)-1] {
+		forms = append(forms, f.String())
 	}
-	return runs
+	return forms
 }
 
 // BindSyms delegates to the bytecode kernel: the scalar pool layout and
@@ -137,13 +136,11 @@ func (k *Kernel) FlopsPerPoint() int { return k.bk.FlopsPerPoint() }
 // StencilRadius returns the per-dimension stencil radius.
 func (k *Kernel) StencilRadius() []int { return k.bk.StencilRadius() }
 
-// InstrsPerPoint reports the number of links per grid point: one per chain
-// link plus one per fallback VM instruction. It is lower than the bytecode
-// kernel's count (loads are absorbed into chain operands), which is how
-// the autotuner's cost model ranks the engine. It is a property of the
-// segment partition, not of the executor: joining segments into one run
-// does not change it.
-func (k *Kernel) InstrsPerPoint() int { return k.fusedInstrs }
+// InstrsPerPoint reports the number of links per grid point: the run's
+// length without its end sentinel. It is lower than the bytecode kernel's
+// count (loads are absorbed into chain operands), which is how the
+// autotuner's cost model ranks the engine.
+func (k *Kernel) InstrsPerPoint() int { return len(k.tm.ops) - 1 }
 
 // Rebind returns a copy of the kernel executing against different storage,
 // resolved by field name. The fused segments, link templates, program and

@@ -129,8 +129,7 @@ func (b *rowBufs) results() []uint64 {
 // runTemplate makes one run of the links: the template the kernel would
 // build for a single chain segment.
 func runTemplate(links []bytecode.Link) *tmpl {
-	tm, _ := buildTemplate([]bytecode.Segment{{Shape: bytecode.ShapeChain, Links: links}})
-	return tm
+	return buildTemplate([]bytecode.Segment{{Links: links}})
 }
 
 // linkByLink is the definition the executors are held to: every link in

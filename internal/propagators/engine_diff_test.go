@@ -8,8 +8,11 @@ import (
 
 	"devigo/internal/bytecode"
 	"devigo/internal/core"
+	"devigo/internal/field"
+	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/native"
+	"devigo/internal/symbolic"
 )
 
 // The differential suite is the execution engines' acceptance gate: for
@@ -193,24 +196,28 @@ func TestEngineDifferential_NativeFaster(t *testing.T) {
 }
 
 // TestNativeInstrsPerPointPinned pins the native engine's fused dispatch
-// count — one per chain link plus one per VM-fallback instruction, summed
-// over an operator's kernels — for every propagator on a 2-D grid. The
-// count is the segment partition's fingerprint (the autotuner's cost model
-// and the construct-cold benchmark golden read it), so a change to the
-// chain extraction that fuses more, less or differently shows up here.
-// The flop accounting must not move with it: the native engine reuses the
-// bytecode compiler, so a flops/point that differs from bytecode's means a
-// lost or double-counted instruction.
+// count — one per link of each kernel's run, summed over an operator's
+// kernels — for every propagator in 2-D at space orders 8 and 16 and in
+// 3-D at 4, 8 and 16. The count is the segment partition's fingerprint
+// (the autotuner's cost model and the construct-cold benchmark golden read
+// it), so a change to the chain extraction that fuses more, less or
+// differently shows up here. The flop accounting must not move with it:
+// the native engine reuses the bytecode compiler, so a flops/point that
+// differs from bytecode's means a lost or double-counted instruction.
 func TestNativeInstrsPerPointPinned(t *testing.T) {
-	want := map[string][2]int{ // space order 8, 16
-		"acoustic":     {32, 48},
-		"elastic":      {265, 505},
-		"tti":          {370, 674},
-		"viscoelastic": {475, 907},
+	type config struct {
+		dims, so int
 	}
+	want := map[string]map[config]int{
+		"acoustic":     {{2, 8}: 32, {2, 16}: 48, {3, 4}: 29, {3, 8}: 41, {3, 16}: 65},
+		"elastic":      {{2, 8}: 265, {2, 16}: 505, {3, 4}: 297, {3, 8}: 549, {3, 16}: 1053},
+		"tti":          {{2, 8}: 370, {2, 16}: 674, {3, 4}: 340, {3, 8}: 568, {3, 16}: 1024},
+		"viscoelastic": {{2, 8}: 475, {2, 16}: 907, {3, 4}: 597, {3, 8}: 1113, {3, 16}: 2145},
+	}
+	shapes := map[int][]int{2: {40, 44}, 3: {20, 22, 24}}
 	for _, name := range ModelNames() {
-		for i, so := range []int{8, 16} {
-			m, err := Build(name, serialCfg([]int{40, 44}, so))
+		for c, wantInstrs := range want[name] {
+			m, err := Build(name, serialCfg(shapes[c.dims], c.so))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,11 +239,11 @@ func TestNativeInstrsPerPointPinned(t *testing.T) {
 			for _, k := range opB.Kernels() {
 				flopsB += k.FlopsPerPoint()
 			}
-			if got != want[name][i] {
-				t.Errorf("%s so-%d: native instrs/point = %d, want %d", name, so, got, want[name][i])
+			if got != wantInstrs {
+				t.Errorf("%s %d-D so-%d: native instrs/point = %d, want %d", name, c.dims, c.so, got, wantInstrs)
 			}
 			if flops <= 0 || flops != flopsB {
-				t.Errorf("%s so-%d: native flops/point = %d, bytecode %d: want equal and > 0", name, so, flops, flopsB)
+				t.Errorf("%s %d-D so-%d: native flops/point = %d, bytecode %d: want equal and > 0", name, c.dims, c.so, flops, flopsB)
 			}
 		}
 	}
@@ -244,12 +251,14 @@ func TestNativeInstrsPerPointPinned(t *testing.T) {
 
 // TestPropagatorKernelsAreRuns walks every kernel the repo's real programs
 // compile to — the four propagators at space orders 4, 8 and 16 in 2-D and
-// 3-D, the acoustic adjoint and the imaging condition — and checks the
-// executor's view of each against the segment partition: every chain link
-// sits in a run under the handler of its own form, consecutive chain
-// segments share one run, and only a VM segment separates two runs. It
-// logs the forms these programs emit; all of them are bytecode.LinkForms
-// entries, each of which has a handler (native's TestHandlersMatchGoTwin).
+// 3-D, the acoustic adjoint and the imaging condition — and checks that
+// each lowers without error to exactly one run: every link of every
+// segment, in order, under the handler of its own form. It also sends
+// equations that alias a stored buffer at a nonzero offset, which the
+// native engine refuses as one kernel, through core.NewOperator: ir splits
+// them into two kernels, each one run. It logs the forms these programs
+// emit; all of them are bytecode.LinkForms entries, each of which has a
+// handler (native's TestHandlersMatchGoTwin).
 func TestPropagatorKernelsAreRuns(t *testing.T) {
 	known := map[string]bool{}
 	for _, f := range bytecode.LinkForms() {
@@ -262,37 +271,27 @@ func TestPropagatorKernelsAreRuns(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s kernel %d is a %T, want the native engine's", label, ki, ek)
 			}
-			// What the runs should be, from the segment partition.
-			var want [][]string
-			open := false
-			for _, seg := range k.Segments() {
-				if seg.Shape == bytecode.ShapeVM {
-					want, open = append(want, nil), false
-					continue
-				}
-				if !open {
-					want, open = append(want, nil), true
-				}
+			segs, err := k.Bytecode().Segments()
+			if err != nil {
+				t.Fatalf("%s kernel %d: %v", label, ki, err)
+			}
+			var want []string
+			for _, seg := range segs {
 				for _, l := range seg.Links {
 					if !known[l.String()] {
 						t.Errorf("%s kernel %d emits %s, which bytecode.LinkForms does not list", label, ki, l)
 					}
 					emitted[l.String()] = true
-					want[len(want)-1] = append(want[len(want)-1], l.String())
+					want = append(want, l.String())
 				}
 			}
-			got := k.Runs()
+			got := k.RunForms()
 			if len(got) != len(want) {
-				t.Fatalf("%s kernel %d executes as %d pieces, want %d (one run per VM-free stretch)", label, ki, len(got), len(want))
+				t.Fatalf("%s kernel %d runs %d links, want the %d of its segments in one run", label, ki, len(got), len(want))
 			}
-			for i := range want {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("%s kernel %d piece %d has %d links, want %d", label, ki, i, len(got[i]), len(want[i]))
-				}
-				for j, form := range want[i] {
-					if h := got[i][j]; h != form && !strings.HasPrefix(h, form+"^") {
-						t.Errorf("%s kernel %d: link %s runs under handler %s", label, ki, form, h)
-					}
+			for j, form := range want {
+				if h := got[j]; h != form && !strings.HasPrefix(h, form+"^") {
+					t.Errorf("%s kernel %d: link %s runs under handler %s", label, ki, form, h)
 				}
 			}
 		}
@@ -331,6 +330,31 @@ func TestPropagatorKernelsAreRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("imaging", imgOp)
+
+	// native's store-alias-vm conformance scenario: the second equation
+	// reads the first one's output one point to the left.
+	g := grid.MustNew([]int{6, 18}, nil)
+	fields := map[string]*field.Function{}
+	var refs []*symbolic.FuncRef
+	for _, name := range []string{"u", "v"} {
+		f, err := field.NewTimeFunction(name, g, 2, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields[name] = &f.Function
+		refs = append(refs, f.Ref)
+	}
+	alias, err := core.NewOperator([]symbolic.Eq{
+		{LHS: symbolic.ForwardStencil(refs[0]), RHS: symbolic.NewAdd(symbolic.At(refs[0]), symbolic.S("dt"))},
+		{LHS: symbolic.ForwardStencil(refs[1]), RHS: symbolic.NewMul(symbolic.Shifted(refs[0], 1, 0, -1), symbolic.Int(2))},
+	}, fields, g, nil, opts("store-alias"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(alias.Kernels()); n != 2 {
+		t.Fatalf("the aliasing equations compile to %d kernels, want 2", n)
+	}
+	check("store-alias", alias)
 
 	var forms []string
 	for f := range emitted {

@@ -187,7 +187,6 @@ func TestRunShotsBitExactDMP(t *testing.T) {
 // and at one with NT % k == 1, where the last reverse step needs a forward
 // level one past the final segment's window (ensureLevels' edge).
 func TestRunGradientDefaultEngineBitExact(t *testing.T) {
-	t.Setenv(core.EngineEnvVar, "")
 	run := func(engine string, k int) *GradientResult {
 		t.Helper()
 		m, err := Build("acoustic", surveyConfig())
