@@ -269,53 +269,50 @@ func (c *compiler) scalarPure(e symbolic.Expr) bool {
 // float64 operations, so the hoisted value is bit-identical to what the
 // interpreter would compute at every point.
 func (c *compiler) compileScalar(e symbolic.Expr) (int32, error) {
-	key := e.String()
-	if idx, ok := c.scalarCache[key]; ok {
+	return c.compileKeyed(symbolic.KeyOf(e))
+}
+
+// compileKeyed is compileScalar over a keyed subtree: identical subtrees
+// (by key, composed once per node) share one pool slot.
+func (c *compiler) compileKeyed(k symbolic.Keyed) (int32, error) {
+	if idx, ok := c.scalarCache[k.Key]; ok {
 		return idx, nil
 	}
 	var idx int32
-	switch v := e.(type) {
+	switch v := k.Expr.(type) {
 	case symbolic.Num:
 		f, _ := v.Val.Float64()
 		idx = c.addConst(f)
 	case symbolic.Sym:
 		idx = c.getSym(v.Name)
-	case symbolic.Add:
-		acc, err := c.compileScalar(v.Terms[0])
+	case symbolic.Add, symbolic.Mul:
+		// A sum or product folds left to right: ((a op b) op c) ...
+		op := sAdd
+		if _, isMul := v.(symbolic.Mul); isMul {
+			op = sMul
+		}
+		acc, err := c.compileKeyed(k.Ops[0])
 		if err != nil {
 			return 0, err
 		}
-		for _, t := range v.Terms[1:] {
-			ti, err := c.compileScalar(t)
+		for _, o := range k.Ops[1:] {
+			oi, err := c.compileKeyed(o)
 			if err != nil {
 				return 0, err
 			}
-			acc = c.scalarBin(sAdd, acc, ti)
-		}
-		idx = acc
-	case symbolic.Mul:
-		acc, err := c.compileScalar(v.Factors[0])
-		if err != nil {
-			return 0, err
-		}
-		for _, f := range v.Factors[1:] {
-			fi, err := c.compileScalar(f)
-			if err != nil {
-				return 0, err
-			}
-			acc = c.scalarBin(sMul, acc, fi)
+			acc = c.scalarBin(op, acc, oi)
 		}
 		idx = acc
 	case symbolic.Pow:
-		base, err := c.compileScalar(v.Base)
+		base, err := c.compileKeyed(k.Ops[0])
 		if err != nil {
 			return 0, err
 		}
 		idx = c.scalarPow(base, v.Exp)
 	default:
-		return 0, fmt.Errorf("bytecode: internal: %T is not scalar-pure", e)
+		return 0, fmt.Errorf("bytecode: internal: %T is not scalar-pure", k.Expr)
 	}
-	c.scalarCache[key] = idx
+	c.scalarCache[k.Key] = idx
 	return idx, nil
 }
 

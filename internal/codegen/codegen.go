@@ -10,6 +10,7 @@ package codegen
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 
 	"devigo/internal/iet"
@@ -53,7 +54,7 @@ func (em *Emitter) emitNode(b *strings.Builder, n iet.Node, depth int) {
 	switch v := n.(type) {
 	case iet.ScalarAssign:
 		indent(b, depth)
-		fmt.Fprintf(b, "float %s = %s;\n", v.Name, em.expr(v.Value))
+		em.writeAssign(b, v.Name, v.Value)
 	case iet.HaloSpot:
 		indent(b, depth)
 		fmt.Fprintf(b, "/* <HaloSpot(%s)> */\n", haloFieldList(v.Fields))
@@ -100,16 +101,20 @@ func (em *Emitter) emitNode(b *strings.Builder, n iet.Node, depth int) {
 		indent(b, depth)
 		b.WriteString("}\n")
 	case iet.LoopNest:
-		em.emitNest(b, v, depth, "DOMAIN")
+		em.emitNest(b, v, depth, "DOMAIN", em.nestBody(v, depth))
 	case iet.OverlapSection:
+		// CORE and REMAINDER are one nest run over two regions
+		// (iet.LowerHalos): its body is rendered once for both.
+		body := em.nestBody(v.Core, depth)
 		em.emitNode(b, v.Update, depth)
-		em.emitNest(b, v.Core, depth, "CORE")
+		em.emitNest(b, v.Core, depth, "CORE", body)
 		em.emitNode(b, v.Wait, depth)
-		em.emitNest(b, v.Remainder, depth, "REMAINDER")
+		em.emitNest(b, v.Remainder, depth, "REMAINDER", body)
 	}
 }
 
-func (em *Emitter) emitNest(b *strings.Builder, nest iet.LoopNest, depth int, region string) {
+// emitNest writes the nest's loop headers around its rendered body.
+func (em *Emitter) emitNest(b *strings.Builder, nest iet.LoopNest, depth int, region string, body string) {
 	d := depth
 	if region != "DOMAIN" {
 		indent(b, d)
@@ -123,19 +128,39 @@ func (em *Emitter) emitNest(b *strings.Builder, nest iet.LoopNest, depth int, re
 		b.WriteString("{\n")
 		d++
 	}
-	for _, a := range nest.Assigns {
-		indent(b, d)
-		fmt.Fprintf(b, "float %s = %s;\n", a.Name, em.expr(a.Value))
-	}
-	for _, e := range nest.Exprs {
-		indent(b, d)
-		fmt.Fprintf(b, "%s = %s;\n", em.expr(e.LHS), em.expr(e.RHS))
-	}
+	b.WriteString(body)
 	for range nest.Dims {
 		d--
 		indent(b, d)
 		b.WriteString("}\n")
 	}
+}
+
+// nestBody renders the nest's temporaries and equations, indented to sit
+// inside its loops.
+func (em *Emitter) nestBody(nest iet.LoopNest, depth int) string {
+	var b strings.Builder
+	d := depth + len(nest.Dims)
+	for _, a := range nest.Assigns {
+		indent(&b, d)
+		em.writeAssign(&b, a.Name, a.Value)
+	}
+	for _, e := range nest.Exprs {
+		indent(&b, d)
+		em.writeExpr(&b, e.LHS)
+		b.WriteString(" = ")
+		em.writeExpr(&b, e.RHS)
+		b.WriteString(";\n")
+	}
+	return b.String()
+}
+
+func (em *Emitter) writeAssign(b *strings.Builder, name string, value symbolic.Expr) {
+	b.WriteString("float ")
+	b.WriteString(name)
+	b.WriteString(" = ")
+	em.writeExpr(b, value)
+	b.WriteString(";\n")
 }
 
 func haloFieldList(fs []ir.HaloReq) string {
@@ -164,71 +189,94 @@ func haloTimedFieldList(fs []ir.HaloReq) string {
 	return strings.Join(parts, ",")
 }
 
-// expr renders a symbolic expression as C.
-func (em *Emitter) expr(e symbolic.Expr) string {
+// writeExpr renders a symbolic expression as C.
+func (em *Emitter) writeExpr(b *strings.Builder, e symbolic.Expr) {
 	switch v := e.(type) {
 	case symbolic.Num:
-		return cFloat(v.Val)
+		writeCFloat(b, v.Val)
 	case symbolic.Sym:
-		return v.Name
+		b.WriteString(v.Name)
 	case symbolic.Access:
-		return em.access(v)
+		em.writeAccess(b, v)
 	case symbolic.Add:
-		parts := make([]string, len(v.Terms))
+		b.WriteByte('(')
 		for i, t := range v.Terms {
-			parts[i] = em.expr(t)
+			if i > 0 {
+				b.WriteString(" + ")
+			}
+			em.writeExpr(b, t)
 		}
-		return "(" + strings.Join(parts, " + ") + ")"
+		b.WriteByte(')')
 	case symbolic.Mul:
-		parts := make([]string, len(v.Factors))
 		for i, f := range v.Factors {
-			parts[i] = em.expr(f)
+			if i > 0 {
+				b.WriteByte('*')
+			}
+			em.writeExpr(b, f)
 		}
-		return strings.Join(parts, "*")
 	case symbolic.Pow:
-		base := em.expr(v.Base)
-		if v.Exp < 0 {
-			return "1.0F/(" + strings.Repeat(base+"*", -v.Exp-1) + base + ")"
+		var base strings.Builder
+		em.writeExpr(&base, v.Base)
+		n := v.Exp
+		if n < 0 {
+			b.WriteString("1.0F/")
+			n = -n
 		}
-		return "(" + strings.Repeat(base+"*", v.Exp-1) + base + ")"
+		b.WriteByte('(')
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte('*')
+			}
+			b.WriteString(base.String())
+		}
+		b.WriteByte(')')
 	case symbolic.Deriv:
-		return "/* unexpanded derivative */"
+		b.WriteString("/* unexpanded derivative */")
+	default:
+		b.WriteByte('?')
 	}
-	return "?"
 }
 
-// access renders an aligned array access: the halo shift of paper
+// writeAccess renders an aligned array access: the halo shift of paper
 // Section III-d is applied here (u[t,x,y] -> u[t0][x+2][y+2]).
-func (em *Emitter) access(a symbolic.Access) string {
-	var b strings.Builder
+func (em *Emitter) writeAccess(b *strings.Builder, a symbolic.Access) {
 	b.WriteString(a.Fun.Name)
 	if a.Fun.IsTime {
-		fmt.Fprintf(&b, "[t%d]", ((a.TimeOff%a.Fun.NumBufs)+a.Fun.NumBufs)%a.Fun.NumBufs)
+		b.WriteString("[t")
+		b.WriteString(strconv.Itoa(((a.TimeOff % a.Fun.NumBufs) + a.Fun.NumBufs) % a.Fun.NumBufs))
+		b.WriteByte(']')
 	}
 	halo := em.Halo[a.Fun.Name]
-	names := []string{"x", "y", "z"}
 	for d, off := range a.Off {
 		shift := off
 		if d < len(halo) {
 			shift += halo[d]
 		}
+		b.WriteByte('[')
+		b.WriteString(cDimNames[d])
 		switch {
-		case shift == 0:
-			fmt.Fprintf(&b, "[%s]", names[d])
 		case shift > 0:
-			fmt.Fprintf(&b, "[%s + %d]", names[d], shift)
-		default:
-			fmt.Fprintf(&b, "[%s - %d]", names[d], -shift)
+			b.WriteString(" + ")
+			b.WriteString(strconv.Itoa(shift))
+		case shift < 0:
+			b.WriteString(" - ")
+			b.WriteString(strconv.Itoa(-shift))
 		}
+		b.WriteByte(']')
 	}
-	return b.String()
 }
 
-// cFloat renders a rational as a C float literal.
-func cFloat(r *big.Rat) string {
+var cDimNames = []string{"x", "y", "z"}
+
+// writeCFloat renders a rational as a C float literal: an integer with
+// ".0F", anything else as the shortest %g form of its float64 value.
+func writeCFloat(b *strings.Builder, r *big.Rat) {
 	if r.IsInt() {
-		return fmt.Sprintf("%s.0F", r.Num().String())
+		b.WriteString(r.Num().String())
+		b.WriteString(".0F")
+		return
 	}
 	f, _ := r.Float64()
-	return fmt.Sprintf("%gF", f)
+	b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+	b.WriteByte('F')
 }

@@ -87,7 +87,7 @@ func TestAccessAlignmentShift(t *testing.T) {
 	u := &symbolic.FuncRef{Name: "u", NDims: 2, IsTime: true, NumBufs: 3}
 	// Read at offset -4 with halo 4 -> index x + 0.
 	a := symbolic.Shifted(u, -1, -4, 3)
-	got := em.access(a)
+	got := render(em, a)
 	if got != "u[t2][x][y + 7]" {
 		t.Errorf("access = %q, want u[t2][x][y + 7]", got)
 	}
@@ -95,16 +95,22 @@ func TestAccessAlignmentShift(t *testing.T) {
 
 func TestCFloatRendering(t *testing.T) {
 	em := &Emitter{Halo: map[string][]int{}}
-	if got := em.expr(symbolic.Int(-2)); got != "-2.0F" {
+	if got := render(em, symbolic.Int(-2)); got != "-2.0F" {
 		t.Errorf("int literal = %q", got)
 	}
-	if got := em.expr(symbolic.Rat(1, 2)); got != "0.5F" {
+	if got := render(em, symbolic.Rat(1, 2)); got != "0.5F" {
 		t.Errorf("rational literal = %q", got)
 	}
-	if got := em.expr(symbolic.NewPow(symbolic.S("h_x"), -2)); got != "1.0F/(h_x*h_x)" {
+	if got := render(em, symbolic.NewPow(symbolic.S("h_x"), -2)); got != "1.0F/(h_x*h_x)" {
 		t.Errorf("negative pow = %q", got)
 	}
-	if got := em.expr(symbolic.NewPow(symbolic.S("a"), 3)); got != "(a*a*a)" {
+	if got := render(em, symbolic.NewPow(symbolic.S("a"), 3)); got != "(a*a*a)" {
 		t.Errorf("positive pow = %q", got)
 	}
+}
+
+func render(em *Emitter, e symbolic.Expr) string {
+	var b strings.Builder
+	em.writeExpr(&b, e)
+	return b.String()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"devigo/internal/field"
 	"devigo/internal/grid"
@@ -28,21 +29,25 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 	decomp *grid.Decomposition, rank int) ([]symbolic.Eq, map[string]int, error) {
 
 	type scratchDef struct {
-		name string
-		expr symbolic.Expr
+		name     string
+		expr     symbolic.Expr
+		expanded symbolic.Expr // expr with its derivatives expanded
 	}
 	var defs []scratchDef
 	byKey := map[string]string{}
 	isScratch := map[string]bool{}
 
+	// Each scratch expression is expanded once: its expansion keys it, and
+	// the extension and halo sizing below read the same expansion.
 	extract := func(e symbolic.Expr) symbolic.Expr {
-		key := symbolic.ExpandDerivatives(e).String()
+		expanded := symbolic.ExpandDerivatives(e)
+		key := expanded.String()
 		name, ok := byKey[key]
 		if !ok {
-			name = fmt.Sprintf("cire%d", len(defs))
+			name = "cire" + strconv.Itoa(len(defs))
 			byKey[key] = name
 			isScratch[name] = true
-			defs = append(defs, scratchDef{name: name, expr: e})
+			defs = append(defs, scratchDef{name: name, expr: e, expanded: expanded})
 		}
 		return symbolic.At(scratchRef(name, g.NDims()))
 	}
@@ -110,7 +115,7 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 	}
 	var readers []reader
 	for _, d := range defs {
-		readers = append(readers, reader{writes: d.name, rhs: symbolic.ExpandDerivatives(d.expr)})
+		readers = append(readers, reader{writes: d.name, rhs: d.expanded})
 	}
 	for _, e := range out {
 		readers = append(readers, reader{rhs: symbolic.ExpandDerivatives(e.RHS)})
@@ -147,7 +152,7 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 	// writes plus the scratch expression's own read radius.
 	for _, d := range defs {
 		ext := extension[d.name]
-		innerRadius := maxRadius(symbolic.ExpandDerivatives(d.expr), g.NDims())
+		innerRadius := maxRadius(d.expanded, g.NDims())
 		haloW := ext + innerRadius
 		if haloW < 1 {
 			haloW = 1

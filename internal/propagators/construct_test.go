@@ -11,10 +11,13 @@ import (
 // so-16). Construction is not on any stepping workload's clock, so a
 // compiler pass that starts allocating per derivative node (re-solving FD
 // weights, say) would otherwise only show as a slower construct round.
-// The bound is 1.3x the 189,860 measured with FD weights memoised; solving
-// them for every derivative node made 2.26 M.
+// The bound is 1.3x the 19,482 measured once the symbolic passes keyed
+// subtrees by keys composed bottom-up and shared coefficients instead of
+// copying them; rendering a subtree's key per node (and per sort
+// comparison) made 189,860, and solving FD weights for every derivative
+// node 2.26 M.
 func TestConstructAllocsPinned(t *testing.T) {
-	const maxAllocs = 247_000
+	const maxAllocs = 25_300
 	allocs := testing.AllocsPerRun(2, func() {
 		m, err := Build("tti", Config{Shape: []int{64, 64}, SpaceOrder: 16, Velocity: 1.5})
 		if err != nil {

@@ -3,7 +3,7 @@ package symbolic
 import (
 	"math/big"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Collect normalises an expression into a canonical sum-of-products form:
@@ -14,9 +14,9 @@ func Collect(e Expr) Expr {
 	e = expandProducts(e)
 	terms := addTerms(e)
 	type entry struct {
-		coef *big.Rat
-		rest []Expr // sorted non-numeric factors
-		key  string
+		coef  *big.Rat
+		owned bool     // coef is this entry's own, not a term's
+		rest  []factor // sorted non-numeric factors
 	}
 	merged := map[string]*entry{}
 	var order []string
@@ -24,9 +24,12 @@ func Collect(e Expr) Expr {
 		coef, rest := splitCoef(t)
 		key := productKey(rest)
 		if ent, ok := merged[key]; ok {
+			if !ent.owned {
+				ent.coef, ent.owned = new(big.Rat).Set(ent.coef), true
+			}
 			ent.coef.Add(ent.coef, coef)
 		} else {
-			merged[key] = &entry{coef: coef, rest: rest, key: key}
+			merged[key] = &entry{coef: coef, rest: rest}
 			order = append(order, key)
 		}
 	}
@@ -38,11 +41,12 @@ func Collect(e Expr) Expr {
 			continue
 		}
 		factors := make([]Expr, 0, len(ent.rest)+1)
-		one := big.NewRat(1, 1)
-		if ent.coef.Cmp(one) != 0 || len(ent.rest) == 0 {
+		if !isOne(ent.coef) || len(ent.rest) == 0 {
 			factors = append(factors, Num{Val: ent.coef})
 		}
-		factors = append(factors, ent.rest...)
+		for _, f := range ent.rest {
+			factors = append(factors, f.e)
+		}
 		out = append(out, NewMul(factors...))
 	}
 	return NewAdd(out...)
@@ -60,29 +64,46 @@ func expandProducts(e Expr) Expr {
 		}
 		return NewAdd(terms...)
 	case Mul:
-		// Expand children first.
+		// Expand children first, then distribute: one product per choice
+		// of a term from every factor, the last factor's term varying
+		// fastest. Expanded factors hold no product inside a product, so
+		// one NewMul over a choice is the left-to-right fold of NewMul
+		// that multiplying out factor by factor would make.
 		factors := make([]Expr, len(v.Factors))
+		sums := false
 		for i, f := range v.Factors {
 			factors[i] = expandProducts(f)
+			_, isAdd := factors[i].(Add)
+			sums = sums || isAdd
 		}
-		// Distribute left to right.
-		acc := []Expr{Int(1)}
-		for _, f := range factors {
-			var fTerms []Expr
-			if a, ok := f.(Add); ok {
-				fTerms = a.Terms
-			} else {
-				fTerms = []Expr{f}
+		if !sums {
+			return NewAdd(NewMul(factors...))
+		}
+		terms := make([][]Expr, len(factors))
+		n := 1
+		for i, f := range factors {
+			terms[i] = addTerms(f)
+			n *= len(terms[i])
+		}
+		out := make([]Expr, 0, n)
+		pick := make([]int, len(terms))
+		for n > 0 {
+			for i, ts := range terms {
+				factors[i] = ts[pick[i]]
 			}
-			next := make([]Expr, 0, len(acc)*len(fTerms))
-			for _, a := range acc {
-				for _, b := range fTerms {
-					next = append(next, NewMul(a, b))
+			out = append(out, NewMul(factors...))
+			i := len(pick) - 1
+			for ; i >= 0; i-- {
+				if pick[i]++; pick[i] < len(terms[i]) {
+					break
 				}
+				pick[i] = 0
 			}
-			acc = next
+			if i < 0 {
+				break
+			}
 		}
-		return NewAdd(acc...)
+		return NewAdd(out...)
 	case Pow:
 		base := expandProducts(v.Base)
 		if a, ok := base.(Add); ok && v.Exp > 1 && v.Exp <= 4 {
@@ -108,32 +129,59 @@ func addTerms(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// factor is a non-numeric factor of a term with its key (its String()).
+type factor struct {
+	e   Expr
+	key string
+}
+
 // splitCoef splits a term into its rational coefficient and the remaining
-// sorted factors.
-func splitCoef(t Expr) (*big.Rat, []Expr) {
-	coef := big.NewRat(1, 1)
-	var rest []Expr
+// factors, sorted by key. Each factor is rendered once, not once per
+// comparison. The coefficient is the term's own rational when it has one
+// numeric factor (ratOne when it has none): the caller must not modify it.
+func splitCoef(t Expr) (*big.Rat, []factor) {
 	factors := []Expr{t}
 	if m, ok := t.(Mul); ok {
 		factors = m.Factors
 	}
+	var coef numFold
+	rest := make([]factor, 0, len(factors))
 	for _, f := range factors {
 		if n, ok := f.(Num); ok {
-			coef.Mul(coef, n.Val)
+			coef.mul(n.Val)
 		} else {
-			rest = append(rest, f)
+			rest = append(rest, factor{e: f, key: exprKey(f)})
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i].String() < rest[j].String() })
-	return coef, rest
+	sort.Slice(rest, func(i, j int) bool { return rest[i].key < rest[j].key })
+	if coef.val == nil {
+		return ratOne, rest
+	}
+	return coef.val, rest
 }
 
-func productKey(rest []Expr) string {
-	parts := make([]string, len(rest))
-	for i, r := range rest {
-		parts[i] = r.String()
+// exprKey returns e's key, the text String renders: a symbol's name as
+// is, anything else rendered once.
+func exprKey(e Expr) string {
+	if s, ok := e.(Sym); ok {
+		return s.Name
 	}
-	return strings.Join(parts, "*")
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
+}
+
+// productKey joins the sorted factors' keys with "*": the key of their
+// product.
+func productKey(rest []factor) string {
+	var arr [128]byte
+	buf := arr[:0]
+	for i, r := range rest {
+		if i > 0 {
+			buf = append(buf, '*')
+		}
+		buf = append(buf, r.key...)
+	}
+	return string(buf)
 }
 
 // CoefficientOf returns (a, b) such that Collect(e) == a*target + b, where
@@ -141,7 +189,7 @@ func productKey(rest []Expr) string {
 // if e is non-linear in target (target appears squared or inside a Pow).
 // target is matched structurally (canonical string form).
 func CoefficientOf(e Expr, target Expr) (a, b Expr, ok bool) {
-	tkey := target.String()
+	tkey := exprKey(target)
 	e = Collect(e)
 	var aTerms, bTerms []Expr
 	for _, t := range addTerms(e) {
@@ -149,14 +197,15 @@ func CoefficientOf(e Expr, target Expr) (a, b Expr, ok bool) {
 		cnt := 0
 		var others []Expr
 		for _, r := range rest {
-			if r.String() == tkey {
+			if r.key == tkey {
 				cnt++
 			} else {
-				// Non-linearity hidden in a Pow of target.
-				if p, isPow := r.(Pow); isPow && p.Base.String() == tkey {
+				// Non-linearity hidden in a Pow of target: its key is the
+				// target's followed by "**" and the exponent.
+				if p, isPow := r.e.(Pow); isPow && r.key == tkey+"**"+strconv.Itoa(p.Exp) {
 					return nil, nil, false
 				}
-				others = append(others, r)
+				others = append(others, r.e)
 			}
 		}
 		switch cnt {
@@ -182,10 +231,10 @@ func Solve(eq Eq, target Expr) (Expr, error) {
 	zeroed = ExpandTimeDerivatives(zeroed)
 	a, b, ok := CoefficientOf(zeroed, target)
 	if !ok {
-		return nil, &SolveError{Target: target.String(), Reason: "equation is non-linear in target"}
+		return nil, &SolveError{Target: exprKey(target), Reason: "equation is non-linear in target"}
 	}
 	if isZero(a) {
-		return nil, &SolveError{Target: target.String(), Reason: "target does not appear in equation"}
+		return nil, &SolveError{Target: exprKey(target), Reason: "target does not appear in equation"}
 	}
 	// solution = -b / a
 	return Collect(Div(Neg(b), a)), nil

@@ -1,8 +1,8 @@
 package symbolic
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Assignment is a scalar temporary produced by CSE / invariant hoisting:
@@ -16,86 +16,72 @@ type Assignment struct {
 // no time-varying quantity — pure functions of scalar symbols such as
 // 1/(h_x*h_x) — into temporaries evaluated once outside all loops. It mirrors
 // the loop-invariant code motion pass of the Devito Cluster layer (the r0,
-// r1, r2 temporaries of paper Listing 11).
+// r1, r2 temporaries of paper Listing 11). Subexpressions are matched by key
+// (see Keyed).
 func HoistInvariants(exprs []Expr, nextTemp *int) ([]Assignment, []Expr) {
+	assigns, out := hoistInvariants(keyAll(exprs), nextTemp)
+	return assigns, exprsOf(out)
+}
+
+// hoistInvariants is HoistInvariants over keyed trees.
+func hoistInvariants(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
 	var assigns []Assignment
-	seen := map[string]string{} // canonical form -> temp name
-	rewrite := func(e Expr) Expr {
-		return Transform(e, func(n Expr) Expr {
-			if !worthHoisting(n) {
-				return n
-			}
-			key := n.String()
-			if name, ok := seen[key]; ok {
-				return S(name)
-			}
-			name := fmt.Sprintf("r%d", *nextTemp)
+	seen := map[string]string{} // key -> temp name
+	hoist := func(n Keyed) (Keyed, bool) {
+		if !worthHoisting(n) {
+			return n, false
+		}
+		name, ok := seen[n.Key]
+		if !ok {
+			name = "r" + strconv.Itoa(*nextTemp)
 			*nextTemp++
-			seen[key] = name
-			assigns = append(assigns, Assignment{Name: name, Value: n})
-			return S(name)
-		})
+			seen[n.Key] = name
+			assigns = append(assigns, Assignment{Name: name, Value: n.Expr})
+		}
+		return leafKey(S(name)), true
 	}
-	out := make([]Expr, len(exprs))
-	for i, e := range exprs {
-		out[i] = rewrite(e)
+	out := make([]Keyed, len(ks))
+	for i, k := range ks {
+		out[i], _ = transformKeyed(k, hoist)
 	}
 	return assigns, out
 }
 
 // worthHoisting reports whether n is an invariant compound expression whose
 // evaluation costs at least one flop.
-func worthHoisting(n Expr) bool {
-	switch n.(type) {
-	case Mul, Pow, Add:
-	default:
-		return false
-	}
-	if FlopCount(n) < 1 {
-		return false
-	}
-	invariant := true
-	Walk(n, func(c Expr) bool {
-		switch c.(type) {
-		case Access, Deriv:
-			invariant = false
-			return false
-		}
-		return true
-	})
-	return invariant
+func worthHoisting(n Keyed) bool {
+	return isCompound(n.Expr) && n.flops >= 1 && !n.variant
 }
 
 // CSE performs common-subexpression elimination across a set of expressions:
 // compound subexpressions that occur at least twice (by canonical form) are
 // extracted into shared temporaries, innermost first. Temporaries may
 // reference fields and are therefore evaluated inside the loop nest, unlike
-// HoistInvariants results.
+// HoistInvariants results. Subexpressions are matched by key (see Keyed).
 func CSE(exprs []Expr, nextTemp *int) ([]Assignment, []Expr) {
+	assigns, out := cse(keyAll(exprs), nextTemp)
+	return assigns, exprsOf(out)
+}
+
+// cse is CSE over keyed trees.
+func cse(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
 	counts := map[string]int{}
-	reprs := map[string]Expr{}
-	var count func(e Expr)
-	count = func(e Expr) {
-		switch v := e.(type) {
-		case Add:
-			for _, t := range v.Terms {
-				count(t)
-			}
-		case Mul:
-			for _, f := range v.Factors {
-				count(f)
-			}
-		case Pow:
-			count(v.Base)
+	reprs := map[string]Keyed{}
+	var count func(k Keyed)
+	count = func(k Keyed) {
+		if !isCompound(k.Expr) {
+			return
 		}
-		if isCompound(e) && FlopCount(e) >= 2 {
-			k := e.String()
-			counts[k]++
-			reprs[k] = e
+		for _, o := range k.Ops {
+			count(o)
+		}
+		if k.flops >= 2 {
+			counts[k.Key]++
+			reprs[k.Key] = k
 		}
 	}
-	for _, e := range exprs {
-		count(e)
+	for _, k := range ks {
+		count(k)
 	}
 	// Candidates in deterministic order, smallest (innermost) first so that
 	// later extractions can reference earlier temporaries.
@@ -113,27 +99,27 @@ func CSE(exprs []Expr, nextTemp *int) ([]Assignment, []Expr) {
 	})
 	var assigns []Assignment
 	names := map[string]string{}
-	replace := func(e Expr) Expr {
-		return Transform(e, func(n Expr) Expr {
-			if !isCompound(n) {
-				return n
+	// A node is matched by the key of its rebuilt form, after its operands
+	// were replaced: a candidate holding an earlier candidate no longer has
+	// its own (pre-replacement) key, so it stays inline wherever it occurs.
+	replace := func(n Keyed) (Keyed, bool) {
+		if isCompound(n.Expr) {
+			if name, ok := names[n.Key]; ok {
+				return leafKey(S(name)), true
 			}
-			if name, ok := names[n.String()]; ok {
-				return S(name)
-			}
-			return n
-		})
+		}
+		return n, false
 	}
 	for _, k := range keys {
-		val := replace(reprs[k])
-		name := fmt.Sprintf("r%d", *nextTemp)
+		val, _ := transformKeyed(reprs[k], replace)
+		name := "r" + strconv.Itoa(*nextTemp)
 		*nextTemp++
 		names[k] = name
-		assigns = append(assigns, Assignment{Name: name, Value: val})
+		assigns = append(assigns, Assignment{Name: name, Value: val.Expr})
 	}
-	out := make([]Expr, len(exprs))
-	for i, e := range exprs {
-		out[i] = replace(e)
+	out := make([]Keyed, len(ks))
+	for i, k := range ks {
+		out[i], _ = transformKeyed(k, replace)
 	}
 	return assigns, out
 }
@@ -144,4 +130,22 @@ func isCompound(e Expr) bool {
 		return true
 	}
 	return false
+}
+
+// keyAll keys every expression.
+func keyAll(exprs []Expr) []Keyed {
+	ks := make([]Keyed, len(exprs))
+	for i, e := range exprs {
+		ks[i] = KeyOf(e)
+	}
+	return ks
+}
+
+// exprsOf returns the keyed trees' expressions.
+func exprsOf(ks []Keyed) []Expr {
+	out := make([]Expr, len(ks))
+	for i, k := range ks {
+		out[i] = k.Expr
+	}
+	return out
 }

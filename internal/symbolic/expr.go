@@ -6,17 +6,20 @@
 package symbolic
 
 import (
-	"fmt"
 	"math/big"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Expr is a symbolic expression node. Expressions are immutable: every
-// transformation returns a new tree.
+// transformation returns a new tree, and a Num's rational is never
+// modified once it is in a node, so constructors and passes share one
+// *big.Rat between nodes instead of copying it.
 type Expr interface {
-	// String renders a human-readable (and canonical, for identical trees)
-	// form of the expression.
+	// String renders a human-readable form of the expression that is also
+	// its canonical key: structurally identical trees render identically.
+	// Passes that match subtrees by this key compose it from their
+	// operands' keys (Keyed) rather than calling String on every node.
 	String() string
 	// isExpr is a marker to keep the implementing set closed.
 	isExpr()
@@ -114,107 +117,154 @@ var (
 func S(name string) Sym { return Sym{Name: name} }
 
 // String renders the rational as an integer or a/b fraction.
-func (n Num) String() string {
-	if n.Val.IsInt() {
-		return n.Val.Num().String()
-	}
-	return n.Val.RatString()
-}
+func (n Num) String() string { return string(appendExpr(nil, n)) }
 
 // String returns the symbol's name.
 func (s Sym) String() string { return s.Name }
 
 // String renders the access in u[t+1, x, y] index notation.
-func (a Access) String() string {
-	var b strings.Builder
-	b.WriteString(a.Fun.Name)
-	b.WriteByte('[')
-	if a.Fun.IsTime {
-		switch {
-		case a.TimeOff == 0:
-			b.WriteString("t")
-		case a.TimeOff > 0:
-			fmt.Fprintf(&b, "t+%d", a.TimeOff)
-		default:
-			fmt.Fprintf(&b, "t%d", a.TimeOff)
-		}
-		if a.Fun.NDims > 0 {
-			b.WriteByte(',')
-		}
-	}
-	names := []string{"x", "y", "z", "w"}
-	for i, o := range a.Off {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		d := names[i%len(names)]
-		switch {
-		case o == 0:
-			b.WriteString(d)
-		case o > 0:
-			fmt.Fprintf(&b, "%s+%d", d, o)
-		default:
-			fmt.Fprintf(&b, "%s%d", d, o)
-		}
-	}
-	b.WriteByte(']')
-	return b.String()
-}
+func (a Access) String() string { return string(appendExpr(nil, a)) }
 
 // String renders the sum as a parenthesised + chain.
-func (a Add) String() string {
-	parts := make([]string, len(a.Terms))
-	for i, t := range a.Terms {
-		parts[i] = t.String()
-	}
-	return "(" + strings.Join(parts, " + ") + ")"
-}
+func (a Add) String() string { return string(appendExpr(nil, a)) }
 
 // String renders the product as a * chain.
-func (m Mul) String() string {
-	parts := make([]string, len(m.Factors))
-	for i, f := range m.Factors {
-		parts[i] = f.String()
-	}
-	return strings.Join(parts, "*")
-}
+func (m Mul) String() string { return string(appendExpr(nil, m)) }
 
 // String renders the power in base**exp notation.
-func (p Pow) String() string {
-	return fmt.Sprintf("%s**%d", p.Base.String(), p.Exp)
-}
+func (p Pow) String() string { return string(appendExpr(nil, p)) }
 
 // String renders the derivative in d^n/d<dim>^n(expr) notation.
-func (d Deriv) String() string {
-	dim := "t"
-	if d.Dim >= 0 {
-		dim = []string{"x", "y", "z", "w"}[d.Dim%4]
+func (d Deriv) String() string { return string(appendExpr(nil, d)) }
+
+// dimNames names the space dimensions in rendered accesses and derivatives.
+var dimNames = [...]string{"x", "y", "z", "w"}
+
+// appendExpr appends e's rendering to buf: the one renderer behind every
+// String method and every Keyed key.
+func appendExpr(buf []byte, e Expr) []byte { return render(buf, e, nil) }
+
+// render is appendExpr that, when spans is not nil, also records where
+// each node's text lies in buf: a [start, end) pair per node, in pre-order.
+func render(buf []byte, e Expr, spans *[]int) []byte {
+	at := 0
+	if spans != nil {
+		at = len(*spans)
+		*spans = append(*spans, len(buf), 0)
 	}
-	return fmt.Sprintf("d%d(%s)/d%s%d", d.Order, d.Target.String(), dim, d.Order)
+	switch v := e.(type) {
+	case Num:
+		buf = appendInt(buf, v.Val.Num())
+		if !v.Val.IsInt() {
+			buf = append(buf, '/')
+			buf = appendInt(buf, v.Val.Denom())
+		}
+	case Sym:
+		buf = append(buf, v.Name...)
+	case Access:
+		buf = append(buf, v.Fun.Name...)
+		buf = append(buf, '[')
+		if v.Fun.IsTime {
+			buf = appendOffset(buf, "t", v.TimeOff)
+			if v.Fun.NDims > 0 {
+				buf = append(buf, ',')
+			}
+		}
+		for i, o := range v.Off {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendOffset(buf, dimNames[i%len(dimNames)], o)
+		}
+		buf = append(buf, ']')
+	case Add:
+		buf = append(buf, '(')
+		for i, t := range v.Terms {
+			if i > 0 {
+				buf = append(buf, " + "...)
+			}
+			buf = render(buf, t, spans)
+		}
+		buf = append(buf, ')')
+	case Mul:
+		for i, f := range v.Factors {
+			if i > 0 {
+				buf = append(buf, '*')
+			}
+			buf = render(buf, f, spans)
+		}
+	case Pow:
+		buf = render(buf, v.Base, spans)
+		buf = append(buf, "**"...)
+		buf = strconv.AppendInt(buf, int64(v.Exp), 10)
+	case Deriv:
+		buf = append(buf, 'd')
+		buf = strconv.AppendInt(buf, int64(v.Order), 10)
+		buf = append(buf, '(')
+		buf = render(buf, v.Target, spans)
+		buf = append(buf, ")/d"...)
+		buf = append(buf, derivDim(v.Dim)...)
+		buf = strconv.AppendInt(buf, int64(v.Order), 10)
+	}
+	if spans != nil {
+		(*spans)[at+1] = len(buf)
+	}
+	return buf
 }
 
-// NewAdd builds a flattened, constant-folded sum.
+// appendOffset renders an index along one dimension: d, d+k or d-k.
+func appendOffset(buf []byte, d string, off int) []byte {
+	buf = append(buf, d...)
+	if off > 0 {
+		buf = append(buf, '+')
+	}
+	if off != 0 {
+		buf = strconv.AppendInt(buf, int64(off), 10)
+	}
+	return buf
+}
+
+// appendInt renders x in base 10, without math/big's formatter when x fits
+// an int64 (every coefficient of a real stencil does).
+func appendInt(buf []byte, x *big.Int) []byte {
+	if x.IsInt64() {
+		return strconv.AppendInt(buf, x.Int64(), 10)
+	}
+	return x.Append(buf, 10)
+}
+
+// derivDim names a derivative's dimension: t for time (Dim -1).
+func derivDim(dim int) string {
+	if dim < 0 {
+		return "t"
+	}
+	return dimNames[dim%len(dimNames)]
+}
+
+// NewAdd builds a flattened, constant-folded sum. A lone numeric term
+// keeps its rational (shared, never copied); only folding two nonzero
+// numbers allocates a new one.
 func NewAdd(terms ...Expr) Expr {
 	flat := make([]Expr, 0, len(terms))
-	acc := new(big.Rat)
+	var acc numFold
 	for _, t := range terms {
 		switch v := t.(type) {
 		case Add:
 			for _, s := range v.Terms {
 				if n, ok := s.(Num); ok {
-					acc.Add(acc, n.Val)
+					acc.add(n.Val)
 				} else {
 					flat = append(flat, s)
 				}
 			}
 		case Num:
-			acc.Add(acc, v.Val)
+			acc.add(v.Val)
 		default:
 			flat = append(flat, t)
 		}
 	}
-	if acc.Sign() != 0 {
-		flat = append(flat, Num{Val: acc})
+	if acc.val != nil && acc.val.Sign() != 0 {
+		flat = append(flat, Num{Val: acc.val})
 	}
 	switch len(flat) {
 	case 0:
@@ -226,33 +276,39 @@ func NewAdd(terms ...Expr) Expr {
 }
 
 // NewMul builds a flattened, constant-folded product. A zero factor
-// annihilates the product.
+// annihilates the product. Like NewAdd, it allocates a coefficient only
+// when it folds two numbers other than 1.
 func NewMul(factors ...Expr) Expr {
-	flat := make([]Expr, 0, len(factors))
-	acc := big.NewRat(1, 1)
+	flat := make([]Expr, 0, len(factors)+1)
+	var acc numFold
 	for _, f := range factors {
 		switch v := f.(type) {
 		case Mul:
 			for _, s := range v.Factors {
 				if n, ok := s.(Num); ok {
-					acc.Mul(acc, n.Val)
+					acc.mul(n.Val)
 				} else {
 					flat = append(flat, s)
 				}
 			}
 		case Num:
-			acc.Mul(acc, v.Val)
+			acc.mul(v.Val)
 		default:
 			flat = append(flat, f)
 		}
 	}
-	if acc.Sign() == 0 {
+	coef := acc.val
+	if coef == nil {
+		coef = ratOne
+	}
+	if coef.Sign() == 0 {
 		return Int(0)
 	}
-	one := big.NewRat(1, 1)
-	if acc.Cmp(one) != 0 || len(flat) == 0 {
+	if !isOne(coef) || len(flat) == 0 {
 		// Keep the numeric coefficient first for canonical ordering.
-		flat = append([]Expr{Num{Val: acc}}, flat...)
+		flat = append(flat, nil)
+		copy(flat[1:], flat)
+		flat[0] = Num{Val: coef}
 	}
 	switch len(flat) {
 	case 0:
@@ -263,8 +319,52 @@ func NewMul(factors ...Expr) Expr {
 	return Mul{Factors: flat}
 }
 
+// numFold folds the numeric operands of a sum or product. It keeps an
+// operand's rational as is while the others are identities (0 in a sum, 1
+// in a product) and allocates its own only when two non-identities meet,
+// so the operands are never modified.
+type numFold struct {
+	val   *big.Rat
+	owned bool
+}
+
+func (f *numFold) add(r *big.Rat) {
+	switch {
+	case f.val == nil || f.val.Sign() == 0:
+		f.val, f.owned = r, false
+	case r.Sign() == 0:
+	case f.owned:
+		f.val.Add(f.val, r)
+	default:
+		f.val, f.owned = new(big.Rat).Add(f.val, r), true
+	}
+}
+
+func (f *numFold) mul(r *big.Rat) {
+	switch {
+	case f.val == nil || isOne(f.val):
+		f.val, f.owned = r, false
+	case isOne(r):
+	case f.owned:
+		f.val.Mul(f.val, r)
+	default:
+		f.val, f.owned = new(big.Rat).Mul(f.val, r), true
+	}
+}
+
+// ratOne is the rational 1, shared like every Num's rational: never
+// modified.
+var ratOne = big.NewRat(1, 1)
+
+// isOne reports whether r == 1 without allocating.
+func isOne(r *big.Rat) bool {
+	return r.IsInt() && r.Num().IsInt64() && r.Num().Int64() == 1
+}
+
 // Neg returns -e.
-func Neg(e Expr) Expr { return NewMul(Int(-1), e) }
+func Neg(e Expr) Expr { return NewMul(minusOne, e) }
+
+var minusOne = Int(-1)
 
 // Sub returns a - b.
 func Sub(a, b Expr) Expr { return NewAdd(a, Neg(b)) }
@@ -314,7 +414,9 @@ type Eq struct {
 }
 
 // String renders the equation as "lhs = rhs".
-func (e Eq) String() string { return e.LHS.String() + " = " + e.RHS.String() }
+func (e Eq) String() string {
+	return string(appendExpr(append(appendExpr(nil, e.LHS), " = "...), e.RHS))
+}
 
 // Walk visits every node of the expression tree in depth-first order. If fn
 // returns false the walk does not descend into the node's children.

@@ -1,8 +1,10 @@
 package symbolic
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -363,6 +365,238 @@ func TestCentralOffsetsRadius(t *testing.T) {
 		offs := CentralOffsets(tc.m, tc.acc)
 		if len(offs) != tc.wantLen {
 			t.Errorf("CentralOffsets(%d,%d) len = %d, want %d", tc.m, tc.acc, len(offs), tc.wantLen)
+		}
+	}
+}
+
+// refString is the fmt-based renderer String had before appendExpr: the
+// oracle appendExpr must match byte for byte.
+func refString(e Expr) string {
+	names := []string{"x", "y", "z", "w"}
+	switch v := e.(type) {
+	case Num:
+		if v.Val.IsInt() {
+			return v.Val.Num().String()
+		}
+		return v.Val.RatString()
+	case Sym:
+		return v.Name
+	case Access:
+		var b strings.Builder
+		b.WriteString(v.Fun.Name)
+		b.WriteByte('[')
+		if v.Fun.IsTime {
+			switch {
+			case v.TimeOff == 0:
+				b.WriteString("t")
+			case v.TimeOff > 0:
+				fmt.Fprintf(&b, "t+%d", v.TimeOff)
+			default:
+				fmt.Fprintf(&b, "t%d", v.TimeOff)
+			}
+			if v.Fun.NDims > 0 {
+				b.WriteByte(',')
+			}
+		}
+		for i, o := range v.Off {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			d := names[i%len(names)]
+			switch {
+			case o == 0:
+				b.WriteString(d)
+			case o > 0:
+				fmt.Fprintf(&b, "%s+%d", d, o)
+			default:
+				fmt.Fprintf(&b, "%s%d", d, o)
+			}
+		}
+		b.WriteByte(']')
+		return b.String()
+	case Add:
+		parts := make([]string, len(v.Terms))
+		for i, t := range v.Terms {
+			parts[i] = refString(t)
+		}
+		return "(" + strings.Join(parts, " + ") + ")"
+	case Mul:
+		parts := make([]string, len(v.Factors))
+		for i, f := range v.Factors {
+			parts[i] = refString(f)
+		}
+		return strings.Join(parts, "*")
+	case Pow:
+		return fmt.Sprintf("%s**%d", refString(v.Base), v.Exp)
+	case Deriv:
+		dim := "t"
+		if v.Dim >= 0 {
+			dim = names[v.Dim%4]
+		}
+		return fmt.Sprintf("d%d(%s)/d%s%d", v.Order, refString(v.Target), dim, v.Order)
+	}
+	return "?"
+}
+
+// checkRender reports the first node of e whose String differs from
+// refString's rendering.
+func checkRender(e Expr) error {
+	var err error
+	Walk(e, func(n Expr) bool {
+		if got, want := n.String(), refString(n); err == nil && got != want {
+			err = fmt.Errorf("String() = %q, reference renders %q", got, want)
+		}
+		return err == nil
+	})
+	return err
+}
+
+// operands lists e's operands in the order Keyed.Ops holds them.
+func operands(e Expr) []Expr {
+	switch v := e.(type) {
+	case Add:
+		return v.Terms
+	case Mul:
+		return v.Factors
+	case Pow:
+		return []Expr{v.Base}
+	case Deriv:
+		return []Expr{v.Target}
+	}
+	return nil
+}
+
+// checkKeyed reports the first node of a keyed tree whose key is not its
+// expression's String, whose flop count is not FlopCount's, whose variant
+// mark is wrong, or whose operands are not its expression's.
+func checkKeyed(k Keyed) error {
+	if want := k.Expr.String(); k.Key != want {
+		return fmt.Errorf("key %q, String() %q", k.Key, want)
+	}
+	if want := FlopCount(k.Expr); k.flops != want {
+		return fmt.Errorf("%s: composed %d flops, FlopCount %d", k.Key, k.flops, want)
+	}
+	variant := false
+	Walk(k.Expr, func(n Expr) bool {
+		switch n.(type) {
+		case Access, Deriv:
+			variant = true
+		}
+		return !variant
+	})
+	if k.variant != variant {
+		return fmt.Errorf("%s: variant %v, want %v", k.Key, k.variant, variant)
+	}
+	ops := operands(k.Expr)
+	if len(ops) != len(k.Ops) {
+		return fmt.Errorf("%s: %d keyed operands for %d", k.Key, len(k.Ops), len(ops))
+	}
+	for i, o := range k.Ops {
+		if o.Expr.String() != ops[i].String() {
+			return fmt.Errorf("%s: keyed operand %d is %s, the expression's %s", k.Key, i, o.Expr, ops[i])
+		}
+		if err := checkKeyed(o); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkKeyedWalks runs every keyed walk over exprs — KeyOf, the keyed
+// FactorCommon, HoistInvariants and CSE, and a transform that checks each
+// node it visits and replaces every power and every product holding one
+// by a symbol — and reports the first node whose keyed form is wrong. The
+// transformed trees are checked too, rebuilt nodes and reused ones alike.
+func checkKeyedWalks(exprs []Expr) error {
+	ks := keyAll(exprs)
+	var trees []Keyed
+	trees = append(trees, ks...)
+	for _, k := range ks {
+		trees = append(trees, factorCommon(k))
+	}
+	temp := 0
+	_, hoisted := hoistInvariants(ks, &temp)
+	trees = append(trees, hoisted...)
+	_, csed := cse(hoisted, &temp)
+	trees = append(trees, csed...)
+	var visitErr error
+	probe := func(n Keyed) (Keyed, bool) {
+		if err := checkKeyed(n); err != nil && visitErr == nil {
+			visitErr = err
+		}
+		if _, isPow := n.Expr.(Pow); isPow || strings.Contains(n.Key, "**") {
+			return leafKey(S("p")), true
+		}
+		return n, false
+	}
+	for _, k := range ks {
+		r, _ := transformKeyed(k, probe)
+		trees = append(trees, r)
+	}
+	if visitErr != nil {
+		return visitErr
+	}
+	for _, k := range trees {
+		if err := checkKeyed(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestRenderHandCases(t *testing.T) {
+	u := &FuncRef{Name: "u", NDims: 2, IsTime: true, NumBufs: 3}
+	w := &FuncRef{Name: "w", NDims: 4, IsTime: true, NumBufs: 2}
+	m := &FuncRef{Name: "m", NDims: 3}
+	s := &FuncRef{Name: "s", IsTime: true, NumBufs: 2}
+	huge := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 80), big.NewInt(-3))
+	a, b := S("a"), S("b")
+	cases := []Expr{
+		Rat(-3, 4), Rat(7, 2), Int(-5), Int(0), Num{Val: huge}, Float(0.1),
+		Shifted(u, -2, 0, 0), Shifted(u, 1, 3, -1), Shifted(u, 0, -12, 7),
+		Shifted(w, -1, 1, -2, 0, 4), Shifted(m, 0, 0, 5, -5), Access{Fun: s, TimeOff: 2},
+		Dt2(At(u), 2), Dt(Shifted(w, 0, 0, 0, 0, 1), 1),
+		Deriv{Target: At(w), Dim: 3, Order: 2, FDOrder: 4}, DxStaggered(At(m), 2, 8, -1),
+		NewPow(NewAdd(a, b), -1), NewPow(NewAdd(a, Rat(-1, 2)), -3), NewPow(b, 2),
+		NewMul(Rat(-7, 3), a, NewPow(NewAdd(Shifted(u, -1, 1, 0), Int(2)), -2)),
+		Add{Terms: []Expr{a}}, Mul{Factors: []Expr{Int(1), Mul{Factors: []Expr{b, a}}}},
+		Laplace(Shifted(u, 1, 0, 0), 2, 4),
+	}
+	for _, e := range cases {
+		if err := checkRender(e); err != nil {
+			t.Errorf("%s: %v", refString(e), err)
+		}
+	}
+	if got, want := (Eq{LHS: ForwardStencil(u), RHS: cases[19]}).String(),
+		refString(ForwardStencil(u))+" = "+refString(cases[19]); got != want {
+		t.Errorf("Eq.String() = %q, want %q", got, want)
+	}
+	if err := checkKeyedWalks(cases); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCollectLeavesSharedCoefficients merges terms whose coefficients are
+// one *big.Rat, and terms with no coefficient (whose implicit 1 is the
+// package's shared one): the sums are new rationals, and every input still
+// reads as it did.
+func TestCollectLeavesSharedCoefficients(t *testing.T) {
+	c := Rat(1, 3)
+	x, y := S("x"), S("y")
+	t1, t2 := NewMul(c, x), NewMul(c, x)
+	if t1.(Mul).Factors[0].(Num).Val != c.Val {
+		t.Fatal("NewMul copied a lone coefficient instead of sharing it")
+	}
+	got := Collect(NewAdd(t1, t2, y, y))
+	if got.String() != "(2/3*x + 2*y)" {
+		t.Errorf("Collect = %s, want (2/3*x + 2*y)", got)
+	}
+	for _, c := range []struct {
+		e    Expr
+		want string
+	}{{c, "1/3"}, {t1, "1/3*x"}, {t2, "1/3*x"}, {OneExpr, "1"}, {ZeroExpr, "0"}, {minusOne, "-1"}, {Num{Val: ratOne}, "1"}} {
+		if c.e.String() != c.want {
+			t.Errorf("an input changed: %s, want %s", c.e, c.want)
 		}
 	}
 }

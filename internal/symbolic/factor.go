@@ -8,97 +8,115 @@ package symbolic
 //	dt*r0*u[x-1] + dt*r0*u[x+1] + ...  ->  dt*r0*(u[x-1] + u[x+1] + ...)
 //
 // Numeric coefficients stay inside the terms (they differ per tap).
-func FactorCommon(e Expr) Expr {
-	return Transform(e, func(n Expr) Expr {
-		a, ok := n.(Add)
-		if !ok || len(a.Terms) < 2 {
-			return n
-		}
-		// Count factor occurrences (by canonical string) in the first
-		// term, then intersect with every other term.
-		common := factorCounts(a.Terms[0])
-		if len(common) == 0 {
-			return n
-		}
-		for _, t := range a.Terms[1:] {
-			tc := factorCounts(t)
-			for k, c := range common {
-				if tc[k] < c {
-					if tc[k] == 0 {
-						delete(common, k)
-					} else {
-						common[k] = tc[k]
-					}
-				}
-			}
-			if len(common) == 0 {
-				return n
-			}
-		}
-		// Build the common factor list (deterministic order) and strip
-		// them from each term.
-		var commonFactors []Expr
-		taken := map[string]int{}
-		collectOrder(a.Terms[0], func(f Expr) {
-			k := f.String()
-			if taken[k] < common[k] {
-				taken[k]++
-				commonFactors = append(commonFactors, f)
-			}
-		})
-		if len(commonFactors) == 0 {
-			return n
-		}
-		newTerms := make([]Expr, len(a.Terms))
-		for i, t := range a.Terms {
-			newTerms[i] = stripFactors(t, common)
-		}
-		return NewMul(append(commonFactors, NewAdd(newTerms...))...)
-	})
+// Factors are matched by key (see Keyed).
+func FactorCommon(e Expr) Expr { return factorCommon(KeyOf(e)).Expr }
+
+// factorCommon is FactorCommon over a keyed tree.
+func factorCommon(k Keyed) Keyed {
+	r, _ := transformKeyed(k, factorSum)
+	return r
 }
 
-// factorCounts returns the multiset of non-numeric factors of a term.
-func factorCounts(t Expr) map[string]int {
-	out := map[string]int{}
-	collectOrder(t, func(f Expr) { out[f.String()]++ })
-	return out
-}
-
-// collectOrder visits the non-numeric factors of a term in order.
-func collectOrder(t Expr, fn func(Expr)) {
-	factors := []Expr{t}
-	if m, ok := t.(Mul); ok {
-		factors = m.Factors
+// factorSum pulls the factors common to every term out of a sum.
+func factorSum(n Keyed) (Keyed, bool) {
+	if _, ok := n.Expr.(Add); !ok || len(n.Ops) < 2 {
+		return n, false
 	}
+	terms := n.Ops
+	// Count factor occurrences (by key) in the first term, then
+	// intersect with every other term.
+	var buf [8]factorCount
+	common := buf[:0]
+	for _, f := range factorsOf(terms, 0) {
+		if _, isNum := f.Expr.(Num); !isNum && countOf(common, f.Key) == 0 {
+			common = append(common, factorCount{f.Key, countIn(terms, 0, f.Key)})
+		}
+	}
+	for i := 1; i < len(terms) && len(common) > 0; i++ {
+		kept := common[:0]
+		for _, c := range common {
+			if c.n = min(c.n, countIn(terms, i, c.key)); c.n > 0 {
+				kept = append(kept, c)
+			}
+		}
+		common = kept
+	}
+	if len(common) == 0 {
+		return n, false
+	}
+	// Pull the common factors, in the first term's order, out front and
+	// strip them from each term.
+	commonFactors, _ := split(factorsOf(terms, 0), common)
+	newTerms := make([]Keyed, len(terms))
+	for i := range terms {
+		_, rest := split(factorsOf(terms, i), common)
+		newTerms[i] = mulKeyed(rest)
+	}
+	return mulKeyed(append(commonFactors, addKeyed(newTerms))), true
+}
+
+// factorCount is how many times a factor (by key) occurs.
+type factorCount struct {
+	key string
+	n   int
+}
+
+// countOf returns the count recorded for key.
+func countOf(counts []factorCount, key string) int {
+	for _, c := range counts {
+		if c.key == key {
+			return c.n
+		}
+	}
+	return 0
+}
+
+// factorsOf returns the factors of terms[i]: a product's factors, or the
+// term itself.
+func factorsOf(terms []Keyed, i int) []Keyed {
+	if _, ok := terms[i].Expr.(Mul); ok {
+		return terms[i].Ops
+	}
+	return terms[i : i+1]
+}
+
+// countIn returns how many non-numeric factors of terms[i] have key.
+func countIn(terms []Keyed, i int, key string) int {
+	n := 0
+	for _, f := range factorsOf(terms, i) {
+		if _, isNum := f.Expr.(Num); !isNum && f.Key == key {
+			n++
+		}
+	}
+	return n
+}
+
+// split separates a term's factors into the first occurrences of the
+// common ones, up to their common counts, and the rest, in order.
+func split(factors []Keyed, common []factorCount) (taken, rest []Keyed) {
+	var buf [8]factorCount
+	seen := buf[:0]
 	for _, f := range factors {
-		if _, isNum := f.(Num); isNum {
-			continue
+		if _, isNum := f.Expr.(Num); !isNum && countOf(seen, f.Key) < countOf(common, f.Key) {
+			seen = addCount(seen, f.Key)
+			taken = append(taken, f)
+		} else {
+			if rest == nil {
+				rest = make([]Keyed, 0, len(factors))
+			}
+			rest = append(rest, f)
 		}
-		fn(f)
 	}
+	return taken, rest
 }
 
-// stripFactors removes up to counts[k] occurrences of each factor from the
-// term, returning the residue.
-func stripFactors(t Expr, counts map[string]int) Expr {
-	remaining := map[string]int{}
-	for k, c := range counts {
-		remaining[k] = c
-	}
-	factors := []Expr{t}
-	if m, ok := t.(Mul); ok {
-		factors = m.Factors
-	}
-	var kept []Expr
-	for _, f := range factors {
-		if _, isNum := f.(Num); !isNum {
-			k := f.String()
-			if remaining[k] > 0 {
-				remaining[k]--
-				continue
-			}
+// addCount records one more occurrence of key.
+func addCount(counts []factorCount, key string) []factorCount {
+	for i := range counts {
+		if counts[i].key == key {
+			counts[i].n++
+			return counts
 		}
-		kept = append(kept, f)
 	}
-	return NewMul(kept...)
+	return append(counts, factorCount{key, 1})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -20,24 +19,36 @@ import (
 // every operator asks for one of a few dozen stencils. Each call returns
 // its own slice and rationals, so callers may modify them.
 func FDWeights(m int, offsets []*big.Rat) ([]*big.Rat, error) {
-	var key strings.Builder
-	key.WriteString(strconv.Itoa(m))
+	var arr [128]byte
+	key := strconv.AppendInt(arr[:0], int64(m), 10)
 	for _, o := range offsets {
-		key.WriteByte(' ')
-		key.WriteString(o.RatString())
+		key = appendExpr(append(key, ' '), Num{Val: o})
 	}
-	w, ok := fdMemo.Load(key.String())
-	if !ok {
-		if err := checkStencil(m, offsets); err != nil {
-			return nil, err
-		}
-		w, _ = fdMemo.LoadOrStore(key.String(), fornberg(m, offsets))
+	w, err := memoWeights(string(key), m, func() []*big.Rat { return offsets })
+	if err != nil {
+		return nil, err
 	}
-	return copyRats(w.([]*big.Rat)), nil
+	return copyRats(w), nil
+}
+
+// memoWeights returns the memoised weights stored under key, computing
+// them from offsets() on a miss. The slice and its rationals are the
+// memo's: FDWeights hands out copies, and expandDeriv puts them in Nums,
+// which nothing modifies.
+func memoWeights(key string, m int, offsets func() []*big.Rat) ([]*big.Rat, error) {
+	if w, ok := fdMemo.Load(key); ok {
+		return w.([]*big.Rat), nil
+	}
+	offs := offsets()
+	if err := checkStencil(m, offs); err != nil {
+		return nil, err
+	}
+	w, _ := fdMemo.LoadOrStore(key, fornberg(m, offs))
+	return w.([]*big.Rat), nil
 }
 
 // fdMemo maps "m o_0 o_1 ..." (offsets as RatStrings) to the weights
-// FDWeights computed for it. The stored slices are never handed out.
+// computed for it.
 var fdMemo sync.Map
 
 // checkStencil rejects the inputs the recurrence cannot take: it divides
@@ -122,14 +133,17 @@ func copyRats(rs []*big.Rat) []*big.Rat {
 // classic rule radius = (m+1)/2 + acc/2 - 1 for even acc. Devito uses
 // radius = acc/2 for second derivatives and first derivatives alike (its
 // space_order is the stencil radius*2), which we mirror.
-func CentralOffsets(m, acc int) []*big.Rat {
+func CentralOffsets(m, acc int) []*big.Rat { return ratsOver(centralNums(m, acc), 1) }
+
+// centralNums is CentralOffsets as integers.
+func centralNums(m, acc int) []int64 {
 	radius := acc / 2
 	if radius < (m+1)/2 {
 		radius = (m + 1) / 2
 	}
-	out := make([]*big.Rat, 0, 2*radius+1)
+	out := make([]int64, 0, 2*radius+1)
 	for k := -radius; k <= radius; k++ {
-		out = append(out, big.NewRat(int64(k), 1))
+		out = append(out, int64(k))
 	}
 	return out
 }
@@ -138,17 +152,20 @@ func CentralOffsets(m, acc int) []*big.Rat {
 // evaluated between grid points: side=+1 gives offsets {-(r-1)-1/2 ...
 // +(r-1)+1/2} centered at +1/2, i.e. the forward-staggered stencil; side=-1
 // the backward one. acc must be even; r = acc/2 pairs of points are used.
-func StaggeredOffsets(acc, side int) []*big.Rat {
+func StaggeredOffsets(acc, side int) []*big.Rat { return ratsOver(staggeredNums(acc, side), 2) }
+
+// staggeredNums is StaggeredOffsets as numerators over 2.
+func staggeredNums(acc, side int) []int64 {
 	r := acc / 2
 	if r < 1 {
 		r = 1
 	}
-	out := make([]*big.Rat, 0, 2*r)
+	out := make([]int64, 0, 2*r)
 	for k := -r; k < r; k++ {
 		// Offsets at k + 1/2 for forward; mirrored for backward.
-		o := big.NewRat(2*int64(k)+1, 2)
+		o := 2*int64(k) + 1
 		if side < 0 {
-			o.Neg(o)
+			o = -o
 		}
 		out = append(out, o)
 	}
@@ -157,6 +174,15 @@ func StaggeredOffsets(acc, side int) []*big.Rat {
 		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 			out[i], out[j] = out[j], out[i]
 		}
+	}
+	return out
+}
+
+// ratsOver returns the rationals n/den.
+func ratsOver(nums []int64, den int64) []*big.Rat {
+	out := make([]*big.Rat, len(nums))
+	for i, n := range nums {
+		out[i] = big.NewRat(n, den)
 	}
 	return out
 }
@@ -203,39 +229,57 @@ func ExpandDerivatives(e Expr) Expr {
 }
 
 func expandDeriv(d Deriv) Expr {
-	var offsets []*big.Rat
+	// Offsets are numerators over den: 1, or 2 for a staggered stencil's
+	// half-node offsets.
+	var nums []int64
+	den := int64(1)
 	switch {
 	case d.Dim < 0 && d.FDOrder == 1:
 		// Forward (explicit) time difference: a TimeFunction with
 		// time_order 1 has only two buffers, so u.dt must be
 		// (u[t+1]-u[t])/dt, not centered.
-		offsets = make([]*big.Rat, d.Order+1)
-		for k := 0; k <= d.Order; k++ {
-			offsets[k] = big.NewRat(int64(k), 1)
+		nums = make([]int64, d.Order+1)
+		for k := range nums {
+			nums[k] = int64(k)
 		}
 	case d.Side == 0:
-		offsets = CentralOffsets(d.Order, d.FDOrder)
+		nums = centralNums(d.Order, d.FDOrder)
 	case d.Order == 1:
-		offsets = StaggeredOffsets(d.FDOrder, d.Side)
+		nums, den = staggeredNums(d.FDOrder, d.Side), 2
 	default:
 		// Staggered higher derivatives are composed of first derivatives by
 		// the propagators; fall back to centered.
-		offsets = CentralOffsets(d.Order, d.FDOrder)
+		nums = centralNums(d.Order, d.FDOrder)
 	}
-	weights, err := FDWeights(d.Order, offsets)
+	// The memo key FDWeights would build for these offsets, without
+	// making them rationals unless the weights must be computed.
+	var arr [128]byte
+	key := strconv.AppendInt(arr[:0], int64(d.Order), 10)
+	for _, n := range nums {
+		key = append(key, ' ')
+		if n%den == 0 {
+			key = strconv.AppendInt(key, n/den, 10)
+		} else {
+			key = strconv.AppendInt(key, n, 10)
+			key = append(key, '/')
+			key = strconv.AppendInt(key, den, 10)
+		}
+	}
+	weights, err := memoWeights(string(key), d.Order, func() []*big.Rat { return ratsOver(nums, den) })
 	if err != nil {
 		// Impossible by construction (offsets are distinct); keep the node.
 		return d
 	}
 	// Note any half offsets: the shift must land on integers for array
 	// accesses, so staggered targets absorb the 1/2 via their storage
-	// convention (value at x+1/2 stored at index x).
-	terms := make([]Expr, 0, len(offsets))
-	for i, off := range offsets {
+	// convention (value at x+1/2 stored at index x). Each tap's weight is
+	// the memo's own rational, shared: Num values are never modified.
+	terms := make([]Expr, 0, len(nums))
+	for i, n := range nums {
 		if weights[i].Sign() == 0 {
 			continue
 		}
-		shift, half := ratToShift(off)
+		shift, half := offsetShift(n, den)
 		shifted := shiftExpr(d.Target, d.Dim, shift, half)
 		terms = append(terms, NewMul(Num{Val: weights[i]}, shifted))
 	}
@@ -244,20 +288,16 @@ func expandDeriv(d Deriv) Expr {
 	return NewMul(sum, NewPow(h, -d.Order))
 }
 
-// ratToShift decomposes a stencil offset into an integer shift plus an
-// optional half-cell remainder. Offsets are always k or k+1/2.
-func ratToShift(r *big.Rat) (shift int, half bool) {
-	num := r.Num().Int64()
-	den := r.Denom().Int64()
-	if den == 1 {
-		return int(num), false
+// offsetShift decomposes a stencil offset n/den (den 1 or 2) into an
+// integer shift plus an optional half-cell remainder. Offsets are always k
+// or k+1/2.
+func offsetShift(n, den int64) (shift int, half bool) {
+	if den == 1 || n%den == 0 {
+		return int(n / den), false
 	}
-	// num/2 with num odd: floor to the storage index convention
+	// n/2 with n odd: floor to the storage index convention
 	// value(x + (2k+1)/2) lives at index x + k.
-	if num >= 0 {
-		return int((num - 1) / 2), true
-	}
-	return int((num - 1) / 2), true
+	return int((n - 1) / 2), true
 }
 
 // shiftExpr shifts every Access in e by `shift` cells along dim. The `half`
