@@ -36,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 
-	"devigo/internal/halo"
 	"devigo/internal/obs"
 	"devigo/internal/perfmodel"
 	"devigo/internal/perfreport"
@@ -142,52 +141,13 @@ func runStrong(models []string, sos []int, machines []perfmodel.Machine) error {
 
 func runWeak(models []string, sos []int, machines []perfmodel.Machine) error {
 	for _, so := range sos {
-		fmt.Printf("MPI-X weak scaling runtime (seconds), so-%02d (paper Fig. 12/21-24)\n", so)
-		fmt.Printf("%-18s", "series/nodes")
-		for _, n := range perfreport.PaperNodeCounts {
-			fmt.Printf("%8d", n)
+		s, err := perfreport.WeakScalingReport(models, so, machines)
+		if err != nil {
+			return err
 		}
-		fmt.Println()
-		for _, m := range machines {
-			modes := []halo.Mode{halo.ModeBasic, halo.ModeFull, halo.ModeDiagonal}
-			if m.GPUOnlyBasic {
-				modes = modes[:1]
-			}
-			for _, model := range models {
-				for _, mode := range modes {
-					pts, err := perfreport.WeakScaling(model, so, m, mode)
-					if err != nil {
-						return err
-					}
-					label := fmt.Sprintf("%s-%s", shortName(model), mode)
-					if m.GPUOnlyBasic {
-						label += "[GPU]"
-					}
-					fmt.Printf("%-18s", label)
-					for _, p := range pts {
-						fmt.Printf("%8.2f", p.Runtime)
-					}
-					fmt.Println()
-				}
-			}
-		}
-		fmt.Println()
+		fmt.Println(s)
 	}
 	return nil
-}
-
-func shortName(model string) string {
-	switch model {
-	case "acoustic":
-		return "Ac"
-	case "elastic":
-		return "El"
-	case "tti":
-		return "TTI"
-	case "viscoelastic":
-		return "VEl"
-	}
-	return model
 }
 
 func runRoofline(sos []int) error {

@@ -187,114 +187,112 @@ func (op *Operator) tileProfile() (stride, streams int) {
 	return stride, len(p.Halos)
 }
 
-// autotune self-configures the operator at the head of an Apply. The
-// search policy consumes timesteps of the live run through the step
-// callback (advancing *next/*remaining), timing tuneStepsPerTrial steps
-// per shortlisted candidate; the slowest rank's time decides (allreduced
-// max), so all ranks adopt the same winner. When too few steps remain the
-// search settles early on the best measurement so far, or on the model's
-// top choice if nothing was measured.
+// autotune self-configures the operator at the head of an Apply through
+// perfmodel.Tune. The model policy grants no trial budget, so Tune settles
+// on the model's top choice. The search policy consumes timesteps of the
+// live run through the step callback (advancing *next/*remaining), timing
+// tuneStepsPerTrial steps per shortlisted candidate; the slowest rank's
+// time decides (allreduced max), so all ranks adopt the same winner. When
+// too few steps remain the search settles early on the best measurement so
+// far, or on the model's top choice if nothing was measured.
 func (op *Operator) autotune(policy string, step func(int), next *int, remaining *int, dir int) error {
 	prof := op.Profile()
 	host := perfmodel.DefaultHost()
 	op.measurePoolSync(&host, prof.MaxWorkers)
 	rank := op.obsRank()
-	if policy == AutotuneModel {
-		plan := perfmodel.Plan(host, prof)
-		if len(plan) == 0 {
-			return nil
-		}
-		if err := op.adopt(plan[0]); err != nil {
-			return err
-		}
-		if rank == 0 {
-			obs.RecordDecision(obs.Decision{
-				Policy:       policy,
-				Config:       plan[0].String(),
-				PredictedSec: host.Predict(prof, plan[0]),
-				Chosen:       true,
-			})
-		}
-		op.tuned = true
-		op.tunePolicy = policy
-		op.storeTuneConfig(plan[0])
-		return nil
-	}
-	// One untimed warmup step before the first trial: the very first
-	// step pays first-touch and cache-warming costs that would otherwise
-	// bias the search against whichever candidate happens to go first.
-	if *remaining > tuneStepsPerTrial {
-		sp := obs.Begin(rank, obs.PhaseWarmup, *next)
-		step(*next)
-		*next += dir
-		*remaining--
-		sp.End()
-		obs.Add(rank, obs.CtrWarmupSteps, 1)
-	}
-	measure := func(cfg perfmodel.ExecConfig) (float64, error) {
-		// Every trial times a whole window and reports the per-step
-		// average, with the window covering at least one full tile for
-		// time-tiled candidates: tiled cost is lumpy (the deep exchange
-		// and the widest shell land on the first substep), so a per-step
-		// minimum would flatter tiling by timing only the cheap tail
-		// substeps — and mixing a minimum for some candidates with an
-		// average for others would bias the comparison the opposite way.
-		steps := tuneStepsPerTrial
-		if k := cfg.TimeTile; k > 1 {
-			// Round up to whole tiles: a window that cuts a tile short
-			// would charge the candidate for more tile-head exchanges per
-			// step than its steady state (e.g. 2 exchanges in 3 steps for
-			// k=2 instead of 1 in 2).
-			steps = (steps + k - 1) / k * k
-		}
-		if *remaining < steps {
-			return 0, perfmodel.ErrTuneBudget
-		}
-		if err := op.adopt(cfg); err != nil {
-			return 0, err
-		}
-		// Align the window to a tile head regardless of where the
-		// previous trial stopped.
-		op.tilePos = 0
-		sp := obs.Begin(rank, obs.PhaseAutotuneTrial, *next)
-		t0 := time.Now()
-		for i := 0; i < steps; i++ {
+	measure := func(perfmodel.ExecConfig) (float64, error) { return 0, perfmodel.ErrTuneBudget }
+	if policy == AutotuneSearch {
+		// One untimed warmup step before the first trial: the very first
+		// step pays first-touch and cache-warming costs that would otherwise
+		// bias the search against whichever candidate happens to go first.
+		if *remaining > tuneStepsPerTrial {
+			sp := obs.Begin(rank, obs.PhaseWarmup, *next)
 			step(*next)
 			*next += dir
 			*remaining--
+			sp.End()
+			obs.Add(rank, obs.CtrWarmupSteps, 1)
 		}
-		avg := time.Since(t0).Seconds() / float64(steps)
-		sp.End()
-		obs.Add(rank, obs.CtrTrialSteps, int64(steps))
-		if !op.ctx.Serial() {
-			avg = op.ctx.Comm.AllreduceScalar(avg, mpi.OpMax)
+		measure = func(cfg perfmodel.ExecConfig) (float64, error) {
+			// Every trial times a whole window and reports the per-step
+			// average, with the window covering at least one full tile for
+			// time-tiled candidates: tiled cost is lumpy (the deep exchange
+			// and the widest shell land on the first substep), so a per-step
+			// minimum would flatter tiling by timing only the cheap tail
+			// substeps — and mixing a minimum for some candidates with an
+			// average for others would bias the comparison the opposite way.
+			steps := tuneStepsPerTrial
+			if k := cfg.TimeTile; k > 1 {
+				// Round up to whole tiles: a window that cuts a tile short
+				// would charge the candidate for more tile-head exchanges per
+				// step than its steady state (e.g. 2 exchanges in 3 steps for
+				// k=2 instead of 1 in 2).
+				steps = (steps + k - 1) / k * k
+			}
+			if *remaining < steps {
+				return 0, perfmodel.ErrTuneBudget
+			}
+			if err := op.adopt(cfg); err != nil {
+				return 0, err
+			}
+			// Align the window to a tile head regardless of where the
+			// previous trial stopped.
+			op.tilePos = 0
+			sp := obs.Begin(rank, obs.PhaseAutotuneTrial, *next)
+			t0 := time.Now()
+			for i := 0; i < steps; i++ {
+				step(*next)
+				*next += dir
+				*remaining--
+			}
+			avg := time.Since(t0).Seconds() / float64(steps)
+			sp.End()
+			obs.Add(rank, obs.CtrTrialSteps, int64(steps))
+			if !op.ctx.Serial() {
+				avg = op.ctx.Comm.AllreduceScalar(avg, mpi.OpMax)
+			}
+			return avg, nil
 		}
-		return avg, nil
 	}
 	cfg, trialLog, err := perfmodel.Tune(host, prof, 0, measure)
 	if err != nil {
 		return err
 	}
-	if rank == 0 && obs.Active() {
-		// Log every measured trial with its model prediction; the snapshot
-		// derives the autotuner's regret (chosen vs empirically best) from
-		// these entries.
-		for _, tr := range trialLog {
-			obs.RecordDecision(obs.Decision{
-				Policy:       policy,
-				Config:       tr.Config.String(),
-				PredictedSec: host.Predict(prof, tr.Config),
-				MeasuredSec:  tr.Seconds,
-				Chosen:       tr.Config.String() == cfg.String(),
-			})
-		}
+	// The model policy logs its choice with its prediction; the search
+	// logs every measured trial, from which the snapshot derives the
+	// autotuner's regret (chosen vs empirically best).
+	var decisions []obs.Decision
+	if policy == AutotuneModel {
+		decisions = append(decisions, obs.Decision{Policy: policy, Config: cfg.String(),
+			PredictedSec: host.Predict(prof, cfg), Chosen: true})
 	}
+	for _, tr := range trialLog {
+		decisions = append(decisions, obs.Decision{
+			Policy:       policy,
+			Config:       tr.Config.String(),
+			PredictedSec: host.Predict(prof, tr.Config),
+			MeasuredSec:  tr.Seconds,
+			Chosen:       tr.Config.String() == cfg.String(),
+		})
+	}
+	return op.settle(policy, cfg, decisions...)
+}
+
+// settle adopts a tuned configuration: it reconfigures the operator, marks
+// it tuned under policy, publishes the choice for operators sharing the
+// schedule key, and logs the decisions on rank 0.
+func (op *Operator) settle(policy string, cfg perfmodel.ExecConfig, decisions ...obs.Decision) error {
 	if err := op.adopt(cfg); err != nil {
 		return err
 	}
 	op.tuned = true
 	op.tunePolicy = policy
 	op.storeTuneConfig(cfg)
+	if op.obsRank() == 0 {
+		for _, d := range decisions {
+			obs.RecordDecision(d)
+		}
+	}
 	return nil
 }
 

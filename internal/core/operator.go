@@ -115,35 +115,28 @@ type Operator struct {
 // Perf accumulates per-section timing, the devigo analogue of
 // DEVITO_LOGGING=BENCH output. ComputeSeconds/HaloSeconds/PointsUpdated/
 // Timesteps cover steady-state execution only: autotune warmup and search
-// trials are split out into the Tune* fields so rate figures are not
-// diluted by the one-off self-configuration cost.
+// trials are left out so rate figures are not diluted by the one-off
+// self-configuration cost.
 type Perf struct {
 	ComputeSeconds float64
 	HaloSeconds    float64
 	PointsUpdated  int64
 	Timesteps      int
 	FlopsPerPoint  int
-	// TuneSeconds is the wall time consumed by autotune warmup and search
-	// trials (excluded from the steady-state sections above).
-	TuneSeconds float64
-	// TuneSteps / TunePoints count the timesteps and point updates those
-	// warmup/trial windows executed.
-	TuneSteps  int
-	TunePoints int64
 	// Engine names the execution engine the kernels compiled to
 	// (EngineBytecode, EngineNative or EngineInterpreter).
 	Engine string
 }
 
 // GPtss returns this rank's steady-state sweep rate in gigapoints per
-// second (autotune warmup/trial steps are excluded — they live in the
-// Tune* counters). It is rank-local and redundant-inclusive: PointsUpdated
-// counts every point of every swept box on this rank — owned points,
-// time-tile ghost shells and CIRE extensions alike — and the divisor is
-// this rank's own seconds, so it is neither a global figure nor a count of
-// useful work (that is global grid points x steps over the slowest rank's
-// seconds; devigo-run and bench/ report it). It is robust to partially populated counters: a NaN or
-// negative section time (a clock glitch, or a caller that only filled one
+// second (autotune warmup/trial steps are excluded). It is rank-local and
+// redundant-inclusive: PointsUpdated counts every point of every swept box
+// on this rank — owned points, time-tile ghost shells and CIRE extensions
+// alike — and the divisor is this rank's own seconds, so it is neither a
+// global figure nor a count of useful work (that is global grid points x
+// steps over the slowest rank's seconds; devigo-run and bench/ report it).
+// It is robust to partially populated counters: a NaN or negative section
+// time (a clock glitch, or a caller that only filled one
 // of the two sections) contributes zero rather than poisoning the result.
 func (p Perf) GPtss() float64 {
 	c, h := p.ComputeSeconds, p.HaloSeconds
@@ -639,38 +632,22 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 			ok = op.ctx.Comm.AllreduceScalar(hit, mpi.OpMin) == 1
 		}
 		if ok {
-			if err := op.adopt(cfg); err != nil {
+			if err := op.settle(policy, cfg, obs.Decision{Policy: policy + "-cached", Config: cfg.String(), Chosen: true}); err != nil {
 				return err
-			}
-			op.tuned = true
-			op.tunePolicy = policy
-			if rank == 0 {
-				obs.RecordDecision(obs.Decision{
-					Policy: policy + "-cached",
-					Config: cfg.String(),
-					Chosen: true,
-				})
 			}
 		}
 	}
 	if policy != AutotuneOff && !op.tuned {
-		// Snapshot the counters around self-configuration and move the
-		// delta into the Tune* fields: warmup and trial steps execute real
-		// physics but must not dilute the steady-state rate (GPtss).
+		// Warmup and trial steps execute real physics but must not dilute
+		// the steady-state counters (GPtss): restore them around tuning.
 		before := op.perf
 		if err := op.autotune(policy, step, &next, &remaining, dir); err != nil {
 			return err
 		}
-		after := op.perf
 		op.perf.ComputeSeconds = before.ComputeSeconds
 		op.perf.HaloSeconds = before.HaloSeconds
 		op.perf.Timesteps = before.Timesteps
 		op.perf.PointsUpdated = before.PointsUpdated
-		op.perf.TuneSeconds = before.TuneSeconds +
-			(after.ComputeSeconds - before.ComputeSeconds) +
-			(after.HaloSeconds - before.HaloSeconds)
-		op.perf.TuneSteps = before.TuneSteps + (after.Timesteps - before.Timesteps)
-		op.perf.TunePoints = before.TunePoints + (after.PointsUpdated - before.PointsUpdated)
 	}
 	obs.Add(rank, obs.CtrSteadySteps, int64(remaining))
 	for ; remaining > 0; remaining-- {

@@ -17,8 +17,9 @@ import "devigo/internal/field"
 //     (26 thinner messages in 3-D), trading message count for a single
 //     communication phase (and, for full, asynchrony).
 //
-// Performance models (package perfmodel, both the paper scenarios and the
-// runtime autotuner) consume these numbers.
+// The cost model (perfmodel's Host.Predict, which prices both the paper's
+// clusters and the runtime autotuner's candidates) consumes these numbers
+// through AmortizedTraffic.
 func Traffic(mode Mode, local []int, width int) (msgs int, bytes float64) {
 	if width <= 0 {
 		return 0, 0

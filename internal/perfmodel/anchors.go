@@ -13,8 +13,9 @@ package perfmodel
 // capture the cache behaviour that separates the staggered elastic and
 // viscoelastic kernels from TTI; single-node rates are therefore anchored
 // to the paper's measurements, while all *scaling* behaviour (efficiency
-// decay, mode crossovers, CPU/GPU divergence) comes from the model. See
-// EXPERIMENTS.md for the calibration discussion.
+// decay, mode crossovers, CPU/GPU divergence) comes from the model.
+// Machine.Host prices a point update at the anchored rate where one
+// exists and at the derated roofline otherwise.
 var cpuAnchors = map[string]map[int]float64{
 	"acoustic":     {4: 13.4, 8: 12.4, 12: 11.5, 16: 10.8},
 	"elastic":      {4: 1.8, 8: 1.7, 12: 1.5, 16: 1.0},

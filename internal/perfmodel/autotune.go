@@ -13,11 +13,12 @@ import (
 // This file is the runtime autotuner: the paper's "the compiler should
 // pick the MPI-X configuration" claim turned into a subsystem. Package
 // core builds an OpProfile for each compiled operator (instruction counts
-// from the bytecode engine, exchanged streams from the schedule, the
-// slowest rank's box from the grid decomposition) and either adopts the
-// cost model's top-ranked configuration directly (policy "model") or runs
-// a bounded empirical search over the model's shortlist (policy "search",
-// via Tune). Every candidate configuration is bit-exact — halo mode,
+// from the compiled kernels, exchanged streams from the schedule, the
+// slowest rank's box from the grid decomposition) and settles through
+// Tune: with no trial budget (policy "model") Tune returns the cost
+// model's top-ranked configuration, otherwise (policy "search") it runs a
+// bounded empirical search over the model's shortlist. Every candidate
+// configuration is bit-exact — halo mode,
 // worker count and tile size never change results, only speed — which is
 // what makes in-place tuning on the live simulation sound.
 
@@ -95,22 +96,24 @@ type OpProfile struct {
 	ForcedWorkers int
 	// TileRows is the operator's outer-dimension tile height. It is not a
 	// tuned axis — no height beat the default outside run-to-run noise on
-	// any measured group (ROADMAP item 4) — so every candidate carries it.
+	// any measured group (CHANGES.md records the sweep) — so every
+	// candidate carries it.
 	TileRows int
 }
 
-// Host is the calibrated single-machine cost model the autotuner ranks
-// candidate configurations with. Unlike the paper-cluster Machines of this
-// package, Host describes the in-process runtime itself: VM dispatch
-// latency, goroutine scheduling overheads, and the channel-rendezvous
-// cost of the in-process MPI. Absolute accuracy is not required — only
-// the induced *ranking* matters, and the empirical search (Tune) corrects
-// residual model error on the shortlist.
+// Host is one parameter set of the cost function Predict: the machine a
+// timestep is priced on. DefaultHost describes the in-process runtime the
+// autotuner configures (native-kernel dispatch, goroutine scheduling, the
+// in-process MPI); Machine.Host describes a paper cluster at a node count.
+// For the tuner absolute accuracy is not required — only the induced
+// *ranking* matters, and the empirical search (Tune) corrects residual
+// model error on the shortlist.
 type Host struct {
 	// SecondsPerInstr is the per-point cost of one instruction of the
 	// production (native) engine: one fused-chain link. Which engine runs
 	// is package core's decision alone; the model prices the one the tuner
-	// ships with and has no engine axis.
+	// ships with and has no engine axis. A cluster prices a whole point
+	// update as one instruction.
 	SecondsPerInstr float64
 	// MemBandwidth is the sustainable DRAM bandwidth of the compute loop
 	// (bytes/s); per-point cost is the max of the instruction-latency and
@@ -128,17 +131,26 @@ type Host struct {
 	// TileOverhead is the per-tile scheduling cost (channel receive,
 	// odometer setup).
 	TileOverhead float64
-	// MsgLatency is the per-message rendezvous cost of the in-process MPI.
+	// MsgLatency is the per-message cost of a halo exchange.
 	MsgLatency float64
-	// ExchangeBandwidth is the halo pack/copy/unpack bandwidth (bytes/s).
-	ExchangeBandwidth float64
+	// ExchangeBandwidth is the halo pack/copy/unpack bandwidth (bytes/s)
+	// of the single-phase patterns (diagonal, full); BasicBandwidth is
+	// that of basic's dimension sweep.
+	ExchangeBandwidth, BasicBandwidth float64
 	// BasicPhasePenalty multiplies basic-mode communication time: the
 	// dimension sweep serialises into multiple rendezvous phases and
 	// allocates exchange buffers per call.
 	BasicPhasePenalty float64
+	// SharedMessages is set when a step's exchanged streams share one
+	// message per neighbour, so per-message costs are paid once per
+	// neighbour rather than once per stream.
+	SharedMessages bool
 	// OverlapEff is the fraction of communication full mode hides under
 	// CORE computation (progress is only prodded between tiles).
 	OverlapEff float64
+	// ProgressLoss is the fraction of a rank's compute capacity full mode
+	// gives to the communication progress thread, which slows CORE.
+	ProgressLoss float64
 	// StridePenalty multiplies per-point cost in REMAINDER slabs
 	// (non-contiguous accesses on the thin boundary boxes).
 	StridePenalty float64
@@ -159,7 +171,7 @@ type Host struct {
 // 0.167 against 0.51 ns per instruction, ratio 0.33 as the median of five
 // runs (0.31–0.34). The absolute figure that measurement implies
 // (0.167 ns per link) is not adopted here: recalibrating the constants
-// from the host is ROADMAP item 4.
+// from the host is ROADMAP item 5.
 func DefaultHost() Host {
 	return Host{
 		SecondsPerInstr:   1.0e-9 * 0.33,
@@ -169,8 +181,11 @@ func DefaultHost() Host {
 		TileOverhead:      2e-7,
 		MsgLatency:        5e-6,
 		ExchangeBandwidth: 4e9,
+		BasicBandwidth:    4e9,
 		BasicPhasePenalty: 1.6,
+		SharedMessages:    false, // every stream is its own message
 		OverlapEff:        0.5,
+		ProgressLoss:      0, // progress is prodded by the workers themselves
 		StridePenalty:     1.5,
 	}
 }
@@ -233,10 +248,11 @@ func Candidates(p OpProfile) []ExecConfig {
 }
 
 // Predict models one timestep's wall time for a profile under a
-// configuration — the same computation/communication structure as the
-// paper Scenario model (two-bound per-point cost, alpha-beta exchange
-// cost, CORE/REMAINDER overlap for full mode) instantiated with the
-// in-process Host constants and the actual compiled instruction counts.
+// configuration: a two-bound per-point compute cost spread over the worker
+// team, the redundant ghost shell of a time tile, an alpha-beta exchange
+// cost over halo.AmortizedTraffic, and CORE/REMAINDER overlap for full
+// mode. It is the repository's one step-cost function; the Host is its
+// parameter set.
 func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 	pts := float64(prod(p.LocalShape))
 	rows := 1
@@ -289,41 +305,37 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 		return compute
 	}
 
-	var nm, bytes float64
-	k := c.TimeTile
-	if k < 1 {
-		k = 1
-	}
-	if k > 1 {
-		// Time tiling: per-step compute grows by the average redundant
-		// ghost-shell volume; messages amortize by k over a deep exchange of
-		// TileStreams buffers at depth ~HaloWidth + (k-1)·stride.
-		shell := 0.0
-		for j := 0; j < k; j++ {
-			pj := 1.0
-			for d := range p.LocalShape {
-				pj *= float64(p.LocalShape[d] + 2*j*p.TileStride)
-			}
-			shell += pj
+	// An exchange interval k grows per-step compute by the average
+	// redundant ghost-shell volume (exactly 1 at k = 1), and amortizes the
+	// messages by k over a deep exchange of TileStreams buffers at depth
+	// HaloWidth + (k-1)·stride.
+	k := max(c.TimeTile, 1)
+	shell := 0.0
+	for j := 0; j < k; j++ {
+		pj := 1.0
+		for d := range p.LocalShape {
+			pj *= float64(p.LocalShape[d] + 2*j*p.TileStride)
 		}
-		compute *= shell / (float64(k) * pts)
-		width := p.HaloWidth + (k-1)*p.TileStride
-		streams := p.TileStreams
-		if streams <= 0 {
-			streams = p.HaloStreams
-		}
-		nm, bytes = halo.AmortizedTraffic(c.Mode, p.LocalShape, width, k, streams)
-	} else {
-		msgs, perStream := halo.Traffic(c.Mode, p.LocalShape, p.HaloWidth)
-		nm = float64(msgs * p.HaloStreams)
-		bytes = perStream * float64(p.HaloStreams)
+		shell += pj
 	}
-	comm := nm*h.MsgLatency + bytes/h.ExchangeBandwidth
+	compute *= shell / (float64(k) * pts)
+	width := p.HaloWidth + (k-1)*p.TileStride
+	streams := p.HaloStreams
+	if k > 1 && p.TileStreams > 0 {
+		streams = p.TileStreams
+	}
+	nm, bytes := halo.AmortizedTraffic(c.Mode, p.LocalShape, width, k, streams)
+	if h.SharedMessages {
+		nm, _ = halo.AmortizedTraffic(c.Mode, p.LocalShape, width, k, 1)
+	}
+	bw := h.ExchangeBandwidth
+	if c.Mode == halo.ModeBasic {
+		bw = h.BasicBandwidth
+	}
+	comm := nm*h.MsgLatency + bytes/bw
 	switch c.Mode {
 	case halo.ModeBasic:
 		return compute + comm*h.BasicPhasePenalty
-	case halo.ModeDiagonal:
-		return compute + comm
 	case halo.ModeFull:
 		corePts := 1.0
 		for d := range p.LocalShape {
@@ -334,7 +346,7 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 			corePts *= float64(side)
 		}
 		remPts := pts - corePts
-		coreCompute := compute * corePts / pts
+		coreCompute := compute * corePts / pts / (1 - h.ProgressLoss)
 		remCompute := compute * remPts / pts * h.StridePenalty
 		hidden := comm * h.OverlapEff
 		overlapped := coreCompute

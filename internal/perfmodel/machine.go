@@ -1,11 +1,15 @@
-// Package perfmodel implements the calibrated analytic machine model that
-// substitutes for the paper's Archer2 (CPU) and Tursa (GPU) clusters: a
-// roofline compute model per kernel plus an alpha-beta communication model
-// per MPI mode. The functional behaviour of the generated code is validated
-// for real by the in-process MPI runtime; this package reproduces the
-// *wall-clock shape* of the paper's strong/weak scaling figures
-// (see DESIGN.md section 2 for the substitution rationale).
+// Package perfmodel prices a timestep with one α-β + roofline cost
+// function, Host.Predict, and ranks the runtime autotuner's candidate
+// configurations with it. The function has two parameter sets: DefaultHost,
+// the in-process runtime the tuner configures, and a Machine at a node
+// count, the paper's ARCHER2 (CPU) and Tursa (GPU) clusters, which this
+// repository cannot run on. The functional behaviour of the generated code
+// is validated for real by the in-process MPI runtime; the Machine sets
+// reproduce the *wall-clock shape* of the paper's strong/weak scaling
+// figures.
 package perfmodel
+
+import "math"
 
 // Machine describes one execution platform in per-rank terms.
 type Machine struct {
@@ -28,9 +32,6 @@ type Machine struct {
 	// link saturated, while the single-step patterns (diagonal/full)
 	// stream from preallocated buffers.
 	BWEffBasic, BWEffSingleStep float64
-	// StridePenalty multiplies the per-point cost in REMAINDER areas
-	// (non-contiguous accesses, lost vectorisation — paper Section III-h).
-	StridePenalty float64
 	// Efficiency derates the roofline bounds to achievable fractions.
 	Efficiency float64
 	// ThreadsPerRank is the OpenMP pool size (full mode sacrifices one
@@ -39,6 +40,61 @@ type Machine struct {
 	// GPUOnlyBasic mirrors Table I: diagonal/full need preallocated
 	// device buffers which are unsupported on GPUs.
 	GPUOnlyBasic bool
+}
+
+// The paper model's full-mode literals, shared by both clusters: the
+// fraction of communication CORE computation hides (MPI_Test prods only
+// between tiles), and the per-point cost multiplier of the REMAINDER
+// areas (non-contiguous accesses, lost vectorisation — paper Section
+// III-h). Only ARCHER2 prices full mode; Tursa is basic-only (Table I).
+const (
+	overlapEff       = 0.7
+	remainderPenalty = 3.0
+)
+
+// Host returns the parameter set that prices kernel k on nodes of the
+// machine (devices, for a GPU machine). Intra-node message costs and
+// bandwidth apply while every rank fits in one node (NVLink for up to
+// RanksPerNode GPUs), inter-node ones beyond. A point update costs the
+// paper's measured single-node rate where the paper reports one, the
+// Efficiency-derated roofline otherwise, and is priced as one instruction
+// per point. The exchanged streams of a step travel bundled in one message
+// per neighbour (preallocated buffer bundles for diagonal/full, one
+// allocation sweep for basic), and full mode gives one of ThreadsPerRank
+// threads to the progress engine.
+func (m Machine) Host(k KernelChar, nodes int) Host {
+	alpha, beta := m.MsgOverheadInter, m.BWInter
+	if nodes == 1 || (m.GPUOnlyBasic && nodes <= m.RanksPerNode) {
+		alpha, beta = m.MsgOverheadIntra, m.BWIntra
+	}
+	var perPoint float64
+	if anchor, ok := paperAnchor(k.Name, k.SO, m.GPUOnlyBasic); ok {
+		perRank := anchor * 1e9 // GPU anchors are per device == per rank
+		if !m.GPUOnlyBasic {
+			perRank = anchor * 1e9 / float64(m.RanksPerNode)
+		}
+		perPoint = 1 / perRank
+	} else {
+		tMem := k.BytesPerPoint() / (m.MemBW * m.Efficiency)
+		tFlop := k.FlopsPerPoint / (m.Flops * m.Efficiency)
+		perPoint = math.Max(tMem, tFlop)
+	}
+	progressLoss := 0.0
+	if m.ThreadsPerRank > 1 {
+		progressLoss = 1.0 / float64(m.ThreadsPerRank)
+	}
+	return Host{
+		SecondsPerInstr:   perPoint,
+		MemBandwidth:      math.Inf(1), // the memory bound is inside perPoint
+		MsgLatency:        alpha,
+		ExchangeBandwidth: beta * m.BWEffSingleStep,
+		BasicBandwidth:    beta * m.BWEffBasic,
+		BasicPhasePenalty: 1,
+		SharedMessages:    true,
+		OverlapEff:        overlapEff,
+		ProgressLoss:      progressLoss,
+		StridePenalty:     remainderPenalty,
+	}
 }
 
 // Archer2Node returns the CPU platform of the paper (Section IV-A1): dual
@@ -62,7 +118,6 @@ func Archer2Node() Machine {
 		BWInter:          50e9 / ranks, // 2x200Gb/s NICs shared by 8 ranks
 		BWEffBasic:       0.80,
 		BWEffSingleStep:  0.95,
-		StridePenalty:    3.0,
 		Efficiency:       0.85,
 		ThreadsPerRank:   16,
 	}
@@ -84,7 +139,6 @@ func TursaA100() Machine {
 		BWInter:          100e9 / 4, // 4x200Gb/s IB shared by the node's GPUs
 		BWEffBasic:       0.80,
 		BWEffSingleStep:  0.95,
-		StridePenalty:    3.5,
 		Efficiency:       0.75,
 		ThreadsPerRank:   1,
 		GPUOnlyBasic:     true,

@@ -32,17 +32,6 @@ func (s *Scenario) Ranks() int {
 	return s.Nodes * s.Machine.RanksPerNode
 }
 
-// interconnect returns the per-message overhead and per-rank bandwidth
-// applicable at the scenario's scale: intra-node while everything fits in
-// one node (NVLink for <=RanksPerNode GPUs), inter-node beyond.
-func (s *Scenario) interconnect() (alpha, beta float64) {
-	intranode := s.Nodes == 1 || (s.Machine.GPUOnlyBasic && s.Nodes <= s.Machine.RanksPerNode)
-	if intranode {
-		return s.Machine.MsgOverheadIntra, s.Machine.BWIntra
-	}
-	return s.Machine.MsgOverheadInter, s.Machine.BWInter
-}
-
 // localShape returns the slowest rank's chunk (ceil division).
 func (s *Scenario) localShape() ([]int, error) {
 	ranks := s.Ranks()
@@ -67,27 +56,6 @@ func (s *Scenario) localShape() ([]int, error) {
 	return out, nil
 }
 
-// pointCost returns the seconds per grid-point update on one rank:
-// paper-anchored when the kernel matches a measured configuration,
-// first-principles roofline otherwise.
-func (s *Scenario) pointCost() float64 {
-	if anchor, ok := paperAnchor(s.Kernel.Name, s.Kernel.SO, s.Machine.GPUOnlyBasic); ok {
-		perRank := anchor * 1e9 // GPU anchors are per device == per rank
-		if !s.Machine.GPUOnlyBasic {
-			perRank = anchor * 1e9 / float64(s.Machine.RanksPerNode)
-		}
-		return 1 / perRank
-	}
-	bw := s.Machine.MemBW * s.Machine.Efficiency
-	fl := s.Machine.Flops * s.Machine.Efficiency
-	tMem := s.Kernel.BytesPerPoint() / bw
-	tFlop := s.Kernel.FlopsPerPoint / fl
-	if tMem > tFlop {
-		return tMem
-	}
-	return tFlop
-}
-
 func prod(xs []int) int {
 	p := 1
 	for _, x := range xs {
@@ -96,38 +64,9 @@ func prod(xs []int) int {
 	return p
 }
 
-// commTime models one timestep's halo-exchange cost for the slowest rank.
-// Message counts and byte volumes come from halo.Traffic (the exchangers'
-// own accounting). Messages of all exchanged fields are bundled per step
-// (preallocated buffer bundles for diagonal/full; one allocation sweep for
-// basic), so per-message overheads are paid once per step while byte
-// volume scales with the stream count.
-func (s *Scenario) commTime(local []int) float64 {
-	if s.Ranks() == 1 {
-		return 0
-	}
-	alpha, beta := s.interconnect()
-	streams := float64(s.Kernel.HaloStreams)
-	msgs, perStream := halo.Traffic(s.Mode, local, s.Kernel.HaloWidth)
-	nmsgs := float64(msgs)
-	bytes := perStream * streams
-
-	switch s.Mode {
-	case halo.ModeBasic:
-		// 2 messages per dimension, three synchronous rendezvous phases:
-		// fewer, larger messages, but the multi-step sync and the C-land
-		// allocation keep the wire under-saturated (Table I).
-		return nmsgs*alpha + bytes/(beta*s.Machine.BWEffBasic)
-	case halo.ModeDiagonal, halo.ModeFull:
-		// Single-step posting of the full neighbourhood: 26 messages in
-		// 3-D, smaller each, streaming from preallocated buffers.
-		return nmsgs*alpha + bytes/(beta*s.Machine.BWEffSingleStep)
-	default:
-		return 0
-	}
-}
-
-// StepTime returns the modelled seconds per timestep on the slowest rank.
+// StepTime returns the modelled seconds per timestep on the slowest rank:
+// Host.Predict with the machine's parameter set at the scenario's node
+// count, on the slowest rank's chunk.
 func (s *Scenario) StepTime() (float64, error) {
 	local, err := s.localShape()
 	if err != nil {
@@ -136,43 +75,15 @@ func (s *Scenario) StepTime() (float64, error) {
 	if s.Machine.GPUOnlyBasic && s.Mode != halo.ModeBasic && s.Ranks() > 1 {
 		return 0, fmt.Errorf("perfmodel: %s supports only the basic pattern (Table I)", s.Machine.Name)
 	}
-	tpt := s.pointCost()
-	localPts := float64(prod(local))
-	comm := s.commTime(local)
-
-	if s.Mode != halo.ModeFull || s.Ranks() == 1 {
-		return localPts*tpt + comm, nil
+	p := OpProfile{
+		LocalShape:     local,
+		InstrsPerPoint: 1, // the machine prices a point update as one instruction
+		HaloStreams:    s.Kernel.HaloStreams,
+		HaloWidth:      s.Kernel.HaloWidth,
+		Ranks:          s.Ranks(),
+		Mode:           s.Mode,
 	}
-
-	// Full mode: CORE overlaps communication; REMAINDER pays the stride
-	// penalty; one of the simulated threads is sacrificed to the progress
-	// engine; overlap is imperfect (MPI_Test prods only between tiles).
-	h := s.Kernel.HaloWidth
-	corePts := 1.0
-	for d := range local {
-		c := local[d] - 2*h
-		if c < 0 {
-			c = 0
-		}
-		corePts *= float64(c)
-	}
-	remPts := localPts - corePts
-	// One OpenMP worker of the pool is sacrificed to the MPI_Test
-	// progress engine (paper Section III-h).
-	threadLoss := 0.0
-	if s.Machine.ThreadsPerRank > 1 {
-		threadLoss = 1.0 / float64(s.Machine.ThreadsPerRank)
-	}
-	tCore := corePts * tpt / (1 - threadLoss)
-	const overlapEff = 0.7
-	hidden := comm * overlapEff
-	overlapped := tCore
-	if hidden > overlapped {
-		overlapped = hidden
-	}
-	exposed := comm - hidden
-	tRem := remPts * tpt * s.Machine.StridePenalty
-	return overlapped + exposed + tRem, nil
+	return s.Machine.Host(s.Kernel, s.Nodes).Predict(p, ExecConfig{Mode: s.Mode}), nil
 }
 
 // ThroughputGPts returns the modelled global throughput in GPts/s.
@@ -244,7 +155,6 @@ type RooflinePoint struct {
 // Roofline places a kernel on a machine's roofline.
 func Roofline(k KernelChar, m Machine) RooflinePoint {
 	ai := k.OperationalIntensity()
-	memBound := ai * m.MemBW
 	p := RooflinePoint{Kernel: k.Name, Machine: m.Name, AI: ai}
 	// Whole-machine-per-rank numbers: scale by ranks/node for node-level
 	// figures like the paper's.
@@ -253,7 +163,7 @@ func Roofline(k KernelChar, m Machine) RooflinePoint {
 	if m.GPUOnlyBasic {
 		nodeBW, nodeFlops = m.MemBW, m.Flops // per device, as in Fig. 7
 	}
-	memBound = ai * nodeBW
+	memBound := ai * nodeBW
 	if memBound < nodeFlops {
 		p.GFlops = memBound * m.Efficiency / 1e9
 		p.Bound = "memory"

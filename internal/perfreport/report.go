@@ -134,6 +134,58 @@ func WeakScaling(model string, so int, machine perfmodel.Machine, mode halo.Mode
 	return out, nil
 }
 
+// WeakScalingReport renders one space order's weak-scaling figure: a
+// runtime series per model and mode on every machine (basic only on a
+// GPU machine, Table I).
+func WeakScalingReport(models []string, so int, machines []perfmodel.Machine) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "MPI-X weak scaling runtime (seconds), so-%02d (paper Fig. 12/21-24)\n", so)
+	fmt.Fprintf(&b, "%-18s", "series/nodes")
+	for _, n := range PaperNodeCounts {
+		fmt.Fprintf(&b, "%8d", n)
+	}
+	b.WriteString("\n")
+	for _, m := range machines {
+		modes := []halo.Mode{halo.ModeBasic, halo.ModeFull, halo.ModeDiagonal}
+		if m.GPUOnlyBasic {
+			modes = modes[:1]
+		}
+		for _, model := range models {
+			for _, mode := range modes {
+				pts, err := WeakScaling(model, so, m, mode)
+				if err != nil {
+					return "", err
+				}
+				label := fmt.Sprintf("%s-%s", shortName(model), mode)
+				if m.GPUOnlyBasic {
+					label += "[GPU]"
+				}
+				fmt.Fprintf(&b, "%-18s", label)
+				for _, p := range pts {
+					fmt.Fprintf(&b, "%8.2f", p.Runtime)
+				}
+				b.WriteString("\n")
+			}
+		}
+	}
+	return b.String(), nil
+}
+
+// shortName is a model's series prefix in the weak-scaling figure.
+func shortName(model string) string {
+	switch model {
+	case "acoustic":
+		return "Ac"
+	case "elastic":
+		return "El"
+	case "tti":
+		return "TTI"
+	case "viscoelastic":
+		return "VEl"
+	}
+	return model
+}
+
 // paperTimesteps returns the step counts of the paper's 512 ms runs
 // (Section IV-C).
 func paperTimesteps(model string) int {
@@ -163,7 +215,7 @@ func (t *ScalingTable) Format() string {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "%-6s", "eff%%")
+	fmt.Fprintf(&b, "%-6s", "eff%")
 	for _, e := range t.EffPct {
 		fmt.Fprintf(&b, "%8.0f%%", e)
 	}
