@@ -22,6 +22,15 @@ func CompileCluster(c *ir.Cluster, fields map[string]*field.Function) (*Kernel, 
 // pinned row registers; all other scalars land in the bind-time pool.
 func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	fields map[string]*field.Function) (*Kernel, error) {
+	return CompileKeyed(assigns, eqs, symbolic.KeyNest(assigns, eqs), radius, fields)
+}
+
+// CompileKeyed is CompileNest over the nest's keyed body, as CSE left it
+// (iet.LoopNest.Keyed): kn.Temps[i] is assigns[i]'s value and kn.RHS[i]
+// eqs[i]'s right-hand side. It renders nothing: a subtree's key and
+// whether it varies per point come from the keyed tree.
+func CompileKeyed(assigns []symbolic.Assignment, eqs []symbolic.Eq, kn symbolic.KeyedNest,
+	radius []int, fields map[string]*field.Function) (*Kernel, error) {
 	k := &Kernel{Radius: append([]int(nil), radius...)}
 	c := &compiler{
 		k:           k,
@@ -37,8 +46,8 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 
 	// Per-point temporaries first, in order: each lands in a pinned row
 	// register readable by every later temporary and equation.
-	for _, a := range assigns {
-		res, err := c.compileVec(a.Value)
+	for i, a := range assigns {
+		res, err := c.compileVec(kn.Temps[i])
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +68,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	// Equations in program order; each stores its row before the next
 	// equation compiles, so center reads of just-written fields observe
 	// the new values exactly as in the per-point interpreter.
-	for _, eq := range eqs {
+	for i, eq := range eqs {
 		lhs, ok := eq.LHS.(symbolic.Access)
 		if !ok {
 			return nil, fmt.Errorf("bytecode: equation LHS must be a function access, got %s", eq.LHS)
@@ -68,7 +77,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.compileVec(eq.RHS)
+		res, err := c.compileVec(kn.RHS[i])
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +93,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			c.freeRegs = append(c.freeRegs, res.idx)
 		}
 		c.invalidate(fi)
-		k.flops += symbolic.FlopCount(eq.RHS) + 1
+		k.flops += kn.RHS[i].Flops() + 1
 	}
 
 	if err := c.bd.Validate(); err != nil {
@@ -240,41 +249,13 @@ func (c *compiler) scalarPow(a int32, exp int) int32 {
 	return dst
 }
 
-// scalarPure reports whether e is built purely from constants and
-// bind-time scalar symbols — no field accesses and no per-point CSE
-// temporaries — and can therefore be hoisted out of the point loop.
-func (c *compiler) scalarPure(e symbolic.Expr) bool {
-	pure := true
-	symbolic.Walk(e, func(n symbolic.Expr) bool {
-		switch v := n.(type) {
-		case symbolic.Access:
-			pure = false
-			return false
-		case symbolic.Deriv:
-			pure = false
-			return false
-		case symbolic.Sym:
-			if _, isTemp := c.tempReg[v.Name]; isTemp {
-				pure = false
-				return false
-			}
-		}
-		return true
-	})
-	return pure
-}
-
-// compileScalar lowers a scalar-pure subtree to a pool slot. The prelude
-// replays the interpreter's left-nested evaluation order with the same
-// float64 operations, so the hoisted value is bit-identical to what the
+// compileScalar lowers a subtree that does not vary per point — one built
+// from constants and bind-time scalar symbols only — to a pool slot.
+// Identical subtrees (by key) share one slot. The prelude replays the
+// interpreter's left-nested evaluation order with the same float64
+// operations, so the hoisted value is bit-identical to what the
 // interpreter would compute at every point.
-func (c *compiler) compileScalar(e symbolic.Expr) (int32, error) {
-	return c.compileKeyed(symbolic.KeyOf(e))
-}
-
-// compileKeyed is compileScalar over a keyed subtree: identical subtrees
-// (by key, composed once per node) share one pool slot.
-func (c *compiler) compileKeyed(k symbolic.Keyed) (int32, error) {
+func (c *compiler) compileScalar(k symbolic.Keyed) (int32, error) {
 	if idx, ok := c.scalarCache[k.Key]; ok {
 		return idx, nil
 	}
@@ -291,12 +272,12 @@ func (c *compiler) compileKeyed(k symbolic.Keyed) (int32, error) {
 		if _, isMul := v.(symbolic.Mul); isMul {
 			op = sMul
 		}
-		acc, err := c.compileKeyed(k.Ops[0])
+		acc, err := c.compileScalar(k.Ops[0])
 		if err != nil {
 			return 0, err
 		}
 		for _, o := range k.Ops[1:] {
-			oi, err := c.compileKeyed(o)
+			oi, err := c.compileScalar(o)
 			if err != nil {
 				return 0, err
 			}
@@ -304,7 +285,7 @@ func (c *compiler) compileKeyed(k symbolic.Keyed) (int32, error) {
 		}
 		idx = acc
 	case symbolic.Pow:
-		base, err := c.compileKeyed(k.Ops[0])
+		base, err := c.compileScalar(k.Ops[0])
 		if err != nil {
 			return 0, err
 		}
@@ -318,14 +299,14 @@ func (c *compiler) compileKeyed(k symbolic.Keyed) (int32, error) {
 
 // --- vector compilation ----------------------------------------------------
 
-// compileVec lowers e to an operand: a pool scalar when the subtree is
-// loop-invariant, a row register otherwise.
-func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
-	if c.scalarPure(e) {
-		idx, err := c.compileScalar(e)
+// compileVec lowers k to an operand: a pool scalar when the subtree does
+// not vary per point, a row register otherwise.
+func (c *compiler) compileVec(k symbolic.Keyed) (opnd, error) {
+	if !k.Varies() {
+		idx, err := c.compileScalar(k)
 		return opnd{kind: oScalar, idx: idx}, err
 	}
-	switch v := e.(type) {
+	switch v := k.Expr.(type) {
 	case symbolic.Sym:
 		reg, ok := c.tempReg[v.Name]
 		if !ok {
@@ -335,11 +316,11 @@ func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
 	case symbolic.Access:
 		return c.load(v)
 	case symbolic.Add:
-		return c.compileAdd(v.Terms)
+		return c.compileAdd(k.Ops)
 	case symbolic.Mul:
-		return c.compileMul(v.Factors)
+		return c.compileMul(k.Ops)
 	case symbolic.Pow:
-		base, err := c.compileVec(v.Base)
+		base, err := c.compileVec(k.Ops[0])
 		if err != nil {
 			return opnd{}, err
 		}
@@ -350,7 +331,7 @@ func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
 	case symbolic.Deriv:
 		return opnd{}, fmt.Errorf("bytecode: unexpanded derivative reached codegen: %s", v)
 	default:
-		return opnd{}, fmt.Errorf("bytecode: cannot compile %T", e)
+		return opnd{}, fmt.Errorf("bytecode: cannot compile %T", k.Expr)
 	}
 }
 
@@ -376,24 +357,21 @@ func (c *compiler) load(a symbolic.Access) (opnd, error) {
 	return opnd{kind: oPinned, idx: reg}, nil
 }
 
-// scalarPrefix folds the maximal scalar-pure prefix of parts into one
-// bind-time pool entry (preserving left-nested order) and returns it with
-// the number of parts consumed; j == 0 means the first part is vector.
-func (c *compiler) scalarPrefix(parts []symbolic.Expr, mul bool) (opnd, int, error) {
+// scalarPrefix folds the maximal prefix of parts that does not vary per
+// point into one bind-time pool entry (preserving left-nested order) and
+// returns it with the number of parts consumed; j == 0 means the first
+// part is vector.
+func (c *compiler) scalarPrefix(parts []symbolic.Keyed, mul bool) (opnd, int, error) {
 	j := 0
-	for j < len(parts) && c.scalarPure(parts[j]) {
+	for j < len(parts) && !parts[j].Varies() {
 		j++
 	}
 	if j == 0 {
 		return opnd{}, 0, nil
 	}
-	var group symbolic.Expr
-	if j == 1 {
-		group = parts[0]
-	} else if mul {
-		group = symbolic.Mul{Factors: parts[:j]}
-	} else {
-		group = symbolic.Add{Terms: parts[:j]}
+	group := parts[0]
+	if j > 1 {
+		group = symbolic.Group(parts[:j], mul)
 	}
 	idx, err := c.compileScalar(group)
 	return opnd{kind: oScalar, idx: idx}, j, err
@@ -402,7 +380,7 @@ func (c *compiler) scalarPrefix(parts []symbolic.Expr, mul bool) (opnd, int, err
 // compileAdd accumulates terms left to right exactly like the
 // interpreter's binary-add chain, fusing multiply terms into madd
 // instructions (mul-then-add with two roundings — dispatch fusion only).
-func (c *compiler) compileAdd(terms []symbolic.Expr) (opnd, error) {
+func (c *compiler) compileAdd(terms []symbolic.Keyed) (opnd, error) {
 	acc, i, err := c.scalarPrefix(terms, false)
 	if err != nil {
 		return opnd{}, err
@@ -423,8 +401,8 @@ func (c *compiler) compileAdd(terms []symbolic.Expr) (opnd, error) {
 	return acc, nil
 }
 
-func (c *compiler) addTerm(acc opnd, term symbolic.Expr) (opnd, error) {
-	if c.scalarPure(term) {
+func (c *compiler) addTerm(acc opnd, term symbolic.Keyed) (opnd, error) {
+	if !term.Varies() {
 		s, err := c.compileScalar(term)
 		if err != nil {
 			return opnd{}, err
@@ -434,16 +412,16 @@ func (c *compiler) addTerm(acc opnd, term symbolic.Expr) (opnd, error) {
 		}
 		return c.addVS(acc, s), nil
 	}
-	if mul, ok := term.(symbolic.Mul); ok && acc.kind != oScalar {
-		partial, last, err := c.compileMulSplit(mul.Factors)
+	if _, ok := term.Expr.(symbolic.Mul); ok && acc.kind != oScalar {
+		partial, last, err := c.compileMulSplit(term.Ops)
 		if err != nil {
 			return opnd{}, err
 		}
 		if partial.kind != oScalar || last.kind != oScalar {
 			return c.madd(partial, last, acc), nil
 		}
-		// Both halves scalar cannot happen (the term would have been
-		// scalar-pure); recombine defensively.
+		// Both halves scalar cannot happen (the term would not vary);
+		// recombine defensively.
 		return c.addVS(acc, c.scalarBin(sMul, partial.idx, last.idx)), nil
 	}
 	v, err := c.compileVec(term)
@@ -497,8 +475,9 @@ func (c *compiler) madd(x, y, acc opnd) opnd {
 }
 
 // compileMul multiplies factors left to right, exactly mirroring the
-// interpreter's binary-multiply chain; scalar-pure factors use the pool.
-func (c *compiler) compileMul(factors []symbolic.Expr) (opnd, error) {
+// interpreter's binary-multiply chain; factors that do not vary per point
+// use the pool.
+func (c *compiler) compileMul(factors []symbolic.Keyed) (opnd, error) {
 	acc, i, err := c.scalarPrefix(factors, true)
 	if err != nil {
 		return opnd{}, err
@@ -515,7 +494,7 @@ func (c *compiler) compileMul(factors []symbolic.Expr) (opnd, error) {
 	}
 	for ; i < len(factors); i++ {
 		f := factors[i]
-		if c.scalarPure(f) {
+		if !f.Varies() {
 			s, err := c.compileScalar(f)
 			if err != nil {
 				return opnd{}, err
@@ -547,7 +526,7 @@ func (c *compiler) compileMul(factors []symbolic.Expr) (opnd, error) {
 // compileMulSplit evaluates the product of all factors but the last (in
 // interpreter order) and returns it with the compiled last factor, so the
 // caller can fuse the final multiply into an accumulate.
-func (c *compiler) compileMulSplit(factors []symbolic.Expr) (opnd, opnd, error) {
+func (c *compiler) compileMulSplit(factors []symbolic.Keyed) (opnd, opnd, error) {
 	n := len(factors)
 	var partial opnd
 	var err error

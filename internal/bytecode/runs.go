@@ -152,8 +152,8 @@ func (l Link) String() string {
 	return s
 }
 
-// count reports how many of the link's operands have class c.
-func (l Link) count(c Class) int {
+// Count reports how many of the link's operands have class c.
+func (l Link) Count(c Class) int {
 	n := 0
 	for _, o := range [...]Operand{l.X, l.Y, l.Z} {
 		if o.Class == c {
@@ -196,7 +196,9 @@ func ExtractSegments(prog []Instr, bd *runtime.Binding) ([]Segment, error) {
 	if err := checkPointLocal(prog, bd); err != nil {
 		return nil, err
 	}
-	x := &extractor{prog: prog, src: makeSrc(prog)}
+	src := makeSrc(prog)
+	x := &extractor{prog: prog, src: src, lsrc: make([]regSrc, len(src)),
+		free: make([]Link, 0, 2*len(prog))}
 	var segs []Segment
 	for i := 0; i < len(prog); {
 		if in := prog[i]; in.Op == OpLoad {
@@ -288,6 +290,15 @@ func makeSrc(prog []Instr) []regSrc {
 type extractor struct {
 	prog []Instr
 	src  []regSrc
+	// lsrc and snap are chain's working copy of src and its backtrack
+	// copy, reused from chain to chain.
+	lsrc, snap []regSrc
+	// free is the unused tail of the array backing the segments' links:
+	// a chain appends its own there. A program lowers to at most two links
+	// per instruction (one per instruction, plus a terminator per chain,
+	// and a chain takes at least one instruction), which sizes the first
+	// array.
+	free []Link
 }
 
 // vecReads lists the row registers an instruction reads.
@@ -337,13 +348,13 @@ func regDead(prog []Instr, from int, r int32) bool {
 // instruction wrote it.
 func (x *extractor) chain(i int) (Segment, error) {
 	prog := x.prog
-	lsrc := append([]regSrc(nil), x.src...)
+	lsrc := x.lsrc
+	copy(lsrc, x.src)
 	acc, tacc := int32(-1), int32(-1)
-	var links []Link
+	links := x.free[:0]
 	// Scratch-chain backtrack point: if a tentative t-chain never merges,
 	// the main chain ends before it.
 	snapJ, snapLinks := -1, 0
-	var snapSrc []regSrc
 
 	cls := func(r int32) (Class, int32) {
 		switch {
@@ -371,7 +382,7 @@ func (x *extractor) chain(i int) (Segment, error) {
 			return Segment{}, dead()
 		}
 		drain.Op, drain.N = LinkStore, in.B
-		return Segment{Lo: i, Hi: i + 1, Links: []Link{{Op: LinkMov, Dst: ClassAcc, X: Operand{c, idx}}, drain}}, nil
+		return Segment{Lo: i, Hi: i + 1, Links: x.commit(append(links, Link{Op: LinkMov, Dst: ClassAcc, X: Operand{c, idx}}, drain))}, nil
 	}
 
 	j := i
@@ -425,7 +436,7 @@ loop:
 				break loop
 			}
 			snapJ, snapLinks = j, len(links)
-			snapSrc = append([]regSrc(nil), lsrc...)
+			x.snap = append(x.snap[:0], lsrc...)
 			tacc = in.Rd
 		default:
 			break loop
@@ -436,7 +447,8 @@ loop:
 
 	if tacc >= 0 && snapJ >= 0 {
 		// The scratch chain never merged: rewind to just before it opened.
-		j, links, lsrc = snapJ, links[:snapLinks], snapSrc
+		j, links = snapJ, links[:snapLinks]
+		copy(lsrc, x.snap)
 	}
 	if acc < 0 {
 		return Segment{}, dead()
@@ -450,7 +462,14 @@ loop:
 		lsrc[acc] = regSrc{kind: srcRow}
 	}
 	copy(x.src, lsrc)
-	return Segment{Lo: i, Hi: j, Links: append(links, drain)}, nil
+	return Segment{Lo: i, Hi: j, Links: x.commit(append(links, drain))}, nil
+}
+
+// commit takes a chain's links, appended to x.free, and returns them
+// capped so that nothing appended to the segment reaches the next.
+func (x *extractor) commit(links []Link) []Link {
+	x.free = links[len(links):]
+	return links[:len(links):len(links)]
 }
 
 // lowerLink builds the link computing in's result: the opcode fixes the
@@ -520,7 +539,7 @@ const (
 // compound coefficients need no more), the main accumulator does not
 // advance while it is open, and a move only opens a chain.
 func place(l *Link, accOpen, tOpen bool) role {
-	nAcc, nT := l.count(ClassAcc), l.count(ClassT)
+	nAcc, nT := l.Count(ClassAcc), l.Count(ClassT)
 	ontoAcc := nAcc == 1 && (l.Op != LinkMadd || l.Z.Class == ClassAcc)
 	switch {
 	case !accOpen:
@@ -568,8 +587,8 @@ func LinkShapes() []Link {
 				continue
 			}
 			l.X.Index, l.Y.Index = 0, 0 // a scalar operand carries the probe's pool index
-			accOpen := l.count(ClassAcc)+l.count(ClassT) > 0
-			tOpen := l.count(ClassT) > 0
+			accOpen := l.Count(ClassAcc)+l.Count(ClassT) > 0
+			tOpen := l.Count(ClassT) > 0
 			for _, st := range [...][2]bool{{accOpen, tOpen}, {true, tOpen}, {true, true}} {
 				cand := l
 				if place(&cand, st[0], st[1]) != roleNone && !seen[cand.String()] {

@@ -24,14 +24,15 @@ import (
 // local domain widened transitively by the consumers' stencil radii) so
 // that no halo exchange is needed for them — exactly Devito's strategy
 // for CIRE temporaries. The required extension per scratch field is
-// returned so the operator can size the compute boxes.
+// returned so the operator can size the compute boxes. The equations come
+// back with their derivatives expanded — the pass expands each one once
+// for its own analysis — ready for ir.LowerExpanded.
 func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Grid,
 	decomp *grid.Decomposition, rank int) ([]symbolic.Eq, map[string]int, error) {
 
 	type scratchDef struct {
 		name     string
-		expr     symbolic.Expr
-		expanded symbolic.Expr // expr with its derivatives expanded
+		expanded symbolic.Expr // the scratch expression, derivatives expanded
 	}
 	var defs []scratchDef
 	byKey := map[string]string{}
@@ -47,7 +48,7 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 			name = "cire" + strconv.Itoa(len(defs))
 			byKey[key] = name
 			isScratch[name] = true
-			defs = append(defs, scratchDef{name: name, expr: e, expanded: expanded})
+			defs = append(defs, scratchDef{name: name, expanded: expanded})
 		}
 		return symbolic.At(scratchRef(name, g.NDims()))
 	}
@@ -102,7 +103,13 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 		out[i] = symbolic.Eq{LHS: e.LHS, RHS: rewrite(e.RHS, false)}
 	}
 	if len(defs) == 0 {
-		return eqs, nil, nil
+		for i, e := range eqs {
+			out[i] = symbolic.Eq{LHS: e.LHS, RHS: symbolic.ExpandDerivatives(e.RHS)}
+		}
+		return out, nil, nil
+	}
+	for i := range out {
+		out[i].RHS = symbolic.ExpandDerivatives(out[i].RHS)
 	}
 
 	// Extensions propagate transitively: a scratch read by another scratch
@@ -111,14 +118,14 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 	extension := map[string]int{}
 	type reader struct {
 		writes string // scratch name written by the eq, "" for finals
-		rhs    symbolic.Expr
+		reads  []symbolic.Access
 	}
 	var readers []reader
 	for _, d := range defs {
-		readers = append(readers, reader{writes: d.name, rhs: d.expanded})
+		readers = append(readers, reader{writes: d.name, reads: symbolic.Accesses(d.expanded)})
 	}
 	for _, e := range out {
-		readers = append(readers, reader{rhs: symbolic.ExpandDerivatives(e.RHS)})
+		readers = append(readers, reader{reads: symbolic.Accesses(e.RHS)})
 	}
 	for changed := true; changed; {
 		changed = false
@@ -127,7 +134,7 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 			if r.writes != "" {
 				extWriter = extension[r.writes]
 			}
-			for _, a := range symbolic.Accesses(r.rhs) {
+			for _, a := range r.reads {
 				if !isScratch[a.Fun.Name] {
 					continue
 				}
@@ -173,7 +180,7 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 	for i, d := range defs {
 		scratchEqs[i] = symbolic.Eq{
 			LHS: symbolic.At(fields[d.name].Ref),
-			RHS: d.expr,
+			RHS: d.expanded,
 		}
 	}
 	return append(scratchEqs, out...), extension, nil

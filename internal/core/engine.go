@@ -6,9 +6,9 @@ import (
 
 	"devigo/internal/bytecode"
 	"devigo/internal/field"
+	"devigo/internal/iet"
 	"devigo/internal/native"
 	"devigo/internal/runtime"
-	"devigo/internal/symbolic"
 )
 
 // Execution engines. The native engine is the production one: it re-lowers
@@ -54,14 +54,15 @@ func resolveEngine(requested string) (string, error) {
 }
 
 // compileStep compiles one optimized loop nest with the selected engine.
-func compileStep(engine string, assigns []symbolic.Assignment, eqs []symbolic.Eq,
-	radius []int, fields map[string]*field.Function) (ExecKernel, error) {
+// The native and bytecode compilers read the nest's keyed body.
+func compileStep(engine string, n iet.LoopNest, fields map[string]*field.Function) (ExecKernel, error) {
+	radius := n.Cluster.Radius
 	switch engine {
 	case EngineInterpreter:
-		return runtime.CompileNest(assigns, eqs, radius, fields)
+		return runtime.CompileNest(n.Assigns, n.Exprs, radius, fields)
 	case EngineNative:
-		return native.CompileNest(assigns, eqs, radius, fields)
+		return native.CompileKeyed(n.Assigns, n.Exprs, n.Keyed, radius, fields)
 	default:
-		return bytecode.CompileNest(assigns, eqs, radius, fields)
+		return bytecode.CompileKeyed(n.Assigns, n.Exprs, n.Keyed, radius, fields)
 	}
 }

@@ -24,3 +24,6 @@ func (op *Operator) Program() (k int, preamble []ir.HaloReq, sweeps []ProgramSwe
 	}
 	return op.prog.k, reqs(op.prog.preamble), sweeps
 }
+
+// ApplyCIRE exposes the CIRE pass to the external construction tests.
+var ApplyCIRE = applyCIRE

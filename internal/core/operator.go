@@ -214,6 +214,10 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	}
 	nd := g.NDims()
 
+	// Lowering, up to the lowered tree, its program and its C, is one
+	// span; kernel compilation is the next.
+	lowerSpan := obs.Begin(ctx.rank(), obs.PhaseLower, -1)
+
 	// Flop reduction: materialise nested derivatives into scratch fields
 	// (CIRE). Scratch fields are computed redundantly over extended boxes,
 	// so their halo requirements are dropped below.
@@ -247,7 +251,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 			return nil, err
 		}
 
-		clusters, err := ir.Lower(eqs, nd)
+		clusters, err := ir.LowerExpanded(eqs, nd)
 		if err != nil {
 			return nil, err
 		}
@@ -337,11 +341,14 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if op.execOpts.TileRows <= 0 {
 		op.execOpts.TileRows = 8
 	}
+	op.lower()
+	lowerSpan.End()
 
 	// Compile one kernel per cluster from the *optimized* IET form (CSE
 	// temporaries become per-point registers; hoisted invariants are
 	// evaluated once per Apply), recording the extended compute box of
 	// scratch-producing steps.
+	compileSpan := obs.Begin(op.obsRank(), obs.PhaseCompile, -1)
 	var nests []iet.LoopNest
 	iet.Walk(op.built, func(n iet.Node) {
 		switch v := n.(type) {
@@ -356,8 +363,8 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	}
 	compileAll := func() ([]ExecKernel, error) {
 		ks := make([]ExecKernel, 0, len(sched.Steps))
-		for i, st := range sched.Steps {
-			k, err := compileStep(engine, nests[i].Assigns, nests[i].Exprs, st.Cluster.Radius, fields)
+		for i := range sched.Steps {
+			k, err := compileStep(engine, nests[i], fields)
 			if err != nil {
 				return nil, err
 			}
@@ -369,6 +376,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if err != nil {
 		return nil, err
 	}
+	compileSpan.End()
 	op.kernels = kernels
 	for i, st := range sched.Steps {
 		op.perf.FlopsPerPoint += op.kernels[i].FlopsPerPoint()
@@ -380,8 +388,6 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		}
 		op.stepExt = append(op.stepExt, ext)
 	}
-
-	op.lower()
 	if obs.Active() {
 		instrs := 0
 		for _, k := range op.kernels {
@@ -394,9 +400,12 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 
 // obsRank is the rank identifying this operator's recorder in the obs
 // subsystem (0 when serial).
-func (op *Operator) obsRank() int {
-	if op.ctx != nil && op.ctx.Comm != nil {
-		return op.ctx.Comm.Rank()
+func (op *Operator) obsRank() int { return op.ctx.rank() }
+
+// rank is the context's rank in its world (0 when serial).
+func (c *Context) rank() int {
+	if c != nil && c.Comm != nil {
+		return c.Comm.Rank()
 	}
 	return 0
 }

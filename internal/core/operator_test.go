@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
+	"devigo/internal/obs"
 	"devigo/internal/symbolic"
 )
 
@@ -454,6 +457,78 @@ func TestGPtssRobustness(t *testing.T) {
 	for _, c := range cases {
 		if got := c.p.GPtss(); !c.want(got) {
 			t.Errorf("%s: GPtss() = %v", c.name, got)
+		}
+	}
+}
+
+// TestNewOperatorConstructionSpans holds a traced NewOperator to one
+// lower span and one compile span on its rank's main track, the lowering
+// ending before compilation starts, on every rank of a world.
+func TestNewOperatorConstructionSpans(t *testing.T) {
+	obs.Reset()
+	obs.EnableTracing()
+	defer func() { obs.DisableAll(); obs.Reset() }()
+	const ranks = 2
+	g := grid.MustNew([]int{16, 16}, nil)
+	err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
+		dec, err := grid.NewDecomposition(g, ranks, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		u, err := field.NewTimeFunction("u", g, 4, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buildDiffusionOp(t, g, u, &Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}).Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.DisableAll()
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph, Name string
+			Pid, Tid int
+			Ts, Dur  float64
+			Args     struct{ Step int }
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ start, end float64 }
+	got := map[int]map[string][]span{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" || (e.Name != obs.PhaseLower.String() && e.Name != obs.PhaseCompile.String()) {
+			continue
+		}
+		if e.Tid != 0 || e.Args.Step != -1 {
+			t.Errorf("rank %d: %s span on track %d at step %d, want track 0, step -1", e.Pid, e.Name, e.Tid, e.Args.Step)
+		}
+		if got[e.Pid] == nil {
+			got[e.Pid] = map[string][]span{}
+		}
+		got[e.Pid][e.Name] = append(got[e.Pid][e.Name], span{e.Ts, e.Ts + e.Dur})
+	}
+	for r := 0; r < ranks; r++ {
+		lower, compile := got[r][obs.PhaseLower.String()], got[r][obs.PhaseCompile.String()]
+		if len(lower) != 1 || len(compile) != 1 {
+			t.Errorf("rank %d: %d lower and %d compile spans, want one each", r, len(lower), len(compile))
+			continue
+		}
+		if lower[0].end > compile[0].start {
+			t.Errorf("rank %d: lowering %v overlaps compilation %v", r, lower[0], compile[0])
 		}
 	}
 }

@@ -42,6 +42,10 @@ type LoopNest struct {
 	Props   IterationProps
 	Assigns []symbolic.Assignment // per-point CSE temporaries
 	Exprs   []symbolic.Eq
+	// Keyed is the body as CSE left it, keyed: Assigns' values and Exprs'
+	// right-hand sides, from which the kernel compilers read subtree keys
+	// instead of rendering again.
+	Keyed   symbolic.KeyedNest
 	Cluster *ir.Cluster
 }
 
@@ -105,17 +109,18 @@ var dimNames = []string{"x", "y", "z"}
 // Build constructs the IET from an optimized schedule: invariant hoisting
 // and CSE run here (the flop-reduction transformations of the Cluster
 // layer feeding the generated code), and HaloSpots are placed where the
-// schedule requires exchanges.
+// schedule requires exchanges. Each right-hand side is keyed once; the
+// passes after it, and the kernel compilers after them, reuse those keys.
 func Build(name string, sched *ir.Schedule) Callable {
 	var body []Node
 	temp := 0
 	// Hoisted scalar temporaries shared across all clusters.
-	var allExprs []symbolic.Expr
+	var allExprs []symbolic.Keyed
 	for _, st := range sched.Steps {
 		for _, e := range st.Cluster.Eqs {
 			// Flop reduction: factor common coefficients out of the
 			// stencil sums before extracting invariants and CSE temps.
-			allExprs = append(allExprs, symbolic.FactorCommon(e.RHS))
+			allExprs = append(allExprs, symbolic.FactorCommon(symbolic.KeyOf(e.RHS)))
 		}
 	}
 	invAssigns, rewritten := symbolic.HoistInvariants(allExprs, &temp)
@@ -138,16 +143,12 @@ func Build(name string, sched *ir.Schedule) Callable {
 			Cluster: st.Cluster,
 		}
 		// Per-cluster CSE over the invariant-hoisted expressions.
-		exprs := make([]symbolic.Expr, len(st.Cluster.Eqs))
-		for i := range st.Cluster.Eqs {
-			exprs[i] = rewritten[ri]
-			ri++
-		}
-		cseAssigns, cseExprs := symbolic.CSE(exprs, &temp)
-		nest.Assigns = cseAssigns
-		nest.Exprs = make([]symbolic.Eq, len(st.Cluster.Eqs))
+		n := len(st.Cluster.Eqs)
+		nest.Assigns, nest.Keyed = symbolic.CSE(rewritten[ri:ri+n], &temp)
+		ri += n
+		nest.Exprs = make([]symbolic.Eq, n)
 		for i, e := range st.Cluster.Eqs {
-			nest.Exprs[i] = symbolic.Eq{LHS: e.LHS, RHS: cseExprs[i]}
+			nest.Exprs[i] = symbolic.Eq{LHS: e.LHS, RHS: nest.Keyed.RHS[i].Expr}
 		}
 		loop.Body = append(loop.Body, nest)
 	}

@@ -64,29 +64,39 @@ type Step struct {
 // Lower expands derivatives, validates shapes and splits the equation list
 // into clusters at flow-dependence boundaries.
 func Lower(eqs []symbolic.Eq, ndims int) ([]*Cluster, error) {
+	expanded := make([]symbolic.Eq, len(eqs))
+	for i, e := range eqs {
+		expanded[i] = symbolic.Eq{LHS: symbolic.ExpandDerivatives(e.LHS), RHS: symbolic.ExpandDerivatives(e.RHS)}
+	}
+	return LowerExpanded(expanded, ndims)
+}
+
+// LowerExpanded is Lower over equations whose derivatives are already
+// expanded (a caller that expanded them for its own analysis hands them
+// over rather than have them expanded twice).
+func LowerExpanded(eqs []symbolic.Eq, ndims int) ([]*Cluster, error) {
 	lowered := make([]symbolic.Eq, len(eqs))
 	for i, e := range eqs {
-		lhs := symbolic.ExpandDerivatives(e.LHS)
-		acc, ok := lhs.(symbolic.Access)
+		acc, ok := e.LHS.(symbolic.Access)
 		if !ok {
-			return nil, fmt.Errorf("ir: equation %d LHS must be a single function access, got %s", i, lhs)
+			return nil, fmt.Errorf("ir: equation %d LHS must be a single function access, got %s", i, e.LHS)
 		}
 		for _, o := range acc.Off {
 			if o != 0 {
 				return nil, fmt.Errorf("ir: equation %d writes at a shifted point %s; only centered writes are supported", i, acc)
 			}
 		}
-		rhs := symbolic.Collect(symbolic.ExpandDerivatives(e.RHS))
-		lowered[i] = symbolic.Eq{LHS: acc, RHS: rhs}
+		lowered[i] = symbolic.Eq{LHS: acc, RHS: symbolic.Collect(e.RHS)}
 	}
 	var clusters []*Cluster
 	cur := newCluster(ndims)
 	for _, e := range lowered {
-		if cur.conflictsWith(e) {
+		reads := symbolic.Accesses(e.RHS)
+		if cur.conflictsWith(reads) {
 			clusters = append(clusters, cur)
 			cur = newCluster(ndims)
 		}
-		cur.add(e, ndims)
+		cur.add(e, reads, ndims)
 	}
 	if len(cur.Eqs) > 0 {
 		clusters = append(clusters, cur)
@@ -104,11 +114,12 @@ func newCluster(ndims int) *Cluster {
 	}
 }
 
-// conflictsWith reports whether adding eq to the cluster would create an
-// intra-cluster flow dependence through a stencil read: eq reads, at a
-// nonzero space offset, a (field, timeOff) written by this cluster.
-func (c *Cluster) conflictsWith(eq symbolic.Eq) bool {
-	for _, a := range symbolic.Accesses(eq.RHS) {
+// conflictsWith reports whether adding an equation whose right-hand side
+// makes the reads would create an intra-cluster flow dependence through a
+// stencil read: it reads, at a nonzero space offset, a (field, timeOff)
+// written by this cluster.
+func (c *Cluster) conflictsWith(reads []symbolic.Access) bool {
+	for _, a := range reads {
 		wOff, written := c.Writes[a.Fun.Name]
 		if !written || wOff != a.TimeOff {
 			continue
@@ -122,11 +133,12 @@ func (c *Cluster) conflictsWith(eq symbolic.Eq) bool {
 	return false
 }
 
-func (c *Cluster) add(eq symbolic.Eq, ndims int) {
+// add appends eq, whose right-hand side makes the reads.
+func (c *Cluster) add(eq symbolic.Eq, reads []symbolic.Access, ndims int) {
 	c.Eqs = append(c.Eqs, eq)
 	lhs := eq.LHS.(symbolic.Access)
 	c.Writes[lhs.Fun.Name] = lhs.TimeOff
-	for _, a := range symbolic.Accesses(eq.RHS) {
+	for _, a := range reads {
 		shifted := false
 		rr, ok := c.ReadRadius[a.Fun.Name]
 		if !ok {

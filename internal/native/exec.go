@@ -42,7 +42,25 @@ type tmpl struct {
 // re-reads, at offset zero, the point its own block just stored
 // (TestChainSegmentsArePointLocal).
 func buildTemplate(segs []bytecode.Segment) *tmpl {
-	t := &tmpl{}
+	// Size every table first: one op per link, one patch per operand of
+	// its class, and one per torow or store destination.
+	var n, nf, nr, ns, ne int
+	for _, seg := range segs {
+		for _, l := range seg.Links {
+			n++
+			switch l.Op {
+			case bytecode.LinkToRow:
+				nr++
+			case bytecode.LinkStore:
+				ne++
+			}
+			nf += l.Count(bytecode.ClassF)
+			nr += l.Count(bytecode.ClassR)
+			ns += l.Count(bytecode.ClassS)
+		}
+	}
+	t := &tmpl{forms: make([]form, 0, n+1), ops: make([]xop, 0, n+1),
+		fs: make([]patch, 0, nf), rs: make([]patch, 0, nr), ss: make([]patch, 0, ns), es: make([]patch, 0, ne)}
 	for _, seg := range segs {
 		for _, l := range seg.Links {
 			t.add(l)
@@ -95,15 +113,15 @@ type rowGroup struct {
 	field  int // index into the driver's row bases
 	data   []float32
 	lo, hi int
-	row    unsafe.Pointer // &data[base+lo] on the current row
+	row    addr // &data[base+lo] on the current row
 }
 
-// fieldPtr is one field operand of the worker's links: the pointer to
-// re-point every row, the row pointer of the group it reads, and its
+// fieldPtr is one field operand of the worker's links: the address to
+// re-point every row, the row address of the group it reads, and its
 // distance from it in bytes.
 type fieldPtr struct {
-	dst, row *unsafe.Pointer
-	off      int
+	dst, row *addr
+	off      addr
 }
 
 // exec is the per-worker executable state: a private copy of the op table
@@ -163,7 +181,7 @@ func (k *Kernel) resolveGroups(e *exec) {
 		g.lo, g.hi = min(g.lo, r.SlotOff[p.idx]), max(g.hi, r.SlotOff[p.idx])
 	}
 	for i, p := range k.tm.fs {
-		e.fs[i].off = 4 * (r.SlotOff[p.idx] - e.groups[k.fsGroup[i]].lo)
+		e.fs[i].off = addr(4 * (r.SlotOff[p.idx] - e.groups[k.fsGroup[i]].lo))
 	}
 }
 
@@ -178,10 +196,10 @@ func (k *Kernel) patchRow(e *exec, n int, bases []int) {
 		if lo < 0 || bases[g.field]+g.hi+n > len(g.data) {
 			k.rowOutOfBounds(n, bases)
 		}
-		g.row = unsafe.Pointer(&g.data[lo])
+		g.row = addrOf(unsafe.Pointer(&g.data[lo]))
 	}
 	for _, f := range e.fs {
-		*f.dst = unsafe.Add(*f.row, f.off)
+		*f.dst = *f.row + f.off
 	}
 	r := &k.drv.Resolved
 	for _, p := range k.tm.es {
@@ -191,7 +209,7 @@ func (k *Kernel) patchRow(e *exec, n int, bases []int) {
 			panic(fmt.Sprintf("native: store row [%d:%d) out of bounds of eq %d (len %d)",
 				off, off+n, p.idx, len(data)))
 		}
-		e.ops[p.li].p[p.pos] = unsafe.Pointer(&data[off])
+		e.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&data[off]))
 	}
 }
 
@@ -244,7 +262,7 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 	if sc.stride != maxRow {
 		sc.stride = maxRow
 		for _, p := range k.tm.rs {
-			sc.ex.ops[p.li].p[p.pos] = unsafe.Pointer(&sc.regs[int(p.idx)*maxRow])
+			sc.ex.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&sc.regs[int(p.idx)*maxRow]))
 		}
 	}
 	for _, p := range k.tm.ss {

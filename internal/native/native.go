@@ -74,12 +74,13 @@ type Kernel struct {
 	drv *runtime.Driver[scratch]
 }
 
-// CompileNest compiles one optimized loop nest for the native engine: the
-// bytecode compiler produces the row program, and the segment extraction
-// re-lowers it into fused chains (see Wrap for the error).
-func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
-	fields map[string]*field.Function) (*Kernel, error) {
-	bk, err := bytecode.CompileNest(assigns, eqs, radius, fields)
+// CompileKeyed compiles one optimized loop nest for the native engine: the
+// bytecode compiler produces the row program from the nest's keyed body
+// (see bytecode.CompileKeyed), and the segment extraction re-lowers it
+// into fused chains (see Wrap for the error).
+func CompileKeyed(assigns []symbolic.Assignment, eqs []symbolic.Eq, kn symbolic.KeyedNest,
+	radius []int, fields map[string]*field.Function) (*Kernel, error) {
+	bk, err := bytecode.CompileKeyed(assigns, eqs, kn, radius, fields)
 	if err != nil {
 		return nil, err
 	}

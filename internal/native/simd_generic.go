@@ -34,11 +34,11 @@ func goRun(fs []form, ops []xop, lo, hi int) {
 	operand := func(c bytecode.Class, o *xop, i int, buf []float64) []float64 {
 		switch c {
 		case bytecode.ClassF:
-			for j, v := range fsl(unsafe.Add(o.p[i], 4*base), m) {
+			for j, v := range fsl(unsafe.Add(o.p[i].ptr(), 4*base), m) {
 				buf[j] = float64(v)
 			}
 		case bytecode.ClassR:
-			return dsl(unsafe.Add(o.p[i], 8*base), m)
+			return dsl(unsafe.Add(o.p[i].ptr(), 8*base), m)
 		case bytecode.ClassS:
 			for j := range buf {
 				buf[j] = math.Float64frombits(o.s)
@@ -81,9 +81,9 @@ func goRun(fs []form, ops []xop, lo, hi int) {
 					d[j] = runtime.Ipow(x[j], int(int64(o.s)))
 				}
 			case bytecode.LinkToRow:
-				copy(dsl(unsafe.Add(o.p[0], 8*base), m), x)
+				copy(dsl(unsafe.Add(o.p[0].ptr(), 8*base), m), x)
 			case bytecode.LinkStore:
-				out := fsl(unsafe.Add(o.p[0], 4*base), m)
+				out := fsl(unsafe.Add(o.p[0].ptr(), 4*base), m)
 				for j, v := range x {
 					out[j] = float32(v)
 				}

@@ -92,13 +92,13 @@ func newRowBufs(n int) *rowBufs {
 func (b *rowBufs) bind(tm *tmpl) []xop {
 	ops := append([]xop(nil), tm.ops...)
 	for _, p := range tm.fs {
-		ops[p.li].p[p.pos] = unsafe.Pointer(&b.f32[p.idx][0])
+		ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&b.f32[p.idx][0]))
 	}
 	for _, p := range tm.rs {
-		ops[p.li].p[p.pos] = unsafe.Pointer(&b.f64[p.idx][0])
+		ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&b.f64[p.idx][0]))
 	}
 	for _, p := range tm.es {
-		ops[p.li].p[p.pos] = unsafe.Pointer(&b.out[0])
+		ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&b.out[0]))
 	}
 	for _, p := range tm.ss {
 		ops[p.li].s = math.Float64bits(b.pool[p.idx])
@@ -142,9 +142,9 @@ func linkByLink(fs []form, ops []xop, n int) {
 			val := func(c bytecode.Class, pos int) float64 {
 				switch c {
 				case bytecode.ClassF:
-					return float64(fsl(o.p[pos], n)[i])
+					return float64(fsl(o.p[pos].ptr(), n)[i])
 				case bytecode.ClassR:
-					return dsl(o.p[pos], n)[i]
+					return dsl(o.p[pos].ptr(), n)[i]
 				case bytecode.ClassS:
 					return math.Float64frombits(o.s)
 				case bytecode.ClassAcc:
@@ -168,10 +168,10 @@ func linkByLink(fs []form, ops []xop, n int) {
 			case bytecode.LinkPow:
 				v = runtime.Ipow(x, int(int64(o.s)))
 			case bytecode.LinkToRow:
-				dsl(o.p[0], n)[i] = x
+				dsl(o.p[0].ptr(), n)[i] = x
 				continue
 			case bytecode.LinkStore:
-				fsl(o.p[0], n)[i] = float32(x)
+				fsl(o.p[0].ptr(), n)[i] = float32(x)
 				continue
 			}
 			if f.dst == bytecode.ClassT {

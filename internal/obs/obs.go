@@ -77,6 +77,13 @@ const (
 	// sweep, recorded on that worker's dedicated trace stream
 	// (WorkerStream) so the trace shows the team's load balance.
 	PhaseWorker
+	// PhaseLower is an operator construction's lowering: CIRE, cluster
+	// lowering, halo scheduling, the IET build, halo-mode lowering and C
+	// emission.
+	PhaseLower
+	// PhaseCompile is an operator construction's kernel compilation (or
+	// its rebind of a cached kernel set).
+	PhaseCompile
 
 	numPhases
 )
@@ -84,7 +91,7 @@ const (
 var phaseNames = [numPhases]string{
 	"compute", "shell", "exchange", "pack", "send", "wait", "unpack",
 	"ckpt_save", "ckpt_restore", "autotune_trial", "warmup", "shot",
-	"worker",
+	"worker", "lower", "compile",
 }
 
 // String returns the phase's trace-event name.

@@ -122,15 +122,30 @@ func dampField(f *field.Function, nbl int, coeff float64) {
 		return float64(nbl-dist) / float64(nbl)
 	}
 	last := f.NDims() - 1
+	// Along a row only the points within nbl of the grid's ends have a
+	// penalty of their own: local points [lo, hi) take the row's value.
+	lo := min(max(nbl-f.Origin[last], 0), f.LocalShape[last])
+	hi := max(min(shape[last]-nbl-f.Origin[last], f.LocalShape[last]), lo)
 	domainRows(f, func(idx []int, row []float32) {
 		// The deepest penalty over the row's fixed coordinates.
 		outer := 0.0
 		for k := 0; k < last; k++ {
 			outer = max(outer, penalty(k, idx[k]))
 		}
-		for i := range row {
+		at := func(i int) float32 {
 			depth := max(outer, penalty(last, i))
-			row[i] = float32(coeff * depth * depth)
+			return float32(coeff * depth * depth)
+		}
+		for i := 0; i < lo; i++ {
+			row[i] = at(i)
+		}
+		// penalty is 0 here, and max(outer, 0) is outer.
+		interior := float32(coeff * outer * outer)
+		for i := lo; i < hi; i++ {
+			row[i] = interior
+		}
+		for i := hi; i < len(row); i++ {
+			row[i] = at(i)
 		}
 	})
 }

@@ -62,6 +62,7 @@ func TestParameterFieldsMatchPerPointForm(t *testing.T) {
 	}{
 		{[]int{23, 30}, 1},
 		{[]int{23, 30}, 6},
+		{[]int{16, 16}, 16}, // chunks narrower than the layer
 		{[]int{14, 17, 19}, 1},
 		{[]int{14, 17, 19}, 8},
 	} {

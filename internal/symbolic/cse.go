@@ -16,15 +16,9 @@ type Assignment struct {
 // no time-varying quantity — pure functions of scalar symbols such as
 // 1/(h_x*h_x) — into temporaries evaluated once outside all loops. It mirrors
 // the loop-invariant code motion pass of the Devito Cluster layer (the r0,
-// r1, r2 temporaries of paper Listing 11). Subexpressions are matched by key
-// (see Keyed).
-func HoistInvariants(exprs []Expr, nextTemp *int) ([]Assignment, []Expr) {
-	assigns, out := hoistInvariants(keyAll(exprs), nextTemp)
-	return assigns, exprsOf(out)
-}
-
-// hoistInvariants is HoistInvariants over keyed trees.
-func hoistInvariants(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
+// r1, r2 temporaries of paper Listing 11). Subexpressions are matched by key:
+// the pass takes keyed trees and returns them keyed (see Keyed).
+func HoistInvariants(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
 	var assigns []Assignment
 	seen := map[string]string{} // key -> temp name
 	hoist := func(n Keyed) (Keyed, bool) {
@@ -58,13 +52,11 @@ func worthHoisting(n Keyed) bool {
 // extracted into shared temporaries, innermost first. Temporaries may
 // reference fields and are therefore evaluated inside the loop nest, unlike
 // HoistInvariants results. Subexpressions are matched by key (see Keyed).
-func CSE(exprs []Expr, nextTemp *int) ([]Assignment, []Expr) {
-	assigns, out := cse(keyAll(exprs), nextTemp)
-	return assigns, exprsOf(out)
-}
-
-// cse is CSE over keyed trees.
-func cse(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
+// It returns the nest body keyed: the temporaries' values and the
+// rewritten expressions, with every reference to a temporary marked as
+// varying per point (a temporary is evaluated at each point, so nothing
+// that reads one is a bind-time scalar).
+func CSE(ks []Keyed, nextTemp *int) ([]Assignment, KeyedNest) {
 	counts := map[string]int{}
 	reprs := map[string]Keyed{}
 	var count func(k Keyed)
@@ -98,6 +90,7 @@ func cse(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
 		return keys[i] < keys[j]
 	})
 	var assigns []Assignment
+	temps := make([]Keyed, 0, len(keys))
 	names := map[string]string{}
 	// A node is matched by the key of its rebuilt form, after its operands
 	// were replaced: a candidate holding an earlier candidate no longer has
@@ -105,7 +98,7 @@ func cse(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
 	replace := func(n Keyed) (Keyed, bool) {
 		if isCompound(n.Expr) {
 			if name, ok := names[n.Key]; ok {
-				return leafKey(S(name)), true
+				return Keyed{Expr: S(name), Key: name, variant: true}, true
 			}
 		}
 		return n, false
@@ -116,12 +109,13 @@ func cse(ks []Keyed, nextTemp *int) ([]Assignment, []Keyed) {
 		*nextTemp++
 		names[k] = name
 		assigns = append(assigns, Assignment{Name: name, Value: val.Expr})
+		temps = append(temps, val)
 	}
 	out := make([]Keyed, len(ks))
 	for i, k := range ks {
 		out[i], _ = transformKeyed(k, replace)
 	}
-	return assigns, out
+	return assigns, KeyedNest{Temps: temps, RHS: out}
 }
 
 func isCompound(e Expr) bool {
@@ -130,22 +124,4 @@ func isCompound(e Expr) bool {
 		return true
 	}
 	return false
-}
-
-// keyAll keys every expression.
-func keyAll(exprs []Expr) []Keyed {
-	ks := make([]Keyed, len(exprs))
-	for i, e := range exprs {
-		ks[i] = KeyOf(e)
-	}
-	return ks
-}
-
-// exprsOf returns the keyed trees' expressions.
-func exprsOf(ks []Keyed) []Expr {
-	out := make([]Expr, len(ks))
-	for i, k := range ks {
-		out[i] = k.Expr
-	}
-	return out
 }

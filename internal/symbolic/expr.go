@@ -245,31 +245,34 @@ func derivDim(dim int) string {
 // keeps its rational (shared, never copied); only folding two nonzero
 // numbers allocates a new one.
 func NewAdd(terms ...Expr) Expr {
-	flat := make([]Expr, 0, len(terms))
 	var acc numFold
+	n := 0 // non-numeric terms, nested sums flattened
 	for _, t := range terms {
 		switch v := t.(type) {
 		case Add:
 			for _, s := range v.Terms {
-				if n, ok := s.(Num); ok {
-					acc.add(n.Val)
+				if num, ok := s.(Num); ok {
+					acc.add(num.Val)
 				} else {
-					flat = append(flat, s)
+					n++
 				}
 			}
 		case Num:
 			acc.add(v.Val)
 		default:
-			flat = append(flat, t)
+			n++
 		}
 	}
 	if acc.val != nil && acc.val.Sign() != 0 {
+		n++
+	} else if n == 0 {
+		return Int(0)
+	}
+	flat := flatten(make([]Expr, 0, n), terms, false)
+	if len(flat) < n {
 		flat = append(flat, Num{Val: acc.val})
 	}
-	switch len(flat) {
-	case 0:
-		return Int(0)
-	case 1:
+	if n == 1 {
 		return flat[0]
 	}
 	return Add{Terms: flat}
@@ -279,22 +282,22 @@ func NewAdd(terms ...Expr) Expr {
 // annihilates the product. Like NewAdd, it allocates a coefficient only
 // when it folds two numbers other than 1.
 func NewMul(factors ...Expr) Expr {
-	flat := make([]Expr, 0, len(factors)+1)
 	var acc numFold
+	n := 0 // non-numeric factors, nested products flattened
 	for _, f := range factors {
 		switch v := f.(type) {
 		case Mul:
 			for _, s := range v.Factors {
-				if n, ok := s.(Num); ok {
-					acc.mul(n.Val)
+				if num, ok := s.(Num); ok {
+					acc.mul(num.Val)
 				} else {
-					flat = append(flat, s)
+					n++
 				}
 			}
 		case Num:
 			acc.mul(v.Val)
 		default:
-			flat = append(flat, f)
+			n++
 		}
 	}
 	coef := acc.val
@@ -304,19 +307,58 @@ func NewMul(factors ...Expr) Expr {
 	if coef.Sign() == 0 {
 		return Int(0)
 	}
-	if !isOne(coef) || len(flat) == 0 {
-		// Keep the numeric coefficient first for canonical ordering.
-		flat = append(flat, nil)
-		copy(flat[1:], flat)
-		flat[0] = Num{Val: coef}
+	lead := !isOne(coef) // the coefficient leads the factors
+	switch {
+	case n == 0:
+		return Num{Val: coef}
+	case n == 1 && !lead:
+		return flatten(make([]Expr, 0, 1), factors, true)[0]
 	}
-	switch len(flat) {
-	case 0:
-		return Int(1)
-	case 1:
-		return flat[0]
+	size := n
+	if lead {
+		size++
 	}
-	return Mul{Factors: flat}
+	flat := make([]Expr, 0, size)
+	if lead {
+		flat = append(flat, Num{Val: coef})
+	}
+	return Mul{Factors: flatten(flat, factors, true)}
+}
+
+// flatten appends the non-numeric operands of a sum (mul false) or
+// product (mul true) to out, those of an operand of the same kind in its
+// place.
+func flatten(out, ops []Expr, mul bool) []Expr {
+	for _, o := range ops {
+		switch v := o.(type) {
+		case Num:
+		case Add:
+			if mul {
+				out = append(out, o)
+			} else {
+				out = appendNonNum(out, v.Terms)
+			}
+		case Mul:
+			if mul {
+				out = appendNonNum(out, v.Factors)
+			} else {
+				out = append(out, o)
+			}
+		default:
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// appendNonNum appends the operands that are not numbers.
+func appendNonNum(out, ops []Expr) []Expr {
+	for _, o := range ops {
+		if _, ok := o.(Num); !ok {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // numFold folds the numeric operands of a sum or product. It keeps an
@@ -467,13 +509,53 @@ func Transform(e Expr, fn func(Expr) Expr) Expr {
 
 // Accesses collects every Access node in the expression, in encounter order.
 func Accesses(e Expr) []Access {
-	var out []Access
-	Walk(e, func(n Expr) bool {
-		if a, ok := n.(Access); ok {
-			out = append(out, a)
+	n := countAccesses(e)
+	if n == 0 {
+		return nil
+	}
+	return appendAccesses(make([]Access, 0, n), e)
+}
+
+// countAccesses returns how many Access nodes e holds.
+func countAccesses(e Expr) int {
+	n := 0
+	switch v := e.(type) {
+	case Access:
+		return 1
+	case Add:
+		for _, t := range v.Terms {
+			n += countAccesses(t)
 		}
-		return true
-	})
+	case Mul:
+		for _, f := range v.Factors {
+			n += countAccesses(f)
+		}
+	case Pow:
+		return countAccesses(v.Base)
+	case Deriv:
+		return countAccesses(v.Target)
+	}
+	return n
+}
+
+// appendAccesses appends e's Access nodes to out in encounter order.
+func appendAccesses(out []Access, e Expr) []Access {
+	switch v := e.(type) {
+	case Access:
+		return append(out, v)
+	case Add:
+		for _, t := range v.Terms {
+			out = appendAccesses(out, t)
+		}
+	case Mul:
+		for _, f := range v.Factors {
+			out = appendAccesses(out, f)
+		}
+	case Pow:
+		return appendAccesses(out, v.Base)
+	case Deriv:
+		return appendAccesses(out, v.Target)
+	}
 	return out
 }
 

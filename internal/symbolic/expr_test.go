@@ -240,7 +240,7 @@ func TestHoistInvariants(t *testing.T) {
 	inv := NewPow(hx, -2)
 	e := NewAdd(NewMul(inv, At(u)), NewMul(inv, ForwardStencil(u)))
 	n := 0
-	assigns, out := HoistInvariants([]Expr{e}, &n)
+	assigns, out := HoistInvariants([]Keyed{KeyOf(e)}, &n)
 	if len(assigns) != 1 {
 		t.Fatalf("want 1 hoisted invariant, got %d", len(assigns))
 	}
@@ -249,7 +249,7 @@ func TestHoistInvariants(t *testing.T) {
 	}
 	// The rewritten expression must reference r0 and contain no Pow.
 	hasPow := false
-	Walk(out[0], func(x Expr) bool {
+	Walk(out[0].Expr, func(x Expr) bool {
 		if _, ok := x.(Pow); ok {
 			hasPow = true
 		}
@@ -266,11 +266,12 @@ func TestCSEExtractsRepeats(t *testing.T) {
 	e1 := NewAdd(sub, Int(1))
 	e2 := NewAdd(sub, Int(5))
 	n := 0
-	assigns, out := CSE([]Expr{e1, e2}, &n)
+	assigns, kn := CSE([]Keyed{KeyOf(e1), KeyOf(e2)}, &n)
 	if len(assigns) != 1 {
 		t.Fatalf("want 1 CSE temp, got %d (%v)", len(assigns), assigns)
 	}
-	for _, o := range out {
+	for _, k := range kn.RHS {
+		o := k.Expr
 		found := false
 		Walk(o, func(x Expr) bool {
 			if s, ok := x.(Sym); ok && s.Name == assigns[0].Name {
@@ -468,19 +469,22 @@ func operands(e Expr) []Expr {
 
 // checkKeyed reports the first node of a keyed tree whose key is not its
 // expression's String, whose flop count is not FlopCount's, whose variant
-// mark is wrong, or whose operands are not its expression's.
-func checkKeyed(k Keyed) error {
+// mark is wrong (it holds an Access, a Deriv or a symbol temps names), or
+// whose operands are not its expression's.
+func checkKeyed(k Keyed, temps map[string]bool) error {
 	if want := k.Expr.String(); k.Key != want {
 		return fmt.Errorf("key %q, String() %q", k.Key, want)
 	}
-	if want := FlopCount(k.Expr); k.flops != want {
-		return fmt.Errorf("%s: composed %d flops, FlopCount %d", k.Key, k.flops, want)
+	if want := FlopCount(k.Expr); k.Flops() != want {
+		return fmt.Errorf("%s: composed %d flops, FlopCount %d", k.Key, k.Flops(), want)
 	}
 	variant := false
 	Walk(k.Expr, func(n Expr) bool {
-		switch n.(type) {
+		switch v := n.(type) {
 		case Access, Deriv:
 			variant = true
+		case Sym:
+			variant = variant || temps[v.Name]
 		}
 		return !variant
 	})
@@ -495,7 +499,7 @@ func checkKeyed(k Keyed) error {
 		if o.Expr.String() != ops[i].String() {
 			return fmt.Errorf("%s: keyed operand %d is %s, the expression's %s", k.Key, i, o.Expr, ops[i])
 		}
-		if err := checkKeyed(o); err != nil {
+		if err := checkKeyed(o, temps); err != nil {
 			return err
 		}
 	}
@@ -503,25 +507,46 @@ func checkKeyed(k Keyed) error {
 }
 
 // checkKeyedWalks runs every keyed walk over exprs — KeyOf, the keyed
-// FactorCommon, HoistInvariants and CSE, and a transform that checks each
-// node it visits and replaces every power and every product holding one
-// by a symbol — and reports the first node whose keyed form is wrong. The
+// FactorCommon, HoistInvariants and CSE chained as iet.Build chains them,
+// KeyNest over CSE's output, and a transform that checks each node it
+// visits and replaces every power and every product holding one by a
+// symbol — and reports the first node whose keyed form is wrong. The
 // transformed trees are checked too, rebuilt nodes and reused ones alike.
 func checkKeyedWalks(exprs []Expr) error {
-	ks := keyAll(exprs)
+	ks := make([]Keyed, len(exprs))
+	for i, e := range exprs {
+		ks[i] = KeyOf(e)
+	}
 	var trees []Keyed
 	trees = append(trees, ks...)
-	for _, k := range ks {
-		trees = append(trees, factorCommon(k))
+	factored := make([]Keyed, len(ks))
+	for i, k := range ks {
+		factored[i] = FactorCommon(k)
 	}
+	trees = append(trees, factored...)
 	temp := 0
-	_, hoisted := hoistInvariants(ks, &temp)
+	_, hoisted := HoistInvariants(factored, &temp)
 	trees = append(trees, hoisted...)
-	_, csed := cse(hoisted, &temp)
-	trees = append(trees, csed...)
+	assigns, kn := CSE(hoisted, &temp)
+	temps := map[string]bool{}
+	for _, a := range assigns {
+		temps[a.Name] = true
+	}
+	eqs := make([]Eq, len(kn.RHS))
+	for i, k := range kn.RHS {
+		eqs[i] = Eq{LHS: S("lhs"), RHS: k.Expr}
+	}
+	rekeyed := KeyNest(assigns, eqs)
+	for _, nest := range []KeyedNest{kn, rekeyed} {
+		for _, k := range append(nest.Temps, nest.RHS...) {
+			if err := checkKeyed(k, temps); err != nil {
+				return err
+			}
+		}
+	}
 	var visitErr error
 	probe := func(n Keyed) (Keyed, bool) {
-		if err := checkKeyed(n); err != nil && visitErr == nil {
+		if err := checkKeyed(n, nil); err != nil && visitErr == nil {
 			visitErr = err
 		}
 		if _, isPow := n.Expr.(Pow); isPow || strings.Contains(n.Key, "**") {
@@ -537,7 +562,7 @@ func checkKeyedWalks(exprs []Expr) error {
 		return visitErr
 	}
 	for _, k := range trees {
-		if err := checkKeyed(k); err != nil {
+		if err := checkKeyed(k, nil); err != nil {
 			return err
 		}
 	}

@@ -8,11 +8,9 @@ package symbolic
 //	dt*r0*u[x-1] + dt*r0*u[x+1] + ...  ->  dt*r0*(u[x-1] + u[x+1] + ...)
 //
 // Numeric coefficients stay inside the terms (they differ per tap).
-// Factors are matched by key (see Keyed).
-func FactorCommon(e Expr) Expr { return factorCommon(KeyOf(e)).Expr }
-
-// factorCommon is FactorCommon over a keyed tree.
-func factorCommon(k Keyed) Keyed {
+// Factors are matched by key: the pass takes a keyed tree and returns one
+// (see Keyed).
+func FactorCommon(k Keyed) Keyed {
 	r, _ := transformKeyed(k, factorSum)
 	return r
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // FDWeights computes exact finite-difference weights for the m-th derivative
@@ -219,6 +220,7 @@ func ExpandTimeDerivatives(e Expr) Expr {
 // Laplacian) shift the parameter accesses too, which matches Devito's
 // semantics of evaluating the inner expression at the shifted point.
 func ExpandDerivatives(e Expr) Expr {
+	expansions.Add(1)
 	return Transform(e, func(n Expr) Expr {
 		d, ok := n.(Deriv)
 		if !ok {
@@ -227,6 +229,14 @@ func ExpandDerivatives(e Expr) Expr {
 		return expandDeriv(d)
 	})
 }
+
+// expansions counts ExpandDerivatives calls (see Expansions).
+var expansions atomic.Int64
+
+// Expansions reports how many expressions ExpandDerivatives has expanded
+// in this process. A construction expands each equation once, and tests
+// hold it to that.
+func Expansions() int64 { return expansions.Load() }
 
 func expandDeriv(d Deriv) Expr {
 	// Offsets are numerators over den: 1, or 2 for a staggered stencil's

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Keyed is an expression with its key — exactly the text String renders —
@@ -11,27 +13,92 @@ import (
 // A compound node's key and flop count are composed from its operands'
 // ("(" + a + " + " + b + ")", a + "*" + b, base + "**" + exp), so a pass
 // that matches subtrees by canonical form renders each subtree once rather
-// than once per enclosing node. A Keyed tree lives for one pass: no table
-// of keys outlives it.
+// than once per enclosing node. The passes take keyed trees and return
+// keyed trees, so a chain of them renders its input once: iet.Build keys
+// each right-hand side, runs FactorCommon, HoistInvariants and CSE over
+// the same trees, and hands CSE's keyed output to the kernel compiler with
+// the loop nest. A Keyed tree holds no table of keys: it lives as long as
+// the nest that carries it.
 type Keyed struct {
 	Expr Expr
 	Key  string
 	// Ops are the keyed operands in Expr's order: an Add's terms, a Mul's
 	// factors, a Pow's base, a Deriv's target. Nil for a leaf.
 	Ops   []Keyed
-	flops int
-	// variant marks a subtree that holds an Access or a Deriv.
+	flops int32
+	// variant marks a subtree whose value varies per point: it holds an
+	// Access, a Deriv or a per-point temporary (see CSE).
 	variant bool
+}
+
+// Flops is the subtree's FlopCount.
+func (k Keyed) Flops() int { return int(k.flops) }
+
+// Varies reports whether the subtree's value varies per point: it holds
+// an Access, a Deriv or a per-point temporary that CSE or KeyNest
+// marked. A subtree that does not vary is a function of scalar symbols
+// and numbers only.
+func (k Keyed) Varies() bool { return k.variant }
+
+// keyings counts KeyOf's renderings (see Keyings).
+var keyings atomic.Int64
+
+// Keyings reports how many expressions KeyOf has rendered in this
+// process. A construction renders each right-hand side once, and tests
+// hold it to that.
+func Keyings() int64 { return keyings.Load() }
+
+// keyBufs recycles KeyOf's rendering scratch: the text is copied into the
+// keys' one string, and the spans are dropped once the tree is keyed.
+var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
+
+type keyBuf struct {
+	text  []byte
+	spans []int
 }
 
 // KeyOf returns e keyed, every subtree with it. e is rendered once, and
 // each subtree's key is the stretch of that rendering its text fills.
-func KeyOf(e Expr) Keyed {
-	spans := make([]int, 0, 64)
-	text := string(render(nil, e, &spans))
+func KeyOf(e Expr) Keyed { return keyOf(e, nil) }
+
+// keyOf is KeyOf, marking every symbol temps names as varying per point.
+func keyOf(e Expr, temps map[string]bool) Keyed {
+	keyings.Add(1)
+	kb := keyBufs.Get().(*keyBuf)
+	spans := kb.spans[:0]
+	kb.text = render(kb.text[:0], e, &spans)
 	n := len(spans) / 2
-	kt := keyTree{text: text, spans: spans, free: make([]Keyed, n-1)}
-	return kt.key(e)
+	kt := keyTree{text: string(kb.text), spans: spans, free: make([]Keyed, n-1), temps: temps}
+	k := kt.key(e)
+	kb.spans = spans
+	keyBufs.Put(kb)
+	return k
+}
+
+// KeyedNest is a loop nest's body keyed, as CSE leaves it: Temps[i]
+// is the value of the nest's i-th per-point temporary, RHS[i] the
+// right-hand side of its i-th equation. Every subtree that reads a
+// temporary is marked as varying per point, like one that reads a field.
+type KeyedNest struct {
+	Temps []Keyed
+	RHS   []Keyed
+}
+
+// KeyNest keys a loop nest's temporaries and equations the way CSE
+// returns them, for a caller that holds only their expressions.
+func KeyNest(assigns []Assignment, eqs []Eq) KeyedNest {
+	temps := make(map[string]bool, len(assigns))
+	for _, a := range assigns {
+		temps[a.Name] = true
+	}
+	kn := KeyedNest{Temps: make([]Keyed, len(assigns)), RHS: make([]Keyed, len(eqs))}
+	for i, a := range assigns {
+		kn.Temps[i] = keyOf(a.Value, temps)
+	}
+	for i, e := range eqs {
+		kn.RHS[i] = keyOf(e.RHS, temps)
+	}
+	return kn
 }
 
 // keyTree keys the nodes of one rendered expression: render recorded a
@@ -42,6 +109,7 @@ type keyTree struct {
 	spans []int
 	span  int     // the next node's span, in pre-order
 	free  []Keyed // operand slots not yet taken
+	temps map[string]bool
 }
 
 func (kt *keyTree) key(e Expr) Keyed {
@@ -60,8 +128,13 @@ func (kt *keyTree) key(e Expr) Keyed {
 	case Deriv:
 		k.Ops = kt.take(1)
 		k.Ops[0] = kt.key(v.Target)
+	case Access:
+		k.variant = true
+		return k
+	case Sym:
+		k.variant = kt.temps[v.Name]
+		return k
 	default:
-		_, k.variant = e.(Access)
 		return k
 	}
 	if ops != nil {
@@ -104,12 +177,12 @@ func (k *Keyed) tally() {
 	}
 	switch v := k.Expr.(type) {
 	case Add, Mul:
-		k.flops += len(k.Ops) - 1
+		k.flops += int32(len(k.Ops) - 1)
 	case Pow:
-		k.flops += max(v.Exp, -v.Exp)
+		k.flops += int32(max(v.Exp, -v.Exp))
 	case Deriv:
 		// A derivative costs what its stencil costs, not its target.
-		k.flops = FlopCount(v)
+		k.flops = int32(FlopCount(v))
 		k.variant = true
 	}
 }
@@ -160,6 +233,20 @@ func compose(e Expr, ops []Keyed) Keyed {
 	}
 	k.Key = b.String()
 	return k
+}
+
+// Group keys the sum (mul false) or product (mul true) of ops as they
+// stand, without the constructors' flattening and folding: the key of an
+// evaluation that groups a node's leading operands.
+func Group(ops []Keyed, mul bool) Keyed {
+	es := make([]Expr, len(ops))
+	for i, o := range ops {
+		es[i] = o.Expr
+	}
+	if mul {
+		return compose(Mul{Factors: es}, ops)
+	}
+	return compose(Add{Terms: es}, ops)
 }
 
 // addKeyed returns NewAdd over the operands, keyed.

@@ -123,13 +123,13 @@ func TestSharedCoefficientsStayIntact(t *testing.T) {
 					return true
 				})
 			}
-			var collected []symbolic.Expr
+			var collected []symbolic.Keyed
 			for _, e := range exprs {
-				c := symbolic.Collect(e)
+				c := symbolic.KeyOf(symbolic.Collect(e))
 				// e + e merges every term with its twin, whose
 				// coefficient is the same rational.
 				collected = append(collected, c, symbolic.FactorCommon(c),
-					symbolic.Collect(symbolic.NewAdd(e, e)))
+					symbolic.KeyOf(symbolic.Collect(symbolic.NewAdd(e, e))))
 			}
 			temp := 0
 			_, hoisted := symbolic.HoistInvariants(collected, &temp)
