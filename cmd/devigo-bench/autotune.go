@@ -281,7 +281,7 @@ func autotuneRunOne(sc autotuneScenario, cfg propagators.Config, nt int, cand pe
 	// is pinned to 1 on every run (candidates carry time_tile 1; a stray
 	// DEVIGO_TIME_TILE must not leak in), so the candidate space is the
 	// classic (mode x workers x tile_rows) grid.
-	rc := propagators.RunConfig{NT: nt, NReceivers: 4, TimeTile: 1, Autotune: policy}
+	rc := propagators.RunConfig{NT: nt, NReceivers: 4, Exec: propagators.Exec{TimeTile: 1, Autotune: policy}}
 	mode := sc.mode
 	if policy == "" {
 		rc.Workers = cand.Workers

@@ -72,7 +72,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		res, err := propagators.Run(m, ctx, propagators.RunConfig{NT: *nt, NReceivers: *nrec, TimeTile: *tile})
+		res, err := propagators.Run(m, ctx, propagators.RunConfig{NT: *nt, NReceivers: *nrec, Exec: propagators.Exec{TimeTile: *tile}})
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,6 @@ package checkpoint
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"devigo/internal/field"
 	"devigo/internal/obs"
@@ -163,16 +162,6 @@ func (s *Store) SnapshotAtOrBefore(t int) (int, error) {
 		return 0, fmt.Errorf("checkpoint: no snapshot at or before step %d", t)
 	}
 	return best, nil
-}
-
-// SnapshotSteps returns the snapshotted steps in ascending order.
-func (s *Store) SnapshotSteps() []int {
-	out := make([]int, 0, len(s.snaps))
-	for st := range s.snaps {
-		out = append(out, st)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // find returns the index of cached level t in levels[:live], or -1.

@@ -81,14 +81,13 @@ func TestSaveIfDueInterval(t *testing.T) {
 	for t := 0; t <= 10; t++ {
 		s.SaveIfDue(t)
 	}
-	got := s.SnapshotSteps()
-	want := []int{0, 3, 6, 9}
-	if len(got) != len(want) {
-		t.Fatalf("snapshot steps %v, want %v", got, want)
+	if s.Stats.Snapshots != 4 {
+		t.Fatalf("%d snapshots, want 4 (steps 0, 3, 6, 9)", s.Stats.Snapshots)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("snapshot steps %v, want %v", got, want)
+	for step := 0; step <= 10; step++ {
+		got, err := s.SnapshotAtOrBefore(step)
+		if err != nil || got != step/3*3 {
+			t.Fatalf("snapshot at or before %d = %d (%v), want %d", step, got, err, step/3*3)
 		}
 	}
 }

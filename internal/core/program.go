@@ -166,9 +166,9 @@ func (op *Operator) runPreamble() {
 // halo data) where it overlaps the exchanges, nothing otherwise, which
 // makes the exchange synchronous and the rest the whole box. remaining is
 // the number of steps left in this Apply including the current one — a
-// tile never outlives its Apply, so short windows (the adjoint driver
-// applies one step at a time) degenerate gracefully to the k=1 schedule
-// instead of paying shell recompute they cannot amortize.
+// tile never outlives its Apply, so short windows (the gradient's
+// recompute of one checkpoint segment) degenerate gracefully towards the
+// k=1 schedule instead of paying shell recompute they cannot amortize.
 func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining int) {
 	pr := &op.prog
 	if op.tilePos == 0 {

@@ -143,33 +143,3 @@ func (b *Buffer) Unpack(r Region, src []float32) int {
 	}
 	return n
 }
-
-// AddUnpack accumulates src into the region (used by injection reduction).
-func (b *Buffer) AddUnpack(r Region, src []float32) int {
-	if r.Empty() {
-		return 0
-	}
-	idx := append([]int(nil), r.Lo...)
-	n := 0
-	last := len(b.Shape) - 1
-	rowLen := r.Hi[last] - r.Lo[last]
-	for {
-		base := b.Index(idx)
-		for k := 0; k < rowLen; k++ {
-			b.Data[base+k] += src[n+k]
-		}
-		n += rowLen
-		d := last - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < r.Hi[d] {
-				break
-			}
-			idx[d] = r.Lo[d]
-		}
-		if d < 0 {
-			break
-		}
-	}
-	return n
-}

@@ -96,16 +96,6 @@ func TestPackUnpackProperty(t *testing.T) {
 	}
 }
 
-func TestAddUnpackAccumulates(t *testing.T) {
-	b := NewBuffer([]int{3, 3})
-	r := Region{Lo: []int{0, 0}, Hi: []int{2, 2}}
-	b.Unpack(r, []float32{1, 1, 1, 1})
-	b.AddUnpack(r, []float32{1, 2, 3, 4})
-	if b.At(0, 0) != 2 || b.At(1, 1) != 5 {
-		t.Errorf("AddUnpack wrong: %v", b.Data)
-	}
-}
-
 func TestFunctionGeometrySerial(t *testing.T) {
 	// Paper Section III-d: SDO k implies a halo of size k per side.
 	f := mkFunc(t, []int{20, 16}, 4)

@@ -188,33 +188,6 @@ func (d *Decomposition) ShellCaps(rank int) (lo, hi []int) {
 	return lo, hi
 }
 
-// TileBox returns the owned-plus-shell box of a rank in global index
-// coordinates (half-open) when the ghost shell extends ext[d] points per
-// side, clipped at the domain boundary — the shrinking per-substep compute
-// box of communication-avoiding time tiling. ext entries must be
-// non-negative.
-func (d *Decomposition) TileBox(rank int, ext []int) (lo, hi []int) {
-	capLo, capHi := d.ShellCaps(rank)
-	coords := d.Coords(rank)
-	nd := len(coords)
-	lo = make([]int, nd)
-	hi = make([]int, nd)
-	for dim, c := range coords {
-		l, h := d.LocalRange(dim, c)
-		e := ext[dim]
-		el, eh := e, e
-		if el > capLo[dim] {
-			el = capLo[dim]
-		}
-		if eh > capHi[dim] {
-			eh = capHi[dim]
-		}
-		lo[dim] = l - el
-		hi[dim] = h + eh
-	}
-	return lo, hi
-}
-
 // MinChunk returns the smallest owned extent per dimension over all
 // topology coordinates — the limit on how wide a ghost region a one-hop
 // nearest-neighbour exchange can fill.

@@ -60,15 +60,6 @@ func (g *Grid) Spacing(d int) float64 {
 	return g.Extent[d] / float64(g.Shape[d]-1)
 }
 
-// Spacings returns all spacings.
-func (g *Grid) Spacings() []float64 {
-	out := make([]float64, g.NDims())
-	for d := range out {
-		out[d] = g.Spacing(d)
-	}
-	return out
-}
-
 // Points returns the total number of grid points.
 func (g *Grid) Points() int {
 	n := 1

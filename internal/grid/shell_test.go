@@ -29,34 +29,6 @@ func TestShellCapsAtDomainEdges(t *testing.T) {
 	}
 }
 
-// TileBox clips the shell at the global boundary and extends it into
-// neighbours elsewhere — the shrinking owned-plus-shell recompute box.
-func TestTileBoxClipsAtEdges(t *testing.T) {
-	g := MustNew([]int{12, 9}, nil)
-	d, err := NewDecomposition(g, 6, []int{3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank 2 = coords (1,0): owned [4,8)x[0,5).
-	lo, hi := d.TileBox(2, []int{3, 3})
-	if lo[0] != 1 || hi[0] != 11 {
-		t.Errorf("rank 2 dim0 tile box = [%d,%d), want [1,11)", lo[0], hi[0])
-	}
-	if lo[1] != 0 || hi[1] != 8 {
-		t.Errorf("rank 2 dim1 tile box = [%d,%d), want [0,8)", lo[1], hi[1])
-	}
-	// Zero extension returns the owned box.
-	lo, hi = d.TileBox(2, []int{0, 0})
-	if lo[0] != 4 || hi[0] != 8 || lo[1] != 0 || hi[1] != 5 {
-		t.Errorf("zero-ext tile box = [%v,%v), want owned [4,8)x[0,5)", lo, hi)
-	}
-	// A huge extension clips to the whole grid.
-	lo, hi = d.TileBox(2, []int{100, 100})
-	if lo[0] != 0 || hi[0] != 12 || lo[1] != 0 || hi[1] != 9 {
-		t.Errorf("huge-ext tile box = [%v,%v), want the full grid", lo, hi)
-	}
-}
-
 // Prime rank counts produce 1-wide topologies whose uneven chunks must
 // still yield consistent shell geometry and MinChunk figures.
 func TestShellGeometryPrimeRanks(t *testing.T) {
@@ -73,8 +45,7 @@ func TestShellGeometryPrimeRanks(t *testing.T) {
 	if mc[0] != 4 || mc[1] != 8 {
 		t.Errorf("MinChunk = %v, want [4 8]", mc)
 	}
-	// Shell caps must tile: lo + owned + hi == global extent on every rank,
-	// and every TileBox stays inside the grid.
+	// Shell caps must tile: lo + owned + hi == global extent on every rank.
 	for r := 0; r < 7; r++ {
 		lo, hi := d.ShellCaps(r)
 		shape := d.LocalShape(r)
@@ -82,31 +53,6 @@ func TestShellGeometryPrimeRanks(t *testing.T) {
 			if lo[dim]+shape[dim]+hi[dim] != g.Shape[dim] {
 				t.Errorf("rank %d dim %d: caps %d+%d+%d != %d", r, dim, lo[dim], shape[dim], hi[dim], g.Shape[dim])
 			}
-		}
-		blo, bhi := d.TileBox(r, []int{3, 3})
-		for dim := 0; dim < 2; dim++ {
-			if blo[dim] < 0 || bhi[dim] > g.Shape[dim] || blo[dim] >= bhi[dim] {
-				t.Errorf("rank %d dim %d: tile box [%d,%d) escapes grid [0,%d)", r, dim, blo[dim], bhi[dim], g.Shape[dim])
-			}
-		}
-	}
-}
-
-// Neighbouring ranks' shrinking boxes at a given extension overlap by
-// exactly twice the extension along the shared face — the redundancy that
-// replaces communication.
-func TestTileBoxOverlapIsRedundantRegion(t *testing.T) {
-	g := MustNew([]int{24}, nil)
-	d, err := NewDecomposition(g, 3, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ext = 2
-	for r := 0; r < 2; r++ {
-		_, hiR := d.TileBox(r, []int{ext})
-		loN, _ := d.TileBox(r+1, []int{ext})
-		if hiR[0]-loN[0] != 2*ext {
-			t.Errorf("ranks %d/%d overlap = %d, want %d", r, r+1, hiR[0]-loN[0], 2*ext)
 		}
 	}
 }

@@ -178,21 +178,6 @@ func (c *Cluster) add(eq symbolic.Eq, reads []symbolic.Access, ndims int) {
 	}
 }
 
-// ReadFields returns the distinct field names read by the cluster.
-func (c *Cluster) ReadFields() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range c.Eqs {
-		for _, f := range symbolic.Funcs(e.RHS) {
-			if !seen[f.Name] {
-				seen[f.Name] = true
-				out = append(out, f.Name)
-			}
-		}
-	}
-	return out
-}
-
 // FlopsPerPoint sums the per-point flop cost over the cluster's equations
 // (after lowering), feeding the BENCH report and the performance model.
 func (c *Cluster) FlopsPerPoint() int {

@@ -254,27 +254,3 @@ func unpackFloat64(src []float32, dst []float64) {
 		dst[i] = float64frombits(hi<<32 | lo)
 	}
 }
-
-// Alltoall exchanges equal-sized chunks between every pair of ranks:
-// send[r] goes to rank r, and the returned slice holds one chunk from each
-// rank, in rank order. All chunks must share the same length.
-func (c *Comm) Alltoall(send [][]float32) [][]float32 {
-	tag := c.collTag()
-	out := make([][]float32, c.size)
-	for dst := 0; dst < c.size; dst++ {
-		if dst == c.rank {
-			out[dst] = append([]float32(nil), send[dst]...)
-			continue
-		}
-		c.Send(dst, tag, send[dst])
-	}
-	for src := 0; src < c.size; src++ {
-		if src == c.rank {
-			continue
-		}
-		buf := make([]float32, len(send[src]))
-		c.Recv(src, tag, buf)
-		out[src] = buf
-	}
-	return out
-}

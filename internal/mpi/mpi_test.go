@@ -475,23 +475,3 @@ func TestNeighborOffsetsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAlltoall(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) {
-		send := make([][]float32, 3)
-		for dst := range send {
-			send[dst] = []float32{float32(c.Rank()*10 + dst)}
-		}
-		got := c.Alltoall(send)
-		for src := range got {
-			want := float32(src*10 + c.Rank())
-			if got[src][0] != want {
-				t.Errorf("rank %d from %d: %v, want %v", c.Rank(), src, got[src][0], want)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

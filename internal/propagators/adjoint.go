@@ -8,7 +8,6 @@ import (
 	"devigo/internal/field"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
-	"devigo/internal/sparse"
 	"devigo/internal/symbolic"
 )
 
@@ -111,17 +110,8 @@ type AdjointConfig struct {
 	// SrcCoords is the read-back position (the forward source); nil uses
 	// the domain centre.
 	SrcCoords []float64
-	// Workers / TileRows forward to the executor.
-	Workers  int
-	TileRows int
-	// TimeTile requests the halo-exchange interval k for the reverse
-	// sweep; 0 consults DEVIGO_TIME_TILE.
-	TimeTile int
-	// Engine selects the execution engine ("" = core default).
-	Engine string
-	// Autotune selects the self-configuration policy forwarded to
-	// core.ApplyOpts.Autotune ("" consults DEVIGO_AUTOTUNE).
-	Autotune string
+	// Exec configures the adjoint operator.
+	Exec
 }
 
 // AdjointResult carries the outputs of a time-reversed run.
@@ -171,65 +161,20 @@ func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult
 				t, len(row), len(ac.RecCoords))
 		}
 	}
-	op, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx,
-		&core.Options{Name: adj.Name, Workers: ac.Workers, TileRows: ac.TileRows,
-			TimeTile: ac.TimeTile, Engine: ac.Engine})
+	op, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, ac.options(adj.Name, nil))
 	if err != nil {
 		return nil, err
 	}
-	rec, err := sparse.New("rec", adj.Grid, ac.RecCoords)
+	srcs, err := buildSources(adj, &RunConfig{SourceCoords: ac.SrcCoords, ReceiverCoords: ac.RecCoords}, dt, nt)
 	if err != nil {
 		return nil, err
 	}
-	srcCoords := ac.SrcCoords
-	if srcCoords == nil {
-		srcCoords = CenterSource(adj.Grid)
-	}
-	src, err := sparse.New("src", adj.Grid, [][]float64{srcCoords})
+	traces, err := backward(adj, ctx, op, srcs, ac.RecData, dt, ac.Autotune, nil)
 	if err != nil {
 		return nil, err
 	}
-	scale := injectionScale(adj, dt)
-	v := adj.Fields["v"]
-
-	res := &AdjointResult{NT: nt, DT: dt, Op: op, SrcTraces: make([]float64, nt)}
-	vals := make([]float32, len(ac.RecCoords))
-	var hook firstErr
-	postStep := func(t int) {
-		// The reverse iteration t wrote buffer t-1 (= the adjoint state
-		// w[t-1]); inject the matching receiver sample — mirrored into the
-		// ghost shell under time tiling — and read back.
-		for r, d := range ac.RecData[t-1] {
-			vals[r] = float32(d) * scale
-		}
-		hook.keep(adjointInject(adj, rec, v, t, vals, op.InjectDepth()))
-		res.SrcTraces[t-1] = src.Interpolate(v, t-1, commOf(ctx))[0]
-	}
-	if err := op.Apply(&core.ApplyOpts{
-		TimeM:    1,
-		TimeN:    nt,
-		Reverse:  true,
-		Syms:     map[string]float64{"dt": dt},
-		PostStep: postStep,
-		Autotune: ac.Autotune,
-	}); err != nil {
-		return nil, err
-	}
-	if hook.err != nil {
-		return nil, hook.err
-	}
-	res.Perf = op.Report()
-	res.Norm = fieldNorm(adj, ctx, 0)
-	return res, nil
-}
-
-// adjointInject adds reverse step t's receiver samples into the adjoint
-// state that step wrote, buffer t-1 of v.
-func adjointInject(adj *Model, rec *sparse.SparseFunction, v *field.Function, t int, vals []float32, depth []int) error {
-	if err := rec.InjectDeep(v, t-1, vals, depth); err != nil {
-		return fmt.Errorf("propagators: %s: receiver injection at step %d: %w", adj.Name, t, err)
-	}
-	return nil
+	return &AdjointResult{NT: nt, DT: dt, Op: op, SrcTraces: traces,
+		Perf: op.Report(), Norm: fieldNorm(adj, ctx, 0)}, nil
 }
 
 // DotTestResult reports one adjointness certification: the two sides of
@@ -284,7 +229,7 @@ func RunDotTest(c *mpi.Comm, mode halo.Mode, engine string) (*DotTestResult, err
 		Wavelet:        wavelet,
 		SourceCoords:   srcCoords,
 		ReceiverCoords: recCoords,
-		Engine:         engine,
+		Exec:           Exec{Engine: engine},
 	})
 	if err != nil {
 		return nil, err
@@ -294,7 +239,7 @@ func RunDotTest(c *mpi.Comm, mode halo.Mode, engine string) (*DotTestResult, err
 		RecCoords: recCoords,
 		RecData:   fres.Receivers,
 		SrcCoords: srcCoords,
-		Engine:    engine,
+		Exec:      Exec{Engine: engine},
 	})
 	if err != nil {
 		return nil, err

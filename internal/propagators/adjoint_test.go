@@ -1,8 +1,13 @@
 package propagators
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"devigo/internal/core"
 	"devigo/internal/halo"
@@ -89,12 +94,12 @@ func TestAdjointDotProduct_Realistic(t *testing.T) {
 			}
 			nt := 40
 			rec := ReceiverLine(m.Grid, 6)
-			fres, err := Run(m, nil, RunConfig{NT: nt, ReceiverCoords: rec, Engine: engine})
+			fres, err := Run(m, nil, RunConfig{NT: nt, ReceiverCoords: rec, Exec: Exec{Engine: engine}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ares, err := RunAdjoint(m, nil, AdjointConfig{
-				NT: nt, RecCoords: rec, RecData: fres.Receivers, Engine: engine,
+				NT: nt, RecCoords: rec, RecData: fres.Receivers, Exec: Exec{Engine: engine},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -338,5 +343,69 @@ func TestRunAdjointValidation(t *testing.T) {
 	}
 	if _, err := RunAdjoint(m, nil, AdjointConfig{NT: 4, RecCoords: rec, RecData: make([][]float64, 3)}); err == nil {
 		t.Error("mismatched RecData length should error")
+	}
+	// Set coordinates override NReceivers, so an empty set is empty either way.
+	for _, n := range []int{0, 4} {
+		gc := exactGradientConfig(3)
+		gc.ReceiverCoords, gc.NReceivers = [][]float64{}, n
+		if _, err := RunGradient(exactAcoustic(t), nil, gc); err == nil {
+			t.Errorf("RunGradient accepted an empty ReceiverCoords (NReceivers %d)", n)
+		}
+	}
+}
+
+// TestBackwardAfterErrorStopsTheSweep: an after hook that fails at reverse
+// step t0 fails the sweep with an error naming that step and is never
+// called again. Every rank fails at the same step, so a 4-rank world
+// returns instead of leaving a rank waiting in a collective.
+func TestBackwardAfterErrorStopsTheSweep(t *testing.T) {
+	const nt, t0 = 8, 5
+	boom := errors.New("boom")
+	sweep := func(c *mpi.Comm, mode halo.Mode) error {
+		m, ctx, err := exactOnRank(c, mode)
+		if err != nil {
+			return err
+		}
+		adj, err := Adjoint(m)
+		if err != nil {
+			return err
+		}
+		op, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, Exec{}.options(adj.Name, nil))
+		if err != nil {
+			return err
+		}
+		defer op.Close()
+		srcs, err := buildSources(adj, &RunConfig{ReceiverCoords: [][]float64{{6, 5}, {15, 14}}}, 1, nt)
+		if err != nil {
+			return err
+		}
+		data := make([][]float64, nt)
+		for i := range data {
+			data[i] = []float64{1, -1}
+		}
+		var calls []int
+		_, err = backward(adj, ctx, op, srcs, data, 1, "", func(t int) error {
+			calls = append(calls, t)
+			if t == t0 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), fmt.Sprintf("step %d", t0)) {
+			t.Errorf("backward error %v does not wrap the hook's error naming step %d", err, t0)
+		}
+		if !slices.Equal(calls, []int{8, 7, 6, 5}) {
+			t.Errorf("after called at steps %v, want [8 7 6 5] and nothing past the failure", calls)
+		}
+		return nil
+	}
+	if err := sweep(nil, halo.ModeNone); err != nil {
+		t.Fatal(err)
+	}
+	err := returnsWithin(t, 30*time.Second, func() error {
+		return mpi.RunRanks(4, func(c *mpi.Comm) error { return sweep(c, halo.ModeDiagonal) })
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

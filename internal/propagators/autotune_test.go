@@ -18,8 +18,7 @@ func runAutotuned(t *testing.T, policy string, workers, tileRows, nt int) (float
 	}
 	res, err := Run(m, nil, RunConfig{
 		NT: nt, NReceivers: 4,
-		Workers: workers, TileRows: tileRows,
-		Autotune: policy,
+		Exec: Exec{Workers: workers, TileRows: tileRows, Autotune: policy},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestAutotuneDMPBitExactAndConsistent(t *testing.T) {
 	refNorm, _ := runDMP(t, "acoustic", shape, []int{2, 2}, halo.ModeDiagonal, so, nt)
 
 	out, err := runOnRanks("acoustic", shape, []int{2, 2}, halo.ModeBasic, so,
-		RunConfig{NT: nt, NReceivers: 4, Autotune: core.AutotuneSearch})
+		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{Autotune: core.AutotuneSearch}})
 	if err != nil {
 		t.Fatal(err)
 	}

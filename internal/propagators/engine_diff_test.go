@@ -36,7 +36,7 @@ func runEngineSerial(t *testing.T, name, engine string, shape []int, so, nt int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m, nil, RunConfig{NT: nt, NReceivers: 4, Engine: engine})
+	res, err := Run(m, nil, RunConfig{NT: nt, NReceivers: 4, Exec: Exec{Engine: engine}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestEngineDifferential_Serial3D(t *testing.T) {
 // interval k and returns the rank-0 norm and receiver traces.
 func runEngineDMP(t *testing.T, name, engine string, shape []int, mode halo.Mode, so, nt, k int) (float64, [][]float64) {
 	t.Helper()
-	res := rank0(t, name, shape, []int{2, 2}, mode, so, RunConfig{NT: nt, NReceivers: 4, Engine: engine,
-		Workers: 2, TileRows: 3, TimeTile: k})
+	res := rank0(t, name, shape, []int{2, 2}, mode, so, RunConfig{NT: nt, NReceivers: 4, Exec: Exec{Engine: engine,
+		Workers: 2, TileRows: 3, TimeTile: k}})
 	return res.Norm, res.Receivers
 }
 
@@ -325,7 +325,7 @@ func TestPropagatorKernelsAreRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("acoustic adjoint", adjOp)
-	_, imgOp, err := imagingOperator(fwd, adj, nil, &GradientConfig{Engine: core.EngineNative})
+	_, imgOp, err := imagingOperator(fwd, adj, nil, &GradientConfig{Exec: Exec{Engine: core.EngineNative}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,8 +68,8 @@ func fuzzSerial(fc fuzzCase, engine string) (*Model, *RunResult, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := Run(m, nil, RunConfig{NT: fc.nt, NReceivers: 4, Engine: engine,
-		Workers: fc.workers, TileRows: fc.tileRows})
+	res, err := Run(m, nil, RunConfig{NT: fc.nt, NReceivers: 4, Exec: Exec{Engine: engine,
+		Workers: fc.workers, TileRows: fc.tileRows}})
 	if res != nil {
 		res.Op.Close()
 	}
@@ -80,8 +80,8 @@ func fuzzSerial(fc fuzzCase, engine string) (*Model, *RunResult, error) {
 // norm and receiver traces.
 func fuzzDMP(fc fuzzCase, engine string) (float64, [][]float64, error) {
 	out, err := runOnRanks(fc.model, []int{fc.rows, fc.cols}, []int{2, 2}, fc.mode, fc.so,
-		RunConfig{NT: fc.nt, NReceivers: 4, Engine: engine,
-			Workers: fc.workers, TileRows: fc.tileRows, TimeTile: fc.k})
+		RunConfig{NT: fc.nt, NReceivers: 4, Exec: Exec{Engine: engine,
+			Workers: fc.workers, TileRows: fc.tileRows, TimeTile: fc.k}})
 	if err != nil {
 		return 0, nil, err
 	}

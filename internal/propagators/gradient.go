@@ -37,20 +37,9 @@ type GradientConfig struct {
 	// re-integrated once during the reverse sweep. 0 uses the sqrt(NT)
 	// heuristic that balances the two costs.
 	CheckpointInterval int
-	// Workers / TileRows forward to the executor.
-	Workers  int
-	TileRows int
-	// TimeTile requests the halo-exchange interval k for the forward and
-	// adjoint operators; 0 consults DEVIGO_TIME_TILE.
-	TimeTile int
-	// Engine selects the execution engine ("" = core default).
-	Engine string
-	// Autotune selects the self-configuration policy for the forward and
-	// adjoint operators ("" consults DEVIGO_AUTOTUNE). The forward pass
-	// can tune with the full search; the adjoint sweep applies one step
-	// at a time, so a search request degrades gracefully to the model's
-	// top choice there.
-	Autotune string
+	// Exec configures the forward, adjoint and imaging operators (the
+	// pointwise imaging kernel has no halo, so it never time-tiles).
+	Exec
 	// Cache attaches a compiled-operator cache shared by the forward,
 	// adjoint and imaging operators (core.Options.Cache): across shots of
 	// one survey, each of the three schedules compiles exactly once. Nil
@@ -103,7 +92,9 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	if nt <= 0 {
 		return nil, fmt.Errorf("propagators: GradientConfig needs NT")
 	}
-	if gc.NReceivers <= 1 && gc.ReceiverCoords == nil {
+	// Set coordinates win over NReceivers, as in buildSources; neither may
+	// leave the receiver set empty.
+	if len(gc.ReceiverCoords) == 0 && (gc.ReceiverCoords != nil || gc.NReceivers <= 1) {
 		return nil, fmt.Errorf("propagators: GradientConfig needs receivers (the adjoint source)")
 	}
 	k := gc.CheckpointInterval
@@ -121,11 +112,8 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 		NReceivers:     gc.NReceivers,
 		ReceiverCoords: gc.ReceiverCoords,
 		Checkpoint:     store,
-		Workers:        gc.Workers, TileRows: gc.TileRows,
-		TimeTile: gc.TimeTile,
-		Engine:   gc.Engine,
-		Autotune: gc.Autotune,
-		Cache:    gc.Cache,
+		Exec:           gc.Exec,
+		Cache:          gc.Cache,
 	}
 	fres, err := Run(m, ctx, rc)
 	if err != nil {
@@ -165,14 +153,11 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	if err != nil {
 		return nil, err
 	}
-	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx,
-		&core.Options{Name: adj.Name, Workers: gc.Workers, TileRows: gc.TileRows,
-			TimeTile: gc.TimeTile, Engine: gc.Engine, Cache: gc.Cache})
+	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, gc.options(adj.Name, gc.Cache))
 	if err != nil {
 		return nil, err
 	}
 	defer adjOp.Close()
-	v := adj.Fields["v"]
 	grad, imgOp, err := imagingOperator(m, adj, ctx, &gc)
 	if err != nil {
 		return nil, err
@@ -182,7 +167,6 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	if err != nil {
 		return nil, err
 	}
-	scale := injectionScale(adj, fres.DT)
 	syms := map[string]float64{"dt": fres.DT}
 
 	// ensureLevels re-materialises the forward time levels lo..hi from
@@ -229,40 +213,26 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	}
 
 	// Phase 2: the reverse sweep. Iteration t writes the adjoint state
-	// into buffer t-1; the imaging condition at level j = t-1 correlates
-	// u.dt2 (levels j-1, j, j+1) with the adjoint field at level j.
-	res.SrcTraces = make([]float64, nt)
-	vals := make([]float32, srcs.rec.NPoints())
-	var hook firstErr
-	for t := nt; t >= 1; t-- {
+	// into buffer t-1; the imaging condition at level j = t-1 then
+	// correlates u.dt2 (levels j-1, j, j+1) with the adjoint field at level
+	// j. The adjoint kernel reads only v, m and damp and the recompute
+	// writes only u, so re-materialising u between adjoint steps leaves the
+	// sweep's values untouched.
+	image := func(t int) error {
 		j := t - 1
 		if err := ensureLevels(j-1, j+1); err != nil {
-			return nil, err
+			return err
 		}
 		for _, lvl := range []int{j - 1, j, j + 1} {
 			if err := store.LoadLevel(lvl); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if err := adjOp.Apply(&core.ApplyOpts{
-			TimeM: t, TimeN: t, Reverse: true, Syms: syms,
-			Autotune: gc.Autotune,
-			PostStep: func(t int) {
-				for r, d := range adjSrc[t-1] {
-					vals[r] = float32(d) * scale
-				}
-				hook.keep(adjointInject(adj, srcs.rec, v, t, vals, adjOp.InjectDepth()))
-				res.SrcTraces[t-1] = srcs.src.Interpolate(v, t-1, commOf(ctx))[0]
-			},
-		}); err != nil {
-			return nil, err
-		}
-		if hook.err != nil {
-			return nil, hook.err
-		}
-		if err := imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms}); err != nil {
-			return nil, err
-		}
+		return imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms})
+	}
+	res.SrcTraces, err = backward(adj, ctx, adjOp, srcs, adjSrc, fres.DT, gc.Autotune, image)
+	if err != nil {
+		return nil, err
 	}
 
 	res.Gradient = grad
@@ -306,9 +276,7 @@ func imagingOperator(fwd, adj *Model, ctx *core.Context, gc *GradientConfig) (*f
 	fields := map[string]*field.Function{
 		"grad": grad, u.Name: u, v.Name: v,
 	}
-	op, err := core.NewOperator([]symbolic.Eq{eq}, fields, fwd.Grid, ctx,
-		&core.Options{Name: "imaging", Workers: gc.Workers, TileRows: gc.TileRows,
-			Engine: gc.Engine, Cache: gc.Cache})
+	op, err := core.NewOperator([]symbolic.Eq{eq}, fields, fwd.Grid, ctx, gc.options("imaging", gc.Cache))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -38,7 +38,7 @@ func obsTrafficRun(t *testing.T, model string, shape, topo []int, periodic bool,
 		if ctx.Cart, err = mpi.CartCreate(c, topo, []bool{periodic, periodic}); err != nil {
 			return err
 		}
-		res, err := Run(m, ctx, RunConfig{NT: nt, TimeTile: k, Workers: 1})
+		res, err := Run(m, ctx, RunConfig{NT: nt, Exec: Exec{TimeTile: k, Workers: 1}})
 		if err != nil {
 			return err
 		}

@@ -39,6 +39,17 @@ type RunConfig struct {
 	// Checkpoint.Interval steps during the run — the forward half of a
 	// checkpointed adjoint/gradient computation.
 	Checkpoint *checkpoint.Store
+	// Exec configures the operator.
+	Exec
+	// Cache attaches a compiled-operator cache (core.Options.Cache):
+	// kernel compilation and autotune decisions are shared across runs
+	// with the same schedule key. Nil compiles privately.
+	Cache *opcache.Cache
+}
+
+// Exec holds the executor knobs every driver forwards to the operators it
+// compiles and applies.
+type Exec struct {
 	// Workers / TileRows forward to the executor.
 	Workers  int
 	TileRows int
@@ -51,10 +62,12 @@ type RunConfig struct {
 	// core.ApplyOpts.Autotune: "model", "search" or "off" ("" consults
 	// DEVIGO_AUTOTUNE).
 	Autotune string
-	// Cache attaches a compiled-operator cache (core.Options.Cache):
-	// kernel compilation and autotune decisions are shared across runs
-	// with the same schedule key. Nil compiles privately.
-	Cache *opcache.Cache
+}
+
+// options returns the construction options of an operator named name.
+func (e Exec) options(name string, cache *opcache.Cache) *core.Options {
+	return &core.Options{Name: name, Workers: e.Workers, TileRows: e.TileRows,
+		TimeTile: e.TimeTile, Engine: e.Engine, Cache: cache}
 }
 
 // RunResult carries the outputs of a forward run.
@@ -91,9 +104,7 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 		}
 		nt = int(rc.Time/dt) + 1
 	}
-	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx,
-		&core.Options{Name: m.Name, Workers: rc.Workers, TileRows: rc.TileRows,
-			TimeTile: rc.TimeTile, Engine: rc.Engine, Cache: rc.Cache})
+	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, rc.options(m.Name, rc.Cache))
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +153,52 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	res.Perf = op.Report()
 	res.Norm = fieldNorm(m, ctx, nt)
 	return res, nil
+}
+
+// backward steps a compiled adjoint model through one reverse Apply over
+// t = nt..1, nt = len(data): iteration t writes the adjoint state into
+// buffer t-1, injects data[t-1] there through srcs' receivers (mirrored
+// into the ghost shell under time tiling), samples srcs' source position
+// into the returned traces[t-1] (forward-time order) and then calls after
+// (when non-nil) with t. The first error stops all further hook work and
+// is returned once the Apply ends: every error the hook can hit follows
+// from the schedule every rank shares, so all ranks stop at the same step
+// and no collective goes unmatched.
+func backward(adj *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
+	data [][]float64, dt float64, autotune string, after func(t int) error) ([]float64, error) {
+	traces := make([]float64, len(data))
+	v := adj.Fields[adj.WaveFields[0]]
+	vals := make([]float32, srcs.rec.NPoints())
+	var hook firstErr
+	postStep := func(t int) {
+		if hook.err != nil {
+			return
+		}
+		for r, d := range data[t-1] {
+			vals[r] = float32(d) * srcs.scale
+		}
+		if err := srcs.rec.InjectDeep(v, t-1, vals, op.InjectDepth()); err != nil {
+			hook.keep(fmt.Errorf("propagators: %s: receiver injection at step %d: %w", adj.Name, t, err))
+			return
+		}
+		traces[t-1] = srcs.src.Interpolate(v, t-1, commOf(ctx))[0]
+		if after != nil {
+			if err := after(t); err != nil {
+				hook.keep(fmt.Errorf("propagators: %s: reverse step %d: %w", adj.Name, t, err))
+			}
+		}
+	}
+	if err := op.Apply(&core.ApplyOpts{
+		TimeM:    1,
+		TimeN:    len(data),
+		Reverse:  true,
+		Syms:     map[string]float64{"dt": dt},
+		PostStep: postStep,
+		Autotune: autotune,
+	}); err != nil {
+		return nil, err
+	}
+	return traces, hook.err
 }
 
 // firstErr keeps the first error a PostStep hook hits. The hook cannot

@@ -198,7 +198,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 			// concurrent scatters never touch the same element.
 			scatterOwned(out.grad, shape, res.Gradient, 0)
 			if c.Rank() == 0 {
-				out.misfit = misfitOf(res.Receivers, s.ObsData)
+				out.misfit = misfitOf(res.Receivers, gc.ObsData)
 				out.gradNorm, out.relErr = res.GradNorm, res.RelErr
 			}
 			return nil

@@ -67,7 +67,7 @@ func sequentialStack(t *testing.T, cfg Config, gc GradientConfig, shots []Shot) 
 		for i, v := range grad {
 			stack[i] += v
 		}
-		misfits = append(misfits, misfitOf(res.Receivers, s.ObsData))
+		misfits = append(misfits, misfitOf(res.Receivers, g.ObsData))
 	}
 	return stack, misfits
 }
@@ -359,6 +359,21 @@ func TestRunShotsResidualMisfit(t *testing.T) {
 	}
 	if res.Shots[0].Misfit == 0 || res.Misfit != res.Shots[0].Misfit {
 		t.Errorf("survey misfit %v should equal shot 0's %v", res.Misfit, res.Shots[0].Misfit)
+	}
+
+	// A shot without its own ObsData inherits the survey-wide one, for its
+	// misfit as for its gradient.
+	inherited := gc
+	inherited.ObsData = fres.Receivers
+	res, err = RunShots("acoustic", cfg, ShotsConfig{
+		Gradient: inherited, Shots: []Shot{{SourceCoords: []float64{12, 12}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shots[0].Misfit != 0 || res.Shots[0].GradNorm != 0 {
+		t.Errorf("shot inheriting its own synthetics as ObsData: misfit %v, grad norm %v, want zero",
+			res.Shots[0].Misfit, res.Shots[0].GradNorm)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func ttRun(t *testing.T, model string, shape []int, mode halo.Mode, engine string, so, nt, k int) (float64, [][]float64, int) {
 	t.Helper()
 	res := rank0(t, model, shape, []int{2, 2}, mode, so,
-		RunConfig{NT: nt, NReceivers: 4, TimeTile: k, Engine: engine, Workers: 2, TileRows: 3})
+		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: k, Engine: engine, Workers: 2, TileRows: 3}})
 	return res.Norm, res.Receivers, res.Op.TimeTile()
 }
 
@@ -86,7 +86,7 @@ func TestTimeTile_SerialFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m, nil, RunConfig{NT: 8, TimeTile: 4})
+	res, err := Run(m, nil, RunConfig{NT: 8, Exec: Exec{TimeTile: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestTimeTile_AdjointBitExact(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			fres, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, TimeTile: k})
+			fres, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: k}})
 			if err != nil {
 				return err
 			}
 			ares, err := RunAdjoint(m, ctx, AdjointConfig{
-				NT: nt, RecCoords: ReceiverLine(m.Grid, 4), RecData: fres.Receivers, TimeTile: k,
+				NT: nt, RecCoords: ReceiverLine(m.Grid, 4), RecData: fres.Receivers, Exec: Exec{TimeTile: k},
 			})
 			if err != nil {
 				return err
@@ -147,41 +147,47 @@ func TestTimeTile_AdjointBitExact(t *testing.T) {
 }
 
 // The checkpointed gradient pipeline composes with tiling: identical
-// gradient norm and dot-product identity versus k=1 on 4 ranks.
+// gradient norm and dot-product identity versus k=1 on 4 ranks. The
+// adjoint runs as one reverse Apply, so its k=4 tiles recompute ghost
+// shells: it updates more points than at k=1.
 func TestTimeTile_GradientBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gradient tiling differential skipped in -short")
 	}
 	shape := []int{24, 24}
 	const so, nt = 4, 12
-	run := func(k int) (float64, float64) {
+	run := func(k int) (float64, float64, int64) {
 		var gnorm, relErr float64
+		var adjPoints int64
 		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
 			m, ctx, err := OnRank(c, "acoustic", serialCfg(shape, so), halo.ModeDiagonal, []int{2, 2})
 			if err != nil {
 				return err
 			}
-			res, err := RunGradient(m, ctx, GradientConfig{NT: nt, NReceivers: 4, CheckpointInterval: 3, TimeTile: k})
+			res, err := RunGradient(m, ctx, GradientConfig{NT: nt, NReceivers: 4, CheckpointInterval: 3, Exec: Exec{TimeTile: k}})
 			if err != nil {
 				return err
 			}
 			if c.Rank() == 0 {
-				gnorm, relErr = res.GradNorm, res.RelErr
+				gnorm, relErr, adjPoints = res.GradNorm, res.RelErr, res.AdjointPerf.PointsUpdated
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gnorm, relErr
+		return gnorm, relErr, adjPoints
 	}
-	refNorm, refErr := run(1)
-	gnorm, relErr := run(4)
+	refNorm, refErr, refPoints := run(1)
+	gnorm, relErr, points := run(4)
 	if gnorm != refNorm {
 		t.Errorf("gradient k=4 norm %v != k=1 norm %v", gnorm, refNorm)
 	}
 	if relErr != refErr {
 		t.Errorf("gradient k=4 rel-err %v != k=1 rel-err %v", relErr, refErr)
+	}
+	if points <= refPoints {
+		t.Errorf("adjoint updated %d points at k=4, %d at k=1: the reverse sweep recomputed no shell", points, refPoints)
 	}
 }
 
@@ -208,7 +214,7 @@ func TestTimeTile_AutotuneSelectsDeepInterval(t *testing.T) {
 	const so, nt = 4, 24
 	refNorm, refTraces, _ := ttRun(t, "acoustic", shape, halo.ModeDiagonal, core.EngineBytecode, so, nt, 1)
 	res := rank0(t, "acoustic", shape, []int{2, 2}, halo.ModeDiagonal, so,
-		RunConfig{NT: nt, NReceivers: 4, TimeTile: 8, Autotune: core.AutotuneModel})
+		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: 8, Autotune: core.AutotuneModel}})
 	norm, traces, cfgEff := res.Norm, res.Receivers, res.Op.Config()
 	if cfgEff.TimeTile < 2 {
 		t.Errorf("model policy chose interval %d on a latency-dominated config, want >= 2 (%+v)", cfgEff.TimeTile, cfgEff)
@@ -236,7 +242,7 @@ func TestTimeTile_MessageCountDrops(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			res, err := Run(m, ctx, RunConfig{NT: nt, TimeTile: k})
+			res, err := Run(m, ctx, RunConfig{NT: nt, Exec: Exec{TimeTile: k}})
 			if err != nil {
 				return err
 			}

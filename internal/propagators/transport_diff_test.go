@@ -37,8 +37,8 @@ func runDMPOver(t *testing.T, runWorld func(body func(c *mpi.Comm) error) error,
 			return err
 		}
 		res, err := Run(m, ctx, RunConfig{
-			NT: nt, NReceivers: 4, Engine: engine,
-			Workers: 2, TileRows: 3, TimeTile: k,
+			NT: nt, NReceivers: 4,
+			Exec: Exec{Engine: engine, Workers: 2, TileRows: 3, TimeTile: k},
 		})
 		if err != nil {
 			return err
@@ -145,7 +145,7 @@ func TestTransportDifferential_SerialAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m, nil, RunConfig{NT: nt, NReceivers: 4, Engine: core.EngineBytecode})
+	res, err := Run(m, nil, RunConfig{NT: nt, NReceivers: 4, Exec: Exec{Engine: core.EngineBytecode}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ func runWorkers(t *testing.T, engine string, workers, k int) (*Model, *RunResult
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m, nil, RunConfig{NT: 20, NReceivers: 4, Engine: engine,
-		Workers: workers, TileRows: 3, TimeTile: k})
+	res, err := Run(m, nil, RunConfig{NT: 20, NReceivers: 4, Exec: Exec{Engine: engine,
+		Workers: workers, TileRows: 3, TimeTile: k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		res, err := Run(m, nil, RunConfig{NT: nt, Engine: core.EngineNative, Workers: 4, TileRows: 4})
+		res, err := Run(m, nil, RunConfig{NT: nt, Exec: Exec{Engine: core.EngineNative, Workers: 4, TileRows: 4}})
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
@@ -134,6 +134,6 @@ func TestWorkerCountInvariance_DMP(t *testing.T) {
 func runWorkersDMP(t *testing.T, engine string, workers, k int) (float64, [][]float64) {
 	t.Helper()
 	res := rank0(t, "acoustic", []int{24, 24}, []int{2, 2}, halo.ModeFull, 4, RunConfig{NT: 16, NReceivers: 4,
-		Engine: engine, Workers: workers, TileRows: 3, TimeTile: k})
+		Exec: Exec{Engine: engine, Workers: workers, TileRows: 3, TimeTile: k}})
 	return res.Norm, res.Receivers
 }

@@ -199,23 +199,6 @@ func (s *SparseFunction) Interpolate(f *field.Function, t int, comm *mpi.Comm) [
 	return comm.Allreduce(partial, mpi.OpSum)
 }
 
-// OwnerRanks returns, per point, the ranks whose DOMAIN intersects the
-// point's support — the set of "involved ranks" of paper Fig. 3.
-func (s *SparseFunction) OwnerRanks(dec *grid.Decomposition) [][]int {
-	out := make([][]int, s.NPoints())
-	for p := range s.Coords {
-		seen := map[int]bool{}
-		for _, c := range s.support(p) {
-			r := dec.OwnerRank(c.idx)
-			if !seen[r] {
-				seen[r] = true
-				out[p] = append(out[p], r)
-			}
-		}
-	}
-	return out
-}
-
 // RickerWavelet generates the classic seismic source signature with peak
 // frequency f0 (Hz) centred at t0 (s), sampled nt times at interval dt.
 func RickerWavelet(f0, t0, dt float64, nt int) []float32 {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -211,13 +212,16 @@ func TestFig3_SparseOwnership(t *testing.T) {
 		{1.5, 3.5}, // D: cell straddles ranks 0 and 1
 	}
 	s, _ := New("pts", g, pts)
-	owners := s.OwnerRanks(dec)
-	sortAll := func(xs [][]int) {
-		for _, x := range xs {
-			sort.Ints(x)
+	// The involved ranks of a point: the owners of its support.
+	owners := make([][]int, s.NPoints())
+	for p := range owners {
+		for _, c := range s.support(p) {
+			if r := dec.OwnerRank(c.idx); !slices.Contains(owners[p], r) {
+				owners[p] = append(owners[p], r)
+			}
 		}
+		sort.Ints(owners[p])
 	}
-	sortAll(owners)
 	want := [][]int{{0}, {0, 2}, {0, 1, 2, 3}, {0, 1}}
 	for p := range want {
 		if len(owners[p]) != len(want[p]) {
