@@ -34,7 +34,6 @@ package bytecode
 import (
 	"fmt"
 
-	"devigo/internal/field"
 	"devigo/internal/runtime"
 )
 
@@ -104,8 +103,7 @@ type Kernel struct {
 	flops   int
 
 	// drv is the kernel's private tile driver: the field binding plus the
-	// reusable dispatch state. Allocated at compile time and replaced on
-	// Rebind, never shared between kernel copies.
+	// reusable dispatch state, allocated at compile time.
 	drv *runtime.Driver[scratch]
 }
 
@@ -113,22 +111,6 @@ type Kernel struct {
 // engine binds its own driver to it, and the segment extraction reads the
 // slot and output tables).
 func (k *Kernel) Binding() *runtime.Binding { return k.drv.Binding }
-
-// Rebind returns a copy of the kernel executing against different storage
-// (see runtime.Binding.Rebind): the compiled program, scalar pool and
-// prelude are shared with the receiver — they are immutable after
-// compilation — while the copy gets a private driver, so it is safe to run
-// concurrently with the original (the opcache runs rebound kernels across
-// shots in parallel).
-func (k *Kernel) Rebind(fields map[string]*field.Function) (runtime.ExecKernel, error) {
-	bd, err := k.drv.Rebind(fields)
-	if err != nil {
-		return nil, err
-	}
-	nk := *k
-	nk.drv = runtime.NewDriver[scratch](bd)
-	return &nk, nil
-}
 
 // BindSyms builds the execution-time scalar pool from a name->value map:
 // symbol slots are filled, then the prelude derives the hoisted scalars.

@@ -186,7 +186,7 @@ type regSrc struct {
 // ExtractSegments lowers every instruction of a row program into fused
 // chain segments, which the native engine executes as one run. The
 // partition is a pure function of the program and its binding, so every
-// rank (and every Rebind copy) derives the identical segment list.
+// rank derives the identical segment list.
 //
 // A load is deferred into the links that consume it, and a run executes
 // them point by point, so the program must not tell the two orders apart

@@ -258,40 +258,30 @@ func (op *Operator) autotune(policy string, step func(int), next *int, remaining
 	if err != nil {
 		return err
 	}
+	if err := op.adopt(cfg); err != nil {
+		return err
+	}
+	op.tuned = true
+	op.tunePolicy = policy
 	// The model policy logs its choice with its prediction; the search
 	// logs every measured trial, from which the snapshot derives the
-	// autotuner's regret (chosen vs empirically best).
-	var decisions []obs.Decision
+	// autotuner's regret (chosen vs empirically best). Every rank adopted
+	// the same configuration, so rank 0 alone logs it.
+	if op.obsRank() != 0 {
+		return nil
+	}
 	if policy == AutotuneModel {
-		decisions = append(decisions, obs.Decision{Policy: policy, Config: cfg.String(),
+		obs.RecordDecision(obs.Decision{Policy: policy, Config: cfg.String(),
 			PredictedSec: host.Predict(prof, cfg), Chosen: true})
 	}
 	for _, tr := range trialLog {
-		decisions = append(decisions, obs.Decision{
+		obs.RecordDecision(obs.Decision{
 			Policy:       policy,
 			Config:       tr.Config.String(),
 			PredictedSec: host.Predict(prof, tr.Config),
 			MeasuredSec:  tr.Seconds,
 			Chosen:       tr.Config.String() == cfg.String(),
 		})
-	}
-	return op.settle(policy, cfg, decisions...)
-}
-
-// settle adopts a tuned configuration: it reconfigures the operator, marks
-// it tuned under policy, publishes the choice for operators sharing the
-// schedule key, and logs the decisions on rank 0.
-func (op *Operator) settle(policy string, cfg perfmodel.ExecConfig, decisions ...obs.Decision) error {
-	if err := op.adopt(cfg); err != nil {
-		return err
-	}
-	op.tuned = true
-	op.tunePolicy = policy
-	op.storeTuneConfig(cfg)
-	if op.obsRank() == 0 {
-		for _, d := range decisions {
-			obs.RecordDecision(d)
-		}
 	}
 	return nil
 }

@@ -5,13 +5,12 @@ import (
 
 	"devigo/internal/field"
 	"devigo/internal/grid"
-	"devigo/internal/obs"
 	"devigo/internal/opcache"
 	"devigo/internal/symbolic"
 )
 
 // diffusionSetup builds a fresh diffusion equation set over fresh storage,
-// the raw inputs of ScheduleKey and NewOperator.
+// the raw inputs of scheduleKey and NewOperator.
 func diffusionSetup(t *testing.T, shape []int, so int) ([]symbolic.Eq, map[string]*field.Function, *grid.Grid, *field.TimeFunction) {
 	t.Helper()
 	g := grid.MustNew(shape, nil)
@@ -31,43 +30,42 @@ func diffusionSetup(t *testing.T, shape []int, so int) ([]symbolic.Eq, map[strin
 	return eqs, map[string]*field.Function{"u": &u.Function}, g, u
 }
 
-// TestScheduleKeyIdentity: identical configurations over distinct storage
-// must share one key — the property the whole cache rests on.
+// TestScheduleKeyIdentity: identical equations over distinct storage must
+// share one key — the property the whole cache rests on — and so must
+// grids of another shape: the front-end reads only the dimension count.
 func TestScheduleKeyIdentity(t *testing.T) {
 	eqs1, f1, g1, _ := diffusionSetup(t, []int{16, 16}, 2)
-	eqs2, f2, g2, _ := diffusionSetup(t, []int{16, 16}, 2)
-	k1 := ScheduleKey(eqs1, f1, g1, nil, EngineBytecode, 1)
-	k2 := ScheduleKey(eqs2, f2, g2, nil, EngineBytecode, 1)
-	if k1 == "" || k1 != k2 {
-		t.Fatalf("identical configs must share a key: %q vs %q", k1, k2)
+	eqs2, f2, _, _ := diffusionSetup(t, []int{16, 16}, 2)
+	eqs3, f3, _, _ := diffusionSetup(t, []int{24, 40}, 2)
+	k1 := scheduleKey(eqs1, f1, g1.NDims())
+	if k1 == "" || k1 != scheduleKey(eqs2, f2, 2) || k1 != scheduleKey(eqs3, f3, 2) {
+		t.Fatalf("identical equations must share a key")
 	}
 }
 
-// TestScheduleKeyDistinguishes: each compiled-artifact-relevant input must
-// perturb the key; a collision here would serve a wrong kernel.
+// TestScheduleKeyDistinguishes: each input the front-end reads must
+// perturb the key; a collision here would serve a wrong schedule.
 func TestScheduleKeyDistinguishes(t *testing.T) {
-	eqs, fields, g, _ := diffusionSetup(t, []int{16, 16}, 2)
-	base := ScheduleKey(eqs, fields, g, nil, EngineBytecode, 1)
+	eqs, fields, _, _ := diffusionSetup(t, []int{16, 16}, 2)
+	base := scheduleKey(eqs, fields, 2)
 
 	variants := map[string]string{}
 	{ // space order changes the stencil coefficients and halo reads
-		e, f, gg, _ := diffusionSetup(t, []int{16, 16}, 4)
-		variants["space order"] = ScheduleKey(e, f, gg, nil, EngineBytecode, 1)
+		e, f, _, _ := diffusionSetup(t, []int{16, 16}, 4)
+		variants["space order"] = scheduleKey(e, f, 2)
 	}
-	{ // grid shape changes the iteration space
-		e, f, gg, _ := diffusionSetup(t, []int{24, 24}, 2)
-		variants["grid shape"] = ScheduleKey(e, f, gg, nil, EngineBytecode, 1)
+	{ // a third dimension changes the Laplacian
+		e, f, _, _ := diffusionSetup(t, []int{16, 16, 16}, 2)
+		variants["dimensions"] = scheduleKey(e, f, 3)
 	}
-	// engine and time tile select different compiled artifacts over the
-	// same symbolic input
-	variants["engine"] = ScheduleKey(eqs, fields, g, nil, EngineInterpreter, 1)
-	variants["time tile"] = ScheduleKey(eqs, fields, g, nil, EngineBytecode, 4)
-	{ // a decomposition topology changes the exchange schedule
-		dec, err := grid.NewDecomposition(g, 4, []int{2, 2})
+	{ // time-buffer count decides which fields are time functions
+		e, f, g, _ := diffusionSetup(t, []int{16, 16}, 2)
+		v, err := field.NewTimeFunction("u", g, 2, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		variants["decomposition"] = ScheduleKey(eqs, fields, g, dec, EngineBytecode, 1)
+		f["u"] = &v.Function
+		variants["time buffers"] = scheduleKey(e, f, 2)
 	}
 	seen := map[string]string{base: "base"}
 	for what, k := range variants {
@@ -78,18 +76,15 @@ func TestScheduleKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// TestCachedOperatorBitExactAndCounted: a second operator with the same
-// schedule key must (a) run bit-identically to a privately compiled one and
-// (b) cost zero compilations — the obs compile counter stays at 1 for any
-// number of operators sharing the key.
+// TestCachedOperatorBitExactAndCounted: a second operator built from the
+// same equations through one cache must (a) adopt the first one's lowered
+// schedule, (b) compile kernels of its own against its own storage and
+// (c) run bit-identically to a privately lowered one, with one miss and
+// one hit on the cache.
 func TestCachedOperatorBitExactAndCounted(t *testing.T) {
 	for _, engine := range []string{EngineBytecode, EngineInterpreter} {
 		t.Run(engine, func(t *testing.T) {
-			obs.EnableMetrics()
-			defer func() { obs.DisableAll(); obs.Reset() }()
-			obs.Reset()
-
-			run := func(cache *opcache.Cache) []float32 {
+			run := func(cache *opcache.Cache) (*Operator, []float32) {
 				eqs, fields, g, u := diffusionSetup(t, []int{16, 16}, 2)
 				u.SetDomain(0, 1, 8, 8)
 				op, err := NewOperator(eqs, fields, g, nil,
@@ -97,52 +92,46 @@ func TestCachedOperatorBitExactAndCounted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (cache != nil) != (op.CacheKey() != "") {
-					t.Fatalf("CacheKey() = %q with cache=%v", op.CacheKey(), cache != nil)
-				}
 				h := g.Spacing(0)
 				if err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: 3,
 					Syms: map[string]float64{"dt": 0.2 * h * h}}); err != nil {
 					t.Fatal(err)
 				}
-				return append([]float32(nil), u.Buf(0).Data...)
+				return op, append([]float32(nil), u.Buf(0).Data...)
 			}
 
-			private := run(nil)
+			privOp, private := run(nil)
 			cache := opcache.New()
-			first := run(cache)
-			second := run(cache)
+			firstOp, first := run(cache)
+			secondOp, second := run(cache)
 			for i := range private {
 				if private[i] != first[i] || first[i] != second[i] {
 					t.Fatalf("cached run diverges at %d: private=%v first=%v second=%v",
 						i, private[i], first[i], second[i])
 				}
 			}
+			if firstOp.Schedule != secondOp.Schedule || privOp.Schedule == firstOp.Schedule {
+				t.Error("operators sharing a cache must share one schedule, and only they")
+			}
+			if firstOp.Kernels()[0] == secondOp.Kernels()[0] {
+				t.Error("operators sharing a schedule must compile kernels of their own")
+			}
 			st := cache.Stats()
-			if st.Misses != 1 || st.Hits != 1 {
-				t.Errorf("cache stats = %+v, want 1 miss + 1 hit", st)
-			}
-			total := obs.Snapshot().Total
-			// Three operators ran: one private (+1 compile), one cold cached
-			// (+1 compile, +1 miss), one warm cached (+1 hit, no compile).
-			if total.OpCompiles != 2 {
-				t.Errorf("obs compile counter = %d, want 2 (private + one per unique key)", total.OpCompiles)
-			}
-			if total.OpCacheMisses != 1 || total.OpCacheHits != 1 {
-				t.Errorf("obs cache counters = %d miss / %d hit, want 1/1",
-					total.OpCacheMisses, total.OpCacheHits)
+			if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+				t.Errorf("cache stats = %+v, want 1 miss + 1 hit on 1 entry", st)
 			}
 		})
 	}
 }
 
-// TestCacheRejectsForeignEntry: a corrupt entry under the kernels key must
-// surface as an error, not a crash or a silent recompile.
+// TestCacheRejectsForeignEntry: a corrupt entry under a schedule key must
+// surface as an error, not a crash or a silent re-lowering.
 func TestCacheRejectsForeignEntry(t *testing.T) {
 	eqs, fields, g, _ := diffusionSetup(t, []int{16, 16}, 2)
 	cache := opcache.New()
-	key := ScheduleKey(eqs, fields, g, nil, EngineBytecode, 1)
-	cache.Put(kernelsKey(key), "not a kernel set")
+	cache.GetOrCompute(scheduleKey(eqs, fields, g.NDims()), func() (any, error) {
+		return "not a schedule", nil
+	})
 	_, err := NewOperator(eqs, fields, g, nil, &Options{Engine: EngineBytecode, Cache: cache})
 	if err == nil {
 		t.Fatal("corrupt cache entry must fail operator construction")

@@ -24,11 +24,13 @@ import (
 // local domain widened transitively by the consumers' stencil radii) so
 // that no halo exchange is needed for them — exactly Devito's strategy
 // for CIRE temporaries. The required extension per scratch field is
-// returned so the operator can size the compute boxes. The equations come
-// back with their derivatives expanded — the pass expands each one once
-// for its own analysis — ready for ir.LowerExpanded.
-func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Grid,
-	decomp *grid.Decomposition, rank int) ([]symbolic.Eq, map[string]int, error) {
+// returned so the operator can size the compute boxes, and the scratch
+// fields' storage needs come back as specs for allocScratch: the pass
+// reads no storage, so its result serves every operator built from the
+// same equations. The equations come back with their derivatives expanded
+// — the pass expands each one once for its own analysis — ready for
+// ir.LowerExpanded.
+func applyCIRE(eqs []symbolic.Eq, nd int) ([]symbolic.Eq, []scratchField, map[string]int) {
 
 	type scratchDef struct {
 		name     string
@@ -50,7 +52,7 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 			isScratch[name] = true
 			defs = append(defs, scratchDef{name: name, expanded: expanded})
 		}
-		return symbolic.At(scratchRef(name, g.NDims()))
+		return symbolic.At(scratchRef(name, nd))
 	}
 
 	// bareAccess reports whether the expression needs no materialisation
@@ -155,35 +157,45 @@ func applyCIRE(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Gri
 		}
 	}
 
-	// Allocate scratch storage with a halo wide enough for the extended
-	// writes plus the scratch expression's own read radius.
-	for _, d := range defs {
-		ext := extension[d.name]
-		innerRadius := maxRadius(d.expanded, g.NDims())
-		haloW := ext + innerRadius
-		if haloW < 1 {
-			haloW = 1
-		}
-		cfg := &field.Config{HaloWidth: haloW}
-		if decomp != nil {
-			cfg.Decomp = decomp
-			cfg.Rank = rank
-		}
-		f, err := field.NewFunction(d.name, g, haloW, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: allocating CIRE scratch: %w", err)
-		}
-		f.Ref = scratchRef(d.name, g.NDims())
-		fields[d.name] = f
-	}
+	// Scratch storage needs a halo wide enough for the extended writes plus
+	// the scratch expression's own read radius.
+	scratch := make([]scratchField, len(defs))
 	scratchEqs := make([]symbolic.Eq, len(defs))
 	for i, d := range defs {
-		scratchEqs[i] = symbolic.Eq{
-			LHS: symbolic.At(fields[d.name].Ref),
-			RHS: d.expanded,
+		scratch[i] = scratchField{
+			ref:  scratchRef(d.name, nd),
+			halo: max(extension[d.name]+maxRadius(d.expanded, nd), 1),
 		}
+		scratchEqs[i] = symbolic.Eq{LHS: symbolic.At(scratch[i].ref), RHS: d.expanded}
 	}
-	return append(scratchEqs, out...), extension, nil
+	return append(scratchEqs, out...), scratch, extension
+}
+
+// scratchField is one CIRE scratch field of a lowered schedule: the
+// reference its accesses and its storage share, and the ghost width its
+// storage needs.
+type scratchField struct {
+	ref  *symbolic.FuncRef
+	halo int
+}
+
+// allocScratch gives an operator its own storage for a schedule's CIRE
+// scratch fields, registered in fields under their names.
+func allocScratch(scratch []scratchField, fields map[string]*field.Function, g *grid.Grid, ctx *Context) error {
+	for _, s := range scratch {
+		cfg := &field.Config{HaloWidth: s.halo}
+		if ctx != nil && ctx.Decomp != nil {
+			cfg.Decomp = ctx.Decomp
+			cfg.Rank = ctx.Comm.Rank()
+		}
+		f, err := field.NewFunction(s.ref.Name, g, s.halo, cfg)
+		if err != nil {
+			return fmt.Errorf("core: allocating CIRE scratch: %w", err)
+		}
+		f.Ref = s.ref
+		fields[s.ref.Name] = f
+	}
+	return nil
 }
 
 // scratchRef builds the canonical FuncRef for a scratch field; accesses

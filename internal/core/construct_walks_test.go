@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"maps"
 	"testing"
 
 	"devigo/internal/bytecode"
@@ -27,10 +26,7 @@ func TestConstructionWalksEachTreeOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			e0 := symbolic.Expansions()
-			eqs, _, err := core.ApplyCIRE(m.Eqs, maps.Clone(m.Fields), m.Grid, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eqs, _, _ := core.ApplyCIRE(m.Eqs, m.Grid.NDims())
 			cire := symbolic.Expansions() - e0
 			for _, e := range eqs {
 				if symbolic.ExpandDerivatives(e.RHS).String() != e.RHS.String() {

@@ -57,7 +57,7 @@ type Operator struct {
 	execOpts runtime.ExecOpts
 	// pool is the persistent per-rank worker team (nil when serial).
 	// Workers spawn once and park between dispatches; the pool survives
-	// Reconfigure/Rebind and is released by Close.
+	// Reconfigure and is released by Close.
 	pool *runtime.Pool
 	// mode is the operator's own halo pattern: seeded from the context at
 	// construction, switchable afterwards via Reconfigure (the context is
@@ -99,12 +99,6 @@ type Operator struct {
 	// stepExt[i] is the box extension (points beyond DOMAIN per side) for
 	// step i: nonzero only for CIRE scratch clusters.
 	stepExt []int
-	// cache/cacheKey attach the operator to a compiled-artifact cache
-	// (Options.Cache): kernels are fetched or published under the
-	// canonical schedule hash, and the autotuner's chosen configuration
-	// is shared through the same key.
-	cache    *opcache.Cache
-	cacheKey string
 	// invariants are the hoisted loop-invariant scalars (r0 = 1/dt ...),
 	// evaluated once per Apply and bound like user symbols.
 	invariants []symbolic.Assignment
@@ -174,13 +168,11 @@ type Options struct {
 	// to 1 for untileable schedules and serial contexts). 0 consults the
 	// DEVIGO_TIME_TILE environment variable, then defaults to 1.
 	TimeTile int
-	// Cache attaches a compiled-operator cache: kernel sets are stored
-	// and fetched under the canonical ScheduleKey (compiled once per
-	// unique equation set and rebound to each operator's fields), and the
-	// autotuner's chosen configuration is shared through the same key.
-	// Nil (the default) compiles privately — existing callers see zero
-	// behavior change; the shot-parallel FWI service injects one cache
-	// per survey.
+	// Cache attaches an operator cache: the lowered schedule is stored and
+	// fetched under a hash of the equations and the fields' storage facts,
+	// so operators built from the same equations — the shots of a survey —
+	// run the symbolic front-end once. Every operator compiles its own
+	// kernels either way. Nil (the default) lowers privately.
 	Cache *opcache.Cache
 }
 
@@ -192,6 +184,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	requestedEngine := ""
 	requestedTile := 0
 	requestedWorkers := 0
+	var cache *opcache.Cache
 	if opts != nil {
 		if opts.Name != "" {
 			name = opts.Name
@@ -199,6 +192,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		requestedEngine = opts.Engine
 		requestedTile = opts.TimeTile
 		requestedWorkers = opts.Workers
+		cache = opts.Cache
 	}
 	engine, err := resolveEngine(requestedEngine)
 	if err != nil {
@@ -218,86 +212,18 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	// span; kernel compilation is the next.
 	lowerSpan := obs.Begin(ctx.rank(), obs.PhaseLower, -1)
 
-	// Flop reduction: materialise nested derivatives into scratch fields
-	// (CIRE). Scratch fields are computed redundantly over extended boxes,
-	// so their halo requirements are dropped below.
-	var decomp *grid.Decomposition
-	rank := 0
-	if ctx != nil && ctx.Decomp != nil {
-		decomp = ctx.Decomp
-		rank = ctx.Comm.Rank()
+	// The symbolic front-end reads only the equations and the fields'
+	// storage facts, so an attached cache shares its result between every
+	// operator built from the same equations. Each operator then allocates
+	// its own CIRE scratch storage and compiles its own kernels.
+	fe, err := frontEndFor(cache, eqs, fields, nd)
+	if err != nil {
+		return nil, err
 	}
-	// The content address of this compilation, derived from the submitted
-	// (pre-CIRE) equations: CIRE is deterministic, so hashing its inputs
-	// is equivalent to hashing its outputs and far cheaper. Only derived
-	// when a cache is attached.
-	var cache *opcache.Cache
-	cacheKey := ""
-	if opts != nil && opts.Cache != nil {
-		cache = opts.Cache
-		cacheKey = ScheduleKey(eqs, fields, g, decomp, engine, tileReq)
+	if err := allocScratch(fe.scratch, fields, g, ctx); err != nil {
+		return nil, err
 	}
-	var sched *ir.Schedule
-	var scratchExt map[string]int
-	if cached, ok := cachedSchedule(cache, cacheKey); ok {
-		// Front-end bypass: a published schedule is scratch-free by
-		// construction, so CIRE, derivative expansion, cluster lowering
-		// (ir.Lower alone is about a quarter of a cold construction) and
-		// schedule optimization are all skipped.
-		sched = cached
-	} else {
-		eqs, scratchExt, err = applyCIRE(eqs, fields, g, decomp, rank)
-		if err != nil {
-			return nil, err
-		}
-
-		clusters, err := ir.LowerExpanded(eqs, nd)
-		if err != nil {
-			return nil, err
-		}
-		// Adjust halo requirements around CIRE scratch clusters:
-		//   - scratch fields are never exchanged (recomputed redundantly in
-		//     the extension region instead);
-		//   - a cluster computing over an *extended* box effectively reads
-		//     every input beyond the domain, so even centred reads (the trig
-		//     parameter fields of TTI) need fresh halos there.
-		if len(scratchExt) > 0 {
-			for _, c := range clusters {
-				writesScratch := false
-				for fname := range c.Writes {
-					if _, ok := scratchExt[fname]; ok {
-						writesScratch = true
-					}
-				}
-				if writesScratch {
-					for _, e := range c.Eqs {
-						for _, a := range symbolic.Accesses(e.RHS) {
-							if _, isScratch := scratchExt[a.Fun.Name]; isScratch {
-								continue
-							}
-							m, ok := c.HaloReads[a.Fun.Name]
-							if !ok {
-								m = map[int]bool{}
-								c.HaloReads[a.Fun.Name] = m
-							}
-							m[a.TimeOff] = true
-						}
-					}
-				}
-				for fname := range c.HaloReads {
-					if _, isScratch := scratchExt[fname]; isScratch {
-						delete(c.HaloReads, fname)
-					}
-				}
-			}
-		}
-		isTime := func(fname string) bool {
-			f, ok := fields[fname]
-			return ok && len(f.Bufs) > 1
-		}
-		sched = ir.OptimizeSchedule(ir.BuildSchedule(clusters, nd, isTime), isTime)
-		storeSchedule(cache, cacheKey, sched, len(scratchExt) > 0)
-	}
+	sched := fe.sched
 	mode := halo.ModeNone
 	if !ctx.Serial() {
 		mode = ctx.Mode
@@ -312,11 +238,10 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		ctx:      ctx,
 		mode:     mode,
 		baseHalo: map[string][]int{},
-		cache:    cache,
-		cacheKey: cacheKey,
+		stepExt:  fe.stepExt,
 	}
 	op.perf.Engine = engine
-	op.hasScratch = len(scratchExt) > 0
+	op.hasScratch = len(fe.scratch) > 0
 	for n, f := range fields {
 		op.baseHalo[n] = append([]int(nil), f.Halo...)
 	}
@@ -361,33 +286,14 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if len(nests) != len(sched.Steps) {
 		return nil, fmt.Errorf("core: internal: %d nests for %d steps", len(nests), len(sched.Steps))
 	}
-	compileAll := func() ([]ExecKernel, error) {
-		ks := make([]ExecKernel, 0, len(sched.Steps))
-		for i := range sched.Steps {
-			k, err := compileStep(engine, nests[i], fields)
-			if err != nil {
-				return nil, err
-			}
-			ks = append(ks, k)
+	op.kernels = make([]ExecKernel, len(nests))
+	for i, n := range nests {
+		if op.kernels[i], err = compileStep(engine, n, fields); err != nil {
+			return nil, err
 		}
-		return ks, nil
-	}
-	kernels, err := op.compileKernels(engine, compileAll)
-	if err != nil {
-		return nil, err
+		op.perf.FlopsPerPoint += op.kernels[i].FlopsPerPoint()
 	}
 	compileSpan.End()
-	op.kernels = kernels
-	for i, st := range sched.Steps {
-		op.perf.FlopsPerPoint += op.kernels[i].FlopsPerPoint()
-		ext := 0
-		for fname := range st.Cluster.Writes {
-			if e, ok := scratchExt[fname]; ok && e > ext {
-				ext = e
-			}
-		}
-		op.stepExt = append(op.stepExt, ext)
-	}
 	if obs.Active() {
 		instrs := 0
 		for _, k := range op.kernels {
@@ -415,8 +321,8 @@ func (c *Context) rank() int {
 // configured, resizes by replacing a mismatched or closed team, and
 // releases the team when the operator
 // drops back to serial. Called at the head of every Apply and after every
-// autotune adoption — the pool itself survives Reconfigure/Rebind
-// untouched (those never change the worker count).
+// autotune adoption — the pool itself survives Reconfigure untouched (it
+// never changes the worker count).
 func (op *Operator) ensurePool() {
 	w := op.execOpts.Workers
 	if w <= 1 {
@@ -624,27 +530,6 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	policy, err := resolveAutotune(a.Autotune)
 	if err != nil {
 		return err
-	}
-	if policy != AutotuneOff && !op.tuned {
-		// A sibling operator sharing this schedule key may already have
-		// tuned: adopt its configuration and skip the warmup/trial steps
-		// entirely — the cached choice is bit-exact like every candidate.
-		cfg, ok := op.cachedTuneConfig()
-		if !op.ctx.Serial() {
-			// A concurrent shot may publish its entry between two ranks'
-			// lookups: adopt only when every rank hit, so no rank enters
-			// the autotuner's collectives alone.
-			hit := 0.0
-			if ok {
-				hit = 1
-			}
-			ok = op.ctx.Comm.AllreduceScalar(hit, mpi.OpMin) == 1
-		}
-		if ok {
-			if err := op.settle(policy, cfg, obs.Decision{Policy: policy + "-cached", Config: cfg.String(), Chosen: true}); err != nil {
-				return err
-			}
-		}
 	}
 	if policy != AutotuneOff && !op.tuned {
 		// Warmup and trial steps execute real physics but must not dilute

@@ -64,13 +64,12 @@ type Kernel struct {
 	// tm is the executable template: the run's links and its end sentinel.
 	tm *tmpl
 	// fsGroup and groupSlot partition the template's field operands by the
-	// buffer they read (see groupLoads); immutable, shared by Rebind copies.
+	// buffer they read (see groupLoads); immutable.
 	fsGroup   []int32
 	groupSlot []int32
 	// drv is the kernel's private tile driver over the bytecode kernel's
-	// binding (per-worker scratch and cached execs live in it). Allocated
-	// at Wrap time and replaced on Rebind, never shared between kernel
-	// copies.
+	// binding (per-worker scratch and cached execs live in it), allocated
+	// at Wrap time.
 	drv *runtime.Driver[scratch]
 }
 
@@ -142,20 +141,3 @@ func (k *Kernel) StencilRadius() []int { return k.bk.StencilRadius() }
 // count (loads are absorbed into chain operands), which is how the
 // autotuner's cost model ranks the engine.
 func (k *Kernel) InstrsPerPoint() int { return len(k.tm.ops) - 1 }
-
-// Rebind returns a copy of the kernel executing against different storage,
-// resolved by field name. The fused segments, link templates, program and
-// scalar pool are shared with the receiver; the copy gets a private
-// driver, so it is safe to run concurrently with the original. This is the
-// opcache contract: one native compilation is shared across every shot
-// with the same schedule key.
-func (k *Kernel) Rebind(fields map[string]*field.Function) (runtime.ExecKernel, error) {
-	rb, err := k.bk.Rebind(fields)
-	if err != nil {
-		return nil, err
-	}
-	nk := *k
-	nk.bk = rb.(*bytecode.Kernel) // a bytecode kernel rebinds to a bytecode kernel
-	nk.drv = runtime.NewDriver[scratch](nk.bk.Binding())
-	return &nk, nil
-}

@@ -66,13 +66,6 @@ type RankMetrics struct {
 	// InstrsPerPoint is the compiled operator's per-point VM instruction
 	// count gauge (the total reports the maximum over ranks, not a sum).
 	InstrsPerPoint int64 `json:"instrs_per_point"`
-	// OpCompiles counts kernel-set compilations actually performed; with
-	// the operator cache on this is the number of unique schedule keys.
-	OpCompiles int64 `json:"op_compiles"`
-	// OpCacheHits / OpCacheMisses count operator constructions served by
-	// rebinding a cached kernel set vs. compiling a fresh one.
-	OpCacheHits   int64 `json:"opcache_hits"`
-	OpCacheMisses int64 `json:"opcache_misses"`
 	// ShotsDone counts FWI shots completed by the shot scheduler.
 	ShotsDone int64 `json:"shots_done"`
 	// ShotWorkers is the shot scheduler's worker-pool size gauge (the
@@ -116,9 +109,6 @@ func (r *recorder) snapshot(rank int) RankMetrics {
 		CkptSaves:      r.ctr[CtrCkptSaves].Load(),
 		CkptRestores:   r.ctr[CtrCkptRestores].Load(),
 		InstrsPerPoint: r.ctr[CtrInstrsPerPoint].Load(),
-		OpCompiles:     r.ctr[CtrOpCompiles].Load(),
-		OpCacheHits:    r.ctr[CtrOpCacheHits].Load(),
-		OpCacheMisses:  r.ctr[CtrOpCacheMisses].Load(),
 		ShotsDone:      r.ctr[CtrShotsDone].Load(),
 		ShotWorkers:    r.ctr[CtrShotWorkers].Load(),
 		PoolSyncNs:     r.ctr[CtrPoolSyncNs].Load(),
@@ -142,9 +132,6 @@ func (m *RankMetrics) accumulate(r RankMetrics) {
 	if r.InstrsPerPoint > m.InstrsPerPoint {
 		m.InstrsPerPoint = r.InstrsPerPoint
 	}
-	m.OpCompiles += r.OpCompiles
-	m.OpCacheHits += r.OpCacheHits
-	m.OpCacheMisses += r.OpCacheMisses
 	m.ShotsDone += r.ShotsDone
 	if r.ShotWorkers > m.ShotWorkers {
 		m.ShotWorkers = r.ShotWorkers

@@ -135,15 +135,6 @@ const (
 	// CtrInstrsPerPoint is a gauge (set, not added): the compiled
 	// operator's summed per-point VM instruction count.
 	CtrInstrsPerPoint
-	// CtrOpCompiles counts kernel-set compilations actually performed —
-	// with the operator cache on, exactly one per unique schedule key.
-	CtrOpCompiles
-	// CtrOpCacheHits counts operator constructions served by rebinding a
-	// cached kernel set instead of compiling.
-	CtrOpCacheHits
-	// CtrOpCacheMisses counts operator constructions that found no cached
-	// kernel set (and therefore compiled one).
-	CtrOpCacheMisses
 	// CtrShotsDone counts FWI shots completed by the shot scheduler.
 	CtrShotsDone
 	// CtrShotWorkers is a gauge (set, not added): the shot scheduler's

@@ -68,48 +68,3 @@ func TestErrorsAreNotCached(t *testing.T) {
 		t.Fatalf("retry after error: v=%v hit=%v err=%v, want fresh compute", v, hit, err)
 	}
 }
-
-func TestPutAndGet(t *testing.T) {
-	c := New()
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("Get on empty cache reported a value")
-	}
-	c.Put("k", "v1")
-	if v, ok := c.Get("k"); !ok || v != "v1" {
-		t.Fatalf("Get = %v, %v after Put", v, ok)
-	}
-	c.Put("k", "v2")
-	if v, _ := c.Get("k"); v != "v2" {
-		t.Fatalf("Put did not replace: got %v", v)
-	}
-	// Get/Put are unaccounted paths.
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Get/Put perturbed stats: %+v", st)
-	}
-}
-
-func TestFromEnv(t *testing.T) {
-	for _, tc := range []struct {
-		val     string
-		enabled bool
-		wantErr bool
-	}{
-		{"", true, false}, {"on", true, false}, {"1", true, false},
-		{"off", false, false}, {"0", false, false}, {"banana", false, true},
-	} {
-		t.Setenv(EnvVar, tc.val)
-		c, err := FromEnv()
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("FromEnv(%q): expected a vocabulary error", tc.val)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("FromEnv(%q): %v", tc.val, err)
-		}
-		if (c != nil) != tc.enabled {
-			t.Errorf("FromEnv(%q): enabled=%v, want %v", tc.val, c != nil, tc.enabled)
-		}
-	}
-}

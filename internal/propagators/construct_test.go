@@ -87,7 +87,7 @@ func renderConstructPin(t *testing.T) string {
 					t.Fatal(err)
 				}
 				line(fmt.Sprintf("%s-%dd-so%d-adjoint", model, len(shape), so), aop)
-				_, iop, err := imagingOperator(m, adj, nil, &GradientConfig{})
+				_, iop, err := imagingOperator(m, adj, nil, Exec{}.options("imaging", nil))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -325,7 +325,7 @@ func TestPropagatorKernelsAreRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("acoustic adjoint", adjOp)
-	_, imgOp, err := imagingOperator(fwd, adj, nil, &GradientConfig{Exec: Exec{Engine: core.EngineNative}})
+	_, imgOp, err := imagingOperator(fwd, adj, nil, Exec{Engine: core.EngineNative}.options("imaging", nil))
 	if err != nil {
 		t.Fatal(err)
 	}

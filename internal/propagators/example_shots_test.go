@@ -8,10 +8,10 @@ import (
 )
 
 // ExampleRunShots runs a small shot-parallel FWI gradient survey: four
-// shots over one acoustic model, two shots in flight at a time, sharing a
-// compiled-operator cache. The three gradient schedules (forward, adjoint,
-// imaging) compile exactly once for the whole survey, and the stacked
-// gradient is bit-identical to a sequential loop at any worker count.
+// shots over one acoustic model, two shots in flight at a time, sharing an
+// operator cache. The three gradient schedules (forward, adjoint, imaging)
+// are lowered exactly once for the whole survey, and the stacked gradient
+// is bit-identical to a sequential loop at any worker count.
 func ExampleRunShots() {
 	cfg := propagators.Config{Shape: []int{24, 24}, SpaceOrder: 2, NBL: 0, Velocity: 1}
 	survey := propagators.ShotsConfig{
@@ -36,11 +36,11 @@ func ExampleRunShots() {
 		return
 	}
 	fmt.Printf("shots: %d  workers: %d\n", len(res.Shots), res.Workers)
-	fmt.Printf("schedules compiled: %d  cache hit rate: %.0f%%\n",
+	fmt.Printf("schedules lowered: %d  cache hit rate: %.0f%%\n",
 		res.CacheStats.Misses, 100*res.CacheStats.HitRate())
 	fmt.Printf("stacked gradient norm > 0: %v\n", res.GradNorm > 0)
 	// Output:
 	// shots: 4  workers: 2
-	// schedules compiled: 3  cache hit rate: 75%
+	// schedules lowered: 3  cache hit rate: 75%
 	// stacked gradient norm > 0: true
 }

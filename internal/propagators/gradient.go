@@ -40,11 +40,6 @@ type GradientConfig struct {
 	// Exec configures the forward, adjoint and imaging operators (the
 	// pointwise imaging kernel has no halo, so it never time-tiles).
 	Exec
-	// Cache attaches a compiled-operator cache shared by the forward,
-	// adjoint and imaging operators (core.Options.Cache): across shots of
-	// one survey, each of the three schedules compiles exactly once. Nil
-	// compiles privately.
-	Cache *opcache.Cache
 }
 
 // GradientResult carries the outputs of a gradient computation.
@@ -84,6 +79,13 @@ type GradientResult struct {
 // bounded by the checkpoint interval instead of growing with NT.
 // ctx may be nil (serial) or carry one rank of an MPI world.
 func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResult, error) {
+	return runGradient(m, ctx, gc, nil)
+}
+
+// runGradient is RunGradient lowering its forward, adjoint and imaging
+// operators through an operator cache (nil lowers privately): across the
+// shots of a survey, each of the three schedules is lowered once.
+func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.Cache) (*GradientResult, error) {
 	dt := m.CriticalDt
 	if gc.DT > 0 {
 		dt = gc.DT
@@ -113,9 +115,8 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 		ReceiverCoords: gc.ReceiverCoords,
 		Checkpoint:     store,
 		Exec:           gc.Exec,
-		Cache:          gc.Cache,
 	}
-	fres, err := Run(m, ctx, rc)
+	fres, err := run(m, ctx, rc, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -153,12 +154,12 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 	if err != nil {
 		return nil, err
 	}
-	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, gc.options(adj.Name, gc.Cache))
+	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, gc.options(adj.Name, cache))
 	if err != nil {
 		return nil, err
 	}
 	defer adjOp.Close()
-	grad, imgOp, err := imagingOperator(m, adj, ctx, &gc)
+	grad, imgOp, err := imagingOperator(m, adj, ctx, gc.options("imaging", cache))
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 // condition grad = grad - u.dt2 * v as a devigo operator. Every access
 // sits at space offset zero, so the kernel needs no halo exchange and
 // runs identically under any DMP mode.
-func imagingOperator(fwd, adj *Model, ctx *core.Context, gc *GradientConfig) (*field.Function, *core.Operator, error) {
+func imagingOperator(fwd, adj *Model, ctx *core.Context, opts *core.Options) (*field.Function, *core.Operator, error) {
 	c := fwd.Cfg
 	grad, err := field.NewFunction("grad", fwd.Grid, fwd.SpaceOrder, fieldCfg(&c, nil))
 	if err != nil {
@@ -276,7 +277,7 @@ func imagingOperator(fwd, adj *Model, ctx *core.Context, gc *GradientConfig) (*f
 	fields := map[string]*field.Function{
 		"grad": grad, u.Name: u, v.Name: v,
 	}
-	op, err := core.NewOperator([]symbolic.Eq{eq}, fields, fwd.Grid, ctx, gc.options("imaging", gc.Cache))
+	op, err := core.NewOperator([]symbolic.Eq{eq}, fields, fwd.Grid, ctx, opts)
 	if err != nil {
 		return nil, nil, err
 	}

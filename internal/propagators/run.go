@@ -41,10 +41,6 @@ type RunConfig struct {
 	Checkpoint *checkpoint.Store
 	// Exec configures the operator.
 	Exec
-	// Cache attaches a compiled-operator cache (core.Options.Cache):
-	// kernel compilation and autotune decisions are shared across runs
-	// with the same schedule key. Nil compiles privately.
-	Cache *opcache.Cache
 }
 
 // Exec holds the executor knobs every driver forwards to the operators it
@@ -64,7 +60,8 @@ type Exec struct {
 	Autotune string
 }
 
-// options returns the construction options of an operator named name.
+// options returns the construction options of an operator named name,
+// lowering through cache when it is not nil (see core.Options.Cache).
 func (e Exec) options(name string, cache *opcache.Cache) *core.Options {
 	return &core.Options{Name: name, Workers: e.Workers, TileRows: e.TileRows,
 		TimeTile: e.TimeTile, Engine: e.Engine, Cache: cache}
@@ -90,6 +87,12 @@ type RunResult struct {
 // simulation with a Ricker point source and an optional receiver line.
 // ctx may be nil (serial) or carry one rank of an MPI world.
 func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
+	return run(m, ctx, rc, nil)
+}
+
+// run is Run lowering its operator through an operator cache (nil lowers
+// privately): the shot service shares one cache between its shots.
+func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache) (*RunResult, error) {
 	dt := m.CriticalDt
 	if rc.DT > 0 {
 		dt = rc.DT
@@ -104,7 +107,7 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 		}
 		nt = int(rc.Time/dt) + 1
 	}
-	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, rc.options(m.Name, rc.Cache))
+	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, rc.options(m.Name, cache))
 	if err != nil {
 		return nil, err
 	}

@@ -52,10 +52,10 @@ type ShotsConfig struct {
 	// "diag", "full"; "" defaults to basic). A world of one exchanges
 	// nothing, whatever the mode.
 	Mode string
-	// Cache is the compiled-operator cache shared by every shot. Nil
-	// consults DEVIGO_OPCACHE: the service default is a fresh cache per
-	// survey (each of the three gradient schedules compiles exactly
-	// once), DEVIGO_OPCACHE=off compiles per shot.
+	// Cache is the operator cache shared by every shot: each of the three
+	// gradient schedules is lowered once per cache, and every shot
+	// compiles its own kernels over it. Nil gives the survey a fresh cache
+	// of its own.
 	Cache *opcache.Cache
 }
 
@@ -90,10 +90,9 @@ type ShotsResult struct {
 	Misfit float64
 	// Workers is the effective scheduler pool size.
 	Workers int
-	// CacheStats snapshots the operator cache after the survey (zero when
-	// the cache was disabled). Misses is the number of unique schedules
-	// compiled; with a shared cache a survey of N shots sees
-	// Hits/(Hits+Misses) == (N-1)/N.
+	// CacheStats snapshots the operator cache after the survey. Misses is
+	// the number of unique schedules lowered; a fresh cache over a survey
+	// of N shots sees Hits/(Hits+Misses) == (N-1)/N.
 	CacheStats opcache.Stats
 }
 
@@ -113,8 +112,8 @@ type shotOutcome struct {
 // solves a checkpointed forward+adjoint gradient in its own in-process
 // world, and streams its gradient to the reducer, which stacks in
 // ascending shot order — making the result bit-identical to a sequential
-// loop over RunGradient for any Workers setting. Compiled kernels and
-// autotune decisions are shared across shots through the operator cache.
+// loop over RunGradient for any Workers setting. Lowered schedules are
+// shared across shots through the operator cache.
 func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	n := len(sc.Shots)
 	if n == 0 {
@@ -122,10 +121,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	}
 	cache := sc.Cache
 	if cache == nil {
-		var err error
-		if cache, err = opcache.FromEnv(); err != nil {
-			return nil, err
-		}
+		cache = opcache.New()
 	}
 	workers, err := shotsched.ResolveWorkers(sc.Workers)
 	if err != nil {
@@ -167,7 +163,6 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 
 	fn := func(shot int) (*shotOutcome, error) {
 		gc := sc.Gradient
-		gc.Cache = cache
 		if computeWorkers > 0 {
 			gc.Workers = computeWorkers
 		}
@@ -190,7 +185,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 			if err != nil {
 				return err
 			}
-			res, err := RunGradient(m, ctx, gc)
+			res, err := runGradient(m, ctx, gc, cache)
 			if err != nil {
 				return err
 			}
@@ -228,7 +223,8 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		shots[i].Seconds = stats[i].Seconds
 	}
 
-	res := &ShotsResult{Shots: shots, Gradient: stack, Shape: shape, Workers: workers}
+	res := &ShotsResult{Shots: shots, Gradient: stack, Shape: shape, Workers: workers,
+		CacheStats: cache.Stats()}
 	sum := 0.0
 	for _, v := range stack {
 		sum += float64(v) * float64(v)
@@ -236,9 +232,6 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	res.GradNorm = math.Sqrt(sum)
 	for _, s := range shots {
 		res.Misfit += s.Misfit
-	}
-	if cache != nil {
-		res.CacheStats = cache.Stats()
 	}
 	return res, nil
 }

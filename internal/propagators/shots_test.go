@@ -1,10 +1,12 @@
 package propagators
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
 	"devigo/internal/core"
+	"devigo/internal/field"
 	"devigo/internal/grid"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
@@ -73,8 +75,8 @@ func sequentialStack(t *testing.T, cfg Config, gc GradientConfig, shots []Shot) 
 }
 
 // TestRunShotsBitExactSerial: the serial-per-shot service must reproduce
-// the explicit sequential loop bit for bit — for both engines, with and
-// without time tiling, at every worker count, cache on or off.
+// the explicit sequential loop bit for bit — for every engine, with and
+// without time tiling, at every worker count.
 func TestRunShotsBitExactSerial(t *testing.T) {
 	for _, engine := range engines() {
 		for _, k := range []int{1, 4} {
@@ -126,9 +128,9 @@ func TestRunShotsBitExactSerial(t *testing.T) {
 	}
 }
 
-// TestRunShotsBitExactDMP: per-shot 4-rank worlds. The cached, 2-workers
-// service must match the uncached 1-worker run (a sequential compile-per-
-// shot loop over the same worlds) bit for bit.
+// TestRunShotsBitExactDMP: per-shot 4-rank worlds. The 2-worker service
+// over a shared cache must match the 1-worker run over a cache of its own
+// (a sequential loop over the same worlds) bit for bit.
 func TestRunShotsBitExactDMP(t *testing.T) {
 	for _, engine := range engines() {
 		for _, k := range []int{1, 4} {
@@ -137,16 +139,12 @@ func TestRunShotsBitExactDMP(t *testing.T) {
 				gc := surveyGradient()
 				gc.Engine = engine
 				gc.TimeTile = k
-				t.Setenv(opcache.EnvVar, "off")
 				base, err := RunShots("acoustic", cfg, ShotsConfig{
 					Gradient: gc, Shots: surveyShots(),
 					Workers: 1, Ranks: 4, Mode: "diag",
 				})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if base.CacheStats.Misses != 0 {
-					t.Fatalf("cache disabled but stats = %+v", base.CacheStats)
 				}
 				res, err := RunShots("acoustic", cfg, ShotsConfig{
 					Gradient: gc, Shots: surveyShots(),
@@ -268,9 +266,10 @@ func TestInjectionErrorSurfaces(t *testing.T) {
 }
 
 // TestRunShotsCacheAccounting pins the service's deterministic cache
-// arithmetic: a survey of N shots compiles each of the three gradient
+// arithmetic: a survey of N shots lowers each of the three gradient
 // schedules (forward, adjoint, imaging) exactly once — 3 misses, 3(N-1)
-// hits, hit rate (N-1)/N — at any worker count, and the obs counters agree.
+// hits, hit rate (N-1)/N, 3 entries — at any worker count, whether the
+// cache is the caller's or the survey's own, and the obs counters agree.
 func TestRunShotsCacheAccounting(t *testing.T) {
 	obs.EnableMetrics()
 	defer func() { obs.DisableAll(); obs.Reset() }()
@@ -278,35 +277,32 @@ func TestRunShotsCacheAccounting(t *testing.T) {
 
 	shots := append(surveyShots(), Shot{SourceCoords: []float64{18, 6}})
 	n := len(shots)
-	cache := opcache.New()
 	res, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-		Gradient: surveyGradient(), Shots: shots, Workers: 2, Cache: cache,
+		Gradient: surveyGradient(), Shots: shots, Workers: 2, Cache: opcache.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
+		Gradient: surveyGradient(), Shots: shots, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const uniqueSchedules = 3
-	st := res.CacheStats
-	if st.Misses != uniqueSchedules {
-		t.Errorf("misses = %d, want %d (one per unique schedule)", st.Misses, uniqueSchedules)
-	}
-	if want := int64(uniqueSchedules * (n - 1)); st.Hits != want {
-		t.Errorf("hits = %d, want %d", st.Hits, want)
-	}
-	if want := float64(n-1) / float64(n); st.HitRate() != want {
-		t.Errorf("hit rate = %v, want (N-1)/N = %v", st.HitRate(), want)
+	want := opcache.Stats{Hits: int64(uniqueSchedules * (n - 1)), Misses: uniqueSchedules, Entries: uniqueSchedules}
+	for _, st := range []opcache.Stats{res.CacheStats, own.CacheStats} {
+		if st != want {
+			t.Errorf("cache stats = %+v, want %+v (one miss per unique schedule)", st, want)
+		}
+		if rate := float64(n-1) / float64(n); st.HitRate() != rate {
+			t.Errorf("hit rate = %v, want (N-1)/N = %v", st.HitRate(), rate)
+		}
 	}
 
 	total := obs.Snapshot().Total
-	if total.OpCompiles != uniqueSchedules {
-		t.Errorf("obs compile counter = %d, want %d", total.OpCompiles, uniqueSchedules)
-	}
-	if total.OpCacheMisses != uniqueSchedules || total.OpCacheHits != int64(uniqueSchedules*(n-1)) {
-		t.Errorf("obs cache counters = %d miss / %d hit, want %d / %d",
-			total.OpCacheMisses, total.OpCacheHits, uniqueSchedules, uniqueSchedules*(n-1))
-	}
-	if total.ShotsDone != int64(n) {
-		t.Errorf("obs shots-done = %d, want %d", total.ShotsDone, n)
+	if total.ShotsDone != int64(2*n) {
+		t.Errorf("obs shots-done = %d, want %d over both surveys", total.ShotsDone, 2*n)
 	}
 	if total.ShotWorkers != 2 {
 		t.Errorf("obs shot-workers gauge = %d, want 2", total.ShotWorkers)
@@ -314,6 +310,78 @@ func TestRunShotsCacheAccounting(t *testing.T) {
 	if total.CkptSaves <= 0 || total.CkptRestores <= 0 {
 		t.Errorf("obs checkpoint counters = %d saves / %d restores, want both > 0 (every shot checkpoints its forward run)",
 			total.CkptSaves, total.CkptRestores)
+	}
+}
+
+// TestSharedScheduleWithScratch: a schedule whose clusters write CIRE
+// scratch (TTI) is shared through the cache like any other: a later
+// operator adopts the first one's schedule, allocates scratch storage of
+// its own, and runs bit-identically to a privately lowered operator.
+func TestSharedScheduleWithScratch(t *testing.T) {
+	cache := opcache.New()
+	var norms []float64
+	var ops []*core.Operator
+	var scratch []*field.Function
+	for _, c := range []*opcache.Cache{nil, cache, cache} {
+		m, err := Build("tti", Config{Shape: []int{24, 24}, SpaceOrder: 4, Velocity: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := run(m, nil, RunConfig{NT: 12}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Op.Close()
+		norms = append(norms, res.Norm)
+		ops = append(ops, res.Op)
+		scratch = append(scratch, m.Fields["cire0"])
+	}
+	if norms[0] == 0 || norms[1] != norms[0] || norms[2] != norms[0] {
+		t.Errorf("norms private %v, first cached %v, second cached %v: want one nonzero value", norms[0], norms[1], norms[2])
+	}
+	if ops[1].Schedule != ops[2].Schedule || ops[0].Schedule == ops[1].Schedule {
+		t.Error("operators sharing a cache must share one schedule, and only they")
+	}
+	if scratch[1] == nil || scratch[1] == scratch[2] {
+		t.Errorf("each operator must allocate its own CIRE scratch field: %p, %p", scratch[1], scratch[2])
+	}
+	if st := cache.Stats(); st != (opcache.Stats{Hits: 1, Misses: 1, Entries: 1}) {
+		t.Errorf("cache stats = %+v, want 1 miss + 1 hit on 1 entry", st)
+	}
+}
+
+// TestRunShotsTunesEveryShot: the cache shares no tuning, so under the
+// model policy every shot's forward and adjoint operators tune themselves —
+// one "model" decision each on its world's rank 0 — and the tuned survey
+// stacks the untuned survey's bits.
+func TestRunShotsTunesEveryShot(t *testing.T) {
+	obs.EnableMetrics()
+	defer func() { obs.DisableAll(); obs.Reset() }()
+	obs.Reset()
+
+	survey := func(policy string) *ShotsResult {
+		gc := surveyGradient()
+		gc.Autotune = policy
+		res, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
+			Gradient: gc, Shots: surveyShots(), Workers: 2, Ranks: 4, Mode: "diag",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := survey("off")
+	tuned := survey("model")
+	if tuned.GradNorm != plain.GradNorm || tuned.Misfit != plain.Misfit {
+		t.Errorf("tuned survey GradNorm %v misfit %v, untuned %v %v: want the same bits",
+			tuned.GradNorm, tuned.Misfit, plain.GradNorm, plain.Misfit)
+	}
+	policies := map[string]int{}
+	for _, d := range obs.Snapshot().Decisions {
+		policies[d.Policy]++
+	}
+	if want := map[string]int{"model": 2 * len(surveyShots())}; !maps.Equal(policies, want) {
+		t.Errorf("decisions by policy = %v, want %v (forward and adjoint of every shot)", policies, want)
 	}
 }
 
@@ -399,10 +467,6 @@ func TestRunShotsValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown halo mode accepted")
 	}
-	t.Setenv(opcache.EnvVar, "sometimes")
-	if _, err := RunShots("acoustic", cfg, ShotsConfig{Gradient: gc, Shots: surveyShots()}); err == nil {
-		t.Errorf("invalid $%s accepted", opcache.EnvVar)
-	}
 }
 
 // TestRunShotsRace exercises the scheduler/reducer/world machinery under
@@ -427,20 +491,18 @@ func TestRunShotsRace(t *testing.T) {
 }
 
 // TestRunShotsRaceEngines is the per-engine arm of the race pass, for the
-// default engine and the one it replaced (every default-engine shot test
-// runs native, so bytecode's concurrent rebind is covered here only):
-// concurrent shot workers share one operator cache, so the singleflight
-// compile, the per-shot Rebind of the cached kernels (program and chain
-// template are shared, the field bindings are per-shot) and the row
-// executors' worker pools all run under the race detector at once.
+// default engine and its bytecode lowering: concurrent shot workers share
+// one operator cache, so the singleflight lowering, every shot's own
+// kernel compilation over the one shared schedule and the row executors'
+// worker pools all run under the race detector at once.
 func TestRunShotsRaceEngines(t *testing.T) {
 	for _, engine := range []string{core.EngineBytecode, core.EngineNative} {
 		t.Run(engine, func(t *testing.T) {
 			gc := surveyGradient()
 			gc.Engine = engine
 			cache := opcache.New()
-			// Two passes over the same cache: the first compiles (singleflight
-			// under contention), the second rebinds cache hits concurrently.
+			// Two passes over the same cache: the first lowers (singleflight
+			// under contention), the second builds every shot from hits.
 			for pass := 0; pass < 2; pass++ {
 				_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
 					Gradient: gc, Shots: surveyShots(), Workers: 3, Cache: cache,

@@ -73,8 +73,7 @@ type Out struct {
 // Binding is the storage a compiled kernel executes against: the bound
 // fields with their names, the deduplicated load slots and the equation
 // outputs, all addressed by index from the engine's program. Compilers
-// fill it through AddField/AddSlot; after compilation it is immutable, so
-// Rebind copies share Names, Slots and Outs with the original.
+// fill it through AddField/AddSlot; after compilation it is immutable.
 type Binding struct {
 	Fields []*field.Function
 	Names  []string
@@ -135,43 +134,18 @@ func (bd *Binding) Validate() error {
 	return nil
 }
 
-// Rebind returns a copy of the binding against different storage: every
-// bound field is re-resolved by name from fields, which must cover every
-// name and agree on the local domain shape (the compile-time validation).
-// This is how the operator cache reuses one compilation across shots: each
-// shot's operator rebinds the cached kernels to its own fields.
-func (bd *Binding) Rebind(fields map[string]*field.Function) (*Binding, error) {
-	nb := &Binding{Names: bd.Names, Slots: bd.Slots, Outs: bd.Outs,
-		Fields: make([]*field.Function, len(bd.Fields))}
-	for i, name := range bd.Names {
-		f, ok := fields[name]
-		if !ok {
-			return nil, fmt.Errorf("runtime: Rebind: no storage registered for field %q", name)
-		}
-		nb.Fields[i] = f
-	}
-	if err := nb.Validate(); err != nil {
-		return nil, err
-	}
-	return nb, nil
-}
-
 // ExecKernel is the per-cluster execution contract every engine's compiled
 // kernel satisfies — what package core holds once compileStep has picked
 // an engine. Run's scalar vector is whatever the same kernel's BindSyms
 // produced (the interpreter's symbol bindings, the bytecode/native
-// engines' scalar pool). Rebind returns a copy executing against other
-// storage, resolved by field name (see Binding.Rebind): the compiled
-// program is shared, the driver is private, so the copy may run
-// concurrently with the original — how the operator cache shares one
-// compilation across shots.
+// engines' scalar pool). A kernel is bound to the storage it was compiled
+// against for its whole life.
 type ExecKernel interface {
 	Run(t int, b Box, syms []float64, opts *ExecOpts)
 	BindSyms(vals map[string]float64) ([]float64, error)
 	FlopsPerPoint() int
 	InstrsPerPoint() int
 	StencilRadius() []int
-	Rebind(fields map[string]*field.Function) (ExecKernel, error)
 }
 
 // RowExec is the engine half of a kernel sweep. The Driver owns the loop
@@ -238,9 +212,8 @@ type worker[S any] struct {
 // disjoint, results are bit-identical for every worker count.
 //
 // All dispatch state lives in the Driver and is reused, so a steady-state
-// Run performs no heap allocation. A Driver serves one Run at a time;
-// kernels that must run concurrently (the operator cache's per-shot
-// Rebind copies) each get their own.
+// Run performs no heap allocation. A Driver serves one Run at a time; each
+// kernel owns one.
 type Driver[S any] struct {
 	Resolved
 

@@ -53,8 +53,7 @@ type Kernel struct {
 	// Radius is the stencil radius per dimension (halo requirement).
 	Radius []int
 	// drv is the kernel's private tile driver: the field binding plus the
-	// reusable dispatch state. Allocated at compile time and replaced on
-	// Rebind, never shared between kernel copies.
+	// reusable dispatch state, allocated at compile time.
 	drv *Driver[irScratch]
 }
 
@@ -194,22 +193,6 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	}
 	k.drv = NewDriver[irScratch](bd)
 	return k, nil
-}
-
-// Rebind returns a copy of the kernel executing against different storage
-// (see Binding.Rebind): the compiled per-point programs and symbol table
-// are shared with the receiver — they are immutable after compilation —
-// while the copy gets a private driver, so it is safe to run concurrently
-// with the original (the opcache runs rebound kernels across shots in
-// parallel).
-func (k *Kernel) Rebind(fields map[string]*field.Function) (ExecKernel, error) {
-	bd, err := k.drv.Rebind(fields)
-	if err != nil {
-		return nil, err
-	}
-	nk := *k
-	nk.drv = NewDriver[irScratch](bd)
-	return &nk, nil
 }
 
 // StencilRadius returns the per-dimension stencil radius (the execution
