@@ -20,7 +20,6 @@ import (
 type AutotuneCandidate struct {
 	Mode     string  `json:"mode"`
 	Workers  int     `json:"workers"`
-	TileRows int     `json:"tile_rows"`
 	TimeTile int     `json:"time_tile"`
 	Seconds  float64 `json:"seconds"`
 	Norm     float64 `json:"norm"`
@@ -199,7 +198,7 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 			kc = 1
 		}
 		block.Candidates = append(block.Candidates, AutotuneCandidate{
-			Mode: c.Mode.String(), Workers: c.Workers, TileRows: c.TileRows, TimeTile: kc,
+			Mode: c.Mode.String(), Workers: c.Workers, TimeTile: kc,
 			Seconds: best.seconds, Norm: best.norm,
 		})
 	}
@@ -222,17 +221,17 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 		}
 		swept, ok := lookupCandidate(block.Candidates, r.eff)
 		if !ok {
-			return nil, fmt.Errorf("policy %s chose %s/w%d/t%d which is outside the candidate sweep",
-				policy, r.eff.Mode, r.eff.Workers, r.eff.TileRows)
+			return nil, fmt.Errorf("policy %s chose %s/w%d/k%d which is outside the candidate sweep",
+				policy, r.eff.Mode, r.eff.Workers, r.eff.TimeTile)
 		}
 		block.Chosen[policy] = AutotuneChoice{
 			Config:      r.eff,
 			Seconds:     swept.Seconds,
 			RatioVsBest: swept.Seconds / block.Best.Seconds,
 		}
-		fmt.Printf("  %-7s chose %s/w%d/t%d: %.4fs vs best %s/w%d/t%d %.4fs (ratio %.2f)\n",
-			policy, r.eff.Mode, r.eff.Workers, r.eff.TileRows, swept.Seconds,
-			block.Best.Mode, block.Best.Workers, block.Best.TileRows, block.Best.Seconds,
+		fmt.Printf("  %-7s chose %s/w%d/k%d: %.4fs vs best %s/w%d/k%d %.4fs (ratio %.2f)\n",
+			policy, r.eff.Mode, r.eff.Workers, r.eff.TimeTile, swept.Seconds,
+			block.Best.Mode, block.Best.Workers, block.Best.TimeTile, block.Best.Seconds,
 			block.Chosen[policy].RatioVsBest)
 	}
 	block.BitExact = bitExact
@@ -242,7 +241,7 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 
 func lookupCandidate(cands []AutotuneCandidate, eff core.EffectiveConfig) (AutotuneCandidate, bool) {
 	for _, c := range cands {
-		if c.Mode == eff.Mode && c.Workers == eff.Workers && c.TileRows == eff.TileRows && c.TimeTile == eff.TimeTile {
+		if c.Mode == eff.Mode && c.Workers == eff.Workers && c.TimeTile == eff.TimeTile {
 			return c, true
 		}
 	}
@@ -261,7 +260,7 @@ func autotuneProfile(sc autotuneScenario, cfg propagators.Config) (perfmodel.OpP
 		}
 		// TimeTile pinned to 1 so a stray DEVIGO_TIME_TILE cannot open the
 		// k-axis: this experiment's contract is the classic
-		// (mode x workers x tile_rows) space.
+		// (mode x workers) space.
 		op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, &core.Options{TimeTile: 1})
 		if err != nil {
 			return err
@@ -280,12 +279,11 @@ func autotuneRunOne(sc autotuneScenario, cfg propagators.Config, nt int, cand pe
 	// Deep-halo capacity is deliberately NOT provisioned here — TimeTile
 	// is pinned to 1 on every run (candidates carry time_tile 1; a stray
 	// DEVIGO_TIME_TILE must not leak in), so the candidate space is the
-	// classic (mode x workers x tile_rows) grid.
+	// classic (mode x workers) grid.
 	rc := propagators.RunConfig{NT: nt, NReceivers: 4, Exec: propagators.Exec{TimeTile: 1, Autotune: policy}}
 	mode := sc.mode
 	if policy == "" {
 		rc.Workers = cand.Workers
-		rc.TileRows = cand.TileRows
 		rc.TimeTile = cand.TimeTile
 		rc.Autotune = core.AutotuneOff
 		mode = cand.Mode

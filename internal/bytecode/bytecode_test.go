@@ -34,11 +34,11 @@ func buildDiffusion(t *testing.T, g *grid.Grid, so int) (*Kernel, *runtime.Kerne
 	if err != nil {
 		t.Fatal(err)
 	}
-	kB, err := CompileCluster(clusters[0], map[string]*field.Function{"u": &uB.Function})
+	kB, err := CompileNest(nil, clusters[0].Eqs, clusters[0].Radius, map[string]*field.Function{"u": &uB.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kI, err := runtime.CompileCluster(clusters[0], map[string]*field.Function{"u": &uI.Function})
+	kI, err := runtime.CompileNest(nil, clusters[0].Eqs, clusters[0].Radius, map[string]*field.Function{"u": &uI.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMultiEquationRowOrdering(t *testing.T) {
 	if len(clusters) != 1 {
 		t.Fatalf("expected fusion, got %d clusters", len(clusters))
 	}
-	k, err := CompileCluster(clusters[0], map[string]*field.Function{"a": &a.Function, "b": &bf.Function})
+	k, err := CompileNest(nil, clusters[0].Eqs, clusters[0].Radius, map[string]*field.Function{"a": &a.Function, "b": &bf.Function})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,9 @@ import (
 	"math"
 
 	"devigo/internal/field"
-	"devigo/internal/ir"
 	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
-
-// CompileCluster resolves a cluster against concrete field storage —
-// the bytecode counterpart of runtime.CompileCluster.
-func CompileCluster(c *ir.Cluster, fields map[string]*field.Function) (*Kernel, error) {
-	return CompileNest(nil, c.Eqs, c.Radius, fields)
-}
 
 // CompileNest compiles the optimized form of a loop nest — per-point CSE
 // temporaries (assigns) followed by the update equations — into flat

@@ -38,9 +38,8 @@ const AutotuneEnvVar = "DEVIGO_AUTOTUNE"
 // per candidate; the per-step minimum is kept to reject scheduling noise.
 const tuneStepsPerTrial = 3
 
-// AutotunePolicies lists the canonical policy names accepted by
-// ApplyOpts.Autotune and $DEVIGO_AUTOTUNE ("none"/"0" alias off,
-// "on"/"auto" alias search).
+// AutotunePolicies lists the policy names accepted by ApplyOpts.Autotune
+// and $DEVIGO_AUTOTUNE.
 func AutotunePolicies() []string {
 	return []string{AutotuneOff, AutotuneModel, AutotuneSearch}
 }
@@ -58,14 +57,12 @@ func resolveAutotune(requested string) (string, error) {
 		source = "$" + AutotuneEnvVar
 	}
 	switch p {
-	case "", AutotuneOff, "none", "0":
+	case "":
 		return AutotuneOff, nil
-	case AutotuneModel:
-		return AutotuneModel, nil
-	case AutotuneSearch, "on", "auto":
-		return AutotuneSearch, nil
+	case AutotuneOff, AutotuneModel, AutotuneSearch:
+		return p, nil
 	}
-	return "", fmt.Errorf("core: unknown autotune policy %q in %s (valid: %s; aliases: none, 0, on, auto)",
+	return "", fmt.Errorf("core: unknown autotune policy %q in %s (valid: %s)",
 		p, source, strings.Join(AutotunePolicies(), ", "))
 }
 
@@ -117,7 +114,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 		MaxTimeTile:     op.maxFeasibleTile(),
 		TileStride:      stride,
 		TileStreams:     streams,
-		TileRows:        op.execOpts.TileRows,
+		TileRows:        runtime.TileRows,
 	}
 	if op.forcedWorkers {
 		p.ForcedWorkers = op.execOpts.Workers
@@ -297,7 +294,7 @@ type EffectiveConfig struct {
 	Mode string `json:"mode"`
 	// Workers is the effective worker-pool size (1 = sequential).
 	Workers int `json:"workers"`
-	// TileRows is the outer-dimension tile height.
+	// TileRows is the outer-dimension tile height (runtime.TileRows).
 	TileRows int `json:"tile_rows"`
 	// TimeTile is the halo-exchange interval (1 = exchange every step).
 	TimeTile int `json:"time_tile"`

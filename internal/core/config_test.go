@@ -45,18 +45,27 @@ func TestResolveEngineRejectsUnknown(t *testing.T) {
 
 func TestResolveAutotuneVocabulary(t *testing.T) {
 	for in, want := range map[string]string{
-		"":       AutotuneOff,
-		"off":    AutotuneOff,
-		"none":   AutotuneOff,
-		"0":      AutotuneOff,
-		"model":  AutotuneModel,
-		"search": AutotuneSearch,
-		"on":     AutotuneSearch,
-		"auto":   AutotuneSearch,
+		"":         AutotuneOff,
+		"off":      AutotuneOff,
+		"model":    AutotuneModel,
+		"search":   AutotuneSearch,
+		" Search ": AutotuneSearch,
+		"MODEL":    AutotuneModel,
+		"\toff\n":  AutotuneOff,
 	} {
 		got, err := resolveAutotune(in)
 		if err != nil || got != want {
 			t.Errorf("resolveAutotune(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, alias := range []string{"none", "0", "on", "auto"} {
+		got, err := resolveAutotune(alias)
+		if err == nil {
+			t.Errorf("resolveAutotune(%q) = %q: the autotune aliases are gone", alias, got)
+			continue
+		}
+		if !strings.Contains(err.Error(), "valid: off, model, search)") {
+			t.Errorf("resolveAutotune(%q): error %q does not list off, model, search", alias, err)
 		}
 	}
 }

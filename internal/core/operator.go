@@ -155,8 +155,6 @@ type Options struct {
 	// DEVIGO_WORKERS environment variable applies when unset (0); both
 	// count as forced — the autotuner never overrides an explicit choice.
 	Workers int
-	// TileRows controls progress granularity for overlap mode.
-	TileRows int
 	// Engine selects the execution engine: EngineNative (the default and
 	// the production engine), or one of its two oracles, EngineBytecode
 	// and EngineInterpreter.
@@ -258,14 +256,9 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	op.tileProvisioned = tileReq > 1
 	op.plan = op.selectTilePlan(tileReq)
 	op.growHalos()
-	if opts != nil {
-		op.execOpts.TileRows = opts.TileRows
-	}
+	op.execOpts.TileRows = runtime.TileRows
 	op.execOpts.Workers = workersReq
 	op.forcedWorkers = workersReq > 0
-	if op.execOpts.TileRows <= 0 {
-		op.execOpts.TileRows = 8
-	}
 	op.lower()
 	lowerSpan.End()
 
@@ -453,13 +446,13 @@ type ApplyOpts struct {
 	// receiver interpolation).
 	PostStep func(t int)
 	// Autotune selects the self-configuration policy: "off" (default),
-	// "model" (adopt the cost model's top-ranked halo mode / worker count
-	// / tile size before the first step) or "search" (additionally time
-	// the model's shortlist on the first few real timesteps and keep the
-	// measured winner — sound because every candidate configuration is
-	// bit-exact). An empty string consults the DEVIGO_AUTOTUNE environment
-	// variable. The choice sticks to the operator: later Apply calls reuse
-	// it instead of re-tuning.
+	// "model" (adopt the cost model's top-ranked halo mode, worker count
+	// and exchange interval before the first step) or "search"
+	// (additionally time the model's shortlist on the first few real
+	// timesteps and keep the measured winner — sound because every
+	// candidate configuration is bit-exact). An empty string consults the
+	// DEVIGO_AUTOTUNE environment variable. The choice sticks to the
+	// operator: later Apply calls reuse it instead of re-tuning.
 	Autotune string
 }
 

@@ -9,6 +9,7 @@ import (
 	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
+	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
@@ -182,11 +183,18 @@ func TestWorkersEnvSpawnsPool(t *testing.T) {
 // world: the persistent team must survive every transition (same pool
 // object — those calls never change the worker count) and the final
 // wavefield must stay bit-identical to an unchurned serial-worker run.
-// The race job runs this under -race to certify the park/dispatch
-// protocol against the exchanger rebuilds.
+// Each rank owns 36 rows: tiles of runtime.TileRows end on a partial one,
+// and their count divides over neither team. The race job runs this
+// under -race to certify the park/dispatch protocol against the
+// exchanger rebuilds.
 func TestPoolSurvivesReconfigureChurn(t *testing.T) {
+	const rows = 36
+	ntiles := (rows + runtime.TileRows - 1) / runtime.TileRows
+	if rows%runtime.TileRows == 0 || ntiles%3 == 0 || ntiles%7 == 0 {
+		t.Fatalf("%d rows in tiles of %d no longer split unevenly over 3 and 7 workers", rows, runtime.TileRows)
+	}
 	run := func(workers int, churn bool) []float32 {
-		g := grid.MustNew([]int{16, 16}, nil)
+		g := grid.MustNew([]int{2 * rows, 16}, nil)
 		var out []float32
 		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
 			ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeDiagonal)
@@ -202,7 +210,7 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 			_ = arr.SetFunc(0, slices, func(gc []int) float32 {
 				return float32(gc[0]*3+gc[1]) * 0.01
 			})
-			op := buildDiffusionOpWithCtx(t, g, u, ctx, &Options{Workers: workers, TileRows: 2})
+			op := buildDiffusionOpWithCtx(t, g, u, ctx, &Options{Workers: workers})
 			defer op.Close()
 			apply := func(lo, hi int) error {
 				return op.Apply(&ApplyOpts{TimeM: lo, TimeN: hi, Syms: map[string]float64{"dt": 0.05}})

@@ -202,7 +202,8 @@ func (a *Array) LocalString(t int) string {
 
 // Gather collects the global DOMAIN data of time buffer t on root using
 // the communicator; returns the row-major global array on root, nil
-// elsewhere. Works for any rank count including 1.
+// elsewhere. Every rank calls it (it is a collective, so its messages
+// never meet user traffic); it works for any rank count including 1.
 func (a *Array) Gather(c *mpi.Comm, root, t int) []float32 {
 	dom := a.F.DomainRegion()
 	local := make([]float32, dom.Size())
@@ -210,31 +211,23 @@ func (a *Array) Gather(c *mpi.Comm, root, t int) []float32 {
 	if c == nil || c.Size() == 1 {
 		return local
 	}
-	const tagBase = 1 << 20
+	var parts [][]float32
+	if c.Rank() == root {
+		parts = make([][]float32, c.Size())
+		for r := range parts {
+			parts[r] = make([]float32, a.chunkLen(r))
+		}
+	}
+	c.Gather(root, local, parts)
 	if c.Rank() != root {
-		c.Send(root, tagBase+c.Rank(), local)
 		return nil
 	}
 	g := a.F.Grid
 	out := make([]float32, g.Points())
-	place := func(rank int, data []float32) {
-		grid.BoxRows(g.Shape, a.Decomp.LocalOrigin(rank), a.Decomp.LocalShape(rank), func(goff, loff, rowLen int) {
+	for r, data := range parts {
+		grid.BoxRows(g.Shape, a.Decomp.LocalOrigin(r), a.Decomp.LocalShape(r), func(goff, loff, rowLen int) {
 			copy(out[goff:goff+rowLen], data[loff:loff+rowLen])
 		})
-	}
-	place(root, local)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		shape := a.Decomp.LocalShape(r)
-		n := 1
-		for _, s := range shape {
-			n *= s
-		}
-		buf := make([]float32, n)
-		c.Recv(r, tagBase+r, buf)
-		place(r, buf)
 	}
 	return out
 }
@@ -243,51 +236,32 @@ func (a *Array) Gather(c *mpi.Comm, root, t int) []float32 {
 // DOMAIN of time buffer t — the inverse of Gather. Every rank calls it;
 // data is only read on root.
 func (a *Array) Scatter(c *mpi.Comm, root, t int, data []float32) {
-	g := a.F.Grid
 	dom := a.F.DomainRegion()
-	const tagBase = 1 << 21
-	extract := func(rank int) []float32 {
-		shape := a.Decomp.LocalShape(rank)
-		n := 1
-		for _, s := range shape {
-			n *= s
-		}
-		out := make([]float32, n)
-		grid.BoxRows(g.Shape, a.Decomp.LocalOrigin(rank), shape, func(goff, loff, rowLen int) {
-			copy(out[loff:loff+rowLen], data[goff:goff+rowLen])
-		})
-		return out
-	}
 	if c == nil || c.Size() == 1 {
 		a.F.Buf(t).Unpack(dom, data[:dom.Size()])
 		return
 	}
+	var parts [][]float32
 	if c.Rank() == root {
-		for r := 0; r < c.Size(); r++ {
-			chunk := extract(r)
-			if r == root {
-				a.F.Buf(t).Unpack(dom, chunk)
-				continue
-			}
-			c.Send(r, tagBase+r, chunk)
+		g := a.F.Grid
+		parts = make([][]float32, c.Size())
+		for r := range parts {
+			parts[r] = make([]float32, a.chunkLen(r))
+			grid.BoxRows(g.Shape, a.Decomp.LocalOrigin(r), a.Decomp.LocalShape(r), func(goff, loff, rowLen int) {
+				copy(parts[r][loff:loff+rowLen], data[goff:goff+rowLen])
+			})
 		}
-		return
 	}
-	buf := make([]float32, dom.Size())
-	c.Recv(root, tagBase+c.Rank(), buf)
-	a.F.Buf(t).Unpack(dom, buf)
+	local := make([]float32, dom.Size())
+	c.Scatter(root, parts, local)
+	a.F.Buf(t).Unpack(dom, local)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// chunkLen is the number of DOMAIN points rank r owns.
+func (a *Array) chunkLen(r int) int {
+	n := 1
+	for _, s := range a.Decomp.LocalShape(r) {
+		n *= s
 	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return n
 }

@@ -135,6 +135,63 @@ func TestGatherReassemblesGlobal(t *testing.T) {
 	}
 }
 
+// A point-to-point message in flight must not be taken for a rank's
+// chunk: Gather and Scatter are collectives, whatever tags user traffic
+// uses.
+func TestGatherScatterIgnoreUserMessages(t *testing.T) {
+	const gatherTag, scatterTag = 1<<20 + 1, 1<<21 + 1
+	w := mpi.NewWorld(4)
+	var got []float32
+	err := w.Run(func(c *mpi.Comm) {
+		a := mkArray(t, c, []int{6, 6}, []int{2, 2})
+		chunk := 1
+		for _, n := range a.Decomp.LocalShape(1) {
+			chunk *= n
+		}
+		decoy := make([]float32, chunk)
+		for i := range decoy {
+			decoy[i] = -1
+		}
+		if c.Rank() == 1 {
+			c.Send(0, gatherTag, decoy)
+		}
+		_ = a.SetFunc(0, []Slice{SliceAll(), SliceAll()}, func(g []int) float32 {
+			return float32(g[0]*10 + g[1])
+		})
+		out := a.Gather(c, 0, 0)
+		if c.Rank() == 0 {
+			got = out
+			buf := make([]float32, chunk)
+			if n := c.Recv(1, gatherTag, buf); n != chunk || buf[0] != -1 {
+				t.Errorf("user message after Gather: %d values %v, want the decoy", n, buf[:n])
+			}
+			c.Send(1, scatterTag, decoy)
+		}
+		a.Scatter(c, 0, 0, out)
+		if c.Rank() == 1 {
+			buf := make([]float32, chunk)
+			if n := c.Recv(0, scatterTag, buf); n != chunk || buf[0] != -1 {
+				t.Errorf("user message after Scatter: %d values %v, want the decoy", n, buf[:n])
+			}
+		}
+		if back := a.Gather(c, 0, 0); c.Rank() == 0 && !reflect.DeepEqual(back, out) {
+			t.Errorf("scatter took a user message for a chunk:\n%v\nwant %v", back, out)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, 36)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			want[i*6+j] = float32(i*10 + j)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("gather = %v\nwant %v", got, want)
+	}
+}
+
 func TestGatherSerial(t *testing.T) {
 	g := grid.MustNew([]int{3, 3}, nil)
 	f, _ := field.NewFunction("u", g, 2, nil)

@@ -1,5 +1,7 @@
 package mpi
 
+import "math"
+
 // Collectives are built purely on point-to-point Send/Recv so they run
 // unchanged over any Transport: a dissemination barrier, a binomial-tree
 // broadcast and a recursive-doubling allreduce. The previous runtime
@@ -237,20 +239,37 @@ func (c *Comm) Gather(root int, local []float32, parts [][]float32) {
 	c.Send(root, tag, local)
 }
 
+// Scatter is the inverse of Gather: root sends parts[r] to rank r, and
+// every rank receives its part into local (parts is only read on root).
+func (c *Comm) Scatter(root int, parts [][]float32, local []float32) {
+	tag := c.collTag()
+	if c.rank == root {
+		for r := 0; r < c.size; r++ {
+			if r == root {
+				copy(local, parts[r])
+				continue
+			}
+			c.Send(r, tag, parts[r])
+		}
+		return
+	}
+	c.Recv(root, tag, local)
+}
+
 // packFloat64 stores float64 bit patterns into pairs of float32 slots
 // losslessly (bit reinterpretation, not value conversion).
 func packFloat64(src []float64, dst []float32) {
 	for i, v := range src {
-		bits := float64bits(v)
-		dst[2*i] = float32frombits(uint32(bits >> 32))
-		dst[2*i+1] = float32frombits(uint32(bits))
+		bits := math.Float64bits(v)
+		dst[2*i] = math.Float32frombits(uint32(bits >> 32))
+		dst[2*i+1] = math.Float32frombits(uint32(bits))
 	}
 }
 
 func unpackFloat64(src []float32, dst []float64) {
 	for i := range dst {
-		hi := uint64(float32bits(src[2*i]))
-		lo := uint64(float32bits(src[2*i+1]))
-		dst[i] = float64frombits(hi<<32 | lo)
+		hi := uint64(math.Float32bits(src[2*i]))
+		lo := uint64(math.Float32bits(src[2*i+1]))
+		dst[i] = math.Float64frombits(hi<<32 | lo)
 	}
 }

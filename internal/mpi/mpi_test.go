@@ -274,6 +274,27 @@ func TestGather(t *testing.T) {
 	}
 }
 
+func TestScatter(t *testing.T) {
+	w := NewWorld(3)
+	err := w.Run(func(c *Comm) {
+		var parts [][]float32
+		if c.Rank() == 1 {
+			parts = [][]float32{{0}, {10, 11}, {20, 21, 22}}
+		}
+		local := make([]float32, c.Rank()+1)
+		c.Scatter(1, parts, local)
+		for i, v := range local {
+			if v != float32(c.Rank()*10+i) {
+				t.Errorf("rank %d: scattered part %v", c.Rank(), local)
+				break
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunPropagatesPanic(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) {

@@ -109,7 +109,13 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	}
 	timeout := cfg.Timeout
 	if timeout == 0 {
-		timeout = envTCPTimeout()
+		var err error
+		if timeout, err = envTCPTimeout(); err != nil {
+			if cfg.Listener != nil {
+				cfg.Listener.Close()
+			}
+			return nil, err
+		}
 	}
 	t := &TCPTransport{
 		rank:    cfg.Rank,
@@ -273,19 +279,18 @@ func envInt(name string, min int) (int, error) {
 }
 
 // envTCPTimeout resolves the connect/receive deadline from the
-// environment (invalid durations fall back loudly via panic would be
-// hostile here, so a bad value is an error surfaced at dial time
-// through the default path — see TCPFromEnv callers).
-func envTCPTimeout() time.Duration {
+// environment: unset is the 60 s default, and a value that is not a
+// positive Go duration is an error naming it.
+func envTCPTimeout() (time.Duration, error) {
 	s := strings.TrimSpace(os.Getenv(TCPTimeoutEnvVar))
 	if s == "" {
-		return defaultTCPTimeout
+		return defaultTCPTimeout, nil
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil || d <= 0 {
-		return defaultTCPTimeout
+		return 0, fmt.Errorf("mpi: tcp: bad $%s=%q (want a positive Go duration such as 30s)", TCPTimeoutEnvVar, s)
 	}
-	return d
+	return d, nil
 }
 
 // dialRetry dials addr with exponential backoff (10ms doubling to

@@ -304,6 +304,23 @@ func TestTCPHungPeerDeadline(t *testing.T) {
 	}
 }
 
+func TestTCPBadTimeoutEnvFails(t *testing.T) {
+	// A DEVIGO_TCP_TIMEOUT that is not a positive duration must fail the
+	// world with an error naming the variable, not run on the default.
+	for _, bad := range []string{"soon", "-1s"} {
+		t.Setenv(TCPTimeoutEnvVar, bad)
+		err := RunTCPLocal(2, 0, func(c *Comm) error { return nil })
+		if err == nil {
+			t.Fatalf("%s=%q accepted", TCPTimeoutEnvVar, bad)
+		}
+		for _, frag := range []string{TCPTimeoutEnvVar, fmt.Sprintf("%q", bad), "positive Go duration"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s=%q: error %q lacks %q", TCPTimeoutEnvVar, bad, err, frag)
+			}
+		}
+	}
+}
+
 func TestTCPDialRetryWaitsForLateListener(t *testing.T) {
 	// Ranks rarely start simultaneously; the dialer's backoff must ride
 	// out a listener that comes up late. RunTCPLocal pre-binds, so

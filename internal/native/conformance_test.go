@@ -366,7 +366,7 @@ func confBytecode(t *testing.T, n confNest, fields map[string]*field.Function) *
 	var k *bytecode.Kernel
 	var err error
 	if n.cluster != nil {
-		k, err = bytecode.CompileCluster(n.cluster, fields)
+		k, err = bytecode.CompileNest(nil, n.cluster.Eqs, n.cluster.Radius, fields)
 	} else {
 		k, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, fields)
 	}
@@ -704,7 +704,7 @@ func TestChainSegmentsArePointLocal(t *testing.T) {
 // touches memory, naming the operand as the per-operand check did.
 func TestRowBoundsGuard(t *testing.T) {
 	n := confScenarios(t)["diffusion"]
-	bk, err := bytecode.CompileCluster(n.cluster, n.fN)
+	bk, err := bytecode.CompileNest(nil, n.cluster.Eqs, n.cluster.Radius, n.fN)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,10 +94,10 @@ type OpProfile struct {
 	// candidate set only contains that value, so explicit configuration
 	// always wins over the tuner.
 	ForcedWorkers int
-	// TileRows is the operator's outer-dimension tile height. It is not a
-	// tuned axis — no height beat the default outside run-to-run noise on
-	// any measured group (CHANGES.md records the sweep) — so every
-	// candidate carries it.
+	// TileRows is the operator's outer-dimension tile height, the
+	// constant runtime.TileRows. It is not a tuned axis — no height beat
+	// it outside run-to-run noise on any measured group (CHANGES.md
+	// records the sweep) — so every candidate carries it.
 	TileRows int
 }
 

@@ -252,7 +252,6 @@ func TestGradientDMP(t *testing.T) {
 				}
 				gc := exactGradientConfig(3)
 				gc.Workers = 2
-				gc.TileRows = 3
 				res, err := RunGradient(m, ctx, gc)
 				if err != nil {
 					return err

@@ -5,12 +5,13 @@ import (
 
 	"devigo/internal/core"
 	"devigo/internal/halo"
+	"devigo/internal/runtime"
 )
 
 // runAutotuned runs a serial acoustic scenario with the given autotune
 // policy (or a forced fixed configuration when policy is "") and returns
 // the final norm, receiver traces and the effective configuration.
-func runAutotuned(t *testing.T, policy string, workers, tileRows, nt int) (float64, [][]float64, core.EffectiveConfig) {
+func runAutotuned(t *testing.T, policy string, workers, nt int) (float64, [][]float64, core.EffectiveConfig) {
 	t.Helper()
 	m, err := Acoustic(serialCfg([]int{48, 48}, 4))
 	if err != nil {
@@ -18,7 +19,7 @@ func runAutotuned(t *testing.T, policy string, workers, tileRows, nt int) (float
 	}
 	res, err := Run(m, nil, RunConfig{
 		NT: nt, NReceivers: 4,
-		Exec: Exec{Workers: workers, TileRows: tileRows, Autotune: policy},
+		Exec: Exec{Workers: workers, Autotune: policy},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,15 +32,15 @@ func runAutotuned(t *testing.T, policy string, workers, tileRows, nt int) (float
 // numerical results are identical to a fixed-configuration run.
 func TestAutotuneInvariance(t *testing.T) {
 	const nt = 24
-	refNorm, refTraces, _ := runAutotuned(t, "", 1, 8, nt)
+	refNorm, refTraces, _ := runAutotuned(t, "", 1, nt)
 	for _, policy := range []string{core.AutotuneModel, core.AutotuneSearch} {
-		norm, traces, cfg := runAutotuned(t, policy, 0, 0, nt)
+		norm, traces, cfg := runAutotuned(t, policy, 0, nt)
 		if cfg.Autotune != policy {
 			t.Errorf("%s: effective config reports policy %q", policy, cfg.Autotune)
 		}
 		if norm != refNorm {
-			t.Errorf("%s: norm %v != fixed-config norm %v (chose %s/w%d/t%d)",
-				policy, norm, refNorm, cfg.Mode, cfg.Workers, cfg.TileRows)
+			t.Errorf("%s: norm %v != fixed-config norm %v (chose %s/w%d/k%d)",
+				policy, norm, refNorm, cfg.Mode, cfg.Workers, cfg.TimeTile)
 		}
 		for ti := range refTraces {
 			for r := range refTraces[ti] {
@@ -52,12 +53,12 @@ func TestAutotuneInvariance(t *testing.T) {
 	}
 }
 
-// TestAutotuneRespectsForcedKnobs pins Workers/TileRows through Options
-// and checks the tuner leaves them alone.
+// TestAutotuneRespectsForcedKnobs pins Workers through Options and checks
+// the tuner leaves it, and the constant tile height, alone.
 func TestAutotuneRespectsForcedKnobs(t *testing.T) {
-	_, _, cfg := runAutotuned(t, core.AutotuneSearch, 1, 7, 16)
-	if cfg.Workers != 1 || cfg.TileRows != 7 {
-		t.Errorf("forced workers=1 tile=7 overridden: got w%d/t%d", cfg.Workers, cfg.TileRows)
+	_, _, cfg := runAutotuned(t, core.AutotuneSearch, 1, 16)
+	if cfg.Workers != 1 || cfg.TileRows != runtime.TileRows {
+		t.Errorf("forced workers=1 overridden: got w%d/t%d", cfg.Workers, cfg.TileRows)
 	}
 }
 
@@ -65,7 +66,7 @@ func TestAutotuneRespectsForcedKnobs(t *testing.T) {
 // zero-user-code-changes path.
 func TestAutotuneEnvVar(t *testing.T) {
 	t.Setenv(core.AutotuneEnvVar, "model")
-	_, _, cfg := runAutotuned(t, "", 0, 0, 8)
+	_, _, cfg := runAutotuned(t, "", 0, 8)
 	if cfg.Autotune != core.AutotuneModel {
 		t.Errorf("DEVIGO_AUTOTUNE=model not picked up: policy %q", cfg.Autotune)
 	}

@@ -19,8 +19,6 @@ type Config struct {
 	// Shape is the interior grid shape (absorbing layers included —
 	// callers size the domain as in the paper: physical + 2*NBL).
 	Shape []int
-	// Extent is the physical extent; nil derives unit spacing.
-	Extent []float64
 	// SpaceOrder is the spatial discretisation order (4, 8, 12, 16).
 	SpaceOrder int
 	// NBL is the absorbing boundary layer width in points (paper: 40).
@@ -77,9 +75,10 @@ func fieldCfg(c *Config, stagger []int) *field.Config {
 	return fc
 }
 
-// makeGrid constructs the grid for a config.
+// makeGrid constructs the grid for a config: unit spacing, so physical
+// coordinates are grid-point coordinates.
 func makeGrid(c *Config) (*grid.Grid, error) {
-	return grid.New(c.Shape, c.Extent)
+	return grid.New(c.Shape, nil)
 }
 
 // domainRows calls fn once per contiguous row of f's DOMAIN in its first

@@ -112,7 +112,7 @@ func TestEngineDifferential_Serial3D(t *testing.T) {
 func runEngineDMP(t *testing.T, name, engine string, shape []int, mode halo.Mode, so, nt, k int) (float64, [][]float64) {
 	t.Helper()
 	res := rank0(t, name, shape, []int{2, 2}, mode, so, RunConfig{NT: nt, NReceivers: 4, Exec: Exec{Engine: engine,
-		Workers: 2, TileRows: 3, TimeTile: k}})
+		Workers: 2, TimeTile: k}})
 	return res.Norm, res.Receivers
 }
 

@@ -25,22 +25,22 @@ import (
 
 // fuzzCase is the decoded configuration of one fuzz execution.
 type fuzzCase struct {
-	model    string
-	rows     int
-	cols     int
-	so       int
-	nt       int
-	mode     halo.Mode
-	k        int
-	workers  int
-	tileRows int
+	model   string
+	rows    int
+	cols    int
+	so      int
+	nt      int
+	mode    halo.Mode
+	k       int
+	workers int
 }
 
 // decodeFuzzCase maps arbitrary bytes onto a valid-looking configuration
 // (missing bytes default to zero). Every value is clamped into the cheap
 // regime: the fuzzer's job is breadth over lowering shapes, not grid
-// scale. Byte 9 once selected a since-removed dispatch mode and is now
-// ignored, so checked-in corpus entries keep their meaning.
+// scale. Bytes 8 and 9 once selected the tile height and a since-removed
+// dispatch mode; both are now ignored, so checked-in corpus entries keep
+// the rest of their meaning.
 func decodeFuzzCase(data []byte) fuzzCase {
 	b := func(i int) int {
 		if i < len(data) {
@@ -50,15 +50,14 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	}
 	names := ModelNames()
 	return fuzzCase{
-		model:    names[b(0)%len(names)],
-		rows:     16 + b(1)%12,
-		cols:     16 + b(2)%12,
-		so:       []int{2, 4, 8}[b(3)%3],
-		nt:       4 + b(4)%10,
-		mode:     []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull}[b(5)%3],
-		k:        1 + b(6)%4,
-		workers:  1 + b(7)%7,
-		tileRows: 1 + b(8)%5,
+		model:   names[b(0)%len(names)],
+		rows:    16 + b(1)%12,
+		cols:    16 + b(2)%12,
+		so:      []int{2, 4, 8}[b(3)%3],
+		nt:      4 + b(4)%10,
+		mode:    []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull}[b(5)%3],
+		k:       1 + b(6)%4,
+		workers: 1 + b(7)%7,
 	}
 }
 
@@ -69,7 +68,7 @@ func fuzzSerial(fc fuzzCase, engine string) (*Model, *RunResult, error) {
 		return nil, nil, err
 	}
 	res, err := Run(m, nil, RunConfig{NT: fc.nt, NReceivers: 4, Exec: Exec{Engine: engine,
-		Workers: fc.workers, TileRows: fc.tileRows}})
+		Workers: fc.workers}})
 	if res != nil {
 		res.Op.Close()
 	}
@@ -81,7 +80,7 @@ func fuzzSerial(fc fuzzCase, engine string) (*Model, *RunResult, error) {
 func fuzzDMP(fc fuzzCase, engine string) (float64, [][]float64, error) {
 	out, err := runOnRanks(fc.model, []int{fc.rows, fc.cols}, []int{2, 2}, fc.mode, fc.so,
 		RunConfig{NT: fc.nt, NReceivers: 4, Exec: Exec{Engine: engine,
-			Workers: fc.workers, TileRows: fc.tileRows, TimeTile: fc.k}})
+			Workers: fc.workers, TimeTile: fc.k}})
 	if err != nil {
 		return 0, nil, err
 	}

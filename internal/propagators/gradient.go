@@ -17,8 +17,6 @@ type GradientConfig struct {
 	NT int
 	// DT overrides the critical timestep (0 keeps CriticalDt).
 	DT float64
-	// F0 is the Ricker peak frequency when Wavelet is nil.
-	F0 float64
 	// Wavelet overrides the Ricker source signature.
 	Wavelet []float32
 	// SourceCoords overrides the default centre source.
@@ -108,15 +106,14 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 
 	// Phase 1: checkpointed forward integration recording synthetics.
 	rc := RunConfig{
-		NT: nt, DT: dt, F0: gc.F0,
+		NT: nt, DT: dt,
 		Wavelet:        gc.Wavelet,
 		SourceCoords:   gc.SourceCoords,
 		NReceivers:     gc.NReceivers,
 		ReceiverCoords: gc.ReceiverCoords,
-		Checkpoint:     store,
 		Exec:           gc.Exec,
 	}
-	fres, err := run(m, ctx, rc, cache)
+	fres, err := run(m, ctx, rc, cache, store)
 	if err != nil {
 		return nil, err
 	}

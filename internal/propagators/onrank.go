@@ -28,7 +28,7 @@ func OnRank(c *mpi.Comm, model string, cfg Config, mode halo.Mode, topology []in
 		m, err := Build(model, cfg)
 		return m, nil, err
 	}
-	g, err := grid.New(cfg.Shape, cfg.Extent)
+	g, err := makeGrid(&cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -300,19 +300,16 @@ func TestBuildRejectsBadSpaceOrder(t *testing.T) {
 	}
 }
 
-func TestRunNeedsNTOrTime(t *testing.T) {
+func TestRunNeedsNT(t *testing.T) {
 	m, _ := Acoustic(serialCfg([]int{16, 16}, 4))
-	for name, tc := range map[string]struct {
-		rc   RunConfig
-		want string
-	}{
-		"neither":           {RunConfig{}, "needs NT or Time"},
-		"negative Time":     {RunConfig{Time: -1}, "needs NT or Time"},
-		"negative NT":       {RunConfig{NT: -5}, "needs NT >= 0, got -5"},
-		"negative NT, Time": {RunConfig{NT: -5, Time: 10}, "needs NT >= 0, got -5"},
+	for name, rc := range map[string]RunConfig{
+		"unset":       {},
+		"NT 0":        {NT: 0, DT: m.CriticalDt},
+		"negative NT": {NT: -5},
 	} {
-		if _, err := Run(m, nil, tc.rc); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		want := fmt.Sprintf("needs NT >= 1, got %d", rc.NT)
+		if _, err := Run(m, nil, rc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
 		}
 	}
 }
@@ -347,17 +344,6 @@ func TestRunRejectsBadSourceAndReceiverLayouts(t *testing.T) {
 	}
 	if got := ReceiverLine(m.Grid, 0); len(got) != 0 {
 		t.Errorf("ReceiverLine(0) = %v, want none", got)
-	}
-}
-
-func TestRunTimeDerivesNT(t *testing.T) {
-	m, _ := Acoustic(serialCfg([]int{16, 16}, 4))
-	res, err := Run(m, nil, RunConfig{Time: 20 * m.CriticalDt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NT < 20 || res.NT > 22 {
-		t.Errorf("NT = %d, want ~21", res.NT)
 	}
 }
 

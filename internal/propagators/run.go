@@ -14,15 +14,10 @@ import (
 
 // RunConfig drives a forward simulation of a model.
 type RunConfig struct {
-	// NT is the number of timesteps; if 0, Time (in simulation units)
-	// divided by the critical dt decides.
+	// NT is the number of timesteps (at least 1).
 	NT int
-	// Time is the simulated duration used when NT == 0.
-	Time float64
 	// DT overrides the critical timestep (0 keeps CriticalDt).
 	DT float64
-	// F0 is the Ricker peak frequency (default derived from the grid).
-	F0 float64
 	// NReceivers is the receiver line length (0 disables receivers; a
 	// line has two ends, so 1 is an error — place a single receiver with
 	// ReceiverCoords).
@@ -35,10 +30,6 @@ type RunConfig struct {
 	// Wavelet overrides the Ricker source signature (one amplitude per
 	// timestep; shorter slices are zero-extended).
 	Wavelet []float32
-	// Checkpoint, when non-nil, snapshots the model's wavefields every
-	// Checkpoint.Interval steps during the run — the forward half of a
-	// checkpointed adjoint/gradient computation.
-	Checkpoint *checkpoint.Store
 	// Exec configures the operator.
 	Exec
 }
@@ -46,9 +37,9 @@ type RunConfig struct {
 // Exec holds the executor knobs every driver forwards to the operators it
 // compiles and applies.
 type Exec struct {
-	// Workers / TileRows forward to the executor.
-	Workers  int
-	TileRows int
+	// Workers sizes the executor's worker team (0 consults
+	// DEVIGO_WORKERS).
+	Workers int
 	// TimeTile requests the halo-exchange interval k (deep halos exchanged
 	// once every k steps, bit-exact vs k=1); 0 consults DEVIGO_TIME_TILE.
 	TimeTile int
@@ -63,8 +54,8 @@ type Exec struct {
 // options returns the construction options of an operator named name,
 // lowering through cache when it is not nil (see core.Options.Cache).
 func (e Exec) options(name string, cache *opcache.Cache) *core.Options {
-	return &core.Options{Name: name, Workers: e.Workers, TileRows: e.TileRows,
-		TimeTile: e.TimeTile, Engine: e.Engine, Cache: cache}
+	return &core.Options{Name: name, Workers: e.Workers, TimeTile: e.TimeTile,
+		Engine: e.Engine, Cache: cache}
 }
 
 // RunResult carries the outputs of a forward run.
@@ -87,25 +78,21 @@ type RunResult struct {
 // simulation with a Ricker point source and an optional receiver line.
 // ctx may be nil (serial) or carry one rank of an MPI world.
 func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
-	return run(m, ctx, rc, nil)
+	return run(m, ctx, rc, nil, nil)
 }
 
 // run is Run lowering its operator through an operator cache (nil lowers
-// privately): the shot service shares one cache between its shots.
-func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache) (*RunResult, error) {
+// privately): the shot service shares one cache between its shots. A
+// non-nil store snapshots the model's wavefields every store.Interval
+// steps — the forward half of a checkpointed gradient.
+func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache, store *checkpoint.Store) (*RunResult, error) {
 	dt := m.CriticalDt
 	if rc.DT > 0 {
 		dt = rc.DT
 	}
 	nt := rc.NT
-	if nt < 0 {
-		return nil, fmt.Errorf("propagators: RunConfig needs NT >= 0, got %d", nt)
-	}
-	if nt == 0 {
-		if rc.Time <= 0 {
-			return nil, fmt.Errorf("propagators: RunConfig needs NT or Time")
-		}
-		nt = int(rc.Time/dt) + 1
+	if nt < 1 {
+		return nil, fmt.Errorf("propagators: RunConfig needs NT >= 1, got %d", nt)
 	}
 	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, rc.options(m.Name, cache))
 	if err != nil {
@@ -116,19 +103,20 @@ func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache) (*RunR
 	if err != nil {
 		return nil, err
 	}
-	return forward(m, ctx, op, srcs, &rc, nt, dt)
+	return forward(m, ctx, op, srcs, rc.Autotune, store, nt, dt)
 }
 
 // forward steps a compiled model nt times, injecting srcs' source and
-// recording its receivers after every step.
+// recording its receivers after every step, and snapshotting into store
+// when it is not nil.
 func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
-	rc *RunConfig, nt int, dt float64) (*RunResult, error) {
+	autotune string, store *checkpoint.Store, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
-	if rc.Checkpoint != nil {
+	if store != nil {
 		if ctx != nil && ctx.Comm != nil {
-			rc.Checkpoint.Rank = ctx.Comm.Rank()
+			store.Rank = ctx.Comm.Rank()
 		}
-		rc.Checkpoint.SaveIfDue(0)
+		store.SaveIfDue(0)
 	}
 	var hook firstErr
 	postStep := func(t int) {
@@ -137,8 +125,8 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 			res.Receivers = append(res.Receivers,
 				srcs.rec.Interpolate(m.Fields[m.WaveFields[0]], t+1, commOf(ctx)))
 		}
-		if rc.Checkpoint != nil {
-			rc.Checkpoint.SaveIfDue(t + 1)
+		if store != nil {
+			store.SaveIfDue(t + 1)
 		}
 	}
 	if err := op.Apply(&core.ApplyOpts{
@@ -146,7 +134,7 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 		TimeN:    nt - 1,
 		Syms:     map[string]float64{"dt": dt},
 		PostStep: postStep,
-		Autotune: rc.Autotune,
+		Autotune: autotune,
 	}); err != nil {
 		return nil, err
 	}
@@ -236,14 +224,10 @@ func buildSources(m *Model, rc *RunConfig, dt float64, nt int) (*sourceSetup, er
 	}
 	wavelet := rc.Wavelet
 	if wavelet == nil {
-		f0 := rc.F0
-		if f0 == 0 {
-			// Aim for ~8 points per wavelength: with the CFL relation
-			// dt_c = C*h/v, v/h = C/dt_c, so f0 = (C/8)/dt_c ~ 0.05/dt_c.
-			f0 = 0.05 / m.CriticalDt
-		}
-		t0 := 1.5 / f0
-		wavelet = sparse.RickerWavelet(f0, t0, dt, nt)
+		// Aim for ~8 points per wavelength: with the CFL relation
+		// dt_c = C*h/v, v/h = C/dt_c, so f0 = (C/8)/dt_c ~ 0.05/dt_c.
+		f0 := 0.05 / m.CriticalDt
+		wavelet = sparse.RickerWavelet(f0, 1.5/f0, dt, nt)
 	}
 
 	var rec *sparse.SparseFunction

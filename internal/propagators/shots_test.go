@@ -254,7 +254,7 @@ func TestInjectionErrorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := forward(m, nil, op, srcs, &rc, rc.NT, m.CriticalDt)
+	res, err := forward(m, nil, op, srcs, rc.Autotune, nil, rc.NT, m.CriticalDt)
 	if err == nil {
 		t.Fatalf("forward returned a result (norm %v) although every injection failed", res.Norm)
 	}
@@ -327,7 +327,7 @@ func TestSharedScheduleWithScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := run(m, nil, RunConfig{NT: 12}, c)
+		res, err := run(m, nil, RunConfig{NT: 12}, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

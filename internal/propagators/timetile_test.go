@@ -19,7 +19,7 @@ import (
 func ttRun(t *testing.T, model string, shape []int, mode halo.Mode, engine string, so, nt, k int) (float64, [][]float64, int) {
 	t.Helper()
 	res := rank0(t, model, shape, []int{2, 2}, mode, so,
-		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: k, Engine: engine, Workers: 2, TileRows: 3}})
+		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: k, Engine: engine, Workers: 2}})
 	return res.Norm, res.Receivers, res.Op.TimeTile()
 }
 

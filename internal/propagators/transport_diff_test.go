@@ -38,7 +38,7 @@ func runDMPOver(t *testing.T, runWorld func(body func(c *mpi.Comm) error) error,
 		}
 		res, err := Run(m, ctx, RunConfig{
 			NT: nt, NReceivers: 4,
-			Exec: Exec{Engine: engine, Workers: 2, TileRows: 3, TimeTile: k},
+			Exec: Exec{Engine: engine, Workers: 2, TimeTile: k},
 		})
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 
 	"devigo/internal/core"
 	"devigo/internal/halo"
+	rt "devigo/internal/runtime"
 )
 
 // The worker-count-invariance suite pins the shared-memory tier's
@@ -13,17 +14,37 @@ import (
 // row-major point order inside each, so the wavefields must be
 // *bit-identical* at every worker count, on every engine, with and without
 // time tiling. Equality is exact (==), not tolerance-based.
+//
+// The shapes leave a partial last tile of rt.TileRows rows, and a tile
+// count no pooled worker count divides, so every run ends on a short
+// tile and the block-cyclic stripes are uneven; unevenTiles checks it.
+
+// unevenTiles fails the test unless rows ends on a partial tile whose
+// count no worker count above one divides.
+func unevenTiles(t *testing.T, rows int, workers ...int) {
+	t.Helper()
+	ntiles := (rows + rt.TileRows - 1) / rt.TileRows
+	if rows%rt.TileRows == 0 {
+		t.Fatalf("%d rows fill whole tiles of %d", rows, rt.TileRows)
+	}
+	for _, w := range workers {
+		if w > 1 && ntiles%w == 0 {
+			t.Fatalf("%d tiles split evenly over %d workers", ntiles, w)
+		}
+	}
+}
 
 // runWorkers executes nt steps of a freshly built model with the given
 // engine/worker configuration and closes the operator's pool.
 func runWorkers(t *testing.T, engine string, workers, k int) (*Model, *RunResult) {
 	t.Helper()
-	m, err := Build("acoustic", serialCfg([]int{24, 24}, 4))
+	unevenTiles(t, 36, workers)
+	m, err := Build("acoustic", serialCfg([]int{36, 24}, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(m, nil, RunConfig{NT: 20, NReceivers: 4, Exec: Exec{Engine: engine,
-		Workers: workers, TileRows: 3, TimeTile: k}})
+		Workers: workers, TimeTile: k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +85,16 @@ func TestWorkerCountInvariance_Serial(t *testing.T) {
 // remains.
 func TestPooledRunSteadyStateAllocs(t *testing.T) {
 	const short, long, maxPerStep = 10, 110, 32
+	unevenTiles(t, 100, 4)
 	mallocs := func(nt int) uint64 {
-		m, err := Build("acoustic", Config{Shape: []int{96, 96}, SpaceOrder: 4, NBL: 8, Velocity: 1.5})
+		m, err := Build("acoustic", Config{Shape: []int{100, 96}, SpaceOrder: 4, NBL: 8, Velocity: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		res, err := Run(m, nil, RunConfig{NT: nt, Exec: Exec{Engine: core.EngineNative, Workers: 4, TileRows: 4}})
+		res, err := Run(m, nil, RunConfig{NT: nt, Exec: Exec{Engine: core.EngineNative, Workers: 4}})
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
@@ -130,10 +152,12 @@ func TestWorkerCountInvariance_DMP(t *testing.T) {
 }
 
 // runWorkersDMP mirrors runEngineDMP with a configurable per-rank worker
-// count (each of the 4 ranks spawns its own persistent team).
+// count (each of the 4 ranks spawns its own persistent team and owns 30
+// of the 60 rows).
 func runWorkersDMP(t *testing.T, engine string, workers, k int) (float64, [][]float64) {
 	t.Helper()
-	res := rank0(t, "acoustic", []int{24, 24}, []int{2, 2}, halo.ModeFull, 4, RunConfig{NT: 16, NReceivers: 4,
-		Exec: Exec{Engine: engine, Workers: workers, TileRows: 3, TimeTile: k}})
+	unevenTiles(t, 30, workers)
+	res := rank0(t, "acoustic", []int{60, 24}, []int{2, 2}, halo.ModeFull, 4, RunConfig{NT: 16, NReceivers: 4,
+		Exec: Exec{Engine: engine, Workers: workers, TimeTile: k}})
 	return res.Norm, res.Receivers
 }

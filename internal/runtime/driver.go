@@ -10,6 +10,12 @@ import (
 // compiler's dimension names are x, y, z).
 const MaxDims = 3
 
+// TileRows is the outer-dimension tile height every operator runs with:
+// the unit of work the pool hands out and the granularity at which full
+// mode's Progress hook is prodded. No other height beat it outside
+// run-to-run noise on any measured group, so it is not a setting.
+const TileRows = 8
+
 // ExecOpts tunes kernel execution.
 type ExecOpts struct {
 	// Workers records the team size the owner of the options wants (the

@@ -123,6 +123,8 @@ func TestDriverVisitsEveryRowOnce(t *testing.T) {
 			}
 		}
 		outer := b.Hi[0] - b.Lo[0]
+		// Operators always run TileRows tiles; Driver.Run takes any
+		// height, so this table covers the others.
 		for _, tileRows := range []int{0, 1, 3, outer + 5} {
 			eff := tileRows
 			if eff <= 0 || eff > outer {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"devigo/internal/field"
-	"devigo/internal/ir"
 	"devigo/internal/symbolic"
 )
 
@@ -55,12 +54,6 @@ type Kernel struct {
 	// drv is the kernel's private tile driver: the field binding plus the
 	// reusable dispatch state, allocated at compile time.
 	drv *Driver[irScratch]
-}
-
-// CompileCluster resolves a cluster against concrete field storage.
-// The fields map must contain every function referenced by the cluster.
-func CompileCluster(c *ir.Cluster, fields map[string]*field.Function) (*Kernel, error) {
-	return CompileNest(nil, c.Eqs, c.Radius, fields)
 }
 
 // CompileNest compiles the *optimized* form of a loop nest: per-point CSE

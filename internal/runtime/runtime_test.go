@@ -26,7 +26,7 @@ func buildDiffusion(t *testing.T, g *grid.Grid, so int) (*Kernel, *field.TimeFun
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := CompileCluster(clusters[0], map[string]*field.Function{"u": &u.Function})
+	k, err := CompileNest(nil, clusters[0].Eqs, clusters[0].Radius, map[string]*field.Function{"u": &u.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMultiEquationClusterPointOrdering(t *testing.T) {
 	if len(clusters) != 1 {
 		t.Fatalf("expected fusion, got %d clusters", len(clusters))
 	}
-	k, err := CompileCluster(clusters[0], map[string]*field.Function{"a": &a.Function, "b": &bfld.Function})
+	k, err := CompileNest(nil, clusters[0].Eqs, clusters[0].Radius, map[string]*field.Function{"a": &a.Function, "b": &bfld.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCompileMissingFieldErrors(t *testing.T) {
 	u, _ := field.NewTimeFunction("u", g, 2, 1, nil)
 	eq := symbolic.Eq{LHS: symbolic.ForwardStencil(u.Ref), RHS: symbolic.At(u.Ref)}
 	clusters, _ := ir.Lower([]symbolic.Eq{eq}, 1)
-	if _, err := CompileCluster(clusters[0], map[string]*field.Function{}); err == nil {
+	if _, err := CompileNest(nil, clusters[0].Eqs, clusters[0].Radius, map[string]*field.Function{}); err == nil {
 		t.Error("missing storage should error")
 	}
 }
