@@ -36,6 +36,7 @@ package devigo
 
 import (
 	"fmt"
+	"math"
 
 	"devigo/internal/core"
 	"devigo/internal/ddata"
@@ -307,7 +308,8 @@ type ApplyConfig struct {
 	// Reverse runs the time loop from TimeN down to TimeM — the schedule
 	// of adjoint operators solved for u.Backward().
 	Reverse bool
-	// DT is the timestep (bound to the dt symbol).
+	// DT is the timestep (bound to the dt symbol): it must be set to a
+	// positive finite value.
 	DT float64
 	// PostStep runs after each timestep (source injection etc.).
 	PostStep func(t int)
@@ -324,8 +326,8 @@ type ApplyConfig struct {
 
 // Apply runs the operator.
 func (o *Operator) Apply(cfg ApplyConfig) error {
-	if cfg.DT == 0 {
-		return fmt.Errorf("devigo: ApplyConfig.DT must be set")
+	if !(cfg.DT > 0) || math.IsInf(cfg.DT, 1) {
+		return fmt.Errorf("devigo: ApplyConfig.DT must be a positive finite timestep, got %v", cfg.DT)
 	}
 	return o.op.Apply(&core.ApplyOpts{
 		TimeM:    cfg.TimeM,

@@ -1,6 +1,7 @@
 package devigo
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -146,6 +147,13 @@ func TestApplyRequiresDT(t *testing.T) {
 	op, _ := NewOperator(g, Assign(u.Forward(), upd))
 	if err := op.Apply(ApplyConfig{TimeM: 0, TimeN: 0}); err == nil {
 		t.Error("missing DT should error")
+	}
+	// A DT that is set but not a positive finite number must not run.
+	for _, dt := range []float64{-0.001, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := op.Apply(ApplyConfig{TimeM: 0, TimeN: 0, DT: dt})
+		if err == nil || !strings.Contains(err.Error(), "ApplyConfig.DT") || !strings.Contains(err.Error(), fmt.Sprint(dt)) {
+			t.Errorf("DT=%v: err = %v, want it to name ApplyConfig.DT and the value", dt, err)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "devigo/internal/runtime"
 
 // scratch is one worker's private whole-row register file: numRegs rows
 // of stride points each. Allocated once per worker and reused across tiles
-// and timesteps; it grows monotonically if a Reconfigure lengthens rows.
+// and timesteps; it grows monotonically if a later sweep has longer rows.
 type scratch struct {
 	regs   []float64
 	stride int

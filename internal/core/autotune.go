@@ -101,6 +101,14 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 		}
 	}
 	stride, streams := op.tileProfile()
+	// The k axis opens only once an interval > 1 was provisioned at
+	// construction, and plans within the ghost storage allocated then.
+	maxTile := 1
+	if op.tileProvisioned {
+		if tp := op.tilePlan(MaxTileCandidate, true); tp != nil {
+			maxTile = tp.K
+		}
+	}
 	p := perfmodel.OpProfile{
 		LocalShape:      shape,
 		InstrsPerPoint:  instrs,
@@ -111,7 +119,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 		MaxWorkers:      goruntime.GOMAXPROCS(0),
 		Mode:            op.mode,
 		TimeTile:        op.TimeTile(),
-		MaxTimeTile:     op.maxFeasibleTile(),
+		MaxTimeTile:     maxTile,
 		TileStride:      stride,
 		TileStreams:     streams,
 		TileRows:        runtime.TileRows,
@@ -139,7 +147,7 @@ func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	if mode == halo.ModeNone {
 		mode = op.mode
 	}
-	return op.Reconfigure(mode, max(cfg.TimeTile, 1))
+	return op.reconfigure(mode, max(cfg.TimeTile, 1))
 }
 
 // measurePoolSync replaces the host model's order-of-magnitude sync cost

@@ -57,10 +57,10 @@ type Operator struct {
 	execOpts runtime.ExecOpts
 	// pool is the persistent per-rank worker team (nil when serial).
 	// Workers spawn once and park between dispatches; the pool survives
-	// Reconfigure and is released by Close.
+	// reconfiguration and is released by Close.
 	pool *runtime.Pool
 	// mode is the operator's own halo pattern: seeded from the context at
-	// construction, switchable afterwards via Reconfigure (the context is
+	// construction, switchable afterwards via reconfigure (the context is
 	// shared between operators and is never mutated).
 	mode halo.Mode
 	// forcedWorkers records a worker count pinned through Options; the
@@ -79,10 +79,10 @@ type Operator struct {
 	// hasScratch records whether CIRE scratch clusters exist (they forbid
 	// time tiling).
 	hasScratch bool
-	// tileProvisioned marks that an exchange interval > 1 was explicitly
-	// requested (Options.TimeTile, DEVIGO_TIME_TILE or Reconfigure):
-	// only then does the autotuner's k-axis open. Default operators keep
-	// the classic exchange-every-step candidate space.
+	// tileProvisioned marks that an exchange interval > 1 was requested at
+	// construction (Options.TimeTile or DEVIGO_TIME_TILE): only then does
+	// the autotuner's k-axis open. Default operators keep the classic
+	// exchange-every-step candidate space.
 	tileProvisioned bool
 	// baseHalo snapshots every field's ghost width before any deep-halo
 	// growth — the exchange depth of the classic k=1 schedule.
@@ -254,8 +254,14 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	// (CIRE scratch, multi-writer fields) and serial contexts fall back to
 	// the classic one-exchange-per-step schedule.
 	op.tileProvisioned = tileReq > 1
-	op.plan = op.selectTilePlan(tileReq)
-	op.growHalos()
+	op.plan = op.tilePlan(tileReq, false)
+	if op.plan != nil {
+		for name, alloc := range op.plan.Alloc {
+			if f, ok := op.Fields[name]; ok {
+				f.GrowHalo(alloc)
+			}
+		}
+	}
 	op.execOpts.TileRows = runtime.TileRows
 	op.execOpts.Workers = workersReq
 	op.forcedWorkers = workersReq > 0
@@ -314,7 +320,7 @@ func (c *Context) rank() int {
 // configured, resizes by replacing a mismatched or closed team, and
 // releases the team when the operator
 // drops back to serial. Called at the head of every Apply and after every
-// autotune adoption — the pool itself survives Reconfigure untouched (it
+// autotune adoption — the pool itself survives reconfigure untouched (it
 // never changes the worker count).
 func (op *Operator) ensurePool() {
 	w := op.execOpts.Workers
@@ -379,30 +385,27 @@ func (op *Operator) emitCode() {
 	op.CCode = em.EmitC(op.Tree)
 }
 
-// Reconfigure re-lowers the operator onto a halo-exchange pattern and
-// exchange interval: the largest feasible interval <= k is planned
-// (falling back to 1 when the schedule cannot tile), ghost storage is
-// grown as needed, and the tree, the program with its exchangers and the
-// generated source are re-derived from the built IET. Compiled kernels
-// survive — they resolve strides at execution time and the per-point
-// programs are identical across modes and intervals, which is why
-// switching (even between timesteps, as the search autotuner does) never
-// changes results. It is an error on a serial operator.
-func (op *Operator) Reconfigure(mode halo.Mode, k int) error {
+// reconfigure re-lowers the operator onto a halo-exchange pattern and
+// exchange interval: the largest legal interval <= k whose plan fits the
+// ghost storage allocated at construction is adopted (1 when none does),
+// and the tree, the program with its exchangers and the generated source
+// are re-derived from the built IET. Storage never grows here. Compiled
+// kernels survive — the per-point programs are identical across modes
+// and intervals, which is why switching (even between timesteps, as the
+// search autotuner does) never changes results. It is an error on a
+// serial operator.
+func (op *Operator) reconfigure(mode halo.Mode, k int) error {
 	if op.ctx.Serial() {
-		return fmt.Errorf("core: %s: Reconfigure requires a distributed context", op.Name)
+		return fmt.Errorf("core: %s: reconfigure requires a distributed context", op.Name)
 	}
 	if mode == halo.ModeNone {
-		return fmt.Errorf("core: %s: cannot Reconfigure to mode none", op.Name)
+		return fmt.Errorf("core: %s: cannot reconfigure to mode none", op.Name)
 	}
 	if k < 1 {
 		return fmt.Errorf("core: %s: exchange interval must be >= 1, got %d", op.Name, k)
 	}
-	if k > 1 {
-		op.tileProvisioned = true
-	}
 	cur := op.TimeTile()
-	plan := op.selectTilePlan(k)
+	plan := op.tilePlan(k, true)
 	newK := 1
 	if plan != nil {
 		newK = plan.K
@@ -413,7 +416,6 @@ func (op *Operator) Reconfigure(mode halo.Mode, k int) error {
 	op.mode = mode
 	op.plan = plan
 	op.tilePos = 0
-	op.growHalos()
 	op.lower()
 	if plan != nil && newK != cur {
 		// A switch can happen mid-run (the search autotuner reconfigures

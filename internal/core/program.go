@@ -181,28 +181,16 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 		k := op.kernels[si]
 		box := op.sweepBox(localShape, j, si)
 		// rest is what the exchanges must complete for, shell what follows it.
-		rest, restOpts := box, &op.execOpts
+		rest := box
 		var shell []runtime.Box
-		var steal *runtime.ExecOpts
 		if pr.k > 1 {
 			obs.Add(rank, obs.CtrShellPoints, int64(box.Size()-owned.Size()))
-			if box.Size() > owned.Size() {
-				// The sweep includes the shrinking ghost shell of a tile.
-				// Shell slabs are thin and uneven across the static
-				// block-cyclic partition: only passes that include them let
-				// drained workers steal.
-				o := op.execOpts
-				o.Steal = true
-				steal = &o
-				if obs.TracingEnabled() {
-					// Peel the shell off so the trace separates owned
-					// compute from the redundant recompute. Per-point
-					// updates within one schedule step are independent, so
-					// the split is bit-identical to one sweep.
-					rest, shell = owned, remainderBoxes(box, owned)
-				} else {
-					restOpts = steal
-				}
+			if box.Size() > owned.Size() && obs.TracingEnabled() {
+				// Peel the tile's shrinking ghost shell off so the trace
+				// separates owned compute from the redundant recompute.
+				// Per-point updates within one schedule step are
+				// independent, so the split is bit-identical to one sweep.
+				rest, shell = owned, remainderBoxes(box, owned)
 			}
 		}
 		// Only a tile's first substep exchanges.
@@ -229,9 +217,9 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &prod)
 		}
 		op.exchangeSection(t, halos, (*halo.Exchanger).Finish)
-		op.computeSection(obs.PhaseCompute, t, si, bound[si], after, restOpts)
+		op.computeSection(obs.PhaseCompute, t, si, bound[si], after, &op.execOpts)
 		if shell != nil {
-			op.computeSection(obs.PhaseShell, t, si, bound[si], shell, steal)
+			op.computeSection(obs.PhaseShell, t, si, bound[si], shell, &op.execOpts)
 		}
 	}
 	op.tilePos = (j + 1) % op.tileLen

@@ -71,8 +71,7 @@ func tileFits(p *ir.TilePlan, minChunk, topology []int) bool {
 }
 
 // allocFits reports whether a plan's required ghost allocation fits the
-// operator's fields as currently allocated (the autotuner never grows
-// storage mid-run; only construction and explicit Reconfigure do).
+// operator's fields as currently allocated.
 func (op *Operator) allocFits(p *ir.TilePlan) bool {
 	for name, alloc := range p.Alloc {
 		f, ok := op.Fields[name]
@@ -88,11 +87,12 @@ func (op *Operator) allocFits(p *ir.TilePlan) bool {
 	return true
 }
 
-// selectTilePlan picks the largest feasible exchange interval <= k for a
-// distributed schedule, or nil when no interval >= 2 is legal (structural
-// refusal — CIRE scratch, multi-writer fields — or depths exceeding the
-// decomposition's chunks).
-func (op *Operator) selectTilePlan(k int) *ir.TilePlan {
+// tilePlan plans the largest legal exchange interval <= k for a
+// distributed schedule: its exchange depths must fit the decomposition's
+// chunks and, when allocated is set, the ghost storage the fields already
+// have. nil when no interval >= 2 qualifies (serial context, structural
+// refusal — CIRE scratch, multi-writer fields — or nothing fits).
+func (op *Operator) tilePlan(k int, allocated bool) *ir.TilePlan {
 	if op.ctx.Serial() || k < 2 {
 		return nil
 	}
@@ -102,38 +102,11 @@ func (op *Operator) selectTilePlan(k int) *ir.TilePlan {
 		if p == nil {
 			return nil
 		}
-		if tileFits(p, minChunk, op.ctx.Decomp.Topology) {
+		if tileFits(p, minChunk, op.ctx.Decomp.Topology) && (!allocated || op.allocFits(p)) {
 			return p
 		}
 	}
 	return nil
-}
-
-// maxFeasibleTile returns the largest exchange interval (capped at
-// MaxTileCandidate) whose plan fits both the decomposition chunks and the
-// *current* ghost allocation — the k-axis bound the autotuner plans over.
-// The axis only opens once an interval > 1 was explicitly provisioned
-// (construction or Reconfigure): default operators keep the classic
-// candidate space and never pay deep-halo storage.
-func (op *Operator) maxFeasibleTile() int {
-	if op.ctx.Serial() || !op.tileProvisioned {
-		return 1
-	}
-	minChunk := op.ctx.Decomp.MinChunk()
-	for k := MaxTileCandidate; k >= 2; k-- {
-		p, _ := ir.PlanTimeTile(op.Schedule, k, op.isTimeField, op.hasScratch)
-		if p == nil {
-			return 1
-		}
-		if !tileFits(p, minChunk, op.ctx.Decomp.Topology) {
-			continue
-		}
-		if !op.allocFits(p) {
-			continue
-		}
-		return k
-	}
-	return 1
 }
 
 // TimeTile reports the operator's current exchange interval (1 = exchange
@@ -168,19 +141,6 @@ func (op *Operator) InjectDepth() []int {
 		}
 	}
 	return depth
-}
-
-// growHalos deepens ghost storage to what the active plan requires: the
-// exchanged region plus the redundant shell writes.
-func (op *Operator) growHalos() {
-	if op.plan == nil {
-		return
-	}
-	for name, alloc := range op.plan.Alloc {
-		if f, ok := op.Fields[name]; ok {
-			f.GrowHalo(alloc)
-		}
-	}
 }
 
 // exchangeDepth returns the ghost width the operator exchanges for a

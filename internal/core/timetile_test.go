@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -153,36 +154,45 @@ func TestTimeTileLoweringAndCode(t *testing.T) {
 	})
 }
 
-// Reconfigure switches the interval live without recompiling kernels, and
-// switching back restores the classic lowering.
+// reconfigure switches the interval live without recompiling kernels or
+// touching ghost storage: switching to 1 restores the classic lowering,
+// switching back restores the tile, and a deeper request than the
+// construction-time allocation holds is planned within it.
 func TestReconfigureLive(t *testing.T) {
-	ttOperator(t, 1, halo.ModeDiagonal, func(c *mpi.Comm, op *Operator, u *field.TimeFunction) {
-		if op.TimeTile() != 1 {
-			t.Fatalf("initial interval = %d", op.TimeTile())
-		}
-		if err := op.Reconfigure(halo.ModeDiagonal, 4); err != nil {
-			t.Fatal(err)
-		}
+	ttOperator(t, 4, halo.ModeDiagonal, func(c *mpi.Comm, op *Operator, u *field.TimeFunction) {
 		if op.TimeTile() != 4 {
-			t.Errorf("after reconfigure interval = %d, want 4", op.TimeTile())
+			t.Fatalf("initial interval = %d, want 4", op.TimeTile())
 		}
-		if !strings.Contains(op.CCode, "haloupdate_deep") {
-			t.Error("reconfigured code lacks the deep update")
-		}
-		if err := op.Reconfigure(halo.ModeDiagonal, 1); err != nil {
+		ghosts := slices.Clone(u.Halo)
+		if err := op.reconfigure(halo.ModeDiagonal, 1); err != nil {
 			t.Fatal(err)
 		}
 		if op.TimeTile() != 1 || strings.Contains(op.CCode, "haloupdate_deep") {
-			t.Errorf("reconfigure back to 1 left interval %d / tiled code", op.TimeTile())
+			t.Errorf("reconfigure to 1 left interval %d / tiled code", op.TimeTile())
 		}
-		if err := op.Reconfigure(halo.ModeDiagonal, 0); err == nil {
+		if err := op.reconfigure(halo.ModeDiagonal, 4); err != nil {
+			t.Fatal(err)
+		}
+		if op.TimeTile() != 4 || !strings.Contains(op.CCode, "haloupdate_deep") {
+			t.Errorf("reconfigure back to 4 left interval %d / untiled code", op.TimeTile())
+		}
+		if err := op.reconfigure(halo.ModeDiagonal, 8); err != nil {
+			t.Fatal(err)
+		}
+		if op.TimeTile() > 4 {
+			t.Errorf("k=8 on storage allocated for 4 adopted interval %d", op.TimeTile())
+		}
+		if !slices.Equal(u.Halo, ghosts) {
+			t.Errorf("reconfigure moved the ghost width from %v to %v", ghosts, u.Halo)
+		}
+		if err := op.reconfigure(halo.ModeDiagonal, 0); err == nil {
 			t.Error("interval 0 accepted")
 		}
 	})
 	g := grid.MustNew([]int{8, 8}, nil)
 	u, _ := field.NewTimeFunction("u", g, 2, 1, nil)
-	if err := buildDiffusionOp(t, g, u, nil).Reconfigure(halo.ModeDiagonal, 1); err == nil {
-		t.Error("Reconfigure accepted a serial operator")
+	if err := buildDiffusionOp(t, g, u, nil).reconfigure(halo.ModeDiagonal, 1); err == nil {
+		t.Error("reconfigure accepted a serial operator")
 	}
 }
 
@@ -322,9 +332,9 @@ func TestSiblingHaloGrowthReEmitsCode(t *testing.T) {
 
 // recordedRun is one kernel Run a recKernel saw.
 type recordedRun struct {
-	t             int
-	box           runtime.Box
-	prods, steals bool
+	t     int
+	box   runtime.Box
+	prods bool
 }
 
 // recKernel records every Run before delegating to the compiled kernel.
@@ -334,7 +344,7 @@ type recKernel struct {
 }
 
 func (r recKernel) Run(t int, b runtime.Box, syms []float64, opts *runtime.ExecOpts) {
-	*r.runs = append(*r.runs, recordedRun{t: t, prods: opts.Progress != nil, steals: opts.Steal,
+	*r.runs = append(*r.runs, recordedRun{t: t, prods: opts.Progress != nil,
 		box: runtime.Box{Lo: append([]int(nil), b.Lo...), Hi: append([]int(nil), b.Hi...)}})
 	r.ExecKernel.Run(t, b, syms, opts)
 }
@@ -371,8 +381,8 @@ func TestSweepPartition(t *testing.T) {
 			if want := []runtime.Box{fullBox(local)}; !reflect.DeepEqual(boxes(runs), want) {
 				t.Errorf("%s rank %d: runs %+v, want %+v", mode, rank, boxes(runs), want)
 			}
-			if runs[0].prods || runs[0].steals {
-				t.Errorf("%s rank %d: synchronous sweep ran with progress=%v steal=%v", mode, rank, runs[0].prods, runs[0].steals)
+			if runs[0].prods {
+				t.Errorf("%s rank %d: synchronous sweep ran with the progress hook", mode, rank)
 			}
 		})
 	}
@@ -383,9 +393,8 @@ func TestSweepPartition(t *testing.T) {
 			t.Errorf("full rank %d: runs %+v, want %+v", rank, boxes(runs), want)
 		}
 		for i, r := range runs {
-			if r.prods != (i == 0) || r.steals {
-				t.Errorf("full rank %d: run %d progress=%v steal=%v; only CORE prods, nothing steals without a shell",
-					rank, i, r.prods, r.steals)
+			if r.prods != (i == 0) {
+				t.Errorf("full rank %d: run %d progress=%v; only CORE prods", rank, i, r.prods)
 			}
 		}
 	})
@@ -400,14 +409,8 @@ func TestSweepPartition(t *testing.T) {
 			t.Errorf("full k=4 rank %d: runs %+v, want %+v", rank, boxes(runs), want)
 		}
 		for i, r := range runs {
-			// Every pass but CORE belongs to a sweep that includes shell
-			// slabs, until the tile's last substep sweeps the owned box.
-			wantSteal := i > 0
-			if r.t > 0 {
-				wantSteal = r.box.Size() > fullBox(local).Size()
-			}
-			if r.steals != wantSteal {
-				t.Errorf("full k=4 rank %d: run %d (t=%d, %+v) steal=%v, want %v", rank, i, r.t, r.box, r.steals, wantSteal)
+			if r.prods != (i == 0) {
+				t.Errorf("full k=4 rank %d: run %d (t=%d, %+v) progress=%v; only CORE prods", rank, i, r.t, r.box, r.prods)
 			}
 		}
 	})
@@ -416,7 +419,7 @@ func TestSweepPartition(t *testing.T) {
 // A traced run peels the ghost shell off every sweep that has one — the
 // overlapped head substep of a tile included — into a shell span: under
 // full with a two-step tile, each rank's trace holds exactly one, at the
-// head step, and the stealing passes it covers sweep exactly the points
+// head step, and the shell passes it covers sweep exactly the points
 // the shell counter reports, none of them owned.
 func TestTracedOverlapHeadSplitsShell(t *testing.T) {
 	obs.Reset()
@@ -435,13 +438,10 @@ func TestTracedOverlapHeadSplitsShell(t *testing.T) {
 					t.Errorf("rank %d: first run %+v (progress=%v), want CORE with the hook", rank, r.box, r.prods)
 				}
 			case i <= len(ring):
-				if !reflect.DeepEqual(r.box, ring[i-1]) || r.steals {
-					t.Errorf("rank %d: run %d = %+v (steal=%v), want owned remainder %+v", rank, i, r.box, r.steals, ring[i-1])
+				if !reflect.DeepEqual(r.box, ring[i-1]) {
+					t.Errorf("rank %d: run %d = %+v, want owned remainder %+v", rank, i, r.box, ring[i-1])
 				}
 			case r.t == 0:
-				if !r.steals {
-					t.Errorf("rank %d: shell pass %+v does not steal", rank, r.box)
-				}
 				for _, o := range append(ring, core) {
 					if overlaps(r.box, o) {
 						t.Errorf("rank %d: shell pass %+v recomputes owned points of %+v", rank, r.box, o)
@@ -449,8 +449,8 @@ func TestTracedOverlapHeadSplitsShell(t *testing.T) {
 				}
 				pts += r.box.Size()
 			default:
-				if !reflect.DeepEqual(r.box, owned) || r.steals {
-					t.Errorf("rank %d: last substep ran %+v (steal=%v), want the owned box", rank, r.box, r.steals)
+				if !reflect.DeepEqual(r.box, owned) {
+					t.Errorf("rank %d: last substep ran %+v, want the owned box", rank, r.box)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,10 +179,11 @@ func TestWorkersEnvSpawnsPool(t *testing.T) {
 	}
 }
 
-// TestPoolSurvivesReconfigureChurn drives a multi-worker operator through
-// mid-run Reconfigure churn (interval and mode) on every rank of a 4-rank
-// world: the persistent team must survive every transition (same pool
-// object — those calls never change the worker count) and the final
+// TestPoolSurvivesReconfigureChurn drives a multi-worker operator built
+// with time tile 4 through mid-run reconfigure churn (interval 4 -> 1 -> 4
+// and mode) on every rank of a 4-rank world: the persistent team must
+// survive every transition (same pool object — those calls never change
+// the worker count), the ghost storage must not move, and the final
 // wavefield must stay bit-identical to an unchurned serial-worker run.
 // Each rank owns 36 rows: tiles of runtime.TileRows end on a partial one,
 // and their count divides over neither team. The race job runs this
@@ -206,11 +208,11 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 				return err
 			}
 			arr := ddata.New(&u.Function, ctx.Decomp, c.Rank())
-			slices := []ddata.Slice{ddata.SliceAll(), ddata.SliceAll()}
-			_ = arr.SetFunc(0, slices, func(gc []int) float32 {
+			all := []ddata.Slice{ddata.SliceAll(), ddata.SliceAll()}
+			_ = arr.SetFunc(0, all, func(gc []int) float32 {
 				return float32(gc[0]*3+gc[1]) * 0.01
 			})
-			op := buildDiffusionOpWithCtx(t, g, u, ctx, &Options{Workers: workers})
+			op := buildDiffusionOpWithCtx(t, g, u, ctx, &Options{Workers: workers, TimeTile: 4})
 			defer op.Close()
 			apply := func(lo, hi int) error {
 				return op.Apply(&ApplyOpts{TimeM: lo, TimeN: hi, Syms: map[string]float64{"dt": 0.05}})
@@ -222,8 +224,9 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 			if workers > 1 && (p == nil || p.Workers() != workers) {
 				t.Errorf("rank %d: pool = %v before churn", c.Rank(), p)
 			}
+			ghosts := slices.Clone(u.Halo)
 			if churn {
-				if err := op.Reconfigure(halo.ModeDiagonal, 4); err != nil {
+				if err := op.reconfigure(halo.ModeDiagonal, 1); err != nil {
 					return err
 				}
 			}
@@ -231,11 +234,14 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 				return err
 			}
 			if churn {
-				if err := op.Reconfigure(halo.ModeDiagonal, 1); err != nil {
+				if err := op.reconfigure(halo.ModeDiagonal, 4); err != nil {
 					return err
 				}
-				if err := op.Reconfigure(halo.ModeFull, 1); err != nil {
+				if err := op.reconfigure(halo.ModeFull, 4); err != nil {
 					return err
+				}
+				if op.TimeTile() != 4 {
+					t.Errorf("rank %d: churn ended at interval %d, want 4", c.Rank(), op.TimeTile())
 				}
 			}
 			if err := apply(12, 15); err != nil {
@@ -243,6 +249,9 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 			}
 			if workers > 1 && op.Pool() != p {
 				t.Errorf("rank %d: churn replaced the persistent pool", c.Rank())
+			}
+			if !slices.Equal(u.Halo, ghosts) {
+				t.Errorf("rank %d: churn moved the ghost width from %v to %v", c.Rank(), ghosts, u.Halo)
 			}
 			res := arr.Gather(c, 0, 16)
 			if c.Rank() == 0 {

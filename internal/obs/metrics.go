@@ -75,8 +75,6 @@ type RankMetrics struct {
 	PoolSyncNs int64 `json:"pool_sync_ns"`
 	// PoolIdleNs is the pool workers' cumulative in-dispatch idle time.
 	PoolIdleNs int64 `json:"pool_idle_ns"`
-	// StealCount counts pool tiles executed away from their static owner.
-	StealCount int64 `json:"steal_count"`
 }
 
 // Metrics is a full snapshot of the metrics registry — what
@@ -113,7 +111,6 @@ func (r *recorder) snapshot(rank int) RankMetrics {
 		ShotWorkers:    r.ctr[CtrShotWorkers].Load(),
 		PoolSyncNs:     r.ctr[CtrPoolSyncNs].Load(),
 		PoolIdleNs:     r.ctr[CtrPoolIdleNs].Load(),
-		StealCount:     r.ctr[CtrStealCount].Load(),
 	}
 }
 
@@ -138,7 +135,6 @@ func (m *RankMetrics) accumulate(r RankMetrics) {
 	}
 	m.PoolSyncNs += r.PoolSyncNs
 	m.PoolIdleNs += r.PoolIdleNs
-	m.StealCount += r.StealCount
 }
 
 // Snapshot collects the current state of every rank's counters plus the

@@ -147,9 +147,6 @@ const (
 	// dispatches (join time minus each worker's finish time) — the load
 	// imbalance the static partition leaves on the table.
 	CtrPoolIdleNs
-	// CtrStealCount counts tiles executed by a worker other than their
-	// static block-cyclic owner (bounded stealing on shell sweeps).
-	CtrStealCount
 
 	numCtrs
 )

@@ -99,7 +99,8 @@ type AdjointConfig struct {
 	// NT is the number of timesteps (must match the forward run whose
 	// data is injected).
 	NT int
-	// DT is the timestep (0 keeps CriticalDt).
+	// DT is the timestep (0 keeps CriticalDt; any other value must be
+	// positive and finite).
 	DT float64
 	// RecCoords are the adjoint-source positions — the receiver layout of
 	// the forward run.
@@ -141,9 +142,9 @@ func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult
 	if err != nil {
 		return nil, err
 	}
-	dt := adj.CriticalDt
-	if ac.DT > 0 {
-		dt = ac.DT
+	dt, err := stepDT("AdjointConfig.DT", ac.DT, adj.CriticalDt)
+	if err != nil {
+		return nil, err
 	}
 	nt := ac.NT
 	if nt <= 0 {

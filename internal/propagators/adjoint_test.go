@@ -331,6 +331,29 @@ func TestAdjointModelStructure(t *testing.T) {
 	}
 }
 
+func TestRunAdjointRejectsBadDT(t *testing.T) {
+	m := exactAcoustic(t)
+	rec := [][]float64{{6, 5}}
+	data := [][]float64{{1}, {0}, {0}, {0}}
+	for _, dt := range badDTs {
+		_, err := RunAdjoint(m, nil, AdjointConfig{NT: 4, DT: dt, RecCoords: rec, RecData: data})
+		wantBadValue(t, err, "AdjointConfig.DT", dt)
+	}
+}
+
+func TestRunGradientRejectsBadDTAndInterval(t *testing.T) {
+	for _, dt := range badDTs {
+		gc := exactGradientConfig(3)
+		gc.DT = dt
+		_, err := RunGradient(exactAcoustic(t), nil, gc)
+		wantBadValue(t, err, "GradientConfig.DT", dt)
+	}
+	for _, k := range []int{-1, -8} {
+		_, err := RunGradient(exactAcoustic(t), nil, exactGradientConfig(k))
+		wantBadValue(t, err, "GradientConfig.CheckpointInterval", k)
+	}
+}
+
 func TestRunAdjointValidation(t *testing.T) {
 	m := exactAcoustic(t)
 	rec := [][]float64{{6, 5}}

@@ -15,7 +15,8 @@ import (
 type GradientConfig struct {
 	// NT is the number of timesteps.
 	NT int
-	// DT overrides the critical timestep (0 keeps CriticalDt).
+	// DT overrides the critical timestep (0 keeps CriticalDt; any other
+	// value must be positive and finite).
 	DT float64
 	// Wavelet overrides the Ricker source signature.
 	Wavelet []float32
@@ -33,7 +34,7 @@ type GradientConfig struct {
 	// CheckpointInterval is the snapshot spacing k: memory holds NT/k
 	// full snapshots plus k+2 cached time levels, and each segment is
 	// re-integrated once during the reverse sweep. 0 uses the sqrt(NT)
-	// heuristic that balances the two costs.
+	// heuristic that balances the two costs; a negative value is an error.
 	CheckpointInterval int
 	// Exec configures the forward, adjoint and imaging operators (the
 	// pointwise imaging kernel has no halo, so it never time-tiles).
@@ -84,9 +85,9 @@ func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResul
 // operators through an operator cache (nil lowers privately): across the
 // shots of a survey, each of the three schedules is lowered once.
 func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.Cache) (*GradientResult, error) {
-	dt := m.CriticalDt
-	if gc.DT > 0 {
-		dt = gc.DT
+	dt, err := stepDT("GradientConfig.DT", gc.DT, m.CriticalDt)
+	if err != nil {
+		return nil, err
 	}
 	nt := gc.NT
 	if nt <= 0 {
@@ -98,7 +99,10 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 		return nil, fmt.Errorf("propagators: GradientConfig needs receivers (the adjoint source)")
 	}
 	k := gc.CheckpointInterval
-	if k <= 0 {
+	if k < 0 {
+		return nil, fmt.Errorf("propagators: GradientConfig.CheckpointInterval must be >= 0 (0 = the sqrt(NT) default), got %d", k)
+	}
+	if k == 0 {
 		k = checkpoint.DefaultInterval(nt)
 	}
 	u := m.Fields[m.WaveFields[0]]

@@ -314,6 +314,26 @@ func TestRunNeedsNT(t *testing.T) {
 	}
 }
 
+// badDTs are timesteps no entry point may silently replace with the
+// critical dt: each must fail, naming the field and the value.
+var badDTs = []float64{-0.001, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// wantBadValue fails the test unless err names field and the value v.
+func wantBadValue(t *testing.T, err error, field string, v any) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), fmt.Sprint(v)) {
+		t.Errorf("%s=%v: err = %v, want it to name %s and %v", field, v, err, field, v)
+	}
+}
+
+func TestRunRejectsBadDT(t *testing.T) {
+	m, _ := Acoustic(serialCfg([]int{16, 16}, 4))
+	for _, dt := range badDTs {
+		_, err := Run(m, nil, RunConfig{NT: 2, DT: dt})
+		wantBadValue(t, err, "RunConfig.DT", dt)
+	}
+}
+
 // A source or receiver position that is not a number must fail the run by
 // name instead of injecting NaN into the wavefield, and a receiver "line"
 // of one, which used to record nothing, must say how to place one receiver.

@@ -16,7 +16,8 @@ import (
 type RunConfig struct {
 	// NT is the number of timesteps (at least 1).
 	NT int
-	// DT overrides the critical timestep (0 keeps CriticalDt).
+	// DT overrides the critical timestep (0 keeps CriticalDt; any other
+	// value must be positive and finite).
 	DT float64
 	// NReceivers is the receiver line length (0 disables receivers; a
 	// line has two ends, so 1 is an error — place a single receiver with
@@ -86,9 +87,9 @@ func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
 // non-nil store snapshots the model's wavefields every store.Interval
 // steps — the forward half of a checkpointed gradient.
 func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache, store *checkpoint.Store) (*RunResult, error) {
-	dt := m.CriticalDt
-	if rc.DT > 0 {
-		dt = rc.DT
+	dt, err := stepDT("RunConfig.DT", rc.DT, m.CriticalDt)
+	if err != nil {
+		return nil, err
 	}
 	nt := rc.NT
 	if nt < 1 {
@@ -104,6 +105,19 @@ func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache, store 
 		return nil, err
 	}
 	return forward(m, ctx, op, srcs, rc.Autotune, store, nt, dt)
+}
+
+// stepDT resolves a configured timestep: 0 means the model's critical
+// dt, a positive finite value is used as given, and anything else is an
+// error naming the field.
+func stepDT(name string, dt, critical float64) (float64, error) {
+	if dt == 0 {
+		return critical, nil
+	}
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return 0, fmt.Errorf("propagators: %s must be a positive finite timestep (0 = the critical dt), got %v", name, dt)
+	}
+	return dt, nil
 }
 
 // forward steps a compiled model nt times, injecting srcs' source and

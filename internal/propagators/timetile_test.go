@@ -1,11 +1,16 @@
 package propagators
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"devigo/internal/core"
+	"devigo/internal/ddata"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
+	"devigo/internal/obs"
 )
 
 // The time-tiling differential suite: exchange-interval k > 1 must be
@@ -280,6 +285,58 @@ func TestTimeTile_MessageCountDrops(t *testing.T) {
 					tc.model, k, mk, m1, ratio, tc.maxRatio[k])
 			}
 			t.Logf("%s messages: k=1 %d, k=%d %d (ratio %.3f)", tc.model, m1, k, mk, ratio)
+		}
+	}
+}
+
+// A traced tiled run peels each sweep's ghost shell into its own passes
+// for the trace; the untraced run sweeps it with the owned box. Both must
+// leave every time buffer of the wavefield with the same bits (acoustic
+// so-8, 2 ranks, full, k=4, two pool workers).
+func TestTracedTiledRunKeepsBits(t *testing.T) {
+	run := func(traced bool) [][]float32 {
+		if traced {
+			obs.Reset()
+			obs.EnableTracing()
+			defer func() { obs.DisableAll(); obs.Reset() }()
+		}
+		var bufs [][]float32
+		err := mpi.RunRanks(2, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, "acoustic", serialCfg([]int{48, 48}, 8), halo.ModeFull, []int{2, 1})
+			if err != nil {
+				return err
+			}
+			res, err := Run(m, ctx, RunConfig{NT: 13, Exec: Exec{TimeTile: 4, Workers: 2}})
+			if err != nil {
+				return err
+			}
+			defer res.Op.Close()
+			if k := res.Op.TimeTile(); k != 4 {
+				return fmt.Errorf("effective interval %d, want 4", k)
+			}
+			u := m.Fields[m.WaveFields[0]]
+			arr := ddata.New(u, ctx.Decomp, c.Rank())
+			for b := range u.Bufs {
+				if got := arr.Gather(c, 0, b); c.Rank() == 0 {
+					bufs = append(bufs, got)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bufs
+	}
+	want, got := run(false), run(true)
+	if !slices.ContainsFunc(want[0], func(v float32) bool { return v != 0 }) {
+		t.Fatal("the wavefield is still zero: the comparison would be vacuous")
+	}
+	for b := range want {
+		for i := range want[b] {
+			if math.Float32bits(got[b][i]) != math.Float32bits(want[b][i]) {
+				t.Fatalf("buffer %d point %d: traced %v != untraced %v", b, i, got[b][i], want[b][i])
+			}
 		}
 	}
 }

@@ -30,10 +30,6 @@ type ExecOpts struct {
 	// Pool is the persistent worker team tiles are dispatched to; nil (or
 	// a team of one) runs every tile on the calling goroutine.
 	Pool *Pool
-	// Steal lets pool workers that drain their static block-cyclic stripe
-	// claim other workers' remaining tiles. The operator enables it only
-	// for the shrinking time-tile shell sweeps.
-	Steal bool
 }
 
 // Box is a half-open iteration box in domain-relative coordinates
@@ -282,7 +278,7 @@ func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOp
 
 	d.exec, d.box, d.syms, d.tileRows = x, b, syms, tileRows
 	ntiles := (outer + tileRows - 1) / tileRows
-	o.Pool.Run(d, ntiles, t, o.Steal, o.Progress)
+	o.Pool.Run(d, ntiles, t, o.Progress)
 }
 
 // RunTile executes one tile — a band of tileRows outer-dimension rows —

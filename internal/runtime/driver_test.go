@@ -138,37 +138,35 @@ func TestDriverVisitsEveryRowOnce(t *testing.T) {
 			}
 			ntiles := (outer + eff - 1) / eff
 			for _, workers := range []int{1, 2, 3, 7} {
-				for _, steal := range []bool{false, true} {
-					name := fmt.Sprintf("%dd/tile%d/w%d/steal=%v", nd, tileRows, workers, steal)
-					d := NewDriver[recScratch](bd)
-					x := &recExec{t: t, syms: []float64{1}}
-					p := NewPool(workers, 0)
-					progress := 0
-					opts := &ExecOpts{TileRows: tileRows, Pool: p, Steal: steal}
-					if workers == 1 {
-						opts.Progress = func() { progress++ }
-					}
-					d.Run(x, 0, b, x.syms, opts)
-					p.Close()
+				name := fmt.Sprintf("%dd/tile%d/w%d", nd, tileRows, workers)
+				d := NewDriver[recScratch](bd)
+				x := &recExec{t: t, syms: []float64{1}}
+				p := NewPool(workers, 0)
+				progress := 0
+				opts := &ExecOpts{TileRows: tileRows, Pool: p}
+				if workers == 1 {
+					opts.Progress = func() { progress++ }
+				}
+				d.Run(x, 0, b, x.syms, opts)
+				p.Close()
 
-					if len(d.ws) != workers {
-						t.Fatalf("%s: scratch table has %d workers, want %d", name, len(d.ws), workers)
+				if len(d.ws) != workers {
+					t.Fatalf("%s: scratch table has %d workers, want %d", name, len(d.ws), workers)
+				}
+				var got []rowRec
+				for w, wk := range d.ws {
+					if wk.sc.preps != 1 || wk.sc.maxRow != wantMaxRow {
+						t.Errorf("%s: worker %d prepped %d times with maxRow %d, want once with %d",
+							name, w, wk.sc.preps, wk.sc.maxRow, wantMaxRow)
 					}
-					var got []rowRec
-					for w, wk := range d.ws {
-						if wk.sc.preps != 1 || wk.sc.maxRow != wantMaxRow {
-							t.Errorf("%s: worker %d prepped %d times with maxRow %d, want once with %d",
-								name, w, wk.sc.preps, wk.sc.maxRow, wantMaxRow)
-						}
-						got = append(got, wk.sc.rows...)
-					}
-					sortRows(got)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("%s: rows visited\n got %v\nwant %v", name, got, want)
-					}
-					if workers == 1 && progress != ntiles {
-						t.Errorf("%s: progress prodded %d times, want once per tile (%d)", name, progress, ntiles)
-					}
+					got = append(got, wk.sc.rows...)
+				}
+				sortRows(got)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: rows visited\n got %v\nwant %v", name, got, want)
+				}
+				if workers == 1 && progress != ntiles {
+					t.Errorf("%s: progress prodded %d times, want once per tile (%d)", name, progress, ntiles)
 				}
 			}
 		}

@@ -17,13 +17,6 @@ type Task interface {
 	RunTile(w, tile int)
 }
 
-// cursor is one worker's block-cyclic claim counter, padded to a cache
-// line so neighbouring workers' claims never false-share.
-type cursor struct {
-	next atomic.Int64
-	_    [56]byte
-}
-
 // Pool is a persistent per-rank worker team — the shared-memory "X" tier
 // of the MPI+X hybrid. Workers spawn once (NewPool) and park on a condvar
 // between dispatches; Run publishes a Task, bumps the epoch, participates
@@ -34,12 +27,8 @@ type cursor struct {
 // The partition is a deterministic static block-cyclic assignment: worker
 // w owns tiles w, w+W, w+2W, ... — the same row bands every timestep, so
 // each worker's working set stays resident in its core's private caches
-// across steps. With steal=true a worker that drains its own stripe makes
-// one bounded pass over the other workers' cursors and claims their
-// remaining tiles (each claim is a single atomic increment, so every tile
-// still executes exactly once); the operator enables stealing only for
-// the shrinking time-tile shell sweeps, whose load imbalance static
-// partitioning cannot absorb.
+// across steps. It is the only schedule: no worker ever runs another's
+// tile.
 //
 // Run must be called from one goroutine at a time (the operator's step
 // loop is sequential); the caller doubles as worker 0 and as the
@@ -61,10 +50,8 @@ type Pool struct {
 	// Dispatch parameters, published under mu before the epoch bump.
 	task   Task
 	ntiles int
-	steal  bool
 	step   int
 
-	cursors []cursor
 	// finish[w] is worker w's completion time of the current dispatch in
 	// nanoseconds since base (written under mu at hand-in).
 	finish []int64
@@ -72,7 +59,6 @@ type Pool struct {
 
 	syncNs     atomic.Int64
 	idleNs     atomic.Int64
-	steals     atomic.Int64
 	dispatches atomic.Int64
 
 	syncOnce sync.Once
@@ -88,8 +74,8 @@ type PoolStats struct {
 	// IdleNs is the cumulative spawned-worker idle time inside dispatches
 	// (sum over workers of join time minus that worker's finish time).
 	IdleNs int64
-	// Steals is the number of tiles executed by a worker other than their
-	// static owner.
+	// Steals is always 0: every tile runs on its static owner. It stays
+	// until the benchmark drops its runtime.steals metric (ROADMAP item 2).
 	Steals int64
 }
 
@@ -104,7 +90,6 @@ func NewPool(workers, rank int) *Pool {
 	p := &Pool{
 		workers: workers,
 		rank:    rank,
-		cursors: make([]cursor, workers),
 		finish:  make([]int64, workers),
 		base:    time.Now(),
 	}
@@ -156,11 +141,11 @@ func (p *Pool) park(w int) {
 			return
 		}
 		last = p.epoch
-		task, ntiles, steal, step := p.task, p.ntiles, p.steal, p.step
+		task, ntiles, step := p.task, p.ntiles, p.step
 		p.mu.Unlock()
 
 		sp := obs.BeginStream(p.rank, obs.WorkerStream(w), obs.PhaseWorker, step)
-		p.work(task, w, ntiles, steal, nil)
+		p.work(task, w, ntiles, nil)
 		sp.End()
 
 		p.mu.Lock()
@@ -172,40 +157,12 @@ func (p *Pool) park(w int) {
 	}
 }
 
-// work drains worker w's static stripe (tiles w, w+W, ...), then — with
-// stealing on — makes one pass over the other workers' cursors claiming
-// their leftovers. Each (owner, index) pair is claimed by exactly one
-// atomic increment, so every tile runs exactly once regardless of who
-// ends up executing it.
-func (p *Pool) work(task Task, w, ntiles int, steal bool, progress func()) {
-	W := p.workers
-	for {
-		i := int(p.cursors[w].next.Add(1)) - 1
-		tile := w + W*i
-		if tile >= ntiles {
-			break
-		}
+// work runs worker w's static stripe: tiles w, w+W, w+2W, ...
+func (p *Pool) work(task Task, w, ntiles int, progress func()) {
+	for tile := w; tile < ntiles; tile += p.workers {
 		task.RunTile(w, tile)
 		if progress != nil {
 			progress()
-		}
-	}
-	if !steal {
-		return
-	}
-	for d := 1; d < W; d++ {
-		v := (w + d) % W
-		for {
-			i := int(p.cursors[v].next.Add(1)) - 1
-			tile := v + W*i
-			if tile >= ntiles {
-				break
-			}
-			p.steals.Add(1)
-			task.RunTile(w, tile)
-			if progress != nil {
-				progress()
-			}
 		}
 	}
 }
@@ -215,7 +172,7 @@ func (p *Pool) work(task Task, w, ntiles int, steal bool, progress func()) {
 // progress, when non-nil, is prodded by worker 0 between its tiles and
 // once before the join (the full-overlap progress engine). Allocation-free
 // in steady state.
-func (p *Pool) Run(task Task, ntiles, step int, steal bool, progress func()) {
+func (p *Pool) Run(task Task, ntiles, step int, progress func()) {
 	if p == nil || p.workers <= 1 || ntiles <= 1 || p.closed.Load() {
 		for tile := 0; tile < ntiles; tile++ {
 			task.RunTile(0, tile)
@@ -225,20 +182,15 @@ func (p *Pool) Run(task Task, ntiles, step int, steal bool, progress func()) {
 		}
 		return
 	}
-	for w := range p.cursors {
-		p.cursors[w].next.Store(0)
-	}
-	stolen0 := p.steals.Load()
-
 	p.mu.Lock()
-	p.task, p.ntiles, p.steal, p.step = task, ntiles, steal, step
+	p.task, p.ntiles, p.step = task, ntiles, step
 	p.running = p.workers - 1
 	p.epoch++
 	p.wake.Broadcast()
 	p.mu.Unlock()
 
 	sp := obs.BeginStream(p.rank, obs.WorkerStream(0), obs.PhaseWorker, step)
-	p.work(task, 0, ntiles, steal, progress)
+	p.work(task, 0, ntiles, progress)
 	sp.End()
 	if progress != nil {
 		progress()
@@ -265,9 +217,6 @@ func (p *Pool) Run(task Task, ntiles, step int, steal bool, progress func()) {
 	if obs.Active() {
 		obs.Add(p.rank, obs.CtrPoolSyncNs, syncNs)
 		obs.Add(p.rank, obs.CtrPoolIdleNs, idle)
-		if stolen := p.steals.Load() - stolen0; stolen > 0 {
-			obs.Add(p.rank, obs.CtrStealCount, stolen)
-		}
 	}
 }
 
@@ -280,7 +229,6 @@ func (p *Pool) Stats() PoolStats {
 		Dispatches: p.dispatches.Load(),
 		SyncNs:     p.syncNs.Load(),
 		IdleNs:     p.idleNs.Load(),
-		Steals:     p.steals.Load(),
 	}
 }
 
@@ -304,10 +252,10 @@ func (p *Pool) SyncCost() float64 {
 	}
 	p.syncOnce.Do(func() {
 		var tk noopTask
-		p.Run(&tk, p.workers, 0, false, nil) // warm the parked team
+		p.Run(&tk, p.workers, 0, nil) // warm the parked team
 		t0 := time.Now()
 		for i := 0; i < syncCostRounds; i++ {
-			p.Run(&tk, p.workers, 0, false, nil)
+			p.Run(&tk, p.workers, 0, nil)
 		}
 		p.syncCost = time.Since(t0).Seconds() / syncCostRounds
 	})

@@ -10,14 +10,13 @@ import (
 )
 
 // recordTask records, per tile, how many times it ran and which worker
-// ran it. Each tile is claimed by exactly one atomic increment, so the
-// owner slots are written at most once per dispatch (re-verified by the
-// hits counter).
+// ran it. Each tile has one static owner, so the owner slots are written
+// at most once per dispatch (re-verified by the hits counter).
 type recordTask struct {
 	hits  []atomic.Int32
 	owner []atomic.Int32
 	// slowWorker, when >= 0, makes that worker sleep on every tile it
-	// executes so the others drain and steal its stripe.
+	// executes so the others drain their stripes long before it does.
 	slowWorker int
 }
 
@@ -49,59 +48,51 @@ func (rt *recordTask) check(t *testing.T, ntiles int) {
 func TestPoolCoversAllTilesExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		for _, ntiles := range []int{1, 2, 7, 13, 64} {
-			for _, steal := range []bool{false, true} {
-				p := NewPool(workers, 0)
-				rt := newRecordTask(ntiles)
-				p.Run(rt, ntiles, 0, steal, nil)
-				rt.check(t, ntiles)
-				p.Close()
-			}
+			p := NewPool(workers, 0)
+			rt := newRecordTask(ntiles)
+			p.Run(rt, ntiles, 0, nil)
+			rt.check(t, ntiles)
+			p.Close()
 		}
 	}
 }
 
 func TestPoolStaticPartitionIsDeterministic(t *testing.T) {
-	// Without stealing, tile i must run on its static owner i % W — the
-	// locality contract: worker w touches the same rows every dispatch.
+	// Tile i must run on its static owner i % W — the locality contract:
+	// worker w touches the same rows every dispatch.
 	const workers, ntiles = 4, 23
 	p := NewPool(workers, 0)
 	defer p.Close()
 	for step := 0; step < 5; step++ {
 		rt := newRecordTask(ntiles)
-		p.Run(rt, ntiles, step, false, nil)
-		rt.check(t, ntiles)
-		for i := 0; i < ntiles; i++ {
-			if got := int(rt.owner[i].Load()); got != i%workers {
-				t.Fatalf("step %d tile %d ran on worker %d, want static owner %d",
-					step, i, got, i%workers)
-			}
+		p.Run(rt, ntiles, step, nil)
+		rt.checkOwners(t, ntiles, workers)
+	}
+}
+
+// checkOwners asserts that every tile ran exactly once, on its static
+// owner i % workers.
+func (rt *recordTask) checkOwners(t *testing.T, ntiles, workers int) {
+	t.Helper()
+	rt.check(t, ntiles)
+	for i := 0; i < ntiles; i++ {
+		if got := int(rt.owner[i].Load()); got != i%workers {
+			t.Fatalf("tile %d ran on worker %d, want static owner %d", i, got, i%workers)
 		}
 	}
 }
 
-func TestPoolStealRebalancesSlowWorker(t *testing.T) {
-	// Worker 1 sleeps on every tile it executes; with stealing enabled
-	// the fast workers must claim its leftover stripe. Coverage stays
-	// exactly-once because each claim is a single atomic increment.
+func TestPoolSlowWorkerKeepsItsStripe(t *testing.T) {
+	// Worker 1 sleeps on every tile it executes. The fast workers finish
+	// their stripes and wait at the join: the partition does not bend to
+	// load, so every tile still runs exactly once on its static owner.
 	const workers, ntiles = 4, 32
 	p := NewPool(workers, 0)
 	defer p.Close()
 	rt := newRecordTask(ntiles)
 	rt.slowWorker = 1
-	p.Run(rt, ntiles, 0, true, nil)
-	rt.check(t, ntiles)
-	if st := p.Stats(); st.Steals == 0 {
-		t.Fatalf("no steals recorded; stats=%+v", st)
-	}
-	stolen := 0
-	for i := 1; i < ntiles; i += workers {
-		if int(rt.owner[i].Load()) != 1 {
-			stolen++
-		}
-	}
-	if stolen == 0 {
-		t.Fatal("every tile of the slow worker's stripe still ran on worker 1")
-	}
+	p.Run(rt, ntiles, 0, nil)
+	rt.checkOwners(t, ntiles, workers)
 }
 
 func TestPoolDispatchAllocs(t *testing.T) {
@@ -110,14 +101,11 @@ func TestPoolDispatchAllocs(t *testing.T) {
 	p := NewPool(4, 0)
 	defer p.Close()
 	rt := newRecordTask(16)
-	p.Run(rt, 16, 0, false, nil) // warm
-	for _, steal := range []bool{false, true} {
-		steal := steal
-		if avg := testing.AllocsPerRun(50, func() {
-			p.Run(rt, 16, 1, steal, nil)
-		}); avg != 0 {
-			t.Errorf("steal=%v: dispatch allocates %.1f objects/run, want 0", steal, avg)
-		}
+	p.Run(rt, 16, 0, nil) // warm
+	if avg := testing.AllocsPerRun(50, func() {
+		p.Run(rt, 16, 1, nil)
+	}); avg != 0 {
+		t.Errorf("dispatch allocates %.1f objects/run, want 0", avg)
 	}
 }
 
@@ -130,11 +118,10 @@ func TestPoolProgressRunsOnCaller(t *testing.T) {
 	defer p.Close()
 	rt := newRecordTask(ntiles)
 	calls := 0
-	p.Run(rt, ntiles, 0, false, func() { calls++ })
-	// Worker 0 owns ceil(16/4) = 4 tiles, plus the pre-join prod; steals
-	// would only add calls, so the floor is 5.
-	if calls < 5 {
-		t.Fatalf("progress called %d times, want >= 5", calls)
+	p.Run(rt, ntiles, 0, func() { calls++ })
+	// Worker 0 owns ceil(16/4) = 4 tiles, plus the pre-join prod.
+	if calls != 5 {
+		t.Fatalf("progress called %d times, want 5", calls)
 	}
 }
 
@@ -151,7 +138,7 @@ func TestPoolInlineFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rt := newRecordTask(8)
-		tc.pool.Run(rt, 8, 0, true, nil)
+		tc.pool.Run(rt, 8, 0, nil)
 		rt.check(t, 8)
 		for i := 0; i < 8; i++ {
 			if got := int(rt.owner[i].Load()); got != 0 {
@@ -163,7 +150,7 @@ func TestPoolInlineFallbacks(t *testing.T) {
 	p := NewPool(4, 0)
 	defer p.Close()
 	rt := newRecordTask(1)
-	p.Run(rt, 1, 0, false, nil)
+	p.Run(rt, 1, 0, nil)
 	rt.check(t, 1)
 	if got := int(rt.owner[0].Load()); got != 0 {
 		t.Fatalf("single tile ran on worker %d, want caller (0)", got)
@@ -203,8 +190,8 @@ func TestPoolStatsAccumulate(t *testing.T) {
 	defer p.Close()
 	rt := newRecordTask(8)
 	before := p.Stats()
-	p.Run(rt, 8, 0, false, nil)
-	p.Run(rt, 8, 1, false, nil)
+	p.Run(rt, 8, 0, nil)
+	p.Run(rt, 8, 1, nil)
 	st := p.Stats()
 	if st.Dispatches-before.Dispatches != 2 {
 		t.Fatalf("dispatches delta = %d, want 2", st.Dispatches-before.Dispatches)
