@@ -259,7 +259,7 @@ func (op *Operator) autotune(policy string, step func(int), next *int, remaining
 			return avg, nil
 		}
 	}
-	cfg, trialLog, err := perfmodel.Tune(host, prof, 0, measure)
+	cfg, trialLog, err := perfmodel.Tune(host, prof, measure)
 	if err != nil {
 		return err
 	}

@@ -66,9 +66,9 @@ type RankMetrics struct {
 	// InstrsPerPoint is the compiled operator's per-point VM instruction
 	// count gauge (the total reports the maximum over ranks, not a sum).
 	InstrsPerPoint int64 `json:"instrs_per_point"`
-	// ShotsDone counts FWI shots completed by the shot scheduler.
+	// ShotsDone counts FWI shots completed by RunShots.
 	ShotsDone int64 `json:"shots_done"`
-	// ShotWorkers is the shot scheduler's worker-pool size gauge (the
+	// ShotWorkers is RunShots's shots-in-flight gauge (the
 	// total reports the maximum over ranks, not a sum).
 	ShotWorkers int64 `json:"shot_workers"`
 	// PoolSyncNs is the worker pool's cumulative dispatch join wait.

@@ -70,8 +70,8 @@ const (
 	PhaseAutotuneTrial
 	// PhaseWarmup is the untimed cache-warming step before the first trial.
 	PhaseWarmup
-	// PhaseShot is one whole FWI shot dispatched by the shot scheduler
-	// (a checkpointed forward + adjoint gradient in its own world).
+	// PhaseShot is one whole FWI shot of RunShots (a checkpointed
+	// forward + adjoint gradient in its own world).
 	PhaseShot
 	// PhaseWorker is one pool worker's share of one dispatched kernel
 	// sweep, recorded on that worker's dedicated trace stream
@@ -135,10 +135,10 @@ const (
 	// CtrInstrsPerPoint is a gauge (set, not added): the compiled
 	// operator's summed per-point VM instruction count.
 	CtrInstrsPerPoint
-	// CtrShotsDone counts FWI shots completed by the shot scheduler.
+	// CtrShotsDone counts FWI shots completed by RunShots.
 	CtrShotsDone
-	// CtrShotWorkers is a gauge (set, not added): the shot scheduler's
-	// effective concurrent worker-pool size.
+	// CtrShotWorkers is a gauge (set, not added): RunShots's effective
+	// bound on shots in flight.
 	CtrShotWorkers
 	// CtrPoolSyncNs accumulates the worker pool's dispatch sync cost: the
 	// caller's join-barrier wait, summed over dispatches.

@@ -437,20 +437,17 @@ func groupHeads(plan []ExecConfig) []ExecConfig {
 // the model's top candidate of every qualitatively distinct group —
 // (halo mode, deep-tiled or not) — so the communication patterns and the
 // exchange-interval axis are always spanned even when the cost model
-// misranks a whole mode. Phase 2 spends up to `trials` further
+// misranks a whole mode. Phase 2 spends up to DefaultSearchTrials further
 // measurements refining the quantitative knobs (workers, the exact
 // interval) within the winning group, in model-rank order. The
 // measure callback is expected to time a few real timesteps of the live
 // simulation — sound because every candidate is bit-exact — and may
 // return ErrTuneBudget to stop the search; the best measurement so far
 // (or the model's top choice, if nothing was measured) wins.
-func Tune(h Host, p OpProfile, trials int, measure func(ExecConfig) (float64, error)) (ExecConfig, []Trial, error) {
+func Tune(h Host, p OpProfile, measure func(ExecConfig) (float64, error)) (ExecConfig, []Trial, error) {
 	plan := Plan(h, p)
 	if len(plan) == 0 {
 		return ExecConfig{}, nil, errors.New("perfmodel: empty candidate space")
-	}
-	if trials <= 0 {
-		trials = DefaultSearchTrials
 	}
 	var log []Trial
 	run := func(cands []ExecConfig) (bool, error) {
@@ -496,7 +493,7 @@ func Tune(h Host, p OpProfile, trials int, measure func(ExecConfig) (float64, er
 			continue
 		}
 		refine = append(refine, c)
-		if len(refine) >= trials {
+		if len(refine) >= DefaultSearchTrials {
 			break
 		}
 	}

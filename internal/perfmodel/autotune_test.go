@@ -152,7 +152,7 @@ func TestTunePicksMeasuredMinimum(t *testing.T) {
 		}
 		return 1.0, nil
 	}
-	cfg, trials, err := Tune(h, p, 0, measure)
+	cfg, trials, err := Tune(h, p, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestTuneSpansGroupsThenRefinesWinner(t *testing.T) {
 		}
 		return 1.0, nil
 	}
-	cfg, trials, err := Tune(h, p, 0, measure)
+	cfg, trials, err := Tune(h, p, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestTuneBudgetExhaustedFallsBackToModel(t *testing.T) {
 	h := DefaultHost()
 	p := serialProfile(128)
 	plan := Plan(h, p)
-	cfg, trials, err := Tune(h, p, 0, func(ExecConfig) (float64, error) {
+	cfg, trials, err := Tune(h, p, func(ExecConfig) (float64, error) {
 		return 0, ErrTuneBudget
 	})
 	if err != nil {
@@ -225,7 +225,7 @@ func TestTunePartialBudgetKeepsBestMeasurement(t *testing.T) {
 	h := DefaultHost()
 	p := serialProfile(128)
 	n := 0
-	cfg, trials, err := Tune(h, p, 0, func(c ExecConfig) (float64, error) {
+	cfg, trials, err := Tune(h, p, func(c ExecConfig) (float64, error) {
 		n++
 		if n > 2 {
 			return 0, ErrTuneBudget
@@ -246,7 +246,7 @@ func TestTunePartialBudgetKeepsBestMeasurement(t *testing.T) {
 func TestTunePropagatesMeasureErrors(t *testing.T) {
 	h := DefaultHost()
 	boom := errors.New("boom")
-	_, _, err := Tune(h, serialProfile(64), 0, func(ExecConfig) (float64, error) {
+	_, _, err := Tune(h, serialProfile(64), func(ExecConfig) (float64, error) {
 		return 0, boom
 	})
 	if !errors.Is(err, boom) {

@@ -6,14 +6,16 @@ import (
 	"math"
 	"os"
 	goruntime "runtime"
+	"sync/atomic"
+	"time"
 
 	"devigo/internal/core"
 	"devigo/internal/field"
 	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
+	"devigo/internal/obs"
 	"devigo/internal/opcache"
-	"devigo/internal/shotsched"
 )
 
 // Shot describes one shot of a multi-shot FWI survey: the per-shot source
@@ -32,7 +34,7 @@ type Shot struct {
 }
 
 // ShotsConfig drives a shot-parallel gradient survey: N independent
-// RunGradient solves dispatched by the shot scheduler, stacked into one
+// RunGradient solves, a bounded number in flight at once, stacked into one
 // gradient.
 type ShotsConfig struct {
 	// Gradient is the survey-wide base configuration; each Shot overrides
@@ -40,9 +42,9 @@ type ShotsConfig struct {
 	Gradient GradientConfig
 	// Shots lists the survey's shots (at least one).
 	Shots []Shot
-	// Workers is the number of shots in flight at once; 0 consults
-	// DEVIGO_SHOT_WORKERS, then defaults to 1. The stacked gradient is
-	// bit-identical for every worker count.
+	// Workers is the number of shots in flight at once; 0 runs one at a
+	// time, and a count above len(Shots) is capped at it. The stacked
+	// gradient is bit-identical for every worker count.
 	Workers int
 	// Ranks is the MPI world size per shot: each shot solves in its own
 	// in-process world of this many ranks. <= 1 is a world of one: the
@@ -88,7 +90,8 @@ type ShotsResult struct {
 	GradNorm float64
 	// Misfit is the total misfit, summed over shots.
 	Misfit float64
-	// Workers is the effective scheduler pool size.
+	// Workers is the effective number of shots in flight: the requested
+	// count capped at the number of shots.
 	Workers int
 	// CacheStats snapshots the operator cache after the survey. Misses is
 	// the number of unique schedules lowered; a fresh cache over a survey
@@ -103,6 +106,7 @@ type shotOutcome struct {
 	misfit   float64
 	gradNorm float64
 	relErr   float64
+	seconds  float64
 }
 
 // RunShots runs a shot-parallel FWI gradient survey: model names the
@@ -123,10 +127,10 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if cache == nil {
 		cache = opcache.New()
 	}
-	workers, err := shotsched.ResolveWorkers(sc.Workers)
-	if err != nil {
-		return nil, err
+	if sc.Workers < 0 {
+		return nil, fmt.Errorf("propagators: invalid ShotsConfig.Workers %d (want 0 or a positive count)", sc.Workers)
 	}
+	workers := min(max(sc.Workers, 1), n)
 	// The per-rank compute team, resolved exactly as every shot's operators
 	// will resolve it, so a bad request fails here and not inside shot 0.
 	computeWorkers, err := core.ResolveWorkers(sc.Gradient.Workers)
@@ -153,7 +157,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	// with the decision logged. computeWorkers stays 0 (operator default)
 	// when no clamp is needed.
 	if computeWorkers > 1 {
-		if clamped := shotsched.ClampWorkers(computeWorkers, workers*ranks, goruntime.NumCPU()); clamped != computeWorkers {
+		if clamped := clampWorkers(computeWorkers, workers*ranks, goruntime.NumCPU()); clamped != computeWorkers {
 			fmt.Fprintf(os.Stderr,
 				"devigo: clamping per-rank compute workers %d -> %d (%d shots in flight x %d ranks on %d cores)\n",
 				computeWorkers, clamped, workers, ranks, goruntime.NumCPU())
@@ -162,6 +166,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	}
 
 	fn := func(shot int) (*shotOutcome, error) {
+		t0 := time.Now()
 		gc := sc.Gradient
 		if computeWorkers > 0 {
 			gc.Workers = computeWorkers
@@ -201,26 +206,22 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		out.seconds = time.Since(t0).Seconds()
 		return out, nil
 	}
 
 	stack := make([]float32, total)
 	shots := make([]ShotResult, 0, n)
-	stats, err := shotsched.Run(n, shotsched.Config{Workers: workers}, fn,
-		func(shot int, o *shotOutcome) error {
-			for i, v := range o.grad {
-				stack[i] += v
-			}
-			shots = append(shots, ShotResult{
-				Shot: shot, Misfit: o.misfit, GradNorm: o.gradNorm, RelErr: o.relErr,
-			})
-			return nil
+	err = inOrder(n, workers, fn, func(shot int, o *shotOutcome) {
+		for i, v := range o.grad {
+			stack[i] += v
+		}
+		shots = append(shots, ShotResult{
+			Shot: shot, Misfit: o.misfit, GradNorm: o.gradNorm, RelErr: o.relErr, Seconds: o.seconds,
 		})
+	})
 	if err != nil {
 		return nil, err
-	}
-	for i := range stats {
-		shots[i].Seconds = stats[i].Seconds
 	}
 
 	res := &ShotsResult{Shots: shots, Gradient: stack, Shape: shape, Workers: workers,
@@ -234,6 +235,85 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		res.Misfit += s.Misfit
 	}
 	return res, nil
+}
+
+// inOrder runs fn on shots 0..n-1, starting them in ascending order with
+// at most workers in flight, and hands each result to reduce in ascending
+// shot order whatever the completion order. Floating-point accumulation
+// is not associative, so this order is what makes a stack bit-identical to
+// a sequential loop at every worker count; reduce is never called
+// concurrently. After a shot fails no further shot starts, the shots in
+// flight finish, and the error names the smallest failing shot; reduce
+// sees nothing from that shot onwards, since a partial stack would be
+// silently wrong. Each shot records a PhaseShot span and, on success, a
+// CtrShotsDone count on rank 0 (the fan-out sits above the rank tier), and
+// the in-flight bound is published as the CtrShotWorkers gauge.
+func inOrder[T any](n, workers int, fn func(shot int) (T, error), reduce func(shot int, v T)) error {
+	obs.Add(0, obs.CtrShotWorkers, int64(workers))
+	type result struct {
+		v   T
+		err error
+	}
+	// One buffered channel per shot: a shot's result waits there for its
+	// turn, and a shot never started has its channel closed.
+	done := make([]chan result, n)
+	for i := range done {
+		done[i] = make(chan result, 1)
+	}
+	slots := make(chan struct{}, workers)
+	var failed atomic.Bool
+	go func() {
+		for shot := range n {
+			slots <- struct{}{}
+			if failed.Load() {
+				for _, c := range done[shot:] {
+					close(c)
+				}
+				return
+			}
+			go func() {
+				sp := obs.Begin(0, obs.PhaseShot, shot)
+				v, err := fn(shot)
+				sp.End()
+				if err != nil {
+					failed.Store(true)
+				} else {
+					obs.Add(0, obs.CtrShotsDone, 1)
+				}
+				<-slots
+				done[shot] <- result{v, err}
+			}()
+		}
+	}()
+	// Every shot below a started one has started, so the first error met
+	// in ascending order is the smallest failing shot. After it the loop
+	// only drains, waiting out the shots still in flight.
+	var first error
+	for shot, c := range done {
+		r, started := <-c
+		switch {
+		case first != nil || !started:
+		case r.err != nil:
+			first = fmt.Errorf("propagators: shot %d: %w", shot, r.err)
+		default:
+			reduce(shot, r.v)
+		}
+	}
+	return first
+}
+
+// clampWorkers bounds the per-rank compute team so that the product of the
+// concurrency tiers (shots in flight × ranks per shot = lanesPerShot,
+// times the team) does not oversubscribe the host: when it would, the team
+// shrinks to hostCores/lanesPerShot, but never below 1 (one over-wide shot
+// is the caller's explicit choice). hostCores < 1 means unknown, and
+// changes nothing.
+func clampWorkers(computeWorkers, lanesPerShot, hostCores int) int {
+	computeWorkers, lanesPerShot = max(computeWorkers, 1), max(lanesPerShot, 1)
+	if hostCores < 1 || computeWorkers*lanesPerShot <= hostCores {
+		return computeWorkers
+	}
+	return max(1, hostCores/lanesPerShot)
 }
 
 // scatterOwned copies a field's owned DOMAIN at time buffer t into the

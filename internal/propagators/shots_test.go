@@ -1,9 +1,13 @@
 package propagators
 
 import (
+	"errors"
 	"maps"
+	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"devigo/internal/core"
 	"devigo/internal/field"
@@ -76,7 +80,8 @@ func sequentialStack(t *testing.T, cfg Config, gc GradientConfig, shots []Shot) 
 
 // TestRunShotsBitExactSerial: the serial-per-shot service must reproduce
 // the explicit sequential loop bit for bit — for every engine, with and
-// without time tiling, at every worker count.
+// without time tiling, at every worker count, including one above the
+// shot count.
 func TestRunShotsBitExactSerial(t *testing.T) {
 	for _, engine := range engines() {
 		for _, k := range []int{1, 4} {
@@ -86,7 +91,8 @@ func TestRunShotsBitExactSerial(t *testing.T) {
 				gc.Engine = engine
 				gc.TimeTile = k
 				want, wantMisfits := sequentialStack(t, cfg, gc, surveyShots())
-				for _, workers := range []int{1, 3} {
+				// 8 workers over 3 shots run, and report, 3 in flight.
+				for _, workers := range []int{1, 3, 8} {
 					res, err := RunShots("acoustic", cfg, ShotsConfig{
 						Gradient: gc, Shots: surveyShots(),
 						Workers: workers, Cache: opcache.New(),
@@ -94,8 +100,8 @@ func TestRunShotsBitExactSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Workers != workers {
-						t.Errorf("workers=%d: effective pool %d", workers, res.Workers)
+					if want := min(workers, len(surveyShots())); res.Workers != want {
+						t.Errorf("workers=%d: effective workers %d, want %d", workers, res.Workers, want)
 					}
 					for i := range want {
 						if res.Gradient[i] != want[i] {
@@ -466,6 +472,169 @@ func TestRunShotsValidation(t *testing.T) {
 		Gradient: gc, Shots: surveyShots(), Ranks: 4, Mode: "hexagonal",
 	}); err == nil {
 		t.Error("unknown halo mode accepted")
+	}
+	if _, err := RunShots("acoustic", cfg, ShotsConfig{
+		Gradient: gc, Shots: surveyShots(), Workers: -1,
+	}); err == nil || !strings.Contains(err.Error(), "ShotsConfig.Workers") {
+		t.Errorf("negative Workers: err = %v, want one naming ShotsConfig.Workers", err)
+	}
+}
+
+// TestInOrderReducesAscending is the fan-out's core guarantee: shots
+// completing out of order are still reduced in ascending shot order, so a
+// non-associative fold is identical for any worker count.
+func TestInOrderReducesAscending(t *testing.T) {
+	const n = 32
+	rng := rand.New(rand.NewSource(7))
+	delays := make([]time.Duration, n)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Intn(3)) * time.Millisecond
+	}
+	for _, workers := range []int{1, 3, 8, n + 5} {
+		var order []int
+		err := inOrder(n, workers,
+			func(shot int) (int, error) {
+				time.Sleep(delays[shot])
+				return shot * shot, nil
+			},
+			func(shot int, v int) {
+				if v != shot*shot {
+					t.Errorf("shot %d carried %d", shot, v)
+				}
+				order = append(order, shot)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != n {
+			t.Fatalf("workers=%d: reduced %d shots, want %d", workers, len(order), n)
+		}
+		for i, s := range order {
+			if s != i {
+				t.Fatalf("workers=%d: reduction order %v not ascending", workers, order)
+			}
+		}
+	}
+}
+
+// TestInOrderBoundsInFlight: never more than workers shots run at once.
+func TestInOrderBoundsInFlight(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	const workers = 3
+	err := inOrder(24, workers,
+		func(shot int) (struct{}, error) {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			inFlight.Add(-1)
+			return struct{}{}, nil
+		}, func(int, struct{}) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("observed %d shots in flight, bound is %d", p, workers)
+	}
+}
+
+// TestInOrderFailureNamesSmallestShot: with shots 5 and 9 failing (5 the
+// slower, so 9 usually fails first in time), the error names shot 5 every
+// time, nothing from shot 5 onwards is reduced, and no shot is still
+// running when inOrder returns (shot 6 outlasts shot 5). With one worker
+// a failure is deterministic: no shot after it starts.
+func TestInOrderFailureNamesSmallestShot(t *testing.T) {
+	boom := errors.New("boom")
+	for rep := 0; rep < 20; rep++ {
+		var running atomic.Int64
+		reduced := map[int]bool{}
+		err := inOrder(16, 4,
+			func(shot int) (int, error) {
+				running.Add(1)
+				defer running.Add(-1)
+				switch shot {
+				case 5:
+					time.Sleep(2 * time.Millisecond)
+					return 0, boom
+				case 6:
+					time.Sleep(5 * time.Millisecond)
+				case 9:
+					return 0, boom
+				}
+				return shot, nil
+			},
+			func(shot int, v int) { reduced[shot] = true })
+		if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "propagators: shot 5: ") {
+			t.Fatalf("rep %d: error %v does not name the smallest failing shot", rep, err)
+		}
+		for s := range reduced {
+			if s >= 5 {
+				t.Fatalf("rep %d: shot %d was reduced past the failure point", rep, s)
+			}
+		}
+		if len(reduced) != 5 {
+			t.Fatalf("rep %d: reduced %d shots, want 0..4", rep, len(reduced))
+		}
+		if r := running.Load(); r != 0 {
+			t.Fatalf("rep %d: %d shots still running after inOrder returned", rep, r)
+		}
+	}
+
+	var started atomic.Int64
+	err := inOrder(10, 1, func(shot int) (int, error) {
+		started.Add(1)
+		if shot == 3 {
+			return 0, boom
+		}
+		return shot, nil
+	}, func(int, int) {})
+	if err == nil || !strings.Contains(err.Error(), "shot 3") {
+		t.Fatalf("one worker: err = %v, want shot 3's", err)
+	}
+	if s := started.Load(); s != 4 {
+		t.Errorf("one worker, shot 3 failing: %d shots started, want 4", s)
+	}
+}
+
+// TestClampWorkers pins the oversubscription clamp's arithmetic.
+func TestClampWorkers(t *testing.T) {
+	cases := []struct {
+		name                       string
+		workers, lanes, cores, out int
+	}{
+		{"fits exactly", 4, 2, 8, 4},
+		{"fits with slack", 2, 2, 16, 2},
+		{"halved", 8, 2, 8, 4},
+		{"floor of division", 5, 3, 8, 2},
+		{"never below one", 4, 16, 8, 1},
+		{"single core", 3, 4, 1, 1},
+		{"unknown cores is a no-op", 7, 9, 0, 7},
+		{"degenerate inputs normalised", 0, 0, 4, 1},
+	}
+	for _, c := range cases {
+		if got := clampWorkers(c.workers, c.lanes, c.cores); got != c.out {
+			t.Errorf("%s: clampWorkers(%d, %d, %d) = %d, want %d",
+				c.name, c.workers, c.lanes, c.cores, got, c.out)
+		}
+	}
+	// The clamp never produces an oversubscribing product when it can
+	// avoid one.
+	for w := 1; w <= 8; w++ {
+		for l := 1; l <= 8; l++ {
+			for cpu := 1; cpu <= 16; cpu++ {
+				got := clampWorkers(w, l, cpu)
+				if got > 1 && got*l > cpu {
+					t.Fatalf("clampWorkers(%d, %d, %d) = %d still oversubscribes", w, l, cpu, got)
+				}
+				if got < 1 {
+					t.Fatalf("clampWorkers(%d, %d, %d) = %d below floor", w, l, cpu, got)
+				}
+			}
+		}
 	}
 }
 

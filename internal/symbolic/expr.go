@@ -7,7 +7,6 @@ package symbolic
 
 import (
 	"math/big"
-	"sort"
 	"strconv"
 )
 
@@ -555,28 +554,6 @@ func appendAccesses(out []Access, e Expr) []Access {
 		return appendAccesses(out, v.Base)
 	case Deriv:
 		return appendAccesses(out, v.Target)
-	}
-	return out
-}
-
-// Funcs returns the distinct functions referenced by the expression, sorted
-// by name for determinism.
-func Funcs(e Expr) []*FuncRef {
-	seen := map[string]*FuncRef{}
-	Walk(e, func(n Expr) bool {
-		if a, ok := n.(Access); ok {
-			seen[a.Fun.Name] = a.Fun
-		}
-		return true
-	})
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*FuncRef, len(names))
-	for i, n := range names {
-		out[i] = seen[n]
 	}
 	return out
 }
