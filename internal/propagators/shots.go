@@ -127,10 +127,10 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if cache == nil {
 		cache = opcache.New()
 	}
-	if sc.Workers < 0 {
-		return nil, fmt.Errorf("propagators: invalid ShotsConfig.Workers %d (want 0 or a positive count)", sc.Workers)
+	workers, err := shotWorkers(sc.Workers, n)
+	if err != nil {
+		return nil, err
 	}
-	workers := min(max(sc.Workers, 1), n)
 	// The per-rank compute team, resolved exactly as every shot's operators
 	// will resolve it, so a bad request fails here and not inside shot 0.
 	computeWorkers, err := core.ResolveWorkers(sc.Gradient.Workers)
@@ -300,6 +300,16 @@ func inOrder[T any](n, workers int, fn func(shot int) (T, error), reduce func(sh
 		}
 	}
 	return first
+}
+
+// shotWorkers resolves ShotsConfig.Workers over a survey of n shots: 0
+// means one shot at a time, a negative count is an error naming the field,
+// and the count is capped at n.
+func shotWorkers(requested, n int) (int, error) {
+	if requested < 0 {
+		return 0, fmt.Errorf("propagators: invalid ShotsConfig.Workers %d (want 0 or a positive count)", requested)
+	}
+	return min(max(requested, 1), n), nil
 }
 
 // clampWorkers bounds the per-rank compute team so that the product of the

@@ -600,6 +600,29 @@ func TestInOrderFailureNamesSmallestShot(t *testing.T) {
 	}
 }
 
+// TestShotWorkers pins how ShotsConfig.Workers becomes the in-flight
+// bound: an explicit count wins, 0 means 1, the count is capped at the
+// number of shots, and a negative count is an error naming the field.
+func TestShotWorkers(t *testing.T) {
+	cases := []struct{ requested, shots, out int }{
+		{6, 8, 6},
+		{0, 8, 1},
+		{1, 1, 1},
+		{8, 3, 3},
+		{0, 1, 1},
+	}
+	for _, c := range cases {
+		if got, err := shotWorkers(c.requested, c.shots); got != c.out || err != nil {
+			t.Errorf("shotWorkers(%d, %d) = %d, %v; want %d, nil", c.requested, c.shots, got, err, c.out)
+		}
+	}
+	for _, bad := range []int{-1, -8} {
+		if _, err := shotWorkers(bad, 4); err == nil || !strings.Contains(err.Error(), "ShotsConfig.Workers") {
+			t.Errorf("shotWorkers(%d, 4): err = %v, want one naming ShotsConfig.Workers", bad, err)
+		}
+	}
+}
+
 // TestClampWorkers pins the oversubscription clamp's arithmetic.
 func TestClampWorkers(t *testing.T) {
 	cases := []struct {
