@@ -88,7 +88,7 @@ func main() {
 func report(label string, res *propagators.GradientResult) {
 	fmt.Printf("%-12s |grad|=%.6e  dot identity: %.6e vs %.6e (rel %.2e)\n",
 		label, res.GradNorm, res.DotForward, res.DotAdjoint, res.RelErr)
-	fmt.Printf("%-12s checkpoints: %d snapshots (%.1f KB), %d recomputed steps\n",
+	fmt.Printf("%-12s checkpoints: %d snapshots (%.1f KB), level cache %.1f KB, %d recomputed steps\n",
 		label, res.Checkpoint.Snapshots, float64(res.Checkpoint.SnapshotBytes)/1024,
-		res.Checkpoint.RecomputedSteps)
+		float64(res.Checkpoint.LevelBytes)/1024, res.Checkpoint.RecomputedSteps)
 }

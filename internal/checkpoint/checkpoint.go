@@ -1,21 +1,28 @@
 // Package checkpoint implements bounded-memory wavefield storage for
 // time-reversed (adjoint/gradient) runs. Storing every timestep of a
 // forward wavefield costs O(nt) grid copies — prohibitive for realistic
-// step counts — so the store keeps full snapshots only every Interval
-// steps and the reverse sweep recomputes the forward field segment by
-// segment between them. Memory is bounded by
+// step counts — so the store keeps snapshots only every Interval steps
+// and the reverse sweep recomputes the forward field segment by segment
+// between them. Each copy holds only what the sweep reads back. A
+// snapshot of step s is the two levels step s reads, Buf(s-1) and Buf(s),
+// as raw buffers (halos included), so a recomputed segment is
+// bit-identical to the original integration, serially and under any DMP
+// halo mode; the buffer step s overwrites is not kept. A cached level is
+// the DOMAIN of one buffer, the points the space-offset-zero imaging
+// condition reads. Memory is bounded by
 //
-//	nt/Interval snapshots + (Interval+2) cached time levels
+//	2 levels per snapshot (nt/Interval+1 snapshots) + Interval+2 DOMAIN levels
 //
-// at the price of one extra forward integration of each segment; the
-// classic sqrt(nt) interval balances the two terms. Snapshots capture the
-// raw buffers (halos included), so a recomputed segment is bit-identical
-// to the original integration, serially and under any DMP halo mode.
+// at the price of re-integrating every segment but the last once: the
+// forward pass caches that segment's levels itself, so the sweep
+// recomputes ((nt-1)/Interval)*Interval steps and none once Interval >= nt.
+// The classic sqrt(nt) interval balances the two memory terms.
 package checkpoint
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"devigo/internal/field"
 	"devigo/internal/obs"
@@ -31,27 +38,31 @@ type Store struct {
 	Rank int
 
 	fields []*field.Function
-	// snaps maps a logical step s to a full copy of every buffer of every
-	// field, in the state "ready to execute step s" (i.e. taken after step
-	// s-1 completed, injections included).
-	snaps map[int][][][]float32
+	// doms caches each field's DOMAIN region; domain re-derives an entry
+	// when the field's ghost depth has changed since.
+	doms []field.Region
+	// snaps maps a logical step s to copies of every field's Buf(s-1) and
+	// Buf(s), in that order, in the state "ready to execute step s" (i.e.
+	// taken after step s-1 completed, injections included).
+	snaps map[int][][2][]float32
 	// levels[:live] is the recompute cache of the segment the reverse
-	// sweep is consuming: one copy of each field's cyclic buffer Buf(t)
+	// sweep is consuming: the DOMAIN of each field's cyclic buffer Buf(t)
 	// per cached level, in no particular order (a segment is Interval+2
 	// levels, so lookups scan). levels[live:] is the free-list: entries
 	// PruneLevels dropped, whose buffers the next RecordLevel reuses.
 	levels []level
 	live   int
-	// resident names the cached level a live cyclic buffer is known to
-	// hold (no entry when unknown), so LoadLevel can skip a copy that would
-	// change nothing.
+	// resident names the cached level a live cyclic buffer's DOMAIN is
+	// known to hold (no entry when unknown), so LoadLevel can skip a copy
+	// that would change nothing.
 	resident map[*field.Buffer]int
 
 	// Stats accumulates the cost counters reported by benchmarks.
 	Stats Stats
 }
 
-// level is one cached time level: a copy of every field's Buf(t).
+// level is one cached time level: the DOMAIN of every field's Buf(t),
+// packed.
 type level struct {
 	t    int
 	bufs [][]float32
@@ -59,10 +70,13 @@ type level struct {
 
 // Stats counts the memory/recompute cost of a checkpointed run.
 type Stats struct {
-	// Snapshots is the number of full-state snapshots taken.
+	// Snapshots is the number of snapshots taken.
 	Snapshots int
 	// SnapshotBytes is the total snapshot storage in bytes.
 	SnapshotBytes int64
+	// LevelBytes is the most bytes the level cache held at once (a level
+	// is allocated only when the free-list is empty, so this is their sum).
+	LevelBytes int64
 	// RecomputedSteps counts forward steps re-integrated during the
 	// reverse sweep (incremented by the driver).
 	RecomputedSteps int
@@ -88,7 +102,8 @@ func New(interval int, fields ...*field.Function) *Store {
 	return &Store{
 		Interval: interval,
 		fields:   fields,
-		snaps:    map[int][][][]float32{},
+		doms:     make([]field.Region, len(fields)),
+		snaps:    map[int][][2][]float32{},
 		resident: map[*field.Buffer]int{},
 	}
 }
@@ -102,9 +117,10 @@ func (s *Store) SaveIfDue(t int) {
 	}
 }
 
-// Save unconditionally snapshots every buffer of every field under step
-// key t. Saving the same step twice overwrites the first snapshot in place
-// (idempotent for reruns).
+// Save unconditionally snapshots the two levels step t reads, every
+// field's Buf(t-1) and Buf(t), halos included, under step key t. Saving
+// the same step twice overwrites the first snapshot in place (idempotent
+// for reruns).
 func (s *Store) Save(t int) {
 	sp := obs.Begin(s.Rank, obs.PhaseCkptSave, t)
 	defer func() {
@@ -113,26 +129,26 @@ func (s *Store) Save(t int) {
 	}()
 	snap, existed := s.snaps[t]
 	if !existed {
-		snap = make([][][]float32, len(s.fields))
+		snap = make([][2][]float32, len(s.fields))
 		for fi, f := range s.fields {
-			snap[fi] = make([][]float32, len(f.Bufs))
-			for bi, b := range f.Bufs {
-				snap[fi][bi] = make([]float32, len(b.Data))
-				s.Stats.SnapshotBytes += int64(4 * len(b.Data))
+			for li := range snap[fi] {
+				snap[fi][li] = make([]float32, len(f.Buf(t-1+li).Data))
+				s.Stats.SnapshotBytes += int64(4 * len(snap[fi][li]))
 			}
 		}
 		s.snaps[t] = snap
 		s.Stats.Snapshots++
 	}
 	for fi, f := range s.fields {
-		for bi, b := range f.Bufs {
-			copy(snap[fi][bi], b.Data)
+		for li := range snap[fi] {
+			copy(snap[fi][li], f.Buf(t-1+li).Data)
 		}
 	}
 }
 
-// Restore copies snapshot t back into the live field buffers. Whatever
-// levels they held are gone, so every later LoadLevel copies again.
+// Restore copies snapshot t back into every field's Buf(t-1) and Buf(t).
+// The levels those buffers held are gone, so every later LoadLevel
+// copies again; the buffer step t overwrites is left alone.
 func (s *Store) Restore(t int) error {
 	snap, ok := s.snaps[t]
 	if !ok {
@@ -140,8 +156,8 @@ func (s *Store) Restore(t int) error {
 	}
 	sp := obs.Begin(s.Rank, obs.PhaseCkptRestore, t)
 	for fi, f := range s.fields {
-		for bi, b := range f.Bufs {
-			copy(b.Data, snap[fi][bi])
+		for li := range snap[fi] {
+			copy(f.Buf(t-1+li).Data, snap[fi][li])
 		}
 	}
 	clear(s.resident)
@@ -174,10 +190,20 @@ func (s *Store) find(t int) int {
 	return -1
 }
 
-// RecordLevel caches a copy of each field's cyclic buffer for logical
-// time level t — called while recomputing a segment forward, right after
-// the step (and its injection) that wrote Buf(t). Recording a cached level
-// again overwrites it in place; a new level takes its buffers from the
+// domain returns field fi's DOMAIN region.
+func (s *Store) domain(fi int) field.Region {
+	f := s.fields[fi]
+	if r := s.doms[fi]; r.Lo != nil && slices.Equal(r.Lo, f.Halo[:len(r.Lo)]) {
+		return r
+	}
+	s.doms[fi] = f.DomainRegion()
+	return s.doms[fi]
+}
+
+// RecordLevel caches the DOMAIN of each field's cyclic buffer for logical
+// time level t — called while integrating forward, right after the step
+// (and its injection) that wrote Buf(t). Recording a cached level again
+// overwrites it in place; a new level takes its buffers from the
 // free-list PruneLevels fills, so a reverse sweep allocates level buffers
 // for its first segment only.
 func (s *Store) RecordLevel(t int) {
@@ -185,7 +211,12 @@ func (s *Store) RecordLevel(t int) {
 	if i < 0 {
 		i = s.live
 		if i == len(s.levels) {
-			s.levels = append(s.levels, level{bufs: make([][]float32, len(s.fields))})
+			lv := level{bufs: make([][]float32, len(s.fields))}
+			for fi := range s.fields {
+				lv.bufs[fi] = make([]float32, s.domain(fi).Size())
+				s.Stats.LevelBytes += int64(4 * len(lv.bufs[fi]))
+			}
+			s.levels = append(s.levels, lv)
 		}
 		s.levels[i].t = t
 		s.live++
@@ -193,10 +224,7 @@ func (s *Store) RecordLevel(t int) {
 	lv := s.levels[i].bufs
 	for fi, f := range s.fields {
 		b := f.Buf(t)
-		if len(lv[fi]) != len(b.Data) { // first use, or ghost storage was reallocated
-			lv[fi] = make([]float32, len(b.Data))
-		}
-		copy(lv[fi], b.Data)
+		b.Pack(s.domain(fi), lv[fi])
 		s.resident[b] = t
 	}
 }
@@ -204,15 +232,16 @@ func (s *Store) RecordLevel(t int) {
 // HasLevel reports whether time level t is cached.
 func (s *Store) HasLevel(t int) bool { return s.find(t) >= 0 }
 
-// LoadLevel makes each field's cyclic buffer Buf(t) hold cached time
-// level t. A buffer that already holds it — recorded from or loaded into
-// it, and not overwritten through the store since — is left alone: the
-// reverse sweep asks for levels j-1, j, j+1 at every step, and two of the
-// three are the previous step's. The store sees the live buffers change
-// only through RecordLevel, LoadLevel and Restore; a caller that steps
-// the fields records every level it writes or restores a snapshot before
-// it loads again (halo exchanges of a recorded level only refresh ghost
-// points, which no consumer of a loaded level reads).
+// LoadLevel makes the DOMAIN of each field's cyclic buffer Buf(t) hold
+// cached time level t; halos keep whatever they held. A buffer that
+// already holds the level — recorded from or loaded into it, and not
+// overwritten through the store since — is left alone: the reverse sweep
+// asks for levels j-1, j, j+1 at every step, and two of the three are the
+// previous step's. The store sees the live buffers change only through
+// RecordLevel, LoadLevel and Restore; a caller that steps the fields
+// records every level it writes or restores a snapshot before it loads
+// again (halo exchanges of a recorded level only refresh ghost points,
+// which no consumer of a loaded level reads).
 func (s *Store) LoadLevel(t int) error {
 	i := s.find(t)
 	if i < 0 {
@@ -221,7 +250,7 @@ func (s *Store) LoadLevel(t int) error {
 	for fi, f := range s.fields {
 		b := f.Buf(t)
 		if held, ok := s.resident[b]; !ok || held != t {
-			copy(b.Data, s.levels[i].bufs[fi])
+			b.Unpack(s.domain(fi), s.levels[i].bufs[fi])
 			s.resident[b] = t
 		}
 	}

@@ -26,13 +26,26 @@ func fill(u *field.TimeFunction, t int, v float32) {
 	}
 }
 
+// domainOffsets lists the flat offsets of u's DOMAIN points. Data[0] is
+// a halo corner, which a cached level does not keep.
+func domainOffsets(u *field.TimeFunction) []int {
+	var offs []int
+	r := u.DomainRegion()
+	for i := r.Lo[0]; i < r.Hi[0]; i++ {
+		for j := r.Lo[1]; j < r.Hi[1]; j++ {
+			offs = append(offs, u.Buf(0).Index([]int{i, j}))
+		}
+	}
+	return offs
+}
+
 func TestSaveRestoreRoundtrip(t *testing.T) {
 	u := testField(t)
 	s := New(4, &u.Function)
 	fill(u, 0, 1)
 	fill(u, 1, 100)
 	fill(u, 2, 10000)
-	s.Save(8)
+	s.Save(8) // step 8 reads Buf(7) = Bufs[1] and Buf(8) = Bufs[2]
 	// Clobber and restore.
 	for b := 0; b < 3; b++ {
 		u.Bufs[b].Fill(-1)
@@ -40,16 +53,29 @@ func TestSaveRestoreRoundtrip(t *testing.T) {
 	if err := s.Restore(8); err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 3; b++ {
-		want := float32([3]float32{1, 100, 10000}[b])
-		if got := u.Bufs[b].Data[0]; got != want {
+	d0 := domainOffsets(u)[0]
+	for b := 1; b < 3; b++ {
+		base := [3]float32{1, 100, 10000}[b]
+		if got, want := u.Bufs[b].Data[d0], base+float32(d0); got != want {
 			t.Fatalf("buf %d: got %v want %v", b, got, want)
+		}
+		// Snapshots keep halos: the whole buffer comes back.
+		for i, got := range u.Bufs[b].Data {
+			if want := base + float32(i); got != want {
+				t.Fatalf("buf %d [%d]: got %v want %v", b, i, got, want)
+			}
+		}
+	}
+	// Step 8 overwrites Buf(9) = Bufs[0]: it is neither kept nor restored.
+	for i, got := range u.Buf(9).Data {
+		if got != -1 {
+			t.Fatalf("Restore(8) wrote Buf(9)[%d] = %v, want it left at -1", i, got)
 		}
 	}
 	if s.Stats.Snapshots != 1 {
 		t.Fatalf("snapshots = %d, want 1", s.Stats.Snapshots)
 	}
-	wantBytes := int64(3 * 4 * len(u.Bufs[0].Data))
+	wantBytes := int64(2 * 4 * len(u.Bufs[0].Data))
 	if s.Stats.SnapshotBytes != wantBytes {
 		t.Fatalf("snapshot bytes = %d, want %d", s.Stats.SnapshotBytes, wantBytes)
 	}
@@ -123,18 +149,31 @@ func TestLevelCacheCyclicAndPrune(t *testing.T) {
 	// Negative levels address the trailing cyclic buffer.
 	fill(u, -1, -5)
 	s.RecordLevel(-1)
-	u.Buf(5).Fill(0)
+	u.Buf(5).Fill(-3)
 	if err := s.LoadLevel(5); err != nil {
 		t.Fatal(err)
 	}
-	if got := u.Buf(5).Data[0]; got != 50 {
-		t.Fatalf("level 5 reload = %v, want 50", got)
+	offs := domainOffsets(u)
+	for _, i := range offs {
+		if got, want := u.Buf(5).Data[i], 50+float32(i); got != want {
+			t.Fatalf("level 5 reload [%d] = %v, want %v", i, got, want)
+		}
+	}
+	// A level is its DOMAIN: loading it leaves the halo alone.
+	inDomain := map[int]bool{}
+	for _, i := range offs {
+		inDomain[i] = true
+	}
+	for i, got := range u.Buf(5).Data {
+		if !inDomain[i] && got != -3 {
+			t.Fatalf("LoadLevel(5) wrote halo point %d = %v, want it left at -3", i, got)
+		}
 	}
 	if err := s.LoadLevel(-1); err != nil {
 		t.Fatal(err)
 	}
-	if got := u.Buf(-1).Data[0]; got != -5 {
-		t.Fatalf("level -1 reload = %v, want -5", got)
+	if got, want := u.Buf(-1).Data[offs[0]], -5+float32(offs[0]); got != want {
+		t.Fatalf("level -1 reload = %v, want %v", got, want)
 	}
 	s.PruneLevels(6, 7)
 	if s.HasLevel(5) || s.HasLevel(-1) {
@@ -152,18 +191,20 @@ func TestLevelCacheCyclicAndPrune(t *testing.T) {
 // sweep does — restore a snapshot, prune, re-integrate the segment forward
 // recording every level, then consume levels j-1, j, j+1 downwards — over
 // both segments of an 8-step run with interval 4, and holds every
-// LoadLevel to the recorded bits whether it copied or found the level
-// resident.
+// LoadLevel to the recorded DOMAIN bits whether it copied or found the
+// level resident.
 func TestLevelCacheThroughTwoSegments(t *testing.T) {
 	const k, nt = 4, 8
 	u := testField(t)
 	s := New(k, &u.Function)
+	offs := domainOffsets(u)
+	d0 := offs[0]
 	val := func(lvl int) float32 { return float32(1000 * (lvl + 2)) }
 	step := func(t int) { fill(u, t+1, val(t+1)) } // a forward step writes Buf(t+1)
 	expect := func(what string, lvl int) {
 		t.Helper()
-		for i, got := range u.Buf(lvl).Data {
-			if want := val(lvl) + float32(i); got != want {
+		for _, i := range offs {
+			if got, want := u.Buf(lvl).Data[i], val(lvl)+float32(i); got != want {
 				t.Fatalf("%s: Buf(%d)[%d] = %v, want level %d's %v", what, lvl, i, got, lvl, want)
 			}
 		}
@@ -200,14 +241,14 @@ func TestLevelCacheThroughTwoSegments(t *testing.T) {
 				load("first load", lvl)
 				// A resident level is not copied again: a write the store
 				// cannot see survives the second load.
-				u.Buf(lvl).Data[0] = -1
+				u.Buf(lvl).Data[d0] = -1
 				if err := s.LoadLevel(lvl); err != nil {
 					t.Fatal(err)
 				}
-				if got := u.Buf(lvl).Data[0]; got != -1 {
-					t.Fatalf("level %d was resident but LoadLevel copied it again (Data[0] = %v)", lvl, got)
+				if got := u.Buf(lvl).Data[d0]; got != -1 {
+					t.Fatalf("level %d was resident but LoadLevel copied it again (Data[%d] = %v)", lvl, d0, got)
 				}
-				u.Buf(lvl).Data[0] = val(lvl)
+				u.Buf(lvl).Data[d0] = val(lvl) + float32(d0)
 				// Corrupt the buffer through the store — load the cached
 				// level sharing it — then reload: a load wrongly skipped on
 				// stale residency leaves the other level's bits behind.
@@ -222,16 +263,34 @@ func TestLevelCacheThroughTwoSegments(t *testing.T) {
 		if seg.snap == 0 {
 			break
 		}
-		// Restore overwrites every live buffer, so nothing stays resident:
-		// the buffer that held level snap+1 now holds the snapshot's
-		// level snap-2, and the next load must copy.
+		// Restore rewrites Buf(snap-1) and Buf(snap) whole, halos
+		// included, and leaves Buf(snap+1), which step snap overwrites,
+		// alone. Nothing stays resident, so the next loads copy.
+		for _, lvl := range []int{seg.snap - 1, seg.snap} {
+			u.Buf(lvl).Fill(-7)
+		}
+		kept := append([]float32(nil), u.Buf(seg.snap+1).Data...)
 		if err := s.Restore(seg.snap); err != nil {
 			t.Fatal(err)
 		}
-		expect("restored snapshot", seg.snap-2)
+		for _, lvl := range []int{seg.snap - 1, seg.snap} {
+			for i, got := range u.Buf(lvl).Data {
+				if want := val(lvl) + float32(i); got != want {
+					t.Fatalf("restored snapshot: Buf(%d)[%d] = %v, want %v", lvl, i, got, want)
+				}
+			}
+		}
+		for i, got := range u.Buf(seg.snap + 1).Data {
+			if got != kept[i] {
+				t.Fatalf("Restore(%d) wrote Buf(%d)[%d] = %v, want it left at %v", seg.snap, seg.snap+1, i, got, kept[i])
+			}
+		}
 		for _, lvl := range []int{seg.snap - 1, seg.snap, seg.snap + 1} {
 			load("load after Restore", lvl)
 		}
+	}
+	if want := int64((k + 2) * 4 * len(offs)); s.Stats.LevelBytes != want {
+		t.Errorf("level cache peaked at %d bytes, want k+2 DOMAIN levels = %d", s.Stats.LevelBytes, want)
 	}
 
 	// Steady state: a segment's levels come from the ones the previous
@@ -243,6 +302,9 @@ func TestLevelCacheThroughTwoSegments(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("recording a segment's %d levels after a prune allocates %v times, want 0", k+2, allocs)
+	}
+	if want := int64((k + 2) * 4 * len(offs)); s.Stats.LevelBytes != want {
+		t.Errorf("reused levels grew LevelBytes to %d, want %d", s.Stats.LevelBytes, want)
 	}
 }
 

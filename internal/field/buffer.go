@@ -34,7 +34,9 @@ func (b *Buffer) Index(idx []int) int {
 	off := 0
 	for d, i := range idx {
 		if i < 0 || i >= b.Shape[d] {
-			panic(fmt.Sprintf("field: index %v out of bounds for shape %v", idx, b.Shape))
+			// Format a copy, so idx does not escape and callers may keep
+			// their coordinates on the stack.
+			panic(fmt.Sprintf("field: index %v out of bounds for shape %v", append([]int(nil), idx...), b.Shape))
 		}
 		off += i * b.Strides[d]
 	}
@@ -88,11 +90,13 @@ func (r Region) Shape() []int {
 
 // Pack copies the region's elements into dst (row-major order within the
 // region) and returns the element count. dst must have capacity >= Size.
+// Up to 4 dimensions it does not allocate.
 func (b *Buffer) Pack(r Region, dst []float32) int {
 	if r.Empty() {
 		return 0
 	}
-	idx := append([]int(nil), r.Lo...)
+	var odo [4]int
+	idx := append(odo[:0], r.Lo...)
 	n := 0
 	last := len(b.Shape) - 1
 	rowLen := r.Hi[last] - r.Lo[last]
@@ -121,7 +125,8 @@ func (b *Buffer) Unpack(r Region, src []float32) int {
 	if r.Empty() {
 		return 0
 	}
-	idx := append([]int(nil), r.Lo...)
+	var odo [4]int
+	idx := append(odo[:0], r.Lo...)
 	n := 0
 	last := len(b.Shape) - 1
 	rowLen := r.Hi[last] - r.Lo[last]

@@ -12,6 +12,7 @@ import (
 	"devigo/internal/core"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
+	"devigo/internal/obs"
 )
 
 // The adjoint acceptance gate: the discrete dot-product identity
@@ -166,7 +167,7 @@ func exactOnRank(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
 // acceptance gate: because snapshots capture raw buffers and segment
 // recomputation replays the identical operator and injection schedule,
 // the gradient must be bit-identical for every checkpoint interval —
-// including one so large that nothing is recomputed segment-wise.
+// including one so large that nothing is recomputed.
 func TestGradientCheckpointInvariance(t *testing.T) {
 	grads := map[int][]float32{}
 	stats := map[int]int{}
@@ -199,12 +200,77 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 			}
 		}
 	}
-	// Every interval here is > 1, so the reverse sweep must re-integrate
-	// some steps — but never more than nt in total.
+	// The forward pass caches the last segment's levels, so the sweep
+	// re-integrates every segment below it: ((nt-1)/k)*k steps, none at
+	// k >= nt.
 	for k, rec := range stats {
-		if rec <= 0 || rec > 8 {
-			t.Errorf("interval %d recomputed %d steps, want within (0, nt]", k, rec)
+		if want := (8 - 1) / k * k; rec != want {
+			t.Errorf("interval %d recomputed %d steps, want %d", k, rec, want)
 		}
+	}
+}
+
+// TestGradientForwardTailNotRecomputed pins the recompute count the
+// forward tail buys: for every interval up to past nt the reverse sweep
+// re-integrates exactly ((nt-1)/k)*k steps, and the gradient keeps the
+// bits of interval 1.
+func TestGradientForwardTailNotRecomputed(t *testing.T) {
+	for _, nt := range []int{7, 8, 9, 12} {
+		var base float64
+		for k := 1; k <= nt+2; k++ {
+			gc := exactGradientConfig(k)
+			gc.NT = nt
+			res, err := RunGradient(exactAcoustic(t), nil, gc)
+			if err != nil {
+				t.Fatalf("nt=%d k=%d: %v", nt, k, err)
+			}
+			if want := (nt - 1) / k * k; res.Checkpoint.RecomputedSteps != want {
+				t.Errorf("nt=%d k=%d: recomputed %d steps, want %d", nt, k, res.Checkpoint.RecomputedSteps, want)
+			}
+			if k == 1 {
+				base = res.GradNorm
+			} else if res.GradNorm != base {
+				t.Errorf("nt=%d k=%d: gradient norm %v != interval-1 norm %v", nt, k, res.GradNorm, base)
+			}
+		}
+	}
+}
+
+// TestGradientCheckpointMemory pins both terms of the memory bound as
+// counts, serially and on every rank of a 2x2 world: a snapshot holds two
+// whole time buffers, and the level cache at most k+2 DOMAIN levels.
+func TestGradientCheckpointMemory(t *testing.T) {
+	const k = 3
+	check := func(m *Model, ctx *core.Context) error {
+		res, err := RunGradient(m, ctx, exactGradientConfig(k))
+		if err != nil {
+			return err
+		}
+		u := m.Fields[m.WaveFields[0]]
+		st := res.Checkpoint
+		if want := int64(st.Snapshots * 2 * 4 * len(u.Buf(0).Data)); st.Snapshots == 0 || st.SnapshotBytes != want {
+			return fmt.Errorf("%d snapshots hold %d bytes, want two buffers each = %d", st.Snapshots, st.SnapshotBytes, want)
+		}
+		if bound := int64((k + 2) * 4 * u.DomainRegion().Size()); st.LevelBytes <= 0 || st.LevelBytes > bound {
+			return fmt.Errorf("level cache peaked at %d bytes, want within (0, %d] (k+2 DOMAIN levels)", st.LevelBytes, bound)
+		}
+		return nil
+	}
+	if err := check(exactAcoustic(t), nil); err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+		m, ctx, err := exactOnRank(c, halo.ModeDiagonal)
+		if err != nil {
+			return err
+		}
+		if err := check(m, ctx); err != nil {
+			return fmt.Errorf("rank %d: %w", c.Rank(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -338,6 +404,48 @@ func TestRunAdjointRejectsBadDT(t *testing.T) {
 	for _, dt := range badDTs {
 		_, err := RunAdjoint(m, nil, AdjointConfig{NT: 4, DT: dt, RecCoords: rec, RecData: data})
 		wantBadValue(t, err, "AdjointConfig.DT", dt)
+	}
+}
+
+// TestRunGradientRejectsBadObsDataBeforeStepping: a mis-shaped ObsData —
+// the wrong step count, or a row without one value per receiver — fails
+// before the forward pass executes a single step.
+func TestRunGradientRejectsBadObsDataBeforeStepping(t *testing.T) {
+	rows := func(n, short int) [][]float64 {
+		data := make([][]float64, n)
+		for i := range data {
+			data[i] = make([]float64, 4)
+		}
+		if short >= 0 {
+			data[short] = data[short][:3]
+		}
+		return data
+	}
+	obs.Reset()
+	obs.EnableMetrics()
+	defer func() { obs.DisableAll(); obs.Reset() }()
+	for _, tc := range []struct {
+		name  string
+		nrec  int // 0 keeps exactGradientConfig's four ReceiverCoords
+		data  [][]float64
+		wantE string
+	}{
+		{"steps", 0, rows(3, -1), "ObsData has 3 steps, want NT=8"},
+		{"traces", 0, rows(8, 5), "ObsData step 5 has 3 traces, want 4"},
+		{"receiver line", 5, rows(8, -1), "ObsData step 0 has 4 traces, want 5"},
+	} {
+		gc := exactGradientConfig(3)
+		if tc.nrec > 0 {
+			gc.ReceiverCoords, gc.NReceivers = nil, tc.nrec
+		}
+		gc.ObsData = tc.data
+		_, err := RunGradient(exactAcoustic(t), nil, gc)
+		if err == nil || !strings.Contains(err.Error(), tc.wantE) {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.wantE)
+		}
+	}
+	if steps := obs.Snapshot().Total.SteadySteps; steps != 0 {
+		t.Errorf("rejected gradients stepped %d times, want 0", steps)
 	}
 }
 

@@ -31,10 +31,12 @@ type GradientConfig struct {
 	// the synthetic data itself is back-propagated (an RTM-style image,
 	// and the configuration of the dot-product test).
 	ObsData [][]float64
-	// CheckpointInterval is the snapshot spacing k: memory holds NT/k
-	// full snapshots plus k+2 cached time levels, and each segment is
-	// re-integrated once during the reverse sweep. 0 uses the sqrt(NT)
-	// heuristic that balances the two costs; a negative value is an error.
+	// CheckpointInterval is the snapshot spacing k: memory holds NT/k+1
+	// snapshots of two time levels each (halos included) plus at most k+2
+	// cached DOMAIN levels. The forward pass caches the levels of the last
+	// segment, so the reverse sweep re-integrates every segment but the last:
+	// ((NT-1)/k)*k steps, none when k >= NT. 0 uses the sqrt(NT) heuristic
+	// that balances the two memory terms; a negative value is an error.
 	CheckpointInterval int
 	// Exec configures the forward, adjoint and imaging operators (the
 	// pointwise imaging kernel has no halo, so it never time-tiles).
@@ -60,7 +62,8 @@ type GradientResult struct {
 	// sides of the adjoint identity (dhat is the back-propagated series);
 	// RelErr is their relative gap.
 	DotForward, DotAdjoint, RelErr float64
-	// Checkpoint reports the memory/recompute cost counters.
+	// Checkpoint reports the memory/recompute cost counters: both terms of
+	// the memory bound (SnapshotBytes, LevelBytes) and RecomputedSteps.
 	Checkpoint checkpoint.Stats
 	// ForwardPerf / AdjointPerf report the two operators' section timings
 	// (ForwardPerf excludes the reverse sweep's recomputation).
@@ -98,6 +101,22 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 	if len(gc.ReceiverCoords) == 0 && (gc.ReceiverCoords != nil || gc.NReceivers <= 1) {
 		return nil, fmt.Errorf("propagators: GradientConfig needs receivers (the adjoint source)")
 	}
+	// A mis-shaped ObsData fails before the forward pass spends a full
+	// integration on it.
+	if gc.ObsData != nil {
+		if len(gc.ObsData) != nt {
+			return nil, fmt.Errorf("propagators: ObsData has %d steps, want NT=%d", len(gc.ObsData), nt)
+		}
+		nrec := gc.NReceivers
+		if gc.ReceiverCoords != nil {
+			nrec = len(gc.ReceiverCoords)
+		}
+		for t, row := range gc.ObsData {
+			if len(row) != nrec {
+				return nil, fmt.Errorf("propagators: ObsData step %d has %d traces, want %d", t, len(row), nrec)
+			}
+		}
+	}
 	k := gc.CheckpointInterval
 	if k < 0 {
 		return nil, fmt.Errorf("propagators: GradientConfig.CheckpointInterval must be >= 0 (0 = the sqrt(NT) default), got %d", k)
@@ -132,16 +151,9 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 	// otherwise the synthetics themselves.
 	adjSrc := fres.Receivers
 	if gc.ObsData != nil {
-		if len(gc.ObsData) != nt {
-			return nil, fmt.Errorf("propagators: ObsData has %d steps, want NT=%d", len(gc.ObsData), nt)
-		}
 		adjSrc = make([][]float64, nt)
 		for t := range adjSrc {
 			row := make([]float64, len(fres.Receivers[t]))
-			if len(gc.ObsData[t]) != len(row) {
-				return nil, fmt.Errorf("propagators: ObsData step %d has %d traces, want %d",
-					t, len(gc.ObsData[t]), len(row))
-			}
 			for r := range row {
 				row[r] = fres.Receivers[t][r] - gc.ObsData[t][r]
 			}
@@ -174,9 +186,11 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 	// ensureLevels re-materialises the forward time levels lo..hi from
 	// the newest snapshot at or below hi-1, replaying the source
 	// injection so the recomputation is bit-identical. Basing the lookup
-	// on hi-1 (not lo) guarantees the re-integrated window s..s+k covers
-	// hi even when hi sits one past a segment boundary (nt % k == 1);
-	// lo >= s-1 holds because snapshots are at most k apart.
+	// on hi-1 (not lo) guarantees the re-integrated window s-1..s+k
+	// covers hi even when hi sits on a snapshot step; lo >= s-1 holds
+	// because snapshots are at most k apart. The forward pass cached every
+	// level from one below the last snapshot under nt, so a recompute
+	// starts below that snapshot and its k steps end at or before it.
 	ensureLevels := func(lo, hi int) error {
 		if store.HasLevel(lo) && store.HasLevel(hi) {
 			return nil
@@ -191,26 +205,20 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 		store.PruneLevels(s-1, s+k)
 		store.RecordLevel(s - 1)
 		store.RecordLevel(s)
-		end := s + k
-		if end > nt {
-			end = nt
+		var hook firstErr
+		if err := fres.Op.Apply(&core.ApplyOpts{
+			TimeM: s, TimeN: s + k - 1, Syms: syms,
+			PostStep: func(t int) {
+				hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
+				store.RecordLevel(t + 1)
+			},
+		}); err != nil {
+			return err
 		}
-		if end > s {
-			var hook firstErr
-			if err := fres.Op.Apply(&core.ApplyOpts{
-				TimeM: s, TimeN: end - 1, Syms: syms,
-				PostStep: func(t int) {
-					hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
-					store.RecordLevel(t + 1)
-				},
-			}); err != nil {
-				return err
-			}
-			if hook.err != nil {
-				return hook.err
-			}
-			store.Stats.RecomputedSteps += end - s
+		if hook.err != nil {
+			return hook.err
 		}
+		store.Stats.RecomputedSteps += k
 		return nil
 	}
 

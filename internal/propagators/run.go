@@ -122,15 +122,23 @@ func stepDT(name string, dt, critical float64) (float64, error) {
 
 // forward steps a compiled model nt times, injecting srcs' source and
 // recording its receivers after every step, and snapshotting into store
-// when it is not nil.
+// when it is not nil. The reverse sweep would restore the last snapshot
+// below nt, (nt-1)/k*k, and re-integrate up to nt; forward caches every
+// level from one below that snapshot instead, so the sweep starts on
+// cached levels (k+2 at most, the cache's bound).
 func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	autotune string, store *checkpoint.Store, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
+	var tail int
 	if store != nil {
 		if ctx != nil && ctx.Comm != nil {
 			store.Rank = ctx.Comm.Rank()
 		}
 		store.SaveIfDue(0)
+		tail = (nt-1)/store.Interval*store.Interval - 1
+		for lvl := tail; lvl <= 0; lvl++ {
+			store.RecordLevel(lvl)
+		}
 	}
 	var hook firstErr
 	postStep := func(t int) {
@@ -141,6 +149,9 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 		}
 		if store != nil {
 			store.SaveIfDue(t + 1)
+			if t+1 >= tail {
+				store.RecordLevel(t + 1)
+			}
 		}
 	}
 	if err := op.Apply(&core.ApplyOpts{

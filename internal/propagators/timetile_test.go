@@ -152,7 +152,8 @@ func TestTimeTile_AdjointBitExact(t *testing.T) {
 }
 
 // The checkpointed gradient pipeline composes with tiling: identical
-// gradient norm and dot-product identity versus k=1 on 4 ranks. The
+// gradient norm and dot-product identity versus k=1 on 4 ranks, at
+// checkpoint intervals 3, 5 and nt (the last recomputes nothing). The
 // adjoint runs as one reverse Apply, so its k=4 tiles recompute ghost
 // shells: it updates more points than at k=1.
 func TestTimeTile_GradientBitExact(t *testing.T) {
@@ -161,7 +162,7 @@ func TestTimeTile_GradientBitExact(t *testing.T) {
 	}
 	shape := []int{24, 24}
 	const so, nt = 4, 12
-	run := func(k int) (float64, float64, int64) {
+	run := func(k, interval int) (float64, float64, int64) {
 		var gnorm, relErr float64
 		var adjPoints int64
 		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
@@ -169,7 +170,7 @@ func TestTimeTile_GradientBitExact(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			res, err := RunGradient(m, ctx, GradientConfig{NT: nt, NReceivers: 4, CheckpointInterval: 3, Exec: Exec{TimeTile: k}})
+			res, err := RunGradient(m, ctx, GradientConfig{NT: nt, NReceivers: 4, CheckpointInterval: interval, Exec: Exec{TimeTile: k}})
 			if err != nil {
 				return err
 			}
@@ -183,16 +184,25 @@ func TestTimeTile_GradientBitExact(t *testing.T) {
 		}
 		return gnorm, relErr, adjPoints
 	}
-	refNorm, refErr, refPoints := run(1)
-	gnorm, relErr, points := run(4)
-	if gnorm != refNorm {
-		t.Errorf("gradient k=4 norm %v != k=1 norm %v", gnorm, refNorm)
-	}
-	if relErr != refErr {
-		t.Errorf("gradient k=4 rel-err %v != k=1 rel-err %v", relErr, refErr)
-	}
-	if points <= refPoints {
-		t.Errorf("adjoint updated %d points at k=4, %d at k=1: the reverse sweep recomputed no shell", points, refPoints)
+	refNorm, refErr, refPoints := run(1, 3)
+	for _, interval := range []int{3, 5, nt} {
+		if interval != 3 {
+			if gnorm, relErr, _ := run(1, interval); gnorm != refNorm || relErr != refErr {
+				t.Errorf("interval %d: k=1 norm %v rel-err %v != interval-3 norm %v rel-err %v",
+					interval, gnorm, relErr, refNorm, refErr)
+			}
+		}
+		gnorm, relErr, points := run(4, interval)
+		if gnorm != refNorm {
+			t.Errorf("interval %d: gradient k=4 norm %v != k=1 norm %v", interval, gnorm, refNorm)
+		}
+		if relErr != refErr {
+			t.Errorf("interval %d: gradient k=4 rel-err %v != k=1 rel-err %v", interval, relErr, refErr)
+		}
+		if points <= refPoints {
+			t.Errorf("interval %d: adjoint updated %d points at k=4, %d at k=1: the reverse sweep recomputed no shell",
+				interval, points, refPoints)
+		}
 	}
 }
 
