@@ -25,10 +25,10 @@ type AutotuneCandidate struct {
 	Norm     float64 `json:"norm"`
 }
 
-// AutotuneChoice records what one policy picked and how it compares to
-// the exhaustive best: Seconds is the chosen configuration's *swept*
-// runtime (same measurement protocol as every candidate), so RatioVsBest
-// is exactly 1.0 when the tuner finds the true optimum.
+// AutotuneChoice records what the search policy picked and how it
+// compares to the exhaustive best: Seconds is the chosen configuration's
+// *swept* runtime (same measurement protocol as every candidate), so
+// RatioVsBest is exactly 1.0 when the tuner finds the true optimum.
 type AutotuneChoice struct {
 	Config      core.EffectiveConfig `json:"config"`
 	Seconds     float64              `json:"seconds"`
@@ -44,15 +44,15 @@ type AutotuneScenario struct {
 	Ranks      int                 `json:"ranks"`
 	Candidates []AutotuneCandidate `json:"candidates"`
 	Best       AutotuneCandidate   `json:"best"`
-	// Chosen maps policy ("model", "search") to its pick.
-	Chosen map[string]AutotuneChoice `json:"chosen"`
+	// Chosen is the search policy's pick.
+	Chosen AutotuneChoice `json:"chosen"`
 	// BitExact is true when every candidate run and every autotuned run
 	// produced the identical result norm — the invariance the in-place
 	// tuner relies on.
 	BitExact bool `json:"bit_exact"`
 	// Obs is the scenario's metrics-registry snapshot: its decision log
-	// records what the policies considered, and its regret prices the
-	// search policy's pick against its own measured trials.
+	// records the trials the search measured, and its regret prices its
+	// pick against them.
 	Obs obs.Metrics `json:"obs"`
 }
 
@@ -103,9 +103,9 @@ type autotuneScenario struct {
 }
 
 // runAutotuneExp sweeps the autotuner's full candidate space per
-// scenario and space order, then lets each policy choose, and reports
-// chosen-vs-best. Scenario failures and bit-exactness violations are
-// errors: CI consumes the exit status.
+// scenario and space order, then lets the search policy choose, and
+// reports chosen-vs-best. Scenario failures and bit-exactness violations
+// are errors: CI consumes the exit status.
 func runAutotuneExp(models []string, sos []int, size, nt int, outDir string) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
@@ -157,7 +157,6 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 	cfg := propagators.Config{Shape: shape, SpaceOrder: so, NBL: 8, Velocity: 1.5}
 	block := &AutotuneScenario{
 		Name: sc.name, Shape: shape, SpaceOrder: so, NT: nt, Ranks: sc.ranks,
-		Chosen: map[string]AutotuneChoice{},
 	}
 
 	prof, err := autotuneProfile(sc, cfg)
@@ -210,30 +209,29 @@ func runAutotuneScenario(sc autotuneScenario, size, so, nt int) (*AutotuneScenar
 	}
 	block.Best = block.Candidates[bestIdx]
 
-	// Let each policy choose, then price the choice with its sweep entry.
-	for _, policy := range []string{core.AutotuneModel, core.AutotuneSearch} {
-		r, err := autotuneRunOne(sc, cfg, nt, perfmodel.ExecConfig{}, policy)
-		if err != nil {
-			return nil, err
-		}
-		if r.norm != refNorm {
-			bitExact = false
-		}
-		swept, ok := lookupCandidate(block.Candidates, r.eff)
-		if !ok {
-			return nil, fmt.Errorf("policy %s chose %s/w%d/k%d which is outside the candidate sweep",
-				policy, r.eff.Mode, r.eff.Workers, r.eff.TimeTile)
-		}
-		block.Chosen[policy] = AutotuneChoice{
-			Config:      r.eff,
-			Seconds:     swept.Seconds,
-			RatioVsBest: swept.Seconds / block.Best.Seconds,
-		}
-		fmt.Printf("  %-7s chose %s/w%d/k%d: %.4fs vs best %s/w%d/k%d %.4fs (ratio %.2f)\n",
-			policy, r.eff.Mode, r.eff.Workers, r.eff.TimeTile, swept.Seconds,
-			block.Best.Mode, block.Best.Workers, block.Best.TimeTile, block.Best.Seconds,
-			block.Chosen[policy].RatioVsBest)
+	// Let the search policy choose, then price the choice with its sweep
+	// entry.
+	r, err := autotuneRunOne(sc, cfg, nt, perfmodel.ExecConfig{}, core.AutotuneSearch)
+	if err != nil {
+		return nil, err
 	}
+	if r.norm != refNorm {
+		bitExact = false
+	}
+	swept, ok := lookupCandidate(block.Candidates, r.eff)
+	if !ok {
+		return nil, fmt.Errorf("search chose %s/w%d/k%d which is outside the candidate sweep",
+			r.eff.Mode, r.eff.Workers, r.eff.TimeTile)
+	}
+	block.Chosen = AutotuneChoice{
+		Config:      r.eff,
+		Seconds:     swept.Seconds,
+		RatioVsBest: swept.Seconds / block.Best.Seconds,
+	}
+	fmt.Printf("  search chose %s/w%d/k%d: %.4fs vs best %s/w%d/k%d %.4fs (ratio %.2f)\n",
+		r.eff.Mode, r.eff.Workers, r.eff.TimeTile, swept.Seconds,
+		block.Best.Mode, block.Best.Workers, block.Best.TimeTile, block.Best.Seconds,
+		block.Chosen.RatioVsBest)
 	block.BitExact = bitExact
 	block.Obs = obs.Snapshot()
 	return block, nil

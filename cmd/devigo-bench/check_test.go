@@ -9,41 +9,42 @@ import (
 )
 
 // autotuneReport builds a two-scenario report whose first scenario carries
-// the given chosen-vs-best ratios.
-func autotuneReport(host HostFingerprint, model, search float64, bitExact bool) AutotuneReport {
-	choice := func(m, s float64) map[string]AutotuneChoice {
-		return map[string]AutotuneChoice{"model": {RatioVsBest: m}, "search": {RatioVsBest: s}}
-	}
+// the given chosen-vs-best ratio.
+func autotuneReport(host HostFingerprint, ratio float64, bitExact bool) AutotuneReport {
 	return AutotuneReport{Host: host, Scenarios: []AutotuneScenario{
-		{Name: "acoustic", BitExact: bitExact, Chosen: choice(model, search)},
-		{Name: "acoustic-dmp4", BitExact: true, Chosen: choice(1, 1)},
+		{Name: "acoustic", BitExact: bitExact, Chosen: AutotuneChoice{RatioVsBest: ratio}},
+		{Name: "acoustic-dmp4", BitExact: true, Chosen: AutotuneChoice{RatioVsBest: 1}},
 	}}
 }
 
 func TestCheckAutotune(t *testing.T) {
 	host := hostFingerprint()
 	both := map[string]bool{"autotune-exact": true, "autotune-timing": true}
+	allThree := autotuneReport(host, 1.16, false)
+	allThree.Scenarios[1].Chosen.RatioVsBest = 0.99
+	unchosen := autotuneReport(host, 1, true)
+	unchosen.Scenarios[1].Chosen = AutotuneChoice{}
 	for _, tc := range []struct {
 		name   string
 		report AutotuneReport
 		groups map[string]bool
 		want   []string // one substring per expected violation, in order
 	}{
-		{"clean", autotuneReport(host, 1.05, 1, true), both, nil},
-		{"host-less", autotuneReport(HostFingerprint{}, 1, 1, true), both, []string{"no host block"}},
-		{"host-less, timing only", autotuneReport(HostFingerprint{}, 1, 1, true),
+		{"clean", autotuneReport(host, 1.05, true), both, nil},
+		{"host-less", autotuneReport(HostFingerprint{}, 1, true), both, []string{"no host block"}},
+		{"host-less, timing only", autotuneReport(HostFingerprint{}, 1, true),
 			map[string]bool{"autotune-timing": true}, []string{"no host block"}},
-		{"model beyond 35%", autotuneReport(host, 1.36, 1, true), both,
-			[]string{"acoustic: chosen.model.ratio_vs_best = 1.360"}},
-		{"search beyond 15%", autotuneReport(host, 1, 1.16, true), both,
-			[]string{"acoustic: chosen.search.ratio_vs_best = 1.160"}},
-		{"model ratio below 1", autotuneReport(host, 0.99, 1, true), both,
-			[]string{"acoustic: chosen.model.ratio_vs_best = 0.990"}},
-		{"all three", autotuneReport(host, 1.36, 1.16, false), both,
-			[]string{"bit_exact = false", "chosen.model.ratio_vs_best = 1.360", "chosen.search.ratio_vs_best = 1.160"}},
-		{"timing not selected", autotuneReport(host, 1.36, 1.16, true),
+		{"search beyond 15%", autotuneReport(host, 1.16, true), both,
+			[]string{"acoustic: chosen.ratio_vs_best = 1.160"}},
+		{"search ratio below 1", autotuneReport(host, 0.99, true), map[string]bool{"autotune-exact": true},
+			[]string{"acoustic: chosen.ratio_vs_best = 0.990"}},
+		{"all three", allThree, both,
+			[]string{"bit_exact = false", "acoustic: chosen.ratio_vs_best = 1.160", "acoustic-dmp4: chosen.ratio_vs_best = 0.990"}},
+		{"missing chosen", unchosen, map[string]bool{"autotune-timing": true},
+			[]string{"acoustic-dmp4: missing chosen"}},
+		{"timing not selected", autotuneReport(host, 1.16, true),
 			map[string]bool{"autotune-exact": true}, nil},
-		{"one scenario", AutotuneReport{Host: host, Scenarios: autotuneReport(host, 1, 1, true).Scenarios[:1]}, both,
+		{"one scenario", AutotuneReport{Host: host, Scenarios: autotuneReport(host, 1, true).Scenarios[:1]}, both,
 			[]string{"1 scenarios, want >= 2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

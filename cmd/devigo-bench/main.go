@@ -18,11 +18,11 @@
 //
 // -exp autotune is the one experiment that runs kernels: it exhaustively
 // sweeps the tuner's candidate space (halo mode x worker count x tile
-// size) per scenario, lets the "model" and "search" policies choose, and
-// writes BENCH_autotune.json recording chosen-vs-exhaustive-best, a
+// size) per scenario, lets the "search" policy choose, and writes
+// BENCH_autotune.json recording chosen-vs-exhaustive-best, a
 // bit-exactness verdict across every configuration and the host it ran
-// on. -check holds such a report against the tuner's gates (search within
-// 15% and model within 35% of the best) and exits non-zero on any
+// on. -check holds such a report against the tuner's gates (search never
+// below the best, and within 15% of it) and exits non-zero on any
 // violation:
 //
 //	devigo-bench -exp autotune -model acoustic -size 128 -nt 16 -out /tmp/bench

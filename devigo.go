@@ -313,14 +313,14 @@ type ApplyConfig struct {
 	DT float64
 	// PostStep runs after each timestep (source injection etc.).
 	PostStep func(t int)
-	// Autotune selects the self-configuration policy: "model" adopts the
-	// cost model's top-ranked halo mode / worker count / tile size,
-	// "search" additionally times the model's shortlist on the first few
-	// timesteps and keeps the measured winner, "off" disables tuning. An
-	// empty string consults the DEVIGO_AUTOTUNE environment variable, so
-	// existing programs self-configure with zero code changes. All
-	// candidate configurations are bit-exact: tuning never changes
-	// results, only speed.
+	// Autotune selects the self-configuration policy: "search" ranks halo
+	// mode / worker count / exchange interval with the cost model, times
+	// its shortlist on the first few timesteps and keeps the measured
+	// winner (the model's top choice when no trial fits), "off" disables
+	// tuning. An empty string consults the DEVIGO_AUTOTUNE environment
+	// variable, so existing programs self-configure with zero code
+	// changes. All candidate configurations are bit-exact: tuning never
+	// changes results, only speed.
 	Autotune string
 }
 

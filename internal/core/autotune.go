@@ -16,33 +16,26 @@ import (
 )
 
 // Autotune policies: the compiler-picks-the-configuration loop of the
-// source paper. "model" trusts the analytic cost model; "search"
-// additionally times the model's shortlist on the first few real
-// timesteps of the run (every candidate is bit-exact, so tuning in place
-// never perturbs results).
+// source paper. "search" ranks the candidates with the analytic cost
+// model and times its shortlist on the first few real timesteps of the
+// run (every candidate is bit-exact, so tuning in place never perturbs
+// results); with too few steps for a trial it adopts the model's top
+// choice.
 const (
 	// AutotuneOff disables self-configuration (the default).
 	AutotuneOff = "off"
-	// AutotuneModel adopts the cost model's top-ranked configuration.
-	AutotuneModel = "model"
 	// AutotuneSearch measures the model's shortlist empirically and keeps
 	// the winner.
 	AutotuneSearch = "search"
 )
 
 // AutotuneEnvVar overrides the policy when ApplyOpts.Autotune is unset —
-// the zero-user-code-changes switch: DEVIGO_AUTOTUNE=model|search|off.
+// the zero-user-code-changes switch: DEVIGO_AUTOTUNE=search|off.
 const AutotuneEnvVar = "DEVIGO_AUTOTUNE"
 
 // tuneStepsPerTrial is how many real timesteps the search policy charges
-// per candidate; the per-step minimum is kept to reject scheduling noise.
+// per candidate, rounded up to whole tiles for time-tiled candidates.
 const tuneStepsPerTrial = 3
-
-// AutotunePolicies lists the policy names accepted by ApplyOpts.Autotune
-// and $DEVIGO_AUTOTUNE.
-func AutotunePolicies() []string {
-	return []string{AutotuneOff, AutotuneModel, AutotuneSearch}
-}
 
 // resolveAutotune picks the policy: explicit ApplyOpts.Autotune wins, then
 // the DEVIGO_AUTOTUNE environment variable, then off. A value outside the
@@ -59,11 +52,11 @@ func resolveAutotune(requested string) (string, error) {
 	switch p {
 	case "":
 		return AutotuneOff, nil
-	case AutotuneOff, AutotuneModel, AutotuneSearch:
+	case AutotuneOff, AutotuneSearch:
 		return p, nil
 	}
-	return "", fmt.Errorf("core: unknown autotune policy %q in %s (valid: %s)",
-		p, source, strings.Join(AutotunePolicies(), ", "))
+	return "", fmt.Errorf("core: unknown autotune policy %q in %s (valid: %s, %s)",
+		p, source, AutotuneOff, AutotuneSearch)
 }
 
 // Profile derives the autotuner's view of the operator: per-point
@@ -193,71 +186,67 @@ func (op *Operator) tileProfile() (stride, streams int) {
 }
 
 // autotune self-configures the operator at the head of an Apply through
-// perfmodel.Tune. The model policy grants no trial budget, so Tune settles
-// on the model's top choice. The search policy consumes timesteps of the
-// live run through the step callback (advancing *next/*remaining), timing
-// tuneStepsPerTrial steps per shortlisted candidate; the slowest rank's
-// time decides (allreduced max), so all ranks adopt the same winner. When
-// too few steps remain the search settles early on the best measurement so
-// far, or on the model's top choice if nothing was measured.
-func (op *Operator) autotune(policy string, step func(int), next *int, remaining *int, dir int) error {
+// perfmodel.Tune, consuming timesteps of the live run through the step
+// callback (advancing *next/*remaining): it times tuneStepsPerTrial steps
+// per shortlisted candidate, and the slowest rank's time decides
+// (allreduced max), so all ranks adopt the same winner. When too few
+// steps remain the search settles early on the best measurement so far,
+// or on the model's top choice if nothing was measured.
+func (op *Operator) autotune(step func(int), next *int, remaining *int, dir int) error {
 	prof := op.Profile()
 	host := perfmodel.DefaultHost()
 	op.measurePoolSync(&host, prof.MaxWorkers)
 	rank := op.obsRank()
-	measure := func(perfmodel.ExecConfig) (float64, error) { return 0, perfmodel.ErrTuneBudget }
-	if policy == AutotuneSearch {
-		// One untimed warmup step before the first trial: the very first
-		// step pays first-touch and cache-warming costs that would otherwise
-		// bias the search against whichever candidate happens to go first.
-		if *remaining > tuneStepsPerTrial {
-			sp := obs.Begin(rank, obs.PhaseWarmup, *next)
+	// One untimed warmup step before the first trial: the very first
+	// step pays first-touch and cache-warming costs that would otherwise
+	// bias the search against whichever candidate happens to go first.
+	if *remaining > tuneStepsPerTrial {
+		sp := obs.Begin(rank, obs.PhaseWarmup, *next)
+		step(*next)
+		*next += dir
+		*remaining--
+		sp.End()
+		obs.Add(rank, obs.CtrWarmupSteps, 1)
+	}
+	measure := func(cfg perfmodel.ExecConfig) (float64, error) {
+		// Every trial times a whole window and reports the per-step
+		// average, with the window covering at least one full tile for
+		// time-tiled candidates: tiled cost is lumpy (the deep exchange
+		// and the widest shell land on the first substep), so a per-step
+		// minimum would flatter tiling by timing only the cheap tail
+		// substeps — and mixing a minimum for some candidates with an
+		// average for others would bias the comparison the opposite way.
+		steps := tuneStepsPerTrial
+		if k := cfg.TimeTile; k > 1 {
+			// Round up to whole tiles: a window that cuts a tile short
+			// would charge the candidate for more tile-head exchanges per
+			// step than its steady state (e.g. 2 exchanges in 3 steps for
+			// k=2 instead of 1 in 2).
+			steps = (steps + k - 1) / k * k
+		}
+		if *remaining < steps {
+			return 0, perfmodel.ErrTuneBudget
+		}
+		if err := op.adopt(cfg); err != nil {
+			return 0, err
+		}
+		// Align the window to a tile head regardless of where the
+		// previous trial stopped.
+		op.tilePos = 0
+		sp := obs.Begin(rank, obs.PhaseAutotuneTrial, *next)
+		t0 := time.Now()
+		for i := 0; i < steps; i++ {
 			step(*next)
 			*next += dir
 			*remaining--
-			sp.End()
-			obs.Add(rank, obs.CtrWarmupSteps, 1)
 		}
-		measure = func(cfg perfmodel.ExecConfig) (float64, error) {
-			// Every trial times a whole window and reports the per-step
-			// average, with the window covering at least one full tile for
-			// time-tiled candidates: tiled cost is lumpy (the deep exchange
-			// and the widest shell land on the first substep), so a per-step
-			// minimum would flatter tiling by timing only the cheap tail
-			// substeps — and mixing a minimum for some candidates with an
-			// average for others would bias the comparison the opposite way.
-			steps := tuneStepsPerTrial
-			if k := cfg.TimeTile; k > 1 {
-				// Round up to whole tiles: a window that cuts a tile short
-				// would charge the candidate for more tile-head exchanges per
-				// step than its steady state (e.g. 2 exchanges in 3 steps for
-				// k=2 instead of 1 in 2).
-				steps = (steps + k - 1) / k * k
-			}
-			if *remaining < steps {
-				return 0, perfmodel.ErrTuneBudget
-			}
-			if err := op.adopt(cfg); err != nil {
-				return 0, err
-			}
-			// Align the window to a tile head regardless of where the
-			// previous trial stopped.
-			op.tilePos = 0
-			sp := obs.Begin(rank, obs.PhaseAutotuneTrial, *next)
-			t0 := time.Now()
-			for i := 0; i < steps; i++ {
-				step(*next)
-				*next += dir
-				*remaining--
-			}
-			avg := time.Since(t0).Seconds() / float64(steps)
-			sp.End()
-			obs.Add(rank, obs.CtrTrialSteps, int64(steps))
-			if !op.ctx.Serial() {
-				avg = op.ctx.Comm.AllreduceScalar(avg, mpi.OpMax)
-			}
-			return avg, nil
+		avg := time.Since(t0).Seconds() / float64(steps)
+		sp.End()
+		obs.Add(rank, obs.CtrTrialSteps, int64(steps))
+		if !op.ctx.Serial() {
+			avg = op.ctx.Comm.AllreduceScalar(avg, mpi.OpMax)
 		}
+		return avg, nil
 	}
 	cfg, trialLog, err := perfmodel.Tune(host, prof, measure)
 	if err != nil {
@@ -267,21 +256,14 @@ func (op *Operator) autotune(policy string, step func(int), next *int, remaining
 		return err
 	}
 	op.tuned = true
-	op.tunePolicy = policy
-	// The model policy logs its choice with its prediction; the search
-	// logs every measured trial, from which the snapshot derives the
+	// Every measured trial is logged, from which the snapshot derives the
 	// autotuner's regret (chosen vs empirically best). Every rank adopted
 	// the same configuration, so rank 0 alone logs it.
-	if op.obsRank() != 0 {
+	if rank != 0 {
 		return nil
-	}
-	if policy == AutotuneModel {
-		obs.RecordDecision(obs.Decision{Policy: policy, Config: cfg.String(),
-			PredictedSec: host.Predict(prof, cfg), Chosen: true})
 	}
 	for _, tr := range trialLog {
 		obs.RecordDecision(obs.Decision{
-			Policy:       policy,
 			Config:       tr.Config.String(),
 			PredictedSec: host.Predict(prof, tr.Config),
 			MeasuredSec:  tr.Seconds,
@@ -306,8 +288,8 @@ type EffectiveConfig struct {
 	TileRows int `json:"tile_rows"`
 	// TimeTile is the halo-exchange interval (1 = exchange every step).
 	TimeTile int `json:"time_tile"`
-	// Autotune is the policy that configured the operator ("off" when the
-	// configuration was forced or defaulted).
+	// Autotune is "search" when the autotuner configured the operator,
+	// "off" when the configuration was forced or defaulted.
 	Autotune string `json:"autotune"`
 }
 
@@ -317,9 +299,9 @@ func (op *Operator) Config() EffectiveConfig {
 	if w < 1 {
 		w = 1
 	}
-	pol := op.tunePolicy
-	if pol == "" {
-		pol = AutotuneOff
+	pol := AutotuneOff
+	if op.tuned {
+		pol = AutotuneSearch
 	}
 	return EffectiveConfig{
 		Engine:   op.perf.Engine,

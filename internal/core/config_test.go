@@ -47,10 +47,8 @@ func TestResolveAutotuneVocabulary(t *testing.T) {
 	for in, want := range map[string]string{
 		"":         AutotuneOff,
 		"off":      AutotuneOff,
-		"model":    AutotuneModel,
 		"search":   AutotuneSearch,
 		" Search ": AutotuneSearch,
-		"MODEL":    AutotuneModel,
 		"\toff\n":  AutotuneOff,
 	} {
 		got, err := resolveAutotune(in)
@@ -58,14 +56,14 @@ func TestResolveAutotuneVocabulary(t *testing.T) {
 			t.Errorf("resolveAutotune(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	for _, alias := range []string{"none", "0", "on", "auto"} {
-		got, err := resolveAutotune(alias)
+	for _, gone := range []string{"none", "0", "on", "auto", "model", "MODEL"} {
+		got, err := resolveAutotune(gone)
 		if err == nil {
-			t.Errorf("resolveAutotune(%q) = %q: the autotune aliases are gone", alias, got)
+			t.Errorf("resolveAutotune(%q) = %q: the autotune aliases and the model policy are gone", gone, got)
 			continue
 		}
-		if !strings.Contains(err.Error(), "valid: off, model, search)") {
-			t.Errorf("resolveAutotune(%q): error %q does not list off, model, search", alias, err)
+		if !strings.Contains(err.Error(), "(valid: off, search)") {
+			t.Errorf("resolveAutotune(%q): error %q does not list off, search", gone, err)
 		}
 	}
 }
@@ -76,10 +74,15 @@ func TestResolveAutotuneRejectsBadEnv(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad $" + AutotuneEnvVar + " accepted")
 	}
-	for _, frag := range []string{`"aggressive"`, "$" + AutotuneEnvVar, AutotuneOff, AutotuneModel, AutotuneSearch} {
+	for _, frag := range []string{`"aggressive"`, "$" + AutotuneEnvVar, "(valid: off, search)"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("autotune env error %q lacks %q", err, frag)
 		}
+	}
+	t.Setenv(AutotuneEnvVar, "MODEL")
+	if _, err := resolveAutotune(""); err == nil ||
+		!strings.Contains(err.Error(), `"model" in $`+AutotuneEnvVar+" (valid: off, search)") {
+		t.Errorf("$%s=MODEL: err = %v, want the unknown-policy error listing off, search", AutotuneEnvVar, err)
 	}
 	if _, err := resolveAutotune("always"); err == nil ||
 		!strings.Contains(err.Error(), "ApplyOpts.Autotune") {

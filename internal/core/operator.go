@@ -66,10 +66,9 @@ type Operator struct {
 	// forcedWorkers records a worker count pinned through Options; the
 	// autotuner never overrides an explicit user choice.
 	forcedWorkers bool
-	// tuned is set once an autotune policy has configured the operator;
-	// later Apply calls reuse the choice instead of re-tuning.
-	tuned      bool
-	tunePolicy string
+	// tuned is set once the autotuner has configured the operator; later
+	// Apply calls reuse the choice instead of re-tuning.
+	tuned bool
 	// plan is the active communication-avoiding time-tiling plan (nil =
 	// exchange every step); tilePos/tileLen track the position within the
 	// current tile during an Apply.
@@ -447,12 +446,12 @@ type ApplyOpts struct {
 	// PostStep runs after each timestep's clusters (source injection,
 	// receiver interpolation).
 	PostStep func(t int)
-	// Autotune selects the self-configuration policy: "off" (default),
-	// "model" (adopt the cost model's top-ranked halo mode, worker count
-	// and exchange interval before the first step) or "search"
-	// (additionally time the model's shortlist on the first few real
+	// Autotune selects the self-configuration policy: "off" (default) or
+	// "search" (rank the halo mode, worker count and exchange interval
+	// with the cost model, time its shortlist on the first few real
 	// timesteps and keep the measured winner — sound because every
-	// candidate configuration is bit-exact). An empty string consults the
+	// candidate configuration is bit-exact; with too few timesteps for a
+	// trial, adopt the model's top choice). An empty string consults the
 	// DEVIGO_AUTOTUNE environment variable. The choice sticks to the
 	// operator: later Apply calls reuse it instead of re-tuning.
 	Autotune string
@@ -530,7 +529,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 		// Warmup and trial steps execute real physics but must not dilute
 		// the steady-state counters (GPtss): restore them around tuning.
 		before := op.perf
-		if err := op.autotune(policy, step, &next, &remaining, dir); err != nil {
+		if err := op.autotune(step, &next, &remaining, dir); err != nil {
 			return err
 		}
 		op.perf.ComputeSeconds = before.ComputeSeconds

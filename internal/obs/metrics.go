@@ -7,21 +7,17 @@ import (
 )
 
 // Decision is one autotuner verdict: a candidate configuration with its
-// model-predicted cost and (for search trials) its measured cost. The
-// decision log is what the regret report is computed from.
+// model-predicted cost and its measured trial cost. The decision log is
+// what the regret report is computed from.
 type Decision struct {
 	// Rank is the recording rank (decisions are collective, so core
 	// records them on rank 0 only).
 	Rank int `json:"rank"`
-	// Policy is the autotune policy that produced the decision
-	// ("model" or "search").
-	Policy string `json:"policy"`
 	// Config is the candidate's ExecConfig string ("mode/wN/tM[/kK]").
 	Config string `json:"config"`
 	// PredictedSec is the performance model's per-step cost prediction.
 	PredictedSec float64 `json:"predicted_sec"`
-	// MeasuredSec is the measured per-step trial cost (0 for model-only
-	// decisions, which are never timed).
+	// MeasuredSec is the measured per-step trial cost.
 	MeasuredSec float64 `json:"measured_sec,omitempty"`
 	// Chosen marks the configuration the operator adopted.
 	Chosen bool `json:"chosen"`

@@ -65,8 +65,8 @@ const (
 	PhaseCkptSave
 	// PhaseCkptRestore is a checkpoint restore during a reverse sweep.
 	PhaseCkptRestore
-	// PhaseAutotuneTrial is one timed candidate window of the empirical
-	// search policy.
+	// PhaseAutotuneTrial is one timed candidate window of the autotuner's
+	// search.
 	PhaseAutotuneTrial
 	// PhaseWarmup is the untimed cache-warming step before the first trial.
 	PhaseWarmup

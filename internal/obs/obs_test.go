@@ -185,16 +185,16 @@ func TestRegret(t *testing.T) {
 	reset()
 	EnableMetrics()
 	defer reset()
-	RecordDecision(Decision{Policy: "search", Config: "a", MeasuredSec: 1.0})
-	RecordDecision(Decision{Policy: "search", Config: "b", MeasuredSec: 1.2, Chosen: true})
+	RecordDecision(Decision{Config: "a", MeasuredSec: 1.0})
+	RecordDecision(Decision{Config: "b", MeasuredSec: 1.2, Chosen: true})
 	m := Snapshot()
 	if got, want := m.Regret, 0.2; got < want-1e-12 || got > want+1e-12 {
 		t.Errorf("regret = %v, want %v", got, want)
 	}
 	Reset()
-	RecordDecision(Decision{Policy: "model", Config: "a", PredictedSec: 1, Chosen: true})
+	RecordDecision(Decision{Config: "a", PredictedSec: 1, Chosen: true})
 	if r := Snapshot().Regret; r != 0 {
-		t.Errorf("model-only decisions must have zero regret, got %v", r)
+		t.Errorf("untimed decisions must have zero regret, got %v", r)
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 // core builds an OpProfile for each compiled operator (instruction counts
 // from the compiled kernels, exchanged streams from the schedule, the
 // slowest rank's box from the grid decomposition) and settles through
-// Tune: with no trial budget (policy "model") Tune returns the cost
-// model's top-ranked configuration, otherwise (policy "search") it runs a
-// bounded empirical search over the model's shortlist. Every candidate
-// configuration is bit-exact — halo mode,
-// worker count and tile size never change results, only speed — which is
-// what makes in-place tuning on the live simulation sound.
+// Tune, the "search" policy: a bounded empirical search over the model's
+// shortlist, which returns the cost model's top-ranked configuration when
+// no trial fits the budget. Every candidate configuration is bit-exact —
+// halo mode, worker count and tile size never change results, only
+// speed — which is what makes in-place tuning on the live simulation
+// sound.
 
 // ExecConfig is one runnable execution configuration of an operator: the
 // communication pattern plus the shared-memory decomposition knobs and
@@ -171,7 +171,7 @@ type Host struct {
 // 0.167 against 0.51 ns per instruction, ratio 0.33 as the median of five
 // runs (0.31–0.34). The absolute figure that measurement implies
 // (0.167 ns per link) is not adopted here: recalibrating the constants
-// from the host is ROADMAP item 5.
+// from the host is ROADMAP item 7.
 func DefaultHost() Host {
 	return Host{
 		SecondsPerInstr:   1.0e-9 * 0.33,
@@ -443,7 +443,8 @@ func groupHeads(plan []ExecConfig) []ExecConfig {
 // measure callback is expected to time a few real timesteps of the live
 // simulation — sound because every candidate is bit-exact — and may
 // return ErrTuneBudget to stop the search; the best measurement so far
-// (or the model's top choice, if nothing was measured) wins.
+// wins, or the model's top choice, Plan's first entry, if nothing was
+// measured.
 func Tune(h Host, p OpProfile, measure func(ExecConfig) (float64, error)) (ExecConfig, []Trial, error) {
 	plan := Plan(h, p)
 	if len(plan) == 0 {

@@ -185,7 +185,9 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 		}
 		grads[k] = append([]float32(nil), res.Gradient.Bufs[0].Data...)
 		stats[k] = res.Checkpoint.RecomputedSteps
-		wantSnaps := 8/k + 1
+		// The forward pass snapshots only steps below nt: the sweep restores
+		// at most step nt-1.
+		wantSnaps := 7/k + 1
 		if res.Checkpoint.Snapshots != wantSnaps {
 			t.Errorf("interval %d: %d snapshots, want %d", k, res.Checkpoint.Snapshots, wantSnaps)
 		}
@@ -212,8 +214,9 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 
 // TestGradientForwardTailNotRecomputed pins the recompute count the
 // forward tail buys: for every interval up to past nt the reverse sweep
-// re-integrates exactly ((nt-1)/k)*k steps, and the gradient keeps the
-// bits of interval 1.
+// re-integrates exactly ((nt-1)/k)*k steps from (nt-1)/k+1 snapshots (none
+// at step nt, which nothing restores), and the gradient keeps the bits of
+// interval 1.
 func TestGradientForwardTailNotRecomputed(t *testing.T) {
 	for _, nt := range []int{7, 8, 9, 12} {
 		var base float64
@@ -226,6 +229,9 @@ func TestGradientForwardTailNotRecomputed(t *testing.T) {
 			}
 			if want := (nt - 1) / k * k; res.Checkpoint.RecomputedSteps != want {
 				t.Errorf("nt=%d k=%d: recomputed %d steps, want %d", nt, k, res.Checkpoint.RecomputedSteps, want)
+			}
+			if want := (nt-1)/k + 1; res.Checkpoint.Snapshots != want {
+				t.Errorf("nt=%d k=%d: %d snapshots, want %d", nt, k, res.Checkpoint.Snapshots, want)
 			}
 			if k == 1 {
 				base = res.GradNorm

@@ -5,6 +5,8 @@ import (
 
 	"devigo/internal/core"
 	"devigo/internal/halo"
+	"devigo/internal/obs"
+	"devigo/internal/perfmodel"
 	"devigo/internal/runtime"
 )
 
@@ -33,23 +35,29 @@ func runAutotuned(t *testing.T, policy string, workers, nt int) (float64, [][]fl
 func TestAutotuneInvariance(t *testing.T) {
 	const nt = 24
 	refNorm, refTraces, _ := runAutotuned(t, "", 1, nt)
-	for _, policy := range []string{core.AutotuneModel, core.AutotuneSearch} {
-		norm, traces, cfg := runAutotuned(t, policy, 0, nt)
-		if cfg.Autotune != policy {
-			t.Errorf("%s: effective config reports policy %q", policy, cfg.Autotune)
-		}
-		if norm != refNorm {
-			t.Errorf("%s: norm %v != fixed-config norm %v (chose %s/w%d/k%d)",
-				policy, norm, refNorm, cfg.Mode, cfg.Workers, cfg.TimeTile)
-		}
-		for ti := range refTraces {
-			for r := range refTraces[ti] {
-				if traces[ti][r] != refTraces[ti][r] {
-					t.Fatalf("%s: trace[%d][%d] differs: %v != %v",
-						policy, ti, r, traces[ti][r], refTraces[ti][r])
-				}
-			}
-		}
+	norm, traces, cfg := runAutotuned(t, core.AutotuneSearch, 0, nt)
+	if cfg.Autotune != core.AutotuneSearch {
+		t.Errorf("effective config reports policy %q", cfg.Autotune)
+	}
+	if norm != refNorm {
+		t.Errorf("norm %v != fixed-config norm %v (chose %s/w%d/k%d)",
+			norm, refNorm, cfg.Mode, cfg.Workers, cfg.TimeTile)
+	}
+	assertSameTraces(t, "search", refTraces, traces)
+}
+
+// TestSearchWithoutBudgetAdoptsPlanHead: with too few steps for a single
+// trial the search adopts Plan's first entry, the cost model's top-ranked
+// configuration. Workers is forced so the measured pool sync cost cannot
+// reorder the plan between the tuner and this check.
+func TestSearchWithoutBudgetAdoptsPlanHead(t *testing.T) {
+	res := rank0(t, "acoustic", []int{32, 32}, []int{2, 2}, halo.ModeDiagonal, 4,
+		RunConfig{NT: 2, NReceivers: 4, Exec: Exec{TimeTile: 8, Workers: 1, Autotune: core.AutotuneSearch}})
+	got := res.Op.Config()
+	head := perfmodel.Plan(perfmodel.DefaultHost(), res.Op.Profile())[0]
+	if got.Autotune != core.AutotuneSearch || got.Mode != head.Mode.String() ||
+		got.Workers != head.Workers || got.TimeTile != max(head.TimeTile, 1) {
+		t.Errorf("search without a trial budget chose %+v, want the plan head %s", got, head)
 	}
 }
 
@@ -65,10 +73,10 @@ func TestAutotuneRespectsForcedKnobs(t *testing.T) {
 // TestAutotuneEnvVar drives the policy through DEVIGO_AUTOTUNE — the
 // zero-user-code-changes path.
 func TestAutotuneEnvVar(t *testing.T) {
-	t.Setenv(core.AutotuneEnvVar, "model")
+	t.Setenv(core.AutotuneEnvVar, "search")
 	_, _, cfg := runAutotuned(t, "", 0, 8)
-	if cfg.Autotune != core.AutotuneModel {
-		t.Errorf("DEVIGO_AUTOTUNE=model not picked up: policy %q", cfg.Autotune)
+	if cfg.Autotune != core.AutotuneSearch {
+		t.Errorf("DEVIGO_AUTOTUNE=search not picked up: policy %q", cfg.Autotune)
 	}
 	t.Setenv(core.AutotuneEnvVar, "bogus")
 	m, err := Acoustic(serialCfg([]int{32, 32}, 4))
@@ -126,5 +134,29 @@ func TestAutotuneDMPBitExactAndConsistent(t *testing.T) {
 	}
 	if norm != refNorm {
 		t.Errorf("autotuned DMP norm %v != fixed-mode norm %v (chose %+v)", norm, refNorm, cfgs[0])
+	}
+}
+
+// TestGradientHonoursAutotunePolicy: a gradient's recompute and imaging
+// Applies take the configured policy too, so an explicit "off" beats
+// DEVIGO_AUTOTUNE on every operator of the gradient — no warmup, no
+// trial, no decision.
+func TestGradientHonoursAutotunePolicy(t *testing.T) {
+	t.Setenv(core.AutotuneEnvVar, core.AutotuneSearch)
+	obs.EnableMetrics()
+	defer func() { obs.DisableAll(); obs.Reset() }()
+	obs.Reset()
+	m, err := Acoustic(serialCfg([]int{48, 48}, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunGradient(m, nil, GradientConfig{NT: 64, NReceivers: 4, CheckpointInterval: 8,
+		Exec: Exec{Autotune: core.AutotuneOff}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := obs.Snapshot()
+	if snap.Total.WarmupSteps != 0 || snap.Total.TrialSteps != 0 || len(snap.Decisions) != 0 {
+		t.Errorf("Autotune off under DEVIGO_AUTOTUNE=search: %d warmup steps, %d trial steps, %d decisions; want none",
+			snap.Total.WarmupSteps, snap.Total.TrialSteps, len(snap.Decisions))
 	}
 }

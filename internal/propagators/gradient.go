@@ -31,7 +31,7 @@ type GradientConfig struct {
 	// the synthetic data itself is back-propagated (an RTM-style image,
 	// and the configuration of the dot-product test).
 	ObsData [][]float64
-	// CheckpointInterval is the snapshot spacing k: memory holds NT/k+1
+	// CheckpointInterval is the snapshot spacing k: memory holds (NT-1)/k+1
 	// snapshots of two time levels each (halos included) plus at most k+2
 	// cached DOMAIN levels. The forward pass caches the levels of the last
 	// segment, so the reverse sweep re-integrates every segment but the last:
@@ -212,6 +212,7 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 				hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
 				store.RecordLevel(t + 1)
 			},
+			Autotune: gc.Autotune,
 		}); err != nil {
 			return err
 		}
@@ -238,7 +239,7 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 				return err
 			}
 		}
-		return imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms})
+		return imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms, Autotune: gc.Autotune})
 	}
 	res.SrcTraces, err = backward(adj, ctx, adjOp, srcs, adjSrc, fres.DT, gc.Autotune, image)
 	if err != nil {

@@ -47,7 +47,7 @@ type Exec struct {
 	// Engine selects the execution engine ("" = core default).
 	Engine string
 	// Autotune selects the self-configuration policy forwarded to
-	// core.ApplyOpts.Autotune: "model", "search" or "off" ("" consults
+	// core.ApplyOpts.Autotune: "search" or "off" ("" consults
 	// DEVIGO_AUTOTUNE).
 	Autotune string
 }
@@ -122,10 +122,11 @@ func stepDT(name string, dt, critical float64) (float64, error) {
 
 // forward steps a compiled model nt times, injecting srcs' source and
 // recording its receivers after every step, and snapshotting into store
-// when it is not nil. The reverse sweep would restore the last snapshot
-// below nt, (nt-1)/k*k, and re-integrate up to nt; forward caches every
-// level from one below that snapshot instead, so the sweep starts on
-// cached levels (k+2 at most, the cache's bound).
+// the steps below nt when it is not nil (the sweep restores at most step
+// nt-1). The reverse sweep would restore the last snapshot below nt,
+// (nt-1)/k*k, and re-integrate up to nt; forward caches every level from
+// one below that snapshot instead, so the sweep starts on cached levels
+// (k+2 at most, the cache's bound).
 func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	autotune string, store *checkpoint.Store, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
@@ -148,7 +149,9 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 				srcs.rec.Interpolate(m.Fields[m.WaveFields[0]], t+1, commOf(ctx)))
 		}
 		if store != nil {
-			store.SaveIfDue(t + 1)
+			if t+1 < nt {
+				store.SaveIfDue(t + 1)
+			}
 			if t+1 >= tail {
 				store.RecordLevel(t + 1)
 			}

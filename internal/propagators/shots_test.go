@@ -2,7 +2,6 @@ package propagators
 
 import (
 	"errors"
-	"maps"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -357,8 +356,8 @@ func TestSharedScheduleWithScratch(t *testing.T) {
 }
 
 // TestRunShotsTunesEveryShot: the cache shares no tuning, so under the
-// model policy every shot's forward and adjoint operators tune themselves —
-// one "model" decision each on its world's rank 0 — and the tuned survey
+// search policy every shot's forward and adjoint operators tune themselves —
+// one chosen decision each on its world's rank 0 — and the tuned survey
 // stacks the untuned survey's bits.
 func TestRunShotsTunesEveryShot(t *testing.T) {
 	obs.EnableMetrics()
@@ -376,18 +375,20 @@ func TestRunShotsTunesEveryShot(t *testing.T) {
 		}
 		return res
 	}
-	plain := survey("off")
-	tuned := survey("model")
+	plain := survey(core.AutotuneOff)
+	tuned := survey(core.AutotuneSearch)
 	if tuned.GradNorm != plain.GradNorm || tuned.Misfit != plain.Misfit {
 		t.Errorf("tuned survey GradNorm %v misfit %v, untuned %v %v: want the same bits",
 			tuned.GradNorm, tuned.Misfit, plain.GradNorm, plain.Misfit)
 	}
-	policies := map[string]int{}
+	chosen := 0
 	for _, d := range obs.Snapshot().Decisions {
-		policies[d.Policy]++
+		if d.Chosen {
+			chosen++
+		}
 	}
-	if want := map[string]int{"model": 2 * len(surveyShots())}; !maps.Equal(policies, want) {
-		t.Errorf("decisions by policy = %v, want %v (forward and adjoint of every shot)", policies, want)
+	if want := 2 * len(surveyShots()); chosen != want {
+		t.Errorf("%d chosen decisions, want %d (forward and adjoint of every shot)", chosen, want)
 	}
 }
 

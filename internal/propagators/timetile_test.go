@@ -11,6 +11,7 @@ import (
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/obs"
+	"devigo/internal/perfmodel"
 )
 
 // The time-tiling differential suite: exchange-interval k > 1 must be
@@ -223,16 +224,16 @@ func TestTimeTile_EnvVar(t *testing.T) {
 // On a latency-dominated configuration (tiny per-rank boxes) the cost
 // model must rank an exchange interval > 1 on top — the deterministic
 // half of the "autotuner exploits communication avoidance" claim — and
-// the tuned run must stay bit-exact.
+// the search-tuned run must stay bit-exact.
 func TestTimeTile_AutotuneSelectsDeepInterval(t *testing.T) {
 	shape := []int{32, 32}
 	const so, nt = 4, 24
 	refNorm, refTraces, _ := ttRun(t, "acoustic", shape, halo.ModeDiagonal, core.EngineBytecode, so, nt, 1)
 	res := rank0(t, "acoustic", shape, []int{2, 2}, halo.ModeDiagonal, so,
-		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: 8, Autotune: core.AutotuneModel}})
+		RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: 8, Autotune: core.AutotuneSearch}})
 	norm, traces, cfgEff := res.Norm, res.Receivers, res.Op.Config()
-	if cfgEff.TimeTile < 2 {
-		t.Errorf("model policy chose interval %d on a latency-dominated config, want >= 2 (%+v)", cfgEff.TimeTile, cfgEff)
+	if head := perfmodel.Plan(perfmodel.DefaultHost(), res.Op.Profile())[0]; head.TimeTile < 2 {
+		t.Errorf("the cost model ranks %s first on a latency-dominated config, want an interval >= 2", head)
 	}
 	if norm != refNorm {
 		t.Errorf("autotuned norm %v != k=1 norm %v (%+v)", norm, refNorm, cfgEff)
