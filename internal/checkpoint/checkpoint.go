@@ -45,6 +45,8 @@ type Store struct {
 	// Buf(s), in that order, in the state "ready to execute step s" (i.e.
 	// taken after step s-1 completed, injections included).
 	snaps map[int][][2][]float32
+	// spare holds the buffers of snapshots Reset forgot, for Save to reuse.
+	spare [][][2][]float32
 	// levels[:live] is the recompute cache of the segment the reverse
 	// sweep is consuming: the DOMAIN of each field's cyclic buffer Buf(t)
 	// per cached level, in no particular order (a segment is Interval+2
@@ -74,8 +76,7 @@ type Stats struct {
 	Snapshots int
 	// SnapshotBytes is the total snapshot storage in bytes.
 	SnapshotBytes int64
-	// LevelBytes is the most bytes the level cache held at once (a level
-	// is allocated only when the free-list is empty, so this is their sum).
+	// LevelBytes is the most bytes the level cache held at once.
 	LevelBytes int64
 	// RecomputedSteps counts forward steps re-integrated during the
 	// reverse sweep (incremented by the driver).
@@ -129,10 +130,16 @@ func (s *Store) Save(t int) {
 	}()
 	snap, existed := s.snaps[t]
 	if !existed {
-		snap = make([][2][]float32, len(s.fields))
+		if n := len(s.spare); n > 0 {
+			snap, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			snap = make([][2][]float32, len(s.fields))
+		}
 		for fi, f := range s.fields {
 			for li := range snap[fi] {
-				snap[fi][li] = make([]float32, len(f.Buf(t-1+li).Data))
+				if n := len(f.Buf(t - 1 + li).Data); len(snap[fi][li]) != n {
+					snap[fi][li] = make([]float32, n)
+				}
 				s.Stats.SnapshotBytes += int64(4 * len(snap[fi][li]))
 			}
 		}
@@ -204,7 +211,7 @@ func (s *Store) domain(fi int) field.Region {
 // time level t — called while integrating forward, right after the step
 // (and its injection) that wrote Buf(t). Recording a cached level again
 // overwrites it in place; a new level takes its buffers from the
-// free-list PruneLevels fills, so a reverse sweep allocates level buffers
+// free-list PruneLevels and Reset fill, so a store allocates level buffers
 // for its first segment only.
 func (s *Store) RecordLevel(t int) {
 	i := s.find(t)
@@ -214,12 +221,16 @@ func (s *Store) RecordLevel(t int) {
 			lv := level{bufs: make([][]float32, len(s.fields))}
 			for fi := range s.fields {
 				lv.bufs[fi] = make([]float32, s.domain(fi).Size())
-				s.Stats.LevelBytes += int64(4 * len(lv.bufs[fi]))
 			}
 			s.levels = append(s.levels, lv)
 		}
 		s.levels[i].t = t
 		s.live++
+		var bytes int64
+		for _, b := range s.levels[i].bufs {
+			bytes += int64(4 * len(b))
+		}
+		s.Stats.LevelBytes = max(s.Stats.LevelBytes, int64(s.live)*bytes)
 	}
 	lv := s.levels[i].bufs
 	for fi, f := range s.fields {
@@ -269,4 +280,19 @@ func (s *Store) PruneLevels(lo, hi int) {
 		}
 		i++
 	}
+}
+
+// Reset empties the store for another run over the same fields: every
+// snapshot and cached level is forgotten and Stats is zeroed, while their
+// buffers stay for Save and RecordLevel to reuse. The next run reports
+// what a fresh store would, and allocates nothing a previous run already
+// did.
+func (s *Store) Reset() {
+	for t, snap := range s.snaps {
+		s.spare = append(s.spare, snap)
+		delete(s.snaps, t)
+	}
+	s.live = 0
+	clear(s.resident)
+	s.Stats = Stats{}
 }

@@ -315,3 +315,46 @@ func TestDefaultInterval(t *testing.T) {
 		}
 	}
 }
+
+// TestResetForgetsAndReuses: after Reset a store serves nothing of the
+// run before, reports for the next run exactly what a fresh store would,
+// and takes that run's snapshot and level buffers from the last one's.
+func TestResetForgetsAndReuses(t *testing.T) {
+	u := testField(t)
+	run := func(s *Store) {
+		for step := 0; step < 9; step++ {
+			fill(u, step, float32(step))
+			s.SaveIfDue(step)
+			s.RecordLevel(step)
+		}
+		s.PruneLevels(5, 8)
+		s.RecordLevel(9)
+	}
+	fresh := New(4, &u.Function)
+	run(fresh)
+
+	s := New(4, &u.Function)
+	run(s)
+	s.Reset()
+	if _, err := s.SnapshotAtOrBefore(8); err == nil {
+		t.Error("a reset store still serves a snapshot of the run before")
+	}
+	if s.HasLevel(8) {
+		t.Error("a reset store still holds a cached level of the run before")
+	}
+	if s.Stats != (Stats{}) {
+		t.Errorf("stats after Reset = %+v, want zero", s.Stats)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		s.Reset()
+		run(s)
+	}); n != 0 {
+		t.Errorf("a run through a reset store allocates %v times, want 0", n)
+	}
+	if s.Stats != fresh.Stats {
+		t.Errorf("reused store reports %+v, a fresh one %+v", s.Stats, fresh.Stats)
+	}
+	if err := s.LoadLevel(9); err != nil {
+		t.Fatal(err)
+	}
+}

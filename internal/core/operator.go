@@ -101,6 +101,14 @@ type Operator struct {
 	// invariants are the hoisted loop-invariant scalars (r0 = 1/dt ...),
 	// evaluated once per Apply and bound like user symbols.
 	invariants []symbolic.Assignment
+	// boxes is step's box scratch, allocated on the first step: the owned
+	// box, then one compute box per sweep that sweepBox refills in place,
+	// so a steady step allocates no boxes.
+	boxes []runtime.Box
+	// syms and bound are Apply's symbol table and bound kernel arguments,
+	// refilled by every call.
+	syms  map[string]float64
+	bound [][]float64
 
 	perf Perf
 }
@@ -463,7 +471,13 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	if a == nil {
 		a = &ApplyOpts{}
 	}
-	syms := map[string]float64{}
+	// The symbol table and the bound kernel arguments live only for this
+	// call, so their storage is the operator's, reused by the next Apply.
+	if op.syms == nil {
+		op.syms = map[string]float64{}
+	}
+	clear(op.syms)
+	syms := op.syms
 	for d, name := range op.Grid.SpacingSymbols() {
 		syms[name] = op.Grid.Spacing(d)
 	}
@@ -479,7 +493,10 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 		}
 		syms[inv.Name] = v
 	}
-	bound := make([][]float64, len(op.kernels))
+	if len(op.bound) != len(op.kernels) {
+		op.bound = make([][]float64, len(op.kernels))
+	}
+	bound := op.bound
 	for i, k := range op.kernels {
 		b, err := k.BindSyms(syms)
 		if err != nil {

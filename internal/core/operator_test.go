@@ -391,6 +391,43 @@ func TestPostStepHookRuns(t *testing.T) {
 	}
 }
 
+// TestSteadyStepAllocatesNothing: a serial Apply's allocations are its
+// per-call set-up (symbol binding, the preamble); a step itself allocates
+// nothing, so one step and ten cost the same.
+func TestSteadyStepAllocatesNothing(t *testing.T) {
+	g := grid.MustNew([]int{64, 64}, nil)
+	u, err := field.NewTimeFunction("u", g, 8, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := symbolic.Eq{
+		LHS: symbolic.Dt(symbolic.At(u.Ref), 1),
+		RHS: symbolic.Laplace(symbolic.At(u.Ref), g.NDims(), u.SpaceOrder),
+	}
+	sol, err := symbolic.Solve(eq, symbolic.ForwardStencil(u.Ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := NewOperator([]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: sol}},
+		map[string]*field.Function{"u": &u.Function}, g, nil, &Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	apply := func(steps int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: steps - 1,
+				Syms: map[string]float64{"dt": 1e-4}, Autotune: AutotuneOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, ten := apply(1), apply(10); ten != one {
+		t.Errorf("serial Apply allocates %v times for 1 step and %v for 10: a steady step allocates", one, ten)
+	}
+}
+
 func TestEngineSelection(t *testing.T) {
 	g := grid.MustNew([]int{8, 8}, nil)
 	mk := func(engine string) (*Operator, error) {

@@ -176,10 +176,16 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 	}
 	j := op.tilePos
 	rank := op.obsRank()
-	owned := fullBox(localShape)
+	if len(op.boxes) != len(pr.sweeps)+1 {
+		op.boxes = make([]runtime.Box, len(pr.sweeps)+1)
+		for i := range op.boxes {
+			op.boxes[i] = fullBox(localShape)
+		}
+	}
+	owned := op.boxes[0]
 	for si, sw := range pr.sweeps {
 		k := op.kernels[si]
-		box := op.sweepBox(localShape, j, si)
+		box := op.sweepBox(op.boxes[1+si], localShape, j, si)
 		// rest is what the exchanges must complete for, shell what follows it.
 		rest := box
 		var shell []runtime.Box
@@ -253,20 +259,19 @@ func (op *Operator) computeSection(ph obs.Phase, t, si int, syms []float64, boxe
 	sp.End()
 }
 
-// sweepBox returns the compute box of schedule step si at tile substep j:
-// the owned box widened by the step's CIRE extension (scratch clusters,
-// which forbid tiling) or, under a tile plan, by the shrinking ghost
-// shell clipped where it would fall off the global domain.
-func (op *Operator) sweepBox(localShape []int, j, si int) runtime.Box {
-	b := fullBox(localShape)
+// sweepBox sets b, which has one entry per dimension, to the compute box
+// of schedule step si at tile substep j and returns it: the owned box
+// widened by the step's CIRE extension (scratch clusters, which forbid
+// tiling) or, under a tile plan, by the shrinking ghost shell clipped
+// where it would fall off the global domain.
+func (op *Operator) sweepBox(b runtime.Box, localShape []int, j, si int) runtime.Box {
 	for d := range b.Lo {
 		lo, hi := op.stepExt[si], op.stepExt[si]
 		if p := op.plan; p != nil {
 			ext := (op.tileLen-1-j)*p.Stride[d] + p.Tails[si][d]
 			lo, hi = min(ext, op.shellLo[d]), min(ext, op.shellHi[d])
 		}
-		b.Lo[d] -= lo
-		b.Hi[d] += hi
+		b.Lo[d], b.Hi[d] = -lo, localShape[d]+hi
 	}
 	return b
 }

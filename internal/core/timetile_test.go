@@ -401,9 +401,9 @@ func TestSweepPartition(t *testing.T) {
 	record(t, 4, halo.ModeFull, 4, func(rank int, op *Operator, local []int, runs []recordedRun) {
 		core := coreBox(local, op.kernels[0].StencilRadius())
 		op.tileLen = 4
-		want := append([]runtime.Box{core}, remainderBoxes(op.sweepBox(local, 0, 0), core)...)
+		want := append([]runtime.Box{core}, remainderBoxes(op.sweepBox(fullBox(local), local, 0, 0), core)...)
 		for j := 1; j < 4; j++ {
-			want = append(want, op.sweepBox(local, j, 0))
+			want = append(want, op.sweepBox(fullBox(local), local, j, 0))
 		}
 		if !reflect.DeepEqual(boxes(runs), want) {
 			t.Errorf("full k=4 rank %d: runs %+v, want %+v", rank, boxes(runs), want)

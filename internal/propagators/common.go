@@ -81,11 +81,11 @@ func makeGrid(c *Config) (*grid.Grid, error) {
 	return grid.New(c.Shape, nil)
 }
 
-// domainRows calls fn once per contiguous row of f's DOMAIN in its first
-// buffer: idx holds the row's domain-relative coordinates (last entry 0),
-// row its LocalShape[last] elements.
-func domainRows(f *field.Function, fn func(idx []int, row []float32)) {
-	buf := f.Buf(0)
+// domainRows calls fn once per contiguous row of f's DOMAIN in time buffer
+// t, in row-major order: idx holds the row's domain-relative coordinates
+// (last entry 0), row its LocalShape[last] elements.
+func domainRows(f *field.Function, t int, fn func(idx []int, row []float32)) {
+	buf := f.Buf(t)
 	last := f.NDims() - 1
 	idx := make([]int, last+1)
 	var rec func(d, base int)
@@ -125,7 +125,7 @@ func dampField(f *field.Function, nbl int, coeff float64) {
 	// penalty of their own: local points [lo, hi) take the row's value.
 	lo := min(max(nbl-f.Origin[last], 0), f.LocalShape[last])
 	hi := max(min(shape[last]-nbl-f.Origin[last], f.LocalShape[last]), lo)
-	domainRows(f, func(idx []int, row []float32) {
+	domainRows(f, 0, func(idx []int, row []float32) {
 		// The deepest penalty over the row's fixed coordinates.
 		outer := 0.0
 		for k := 0; k < last; k++ {
@@ -151,7 +151,7 @@ func dampField(f *field.Function, nbl int, coeff float64) {
 
 // fillConst sets a field's DOMAIN to a constant.
 func fillConst(f *field.Function, v float32) {
-	domainRows(f, func(_ []int, row []float32) {
+	domainRows(f, 0, func(_ []int, row []float32) {
 		for i := range row {
 			row[i] = v
 		}

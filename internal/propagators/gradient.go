@@ -81,13 +81,38 @@ type GradientResult struct {
 // bounded by the checkpoint interval instead of growing with NT.
 // ctx may be nil (serial) or carry one rank of an MPI world.
 func RunGradient(m *Model, ctx *core.Context, gc GradientConfig) (*GradientResult, error) {
-	return runGradient(m, ctx, gc, nil)
+	s, err := newGradientSolver(m, ctx, gc, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer s.close()
+	return s.solve(Shot{})
 }
 
-// runGradient is RunGradient lowering its forward, adjoint and imaging
-// operators through an operator cache (nil lowers privately): across the
-// shots of a survey, each of the three schedules is lowered once.
-func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.Cache) (*GradientResult, error) {
+// gradientSolver is what a gradient builds before its first step, on one
+// rank: the model with its adjoint, the forward, adjoint and imaging
+// operators and the checkpoint store. A survey
+// builds one per shot worker and solves every shot it is handed on it;
+// RunGradient solves one shot.
+type gradientSolver struct {
+	m, adj *Model
+	ctx    *core.Context
+	// gc is the base configuration; a Shot overrides its source geometry,
+	// wavelet and observed data.
+	gc                  GradientConfig
+	dt                  float64
+	fwdOp, adjOp, imgOp *core.Operator
+	grad                *field.Function
+	store               *checkpoint.Store
+	// used is set once a shot has run: the next one resets the solver.
+	// The first starts from the wavefields the caller built.
+	used bool
+}
+
+// newGradientSolver validates gc's survey-wide settings and builds a
+// gradient solver over m, lowering its three operators through cache (nil
+// lowers privately).
+func newGradientSolver(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.Cache) (_ *gradientSolver, err error) {
 	dt, err := stepDT("GradientConfig.DT", gc.DT, m.CriticalDt)
 	if err != nil {
 		return nil, err
@@ -101,22 +126,6 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 	if len(gc.ReceiverCoords) == 0 && (gc.ReceiverCoords != nil || gc.NReceivers <= 1) {
 		return nil, fmt.Errorf("propagators: GradientConfig needs receivers (the adjoint source)")
 	}
-	// A mis-shaped ObsData fails before the forward pass spends a full
-	// integration on it.
-	if gc.ObsData != nil {
-		if len(gc.ObsData) != nt {
-			return nil, fmt.Errorf("propagators: ObsData has %d steps, want NT=%d", len(gc.ObsData), nt)
-		}
-		nrec := gc.NReceivers
-		if gc.ReceiverCoords != nil {
-			nrec = len(gc.ReceiverCoords)
-		}
-		for t, row := range gc.ObsData {
-			if len(row) != nrec {
-				return nil, fmt.Errorf("propagators: ObsData step %d has %d traces, want %d", t, len(row), nrec)
-			}
-		}
-	}
 	k := gc.CheckpointInterval
 	if k < 0 {
 		return nil, fmt.Errorf("propagators: GradientConfig.CheckpointInterval must be >= 0 (0 = the sqrt(NT) default), got %d", k)
@@ -124,64 +133,114 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 	if k == 0 {
 		k = checkpoint.DefaultInterval(nt)
 	}
-	u := m.Fields[m.WaveFields[0]]
-	store := checkpoint.New(k, u) // forward() stamps it with this rank
-
-	// Phase 1: checkpointed forward integration recording synthetics.
-	rc := RunConfig{
-		NT: nt, DT: dt,
-		Wavelet:        gc.Wavelet,
-		SourceCoords:   gc.SourceCoords,
-		NReceivers:     gc.NReceivers,
-		ReceiverCoords: gc.ReceiverCoords,
-		Exec:           gc.Exec,
+	s := &gradientSolver{m: m, ctx: ctx, gc: gc, dt: dt}
+	// The solver owns its operators' persistent worker teams; release them
+	// on a failed build too.
+	defer func() {
+		if err != nil {
+			s.close()
+		}
+	}()
+	if s.fwdOp, err = core.NewOperator(m.Eqs, m.Fields, m.Grid, ctx, gc.options(m.Name, cache)); err != nil {
+		return nil, err
 	}
-	fres, err := run(m, ctx, rc, cache, store)
+	if s.adj, err = Adjoint(m); err != nil {
+		return nil, err
+	}
+	if s.adjOp, err = core.NewOperator(s.adj.Eqs, s.adj.Fields, s.adj.Grid, ctx, gc.options(s.adj.Name, cache)); err != nil {
+		return nil, err
+	}
+	if s.grad, s.imgOp, err = imagingOperator(m, s.adj, ctx, gc.options("imaging", cache)); err != nil {
+		return nil, err
+	}
+	s.store = checkpoint.New(k, m.Fields[m.WaveFields[0]]) // forward() stamps it with this rank
+	return s, nil
+}
+
+// close releases the operators' persistent worker teams.
+func (s *gradientSolver) close() {
+	for _, op := range []*core.Operator{s.fwdOp, s.adjOp, s.imgOp} {
+		if op != nil {
+			op.Close()
+		}
+	}
+}
+
+// reset returns the solver to its state after construction: every buffer
+// of the forward and adjoint wavefields and of the gradient is zeroed,
+// halos included, the store forgets its snapshots and cached levels, and
+// the operators' counters restart. The parameter fields and the
+// operators' tuned configurations stay.
+func (s *gradientSolver) reset() {
+	for _, md := range []*Model{s.m, s.adj} {
+		for _, name := range md.WaveFields {
+			for _, b := range md.Fields[name].Bufs {
+				clear(b.Data)
+			}
+		}
+	}
+	for _, b := range s.grad.Bufs {
+		clear(b.Data)
+	}
+	s.store.Reset()
+	for _, op := range []*core.Operator{s.fwdOp, s.adjOp, s.imgOp} {
+		op.ResetPerf()
+	}
+}
+
+// solve computes the gradient of one shot: the base configuration with
+// the shot's non-nil fields in place of its own. The result's Gradient is
+// the solver's own field: the next solve zeroes it.
+func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
+	gc := s.gc.withShot(shot)
+	m, ctx, store := s.m, s.ctx, s.store
+	nt, dt, autotune, obsData := gc.NT, s.dt, gc.Autotune, gc.ObsData
+	srcs, err := buildSources(m, &RunConfig{Wavelet: gc.Wavelet, SourceCoords: gc.SourceCoords,
+		NReceivers: gc.NReceivers, ReceiverCoords: gc.ReceiverCoords}, dt, nt)
 	if err != nil {
 		return nil, err
 	}
-	// The gradient owns all three operators for the whole computation;
-	// release their persistent worker teams on every exit path (shot
-	// surveys would otherwise accumulate parked goroutines per shot).
-	defer fres.Op.Close()
-	res := &GradientResult{NT: nt, DT: fres.DT, Receivers: fres.Receivers,
-		ForwardPerf: fres.Perf, ForwardConfig: fres.Op.Config()}
+	// A mis-shaped ObsData fails before the forward pass spends a full
+	// integration on it.
+	if obsData != nil {
+		if len(obsData) != nt {
+			return nil, fmt.Errorf("propagators: ObsData has %d steps, want NT=%d", len(obsData), nt)
+		}
+		nrec := srcs.rec.NPoints()
+		for t, row := range obsData {
+			if len(row) != nrec {
+				return nil, fmt.Errorf("propagators: ObsData step %d has %d traces, want %d", t, len(row), nrec)
+			}
+		}
+	}
+	if s.used {
+		s.reset()
+	}
+	s.used = true
+	k := store.Interval
+
+	// Phase 1: checkpointed forward integration recording synthetics.
+	fres, err := forward(m, ctx, s.fwdOp, srcs, autotune, store, nt, dt)
+	if err != nil {
+		return nil, err
+	}
+	res := &GradientResult{NT: nt, DT: dt, Receivers: fres.Receivers,
+		ForwardPerf: fres.Perf, ForwardConfig: s.fwdOp.Config()}
 
 	// The adjoint source: residual against observed data when given,
 	// otherwise the synthetics themselves.
 	adjSrc := fres.Receivers
-	if gc.ObsData != nil {
+	if obsData != nil {
 		adjSrc = make([][]float64, nt)
 		for t := range adjSrc {
 			row := make([]float64, len(fres.Receivers[t]))
 			for r := range row {
-				row[r] = fres.Receivers[t][r] - gc.ObsData[t][r]
+				row[r] = fres.Receivers[t][r] - obsData[t][r]
 			}
 			adjSrc[t] = row
 		}
 	}
-
-	// Phase 2 machinery: the adjoint operator, the imaging kernel, and
-	// the forward source setup replayed during segment recomputation.
-	adj, err := Adjoint(m)
-	if err != nil {
-		return nil, err
-	}
-	adjOp, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, gc.options(adj.Name, cache))
-	if err != nil {
-		return nil, err
-	}
-	defer adjOp.Close()
-	grad, imgOp, err := imagingOperator(m, adj, ctx, gc.options("imaging", cache))
-	if err != nil {
-		return nil, err
-	}
-	defer imgOp.Close()
-	srcs, err := buildSources(m, &rc, fres.DT, nt)
-	if err != nil {
-		return nil, err
-	}
-	syms := map[string]float64{"dt": fres.DT}
+	syms := map[string]float64{"dt": dt}
 
 	// ensureLevels re-materialises the forward time levels lo..hi from
 	// the newest snapshot at or below hi-1, replaying the source
@@ -212,7 +271,7 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 				hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
 				store.RecordLevel(t + 1)
 			},
-			Autotune: gc.Autotune,
+			Autotune: autotune,
 		}); err != nil {
 			return err
 		}
@@ -239,17 +298,17 @@ func runGradient(m *Model, ctx *core.Context, gc GradientConfig, cache *opcache.
 				return err
 			}
 		}
-		return imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms, Autotune: gc.Autotune})
+		return s.imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms, Autotune: autotune})
 	}
-	res.SrcTraces, err = backward(adj, ctx, adjOp, srcs, adjSrc, fres.DT, gc.Autotune, image)
+	res.SrcTraces, err = backward(s.adj, ctx, s.adjOp, srcs, adjSrc, dt, autotune, image)
 	if err != nil {
 		return nil, err
 	}
 
-	res.Gradient = grad
-	res.GradNorm = normOf(grad, ctx, 0)
-	res.AdjointPerf = adjOp.Report()
-	res.AdjointConfig = adjOp.Config()
+	res.Gradient = s.grad
+	res.GradNorm = normOf(s.grad, ctx, 0)
+	res.AdjointPerf = s.adjOp.Report()
+	res.AdjointConfig = s.adjOp.Config()
 	res.Checkpoint = store.Stats
 	for t := 0; t < nt; t++ {
 		for r := range adjSrc[t] {

@@ -79,14 +79,12 @@ type RunResult struct {
 // simulation with a Ricker point source and an optional receiver line.
 // ctx may be nil (serial) or carry one rank of an MPI world.
 func Run(m *Model, ctx *core.Context, rc RunConfig) (*RunResult, error) {
-	return run(m, ctx, rc, nil, nil)
+	return run(m, ctx, rc, nil)
 }
 
 // run is Run lowering its operator through an operator cache (nil lowers
-// privately): the shot service shares one cache between its shots. A
-// non-nil store snapshots the model's wavefields every store.Interval
-// steps — the forward half of a checkpointed gradient.
-func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache, store *checkpoint.Store) (*RunResult, error) {
+// privately).
+func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache) (*RunResult, error) {
 	dt, err := stepDT("RunConfig.DT", rc.DT, m.CriticalDt)
 	if err != nil {
 		return nil, err
@@ -104,7 +102,7 @@ func run(m *Model, ctx *core.Context, rc RunConfig, cache *opcache.Cache, store 
 	if err != nil {
 		return nil, err
 	}
-	return forward(m, ctx, op, srcs, rc.Autotune, store, nt, dt)
+	return forward(m, ctx, op, srcs, rc.Autotune, nil, nt, dt)
 }
 
 // stepDT resolves a configured timestep: 0 means the model's critical
@@ -321,13 +319,12 @@ func fieldNorm(m *Model, ctx *core.Context, t int) float64 {
 // normOf computes the global L2 norm of a field's DOMAIN at time buffer t
 // (all-reduced under DMP).
 func normOf(f *field.Function, ctx *core.Context, t int) float64 {
-	dom := f.DomainRegion()
-	tmp := make([]float32, dom.Size())
-	f.Buf(t).Pack(dom, tmp)
 	sum := 0.0
-	for _, v := range tmp {
-		sum += float64(v) * float64(v)
-	}
+	domainRows(f, t, func(_ []int, row []float32) {
+		for _, v := range row {
+			sum += float64(v) * float64(v)
+		}
+	})
 	if ctx != nil && ctx.Comm != nil && ctx.Comm.Size() > 1 {
 		sum = ctx.Comm.AllreduceScalar(sum, addOp)
 	}

@@ -6,12 +6,11 @@ import (
 	"math"
 	"os"
 	goruntime "runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"devigo/internal/core"
 	"devigo/internal/field"
-	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/obs"
@@ -34,7 +33,7 @@ type Shot struct {
 }
 
 // ShotsConfig drives a shot-parallel gradient survey: N independent
-// RunGradient solves, a bounded number in flight at once, stacked into one
+// gradient solves on a bounded number of shot workers, stacked into one
 // gradient.
 type ShotsConfig struct {
 	// Gradient is the survey-wide base configuration; each Shot overrides
@@ -42,22 +41,22 @@ type ShotsConfig struct {
 	Gradient GradientConfig
 	// Shots lists the survey's shots (at least one).
 	Shots []Shot
-	// Workers is the number of shots in flight at once; 0 runs one at a
-	// time, and a count above len(Shots) is capped at it. The stacked
-	// gradient is bit-identical for every worker count.
+	// Workers is the number of shot workers, and so of shots in flight at
+	// once; 0 runs one, and a count above len(Shots) is capped at it. The
+	// stacked gradient is bit-identical for every worker count.
 	Workers int
-	// Ranks is the MPI world size per shot: each shot solves in its own
-	// in-process world of this many ranks. <= 1 is a world of one: the
-	// serial solve, no decomposition.
+	// Ranks is the MPI world size per shot worker: each worker solves its
+	// shots in its own in-process world of this many ranks. <= 1 is a
+	// world of one: the serial solve, no decomposition.
 	Ranks int
-	// Mode is the halo-exchange pattern of the per-shot worlds ("basic",
+	// Mode is the halo-exchange pattern of the workers' worlds ("basic",
 	// "diag", "full"; "" defaults to basic). A world of one exchanges
 	// nothing, whatever the mode.
 	Mode string
-	// Cache is the operator cache shared by every shot: each of the three
-	// gradient schedules is lowered once per cache, and every shot
-	// compiles its own kernels over it. Nil gives the survey a fresh cache
-	// of its own.
+	// Cache is the operator cache shared by the shot workers: each of the
+	// three gradient schedules is lowered once per cache, and every worker
+	// compiles its own kernels over it, once. Nil gives the survey a fresh
+	// cache of its own.
 	Cache *opcache.Cache
 }
 
@@ -73,7 +72,8 @@ type ShotResult struct {
 	GradNorm float64 `json:"grad_norm"`
 	// RelErr is the shot's adjoint dot-product identity gap.
 	RelErr float64 `json:"rel_err"`
-	// Seconds is the shot's wall time inside its worker.
+	// Seconds is the shot's wall time inside its worker. A worker's first
+	// shot includes building the worker's world and solver.
 	Seconds float64 `json:"seconds"`
 }
 
@@ -90,12 +90,13 @@ type ShotsResult struct {
 	GradNorm float64
 	// Misfit is the total misfit, summed over shots.
 	Misfit float64
-	// Workers is the effective number of shots in flight: the requested
-	// count capped at the number of shots.
+	// Workers is the effective number of shot workers: the requested count
+	// capped at the number of shots.
 	Workers int
 	// CacheStats snapshots the operator cache after the survey. Misses is
-	// the number of unique schedules lowered; a fresh cache over a survey
-	// of N shots sees Hits/(Hits+Misses) == (N-1)/N.
+	// the number of unique schedules lowered; each worker looks every
+	// schedule up once, so a fresh cache over a survey on W workers sees
+	// Hits/(Hits+Misses) == (W-1)/W, whatever the number of shots.
 	CacheStats opcache.Stats
 }
 
@@ -112,12 +113,15 @@ type shotOutcome struct {
 // RunShots runs a shot-parallel FWI gradient survey: model names the
 // propagator (Build dispatch), cfg the shared grid/velocity configuration
 // (its Decomp/Rank must be unset — OnRank owns the per-world
-// decomposition), and sc the survey. Each shot builds a fresh Model,
-// solves a checkpointed forward+adjoint gradient in its own in-process
-// world, and streams its gradient to the reducer, which stacks in
+// decomposition), and sc the survey. Each of the Workers shot workers
+// stands up an in-process world and, on its first shot, a gradient solver
+// on every rank: the model, the forward, adjoint and imaging operators and
+// the checkpoint store. It then solves every shot it is handed on that
+// solver, zeroing the wavefields, the gradient and the store in between,
+// and streams each shot's gradient to the reducer, which stacks in
 // ascending shot order — making the result bit-identical to a sequential
 // loop over RunGradient for any Workers setting. Lowered schedules are
-// shared across shots through the operator cache.
+// shared across workers through the operator cache.
 func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	n := len(sc.Shots)
 	if n == 0 {
@@ -131,8 +135,9 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The per-rank compute team, resolved exactly as every shot's operators
-	// will resolve it, so a bad request fails here and not inside shot 0.
+	// The per-rank compute team, resolved exactly as every worker's
+	// operators will resolve it, so a bad request fails here and not inside
+	// shot 0.
 	computeWorkers, err := core.ResolveWorkers(sc.Gradient.Workers)
 	if err != nil {
 		return nil, err
@@ -164,48 +169,80 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 			computeWorkers = clamped
 		}
 	}
+	gc := sc.Gradient
+	if computeWorkers > 0 {
+		gc.Workers = computeWorkers
+	}
 
-	fn := func(shot int) (*shotOutcome, error) {
+	// rankBody is one rank of a worker's world: it builds the rank's solver
+	// on the world's first shot and solves every shot it is handed on it.
+	rankBody := func(c *mpi.Comm, jobs <-chan int, results chan<- rankResult) error {
+		var sv *gradientSolver
+		defer func() {
+			if sv != nil {
+				sv.close()
+			}
+		}()
+		for shot := range jobs {
+			var res *GradientResult
+			err := reportPanic(func() (err error) {
+				if sv == nil {
+					m, ctx, err := OnRank(c, model, cfg, mode, nil)
+					if err != nil {
+						return err
+					}
+					if sv, err = newGradientSolver(m, ctx, gc, cache); err != nil {
+						return err
+					}
+				}
+				res, err = sv.solve(sc.Shots[shot])
+				return err
+			})
+			results <- rankResult{rank: c.Rank(), res: res, err: err}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Stacked shots hand their gradient buffers back for later shots to
+	// fill; at most n exist, so a send never blocks.
+	free := make(chan []float32, n)
+	worlds := make([]*shotWorld, workers)
+	defer func() {
+		for _, w := range worlds {
+			if w != nil {
+				// A world that failed has already failed its shot.
+				_ = w.stop()
+			}
+		}
+	}()
+	fn := func(worker, shot int) (*shotOutcome, error) {
 		t0 := time.Now()
-		gc := sc.Gradient
-		if computeWorkers > 0 {
-			gc.Workers = computeWorkers
+		w := worlds[worker]
+		if w == nil {
+			w = startShotWorld(ranks, rankBody)
+			worlds[worker] = w
 		}
-		s := sc.Shots[shot]
-		if s.SourceCoords != nil {
-			gc.SourceCoords = s.SourceCoords
-		}
-		if s.Wavelet != nil {
-			gc.Wavelet = s.Wavelet
-		}
-		if s.ObsData != nil {
-			gc.ObsData = s.ObsData
-		}
-		out := &shotOutcome{grad: make([]float32, total)}
-		// One world per shot; a world of one is the serial solve. A rank
-		// that fails fails its world, so the shot returns that rank's
-		// error instead of leaving its peers in a receive.
-		err := mpi.RunRanks(ranks, func(c *mpi.Comm) error {
-			m, ctx, err := OnRank(c, model, cfg, mode, nil)
-			if err != nil {
-				return err
-			}
-			res, err := runGradient(m, ctx, gc, cache)
-			if err != nil {
-				return err
-			}
-			// Ranks own disjoint boxes of the global gradient, so the
-			// concurrent scatters never touch the same element.
-			scatterOwned(out.grad, shape, res.Gradient, 0)
-			if c.Rank() == 0 {
-				out.misfit = misfitOf(res.Receivers, gc.ObsData)
-				out.gradNorm, out.relErr = res.GradNorm, res.RelErr
-			}
-			return nil
-		})
+		perRank, err := w.solve(shot)
 		if err != nil {
 			return nil, err
 		}
+		// Copy the gradient out before the worker's next shot zeroes it.
+		// Ranks own disjoint boxes of the global gradient.
+		out := &shotOutcome{}
+		select {
+		case out.grad = <-free:
+		default:
+			out.grad = make([]float32, total)
+		}
+		for _, res := range perRank {
+			scatterOwned(out.grad, shape, res.Gradient, 0)
+		}
+		root := perRank[0]
+		out.misfit = misfitOf(root.Receivers, gc.withShot(sc.Shots[shot]).ObsData)
+		out.gradNorm, out.relErr = root.GradNorm, root.RelErr
 		out.seconds = time.Since(t0).Seconds()
 		return out, nil
 	}
@@ -216,6 +253,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		for i, v := range o.grad {
 			stack[i] += v
 		}
+		free <- o.grad
 		shots = append(shots, ShotResult{
 			Shot: shot, Misfit: o.misfit, GradNorm: o.gradNorm, RelErr: o.relErr, Seconds: o.seconds,
 		})
@@ -237,69 +275,199 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	return res, nil
 }
 
-// inOrder runs fn on shots 0..n-1, starting them in ascending order with
-// at most workers in flight, and hands each result to reduce in ascending
-// shot order whatever the completion order. Floating-point accumulation
-// is not associative, so this order is what makes a stack bit-identical to
-// a sequential loop at every worker count; reduce is never called
-// concurrently. After a shot fails no further shot starts, the shots in
-// flight finish, and the error names the smallest failing shot; reduce
-// sees nothing from that shot onwards, since a partial stack would be
-// silently wrong. Each shot records a PhaseShot span and, on success, a
-// CtrShotsDone count on rank 0 (the fan-out sits above the rank tier), and
-// the in-flight bound is published as the CtrShotWorkers gauge.
-func inOrder[T any](n, workers int, fn func(shot int) (T, error), reduce func(shot int, v T)) error {
-	obs.Add(0, obs.CtrShotWorkers, int64(workers))
-	type result struct {
-		v   T
-		err error
+// withShot is the configuration of one shot: gc with the shot's non-nil
+// source geometry, wavelet and observed data in place of its own.
+func (gc GradientConfig) withShot(s Shot) GradientConfig {
+	if s.SourceCoords != nil {
+		gc.SourceCoords = s.SourceCoords
 	}
-	// One buffered channel per shot: a shot's result waits there for its
-	// turn, and a shot never started has its channel closed.
-	done := make([]chan result, n)
-	for i := range done {
-		done[i] = make(chan result, 1)
+	if s.Wavelet != nil {
+		gc.Wavelet = s.Wavelet
 	}
-	slots := make(chan struct{}, workers)
-	var failed atomic.Bool
+	if s.ObsData != nil {
+		gc.ObsData = s.ObsData
+	}
+	return gc
+}
+
+// shotWorld is one shot worker's in-process MPI world. The worker hands
+// every shot to all of its ranks, so they solve the same shots in the same
+// order, and a rank that fails fails the world.
+type shotWorld struct {
+	// jobs[r] carries rank r's next shot; closing them ends the world.
+	jobs []chan int
+	// results carries one result per rank per shot.
+	results chan rankResult
+	// perRank holds the current shot's results by rank.
+	perRank []*GradientResult
+	// ended delivers the world's error once every rank has returned.
+	ended   chan error
+	stopped bool
+	err     error
+}
+
+// rankResult is one rank's outcome of one shot.
+type rankResult struct {
+	rank int
+	res  *GradientResult
+	err  error
+}
+
+// startShotWorld starts a world of the given size whose ranks run body
+// over their job channel until it closes or a shot fails.
+func startShotWorld(ranks int, body func(c *mpi.Comm, jobs <-chan int, results chan<- rankResult) error) *shotWorld {
+	w := &shotWorld{
+		jobs:    make([]chan int, ranks),
+		results: make(chan rankResult, ranks), // one result per rank per shot
+		perRank: make([]*GradientResult, ranks),
+		ended:   make(chan error, 1),
+	}
+	for r := range w.jobs {
+		w.jobs[r] = make(chan int, 1)
+	}
 	go func() {
-		for shot := range n {
-			slots <- struct{}{}
-			if failed.Load() {
-				for _, c := range done[shot:] {
-					close(c)
-				}
-				return
-			}
-			go func() {
-				sp := obs.Begin(0, obs.PhaseShot, shot)
-				v, err := fn(shot)
-				sp.End()
-				if err != nil {
-					failed.Store(true)
-				} else {
-					obs.Add(0, obs.CtrShotsDone, 1)
-				}
-				<-slots
-				done[shot] <- result{v, err}
-			}()
+		w.ended <- mpi.RunRanks(ranks, func(c *mpi.Comm) error {
+			return body(c, w.jobs[c.Rank()], w.results)
+		})
+	}()
+	return w
+}
+
+// solve runs one shot on every rank of the world and returns the ranks'
+// results, by rank; they stay valid until the next solve. When a rank
+// fails, the world ends and its error — the first rank's to fail — is
+// the shot's.
+func (w *shotWorld) solve(shot int) ([]*GradientResult, error) {
+	for _, c := range w.jobs {
+		c <- shot
+	}
+	failed := false
+	for range w.jobs {
+		r := <-w.results
+		w.perRank[r.rank] = r.res
+		failed = failed || r.err != nil
+	}
+	if failed {
+		return nil, w.stop()
+	}
+	return w.perRank, nil
+}
+
+// stop ends the world and returns its error once every rank has returned.
+// Idempotent.
+func (w *shotWorld) stop() error {
+	if !w.stopped {
+		w.stopped = true
+		for _, c := range w.jobs {
+			close(c)
+		}
+		w.err = <-w.ended
+	}
+	return w.err
+}
+
+// reportPanic runs fn, turning a panic into an error, so that a rank that
+// panics still reports its shot to the worker (mpi.RunRanks names the
+// rank).
+func reportPanic(fn func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	// Every shot below a started one has started, so the first error met
-	// in ascending order is the smallest failing shot. After it the loop
-	// only drains, waiting out the shots still in flight.
-	var first error
-	for shot, c := range done {
-		r, started := <-c
-		switch {
-		case first != nil || !started:
-		case r.err != nil:
-			first = fmt.Errorf("propagators: shot %d: %w", shot, r.err)
-		default:
-			reduce(shot, r.v)
+	return fn()
+}
+
+// inOrder runs shots 0..n-1 on workers workers and hands each result to
+// reduce in ascending shot order whatever the completion order. Shots are
+// handed out in ascending order: shot w to worker w at the start, so
+// every worker with a shot runs one whatever the scheduler does, then the
+// next to whichever worker comes free. fn runs one shot on one worker
+// (0 <= worker < workers); a worker runs one shot at a time, so fn may
+// keep per-worker state. Floating-point accumulation is not associative,
+// so the reduction order is what makes a stack bit-identical to a
+// sequential loop at every worker count. The worker that completes the
+// next shot due reduces it, with every later shot already waiting, so a
+// result is reduced as soon as its turn comes; reduce is never called
+// concurrently. After a shot fails no further shot is handed out, the
+// shots handed out finish, and the error names the smallest failing shot;
+// reduce sees nothing from that shot onwards, since a partial stack would
+// be silently wrong. inOrder returns once every worker has stopped. Each
+// shot records a PhaseShot span and, on success, a CtrShotsDone count on
+// rank 0 (the fan-out sits above the rank tier), and the in-flight bound
+// is published as the CtrShotWorkers gauge.
+func inOrder[T any](n, workers int, fn func(worker, shot int) (T, error), reduce func(shot int, v T)) error {
+	obs.Add(0, obs.CtrShotWorkers, int64(workers))
+	var (
+		mu       sync.Mutex
+		next     = min(workers, n) // the next shot to hand out
+		done     = make([]bool, n) // shot finished and waiting to be reduced
+		results  = make([]T, n)
+		reduced  int   // shots below have been reduced
+		reducing bool  // a worker is running reduce
+		failShot = n   // the smallest failing shot
+		failure  error // its error
+	)
+	// take hands out the next shot, or -1 once none is left or a shot has
+	// failed.
+	take := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		if failShot < n || next == n {
+			return -1
 		}
+		next++
+		return next - 1
 	}
-	return first
+	// finish records a shot's outcome and, unless another worker already
+	// is, reduces every shot whose turn has come, outside the lock.
+	finish := func(shot int, v T, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if shot < failShot {
+				failShot, failure = shot, fmt.Errorf("propagators: shot %d: %w", shot, err)
+			}
+			return
+		}
+		done[shot], results[shot] = true, v
+		if reducing {
+			return
+		}
+		reducing = true
+		for reduced < failShot && done[reduced] {
+			s, r := reduced, results[reduced]
+			var zero T
+			results[reduced] = zero
+			reduced++
+			mu.Unlock()
+			reduce(s, r)
+			mu.Lock()
+		}
+		reducing = false
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := w
+			if w >= n {
+				first = -1
+			}
+			for shot := first; shot >= 0; shot = take() {
+				sp := obs.Begin(0, obs.PhaseShot, shot)
+				v, err := fn(w, shot)
+				sp.End()
+				if err == nil {
+					obs.Add(0, obs.CtrShotsDone, 1)
+				}
+				finish(shot, v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return failure
 }
 
 // shotWorkers resolves ShotsConfig.Workers over a survey of n shots: 0
@@ -331,11 +499,12 @@ func clampWorkers(computeWorkers, lanesPerShot, hostCores int) int {
 // decomposition every rank owns a disjoint box, so concurrent scatters
 // from the ranks of one world assemble the global array without overlap.
 func scatterOwned(dst []float32, gshape []int, f *field.Function, t int) {
-	dom := f.DomainRegion()
-	tmp := make([]float32, dom.Size())
-	f.Buf(t).Pack(dom, tmp)
-	grid.BoxRows(gshape, f.Origin, f.LocalShape, func(goff, loff, rowLen int) {
-		copy(dst[goff:goff+rowLen], tmp[loff:loff+rowLen])
+	domainRows(f, t, func(idx []int, row []float32) {
+		off := 0
+		for d, i := range idx {
+			off = off*gshape[d] + f.Origin[d] + i
+		}
+		copy(dst[off:off+len(row)], row)
 	})
 }
 

@@ -2,15 +2,21 @@ package propagators
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"devigo/internal/checkpoint"
 	"devigo/internal/core"
 	"devigo/internal/field"
 	"devigo/internal/grid"
+	"devigo/internal/halo"
+	"devigo/internal/mpi"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
 	"devigo/internal/sparse"
@@ -271,37 +277,38 @@ func TestInjectionErrorSurfaces(t *testing.T) {
 }
 
 // TestRunShotsCacheAccounting pins the service's deterministic cache
-// arithmetic: a survey of N shots lowers each of the three gradient
-// schedules (forward, adjoint, imaging) exactly once — 3 misses, 3(N-1)
-// hits, hit rate (N-1)/N, 3 entries — at any worker count, whether the
-// cache is the caller's or the survey's own, and the obs counters agree.
+// arithmetic: a survey on W shot workers builds each of the three gradient
+// operators (forward, adjoint, imaging) once per worker and lowers each
+// schedule exactly once — 3 misses, 3(W-1) hits, hit rate (W-1)/W, 3
+// entries — however many shots it solves, whether the cache is the
+// caller's or the survey's own, and the obs counters agree.
 func TestRunShotsCacheAccounting(t *testing.T) {
 	obs.EnableMetrics()
 	defer func() { obs.DisableAll(); obs.Reset() }()
 	obs.Reset()
 
 	shots := append(surveyShots(), Shot{SourceCoords: []float64{18, 6}})
-	n := len(shots)
+	n, workers := len(shots), 2
 	res, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-		Gradient: surveyGradient(), Shots: shots, Workers: 2, Cache: opcache.New(),
+		Gradient: surveyGradient(), Shots: shots, Workers: workers, Cache: opcache.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	own, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-		Gradient: surveyGradient(), Shots: shots, Workers: 2,
+		Gradient: surveyGradient(), Shots: shots, Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const uniqueSchedules = 3
-	want := opcache.Stats{Hits: int64(uniqueSchedules * (n - 1)), Misses: uniqueSchedules, Entries: uniqueSchedules}
+	want := opcache.Stats{Hits: int64(uniqueSchedules * (workers - 1)), Misses: uniqueSchedules, Entries: uniqueSchedules}
 	for _, st := range []opcache.Stats{res.CacheStats, own.CacheStats} {
 		if st != want {
 			t.Errorf("cache stats = %+v, want %+v (one miss per unique schedule)", st, want)
 		}
-		if rate := float64(n-1) / float64(n); st.HitRate() != rate {
-			t.Errorf("hit rate = %v, want (N-1)/N = %v", st.HitRate(), rate)
+		if rate := float64(workers-1) / float64(workers); st.HitRate() != rate {
+			t.Errorf("hit rate = %v, want (W-1)/W = %v", st.HitRate(), rate)
 		}
 	}
 
@@ -315,6 +322,175 @@ func TestRunShotsCacheAccounting(t *testing.T) {
 	if total.CkptSaves <= 0 || total.CkptRestores <= 0 {
 		t.Errorf("obs checkpoint counters = %d saves / %d restores, want both > 0 (every shot checkpoints its forward run)",
 			total.CkptSaves, total.CkptRestores)
+	}
+}
+
+// reuseSurvey is the survey of the solver-reuse tests: five shots with
+// distinct source positions, wavelets and observed data, so anything one
+// shot left in a reused solver would show in the next.
+func reuseSurvey() (Config, GradientConfig, []Shot) {
+	cfg := Config{Shape: []int{32, 28}, SpaceOrder: 4, NBL: 4, Velocity: 1.5}
+	gc := GradientConfig{
+		NT:                 14,
+		ReceiverCoords:     [][]float64{{6, 5}, {11, 9}, {15, 14}, {20, 16}, {25, 20}},
+		CheckpointInterval: 3,
+	}
+	var shots []Shot
+	for i, at := range [][]float64{{8, 8}, {12, 12}, {16, 15}, {20, 9}, {24, 19}} {
+		obs := make([][]float64, gc.NT)
+		for t := range obs {
+			obs[t] = make([]float64, len(gc.ReceiverCoords))
+			for r := range obs[t] {
+				obs[t][r] = 1e-3 * float64((t+1)*(r+2+i)%7)
+			}
+		}
+		amp := float32(i + 1)
+		shots = append(shots, Shot{SourceCoords: at, Wavelet: []float32{amp, -2 * amp, amp, 0.5}, ObsData: obs})
+	}
+	return cfg, gc, shots
+}
+
+// shotRecord is one shot's gradient assembled on the global grid, with
+// the figures a fresh and a reused solver must agree on.
+type shotRecord struct {
+	grad []float32
+	// state is every buffer of rank 0's forward and adjoint wavefields
+	// after the shot, halos included: what a reused solver carries into
+	// its next shot.
+	state []float32
+	shotFigures
+}
+
+type shotFigures struct {
+	gradNorm, misfit, rel float64
+	ckpt                  checkpoint.Stats
+	fwdSteps, adjSteps    int
+	fwdPoints, adjPoints  int64
+}
+
+// solveShots solves every shot on every rank of a world of the given size
+// — on one reused solver when reuse is set, else each on a fresh model and
+// solver (RunGradient's own path, kept open to read its wavefields) — and
+// returns rank 0's records.
+func solveShots(t *testing.T, ranks int, mode halo.Mode, cfg Config, gc GradientConfig, shots []Shot, reuse bool) []shotRecord {
+	t.Helper()
+	recs := make([]shotRecord, len(shots))
+	for i := range recs {
+		recs[i].grad = make([]float32, cfg.Shape[0]*cfg.Shape[1])
+	}
+	err := mpi.RunRanks(ranks, func(c *mpi.Comm) error {
+		var reused *gradientSolver
+		for i, shot := range shots {
+			sv, solveAs := reused, shot
+			if sv == nil {
+				m, ctx, err := OnRank(c, "acoustic", cfg, mode, nil)
+				if err != nil {
+					return err
+				}
+				base := gc
+				if !reuse {
+					base, solveAs = gc.withShot(shot), Shot{}
+				}
+				if sv, err = newGradientSolver(m, ctx, base, nil); err != nil {
+					return err
+				}
+				defer sv.close()
+				if reuse {
+					reused = sv
+				}
+			}
+			res, err := sv.solve(solveAs)
+			if err != nil {
+				return err
+			}
+			scatterOwned(recs[i].grad, cfg.Shape, res.Gradient, 0)
+			if c.Rank() == 0 {
+				r := &recs[i]
+				for _, f := range []*field.Function{sv.m.Fields["u"], sv.adj.Fields["v"]} {
+					for _, b := range f.Bufs {
+						r.state = append(r.state, b.Data...)
+					}
+				}
+				r.gradNorm, r.misfit, r.rel = res.GradNorm, misfitOf(res.Receivers, gc.withShot(shot).ObsData), res.RelErr
+				r.ckpt = res.Checkpoint
+				r.fwdSteps, r.adjSteps = res.ForwardPerf.Timesteps, res.AdjointPerf.Timesteps
+				r.fwdPoints, r.adjPoints = res.ForwardPerf.PointsUpdated, res.AdjointPerf.PointsUpdated
+			}
+		}
+		// Ghost points are rewritten before any read, so stale halos
+		// would not move a bit: check the reset itself leaves none.
+		if reused != nil {
+			reused.reset()
+			for _, f := range []*field.Function{reused.m.Fields["u"], reused.adj.Fields["v"], reused.grad} {
+				for bi, b := range f.Bufs {
+					if i := slices.IndexFunc(b.Data, func(v float32) bool { return v != 0 }); i >= 0 {
+						return fmt.Errorf("reset left %s buffer %d [%d] = %v", f.Name, bi, i, b.Data[i])
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestRunShotsReusedWorkerBitExact: a shot worker solves its shots on one
+// solver, zeroing wavefields (halos included), gradient and checkpoint
+// store in between. Five distinct shots on two workers — one solves three —
+// must equal a loop of fresh RunGradient calls bit for bit, per shot and
+// stacked, serially and on 2-rank full-mode worlds with time tile 4, where
+// injections write ghost copies; a solver reused directly must also match
+// each fresh shot's gradient, wavefields (halos included), checkpoint
+// counters and operator counters, and its reset must zero every buffer.
+func TestRunShotsReusedWorkerBitExact(t *testing.T) {
+	cfg, base, shots := reuseSurvey()
+	for _, c := range []struct {
+		ranks    int
+		mode     halo.Mode
+		timeTile int
+	}{{1, halo.ModeBasic, 1}, {2, halo.ModeFull, 4}} {
+		t.Run(fmt.Sprintf("ranks=%d/%s/k=%d", c.ranks, c.mode, c.timeTile), func(t *testing.T) {
+			gc := base
+			gc.TimeTile = c.timeTile
+			fresh := solveShots(t, c.ranks, c.mode, cfg, gc, shots, false)
+			reused := solveShots(t, c.ranks, c.mode, cfg, gc, shots, true)
+			for i := range shots {
+				f, r := fresh[i], reused[i]
+				if !slices.Equal(r.grad, f.grad) {
+					t.Errorf("shot %d: reused solver's gradient differs from a fresh solver's", i)
+				}
+				if !slices.Equal(r.state, f.state) {
+					t.Errorf("shot %d: reused solver's wavefields differ from a fresh solver's, halos included", i)
+				}
+				if r.shotFigures != f.shotFigures {
+					t.Errorf("shot %d: reused solver %+v, fresh %+v", i, r.shotFigures, f.shotFigures)
+				}
+			}
+
+			res, err := RunShots("acoustic", cfg, ShotsConfig{
+				Gradient: gc, Shots: shots, Workers: 2, Ranks: c.ranks, Mode: c.mode.String(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack := make([]float32, len(fresh[0].grad))
+			for i, f := range fresh {
+				for j, v := range f.grad {
+					stack[j] += v
+				}
+				s := res.Shots[i]
+				if s.GradNorm != f.gradNorm || s.Misfit != f.misfit || s.RelErr != f.rel {
+					t.Errorf("shot %d: survey norm %v misfit %v rel %v, fresh %v %v %v",
+						i, s.GradNorm, s.Misfit, s.RelErr, f.gradNorm, f.misfit, f.rel)
+				}
+			}
+			if !slices.Equal(res.Gradient, stack) {
+				t.Error("survey stack differs from the stacked fresh gradients")
+			}
+		})
 	}
 }
 
@@ -332,7 +508,7 @@ func TestSharedScheduleWithScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := run(m, nil, RunConfig{NT: 12}, c, nil)
+		res, err := run(m, nil, RunConfig{NT: 12}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,20 +531,22 @@ func TestSharedScheduleWithScratch(t *testing.T) {
 	}
 }
 
-// TestRunShotsTunesEveryShot: the cache shares no tuning, so under the
-// search policy every shot's forward and adjoint operators tune themselves —
-// one chosen decision each on its world's rank 0 — and the tuned survey
-// stacks the untuned survey's bits.
-func TestRunShotsTunesEveryShot(t *testing.T) {
+// TestRunShotsTunesEveryWorker: the cache shares no tuning, so under the
+// search policy every shot worker's forward and adjoint operators tune
+// themselves on the worker's first shot — one chosen decision each on its
+// world's rank 0 — and keep that choice for its later shots; the tuned
+// survey stacks the untuned survey's bits.
+func TestRunShotsTunesEveryWorker(t *testing.T) {
 	obs.EnableMetrics()
 	defer func() { obs.DisableAll(); obs.Reset() }()
 	obs.Reset()
 
+	const workers = 2
 	survey := func(policy string) *ShotsResult {
 		gc := surveyGradient()
 		gc.Autotune = policy
 		res, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-			Gradient: gc, Shots: surveyShots(), Workers: 2, Ranks: 4, Mode: "diag",
+			Gradient: gc, Shots: surveyShots(), Workers: workers, Ranks: 4, Mode: "diag",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -387,8 +565,8 @@ func TestRunShotsTunesEveryShot(t *testing.T) {
 			chosen++
 		}
 	}
-	if want := 2 * len(surveyShots()); chosen != want {
-		t.Errorf("%d chosen decisions, want %d (forward and adjoint of every shot)", chosen, want)
+	if want := 2 * workers; chosen != want {
+		t.Errorf("%d chosen decisions, want %d (forward and adjoint of every worker)", chosen, want)
 	}
 }
 
@@ -494,7 +672,7 @@ func TestInOrderReducesAscending(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, n + 5} {
 		var order []int
 		err := inOrder(n, workers,
-			func(shot int) (int, error) {
+			func(_, shot int) (int, error) {
 				time.Sleep(delays[shot])
 				return shot * shot, nil
 			},
@@ -523,7 +701,7 @@ func TestInOrderBoundsInFlight(t *testing.T) {
 	var inFlight, peak atomic.Int64
 	const workers = 3
 	err := inOrder(24, workers,
-		func(shot int) (struct{}, error) {
+		func(_, shot int) (struct{}, error) {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -554,7 +732,7 @@ func TestInOrderFailureNamesSmallestShot(t *testing.T) {
 		var running atomic.Int64
 		reduced := map[int]bool{}
 		err := inOrder(16, 4,
-			func(shot int) (int, error) {
+			func(_, shot int) (int, error) {
 				running.Add(1)
 				defer running.Add(-1)
 				switch shot {
@@ -586,7 +764,7 @@ func TestInOrderFailureNamesSmallestShot(t *testing.T) {
 	}
 
 	var started atomic.Int64
-	err := inOrder(10, 1, func(shot int) (int, error) {
+	err := inOrder(10, 1, func(_, shot int) (int, error) {
 		started.Add(1)
 		if shot == 3 {
 			return 0, boom
@@ -748,5 +926,78 @@ func TestRunShotsOversubscriptionClamp(t *testing.T) {
 			t.Fatalf("clamped stack diverges from sequential loop at %d: %v vs %v",
 				i, res.Gradient[i], want[i])
 		}
+	}
+}
+
+// TestSurveyAllocationBudget pins what a survey allocates once its
+// workers are set up. Sparse injection allocates nothing and
+// interpolation only the slice it returns. A shot beyond a worker's first
+// builds nothing the size of a wavefield: the marginal shot — the
+// TotalAlloc of a 6-shot survey minus a 2-shot one's, over the 4 extra
+// shots, both on 2 workers and each the median of 5 runs — allocates
+// fewer bytes than one time buffer of the forward wavefield (halos
+// included), whereas building a solver allocates a dozen such buffers
+// and the checkpoint store more. What it may allocate is per-call
+// bookkeeping, the traces, and the dense gradient copies the reducer
+// recycles (one extra copy lives while a worker runs ahead of the
+// reduction).
+func TestSurveyAllocationBudget(t *testing.T) {
+	cfg := Config{Shape: []int{96, 96}, SpaceOrder: 16, NBL: 8, Velocity: 1.5}
+	m, err := Build("acoustic", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := m.Fields["u"]
+	rec, err := sparse.New("rec", m.Grid, ReceiverLine(m.Grid, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float32, rec.NPoints())
+	for _, depth := range [][]int{nil, {64, 64}} {
+		if n := testing.AllocsPerRun(20, func() {
+			if err := rec.InjectDeep(u, 1, vals, depth); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("InjectDeep (depth %v) allocates %v times per call, want 0", depth, n)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { rec.Interpolate(u, 1, nil) }); n > 1 {
+		t.Errorf("Interpolate allocates %v times per call, want at most 1 (its result)", n)
+	}
+
+	gc := GradientConfig{NT: 16, NReceivers: 8}
+	survey := func(n int) uint64 {
+		sc := ShotsConfig{Gradient: gc, Workers: 2}
+		for s := range n {
+			at := 20 + 10*float64(s)
+			sc.Shots = append(sc.Shots, Shot{SourceCoords: []float64{at, at}})
+		}
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		if _, err := RunShots("acoustic", cfg, sc); err != nil {
+			t.Fatal(err)
+		}
+		goruntime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	survey(2) // warm process-wide memos
+	// Medians of interleaved repetitions: a worker that the scheduler
+	// starts only after its peer has taken every shot builds no solver,
+	// and a reduction that lags keeps an extra gradient copy alive.
+	var twos, sixes []float64
+	for range 5 {
+		twos = append(twos, float64(survey(2)))
+		sixes = append(sixes, float64(survey(6)))
+	}
+	slices.Sort(twos)
+	slices.Sort(sixes)
+	two, six := twos[2], sixes[2]
+	marginal := (six - two) / 4
+	buffer := 4 * len(u.Buf(0).Data)
+	t.Logf("2 shots %.0f B, 6 shots %.0f B (medians of 5): %.0f B per marginal shot; one wavefield buffer %d B",
+		two, six, marginal, buffer)
+	if marginal >= float64(buffer) {
+		t.Errorf("a marginal shot allocates %.0f B, want less than one wavefield buffer (%d B)", marginal, buffer)
 	}
 }

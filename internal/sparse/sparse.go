@@ -16,10 +16,15 @@ import (
 )
 
 // SparseFunction is a set of off-grid points with physical coordinates.
+// The coordinates are fixed at New, which resolves every point's support
+// once: injection and interpolation then reuse it at every step.
 type SparseFunction struct {
 	Name   string
 	Grid   *grid.Grid
-	Coords [][]float64 // npoints x ndims, in physical units
+	Coords [][]float64 // npoints x ndims, in physical units; read-only after New
+
+	// supports[p] is point p's support, computed from Coords by New.
+	supports [][]corner
 }
 
 // New validates coordinates against the grid extent. Non-finite
@@ -40,23 +45,27 @@ func New(name string, g *grid.Grid, coords [][]float64) (*SparseFunction, error)
 			}
 		}
 	}
-	cp := make([][]float64, len(coords))
+	s := &SparseFunction{Name: name, Grid: g, Coords: make([][]float64, len(coords)),
+		supports: make([][]corner, len(coords))}
 	for i, c := range coords {
-		cp[i] = append([]float64(nil), c...)
+		s.Coords[i] = append([]float64(nil), c...)
+		s.supports[i] = s.support(i)
 	}
-	return &SparseFunction{Name: name, Grid: g, Coords: cp}, nil
+	return s, nil
 }
 
 // NPoints returns the point count.
 func (s *SparseFunction) NPoints() int { return len(s.Coords) }
 
-// support enumerates the 2^nd grid corners of the cell containing point p
-// with their bilinear/trilinear weights.
+// corner is one grid corner of the cell containing a point: its global
+// grid index and its bilinear/trilinear weight.
 type corner struct {
 	idx    []int
 	weight float64
 }
 
+// support enumerates the 2^nd grid corners of the cell containing point p
+// with their nonzero weights; New keeps the result in supports.
 func (s *SparseFunction) support(p int) []corner {
 	nd := s.Grid.NDims()
 	base := make([]int, nd)
@@ -97,27 +106,26 @@ func (s *SparseFunction) support(p int) []corner {
 	return out
 }
 
-// ownsPoint reports whether the field's local DOMAIN contains the global
-// grid index.
-func ownsPoint(f *field.Function, gidx []int) bool {
-	return ownsPointDeep(f, gidx, nil)
-}
-
-// ownsPointDeep reports whether the global grid index falls within the
-// field's local DOMAIN extended by depth[d] ghost points per side (nil
-// depth means the owned box only).
-func ownsPointDeep(f *field.Function, gidx []int, depth []int) bool {
+// offsetDeep returns the offset in buf of the global grid index gidx and
+// whether gidx falls within f's local DOMAIN extended by depth[d] ghost
+// points per side, clamped to the allocated halo (nil depth means the
+// owned box only). buf is one of f's buffers.
+func offsetDeep(f *field.Function, buf *field.Buffer, gidx []int, depth []int) (int, bool) {
+	off := 0
 	for d, g := range gidx {
 		ext := 0
 		if depth != nil {
-			ext = depth[d]
+			// The caller may pass an operator-wide depth wider than this
+			// field's own ghost region.
+			ext = min(depth[d], f.Halo[d])
 		}
 		l := g - f.Origin[d]
 		if l < -ext || l >= f.LocalShape[d]+ext {
-			return false
+			return 0, false
 		}
+		off += (l + f.Halo[d]) * buf.Strides[d]
 	}
-	return true
+	return off, true
 }
 
 // Inject scatter-adds vals[p] * weight into time buffer t of f at the
@@ -142,30 +150,12 @@ func (s *SparseFunction) InjectDeep(f *field.Function, t int, vals []float32, de
 	if len(vals) != s.NPoints() {
 		return fmt.Errorf("sparse: %d values for %d points", len(vals), s.NPoints())
 	}
-	if depth != nil {
-		// Clamp to the allocation: the caller may pass an operator-wide
-		// depth wider than this field's own ghost region.
-		clamped := make([]int, len(depth))
-		for d := range depth {
-			clamped[d] = depth[d]
-			if d < len(f.Halo) && clamped[d] > f.Halo[d] {
-				clamped[d] = f.Halo[d]
-			}
-		}
-		depth = clamped
-	}
 	buf := f.Buf(t)
-	for p := range s.Coords {
-		for _, c := range s.support(p) {
-			if !ownsPointDeep(f, c.idx, depth) {
-				continue
+	for p, sup := range s.supports {
+		for _, c := range sup {
+			if off, ok := offsetDeep(f, buf, c.idx, depth); ok {
+				buf.Data[off] += float32(c.weight) * vals[p]
 			}
-			idx := make([]int, len(c.idx))
-			for d := range c.idx {
-				idx[d] = c.idx[d] - f.Origin[d] + f.Halo[d]
-			}
-			off := buf.Index(idx)
-			buf.Data[off] += float32(c.weight) * vals[p]
 		}
 	}
 	return nil
@@ -179,17 +169,12 @@ func (s *SparseFunction) InjectDeep(f *field.Function, t int, vals []float32, de
 func (s *SparseFunction) Interpolate(f *field.Function, t int, comm *mpi.Comm) []float64 {
 	partial := make([]float64, s.NPoints())
 	buf := f.Buf(t)
-	for p := range s.Coords {
+	for p, sup := range s.supports {
 		sum := 0.0
-		for _, c := range s.support(p) {
-			if !ownsPoint(f, c.idx) {
-				continue
+		for _, c := range sup {
+			if off, ok := offsetDeep(f, buf, c.idx, nil); ok {
+				sum += c.weight * float64(buf.Data[off])
 			}
-			idx := make([]int, len(c.idx))
-			for d := range c.idx {
-				idx[d] = c.idx[d] - f.Origin[d] + f.Halo[d]
-			}
-			sum += c.weight * float64(buf.Data[buf.Index(idx)])
 		}
 		partial[p] = sum
 	}
