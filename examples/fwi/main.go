@@ -21,6 +21,8 @@ const (
 	nt        = 120
 	nrec      = 24
 	interval  = 12
+	// certTol is the dot-product gate of the exact certification.
+	certTol = 1e-8
 )
 
 func config() propagators.Config {
@@ -41,13 +43,17 @@ func gradientConfig() propagators.GradientConfig {
 }
 
 func main() {
-	// Exact-arithmetic certification first: the gate CI enforces.
+	// Exact-arithmetic certification first: a gap above certTol fails the
+	// run.
 	cert, err := propagators.RunDotTest(nil, halo.ModeNone, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("adjoint certification: <Fq,Fq>=%.9g <q,F'Fq>=%.9g rel=%.3g\n",
 		cert.DotForward, cert.DotAdjoint, cert.RelErr)
+	if cert.RelErr > certTol {
+		log.Fatalf("adjoint certification failed: rel %.3g > %g", cert.RelErr, certTol)
+	}
 
 	m, err := propagators.Acoustic(config())
 	if err != nil {

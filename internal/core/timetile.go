@@ -17,8 +17,8 @@ import (
 // between (ir.PlanTimeTile derives the shell geometry and proves
 // legality). The owned box of every rank holds bit-identical values to a
 // k=1 run after every substep, so tiling composes with every halo mode,
-// both engines, the adjoint/reverse schedules and the differential/dot-
-// product certification harnesses unchanged.
+// all three engines, the adjoint/reverse schedules and the differential/
+// dot-product certification harnesses unchanged.
 
 // TimeTileEnvVar overrides the exchange interval when Options.TimeTile is
 // unset: DEVIGO_TIME_TILE=k runs existing programs with deep-halo time

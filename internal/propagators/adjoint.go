@@ -94,101 +94,6 @@ func acousticAdjoint(fwd *Model) (*Model, error) {
 	}, nil
 }
 
-// AdjointConfig drives a time-reversed run.
-type AdjointConfig struct {
-	// NT is the number of timesteps (must match the forward run whose
-	// data is injected).
-	NT int
-	// DT is the timestep (0 keeps CriticalDt; any other value must be
-	// positive and finite).
-	DT float64
-	// RecCoords are the adjoint-source positions — the receiver layout of
-	// the forward run.
-	RecCoords [][]float64
-	// RecData is the injected time series, NT x len(RecCoords), in
-	// forward-time order (the reversal happens inside the sweep).
-	RecData [][]float64
-	// SrcCoords is the read-back position (the forward source); nil uses
-	// the domain centre.
-	SrcCoords []float64
-	// Exec configures the adjoint operator.
-	Exec
-}
-
-// AdjointResult carries the outputs of a time-reversed run.
-type AdjointResult struct {
-	NT int
-	DT float64
-	// SrcTraces is F'(d) sampled at SrcCoords, in forward-time order:
-	// SrcTraces[t] pairs with the forward wavelet sample q[t] in the
-	// dot-product identity.
-	SrcTraces []float64
-	// Norm is the L2 norm of the adjoint wavefield's final state (time
-	// buffer 0), all-reduced under DMP.
-	Norm float64
-	// Perf reports the adjoint operator's section timings.
-	Perf core.Perf
-	// Op exposes the compiled adjoint operator.
-	Op *core.Operator
-}
-
-// RunAdjoint compiles the adjoint companion of a forward model and runs
-// it backwards in time: the reverse loop writes v[t-1] for t = NT..1,
-// injecting RecData[t-1] into the freshly written buffer and sampling
-// the source position — the exact transpose of the forward source/record
-// schedule. ctx may be nil (serial) or carry one rank of an MPI world.
-func RunAdjoint(fwd *Model, ctx *core.Context, ac AdjointConfig) (*AdjointResult, error) {
-	adj, err := Adjoint(fwd)
-	if err != nil {
-		return nil, err
-	}
-	dt, err := stepDT("AdjointConfig.DT", ac.DT, adj.CriticalDt)
-	if err != nil {
-		return nil, err
-	}
-	nt := ac.NT
-	if nt <= 0 {
-		return nil, fmt.Errorf("propagators: AdjointConfig needs NT")
-	}
-	if len(ac.RecCoords) == 0 {
-		return nil, fmt.Errorf("propagators: AdjointConfig needs RecCoords")
-	}
-	if len(ac.RecData) != nt {
-		return nil, fmt.Errorf("propagators: RecData has %d steps, want NT=%d", len(ac.RecData), nt)
-	}
-	for t, row := range ac.RecData {
-		if len(row) != len(ac.RecCoords) {
-			return nil, fmt.Errorf("propagators: RecData step %d has %d traces for %d receivers",
-				t, len(row), len(ac.RecCoords))
-		}
-	}
-	op, err := core.NewOperator(adj.Eqs, adj.Fields, adj.Grid, ctx, ac.options(adj.Name, nil))
-	if err != nil {
-		return nil, err
-	}
-	srcs, err := buildSources(adj, &RunConfig{SourceCoords: ac.SrcCoords, ReceiverCoords: ac.RecCoords}, dt, nt)
-	if err != nil {
-		return nil, err
-	}
-	traces, err := backward(adj, ctx, op, srcs, ac.RecData, dt, ac.Autotune, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &AdjointResult{NT: nt, DT: dt, Op: op, SrcTraces: traces,
-		Perf: op.Report(), Norm: fieldNorm(adj, ctx, 0)}, nil
-}
-
-// DotTestResult reports one adjointness certification: the two sides of
-// <Fq, d> = <q, F'd> and their relative gap.
-type DotTestResult struct {
-	NT          int
-	DotForward  float64 // <Fq, Fq> — the forward side with d = Fq
-	DotAdjoint  float64 // <q, F'Fq>
-	RelErr      float64
-	ForwardNorm float64
-	AdjointNorm float64
-}
-
 // RelDot returns |a-b| / max(|a|, |b|, tiny).
 func RelDot(a, b float64) float64 {
 	den := math.Max(math.Abs(a), math.Abs(b))
@@ -199,63 +104,53 @@ func RelDot(a, b float64) float64 {
 }
 
 // RunDotTest runs the standard adjoint (dot-product) certification on the
-// acoustic model: forward d = Fq, adjoint q' = F'd, then <d,d> must equal
-// <q,q'>. The configuration is engineered so that every floating-point
-// operation is exact in float32 storage — second-order stencil (integer
-// Laplacian weights), dt = 1 with m = 2 (dyadic update coefficient 1/2,
-// marginally stable), no absorbing layer, on-grid source/receivers and a
-// dyadic wavelet — so any structural error in the adjoint (a wrong time
-// offset, scale or stencil asymmetry) shows up as an O(1) relative gap
-// while a correct transpose yields ~0, far below the 1e-8 gate that
-// float32 rounding noise would otherwise drown.
+// acoustic model through RunGradient: the forward pass records d = Fq, the
+// reverse sweep back-propagates d itself (no ObsData) into q' = F'd, and
+// the result's DotForward = <d,d> must equal DotAdjoint = <q,q'>. The
+// configuration is engineered so that every floating-point operation is
+// exact in float32 storage — second-order stencil (integer Laplacian
+// weights), dt = 1 with m = 2 (dyadic update coefficient 1/2, marginally
+// stable), no absorbing layer, on-grid source/receivers and a dyadic
+// wavelet — so any structural error in the adjoint (a wrong time offset,
+// scale or stencil asymmetry) shows up as an O(1) RelErr while a correct
+// transpose yields ~0, far below the 1e-8 gate that float32 rounding noise
+// would otherwise drown.
 //
 // c is the calling rank of the world to certify on under halo pattern mode
-// (nil, or a world of one: serial).
-func RunDotTest(c *mpi.Comm, mode halo.Mode, engine string) (*DotTestResult, error) {
-	const nt = 8
+// (nil, or a world of one: serial); engine names the execution engine of
+// all three operators ("" is the default).
+func RunDotTest(c *mpi.Comm, mode halo.Mode, engine string) (*GradientResult, error) {
+	m, ctx, err := dotTestModel(c, mode)
+	if err != nil {
+		return nil, err
+	}
+	gc := dotTestConfig()
+	gc.Engine = engine
+	return RunGradient(m, ctx, gc)
+}
+
+// dotTestModel builds the certification's exact-arithmetic acoustic model
+// on the calling rank of c (nil: serial): 24x24, second order, no
+// absorbing layer, m = 2, which keeps the update coefficient dt^2/m = 1/2
+// exactly dyadic and the scheme marginally stable (|2 + lambda_L/2| <= 2
+// in 2-D).
+func dotTestModel(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
 	m, ctx, err := OnRank(c, "acoustic", Config{Shape: []int{24, 24}, SpaceOrder: 2, NBL: 0, Velocity: 1}, mode, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// m = 2 keeps the update coefficient dt^2/m = 1/2 exactly dyadic and
-	// the scheme marginally stable (|2 + lambda_L/2| <= 2 in 2-D).
 	fillConst(m.Fields["m"], 2)
+	return m, ctx, nil
+}
 
-	wavelet := []float32{1, -2, 1}
-	srcCoords := []float64{12, 12}
-	recCoords := [][]float64{{6, 5}, {11, 9}, {15, 14}, {17, 16}}
-
-	fres, err := Run(m, ctx, RunConfig{
-		NT: nt, DT: 1,
-		Wavelet:        wavelet,
-		SourceCoords:   srcCoords,
-		ReceiverCoords: recCoords,
-		Exec:           Exec{Engine: engine},
-	})
-	if err != nil {
-		return nil, err
+// dotTestConfig is the certification's exact gradient configuration for
+// dotTestModel: dt = 1, a dyadic wavelet and an on-grid source and
+// receivers.
+func dotTestConfig() GradientConfig {
+	return GradientConfig{
+		NT: 8, DT: 1,
+		Wavelet:        []float32{1, -2, 1},
+		SourceCoords:   []float64{12, 12},
+		ReceiverCoords: [][]float64{{6, 5}, {11, 9}, {15, 14}, {17, 16}},
 	}
-	ares, err := RunAdjoint(m, ctx, AdjointConfig{
-		NT: nt, DT: 1,
-		RecCoords: recCoords,
-		RecData:   fres.Receivers,
-		SrcCoords: srcCoords,
-		Exec:      Exec{Engine: engine},
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &DotTestResult{NT: nt, ForwardNorm: fres.Norm, AdjointNorm: ares.Norm}
-	for t := 0; t < nt; t++ {
-		for _, d := range fres.Receivers[t] {
-			res.DotForward += d * d
-		}
-		var q float64
-		if t < len(wavelet) {
-			q = float64(wavelet[t])
-		}
-		res.DotAdjoint += q * ares.SrcTraces[t]
-	}
-	res.RelErr = RelDot(res.DotForward, res.DotAdjoint)
-	return res, nil
 }

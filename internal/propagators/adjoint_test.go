@@ -17,7 +17,7 @@ import (
 
 // The adjoint acceptance gate: the discrete dot-product identity
 // <Fq, Fq> = <q, F'Fq> must hold to 1e-8 relative error for the acoustic
-// model — serially and on 4 ranks under every halo mode, with both
+// model — serially and on 4 ranks under every halo mode, with all three
 // execution engines. RunDotTest's configuration makes every float op
 // exact, so a correct adjoint yields an *exactly* zero gap and any
 // structural error yields O(1); the gate therefore certifies the
@@ -93,74 +93,35 @@ func TestAdjointDotProduct_Realistic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nt := 40
-			rec := ReceiverLine(m.Grid, 6)
-			fres, err := Run(m, nil, RunConfig{NT: nt, ReceiverCoords: rec, Exec: Exec{Engine: engine}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ares, err := RunAdjoint(m, nil, AdjointConfig{
-				NT: nt, RecCoords: rec, RecData: fres.Receivers, Exec: Exec{Engine: engine},
+			res, err := RunGradient(m, nil, GradientConfig{
+				NT: 40, ReceiverCoords: ReceiverLine(m.Grid, 6), Exec: Exec{Engine: engine},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var dotF, dotA float64
-			wav := rickerFor(m, nt)
-			for tt := 0; tt < nt; tt++ {
-				for _, d := range fres.Receivers[tt] {
-					dotF += d * d
-				}
-				dotA += float64(wav[tt]) * ares.SrcTraces[tt]
+			if res.RelErr > 2e-5 {
+				t.Errorf("realistic dot test: %v vs %v (rel %v)", res.DotForward, res.DotAdjoint, res.RelErr)
 			}
-			rel := RelDot(dotF, dotA)
-			if rel > 2e-5 {
-				t.Errorf("realistic dot test: %v vs %v (rel %v)", dotF, dotA, rel)
-			}
-			t.Logf("realistic config: <d,d>=%.6e <q,q'>=%.6e rel=%.2e", dotF, dotA, rel)
+			t.Logf("realistic config: <d,d>=%.6e <q,q'>=%.6e rel=%.2e", res.DotForward, res.DotAdjoint, res.RelErr)
 		})
 	}
 }
 
-// rickerFor regenerates the default wavelet Run derives internally.
-func rickerFor(m *Model, nt int) []float32 {
-	rc := RunConfig{}
-	s, err := buildSources(m, &rc, m.CriticalDt, nt)
-	if err != nil {
-		panic(err)
-	}
-	return s.wavelet
-}
-
+// exactGradientConfig is RunDotTest's configuration at checkpoint
+// interval k.
 func exactGradientConfig(interval int) GradientConfig {
-	return GradientConfig{
-		NT: 8, DT: 1,
-		Wavelet:            []float32{1, -2, 1},
-		SourceCoords:       []float64{12, 12},
-		ReceiverCoords:     [][]float64{{6, 5}, {11, 9}, {15, 14}, {17, 16}},
-		CheckpointInterval: interval,
-	}
+	gc := dotTestConfig()
+	gc.CheckpointInterval = interval
+	return gc
 }
 
 func exactAcoustic(t *testing.T) *Model {
 	t.Helper()
-	m, _, err := exactOnRank(nil, halo.ModeNone)
+	m, _, err := dotTestModel(nil, halo.ModeNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// exactOnRank is exactAcoustic on one rank of a 2x2 world (nil: serial),
-// with the rank's context.
-func exactOnRank(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
-	m, ctx, err := OnRank(c, "acoustic",
-		Config{Shape: []int{24, 24}, SpaceOrder: 2, NBL: 0, Velocity: 1}, mode, []int{2, 2})
-	if err != nil {
-		return nil, nil, err
-	}
-	fillConst(m.Fields["m"], 2)
-	return m, ctx, nil
 }
 
 // TestGradientCheckpointInvariance is the checkpointing subsystem's
@@ -266,7 +227,7 @@ func TestGradientCheckpointMemory(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
-		m, ctx, err := exactOnRank(c, halo.ModeDiagonal)
+		m, ctx, err := dotTestModel(c, halo.ModeDiagonal)
 		if err != nil {
 			return err
 		}
@@ -318,7 +279,7 @@ func TestGradientDMP(t *testing.T) {
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
 		t.Run(mode.String(), func(t *testing.T) {
 			err := mpi.RunRanks(4, func(c *mpi.Comm) error {
-				m, ctx, err := exactOnRank(c, mode)
+				m, ctx, err := dotTestModel(c, mode)
 				if err != nil {
 					return err
 				}
@@ -353,17 +314,16 @@ func TestGradientDMP(t *testing.T) {
 // equal to the synthetics yields a zero adjoint source and hence a zero
 // gradient.
 func TestGradientResidualSource(t *testing.T) {
-	m := exactAcoustic(t)
-	fres, err := Run(m, nil, RunConfig{
-		NT: 8, DT: 1, Wavelet: []float32{1, -2, 1},
-		SourceCoords:   []float64{12, 12},
-		ReceiverCoords: [][]float64{{6, 5}, {11, 9}, {15, 14}, {17, 16}},
+	gc := exactGradientConfig(3)
+	fres, err := Run(exactAcoustic(t), nil, RunConfig{
+		NT: gc.NT, DT: gc.DT, Wavelet: gc.Wavelet,
+		SourceCoords:   gc.SourceCoords,
+		ReceiverCoords: gc.ReceiverCoords,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := exactAcoustic(t)
-	gc := exactGradientConfig(3)
 	gc.ObsData = fres.Receivers
 	res, err := RunGradient(m2, nil, gc)
 	if err != nil {
@@ -400,16 +360,6 @@ func TestAdjointModelStructure(t *testing.T) {
 	}
 	if _, err := Adjoint(el); err == nil {
 		t.Error("elastic adjoint should report unsupported")
-	}
-}
-
-func TestRunAdjointRejectsBadDT(t *testing.T) {
-	m := exactAcoustic(t)
-	rec := [][]float64{{6, 5}}
-	data := [][]float64{{1}, {0}, {0}, {0}}
-	for _, dt := range badDTs {
-		_, err := RunAdjoint(m, nil, AdjointConfig{NT: 4, DT: dt, RecCoords: rec, RecData: data})
-		wantBadValue(t, err, "AdjointConfig.DT", dt)
 	}
 }
 
@@ -468,18 +418,7 @@ func TestRunGradientRejectsBadDTAndInterval(t *testing.T) {
 	}
 }
 
-func TestRunAdjointValidation(t *testing.T) {
-	m := exactAcoustic(t)
-	rec := [][]float64{{6, 5}}
-	if _, err := RunAdjoint(m, nil, AdjointConfig{RecCoords: rec}); err == nil {
-		t.Error("missing NT should error")
-	}
-	if _, err := RunAdjoint(m, nil, AdjointConfig{NT: 4}); err == nil {
-		t.Error("missing RecCoords should error")
-	}
-	if _, err := RunAdjoint(m, nil, AdjointConfig{NT: 4, RecCoords: rec, RecData: make([][]float64, 3)}); err == nil {
-		t.Error("mismatched RecData length should error")
-	}
+func TestRunGradientRejectsEmptyReceivers(t *testing.T) {
 	// Set coordinates override NReceivers, so an empty set is empty either way.
 	for _, n := range []int{0, 4} {
 		gc := exactGradientConfig(3)
@@ -498,7 +437,7 @@ func TestBackwardAfterErrorStopsTheSweep(t *testing.T) {
 	const nt, t0 = 8, 5
 	boom := errors.New("boom")
 	sweep := func(c *mpi.Comm, mode halo.Mode) error {
-		m, ctx, err := exactOnRank(c, mode)
+		m, ctx, err := dotTestModel(c, mode)
 		if err != nil {
 			return err
 		}

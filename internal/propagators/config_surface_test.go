@@ -44,7 +44,6 @@ func TestConfigSurfacePinned(t *testing.T) {
 		{Config{}, []string{"Shape", "SpaceOrder", "NBL", "Velocity", "Decomp", "Rank"}},
 		{Exec{}, []string{"Workers", "TimeTile", "Engine", "Autotune"}},
 		{RunConfig{}, append([]string{"NT", "DT", "NReceivers", "ReceiverCoords", "SourceCoords", "Wavelet"}, exec...)},
-		{AdjointConfig{}, append([]string{"NT", "DT", "RecCoords", "RecData", "SrcCoords"}, exec...)},
 		{GradientConfig{}, append([]string{"NT", "DT", "Wavelet", "SourceCoords", "NReceivers", "ReceiverCoords",
 			"ObsData", "CheckpointInterval"}, exec...)},
 		{ShotsConfig{}, []string{"Gradient", "Shots", "Workers", "Ranks", "Mode", "Cache"}},

@@ -168,7 +168,7 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 		return nil, hook.err
 	}
 	res.Perf = op.Report()
-	res.Norm = fieldNorm(m, ctx, nt)
+	res.Norm = normOf(m.Fields[m.WaveFields[0]], ctx, nt)
 	return res, nil
 }
 
@@ -177,7 +177,7 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 // buffer t-1, injects data[t-1] there through srcs' receivers (mirrored
 // into the ghost shell under time tiling), samples srcs' source position
 // into the returned traces[t-1] (forward-time order) and then calls after
-// (when non-nil) with t. The first error stops all further hook work and
+// with t. The first error stops all further hook work and
 // is returned once the Apply ends: every error the hook can hit follows
 // from the schedule every rank shares, so all ranks stop at the same step
 // and no collective goes unmatched.
@@ -199,10 +199,8 @@ func backward(adj *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetu
 			return
 		}
 		traces[t-1] = srcs.src.Interpolate(v, t-1, commOf(ctx))[0]
-		if after != nil {
-			if err := after(t); err != nil {
-				hook.keep(fmt.Errorf("propagators: %s: reverse step %d: %w", adj.Name, t, err))
-			}
+		if err := after(t); err != nil {
+			hook.keep(fmt.Errorf("propagators: %s: reverse step %d: %w", adj.Name, t, err))
 		}
 	}
 	if err := op.Apply(&core.ApplyOpts{
@@ -308,12 +306,6 @@ func commOf(ctx *core.Context) *mpi.Comm {
 		return nil
 	}
 	return ctx.Comm
-}
-
-// fieldNorm computes the global L2 norm of the first wavefield at time
-// buffer t.
-func fieldNorm(m *Model, ctx *core.Context, t int) float64 {
-	return normOf(m.Fields[m.WaveFields[0]], ctx, t)
 }
 
 // normOf computes the global L2 norm of a field's DOMAIN at time buffer t

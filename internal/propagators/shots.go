@@ -46,8 +46,9 @@ type ShotsConfig struct {
 	// stacked gradient is bit-identical for every worker count.
 	Workers int
 	// Ranks is the MPI world size per shot worker: each worker solves its
-	// shots in its own in-process world of this many ranks. <= 1 is a
-	// world of one: the serial solve, no decomposition.
+	// shots in its own in-process world of this many ranks. 0 or 1 is a
+	// world of one: the serial solve, no decomposition. A negative count
+	// is an error.
 	Ranks int
 	// Mode is the halo-exchange pattern of the workers' worlds ("basic",
 	// "diag", "full"; "" defaults to basic). A world of one exchanges
@@ -141,6 +142,9 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	computeWorkers, err := core.ResolveWorkers(sc.Gradient.Workers)
 	if err != nil {
 		return nil, err
+	}
+	if sc.Ranks < 0 {
+		return nil, fmt.Errorf("propagators: invalid ShotsConfig.Ranks %d (want 0 or a positive count)", sc.Ranks)
 	}
 	ranks := max(sc.Ranks, 1)
 	mode, err := halo.ParseMode(cmp.Or(sc.Mode, "basic"))

@@ -802,6 +802,21 @@ func TestShotWorkers(t *testing.T) {
 	}
 }
 
+// TestRunShotsRejectsNegativeRanks: a negative ShotsConfig.Ranks is an
+// error naming the field, not a world of one.
+func TestRunShotsRejectsNegativeRanks(t *testing.T) {
+	for _, bad := range []int{-1, -4} {
+		_, err := RunShots("acoustic", serialCfg([]int{24, 24}, 4), ShotsConfig{
+			Gradient: GradientConfig{NT: 4, NReceivers: 4},
+			Shots:    []Shot{{}},
+			Ranks:    bad,
+		})
+		if err == nil || !strings.Contains(err.Error(), "ShotsConfig.Ranks") {
+			t.Errorf("Ranks %d: err = %v, want one naming ShotsConfig.Ranks", bad, err)
+		}
+	}
+}
+
 // TestClampWorkers pins the oversubscription clamp's arithmetic.
 func TestClampWorkers(t *testing.T) {
 	cases := []struct {

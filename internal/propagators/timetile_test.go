@@ -104,68 +104,20 @@ func TestTimeTile_SerialFallsBack(t *testing.T) {
 	}
 }
 
-// The adjoint (reverse-time) sweep tiles too: RunAdjoint with k=4 must
-// reproduce the k=1 source traces and final norm bit-for-bit on 4 ranks.
-func TestTimeTile_AdjointBitExact(t *testing.T) {
-	shape := []int{24, 24}
-	const so, nt = 4, 16
-	run := func(k int) (float64, []float64) {
-		var norm float64
-		var traces []float64
-		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
-			m, ctx, err := OnRank(c, "acoustic", serialCfg(shape, so), halo.ModeDiagonal, []int{2, 2})
-			if err != nil {
-				return err
-			}
-			fres, err := Run(m, ctx, RunConfig{NT: nt, NReceivers: 4, Exec: Exec{TimeTile: k}})
-			if err != nil {
-				return err
-			}
-			ares, err := RunAdjoint(m, ctx, AdjointConfig{
-				NT: nt, RecCoords: ReceiverLine(m.Grid, 4), RecData: fres.Receivers, Exec: Exec{TimeTile: k},
-			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				norm, traces = ares.Norm, ares.SrcTraces
-				if k > 1 && ares.Op.TimeTile() < 2 {
-					t.Errorf("adjoint operator did not tile: interval %d", ares.Op.TimeTile())
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return norm, traces
-	}
-	refNorm, refTraces := run(1)
-	norm, traces := run(4)
-	if norm != refNorm {
-		t.Errorf("adjoint k=4 norm %v != k=1 norm %v", norm, refNorm)
-	}
-	for i := range refTraces {
-		if traces[i] != refTraces[i] {
-			t.Fatalf("adjoint trace %d diverges: %v vs %v", i, traces[i], refTraces[i])
-		}
-	}
-}
-
 // The checkpointed gradient pipeline composes with tiling: identical
-// gradient norm and dot-product identity versus k=1 on 4 ranks, at
-// checkpoint intervals 3, 5 and nt (the last recomputes nothing). The
-// adjoint runs as one reverse Apply, so its k=4 tiles recompute ghost
-// shells: it updates more points than at k=1.
+// gradient norm, dot-product identity and adjoint source traces versus k=1
+// on 4 ranks, at checkpoint intervals 3, 5 and nt (the last recomputes
+// nothing). The adjoint runs as one reverse Apply, so it tiles too (its
+// effective interval is at least 2 at k=4) and its k=4 tiles recompute
+// ghost shells: it updates more points than at k=1.
 func TestTimeTile_GradientBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gradient tiling differential skipped in -short")
 	}
 	shape := []int{24, 24}
 	const so, nt = 4, 12
-	run := func(k, interval int) (float64, float64, int64) {
-		var gnorm, relErr float64
-		var adjPoints int64
+	run := func(k, interval int) *GradientResult {
+		var res0 *GradientResult
 		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
 			m, ctx, err := OnRank(c, "acoustic", serialCfg(shape, so), halo.ModeDiagonal, []int{2, 2})
 			if err != nil {
@@ -176,31 +128,44 @@ func TestTimeTile_GradientBitExact(t *testing.T) {
 				return err
 			}
 			if c.Rank() == 0 {
-				gnorm, relErr, adjPoints = res.GradNorm, res.RelErr, res.AdjointPerf.PointsUpdated
+				res0 = res
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gnorm, relErr, adjPoints
+		return res0
 	}
-	refNorm, refErr, refPoints := run(1, 3)
-	for _, interval := range []int{3, 5, nt} {
-		if interval != 3 {
-			if gnorm, relErr, _ := run(1, interval); gnorm != refNorm || relErr != refErr {
-				t.Errorf("interval %d: k=1 norm %v rel-err %v != interval-3 norm %v rel-err %v",
-					interval, gnorm, relErr, refNorm, refErr)
+	ref := run(1, 3)
+	sameTraces := func(label string, traces []float64) {
+		for i := range ref.SrcTraces {
+			if traces[i] != ref.SrcTraces[i] {
+				t.Fatalf("%s: adjoint source trace %d diverges: %v vs %v", label, i, traces[i], ref.SrcTraces[i])
 			}
 		}
-		gnorm, relErr, points := run(4, interval)
-		if gnorm != refNorm {
-			t.Errorf("interval %d: gradient k=4 norm %v != k=1 norm %v", interval, gnorm, refNorm)
+	}
+	for _, interval := range []int{3, 5, nt} {
+		if interval != 3 {
+			res := run(1, interval)
+			if res.GradNorm != ref.GradNorm || res.RelErr != ref.RelErr {
+				t.Errorf("interval %d: k=1 norm %v rel-err %v != interval-3 norm %v rel-err %v",
+					interval, res.GradNorm, res.RelErr, ref.GradNorm, ref.RelErr)
+			}
+			sameTraces(fmt.Sprintf("interval %d k=1", interval), res.SrcTraces)
 		}
-		if relErr != refErr {
-			t.Errorf("interval %d: gradient k=4 rel-err %v != k=1 rel-err %v", interval, relErr, refErr)
+		res := run(4, interval)
+		if res.GradNorm != ref.GradNorm {
+			t.Errorf("interval %d: gradient k=4 norm %v != k=1 norm %v", interval, res.GradNorm, ref.GradNorm)
 		}
-		if points <= refPoints {
+		if res.RelErr != ref.RelErr {
+			t.Errorf("interval %d: gradient k=4 rel-err %v != k=1 rel-err %v", interval, res.RelErr, ref.RelErr)
+		}
+		sameTraces(fmt.Sprintf("interval %d k=4", interval), res.SrcTraces)
+		if res.AdjointConfig.TimeTile < 2 {
+			t.Errorf("interval %d: adjoint operator did not tile: interval %d", interval, res.AdjointConfig.TimeTile)
+		}
+		if points, refPoints := res.AdjointPerf.PointsUpdated, ref.AdjointPerf.PointsUpdated; points <= refPoints {
 			t.Errorf("interval %d: adjoint updated %d points at k=4, %d at k=1: the reverse sweep recomputed no shell",
 				interval, points, refPoints)
 		}
