@@ -81,8 +81,7 @@ const (
 	// lowering, halo scheduling, the IET build, halo-mode lowering and C
 	// emission.
 	PhaseLower
-	// PhaseCompile is an operator construction's kernel compilation (or
-	// its rebind of a cached kernel set).
+	// PhaseCompile is an operator construction's kernel compilation.
 	PhaseCompile
 
 	numPhases

@@ -119,8 +119,9 @@ type Host struct {
 	// (bytes/s); per-point cost is the max of the instruction-latency and
 	// memory-traffic terms, a two-bound roofline.
 	MemBandwidth float64
-	// WorkerSpawn is the per-worker cost of starting the pool for one
-	// kernel launch (goroutine creation + channel setup).
+	// WorkerSpawn is the per-worker coordination cost of one multi-worker
+	// kernel launch on the persistent pool: Predict charges it once per
+	// worker per launch, beside PoolSync.
 	WorkerSpawn float64
 	// PoolSync is the fixed fork-join/sync cost of one multi-worker kernel
 	// launch: publish the work, wake the team, join at the barrier. The
@@ -128,8 +129,8 @@ type Host struct {
 	// with the measured dispatch cost of its persistent pool
 	// (runtime.Pool.SyncCost) before planning.
 	PoolSync float64
-	// TileOverhead is the per-tile scheduling cost (channel receive,
-	// odometer setup).
+	// TileOverhead is the tile driver's setup cost of one tile: Predict
+	// charges it for every tile of the slowest worker's share.
 	TileOverhead float64
 	// MsgLatency is the per-message cost of a halo exchange.
 	MsgLatency float64

@@ -1,10 +1,5 @@
 package propagators
 
-import (
-	"devigo/internal/field"
-	"devigo/internal/symbolic"
-)
-
 // Acoustic builds the isotropic acoustic wave propagator (paper Section
 // IV-B1, Appendix A1):
 //
@@ -13,56 +8,17 @@ import (
 // solved for u.forward. The working set is 5 fields: u (3 time buffers),
 // m (squared slowness) and damp.
 func Acoustic(cfg Config) (*Model, error) {
-	c := cfg.withDefaults()
-	if err := validateShape(&c, 4); err != nil {
-		return nil, err
-	}
-	g, err := makeGrid(&c)
+	b, err := newBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	so := c.SpaceOrder
-	u, err := field.NewTimeFunction("u", g, so, 2, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
-	}
-	m, err := field.NewFunction("m", g, so, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
-	}
-	damp, err := field.NewFunction("damp", g, so, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
-	}
+	u := b.timeField("u", 2, nil)
 	// Homogeneous squared slowness and the absorbing profile.
-	fillConst(m, float32(1/(c.Velocity*c.Velocity)))
-	dampField(damp, c.NBL, 0.1)
-
-	nd := g.NDims()
-	ut := symbolic.At(u.Ref)
-	pde := symbolic.NewAdd(
-		symbolic.NewMul(symbolic.At(m.Ref), symbolic.Dt2(ut, 2)),
-		symbolic.Neg(symbolic.Laplace(ut, nd, so)),
-		symbolic.NewMul(symbolic.At(damp.Ref), symbolic.Dt(ut, 2)),
-	)
-	sol, err := symbolic.Solve(symbolic.Eq{LHS: pde, RHS: symbolic.Int(0)}, symbolic.ForwardStencil(u.Ref))
-	if err != nil {
-		return nil, err
+	m := b.param("m", 1/(b.c.Velocity*b.c.Velocity))
+	damp := b.damp(0.1)
+	if b.err != nil {
+		return nil, b.err
 	}
-	return &Model{
-		Name:       "acoustic",
-		Grid:       g,
-		SpaceOrder: so,
-		Eqs: []symbolic.Eq{
-			{LHS: symbolic.ForwardStencil(u.Ref), RHS: sol},
-		},
-		Fields: map[string]*field.Function{
-			"u": &u.Function, "m": m, "damp": damp,
-		},
-		WaveFields:       []string{"u"},
-		SourceFields:     []string{"u"},
-		CriticalDt:       criticalDt(g, c.Velocity),
-		WorkingSetFields: 5,
-		Cfg:              c,
-	}, nil
+	b.waveEquation(u, m, damp, +1)
+	return b.model("acoustic", []string{"u"}, criticalDt(b.g, b.c.Velocity))
 }

@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"devigo/internal/core"
-	"devigo/internal/field"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
-	"devigo/internal/symbolic"
 )
 
 // This file implements the adjoint (time-reversed) companion of a forward
@@ -46,52 +44,17 @@ func Adjoint(fwd *Model) (*Model, error) {
 	return nil, fmt.Errorf("propagators: no adjoint for model %q (only acoustic)", fwd.Name)
 }
 
-// acousticAdjoint solves m*v.dt2 - laplace(v) - damp*v.dt = 0 for
-// v.backward — the damping sign flip that makes the reversed recursion
-// the exact transpose of the forward one.
+// acousticAdjoint is the acoustic wave equation with the damping sign
+// flipped, solved for v.backward over the forward model's m and damp.
 func acousticAdjoint(fwd *Model) (*Model, error) {
-	c := fwd.Cfg
-	g := fwd.Grid
-	so := fwd.SpaceOrder
-	v, err := field.NewTimeFunction("v", g, so, 2, fieldCfg(&c, nil))
-	if err != nil {
-		return nil, err
+	b := builderOn(fwd.Cfg, fwd.Grid)
+	v := b.timeField("v", 2, nil)
+	m, damp := b.share(fwd, "m"), b.share(fwd, "damp")
+	if b.err != nil {
+		return nil, b.err
 	}
-	mField, ok := fwd.Fields["m"]
-	if !ok {
-		return nil, fmt.Errorf("propagators: forward model lacks the m field")
-	}
-	damp, ok := fwd.Fields["damp"]
-	if !ok {
-		return nil, fmt.Errorf("propagators: forward model lacks the damp field")
-	}
-	nd := g.NDims()
-	vt := symbolic.At(v.Ref)
-	pde := symbolic.NewAdd(
-		symbolic.NewMul(symbolic.At(mField.Ref), symbolic.Dt2(vt, 2)),
-		symbolic.Neg(symbolic.Laplace(vt, nd, so)),
-		symbolic.Neg(symbolic.NewMul(symbolic.At(damp.Ref), symbolic.Dt(vt, 2))),
-	)
-	sol, err := symbolic.Solve(symbolic.Eq{LHS: pde, RHS: symbolic.Int(0)}, symbolic.Backward(v.Ref))
-	if err != nil {
-		return nil, err
-	}
-	return &Model{
-		Name:       "acoustic_adjoint",
-		Grid:       g,
-		SpaceOrder: so,
-		Eqs: []symbolic.Eq{
-			{LHS: symbolic.Backward(v.Ref), RHS: sol},
-		},
-		Fields: map[string]*field.Function{
-			"v": &v.Function, "m": mField, "damp": damp,
-		},
-		WaveFields:       []string{"v"},
-		SourceFields:     []string{"v"},
-		CriticalDt:       fwd.CriticalDt,
-		WorkingSetFields: 5,
-		Cfg:              c,
-	}, nil
+	b.waveEquation(v, m, damp, -1)
+	return b.model("acoustic_adjoint", []string{"v"}, fwd.CriticalDt)
 }
 
 // RelDot returns |a-b| / max(|a|, |b|, tiny).

@@ -6,7 +6,6 @@
 package propagators
 
 import (
-	"fmt"
 	"math"
 
 	"devigo/internal/field"
@@ -21,25 +20,16 @@ type Config struct {
 	Shape []int
 	// SpaceOrder is the spatial discretisation order (4, 8, 12, 16).
 	SpaceOrder int
-	// NBL is the absorbing boundary layer width in points (paper: 40).
+	// NBL is the absorbing boundary layer width in points (paper: 40);
+	// it must be >= 0, and 0 is no layer.
 	NBL int
 	// Velocity is the homogeneous background P-wave speed (km/s if
-	// extents are in km; any consistent unit works).
+	// extents are in km; any consistent unit works). It must be positive
+	// and finite; 0 means the default 1.5.
 	Velocity float64
 	// Decomp/Rank distribute the fields; nil Decomp means serial.
 	Decomp *grid.Decomposition
 	Rank   int
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.SpaceOrder == 0 {
-		out.SpaceOrder = 8
-	}
-	if out.Velocity == 0 {
-		out.Velocity = 1.5
-	}
-	return out
 }
 
 // Model is a ready-to-compile propagator.
@@ -202,19 +192,4 @@ func ReceiverLine(g *grid.Grid, n int) [][]float64 {
 		out = append(out, c)
 	}
 	return out
-}
-
-// validateShape guards against degenerate configurations: a space order
-// the finite-difference offsets would silently floor to the next lower
-// even one, or a grid too small to hold a stencil.
-func validateShape(c *Config, minPoints int) error {
-	if c.SpaceOrder < 2 || c.SpaceOrder%2 != 0 {
-		return fmt.Errorf("propagators: SpaceOrder=%d unsupported (need an even order >= 2)", c.SpaceOrder)
-	}
-	for d, s := range c.Shape {
-		if s < minPoints {
-			return fmt.Errorf("propagators: shape[%d]=%d too small (need >= %d)", d, s, minPoints)
-		}
-	}
-	return nil
 }

@@ -16,57 +16,43 @@ func Elastic(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.params("lam", "mu", "b", "damp")
-	if err != nil {
-		return nil, err
-	}
-	lam, mu, b, damp := p[0], p[1], p[2], p[3]
-
 	// Homogeneous medium: vp = Velocity, vs = vp/sqrt(3), rho = 1.
 	vp := s.c.Velocity
 	vsSpeed := vp / 1.7320508075688772
 	rho := 1.0
 	muV := rho * vsSpeed * vsSpeed
 	lamV := rho*vp*vp - 2*muV
-	fillConst(lam, float32(lamV))
-	fillConst(mu, float32(muV))
-	fillConst(b, float32(1/rho))
-	dampField(damp, s.c.NBL, 0.05)
-
-	if err := s.velocities(b, damp); err != nil {
-		return nil, err
+	lam, mu, b := s.param("lam", lamV), s.param("mu", muV), s.param("b", 1/rho)
+	damp := s.damp(0.05)
+	if s.err != nil {
+		return nil, s.err
 	}
+
+	s.velocities(b, damp)
 
 	// Normal stresses: tau_dd.dt = lam*div(v) + 2mu*D_d v_d - damp*tau_dd.
 	for d := 0; d < s.nd; d++ {
 		tdd := s.taus[d][d]
-		rhs := symbolic.Sub(
+		s.solve(tdd, symbolic.Sub(
 			symbolic.NewAdd(
 				symbolic.NewMul(symbolic.At(lam.Ref), s.divV(tdd)),
 				symbolic.NewMul(symbolic.Int(2), symbolic.At(mu.Ref), s.dv(tdd, d, d)),
 			),
 			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tdd.Ref)),
-		)
-		if err := s.solve(tdd, rhs); err != nil {
-			return nil, err
-		}
+		))
 	}
 
 	// Shear stresses: tau_de.dt = mu*(D_e v_d + D_d v_e) - damp*tau_de.
 	for d := 0; d < s.nd; d++ {
 		for e := d + 1; e < s.nd; e++ {
 			tde := s.taus[d][e]
-			rhs := symbolic.Sub(
+			s.solve(tde, symbolic.Sub(
 				symbolic.NewMul(symbolic.At(mu.Ref), s.strain(tde, d, e)),
 				symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tde.Ref)),
-			)
-			if err := s.solve(tde, rhs); err != nil {
-				return nil, err
-			}
+			))
 		}
 	}
 
-	nTau := s.nd * (s.nd + 1) / 2
 	// A stricter CFL for the coupled system.
-	return s.model("elastic", criticalDt(s.g, vp)*0.9, 2*(s.nd+nTau)+4), nil
+	return s.model("elastic", s.normalStresses(), criticalDt(s.g, vp)*0.9)
 }

@@ -288,7 +288,9 @@ func TestBuildUnknownModel(t *testing.T) {
 }
 
 // A space order the offsets would floor (odd) or cannot express (< 2) is
-// rejected by name for every model, not run as a lower-order scheme.
+// rejected by name for every model, not run as a lower-order scheme; so
+// are a speed that is not positive and finite and a negative absorbing
+// layer, which would otherwise yield an unusable critical dt or no layer.
 func TestBuildRejectsBadSpaceOrder(t *testing.T) {
 	for _, model := range ModelNames() {
 		for _, so := range []int{3, 1, -2, 7} {
@@ -297,6 +299,56 @@ func TestBuildRejectsBadSpaceOrder(t *testing.T) {
 				t.Errorf("%s so=%d: err = %v, want it to name %s", model, so, err, want)
 			}
 		}
+		for _, v := range []float64{-1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := serialCfg([]int{16, 16}, 4)
+			c.Velocity = v
+			_, err := Build(model, c)
+			wantBadValue(t, err, "Config.Velocity", v)
+		}
+		c := serialCfg([]int{16, 16}, 4)
+		c.NBL = -3
+		_, err := Build(model, c)
+		wantBadValue(t, err, "Config.NBL", -3)
+	}
+}
+
+// TestWorkingSetFields pins every model's working set, time buffers
+// counted individually (the paper's "N fields"), in 2-D and 3-D, and the
+// acoustic adjoint's, which shares the forward's m and damp.
+func TestWorkingSetFields(t *testing.T) {
+	for _, tc := range []struct {
+		model  string
+		d2, d3 int
+	}{
+		{"acoustic", 5, 5},
+		{"elastic", 14, 22},
+		{"tti", 12, 14},
+		{"viscoelastic", 21, 35},
+	} {
+		for shape, want := range map[string]int{"2-D": tc.d2, "3-D": tc.d3} {
+			dims := []int{12, 12}
+			if shape == "3-D" {
+				dims = []int{12, 12, 12}
+			}
+			m, err := Build(tc.model, serialCfg(dims, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.WorkingSetFields != want {
+				t.Errorf("%s %s working set = %d, want %d", tc.model, shape, m.WorkingSetFields, want)
+			}
+		}
+	}
+	fwd, err := Acoustic(serialCfg([]int{12, 12}, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj, err := Adjoint(fwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adj.WorkingSetFields != 5 {
+		t.Errorf("acoustic adjoint working set = %d, want 5", adj.WorkingSetFields)
 	}
 }
 

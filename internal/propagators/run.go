@@ -328,20 +328,26 @@ func addOp(a, b float64) float64 { return a + b }
 // Build constructs a model by name — the dispatch used by the CLI tools
 // and benchmarks.
 func Build(name string, cfg Config) (*Model, error) {
-	switch name {
-	case "acoustic":
-		return Acoustic(cfg)
-	case "tti":
-		return TTI(cfg)
-	case "elastic":
-		return Elastic(cfg)
-	case "viscoelastic":
-		return Viscoelastic(cfg)
+	for _, m := range models {
+		if m.name == name {
+			return m.build(cfg)
+		}
 	}
 	return nil, fmt.Errorf("propagators: unknown model %q", name)
 }
 
+// models is the table Build and ModelNames read: the four evaluated
+// kernels in paper order.
+var models = []struct {
+	name  string
+	build func(Config) (*Model, error)
+}{{"acoustic", Acoustic}, {"elastic", Elastic}, {"tti", TTI}, {"viscoelastic", Viscoelastic}}
+
 // ModelNames lists the four evaluated kernels in paper order.
 func ModelNames() []string {
-	return []string{"acoustic", "elastic", "tti", "viscoelastic"}
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.name
+	}
+	return names
 }

@@ -26,90 +26,30 @@ import (
 // expression language has no trigonometric functions, so sin/cos are
 // precomputed — documented in DESIGN.md).
 func TTI(cfg Config) (*Model, error) {
-	c := cfg.withDefaults()
-	if err := validateShape(&c, 4); err != nil {
-		return nil, err
-	}
-	g, err := makeGrid(&c)
+	b, err := newBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	so := c.SpaceOrder
-	nd := g.NDims()
+	so, nd := b.so, b.nd
 	if nd < 2 {
 		return nil, fmt.Errorf("propagators: TTI needs 2 or 3 dimensions")
 	}
 
-	newTF := func(name string) (*field.TimeFunction, error) {
-		return field.NewTimeFunction(name, g, so, 2, fieldCfg(&c, nil))
-	}
-	newF := func(name string) (*field.Function, error) {
-		return field.NewFunction(name, g, so, fieldCfg(&c, nil))
-	}
-	p, err := newTF("p")
-	if err != nil {
-		return nil, err
-	}
-	q, err := newTF("q")
-	if err != nil {
-		return nil, err
-	}
-	m, err := newF("m")
-	if err != nil {
-		return nil, err
-	}
-	damp, err := newF("damp")
-	if err != nil {
-		return nil, err
-	}
-	epsf, err := newF("epsf") // 1 + 2*epsilon
-	if err != nil {
-		return nil, err
-	}
-	delf, err := newF("delf") // sqrt(1 + 2*delta)
-	if err != nil {
-		return nil, err
-	}
-	ct, err := newF("ct") // cos(theta)
-	if err != nil {
-		return nil, err
-	}
-	st, err := newF("st") // sin(theta)
-	if err != nil {
-		return nil, err
-	}
-	fields := map[string]*field.Function{
-		"p": &p.Function, "q": &q.Function, "m": m, "damp": damp,
-		"epsf": epsf, "delf": delf, "ct": ct, "st": st,
-	}
-	nFields := 12
-	var cp, sp *field.Function
-	if nd == 3 {
-		cp, err = newF("cp") // cos(phi)
-		if err != nil {
-			return nil, err
-		}
-		sp, err = newF("sp") // sin(phi)
-		if err != nil {
-			return nil, err
-		}
-		fields["cp"], fields["sp"] = cp, sp
-		nFields = 14
-	}
-
 	// Homogeneous anisotropic medium with a constant tilt.
-	fillConst(m, float32(1/(c.Velocity*c.Velocity)))
-	dampField(damp, c.NBL, 0.1)
+	p, q := b.timeField("p", 2, nil), b.timeField("q", 2, nil)
+	m, damp := b.param("m", 1/(b.c.Velocity*b.c.Velocity)), b.damp(0.1)
 	eps, delta := 0.2, 0.1
 	theta := math.Pi / 8
-	fillConst(epsf, float32(1+2*eps))
-	fillConst(delf, float32(math.Sqrt(1+2*delta)))
-	fillConst(ct, float32(math.Cos(theta)))
-	fillConst(st, float32(math.Sin(theta)))
+	epsf := b.param("epsf", 1+2*eps)              // 1 + 2*epsilon
+	delf := b.param("delf", math.Sqrt(1+2*delta)) // sqrt(1 + 2*delta)
+	ct, st := b.param("ct", math.Cos(theta)), b.param("st", math.Sin(theta))
+	var cp, sp *field.Function
 	if nd == 3 {
 		phi := math.Pi / 6
-		fillConst(cp, float32(math.Cos(phi)))
-		fillConst(sp, float32(math.Sin(phi)))
+		cp, sp = b.param("cp", math.Cos(phi)), b.param("sp", math.Sin(phi))
+	}
+	if b.err != nil {
+		return nil, b.err
 	}
 
 	// axisCoeff[d] is the direction-cosine field expression of the
@@ -149,47 +89,24 @@ func TTI(cfg Config) (*Model, error) {
 		return symbolic.Sub(symbolic.Laplace(u, nd, so), gzz(u))
 	}
 
+	// m*u.dt2 + damp*u.dt, the left-hand side of both equations.
+	lhs := func(ut symbolic.Expr) symbolic.Expr {
+		return symbolic.NewAdd(
+			symbolic.NewMul(symbolic.At(m.Ref), symbolic.Dt2(ut, 2)),
+			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.Dt(ut, 2)),
+		)
+	}
 	pt := symbolic.At(p.Ref)
 	qt := symbolic.At(q.Ref)
-	lhsP := symbolic.NewAdd(
-		symbolic.NewMul(symbolic.At(m.Ref), symbolic.Dt2(pt, 2)),
-		symbolic.NewMul(symbolic.At(damp.Ref), symbolic.Dt(pt, 2)),
-	)
-	rhsP := symbolic.NewAdd(
+	b.update(symbolic.ForwardStencil(p.Ref), symbolic.Eq{LHS: lhs(pt), RHS: symbolic.NewAdd(
 		symbolic.NewMul(symbolic.At(epsf.Ref), hp(pt)),
 		symbolic.NewMul(symbolic.At(delf.Ref), gzz(qt)),
-	)
-	lhsQ := symbolic.NewAdd(
-		symbolic.NewMul(symbolic.At(m.Ref), symbolic.Dt2(qt, 2)),
-		symbolic.NewMul(symbolic.At(damp.Ref), symbolic.Dt(qt, 2)),
-	)
-	rhsQ := symbolic.NewAdd(
+	)})
+	b.update(symbolic.ForwardStencil(q.Ref), symbolic.Eq{LHS: lhs(qt), RHS: symbolic.NewAdd(
 		symbolic.NewMul(symbolic.At(delf.Ref), hp(pt)),
 		gzz(qt),
-	)
-	solP, err := symbolic.Solve(symbolic.Eq{LHS: lhsP, RHS: rhsP}, symbolic.ForwardStencil(p.Ref))
-	if err != nil {
-		return nil, err
-	}
-	solQ, err := symbolic.Solve(symbolic.Eq{LHS: lhsQ, RHS: rhsQ}, symbolic.ForwardStencil(q.Ref))
-	if err != nil {
-		return nil, err
-	}
+	)})
 
-	vmaxAniso := c.Velocity * math.Sqrt(1+2*eps)
-	return &Model{
-		Name:       "tti",
-		Grid:       g,
-		SpaceOrder: so,
-		Eqs: []symbolic.Eq{
-			{LHS: symbolic.ForwardStencil(p.Ref), RHS: solP},
-			{LHS: symbolic.ForwardStencil(q.Ref), RHS: solQ},
-		},
-		Fields:           fields,
-		WaveFields:       []string{"p", "q"},
-		SourceFields:     []string{"p", "q"},
-		CriticalDt:       criticalDt(g, vmaxAniso) * 0.7,
-		WorkingSetFields: nFields,
-		Cfg:              c,
-	}, nil
+	vmaxAniso := b.c.Velocity * math.Sqrt(1+2*eps)
+	return b.model("tti", []string{"p", "q"}, criticalDt(b.g, vmaxAniso)*0.7)
 }

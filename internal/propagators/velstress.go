@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"devigo/internal/field"
-	"devigo/internal/grid"
 	"devigo/internal/symbolic"
 )
 
@@ -38,67 +37,42 @@ func dStag(e symbolic.Expr, dim, so, aStag, bStag int) symbolic.Expr {
 // velStress is the first-order velocity–stress scaffold of Virieux's fully
 // staggered grid, shared by the elastic and visco-elastic builders: the
 // staggered velocity vector and stress tensor, the velocity update
-// v.dt = b*div(tau) - damp*v, the derivatives of the *updated* velocity
-// (leapfrog) every stress-like update is built from, and the
-// solve-for-the-forward-stencil-and-append step. The builders differ only
-// in their parameter fields and stress-side right-hand sides.
+// v.dt = b*div(tau) - damp*v, and the derivatives of the *updated*
+// velocity (leapfrog) every stress-like update is built from. The
+// builders differ only in their parameter fields and stress-side
+// right-hand sides.
 type velStress struct {
-	c      Config
-	g      *grid.Grid
-	so, nd int
-	fields map[string]*field.Function
+	*builder
 	// vs[d] is staggered in dimension d; taus[d][e] == taus[e][d] sits at
 	// the nodes for d == e and is staggered in d and e otherwise.
 	vs   []*field.TimeFunction
 	taus [][]*field.TimeFunction
-	// eqs and waveFields grow in update order as solve is called.
-	eqs        []symbolic.Eq
-	waveFields []string
 }
 
 // newVelStress validates the configuration and allocates the velocity
 // vector ("v"+component) and the stress tensor ("t"+components).
 func newVelStress(model string, cfg Config) (*velStress, error) {
-	c := cfg.withDefaults()
-	if err := validateShape(&c, 4); err != nil {
-		return nil, err
-	}
-	g, err := makeGrid(&c)
+	b, err := newBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &velStress{c: c, g: g, so: c.SpaceOrder, nd: g.NDims(), fields: map[string]*field.Function{}}
-	if s.nd < 2 {
+	if b.nd < 2 {
 		return nil, fmt.Errorf("propagators: %s needs 2 or 3 dimensions", model)
 	}
-	s.vs = make([]*field.TimeFunction, s.nd)
+	s := &velStress{builder: b, vs: make([]*field.TimeFunction, b.nd)}
 	for d := range s.vs {
 		st := make([]int, s.nd)
 		st[d] = 1
-		if s.vs[d], err = s.timeField("v"+comp[d], st); err != nil {
-			return nil, err
-		}
+		s.vs[d] = s.timeField("v"+comp[d], 1, st)
 	}
-	if s.taus, err = s.tensor("t"); err != nil {
-		return nil, err
-	}
+	s.taus = s.tensor("t")
 	return s, nil
 }
 
-// timeField allocates and registers one two-buffer staggered unknown.
-func (s *velStress) timeField(name string, stagger []int) (*field.TimeFunction, error) {
-	tf, err := field.NewTimeFunction(name, s.g, s.so, 1, fieldCfg(&s.c, stagger))
-	if err != nil {
-		return nil, err
-	}
-	s.fields[name] = &tf.Function
-	return tf, nil
-}
-
-// tensor allocates a symmetric tensor of unknowns on the stress positions,
-// named prefix+components (the stresses themselves, or memory variables
-// co-located with them).
-func (s *velStress) tensor(prefix string) ([][]*field.TimeFunction, error) {
+// tensor allocates a symmetric tensor of two-buffer unknowns on the
+// stress positions, named prefix+components (the stresses themselves, or
+// memory variables co-located with them).
+func (s *velStress) tensor(prefix string) [][]*field.TimeFunction {
 	t := make([][]*field.TimeFunction, s.nd)
 	for d := range t {
 		t[d] = make([]*field.TimeFunction, s.nd)
@@ -109,58 +83,30 @@ func (s *velStress) tensor(prefix string) ([][]*field.TimeFunction, error) {
 			if d != e {
 				st[d], st[e] = 1, 1
 			}
-			tf, err := s.timeField(prefix+comp[d]+comp[e], st)
-			if err != nil {
-				return nil, err
-			}
-			t[d][e], t[e][d] = tf, tf
+			t[d][e] = s.timeField(prefix+comp[d]+comp[e], 1, st)
+			t[e][d] = t[d][e]
 		}
 	}
-	return t, nil
-}
-
-// params allocates and registers node-centred parameter fields, returned
-// in the order named.
-func (s *velStress) params(names ...string) ([]*field.Function, error) {
-	out := make([]*field.Function, len(names))
-	for i, name := range names {
-		f, err := field.NewFunction(name, s.g, s.so, fieldCfg(&s.c, nil))
-		if err != nil {
-			return nil, err
-		}
-		s.fields[name], out[i] = f, f
-	}
-	return out, nil
+	return t
 }
 
 // solve appends the explicit update tf[t+1] = ... of tf.dt = rhs.
-func (s *velStress) solve(tf *field.TimeFunction, rhs symbolic.Expr) error {
-	sol, err := symbolic.Solve(symbolic.Eq{LHS: symbolic.Dt(symbolic.At(tf.Ref), 1), RHS: rhs},
-		symbolic.ForwardStencil(tf.Ref))
-	if err != nil {
-		return err
-	}
-	s.eqs = append(s.eqs, symbolic.Eq{LHS: symbolic.ForwardStencil(tf.Ref), RHS: sol})
-	s.waveFields = append(s.waveFields, tf.Name)
-	return nil
+func (s *velStress) solve(tf *field.TimeFunction, rhs symbolic.Expr) {
+	s.update(symbolic.ForwardStencil(tf.Ref), symbolic.Eq{LHS: symbolic.Dt(symbolic.At(tf.Ref), 1), RHS: rhs})
 }
 
 // velocities appends v_d.dt = b * sum_e D_e tau_de - damp*v_d for every d.
-func (s *velStress) velocities(b, damp *field.Function) error {
+func (s *velStress) velocities(b, damp *field.Function) {
 	for d, v := range s.vs {
 		var divT []symbolic.Expr
 		for e, tde := range s.taus[d] {
 			divT = append(divT, dStag(symbolic.At(tde.Ref), e, s.so, v.Stagger[e], tde.Stagger[e]))
 		}
-		rhs := symbolic.Sub(
+		s.solve(v, symbolic.Sub(
 			symbolic.NewMul(symbolic.At(b.Ref), symbolic.NewAdd(divT...)),
 			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(v.Ref)),
-		)
-		if err := s.solve(v, rhs); err != nil {
-			return err
-		}
+		))
 	}
-	return nil
 }
 
 // dv is D_along v_d of the updated velocity, evaluated at target's position.
@@ -183,22 +129,11 @@ func (s *velStress) strain(target *field.TimeFunction, d, e int) symbolic.Expr {
 	return symbolic.NewAdd(s.dv(target, d, e), s.dv(target, e, d))
 }
 
-// model assembles the Model: a point source excites the normal stresses.
-func (s *velStress) model(name string, criticalDt float64, workingSet int) *Model {
+// normalStresses names the fields a point source excites.
+func (s *velStress) normalStresses() []string {
 	src := make([]string, s.nd)
 	for d := range src {
 		src[d] = s.taus[d][d].Name
 	}
-	return &Model{
-		Name:             name,
-		Grid:             s.g,
-		SpaceOrder:       s.so,
-		Eqs:              s.eqs,
-		Fields:           s.fields,
-		WaveFields:       s.waveFields,
-		SourceFields:     src,
-		CriticalDt:       criticalDt,
-		WorkingSetFields: workingSet,
-		Cfg:              s.c,
-	}
+	return src
 }

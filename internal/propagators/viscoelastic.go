@@ -23,15 +23,7 @@ func Viscoelastic(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	// Memory variables, co-located with their stress components.
-	rs, err := s.tensor("r")
-	if err != nil {
-		return nil, err
-	}
-	p, err := s.params("b", "damp", "ptt", "stt", "its")
-	if err != nil {
-		return nil, err
-	}
-	b, damp, ptt, stt, its := p[0], p[1], p[2], p[3], p[4]
+	rs := s.tensor("r")
 
 	// Medium: homogeneous with modest attenuation; the stress relaxation
 	// time is kept well above the timestep for explicit stability.
@@ -43,15 +35,13 @@ func Viscoelastic(cfg Config) (*Model, error) {
 	dtc := criticalDt(s.g, vp)
 	tauSigma := 40 * dtc
 	tauPe, tauSe := 1.06, 1.09 // strain/stress relaxation ratios (Q ~ 30)
-	fillConst(b, float32(1/rho))
-	dampField(damp, s.c.NBL, 0.05)
-	fillConst(ptt, float32(piV*tauPe))
-	fillConst(stt, float32(2*muV*tauSe))
-	fillConst(its, float32(1/tauSigma))
-
-	if err := s.velocities(b, damp); err != nil {
-		return nil, err
+	b, damp := s.param("b", 1/rho), s.damp(0.05)
+	ptt, stt, its := s.param("ptt", piV*tauPe), s.param("stt", 2*muV*tauSe), s.param("its", 1/tauSigma)
+	if s.err != nil {
+		return nil, s.err
 	}
+
+	s.velocities(b, damp)
 
 	// Memory variables (read v[t+1], so they form the second cluster).
 	for d := 0; d < s.nd; d++ {
@@ -61,10 +51,7 @@ func Viscoelastic(cfg Config) (*Model, error) {
 			symbolic.NewMul(symbolic.Sub(symbolic.At(ptt.Ref), symbolic.At(stt.Ref)), s.divV(rdd)),
 			symbolic.NewMul(symbolic.At(stt.Ref), s.dv(rdd, d, d)),
 		)
-		rhs := symbolic.Neg(symbolic.NewMul(symbolic.At(its.Ref), inner))
-		if err := s.solve(rdd, rhs); err != nil {
-			return nil, err
-		}
+		s.solve(rdd, symbolic.Neg(symbolic.NewMul(symbolic.At(its.Ref), inner)))
 	}
 	for d := 0; d < s.nd; d++ {
 		for e := d + 1; e < s.nd; e++ {
@@ -73,44 +60,34 @@ func Viscoelastic(cfg Config) (*Model, error) {
 				symbolic.At(rde.Ref),
 				symbolic.NewMul(symbolic.Rat(1, 2), symbolic.At(stt.Ref), s.strain(rde, d, e)),
 			)
-			rhs := symbolic.Neg(symbolic.NewMul(symbolic.At(its.Ref), inner))
-			if err := s.solve(rde, rhs); err != nil {
-				return nil, err
-			}
+			s.solve(rde, symbolic.Neg(symbolic.NewMul(symbolic.At(its.Ref), inner)))
 		}
 	}
 
 	// Stresses (read v[t+1] and r[t+1]).
 	for d := 0; d < s.nd; d++ {
 		tdd := s.taus[d][d]
-		rhs := symbolic.Sub(
+		s.solve(tdd, symbolic.Sub(
 			symbolic.NewAdd(
 				symbolic.NewMul(symbolic.At(ptt.Ref), s.divV(tdd)),
 				symbolic.NewMul(symbolic.At(stt.Ref), symbolic.Sub(s.dv(tdd, d, d), s.divV(tdd))),
 				symbolic.ForwardStencil(rs[d][d].Ref),
 			),
 			symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tdd.Ref)),
-		)
-		if err := s.solve(tdd, rhs); err != nil {
-			return nil, err
-		}
+		))
 	}
 	for d := 0; d < s.nd; d++ {
 		for e := d + 1; e < s.nd; e++ {
 			tde := s.taus[d][e]
-			rhs := symbolic.Sub(
+			s.solve(tde, symbolic.Sub(
 				symbolic.NewAdd(
 					symbolic.NewMul(symbolic.Rat(1, 2), symbolic.At(stt.Ref), s.strain(tde, d, e)),
 					symbolic.ForwardStencil(rs[d][e].Ref),
 				),
 				symbolic.NewMul(symbolic.At(damp.Ref), symbolic.At(tde.Ref)),
-			)
-			if err := s.solve(tde, rhs); err != nil {
-				return nil, err
-			}
+			))
 		}
 	}
 
-	nTau := s.nd * (s.nd + 1) / 2
-	return s.model("viscoelastic", dtc*0.85, 2*(s.nd+2*nTau)+5), nil
+	return s.model("viscoelastic", s.normalStresses(), dtc*0.85)
 }
