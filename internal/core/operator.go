@@ -55,6 +55,9 @@ type Operator struct {
 	built    iet.Callable
 	prog     program
 	execOpts runtime.ExecOpts
+	// prodOpts is execOpts with an overlapped sweep's progress hook, the
+	// options of its CORE section; step refills it.
+	prodOpts runtime.ExecOpts
 	// pool is the persistent per-rank worker team (nil when serial).
 	// Workers spawn once and park between dispatches; the pool survives
 	// reconfiguration and is released by Close.

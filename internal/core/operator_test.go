@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -354,7 +356,7 @@ func TestPerfReportCountsPoints(t *testing.T) {
 func TestSplitCoreRemainder(t *testing.T) {
 	shape := []int{10, 8}
 	core := coreBox(shape, []int{2, 2})
-	rem := remainderBoxes(fullBox(shape), core)
+	rem := remainderBoxes(nil, fullBox(shape), core)
 	if core.Lo[0] != 2 || core.Hi[0] != 8 || core.Lo[1] != 2 || core.Hi[1] != 6 {
 		t.Errorf("core = %+v", core)
 	}
@@ -426,6 +428,123 @@ func TestSteadyStepAllocatesNothing(t *testing.T) {
 	if one, ten := apply(1), apply(10); ten != one {
 		t.Errorf("serial Apply allocates %v times for 1 step and %v for 10: a steady step allocates", one, ten)
 	}
+}
+
+// TestDMPStepAllocatesNothing is TestSteadyStepAllocatesNothing over a
+// 2-rank in-process world, in every halo mode, at exchange intervals 1
+// and 4 and on one and two workers: a step's exchanges — payloads,
+// receive requests, the full pattern's CORE split and progress hook —
+// allocate nothing, so one step and ten cost the same.
+func TestDMPStepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
+		for _, k := range []int{1, 4} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/k%d/w%d", mode, k, workers), func(t *testing.T) {
+					one, ten := dmpApplyAllocs(t, mode, k, workers)
+					t.Logf("per step over both ranks: %.1f objects, %.0f B",
+						float64(ten[0]-min(one[0], ten[0]))/9, float64(ten[1]-min(one[1], ten[1]))/9)
+					if ten[0] != one[0] {
+						t.Errorf("2-rank Apply allocates %d objects for 1 step and %d for 10: a steady step allocates", one[0], ten[0])
+					}
+				})
+			}
+		}
+	}
+}
+
+// dmpApplyAllocs builds a diffusion operator on each rank of a 2-rank
+// world and returns the objects and bytes, over both ranks, that one Apply
+// of 1 step and one of 10 allocate: averaged over a few of each, and the
+// fewest of three rounds. A transport keeps one payload per message in
+// flight, and how many are in flight at once is up to the scheduler, so
+// the first time ranks drift further apart allocates one more; the
+// fewest is what a step costs. The ranks stay up between Applies, taking
+// step counts from the test goroutine, so nothing but Apply runs while it
+// counts.
+func dmpApplyAllocs(t *testing.T, mode halo.Mode, k, workers int) (one, ten [2]uint64) {
+	t.Helper()
+	g := grid.MustNew([]int{32, 32}, nil)
+	cmds := [2]chan int{make(chan int, 1), make(chan int, 1)}
+	done := make(chan error, 2)
+	ended := make(chan error, 1)
+	go func() {
+		ended <- mpi.RunRanks(2, func(c *mpi.Comm) error {
+			ctx, err := rankContext(c, g, []int{2, 1}, mode)
+			if err != nil {
+				return err
+			}
+			u, err := field.NewTimeFunction("u", g, 4, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
+			if err != nil {
+				return err
+			}
+			upd := symbolic.NewAdd(symbolic.At(u.Ref),
+				symbolic.NewMul(symbolic.Float(0.1), symbolic.Laplace(symbolic.At(u.Ref), 2, 4)))
+			op, err := NewOperator([]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}},
+				map[string]*field.Function{"u": &u.Function}, g, ctx, &Options{TimeTile: k, Workers: workers})
+			if err != nil {
+				return err
+			}
+			defer op.Close()
+			if op.TimeTile() != k {
+				return fmt.Errorf("exchange interval %d, want %d", op.TimeTile(), k)
+			}
+			for steps := range cmds[c.Rank()] {
+				err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: steps - 1,
+					Syms: map[string]float64{"dt": 1}, Autotune: AutotuneOff})
+				done <- err
+				if err != nil {
+					return err // fails the world, so the peer unwinds too
+				}
+			}
+			return nil
+		})
+	}()
+	defer func() {
+		for _, c := range cmds {
+			close(c)
+		}
+		if err := <-ended; err != nil {
+			t.Error(err)
+		}
+	}()
+	apply := func(steps int) {
+		for _, c := range cmds {
+			c <- steps
+		}
+		for range cmds {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case err := <-ended:
+				ended <- err // for the deferred wait
+				t.Fatalf("world ended mid-test: %v", err)
+			}
+		}
+	}
+	const reps = 5
+	measure := func(steps int) [2]uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for r := 0; r < reps; r++ {
+			apply(steps)
+		}
+		runtime.ReadMemStats(&b)
+		return [2]uint64{(b.Mallocs - a.Mallocs) / reps, (b.TotalAlloc - a.TotalAlloc) / reps}
+	}
+	apply(10)
+	one, ten = measure(1), measure(10)
+	for round := 1; round < 3; round++ {
+		o, n := measure(1), measure(10)
+		for i := range one {
+			one[i], ten[i] = min(one[i], o[i]), min(ten[i], n[i])
+		}
+	}
+	return one, ten
 }
 
 func TestEngineSelection(t *testing.T) {

@@ -33,6 +33,14 @@ type sweep struct {
 	// around the nest's CORE section (an OverlapSection, or the first nest
 	// of a TimeTile whose Update is async).
 	overlap bool
+	// The rest is step's scratch, built on first use and reused by every
+	// later step, so a steady step allocates none of it: core holds the
+	// CORE box an overlapped sweep computes while its exchanges are in
+	// flight, progress prods those exchanges from inside it, and after and
+	// shell are refilled in place by remainderBoxes.
+	core         []runtime.Box
+	progress     func()
+	after, shell []runtime.Box
 }
 
 // program is the flattened op.Tree.
@@ -183,8 +191,8 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 		}
 	}
 	owned := op.boxes[0]
-	for si, sw := range pr.sweeps {
-		k := op.kernels[si]
+	for si := range pr.sweeps {
+		sw := &pr.sweeps[si]
 		box := op.sweepBox(op.boxes[1+si], localShape, j, si)
 		// rest is what the exchanges must complete for, shell what follows it.
 		rest := box
@@ -196,7 +204,8 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 				// separates owned compute from the redundant recompute.
 				// Per-point updates within one schedule step are
 				// independent, so the split is bit-identical to one sweep.
-				rest, shell = owned, remainderBoxes(box, owned)
+				sw.shell = remainderBoxes(sw.shell, box, owned)
+				rest, shell = owned, sw.shell
 			}
 		}
 		// Only a tile's first substep exchanges.
@@ -209,18 +218,22 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 		var inflight []runtime.Box
 		after := []runtime.Box{rest}
 		if sw.overlap && len(halos) > 0 {
-			core := coreBox(localShape, k.StencilRadius())
-			inflight, after = []runtime.Box{core}, remainderBoxes(rest, core)
+			if sw.core == nil {
+				sw.core = []runtime.Box{coreBox(localShape, op.kernels[si].StencilRadius())}
+				sw.progress = func() {
+					for _, h := range sw.halos {
+						h.ex.Progress()
+					}
+				}
+			}
+			sw.after = remainderBoxes(sw.after, rest, sw.core[0])
+			inflight, after = sw.core, sw.after
 		}
 		op.exchangeSection(t, halos, (*halo.Exchanger).Start)
 		if inflight != nil {
-			prod := op.execOpts
-			prod.Progress = func() {
-				for _, h := range halos {
-					h.ex.Progress()
-				}
-			}
-			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &prod)
+			op.prodOpts = op.execOpts
+			op.prodOpts.Progress = sw.progress
+			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &op.prodOpts)
 		}
 		op.exchangeSection(t, halos, (*halo.Exchanger).Finish)
 		op.computeSection(obs.PhaseCompute, t, si, bound[si], after, &op.execOpts)

@@ -155,23 +155,35 @@ func (op *Operator) exchangeDepth(name string) []int {
 }
 
 // remainderBoxes peels outer minus inner into disjoint slabs (inner must
-// be contained in outer; an empty inner yields outer itself).
-func remainderBoxes(outer, inner runtime.Box) []runtime.Box {
-	var rem []runtime.Box
-	box := runtime.Box{Lo: append([]int(nil), outer.Lo...), Hi: append([]int(nil), outer.Hi...)}
-	for d := range box.Lo {
-		low := runtime.Box{Lo: append([]int(nil), box.Lo...), Hi: append([]int(nil), box.Hi...)}
-		low.Hi[d] = inner.Lo[d]
-		if !low.Empty() {
-			rem = append(rem, low)
+// be contained in outer; an empty inner yields outer itself), written over
+// rem's storage: slabs refill the boxes rem already holds, Lo and Hi
+// included, so a caller that keeps the result and peels again allocates
+// nothing.
+func remainderBoxes(rem []runtime.Box, outer, inner runtime.Box) []runtime.Box {
+	rem = rem[:0]
+	for d := range outer.Lo {
+		for side := 0; side < 2; side++ {
+			i := len(rem)
+			if i < cap(rem) {
+				rem = rem[:i+1]
+			} else {
+				rem = append(rem, runtime.Box{})
+			}
+			b := &rem[i]
+			b.Lo = append(b.Lo[:0], outer.Lo...)
+			b.Hi = append(b.Hi[:0], outer.Hi...)
+			for e := 0; e < d; e++ {
+				b.Lo[e], b.Hi[e] = inner.Lo[e], inner.Hi[e]
+			}
+			if side == 0 {
+				b.Hi[d] = inner.Lo[d]
+			} else {
+				b.Lo[d] = inner.Hi[d]
+			}
+			if b.Empty() {
+				rem = rem[:i]
+			}
 		}
-		high := runtime.Box{Lo: append([]int(nil), box.Lo...), Hi: append([]int(nil), box.Hi...)}
-		high.Lo[d] = inner.Hi[d]
-		if !high.Empty() {
-			rem = append(rem, high)
-		}
-		box.Lo[d] = inner.Lo[d]
-		box.Hi[d] = inner.Hi[d]
 	}
 	return rem
 }

@@ -56,13 +56,13 @@ func TestRemainderBoxesPartition(t *testing.T) {
 	}
 	outer := runtime.Box{Lo: []int{-2, -3}, Hi: []int{10, 11}}
 	inner := runtime.Box{Lo: []int{1, 2}, Hi: []int{7, 8}}
-	if n := covers("2-D", outer, inner, remainderBoxes(outer, inner)); n != outer.Size() {
+	if n := covers("2-D", outer, inner, remainderBoxes(nil, outer, inner)); n != outer.Size() {
 		t.Errorf("2-D partition covers %d points, outer has %d", n, outer.Size())
 	}
 	// CORE/REMAINDER of a 3-D owned box.
 	shape := []int{12, 10, 8}
 	owned, core := fullBox(shape), coreBox(shape, []int{4, 4, 2})
-	if n := covers("3-D", owned, core, remainderBoxes(owned, core)); n != owned.Size() {
+	if n := covers("3-D", owned, core, remainderBoxes(nil, owned, core)); n != owned.Size() {
 		t.Errorf("3-D partition covers %d points, owned has %d", n, owned.Size())
 	}
 	// A local domain smaller than twice the radius has an empty CORE and
@@ -70,13 +70,25 @@ func TestRemainderBoxesPartition(t *testing.T) {
 	tiny := []int{4, 4}
 	if core := coreBox(tiny, []int{4, 4}); !core.Empty() {
 		t.Errorf("tiny-domain core = %+v, want empty", core)
-	} else if n := covers("tiny", fullBox(tiny), core, remainderBoxes(fullBox(tiny), core)); n != 16 {
+	} else if n := covers("tiny", fullBox(tiny), core, remainderBoxes(nil, fullBox(tiny), core)); n != 16 {
 		t.Errorf("tiny-domain remainder covers %d points, want 16", n)
 	}
 	// No inner box: the whole outer comes back as one box.
-	rem := remainderBoxes(outer, runtime.Box{Lo: outer.Lo, Hi: outer.Lo})
+	rem := remainderBoxes(nil, outer, runtime.Box{Lo: outer.Lo, Hi: outer.Lo})
 	if len(rem) != 1 || !reflect.DeepEqual(rem[0], outer) {
 		t.Errorf("empty-inner remainder = %+v, want [%+v]", rem, outer)
+	}
+	// Storage kept from earlier peels, of more slabs and of fewer, gives
+	// the slabs fresh storage gives, and a repeat peel allocates nothing.
+	flush := runtime.Box{Lo: []int{-2, 2}, Hi: []int{7, 8}}
+	for _, in := range []runtime.Box{inner, flush, inner} {
+		want := remainderBoxes(nil, outer, in)
+		if rem = remainderBoxes(rem, outer, in); !reflect.DeepEqual(rem, want) {
+			t.Errorf("reused-storage remainder of %+v = %+v, want %+v", in, rem, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { rem = remainderBoxes(rem, outer, inner) }); n != 0 {
+		t.Errorf("a repeat peel into kept storage allocates %v times", n)
 	}
 }
 
@@ -388,7 +400,7 @@ func TestSweepPartition(t *testing.T) {
 	}
 	record(t, 1, halo.ModeFull, 1, func(rank int, op *Operator, local []int, runs []recordedRun) {
 		core := coreBox(local, op.kernels[0].StencilRadius())
-		want := append([]runtime.Box{core}, remainderBoxes(fullBox(local), core)...)
+		want := append([]runtime.Box{core}, remainderBoxes(nil, fullBox(local), core)...)
 		if !reflect.DeepEqual(boxes(runs), want) {
 			t.Errorf("full rank %d: runs %+v, want %+v", rank, boxes(runs), want)
 		}
@@ -401,7 +413,7 @@ func TestSweepPartition(t *testing.T) {
 	record(t, 4, halo.ModeFull, 4, func(rank int, op *Operator, local []int, runs []recordedRun) {
 		core := coreBox(local, op.kernels[0].StencilRadius())
 		op.tileLen = 4
-		want := append([]runtime.Box{core}, remainderBoxes(op.sweepBox(fullBox(local), local, 0, 0), core)...)
+		want := append([]runtime.Box{core}, remainderBoxes(nil, op.sweepBox(fullBox(local), local, 0, 0), core)...)
 		for j := 1; j < 4; j++ {
 			want = append(want, op.sweepBox(fullBox(local), local, j, 0))
 		}
@@ -429,7 +441,7 @@ func TestTracedOverlapHeadSplitsShell(t *testing.T) {
 	var mu sync.Mutex
 	record(t, 2, halo.ModeFull, 2, func(rank int, op *Operator, local []int, runs []recordedRun) {
 		core, owned := coreBox(local, op.kernels[0].StencilRadius()), fullBox(local)
-		ring := remainderBoxes(owned, core)
+		ring := remainderBoxes(nil, owned, core)
 		pts := 0
 		for i, r := range runs {
 			switch {

@@ -124,12 +124,14 @@ func messages(mode Mode, nd int) [][]message {
 // row is one message of an exchanger's table, bound to this rank: the
 // neighbour, the tags (which encode the sender's direction of travel, so
 // the message from Neighbor(o) carries the tag of -o), the owned slab
-// packed into sendBuf and the ghost slab unpacked from recvBuf.
+// packed into sendBuf and the ghost slab unpacked from recvBuf, which req,
+// re-posted by every exchange, fills.
 type row struct {
 	nbr              int
 	sendTag, recvTag int
 	sendReg, recvReg field.Region
 	sendBuf, recvBuf []float32
+	req              mpi.Request
 }
 
 // Exchanger fills one field's halo from its neighbours by walking a
@@ -139,18 +141,19 @@ type row struct {
 // while that phase's messages are in flight (the full pattern's CORE
 // overlap — available, if not used, under every mode).
 //
-// Buffers are preallocated for every mode. Table I lists basic's as
-// allocated at call time; that column describes Devito's implementation,
-// not the pattern, and perfmodel still prices it for the paper's clusters.
+// Buffers and receive requests are preallocated for every mode, so an
+// exchange allocates nothing. Table I lists basic's buffers as allocated
+// at call time; that column describes Devito's implementation, not the
+// pattern, and perfmodel still prices it for the paper's clusters.
 type Exchanger struct {
 	cart   *mpi.CartComm
 	f      *field.Function
 	rank   int
 	stream int
 	phases [][]row
-	// pending holds the receives of the phase in flight, one per row (nil
-	// between exchanges).
-	pending []*mpi.Request
+	// inflight is the phase whose receives are posted and not yet
+	// completed (nil between exchanges).
+	inflight []row
 }
 
 // New constructs the exchanger for the given mode, exchanging the field's
@@ -220,11 +223,11 @@ func (x *Exchanger) Traffic() (msgs int, bytes float64) {
 func (x *Exchanger) post(t int, rows []row) {
 	buf := x.f.Buf(t)
 	tid := x.stream + 1
-	x.pending = x.pending[:0]
 	for i := range rows {
 		r := &rows[i]
-		x.pending = append(x.pending, x.cart.Irecv(r.nbr, r.recvTag, r.recvBuf))
+		r.req = x.cart.Irecv(r.nbr, r.recvTag, r.recvBuf)
 	}
+	x.inflight = rows
 	for i := range rows {
 		r := &rows[i]
 		sp := obs.BeginStream(x.rank, tid, obs.PhasePack, t)
@@ -237,20 +240,21 @@ func (x *Exchanger) post(t int, rows []row) {
 	}
 }
 
-// complete waits for the receives post left pending and unpacks them into
-// the halo of time buffer t.
-func (x *Exchanger) complete(t int, rows []row) {
+// Finish blocks until the phase in flight has arrived and unpacks it into
+// the halo of time buffer t (nothing when no phase is in flight).
+func (x *Exchanger) Finish(t int) {
 	buf := x.f.Buf(t)
 	tid := x.stream + 1
-	for i, req := range x.pending {
+	for i := range x.inflight {
+		r := &x.inflight[i]
 		sp := obs.BeginStream(x.rank, tid, obs.PhaseWait, t)
-		req.Wait()
+		r.req.Wait()
 		sp.End()
 		sp = obs.BeginStream(x.rank, tid, obs.PhaseUnpack, t)
-		buf.Unpack(rows[i].recvReg, rows[i].recvBuf)
+		buf.Unpack(r.recvReg, r.recvBuf)
 		sp.End()
 	}
-	x.pending = x.pending[:0]
+	x.inflight = nil
 }
 
 // Start runs every phase of the exchange of time buffer t but the last
@@ -259,20 +263,21 @@ func (x *Exchanger) Start(t int) {
 	for i, rows := range x.phases {
 		x.post(t, rows)
 		if i < len(x.phases)-1 {
-			x.complete(t, rows)
+			x.Finish(t)
 		}
 	}
 }
 
 // Progress prods the progress engine (MPI_Test) and reports whether every
 // receive Start left pending has arrived.
-func (x *Exchanger) Progress() bool { return mpi.Testall(x.pending) }
-
-// Finish blocks until the phase Start posted has arrived and unpacks it.
-func (x *Exchanger) Finish(t int) {
-	if n := len(x.phases); n > 0 {
-		x.complete(t, x.phases[n-1])
+func (x *Exchanger) Progress() bool {
+	all := true
+	for i := range x.inflight {
+		if !x.inflight[i].req.Test() {
+			all = false
+		}
 	}
+	return all
 }
 
 // Exchange synchronously updates the halo of time buffer t.

@@ -52,7 +52,8 @@ func failingBody(bad int, byPanic, afterExchange bool) func(c *Comm) error {
 		if c.Rank()%2 == 0 {
 			c.Recv(next, 7, buf)
 		} else {
-			c.Irecv(next, 7, buf).Wait()
+			r := c.Irecv(next, 7, buf)
+			r.Wait()
 		}
 		return nil
 	}

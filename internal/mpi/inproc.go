@@ -16,11 +16,18 @@ import (
 // suite measures the TCP implementation against.
 
 // message is an in-flight point-to-point payload. Data is owned by the
-// mailbox once enqueued (the sender copies).
+// mailbox from push until a receive has copied it out, when it returns to
+// the mailbox's free list.
 type message struct {
 	tag  int
 	data []float32
 }
+
+// maxFree bounds a mailbox's free list. A steady exchange keeps one
+// payload per message in flight on the pair: one per field and time level
+// a tile head posts, twice that while the receiver is a step behind. A
+// burst beyond the bound leaves its surplus to the collector.
+const maxFree = 64
 
 // mailbox queues messages from one fixed sender to one fixed receiver.
 // The TCP transport reuses it as the per-source inbox its connection
@@ -30,6 +37,10 @@ type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []message
+	// free holds payloads whose messages have been received, for later
+	// messages to fill (payload): a steady exchange cycles the same few
+	// buffers instead of allocating one per message.
+	free [][]float32
 	// err poisons the mailbox: every blocked and future pop fails with
 	// it (connection teardown, peer death).
 	err error
@@ -74,7 +85,59 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// push enqueues a message (sender side).
+// payload returns an n-element buffer for a message to this mailbox: the
+// smallest free payload that holds n elements, or a new one. Best fit
+// keeps large payloads for large messages, so a steady mix of message
+// sizes settles on one buffer per message in flight.
+func (m *mailbox) payload(n int) []float32 {
+	if n == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	best := -1
+	for i, p := range m.free {
+		if cap(p) >= n && (best < 0 || cap(p) < cap(m.free[best])) {
+			best = i
+		}
+	}
+	var p []float32
+	if best >= 0 {
+		last := len(m.free) - 1
+		p = m.free[best]
+		m.free[best] = m.free[last]
+		m.free[last] = nil
+		m.free = m.free[:last]
+	}
+	m.mu.Unlock()
+	if p == nil {
+		return make([]float32, n)
+	}
+	return p[:n]
+}
+
+// recycle returns a received payload to the free list (mu held). A full
+// list keeps its largest payloads.
+func (m *mailbox) recycle(p []float32) {
+	if cap(p) == 0 {
+		return
+	}
+	if len(m.free) < maxFree {
+		m.free = append(m.free, p)
+		return
+	}
+	small := 0
+	for i := range m.free {
+		if cap(m.free[i]) < cap(m.free[small]) {
+			small = i
+		}
+	}
+	if cap(m.free[small]) < cap(p) {
+		m.free[small] = p
+	}
+}
+
+// push enqueues a message (sender side); the mailbox owns data from here
+// on.
 func (m *mailbox) push(tag int, data []float32) {
 	m.mu.Lock()
 	m.queue = append(m.queue, message{tag: tag, data: data})
@@ -92,17 +155,23 @@ func (m *mailbox) fail(err error) {
 	m.cond.Broadcast()
 }
 
-// take removes and returns queue[i], zeroing the vacated tail slot so
-// the dropped message's payload (a large halo buffer, potentially) is
-// GC-able as soon as the receiver drops it — a bare
-// append(q[:i], q[i+1:]...) would leave the tail slot aliasing it for
-// the queue's lifetime.
-func (m *mailbox) take(i int) []float32 {
+// take removes queue[i], copies its payload into buf and returns the
+// payload to the free list (mu held). The vacated tail slot is zeroed: a
+// bare append(q[:i], q[i+1:]...) would leave it a second reference to a
+// payload the free list may already have handed to the next send. A
+// payload longer than buf is consumed all the same, as MPI_ERR_TRUNCATE
+// consumes its message, and reported as an error.
+func (m *mailbox) take(i int, buf []float32) (int, error) {
 	data := m.queue[i].data
 	copy(m.queue[i:], m.queue[i+1:])
 	m.queue[len(m.queue)-1] = message{}
 	m.queue = m.queue[:len(m.queue)-1]
-	return data
+	n := copy(buf, data)
+	m.recycle(data)
+	if n < len(data) {
+		return 0, fmt.Errorf("message truncated (%d elements into a buffer of %d)", len(data), len(buf))
+	}
+	return n, nil
 }
 
 // errRecvTimeout marks a pop deadline expiry.
@@ -123,18 +192,18 @@ var errRecvTimeout = errors.New("receive deadline exceeded")
 // counted in Stats.RecvParks.
 const pollBound = 200 * time.Microsecond
 
-// pop removes and returns the first message with the given tag, waiting
-// until one arrives, the mailbox is poisoned, or — when d > 0 — the
-// deadline d elapses (errRecvTimeout): a failed or hung peer becomes an
-// error instead of a deadlock. d <= 0 means no deadline. It polls for
-// pollBound and parks after that; the poll counts against d, so a deadline
-// is late by at most one bound.
-func (m *mailbox) pop(tag int, d time.Duration) ([]float32, error) {
+// pop receives the first message with the given tag into buf and returns
+// its element count, waiting until one arrives, the mailbox is poisoned,
+// or — when d > 0 — the deadline d elapses (errRecvTimeout): a failed or
+// hung peer becomes an error instead of a deadlock. d <= 0 means no
+// deadline. It polls for pollBound and parks after that; the poll counts
+// against d, so a deadline is late by at most one bound.
+func (m *mailbox) pop(tag int, d time.Duration, buf []float32) (int, error) {
 	start := time.Now()
 	for {
-		data, ok, err := m.tryPop(tag)
+		n, ok, err := m.tryPop(tag, buf)
 		if ok || err != nil {
-			return data, err
+			return n, err
 		}
 		if time.Since(start) >= pollBound {
 			break
@@ -147,11 +216,11 @@ func (m *mailbox) pop(tag int, d time.Duration) ([]float32, error) {
 	defer m.mu.Unlock()
 	parked := false
 	for {
-		if data, ok, err := m.match(tag); ok || err != nil {
-			return data, err
+		if n, ok, err := m.match(tag, buf); ok || err != nil {
+			return n, err
 		}
 		if d > 0 && time.Since(start) >= d {
-			return nil, fmt.Errorf("%w (%s)", errRecvTimeout, d)
+			return 0, fmt.Errorf("%w (%s)", errRecvTimeout, d)
 		}
 		if !parked {
 			parked = true
@@ -174,21 +243,23 @@ func (m *mailbox) pop(tag int, d time.Duration) ([]float32, error) {
 	}
 }
 
-// tryPop removes the first message with the given tag if present.
-func (m *mailbox) tryPop(tag int) ([]float32, bool, error) {
+// tryPop receives the first message with the given tag into buf if one is
+// queued.
+func (m *mailbox) tryPop(tag int, buf []float32) (int, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.match(tag)
+	return m.match(tag, buf)
 }
 
 // match is tryPop with mu held: a queued message wins over a poisoning.
-func (m *mailbox) match(tag int) ([]float32, bool, error) {
+func (m *mailbox) match(tag int, buf []float32) (int, bool, error) {
 	for i := range m.queue {
 		if m.queue[i].tag == tag {
-			return m.take(i), true, nil
+			n, err := m.take(i, buf)
+			return n, true, err
 		}
 	}
-	return nil, false, m.err
+	return 0, false, m.err
 }
 
 // World is a set of communicating ranks within the process.
@@ -280,12 +351,13 @@ func (t *inprocTransport) Rank() int { return t.rank }
 // Size returns the world size.
 func (t *inprocTransport) Size() int { return t.world.size }
 
-// Send copies data (the snapshot the Transport contract requires) and
-// enqueues it in the destination's mailbox.
+// Send copies data into a payload recycled from the destination's mailbox
+// (the snapshot the Transport contract requires) and enqueues it there.
 func (t *inprocTransport) Send(dst, tag int, data []float32) error {
-	buf := make([]float32, len(data))
-	copy(buf, data)
-	t.world.mailboxes[t.rank][dst].push(tag, buf)
+	m := t.world.mailboxes[t.rank][dst]
+	p := m.payload(len(data))
+	copy(p, data)
+	m.push(tag, p)
 	t.world.stats[t.rank].sent(len(data))
 	return nil
 }
@@ -294,13 +366,21 @@ func (t *inprocTransport) Send(dst, tag int, data []float32) error {
 // the world fails. Goroutine ranks cannot hang the way a remote peer can,
 // so there is no deadline: a rank that dies poisons the mailbox instead
 // (World.poison), and a lost message is a schedule bug.
-func (t *inprocTransport) Recv(src, tag int) ([]float32, error) {
-	return t.world.mailboxes[src][t.rank].pop(tag, 0)
+func (t *inprocTransport) Recv(src, tag int, buf []float32) (int, error) {
+	n, err := t.world.mailboxes[src][t.rank].pop(tag, 0, buf)
+	if err != nil {
+		return 0, fmt.Errorf("recv from rank %d tag %d: %w", src, tag, err)
+	}
+	return n, nil
 }
 
 // TryRecv polls the source mailbox.
-func (t *inprocTransport) TryRecv(src, tag int) ([]float32, bool, error) {
-	return t.world.mailboxes[src][t.rank].tryPop(tag)
+func (t *inprocTransport) TryRecv(src, tag int, buf []float32) (int, bool, error) {
+	n, ok, err := t.world.mailboxes[src][t.rank].tryPop(tag, buf)
+	if err != nil {
+		return 0, false, fmt.Errorf("recv from rank %d tag %d: %w", src, tag, err)
+	}
+	return n, ok, nil
 }
 
 // Stats returns the calling rank's accounting.

@@ -26,6 +26,13 @@ func oneP(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// popOne receives a message of at most one element from m.
+func popOne(m *mailbox, tag int, d time.Duration) ([]float32, error) {
+	buf := make([]float32, 1)
+	n, err := m.pop(tag, d, buf)
+	return buf[:n], err
+}
+
 // onceParked calls f as soon as the mailbox's receiver has parked.
 func onceParked(parks func() int64, f func()) {
 	go func() {
@@ -38,16 +45,15 @@ func onceParked(parks func() int64, f func()) {
 
 func TestMailboxTakeZeroesVacatedSlot(t *testing.T) {
 	// Regression: the slice delete in take() must zero the vacated tail
-	// slot. Before the fix, popping from the front left the backing
-	// array's tail element aliasing the last message's payload, pinning
-	// a halo-buffer-sized allocation for the queue's lifetime.
+	// slot. A received payload belongs to the free list, which hands it to
+	// the next send; a stale queue slot would be a second reference to it.
 	m, _ := testMailbox()
 	m.push(1, make([]float32, 4))
 	m.push(2, make([]float32, 1<<20))
-	if _, err := m.pop(1, 0); err != nil {
+	if _, err := m.pop(1, 0, make([]float32, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.pop(2, 0); err != nil {
+	if _, err := m.pop(2, 0, make([]float32, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	// Queue is empty but its backing array still has the slots the two
@@ -58,17 +64,51 @@ func TestMailboxTakeZeroesVacatedSlot(t *testing.T) {
 			t.Fatalf("vacated slot %d still references a %d-element payload", i, len(msg.data))
 		}
 	}
+	if len(m.free) != 2 {
+		t.Fatalf("%d payloads on the free list after two receives, want 2", len(m.free))
+	}
+}
+
+func TestMailboxFreeListFitsAndKeepsLargest(t *testing.T) {
+	// A send takes the smallest free payload that fits, so a small message
+	// does not take the buffer a large one needs; a full list makes room
+	// for a larger payload by dropping its smallest, so a burst of small
+	// messages cannot leave every large one allocating for good.
+	m, _ := testMailbox()
+	small, large := make([]float32, 4), make([]float32, 64)
+	m.mu.Lock()
+	m.recycle(large)
+	m.recycle(small)
+	m.mu.Unlock()
+	if p := m.payload(3); &p[:1][0] != &small[0] {
+		t.Fatal("a 3-element message did not take the 4-element payload")
+	}
+	if p := m.payload(10); &p[:1][0] != &large[0] {
+		t.Fatal("a 10-element message did not take the 64-element payload")
+	}
+	m.mu.Lock()
+	for i := 0; i < maxFree; i++ {
+		m.recycle(make([]float32, 4))
+	}
+	m.recycle(large)
+	m.mu.Unlock()
+	if len(m.free) != maxFree {
+		t.Fatalf("free list holds %d payloads, want %d", len(m.free), maxFree)
+	}
+	if p := m.payload(64); &p[0] != &large[0] {
+		t.Fatal("a full free list of small payloads dropped the large one")
+	}
 }
 
 func TestMailboxPollDeliversWithoutParking(t *testing.T) {
 	oneP(t)
 	m, parks := testMailbox()
 	m.push(1, []float32{1})
-	if data, err := m.pop(1, 0); err != nil || data[0] != 1 {
+	if data, err := popOne(m, 1, 0); err != nil || data[0] != 1 {
 		t.Fatalf("queued message: %v %v", data, err)
 	}
 	go m.push(2, []float32{2}) // runs when pop first yields
-	if data, err := m.pop(2, 0); err != nil || data[0] != 2 {
+	if data, err := popOne(m, 2, 0); err != nil || data[0] != 2 {
 		t.Fatalf("message pushed during the poll: %v %v", data, err)
 	}
 	if n := parks(); n != 0 {
@@ -83,7 +123,7 @@ func TestMailboxLateMessageParksOnce(t *testing.T) {
 		m.push(3, []float32{42})
 	})
 	err := within(t, 30*time.Second, func() error {
-		data, err := m.pop(3, 0)
+		data, err := popOne(m, 3, 0)
 		if err == nil && (len(data) != 1 || data[0] != 42) {
 			err = fmt.Errorf("got %v", data)
 		}
@@ -103,7 +143,7 @@ func TestMailboxFailWhilePollingAndWhileParked(t *testing.T) {
 
 	m, parks := testMailbox()
 	go m.fail(boom) // runs when pop first yields
-	if _, err := m.pop(1, 0); !errors.Is(err, boom) {
+	if _, err := popOne(m, 1, 0); !errors.Is(err, boom) {
 		t.Fatalf("fail during the poll: got %v, want the poison", err)
 	}
 	if n := parks(); n != 0 {
@@ -113,12 +153,12 @@ func TestMailboxFailWhilePollingAndWhileParked(t *testing.T) {
 	m, parks = testMailbox()
 	m.push(2, []float32{7})
 	onceParked(parks, func() { m.fail(boom) })
-	err := within(t, 30*time.Second, func() error { _, err := m.pop(1, 0); return err })
+	err := within(t, 30*time.Second, func() error { _, err := popOne(m, 1, 0); return err })
 	if !errors.Is(err, boom) {
 		t.Fatalf("fail while parked: got %v, want the poison", err)
 	}
 	// A queued message still wins over the poison.
-	if data, err := m.pop(2, 0); err != nil || data[0] != 7 {
+	if data, err := popOne(m, 2, 0); err != nil || data[0] != 7 {
 		t.Fatalf("message queued before the poison: %v %v", data, err)
 	}
 }
@@ -131,7 +171,7 @@ func TestMailboxPopTimeout(t *testing.T) {
 	// host cannot assert that, so the upper side is only the hang guard.)
 	const d = 50 * time.Millisecond
 	start := time.Now()
-	err := within(t, 30*time.Second, func() error { _, err := m.pop(5, d); return err })
+	err := within(t, 30*time.Second, func() error { _, err := popOne(m, 5, d); return err })
 	if !errors.Is(err, errRecvTimeout) {
 		t.Fatalf("pop with a deadline on an empty mailbox: got %v, want errRecvTimeout", err)
 	}
@@ -144,7 +184,7 @@ func TestMailboxPopTimeout(t *testing.T) {
 	// A deadline inside the poll is noticed when the poll ends: no park,
 	// no timer.
 	start = time.Now()
-	if _, err := m.pop(5, pollBound/4); !errors.Is(err, errRecvTimeout) {
+	if _, err := popOne(m, 5, pollBound/4); !errors.Is(err, errRecvTimeout) {
 		t.Fatalf("deadline shorter than the poll: got %v, want errRecvTimeout", err)
 	}
 	if time.Since(start) < pollBound/4 {
@@ -157,7 +197,7 @@ func TestMailboxPopTimeout(t *testing.T) {
 	// broadcast must not slip in before the wait it is meant to wake.
 	err = within(t, 30*time.Second, func() error {
 		for i := 0; i < 200; i++ {
-			if _, err := m.pop(5, pollBound+time.Microsecond); !errors.Is(err, errRecvTimeout) {
+			if _, err := popOne(m, 5, pollBound+time.Microsecond); !errors.Is(err, errRecvTimeout) {
 				return fmt.Errorf("round %d: got %v, want errRecvTimeout", i, err)
 			}
 		}
@@ -169,7 +209,7 @@ func TestMailboxPopTimeout(t *testing.T) {
 	// A message that arrives while parked under a deadline is delivered.
 	before := parks()
 	onceParked(func() int64 { return parks() - before }, func() { m.push(6, []float32{42}) })
-	data, err := m.pop(6, 30*time.Second)
+	data, err := popOne(m, 6, 30*time.Second)
 	if err != nil || len(data) != 1 || data[0] != 42 {
 		t.Fatalf("pop missed a delivered message: %v %v", data, err)
 	}
@@ -192,7 +232,7 @@ func TestMailboxOrderAcrossPollAndPark(t *testing.T) {
 			tag int
 			val float32
 		}{{b, 10}, {a, 1}, {a, 2}} {
-			data, err := m.pop(want.tag, 0)
+			data, err := popOne(m, want.tag, 0)
 			if err != nil {
 				return err
 			}

@@ -69,22 +69,18 @@ func (c *Comm) Send(dst, tag int, data []float32) {
 
 // Recv blocks until a message with the given source and tag arrives, copies
 // it into buf and returns the element count. The message length must not
-// exceed len(buf).
+// exceed len(buf): a longer message fails the rank with an error naming
+// the source, the tag and both lengths.
 func (c *Comm) Recv(src, tag int, buf []float32) int {
 	if src == ProcNull {
 		return 0
 	}
 	c.checkRank(src)
-	data, err := c.t.Recv(src, tag)
+	n, err := c.t.Recv(src, tag, buf)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: recv from %d tag %d: %v", c.rank, src, tag, err))
+		panic(fmt.Sprintf("mpi: rank %d: %v", c.rank, err))
 	}
-	if len(data) > len(buf) {
-		panic(fmt.Sprintf("mpi: rank %d: message from %d tag %d truncated (%d > %d)",
-			c.rank, src, tag, len(data), len(buf)))
-	}
-	copy(buf, data)
-	return len(data)
+	return n
 }
 
 func (c *Comm) checkRank(r int) {

@@ -15,14 +15,16 @@ type Request struct {
 	n    int
 }
 
-// Irecv posts a nonblocking receive into buf. Completion happens at Wait or
-// a successful Test.
-func (c *Comm) Irecv(src, tag int, buf []float32) *Request {
+// Irecv posts a nonblocking receive into buf and returns its request, which
+// the caller stores, as MPI_Irecv fills a caller-owned MPI_Request: a caller
+// that posts the same receive every step keeps the request in place and
+// allocates none. Completion happens at Wait or a successful Test.
+func (c *Comm) Irecv(src, tag int, buf []float32) Request {
 	if src == ProcNull {
-		return &Request{comm: c, done: true}
+		return Request{comm: c, src: ProcNull, done: true}
 	}
 	c.checkRank(src)
-	return &Request{comm: c, src: src, tag: tag, buf: buf}
+	return Request{comm: c, src: src, tag: tag, buf: buf}
 }
 
 // Wait blocks until the request completes and returns the received element
@@ -31,13 +33,12 @@ func (r *Request) Wait() int {
 	if r.done {
 		return r.n
 	}
-	data, err := r.comm.t.Recv(r.src, r.tag)
+	n, err := r.comm.t.Recv(r.src, r.tag, r.buf)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: irecv from %d tag %d: %v",
-			r.comm.rank, r.src, r.tag, err))
+		panic(fmt.Sprintf("mpi: rank %d: %v", r.comm.rank, err))
 	}
-	r.complete(data)
-	return r.n
+	r.n, r.done = n, true
+	return n
 }
 
 // Test polls for completion without blocking, returning true once the
@@ -47,38 +48,15 @@ func (r *Request) Test() bool {
 	if r.done {
 		return true
 	}
-	data, ok, err := r.comm.t.TryRecv(r.src, r.tag)
+	n, ok, err := r.comm.t.TryRecv(r.src, r.tag, r.buf)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: irecv from %d tag %d: %v",
-			r.comm.rank, r.src, r.tag, err))
+		panic(fmt.Sprintf("mpi: rank %d: %v", r.comm.rank, err))
 	}
-	if !ok {
-		return false
+	if ok {
+		r.n, r.done = n, true
 	}
-	r.complete(data)
-	return true
-}
-
-// complete finishes a receive with the delivered payload.
-func (r *Request) complete(data []float32) {
-	if len(data) > len(r.buf) {
-		panic("mpi: Irecv message truncated")
-	}
-	copy(r.buf, data)
-	r.n = len(data)
-	r.done = true
+	return ok
 }
 
 // Done reports whether the request has already completed (without polling).
 func (r *Request) Done() bool { return r.done }
-
-// Testall polls every request once and reports whether all are complete.
-func Testall(reqs []*Request) bool {
-	all := true
-	for _, r := range reqs {
-		if r != nil && !r.Test() {
-			all = false
-		}
-	}
-	return all
-}

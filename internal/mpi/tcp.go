@@ -401,10 +401,13 @@ func (t *TCPTransport) Send(dst, tag int, data []float32) error {
 // readLoop drains one peer connection into the per-source inbox until
 // the connection dies or the transport closes; a read failure poisons
 // the inbox so pending receives fail instead of waiting out their
-// deadline.
+// deadline. Each frame is decoded, one chunk of the connection's byte
+// scratch at a time, into a payload recycled from the inbox.
 func (t *TCPTransport) readLoop(src int, p *tcpPeer) {
 	defer t.wg.Done()
 	r := bufio.NewReaderSize(p.conn, 1<<16)
+	in := t.inbox[src]
+	raw := make([]byte, 1<<16)
 	var hdr [8]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -417,16 +420,19 @@ func (t *TCPTransport) readLoop(src int, p *tcpPeer) {
 			t.failInbox(src, fmt.Errorf("corrupt frame header (count %d)", count))
 			return
 		}
-		raw := make([]byte, 4*count)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			t.failInbox(src, err)
-			return
+		data := in.payload(int(count))
+		for done := 0; done < len(data); {
+			chunk := raw[:4*min(len(data)-done, len(raw)/4)]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				t.failInbox(src, err)
+				return
+			}
+			for i := 0; i < len(chunk); i += 4 {
+				data[done] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[i:]))
+				done++
+			}
 		}
-		data := make([]float32, count)
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-		t.inbox[src].push(tag, data)
+		in.push(tag, data)
 	}
 }
 
@@ -442,24 +448,24 @@ func (t *TCPTransport) failInbox(src int, err error) {
 }
 
 // Recv blocks for the oldest matching message under the receive
-// deadline; a peer that stays silent past it produces an error naming
-// the peer, the tag and the deadline — the clean-failure half of the
-// hung-peer guarantee.
-func (t *TCPTransport) Recv(src, tag int) ([]float32, error) {
-	data, err := t.inbox[src].pop(tag, t.timeout)
+// deadline and copies it into buf; a peer that stays silent past it
+// produces an error naming the peer, the tag and the deadline — the
+// clean-failure half of the hung-peer guarantee.
+func (t *TCPTransport) Recv(src, tag int, buf []float32) (int, error) {
+	n, err := t.inbox[src].pop(tag, t.timeout, buf)
 	if err != nil {
-		return nil, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
+		return 0, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
 	}
-	return data, nil
+	return n, nil
 }
 
 // TryRecv polls the source inbox.
-func (t *TCPTransport) TryRecv(src, tag int) ([]float32, bool, error) {
-	data, ok, err := t.inbox[src].tryPop(tag)
+func (t *TCPTransport) TryRecv(src, tag int, buf []float32) (int, bool, error) {
+	n, ok, err := t.inbox[src].tryPop(tag, buf)
 	if err != nil {
-		return nil, false, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
+		return 0, false, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
 	}
-	return data, ok, nil
+	return n, ok, nil
 }
 
 // Stats returns the calling rank's accounting.

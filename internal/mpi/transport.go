@@ -19,22 +19,30 @@ package mpi
 //
 // # Buffer ownership
 //
-// A transport snapshots the payload *before Send returns* (post-time
+// A receive copies into the caller's buffer, as MPI_Recv and MPI_Irecv
+// do: Recv and TryRecv fill buf with the matched payload and return its
+// element count. A payload longer than buf is consumed and reported as an
+// error naming the source, the tag and both lengths.
+//
+// A send snapshots the payload *before Send returns* (post-time
 // ownership): the caller may mutate or reuse the buffer as soon as the
-// call comes back, and the receiver is guaranteed to observe the
-// values the buffer held at post time, on every transport — not an
-// accident of the in-process implementation. Slices returned by Recv
-// and TryRecv are owned by the caller; the transport never touches
-// them again.
+// call comes back, and the receiver is guaranteed to observe the values
+// the buffer held at post time, on every transport.
+//
+// Between the two, the transport owns the payload, and it recycles it:
+// once a receive has copied a payload out, the next message on the same
+// pair of ranks may be written into it. Neither side ever holds a
+// transport's payload, so a steady exchange allocates none.
 //
 // # Failure
 //
 // Transports report failures (peer death, deadline expiry, teardown)
-// as errors rather than deadlocking; the Comm layer converts them to
-// panics that the world runners (RunRanks, World.Run, RunTCPLocal,
-// RunRank) recover into a per-rank error. A failed rank fails its world:
-// the runner makes its peers' receives fail too, and returns the first
-// failure — the root cause — once every rank has unwound.
+// as errors rather than deadlocking; the Comm layer adds the calling
+// rank and converts them to panics that the world runners (RunRanks,
+// World.Run, RunTCPLocal, RunRank) recover into a per-rank error. A
+// failed rank fails its world: the runner makes its peers' receives fail
+// too, and returns the first failure — the root cause — once every rank
+// has unwound.
 type Transport interface {
 	// Rank returns the calling rank.
 	Rank() int
@@ -45,13 +53,14 @@ type Transport interface {
 	// (ProcNull short-circuits at the Comm layer).
 	Send(dst, tag int, data []float32) error
 	// Recv blocks until the oldest not-yet-received message from src
-	// with the given tag arrives and returns its payload (owned by the
-	// caller). Implementations with a real wire turn a hung peer into a
-	// deadline error instead of blocking forever.
-	Recv(src, tag int) ([]float32, error)
-	// TryRecv returns the oldest matching message if one has already
-	// been delivered, without blocking.
-	TryRecv(src, tag int) ([]float32, bool, error)
+	// with the given tag arrives, copies its payload into buf and
+	// returns the element count. Implementations with a real wire turn a
+	// hung peer into a deadline error instead of blocking forever. Every
+	// error names src and tag.
+	Recv(src, tag int, buf []float32) (int, error)
+	// TryRecv receives the oldest matching message into buf if one has
+	// already been delivered, without blocking.
+	TryRecv(src, tag int, buf []float32) (int, bool, error)
 	// Stats returns the calling rank's accounting.
 	Stats() Stats
 	// Close tears the transport down; subsequent and in-flight

@@ -125,6 +125,119 @@ func TestConformanceIsendBufferOwnership(t *testing.T) {
 	})
 }
 
+func TestConformanceTruncationNamesRankSourceAndTag(t *testing.T) {
+	// A message longer than its receive buffer is consumed and reported
+	// as an error: the transport names the source, the tag and both
+	// lengths, and the Comm layer adds the receiving rank.
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			err := tr.run(2, func(c *Comm) {
+				long := []float32{1, 2, 3, 4}
+				switch c.Rank() {
+				case 0:
+					c.Send(1, 5, long)
+					c.Send(1, 5, []float32{7})
+					c.Send(1, 6, long)
+				case 1:
+					_, err := c.Transport().Recv(0, 5, make([]float32, 2))
+					if err == nil {
+						failf("a 4-element message into a 2-element buffer was received")
+					}
+					for _, frag := range []string{"rank 0 tag 5", "4 elements into a buffer of 2"} {
+						if !strings.Contains(err.Error(), frag) {
+							failf("transport error %q lacks %q", err, frag)
+						}
+					}
+					// The truncated message is gone: the next one is on top.
+					buf := make([]float32, 4)
+					if n := c.Recv(0, 5, buf); n != 1 || buf[0] != 7 {
+						failf("message after the truncated one: %v", buf[:n])
+					}
+					r := c.Irecv(0, 6, make([]float32, 3))
+					r.Wait()
+					failf("a 4-element message completed a 3-element Irecv")
+				}
+			})
+			if err == nil {
+				t.Fatal("a truncated Irecv did not fail its world")
+			}
+			msg := err.Error()
+			for _, frag := range []string{"mpi: rank 1: ", "rank 0 tag 6", "4 elements into a buffer of 3"} {
+				if !strings.Contains(msg, frag) {
+					t.Errorf("world error %q lacks %q", msg, frag)
+				}
+			}
+		})
+	}
+}
+
+func TestConformanceRecycledPayloadsNeverAlias(t *testing.T) {
+	// A transport recycles its payloads: once a receive has copied one
+	// out, the next message may be written into it. Neither a sender's
+	// buffer nor a receive buffer may share storage with a payload. Rank 0
+	// puts 64 messages on one tag in flight at once, then 8 more after each
+	// burst of 8 that rank 1 receives, overwriting its buffer after every
+	// Send; rank 1 checks every received buffer again once all have come.
+	const queued, burst, width = 64, 8, 16
+	const msgs = queued + queued
+	value := func(i, j int) float32 { return float32(1000*i + j) }
+	forEachTransport(t, 2, func(c *Comm) {
+		const data, ctl = 3, 4
+		switch c.Rank() {
+		case 0:
+			buf := make([]float32, width)
+			send := func(i int) {
+				for j := range buf {
+					buf[j] = value(i, j)
+				}
+				c.Send(1, data, buf)
+				for j := range buf {
+					buf[j] = -1
+				}
+			}
+			for i := 0; i < queued; i++ {
+				send(i)
+			}
+			c.Send(1, ctl, nil)
+			for i := queued; i < msgs; i += burst {
+				c.Recv(1, ctl, nil)
+				for b := 0; b < burst; b++ {
+					send(i + b)
+				}
+			}
+		case 1:
+			got := make([][]float32, msgs)
+			check := func(i int) {
+				for j, v := range got[i] {
+					if v != value(i, j) {
+						failf("message %d element %d: got %v, want %v", i, j, v, value(i, j))
+					}
+				}
+			}
+			recv := func(i int) {
+				got[i] = make([]float32, width)
+				if n := c.Recv(0, data, got[i]); n != width {
+					failf("message %d: %d elements, want %d", i, n, width)
+				}
+				check(i)
+			}
+			c.Recv(0, ctl, nil) // every first message is queued
+			for i := 0; i < queued; i += burst {
+				for b := 0; b < burst; b++ {
+					recv(i + b)
+				}
+				c.Send(0, ctl, nil)
+			}
+			for i := queued; i < msgs; i++ {
+				recv(i)
+			}
+			for i := range got {
+				check(i)
+			}
+		}
+	})
+}
+
 func TestConformanceWaitallInterleavedDepthTags(t *testing.T) {
 	// The deep-halo exchanger posts one Irecv per (stream, offset) pair
 	// across several depth streams before any send, then waits on all. The
@@ -134,7 +247,7 @@ func TestConformanceWaitallInterleavedDepthTags(t *testing.T) {
 	forEachTransport(t, 2, func(c *Comm) {
 		peer := 1 - c.Rank()
 		bufs := make([][]float32, k)
-		reqs := make([]*Request, k)
+		reqs := make([]Request, k)
 		for s := 0; s < k; s++ {
 			bufs[s] = make([]float32, 3)
 			reqs[s] = c.Irecv(peer, OffsetTag(s, []int{1, 0, 0}), bufs[s])
@@ -145,8 +258,8 @@ func TestConformanceWaitallInterleavedDepthTags(t *testing.T) {
 			v := float32(10*c.Rank() + s)
 			c.Send(peer, OffsetTag(s, []int{1, 0, 0}), []float32{v, v, v})
 		}
-		for _, r := range reqs {
-			r.Wait()
+		for i := range reqs {
+			reqs[i].Wait()
 		}
 		for s := 0; s < k; s++ {
 			want := float32(10*peer + s)
@@ -355,13 +468,14 @@ func TestTCPDialRetryWaitsForLateListener(t *testing.T) {
 			return
 		}
 		defer tr.Close()
-		data, err := tr.Recv(1, 1)
+		data := make([]float32, 1)
+		n, err := tr.Recv(1, 1, data)
 		if err != nil {
 			errs <- err
 			return
 		}
-		if len(data) != 1 || data[0] != 7 {
-			errs <- fmt.Errorf("late-listener world delivered %v", data)
+		if n != 1 || data[0] != 7 {
+			errs <- fmt.Errorf("late-listener world delivered %v", data[:n])
 		}
 	}()
 	wg.Wait()
