@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,23 +76,13 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 	for _, k := range op.kernels {
 		instrs += k.InstrsPerPoint()
 	}
-	// HaloWidth is the k=1 baseline exchange width (the pre-growth base
-	// halo): Predict charges deep intervals TileStride per extra substep
-	// on top of it, so reporting the active plan's deep depth here would
+	// HaloWidth is the k=1 baseline exchange width (the allocated width):
+	// Predict charges deep intervals TileStride per extra substep on top of
+	// it, so reporting the active plan's deep depth here would
 	// double-count and overcharge the k=1 candidates.
 	width := 0
 	for name := range op.exchanged {
-		base, ok := op.baseHalo[name]
-		if !ok {
-			if f, okF := op.Fields[name]; okF {
-				base = f.Halo
-			}
-		}
-		for _, h := range base {
-			if h > width {
-				width = h
-			}
-		}
+		width = max(width, slices.Max(op.Fields[name].BaseHalo))
 	}
 	stride, streams := op.tileProfile()
 	// The k axis opens only once an interval > 1 was provisioned at

@@ -131,8 +131,8 @@ const scheduleKeyVersion = "devigo-schedule-v2"
 // Everything else is left out — grid shape and extent, the decomposition,
 // ghost widths, the engine, the exchange interval and every runtime knob:
 // each operator allocates its own storage and compiles its own kernels, so
-// none of these reaches the shared artifact, and one key serves every rank
-// of every shot's world.
+// none of these reaches the shared artifact, and one key serves every shot
+// worker and every rank of a world.
 func scheduleKey(eqs []symbolic.Eq, fields map[string]*field.Function, nd int) string {
 	h := sha256.New()
 	w := func(parts ...string) {

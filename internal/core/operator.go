@@ -86,9 +86,6 @@ type Operator struct {
 	// the autotuner's k-axis open. Default operators keep the classic
 	// exchange-every-step candidate space.
 	tileProvisioned bool
-	// baseHalo snapshots every field's ghost width before any deep-halo
-	// growth — the exchange depth of the classic k=1 schedule.
-	baseHalo map[string][]int
 	// exchanged is the set of fields the program holds an exchanger for.
 	exchanged map[string]bool
 	// seenHalo records every field's allocated ghost width when the program
@@ -245,14 +242,10 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		built:    iet.Build(name, sched),
 		ctx:      ctx,
 		mode:     mode,
-		baseHalo: map[string][]int{},
 		stepExt:  fe.stepExt,
 	}
 	op.perf.Engine = engine
 	op.hasScratch = len(fe.scratch) > 0
-	for n, f := range fields {
-		op.baseHalo[n] = append([]int(nil), f.Halo...)
-	}
 	op.shellLo = make([]int, nd)
 	op.shellHi = make([]int, nd)
 	if !ctx.Serial() && ctx.Decomp != nil {

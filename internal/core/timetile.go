@@ -144,14 +144,14 @@ func (op *Operator) InjectDepth() []int {
 }
 
 // exchangeDepth returns the ghost width the operator exchanges for a
-// field: the plan's computed depth under time tiling, the field's
-// pre-growth base width otherwise (for a never-grown operator that is the
-// full allocated halo — the classic behaviour).
+// field: the plan's computed depth under time tiling, the width the field
+// was allocated with otherwise (the classic behaviour), however deep a
+// time-tiled sibling has grown it since.
 func (op *Operator) exchangeDepth(name string) []int {
 	if op.plan != nil {
 		return op.plan.Depth[name]
 	}
-	return op.baseHalo[name]
+	return op.Fields[name].BaseHalo
 }
 
 // remainderBoxes peels outer minus inner into disjoint slabs (inner must

@@ -560,3 +560,46 @@ func TestSiblingHaloGrowthRefillsGhosts(t *testing.T) {
 		}
 	}
 }
+
+// A classic (k=1) operator exchanges the ghost width its field was
+// allocated with, whatever a time-tiled sibling built over the same field
+// grew it to since: the third of three operators over one u (k=1, then
+// k=4, which deepens u's halo, then k=1 again) ships the first one's
+// traffic.
+func TestSiblingGrowthKeepsClassicExchangeDepth(t *testing.T) {
+	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+		g := grid.MustNew([]int{64, 64}, nil)
+		ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeDiagonal)
+		if err != nil {
+			return err
+		}
+		u, err := field.NewTimeFunction("u", g, 4, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
+		if err != nil {
+			return err
+		}
+		upd := symbolic.NewAdd(symbolic.At(u.Ref),
+			symbolic.NewMul(symbolic.Float(0.1), symbolic.Laplace(symbolic.At(u.Ref), 2, 4)))
+		eq := symbolic.Eq{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}
+		allocated := u.Halo[0]
+		var stats []CommStats
+		for _, k := range []int{1, 4, 1} {
+			op, err := NewOperator([]symbolic.Eq{eq}, map[string]*field.Function{"u": &u.Function}, g, ctx,
+				&Options{TimeTile: k})
+			if err != nil {
+				return err
+			}
+			stats = append(stats, op.CommStats())
+			op.Close()
+		}
+		if u.Halo[0] <= allocated {
+			return fmt.Errorf("the k=4 operator left u's halo at %v: the test needs it deepened", u.Halo)
+		}
+		if stats[2] != stats[0] {
+			return fmt.Errorf("k=1 operator built after a k=4 sibling ships %+v, the first k=1 operator %+v", stats[2], stats[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

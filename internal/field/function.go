@@ -2,6 +2,7 @@ package field
 
 import (
 	"fmt"
+	"slices"
 
 	"devigo/internal/grid"
 	"devigo/internal/symbolic"
@@ -18,6 +19,10 @@ type Function struct {
 
 	// Halo is the ghost width per dimension per side.
 	Halo []int
+	// BaseHalo is the ghost width the function was allocated with.
+	// GrowHalo widens Halo and leaves BaseHalo alone: it is the depth an
+	// exchange-every-step schedule exchanges.
+	BaseHalo []int
 	// LocalShape is the owned (DOMAIN) shape: the full grid shape in a
 	// serial run or this rank's chunk under a decomposition.
 	LocalShape []int
@@ -103,6 +108,7 @@ func (f *Function) initGeometry(cfg *Config) error {
 	for d := range f.Halo {
 		f.Halo[d] = hw
 	}
+	f.BaseHalo = slices.Clone(f.Halo)
 	f.Stagger = make([]int, nd)
 	if cfg != nil && cfg.Stagger != nil {
 		if len(cfg.Stagger) != nd {
@@ -136,7 +142,8 @@ func (f *Function) initGeometry(cfg *Config) error {
 // copying the old allocation (owned data and existing ghost content) into
 // place; newly gained ghost cells are zero, like a fresh allocation.
 // Dimensions already wide enough are untouched and shrinking is not
-// supported, so repeated calls are monotone. Compiled kernels survive a
+// supported, so repeated calls are monotone; BaseHalo keeps the width
+// the function was allocated with. Compiled kernels survive a
 // grow because they resolve strides and halo offsets at execution time —
 // this is what lets an operator deepen ghost storage for a larger exchange
 // interval without recompiling.

@@ -63,7 +63,7 @@ func (c *Comm) Send(dst, tag int, data []float32) {
 	}
 	c.checkRank(dst)
 	if err := c.t.Send(dst, tag, data); err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: send to %d tag %d: %v", c.rank, dst, tag, err))
+		panic(&opError{fmt.Errorf("send to %d tag %d: %w", dst, tag, err)})
 	}
 }
 
@@ -78,16 +78,23 @@ func (c *Comm) Recv(src, tag int, buf []float32) int {
 	c.checkRank(src)
 	n, err := c.t.Recv(src, tag, buf)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: %v", c.rank, err))
+		panic(&opError{err})
 	}
 	return n
 }
 
 func (c *Comm) checkRank(r int) {
 	if r < 0 || r >= c.size {
-		panic(fmt.Sprintf("mpi: invalid rank %d (size %d)", r, c.size))
+		panic(&opError{fmt.Errorf("invalid rank %d (size %d)", r, c.size)})
 	}
 }
+
+// opError is the panic value of a failed Comm or Request operation. It
+// names no rank: runRank names the failing rank once, "mpi: rank r: …".
+type opError struct{ err error }
+
+func (e *opError) Error() string { return e.err.Error() }
+func (e *opError) Unwrap() error { return e.err }
 
 // SendRecv exchanges messages with possibly different partners, deadlock
 // free (the send is buffered).
@@ -107,11 +114,16 @@ func RunRank(t Transport, body func(c *Comm) error) error {
 }
 
 // runRank is the one place a rank body's failure becomes an error:
-// "mpi: rank r: …" for a returned error and for a recovered panic alike.
+// "mpi: rank r: …" for a returned error and a failed operation alike, and
+// "mpi: rank r: panic: …" for any other panic.
 func runRank(c *Comm, body func(c *Comm) error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = fmt.Errorf("mpi: rank %d: panic: %v", c.rank, rec)
+			if op, ok := rec.(*opError); ok {
+				err = fmt.Errorf("mpi: rank %d: %w", c.rank, op)
+			} else {
+				err = fmt.Errorf("mpi: rank %d: panic: %v", c.rank, rec)
+			}
 		}
 	}()
 	if err := body(c); err != nil {

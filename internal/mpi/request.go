@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Request is the handle of a nonblocking receive, completed by Wait or
 // polled by Test — the counterpart of MPI_Request. Sends need none: the
 // Transport contract snapshots a payload at post time, so a blocking Send
@@ -35,7 +33,7 @@ func (r *Request) Wait() int {
 	}
 	n, err := r.comm.t.Recv(r.src, r.tag, r.buf)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: %v", r.comm.rank, err))
+		panic(&opError{err})
 	}
 	r.n, r.done = n, true
 	return n
@@ -50,7 +48,7 @@ func (r *Request) Test() bool {
 	}
 	n, ok, err := r.comm.t.TryRecv(r.src, r.tag, r.buf)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d: %v", r.comm.rank, err))
+		panic(&opError{err})
 	}
 	if ok {
 		r.n, r.done = n, true

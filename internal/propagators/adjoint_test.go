@@ -270,14 +270,20 @@ func TestGradientEveryIntervalAlignment(t *testing.T) {
 }
 
 // TestGradientDMP runs the full checkpointed gradient on 4 ranks with
-// worker-pool parallelism and compares against the serial result.
+// worker-pool parallelism and compares against the serial result: the
+// ranks' owned boxes of the gradient assemble the serial gradient point
+// for point.
 func TestGradientDMP(t *testing.T) {
 	serial, err := RunGradient(exactAcoustic(t), nil, exactGradientConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	shape := serial.Gradient.LocalShape
+	want := make([]float32, shape[0]*shape[1])
+	scatterOwned(want, shape, serial.Gradient, 0)
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
 		t.Run(mode.String(), func(t *testing.T) {
+			got := make([]float32, len(want))
 			err := mpi.RunRanks(4, func(c *mpi.Comm) error {
 				m, ctx, err := dotTestModel(c, mode)
 				if err != nil {
@@ -301,10 +307,17 @@ func TestGradientDMP(t *testing.T) {
 				if math.Abs(res.GradNorm-serial.GradNorm) > 1e-12*serial.GradNorm {
 					t.Errorf("rank %d: gradient norm %v != serial %v", c.Rank(), res.GradNorm, serial.GradNorm)
 				}
+				// Ranks own disjoint boxes, so they scatter concurrently.
+				scatterOwned(got, shape, res.Gradient, 0)
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("gradient at %d: %v on 4 ranks, %v serial", i, got[i], want[i])
+				}
 			}
 		})
 	}

@@ -46,7 +46,7 @@ func TestConfigSurfacePinned(t *testing.T) {
 		{RunConfig{}, append([]string{"NT", "DT", "NReceivers", "ReceiverCoords", "SourceCoords", "Wavelet"}, exec...)},
 		{GradientConfig{}, append([]string{"NT", "DT", "Wavelet", "SourceCoords", "NReceivers", "ReceiverCoords",
 			"ObsData", "CheckpointInterval"}, exec...)},
-		{ShotsConfig{}, []string{"Gradient", "Shots", "Workers", "Ranks", "Mode", "Cache"}},
+		{ShotsConfig{}, []string{"Gradient", "Shots", "Workers", "Cache"}},
 		{Shot{}, []string{"SourceCoords", "Wavelet", "ObsData"}},
 	} {
 		typ := reflect.TypeOf(tc.v)

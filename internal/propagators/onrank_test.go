@@ -110,21 +110,3 @@ func TestFailedRankUnblocksHaloExchange(t *testing.T) {
 		}
 	}
 }
-
-// A shot whose observed data has the wrong length fails the survey with
-// that shot's error, on a 2-rank world per shot as on a world of one.
-func TestRunShotsBadObsDataFailsTheShot(t *testing.T) {
-	for _, ranks := range []int{1, 2} {
-		shots := surveyShots()
-		shots[1].ObsData = make([][]float64, 3) // NT is 8
-		err := returnsWithin(t, 30*time.Second, func() error {
-			_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-				Gradient: surveyGradient(), Shots: shots, Ranks: ranks, Mode: "diag",
-			})
-			return err
-		})
-		if err == nil || !strings.Contains(err.Error(), "ObsData has 3 steps") {
-			t.Errorf("ranks=%d: got %v, want the shot's ObsData error", ranks, err)
-		}
-	}
-}

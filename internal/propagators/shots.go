@@ -1,7 +1,6 @@
 package propagators
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -10,9 +9,6 @@ import (
 	"time"
 
 	"devigo/internal/core"
-	"devigo/internal/field"
-	"devigo/internal/halo"
-	"devigo/internal/mpi"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
 )
@@ -33,8 +29,9 @@ type Shot struct {
 }
 
 // ShotsConfig drives a shot-parallel gradient survey: N independent
-// gradient solves on a bounded number of shot workers, stacked into one
-// gradient.
+// serial gradient solves on a bounded number of shot workers, stacked into
+// one gradient. Within a shot, Gradient.Workers sizes the worker pool that
+// shares the shot's grid.
 type ShotsConfig struct {
 	// Gradient is the survey-wide base configuration; each Shot overrides
 	// its source geometry and observed data.
@@ -45,15 +42,6 @@ type ShotsConfig struct {
 	// once; 0 runs one, and a count above len(Shots) is capped at it. The
 	// stacked gradient is bit-identical for every worker count.
 	Workers int
-	// Ranks is the MPI world size per shot worker: each worker solves its
-	// shots in its own in-process world of this many ranks. 0 or 1 is a
-	// world of one: the serial solve, no decomposition. A negative count
-	// is an error.
-	Ranks int
-	// Mode is the halo-exchange pattern of the workers' worlds ("basic",
-	// "diag", "full"; "" defaults to basic). A world of one exchanges
-	// nothing, whatever the mode.
-	Mode string
 	// Cache is the operator cache shared by the shot workers: each of the
 	// three gradient schedules is lowered once per cache, and every worker
 	// compiles its own kernels over it, once. Nil gives the survey a fresh
@@ -74,7 +62,7 @@ type ShotResult struct {
 	// RelErr is the shot's adjoint dot-product identity gap.
 	RelErr float64 `json:"rel_err"`
 	// Seconds is the shot's wall time inside its worker. A worker's first
-	// shot includes building the worker's world and solver.
+	// shot includes building the worker's model and solver.
 	Seconds float64 `json:"seconds"`
 }
 
@@ -113,11 +101,10 @@ type shotOutcome struct {
 
 // RunShots runs a shot-parallel FWI gradient survey: model names the
 // propagator (Build dispatch), cfg the shared grid/velocity configuration
-// (its Decomp/Rank must be unset — OnRank owns the per-world
-// decomposition), and sc the survey. Each of the Workers shot workers
-// stands up an in-process world and, on its first shot, a gradient solver
-// on every rank: the model, the forward, adjoint and imaging operators and
-// the checkpoint store. It then solves every shot it is handed on that
+// (its Decomp/Rank must be unset: every shot is a serial solve), and sc
+// the survey. Each of the Workers shot workers builds, on its first shot,
+// a gradient solver: the model, the forward, adjoint and imaging operators
+// and the checkpoint store. It then solves every shot it is handed on that
 // solver, zeroing the wavefields, the gradient and the store in between,
 // and streams each shot's gradient to the reducer, which stacks in
 // ascending shot order — making the result bit-identical to a sequential
@@ -128,6 +115,9 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("propagators: ShotsConfig needs at least one shot")
 	}
+	if cfg.Decomp != nil || cfg.Rank != 0 {
+		return nil, fmt.Errorf("propagators: RunShots solves every shot on the whole grid; leave Config.Decomp/Rank unset")
+	}
 	cache := sc.Cache
 	if cache == nil {
 		cache = opcache.New()
@@ -136,18 +126,10 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The per-rank compute team, resolved exactly as every worker's
+	// The per-shot compute team, resolved exactly as every worker's
 	// operators will resolve it, so a bad request fails here and not inside
 	// shot 0.
 	computeWorkers, err := core.ResolveWorkers(sc.Gradient.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if sc.Ranks < 0 {
-		return nil, fmt.Errorf("propagators: invalid ShotsConfig.Ranks %d (want 0 or a positive count)", sc.Ranks)
-	}
-	ranks := max(sc.Ranks, 1)
-	mode, err := halo.ParseMode(cmp.Or(sc.Mode, "basic"))
 	if err != nil {
 		return nil, err
 	}
@@ -158,18 +140,17 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		total *= s
 	}
 
-	// Guard against oversubscription: shots in flight × ranks per shot ×
-	// per-rank compute workers was silently unbounded. The shot and rank
-	// tiers honour explicit requests (and results are bit-exact for any
-	// worker count at every tier), so the clamp lands on the per-rank
-	// compute team: it shrinks until the product fits the host's cores,
-	// with the decision logged. computeWorkers stays 0 (operator default)
-	// when no clamp is needed.
+	// Guard against oversubscription: shots in flight × per-shot compute
+	// workers was silently unbounded. The shot tier honours an explicit
+	// request (and results are bit-exact for any worker count at either
+	// tier), so the clamp lands on the per-shot compute team: it shrinks
+	// until the product fits the host's cores, with the decision logged.
+	// computeWorkers stays 0 (operator default) when no clamp is needed.
 	if computeWorkers > 1 {
-		if clamped := clampWorkers(computeWorkers, workers*ranks, goruntime.NumCPU()); clamped != computeWorkers {
+		if clamped := clampWorkers(computeWorkers, workers, goruntime.NumCPU()); clamped != computeWorkers {
 			fmt.Fprintf(os.Stderr,
-				"devigo: clamping per-rank compute workers %d -> %d (%d shots in flight x %d ranks on %d cores)\n",
-				computeWorkers, clamped, workers, ranks, goruntime.NumCPU())
+				"devigo: clamping per-shot compute workers %d -> %d (%d shots in flight on %d cores)\n",
+				computeWorkers, clamped, workers, goruntime.NumCPU())
 			computeWorkers = clamped
 		}
 	}
@@ -178,75 +159,49 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		gc.Workers = computeWorkers
 	}
 
-	// rankBody is one rank of a worker's world: it builds the rank's solver
-	// on the world's first shot and solves every shot it is handed on it.
-	rankBody := func(c *mpi.Comm, jobs <-chan int, results chan<- rankResult) error {
-		var sv *gradientSolver
-		defer func() {
-			if sv != nil {
-				sv.close()
-			}
-		}()
-		for shot := range jobs {
-			var res *GradientResult
-			err := reportPanic(func() (err error) {
-				if sv == nil {
-					m, ctx, err := OnRank(c, model, cfg, mode, nil)
-					if err != nil {
-						return err
-					}
-					if sv, err = newGradientSolver(m, ctx, gc, cache); err != nil {
-						return err
-					}
-				}
-				res, err = sv.solve(sc.Shots[shot])
-				return err
-			})
-			results <- rankResult{rank: c.Rank(), res: res, err: err}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Stacked shots hand their gradient buffers back for later shots to
 	// fill; at most n exist, so a send never blocks.
 	free := make(chan []float32, n)
-	worlds := make([]*shotWorld, workers)
+	solvers := make([]*gradientSolver, workers)
 	defer func() {
-		for _, w := range worlds {
-			if w != nil {
-				// A world that failed has already failed its shot.
-				_ = w.stop()
+		for _, sv := range solvers {
+			if sv != nil {
+				sv.close()
 			}
 		}
 	}()
 	fn := func(worker, shot int) (*shotOutcome, error) {
 		t0 := time.Now()
-		w := worlds[worker]
-		if w == nil {
-			w = startShotWorld(ranks, rankBody)
-			worlds[worker] = w
-		}
-		perRank, err := w.solve(shot)
+		var res *GradientResult
+		err := reportPanic(func() (err error) {
+			if solvers[worker] == nil {
+				m, err := Build(model, cfg)
+				if err != nil {
+					return err
+				}
+				if solvers[worker], err = newGradientSolver(m, nil, gc, cache); err != nil {
+					return err
+				}
+			}
+			res, err = solvers[worker].solve(sc.Shots[shot])
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
 		// Copy the gradient out before the worker's next shot zeroes it.
-		// Ranks own disjoint boxes of the global gradient.
 		out := &shotOutcome{}
 		select {
 		case out.grad = <-free:
 		default:
 			out.grad = make([]float32, total)
 		}
-		for _, res := range perRank {
-			scatterOwned(out.grad, shape, res.Gradient, 0)
-		}
-		root := perRank[0]
-		out.misfit = misfitOf(root.Receivers, gc.withShot(sc.Shots[shot]).ObsData)
-		out.gradNorm, out.relErr = root.GradNorm, root.RelErr
+		off := 0
+		domainRows(res.Gradient, 0, func(_ []int, row []float32) {
+			off += copy(out.grad[off:], row)
+		})
+		out.misfit = misfitOf(res.Receivers, gc.withShot(sc.Shots[shot]).ObsData)
+		out.gradNorm, out.relErr = res.GradNorm, res.RelErr
 		out.seconds = time.Since(t0).Seconds()
 		return out, nil
 	}
@@ -294,85 +249,8 @@ func (gc GradientConfig) withShot(s Shot) GradientConfig {
 	return gc
 }
 
-// shotWorld is one shot worker's in-process MPI world. The worker hands
-// every shot to all of its ranks, so they solve the same shots in the same
-// order, and a rank that fails fails the world.
-type shotWorld struct {
-	// jobs[r] carries rank r's next shot; closing them ends the world.
-	jobs []chan int
-	// results carries one result per rank per shot.
-	results chan rankResult
-	// perRank holds the current shot's results by rank.
-	perRank []*GradientResult
-	// ended delivers the world's error once every rank has returned.
-	ended   chan error
-	stopped bool
-	err     error
-}
-
-// rankResult is one rank's outcome of one shot.
-type rankResult struct {
-	rank int
-	res  *GradientResult
-	err  error
-}
-
-// startShotWorld starts a world of the given size whose ranks run body
-// over their job channel until it closes or a shot fails.
-func startShotWorld(ranks int, body func(c *mpi.Comm, jobs <-chan int, results chan<- rankResult) error) *shotWorld {
-	w := &shotWorld{
-		jobs:    make([]chan int, ranks),
-		results: make(chan rankResult, ranks), // one result per rank per shot
-		perRank: make([]*GradientResult, ranks),
-		ended:   make(chan error, 1),
-	}
-	for r := range w.jobs {
-		w.jobs[r] = make(chan int, 1)
-	}
-	go func() {
-		w.ended <- mpi.RunRanks(ranks, func(c *mpi.Comm) error {
-			return body(c, w.jobs[c.Rank()], w.results)
-		})
-	}()
-	return w
-}
-
-// solve runs one shot on every rank of the world and returns the ranks'
-// results, by rank; they stay valid until the next solve. When a rank
-// fails, the world ends and its error — the first rank's to fail — is
-// the shot's.
-func (w *shotWorld) solve(shot int) ([]*GradientResult, error) {
-	for _, c := range w.jobs {
-		c <- shot
-	}
-	failed := false
-	for range w.jobs {
-		r := <-w.results
-		w.perRank[r.rank] = r.res
-		failed = failed || r.err != nil
-	}
-	if failed {
-		return nil, w.stop()
-	}
-	return w.perRank, nil
-}
-
-// stop ends the world and returns its error once every rank has returned.
-// Idempotent.
-func (w *shotWorld) stop() error {
-	if !w.stopped {
-		w.stopped = true
-		for _, c := range w.jobs {
-			close(c)
-		}
-		w.err = <-w.ended
-	}
-	return w.err
-}
-
-// reportPanic runs fn, turning a panic into an error, so that a rank that
-// panics still reports its shot to the worker (mpi.RunRanks names the
-// rank).
+// reportPanic runs fn, turning a panic into an error, so that a shot that
+// panics fails its shot and not the process.
 func reportPanic(fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -484,32 +362,17 @@ func shotWorkers(requested, n int) (int, error) {
 	return min(max(requested, 1), n), nil
 }
 
-// clampWorkers bounds the per-rank compute team so that the product of the
-// concurrency tiers (shots in flight × ranks per shot = lanesPerShot,
-// times the team) does not oversubscribe the host: when it would, the team
-// shrinks to hostCores/lanesPerShot, but never below 1 (one over-wide shot
-// is the caller's explicit choice). hostCores < 1 means unknown, and
-// changes nothing.
-func clampWorkers(computeWorkers, lanesPerShot, hostCores int) int {
-	computeWorkers, lanesPerShot = max(computeWorkers, 1), max(lanesPerShot, 1)
-	if hostCores < 1 || computeWorkers*lanesPerShot <= hostCores {
+// clampWorkers bounds the per-shot compute team so that its product with
+// the shots in flight does not oversubscribe the host: when it would, the
+// team shrinks to hostCores/shotsInFlight, but never below 1 (one
+// over-wide shot is the caller's explicit choice). hostCores < 1 means
+// unknown, and changes nothing.
+func clampWorkers(computeWorkers, shotsInFlight, hostCores int) int {
+	computeWorkers, shotsInFlight = max(computeWorkers, 1), max(shotsInFlight, 1)
+	if hostCores < 1 || computeWorkers*shotsInFlight <= hostCores {
 		return computeWorkers
 	}
-	return max(1, hostCores/lanesPerShot)
-}
-
-// scatterOwned copies a field's owned DOMAIN at time buffer t into the
-// dense row-major global array at the field's origin. Under a
-// decomposition every rank owns a disjoint box, so concurrent scatters
-// from the ranks of one world assemble the global array without overlap.
-func scatterOwned(dst []float32, gshape []int, f *field.Function, t int) {
-	domainRows(f, t, func(idx []int, row []float32) {
-		off := 0
-		for d, i := range idx {
-			off = off*gshape[d] + f.Origin[d] + i
-		}
-		copy(dst[off:off+len(row)], row)
-	})
+	return max(1, hostCores/shotsInFlight)
 }
 
 // misfitOf is the least-squares data misfit 0.5*sum(residual^2) with

@@ -15,8 +15,6 @@ import (
 	"devigo/internal/core"
 	"devigo/internal/field"
 	"devigo/internal/grid"
-	"devigo/internal/halo"
-	"devigo/internal/mpi"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
 	"devigo/internal/sparse"
@@ -83,106 +81,63 @@ func sequentialStack(t *testing.T, cfg Config, gc GradientConfig, shots []Shot) 
 	return stack, misfits
 }
 
-// TestRunShotsBitExactSerial: the serial-per-shot service must reproduce
-// the explicit sequential loop bit for bit — for every engine, with and
-// without time tiling, at every worker count, including one above the
-// shot count.
+// TestRunShotsBitExactSerial: the service must reproduce the explicit
+// sequential loop bit for bit — for every engine, with and without time
+// tiling, on a one- and a two-worker pool inside each shot (the pool is
+// the in-shot parallel path), at every shot-worker count, including one
+// above the shot count.
 func TestRunShotsBitExactSerial(t *testing.T) {
 	for _, engine := range engines() {
 		for _, k := range []int{1, 4} {
-			t.Run(engine+"/k="+string(rune('0'+k)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/k=%d", engine, k), func(t *testing.T) {
 				cfg := surveyConfig()
 				gc := surveyGradient()
 				gc.Engine = engine
 				gc.TimeTile = k
 				want, wantMisfits := sequentialStack(t, cfg, gc, surveyShots())
-				// 8 workers over 3 shots run, and report, 3 in flight.
-				for _, workers := range []int{1, 3, 8} {
-					res, err := RunShots("acoustic", cfg, ShotsConfig{
-						Gradient: gc, Shots: surveyShots(),
-						Workers: workers, Cache: opcache.New(),
+				for _, pool := range []int{1, 2} {
+					t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+						gc := gc
+						gc.Workers = pool
+						// 8 workers over 3 shots run, and report, 3 in flight.
+						for _, workers := range []int{1, 3, 8} {
+							res, err := RunShots("acoustic", cfg, ShotsConfig{
+								Gradient: gc, Shots: surveyShots(),
+								Workers: workers, Cache: opcache.New(),
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := min(workers, len(surveyShots())); res.Workers != want {
+								t.Errorf("workers=%d: effective workers %d, want %d", workers, res.Workers, want)
+							}
+							for i := range want {
+								if res.Gradient[i] != want[i] {
+									t.Fatalf("workers=%d: stack diverges from sequential loop at %d: %v vs %v",
+										workers, i, res.Gradient[i], want[i])
+								}
+							}
+							if res.GradNorm == 0 {
+								t.Fatalf("workers=%d: zero stacked gradient", workers)
+							}
+							for i, s := range res.Shots {
+								if s.Shot != i {
+									t.Fatalf("workers=%d: shot log out of order: %+v", workers, res.Shots)
+								}
+								if s.Misfit != wantMisfits[i] {
+									t.Errorf("workers=%d: shot %d misfit %v, sequential %v",
+										workers, i, s.Misfit, wantMisfits[i])
+								}
+								// Realistic (non-exact-arithmetic) config: the
+								// identity holds to float32 rounding, like
+								// TestAdjointDotProduct_Realistic.
+								if s.RelErr > 2e-5 {
+									t.Errorf("workers=%d: shot %d adjoint identity violated: rel %v",
+										workers, i, s.RelErr)
+								}
+							}
+						}
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := min(workers, len(surveyShots())); res.Workers != want {
-						t.Errorf("workers=%d: effective workers %d, want %d", workers, res.Workers, want)
-					}
-					for i := range want {
-						if res.Gradient[i] != want[i] {
-							t.Fatalf("workers=%d: stack diverges from sequential loop at %d: %v vs %v",
-								workers, i, res.Gradient[i], want[i])
-						}
-					}
-					if res.GradNorm == 0 {
-						t.Fatalf("workers=%d: zero stacked gradient", workers)
-					}
-					for i, s := range res.Shots {
-						if s.Shot != i {
-							t.Fatalf("workers=%d: shot log out of order: %+v", workers, res.Shots)
-						}
-						if s.Misfit != wantMisfits[i] {
-							t.Errorf("workers=%d: shot %d misfit %v, sequential %v",
-								workers, i, s.Misfit, wantMisfits[i])
-						}
-						// Realistic (non-exact-arithmetic) config: the
-						// identity holds to float32 rounding, like
-						// TestAdjointDotProduct_Realistic.
-						if s.RelErr > 2e-5 {
-							t.Errorf("workers=%d: shot %d adjoint identity violated: rel %v",
-								workers, i, s.RelErr)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestRunShotsBitExactDMP: per-shot 4-rank worlds. The 2-worker service
-// over a shared cache must match the 1-worker run over a cache of its own
-// (a sequential loop over the same worlds) bit for bit.
-func TestRunShotsBitExactDMP(t *testing.T) {
-	for _, engine := range engines() {
-		for _, k := range []int{1, 4} {
-			t.Run(engine+"/k="+string(rune('0'+k)), func(t *testing.T) {
-				cfg := surveyConfig()
-				gc := surveyGradient()
-				gc.Engine = engine
-				gc.TimeTile = k
-				base, err := RunShots("acoustic", cfg, ShotsConfig{
-					Gradient: gc, Shots: surveyShots(),
-					Workers: 1, Ranks: 4, Mode: "diag",
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := RunShots("acoustic", cfg, ShotsConfig{
-					Gradient: gc, Shots: surveyShots(),
-					Workers: 2, Ranks: 4, Mode: "diag", Cache: opcache.New(),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range base.Gradient {
-					if res.Gradient[i] != base.Gradient[i] {
-						t.Fatalf("cached 2-worker stack diverges from sequential at %d: %v vs %v",
-							i, res.Gradient[i], base.Gradient[i])
-					}
-				}
-				if res.GradNorm != base.GradNorm || res.Misfit != base.Misfit {
-					t.Errorf("aggregates diverge: norm %v vs %v, misfit %v vs %v",
-						res.GradNorm, base.GradNorm, res.Misfit, base.Misfit)
-				}
-				// And the 4-rank stack must equal the serial-shot stack: the
-				// imaging kernel computes identical per-point values on any
-				// decomposition.
-				serial, _ := sequentialStack(t, cfg, gc, surveyShots())
-				for i := range serial {
-					if res.Gradient[i] != serial[i] {
-						t.Fatalf("4-rank stack diverges from serial at %d: %v vs %v",
-							i, res.Gradient[i], serial[i])
-					}
 				}
 			})
 		}
@@ -354,9 +309,9 @@ func reuseSurvey() (Config, GradientConfig, []Shot) {
 // the figures a fresh and a reused solver must agree on.
 type shotRecord struct {
 	grad []float32
-	// state is every buffer of rank 0's forward and adjoint wavefields
-	// after the shot, halos included: what a reused solver carries into
-	// its next shot.
+	// state is every buffer of the forward and adjoint wavefields after
+	// the shot, halos included: what a reused solver carries into its next
+	// shot.
 	state []float32
 	shotFigures
 }
@@ -368,71 +323,60 @@ type shotFigures struct {
 	fwdPoints, adjPoints  int64
 }
 
-// solveShots solves every shot on every rank of a world of the given size
-// — on one reused solver when reuse is set, else each on a fresh model and
-// solver (RunGradient's own path, kept open to read its wavefields) — and
-// returns rank 0's records.
-func solveShots(t *testing.T, ranks int, mode halo.Mode, cfg Config, gc GradientConfig, shots []Shot, reuse bool) []shotRecord {
+// solveShots solves every shot — on one reused solver when reuse is set,
+// else each on a fresh model and solver (RunGradient's own path, kept open
+// to read its wavefields) — and returns the shots' records.
+func solveShots(t *testing.T, cfg Config, gc GradientConfig, shots []Shot, reuse bool) []shotRecord {
 	t.Helper()
 	recs := make([]shotRecord, len(shots))
-	for i := range recs {
-		recs[i].grad = make([]float32, cfg.Shape[0]*cfg.Shape[1])
-	}
-	err := mpi.RunRanks(ranks, func(c *mpi.Comm) error {
-		var reused *gradientSolver
-		for i, shot := range shots {
-			sv, solveAs := reused, shot
-			if sv == nil {
-				m, ctx, err := OnRank(c, "acoustic", cfg, mode, nil)
-				if err != nil {
-					return err
-				}
-				base := gc
-				if !reuse {
-					base, solveAs = gc.withShot(shot), Shot{}
-				}
-				if sv, err = newGradientSolver(m, ctx, base, nil); err != nil {
-					return err
-				}
-				defer sv.close()
-				if reuse {
-					reused = sv
-				}
-			}
-			res, err := sv.solve(solveAs)
+	var reused *gradientSolver
+	for i, shot := range shots {
+		sv, solveAs := reused, shot
+		if sv == nil {
+			m, err := Build("acoustic", cfg)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			scatterOwned(recs[i].grad, cfg.Shape, res.Gradient, 0)
-			if c.Rank() == 0 {
-				r := &recs[i]
-				for _, f := range []*field.Function{sv.m.Fields["u"], sv.adj.Fields["v"]} {
-					for _, b := range f.Bufs {
-						r.state = append(r.state, b.Data...)
-					}
-				}
-				r.gradNorm, r.misfit, r.rel = res.GradNorm, misfitOf(res.Receivers, gc.withShot(shot).ObsData), res.RelErr
-				r.ckpt = res.Checkpoint
-				r.fwdSteps, r.adjSteps = res.ForwardPerf.Timesteps, res.AdjointPerf.Timesteps
-				r.fwdPoints, r.adjPoints = res.ForwardPerf.PointsUpdated, res.AdjointPerf.PointsUpdated
+			base := gc
+			if !reuse {
+				base, solveAs = gc.withShot(shot), Shot{}
+			}
+			if sv, err = newGradientSolver(m, nil, base, nil); err != nil {
+				t.Fatal(err)
+			}
+			defer sv.close()
+			if reuse {
+				reused = sv
 			}
 		}
-		// Ghost points are rewritten before any read, so stale halos
-		// would not move a bit: check the reset itself leaves none.
-		if reused != nil {
-			reused.reset()
-			for _, f := range []*field.Function{reused.m.Fields["u"], reused.adj.Fields["v"], reused.grad} {
-				for bi, b := range f.Bufs {
-					if i := slices.IndexFunc(b.Data, func(v float32) bool { return v != 0 }); i >= 0 {
-						return fmt.Errorf("reset left %s buffer %d [%d] = %v", f.Name, bi, i, b.Data[i])
-					}
+		res, err := sv.solve(solveAs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &recs[i]
+		r.grad = make([]float32, cfg.Shape[0]*cfg.Shape[1])
+		scatterOwned(r.grad, cfg.Shape, res.Gradient, 0)
+		for _, f := range []*field.Function{sv.m.Fields["u"], sv.adj.Fields["v"]} {
+			for _, b := range f.Bufs {
+				r.state = append(r.state, b.Data...)
+			}
+		}
+		r.gradNorm, r.misfit, r.rel = res.GradNorm, misfitOf(res.Receivers, gc.withShot(shot).ObsData), res.RelErr
+		r.ckpt = res.Checkpoint
+		r.fwdSteps, r.adjSteps = res.ForwardPerf.Timesteps, res.AdjointPerf.Timesteps
+		r.fwdPoints, r.adjPoints = res.ForwardPerf.PointsUpdated, res.AdjointPerf.PointsUpdated
+	}
+	// Ghost points are rewritten before any read, so stale halos would not
+	// move a bit: check the reset itself leaves none.
+	if reused != nil {
+		reused.reset()
+		for _, f := range []*field.Function{reused.m.Fields["u"], reused.adj.Fields["v"], reused.grad} {
+			for bi, b := range f.Bufs {
+				if i := slices.IndexFunc(b.Data, func(v float32) bool { return v != 0 }); i >= 0 {
+					t.Fatalf("reset left %s buffer %d [%d] = %v", f.Name, bi, i, b.Data[i])
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return recs
 }
@@ -441,22 +385,19 @@ func solveShots(t *testing.T, ranks int, mode halo.Mode, cfg Config, gc Gradient
 // solver, zeroing wavefields (halos included), gradient and checkpoint
 // store in between. Five distinct shots on two workers — one solves three —
 // must equal a loop of fresh RunGradient calls bit for bit, per shot and
-// stacked, serially and on 2-rank full-mode worlds with time tile 4, where
-// injections write ghost copies; a solver reused directly must also match
-// each fresh shot's gradient, wavefields (halos included), checkpoint
+// stacked, untiled and with time tile 4; a solver reused directly must also
+// match each fresh shot's gradient, wavefields (halos included), checkpoint
 // counters and operator counters, and its reset must zero every buffer.
+// A shot solves on one rank with no halo exchange, which the case names
+// record as ranks=1/basic.
 func TestRunShotsReusedWorkerBitExact(t *testing.T) {
 	cfg, base, shots := reuseSurvey()
-	for _, c := range []struct {
-		ranks    int
-		mode     halo.Mode
-		timeTile int
-	}{{1, halo.ModeBasic, 1}, {2, halo.ModeFull, 4}} {
-		t.Run(fmt.Sprintf("ranks=%d/%s/k=%d", c.ranks, c.mode, c.timeTile), func(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("ranks=1/basic/k=%d", k), func(t *testing.T) {
 			gc := base
-			gc.TimeTile = c.timeTile
-			fresh := solveShots(t, c.ranks, c.mode, cfg, gc, shots, false)
-			reused := solveShots(t, c.ranks, c.mode, cfg, gc, shots, true)
+			gc.TimeTile = k
+			fresh := solveShots(t, cfg, gc, shots, false)
+			reused := solveShots(t, cfg, gc, shots, true)
 			for i := range shots {
 				f, r := fresh[i], reused[i]
 				if !slices.Equal(r.grad, f.grad) {
@@ -470,9 +411,7 @@ func TestRunShotsReusedWorkerBitExact(t *testing.T) {
 				}
 			}
 
-			res, err := RunShots("acoustic", cfg, ShotsConfig{
-				Gradient: gc, Shots: shots, Workers: 2, Ranks: c.ranks, Mode: c.mode.String(),
-			})
+			res, err := RunShots("acoustic", cfg, ShotsConfig{Gradient: gc, Shots: shots, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -533,9 +472,9 @@ func TestSharedScheduleWithScratch(t *testing.T) {
 
 // TestRunShotsTunesEveryWorker: the cache shares no tuning, so under the
 // search policy every shot worker's forward and adjoint operators tune
-// themselves on the worker's first shot — one chosen decision each on its
-// world's rank 0 — and keep that choice for its later shots; the tuned
-// survey stacks the untuned survey's bits.
+// themselves on the worker's first shot — one chosen decision each — and
+// keep that choice for its later shots; the tuned survey stacks the
+// untuned survey's bits.
 func TestRunShotsTunesEveryWorker(t *testing.T) {
 	obs.EnableMetrics()
 	defer func() { obs.DisableAll(); obs.Reset() }()
@@ -546,7 +485,7 @@ func TestRunShotsTunesEveryWorker(t *testing.T) {
 		gc := surveyGradient()
 		gc.Autotune = policy
 		res, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-			Gradient: gc, Shots: surveyShots(), Workers: workers, Ranks: 4, Mode: "diag",
+			Gradient: gc, Shots: surveyShots(), Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -646,11 +585,6 @@ func TestRunShotsValidation(t *testing.T) {
 	bad.Decomp = dec
 	if _, err := RunShots("acoustic", bad, ShotsConfig{Gradient: gc, Shots: surveyShots()}); err == nil {
 		t.Error("pre-decomposed Config accepted; RunShots owns the decomposition")
-	}
-	if _, err := RunShots("acoustic", cfg, ShotsConfig{
-		Gradient: gc, Shots: surveyShots(), Ranks: 4, Mode: "hexagonal",
-	}); err == nil {
-		t.Error("unknown halo mode accepted")
 	}
 	if _, err := RunShots("acoustic", cfg, ShotsConfig{
 		Gradient: gc, Shots: surveyShots(), Workers: -1,
@@ -802,26 +736,11 @@ func TestShotWorkers(t *testing.T) {
 	}
 }
 
-// TestRunShotsRejectsNegativeRanks: a negative ShotsConfig.Ranks is an
-// error naming the field, not a world of one.
-func TestRunShotsRejectsNegativeRanks(t *testing.T) {
-	for _, bad := range []int{-1, -4} {
-		_, err := RunShots("acoustic", serialCfg([]int{24, 24}, 4), ShotsConfig{
-			Gradient: GradientConfig{NT: 4, NReceivers: 4},
-			Shots:    []Shot{{}},
-			Ranks:    bad,
-		})
-		if err == nil || !strings.Contains(err.Error(), "ShotsConfig.Ranks") {
-			t.Errorf("Ranks %d: err = %v, want one naming ShotsConfig.Ranks", bad, err)
-		}
-	}
-}
-
 // TestClampWorkers pins the oversubscription clamp's arithmetic.
 func TestClampWorkers(t *testing.T) {
 	cases := []struct {
 		name                       string
-		workers, lanes, cores, out int
+		workers, shots, cores, out int
 	}{
 		{"fits exactly", 4, 2, 8, 4},
 		{"fits with slack", 2, 2, 16, 2},
@@ -833,9 +752,9 @@ func TestClampWorkers(t *testing.T) {
 		{"degenerate inputs normalised", 0, 0, 4, 1},
 	}
 	for _, c := range cases {
-		if got := clampWorkers(c.workers, c.lanes, c.cores); got != c.out {
+		if got := clampWorkers(c.workers, c.shots, c.cores); got != c.out {
 			t.Errorf("%s: clampWorkers(%d, %d, %d) = %d, want %d",
-				c.name, c.workers, c.lanes, c.cores, got, c.out)
+				c.name, c.workers, c.shots, c.cores, got, c.out)
 		}
 	}
 	// The clamp never produces an oversubscribing product when it can
@@ -855,24 +774,33 @@ func TestClampWorkers(t *testing.T) {
 	}
 }
 
-// TestRunShotsRace exercises the scheduler/reducer/world machinery under
-// -race via the usual short suite; the DMP variant runs concurrent worlds.
+// TestRunShotsRace exercises the scheduler, the reducer and the in-shot
+// worker pools under -race: three shot workers, each with a pool of two.
 func TestRunShotsRace(t *testing.T) {
-	if testing.Short() {
-		// Keep the -short race pass cheap: serial shots, 3 workers.
-		_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-			Gradient: surveyGradient(), Shots: surveyShots(), Workers: 3, Cache: opcache.New(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	gc := surveyGradient()
+	gc.Workers = 2
 	_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
-		Gradient: surveyGradient(), Shots: surveyShots(), Workers: 3, Ranks: 4, Cache: opcache.New(),
+		Gradient: gc, Shots: surveyShots(), Workers: 3, Cache: opcache.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A shot whose observed data has the wrong length fails the survey with
+// that shot's error, and with no other: on two shot workers its sibling
+// shots solve, and the failure names the bad shot.
+func TestRunShotsBadObsDataFailsTheShot(t *testing.T) {
+	shots := surveyShots()
+	shots[1].ObsData = make([][]float64, 3) // NT is 8
+	err := returnsWithin(t, 30*time.Second, func() error {
+		_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{
+			Gradient: surveyGradient(), Shots: shots, Workers: 2,
+		})
+		return err
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "propagators: shot 1: ") || !strings.Contains(err.Error(), "ObsData has 3 steps") {
+		t.Errorf("got %v, want shot 1's ObsData error", err)
 	}
 }
 
@@ -918,7 +846,7 @@ func TestRunShotsRejectsBadWorkersEnvUpFront(t *testing.T) {
 
 // TestRunShotsOversubscriptionClamp: a survey requesting far more
 // shots-in-flight x compute-workers lanes than the host has cores must
-// complete with the per-rank team clamped — and, because results are
+// complete with the per-shot team clamped — and, because results are
 // worker-count invariant, still reproduce the sequential stack bit for
 // bit.
 func TestRunShotsOversubscriptionClamp(t *testing.T) {
@@ -1015,4 +943,18 @@ func TestSurveyAllocationBudget(t *testing.T) {
 	if marginal >= float64(buffer) {
 		t.Errorf("a marginal shot allocates %.0f B, want less than one wavefield buffer (%d B)", marginal, buffer)
 	}
+}
+
+// scatterOwned copies a field's owned DOMAIN at time buffer t into the
+// dense row-major global array at the field's origin. Under a
+// decomposition every rank owns a disjoint box, so concurrent scatters
+// from the ranks of one world assemble the global array without overlap.
+func scatterOwned(dst []float32, gshape []int, f *field.Function, t int) {
+	domainRows(f, t, func(idx []int, row []float32) {
+		off := 0
+		for d, i := range idx {
+			off = off*gshape[d] + f.Origin[d] + i
+		}
+		copy(dst[off:off+len(row)], row)
+	})
 }
