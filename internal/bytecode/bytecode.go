@@ -116,7 +116,14 @@ func (k *Kernel) Binding() *runtime.Binding { return k.drv.Binding }
 // symbol slots are filled, then the prelude derives the hoisted scalars.
 // It errors on missing entries, like the interpreter's BindSyms.
 func (k *Kernel) BindSyms(vals map[string]float64) ([]float64, error) {
-	pool := append([]float64(nil), k.pool...)
+	return k.BindSymsInto(nil, vals)
+}
+
+// BindSymsInto is BindSyms into pool's storage: the pool is built over
+// pool[:0], so a caller that binds again with the last result allocates
+// nothing.
+func (k *Kernel) BindSymsInto(pool []float64, vals map[string]float64) ([]float64, error) {
+	pool = append(pool[:0], k.pool...)
 	for i, n := range k.SymNames {
 		v, ok := vals[n]
 		if !ok {

@@ -368,3 +368,67 @@ func TestExtractSegmentsRefusesNonPointLocal(t *testing.T) {
 		t.Errorf("an offset read of a stored buffer: got %v", err)
 	}
 }
+
+// TestInvariantSegments pins what holds still through an Apply: a chain
+// that ends in a torow and reads only single-buffer fields nobody writes,
+// scalars and rows of such chains. r0 reads only m; r3 only r0's row; r1
+// reads grad, which the second equation writes; r2 reads the wavefield.
+// Told that nobody writes grad, r1 holds still too.
+func TestInvariantSegments(t *testing.T) {
+	g := grid.MustNew([]int{12, 11}, nil)
+	u, err := field.NewTimeFunction("u", g, 2, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := field.NewFunction("m", g, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad, err := field.NewFunction("grad", g, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	S := symbolic.S
+	assigns := []symbolic.Assignment{
+		{Name: "r0", Value: symbolic.NewMul(symbolic.Int(3), symbolic.Pow{Base: symbolic.At(m.Ref), Exp: -1})},
+		{Name: "r1", Value: symbolic.NewMul(symbolic.Int(2), symbolic.At(grad.Ref), symbolic.At(grad.Ref))},
+		{Name: "r2", Value: symbolic.NewMul(S("r0"), symbolic.At(u.Ref))},
+		{Name: "r3", Value: symbolic.NewMul(S("r0"), S("r0"))},
+	}
+	eqs := []symbolic.Eq{
+		{LHS: symbolic.ForwardStencil(u.Ref), RHS: symbolic.NewAdd(S("r0"), S("r1"), S("r2"), S("r3"))},
+		{LHS: symbolic.At(grad.Ref), RHS: symbolic.NewAdd(symbolic.At(grad.Ref), symbolic.NewMul(S("r3"), S("r1")))},
+	}
+	k, err := CompileNest(assigns, eqs, []int{0, 0}, map[string]*field.Function{"u": &u.Function, "m": m, "grad": grad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := k.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd := k.Binding()
+	count := func(gradWritten bool) (n int, readsGrad bool) {
+		inv := Invariant(segs, bd, func(f *field.Function) bool { return f == &u.Function || gradWritten && f == grad })
+		for i, seg := range segs {
+			if !inv[i] {
+				continue
+			}
+			n++
+			for _, l := range seg.Links {
+				for _, o := range [...]Operand{l.X, l.Y, l.Z} {
+					if o.Class == ClassF && bd.Fields[bd.Slots[o.Index].Field] == grad {
+						readsGrad = true
+					}
+				}
+			}
+		}
+		return n, readsGrad
+	}
+	if n, readsGrad := count(true); n != 2 || readsGrad {
+		t.Errorf("%d invariant segments (one reading grad: %v), want r0's and r3's", n, readsGrad)
+	}
+	if n, readsGrad := count(false); n != 3 || !readsGrad {
+		t.Errorf("with grad unwritten: %d invariant segments (one reading grad: %v), want r0's, r1's and r3's", n, readsGrad)
+	}
+}

@@ -13,6 +13,7 @@ package bytecode
 import (
 	"fmt"
 
+	"devigo/internal/field"
 	"devigo/internal/runtime"
 )
 
@@ -169,6 +170,11 @@ func (l Link) Count(c Class) int {
 type Segment struct {
 	Lo, Hi int
 	Links  []Link
+	// Writers names, for each register-row operand of Links in link and
+	// X, Y, Z order, the segment whose torow wrote the row it reads (an
+	// index into the partition). A row is named by its writer, not by its
+	// register, since the allocator reuses registers.
+	Writers []int
 }
 
 // register provenance during extraction.
@@ -213,7 +219,49 @@ func ExtractSegments(prog []Instr, bd *runtime.Binding) ([]Segment, error) {
 		segs = append(segs, seg)
 		i = seg.Hi
 	}
+	writer := make([]int, len(src)) // the last segment to drain into each register
+	for i := range segs {
+		seg := &segs[i]
+		for _, l := range seg.Links {
+			for _, o := range [...]Operand{l.X, l.Y, l.Z} {
+				if o.Class == ClassR {
+					seg.Writers = append(seg.Writers, writer[o.Index])
+				}
+			}
+		}
+		if l := seg.Links[len(seg.Links)-1]; l.Op == LinkToRow {
+			writer[l.N] = i
+		}
+	}
 	return segs, nil
+}
+
+// Invariant reports which segments of a partition compute, at every
+// point, a value that holds still while the fields written accepts are
+// not written: those that end in a torow, whose field operands all read a
+// single-buffer field written does not accept, and whose register-row
+// operands were all written by invariant segments. Their scalars come from
+// the bound pool, which holds still for a Run.
+func Invariant(segs []Segment, bd *runtime.Binding, written func(*field.Function) bool) []bool {
+	inv := make([]bool, len(segs))
+	for i, seg := range segs {
+		ok := seg.Links[len(seg.Links)-1].Op == LinkToRow
+		w := 0
+		for _, l := range seg.Links {
+			for _, o := range [...]Operand{l.X, l.Y, l.Z} {
+				switch o.Class {
+				case ClassF:
+					f := bd.Fields[bd.Slots[o.Index].Field]
+					ok = ok && len(f.Bufs) == 1 && !written(f)
+				case ClassR:
+					ok = ok && inv[seg.Writers[w]]
+					w++
+				}
+			}
+		}
+		inv[i] = ok
+	}
+	return inv
 }
 
 // checkPointLocal is the precondition of deferring loads into a run: a

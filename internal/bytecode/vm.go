@@ -28,9 +28,15 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, _ []float64) {
 	sc.stride = maxRow
 }
 
-// ExecRow implements runtime.RowExec: one sweep of the row program.
-func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
-	sweep(k.prog, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
+// ExecRows implements runtime.RowExec: one sweep of the row program per
+// row.
+func (k *Kernel) ExecRows(sc *scratch, n, rows int, bases, pitch []int, pool []float64) {
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			runtime.NextRow(bases, pitch)
+		}
+		sweep(k.prog, &k.drv.Resolved, sc.regs, sc.stride, n, bases, pool)
+	}
 }
 
 // sweep executes a row program once over one row of n points, one whole-row

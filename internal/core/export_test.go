@@ -27,3 +27,15 @@ func (op *Operator) Program() (k int, preamble []ir.HaloReq, sweeps []ProgramSwe
 
 // ApplyCIRE exposes the CIRE pass to the external construction tests.
 var ApplyCIRE = applyCIRE
+
+// SetMaxHoistBytes sets the hoisting budget (see maxHoistBytes) and
+// returns the function that restores it.
+func SetMaxHoistBytes(n int) (restore func()) {
+	old := maxHoistBytes
+	maxHoistBytes = n
+	return func() { maxHoistBytes = old }
+}
+
+// BoundSyms exposes the kernel arguments the last Apply bound, one pool
+// per kernel.
+func (op *Operator) BoundSyms() [][]float64 { return op.bound }

@@ -106,9 +106,15 @@ type Operator struct {
 	// so a steady step allocates no boxes.
 	boxes []runtime.Box
 	// syms and bound are Apply's symbol table and bound kernel arguments,
-	// refilled by every call.
+	// refilled in place by every call.
 	syms  map[string]float64
 	bound [][]float64
+	// hoisted lists the kernels with time-invariant segments (see
+	// hoist.go), reach is the box scratch their priming sweeps fill, and
+	// primed is set while an Apply's priming is in force.
+	hoisted []hoisted
+	reach   runtime.Box
+	primed  bool
 
 	perf Perf
 }
@@ -295,6 +301,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		}
 		op.perf.FlopsPerPoint += op.kernels[i].FlopsPerPoint()
 	}
+	op.planHoist()
 	compileSpan.End()
 	if obs.Active() {
 		instrs := 0
@@ -425,8 +432,12 @@ func (op *Operator) reconfigure(mode halo.Mode, k int) error {
 		// between timesteps), after Apply's preamble already ran — refresh
 		// the time-invariant ghosts at the new depths right away. The
 		// exchanges are collective, and every rank adopts configurations in
-		// lockstep, so this cannot deadlock or skew.
+		// lockstep, so this cannot deadlock or skew. The invariant chains
+		// of an Apply in flight read those ghosts, so they run again.
 		op.runPreamble()
+		if op.primed {
+			op.primeInvariants(op.anyField().LocalShape)
+		}
 	}
 	return nil
 }
@@ -448,7 +459,10 @@ type ApplyOpts struct {
 	// kernels; spacings default from the grid).
 	Syms map[string]float64
 	// PostStep runs after each timestep's clusters (source injection,
-	// receiver interpolation).
+	// receiver interpolation). It must not write a field the operator's
+	// kernels only read and that has a single buffer (a model parameter
+	// such as m or damp): Apply exchanges such fields' ghosts, and runs
+	// the chains that read only them, once, before the first step.
 	PostStep func(t int)
 	// Autotune selects the self-configuration policy: "off" (default) or
 	// "search" (rank the halo mode, worker count and exchange interval
@@ -494,7 +508,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	}
 	bound := op.bound
 	for i, k := range op.kernels {
-		b, err := k.BindSyms(syms)
+		b, err := k.BindSymsInto(bound[i], syms)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", op.Name, err)
 		}
@@ -521,6 +535,12 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	remaining := a.TimeN - a.TimeM + 1
 	if remaining < 0 {
 		remaining = 0
+	}
+	// A priming sweep runs the invariant chains as often as one step
+	// does, so only an Apply of two steps or more gains from it.
+	if remaining >= 2 {
+		op.primeInvariants(localShape)
+		defer op.unprimeInvariants()
 	}
 	op.tilePos = 0
 	step := func(t int) {

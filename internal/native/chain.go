@@ -88,8 +88,9 @@ var forms, formIndex = func() ([]form, map[form]int32) {
 // destination row of a torow or store, whose one operand is acc. s is the
 // scalar operand's bits or, for a power, its exponent. h are the form's
 // handlers for a block of 16 points and of 4 (zero where there is no
-// assembly). Addresses are patched per worker (register rows) and per row
-// (field accesses); scalars are resolved from the bound pool once per Run.
+// assembly). Addresses are patched per worker (register rows) and once per
+// run of rows, then advanced row by row (field accesses, stores and
+// hoisted rows); scalars are resolved from the bound pool once per Run.
 type xop struct {
 	p [3]addr
 	s uint64
@@ -97,14 +98,15 @@ type xop struct {
 }
 
 // addr is an address in the op table, a word the garbage collector does
-// not trace. Field rows are re-patched on every row of every sweep, and a
+// not trace. Field rows are advanced on every row of every sweep, and a
 // pointer store made while a GC cycle is marking runs the write barrier;
 // a plain word does not. That is safe because nothing in the op table is
 // what keeps its memory alive: a field row lies in a buffer the driver's
 // Resolved holds for the whole Run (and the row group beside it holds the
 // same slice), a register row in the worker's regs, which its scratch
-// holds for as long as the exec whose table points into it; and Go's heap
-// does not move objects. None of them lies on a goroutine stack, which
+// holds for as long as the exec whose table points into it, a hoisted row
+// in the kernel's rows, which Prime replaces only between Runs; and Go's
+// heap does not move objects. None of them lies on a goroutine stack, which
 // can move.
 type addr uintptr
 

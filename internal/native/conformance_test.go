@@ -487,8 +487,8 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 					}
 				}
 			}
-			if len(nk.tm.ops) != links+1 || nk.tm.forms[links].op != opEnd {
-				t.Fatalf("template is %d ops, want the %d links of every segment and one end sentinel: one run", len(nk.tm.ops), links)
+			if tm := nk.tms[partAll]; len(tm.ops) != links+1 || tm.forms[links].op != opEnd {
+				t.Fatalf("template is %d ops, want the %d links of every segment and one end sentinel: one run", len(tm.ops), links)
 			}
 			poolB, err := kB.BindSyms(n.vals)
 			if err != nil {
@@ -499,7 +499,7 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The pooled runs are the -race check that op tables, which
-			// patchRow writes, are per-worker copies.
+			// patchRows writes, are per-worker copies.
 			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {TileRows: 2, Pool: team}, {TileRows: 1, Pool: pair}} {
 				kB.Run(0, confBox(n.fB[n.outs[0]]), poolB, opts)
 				for _, hasAVX = range executors { // assigns the package switch
@@ -587,8 +587,7 @@ func TestRunSpansSegmentsBlockMajor(t *testing.T) {
 			seg := &segmentAtATime{scs: map[*scratch][]scratch{}}
 			for _, s := range segs {
 				part := *ref
-				part.tm = buildTemplate([]bytecode.Segment{s})
-				part.groupLoads()
+				part.tms[partAll] = part.template([]bytecode.Segment{s}, nil, nil, partAll)
 				seg.parts = append(seg.parts, &part)
 			}
 			poolB, err := ref.BindSyms(n.vals)
@@ -638,9 +637,14 @@ func (s *segmentAtATime) Prep(sc *scratch, maxRow int, pool []float64) {
 	}
 }
 
-func (s *segmentAtATime) ExecRow(sc *scratch, n int, bases []int, pool []float64) {
-	for i, k := range s.parts {
-		k.ExecRow(&s.scs[sc][i], n, bases, pool)
+func (s *segmentAtATime) ExecRows(sc *scratch, n, rows int, bases, pitch []int, pool []float64) {
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			runtime.NextRow(bases, pitch)
+		}
+		for i, k := range s.parts {
+			k.ExecRows(&s.scs[sc][i], n, 1, bases, pitch, pool)
+		}
 	}
 }
 
@@ -698,7 +702,7 @@ func TestChainSegmentsArePointLocal(t *testing.T) {
 	}
 }
 
-// TestRowBoundsGuard pins the guarantee patchRow's per-buffer check keeps:
+// TestRowBoundsGuard pins the guarantee patchRows' per-buffer check keeps:
 // a box whose stencil reads stay inside the allocation runs, ghost rows
 // included, and one that reaches a row past it panics before any primitive
 // touches memory, naming the operand as the per-operand check did.

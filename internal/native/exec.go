@@ -18,20 +18,36 @@ type patch struct {
 	idx int32
 }
 
-// tmpl is the kernel's immutable executable template: the flat op table
-// with handlers and exponents filled and pointers nil, the form of every
-// op beside it, and one patch list per operand class.
+// part selects the segments of a kernel's partition a template runs.
+type part uint8
+
+const (
+	partAll    part = iota // every segment: the run as compiled
+	partPrime              // the invariant segments only, draining into the hoisted rows
+	partSteady             // every other segment, reading the hoisted rows
+	numParts
+)
+
+// tmpl is one immutable executable template: the flat op table with
+// handlers and exponents filled and pointers nil, the form of every op
+// beside it, one patch list per operand class, and the field buffers
+// behind the field operands (see groupLoads).
 type tmpl struct {
 	forms []form
 	ops   []xop
-	fs    []patch // load slots, re-pointed every row (see fieldPtr)
-	es    []patch // equation outputs, re-pointed every row
+	fs    []patch // load slots, re-pointed every row run and advanced every row
+	es    []patch // equation outputs, likewise
+	hs    []patch // hoisted rows (idx is the row's ordinal), likewise
 	rs    []patch // register rows, re-pointed when the row pitch changes
 	ss    []patch // scalar-pool entries, copied into s every Run
+	// fsGroup[i] is the group of fs patch i, groupSlot[g] the first slot
+	// seen of group g (any member names the group's field and data).
+	fsGroup   []int32
+	groupSlot []int32
 }
 
-// buildTemplate flattens the segments into the op table of one run: every
-// segment's links, then the end sentinel. The executors walk the run
+// buildTemplate flattens the segments p selects into the op table of one
+// run: their links, then the end sentinel. The executors walk the run
 // block-major: every link of every segment on one block of 16 points, then
 // the next block. That order is legal for exactly the reason fusing a chain
 // over a row is: chain segments communicate only point-locally. A register
@@ -41,11 +57,21 @@ type tmpl struct {
 // access inside the run either reads a buffer the run never stores or
 // re-reads, at offset zero, the point its own block just stored
 // (TestChainSegmentsArePointLocal).
-func buildTemplate(segs []bytecode.Segment) *tmpl {
+//
+// partAll takes every segment and ignores inv and hoisted (nil is fine);
+// partPrime takes the segments inv marks and partSteady the others. In
+// both, a segment with a hoisted row — hoisted[i] is its ordinal, or -1
+// when none — drains into that row instead of a register row, and every
+// read of what it drained reads the row.
+func buildTemplate(segs []bytecode.Segment, inv []bool, hoisted []int32, p part) *tmpl {
+	picked := func(i int) bool { return p == partAll || inv[i] == (p == partPrime) }
 	// Size every table first: one op per link, one patch per operand of
 	// its class, and one per torow or store destination.
 	var n, nf, nr, ns, ne int
-	for _, seg := range segs {
+	for i, seg := range segs {
+		if !picked(i) {
+			continue
+		}
 		for _, l := range seg.Links {
 			n++
 			switch l.Op {
@@ -61,9 +87,33 @@ func buildTemplate(segs []bytecode.Segment) *tmpl {
 	}
 	t := &tmpl{forms: make([]form, 0, n+1), ops: make([]xop, 0, n+1),
 		fs: make([]patch, 0, nf), rs: make([]patch, 0, nr), ss: make([]patch, 0, ns), es: make([]patch, 0, ne)}
-	for _, seg := range segs {
+	for i, seg := range segs {
+		if !picked(i) {
+			continue
+		}
+		// A register row's reader takes its writer from the segment's
+		// Writers, in operand order.
+		reads := 0
 		for _, l := range seg.Links {
-			t.add(l)
+			li := t.add(l)
+			for pos, opnd := range [...]bytecode.Operand{l.X, l.Y, l.Z} {
+				if opnd.Class != bytecode.ClassR {
+					continue
+				}
+				h := int32(-1)
+				if p != partAll {
+					h = hoisted[seg.Writers[reads]]
+				}
+				t.row(patch{li, int8(pos), opnd.Index}, h)
+				reads++
+			}
+			if l.Op == bytecode.LinkToRow {
+				h := int32(-1)
+				if p != partAll {
+					h = hoisted[i]
+				}
+				t.row(patch{li, 0, l.N}, h)
+			}
 		}
 	}
 	t.forms = append(t.forms, forms[0])
@@ -72,8 +122,10 @@ func buildTemplate(segs []bytecode.Segment) *tmpl {
 }
 
 // add appends one link: its form's handlers, and every operand that lives
-// in memory or in the scalar pool on its class's patch list.
-func (t *tmpl) add(l bytecode.Link) {
+// in a field or in the scalar pool, and a store's destination, on its
+// class's patch list. Register rows are the caller's (see row). It returns
+// the link's index in the table.
+func (t *tmpl) add(l bytecode.Link) int32 {
 	f := formOf(l)
 	fi, ok := formIndex[f]
 	if !ok {
@@ -82,8 +134,6 @@ func (t *tmpl) add(l bytecode.Link) {
 	li := int32(len(t.ops))
 	o := xop{h: handlers(fi)}
 	switch l.Op {
-	case bytecode.LinkToRow:
-		t.rs = append(t.rs, patch{li, 0, l.N})
 	case bytecode.LinkStore:
 		t.es = append(t.es, patch{li, 0, l.N})
 	case bytecode.LinkPow:
@@ -94,14 +144,41 @@ func (t *tmpl) add(l bytecode.Link) {
 		switch opnd.Class {
 		case bytecode.ClassF:
 			t.fs = append(t.fs, p)
-		case bytecode.ClassR:
-			t.rs = append(t.rs, p)
 		case bytecode.ClassS:
 			t.ss = append(t.ss, p)
 		}
 	}
 	t.forms = append(t.forms, f)
 	t.ops = append(t.ops, o)
+	return li
+}
+
+// row puts a register-row operand or destination on the register-row
+// list, or on the hoisted-row list as hoisted row h when h >= 0.
+func (t *tmpl) row(p patch, h int32) {
+	if h < 0 {
+		t.rs = append(t.rs, p)
+		return
+	}
+	p.idx = h
+	t.hs = append(t.hs, p)
+}
+
+// groupLoads numbers the field buffers behind the template's fs patches.
+func (t *tmpl) groupLoads(slots []runtime.Slot) {
+	type buffer struct{ field, timeOff int }
+	seen := map[buffer]int32{}
+	t.fsGroup = make([]int32, len(t.fs))
+	for i, p := range t.fs {
+		b := buffer{slots[p.idx].Field, slots[p.idx].TimeOff}
+		g, ok := seen[b]
+		if !ok {
+			g = int32(len(t.groupSlot))
+			seen[b] = g
+			t.groupSlot = append(t.groupSlot, p.idx)
+		}
+		t.fsGroup[i] = g
+	}
 }
 
 // rowGroup is one field buffer the chains read: the load slots of one
@@ -113,126 +190,143 @@ type rowGroup struct {
 	field  int // index into the driver's row bases
 	data   []float32
 	lo, hi int
-	row    addr // &data[base+lo] on the current row
+	row    addr // &data[base+lo] on the first row of the run in flight
 }
 
-// fieldPtr is one field operand of the worker's links: the address to
-// re-point every row, the row address of the group it reads, and its
-// distance from it in bytes.
+// fieldPtr is one field operand of the worker's links: its group, and its
+// distance in bytes from the group's row address.
 type fieldPtr struct {
-	dst, row *addr
-	off      addr
+	group int32
+	off   addr
 }
 
-// exec is the per-worker executable state: a private copy of the op table
-// with register-row pointers and pool scalars resolved. fs parallels the
-// template's fs patch list.
+// step is one operand that moves from row to row: the op-table slot
+// holding its address and the bytes it advances per row.
+type step struct {
+	dst *addr
+	d   addr
+}
+
+// exec is the per-worker executable state of one template: a private copy
+// of its op table with register-row pointers and pool scalars resolved.
+// fs parallels the template's fs patch list; steps lists every operand
+// that advances per row — the fs patches, then es, then hs.
 type exec struct {
 	ops    []xop
 	groups []rowGroup
 	fs     []fieldPtr
+	steps  []step
+	stride int // the row pitch the register rows are pointed with; -1 before the first
 }
 
-// groupLoads numbers the field buffers behind the template's fs patches:
-// fsGroup[i] is the group of patch i, groupSlot[g] the first slot seen of
-// group g (any member names the group's field and data).
-func (k *Kernel) groupLoads() {
-	slots := k.bk.Binding().Slots
-	type buffer struct{ field, timeOff int }
-	seen := map[buffer]int32{}
-	k.fsGroup = make([]int32, len(k.tm.fs))
-	for i, p := range k.tm.fs {
-		b := buffer{slots[p.idx].Field, slots[p.idx].TimeOff}
-		g, ok := seen[b]
-		if !ok {
-			g = int32(len(k.groupSlot))
-			seen[b] = g
-			k.groupSlot = append(k.groupSlot, p.idx)
-		}
-		k.fsGroup[i] = g
-	}
-}
-
-// newExec builds one worker's executable state from the template.
-func (k *Kernel) newExec() *exec {
+// newExec builds one worker's executable state from a template.
+func newExec(tm *tmpl) *exec {
 	e := &exec{
-		ops:    append([]xop(nil), k.tm.ops...),
-		groups: make([]rowGroup, len(k.groupSlot)),
-		fs:     make([]fieldPtr, len(k.tm.fs)),
+		ops:    append([]xop(nil), tm.ops...),
+		groups: make([]rowGroup, len(tm.groupSlot)),
+		fs:     make([]fieldPtr, len(tm.fs)),
+		stride: -1,
 	}
-	for i, p := range k.tm.fs {
-		e.fs[i] = fieldPtr{dst: &e.ops[p.li].p[p.pos], row: &e.groups[k.fsGroup[i]].row}
+	for i, p := range tm.fs {
+		e.fs[i].group = tm.fsGroup[i]
+		e.steps = append(e.steps, step{dst: &e.ops[p.li].p[p.pos]})
+	}
+	for _, list := range [...][]patch{tm.es, tm.hs} {
+		for _, p := range list {
+			e.steps = append(e.steps, step{dst: &e.ops[p.li].p[p.pos]})
+		}
 	}
 	return e
 }
 
 // resolveGroups refreshes the groups' data and displacement extents, and
-// every field operand's distance from its group's row pointer, against the
-// driver's Resolved — once per Run: buffer rotation moves the data, halo
-// growth the displacements.
-func (k *Kernel) resolveGroups(e *exec) {
+// every field operand's distance from its group's row address, against
+// the driver's Resolved — once per Run: buffer rotation moves the data,
+// halo growth the displacements.
+func (k *Kernel) resolveGroups(tm *tmpl, e *exec) {
 	r := &k.drv.Resolved
-	for g, slot := range k.groupSlot {
+	for g, slot := range tm.groupSlot {
 		off := r.SlotOff[slot]
 		e.groups[g] = rowGroup{field: r.Slots[slot].Field, data: r.SlotData[slot], lo: off, hi: off}
 	}
-	for i, p := range k.tm.fs {
-		g := &e.groups[k.fsGroup[i]]
+	for i, p := range tm.fs {
+		g := &e.groups[tm.fsGroup[i]]
 		g.lo, g.hi = min(g.lo, r.SlotOff[p.idx]), max(g.hi, r.SlotOff[p.idx])
 	}
-	for i, p := range k.tm.fs {
-		e.fs[i].off = addr(4 * (r.SlotOff[p.idx] - e.groups[k.fsGroup[i]].lo))
+	for i, p := range tm.fs {
+		e.fs[i].off = addr(4 * (r.SlotOff[p.idx] - e.groups[tm.fsGroup[i]].lo))
 	}
 }
 
-// patchRow points every field operand at the current row. One bounds check
-// per field buffer per row — the group's extent, which contains every
-// member's row — replaces the VM's per-instruction slice checks; a
-// violation panics exactly where the VM's slicing would.
-func (k *Kernel) patchRow(e *exec, n int, bases []int) {
+// patchRows points every operand that lives in a buffer at the first row
+// of a run of rows rows, n points each, and sets how far each advances per
+// row. One bounds check per buffer per run — the span from the group's
+// extent on the first row to its extent on the last, which contains every
+// member's row on every row of the run — replaces the VM's
+// per-instruction slice checks; a violation panics, naming the operand,
+// before any link touches memory.
+func (k *Kernel) patchRows(tm *tmpl, e *exec, n, rows int, bases, pitch []int) {
+	last := rows - 1
 	for gi := range e.groups {
 		g := &e.groups[gi]
-		lo := bases[g.field] + g.lo
-		if lo < 0 || bases[g.field]+g.hi+n > len(g.data) {
-			k.rowOutOfBounds(n, bases)
+		base, pf := bases[g.field], pitch[g.field]
+		if base+g.lo < 0 || base+last*pf+g.hi+n > len(g.data) {
+			k.rowOutOfBounds(tm, n, rows, bases, pitch)
 		}
-		g.row = addrOf(unsafe.Pointer(&g.data[lo]))
+		g.row = addrOf(unsafe.Pointer(&g.data[base+g.lo]))
 	}
-	for _, f := range e.fs {
-		*f.dst = *f.row + f.off
+	for i, f := range e.fs {
+		g := &e.groups[f.group]
+		*e.steps[i].dst = g.row + f.off
+		e.steps[i].d = addr(4 * pitch[g.field])
 	}
+	s := e.steps[len(e.fs):]
 	r := &k.drv.Resolved
-	for _, p := range k.tm.es {
-		off := bases[r.Outs[p.idx].Field]
-		data := r.OutData[p.idx]
-		if off < 0 || off+n > len(data) {
+	for i, p := range tm.es {
+		field := r.Outs[p.idx].Field
+		off, data := bases[field], r.OutData[p.idx]
+		if off < 0 || off+last*pitch[field]+n > len(data) {
 			panic(fmt.Sprintf("native: store row [%d:%d) out of bounds of eq %d (len %d)",
-				off, off+n, p.idx, len(data)))
+				off, off+last*pitch[field]+n, p.idx, len(data)))
 		}
-		e.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&data[off]))
+		*s[i].dst = addrOf(unsafe.Pointer(&data[off]))
+		s[i].d = addr(4 * pitch[field])
+	}
+	s = s[len(tm.es):]
+	if len(tm.hs) == 0 {
+		return
+	}
+	h := &k.hoist
+	off, hp := h.locate(r.Fields[h.ref], bases[h.ref], n, rows)
+	for i, p := range tm.hs {
+		*s[i].dst = addrOf(unsafe.Pointer(&h.rows[int(p.idx)*h.size+off]))
+		s[i].d = addr(8 * hp)
 	}
 }
 
 // rowOutOfBounds names the first field operand whose row leaves its
-// buffer, once a group's extent did.
-func (k *Kernel) rowOutOfBounds(n int, bases []int) {
+// buffer, once a group's extent did: row by row, the per-operand check.
+func (k *Kernel) rowOutOfBounds(tm *tmpl, n, rows int, bases, pitch []int) {
 	r := &k.drv.Resolved
-	for _, p := range k.tm.fs {
-		off := bases[r.Slots[p.idx].Field] + r.SlotOff[p.idx]
-		if data := r.SlotData[p.idx]; off < 0 || off+n > len(data) {
-			panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
-				off, off+n, p.idx, len(data)))
+	for row := 0; row < rows; row++ {
+		for _, p := range tm.fs {
+			field := r.Slots[p.idx].Field
+			off := bases[field] + row*pitch[field] + r.SlotOff[p.idx]
+			if data := r.SlotData[p.idx]; off < 0 || off+n > len(data) {
+				panic(fmt.Sprintf("native: row [%d:%d) out of bounds of slot %d (len %d)",
+					off, off+n, p.idx, len(data)))
+			}
 		}
 	}
 }
 
-// scratch is one worker's private sweep state: the register file and a
-// cached exec whose register-row pointers are re-patched (allocation-free)
-// whenever the row pitch or the register backing array changes.
+// scratch is one worker's private sweep state: the register file and one
+// cached exec per template, whose register-row pointers are re-patched
+// (allocation-free) whenever the row pitch or the register backing array
+// changes.
 type scratch struct {
-	regs   []float64
-	ex     *exec
-	stride int
+	regs []float64
+	ex   [numParts]*exec
 }
 
 // Run executes the fused program at every point of the box for logical
@@ -240,39 +334,60 @@ type scratch struct {
 // contract exactly — row-major point order, equations in program order on
 // each row, tiling over the outer dimension, worker-pool parallelism and
 // the Progress prod between tiles — so all halo-exchange modes run
-// unchanged.
+// unchanged. Between Prime and Unprime a box inside the primed one runs
+// the steady template, reading the hoisted rows; every other Run runs
+// every segment.
 func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {
+	k.cur = partAll
+	if k.hoist.covers(b) {
+		k.cur = partSteady
+	}
 	k.drv.Run(k, t, b, pool, opts)
 }
 
-// Prep implements runtime.RowExec. Register rows are re-pointed only when
-// geometry changed; scalar-pool values and the field-buffer groups are
-// refreshed every Run (BindSyms produces a new pool per operator/shot, the
-// driver a new Resolved per step). Steady state with unchanged geometry
-// performs no allocation.
+// Prep implements runtime.RowExec for the template the Run in flight
+// executes. Register rows are re-pointed only when geometry changed;
+// scalar-pool values and the field-buffer groups are refreshed every Run
+// (a bind may fill the pool with new values, the driver a new Resolved
+// per step). Steady state with unchanged geometry performs no allocation.
 func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
+	tm := k.tms[k.cur]
 	if n := k.bk.NumRegisters() * maxRow; len(sc.regs) < n {
 		sc.regs = make([]float64, n)
-		sc.ex = nil
+		sc.ex = [numParts]*exec{}
 	}
-	if sc.ex == nil {
-		sc.ex = k.newExec()
-		sc.stride = -1
+	e := sc.ex[k.cur]
+	if e == nil {
+		e = newExec(tm)
+		sc.ex[k.cur] = e
 	}
-	if sc.stride != maxRow {
-		sc.stride = maxRow
-		for _, p := range k.tm.rs {
-			sc.ex.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&sc.regs[int(p.idx)*maxRow]))
+	if e.stride != maxRow {
+		e.stride = maxRow
+		for _, p := range tm.rs {
+			e.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&sc.regs[int(p.idx)*maxRow]))
 		}
 	}
-	for _, p := range k.tm.ss {
-		sc.ex.ops[p.li].s = math.Float64bits(pool[p.idx])
+	for _, p := range tm.ss {
+		e.ops[p.li].s = math.Float64bits(pool[p.idx])
 	}
-	k.resolveGroups(sc.ex)
+	k.resolveGroups(tm, e)
 }
 
-// ExecRow implements runtime.RowExec: the run once over the row.
-func (k *Kernel) ExecRow(sc *scratch, n int, bases []int, _ []float64) {
-	k.patchRow(sc.ex, n, bases)
-	runOps(k.tm.forms[:len(k.tm.forms)-1], sc.ex.ops, n)
+// ExecRows implements runtime.RowExec: the operands are addressed once for
+// the run of rows, and the run executes once per row, every operand
+// advancing by its own row pitch in between.
+func (k *Kernel) ExecRows(sc *scratch, n, rows int, bases, pitch []int, _ []float64) {
+	tm, e := k.tms[k.cur], sc.ex[k.cur]
+	k.patchRows(tm, e, n, rows, bases, pitch)
+	fs := tm.forms[:len(tm.forms)-1]
+	for r := 1; ; r++ {
+		runOps(fs, e.ops, n)
+		if r == rows {
+			return
+		}
+		for i := range e.steps {
+			s := &e.steps[i]
+			*s.dst += s.d
+		}
+	}
 }

@@ -83,8 +83,8 @@ func gcSweep(t *testing.T, stress bool) [][]float32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(k.tm.fs) == 0 || len(k.tm.rs) == 0 {
-		t.Fatalf("the run reads %d field rows and %d register rows, want both", len(k.tm.fs), len(k.tm.rs))
+	if tm := k.tms[partAll]; len(tm.fs) == 0 || len(tm.rs) == 0 {
+		t.Fatalf("the run reads %d field rows and %d register rows, want both", len(tm.fs), len(tm.rs))
 	}
 	pool, err := k.BindSyms(map[string]float64{"dt": 0.05, "h_x": 1, "h_y": 1})
 	if err != nil {

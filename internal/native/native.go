@@ -17,8 +17,10 @@
 // registers and jumps to the next link's handler, so a run is one call per
 // row and one threaded dispatch per link per block, and nothing a chain
 // computes touches memory before a torow or store link writes it. Field
-// operands are read through unsafe pointers patched once per row (one
-// bounds check per field buffer per row instead of per point). The handlers
+// operands are read through unsafe pointers patched once per run of rows
+// — a tile's rows in 2-D, one plane's in 3-D — and advanced by their row
+// pitch from row to row (one bounds check per field buffer per run instead
+// of per point). The handlers
 // are AVX assembly on amd64 (on a host that has it: CPUID and XGETBV are
 // probed once), generated from the form list; the same op table runs
 // through an equivalent pure-Go executor elsewhere. Both widen float32
@@ -32,18 +34,23 @@
 // every platform. A program whose loads cannot be deferred into a run
 // point by point is refused with an error at Wrap, not run another way.
 //
-// The speedup comes from six removals: the full-row intermediate traffic
+// The speedup comes from eight removals: the full-row intermediate traffic
 // (the VM materializes every instruction's result as a whole register row;
 // chain values never leave the registers), the per-instruction row passes
 // (one fused pass per run), the per-instruction slice bounds checks
-// (hoisted to row-patch time), the accumulator traffic of a stencil's taps
+// (hoisted to patch time), the accumulator traffic of a stencil's taps
 // (acc stays in registers from the link that opens it to the one that
 // drains it), the accumulator traffic of every other link (the openers and
-// closers around the taps work on the same registers), and the
+// closers around the taps work on the same registers), the
 // segment-at-a-time passes (a chain's divide or store retires under the
 // next segment's taps on the same block, and a register row one segment
 // drains into is read back by the next while it is still in the store
-// buffer), plus 4-lane SIMD arithmetic inside each handler.
+// buffer), the per-row addressing (row bases, operand addresses and bounds
+// checks are derived once per run of rows; each row only advances the
+// operands by their pitch), and the time-invariant chains (a segment that
+// reads only parameters no kernel writes runs once per Apply, when the
+// operator's hoisted rows fit its budget, and the steps read its row back:
+// see Hoist), plus 4-lane SIMD arithmetic inside each handler.
 package native
 
 import (
@@ -61,12 +68,16 @@ import (
 // contract (runtime.ExecKernel).
 type Kernel struct {
 	bk *bytecode.Kernel
-	// tm is the executable template: the run's links and its end sentinel.
-	tm *tmpl
-	// fsGroup and groupSlot partition the template's field operands by the
-	// buffer they read (see groupLoads); immutable.
-	fsGroup   []int32
-	groupSlot []int32
+	// segs is the program's fused-segment partition; immutable.
+	segs []bytecode.Segment
+	// tms are the executable templates by part: tms[partAll] is the run,
+	// every segment's links and the end sentinel; the priming and steady
+	// templates exist once Hoist has found invariant segments.
+	tms [numParts]*tmpl
+	// cur is the template the Run in flight executes.
+	cur part
+	// hoist is the time-invariant segments' state (see Hoist).
+	hoist hoisting
 	// drv is the kernel's private tile driver over the bytecode kernel's
 	// binding (per-worker scratch and cached execs live in it), allocated
 	// at Wrap time.
@@ -96,8 +107,8 @@ func Wrap(bk *bytecode.Kernel) (*Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("native: cannot lower the kernel to one run: %w", err)
 	}
-	k := &Kernel{bk: bk, tm: buildTemplate(segs), drv: runtime.NewDriver[scratch](bk.Binding())}
-	k.groupLoads()
+	k := &Kernel{bk: bk, segs: segs, drv: runtime.NewDriver[scratch](bk.Binding())}
+	k.tms[partAll] = k.template(segs, nil, nil, partAll)
 	return k, nil
 }
 
@@ -105,19 +116,17 @@ func Wrap(bk *bytecode.Kernel) (*Kernel, error) {
 // tests, the compilation report and the docs' lowering traces).
 func (k *Kernel) Bytecode() *bytecode.Kernel { return k.bk }
 
-// Segments re-derives the kernel's fused-segment partition, which Wrap
-// has already lowered without error.
-func (k *Kernel) Segments() []bytecode.Segment {
-	segs, _ := k.bk.Segments()
-	return segs
-}
+// Segments returns the kernel's fused-segment partition (shared,
+// read-only).
+func (k *Kernel) Segments() []bytecode.Segment { return k.segs }
 
 // RunForms reports how the kernel executes a row (introspection for tests
 // and the docs' listings): the form of each link of its run, in order,
 // which names the handler that executes it.
 func (k *Kernel) RunForms() []string {
 	var forms []string
-	for _, f := range k.tm.forms[:len(k.tm.forms)-1] {
+	tm := k.tms[partAll]
+	for _, f := range tm.forms[:len(tm.forms)-1] {
 		forms = append(forms, f.String())
 	}
 	return forms
@@ -127,6 +136,12 @@ func (k *Kernel) RunForms() []string {
 // the bind-time prelude are shared between the two engines.
 func (k *Kernel) BindSyms(vals map[string]float64) ([]float64, error) {
 	return k.bk.BindSyms(vals)
+}
+
+// BindSymsInto is BindSyms into pool's storage (see
+// bytecode.Kernel.BindSymsInto).
+func (k *Kernel) BindSymsInto(pool []float64, vals map[string]float64) ([]float64, error) {
+	return k.bk.BindSymsInto(pool, vals)
 }
 
 // FlopsPerPoint reports the per-point flop cost, counted identically to
@@ -140,4 +155,12 @@ func (k *Kernel) StencilRadius() []int { return k.bk.StencilRadius() }
 // length without its end sentinel. It is lower than the bytecode kernel's
 // count (loads are absorbed into chain operands), which is how the
 // autotuner's cost model ranks the engine.
-func (k *Kernel) InstrsPerPoint() int { return len(k.tm.ops) - 1 }
+func (k *Kernel) InstrsPerPoint() int { return len(k.tms[partAll].ops) - 1 }
+
+// template builds the template of the segments p selects (see
+// buildTemplate) and groups its field operands by buffer.
+func (k *Kernel) template(segs []bytecode.Segment, inv []bool, hoisted []int32, p part) *tmpl {
+	tm := buildTemplate(segs, inv, hoisted, p)
+	tm.groupLoads(k.bk.Binding().Slots)
+	return tm
+}

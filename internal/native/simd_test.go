@@ -88,7 +88,7 @@ func newRowBufs(n int) *rowBufs {
 }
 
 // bind resolves a template's patch lists against the buffers, the way
-// Prep and patchRow resolve them against a kernel's storage.
+// Prep and patchRows resolve them against a kernel's storage.
 func (b *rowBufs) bind(tm *tmpl) []xop {
 	ops := append([]xop(nil), tm.ops...)
 	for _, p := range tm.fs {
@@ -129,7 +129,7 @@ func (b *rowBufs) results() []uint64 {
 // runTemplate makes one run of the links: the template the kernel would
 // build for a single chain segment.
 func runTemplate(links []bytecode.Link) *tmpl {
-	return buildTemplate([]bytecode.Segment{{Links: links}})
+	return buildTemplate([]bytecode.Segment{{Links: links}}, nil, nil, partAll)
 }
 
 // linkByLink is the definition the executors are held to: every link in

@@ -83,6 +83,9 @@ const (
 	PhaseLower
 	// PhaseCompile is an operator construction's kernel compilation.
 	PhaseCompile
+	// PhaseHoist is an Apply's priming sweep: the kernels' time-invariant
+	// segments run once, before the first step.
+	PhaseHoist
 
 	numPhases
 )
@@ -90,7 +93,7 @@ const (
 var phaseNames = [numPhases]string{
 	"compute", "shell", "exchange", "pack", "send", "wait", "unpack",
 	"ckpt_save", "ckpt_restore", "autotune_trial", "warmup", "shot",
-	"worker", "lower", "compile",
+	"worker", "lower", "compile", "hoist",
 }
 
 // String returns the phase's trace-event name.

@@ -140,31 +140,44 @@ func (bd *Binding) Validate() error {
 // kernel satisfies — what package core holds once compileStep has picked
 // an engine. Run's scalar vector is whatever the same kernel's BindSyms
 // produced (the interpreter's symbol bindings, the bytecode/native
-// engines' scalar pool). A kernel is bound to the storage it was compiled
-// against for its whole life.
+// engines' scalar pool); BindSymsInto builds it in the caller's storage,
+// so an owner that binds per call allocates it once. A kernel is bound to
+// the storage it was compiled against for its whole life.
 type ExecKernel interface {
 	Run(t int, b Box, syms []float64, opts *ExecOpts)
 	BindSyms(vals map[string]float64) ([]float64, error)
+	BindSymsInto(syms []float64, vals map[string]float64) ([]float64, error)
 	FlopsPerPoint() int
 	InstrsPerPoint() int
 	StencilRadius() []int
 }
 
 // RowExec is the engine half of a kernel sweep. The Driver owns the loop
-// nest; the engine executes its program one contiguous row at a time, so
-// the engine boundary is crossed once per row, never per point. S is the
-// engine's per-worker scratch (register files, evaluation stacks).
+// nest; the engine executes its program over runs of contiguous rows, so
+// the engine boundary is crossed once per run of rows, never per point.
+// S is the engine's per-worker scratch (register files, evaluation
+// stacks).
 type RowExec[S any] interface {
 	// Prep readies one worker's scratch for a sweep whose longest row is
 	// maxRow points, with the scalars Run was given. It is called for
 	// every team member from the single-threaded dispatch prologue, so it
 	// may allocate on first use and must not in steady state.
 	Prep(sc *S, maxRow int, syms []float64)
-	// ExecRow executes every equation of the kernel, in program order,
-	// over one row of n contiguous points. bases[f] is the flat buffer
-	// index of the row's first point in bound field f; the slot and
-	// output data resolved for this Run are the Driver's Resolved.
-	ExecRow(sc *S, n int, bases []int, syms []float64)
+	// ExecRows executes every equation of the kernel, in program order,
+	// over rows rows of n contiguous points each, one row after the other.
+	// bases[f] is the flat buffer index of the first row's first point in
+	// bound field f, and each next row starts pitch[f] further on; the
+	// slot and output data resolved for this Run are the Driver's
+	// Resolved. bases is the worker's own: the engine may advance it.
+	ExecRows(sc *S, n, rows int, bases, pitch []int, syms []float64)
+}
+
+// NextRow advances per-field row bases by one row pitch: what an engine
+// that executes one row at a time does between the rows of an ExecRows.
+func NextRow(bases, pitch []int) {
+	for f := range bases {
+		bases[f] += pitch[f]
+	}
 }
 
 // Resolved is a Binding resolved against one logical timestep: SlotData[i]
@@ -209,9 +222,9 @@ type worker[S any] struct {
 
 // Driver is the tile driver shared by every engine: it resolves the
 // binding's data slices once per Run, tiles the box's outer dimension into
-// disjoint row bands, dispatches the tiles to the worker pool and walks
-// each tile row by row, calling the engine's RowExec per row. Tiles being
-// disjoint, results are bit-identical for every worker count.
+// disjoint row bands, dispatches the tiles to the worker pool and hands
+// each tile's rows to the engine's RowExec, one run of rows per plane.
+// Tiles being disjoint, results are bit-identical for every worker count.
 //
 // All dispatch state lives in the Driver and is reused, so a steady-state
 // Run performs no heap allocation. A Driver serves one Run at a time; each
@@ -220,6 +233,9 @@ type Driver[S any] struct {
 	Resolved
 
 	ws []*worker[S]
+	// pitch is each field's row pitch along dimension nd-2 for the sweep
+	// in flight: the distance between the rows of one ExecRows.
+	pitch []int
 
 	// The sweep in flight: the Driver is its own pool Task, so handing it
 	// to Pool.Run converts a pointer to an interface without allocating.
@@ -236,7 +252,7 @@ func NewDriver[S any](bd *Binding) *Driver[S] {
 		SlotData: make([][]float32, len(bd.Slots)),
 		SlotOff:  make([]int, len(bd.Slots)),
 		OutData:  make([][]float32, len(bd.Outs)),
-	}}
+	}, pitch: make([]int, len(bd.Fields))}
 }
 
 // Run executes x at every point of the box for logical timestep t, with
@@ -266,6 +282,9 @@ func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOp
 	}
 
 	d.refill(t, nd)
+	for fi, f := range d.Fields {
+		d.pitch[fi] = f.Bufs[0].Strides[max(nd-2, 0)]
+	}
 	// The scratch table grows here, never from workers, so the pool
 	// indexes a stable table.
 	workers := o.Pool.Workers()
@@ -282,28 +301,32 @@ func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOp
 }
 
 // RunTile executes one tile — a band of tileRows outer-dimension rows —
-// of the sweep in flight with worker w's scratch: an odometer over dims
-// 0..nd-2, the innermost dimension as the contiguous row. It implements
-// the pool's Task contract.
+// of the sweep in flight with worker w's scratch. It implements the pool's
+// Task contract. The rows along dimension nd-2 are one arithmetic
+// progression in every buffer, so the engine gets them as one run: the
+// tile's band in 2-D, one plane's rows per outer index in 3-D (an odometer
+// over dims 0..nd-3, whose every step re-derives the bases). A 1-D box's
+// tile is its own single row.
 func (d *Driver[S]) RunTile(w, tile int) {
 	wk := d.ws[w]
 	b := d.box
 	nd := len(b.Lo)
 	lo := b.Lo[0] + tile*d.tileRows
-	hi := lo + d.tileRows
-	if hi > b.Hi[0] {
-		hi = b.Hi[0]
-	}
-	n := b.Hi[nd-1] - b.Lo[nd-1]
-	if nd == 1 {
-		n = hi - lo
-	}
+	hi := min(lo+d.tileRows, b.Hi[0])
 	var odo [MaxDims]int
 	idx := odo[:nd]
 	copy(idx, b.Lo)
 	idx[0] = lo
+	n, rows := hi-lo, 1
+	if nd > 1 {
+		n = b.Hi[nd-1] - b.Lo[nd-1]
+		rows = b.Hi[nd-2] - b.Lo[nd-2]
+		if nd == 2 {
+			rows = hi - lo
+		}
+	}
 	for {
-		// Row start base per field (domain-relative -> buffer index).
+		// First-row base per field (domain-relative -> buffer index).
 		for fi, f := range d.Fields {
 			base := 0
 			for dim := 0; dim < nd; dim++ {
@@ -311,10 +334,10 @@ func (d *Driver[S]) RunTile(w, tile int) {
 			}
 			wk.bases[fi] = base
 		}
-		d.exec.ExecRow(&wk.sc, n, wk.bases, d.syms)
-		// Advance the odometer over dims nd-2 .. 0, dim 0 bounded by the
-		// tile; a 1-D box is done after its single row.
-		dim := nd - 2
+		d.exec.ExecRows(&wk.sc, n, rows, wk.bases, d.pitch, d.syms)
+		// Advance the odometer over dims nd-3 .. 0, dim 0 bounded by the
+		// tile; a 1-D or 2-D tile is done after its one run.
+		dim := nd - 3
 		for ; dim > 0 && idx[dim]+1 == b.Hi[dim]; dim-- {
 			idx[dim] = b.Lo[dim]
 		}

@@ -9,7 +9,7 @@ import (
 	"devigo/internal/grid"
 )
 
-// rowRec is one ExecRow call as the recording executor saw it.
+// rowRec is one row of an ExecRows call as the recording executor saw it.
 type rowRec struct {
 	n     int
 	bases string // fmt.Sprint of the per-field bases
@@ -37,11 +37,16 @@ func (r *recExec) Prep(sc *recScratch, maxRow int, syms []float64) {
 	}
 }
 
-func (r *recExec) ExecRow(sc *recScratch, n int, bases []int, syms []float64) {
+func (r *recExec) ExecRows(sc *recScratch, n, rows int, bases, pitch []int, syms []float64) {
 	if &syms[0] != &r.syms[0] {
-		r.t.Error("ExecRow received a different scalar vector than Run")
+		r.t.Error("ExecRows received a different scalar vector than Run")
 	}
-	sc.rows = append(sc.rows, rowRec{n: n, bases: fmt.Sprint(bases)})
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			NextRow(bases, pitch)
+		}
+		sc.rows = append(sc.rows, rowRec{n: n, bases: fmt.Sprint(bases)})
+	}
 }
 
 // wantRows enumerates the rows the driver must visit: every index over

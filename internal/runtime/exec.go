@@ -23,10 +23,20 @@ func (k *Kernel) Run(t int, b Box, syms []float64, opts *ExecOpts) {
 // Prep implements RowExec; the fixed-size scratch needs no preparation.
 func (k *Kernel) Prep(*irScratch, int, []float64) {}
 
-// ExecRow implements RowExec: at each point of the row, the temporaries
-// then the equations, so later equations observe earlier stores exactly
-// as a per-point loop nest would.
-func (k *Kernel) ExecRow(sc *irScratch, n int, bases []int, syms []float64) {
+// ExecRows implements RowExec: row after row, at each point of the row,
+// the temporaries then the equations, so later equations observe earlier
+// stores exactly as a per-point loop nest would.
+func (k *Kernel) ExecRows(sc *irScratch, n, rows int, bases, pitch []int, syms []float64) {
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			NextRow(bases, pitch)
+		}
+		k.execRow(sc, n, bases, syms)
+	}
+}
+
+// execRow runs the kernel over one row of n points.
+func (k *Kernel) execRow(sc *irScratch, n int, bases []int, syms []float64) {
 	d := k.drv
 	for x := 0; x < n; x++ {
 		for ti := range k.Temps {

@@ -219,13 +219,20 @@ func (k *Kernel) InstrsPerPoint() int {
 // BindSyms builds the scalar binding vector from a name->value map,
 // erroring on missing entries.
 func (k *Kernel) BindSyms(vals map[string]float64) ([]float64, error) {
-	out := make([]float64, len(k.SymNames))
-	for i, n := range k.SymNames {
+	return k.BindSymsInto(nil, vals)
+}
+
+// BindSymsInto is BindSyms into out's storage: the vector is built over
+// out[:0], so a caller that binds again with the last result allocates
+// nothing.
+func (k *Kernel) BindSymsInto(out []float64, vals map[string]float64) ([]float64, error) {
+	out = out[:0]
+	for _, n := range k.SymNames {
 		v, ok := vals[n]
 		if !ok {
 			return nil, fmt.Errorf("runtime: unbound scalar symbol %q", n)
 		}
-		out[i] = v
+		out = append(out, v)
 	}
 	return out, nil
 }
