@@ -14,7 +14,10 @@
 // doc comment on every exported identifier: functions, methods with
 // exported names, and type/const/var specs (a doc comment on the
 // enclosing grouped declaration covers its specs, the standard Go
-// convention for const blocks).
+// convention for const blocks). It also requires every Markdown path a
+// comment of the package names (docs/ARCHITECTURE.md, README.md; test
+// files included) to name an existing file, relative to the package
+// directory or to one of its parents up to the module root.
 //
 // Both checks may be combined in one invocation; CI runs them over the
 // repository and the packages this project maintains documentation
@@ -58,6 +61,10 @@ func main() {
 				continue
 			}
 			n, err := checkDocs(dir)
+			if err == nil {
+				bad += n
+				n, err = checkMarkdownRefs(dir)
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "devigo-doccheck:", err)
 				os.Exit(2)
@@ -219,4 +226,70 @@ func checkDocs(dir string) (int, error) {
 		}
 	}
 	return bad, nil
+}
+
+// mdRef matches a Markdown file path named in prose: README.md,
+// docs/ARCHITECTURE.md.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkMarkdownRefs requires every Markdown path named in a comment of
+// the Go files in dir, test files included, to name an existing file
+// relative to dir or to one of its parents up to the module root (the
+// directory holding go.mod). URLs are skipped.
+func checkMarkdownRefs(dir string) (int, error) {
+	roots, err := searchRoots(dir)
+	if err != nil {
+		return 0, err
+	}
+	fset := token.NewFileSet()
+	pkgMap, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", dir, err)
+	}
+	bad := 0
+	for _, pkg := range pkgMap {
+		for _, file := range pkg.Files {
+			for _, group := range file.Comments {
+				for _, c := range group.List {
+					for _, ref := range mdRef.FindAllString(c.Text, -1) {
+						if strings.Contains(ref, "//") || resolves(roots, strings.TrimPrefix(ref, "/")) {
+							continue
+						}
+						fmt.Fprintf(os.Stderr, "%s: comment names missing file %q\n", fset.Position(c.Pos()), ref)
+						bad++
+					}
+				}
+			}
+		}
+	}
+	return bad, nil
+}
+
+// searchRoots lists dir and its parents up to the module root, nearest
+// first (dir alone when no go.mod is found above it).
+func searchRoots(dir string) ([]string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	var roots []string
+	for d := abs; ; d = filepath.Dir(d) {
+		roots = append(roots, d)
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return roots, nil
+		}
+		if filepath.Dir(d) == d {
+			return roots[:1], nil
+		}
+	}
+}
+
+// resolves reports whether ref names an existing file under any root.
+func resolves(roots []string, ref string) bool {
+	for _, r := range roots {
+		if fi, err := os.Stat(filepath.Join(r, filepath.FromSlash(ref))); err == nil && !fi.IsDir() {
+			return true
+		}
+	}
+	return false
 }

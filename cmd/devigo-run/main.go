@@ -36,7 +36,7 @@ func main() {
 	nbl := flag.Int("nbl", 8, "absorbing layer width")
 	ranks := flag.Int("ranks", 1, "MPI ranks")
 	transport := flag.String("transport", "inproc", "rank substrate: inproc (goroutines) | tcp (one process per rank)")
-	mpiMode := flag.String("mpi", "basic", "halo mode: basic|diag|full")
+	mpiMode := flag.String("mpi", "basic", "halo mode: basic|diag|full (none runs serially only: -ranks 1)")
 	tile := flag.Int("tile", 0, "halo-exchange interval k (deep halos exchanged every k steps; 0 = DEVIGO_TIME_TILE or 1)")
 	nrec := flag.Int("receivers", 8, "receiver line length")
 	emitC := flag.Bool("emit-c", false, "print the generated C-like code and exit")

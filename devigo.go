@@ -68,8 +68,7 @@ func SliceRange(lo, hi int) Slice { return ddata.SliceRange(lo, hi) }
 // operators can resolve storage.
 type Grid struct {
 	g      *grid.Grid
-	env    *Env
-	decomp *grid.Decomposition
+	ctx    *core.Context // nil: serial
 	fields map[string]*field.Function
 }
 
@@ -146,18 +145,20 @@ func NewGrid(shape []int, extent []float64) (*Grid, error) {
 
 // NewGrid creates a grid decomposed over the environment's ranks.
 // topology may be nil (MPI_Dims_create default) or an explicit process
-// grid (the paper's Grid(..., topology=...), Fig. 2).
+// grid (the paper's Grid(..., topology=...), Fig. 2). A world of one
+// leaves the grid serial; a larger one needs a halo mode that exchanges
+// (core.NewContext).
 func (e *Env) NewGrid(shape []int, extent []float64, topology []int) (*Grid, error) {
-	g, err := grid.New(shape, extent)
+	out, err := NewGrid(shape, extent)
+	if err != nil || e == nil {
+		return out, err
+	}
+	dec, err := grid.NewDecomposition(out.g, e.Size(), topology)
 	if err != nil {
 		return nil, err
 	}
-	out := &Grid{g: g, env: e, fields: map[string]*field.Function{}}
-	if e != nil && e.comm != nil {
-		out.decomp, err = grid.NewDecomposition(g, e.comm.Size(), topology)
-		if err != nil {
-			return nil, err
-		}
+	if out.ctx, err = core.NewContext(e.comm, dec, e.mode); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -169,10 +170,10 @@ func (g *Grid) Shape() []int { return append([]int(nil), g.g.Shape...) }
 func (g *Grid) Spacing(d int) float64 { return g.g.Spacing(d) }
 
 func (g *Grid) fieldConfig() *field.Config {
-	if g.decomp == nil {
+	if g.ctx == nil {
 		return nil
 	}
-	return &field.Config{Decomp: g.decomp, Rank: g.env.comm.Rank()}
+	return &field.Config{Decomp: g.ctx.Decomp, Rank: g.ctx.Comm.Rank()}
 }
 
 // Function is a discrete function over a grid's space dimensions.
@@ -214,11 +215,10 @@ func (f *Function) Name() string { return f.f.Name }
 // Data returns the logically-global, physically-distributed data view
 // (paper Listings 2-3).
 func (f *Function) Data() *ddata.Array {
-	rank := 0
-	if f.grid.env != nil {
-		rank = f.grid.env.Rank()
+	if c := f.grid.ctx; c != nil {
+		return ddata.New(f.f, c.Decomp, c.Comm.Rank())
 	}
-	return ddata.New(f.f, f.grid.decomp, rank)
+	return ddata.New(f.f, nil, 0)
 }
 
 // At builds a symbolic access u[t, x, y, ...] at the iteration point.
@@ -286,15 +286,7 @@ type Operator struct {
 
 // NewOperator compiles the equations over the grid's registered functions.
 func NewOperator(g *Grid, eqs ...Equation) (*Operator, error) {
-	var ctx *core.Context
-	if g.env != nil && g.env.comm != nil && g.env.comm.Size() > 1 {
-		cart, err := mpi.CartCreate(g.env.comm, g.decomp.Topology, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctx = &core.Context{Comm: g.env.comm, Cart: cart, Decomp: g.decomp, Mode: g.env.mode}
-	}
-	op, err := core.NewOperator(eqs, g.fields, g.g, ctx, nil)
+	op, err := core.NewOperator(eqs, g.fields, g.g, g.ctx, nil)
 	if err != nil {
 		return nil, err
 	}

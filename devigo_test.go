@@ -2,6 +2,7 @@ package devigo
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -121,6 +122,68 @@ func TestRunDMPSameUserCode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
+	}
+}
+
+// listing1 runs the quickstart's diffusion body (paper Listing 1) for one
+// step on env (nil: serial) and records every point the rank owns.
+func listing1(env *Env, owned map[[2]int]float32) error {
+	g, err := env.NewGrid([]int{4, 4}, []float64{2, 2}, nil)
+	if err != nil {
+		return err
+	}
+	u, err := NewTimeFunction("u", g, 2, 1)
+	if err != nil {
+		return err
+	}
+	if err := u.Data().SetSlice(0, []Slice{SliceRange(1, -1), SliceRange(1, -1)}, 1); err != nil {
+		return err
+	}
+	upd, err := Solve(Eq(u.Dt(), u.Laplace()), u.Forward())
+	if err != nil {
+		return err
+	}
+	op, err := NewOperator(g, Assign(u.Forward(), upd))
+	if err != nil {
+		return err
+	}
+	if err := op.Apply(ApplyConfig{TimeM: 0, TimeN: 0, DT: 0.05}); err != nil {
+		return err
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if v, ok := u.Data().At(1, []int{i, j}); ok {
+				owned[[2]int{i, j}] = v
+			}
+		}
+	}
+	return nil
+}
+
+// Mode none is serial only: a world of one runs the serial bits under
+// every mode, and on four ranks the quickstart fails with an error naming
+// the mode and the world size instead of a decomposed run that skips its
+// exchanges.
+func TestRunDMPModeNone(t *testing.T) {
+	serial := map[[2]int]float32{}
+	if err := listing1(nil, serial); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"none", "basic", "diag", "full"} {
+		got := map[[2]int]float32{}
+		if err := RunDMP(DMPConfig{Ranks: 1, Mode: mode}, func(env *Env) error { return listing1(env, got) }); err != nil {
+			t.Fatalf("world of one, mode %s: %v", mode, err)
+		}
+		if !maps.Equal(got, serial) {
+			t.Errorf("world of one, mode %s: %v, want the serial %v", mode, got, serial)
+		}
+	}
+	err := RunDMP(DMPConfig{Ranks: 4, Mode: "none"}, func(env *Env) error {
+		return listing1(env, map[[2]int]float32{})
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank ") ||
+		!strings.Contains(err.Error(), "halo mode none") || !strings.Contains(err.Error(), "4 ranks") {
+		t.Fatalf("got %v, want a rank's error naming mode none and 4 ranks", err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"devigo/internal/halo"
 	"devigo/internal/ir"
 	"devigo/internal/mpi"
 	"devigo/internal/obs"
@@ -68,7 +67,7 @@ func resolveAutotune(requested string) (string, error) {
 func (op *Operator) Profile() perfmodel.OpProfile {
 	shape := append([]int(nil), op.Grid.Shape...)
 	ranks := 1
-	if !op.ctx.Serial() && op.ctx.Decomp != nil {
+	if op.ctx != nil {
 		shape = op.ctx.Decomp.MaxLocalShape()
 		ranks = op.ctx.Comm.Size()
 	}
@@ -124,14 +123,10 @@ func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	// Resize the persistent team to the adopted worker count before the
 	// next dispatch.
 	op.ensurePool()
-	if op.ctx.Serial() {
+	if op.ctx == nil {
 		return nil
 	}
-	mode := cfg.Mode
-	if mode == halo.ModeNone {
-		mode = op.mode
-	}
-	return op.reconfigure(mode, max(cfg.TimeTile, 1))
+	return op.reconfigure(cfg.Mode, max(cfg.TimeTile, 1))
 }
 
 // measurePoolSync replaces the host model's order-of-magnitude sync cost
@@ -147,12 +142,12 @@ func (op *Operator) measurePoolSync(h *perfmodel.Host, maxWorkers int) {
 	if maxWorkers > 1 {
 		p := op.pool
 		if p == nil || p.Workers() <= 1 {
-			p = runtime.NewPool(maxWorkers, op.obsRank())
+			p = runtime.NewPool(maxWorkers, op.ctx.rank())
 			defer p.Close()
 		}
 		h.PoolSync = p.SyncCost()
 	}
-	if !op.ctx.Serial() {
+	if op.ctx != nil {
 		h.PoolSync = op.ctx.Comm.AllreduceScalar(h.PoolSync, mpi.OpMax)
 	}
 }
@@ -161,7 +156,7 @@ func (op *Operator) measurePoolSync(h *perfmodel.Host, maxWorkers int) {
 // per-timestep shell stride (max over dimensions) and the tile-start
 // stream count, from a k=2 probe plan (both are interval-independent).
 func (op *Operator) tileProfile() (stride, streams int) {
-	if op.ctx.Serial() {
+	if op.ctx == nil {
 		return 0, 0
 	}
 	p, _ := ir.PlanTimeTile(op.Schedule, 2, op.isTimeField, op.hasScratch)
@@ -187,7 +182,7 @@ func (op *Operator) autotune(step func(int), next *int, remaining *int, dir int)
 	prof := op.Profile()
 	host := perfmodel.DefaultHost()
 	op.measurePoolSync(&host, prof.MaxWorkers)
-	rank := op.obsRank()
+	rank := op.ctx.rank()
 	// One untimed warmup step before the first trial: the very first
 	// step pays first-touch and cache-warming costs that would otherwise
 	// bias the search against whichever candidate happens to go first.
@@ -234,7 +229,7 @@ func (op *Operator) autotune(step func(int), next *int, remaining *int, dir int)
 		avg := time.Since(t0).Seconds() / float64(steps)
 		sp.End()
 		obs.Add(rank, obs.CtrTrialSteps, int64(steps))
-		if !op.ctx.Serial() {
+		if op.ctx != nil {
 			avg = op.ctx.Comm.AllreduceScalar(avg, mpi.OpMax)
 		}
 		return avg, nil

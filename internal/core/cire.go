@@ -184,7 +184,7 @@ type scratchField struct {
 func allocScratch(scratch []scratchField, fields map[string]*field.Function, g *grid.Grid, ctx *Context) error {
 	for _, s := range scratch {
 		cfg := &field.Config{HaloWidth: s.halo}
-		if ctx != nil && ctx.Decomp != nil {
+		if ctx != nil {
 			cfg.Decomp = ctx.Decomp
 			cfg.Rank = ctx.Comm.Rank()
 		}

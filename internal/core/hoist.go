@@ -66,7 +66,7 @@ func (op *Operator) primeInvariants(localShape []int) {
 	if total > maxHoistBytes {
 		return
 	}
-	sp := obs.Begin(op.obsRank(), obs.PhaseHoist, -1)
+	sp := obs.Begin(op.ctx.rank(), obs.PhaseHoist, -1)
 	cs := time.Now()
 	for _, h := range op.hoisted {
 		h.k.Prime(op.reachBox(h.si, localShape), op.bound[h.si], &op.execOpts)

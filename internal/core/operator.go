@@ -5,6 +5,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -22,8 +23,10 @@ import (
 	"devigo/internal/symbolic"
 )
 
-// Context is the execution environment of an operator: serial (zero value
-// semantics via nil) or one rank of a distributed run.
+// Context is one rank of a distributed run: its world, the Cartesian
+// communicator and decomposition its fields live on, and the halo pattern
+// that exchanges them. NewContext builds it; a serial run is a nil
+// context, never a decomposed one.
 type Context struct {
 	Comm   *mpi.Comm
 	Cart   *mpi.CartComm
@@ -31,9 +34,49 @@ type Context struct {
 	Mode   halo.Mode
 }
 
-// Serial reports whether the context runs without message passing.
-func (c *Context) Serial() bool {
-	return c == nil || c.Comm == nil || c.Comm.Size() == 1 || c.Mode == halo.ModeNone
+// NewContext is the one constructor of a distributed context: it checks
+// that mode exchanges (basic, diag or full) and that dec tiles c's world,
+// then builds the Cartesian communicator on dec's topology. A nil c or a
+// world of one is serial, a nil context: no grid is decomposed without
+// being exchanged.
+func NewContext(c *mpi.Comm, dec *grid.Decomposition, mode halo.Mode) (*Context, error) {
+	if c == nil || c.Size() == 1 {
+		return nil, nil
+	}
+	if err := checkWorld(c.Size(), dec, mode); err != nil {
+		return nil, err
+	}
+	cart, err := mpi.CartCreate(c, dec.Topology, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}, nil
+}
+
+// check holds a context handed to NewOperator, a literal included, to
+// what NewContext builds.
+func (c *Context) check() error {
+	switch {
+	case c == nil:
+		return nil
+	case c.Comm == nil || c.Comm.Size() == 1:
+		return fmt.Errorf("core: a context needs a world of two or more ranks; a serial run takes a nil context")
+	case c.Cart == nil:
+		return fmt.Errorf("core: the context of a %d-rank world has no Cartesian communicator", c.Comm.Size())
+	}
+	return checkWorld(c.Comm.Size(), c.Decomp, c.Mode)
+}
+
+// checkWorld reports why mode and dec cannot run an operator over a world
+// of size ranks.
+func checkWorld(size int, dec *grid.Decomposition, mode halo.Mode) error {
+	switch {
+	case mode != halo.ModeBasic && mode != halo.ModeDiagonal && mode != halo.ModeFull:
+		return fmt.Errorf("core: halo mode %s cannot exchange a grid decomposed over %d ranks (want basic, diag or full; mode none runs serially only)", mode, size)
+	case dec == nil || dec.NProcs() != size:
+		return fmt.Errorf("core: a context over %d ranks needs a decomposition that tiles them", size)
+	}
+	return nil
 }
 
 // Operator is a compiled, applicable solver.
@@ -188,32 +231,27 @@ type Options struct {
 }
 
 // NewOperator compiles equations against field storage. fields must hold
-// every function referenced. ctx may be nil for serial execution.
+// every function referenced. ctx is nil for serial execution; any other
+// context must be one NewContext would build.
 func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.Grid, ctx *Context, opts *Options) (*Operator, error) {
+	if err := ctx.check(); err != nil {
+		return nil, err
+	}
 	obs.EnvSetup()
-	name := "Kernel"
-	requestedEngine := ""
-	requestedTile := 0
-	requestedWorkers := 0
-	var cache *opcache.Cache
+	var o Options
 	if opts != nil {
-		if opts.Name != "" {
-			name = opts.Name
-		}
-		requestedEngine = opts.Engine
-		requestedTile = opts.TimeTile
-		requestedWorkers = opts.Workers
-		cache = opts.Cache
+		o = *opts
 	}
-	engine, err := resolveEngine(requestedEngine)
+	name := cmp.Or(o.Name, "Kernel")
+	engine, err := resolveEngine(o.Engine)
 	if err != nil {
 		return nil, err
 	}
-	tileReq, err := resolveTimeTile(requestedTile)
+	tileReq, err := resolveTimeTile(o.TimeTile)
 	if err != nil {
 		return nil, err
 	}
-	workersReq, err := ResolveWorkers(requestedWorkers)
+	workersReq, err := ResolveWorkers(o.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +265,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	// storage facts, so an attached cache shares its result between every
 	// operator built from the same equations. Each operator then allocates
 	// its own CIRE scratch storage and compiles its own kernels.
-	fe, err := frontEndFor(cache, eqs, fields, nd)
+	fe, err := frontEndFor(o.Cache, eqs, fields, nd)
 	if err != nil {
 		return nil, err
 	}
@@ -235,10 +273,6 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		return nil, err
 	}
 	sched := fe.sched
-	mode := halo.ModeNone
-	if !ctx.Serial() {
-		mode = ctx.Mode
-	}
 
 	op := &Operator{
 		Name:     name,
@@ -247,14 +281,15 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		Schedule: sched,
 		built:    iet.Build(name, sched),
 		ctx:      ctx,
-		mode:     mode,
 		stepExt:  fe.stepExt,
+		shellLo:  make([]int, nd),
+		shellHi:  make([]int, nd),
 	}
 	op.perf.Engine = engine
 	op.hasScratch = len(fe.scratch) > 0
-	op.shellLo = make([]int, nd)
-	op.shellHi = make([]int, nd)
-	if !ctx.Serial() && ctx.Decomp != nil {
+	if ctx != nil {
+		// A serial operator's mode stays the zero value, halo.ModeNone.
+		op.mode = ctx.Mode
 		op.shellLo, op.shellHi = ctx.Decomp.ShellCaps(ctx.Comm.Rank())
 	}
 	// Communication-avoiding time tiling: adopt the largest legal exchange
@@ -281,7 +316,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	// temporaries become per-point registers; hoisted invariants are
 	// evaluated once per Apply), recording the extended compute box of
 	// scratch-producing steps.
-	compileSpan := obs.Begin(op.obsRank(), obs.PhaseCompile, -1)
+	compileSpan := obs.Begin(op.ctx.rank(), obs.PhaseCompile, -1)
 	var nests []iet.LoopNest
 	iet.Walk(op.built, func(n iet.Node) {
 		switch v := n.(type) {
@@ -308,18 +343,15 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 		for _, k := range op.kernels {
 			instrs += k.InstrsPerPoint()
 		}
-		obs.Add(op.obsRank(), obs.CtrInstrsPerPoint, int64(instrs))
+		obs.Add(op.ctx.rank(), obs.CtrInstrsPerPoint, int64(instrs))
 	}
 	return op, nil
 }
 
-// obsRank is the rank identifying this operator's recorder in the obs
-// subsystem (0 when serial).
-func (op *Operator) obsRank() int { return op.ctx.rank() }
-
-// rank is the context's rank in its world (0 when serial).
+// rank is the context's rank in its world (0 when serial), which also
+// names its recorder in the obs subsystem.
 func (c *Context) rank() int {
-	if c != nil && c.Comm != nil {
+	if c != nil {
 		return c.Comm.Rank()
 	}
 	return 0
@@ -335,20 +367,14 @@ func (c *Context) rank() int {
 func (op *Operator) ensurePool() {
 	w := op.execOpts.Workers
 	if w <= 1 {
-		if op.pool != nil {
-			op.pool.Close()
-			op.pool = nil
-		}
-		op.execOpts.Pool = nil
-	} else {
-		if op.pool == nil || op.pool.Closed() || op.pool.Workers() != w {
-			if op.pool != nil {
-				op.pool.Close()
-			}
-			op.pool = runtime.NewPool(w, op.obsRank())
-		}
-		op.execOpts.Pool = op.pool
+		op.Close()
+		return
 	}
+	if op.pool == nil || op.pool.Closed() || op.pool.Workers() != w {
+		op.Close()
+		op.pool = runtime.NewPool(w, op.ctx.rank())
+	}
+	op.execOpts.Pool = op.pool
 }
 
 // Close releases the operator's persistent worker team (its parked
@@ -402,15 +428,9 @@ func (op *Operator) emitCode() {
 // are re-derived from the built IET. Storage never grows here. Compiled
 // kernels survive — the per-point programs are identical across modes
 // and intervals, which is why switching (even between timesteps, as the
-// search autotuner does) never changes results. It is an error on a
-// serial operator.
+// search autotuner does) never changes results. Only a distributed
+// operator reconfigures.
 func (op *Operator) reconfigure(mode halo.Mode, k int) error {
-	if op.ctx.Serial() {
-		return fmt.Errorf("core: %s: reconfigure requires a distributed context", op.Name)
-	}
-	if mode == halo.ModeNone {
-		return fmt.Errorf("core: %s: cannot reconfigure to mode none", op.Name)
-	}
 	if k < 1 {
 		return fmt.Errorf("core: %s: exchange interval must be >= 1, got %d", op.Name, k)
 	}
@@ -524,7 +544,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	op.ensurePool()
 
 	op.runPreamble()
-	rank := op.obsRank()
+	rank := op.ctx.rank()
 
 	anyField := op.anyField()
 	if anyField == nil {

@@ -22,21 +22,25 @@ import (
 // the provided (possibly distributed) storage.
 func buildDiffusionOp(t testing.TB, g *grid.Grid, u *field.TimeFunction, ctx *Context) *Operator {
 	t.Helper()
+	op, err := newDiffusionOp(g, u, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+func newDiffusionOp(g *grid.Grid, u *field.TimeFunction, ctx *Context) (*Operator, error) {
 	eq := symbolic.Eq{
 		LHS: symbolic.Dt(symbolic.At(u.Ref), 1),
 		RHS: symbolic.Laplace(symbolic.At(u.Ref), g.NDims(), u.SpaceOrder),
 	}
 	sol, err := symbolic.Solve(eq, symbolic.ForwardStencil(u.Ref))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	op, err := NewOperator(
+	return NewOperator(
 		[]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: sol}},
 		map[string]*field.Function{"u": &u.Function}, g, ctx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
 }
 
 func TestSerialDiffusionOneStep(t *testing.T) {
@@ -114,19 +118,126 @@ func TestDiffusionDecaysAndStaysFinite(t *testing.T) {
 	}
 }
 
-// rankContext decomposes g over c's world as topo and returns the calling
-// rank's context: the test-side twin of propagators.OnRank's sequence
-// (core cannot import propagators).
-func rankContext(c *mpi.Comm, g *grid.Grid, topo []int, mode halo.Mode) (*Context, error) {
-	dec, err := grid.NewDecomposition(g, c.Size(), topo)
-	if err != nil {
-		return nil, err
+var allModes = []halo.Mode{halo.ModeNone, halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull, halo.Mode(9)}
+
+// NewContext builds no context for a nil world or a world of one, whatever
+// the mode: that is the serial run. A larger world takes only a mode that
+// exchanges and a decomposition that tiles it.
+func TestNewContext(t *testing.T) {
+	g := grid.MustNew([]int{8, 8}, nil)
+	for _, mode := range allModes {
+		if ctx, err := NewContext(nil, nil, mode); ctx != nil || err != nil {
+			t.Errorf("nil world, mode %s: context %+v, error %v; want neither", mode, ctx, err)
+		}
 	}
-	cart, err := mpi.CartCreate(c, dec.Topology, nil)
+	err := mpi.RunRanks(1, func(c *mpi.Comm) error {
+		dec, err := grid.NewDecomposition(g, 1, nil)
+		if err != nil {
+			return err
+		}
+		for _, mode := range allModes {
+			if ctx, err := NewContext(c, dec, mode); ctx != nil || err != nil {
+				return fmt.Errorf("world of one, mode %s: context %+v, error %v; want neither", mode, ctx, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		t.Error(err)
 	}
-	return &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}, nil
+	err = mpi.RunRanks(2, func(c *mpi.Comm) error {
+		dec, err := grid.NewDecomposition(g, 2, nil)
+		if err != nil {
+			return err
+		}
+		for _, mode := range allModes {
+			ctx, err := NewContext(c, dec, mode)
+			if mode == halo.ModeBasic || mode == halo.ModeDiagonal || mode == halo.ModeFull {
+				if err != nil || ctx == nil || ctx.Cart == nil || ctx.Decomp != dec || ctx.Mode != mode {
+					return fmt.Errorf("mode %s: context %+v, error %v", mode, ctx, err)
+				}
+				continue
+			}
+			if ctx != nil || err == nil || !strings.Contains(err.Error(), "mode "+mode.String()) || !strings.Contains(err.Error(), "2 ranks") {
+				return fmt.Errorf("mode %s: context %+v, error %v; want an error naming the mode and 2 ranks", mode, ctx, err)
+			}
+		}
+		four, err := grid.NewDecomposition(g, 4, nil)
+		if err != nil {
+			return err
+		}
+		for _, d := range []*grid.Decomposition{four, nil} {
+			if ctx, err := NewContext(c, d, halo.ModeDiagonal); ctx != nil || err == nil {
+				return fmt.Errorf("decomposition %v on 2 ranks: context %+v, error %v; want an error", d, ctx, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// A hand-built context that NewContext would refuse is NewOperator's
+// error: never an operator that skips its exchanges, and never a panic.
+func TestNewOperatorRejectsBadContext(t *testing.T) {
+	g := grid.MustNew([]int{8, 8}, nil)
+	err := mpi.RunRanks(2, func(c *mpi.Comm) error {
+		dec, err := grid.NewDecomposition(g, 2, nil)
+		if err != nil {
+			return err
+		}
+		good, err := NewContext(c, dec, halo.ModeBasic)
+		if err != nil {
+			return err
+		}
+		u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
+		if err != nil {
+			return err
+		}
+		for _, tc := range []struct {
+			ctx  Context
+			want string
+		}{
+			{Context{Comm: c, Cart: good.Cart, Decomp: dec, Mode: halo.ModeNone}, "halo mode none cannot exchange a grid decomposed over 2 ranks"},
+			{Context{Comm: c, Cart: good.Cart, Decomp: dec, Mode: halo.Mode(9)}, "halo mode Mode(9) cannot exchange a grid decomposed over 2 ranks"},
+			{Context{Comm: c, Decomp: dec, Mode: halo.ModeBasic}, "no Cartesian communicator"},
+			{Context{Comm: c, Cart: good.Cart, Mode: halo.ModeBasic}, "needs a decomposition"},
+			{Context{Cart: good.Cart, Decomp: dec, Mode: halo.ModeBasic}, "two or more ranks"},
+		} {
+			if _, err := newDiffusionOp(g, u, &tc.ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+				return fmt.Errorf("context %+v: error %v, want %q", tc.ctx, err, tc.want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+	err = mpi.RunRanks(1, func(c *mpi.Comm) error {
+		dec, err := grid.NewDecomposition(g, 1, nil)
+		if err != nil {
+			return err
+		}
+		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		if err != nil {
+			return err
+		}
+		u, err := field.NewTimeFunction("u", g, 2, 1, nil)
+		if err != nil {
+			return err
+		}
+		for _, mode := range allModes {
+			ctx := &Context{Comm: c, Cart: cart, Decomp: dec, Mode: mode}
+			if _, err := newDiffusionOp(g, u, ctx); err == nil || !strings.Contains(err.Error(), "two or more ranks") {
+				return fmt.Errorf("world of one, mode %s: error %v, want one asking for two or more ranks", mode, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
 }
 
 // runDistributedDiffusion runs nt steps on nranks with the given mode and
@@ -139,15 +250,19 @@ func runDistributedDiffusion(t testing.TB, shape []int, topo []int, mode halo.Mo
 	}
 	var result []float32
 	err := mpi.RunRanks(nranks, func(c *mpi.Comm) error {
-		ctx, err := rankContext(c, g, topo, mode)
+		dec, err := grid.NewDecomposition(g, c.Size(), topo)
 		if err != nil {
 			return err
 		}
-		u, err := field.NewTimeFunction("u", g, so, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
+		ctx, err := NewContext(c, dec, mode)
 		if err != nil {
 			return err
 		}
-		arr := ddata.New(&u.Function, ctx.Decomp, c.Rank())
+		u, err := field.NewTimeFunction("u", g, so, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
+		if err != nil {
+			return err
+		}
+		arr := ddata.New(&u.Function, dec, c.Rank())
 		// Deterministic initial condition as a function of global coords.
 		slices := make([]ddata.Slice, len(shape))
 		for d := range slices {
@@ -247,11 +362,14 @@ func TestListing3_RankLocalViews(t *testing.T) {
 	}
 
 	err := mpi.RunRanks(4, func(c *mpi.Comm) error {
-		ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeBasic)
+		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
 		if err != nil {
 			return err
 		}
-		dec := ctx.Decomp
+		ctx, err := NewContext(c, dec, halo.ModeBasic)
+		if err != nil {
+			return err
+		}
 		u, _ := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
 		arr := ddata.New(&u.Function, dec, c.Rank())
 		_ = arr.SetSlice(0, []ddata.Slice{ddata.SliceRange(1, -1), ddata.SliceRange(1, -1)}, 1)
@@ -301,11 +419,15 @@ func TestGeneratedCodeHaloCallsPerMode(t *testing.T) {
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeFull} {
 		var code string
 		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
-			ctx, err := rankContext(c, g, []int{2, 2}, mode)
+			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
 			if err != nil {
 				return err
 			}
-			u, _ := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
+			ctx, err := NewContext(c, dec, mode)
+			if err != nil {
+				return err
+			}
+			u, _ := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
 			op := buildDiffusionOp(t, g, u, ctx)
 			if c.Rank() == 0 {
 				code = op.CCode
@@ -513,11 +635,15 @@ func dmpApplyAllocs(t *testing.T, mode halo.Mode, k, workers int) (one, ten [2]u
 	ended := make(chan error, 1)
 	go func() {
 		ended <- mpi.RunRanks(2, func(c *mpi.Comm) error {
-			ctx, err := rankContext(c, g, []int{2, 1}, mode)
+			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 1})
 			if err != nil {
 				return err
 			}
-			u, err := field.NewTimeFunction("u", g, 4, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
+			ctx, err := NewContext(c, dec, mode)
+			if err != nil {
+				return err
+			}
+			u, err := field.NewTimeFunction("u", g, 4, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
 			if err != nil {
 				return err
 			}
@@ -673,7 +799,7 @@ func TestNewOperatorConstructionSpans(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		cart, err := mpi.CartCreate(c, dec.Topology, nil)
+		ctx, err := NewContext(c, dec, halo.ModeDiagonal)
 		if err != nil {
 			t.Error(err)
 			return
@@ -683,7 +809,7 @@ func TestNewOperatorConstructionSpans(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		buildDiffusionOp(t, g, u, &Context{Comm: c, Cart: cart, Decomp: dec, Mode: halo.ModeDiagonal}).Close()
+		buildDiffusionOp(t, g, u, ctx).Close()
 	})
 	if err != nil {
 		t.Fatal(err)

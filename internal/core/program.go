@@ -154,7 +154,7 @@ func (op *Operator) flatten() {
 // time-tiling shell recompute reads in the ghost region. Their traffic is
 // classified as preamble (not steady-state) in the obs metrics.
 func (op *Operator) runPreamble() {
-	rank := op.obsRank()
+	rank := op.ctx.rank()
 	obs.SetPreamble(rank, true)
 	sp := obs.Begin(rank, obs.PhaseExchange, -1)
 	start := time.Now()
@@ -183,7 +183,7 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 		op.tileLen = max(1, min(pr.k, remaining))
 	}
 	j := op.tilePos
-	rank := op.obsRank()
+	rank := op.ctx.rank()
 	if len(op.boxes) != len(pr.sweeps)+1 {
 		op.boxes = make([]runtime.Box, len(pr.sweeps)+1)
 		for i := range op.boxes {
@@ -250,7 +250,7 @@ func (op *Operator) exchangeSection(t int, halos []exchange, half func(*halo.Exc
 	if len(halos) == 0 {
 		return
 	}
-	sp := obs.Begin(op.obsRank(), obs.PhaseExchange, t)
+	sp := obs.Begin(op.ctx.rank(), obs.PhaseExchange, t)
 	hs := time.Now()
 	for _, h := range halos {
 		half(h.ex, t+h.req.TimeOff)
@@ -262,7 +262,7 @@ func (op *Operator) exchangeSection(t int, halos []exchange, half func(*halo.Exc
 // computeSection runs kernel si over boxes inside one span of the given
 // phase, on the compute clock.
 func (op *Operator) computeSection(ph obs.Phase, t, si int, syms []float64, boxes []runtime.Box, opts *runtime.ExecOpts) {
-	sp := obs.Begin(op.obsRank(), ph, t)
+	sp := obs.Begin(op.ctx.rank(), ph, t)
 	cs := time.Now()
 	for _, b := range boxes {
 		op.kernels[si].Run(t, b, syms, opts)

@@ -93,7 +93,7 @@ func (op *Operator) allocFits(p *ir.TilePlan) bool {
 // have. nil when no interval >= 2 qualifies (serial context, structural
 // refusal — CIRE scratch, multi-writer fields — or nothing fits).
 func (op *Operator) tilePlan(k int, allocated bool) *ir.TilePlan {
-	if op.ctx.Serial() || k < 2 {
+	if op.ctx == nil || k < 2 {
 		return nil
 	}
 	minChunk := op.ctx.Decomp.MinChunk()

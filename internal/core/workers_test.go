@@ -199,15 +199,19 @@ func TestPoolSurvivesReconfigureChurn(t *testing.T) {
 		g := grid.MustNew([]int{2 * rows, 16}, nil)
 		var out []float32
 		err := mpi.RunRanks(4, func(c *mpi.Comm) error {
-			ctx, err := rankContext(c, g, []int{2, 2}, halo.ModeDiagonal)
+			dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 2})
 			if err != nil {
 				return err
 			}
-			u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: ctx.Decomp, Rank: c.Rank()})
+			ctx, err := NewContext(c, dec, halo.ModeDiagonal)
 			if err != nil {
 				return err
 			}
-			arr := ddata.New(&u.Function, ctx.Decomp, c.Rank())
+			u, err := field.NewTimeFunction("u", g, 2, 1, &field.Config{Decomp: dec, Rank: c.Rank()})
+			if err != nil {
+				return err
+			}
+			arr := ddata.New(&u.Function, dec, c.Rank())
 			all := []ddata.Slice{ddata.SliceAll(), ddata.SliceAll()}
 			_ = arr.SetFunc(0, all, func(gc []int) float32 {
 				return float32(gc[0]*3+gc[1]) * 0.01

@@ -6,10 +6,11 @@
 // Delivery is pluggable behind the Transport interface. The default
 // in-process transport runs every rank as a goroutine of one world —
 // the substitute substrate for the MPI library + cluster of the paper
-// (see DESIGN.md): the generated communication schedules run for real
-// over this runtime, so distributed-versus-serial equivalence is
-// testable, while wall-clock behaviour of the interconnect is modeled
-// separately by internal/perfmodel. The TCP transport (tcp.go) runs one
+// (docs/ARCHITECTURE.md, "The transport layer"): the generated
+// communication schedules run for real over this runtime, so
+// distributed-versus-serial equivalence is testable, while wall-clock
+// behaviour of the interconnect is modeled separately by
+// internal/perfmodel. The TCP transport (tcp.go) runs one
 // rank per OS process over real sockets with length-prefixed frames, so
 // the same schedules additionally exercise serialization, the wire, and
 // failure. Collectives are written purely on point-to-point Send/Recv

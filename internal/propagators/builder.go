@@ -54,7 +54,8 @@ func newBuilder(cfg Config) (*builder, error) {
 			return nil, fmt.Errorf("propagators: shape[%d]=%d too small (need >= 4)", d, s)
 		}
 	}
-	g, err := makeGrid(&c)
+	// Unit spacing: physical coordinates are grid-point coordinates.
+	g, err := grid.New(c.Shape, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -57,18 +57,7 @@ type Model struct {
 
 // fieldCfg builds the per-field storage config for a model config.
 func fieldCfg(c *Config, stagger []int) *field.Config {
-	fc := &field.Config{Stagger: stagger}
-	if c.Decomp != nil {
-		fc.Decomp = c.Decomp
-		fc.Rank = c.Rank
-	}
-	return fc
-}
-
-// makeGrid constructs the grid for a config: unit spacing, so physical
-// coordinates are grid-point coordinates.
-func makeGrid(c *Config) (*grid.Grid, error) {
-	return grid.New(c.Shape, nil)
+	return &field.Config{Stagger: stagger, Decomp: c.Decomp, Rank: c.Rank}
 }
 
 // domainRows calls fn once per contiguous row of f's DOMAIN in time buffer

@@ -329,8 +329,7 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 // sits at space offset zero, so the kernel needs no halo exchange and
 // runs identically under any DMP mode.
 func imagingOperator(fwd, adj *Model, ctx *core.Context, opts *core.Options) (*field.Function, *core.Operator, error) {
-	c := fwd.Cfg
-	grad, err := field.NewFunction("grad", fwd.Grid, fwd.SpaceOrder, fieldCfg(&c, nil))
+	grad, err := field.NewFunction("grad", fwd.Grid, fwd.SpaceOrder, fieldCfg(&fwd.Cfg, nil))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,35 +12,38 @@ import (
 	"devigo/internal/mpi"
 )
 
-// A world of one is the serial case: OnRank hands back the undecomposed
-// model and a nil context, so the run is the nil-ctx run, bit for bit.
+// A world of one is the serial case under every mode: OnRank hands back
+// the undecomposed model and a nil context, so the run is the nil-ctx run,
+// bit for bit.
 func TestOnRankWorldOfOneIsSerial(t *testing.T) {
 	shape := []int{24, 24}
 	const so, nt = 4, 20
 	for _, name := range []string{"acoustic", "elastic"} {
 		want := runSerial(t, name, shape, so, nt)
-		var got *RunResult
-		err := mpi.RunRanks(1, func(c *mpi.Comm) error {
-			m, ctx, err := OnRank(c, name, serialCfg(shape, so), halo.ModeFull, nil)
-			if err != nil {
+		for _, mode := range []halo.Mode{halo.ModeNone, halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
+			var got *RunResult
+			err := mpi.RunRanks(1, func(c *mpi.Comm) error {
+				m, ctx, err := OnRank(c, name, serialCfg(shape, so), mode, nil)
+				if err != nil {
+					return err
+				}
+				if ctx != nil {
+					return fmt.Errorf("world of one got a context: %+v", ctx)
+				}
+				if m.Cfg.Decomp != nil {
+					return errors.New("world of one got a decomposed model")
+				}
+				got, err = Run(m, ctx, RunConfig{NT: nt, NReceivers: 4})
 				return err
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, mode, err)
 			}
-			if ctx != nil {
-				return fmt.Errorf("world of one got a context: %+v", ctx)
+			if got.Norm != want.Norm {
+				t.Errorf("%s/%s: world-of-one norm %v != serial %v", name, mode, got.Norm, want.Norm)
 			}
-			if m.Cfg.Decomp != nil {
-				return errors.New("world of one got a decomposed model")
-			}
-			got, err = Run(m, ctx, RunConfig{NT: nt, NReceivers: 4})
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
+			assertSameTraces(t, name, want.Receivers, got.Receivers)
 		}
-		if got.Norm != want.Norm {
-			t.Errorf("%s: world-of-one norm %v != serial %v", name, got.Norm, want.Norm)
-		}
-		assertSameTraces(t, name, want.Receivers, got.Receivers)
 	}
 	if m, ctx, err := OnRank(nil, "acoustic", serialCfg(shape, so), halo.ModeBasic, nil); err != nil || ctx != nil || m == nil {
 		t.Errorf("nil Comm: model %v, ctx %v, err %v", m, ctx, err)
@@ -49,6 +52,26 @@ func TestOnRankWorldOfOneIsSerial(t *testing.T) {
 	bad.Rank = 1
 	if _, _, err := OnRank(nil, "acoustic", bad, halo.ModeBasic, nil); err == nil {
 		t.Error("pre-decomposed Config accepted; OnRank owns the decomposition")
+	}
+}
+
+// Mode none on a world of four decomposes nothing and runs nothing: every
+// rank's OnRank fails, and the world's error names the mode and the world
+// size instead of a norm from a run that skipped its exchanges.
+func TestOnRankModeNoneFailsItsWorld(t *testing.T) {
+	err := returnsWithin(t, 10*time.Second, func() error {
+		return mpi.RunRanks(4, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, "acoustic", serialCfg([]int{24, 24}, 4), halo.ModeNone, nil)
+			if err != nil {
+				return err
+			}
+			_, err = Run(m, ctx, RunConfig{NT: 10})
+			return err
+		})
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank ") ||
+		!strings.Contains(err.Error(), "halo mode none") || !strings.Contains(err.Error(), "4 ranks") {
+		t.Fatalf("got %v, want a rank's error naming mode none and 4 ranks", err)
 	}
 }
 

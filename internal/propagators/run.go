@@ -130,7 +130,7 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	res := &RunResult{NT: nt, DT: dt, Op: op}
 	var tail int
 	if store != nil {
-		if ctx != nil && ctx.Comm != nil {
+		if ctx != nil {
 			store.Rank = ctx.Comm.Rank()
 		}
 		store.SaveIfDue(0)
@@ -317,7 +317,7 @@ func normOf(f *field.Function, ctx *core.Context, t int) float64 {
 			sum += float64(v) * float64(v)
 		}
 	})
-	if ctx != nil && ctx.Comm != nil && ctx.Comm.Size() > 1 {
+	if ctx != nil {
 		sum = ctx.Comm.AllreduceScalar(sum, addOp)
 	}
 	return math.Sqrt(sum)

@@ -24,7 +24,7 @@ import (
 // damp, the two anisotropy parameter fields, and four trigonometric fields
 // (the paper counts 12 by storing theta/phi as two angle grids; devigo's
 // expression language has no trigonometric functions, so sin/cos are
-// precomputed — documented in DESIGN.md).
+// precomputed — docs/ARCHITECTURE.md, "Stage 1 — symbolic").
 func TTI(cfg Config) (*Model, error) {
 	b, err := newBuilder(cfg)
 	if err != nil {

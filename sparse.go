@@ -36,7 +36,7 @@ func (s *SparseFunction) NPoints() int { return s.s.NPoints() }
 // recompute ghost shells bit-exactly. Ghost mirroring never changes
 // owned values, so k=1 results are unaffected.
 func (s *SparseFunction) Inject(f *Function, t int, vals []float32) error {
-	if s.grid.decomp == nil {
+	if s.grid.ctx == nil {
 		return s.s.Inject(f.f, t, vals)
 	}
 	return s.s.InjectDeep(f.f, t, vals, f.f.Halo)
@@ -44,12 +44,12 @@ func (s *SparseFunction) Inject(f *Function, t int, vals []float32) error {
 
 // Interpolate reads time buffer t of f at every point; under DMP the
 // partial sums are all-reduced so every rank receives complete values.
-// On serial grids (no environment) no communicator is consulted,
-// mirroring the nil-safe pattern of Function.Data.
+// On serial grids (no environment, or a world of one) no communicator
+// is consulted, mirroring the nil-safe pattern of Function.Data.
 func (s *SparseFunction) Interpolate(f *Function, t int) []float64 {
 	var comm *mpi.Comm
-	if s.grid.env != nil {
-		comm = s.grid.env.Comm()
+	if c := s.grid.ctx; c != nil {
+		comm = c.Comm
 	}
 	return s.s.Interpolate(f.f, t, comm)
 }

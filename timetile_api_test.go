@@ -58,7 +58,7 @@ func runPublicDMP(t *testing.T, mode string) [][]float64 {
 		}
 		if env.Rank() == 0 {
 			traces = local
-			if got := op.Config().TimeTile; mode != "none" && got < 1 {
+			if got := op.Config().TimeTile; got < 1 {
 				return fmt.Errorf("bad effective interval %d", got)
 			}
 		}
