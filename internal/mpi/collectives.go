@@ -3,14 +3,11 @@ package mpi
 import "math"
 
 // Collectives are built purely on point-to-point Send/Recv so they run
-// unchanged over any Transport: a dissemination barrier, a binomial-tree
-// broadcast and a recursive-doubling allreduce. The previous runtime
-// implemented Barrier on a shared-memory generation counter and
-// Allreduce as a rank-0 star — both in-process-only shapes; the
-// replacements keep bit-identical results (the allreduce gathers every
-// rank's contribution and folds in ascending rank order on every rank,
-// exactly the fold the rank-0 star performed) while needing nothing but
-// messages.
+// unchanged over any Transport: a binomial-tree broadcast, a gather and
+// a scatter through a root, and an allreduce that is a gather, a fold on
+// rank 0 and a broadcast. A run reduces once, when it ends (its traces
+// and its norm), and a tuner once per trial, never per step, so the
+// allreduce takes the simplest bit-identical shape.
 
 // collTagBase reserves the collective tag space. Every rank executes
 // collectives in the same order, so per-rank sequence numbers agree
@@ -22,24 +19,6 @@ func (c *Comm) collTag() int {
 	t := collTagBase + c.collSeq
 	c.collSeq++
 	return t
-}
-
-// Barrier blocks until every rank has entered it — a dissemination
-// barrier: ceil(log2 n) rounds, each rank sending a token to
-// (rank + 2^k) mod n and receiving one from (rank - 2^k) mod n. The
-// round offsets are distinct modulo n, so a single collective tag
-// suffices (sources differ per round).
-func (c *Comm) Barrier() {
-	if c.size == 1 {
-		return
-	}
-	tag := c.collTag()
-	for off := 1; off < c.size; off <<= 1 {
-		dst := (c.rank + off) % c.size
-		src := (c.rank - off + c.size) % c.size
-		c.Send(dst, tag, nil)
-		c.Recv(src, tag, nil)
-	}
 }
 
 // ReduceOp is a binary reduction operator.
@@ -63,128 +42,36 @@ var (
 )
 
 // Allreduce reduces vals elementwise across all ranks with op and returns
-// the result on every rank. Every rank gathers all contributions via
-// recursive doubling and folds them in ascending rank order, so the
-// result is deterministic, identical everywhere, and bit-identical to a
-// sequential rank-order fold regardless of the communication schedule —
-// floating-point addition is not associative, so the gather-then-fold
-// split is what keeps the checked-in BENCH norms stable across
-// transports and world shapes.
+// the result on every rank: rank 0 gathers the contributions (float64 bit
+// patterns packed into float32 pairs), folds them in ascending rank order
+// and broadcasts the result. The fixed fold order makes it bit-identical
+// to a sequential rank-order fold on every transport and world shape —
+// floating-point addition is not associative — and elements fold
+// independently, so a flattened table reduces to the bits of its rows.
 func (c *Comm) Allreduce(vals []float64, op ReduceOp) []float64 {
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	if c.size == 1 {
-		return out
-	}
-	table := c.allgather(vals)
-	copy(out, table[0])
-	for r := 1; r < c.size; r++ {
-		for i := range out {
-			out[i] = op(out[i], table[r][i])
+	out := append([]float64(nil), vals...)
+	packed := make([]float32, 2*len(vals))
+	packFloat64(vals, packed)
+	var parts [][]float32
+	if c.rank == 0 {
+		parts = make([][]float32, c.size)
+		for r := 1; r < c.size; r++ {
+			parts[r] = make([]float32, len(packed))
 		}
 	}
-	return out
-}
-
-// allgather collects every rank's contribution on every rank (indexed by
-// rank) using recursive doubling over the largest power-of-two subset:
-// ranks >= p2 first fold their contribution into a partner below p2,
-// the subset doubles log2(p2) times, and the partners are paid back with
-// the completed table. Messages carry float64 bit patterns packed into
-// float32 pairs (see packFloat64) prefixed implicitly by position — the
-// slot layout of every message is a deterministic function of the round,
-// so no headers are needed.
-func (c *Comm) allgather(vals []float64) [][]float64 {
-	n := len(vals)
-	tag := c.collTag()
-	table := make([][]float64, c.size)
-	own := make([]float64, n)
-	copy(own, vals)
-	table[c.rank] = own
-
-	p2 := 1
-	for p2*2 <= c.size {
-		p2 *= 2
-	}
-	extra := c.size - p2 // ranks p2..size-1 piggyback on rank-p2 partners
-
-	// slotsOf lists the initial slots participant i (a rank < p2) holds
-	// after the bring-in phase: its own, plus its piggybacked partner's.
-	slotsOf := func(i int) []int {
-		s := []int{i}
-		if i+p2 < c.size {
-			s = append(s, i+p2)
-		}
-		return s
-	}
-
-	if c.rank >= p2 {
-		// Bring-in: hand the contribution to the partner, then wait for
-		// the completed table.
-		c.sendSlots(c.rank-p2, tag, [][]float64{own})
-		full := c.recvSlots(c.rank-p2, tag, c.size, n)
-		copy(table, full)
-		return table
-	}
-	if c.rank+p2 < c.size {
-		in := c.recvSlots(c.rank+p2, tag, 1, n)
-		table[c.rank+p2] = in[0]
-	}
-
-	// Recursive doubling among the p2 participants: after round k each
-	// participant owns the slots of its aligned 2^(k+1)-participant
-	// block; partner blocks are disjoint and their slot lists are
-	// deterministic, so both sides know exactly what travels.
-	for mask := 1; mask < p2; mask <<= 1 {
-		partner := c.rank ^ mask
-		base := c.rank &^ (2*mask - 1)
-		var mine, theirs []int
-		for i := base; i < base+2*mask; i++ {
-			if (i & mask) == (c.rank & mask) {
-				mine = append(mine, slotsOf(i)...)
-			} else {
-				theirs = append(theirs, slotsOf(i)...)
+	c.Gather(0, packed, parts)
+	if c.rank == 0 {
+		in := make([]float64, len(vals))
+		for r := 1; r < c.size; r++ {
+			unpackFloat64(parts[r], in)
+			for i := range out {
+				out[i] = op(out[i], in[i])
 			}
 		}
-		send := make([][]float64, len(mine))
-		for j, s := range mine {
-			send[j] = table[s]
-		}
-		c.sendSlots(partner, tag, send)
-		recv := c.recvSlots(partner, tag, len(theirs), n)
-		for j, s := range theirs {
-			table[s] = recv[j]
-		}
+		packFloat64(out, packed)
 	}
-	if extra > 0 && c.rank+p2 < c.size {
-		// Pay-back: ship the completed table to the piggybacked partner.
-		c.sendSlots(c.rank+p2, tag, table)
-	}
-	return table
-}
-
-// sendSlots ships a list of equal-length float64 vectors as one packed
-// message.
-func (c *Comm) sendSlots(dst, tag int, vecs [][]float64) {
-	var flat []float64
-	for _, v := range vecs {
-		flat = append(flat, v...)
-	}
-	buf := make([]float32, 2*len(flat))
-	packFloat64(flat, buf)
-	c.Send(dst, tag, buf)
-}
-
-// recvSlots receives count packed vectors of n float64s each.
-func (c *Comm) recvSlots(src, tag, count, n int) [][]float64 {
-	buf := make([]float32, 2*count*n)
-	c.Recv(src, tag, buf)
-	flat := make([]float64, count*n)
-	unpackFloat64(buf, flat)
-	out := make([][]float64, count)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
+	c.Bcast(0, packed)
+	unpackFloat64(packed, out)
 	return out
 }
 

@@ -110,7 +110,7 @@ func TestRunRanksWorldOfOneAndSuccess(t *testing.T) {
 		sum := make([]float64, n)
 		if err := RunRanks(n, func(c *Comm) error {
 			sum[c.Rank()] = c.AllreduceScalar(float64(c.Rank()+1), OpSum)
-			c.Barrier()
+			barrier(c)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -139,5 +139,42 @@ func TestRunRankNamesRankAndCause(t *testing.T) {
 	err = RunRank(tr, func(*Comm) error { panic("bad state") })
 	if err == nil || err.Error() != "mpi: rank 0: panic: bad state" {
 		t.Errorf("panic: got %v", err)
+	}
+}
+
+func TestWorldNamesLowestFailingRank(t *testing.T) {
+	// Every rank's outcome is kept and the lowest rank's own failure is
+	// reported, so the rank named is the same on every run: rank 0 when
+	// every rank fails (rank 0 last of all), and the one failing rank when
+	// its peers only unwind — the lower ranks' secondary failures do not
+	// stand in for it.
+	runners := []struct {
+		name string
+		run  func(n int, body func(c *Comm) error) error
+	}{
+		{"RunRanks", RunRanks},
+		{"RunTCPLocal", func(n int, body func(c *Comm) error) error {
+			return RunTCPLocal(n, 30*time.Second, body)
+		}},
+	}
+	everyRankFails := func(c *Comm) error {
+		time.Sleep(time.Duration(c.Size()-c.Rank()) * time.Millisecond)
+		return fmt.Errorf("boom %d", c.Rank())
+	}
+	for _, r := range runners {
+		t.Run(r.name, func(t *testing.T) {
+			for rep := 0; rep < 20; rep++ {
+				err := within(t, 10*time.Second, func() error { return r.run(4, everyRankFails) })
+				if err == nil || err.Error() != "mpi: rank 0: boom 0" {
+					t.Fatalf("every rank failed, rep %d: got %v, want rank 0's failure", rep, err)
+				}
+			}
+			for rep := 0; rep < 5; rep++ {
+				err := within(t, 10*time.Second, func() error { return r.run(4, failingBody(2, false, true)) })
+				if err == nil || err.Error() != "mpi: rank 2: boom" {
+					t.Fatalf("rank 2 failed, rep %d: got %v, want rank 2's failure", rep, err)
+				}
+			}
+		})
 	}
 }

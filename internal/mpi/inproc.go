@@ -177,35 +177,48 @@ func (m *mailbox) take(i int, buf []float32) (int, error) {
 // errRecvTimeout marks a pop deadline expiry.
 var errRecvTimeout = errors.New("receive deadline exceeded")
 
-// pollBound is how long a receive polls its mailbox, yielding the
-// processor between polls, before it parks on the condition variable — the
-// wait discipline of the MPI libraries this runtime stands in for, which
-// busy-poll their receives. Parking is the expensive way to wait for a
-// message that is about to arrive: on the 2-vCPU development host a parked
-// receive of the 2-rank strong-scaling benchmark waits ≈ 105 µs per step
-// where a polling one waits ≈ 15–25 µs, so a park + wake costs ≈ 90 µs and
-// the bound must not be lower than that. Measured on that workload
-// (useful GPts/s, 0.25 parked): 5 µs 0.25, 20 µs 0.25–0.27, 50 µs 0.37,
-// 200 µs 0.37, 1 ms 0.36 — anything past the wake-up cost gets all of the
-// gain, and 200 µs leaves a margin over it for slower hosts. A receive
-// that still parks met a peer later than this bound — real imbalance,
-// counted in Stats.RecvParks.
+// pollBound is how long an in-process receive polls its mailbox,
+// yielding the processor between polls, before it parks on the condition
+// variable — the wait discipline of the MPI libraries this runtime stands
+// in for, which busy-poll their receives.
+//
+// In process, parking is the expensive way to wait for a message that is
+// about to arrive: on the 2-vCPU development host a parked receive of the
+// 2-rank strong-scaling benchmark waits ≈ 105 µs per step where a polling
+// one waits ≈ 15–25 µs, so a park + wake costs ≈ 90 µs and the bound must
+// not be lower than that. Measured on that workload (useful GPts/s, 0.25
+// parked): 5 µs 0.25, 20 µs 0.25–0.27, 50 µs 0.37, 200 µs 0.37, 1 ms 0.36
+// — anything past the wake-up cost gets all of the gain, and 200 µs
+// leaves a margin over it for slower hosts.
+//
+// Over TCP a rank is another process, so the yield hands the processor to
+// nobody and the poll takes a vCPU from the peer it waits for: the TCP
+// transport parks at once (a poll of 0). On the same host (acoustic 256²
+// so-8 diag, NT 1000, median useful Mpts/s of 5 rounds), a 200 µs → 0
+// poll took 4 processes from 42 to 78 at k=1 and 90 to 119 at k=4, and 2
+// processes from 111 to 129 at k=1 and 135 to 135 at k=4; polls of 20 and
+// 50 µs came out between the two on 4 processes.
+//
+// A receive that still parks met a peer later than its bound — real
+// imbalance, counted in Stats.RecvParks (over TCP, every receive that
+// found its mailbox empty).
 const pollBound = 200 * time.Microsecond
 
 // pop receives the first message with the given tag into buf and returns
 // its element count, waiting until one arrives, the mailbox is poisoned,
 // or — when d > 0 — the deadline d elapses (errRecvTimeout): a failed or
 // hung peer becomes an error instead of a deadlock. d <= 0 means no
-// deadline. It polls for pollBound and parks after that; the poll counts
-// against d, so a deadline is late by at most one bound.
-func (m *mailbox) pop(tag int, d time.Duration, buf []float32) (int, error) {
+// deadline. It polls for poll (the transport's bound; 0 parks at once)
+// and parks after that; the poll counts against d, so a deadline is late
+// by at most one bound.
+func (m *mailbox) pop(tag int, poll, d time.Duration, buf []float32) (int, error) {
 	start := time.Now()
-	for {
+	for poll > 0 {
 		n, ok, err := m.tryPop(tag, buf)
 		if ok || err != nil {
 			return n, err
 		}
-		if time.Since(start) >= pollBound {
+		if time.Since(start) >= poll {
 			break
 		}
 		// Yield rather than spin: when ranks outnumber processors the
@@ -305,7 +318,7 @@ func (w *World) Run(f func(c *Comm)) error {
 }
 
 // RunRanks executes body once per rank of a fresh in-process world of n
-// ranks and returns the first rank's failure, nil when every rank
+// ranks and returns the lowest rank's root cause, nil when every rank
 // succeeded. n == 1 is an ordinary world of one: callers do not branch on
 // serial.
 func RunRanks(n int, body func(c *Comm) error) error {
@@ -331,7 +344,7 @@ func (w *World) poison(err error) {
 	if err == nil {
 		return
 	}
-	err = fmt.Errorf("world failed: %w", err)
+	err = peerFailure{fmt.Errorf("world failed: %w", err)}
 	for _, row := range w.mailboxes {
 		for _, m := range row {
 			m.fail(err)
@@ -367,7 +380,7 @@ func (t *inprocTransport) Send(dst, tag int, data []float32) error {
 // so there is no deadline: a rank that dies poisons the mailbox instead
 // (World.poison), and a lost message is a schedule bug.
 func (t *inprocTransport) Recv(src, tag int, buf []float32) (int, error) {
-	n, err := t.world.mailboxes[src][t.rank].pop(tag, 0, buf)
+	n, err := t.world.mailboxes[src][t.rank].pop(tag, pollBound, 0, buf)
 	if err != nil {
 		return 0, fmt.Errorf("recv from rank %d tag %d: %w", src, tag, err)
 	}

@@ -36,7 +36,7 @@ func bindLocal(n int) ([]net.Listener, []string, error) {
 }
 
 // RunTCPLocal executes body once per rank over a loopback TCP world and
-// returns the first rank failure, exactly as RunRanks does in process (a
+// returns the lowest rank's root cause, exactly as RunRanks does (a
 // failing rank closes its connections, which fails its peers' receives).
 // Listeners are bound before any transport starts. timeout <= 0 means the
 // default deadline.

@@ -29,7 +29,7 @@ func oneP(t *testing.T) {
 // popOne receives a message of at most one element from m.
 func popOne(m *mailbox, tag int, d time.Duration) ([]float32, error) {
 	buf := make([]float32, 1)
-	n, err := m.pop(tag, d, buf)
+	n, err := m.pop(tag, pollBound, d, buf)
 	return buf[:n], err
 }
 
@@ -50,10 +50,10 @@ func TestMailboxTakeZeroesVacatedSlot(t *testing.T) {
 	m, _ := testMailbox()
 	m.push(1, make([]float32, 4))
 	m.push(2, make([]float32, 1<<20))
-	if _, err := m.pop(1, 0, make([]float32, 4)); err != nil {
+	if _, err := m.pop(1, pollBound, 0, make([]float32, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.pop(2, 0, make([]float32, 1<<20)); err != nil {
+	if _, err := m.pop(2, pollBound, 0, make([]float32, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	// Queue is empty but its backing array still has the slots the two
@@ -281,7 +281,8 @@ func TestMailboxRingWithMoreRanksThanProcessors(t *testing.T) {
 				for i := range out {
 					out[i] = float32(c.Rank()*1000 + round + i)
 				}
-				c.SendRecv(right, 5, out, left, 5, in)
+				c.Send(right, 5, out)
+				c.Recv(left, 5, in)
 				for i, v := range in {
 					if want := float32(left*1000 + round + i); v != want {
 						return fmt.Errorf("round %d elem %d from rank %d: got %v, want %v", round, i, left, v, want)
@@ -337,5 +338,30 @@ func TestMailboxPollYieldsTheProcessor(t *testing.T) {
 		if st.RecvParks > rounds/20 {
 			t.Errorf("rank %d parked on %d of %d receives (limit 5%%): the poll is not yielding its P to the sender", rank, st.RecvParks, rounds)
 		}
+	}
+}
+
+func TestMailboxPollZeroParksAtOnce(t *testing.T) {
+	// The TCP transport's wait, a poll of 0: a queued message is taken
+	// without parking, an empty mailbox parks at once, and a deadline
+	// still expires.
+	m, parks := testMailbox()
+	buf := make([]float32, 1)
+	m.push(1, []float32{3})
+	if n, err := m.pop(1, 0, 0, buf); err != nil || n != 1 || buf[0] != 3 || parks() != 0 {
+		t.Fatalf("queued message: n %d buf %v err %v, RecvParks %d (want 0)", n, buf, err, parks())
+	}
+	onceParked(parks, func() { m.push(2, []float32{4}) })
+	err := within(t, 30*time.Second, func() error { _, err := m.pop(2, 0, 0, buf); return err })
+	if err != nil || buf[0] != 4 || parks() != 1 {
+		t.Fatalf("message sent while parked: buf %v err %v, RecvParks %d (want 1)", buf, err, parks())
+	}
+	const d = 20 * time.Millisecond
+	start := time.Now()
+	if _, err := m.pop(3, 0, d, buf); !errors.Is(err, errRecvTimeout) || time.Since(start) < d {
+		t.Fatalf("deadline: got %v after %s, want errRecvTimeout after %s", err, time.Since(start), d)
+	}
+	if n := parks(); n != 2 {
+		t.Fatalf("RecvParks = %d after a timed-out receive, want 2", n)
 	}
 }

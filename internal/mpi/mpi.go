@@ -14,11 +14,15 @@
 // rank per OS process over real sockets with length-prefixed frames, so
 // the same schedules additionally exercise serialization, the wire, and
 // failure. Collectives are written purely on point-to-point Send/Recv
-// (binomial-tree broadcast, recursive-doubling allreduce, dissemination
-// barrier), so they work identically over any transport.
+// (binomial-tree broadcast, gather and scatter through a root, and an
+// allreduce that gathers to rank 0, folds in ascending rank order and
+// broadcasts), so they work identically over any transport. A run
+// reduces once, when it ends: its receivers sum rank-locally every step
+// and its traces and norm are allreduced after the last one.
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -97,13 +101,6 @@ type opError struct{ err error }
 func (e *opError) Error() string { return e.err.Error() }
 func (e *opError) Unwrap() error { return e.err }
 
-// SendRecv exchanges messages with possibly different partners, deadlock
-// free (the send is buffered).
-func (c *Comm) SendRecv(dst, sendTag int, sendData []float32, src, recvTag int, recvBuf []float32) int {
-	c.Send(dst, sendTag, sendData)
-	return c.Recv(src, recvTag, recvBuf)
-}
-
 // RunRank executes body as one rank over an established transport — the
 // single-process counterpart of RunRanks used by rank-per-process
 // transports — so a returned error, a panic or a transport failure (a
@@ -133,21 +130,27 @@ func runRank(c *Comm, body func(c *Comm) error) (err error) {
 	return nil
 }
 
+// errPeerFailed marks a failure that only follows another rank's: the
+// in-process world's poison and a TCP rank's lost connection.
+var errPeerFailed = errors.New("mpi: a peer failed")
+
+// peerFailure marks err with errPeerFailed, keeping its text.
+type peerFailure struct{ error }
+
+func (e peerFailure) Unwrap() []error { return []error{e.error, errPeerFailed} }
+
 // runWorld is the one spawn / recover / collect implementation behind
 // World.Run, RunRanks and RunTCPLocal. open establishes rank r's Comm and
 // returns its release function; the runner calls release with the rank's
 // outcome as soon as its body ends, and release(err != nil) must make
 // every peer's pending and future receives fail (the in-process world
-// poisons its mailboxes, a TCP rank drops its connections). A failure is
-// recorded before it is released, so the error returned is the root
-// cause — the first rank to fail — and never a peer's secondary "world
-// failed" unwinding; the call returns once every rank has ended.
+// poisons its mailboxes, a TCP rank drops its connections). Once every
+// rank has ended it returns the lowest rank's own failure — not a peer's
+// errPeerFailed unwinding, unless no other failure exists — so the root
+// cause named is the same on every run.
 func runWorld(n int, open func(rank int) (*Comm, func(error), error), body func(c *Comm) error) error {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
+	var wg sync.WaitGroup
+	errs := make([]error, n)
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -156,18 +159,21 @@ func runWorld(n int, open func(rank int) (*Comm, func(error), error), body func(
 			if err == nil {
 				err = runRank(c, body)
 			}
-			if err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
+			errs[rank] = err
 			if release != nil {
 				release(err)
 			}
 		}(r)
 	}
 	wg.Wait()
+	var first error
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, errPeerFailed) {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
+	}
 	return first
 }

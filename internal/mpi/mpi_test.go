@@ -1,11 +1,17 @@
 package mpi
 
 import (
+	"fmt"
+	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// barrier holds every rank until all have entered it, for tests that
+// sequence ranks: an allreduce returns on no rank before rank 0 holds
+// every contribution.
+func barrier(c *Comm) { c.AllreduceScalar(0, OpSum) }
 
 func TestSendRecvBasic(t *testing.T) {
 	w := NewWorld(2)
@@ -38,9 +44,9 @@ func TestSendCopiesBuffer(t *testing.T) {
 			buf := []float32{42}
 			c.Send(1, 0, buf)
 			buf[0] = -1 // must not affect the in-flight message
-			c.Barrier()
+			barrier(c)
 		} else {
-			c.Barrier() // ensure sender has scribbled
+			barrier(c) // ensure sender has scribbled
 			got := make([]float32, 1)
 			c.Recv(0, 0, got)
 			if got[0] != 42 {
@@ -128,7 +134,7 @@ func TestTestPolling(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Barrier() // let rank 1 poll while nothing is in flight
+			barrier(c) // let rank 1 poll while nothing is in flight
 			c.Send(1, 4, []float32{1})
 		} else {
 			buf := make([]float32, 1)
@@ -136,7 +142,7 @@ func TestTestPolling(t *testing.T) {
 			if req.Test() {
 				t.Error("Test should not complete before the send")
 			}
-			c.Barrier()
+			barrier(c)
 			for !req.Test() {
 			}
 			if buf[0] != 1 {
@@ -167,22 +173,6 @@ func TestProcNullNoOps(t *testing.T) {
 		if !req.Test() {
 			t.Error("ProcNull Irecv must be complete")
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierOrdering(t *testing.T) {
-	w := NewWorld(4)
-	var phase1 atomic.Int32
-	err := w.Run(func(c *Comm) {
-		phase1.Add(1)
-		c.Barrier()
-		if got := phase1.Load(); got != 4 {
-			t.Errorf("rank %d passed barrier with only %d arrivals", c.Rank(), got)
-		}
-		c.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +222,39 @@ func TestAllreducePreservesFloat64Precision(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAllreduceTableMatchesPerRow(t *testing.T) {
+	// A run samples its receivers into one NT×nrec table and reduces it
+	// once: that must give the bits of reducing each step's row on its
+	// own, as a per-step reduction did, on every world size.
+	const nt, nrec = 7, 5
+	sample := func(rank, step, rec int) float64 {
+		return math.Sin(float64(rank*nt*nrec+step*nrec+rec)) * math.Pow(10, float64(rank-step))
+	}
+	for n := 2; n <= 8; n++ {
+		err := RunRanks(n, func(c *Comm) error {
+			table := make([]float64, nt*nrec)
+			for step := 0; step < nt; step++ {
+				for rec := 0; rec < nrec; rec++ {
+					table[step*nrec+rec] = sample(c.Rank(), step, rec)
+				}
+			}
+			whole := c.Allreduce(table, OpSum)
+			for step := 0; step < nt; step++ {
+				row := c.Allreduce(table[step*nrec:(step+1)*nrec], OpSum)
+				for rec, v := range row {
+					if got := whole[step*nrec+rec]; math.Float64bits(got) != math.Float64bits(v) {
+						return fmt.Errorf("step %d receiver %d: table %v, row %v", step, rec, got, v)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%d ranks: %v", n, err)
+		}
 	}
 }
 
@@ -445,13 +468,15 @@ func TestCartNeighborExchangeAllPairs(t *testing.T) {
 }
 
 func TestSendRecvCombined(t *testing.T) {
-	// Ring exchange with SendRecv must not deadlock.
+	// A ring exchange, each rank sending before it receives, must not
+	// deadlock: the send is buffered.
 	w := NewWorld(4)
 	err := w.Run(func(c *Comm) {
 		right := (c.Rank() + 1) % 4
 		left := (c.Rank() + 3) % 4
 		buf := make([]float32, 1)
-		c.SendRecv(right, 0, []float32{float32(c.Rank())}, left, 0, buf)
+		c.Send(right, 0, []float32{float32(c.Rank())})
+		c.Recv(left, 0, buf)
 		if int(buf[0]) != left {
 			t.Errorf("rank %d received %v, want %d", c.Rank(), buf[0], left)
 		}

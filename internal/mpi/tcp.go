@@ -442,7 +442,7 @@ func (t *TCPTransport) failInbox(src int, err error) {
 	if t.closed.Load() {
 		err = fmt.Errorf("transport closed")
 	} else {
-		err = fmt.Errorf("connection to rank %d lost: %w", src, err)
+		err = peerFailure{fmt.Errorf("connection to rank %d lost: %w", src, err)}
 	}
 	t.inbox[src].fail(err)
 }
@@ -450,9 +450,10 @@ func (t *TCPTransport) failInbox(src int, err error) {
 // Recv blocks for the oldest matching message under the receive
 // deadline and copies it into buf; a peer that stays silent past it
 // produces an error naming the peer, the tag and the deadline — the
-// clean-failure half of the hung-peer guarantee.
+// clean-failure half of the hung-peer guarantee. It parks at once, with
+// no poll (see pollBound).
 func (t *TCPTransport) Recv(src, tag int, buf []float32) (int, error) {
-	n, err := t.inbox[src].pop(tag, t.timeout, buf)
+	n, err := t.inbox[src].pop(tag, 0, t.timeout, buf)
 	if err != nil {
 		return 0, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
 	}

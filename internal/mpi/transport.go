@@ -41,8 +41,8 @@ package mpi
 // rank and converts them to panics that the world runners (RunRanks,
 // World.Run, RunTCPLocal, RunRank) recover into a per-rank error. A
 // failed rank fails its world: the runner makes its peers' receives fail
-// too, and returns the first failure — the root cause — once every rank
-// has unwound.
+// too, and returns the lowest rank's root cause once every rank has
+// unwound.
 type Transport interface {
 	// Rank returns the calling rank.
 	Rank() int
@@ -73,8 +73,9 @@ type Transport interface {
 type Stats struct {
 	MsgsSent  int
 	BytesSent int64
-	// RecvParks counts the receives that outlasted the poll and parked the
-	// receiving goroutine: the peer was later than pollBound, i.e. the
-	// ranks are imbalanced (or the wire is slow), not merely out of phase.
+	// RecvParks counts the receives that outlasted the transport's poll and
+	// parked the receiving goroutine. In process the peer was later than
+	// pollBound, i.e. the ranks are imbalanced, not merely out of phase;
+	// over TCP, which parks at once, the message was not yet there.
 	RecvParks int
 }

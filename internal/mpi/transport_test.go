@@ -303,14 +303,13 @@ func TestConformanceConcurrentStreams(t *testing.T) {
 
 func TestConformanceCollectives(t *testing.T) {
 	// Collectives are pure point-to-point, so they must agree across
-	// transports and world sizes — including non-power-of-two sizes
-	// that exercise the allgather bring-in/pay-back path and non-zero
-	// broadcast roots.
+	// transports and world sizes — including non-power-of-two sizes,
+	// whose binomial trees are ragged, and non-zero broadcast roots.
 	for _, n := range []int{1, 2, 3, 4, 5, 7} {
 		n := n
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			forEachTransport(t, n, func(c *Comm) {
-				c.Barrier()
+				barrier(c)
 				sum := c.AllreduceScalar(float64(c.Rank()+1), OpSum)
 				want := float64(n*(n+1)) / 2
 				if sum != want {
@@ -329,7 +328,7 @@ func TestConformanceCollectives(t *testing.T) {
 				if buf[0] != 3 || buf[1] != 1 || buf[2] != 4 {
 					failf("bcast from root %d: got %v", root, buf)
 				}
-				c.Barrier()
+				barrier(c)
 			})
 		})
 	}

@@ -119,12 +119,15 @@ func stepDT(name string, dt, critical float64) (float64, error) {
 }
 
 // forward steps a compiled model nt times, injecting srcs' source and
-// recording its receivers after every step, and snapshotting into store
+// sampling its receivers after every step, and snapshotting into store
 // the steps below nt when it is not nil (the sweep restores at most step
 // nt-1). The reverse sweep would restore the last snapshot below nt,
 // (nt-1)/k*k, and re-integrate up to nt; forward caches every level from
 // one below that snapshot instead, so the sweep starts on cached levels
-// (k+2 at most, the cache's bound).
+// (k+2 at most, the cache's bound). Receivers are sampled rank-locally
+// into one nt×nrec table, and a distributed run reduces it once, after
+// the last step, as it does the norm: the step loop synchronises with
+// halo neighbours only.
 func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	autotune string, store *checkpoint.Store, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
@@ -139,12 +142,18 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 			store.RecordLevel(lvl)
 		}
 	}
+	var traces []float64
+	nrec := 0
+	if srcs.rec != nil {
+		nrec = srcs.rec.NPoints()
+		traces = make([]float64, nt*nrec)
+	}
+	u := m.Fields[m.WaveFields[0]]
 	var hook firstErr
 	postStep := func(t int) {
 		hook.keep(srcs.inject(m, t, op.InjectDepth()))
 		if srcs.rec != nil {
-			res.Receivers = append(res.Receivers,
-				srcs.rec.Interpolate(m.Fields[m.WaveFields[0]], t+1, commOf(ctx)))
+			copy(traces[t*nrec:], srcs.rec.Interpolate(u, t+1, nil))
 		}
 		if store != nil {
 			if t+1 < nt {
@@ -167,8 +176,15 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	if hook.err != nil {
 		return nil, hook.err
 	}
+	if srcs.rec != nil {
+		traces = sumRanks(ctx, traces)
+		res.Receivers = make([][]float64, nt)
+		for t := range res.Receivers {
+			res.Receivers[t] = traces[t*nrec : (t+1)*nrec : (t+1)*nrec]
+		}
+	}
 	res.Perf = op.Report()
-	res.Norm = normOf(m.Fields[m.WaveFields[0]], ctx, nt)
+	res.Norm = normOf(u, ctx, nt)
 	return res, nil
 }
 
@@ -176,11 +192,10 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 // t = nt..1, nt = len(data): iteration t writes the adjoint state into
 // buffer t-1, injects data[t-1] there through srcs' receivers (mirrored
 // into the ghost shell under time tiling), samples srcs' source position
-// into the returned traces[t-1] (forward-time order) and then calls after
-// with t. The first error stops all further hook work and
-// is returned once the Apply ends: every error the hook can hit follows
-// from the schedule every rank shares, so all ranks stop at the same step
-// and no collective goes unmatched.
+// rank-locally into traces[t-1] (forward-time order) and then calls after
+// with t. A distributed run reduces the traces once, after the Apply, so
+// the hook issues no collective. The first error stops all further hook
+// work and is returned once the Apply ends.
 func backward(adj *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	data [][]float64, dt float64, autotune string, after func(t int) error) ([]float64, error) {
 	traces := make([]float64, len(data))
@@ -198,7 +213,7 @@ func backward(adj *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetu
 			hook.keep(fmt.Errorf("propagators: %s: receiver injection at step %d: %w", adj.Name, t, err))
 			return
 		}
-		traces[t-1] = srcs.src.Interpolate(v, t-1, commOf(ctx))[0]
+		traces[t-1] = srcs.src.Interpolate(v, t-1, nil)[0]
 		if err := after(t); err != nil {
 			hook.keep(fmt.Errorf("propagators: %s: reverse step %d: %w", adj.Name, t, err))
 		}
@@ -213,7 +228,10 @@ func backward(adj *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetu
 	}); err != nil {
 		return nil, err
 	}
-	return traces, hook.err
+	if hook.err != nil {
+		return nil, hook.err
+	}
+	return sumRanks(ctx, traces), nil
 }
 
 // firstErr keeps the first error a PostStep hook hits. The hook cannot
@@ -300,12 +318,13 @@ func (s *sourceSetup) inject(m *Model, t int, depth []int) error {
 	return nil
 }
 
-// commOf extracts the communicator of a context (nil when serial).
-func commOf(ctx *core.Context) *mpi.Comm {
+// sumRanks sums vals over the ranks of a distributed run, in ascending
+// rank order (mpi.Comm.Allreduce); serially it returns vals.
+func sumRanks(ctx *core.Context, vals []float64) []float64 {
 	if ctx == nil {
-		return nil
+		return vals
 	}
-	return ctx.Comm
+	return ctx.Comm.Allreduce(vals, mpi.OpSum)
 }
 
 // normOf computes the global L2 norm of a field's DOMAIN at time buffer t
@@ -318,12 +337,10 @@ func normOf(f *field.Function, ctx *core.Context, t int) float64 {
 		}
 	})
 	if ctx != nil {
-		sum = ctx.Comm.AllreduceScalar(sum, addOp)
+		sum = ctx.Comm.AllreduceScalar(sum, mpi.OpSum)
 	}
 	return math.Sqrt(sum)
 }
-
-func addOp(a, b float64) float64 { return a + b }
 
 // Build constructs a model by name — the dispatch used by the CLI tools
 // and benchmarks.

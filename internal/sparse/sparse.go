@@ -165,7 +165,9 @@ func (s *SparseFunction) InjectDeep(f *field.Function, t int, vals []float32, de
 // sums the contributions of the support corners it owns; when comm is
 // non-nil the partial sums are combined with an all-reduce so every rank
 // returns the complete values. The result does not depend on halo
-// freshness: only owned data is read.
+// freshness: only owned data is read. With a nil comm it is the rank's
+// partial sums, which a caller sampling every step keeps in one table
+// and all-reduces once, as the propagators' forward and backward do.
 func (s *SparseFunction) Interpolate(f *field.Function, t int, comm *mpi.Comm) []float64 {
 	partial := make([]float64, s.NPoints())
 	buf := f.Buf(t)
