@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -84,7 +85,7 @@ func main() {
 		msgs := c.AllreduceScalar(float64(st.MsgsSent), mpi.OpSum)
 		bytes := c.AllreduceScalar(float64(st.BytesSent), mpi.OpSum)
 		// The run is as fast as its slowest rank.
-		seconds := c.AllreduceScalar(res.Perf.ComputeSeconds+res.Perf.HaloSeconds, mpi.OpMax)
+		seconds := c.AllreduceScalar(res.Perf.WallSeconds, mpi.OpMax)
 		if c.Rank() == 0 {
 			label := "serial"
 			if ctx != nil {
@@ -110,8 +111,16 @@ func main() {
 	case "tcp":
 		if os.Getenv(mpi.RankEnvVar) == "" {
 			// Launcher mode: spawn one copy of this exact invocation per
-			// rank; the children land in the branch below.
-			fail(mpi.LaunchTCPLocal(*ranks, os.Args))
+			// rank; the children land in the branch below. A failed rank
+			// has already written the run's one report line: print it
+			// alone.
+			err := mpi.LaunchTCPLocal(*ranks, os.Args)
+			var rf *mpi.RankFailure
+			if errors.As(err, &rf) {
+				fmt.Fprintln(os.Stderr, rf)
+				os.Exit(1)
+			}
+			fail(err)
 			return
 		}
 		t, err := mpi.TCPFromEnv()
@@ -139,11 +148,12 @@ func suffixObsPaths(rank int) {
 	}
 }
 
-// report prints one run. seconds is the slowest rank's steady-state
-// compute + halo time, so the useful figure is the whole grid advancing
-// (each point counted once per step, however many ranks recomputed it) per
-// second of the run; the swept figure beneath it is this rank's own
-// counter, which also counts ghost-shell and CIRE-extension points.
+// report prints one run. seconds is the slowest rank's steady-state wall
+// time, PostStep hooks (sources, receivers) included, so the useful figure
+// is the whole grid advancing (each point counted once per step, however
+// many ranks recomputed it) per second of the run; the swept figure
+// beneath it is this rank's own compute + halo counter, which also counts
+// ghost-shell and CIRE-extension points.
 func report(label string, res *propagators.RunResult, gridPoints int, seconds float64) {
 	fmt.Printf("%s\n", label)
 	// The norm prints with full float64 round-trip precision so two runs
@@ -172,13 +182,18 @@ func checkNorm(model string, nt int, norm float64) error {
 
 // fail exits with the error after flushing any requested trace/metrics
 // output — an aborted run should still leave its observability files
-// behind (truncated evidence beats no evidence).
+// behind (truncated evidence beats no evidence). A rank process whose
+// failure only follows a peer's exits mpi.ExitPeerFailed, so the launcher
+// reports the rank that failed on its own.
 func fail(err error) {
 	if err != nil {
 		if ferr := obs.FlushEnv(); ferr != nil {
 			fmt.Fprintln(os.Stderr, "devigo-run: flush observability:", ferr)
 		}
 		fmt.Fprintln(os.Stderr, "devigo-run:", err)
+		if errors.Is(err, mpi.ErrPeerFailed) {
+			os.Exit(mpi.ExitPeerFailed)
+		}
 		os.Exit(1)
 	}
 }

@@ -14,7 +14,7 @@ type scratch struct {
 // timestep t, with the scalar pool from BindSyms. The shared tile driver
 // gives it the interpreter's execution contract exactly: row-major point
 // order, equations in program order on each row, tiling over the outer
-// dimension, worker-pool parallelism and the Progress prod between tiles.
+// dimension and worker-pool parallelism.
 func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {
 	k.drv.Run(k, t, b, pool, opts)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"devigo/internal/codegen"
 	"devigo/internal/field"
@@ -98,9 +99,6 @@ type Operator struct {
 	built    iet.Callable
 	prog     program
 	execOpts runtime.ExecOpts
-	// prodOpts is execOpts with an overlapped sweep's progress hook, the
-	// options of its CORE section; step refills it.
-	prodOpts runtime.ExecOpts
 	// pool is the persistent per-rank worker team (nil when serial).
 	// Workers spawn once and park between dispatches; the pool survives
 	// reconfiguration and is released by Close.
@@ -163,16 +161,20 @@ type Operator struct {
 }
 
 // Perf accumulates per-section timing, the devigo analogue of
-// DEVITO_LOGGING=BENCH output. ComputeSeconds/HaloSeconds/PointsUpdated/
-// Timesteps cover steady-state execution only: autotune warmup and search
-// trials are left out so rate figures are not diluted by the one-off
-// self-configuration cost.
+// DEVITO_LOGGING=BENCH output. ComputeSeconds/HaloSeconds/WallSeconds/
+// PointsUpdated/Timesteps cover steady-state execution only: autotune
+// warmup and search trials are left out so rate figures are not diluted
+// by the one-off self-configuration cost.
 type Perf struct {
 	ComputeSeconds float64
 	HaloSeconds    float64
-	PointsUpdated  int64
-	Timesteps      int
-	FlopsPerPoint  int
+	// WallSeconds is the wall-clock of Apply's preamble, priming and step
+	// loop: the compute and halo sections plus everything between them,
+	// the PostStep hooks included.
+	WallSeconds   float64
+	PointsUpdated int64
+	Timesteps     int
+	FlopsPerPoint int
 	// Engine names the execution engine the kernels compiled to
 	// (EngineBytecode, EngineNative or EngineInterpreter).
 	Engine string
@@ -543,6 +545,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	// dispatch; a Close between Applies is undone here.
 	op.ensurePool()
 
+	wall := time.Now()
 	op.runPreamble()
 	rank := op.ctx.rank()
 
@@ -582,9 +585,11 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 		// Warmup and trial steps execute real physics but must not dilute
 		// the steady-state counters (GPtss): restore them around tuning.
 		before := op.perf
+		tuneStart := time.Now()
 		if err := op.autotune(step, &next, &remaining, dir); err != nil {
 			return err
 		}
+		wall = wall.Add(time.Since(tuneStart))
 		op.perf.ComputeSeconds = before.ComputeSeconds
 		op.perf.HaloSeconds = before.HaloSeconds
 		op.perf.Timesteps = before.Timesteps
@@ -595,6 +600,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 		step(next)
 		next += dir
 	}
+	op.perf.WallSeconds += time.Since(wall).Seconds()
 	return nil
 }
 

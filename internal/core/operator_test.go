@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"devigo/internal/ddata"
 	"devigo/internal/field"
@@ -515,6 +516,29 @@ func TestPostStepHookRuns(t *testing.T) {
 	}
 }
 
+// WallSeconds counts the whole step loop, PostStep hooks included; the
+// compute and halo sections leave the hooks out.
+func TestWallSecondsCountsPostStep(t *testing.T) {
+	g := grid.MustNew([]int{4, 4}, nil)
+	u, _ := field.NewTimeFunction("u", g, 2, 1, nil)
+	op := buildDiffusionOp(t, g, u, nil)
+	const nt, nap = 5, 2 * time.Millisecond
+	err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: nt - 1, Syms: map[string]float64{"dt": 0.01},
+		PostStep: func(int) { time.Sleep(nap) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := op.Report()
+	hooks := (nt * nap).Seconds()
+	sections := p.ComputeSeconds + p.HaloSeconds
+	if p.WallSeconds < sections+hooks {
+		t.Errorf("WallSeconds %.4fs < compute + halo %.4fs + hooks %.4fs", p.WallSeconds, sections, hooks)
+	}
+	if sections >= hooks {
+		t.Errorf("compute + halo %.4fs include the %.4fs of PostStep hooks", sections, hooks)
+	}
+}
+
 // TestSteadyStepAllocatesNothing: a serial Apply's allocations are its
 // per-call set-up; a step itself allocates nothing, so one step and ten
 // cost the same. The damped wave equation hoists its damping reciprocal:
@@ -595,9 +619,9 @@ func TestSteadyStepAllocatesNothing(t *testing.T) {
 
 // TestDMPStepAllocatesNothing is TestSteadyStepAllocatesNothing over a
 // 2-rank in-process world, in every halo mode, at exchange intervals 1
-// and 4 and on one and two workers: a step's exchanges — payloads,
-// receive requests, the full pattern's CORE split and progress hook —
-// allocate nothing, so one step and ten cost the same.
+// and 4 and on one and two workers: a step's exchanges — payloads and
+// the full pattern's CORE split — allocate nothing, so one step and ten
+// cost the same.
 func TestDMPStepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for its own bookkeeping")

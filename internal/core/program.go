@@ -36,10 +36,8 @@ type sweep struct {
 	// The rest is step's scratch, built on first use and reused by every
 	// later step, so a steady step allocates none of it: core holds the
 	// CORE box an overlapped sweep computes while its exchanges are in
-	// flight, progress prods those exchanges from inside it, and after and
-	// shell are refilled in place by remainderBoxes.
+	// flight, and after and shell are refilled in place by remainderBoxes.
 	core         []runtime.Box
-	progress     func()
 	after, shell []runtime.Box
 }
 
@@ -167,8 +165,8 @@ func (op *Operator) runPreamble() {
 }
 
 // step executes one timestep of the program. Every sweep is one
-// choreography — start its exchanges, compute while they are in flight
-// (MPI_Test progress prods between tiles), finish them, compute the rest
+// choreography — start its exchanges, compute while they are in flight,
+// finish them (the receives happen there), compute the rest
 // of the sweep's box — and the tree only picks what is computed in flight:
 // CORE (owned shrunk by the cluster radius, so no read touches in-flight
 // halo data) where it overlaps the exchanges, nothing otherwise, which
@@ -220,20 +218,13 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 		if sw.overlap && len(halos) > 0 {
 			if sw.core == nil {
 				sw.core = []runtime.Box{coreBox(localShape, op.kernels[si].StencilRadius())}
-				sw.progress = func() {
-					for _, h := range sw.halos {
-						h.ex.Progress()
-					}
-				}
 			}
 			sw.after = remainderBoxes(sw.after, rest, sw.core[0])
 			inflight, after = sw.core, sw.after
 		}
 		op.exchangeSection(t, halos, (*halo.Exchanger).Start)
 		if inflight != nil {
-			op.prodOpts = op.execOpts
-			op.prodOpts.Progress = sw.progress
-			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &op.prodOpts)
+			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &op.execOpts)
 		}
 		op.exchangeSection(t, halos, (*halo.Exchanger).Finish)
 		op.computeSection(obs.PhaseCompute, t, si, bound[si], after, &op.execOpts)

@@ -347,9 +347,8 @@ func TestSiblingHaloGrowthReEmitsCode(t *testing.T) {
 
 // recordedRun is one kernel Run a recKernel saw.
 type recordedRun struct {
-	t     int
-	box   runtime.Box
-	prods bool
+	t   int
+	box runtime.Box
 }
 
 // recKernel records every Run before delegating to the compiled kernel.
@@ -359,7 +358,7 @@ type recKernel struct {
 }
 
 func (r recKernel) Run(t int, b runtime.Box, syms []float64, opts *runtime.ExecOpts) {
-	*r.runs = append(*r.runs, recordedRun{t: t, prods: opts.Progress != nil,
+	*r.runs = append(*r.runs, recordedRun{t: t,
 		box: runtime.Box{Lo: append([]int(nil), b.Lo...), Hi: append([]int(nil), b.Hi...)}})
 	r.ExecKernel.Run(t, b, syms, opts)
 }
@@ -379,8 +378,8 @@ func record(t *testing.T, k int, mode halo.Mode, nt int, check func(rank int, op
 }
 
 // The untraced sweep partition: a sweep that does not overlap its
-// exchanges is one Run over its whole box; one that does is CORE, with the
-// progress hook, then remainderBoxes(outer, CORE) in order — at k=1 and at
+// exchanges is one Run over its whole box; one that does is CORE, then
+// remainderBoxes(outer, CORE) in order — at k=1 and at
 // the head of a time tile, whose later substeps exchange nothing and so are
 // one Run each over the shrinking box.
 func TestSweepPartition(t *testing.T) {
@@ -396,9 +395,6 @@ func TestSweepPartition(t *testing.T) {
 			if want := []runtime.Box{fullBox(local)}; !reflect.DeepEqual(boxes(runs), want) {
 				t.Errorf("%s rank %d: runs %+v, want %+v", mode, rank, boxes(runs), want)
 			}
-			if runs[0].prods {
-				t.Errorf("%s rank %d: synchronous sweep ran with the progress hook", mode, rank)
-			}
 		})
 	}
 	record(t, 1, halo.ModeFull, 1, func(rank int, op *Operator, local []int, runs []recordedRun) {
@@ -406,11 +402,6 @@ func TestSweepPartition(t *testing.T) {
 		want := append([]runtime.Box{core}, remainderBoxes(nil, fullBox(local), core)...)
 		if !reflect.DeepEqual(boxes(runs), want) {
 			t.Errorf("full rank %d: runs %+v, want %+v", rank, boxes(runs), want)
-		}
-		for i, r := range runs {
-			if r.prods != (i == 0) {
-				t.Errorf("full rank %d: run %d progress=%v; only CORE prods", rank, i, r.prods)
-			}
 		}
 	})
 	record(t, 4, halo.ModeFull, 4, func(rank int, op *Operator, local []int, runs []recordedRun) {
@@ -422,11 +413,6 @@ func TestSweepPartition(t *testing.T) {
 		}
 		if !reflect.DeepEqual(boxes(runs), want) {
 			t.Errorf("full k=4 rank %d: runs %+v, want %+v", rank, boxes(runs), want)
-		}
-		for i, r := range runs {
-			if r.prods != (i == 0) {
-				t.Errorf("full k=4 rank %d: run %d (t=%d, %+v) progress=%v; only CORE prods", rank, i, r.t, r.box, r.prods)
-			}
 		}
 	})
 }
@@ -449,8 +435,8 @@ func TestTracedOverlapHeadSplitsShell(t *testing.T) {
 		for i, r := range runs {
 			switch {
 			case i == 0:
-				if !reflect.DeepEqual(r.box, core) || !r.prods {
-					t.Errorf("rank %d: first run %+v (progress=%v), want CORE with the hook", rank, r.box, r.prods)
+				if !reflect.DeepEqual(r.box, core) {
+					t.Errorf("rank %d: first run %+v, want CORE", rank, r.box)
 				}
 			case i <= len(ring):
 				if !reflect.DeepEqual(r.box, ring[i-1]) {

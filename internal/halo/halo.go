@@ -5,15 +5,16 @@
 //     dimension (6 in 3-D);
 //   - diagonal: synchronous single-step exchange over the full
 //     {-1,0,1}^n neighbourhood (26 messages in 3-D);
-//   - full: the diagonal message set posted asynchronously and overlapped
-//     with CORE computation, with MPI_Test progress prods, then REMAINDER
-//     updates.
+//   - full: the diagonal message set sent before CORE is computed and
+//     received after it, then REMAINDER updates.
 //
 // The patterns differ only in which neighbour gets which slab, in how
 // many phases (messages) and in whether the caller computes between Start
-// and Finish; one table-driven Exchanger runs them all. An Exchanger
-// operates on one field over one Cartesian communicator; the compiler
-// instantiates one per (field, time offset) requirement of an operator.
+// and Finish; one table-driven Exchanger runs them all. Full mode needs no
+// MPI_Test prods between CORE tiles: both transports deliver without the
+// receiver's help, so the receive happens in Finish. An Exchanger operates
+// on one field over one Cartesian communicator; the compiler instantiates
+// one per (field, time offset) requirement of an operator.
 package halo
 
 import (
@@ -124,35 +125,34 @@ func messages(mode Mode, nd int) [][]message {
 // row is one message of an exchanger's table, bound to this rank: the
 // neighbour, the tags (which encode the sender's direction of travel, so
 // the message from Neighbor(o) carries the tag of -o), the owned slab
-// packed into sendBuf and the ghost slab unpacked from recvBuf, which req,
-// re-posted by every exchange, fills.
+// packed into sendBuf and the ghost slab unpacked from recvBuf, which
+// Finish receives into.
 type row struct {
 	nbr              int
 	sendTag, recvTag int
 	sendReg, recvReg field.Region
 	sendBuf, recvBuf []float32
-	req              mpi.Request
 }
 
 // Exchanger fills one field's halo from its neighbours by walking a
 // message table built once: a mode is nothing but the table's
-// constructor. Exchange is the synchronous entry point; Start, Progress
-// and Finish split it around the last phase so the caller can compute
-// while that phase's messages are in flight (the full pattern's CORE
-// overlap — available, if not used, under every mode).
+// constructor. Exchange is the synchronous entry point; Start and Finish
+// split it around the last phase so the caller can compute while that
+// phase's messages are in flight (the full pattern's CORE overlap —
+// available, if not used, under every mode).
 //
-// Buffers and receive requests are preallocated for every mode, so an
-// exchange allocates nothing. Table I lists basic's buffers as allocated
-// at call time; that column describes Devito's implementation, not the
-// pattern, and perfmodel still prices it for the paper's clusters.
+// Buffers are preallocated for every mode, so an exchange allocates
+// nothing. Table I lists basic's buffers as allocated at call time; that
+// column describes Devito's implementation, not the pattern, and
+// perfmodel still prices it for the paper's clusters.
 type Exchanger struct {
 	cart   *mpi.CartComm
 	f      *field.Function
 	rank   int
 	stream int
 	phases [][]row
-	// inflight is the phase whose receives are posted and not yet
-	// completed (nil between exchanges).
+	// inflight is the phase whose slabs are sent and not yet received
+	// (nil between exchanges).
 	inflight []row
 }
 
@@ -216,17 +216,13 @@ func (x *Exchanger) Traffic() (msgs int, bytes float64) {
 	return msgs, bytes
 }
 
-// post starts one phase on time buffer t: every receive is posted, then
-// every slab packed and sent. The transport snapshots a payload at post
-// time, so the blocking Send is also the asynchronous pattern's Isend:
-// the buffer is reusable at once and only receives are left pending.
+// post starts one phase on time buffer t: every slab is packed and sent.
+// The transport snapshots a payload at post time, so the blocking Send is
+// also the asynchronous pattern's Isend: the buffer is reusable at once
+// and only the receives are left, for Finish.
 func (x *Exchanger) post(t int, rows []row) {
 	buf := x.f.Buf(t)
 	tid := x.stream + 1
-	for i := range rows {
-		r := &rows[i]
-		r.req = x.cart.Irecv(r.nbr, r.recvTag, r.recvBuf)
-	}
 	x.inflight = rows
 	for i := range rows {
 		r := &rows[i]
@@ -240,15 +236,16 @@ func (x *Exchanger) post(t int, rows []row) {
 	}
 }
 
-// Finish blocks until the phase in flight has arrived and unpacks it into
-// the halo of time buffer t (nothing when no phase is in flight).
+// Finish receives the phase in flight, blocking until each message has
+// arrived, and unpacks it into the halo of time buffer t (nothing when no
+// phase is in flight).
 func (x *Exchanger) Finish(t int) {
 	buf := x.f.Buf(t)
 	tid := x.stream + 1
 	for i := range x.inflight {
 		r := &x.inflight[i]
 		sp := obs.BeginStream(x.rank, tid, obs.PhaseWait, t)
-		r.req.Wait()
+		x.cart.Recv(r.nbr, r.recvTag, r.recvBuf)
 		sp.End()
 		sp = obs.BeginStream(x.rank, tid, obs.PhaseUnpack, t)
 		buf.Unpack(r.recvReg, r.recvBuf)
@@ -266,18 +263,6 @@ func (x *Exchanger) Start(t int) {
 			x.Finish(t)
 		}
 	}
-}
-
-// Progress prods the progress engine (MPI_Test) and reports whether every
-// receive Start left pending has arrived.
-func (x *Exchanger) Progress() bool {
-	all := true
-	for i := range x.inflight {
-		if !x.inflight[i].req.Test() {
-			all = false
-		}
-	}
-	return all
 }
 
 // Exchange synchronously updates the halo of time buffer t.

@@ -58,7 +58,8 @@ type HaloSpot struct {
 type HaloUpdateCall struct {
 	Fields []ir.HaloReq
 	Mode   halo.Mode
-	// Async marks overlap-mode updates (Isend/Irecv without wait).
+	// Async marks overlap-mode updates: sent here, received at the
+	// matching HaloWaitCall.
 	Async bool
 }
 
@@ -67,8 +68,8 @@ type HaloWaitCall struct {
 	Fields []ir.HaloReq
 }
 
-// OverlapSection is the full-mode structure: start exchange, compute CORE
-// (with MPI_Test progress prods between tiles), wait, compute REMAINDER.
+// OverlapSection is the full-mode structure: start exchange, compute CORE,
+// wait, compute REMAINDER.
 type OverlapSection struct {
 	Update    HaloUpdateCall
 	Core      LoopNest

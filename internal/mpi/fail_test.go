@@ -32,8 +32,8 @@ func within(t *testing.T, d time.Duration, f func() error) error {
 // returned error, before or after the world's first exchange — while
 // every other rank waits on its right-hand neighbour: a chain whose last
 // link is the dead rank, so ranks that never talk to it must unwind too.
-// Even ranks block in Recv, odd ranks in a posted Irecv's Wait (the halo
-// exchangers' blocking point).
+// Every live rank blocks in Recv, where the halo exchangers' Finish
+// blocks.
 func failingBody(bad int, byPanic, afterExchange bool) func(c *Comm) error {
 	return func(c *Comm) error {
 		if afterExchange {
@@ -48,13 +48,7 @@ func failingBody(bad int, byPanic, afterExchange bool) func(c *Comm) error {
 			return errors.New("boom")
 		}
 		buf := make([]float32, 1)
-		next := (c.Rank() + 1) % c.Size()
-		if c.Rank()%2 == 0 {
-			c.Recv(next, 7, buf)
-		} else {
-			r := c.Irecv(next, 7, buf)
-			r.Wait()
-		}
+		c.Recv((c.Rank()+1)%c.Size(), 7, buf)
 		return nil
 	}
 }

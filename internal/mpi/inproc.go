@@ -387,15 +387,6 @@ func (t *inprocTransport) Recv(src, tag int, buf []float32) (int, error) {
 	return n, nil
 }
 
-// TryRecv polls the source mailbox.
-func (t *inprocTransport) TryRecv(src, tag int, buf []float32) (int, bool, error) {
-	n, ok, err := t.world.mailboxes[src][t.rank].tryPop(tag, buf)
-	if err != nil {
-		return 0, false, fmt.Errorf("recv from rank %d tag %d: %w", src, tag, err)
-	}
-	return n, ok, nil
-}
-
 // Stats returns the calling rank's accounting.
 func (t *inprocTransport) Stats() Stats { return t.world.stats[t.rank].snapshot() }
 

@@ -1,6 +1,9 @@
 package mpi
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -81,10 +84,11 @@ func WriteHostfile(path string, addrs []string) error {
 // waits for all of them: the command is argv re-executed verbatim with
 // the rendezvous environment (DEVIGO_RANKS, DEVIGO_RANK,
 // DEVIGO_HOSTFILE) appended, so the child recognizes itself as a rank
-// via TCPFromEnv. Children inherit stdout/stderr; the first failure's
-// error is returned after every child has exited (no child is left
-// behind — a dead rank trips the peers' receive deadlines, which exits
-// them too).
+// via TCPFromEnv. Children share stdout; their stderr is held until every
+// child has exited (a dead rank trips its peers' receives, which exits
+// them too) and then forwarded in rank order. A failed launch forwards
+// none and returns one *RankFailure: the lowest rank that failed on its
+// own, or the lowest one when every failed rank exited ExitPeerFailed.
 func LaunchTCPLocal(n int, argv []string) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: tcp: world size %d < 1", n)
@@ -108,6 +112,7 @@ func LaunchTCPLocal(n int, argv []string) error {
 	}
 
 	cmds := make([]*exec.Cmd, n)
+	stderr := make([]bytes.Buffer, n)
 	for r := 0; r < n; r++ {
 		cmd := exec.Command(argv[0], argv[1:]...)
 		cmd.Env = append(os.Environ(),
@@ -116,7 +121,7 @@ func LaunchTCPLocal(n int, argv []string) error {
 			fmt.Sprintf("%s=%s", HostfileEnvVar, hostfile),
 		)
 		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
+		cmd.Stderr = &stderr[r]
 		if err := cmd.Start(); err != nil {
 			for _, c := range cmds[:r] {
 				c.Process.Kill()
@@ -126,11 +131,46 @@ func LaunchTCPLocal(n int, argv []string) error {
 		}
 		cmds[r] = cmd
 	}
-	var firstErr error
+	var own, peer *RankFailure
 	for r, cmd := range cmds {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("mpi: tcp: rank %d: %w", r, err)
+		err := cmd.Wait()
+		if err == nil {
+			continue
+		}
+		f := &RankFailure{Rank: r, Err: err, Stderr: stderr[r].String()}
+		var ee *exec.ExitError
+		if errors.As(err, &ee) && ee.ExitCode() == ExitPeerFailed {
+			peer = cmp.Or(peer, f)
+		} else {
+			own = cmp.Or(own, f)
 		}
 	}
-	return firstErr
+	if f := cmp.Or(own, peer); f != nil {
+		return f
+	}
+	for r := range stderr {
+		os.Stderr.Write(stderr[r].Bytes())
+	}
+	return nil
+}
+
+// ExitPeerFailed is the exit status of a rank process whose failure only
+// follows another rank's: its error is ErrPeerFailed.
+const ExitPeerFailed = 2
+
+// RankFailure is a rank process that LaunchTCPLocal saw fail. Its text is
+// the rank's own report — its stderr — or its exit status when it wrote
+// none.
+type RankFailure struct {
+	Rank   int
+	Err    error
+	Stderr string
+}
+
+// Error returns the rank's report.
+func (f *RankFailure) Error() string {
+	if s := strings.TrimSpace(f.Stderr); s != "" {
+		return s
+	}
+	return fmt.Sprintf("mpi: tcp: rank %d: %v", f.Rank, f.Err)
 }

@@ -1,7 +1,9 @@
 // Package mpi implements a message-passing runtime with MPI semantics:
 // point-to-point messages are matched by (source, tag) in posting order,
-// and the usual blocking/nonblocking operations, collectives and
-// Cartesian communicators are provided.
+// and blocking sends and receives, collectives and Cartesian
+// communicators are provided. Both transports deliver without the
+// receiver's help, so there is no nonblocking receive and no progress to
+// prod: a receive happens where the caller waits for it.
 //
 // Delivery is pluggable behind the Transport interface. The default
 // in-process transport runs every rank as a goroutine of one world —
@@ -94,8 +96,8 @@ func (c *Comm) checkRank(r int) {
 	}
 }
 
-// opError is the panic value of a failed Comm or Request operation. It
-// names no rank: runRank names the failing rank once, "mpi: rank r: …".
+// opError is the panic value of a failed Comm operation. It names no
+// rank: runRank names the failing rank once, "mpi: rank r: …".
 type opError struct{ err error }
 
 func (e *opError) Error() string { return e.err.Error() }
@@ -130,14 +132,15 @@ func runRank(c *Comm, body func(c *Comm) error) (err error) {
 	return nil
 }
 
-// errPeerFailed marks a failure that only follows another rank's: the
-// in-process world's poison and a TCP rank's lost connection.
-var errPeerFailed = errors.New("mpi: a peer failed")
+// ErrPeerFailed marks a failure that only follows another rank's: the
+// in-process world's poison and a TCP rank's lost connection. A rank
+// process it fails exits ExitPeerFailed.
+var ErrPeerFailed = errors.New("mpi: a peer failed")
 
-// peerFailure marks err with errPeerFailed, keeping its text.
+// peerFailure marks err with ErrPeerFailed, keeping its text.
 type peerFailure struct{ error }
 
-func (e peerFailure) Unwrap() []error { return []error{e.error, errPeerFailed} }
+func (e peerFailure) Unwrap() []error { return []error{e.error, ErrPeerFailed} }
 
 // runWorld is the one spawn / recover / collect implementation behind
 // World.Run, RunRanks and RunTCPLocal. open establishes rank r's Comm and
@@ -146,7 +149,7 @@ func (e peerFailure) Unwrap() []error { return []error{e.error, errPeerFailed} }
 // every peer's pending and future receives fail (the in-process world
 // poisons its mailboxes, a TCP rank drops its connections). Once every
 // rank has ended it returns the lowest rank's own failure — not a peer's
-// errPeerFailed unwinding, unless no other failure exists — so the root
+// ErrPeerFailed unwinding, unless no other failure exists — so the root
 // cause named is the same on every run.
 func runWorld(n int, open func(rank int) (*Comm, func(error), error), body func(c *Comm) error) error {
 	var wg sync.WaitGroup
@@ -168,7 +171,7 @@ func runWorld(n int, open func(rank int) (*Comm, func(error), error), body func(
 	wg.Wait()
 	var first error
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, errPeerFailed) {
+		if err != nil && !errors.Is(err, ErrPeerFailed) {
 			return err
 		}
 		if first == nil {

@@ -460,15 +460,6 @@ func (t *TCPTransport) Recv(src, tag int, buf []float32) (int, error) {
 	return n, nil
 }
 
-// TryRecv polls the source inbox.
-func (t *TCPTransport) TryRecv(src, tag int, buf []float32) (int, bool, error) {
-	n, ok, err := t.inbox[src].tryPop(tag, buf)
-	if err != nil {
-		return 0, false, fmt.Errorf("tcp recv from rank %d tag %d: %w", src, tag, err)
-	}
-	return n, ok, nil
-}
-
 // Stats returns the calling rank's accounting.
 func (t *TCPTransport) Stats() Stats { return t.stats.snapshot() }
 

@@ -19,9 +19,8 @@ package mpi
 //
 // # Buffer ownership
 //
-// A receive copies into the caller's buffer, as MPI_Recv and MPI_Irecv
-// do: Recv and TryRecv fill buf with the matched payload and return its
-// element count. A payload longer than buf is consumed and reported as an
+// A receive copies into the caller's buffer, as MPI_Recv does: Recv
+// fills buf with the matched payload and returns its element count. A payload longer than buf is consumed and reported as an
 // error naming the source, the tag and both lengths.
 //
 // A send snapshots the payload *before Send returns* (post-time
@@ -58,9 +57,6 @@ type Transport interface {
 	// hung peer into a deadline error instead of blocking forever. Every
 	// error names src and tag.
 	Recv(src, tag int, buf []float32) (int, error)
-	// TryRecv receives the oldest matching message into buf if one has
-	// already been delivered, without blocking.
-	TryRecv(src, tag int, buf []float32) (int, bool, error)
 	// Stats returns the calling rank's accounting.
 	Stats() Stats
 	// Close tears the transport down; subsequent and in-flight

@@ -87,10 +87,6 @@ func TestConformanceProcNull(t *testing.T) {
 		if buf[0] != -1 || buf[1] != -1 {
 			failf("Recv from ProcNull wrote into buf: %v", buf)
 		}
-		r := c.Irecv(ProcNull, 1, buf)
-		if !r.Done() || r.Wait() != 0 {
-			failf("Irecv from ProcNull must be born complete with count 0")
-		}
 	})
 }
 
@@ -157,13 +153,12 @@ func TestConformanceTruncationNamesRankSourceAndTag(t *testing.T) {
 					if n := c.Recv(0, 5, buf); n != 1 || buf[0] != 7 {
 						failf("message after the truncated one: %v", buf[:n])
 					}
-					r := c.Irecv(0, 6, make([]float32, 3))
-					r.Wait()
-					failf("a 4-element message completed a 3-element Irecv")
+					c.Recv(0, 6, make([]float32, 3))
+					failf("a 4-element message completed a 3-element Recv")
 				}
 			})
 			if err == nil {
-				t.Fatal("a truncated Irecv did not fail its world")
+				t.Fatal("a truncated Recv did not fail its world")
 			}
 			if msg := err.Error(); msg != want[tr.name] {
 				t.Errorf("world error %q, want %q", msg, want[tr.name])
@@ -240,27 +235,22 @@ func TestConformanceRecycledPayloadsNeverAlias(t *testing.T) {
 }
 
 func TestConformanceWaitallInterleavedDepthTags(t *testing.T) {
-	// The deep-halo exchanger posts one Irecv per (stream, offset) pair
-	// across several depth streams before any send, then waits on all. The
-	// tags interleave arbitrarily on the wire; completion must sort
-	// them out.
+	// A tile head sends every depth stream's slab, then its Finish
+	// receives them stream by stream. The tags interleave arbitrarily on
+	// the wire; matching by tag must sort them out.
 	const k = 4
 	forEachTransport(t, 2, func(c *Comm) {
 		peer := 1 - c.Rank()
-		bufs := make([][]float32, k)
-		reqs := make([]Request, k)
-		for s := 0; s < k; s++ {
-			bufs[s] = make([]float32, 3)
-			reqs[s] = c.Irecv(peer, OffsetTag(s, []int{1, 0, 0}), bufs[s])
-		}
 		// Send depth streams in reverse order so arrival order fights
-		// the posting order of the receives.
+		// the order of the receives.
 		for s := k - 1; s >= 0; s-- {
 			v := float32(10*c.Rank() + s)
 			c.Send(peer, OffsetTag(s, []int{1, 0, 0}), []float32{v, v, v})
 		}
-		for i := range reqs {
-			reqs[i].Wait()
+		bufs := make([][]float32, k)
+		for s := 0; s < k; s++ {
+			bufs[s] = make([]float32, 3)
+			c.Recv(peer, OffsetTag(s, []int{1, 0, 0}), bufs[s])
 		}
 		for s := 0; s < k; s++ {
 			want := float32(10*peer + s)

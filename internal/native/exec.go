@@ -332,9 +332,8 @@ type scratch struct {
 // Run executes the fused program at every point of the box for logical
 // timestep t. The shared tile driver gives it the engine execution
 // contract exactly — row-major point order, equations in program order on
-// each row, tiling over the outer dimension, worker-pool parallelism and
-// the Progress prod between tiles — so all halo-exchange modes run
-// unchanged. Between Prime and Unprime a box inside the primed one runs
+// each row, tiling over the outer dimension and worker-pool parallelism
+// — so all halo-exchange modes run unchanged. Between Prime and Unprime a box inside the primed one runs
 // the steady template, reading the hoisted rows; every other Run runs
 // every segment.
 func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {

@@ -30,7 +30,7 @@ type ExecConfig struct {
 	Mode halo.Mode
 	// Workers is the worker-pool size (simulated OpenMP threads).
 	Workers int
-	// TileRows is the outer-dimension tile height (progress granularity).
+	// TileRows is the outer-dimension tile height (the pool's unit of work).
 	TileRows int
 	// TimeTile is the halo-exchange interval k: deep ghost regions
 	// exchanged once every k steps with redundant shell recompute in
@@ -147,10 +147,11 @@ type Host struct {
 	// neighbour rather than once per stream.
 	SharedMessages bool
 	// OverlapEff is the fraction of communication full mode hides under
-	// CORE computation (progress is only prodded between tiles).
+	// CORE computation.
 	OverlapEff float64
 	// ProgressLoss is the fraction of a rank's compute capacity full mode
-	// gives to the communication progress thread, which slows CORE.
+	// gives to a communication progress thread, which slows CORE: the
+	// paper's clusters sacrifice one thread per rank to MPI_Test prods.
 	ProgressLoss float64
 	// StridePenalty multiplies per-point cost in REMAINDER slabs
 	// (non-contiguous accesses on the thin boundary boxes).
@@ -186,7 +187,7 @@ func DefaultHost() Host {
 		BasicPhasePenalty: 1.6,
 		SharedMessages:    false, // every stream is its own message
 		OverlapEff:        0.5,
-		ProgressLoss:      0, // progress is prodded by the workers themselves
+		ProgressLoss:      0, // both transports deliver without the receiver: no progress thread
 		StridePenalty:     1.5,
 	}
 }

@@ -91,9 +91,9 @@ func returnsWithin(t *testing.T, d time.Duration, f func() error) error {
 }
 
 // A rank that dies mid-run — after exchanges have already completed —
-// while its three peers sit in the next halo exchange (a blocking Recv
-// under basic, a posted Irecv's Wait under full) fails the world with its
-// own error.
+// while its three peers sit in the next halo exchange (a blocking Recv in
+// the exchanger's Finish, under every mode) fails the world with its own
+// error.
 func TestFailedRankUnblocksHaloExchange(t *testing.T) {
 	shape := []int{24, 24}
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {

@@ -126,7 +126,7 @@ func TestPoolMatchesSerialBitExact(t *testing.T) {
 
 func TestWorkerCountInvariance_DMP(t *testing.T) {
 	// Workers-within-rank composed with ranks: a 4-rank full-overlap run
-	// (worker 0 doubling as the progress engine) must stay bit-identical
+	// must stay bit-identical
 	// across worker counts at both exchange intervals.
 	for _, k := range []int{1, 4} {
 		var refNorm float64

@@ -11,8 +11,7 @@ import (
 const MaxDims = 3
 
 // TileRows is the outer-dimension tile height every operator runs with:
-// the unit of work the pool hands out and the granularity at which full
-// mode's Progress hook is prodded. No other height beat it outside
+// the unit of work the pool hands out. No other height beat it outside
 // run-to-run noise on any measured group, so it is not a setting.
 const TileRows = 8
 
@@ -22,11 +21,9 @@ type ExecOpts struct {
 	// operator sizes its Pool from it). The tile driver itself takes its
 	// team from Pool: a Run without a Pool is serial.
 	Workers int
-	// TileRows is the number of outer-dimension rows per tile; the
-	// Progress hook runs between tiles. <=0 disables tiling (one tile).
+	// TileRows is the number of outer-dimension rows per tile. <=0
+	// disables tiling (one tile).
 	TileRows int
-	// Progress is prodded between tiles (full mode's MPI_Test call site).
-	Progress func()
 	// Pool is the persistent worker team tiles are dispatched to; nil (or
 	// a team of one) runs every tile on the calling goroutine.
 	Pool *Pool
@@ -258,8 +255,7 @@ func NewDriver[S any](bd *Binding) *Driver[S] {
 // Run executes x at every point of the box for logical timestep t, with
 // the scalars bound via syms. Points run in row-major order; equations run
 // in program order on each row. Tiles of opts.TileRows outer-dimension
-// rows go to opts.Pool (serial without one), and opts.Progress is prodded
-// between tiles.
+// rows go to opts.Pool (serial without one).
 func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOpts) {
 	if b.Empty() {
 		return
@@ -297,7 +293,7 @@ func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOp
 
 	d.exec, d.box, d.syms, d.tileRows = x, b, syms, tileRows
 	ntiles := (outer + tileRows - 1) / tileRows
-	o.Pool.Run(d, ntiles, t, o.Progress)
+	o.Pool.Run(d, ntiles, t)
 }
 
 // RunTile executes one tile — a band of tileRows outer-dimension rows —

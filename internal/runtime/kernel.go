@@ -2,8 +2,7 @@
 // of the JIT-compiled C code. Clusters are compiled to a compact
 // stack-machine program per equation; the executor runs the program over a
 // tiled loop nest with optional worker-pool parallelism (the stand-in for
-// OpenMP threads) and a progress hook between tiles (the stand-in for the
-// MPI_Test prods of the full communication pattern).
+// OpenMP threads).
 package runtime
 
 import (

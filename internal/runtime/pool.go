@@ -31,10 +31,7 @@ type Task interface {
 // tile.
 //
 // Run must be called from one goroutine at a time (the operator's step
-// loop is sequential); the caller doubles as worker 0 and as the
-// progress engine for full-mode overlap, prodding the progress hook
-// between its own tiles exactly like the sacrificed OpenMP thread of the
-// paper's MPI+X full mode.
+// loop is sequential); the caller doubles as worker 0.
 type Pool struct {
 	workers int
 	rank    int
@@ -145,7 +142,7 @@ func (p *Pool) park(w int) {
 		p.mu.Unlock()
 
 		sp := obs.BeginStream(p.rank, obs.WorkerStream(w), obs.PhaseWorker, step)
-		p.work(task, w, ntiles, nil)
+		p.work(task, w, ntiles)
 		sp.End()
 
 		p.mu.Lock()
@@ -158,27 +155,19 @@ func (p *Pool) park(w int) {
 }
 
 // work runs worker w's static stripe: tiles w, w+W, w+2W, ...
-func (p *Pool) work(task Task, w, ntiles int, progress func()) {
+func (p *Pool) work(task Task, w, ntiles int) {
 	for tile := w; tile < ntiles; tile += p.workers {
 		task.RunTile(w, tile)
-		if progress != nil {
-			progress()
-		}
 	}
 }
 
 // Run executes tiles 0..ntiles-1 of the task across the team and returns
-// when all have completed. step labels the dispatch's trace spans;
-// progress, when non-nil, is prodded by worker 0 between its tiles and
-// once before the join (the full-overlap progress engine). Allocation-free
-// in steady state.
-func (p *Pool) Run(task Task, ntiles, step int, progress func()) {
+// when all have completed. step labels the dispatch's trace spans.
+// Allocation-free in steady state.
+func (p *Pool) Run(task Task, ntiles, step int) {
 	if p == nil || p.workers <= 1 || ntiles <= 1 || p.closed.Load() {
 		for tile := 0; tile < ntiles; tile++ {
 			task.RunTile(0, tile)
-			if progress != nil {
-				progress()
-			}
 		}
 		return
 	}
@@ -190,11 +179,8 @@ func (p *Pool) Run(task Task, ntiles, step int, progress func()) {
 	p.mu.Unlock()
 
 	sp := obs.BeginStream(p.rank, obs.WorkerStream(0), obs.PhaseWorker, step)
-	p.work(task, 0, ntiles, progress)
+	p.work(task, 0, ntiles)
 	sp.End()
-	if progress != nil {
-		progress()
-	}
 
 	t0 := time.Now()
 	p.mu.Lock()
@@ -252,10 +238,10 @@ func (p *Pool) SyncCost() float64 {
 	}
 	p.syncOnce.Do(func() {
 		var tk noopTask
-		p.Run(&tk, p.workers, 0, nil) // warm the parked team
+		p.Run(&tk, p.workers, 0) // warm the parked team
 		t0 := time.Now()
 		for i := 0; i < syncCostRounds; i++ {
-			p.Run(&tk, p.workers, 0, nil)
+			p.Run(&tk, p.workers, 0)
 		}
 		p.syncCost = time.Since(t0).Seconds() / syncCostRounds
 	})

@@ -50,7 +50,7 @@ func TestPoolCoversAllTilesExactlyOnce(t *testing.T) {
 		for _, ntiles := range []int{1, 2, 7, 13, 64} {
 			p := NewPool(workers, 0)
 			rt := newRecordTask(ntiles)
-			p.Run(rt, ntiles, 0, nil)
+			p.Run(rt, ntiles, 0)
 			rt.check(t, ntiles)
 			p.Close()
 		}
@@ -65,7 +65,7 @@ func TestPoolStaticPartitionIsDeterministic(t *testing.T) {
 	defer p.Close()
 	for step := 0; step < 5; step++ {
 		rt := newRecordTask(ntiles)
-		p.Run(rt, ntiles, step, nil)
+		p.Run(rt, ntiles, step)
 		rt.checkOwners(t, ntiles, workers)
 	}
 }
@@ -91,7 +91,7 @@ func TestPoolSlowWorkerKeepsItsStripe(t *testing.T) {
 	defer p.Close()
 	rt := newRecordTask(ntiles)
 	rt.slowWorker = 1
-	p.Run(rt, ntiles, 0, nil)
+	p.Run(rt, ntiles, 0)
 	rt.checkOwners(t, ntiles, workers)
 }
 
@@ -101,27 +101,11 @@ func TestPoolDispatchAllocs(t *testing.T) {
 	p := NewPool(4, 0)
 	defer p.Close()
 	rt := newRecordTask(16)
-	p.Run(rt, 16, 0, nil) // warm
+	p.Run(rt, 16, 0) // warm
 	if avg := testing.AllocsPerRun(50, func() {
-		p.Run(rt, 16, 1, nil)
+		p.Run(rt, 16, 1)
 	}); avg != 0 {
 		t.Errorf("dispatch allocates %.1f objects/run, want 0", avg)
-	}
-}
-
-func TestPoolProgressRunsOnCaller(t *testing.T) {
-	// progress is the full-mode overlap hook: prodded by worker 0 between
-	// its tiles and once before the join. It runs only on the calling
-	// goroutine, so a plain counter is race-free.
-	const workers, ntiles = 4, 16
-	p := NewPool(workers, 0)
-	defer p.Close()
-	rt := newRecordTask(ntiles)
-	calls := 0
-	p.Run(rt, ntiles, 0, func() { calls++ })
-	// Worker 0 owns ceil(16/4) = 4 tiles, plus the pre-join prod.
-	if calls != 5 {
-		t.Fatalf("progress called %d times, want 5", calls)
 	}
 }
 
@@ -138,7 +122,7 @@ func TestPoolInlineFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rt := newRecordTask(8)
-		tc.pool.Run(rt, 8, 0, nil)
+		tc.pool.Run(rt, 8, 0)
 		rt.check(t, 8)
 		for i := 0; i < 8; i++ {
 			if got := int(rt.owner[i].Load()); got != 0 {
@@ -150,7 +134,7 @@ func TestPoolInlineFallbacks(t *testing.T) {
 	p := NewPool(4, 0)
 	defer p.Close()
 	rt := newRecordTask(1)
-	p.Run(rt, 1, 0, nil)
+	p.Run(rt, 1, 0)
 	rt.check(t, 1)
 	if got := int(rt.owner[0].Load()); got != 0 {
 		t.Fatalf("single tile ran on worker %d, want caller (0)", got)
@@ -190,8 +174,8 @@ func TestPoolStatsAccumulate(t *testing.T) {
 	defer p.Close()
 	rt := newRecordTask(8)
 	before := p.Stats()
-	p.Run(rt, 8, 0, nil)
-	p.Run(rt, 8, 1, nil)
+	p.Run(rt, 8, 0)
+	p.Run(rt, 8, 1)
 	st := p.Stats()
 	if st.Dispatches-before.Dispatches != 2 {
 		t.Fatalf("dispatches delta = %d, want 2", st.Dispatches-before.Dispatches)
