@@ -288,7 +288,7 @@ func benchHaloExchange(b *testing.B, mode halo.Mode) {
 		if err != nil {
 			panic(err)
 		}
-		ex := halo.New(mode, cart, f, 0)
+		ex := halo.NewDepth(mode, cart, f, 0, nil)
 		barrier(c)
 		if c.Rank() == 0 {
 			b.ResetTimer()

@@ -31,9 +31,9 @@ func (op *Operator) FlopsPerPointOptimized() int {
 	return total
 }
 
-// HaloStreamCount returns the number of per-timestep halo exchanges after
-// the drop/hoist/merge passes (the (field, timeOffset) pairs exchanged in
-// the steady state of the time loop).
+// HaloStreamCount returns the number of (field, timeOffset) pairs
+// exchanged per timestep in the steady state of the time loop, after the
+// drop/hoist/merge passes.
 func (op *Operator) HaloStreamCount() int {
 	n := 0
 	for _, st := range op.Schedule.Steps {

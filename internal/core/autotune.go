@@ -80,8 +80,10 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 	// it, so reporting the active plan's deep depth here would
 	// double-count and overcharge the k=1 candidates.
 	width := 0
-	for name := range op.exchanged {
-		width = max(width, slices.Max(op.Fields[name].BaseHalo))
+	for _, sw := range append([]sweep{op.prog.preamble}, op.prog.sweeps...) {
+		for _, h := range sw.reqs {
+			width = max(width, slices.Max(op.Fields[h.Field].BaseHalo))
+		}
 	}
 	stride, streams := op.tileProfile()
 	// The k axis opens only once an interval > 1 was provisioned at

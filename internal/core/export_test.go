@@ -12,17 +12,10 @@ type ProgramSweep struct {
 // consistency test (package core_test imports the propagators, which this
 // package cannot).
 func (op *Operator) Program() (k int, preamble []ir.HaloReq, sweeps []ProgramSweep) {
-	reqs := func(xs []exchange) []ir.HaloReq {
-		var out []ir.HaloReq
-		for _, x := range xs {
-			out = append(out, x.req)
-		}
-		return out
-	}
 	for _, sw := range op.prog.sweeps {
-		sweeps = append(sweeps, ProgramSweep{Halos: reqs(sw.halos), Overlap: sw.overlap})
+		sweeps = append(sweeps, ProgramSweep{Halos: sw.reqs, Overlap: sw.overlap})
 	}
-	return op.prog.k, reqs(op.prog.preamble), sweeps
+	return op.prog.k, op.prog.preamble.reqs, sweeps
 }
 
 // ApplyCIRE exposes the CIRE pass to the external construction tests.

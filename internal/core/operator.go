@@ -127,8 +127,6 @@ type Operator struct {
 	// the autotuner's k-axis open. Default operators keep the classic
 	// exchange-every-step candidate space.
 	tileProvisioned bool
-	// exchanged is the set of fields the program holds an exchanger for.
-	exchanged map[string]bool
 	// seenHalo records every field's allocated ghost width when the program
 	// and the source were last derived from the tree, so Apply can detect a
 	// sibling operator growing shared storage (see ensureExchangers).

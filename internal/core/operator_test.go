@@ -622,6 +622,18 @@ func TestSteadyStepAllocatesNothing(t *testing.T) {
 // and 4 and on one and two workers: a step's exchanges — payloads and
 // the full pattern's CORE split — allocate nothing, so one step and ten
 // cost the same.
+//
+// The Go runtime can still allocate on a loaded host that collects
+// often. On a 2-vCPU host, beside two CPU-bound processes at GOGC=5,
+// basic/k4/w2 failed in 2 of 1000 runs, and in 0 of 2000 without them
+// (4 objects for 1 step, 5 for 10). A -memprofilerate=1 heap profile of
+// the measured Applies of one failing run held the test's own 60
+// ApplyOpts and maps, plus 14 sudogs (96 B): runtime.acquireSudog under
+// sync.Cond.Wait, 9 in runtime.(*Pool).Run and 5 in mpi.(*mailbox).pop.
+// The runtime allocates a sudog when a processor's cache and the central
+// one are both empty, and every collection empties the central one. The
+// rest was one queue slot, one free-list slot and one payload, as the
+// ranks drifted further apart.
 func TestDMPStepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for its own bookkeeping")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"devigo/internal/halo"
@@ -17,25 +18,20 @@ import (
 // OverlapSection or TimeTile.Update of op.Tree, and a nest overlaps its
 // exchange exactly when the tree says so.
 
-// exchange is one halo update of the program: the requirement a tree node
-// names, bound to the exchanger that performs it.
-type exchange struct {
-	req ir.HaloReq
-	ex  *halo.Exchanger
-}
-
 // sweep is one loop nest of the timestep body (sweep i runs kernel i of
-// schedule step i) with the exchanges that must complete before its
-// non-CORE points are computed.
+// schedule step i) with the exchange that must complete before its
+// non-CORE points are computed: the requirements its tree nodes name and
+// the one exchanger that fills them all (nil when it exchanges nothing).
 type sweep struct {
-	halos []exchange
-	// overlap is set when the tree posts the exchanges asynchronously
+	reqs []ir.HaloReq
+	ex   *halo.Exchanger
+	// overlap is set when the tree posts the exchange asynchronously
 	// around the nest's CORE section (an OverlapSection, or the first nest
 	// of a TimeTile whose Update is async).
 	overlap bool
 	// The rest is step's scratch, built on first use and reused by every
 	// later step, so a steady step allocates none of it: core holds the
-	// CORE box an overlapped sweep computes while its exchanges are in
+	// CORE box an overlapped sweep computes while its exchange is in
 	// flight, and after and shell are refilled in place by remainderBoxes.
 	core         []runtime.Box
 	after, shell []runtime.Box
@@ -43,9 +39,9 @@ type sweep struct {
 
 // program is the flattened op.Tree.
 type program struct {
-	// preamble holds the once-per-Apply exchanges placed before the time
-	// loop.
-	preamble []exchange
+	// preamble is the once-per-Apply exchange placed before the time loop:
+	// a sweep that computes nothing.
+	preamble sweep
 	// k is the tile length: 1 for a TimeLoop, TimeTile.K otherwise. Only a
 	// tile's first substep performs its sweeps' exchanges.
 	k      int
@@ -93,71 +89,72 @@ func (op *Operator) lower() {
 }
 
 // flatten reads the program off op.Tree, instantiating one exchanger per
-// distinct (field, timeOff) requirement at the operator's current mode
-// and exchange depth. Distinct streams per requirement are essential
-// under the overlapped pattern: a tile head posts every deep exchange at
-// once, and two in-flight exchanges of different time buffers of one field
-// must not cross-match tags or share receive buffers. Streams are numbered
-// in tree order, so tags agree across ranks and across rebuilds.
+// exchange point — the preamble, and each sweep that exchanges — at the
+// operator's current mode and exchange depths. The exchanger fills every
+// (field, time offset) requirement the point names, once however often it
+// is named, with one message per neighbour per phase. Each point has its
+// own stream: a tile head posts its deep exchange while another point's
+// may still be in flight, and the two must not cross-match tags or share
+// receive buffers. Streams are numbered in tree order, so tags agree
+// across ranks and across rebuilds.
 func (op *Operator) flatten() {
-	op.exchanged = map[string]bool{}
-	table := map[ir.HaloReq]exchange{}
-	bind := func(reqs []ir.HaloReq) []exchange {
-		var out []exchange
+	streams := 0
+	bind := func(reqs []ir.HaloReq, overlap bool) sweep {
+		sw := sweep{overlap: overlap}
+		var parts []halo.Part
 		for _, h := range reqs {
-			e, ok := table[h]
-			if !ok {
-				f, okF := op.Fields[h.Field]
-				if !okF {
-					continue
-				}
-				e = exchange{req: h, ex: halo.NewDepth(op.mode, op.ctx.Cart, f, len(table), op.exchangeDepth(h.Field))}
-				table[h] = e
-				op.exchanged[h.Field] = true
+			f, ok := op.Fields[h.Field]
+			if !ok || slices.Contains(sw.reqs, h) {
+				continue
 			}
-			out = append(out, e)
+			sw.reqs = append(sw.reqs, h)
+			parts = append(parts, halo.Part{F: f, TimeOff: h.TimeOff, Depth: op.exchangeDepth(h.Field)})
 		}
-		return out
+		if len(parts) > 0 {
+			sw.ex = halo.NewParts(op.mode, op.ctx.Cart, streams, parts)
+			streams++
+		}
+		return sw
 	}
 	pr := program{k: 1}
-	nests := func(body []iet.Node, pending []exchange, overlap bool) {
+	nests := func(body []iet.Node, pending []ir.HaloReq, overlap bool) {
 		for _, n := range body {
 			switch v := n.(type) {
 			case iet.HaloUpdateCall:
-				pending = append(pending, bind(v.Fields)...)
+				pending = append(pending, v.Fields...)
 			case iet.OverlapSection:
-				pr.sweeps = append(pr.sweeps, sweep{halos: bind(v.Update.Fields), overlap: true})
+				pr.sweeps = append(pr.sweeps, bind(v.Update.Fields, true))
 			case iet.LoopNest:
-				pr.sweeps = append(pr.sweeps, sweep{halos: pending, overlap: overlap})
+				pr.sweeps = append(pr.sweeps, bind(pending, overlap))
 				pending, overlap = nil, false
 			}
 		}
 	}
 	for _, n := range op.Tree.Body {
 		switch v := n.(type) {
-		case iet.HaloUpdateCall:
-			pr.preamble = append(pr.preamble, bind(v.Fields)...)
+		case iet.HaloUpdateCall: // the one preamble update
+			pr.preamble = bind(v.Fields, false)
 		case iet.TimeLoop:
 			nests(v.Body, nil, false)
 		case iet.TimeTile:
 			pr.k = v.K
-			nests(v.Body, bind(v.Update.Fields), v.Update.Async)
+			nests(v.Body, slices.Clip(v.Update.Fields), v.Update.Async)
 		}
 	}
 	op.prog = pr
 }
 
-// runPreamble performs the program's once-per-run exchanges of
+// runPreamble performs the program's once-per-run exchange of
 // time-invariant fields: the schedule's hoisted parameters plus those the
-// time-tiling shell recompute reads in the ghost region. Their traffic is
+// time-tiling shell recompute reads in the ghost region. Its traffic is
 // classified as preamble (not steady-state) in the obs metrics.
 func (op *Operator) runPreamble() {
 	rank := op.ctx.rank()
 	obs.SetPreamble(rank, true)
 	sp := obs.Begin(rank, obs.PhaseExchange, -1)
 	start := time.Now()
-	for _, h := range op.prog.preamble {
-		h.ex.Exchange(h.req.TimeOff)
+	if ex := op.prog.preamble.ex; ex != nil {
+		ex.Exchange(0)
 	}
 	op.perf.HaloSeconds += time.Since(start).Seconds()
 	sp.End()
@@ -165,11 +162,11 @@ func (op *Operator) runPreamble() {
 }
 
 // step executes one timestep of the program. Every sweep is one
-// choreography — start its exchanges, compute while they are in flight,
-// finish them (the receives happen there), compute the rest
+// choreography — start its exchange, compute while it is in flight,
+// finish it (the receives happen there), compute the rest
 // of the sweep's box — and the tree only picks what is computed in flight:
 // CORE (owned shrunk by the cluster radius, so no read touches in-flight
-// halo data) where it overlaps the exchanges, nothing otherwise, which
+// halo data) where it overlaps the exchange, nothing otherwise, which
 // makes the exchange synchronous and the rest the whole box. remaining is
 // the number of steps left in this Apply including the current one — a
 // tile never outlives its Apply, so short windows (the gradient's
@@ -192,7 +189,7 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 	for si := range pr.sweeps {
 		sw := &pr.sweeps[si]
 		box := op.sweepBox(op.boxes[1+si], localShape, j, si)
-		// rest is what the exchanges must complete for, shell what follows it.
+		// rest is what the exchange must complete for, shell what follows it.
 		rest := box
 		var shell []runtime.Box
 		if pr.k > 1 {
@@ -207,26 +204,26 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 			}
 		}
 		// Only a tile's first substep exchanges.
-		halos := sw.halos
+		ex := sw.ex
 		if j > 0 {
-			halos = nil
+			ex = nil
 		}
-		// What runs while the exchanges are in flight, and what after: the
+		// What runs while the exchange is in flight, and what after: the
 		// tree says CORE and the rest peeled around it, or nothing and rest.
 		var inflight []runtime.Box
 		after := []runtime.Box{rest}
-		if sw.overlap && len(halos) > 0 {
+		if sw.overlap && ex != nil {
 			if sw.core == nil {
 				sw.core = []runtime.Box{coreBox(localShape, op.kernels[si].StencilRadius())}
 			}
 			sw.after = remainderBoxes(sw.after, rest, sw.core[0])
 			inflight, after = sw.core, sw.after
 		}
-		op.exchangeSection(t, halos, (*halo.Exchanger).Start)
+		op.exchangeSection(t, ex, (*halo.Exchanger).Start)
 		if inflight != nil {
 			op.computeSection(obs.PhaseCompute, t, si, bound[si], inflight, &op.execOpts)
 		}
-		op.exchangeSection(t, halos, (*halo.Exchanger).Finish)
+		op.exchangeSection(t, ex, (*halo.Exchanger).Finish)
 		op.computeSection(obs.PhaseCompute, t, si, bound[si], after, &op.execOpts)
 		if shell != nil {
 			op.computeSection(obs.PhaseShell, t, si, bound[si], shell, &op.execOpts)
@@ -235,17 +232,15 @@ func (op *Operator) step(t int, bound [][]float64, localShape []int, remaining i
 	op.tilePos = (j + 1) % op.tileLen
 }
 
-// exchangeSection runs one half of a sweep's exchanges inside one exchange
-// span, on the halo clock.
-func (op *Operator) exchangeSection(t int, halos []exchange, half func(*halo.Exchanger, int)) {
-	if len(halos) == 0 {
+// exchangeSection runs one half of a sweep's exchange (none when ex is
+// nil) inside one exchange span, on the halo clock.
+func (op *Operator) exchangeSection(t int, ex *halo.Exchanger, half func(*halo.Exchanger, int)) {
+	if ex == nil {
 		return
 	}
 	sp := obs.Begin(op.ctx.rank(), obs.PhaseExchange, t)
 	hs := time.Now()
-	for _, h := range halos {
-		half(h.ex, t+h.req.TimeOff)
-	}
+	half(ex, t)
 	op.perf.HaloSeconds += time.Since(hs).Seconds()
 	sp.End()
 }

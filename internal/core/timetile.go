@@ -210,8 +210,8 @@ func (op *Operator) CommStats() CommStats {
 	out := CommStats{TimeTile: op.TimeTile()}
 	k := float64(op.prog.k)
 	for _, sw := range op.prog.sweeps {
-		for _, h := range sw.halos {
-			m, b := h.ex.Traffic()
+		if sw.ex != nil {
+			m, b := sw.ex.Traffic()
 			out.MsgsPerStep += float64(m) / k
 			out.BytesPerStep += b / k
 		}

@@ -12,9 +12,10 @@
 // many phases (messages) and in whether the caller computes between Start
 // and Finish; one table-driven Exchanger runs them all. Full mode needs no
 // MPI_Test prods between CORE tiles: both transports deliver without the
-// receiver's help, so the receive happens in Finish. An Exchanger operates
-// on one field over one Cartesian communicator; the compiler instantiates
-// one per (field, time offset) requirement of an operator.
+// receiver's help, so the receive happens in Finish. An Exchanger fills
+// every (field, time offset) part of one exchange point over one Cartesian
+// communicator with one message per neighbour per phase; the compiler
+// instantiates one per exchange point of an operator.
 package halo
 
 import (
@@ -122,24 +123,34 @@ func messages(mode Mode, nd int) [][]message {
 	panic("halo: invalid mode")
 }
 
+// Part is one (field, time offset) an exchange fills: Start(t), Finish(t)
+// and Exchange(t) address the field's time buffer t+TimeOff, shipping a
+// ghost band Depth[d] points wide per side (nil: the full allocated width).
+type Part struct {
+	F       *field.Function
+	TimeOff int
+	Depth   []int
+}
+
 // row is one message of an exchanger's table, bound to this rank: the
 // neighbour, the tags (which encode the sender's direction of travel, so
-// the message from Neighbor(o) carries the tag of -o), the owned slab
-// packed into sendBuf and the ghost slab unpacked from recvBuf, which
-// Finish receives into.
+// the message from Neighbor(o) carries the tag of -o), each part's owned
+// slab, packed in part order into sendBuf, and each part's ghost slab,
+// unpacked from recvBuf, which Finish receives into.
 type row struct {
 	nbr              int
 	sendTag, recvTag int
-	sendReg, recvReg field.Region
+	sendReg, recvReg []field.Region
 	sendBuf, recvBuf []float32
 }
 
-// Exchanger fills one field's halo from its neighbours by walking a
-// message table built once: a mode is nothing but the table's
-// constructor. Exchange is the synchronous entry point; Start and Finish
-// split it around the last phase so the caller can compute while that
-// phase's messages are in flight (the full pattern's CORE overlap —
-// available, if not used, under every mode).
+// Exchanger fills the halos of an exchange point's parts from their
+// neighbours by walking a message table built once: a mode is nothing but
+// the table's constructor, and a neighbour gets one message per phase
+// whatever the number of parts. Exchange is the synchronous entry point;
+// Start and Finish split it around the last phase so the caller can
+// compute while that phase's messages are in flight (the full pattern's
+// CORE overlap — available, if not used, under every mode).
 //
 // Buffers are preallocated for every mode, so an exchange allocates
 // nothing. Table I lists basic's buffers as allocated at call time; that
@@ -147,54 +158,51 @@ type row struct {
 // perfmodel still prices it for the paper's clusters.
 type Exchanger struct {
 	cart   *mpi.CartComm
-	f      *field.Function
+	parts  []Part
 	rank   int
-	stream int
+	tid    int // the stream's obs trace track: stream + 1
 	phases [][]row
 	// inflight is the phase whose slabs are sent and not yet received
 	// (nil between exchanges).
 	inflight []row
 }
 
-// New constructs the exchanger for the given mode, exchanging the field's
-// full allocated ghost width. stream must be unique per (field, operator)
-// so concurrent exchanges cannot cross-match.
-func New(mode Mode, cart *mpi.CartComm, f *field.Function, stream int) *Exchanger {
-	return NewDepth(mode, cart, f, stream, nil)
+// NewDepth constructs the exchanger of one field's time buffer, shipping a
+// ghost band depth[d] points wide per side: NewParts with one part.
+func NewDepth(mode Mode, cart *mpi.CartComm, f *field.Function, stream int, depth []int) *Exchanger {
+	return NewParts(mode, cart, stream, []Part{{F: f, Depth: depth}})
 }
 
-// NewDepth constructs an exchanger shipping a ghost band depth[d] points
-// wide per side instead of the full allocated width — the deep-halo
-// exchanger of communication-avoiding time tiling (and, symmetrically, a
-// thinner-than-allocation exchange when only part of a deep halo needs
-// refreshing). nil depth means the full allocated width. depth must not
-// exceed the field's allocated halo, and a one-hop exchange additionally
-// requires depth not to exceed the smallest neighbouring chunk — both are
-// the caller's (the compiler's) responsibility when it picks the exchange
-// interval. The regions are fixed here: a field whose ghost storage grows
-// afterwards needs a new exchanger.
-func NewDepth(mode Mode, cart *mpi.CartComm, f *field.Function, stream int, depth []int) *Exchanger {
-	x := &Exchanger{cart: cart, f: f, stream: stream}
+// NewParts constructs the exchanger of one exchange point. A part's depth
+// may be thinner than its field's allocated halo (the deep-halo exchange
+// of communication-avoiding time tiling, or a partial refresh) but must
+// not exceed it, and a one-hop exchange additionally requires it not to
+// exceed the smallest neighbouring chunk — both are the caller's (the
+// compiler's) responsibility when it picks the exchange interval. stream
+// must be unique per exchange point of a world so concurrent exchanges
+// cannot cross-match. The regions are fixed here: a field whose ghost
+// storage grows afterwards needs a new exchanger.
+func NewParts(mode Mode, cart *mpi.CartComm, stream int, parts []Part) *Exchanger {
+	x := &Exchanger{cart: cart, parts: parts, tid: stream + 1}
 	if mode == ModeNone {
 		return x
 	}
 	x.rank = cart.Rank()
-	for _, phase := range messages(mode, f.NDims()) {
+	for _, phase := range messages(mode, parts[0].F.NDims()) {
 		var rows []row
 		for _, m := range phase {
 			nbr := cart.Neighbor(m.offset)
 			if nbr == mpi.ProcNull {
 				continue
 			}
-			r := row{
-				nbr:     nbr,
-				sendTag: mpi.OffsetTag(stream, m.offset),
-				recvTag: mpi.OffsetTag(stream, negate(m.offset)),
-				sendReg: f.SendRegionDepth(m.offset, m.includeHalo, depth),
-				recvReg: f.RecvRegionDepth(m.offset, m.includeHalo, depth),
+			r := row{nbr: nbr, sendTag: mpi.OffsetTag(stream, m.offset), recvTag: mpi.OffsetTag(stream, negate(m.offset))}
+			sends, recvs := 0, 0
+			for _, p := range parts {
+				s, v := p.F.SendRegionDepth(m.offset, m.includeHalo, p.Depth), p.F.RecvRegionDepth(m.offset, m.includeHalo, p.Depth)
+				r.sendReg, r.recvReg = append(r.sendReg, s), append(r.recvReg, v)
+				sends, recvs = sends+s.Size(), recvs+v.Size()
 			}
-			r.sendBuf = make([]float32, r.sendReg.Size())
-			r.recvBuf = make([]float32, r.recvReg.Size())
+			r.sendBuf, r.recvBuf = make([]float32, sends), make([]float32, recvs)
 			rows = append(rows, r)
 		}
 		x.phases = append(x.phases, rows)
@@ -203,7 +211,7 @@ func NewDepth(mode Mode, cart *mpi.CartComm, f *field.Function, stream int, dept
 }
 
 // Traffic is what one Exchange posts from this rank: a message per table
-// row and the float32 payload of its send region. A rank on a
+// row and the float32 payload of its parts' send regions. A rank on a
 // non-periodic boundary has fewer rows, so less of both, than Traffic's
 // interior figure.
 func (x *Exchanger) Traffic() (msgs int, bytes float64) {
@@ -216,20 +224,22 @@ func (x *Exchanger) Traffic() (msgs int, bytes float64) {
 	return msgs, bytes
 }
 
-// post starts one phase on time buffer t: every slab is packed and sent.
-// The transport snapshots a payload at post time, so the blocking Send is
-// also the asynchronous pattern's Isend: the buffer is reusable at once
-// and only the receives are left, for Finish.
+// post starts one phase of the exchange at time t: every row's slabs are
+// packed into its one buffer and sent. The transport snapshots a payload
+// at post time, so the blocking Send is also the asynchronous pattern's
+// Isend: the buffer is reusable at once and only the receives are left,
+// for Finish.
 func (x *Exchanger) post(t int, rows []row) {
-	buf := x.f.Buf(t)
-	tid := x.stream + 1
 	x.inflight = rows
 	for i := range rows {
 		r := &rows[i]
-		sp := obs.BeginStream(x.rank, tid, obs.PhasePack, t)
-		buf.Pack(r.sendReg, r.sendBuf)
+		sp := obs.BeginStream(x.rank, x.tid, obs.PhasePack, t)
+		n := 0
+		for j, p := range x.parts {
+			n += p.F.Buf(t+p.TimeOff).Pack(r.sendReg[j], r.sendBuf[n:])
+		}
 		sp.End()
-		sp = obs.BeginStream(x.rank, tid, obs.PhaseSend, t)
+		sp = obs.BeginStream(x.rank, x.tid, obs.PhaseSend, t)
 		x.cart.Send(r.nbr, r.sendTag, r.sendBuf)
 		sp.End()
 		obs.CountMsg(x.rank, 4*int64(len(r.sendBuf)))
@@ -237,25 +247,26 @@ func (x *Exchanger) post(t int, rows []row) {
 }
 
 // Finish receives the phase in flight, blocking until each message has
-// arrived, and unpacks it into the halo of time buffer t (nothing when no
+// arrived, and unpacks it into the parts' halos at time t (nothing when no
 // phase is in flight).
 func (x *Exchanger) Finish(t int) {
-	buf := x.f.Buf(t)
-	tid := x.stream + 1
 	for i := range x.inflight {
 		r := &x.inflight[i]
-		sp := obs.BeginStream(x.rank, tid, obs.PhaseWait, t)
+		sp := obs.BeginStream(x.rank, x.tid, obs.PhaseWait, t)
 		x.cart.Recv(r.nbr, r.recvTag, r.recvBuf)
 		sp.End()
-		sp = obs.BeginStream(x.rank, tid, obs.PhaseUnpack, t)
-		buf.Unpack(r.recvReg, r.recvBuf)
+		sp = obs.BeginStream(x.rank, x.tid, obs.PhaseUnpack, t)
+		n := 0
+		for j, p := range x.parts {
+			n += p.F.Buf(t+p.TimeOff).Unpack(r.recvReg[j], r.recvBuf[n:])
+		}
 		sp.End()
 	}
 	x.inflight = nil
 }
 
-// Start runs every phase of the exchange of time buffer t but the last
-// to completion and posts the last.
+// Start runs every phase of the exchange at time t but the last to
+// completion and posts the last.
 func (x *Exchanger) Start(t int) {
 	for i, rows := range x.phases {
 		x.post(t, rows)
@@ -265,7 +276,7 @@ func (x *Exchanger) Start(t int) {
 	}
 }
 
-// Exchange synchronously updates the halo of time buffer t.
+// Exchange synchronously updates the parts' halos at time t.
 func (x *Exchanger) Exchange(t int) {
 	x.Start(t)
 	x.Finish(t)

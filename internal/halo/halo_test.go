@@ -112,7 +112,7 @@ func testExchangeFillsHalo(t *testing.T, mode Mode, shape, topo []int, so int) {
 	w := mpi.NewWorld(nprocs)
 	err := w.Run(func(c *mpi.Comm) {
 		f, _, cart := distField(t, c, g, topo, so)
-		ex := New(mode, cart, f, 0)
+		ex := NewDepth(mode, cart, f, 0, nil)
 		ex.Exchange(0)
 		n := verifyHalo(t, f, c.Rank(), mode.String())
 		if n == 0 && nprocs > 1 {
@@ -167,7 +167,7 @@ func TestExchangeRepeatedSteps(t *testing.T) {
 	w := mpi.NewWorld(4)
 	err := w.Run(func(c *mpi.Comm) {
 		f, _, cart := distField(t, c, g, []int{2, 2}, 2)
-		ex := New(ModeDiagonal, cart, f, 0)
+		ex := NewDepth(ModeDiagonal, cart, f, 0, nil)
 		for step := 0; step < 3; step++ {
 			// Scale the domain values by step+1.
 			dom := f.DomainRegion()
@@ -224,7 +224,7 @@ func TestTableI_ModeCharacteristics(t *testing.T) {
 			w := mpi.NewWorld(27)
 			err := w.Run(func(c *mpi.Comm) {
 				f, _, cart := distField(t, c, g, []int{3, 3, 3}, 2)
-				ex := New(tc.mode, cart, f, 0)
+				ex := NewDepth(tc.mode, cart, f, 0, nil)
 				ex.Exchange(0)
 			})
 			if err != nil {
@@ -247,7 +247,7 @@ func TestDiagonalSmallerTotalBytesThanBasic(t *testing.T) {
 		w := mpi.NewWorld(8)
 		err := w.Run(func(c *mpi.Comm) {
 			f, _, cart := distField(t, c, g, []int{2, 2, 2}, 8)
-			New(mode, cart, f, 0).Exchange(0)
+			NewDepth(mode, cart, f, 0, nil).Exchange(0)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -280,8 +280,8 @@ func TestFullOverlapProtocol(t *testing.T) {
 				err := w.Run(func(c *mpi.Comm) {
 					f, _, cart := distField(t, c, g, tc.topo, 4)
 					ref, _, _ := distField(t, c, g, tc.topo, 4)
-					New(mode, cart, ref, 1).Exchange(0)
-					ex := New(mode, cart, f, 0)
+					NewDepth(mode, cart, ref, 1, nil).Exchange(0)
+					ex := NewDepth(mode, cart, f, 0, nil)
 					ex.Start(0)
 					// The last phase is only posted: the faces it fills (the
 					// last dimension's, under every mode) are still empty.
@@ -339,7 +339,7 @@ func TestExchangeSingleRankIsNoOp(t *testing.T) {
 		w := mpi.NewWorld(1)
 		err := w.Run(func(c *mpi.Comm) {
 			f, _, cart := distField(t, c, g, []int{1, 1}, 2)
-			New(mode, cart, f, 0).Exchange(0)
+			NewDepth(mode, cart, f, 0, nil).Exchange(0)
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -370,8 +370,8 @@ func TestMultipleFieldsDistinctStreams(t *testing.T) {
 		}
 		f2.Buf(0).Unpack(dom, tmp)
 
-		e1 := New(ModeFull, cart, f1, 0)
-		e2 := New(ModeFull, cart, f2, 1)
+		e1 := NewDepth(ModeFull, cart, f1, 0, nil)
+		e2 := NewDepth(ModeFull, cart, f2, 1, nil)
 		// Interleave the two exchanges.
 		e1.Start(0)
 		e2.Start(0)

@@ -46,21 +46,23 @@ func TestTrafficHandCounted(t *testing.T) {
 	}
 }
 
-// AmortizedTraffic divides messages and bytes by the exchange interval
-// and multiplies by the stream count.
+// AmortizedTraffic divides messages and bytes by the exchange interval;
+// the streams share one message per neighbour, so only bytes multiply by
+// the stream count.
 func TestAmortizedTrafficHandCounted(t *testing.T) {
 	local := []int{10, 10}
-	// diag width 8, k=4, 2 streams: msgs 8*2/4 = 4/step;
+	// diag width 8, k=4, 2 streams: msgs 8/4 = 2/step;
 	// bytes = 4*576*2/4 = 1152/step.
 	m, b := AmortizedTraffic(ModeDiagonal, local, 8, 4, 2)
-	if m != 4 || b != 4*576*2/4 {
-		t.Errorf("AmortizedTraffic = (%g, %g), want (4, %g)", m, b, float64(4*576*2/4))
+	if m != 2 || b != 4*576*2/4 {
+		t.Errorf("AmortizedTraffic = (%g, %g), want (2, %g)", m, b, float64(4*576*2/4))
 	}
-	// k=1 must reduce to plain Traffic times streams.
+	// k=1 must reduce to plain Traffic's messages and its bytes times
+	// streams.
 	m1, b1 := AmortizedTraffic(ModeBasic, local, 2, 1, 3)
 	tm, tb := Traffic(ModeBasic, local, 2)
-	if m1 != float64(3*tm) || b1 != 3*tb {
-		t.Errorf("k=1 AmortizedTraffic = (%g, %g), want (%g, %g)", m1, b1, float64(3*tm), 3*tb)
+	if m1 != float64(tm) || b1 != 3*tb {
+		t.Errorf("k=1 AmortizedTraffic = (%g, %g), want (%g, %g)", m1, b1, float64(tm), 3*tb)
 	}
 	// Relative to the k=1 baseline of the same stream count, the message
 	// rate must fall by exactly k.
@@ -125,7 +127,7 @@ func TestDeepExchangeFillsWholeRing(t *testing.T) {
 			w := mpi.NewWorld(4)
 			err := w.Run(func(c *mpi.Comm) {
 				f, cart := deepField(t, c, g, []int{2, 2}, 4)
-				ex := New(mode, cart, f, 0)
+				ex := NewDepth(mode, cart, f, 0, nil)
 				ex.Exchange(0)
 				if n := verifyHalo(t, f, c.Rank(), "deep-"+mode.String()); n == 0 {
 					t.Errorf("%s rank %d: no deep halo cells verified", mode, c.Rank())

@@ -3,7 +3,7 @@ package halo
 import "devigo/internal/field"
 
 // Traffic returns the per-timestep communication volume one exchanged
-// field stream generates under a mode, for a rank that has all its
+// field part generates under a mode, for a rank that has all its
 // neighbours and owns a local box of the given shape with ghost width
 // points per side: the number of point-to-point messages posted and the
 // byte volume shipped (float32 payload) — Exchanger.Traffic where there
@@ -38,17 +38,17 @@ func Traffic(mode Mode, local []int, width int) (msgs int, bytes float64) {
 }
 
 // AmortizedTraffic reports the steady-state per-timestep communication of
-// communication-avoiding time tiling: `streams` (field, time-offset)
-// pairs, each exchanged at ghost depth `width` once every k timesteps.
-// Message count divides by k — the latency win the deep halo buys — while
-// bytes stay roughly level (the exchanged shell is ~k times thicker but
-// shipped 1/k as often, modulo corner growth). k < 1 is treated as 1.
+// communication-avoiding time tiling: one exchange of `streams` (field,
+// time-offset) parts, each at ghost depth `width`, once every k timesteps.
+// The parts share one message per neighbour, so messages do not grow with
+// streams and divide by k — the latency win the deep halo buys — while
+// bytes grow with streams and stay roughly level in k (the exchanged shell
+// is ~k times thicker but shipped 1/k as often, modulo corner growth).
+// k < 1 is treated as 1.
 func AmortizedTraffic(mode Mode, local []int, width, k, streams int) (msgsPerStep, bytesPerStep float64) {
 	if k < 1 {
 		k = 1
 	}
 	msgs, bytes := Traffic(mode, local, width)
-	msgsPerStep = float64(msgs*streams) / float64(k)
-	bytesPerStep = bytes * float64(streams) / float64(k)
-	return msgsPerStep, bytesPerStep
+	return float64(msgs) / float64(k), bytes * float64(streams) / float64(k)
 }

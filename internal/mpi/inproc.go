@@ -24,8 +24,8 @@ type message struct {
 }
 
 // maxFree bounds a mailbox's free list. A steady exchange keeps one
-// payload per message in flight on the pair: one per field and time level
-// a tile head posts, twice that while the receiver is a step behind. A
+// payload per message in flight on the pair: one per exchange point and
+// phase of a step, twice that while the receiver is a step behind. A
 // burst beyond the bound leaves its surplus to the collector.
 const maxFree = 64
 

@@ -65,7 +65,8 @@ type OpProfile struct {
 	// StreamsPerPoint counts distinct (field, timeOffset) data streams
 	// touched per point: 4 bytes each of DRAM traffic per update.
 	StreamsPerPoint int
-	// HaloStreams is the number of per-timestep halo exchanges.
+	// HaloStreams is the number of (field, timeOffset) buffers exchanged
+	// per timestep; they share one message per neighbour.
 	HaloStreams int
 	// HaloWidth is the widest exchanged ghost region.
 	HaloWidth int
@@ -142,10 +143,6 @@ type Host struct {
 	// dimension sweep serialises into multiple rendezvous phases and
 	// allocates exchange buffers per call.
 	BasicPhasePenalty float64
-	// SharedMessages is set when a step's exchanged streams share one
-	// message per neighbour, so per-message costs are paid once per
-	// neighbour rather than once per stream.
-	SharedMessages bool
 	// OverlapEff is the fraction of communication full mode hides under
 	// CORE computation.
 	OverlapEff float64
@@ -185,7 +182,6 @@ func DefaultHost() Host {
 		ExchangeBandwidth: 4e9,
 		BasicBandwidth:    4e9,
 		BasicPhasePenalty: 1.6,
-		SharedMessages:    false, // every stream is its own message
 		OverlapEff:        0.5,
 		ProgressLoss:      0, // both transports deliver without the receiver: no progress thread
 		StridePenalty:     1.5,
@@ -310,7 +306,8 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 	// An exchange interval k grows per-step compute by the average
 	// redundant ghost-shell volume (exactly 1 at k = 1), and amortizes the
 	// messages by k over a deep exchange of TileStreams buffers at depth
-	// HaloWidth + (k-1)·stride.
+	// HaloWidth + (k-1)·stride, the buffers sharing one message per
+	// neighbour (two exchanging sweeps at k = 1 send twice as many).
 	k := max(c.TimeTile, 1)
 	shell := 0.0
 	for j := 0; j < k; j++ {
@@ -327,9 +324,6 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 		streams = p.TileStreams
 	}
 	nm, bytes := halo.AmortizedTraffic(c.Mode, p.LocalShape, width, k, streams)
-	if h.SharedMessages {
-		nm, _ = halo.AmortizedTraffic(c.Mode, p.LocalShape, width, k, 1)
-	}
 	bw := h.ExchangeBandwidth
 	if c.Mode == halo.ModeBasic {
 		bw = h.BasicBandwidth

@@ -15,8 +15,8 @@ type KernelChar struct {
 	// read or written per point; bytes/point = 4*streams under perfect
 	// neighbour reuse.
 	StreamsPerPoint float64
-	// HaloStreams is the number of (field, timeOffset) halo exchanges per
-	// timestep (after the drop/hoist/merge passes).
+	// HaloStreams is the number of (field, timeOffset) buffers exchanged
+	// per timestep (after the drop/hoist/merge passes).
 	HaloStreams int
 	// HaloWidth is the exchanged ghost width (= space order).
 	HaloWidth int

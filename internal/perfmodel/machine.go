@@ -90,7 +90,6 @@ func (m Machine) Host(k KernelChar, nodes int) Host {
 		ExchangeBandwidth: beta * m.BWEffSingleStep,
 		BasicBandwidth:    beta * m.BWEffBasic,
 		BasicPhasePenalty: 1,
-		SharedMessages:    true,
 		OverlapEff:        overlapEff,
 		ProgressLoss:      progressLoss,
 		StridePenalty:     remainderPenalty,

@@ -3,19 +3,23 @@ package propagators
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
 	"devigo/internal/halo"
+	"devigo/internal/iet"
 	"devigo/internal/obs"
 )
 
 // TestTTIFullOverlapsScratchCluster pins the executor to the tree under
 // the full pattern for a CIRE schedule: the lowered IET (and the generated
 // source) wrap the scratch cluster in an OverlapSection, so its exchange
-// (of p and q, the only per-step exchanges: the main cluster reads the
-// redundantly recomputed scratch) must be posted before and completed
-// after a CORE compute span on every halo stream of the step, and the
-// overlapped sweep must leave the norm bit-identical to the blocking modes.
+// (of p and q, the only per-step exchange: the main cluster reads the
+// redundantly recomputed scratch) must be one exchanger — one halo stream
+// sending one message per neighbour with both fields' slabs — posted
+// before and completed after a CORE compute span, and the overlapped sweep
+// must leave the norm bit-identical to the blocking modes.
 func TestTTIFullOverlapsScratchCluster(t *testing.T) {
 	shape, topo := []int{64, 64}, []int{2, 1}
 	const so, nt = 8, 4
@@ -26,11 +30,34 @@ func TestTTIFullOverlapsScratchCluster(t *testing.T) {
 
 	obs.Reset()
 	obs.EnableTracing()
-	got, _ := runDMP(t, "tti", shape, topo, halo.ModeFull, so, nt)
+	res := rank0(t, "tti", shape, topo, halo.ModeFull, so, RunConfig{NT: nt, NReceivers: 4})
 	obs.DisableAll()
 	defer obs.Reset()
-	if got != want {
-		t.Errorf("full norm %v != diag norm %v (overlap must be bit-exact)", got, want)
+	if res.Norm != want {
+		t.Errorf("full norm %v != diag norm %v (overlap must be bit-exact)", res.Norm, want)
+	}
+
+	// The overlapped sweep names p and q, and rank 0's one neighbour gets
+	// one message per step carrying both fields' slabs.
+	var overlapped []string
+	iet.Walk(res.Op.Tree, func(n iet.Node) {
+		if o, ok := n.(iet.OverlapSection); ok {
+			for _, h := range o.Update.Fields {
+				overlapped = append(overlapped, fmt.Sprintf("%s@%d", h.Field, h.TimeOff))
+			}
+		}
+	})
+	slices.Sort(overlapped)
+	if !slices.Equal(overlapped, []string{"p@0", "q@0"}) {
+		t.Errorf("the overlapped sweep exchanges %v, want p and q", overlapped)
+	}
+	slab := 0
+	for _, name := range []string{"p", "q"} {
+		slab += res.Op.Fields[name].SendRegionDepth([]int{1, 0}, nil, nil).Size()
+	}
+	if st := res.Op.CommStats(); st.MsgsPerStep != 1 || st.BytesPerStep != float64(4*slab) {
+		t.Errorf("rank 0 sends %v messages of %v bytes per step, want 1 of %d (p's and q's slabs)",
+			st.MsgsPerStep, st.BytesPerStep, 4*slab)
 	}
 
 	var buf bytes.Buffer
@@ -78,8 +105,8 @@ func TestTTIFullOverlapsScratchCluster(t *testing.T) {
 			}
 		}
 	}
-	if len(streams) < 2 {
-		t.Fatalf("step %d shows %d halo streams on rank 0, want p and q", step, len(streams))
+	if len(streams) != 1 {
+		t.Fatalf("step %d shows %d halo streams on rank 0, want one for p and q", step, len(streams))
 	}
 	for tid, w := range streams {
 		overlapped := false
