@@ -85,6 +85,14 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 			width = max(width, slices.Max(op.Fields[h.Field].BaseHalo))
 		}
 	}
+	// Every step that exchanges before it sweeps is an exchange point of
+	// its own at k = 1.
+	exchanges := 0
+	for _, st := range op.Schedule.Steps {
+		if len(st.Halos) > 0 {
+			exchanges++
+		}
+	}
 	stride, streams := op.tileProfile()
 	// The k axis opens only once an interval > 1 was provisioned at
 	// construction, and plans within the ghost storage allocated then.
@@ -99,6 +107,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 		InstrsPerPoint:  instrs,
 		StreamsPerPoint: op.StreamCount(),
 		HaloStreams:     op.HaloStreamCount(),
+		HaloExchanges:   exchanges,
 		HaloWidth:       width,
 		Ranks:           ranks,
 		MaxWorkers:      goruntime.GOMAXPROCS(0),

@@ -74,7 +74,7 @@ type RankMetrics struct {
 }
 
 // Metrics is a full snapshot of the metrics registry — what
-// DEVIGO_METRICS writes and the "obs" block of BENCH_autotune.json.
+// DEVIGO_METRICS writes.
 type Metrics struct {
 	// Ranks holds one entry per rank that recorded anything.
 	Ranks []RankMetrics `json:"ranks,omitempty"`

@@ -66,8 +66,13 @@ type OpProfile struct {
 	// touched per point: 4 bytes each of DRAM traffic per update.
 	StreamsPerPoint int
 	// HaloStreams is the number of (field, timeOffset) buffers exchanged
-	// per timestep; they share one message per neighbour.
+	// per timestep; the buffers of one exchange point share one message
+	// per neighbour.
 	HaloStreams int
+	// HaloExchanges is the number of exchange points per timestep at
+	// k = 1: the schedule's steps that exchange before they sweep (1 for
+	// acoustic and TTI, 2 for elastic and viscoelastic). 0 reads as 1.
+	HaloExchanges int
 	// HaloWidth is the widest exchanged ghost region.
 	HaloWidth int
 	// Ranks is the world size (1 = serial).
@@ -140,8 +145,10 @@ type Host struct {
 	// that of basic's dimension sweep.
 	ExchangeBandwidth, BasicBandwidth float64
 	// BasicPhasePenalty multiplies basic-mode communication time: the
-	// dimension sweep serialises into multiple rendezvous phases and
-	// allocates exchange buffers per call.
+	// dimension sweep runs one phase per dimension, and a phase cannot
+	// pack its slabs before the previous phase's messages have landed, so
+	// its messages wait on each other where a single-phase pattern posts
+	// them at once.
 	BasicPhasePenalty float64
 	// OverlapEff is the fraction of communication full mode hides under
 	// CORE computation.
@@ -188,15 +195,13 @@ func DefaultHost() Host {
 	}
 }
 
-// MaxWorkersDefault returns the default worker-pool cap: GOMAXPROCS.
-func MaxWorkersDefault() int { return runtime.GOMAXPROCS(0) }
-
 // Candidates enumerates the configuration space the autotuner considers
 // for a profile: halo modes and exchange intervals (when distributed) and
-// power-of-two worker counts up to the host cap, all at the operator's
-// tile height. A forced worker count collapses its axis to the pinned
-// value. The enumeration is deterministic, and devigo-bench's exhaustive
-// autotune sweep iterates exactly this set, so a tuner choice always has a
+// power-of-two worker counts up to the host cap (GOMAXPROCS when the
+// profile sets none), all at the operator's tile height. A forced worker
+// count collapses its axis to the pinned value. The enumeration is
+// deterministic, and TestSearchAgainstExhaustiveSweep (internal/
+// propagators) times exactly this set, so a tuner choice always has a
 // sweep entry to be compared against.
 func Candidates(p OpProfile) []ExecConfig {
 	rows := 1
@@ -210,7 +215,7 @@ func Candidates(p OpProfile) []ExecConfig {
 	default:
 		wcap := p.MaxWorkers
 		if wcap < 1 {
-			wcap = MaxWorkersDefault()
+			wcap = runtime.GOMAXPROCS(0)
 		}
 		if wcap > rows {
 			wcap = rows
@@ -307,7 +312,9 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 	// redundant ghost-shell volume (exactly 1 at k = 1), and amortizes the
 	// messages by k over a deep exchange of TileStreams buffers at depth
 	// HaloWidth + (k-1)·stride, the buffers sharing one message per
-	// neighbour (two exchanging sweeps at k = 1 send twice as many).
+	// neighbour. At k = 1 every exchanging sweep is its own exchange
+	// point, so HaloExchanges of them send that many times the messages;
+	// a tile exchanges once, at its head.
 	k := max(c.TimeTile, 1)
 	shell := 0.0
 	for j := 0; j < k; j++ {
@@ -324,6 +331,9 @@ func (h Host) Predict(p OpProfile, c ExecConfig) float64 {
 		streams = p.TileStreams
 	}
 	nm, bytes := halo.AmortizedTraffic(c.Mode, p.LocalShape, width, k, streams)
+	if k == 1 {
+		nm *= float64(max(p.HaloExchanges, 1))
+	}
 	bw := h.ExchangeBandwidth
 	if c.Mode == halo.ModeBasic {
 		bw = h.BasicBandwidth

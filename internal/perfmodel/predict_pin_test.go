@@ -18,8 +18,9 @@ const predictGolden = "testdata/predict_bits.txt"
 
 // pinProfiles is the profile grid the DefaultHost pin covers: serial and
 // 2- / 4-rank worlds, 2-D and 3-D boxes, the k axis open to 8, a pinned
-// worker count and a profile whose deep exchange falls back to
-// HaloStreams (TileStreams 0).
+// worker count, a profile whose deep exchange falls back to
+// HaloStreams (TileStreams 0) and an elastic-shaped one with two exchange
+// points per step at k = 1.
 func pinProfiles() map[string]OpProfile {
 	return map[string]OpProfile{
 		"serial-2d": {LocalShape: []int{256, 256}, InstrsPerPoint: 32, StreamsPerPoint: 4,
@@ -35,6 +36,9 @@ func pinProfiles() map[string]OpProfile {
 		"4rank-3d-full-k4": {LocalShape: []int{48, 48, 40}, InstrsPerPoint: 340, StreamsPerPoint: 12,
 			HaloStreams: 2, HaloWidth: 4, Ranks: 4, MaxWorkers: 8, Mode: halo.ModeFull,
 			TimeTile: 1, MaxTimeTile: 4, TileStride: 4, TileStreams: 3, TileRows: 8},
+		"4rank-2d-two-exchanges": {LocalShape: []int{64, 64}, InstrsPerPoint: 90, StreamsPerPoint: 12,
+			HaloStreams: 5, HaloExchanges: 2, HaloWidth: 4, Ranks: 4, MaxWorkers: 2, Mode: halo.ModeDiagonal,
+			TimeTile: 1, MaxTimeTile: 4, TileStride: 8, TileStreams: 5, TileRows: 8},
 		"4rank-2d-pinned-workers": {LocalShape: []int{16, 16}, InstrsPerPoint: 30, StreamsPerPoint: 5,
 			HaloStreams: 1, HaloWidth: 4, Ranks: 4, MaxWorkers: 8, Mode: halo.ModeDiagonal,
 			TimeTile: 1, MaxTimeTile: 8, TileStride: 2, TileStreams: 2, ForcedWorkers: 3, TileRows: 4},

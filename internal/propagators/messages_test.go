@@ -2,10 +2,12 @@ package propagators
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"devigo/internal/halo"
 	"devigo/internal/obs"
+	"devigo/internal/perfmodel"
 )
 
 // TestWorldMessagesPerStep pins the steady-state messages a whole world
@@ -52,6 +54,34 @@ func TestWorldMessagesPerStep(t *testing.T) {
 			if got := float64(total.StepMsgs) / nt; got != r.want[i] {
 				t.Errorf("%s: %v world messages per step, want %v", name, got, r.want[i])
 			}
+		}
+	}
+}
+
+// TestProfileCountsExchangePoints: an operator's profile counts its
+// exchange points per step at k = 1 — the schedule's steps that exchange
+// before they sweep, whose messages TestWorldMessagesPerStep counts — and
+// Predict charges each its own messages, so elastic's k = 1 message term
+// is twice that of one exchange of the same buffers.
+func TestProfileCountsExchangePoints(t *testing.T) {
+	want := map[string]int{"acoustic": 1, "tti": 1, "elastic": 2, "viscoelastic": 2}
+	for _, name := range ModelNames() {
+		p := rank0Profile(t, name, []int{64, 64}, []int{2, 2}, halo.ModeDiagonal, 4, nil)
+		if p.HaloExchanges != want[name] {
+			t.Errorf("%s: %d exchange points per step, want %d", name, p.HaloExchanges, want[name])
+		}
+		if name != "elastic" {
+			continue
+		}
+		h := perfmodel.DefaultHost()
+		free := h
+		free.MsgLatency = 0
+		cfg := perfmodel.ExecConfig{Mode: halo.ModeDiagonal, Workers: 1, TileRows: p.TileRows, TimeTile: 1}
+		msgTerm := func(p perfmodel.OpProfile) float64 { return h.Predict(p, cfg) - free.Predict(p, cfg) }
+		one := p
+		one.HaloExchanges = 1
+		if got, base := msgTerm(p), msgTerm(one); !(base > 0) || math.Abs(got-2*base) > 1e-9*base {
+			t.Errorf("elastic: k = 1 message term %g, want twice one exchange's %g", got, base)
 		}
 	}
 }
