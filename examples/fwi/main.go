@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"devigo/internal/core"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 	"devigo/internal/propagators"
@@ -97,4 +98,10 @@ func report(label string, res *propagators.GradientResult) {
 	fmt.Printf("%-12s checkpoints: %d snapshots (%.1f KB), level cache %.1f KB, %d recomputed steps\n",
 		label, res.Checkpoint.Snapshots, float64(res.Checkpoint.SnapshotBytes)/1024,
 		float64(res.Checkpoint.LevelBytes)/1024, res.Checkpoint.RecomputedSteps)
+	// The adjoint's own sections: its wall also holds the recompute and
+	// imaging Applys nested in its reverse sweep.
+	swept := func(p core.Perf) float64 { return p.ComputeSeconds + p.HaloSeconds }
+	fmt.Printf("%-12s compute+halo seconds: forward %.4f (%d steps), recompute %.4f (%d steps), adjoint %.4f (%d steps)\n",
+		label, swept(res.ForwardPerf), res.ForwardPerf.Timesteps, swept(res.RecomputePerf), res.RecomputePerf.Timesteps,
+		swept(res.AdjointPerf), res.AdjointPerf.Timesteps)
 }

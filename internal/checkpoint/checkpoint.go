@@ -9,14 +9,23 @@
 // bit-identical to the original integration, serially and under any DMP
 // halo mode; the buffer step s overwrites is not kept. A cached level is
 // the DOMAIN of one buffer, the points the space-offset-zero imaging
-// condition reads. Memory is bounded by
+// condition reads.
 //
-//	2 levels per snapshot (nt/Interval+1 snapshots) + Interval+2 DOMAIN levels
+// The schedule of an nt-step run at interval k: the forward pass caches
+// the levels its last min(k, nt) steps read and write, TailLevel(nt, k)
+// up to nt, and snapshots the steps 0, k, 2k, ... at or below
+// TailLevel, (nt-1)/k of them. The reverse sweep consumes the cached tail
+// first; below it, it restores the newest snapshot s under the levels it
+// needs and re-integrates from s toward the next snapshot or the tail,
+// whichever comes first, stopping two levels short: the next snapshot's
+// restore or the tail already holds those two. No step is recomputed
+// twice, nt-k-2·((nt-1)/k) steps in all (one more when k divides nt-1,
+// none when that is not positive), and memory is bounded by
 //
-// at the price of re-integrating every segment but the last once: the
-// forward pass caches that segment's levels itself, so the sweep
-// recomputes ((nt-1)/Interval)*Interval steps and none once Interval >= nt.
-// The classic sqrt(nt) interval balances the two memory terms.
+//	(nt-1)/k snapshots of 2 buffers + min(k, nt)+2 DOMAIN levels.
+//
+// DefaultInterval picks the largest k whose bound fits the bound of the
+// classic sqrt(nt) interval.
 package checkpoint
 
 import (
@@ -49,7 +58,7 @@ type Store struct {
 	spare [][][2][]float32
 	// levels[:live] is the recompute cache of the segment the reverse
 	// sweep is consuming: the DOMAIN of each field's cyclic buffer Buf(t)
-	// per cached level, in no particular order (a segment is Interval+2
+	// per cached level, in no particular order (at most Interval+2
 	// levels, so lookups scan). levels[live:] is the free-list: entries
 	// PruneLevels dropped, whose buffers the next RecordLevel reuses.
 	levels []level
@@ -78,24 +87,82 @@ type Stats struct {
 	SnapshotBytes int64
 	// LevelBytes is the most bytes the level cache held at once.
 	LevelBytes int64
-	// RecomputedSteps counts forward steps re-integrated during the
-	// reverse sweep (incremented by the driver).
+	// RecomputedSteps counts the forward steps the reverse sweep
+	// re-integrated (the gradient solver adds each recompute's length).
 	RecomputedSteps int
 }
 
-// DefaultInterval is the sqrt(nt) heuristic: it balances snapshot memory
-// against recompute work.
-func DefaultInterval(nt int) int {
-	k := int(math.Ceil(math.Sqrt(float64(nt))))
-	if k < 1 {
-		k = 1
+// TailLevel returns the lowest time level the forward pass of an
+// nt-step run at interval k caches: its last min(k, nt) steps read and
+// write levels TailLevel..nt, which the reverse sweep never recomputes.
+// The forward pass snapshots the multiples of k at or below it (none when
+// it is -1, the initial state).
+func TailLevel(nt, k int) int { return max(nt-k, 0) - 1 }
+
+// snapshots returns how many snapshots an nt-step run at interval k
+// takes: the multiples of k at or below TailLevel.
+func snapshots(nt, k int) int { return max(nt-1, 0) / k }
+
+// levels returns how many levels the cache of an nt-step run at interval
+// k holds at most: the forward tail's, which no recomputed segment
+// outgrows.
+func levels(nt, k int) int { return min(k, nt) + 2 }
+
+// bound returns the bytes an nt-step run at interval k holds at most, its
+// snapshots plus its cached levels; snap is the bytes of one snapshot and
+// level those of one DOMAIN level.
+func bound(nt, k int, snap, level int64) int64 {
+	return int64(snapshots(nt, k))*snap + int64(levels(nt, k))*level
+}
+
+// sqrtInterval is the classic interval ⌈√nt⌉, which balances snapshot
+// memory against the level cache when a snapshot costs one level.
+func sqrtInterval(nt int) int {
+	return max(int(math.Ceil(math.Sqrt(float64(nt)))), 1)
+}
+
+// sqrtBound is the memory the sqrt(nt) interval takes when it snapshots
+// every multiple of k below nt and caches k+2 DOMAIN levels: the budget
+// DefaultInterval spends.
+func sqrtBound(nt int, snap, level int64) int64 {
+	k := sqrtInterval(nt)
+	return int64(max(nt-1, 0)/k+1)*snap + int64(k+2)*level
+}
+
+// DefaultInterval returns the interval of an nt-step run over fields of
+// the given global shape and per-side halo widths: the largest k in
+// [1, nt] whose bound fits sqrtBound. A snapshot holds two whole buffers
+// (2·Π(shape+2·halo) points) and a level one DOMAIN (Π shape points), so
+// on fields whose halos are wide the budget buys far fewer snapshots
+// than levels. Every input is the same on every rank of a decomposed
+// run, so every rank picks the same k; ranks that disagreed would run
+// recompute Applys of different lengths.
+func DefaultInterval(nt int, shape, halo []int) int {
+	buf, level := int64(1), int64(1)
+	for d, n := range shape {
+		buf *= int64(n + 2*halo[d])
+		level *= int64(n)
+	}
+	return defaultInterval(nt, 2*buf, level)
+}
+
+// defaultInterval is DefaultInterval over the bytes (or points) of one
+// snapshot and one DOMAIN level.
+func defaultInterval(nt int, snap, level int64) int {
+	budget, k := sqrtBound(nt, snap, level), 1
+	for c := 2; c <= nt; c++ {
+		if bound(nt, c, snap, level) <= budget {
+			k = c
+		}
 	}
 	return k
 }
 
 // New creates a store snapshotting the given fields every interval steps.
-// interval <= 0 panics; use DefaultInterval to derive one from the step
-// count.
+// A positive interval is an invariant of the callers, not an input check:
+// the gradient solver rejects a negative CheckpointInterval and replaces 0
+// by DefaultInterval, which is at least 1, so New panics on interval <= 0
+// rather than returning an error no caller could reach.
 func New(interval int, fields ...*field.Function) *Store {
 	if interval <= 0 {
 		panic("checkpoint: interval must be positive")
@@ -110,8 +177,9 @@ func New(interval int, fields ...*field.Function) *Store {
 }
 
 // SaveIfDue snapshots the state "ready to execute step t" when t falls on
-// the interval. Call it with t=0 before the forward loop and with t+1
-// from the loop's post-step hook.
+// the interval. The forward pass calls it for the steps at or below
+// TailLevel: with t=0 before its loop and with t+1 from its post-step
+// hook.
 func (s *Store) SaveIfDue(t int) {
 	if t%s.Interval == 0 {
 		s.Save(t)

@@ -188,9 +188,9 @@ func TestLevelCacheCyclicAndPrune(t *testing.T) {
 }
 
 // TestLevelCacheThroughTwoSegments drives the store the way the reverse
-// sweep does — restore a snapshot, prune, re-integrate the segment forward
-// recording every level, then consume levels j-1, j, j+1 downwards — over
-// both segments of an 8-step run with interval 4, and holds every
+// sweep drives a recompute — restore a snapshot, prune, re-integrate the
+// segment forward recording every level, then consume levels j-1, j, j+1
+// downwards — over two whole segments of interval 4, and holds every
 // LoadLevel to the recorded DOMAIN bits whether it copied or found the
 // level resident.
 func TestLevelCacheThroughTwoSegments(t *testing.T) {
@@ -309,10 +309,91 @@ func TestLevelCacheThroughTwoSegments(t *testing.T) {
 }
 
 func TestDefaultInterval(t *testing.T) {
-	for _, tc := range []struct{ nt, want int }{{0, 1}, {1, 1}, {4, 2}, {10, 4}, {100, 10}, {101, 11}} {
-		if got := DefaultInterval(tc.nt); got != tc.want {
-			t.Fatalf("DefaultInterval(%d) = %d, want %d", tc.nt, got, tc.want)
+	for _, tc := range []struct {
+		nt          int
+		shape, halo []int
+		want        int
+	}{
+		{0, []int{8, 8}, []int{2, 2}, 1},
+		{1, []int{8, 8}, []int{2, 2}, 1},
+		{8, []int{24, 24}, []int{2, 2}, 8},       // the dot test: nothing to recompute
+		{40, []int{37, 37}, []int{2, 2}, 16},     // sqrt rule: 7
+		{96, []int{128, 128}, []int{16, 16}, 35}, // survey-8shot; sqrt rule: 10
+		{100, []int{64, 64, 64}, []int{8, 8, 8}, 41},
+		{1000, []int{256, 256}, []int{8, 8}, 77}, // sqrt rule: 32
+	} {
+		if got := DefaultInterval(tc.nt, tc.shape, tc.halo); got != tc.want {
+			t.Errorf("DefaultInterval(%d, %v, %v) = %d, want %d", tc.nt, tc.shape, tc.halo, got, tc.want)
 		}
+	}
+}
+
+// TestScheduleNeverCostsMore holds the schedule's arithmetic to the one it
+// replaced, which cached only the levels above the last snapshot below nt
+// and so snapshotted every multiple of k below nt and re-integrated every
+// whole segment under it. For every explicit interval the schedule takes
+// no more snapshots, recomputes no more steps and caches no more levels;
+// the default interval's bound fits the sqrt(nt) interval's, and it
+// recomputes no more than the sqrt(nt) interval did.
+func TestScheduleNeverCostsMore(t *testing.T) {
+	// The sweep re-integrates each segment from its snapshot s up to level
+	// min(s+k, nt-k)-2: the next snapshot's restore or the forward tail
+	// holds the two levels above it.
+	recomputed := func(nt, k int) (n int) {
+		for s := 0; s < nt-k; s += k {
+			n += max(min(s+k, nt-k)-2-s, 0)
+		}
+		return n
+	}
+	// Snapshot/level size ratios: no halo, the survey's 128² with 16-wide
+	// halos, and a small grid with wide halos.
+	for _, ratio := range []struct{ snap, level int64 }{{2, 1}, {204800, 65536}, {2 * 32 * 32, 16 * 16}} {
+		for nt := 1; nt <= 400; nt++ {
+			for k := 1; k <= nt+2; k++ {
+				last := (nt - 1) / k * k // the old schedule's last snapshot
+				oldSnaps, oldRecomputed := (nt-1)/k+1, last
+				oldLevels := nt - last + 2
+				if last > 0 {
+					oldLevels = k + 2
+				}
+				if got := snapshots(nt, k); got > oldSnaps {
+					t.Fatalf("nt=%d k=%d: %d snapshots, the old schedule took %d", nt, k, got, oldSnaps)
+				}
+				if got := recomputed(nt, k); got > oldRecomputed {
+					t.Fatalf("nt=%d k=%d: %d recomputed steps, the old schedule %d", nt, k, got, oldRecomputed)
+				}
+				if got := levels(nt, k); got > oldLevels {
+					t.Fatalf("nt=%d k=%d: %d cached levels, the old schedule %d", nt, k, got, oldLevels)
+				}
+			}
+			k, sq := defaultInterval(nt, ratio.snap, ratio.level), sqrtInterval(nt)
+			if b, budget := bound(nt, k, ratio.snap, ratio.level), sqrtBound(nt, ratio.snap, ratio.level); b > budget {
+				t.Fatalf("nt=%d ratio %d/%d: default k=%d holds %d, over the sqrt(nt) bound %d", nt, ratio.snap, ratio.level, k, b, budget)
+			}
+			if k < sq || k > nt {
+				t.Fatalf("nt=%d ratio %d/%d: default k=%d outside [sqrt interval %d, nt]", nt, ratio.snap, ratio.level, k, sq)
+			}
+			if got, old := recomputed(nt, k), (nt-1)/sq*sq; got > old {
+				t.Fatalf("nt=%d ratio %d/%d: default k=%d recomputes %d steps, the sqrt(nt) interval %d", nt, ratio.snap, ratio.level, k, got, old)
+			}
+		}
+	}
+}
+
+// TestNewPanicsOnNonPositiveInterval reaches New's invariant: every caller
+// passes a positive interval, so a non-positive one is a bug, not an
+// input to report.
+func TestNewPanicsOnNonPositiveInterval(t *testing.T) {
+	u := testField(t)
+	for _, k := range []int{0, -3} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("New(%d) did not panic", k)
+				}
+			}()
+			New(k, &u.Function)
+		}()
 	}
 }
 

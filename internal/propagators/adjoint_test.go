@@ -124,6 +124,18 @@ func exactAcoustic(t *testing.T) *Model {
 	return m
 }
 
+// wantRecomputed is the number of forward steps the reverse sweep of an
+// nt-step gradient at interval k re-integrates: from each snapshot s (the
+// multiples of k below nt-k) up to level min(s+k, nt-k)-2, because the
+// next snapshot's restore or the forward pass's cached tail already holds
+// the two levels above it.
+func wantRecomputed(nt, k int) (n int) {
+	for s := 0; s < nt-k; s += k {
+		n += max(min(s+k, nt-k)-2-s, 0)
+	}
+	return n
+}
+
 // TestGradientCheckpointInvariance is the checkpointing subsystem's
 // acceptance gate: because snapshots capture raw buffers and segment
 // recomputation replays the identical operator and injection schedule,
@@ -146,9 +158,9 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 		}
 		grads[k] = append([]float32(nil), res.Gradient.Bufs[0].Data...)
 		stats[k] = res.Checkpoint.RecomputedSteps
-		// The forward pass snapshots only steps below nt: the sweep restores
-		// at most step nt-1.
-		wantSnaps := 7/k + 1
+		// The forward pass snapshots only the multiples of k below its
+		// last k steps, whose levels it caches.
+		wantSnaps := (8 - 1) / k
 		if res.Checkpoint.Snapshots != wantSnaps {
 			t.Errorf("interval %d: %d snapshots, want %d", k, res.Checkpoint.Snapshots, wantSnaps)
 		}
@@ -163,11 +175,10 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 			}
 		}
 	}
-	// The forward pass caches the last segment's levels, so the sweep
-	// re-integrates every segment below it: ((nt-1)/k)*k steps, none at
-	// k >= nt.
+	// The forward pass caches the levels of its last k steps, so the
+	// sweep re-integrates steps below them only, none at k >= nt.
 	for k, rec := range stats {
-		if want := (8 - 1) / k * k; rec != want {
+		if want := wantRecomputed(8, k); rec != want {
 			t.Errorf("interval %d recomputed %d steps, want %d", k, rec, want)
 		}
 	}
@@ -175,9 +186,10 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 
 // TestGradientForwardTailNotRecomputed pins the recompute count the
 // forward tail buys: for every interval up to past nt the reverse sweep
-// re-integrates exactly ((nt-1)/k)*k steps from (nt-1)/k+1 snapshots (none
-// at step nt, which nothing restores), and the gradient keeps the bits of
-// interval 1.
+// re-integrates exactly wantRecomputed(nt, k) steps, each at most once,
+// from (nt-1)/k snapshots (none among the last k steps, whose levels the
+// forward pass caches), RecomputePerf times exactly those steps, and the
+// gradient keeps the bits of interval 1.
 func TestGradientForwardTailNotRecomputed(t *testing.T) {
 	for _, nt := range []int{7, 8, 9, 12} {
 		var base float64
@@ -188,10 +200,16 @@ func TestGradientForwardTailNotRecomputed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("nt=%d k=%d: %v", nt, k, err)
 			}
-			if want := (nt - 1) / k * k; res.Checkpoint.RecomputedSteps != want {
+			if want := wantRecomputed(nt, k); res.Checkpoint.RecomputedSteps != want {
 				t.Errorf("nt=%d k=%d: recomputed %d steps, want %d", nt, k, res.Checkpoint.RecomputedSteps, want)
 			}
-			if want := (nt-1)/k + 1; res.Checkpoint.Snapshots != want {
+			if got := res.RecomputePerf.Timesteps; got != res.Checkpoint.RecomputedSteps {
+				t.Errorf("nt=%d k=%d: RecomputePerf counts %d steps, the sweep recomputed %d", nt, k, got, res.Checkpoint.RecomputedSteps)
+			}
+			if got := res.ForwardPerf.Timesteps; got != nt {
+				t.Errorf("nt=%d k=%d: ForwardPerf counts %d steps, want nt", nt, k, got)
+			}
+			if want := (nt - 1) / k; res.Checkpoint.Snapshots != want {
 				t.Errorf("nt=%d k=%d: %d snapshots, want %d", nt, k, res.Checkpoint.Snapshots, want)
 			}
 			if k == 1 {
@@ -215,7 +233,10 @@ func TestGradientCheckpointMemory(t *testing.T) {
 		}
 		u := m.Fields[m.WaveFields[0]]
 		st := res.Checkpoint
-		if want := int64(st.Snapshots * 2 * 4 * len(u.Buf(0).Data)); st.Snapshots == 0 || st.SnapshotBytes != want {
+		if want := (8 - 1) / k; st.Snapshots != want {
+			return fmt.Errorf("%d snapshots, want (nt-1)/k = %d", st.Snapshots, want)
+		}
+		if want := int64(st.Snapshots * 2 * 4 * len(u.Buf(0).Data)); st.SnapshotBytes != want {
 			return fmt.Errorf("%d snapshots hold %d bytes, want two buffers each = %d", st.Snapshots, st.SnapshotBytes, want)
 		}
 		if bound := int64((k + 2) * 4 * u.DomainRegion().Size()); st.LevelBytes <= 0 || st.LevelBytes > bound {
@@ -314,6 +335,126 @@ func TestGradientDMP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("gradient at %d: %v on 4 ranks, %v serial", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestGradientSurveyShapeDefault pins the default interval on the shape
+// of the benchmark's survey shot (128², so-16, NT 96): k = 35 instead of
+// the sqrt rule's 10, two snapshots, 57 recomputed steps instead of 90
+// (61 if every segment stepped up to its top), in no more memory than the
+// sqrt rule's interval took, 10 snapshots and 12 levels = 2,834,432 bytes.
+func TestGradientSurveyShapeDefault(t *testing.T) {
+	m, err := Acoustic(Config{Shape: []int{128, 128}, SpaceOrder: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newGradientSolver(m, nil, GradientConfig{NT: 96, NReceivers: 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	if s.store.Interval != 35 {
+		t.Errorf("default interval %d, want 35", s.store.Interval)
+	}
+	res, err := s.solve(Shot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Checkpoint
+	if st.Snapshots != 2 {
+		t.Errorf("%d snapshots, want 2", st.Snapshots)
+	}
+	if st.RecomputedSteps != 57 {
+		t.Errorf("recomputed %d steps, want 57", st.RecomputedSteps)
+	}
+	if held := st.SnapshotBytes + st.LevelBytes; held > 2834432 {
+		t.Errorf("held %d snapshot + %d level bytes = %d, over the sqrt interval's 2834432", st.SnapshotBytes, st.LevelBytes, held)
+	}
+}
+
+// TestGradientDMPDefaultIntervalAgrees runs a default-interval gradient on
+// a 2x2 world over an uneven 37² grid, whose ranks own chunks of different
+// sizes, and holds every rank to the same interval — the recompute Applys
+// exchange halos, so ranks that disagreed would deadlock — and the
+// assembled gradient to the serial one bit for bit, as TestGradientDMP
+// does. The time-tiled case deepens the ghost storage the default is
+// priced on to 4 points, where an interval priced on the chunks (19 and 18
+// points a side) instead of the global shape would differ between ranks.
+func TestGradientDMPDefaultIntervalAgrees(t *testing.T) {
+	const nt = 45
+	model := func(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
+		m, ctx, err := OnRank(c, "acoustic", Config{Shape: []int{37, 37}, SpaceOrder: 2, NBL: 0, Velocity: 1}, mode, []int{2, 2})
+		if err != nil {
+			return nil, nil, err
+		}
+		fillConst(m.Fields["m"], 2)
+		return m, ctx, nil
+	}
+	gc := GradientConfig{NT: nt, DT: 1, Wavelet: []float32{1, -2, 1},
+		SourceCoords: []float64{18, 18}, ReceiverCoords: [][]float64{{6, 5}, {17, 30}, {30, 9}, {31, 33}}}
+	sm, _, err := model(nil, halo.ModeNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := RunGradient(sm, nil, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Checkpoint.Snapshots == 0 || serial.Checkpoint.RecomputedSteps == 0 {
+		t.Fatalf("serial default recomputes nothing (%+v): the test needs a recompute", serial.Checkpoint)
+	}
+	shape := serial.Gradient.LocalShape
+	want := make([]float32, shape[0]*shape[1])
+	scatterOwned(want, shape, serial.Gradient, 0)
+	for _, tc := range []struct {
+		mode halo.Mode
+		tile int
+	}{{halo.ModeDiagonal, 1}, {halo.ModeFull, 4}} {
+		t.Run(fmt.Sprintf("%s/k%d", tc.mode, tc.tile), func(t *testing.T) {
+			got := make([]float32, len(want))
+			intervals, halos := make([]int, 4), make([]int, 4)
+			err := mpi.RunRanks(4, func(c *mpi.Comm) error {
+				m, ctx, err := model(c, tc.mode)
+				if err != nil {
+					return err
+				}
+				rgc := gc
+				rgc.Workers, rgc.TimeTile = 2, tc.tile
+				s, err := newGradientSolver(m, ctx, rgc, nil)
+				if err != nil {
+					return err
+				}
+				defer s.close()
+				intervals[c.Rank()] = s.store.Interval
+				halos[c.Rank()] = m.Fields["u"].Halo[0]
+				// Fail instead of deadlocking in a recompute.
+				k := float64(s.store.Interval)
+				if lo, hi := c.AllreduceScalar(k, mpi.OpMin), c.AllreduceScalar(k, mpi.OpMax); lo != hi {
+					return fmt.Errorf("rank %d: interval %v, the world's run from %v to %v", c.Rank(), k, lo, hi)
+				}
+				res, err := s.solve(Shot{})
+				if err != nil {
+					return err
+				}
+				if res.DotForward != serial.DotForward || res.DotAdjoint != serial.DotAdjoint {
+					t.Errorf("rank %d: dots diverge from serial", c.Rank())
+				}
+				if math.Abs(res.GradNorm-serial.GradNorm) > 1e-12*serial.GradNorm {
+					t.Errorf("rank %d: gradient norm %v != serial %v", c.Rank(), res.GradNorm, serial.GradNorm)
+				}
+				scatterOwned(got, shape, res.Gradient, 0)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("default interval %d on every rank (u halo %v)", intervals[0], halos)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("gradient at %d: %v on 4 ranks, %v serial", i, got[i], want[i])

@@ -31,12 +31,14 @@ type GradientConfig struct {
 	// the synthetic data itself is back-propagated (an RTM-style image,
 	// and the configuration of the dot-product test).
 	ObsData [][]float64
-	// CheckpointInterval is the snapshot spacing k: memory holds (NT-1)/k+1
-	// snapshots of two time levels each (halos included) plus at most k+2
-	// cached DOMAIN levels. The forward pass caches the levels of the last
-	// segment, so the reverse sweep re-integrates every segment but the last:
-	// ((NT-1)/k)*k steps, none when k >= NT. 0 uses the sqrt(NT) heuristic
-	// that balances the two memory terms; a negative value is an error.
+	// CheckpointInterval is the snapshot spacing k: memory holds (NT-1)/k
+	// snapshots of two time levels each (halos included) plus at most
+	// min(k, NT)+2 cached DOMAIN levels. The forward pass caches the levels
+	// of its last k steps and the reverse sweep re-integrates steps below
+	// them, each at most once: NT-k-2·((NT-1)/k) steps (one more when k
+	// divides NT-1), none when k >= NT or k <= 2. 0 uses
+	// checkpoint.DefaultInterval, the largest k whose memory bound fits that
+	// of the sqrt(NT) interval; a negative value is an error.
 	CheckpointInterval int
 	// Exec configures the forward, adjoint and imaging operators (the
 	// pointwise imaging kernel has no halo, so it never time-tiles).
@@ -68,6 +70,11 @@ type GradientResult struct {
 	// ForwardPerf / AdjointPerf report the two operators' section timings
 	// (ForwardPerf excludes the reverse sweep's recomputation).
 	ForwardPerf, AdjointPerf core.Perf
+	// RecomputePerf reports the forward operator's section timings over
+	// the reverse sweep's re-integration; its Timesteps equal
+	// Checkpoint.RecomputedSteps. The adjoint's WallSeconds include it,
+	// because the recompute runs inside the adjoint's PostStep hook.
+	RecomputePerf core.Perf
 	// ForwardConfig / AdjointConfig record the effective execution
 	// configurations (chosen by the autotuner or forced) for provenance.
 	ForwardConfig, AdjointConfig core.EffectiveConfig
@@ -128,10 +135,7 @@ func newGradientSolver(m *Model, ctx *core.Context, gc GradientConfig, cache *op
 	}
 	k := gc.CheckpointInterval
 	if k < 0 {
-		return nil, fmt.Errorf("propagators: GradientConfig.CheckpointInterval must be >= 0 (0 = the sqrt(NT) default), got %d", k)
-	}
-	if k == 0 {
-		k = checkpoint.DefaultInterval(nt)
+		return nil, fmt.Errorf("propagators: GradientConfig.CheckpointInterval must be >= 0 (0 = the default), got %d", k)
 	}
 	s := &gradientSolver{m: m, ctx: ctx, gc: gc, dt: dt}
 	// The solver owns its operators' persistent worker teams; release them
@@ -153,7 +157,13 @@ func newGradientSolver(m *Model, ctx *core.Context, gc GradientConfig, cache *op
 	if s.grad, s.imgOp, err = imagingOperator(m, s.adj, ctx, gc.options("imaging", cache)); err != nil {
 		return nil, err
 	}
-	s.store = checkpoint.New(k, m.Fields[m.WaveFields[0]]) // forward() stamps it with this rank
+	u := m.Fields[m.WaveFields[0]]
+	if k == 0 {
+		// The halos are the ones the forward operator provisioned, the
+		// same on every rank.
+		k = checkpoint.DefaultInterval(nt, m.Grid.Shape, u.Halo)
+	}
+	s.store = checkpoint.New(k, u) // forward() stamps it with this rank
 	return s, nil
 }
 
@@ -226,6 +236,8 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 	}
 	res := &GradientResult{NT: nt, DT: dt, Receivers: fres.Receivers,
 		ForwardPerf: fres.Perf, ForwardConfig: s.fwdOp.Config()}
+	// From here the forward operator only recomputes.
+	s.fwdOp.ResetPerf()
 
 	// The adjoint source: residual against observed data when given,
 	// otherwise the synthetics themselves.
@@ -243,13 +255,17 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 	syms := map[string]float64{"dt": dt}
 
 	// ensureLevels re-materialises the forward time levels lo..hi from
-	// the newest snapshot at or below hi-1, replaying the source
+	// the newest snapshot s at or below hi-1, replaying the source
 	// injection so the recomputation is bit-identical. Basing the lookup
-	// on hi-1 (not lo) guarantees the re-integrated window s-1..s+k
-	// covers hi even when hi sits on a snapshot step; lo >= s-1 holds
-	// because snapshots are at most k apart. The forward pass cached every
-	// level from one below the last snapshot under nt, so a recompute
-	// starts below that snapshot and its k steps end at or before it.
+	// on hi-1 (not lo) makes the window s-1..e cover hi even when hi sits
+	// on a snapshot step; lo >= s-1 holds because snapshots are k apart.
+	// The window ends at the next snapshot or one above the lowest level
+	// the forward pass cached, whichever comes first: the sweep asks for
+	// levels above that only while they are still cached. The top of the
+	// window is still cached too — the two levels the next snapshot's
+	// restore recorded, or the forward tail's lowest two — so the
+	// recompute steps only up to the highest level below them.
+	tail := checkpoint.TailLevel(nt, k)
 	ensureLevels := func(lo, hi int) error {
 		if store.HasLevel(lo) && store.HasLevel(hi) {
 			return nil
@@ -261,12 +277,19 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 		if err := store.Restore(s); err != nil {
 			return err
 		}
-		store.PruneLevels(s-1, s+k)
+		e := min(s+k, tail+1)
+		store.PruneLevels(s-1, e)
+		for e > s && store.HasLevel(e) {
+			e--
+		}
 		store.RecordLevel(s - 1)
 		store.RecordLevel(s)
+		if e == s {
+			return nil
+		}
 		var hook firstErr
 		if err := fres.Op.Apply(&core.ApplyOpts{
-			TimeM: s, TimeN: s + k - 1, Syms: syms,
+			TimeM: s, TimeN: e - 1, Syms: syms,
 			PostStep: func(t int) {
 				hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
 				store.RecordLevel(t + 1)
@@ -278,7 +301,7 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 		if hook.err != nil {
 			return hook.err
 		}
-		store.Stats.RecomputedSteps += k
+		store.Stats.RecomputedSteps += e - s
 		return nil
 	}
 
@@ -309,6 +332,7 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 	res.GradNorm = normOf(s.grad, ctx, 0)
 	res.AdjointPerf = s.adjOp.Report()
 	res.AdjointConfig = s.adjOp.Config()
+	res.RecomputePerf = s.fwdOp.Report()
 	res.Checkpoint = store.Stats
 	for t := 0; t < nt; t++ {
 		for r := range adjSrc[t] {

@@ -119,28 +119,35 @@ func stepDT(name string, dt, critical float64) (float64, error) {
 }
 
 // forward steps a compiled model nt times, injecting srcs' source and
-// sampling its receivers after every step, and snapshotting into store
-// the steps below nt when it is not nil (the sweep restores at most step
-// nt-1). The reverse sweep would restore the last snapshot below nt,
-// (nt-1)/k*k, and re-integrate up to nt; forward caches every level from
-// one below that snapshot instead, so the sweep starts on cached levels
-// (k+2 at most, the cache's bound). Receivers are sampled rank-locally
-// into one nt×nrec table, and a distributed run reduces it once, after
-// the last step, as it does the norm: the step loop synchronises with
-// halo neighbours only.
+// sampling its receivers after every step. When store is not nil it keeps
+// what the reverse sweep reads back (checkpoint.TailLevel): the levels of
+// the last k steps, which the sweep then never recomputes (k+2 at most,
+// the cache's bound), and a snapshot of every multiple of k below them.
+// Receivers are sampled rank-locally into one nt×nrec table, and a
+// distributed run reduces it once, after the last step, as it does the
+// norm: the step loop synchronises with halo neighbours only.
 func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	autotune string, store *checkpoint.Store, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
-	var tail int
+	// keep takes what store keeps of the state ready for step t.
+	var keep func(t int)
 	if store != nil {
 		if ctx != nil {
 			store.Rank = ctx.Comm.Rank()
 		}
-		store.SaveIfDue(0)
-		tail = (nt-1)/store.Interval*store.Interval - 1
-		for lvl := tail; lvl <= 0; lvl++ {
-			store.RecordLevel(lvl)
+		tail := checkpoint.TailLevel(nt, store.Interval)
+		keep = func(t int) {
+			if t <= tail {
+				store.SaveIfDue(t)
+			}
+			if t >= tail {
+				store.RecordLevel(t)
+			}
 		}
+		if tail < 0 {
+			store.RecordLevel(-1)
+		}
+		keep(0)
 	}
 	var traces []float64
 	nrec := 0
@@ -155,13 +162,8 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 		if srcs.rec != nil {
 			copy(traces[t*nrec:], srcs.rec.Interpolate(u, t+1, nil))
 		}
-		if store != nil {
-			if t+1 < nt {
-				store.SaveIfDue(t + 1)
-			}
-			if t+1 >= tail {
-				store.RecordLevel(t + 1)
-			}
+		if keep != nil {
+			keep(t + 1)
 		}
 	}
 	if err := op.Apply(&core.ApplyOpts{
