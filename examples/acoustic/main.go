@@ -42,6 +42,9 @@ func main() {
 	}
 	fmt.Printf("serial:       norm=%.6e  %6.1f Mpts/s  (flops/point=%d)\n",
 		res.Norm, res.Perf.GPtss()*1e3, res.Perf.FlopsPerPoint)
+	if err := res.CheckFinite(m.Name); err != nil {
+		log.Fatal(err)
+	}
 	serialNorm := res.Norm
 
 	for _, mode := range []halo.Mode{halo.ModeBasic, halo.ModeDiagonal, halo.ModeFull} {
@@ -53,6 +56,9 @@ func main() {
 			}
 			dres, err := propagators.Run(dm, ctx, propagators.RunConfig{NT: nt, NReceivers: 8})
 			if err != nil {
+				return err
+			}
+			if err := dres.CheckFinite(dm.Name); err != nil {
 				return err
 			}
 			if c.Rank() == 0 {

@@ -63,4 +63,7 @@ func main() {
 		}
 		fmt.Println()
 	}
+	if err := res.CheckFinite(m.Name); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -52,6 +52,9 @@ func main() {
 	}
 	fmt.Printf("adjoint certification: <Fq,Fq>=%.9g <q,F'Fq>=%.9g rel=%.3g\n",
 		cert.DotForward, cert.DotAdjoint, cert.RelErr)
+	if err := propagators.CheckFinite("adjoint certification", cert.DotForward, cert.DotAdjoint); err != nil {
+		log.Fatal(err)
+	}
 	if cert.RelErr > certTol {
 		log.Fatalf("adjoint certification failed: rel %.3g > %g", cert.RelErr, certTol)
 	}
@@ -67,6 +70,9 @@ func main() {
 		log.Fatal(err)
 	}
 	report("serial", res)
+	if err := finite("serial", res); err != nil {
+		log.Fatal(err)
+	}
 
 	// The identical gradient over 4 ranks with overlapped halo exchange.
 	err = mpi.RunRanks(4, func(c *mpi.Comm) error {
@@ -76,6 +82,9 @@ func main() {
 		}
 		dres, err := propagators.RunGradient(dm, ctx, gradientConfig())
 		if err != nil {
+			return err
+		}
+		if err := finite("4-rank full", dres); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -104,4 +113,9 @@ func report(label string, res *propagators.GradientResult) {
 	fmt.Printf("%-12s compute+halo seconds: forward %.4f (%d steps), recompute %.4f (%d steps), adjoint %.4f (%d steps)\n",
 		label, swept(res.ForwardPerf), res.ForwardPerf.Timesteps, swept(res.RecomputePerf), res.RecomputePerf.Timesteps,
 		swept(res.AdjointPerf), res.AdjointPerf.Timesteps)
+}
+
+// finite fails a gradient whose norm or dot products are not finite.
+func finite(label string, res *propagators.GradientResult) error {
+	return propagators.CheckFinite(label+" gradient", res.GradNorm, res.DotForward, res.DotAdjoint)
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"sync"
 
 	"devigo"
@@ -55,6 +56,13 @@ func buildAndRun(env *devigo.Env, report func(rank int, before, after string)) e
 	rank := 0
 	if env != nil {
 		rank = env.Rank()
+	}
+	// A diverged run fails: every value this rank owns must be finite
+	// (Gather without a communicator returns them).
+	for _, v := range u.Data().Gather(nil, 0, 1) {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return fmt.Errorf("rank %d: u diverged: %v", rank, v)
+		}
 	}
 	report(rank, before, u.Data().LocalString(1))
 	if rank == 0 && env == nil {

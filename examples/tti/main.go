@@ -65,6 +65,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nafter %d steps: p-field norm %.6e\n", res.NT, res.Norm)
+	if err := res.CheckFinite(m.Name); err != nil {
+		log.Fatal(err)
+	}
 
 	iso, err := propagators.Acoustic(propagators.Config{
 		Shape: []int{24, 24}, SpaceOrder: 8, NBL: 4, Velocity: 1.5,
@@ -77,5 +80,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("isotropic reference norm: %.6e (anisotropy shifts the wavefront)\n", ires.Norm)
+	if err := ires.CheckFinite(iso.Name); err != nil {
+		log.Fatal(err)
+	}
 	_ = symbolic.Expr(nil)
 }

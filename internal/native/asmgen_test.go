@@ -59,7 +59,10 @@ const asmHeader = `// Code generated by asmgen_test.go (go test -run TestHandler
 // the block and re-enters the table or returns on runBlocks' frame.
 //
 //	R10  the run's op table        R11  the current op
-//	BX   the block's byte offset in a float32 row (twice that in a float64 row)
+//	BX   the block's byte offset in a float32 field row, the row's own
+//	     offset from the run's first row included
+//	R12  the block's byte offset in a float32 row alone (twice that in a
+//	     float64 register or hoisted row, which no row offset moves)
 //	CX   points left in the row    AX   the next handler
 //	SI DX R8  operands X Y Z       DI   a terminator's destination row
 //	Y0-Y3   acc                    Y4-Y7   t
@@ -81,11 +84,13 @@ const asmHeader = `// Code generated by asmgen_test.go (go test -run TestHandler
 DATA vone<>+0x00(SB)/8, $0x3FF0000000000000 // 1.0
 GLOBL vone<>(SB), RODATA, $8
 
-// func runBlocks(ops *xop, n int)
-TEXT ·runBlocks(SB), NOSPLIT, $0-16
+// func runBlocks(ops *xop, n, start int)
+TEXT ·runBlocks(SB), NOSPLIT, $0-24
 	MOVQ ops+0(FP), R10
 	MOVQ n+8(FP), CX
-	XORQ BX, BX
+	MOVQ start+16(FP), BX
+	SHLQ $2, BX
+	XORQ R12, R12
 	MOVQ R10, R11
 	CMPQ CX, $16
 	JLT  four
@@ -154,8 +159,9 @@ func handlerName(f form, width int) string {
 	return fmt.Sprintf("h%d_%s", width, strings.NewReplacer(".", "_", "^-", "_inv", "^", "_to").Replace(f.String()))
 }
 
-// row points ptr at the block of operand pos, a field row (class F) or a
-// register row, and returns the address of each of its lanes.
+// row points ptr at the block of operand pos — a field row (class F) at
+// BX, the row's offset in the run included, or a register or hoisted row
+// at 2·R12 — and returns the address of each of its lanes.
 func (g *asmGen) row(pos int, c bytecode.Class, ptr string) regs {
 	g.ins("MOVQ %d(R11), %s", offP+8*pos, ptr)
 	stride := 32
@@ -163,7 +169,7 @@ func (g *asmGen) row(pos int, c bytecode.Class, ptr string) regs {
 		g.ins("ADDQ BX, %s", ptr)
 		stride = 16
 	} else {
-		g.ins("LEAQ (%s)(BX*2), %s", ptr, ptr)
+		g.ins("LEAQ (%s)(R12*2), %s", ptr, ptr)
 	}
 	var at regs
 	for j := range at {
@@ -334,6 +340,7 @@ func (g *asmGen) pow(exp int8, d regs) {
 // block it hands the row's last 4-point blocks to the 4-point handlers.
 func (g *asmGen) end(width int) {
 	g.ins("ADDQ $%d, BX", 4*width)
+	g.ins("ADDQ $%d, R12", 4*width)
 	g.ins("SUBQ $%d, CX", width)
 	g.ins("MOVQ R10, R11")
 	g.ins("CMPQ CX, $%d", width)

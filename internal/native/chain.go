@@ -83,14 +83,17 @@ var forms, formIndex = func() ([]form, map[form]int32) {
 
 // xop is one link in executable form, in the layout the assembly handlers
 // read (48 bytes; asmgen_test.go takes the offsets from this type). p[i]
-// addresses operand X, Y or Z at the row's first point when it lives in
-// memory — a float32 field row or a float64 register row; p[0] is the
-// destination row of a torow or store, whose one operand is acc. s is the
-// scalar operand's bits or, for a power, its exponent. h are the form's
-// handlers for a block of 16 points and of 4 (zero where there is no
-// assembly). Addresses are patched per worker (register rows) and once per
-// run of rows, then advanced row by row (field accesses, stores and
-// hoisted rows); scalars are resolved from the bound pool once per Run.
+// addresses operand X, Y or Z when it lives in memory: a float32 field row
+// at its first point on the run's first row — the executors add the row's
+// offset in the run — or a float64 register or hoisted row at its first
+// point; p[0] is the destination row of a torow or store, whose one
+// operand is acc. s is the scalar operand's bits or, for a power, its
+// exponent. h are the form's handlers for a block of 16 points and of 4
+// (zero where there is no assembly). Addresses are patched per worker
+// (register rows) and once per run of rows (field accesses, stores and
+// hoisted rows), and corrected between rows only where a row moves by
+// another pitch than the run's (see skew); scalars are resolved from the
+// bound pool once per Run.
 type xop struct {
 	p [3]addr
 	s uint64
@@ -98,23 +101,28 @@ type xop struct {
 }
 
 // addr is an address in the op table, a word the garbage collector does
-// not trace. Field rows are advanced on every row of every sweep, and a
-// pointer store made while a GC cycle is marking runs the write barrier;
-// a plain word does not. That is safe because nothing in the op table is
-// what keeps its memory alive: a field row lies in a buffer the driver's
-// Resolved holds for the whole Run (and the row group beside it holds the
-// same slice), a register row in the worker's regs, which its scratch
-// holds for as long as the exec whose table points into it, a hoisted row
-// in the kernel's rows, which Prime replaces only between Runs; and Go's
-// heap does not move objects. None of them lies on a goroutine stack, which
-// can move.
+// not trace. Field rows are pointed on every run of rows of every sweep,
+// and a pointer store made while a GC cycle is marking runs the write
+// barrier; a plain word does not. That is safe because nothing in the op
+// table is what keeps its memory alive: a field row lies in a buffer the
+// driver's Resolved holds for the whole Run (and the row group beside it
+// holds the same slice), a register row in the worker's regs, which its
+// scratch holds for as long as the exec whose table points into it, a
+// hoisted row in the kernel's rows, which Prime replaces only between
+// Runs; and Go's heap does not move objects. None of them lies on a
+// goroutine stack, which can move. A word need not lie inside its buffer:
+// one whose rows are closer together than the run's pitch steps below it
+// as its corrections accumulate. So an executor adds the row's and the
+// block's offset to the word before it makes a pointer of it, and the
+// pointer does.
 type addr uintptr
 
 // addrOf is p's address.
 func addrOf(p unsafe.Pointer) addr { return addr(uintptr(p)) }
 
-// ptr is the address as a pointer again. The word is reinterpreted, not
-// converted: a uintptr-to-pointer conversion is what vet's unsafeptr check
-// and the race detector's checkptr reject, since neither can see what
-// keeps the memory alive (addr's comment says what does).
+// ptr is the address as a pointer again; the address must lie inside its
+// buffer. The word is reinterpreted, not converted: a uintptr-to-pointer
+// conversion is what vet's unsafeptr check and the race detector's
+// checkptr reject, since neither can see what keeps the memory alive
+// (addr's comment says what does).
 func (a addr) ptr() unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&a)) }

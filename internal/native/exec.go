@@ -35,9 +35,9 @@ const (
 type tmpl struct {
 	forms []form
 	ops   []xop
-	fs    []patch // load slots, re-pointed every row run and advanced every row
+	fs    []patch // load slots, pointed at the first row of every run of rows
 	es    []patch // equation outputs, likewise
-	hs    []patch // hoisted rows (idx is the row's ordinal), likewise
+	hs    []patch // hoisted rows (idx is the row's ordinal), likewise, and corrected every row
 	rs    []patch // register rows, re-pointed when the row pitch changes
 	ss    []patch // scalar-pool entries, copied into s every Run
 	// fsGroup[i] is the group of fs patch i, groupSlot[g] the first slot
@@ -200,22 +200,28 @@ type fieldPtr struct {
 	off   addr
 }
 
-// step is one operand that moves from row to row: the op-table slot
-// holding its address and the bytes it advances per row.
-type step struct {
-	dst *addr
+// skew is one operand whose row moves by another pitch than the run's: the
+// op-table slot holding its address (p[pos] of op li) and the bytes it is
+// corrected by between rows. A row's field operands and stores are
+// addressed from the run's first row by the row's offset in the run's
+// pitch (see ExecRows); a buffer with another row pitch differs by the
+// difference, and a hoisted row, which that offset does not move, by its
+// whole pitch.
+type skew struct {
+	li  int32
+	pos int8
 	d   addr
 }
 
 // exec is the per-worker executable state of one template: a private copy
 // of its op table with register-row pointers and pool scalars resolved.
-// fs parallels the template's fs patch list; steps lists every operand
-// that advances per row — the fs patches, then es, then hs.
+// fs parallels the template's fs patch list; skews lists the operands of
+// the run of rows in flight that need a correction per row.
 type exec struct {
 	ops    []xop
 	groups []rowGroup
 	fs     []fieldPtr
-	steps  []step
+	skews  []skew
 	stride int // the row pitch the register rows are pointed with; -1 before the first
 }
 
@@ -225,16 +231,11 @@ func newExec(tm *tmpl) *exec {
 		ops:    append([]xop(nil), tm.ops...),
 		groups: make([]rowGroup, len(tm.groupSlot)),
 		fs:     make([]fieldPtr, len(tm.fs)),
+		skews:  make([]skew, 0, len(tm.fs)+len(tm.es)+len(tm.hs)),
 		stride: -1,
 	}
-	for i, p := range tm.fs {
+	for i := range tm.fs {
 		e.fs[i].group = tm.fsGroup[i]
-		e.steps = append(e.steps, step{dst: &e.ops[p.li].p[p.pos]})
-	}
-	for _, list := range [...][]patch{tm.es, tm.hs} {
-		for _, p := range list {
-			e.steps = append(e.steps, step{dst: &e.ops[p.li].p[p.pos]})
-		}
 	}
 	return e
 }
@@ -259,14 +260,20 @@ func (k *Kernel) resolveGroups(tm *tmpl, e *exec) {
 }
 
 // patchRows points every operand that lives in a buffer at the first row
-// of a run of rows rows, n points each, and sets how far each advances per
-// row. One bounds check per buffer per run — the span from the group's
+// of a run of rows rows, n points each, and returns the run's pitch: the
+// row pitch of the first output's field, by which every next row's offset
+// in the run grows (see ExecRows). The operands whose rows move by another
+// pitch — a buffer with another halo, a hoisted row — go on the worker's
+// skews. One bounds check per buffer per run — the span from the group's
 // extent on the first row to its extent on the last, which contains every
 // member's row on every row of the run — replaces the VM's
 // per-instruction slice checks; a violation panics, naming the operand,
 // before any link touches memory.
-func (k *Kernel) patchRows(tm *tmpl, e *exec, n, rows int, bases, pitch []int) {
+func (k *Kernel) patchRows(tm *tmpl, e *exec, n, rows int, bases, pitch []int) int {
 	last := rows - 1
+	r := &k.drv.Resolved
+	run := pitch[r.Outs[0].Field]
+	e.skews = e.skews[:0]
 	for gi := range e.groups {
 		g := &e.groups[gi]
 		base, pf := bases[g.field], pitch[g.field]
@@ -277,31 +284,34 @@ func (k *Kernel) patchRows(tm *tmpl, e *exec, n, rows int, bases, pitch []int) {
 	}
 	for i, f := range e.fs {
 		g := &e.groups[f.group]
-		*e.steps[i].dst = g.row + f.off
-		e.steps[i].d = addr(4 * pitch[g.field])
-	}
-	s := e.steps[len(e.fs):]
-	r := &k.drv.Resolved
-	for i, p := range tm.es {
-		field := r.Outs[p.idx].Field
-		off, data := bases[field], r.OutData[p.idx]
-		if off < 0 || off+last*pitch[field]+n > len(data) {
-			panic(fmt.Sprintf("native: store row [%d:%d) out of bounds of eq %d (len %d)",
-				off, off+last*pitch[field]+n, p.idx, len(data)))
+		p := tm.fs[i]
+		e.ops[p.li].p[p.pos] = g.row + f.off
+		if pf := pitch[g.field]; pf != run {
+			e.skews = append(e.skews, skew{p.li, p.pos, addr(4 * (pf - run))})
 		}
-		*s[i].dst = addrOf(unsafe.Pointer(&data[off]))
-		s[i].d = addr(4 * pitch[field])
 	}
-	s = s[len(tm.es):]
+	for _, p := range tm.es {
+		field := r.Outs[p.idx].Field
+		off, data, pf := bases[field], r.OutData[p.idx], pitch[field]
+		if off < 0 || off+last*pf+n > len(data) {
+			panic(fmt.Sprintf("native: store row [%d:%d) out of bounds of eq %d (len %d)",
+				off, off+last*pf+n, p.idx, len(data)))
+		}
+		e.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&data[off]))
+		if pf != run {
+			e.skews = append(e.skews, skew{p.li, p.pos, addr(4 * (pf - run))})
+		}
+	}
 	if len(tm.hs) == 0 {
-		return
+		return run
 	}
 	h := &k.hoist
 	off, hp := h.locate(r.Fields[h.ref], bases[h.ref], n, rows)
-	for i, p := range tm.hs {
-		*s[i].dst = addrOf(unsafe.Pointer(&h.rows[int(p.idx)*h.size+off]))
-		s[i].d = addr(8 * hp)
+	for _, p := range tm.hs {
+		e.ops[p.li].p[p.pos] = addrOf(unsafe.Pointer(&h.rows[int(p.idx)*h.size+off]))
+		e.skews = append(e.skews, skew{p.li, p.pos, addr(8 * hp)})
 	}
+	return run
 }
 
 // rowOutOfBounds names the first field operand whose row leaves its
@@ -373,20 +383,20 @@ func (k *Kernel) Prep(sc *scratch, maxRow int, pool []float64) {
 }
 
 // ExecRows implements runtime.RowExec: the operands are addressed once for
-// the run of rows, and the run executes once per row, every operand
-// advancing by its own row pitch in between.
+// the run of rows, and the run executes once per row, each row named by its
+// offset from the first in the run's pitch; in between, only the operands
+// on the skews list move.
 func (k *Kernel) ExecRows(sc *scratch, n, rows int, bases, pitch []int, _ []float64) {
 	tm, e := k.tms[k.cur], sc.ex[k.cur]
-	k.patchRows(tm, e, n, rows, bases, pitch)
+	run := k.patchRows(tm, e, n, rows, bases, pitch)
 	fs := tm.forms[:len(tm.forms)-1]
-	for r := 1; ; r++ {
-		runOps(fs, e.ops, n)
-		if r == rows {
+	for r := 0; ; {
+		runOps(fs, e.ops, n, r*run)
+		if r++; r == rows {
 			return
 		}
-		for i := range e.steps {
-			s := &e.steps[i]
-			*s.dst += s.d
+		for _, s := range e.skews {
+			e.ops[s.li].p[s.pos] += s.d
 		}
 	}
 }

@@ -18,9 +18,13 @@
 // row and one threaded dispatch per link per block, and nothing a chain
 // computes touches memory before a torow or store link writes it. Field
 // operands are read through unsafe pointers patched once per run of rows
-// — a tile's rows in 2-D, one plane's in 3-D — and advanced by their row
-// pitch from row to row (one bounds check per field buffer per run instead
-// of per point). The handlers
+// — a tile's rows in 2-D, one plane's in 3-D, and a team of one sweeps
+// its box as one tile — with one bounds check per field buffer per run
+// instead of per point. A row is then its offset from the run's first row
+// in the pitch of the first output's field: the executors add it to every
+// field operand and store, so between rows only the operands whose rows
+// move by another pitch (a buffer with another halo, a hoisted row) are
+// corrected, not every operand. The handlers
 // are AVX assembly on amd64 (on a host that has it: CPUID and XGETBV are
 // probed once), generated from the form list; the same op table runs
 // through an equivalent pure-Go executor elsewhere. Both widen float32
@@ -46,11 +50,12 @@
 // next segment's taps on the same block, and a register row one segment
 // drains into is read back by the next while it is still in the store
 // buffer), the per-row addressing (row bases, operand addresses and bounds
-// checks are derived once per run of rows; each row only advances the
-// operands by their pitch), and the time-invariant chains (a segment that
-// reads only parameters no kernel writes runs once per Apply, when the
-// operator's hoisted rows fit its budget, and the steps read its row back:
-// see Hoist), plus 4-lane SIMD arithmetic inside each handler.
+// checks are derived once per run of rows; each row is one offset, and only
+// the operands whose rows move by another pitch are corrected), and the
+// time-invariant chains (a segment that reads only parameters no kernel
+// writes runs once per Apply, when the operator's hoisted rows fit its
+// budget, and the steps read its row back: see Hoist), plus 4-lane SIMD
+// arithmetic inside each handler.
 package native
 
 import (

@@ -23,8 +23,12 @@ func dsl(p unsafe.Pointer, n int) []float64 { return unsafe.Slice((*float64)(p),
 func fsl(p unsafe.Pointer, n int) []float32 { return unsafe.Slice((*float32)(p), n) }
 
 // goRun executes the run's links fs (ops parallel to them) over the points
-// [lo, hi) of the row.
-func goRun(fs []form, ops []xop, lo, hi int) {
+// [lo, hi) of the row that starts start elements after the run's first row
+// in every field operand and store (register and hoisted rows do not move
+// with it). The offset is added to a table word before the word becomes a
+// pointer: a word may lie outside its buffer when its operand's rows move
+// by another pitch than the run's (see ExecRows), the pointer never does.
+func goRun(fs []form, ops []xop, lo, hi, start int) {
 	var acc, t, bx, by, bz [blockN]float64
 	var base, m int
 	var a, tt []float64 // acc and t over the current block
@@ -34,11 +38,11 @@ func goRun(fs []form, ops []xop, lo, hi int) {
 	operand := func(c bytecode.Class, o *xop, i int, buf []float64) []float64 {
 		switch c {
 		case bytecode.ClassF:
-			for j, v := range fsl(unsafe.Add(o.p[i].ptr(), 4*base), m) {
+			for j, v := range fsl((o.p[i] + addr(4*(start+base))).ptr(), m) {
 				buf[j] = float64(v)
 			}
 		case bytecode.ClassR:
-			return dsl(unsafe.Add(o.p[i].ptr(), 8*base), m)
+			return dsl((o.p[i] + addr(8*base)).ptr(), m)
 		case bytecode.ClassS:
 			for j := range buf {
 				buf[j] = math.Float64frombits(o.s)
@@ -81,9 +85,9 @@ func goRun(fs []form, ops []xop, lo, hi int) {
 					d[j] = runtime.Ipow(x[j], int(int64(o.s)))
 				}
 			case bytecode.LinkToRow:
-				copy(dsl(unsafe.Add(o.p[0].ptr(), 8*base), m), x)
+				copy(dsl((o.p[0]+addr(8*base)).ptr(), m), x)
 			case bytecode.LinkStore:
-				out := fsl(unsafe.Add(o.p[0].ptr(), 4*base), m)
+				out := fsl((o.p[0] + addr(4*(start+base))).ptr(), m)
 				for j, v := range x {
 					out[j] = float32(v)
 				}

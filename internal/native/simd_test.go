@@ -192,8 +192,8 @@ func checkRun(t *testing.T, name string, links []bytecode.Link, n int) *tmpl {
 	tm := runTemplate(links)
 	fs := tm.forms[:len(tm.forms)-1]
 	asm, twin, def := newRowBufs(n), newRowBufs(n), newRowBufs(n)
-	runOps(fs, asm.bind(tm), n)
-	goRun(fs, twin.bind(tm), 0, n)
+	runOps(fs, asm.bind(tm), n, 0)
+	goRun(fs, twin.bind(tm), 0, n, 0)
 	linkByLink(fs, def.bind(tm), n)
 	a, g, d := asm.results(), twin.results(), def.results()
 	for i := range d {
@@ -399,7 +399,7 @@ func TestPowSpecializations(t *testing.T) {
 			for i := range b.f64[0] {
 				b.f64[0][i] = v
 			}
-			runOps(tm.forms[:len(tm.forms)-1], b.bind(tm), n)
+			runOps(tm.forms[:len(tm.forms)-1], b.bind(tm), n, 0)
 			want := runtime.Ipow(v, e)
 			for lane, got := range b.f64[drainRow] {
 				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {

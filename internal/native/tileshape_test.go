@@ -12,10 +12,14 @@ import (
 
 // tileNest is a damped-wave update on shape: a per-point reciprocal of
 // the parameters m and damp, drained into a register row, scales a
-// radius-1 Laplacian of u. The reciprocal's chain reads only parameters,
-// so it hoists. Fields are order 4 (two ghost layers), so a box widened by
-// one point per side still reads inside them.
-func tileNest(t *testing.T, shape []int) confNest {
+// radius-1 Laplacian of u, and a third parameter q scales u once more
+// (q·u), so the step itself reads a parameter. The reciprocal's chain
+// reads only parameters, so it hoists. Fields are order 4, so a box
+// widened by one point per side still reads inside them. grow names the
+// field whose ghost region GrowHalo widens to six points after
+// allocation, or "": grown, its rows lie another pitch apart than the
+// others'.
+func tileNest(t *testing.T, shape []int, grow string) confNest {
 	t.Helper()
 	g := grid.MustNew(shape, nil)
 	nd := len(shape)
@@ -32,6 +36,7 @@ func tileNest(t *testing.T, shape []int) confNest {
 	}
 	mB, mN := param("m", 0.5), param("m", 0.5)
 	dB, dN := param("damp", 0.125), param("damp", 0.125)
+	qB, qN := param("q", 0.0625), param("q", 0.0625)
 	ut := symbolic.At(uB.Ref)
 	dt := symbolic.S("dt")
 	assigns := []symbolic.Assignment{{Name: "r0", Value: symbolic.Pow{Base: symbolic.NewAdd(
@@ -42,30 +47,47 @@ func tileNest(t *testing.T, shape []int) confNest {
 		symbolic.NewMul(symbolic.Int(2), ut),
 		symbolic.Neg(symbolic.Backward(uB.Ref)),
 		symbolic.NewMul(symbolic.S("r0"), symbolic.Collect(symbolic.ExpandDerivatives(symbolic.Laplace(ut, nd, 2)))),
+		symbolic.NewMul(symbolic.At(qB.Ref), ut),
 	)
 	radius := make([]int, nd)
 	for d := range radius {
 		radius[d] = 1
 	}
-	return confNest{
+	n := confNest{
 		assigns: assigns,
 		eqs:     []symbolic.Eq{{LHS: symbolic.ForwardStencil(uB.Ref), RHS: rhs}},
 		radius:  radius,
-		fB:      map[string]*field.Function{"u": &uB.Function, "m": mB, "damp": dB},
-		fN:      map[string]*field.Function{"u": &uN.Function, "m": mN, "damp": dN},
+		fB:      map[string]*field.Function{"u": &uB.Function, "m": mB, "damp": dB, "q": qB},
+		fN:      map[string]*field.Function{"u": &uN.Function, "m": mN, "damp": dN, "q": qN},
 		outs:    []string{"u"},
 		vals:    map[string]float64{"dt": 0.25, "h_x": 1, "h_y": 1, "h_z": 1},
 	}
+	if grow != "" {
+		halo := make([]int, nd)
+		for d := range halo {
+			halo[d] = 6
+		}
+		n.fB[grow].GrowHalo(halo)
+		n.fN[grow].GrowHalo(halo)
+	}
+	return n
 }
 
-// TestConformanceTileShapes holds the per-tile addressing and the steady
-// template to the bytecode engine, bit for bit, where a row run is not a
-// whole tile: 3-D boxes, whose tiles are one run of rows per plane, and
-// rows of odd width, whose n&3 tail runs through the pure-Go executor
-// after the 16- and 4-point blocks. Every box spans at least two tiles and
-// reaches one ghost point past the owned points. Each runs the full
-// template and, primed, the steady one, through the assembly and through
-// the pure-Go executor, on one worker and on two.
+// TestConformanceTileShapes holds the per-run addressing and the steady
+// template to the bytecode engine and the interpreter, bit for bit, where
+// it can go wrong: 3-D boxes, whose tiles are one run of rows per plane;
+// rows of odd width, whose n&3 tail the pure-Go executor runs after the
+// 16- and 4-point blocks, at the row's nonzero offset from the run's first
+// row; and, beside the base case of each shape, a field grown with
+// GrowHalo — the output u (so the other buffers' table words step below
+// them as the rows advance), q, which the steady run reads, or m, which
+// only the priming sweep reads when primed — and a run of one row. Every
+// box but a 2-D one-row box spans at least two tiles of the team of two
+// and reaches one ghost point past the owned points; a team of one takes
+// the box as one tile. Each runs the full template and, primed, the steady
+// one, through the assembly and the pure-Go executor. It also pins the
+// operands corrected between rows: one per operand of a buffer whose
+// pitch is not the output's, one per hoisted row, none else.
 func TestConformanceTileShapes(t *testing.T) {
 	pair := runtime.NewPool(2, 0)
 	defer pair.Close()
@@ -78,45 +100,93 @@ func TestConformanceTileShapes(t *testing.T) {
 		for _, opts := range []*runtime.ExecOpts{{TileRows: runtime.TileRows}, {TileRows: 3, Pool: pair}} {
 			for _, primed := range []bool{false, true} {
 				for _, avx := range executors {
-					name := fmt.Sprintf("%dd/tile%d/w%d/primed=%v/assembly=%v", len(shape), opts.TileRows, opts.Pool.Workers(), primed, avx)
-					t.Run(name, func(t *testing.T) {
-						hasAVX = avx
-						n := tileNest(t, shape)
-						kB, nk := confCompile(t, n)
-						box := confBox(n.fN["u"])
-						for d := range box.Lo {
-							box.Lo[d]--
-							box.Hi[d]++
+					for _, variant := range []string{"", "grow=u", "grow=q", "grow=m", "onerow"} {
+						name := fmt.Sprintf("%dd/tile%d/w%d/primed=%v/assembly=%v", len(shape), opts.TileRows, opts.Pool.Workers(), primed, avx)
+						if variant != "" {
+							name += "/" + variant
 						}
-						if tiles := (box.Hi[0] - box.Lo[0] + opts.TileRows - 1) / opts.TileRows; tiles < 2 {
-							t.Fatalf("box %v spans %d tile", box, tiles)
-						}
-						poolB, err := kB.BindSyms(n.vals)
-						if err != nil {
-							t.Fatal(err)
-						}
-						poolN, err := nk.BindSyms(n.vals)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if primed {
-							u := n.fN["u"]
-							if s := nk.Hoist(func(f *field.Function) bool { return f == u }); s != 1 {
-								t.Fatalf("%d segments hoist, want the reciprocal's", s)
-							}
-							nk.Prime(box, poolN, opts)
-						}
-						for step := 0; step < 3; step++ {
-							kB.Run(step, box, poolB, opts)
-							nk.Run(step, box, poolN, opts)
-							if want := map[bool]part{false: partAll, true: partSteady}[primed]; nk.cur != want {
-								t.Fatalf("step %d ran template %d, want %d", step, nk.cur, want)
-							}
-						}
-						confSameFields(t, n, name)
-					})
+						t.Run(name, func(t *testing.T) {
+							hasAVX = avx
+							tileShape(t, shape, opts, primed, variant)
+						})
+					}
 				}
 			}
+		}
+	}
+}
+
+func tileShape(t *testing.T, shape []int, opts *runtime.ExecOpts, primed bool, variant string) {
+	grow, oneRow := "", variant == "onerow"
+	if len(variant) > 5 && variant[:5] == "grow=" {
+		grow = variant[5:]
+	}
+	n, ref := tileNest(t, shape, grow), tileNest(t, shape, grow)
+	kB, nk := confCompile(t, n)
+	kI, err := runtime.CompileNest(ref.assigns, ref.eqs, ref.radius, ref.fB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := len(shape)
+	box := confBox(n.fN["u"])
+	for d := range box.Lo {
+		box.Lo[d]--
+		box.Hi[d]++
+	}
+	if oneRow {
+		box.Hi[nd-2] = box.Lo[nd-2] + 1
+	}
+	if tiles := (box.Hi[0] - box.Lo[0] + opts.TileRows - 1) / opts.TileRows; tiles < 2 && !(oneRow && nd == 2) {
+		t.Fatalf("box %v spans %d tile", box, tiles)
+	}
+	pools := make([][]float64, 3)
+	for i, k := range []runtime.ExecKernel{kB, nk, kI} {
+		if pools[i], err = k.BindSyms(n.vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if primed {
+		u := n.fN["u"]
+		if s := nk.Hoist(func(f *field.Function) bool { return f == u }); s != 1 {
+			t.Fatalf("%d segments hoist, want the reciprocal's", s)
+		}
+		nk.Prime(box, pools[1], opts)
+	}
+	want := map[bool]part{false: partAll, true: partSteady}[primed]
+	for step := 0; step < 3; step++ {
+		kB.Run(step, box, pools[0], opts)
+		nk.Run(step, box, pools[1], opts)
+		kI.Run(step, box, pools[2], opts)
+		if nk.cur != want {
+			t.Fatalf("step %d ran template %d, want %d", step, nk.cur, want)
+		}
+	}
+	confSameFields(t, n, "native vs bytecode")
+	confSameFields(t, confNest{fB: ref.fB, fN: n.fN, outs: n.outs}, "native vs interpreter")
+
+	var skews [3]int // field operands, stores, hoisted rows
+	switch grow {
+	case "u": // the reads of q and, inline, of m and damp
+		skews[0] = 3
+		if primed {
+			skews[0] = 1
+		}
+	case "q":
+		skews[0] = 1
+	case "m":
+		if !primed {
+			skews[0] = 1
+		}
+	}
+	if primed {
+		skews[2] = 1
+	}
+	if f, s, h := nk.skewsOf(want, box); [3]int{f, s, h} != skews {
+		t.Errorf("template %d corrects %v (fields, stores, hoisted rows) between rows, want %v", want, [3]int{f, s, h}, skews)
+	}
+	if grow == "m" && primed {
+		if f, _, _ := nk.skewsOf(partPrime, box); f != 1 {
+			t.Errorf("the priming sweep corrects %d field operands between rows, want the grown m's 1", f)
 		}
 	}
 }

@@ -108,10 +108,13 @@ func dotTestModel(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
 
 // dotTestConfig is the certification's exact gradient configuration for
 // dotTestModel: dt = 1, a dyadic wavelet and an on-grid source and
-// receivers.
+// receivers. Its checkpoint interval, 3, takes snapshots at steps 0 and 3
+// and re-integrates step 1 from the first, so the certification runs the
+// restore and the recompute too; the gradient does not depend on the
+// interval (TestGradientCheckpointInvariance).
 func dotTestConfig() GradientConfig {
 	return GradientConfig{
-		NT: 8, DT: 1,
+		NT: 8, DT: 1, CheckpointInterval: 3,
 		Wavelet:        []float32{1, -2, 1},
 		SourceCoords:   []float64{12, 12},
 		ReceiverCoords: [][]float64{{6, 5}, {11, 9}, {15, 14}, {17, 16}},

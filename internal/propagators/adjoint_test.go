@@ -39,6 +39,7 @@ func TestAdjointDotProduct_Serial(t *testing.T) {
 			if res.DotForward == 0 {
 				t.Fatal("degenerate dot test: forward data is all zero")
 			}
+			checkRecomputes(t, res)
 			if res.RelErr > dotTol {
 				t.Errorf("dot-product identity violated: <Fq,Fq>=%v <q,F'Fq>=%v rel=%v",
 					res.DotForward, res.DotAdjoint, res.RelErr)
@@ -67,6 +68,7 @@ func TestAdjointDotProduct_DMPAllModes(t *testing.T) {
 						t.Errorf("rank %d: identity violated: %v vs %v (rel %v)",
 							c.Rank(), res.DotForward, res.DotAdjoint, res.RelErr)
 					}
+					checkRecomputes(t, res)
 					if res.DotForward != base.DotForward || res.DotAdjoint != base.DotAdjoint {
 						t.Errorf("rank %d: dots diverge from serial: (%v,%v) vs (%v,%v)",
 							c.Rank(), res.DotForward, res.DotAdjoint, base.DotForward, base.DotAdjoint)
@@ -78,6 +80,16 @@ func TestAdjointDotProduct_DMPAllModes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkRecomputes fails a dot test whose reverse sweep re-integrated no
+// step: one that certifies the forward pass's cached tail alone, never a
+// restore and a recompute.
+func checkRecomputes(t *testing.T, res *GradientResult) {
+	t.Helper()
+	if cs := res.Checkpoint; cs.RecomputedSteps == 0 {
+		t.Errorf("the dot test took %d snapshots and recomputed no step", cs.Snapshots)
 	}
 }
 
@@ -102,6 +114,7 @@ func TestAdjointDotProduct_Realistic(t *testing.T) {
 			if res.RelErr > 2e-5 {
 				t.Errorf("realistic dot test: %v vs %v (rel %v)", res.DotForward, res.DotAdjoint, res.RelErr)
 			}
+			checkRecomputes(t, res)
 			t.Logf("realistic config: <d,d>=%.6e <q,q'>=%.6e rel=%.2e", res.DotForward, res.DotAdjoint, res.RelErr)
 		})
 	}

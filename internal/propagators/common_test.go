@@ -3,6 +3,7 @@ package propagators
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"devigo/internal/field"
@@ -102,5 +103,30 @@ func TestParameterFieldsMatchPerPointForm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckFinite: a run result with a NaN or an infinity anywhere — the
+// norm or any receiver sample — is an error naming the model and where;
+// a finite one, however large, is not.
+func TestCheckFinite(t *testing.T) {
+	ok := &RunResult{NT: 3, Norm: math.MaxFloat64, Receivers: [][]float64{{0, -1}, {2, 3}}}
+	if err := ok.CheckFinite("acoustic"); err != nil {
+		t.Errorf("finite result rejected: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, r := range map[string]*RunResult{
+			"norm after 3 steps":       {NT: 3, Norm: bad},
+			"receiver trace at step 1": {NT: 3, Norm: 1, Receivers: [][]float64{{0, 0}, {0, bad}}},
+		} {
+			err := r.CheckFinite("elastic")
+			if err == nil {
+				t.Errorf("%s %v accepted", name, bad)
+				continue
+			}
+			if want := "elastic " + name; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %v: error %q does not name %q", name, bad, err, want)
+			}
+		}
 	}
 }

@@ -370,3 +370,30 @@ func ModelNames() []string {
 	}
 	return names
 }
+
+// CheckFinite is every example's check of a result: a NaN or an infinity
+// among vals means the run diverged, and a diverged run must fail rather
+// than print its numbers and exit 0. The error names what and the first
+// such value.
+func CheckFinite(what string, vals ...float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("propagators: %s diverged: value %d is %v", what, i, v)
+		}
+	}
+	return nil
+}
+
+// CheckFinite checks the run's norm and every receiver sample (see the
+// function CheckFinite); model names the run in the error.
+func (r *RunResult) CheckFinite(model string) error {
+	if err := CheckFinite(fmt.Sprintf("%s norm after %d steps", model, r.NT), r.Norm); err != nil {
+		return err
+	}
+	for it, tr := range r.Receivers {
+		if err := CheckFinite(fmt.Sprintf("%s receiver trace at step %d", model, it), tr...); err != nil {
+			return err
+		}
+	}
+	return nil
+}

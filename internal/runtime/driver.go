@@ -11,8 +11,10 @@ import (
 const MaxDims = 3
 
 // TileRows is the outer-dimension tile height every operator runs with:
-// the unit of work the pool hands out. No other height beat it outside
-// run-to-run noise on any measured group, so it is not a setting.
+// the unit of work the pool hands out to a team of two or more. No other
+// height beat it outside run-to-run noise on any measured group, so it is
+// not a setting. A team of one has nothing to hand out: it sweeps a box of
+// two or more dimensions as one tile (see Driver.Run).
 const TileRows = 8
 
 // ExecOpts tunes kernel execution.
@@ -22,7 +24,8 @@ type ExecOpts struct {
 	// team from Pool: a Run without a Pool is serial.
 	Workers int
 	// TileRows is the number of outer-dimension rows per tile. <=0
-	// disables tiling (one tile).
+	// disables tiling (one tile), and so does a team of one on a box of
+	// two or more dimensions.
 	TileRows int
 	// Pool is the persistent worker team tiles are dispatched to; nil (or
 	// a team of one) runs every tile on the calling goroutine.
@@ -255,7 +258,11 @@ func NewDriver[S any](bd *Binding) *Driver[S] {
 // Run executes x at every point of the box for logical timestep t, with
 // the scalars bound via syms. Points run in row-major order; equations run
 // in program order on each row. Tiles of opts.TileRows outer-dimension
-// rows go to opts.Pool (serial without one).
+// rows go to opts.Pool. A team of one (no Pool included) runs the tiles in
+// order on the calling goroutine, which is the row order of one tile: so
+// in two or more dimensions it takes the box as one tile, and the engine
+// addresses each plane's rows once per Run instead of once per tile. A
+// 1-D tile is its own row, so there the height asked for stays.
 func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOpts) {
 	if b.Empty() {
 		return
@@ -266,8 +273,9 @@ func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOp
 	}
 	nd := len(b.Lo)
 	outer := b.Hi[0] - b.Lo[0]
+	workers := o.Pool.Workers()
 	tileRows := o.TileRows
-	if tileRows <= 0 || tileRows > outer {
+	if tileRows <= 0 || tileRows > outer || (workers == 1 && nd > 1) {
 		tileRows = outer
 	}
 	// The longest row a tile can produce: in 1-D, dim 0 is both the tiled
@@ -283,7 +291,6 @@ func (d *Driver[S]) Run(x RowExec[S], t int, b Box, syms []float64, opts *ExecOp
 	}
 	// The scratch table grows here, never from workers, so the pool
 	// indexes a stable table.
-	workers := o.Pool.Workers()
 	for len(d.ws) < workers {
 		d.ws = append(d.ws, &worker[S]{bases: make([]int, len(d.Fields))})
 	}

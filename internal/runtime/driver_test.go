@@ -16,9 +16,11 @@ type rowRec struct {
 }
 
 // recScratch is the recording executor's per-worker scratch: the rows the
-// worker executed plus the arguments of its last Prep.
+// worker executed, the runs of rows they came in, plus the arguments of
+// its last Prep.
 type recScratch struct {
 	rows   []rowRec
+	runs   int
 	preps  int
 	maxRow int
 }
@@ -41,6 +43,7 @@ func (r *recExec) ExecRows(sc *recScratch, n, rows int, bases, pitch []int, syms
 	if &syms[0] != &r.syms[0] {
 		r.t.Error("ExecRows received a different scalar vector than Run")
 	}
+	sc.runs++
 	for i := 0; i < rows; i++ {
 		if i > 0 {
 			NextRow(bases, pitch)
@@ -98,7 +101,10 @@ func sortRows(rs []rowRec) {
 // TestDriverVisitsEveryRowOnce drives a recording executor over 1-D, 2-D
 // and 3-D boxes at every tiling and team shape: each row must be executed
 // exactly once, with the right length and the right per-field bases (the
-// two bound fields have different halo widths, so their bases differ).
+// two bound fields have different halo widths, so their bases differ), in
+// as many runs of rows as the tiling makes: one per tile in 1-D and 2-D,
+// one per plane in 3-D — and a team of one, in 2-D and 3-D, sweeps its box
+// as one tile, whatever the height asked for.
 func TestDriverVisitsEveryRowOnce(t *testing.T) {
 	boxes := []Box{
 		{Lo: []int{2}, Hi: []int{13}},
@@ -152,8 +158,19 @@ func TestDriverVisitsEveryRowOnce(t *testing.T) {
 				if len(d.ws) != workers {
 					t.Fatalf("%s: scratch table has %d workers, want %d", name, len(d.ws), workers)
 				}
+				// The runs of rows: a tile's band in 2-D, a plane's rows in
+				// 3-D, a tile (its one row) in 1-D.
+				wantRuns := (outer + eff - 1) / eff
+				switch {
+				case nd == 3:
+					wantRuns = outer
+				case nd == 2 && workers == 1:
+					wantRuns = 1
+				}
 				var got []rowRec
+				runs := 0
 				for w, wk := range d.ws {
+					runs += wk.sc.runs
 					if wk.sc.preps != 1 || wk.sc.maxRow != wantMaxRow {
 						t.Errorf("%s: worker %d prepped %d times with maxRow %d, want once with %d",
 							name, w, wk.sc.preps, wk.sc.maxRow, wantMaxRow)
@@ -163,6 +180,9 @@ func TestDriverVisitsEveryRowOnce(t *testing.T) {
 				sortRows(got)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("%s: rows visited\n got %v\nwant %v", name, got, want)
+				}
+				if runs != wantRuns {
+					t.Errorf("%s: the rows came in %d runs, want %d", name, runs, wantRuns)
 				}
 			}
 		}
