@@ -35,9 +35,9 @@ func benchKernelExec(b *testing.B, model string, shape []int, so, nbl int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := 1
+	pts := 1 // Shape includes the absorbing layer
 	for _, s := range shape {
-		pts *= s + 2*nbl
+		pts *= s
 	}
 	b.SetBytes(int64(pts) * 4)
 	b.ResetTimer()
@@ -63,17 +63,15 @@ func BenchmarkExec_Acoustic2D_SO4(b *testing.B) {
 // The acoustic so-8 kernel on rows as wide as the repository benchmark's
 // stepping workloads sweep (bench/workloads.go): survey-8shot's 128,
 // strong-2rank / deep-2rank's 256 and stream-2048's 2048. The model's
-// Shape includes the absorbing layer, so _Row272 and _Row2064 sweep rows
-// of 256 and 2048 points: their names, and the points benchKernelExec
-// divides by, count the layer twice.
+// Shape includes the absorbing layer of 8 points a side.
 //
-// The gap between _Row272 and _Row2064 is not the rows' footprint alone.
-// _Row272's hoisted damping reciprocal (524,288 B) fits the operator's
-// 1 MiB budget and is primed once per Apply; _Row2064's does not, so its
+// The gap between _Row256 and _Row2048 is not the rows' footprint alone.
+// _Row256's hoisted damping reciprocal (524,288 B) fits the operator's
+// 1 MiB budget and is primed once per Apply; _Row2048's does not, so its
 // every step runs the reciprocal's chain inline. On a shared 2-vCPU Xeon
-// container (AVX-512), with -cpu 1, _Row2064 with the budget unbounded
-// gave 2.83–4.24 ns/point against 3.16–4.85 with it (12 alternating runs
-// each, best 2.83 against 3.16). A prototype of 512-point
+// container (AVX-512), with -cpu 1, _Row2048 with the budget unbounded
+// gave 3.03–4.54 ns/point against 3.38–5.19 with it (12 alternating runs
+// each, best 3.03 against 3.38). A prototype of 512-point
 // column blocks in the tile driver made the stream-2048 shape slower on
 // the same host, best 3.42 → 3.94 ns/point, so blocking the long rows is
 // not the lever the row widths alone suggest.
@@ -81,11 +79,11 @@ func BenchmarkExec_Acoustic2D_SO8_Row128(b *testing.B) {
 	benchKernelExec(b, "acoustic", []int{128, 128}, 8, 0)
 }
 
-func BenchmarkExec_Acoustic2D_SO8_Row272(b *testing.B) {
+func BenchmarkExec_Acoustic2D_SO8_Row256(b *testing.B) {
 	benchKernelExec(b, "acoustic", []int{256, 256}, 8, 8)
 }
 
-func BenchmarkExec_Acoustic2D_SO8_Row2064(b *testing.B) {
+func BenchmarkExec_Acoustic2D_SO8_Row2048(b *testing.B) {
 	benchKernelExec(b, "acoustic", []int{256, 2048}, 8, 8)
 }
 

@@ -7,8 +7,8 @@ import (
 
 // A removed or mistyped experiment is an error that lists the valid set.
 func TestRunUnknownExperiment(t *testing.T) {
-	// The first removed experiment's name is spelled in halves: CI's lint
-	// greps every tracked file for the whole word.
+	// The first removed experiment's name is spelled in halves:
+	// TestRepoRules forbids the whole word in every file.
 	for _, exp := range []string{"observ" + "atory", "autotune", "exec", ""} {
 		err := run(exp, "acoustic", "cpu", "8")
 		if err == nil || !strings.Contains(err.Error(), "unknown experiment") ||

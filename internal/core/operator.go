@@ -119,6 +119,9 @@ type Operator struct {
 	plan    *ir.TilePlan
 	tilePos int
 	tileLen int
+	// injectDepth is InjectDepth's answer, derived with the program
+	// (flatten).
+	injectDepth []int
 	// hasScratch records whether CIRE scratch clusters exist (they forbid
 	// time tiling).
 	hasScratch bool

@@ -142,6 +142,7 @@ func (op *Operator) flatten() {
 		}
 	}
 	op.prog = pr
+	op.deriveInjectDepth()
 }
 
 // runPreamble performs the program's once-per-run exchange of

@@ -127,20 +127,27 @@ func (op *Operator) TilePlan() *ir.TilePlan { return op.plan }
 // under time tiling (a rank redundantly recomputing its ghost shell must
 // observe the same injected values its neighbour applied to the owned
 // copy). nil when no tiling is active — plain owned-only injection then
-// matches the k=1 schedule exactly.
-func (op *Operator) InjectDepth() []int {
+// matches the k=1 schedule exactly. It is derived with the program, on
+// every relowering and when an Apply finds that a sibling has grown the
+// fields' ghost storage, so a PostStep hook reads it without allocating;
+// callers must not modify it.
+func (op *Operator) InjectDepth() []int { return op.injectDepth }
+
+// deriveInjectDepth sets InjectDepth's answer from the plan and the
+// fields' current ghost widths.
+func (op *Operator) deriveInjectDepth() {
+	op.injectDepth = nil
 	if op.plan == nil {
-		return nil
+		return
 	}
-	depth := make([]int, op.Grid.NDims())
+	op.injectDepth = make([]int, op.Grid.NDims())
 	for _, f := range op.Fields {
-		for d := range depth {
-			if d < len(f.Halo) && f.Halo[d] > depth[d] {
-				depth[d] = f.Halo[d]
+		for d, w := range op.injectDepth {
+			if d < len(f.Halo) && f.Halo[d] > w {
+				op.injectDepth[d] = f.Halo[d]
 			}
 		}
 	}
-	return depth
 }
 
 // exchangeDepth returns the ghost width the operator exchanges for a

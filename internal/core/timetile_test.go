@@ -596,3 +596,91 @@ func TestSiblingGrowthKeepsClassicExchangeDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// InjectDepth is derived with the program, not per call: a PostStep hook
+// reads it every step without allocating, and it keeps the value the
+// fields' ghost widths give — nil at k=1, the widest ghost per dimension
+// under a tile plan, and the grown width once an Apply has seen a tiled
+// sibling deepen the shared storage.
+func TestInjectDepthIsDerivedWithTheProgram(t *testing.T) {
+	want := func(op *Operator) []int {
+		if op.TilePlan() == nil {
+			return nil
+		}
+		depth := make([]int, op.Grid.NDims())
+		for _, f := range op.Fields {
+			for d := range depth {
+				depth[d] = max(depth[d], f.Halo[d])
+			}
+		}
+		return depth
+	}
+	tiled := make([]*Operator, 2)
+	err := mpi.RunRanks(2, func(c *mpi.Comm) error {
+		g := grid.MustNew([]int{64, 32}, nil)
+		dec, err := grid.NewDecomposition(g, c.Size(), []int{2, 1})
+		if err != nil {
+			return err
+		}
+		ctx, err := NewContext(c, dec, halo.ModeDiagonal)
+		if err != nil {
+			return err
+		}
+		fc := &field.Config{Decomp: dec, Rank: c.Rank()}
+		m, err := field.NewFunction("m", g, 2, fc)
+		if err != nil {
+			return err
+		}
+		build := func(name string, k int) (*Operator, error) {
+			u, err := field.NewTimeFunction(name, g, 2, 1, fc)
+			if err != nil {
+				return nil, err
+			}
+			upd := symbolic.NewAdd(symbolic.At(u.Ref),
+				symbolic.NewMul(symbolic.Float(0.1), symbolic.At(m.Ref), symbolic.Laplace(symbolic.At(u.Ref), 2, 2)))
+			return NewOperator([]symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: upd}},
+				map[string]*field.Function{name: &u.Function, "m": m}, g, ctx, &Options{TimeTile: k})
+		}
+		op, err := build("u", 4)
+		if err != nil {
+			return err
+		}
+		tiled[c.Rank()] = op
+		if op.TimeTile() != 4 {
+			return fmt.Errorf("effective interval %d, want 4", op.TimeTile())
+		}
+		before := op.InjectDepth()
+		if before == nil || !slices.Equal(before, want(op)) {
+			t.Errorf("rank %d: k=4 InjectDepth = %v, want %v", c.Rank(), before, want(op))
+		}
+		classic, err := build("v", 1)
+		if err != nil {
+			return err
+		}
+		if d := classic.InjectDepth(); d != nil {
+			t.Errorf("rank %d: k=1 InjectDepth = %v, want nil", c.Rank(), d)
+		}
+		before = slices.Clone(before)
+		if _, err := build("w", 8); err != nil {
+			return err
+		}
+		if err := op.Apply(&ApplyOpts{TimeM: 0, TimeN: 0, Syms: map[string]float64{"dt": 1}}); err != nil {
+			return err
+		}
+		if slices.Equal(op.InjectDepth(), before) {
+			return fmt.Errorf("the k=8 sibling left the ghost widths at %v: the test needs them grown", before)
+		}
+		if !slices.Equal(op.InjectDepth(), want(op)) {
+			t.Errorf("rank %d: InjectDepth after a sibling's growth = %v, want %v", c.Rank(), op.InjectDepth(), want(op))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Measured once every rank has returned: AllocsPerRun counts the
+	// whole process's allocations.
+	if n := testing.AllocsPerRun(100, func() { _ = tiled[0].InjectDepth() }); n != 0 {
+		t.Errorf("InjectDepth allocates %v objects per call, want 0", n)
+	}
+}
