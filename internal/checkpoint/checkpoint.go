@@ -11,16 +11,18 @@
 // the DOMAIN of one buffer, the points the space-offset-zero imaging
 // condition reads.
 //
-// The schedule of an nt-step run at interval k: the forward pass caches
-// the levels its last min(k, nt) steps read and write, TailLevel(nt, k)
-// up to nt, and snapshots the steps 0, k, 2k, ... at or below
-// TailLevel, (nt-1)/k of them. The reverse sweep consumes the cached tail
-// first; below it, it restores the newest snapshot s under the levels it
-// needs and re-integrates from s toward the next snapshot or the tail,
-// whichever comes first, stopping two levels short: the next snapshot's
-// restore or the tail already holds those two. No step is recomputed
-// twice, nt-k-2·((nt-1)/k) steps in all (one more when k divides nt-1,
-// none when that is not positive), and memory is bounded by
+// The store runs the schedule of an nt-step run at interval k itself. A
+// run calls Begin(nt) before its first step and Keep(t) once it reaches
+// each state t. The forward pass caches the levels its last min(k, nt)
+// steps read and write, the tail max(nt-k, 0)-1 up to nt, and snapshots
+// the steps 0, k, 2k, ... at or below the tail, (nt-1)/k of them. The reverse sweep
+// asks Load for the levels each of its steps reads. Load serves the
+// cached tail first; below it, it restores the newest snapshot s under
+// the levels asked for and has the caller replay from s toward the next
+// snapshot or the tail, whichever comes first, stopping two levels
+// short: the next snapshot's restore or the tail already holds those
+// two. No step is replayed twice: nt-k-2·((nt-1)/k) steps (one more when
+// k divides nt-1), none when k >= nt or k <= 2. Memory is bounded by
 //
 //	(nt-1)/k snapshots of 2 buffers + min(k, nt)+2 DOMAIN levels.
 //
@@ -43,7 +45,7 @@ type Store struct {
 	// Interval is the snapshot spacing in timesteps.
 	Interval int
 	// Rank identifies the owning rank in obs traces/metrics (0 when
-	// serial; the gradient driver sets it under DMP).
+	// serial; the gradient solver sets it under DMP).
 	Rank int
 
 	fields []*field.Function
@@ -54,19 +56,25 @@ type Store struct {
 	// Buf(s), in that order, in the state "ready to execute step s" (i.e.
 	// taken after step s-1 completed, injections included).
 	snaps map[int][][2][]float32
-	// spare holds the buffers of snapshots Reset forgot, for Save to reuse.
+	// spare holds the buffers of snapshots Begin forgot, for Save to reuse.
 	spare [][][2][]float32
 	// levels[:live] is the recompute cache of the segment the reverse
 	// sweep is consuming: the DOMAIN of each field's cyclic buffer Buf(t)
 	// per cached level, in no particular order (at most Interval+2
 	// levels, so lookups scan). levels[live:] is the free-list: entries
-	// PruneLevels dropped, whose buffers the next RecordLevel reuses.
+	// prune dropped, whose buffers the next record reuses.
 	levels []level
 	live   int
 	// resident names the cached level a live cyclic buffer's DOMAIN is
-	// known to hold (no entry when unknown), so LoadLevel can skip a copy
-	// that would change nothing.
+	// known to hold (no entry when unknown), so load can skip a copy that
+	// would change nothing.
 	resident map[*field.Buffer]int
+	// tail is the lowest level the current run's forward pass caches
+	// (see the package doc); Begin sets it.
+	tail int
+	// replaying is set while Load's replay runs: Keep then caches levels
+	// only.
+	replaying bool
 
 	// Stats accumulates the cost counters reported by benchmarks.
 	Stats Stats
@@ -88,19 +96,12 @@ type Stats struct {
 	// LevelBytes is the most bytes the level cache held at once.
 	LevelBytes int64
 	// RecomputedSteps counts the forward steps the reverse sweep
-	// re-integrated (the gradient solver adds each recompute's length).
+	// re-integrated: the lengths of Load's replays.
 	RecomputedSteps int
 }
 
-// TailLevel returns the lowest time level the forward pass of an
-// nt-step run at interval k caches: its last min(k, nt) steps read and
-// write levels TailLevel..nt, which the reverse sweep never recomputes.
-// The forward pass snapshots the multiples of k at or below it (none when
-// it is -1, the initial state).
-func TailLevel(nt, k int) int { return max(nt-k, 0) - 1 }
-
 // snapshots returns how many snapshots an nt-step run at interval k
-// takes: the multiples of k at or below TailLevel.
+// takes: the multiples of k at or below the tail.
 func snapshots(nt, k int) int { return max(nt-1, 0) / k }
 
 // levels returns how many levels the cache of an nt-step run at interval
@@ -176,14 +177,94 @@ func New(interval int, fields ...*field.Function) *Store {
 	}
 }
 
-// SaveIfDue snapshots the state "ready to execute step t" when t falls on
-// the interval. The forward pass calls it for the steps at or below
-// TailLevel: with t=0 before its loop and with t+1 from its post-step
-// hook.
-func (s *Store) SaveIfDue(t int) {
-	if t%s.Interval == 0 {
+// Begin starts an nt-step run over the store's fields. It forgets the
+// snapshots and cached levels of the run before, keeping their buffers
+// for reuse, and zeroes Stats, so the run reports what a fresh store
+// would and allocates nothing the run before did. It then keeps the
+// initial state: Keep(0) and, when the tail is -1 (Interval >= nt),
+// level -1.
+func (s *Store) Begin(nt int) {
+	for t, snap := range s.snaps {
+		s.spare = append(s.spare, snap)
+		delete(s.snaps, t)
+	}
+	s.live = 0
+	clear(s.resident)
+	s.Stats = Stats{}
+	s.tail = max(nt-s.Interval, 0) - 1
+	if s.tail < 0 {
+		s.record(-1)
+	}
+	s.Keep(0)
+}
+
+// Keep takes what the schedule keeps of state t, "ready to execute step
+// t": a run calls it from its post-step hook with t+1 once step t and its
+// injection are done. In the forward pass it snapshots t when t is a
+// multiple of Interval at or below the tail and caches level t at or
+// above it; while Load's replay runs it caches level t only.
+func (s *Store) Keep(t int) {
+	if !s.replaying && t <= s.tail && t%s.Interval == 0 {
 		s.Save(t)
 	}
+	if s.replaying || t >= s.tail {
+		s.record(t)
+	}
+}
+
+// Load makes the DOMAIN of each field's cyclic buffer Buf(t) hold level t
+// for t = lo..hi; halos keep whatever they held. When lo or hi is not
+// cached it first restores the newest snapshot s at or below hi-1, drops
+// the cached levels outside the segment it serves and, unless the rest of
+// the segment is cached, calls replay(s, e) to integrate from state s to
+// state e, steps s..e-1, each followed by Keep (see the package doc). The
+// replayed steps count in Stats.RecomputedSteps.
+//
+// A buffer that already holds its level is not copied again: the sweep
+// asks for levels j-1, j, j+1 at every step, and two of the three are the
+// previous step's. The store sees the live buffers change only through
+// Keep, Load and Restore, so a caller that steps the fields hands every
+// state it reaches to Keep (a halo exchange of a kept level refreshes
+// only ghost points, which no consumer of a loaded level reads).
+func (s *Store) Load(lo, hi int, replay func(from, to int) error) error {
+	if s.find(lo) < 0 || s.find(hi) < 0 {
+		// Basing the lookup on hi-1, not lo, makes the segment snap-1..e
+		// cover hi even when hi sits on a snapshot step; lo >= snap-1
+		// since snapshots are Interval apart.
+		snap, err := s.snapshotAtOrBefore(hi - 1)
+		if err != nil {
+			return err
+		}
+		if err := s.Restore(snap); err != nil {
+			return err
+		}
+		// The segment ends at the next snapshot or one above the tail,
+		// whichever comes first; its top two levels are still cached (the
+		// next snapshot's restore recorded them, or the forward pass), so
+		// the replay stops below them.
+		e := min(snap+s.Interval, s.tail+1)
+		s.prune(snap-1, e)
+		for e > snap && s.find(e) >= 0 {
+			e--
+		}
+		s.record(snap - 1)
+		s.record(snap)
+		if e > snap {
+			s.replaying = true
+			err := replay(snap, e)
+			s.replaying = false
+			if err != nil {
+				return err
+			}
+			s.Stats.RecomputedSteps += e - snap
+		}
+	}
+	for t := lo; t <= hi; t++ {
+		if err := s.load(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Save unconditionally snapshots the two levels step t reads, every
@@ -222,8 +303,8 @@ func (s *Store) Save(t int) {
 }
 
 // Restore copies snapshot t back into every field's Buf(t-1) and Buf(t).
-// The levels those buffers held are gone, so every later LoadLevel
-// copies again; the buffer step t overwrites is left alone.
+// The levels those buffers held are gone, so the next Load copies them
+// again; the buffer step t overwrites is left alone.
 func (s *Store) Restore(t int) error {
 	snap, ok := s.snaps[t]
 	if !ok {
@@ -241,8 +322,8 @@ func (s *Store) Restore(t int) error {
 	return nil
 }
 
-// SnapshotAtOrBefore returns the greatest snapshotted step <= t.
-func (s *Store) SnapshotAtOrBefore(t int) (int, error) {
+// snapshotAtOrBefore returns the greatest snapshotted step <= t.
+func (s *Store) snapshotAtOrBefore(t int) (int, error) {
 	best, found := 0, false
 	for st := range s.snaps {
 		if st <= t && (!found || st > best) {
@@ -275,13 +356,12 @@ func (s *Store) domain(fi int) field.Region {
 	return s.doms[fi]
 }
 
-// RecordLevel caches the DOMAIN of each field's cyclic buffer for logical
-// time level t — called while integrating forward, right after the step
-// (and its injection) that wrote Buf(t). Recording a cached level again
-// overwrites it in place; a new level takes its buffers from the
-// free-list PruneLevels and Reset fill, so a store allocates level buffers
-// for its first segment only.
-func (s *Store) RecordLevel(t int) {
+// record caches the DOMAIN of each field's cyclic buffer for logical time
+// level t, right after the step (and its injection) that wrote Buf(t).
+// Recording a cached level again overwrites it in place; a new level
+// takes its buffers from the free-list prune and Begin fill, so a store
+// allocates level buffers for its first segment only.
+func (s *Store) record(t int) {
 	i := s.find(t)
 	if i < 0 {
 		i = s.live
@@ -308,20 +388,9 @@ func (s *Store) RecordLevel(t int) {
 	}
 }
 
-// HasLevel reports whether time level t is cached.
-func (s *Store) HasLevel(t int) bool { return s.find(t) >= 0 }
-
-// LoadLevel makes the DOMAIN of each field's cyclic buffer Buf(t) hold
-// cached time level t; halos keep whatever they held. A buffer that
-// already holds the level — recorded from or loaded into it, and not
-// overwritten through the store since — is left alone: the reverse sweep
-// asks for levels j-1, j, j+1 at every step, and two of the three are the
-// previous step's. The store sees the live buffers change only through
-// RecordLevel, LoadLevel and Restore; a caller that steps the fields
-// records every level it writes or restores a snapshot before it loads
-// again (halo exchanges of a recorded level only refresh ghost points,
-// which no consumer of a loaded level reads).
-func (s *Store) LoadLevel(t int) error {
+// load makes the DOMAIN of each field's cyclic buffer Buf(t) hold cached
+// level t, unless it already does (see Load).
+func (s *Store) load(t int) error {
 	i := s.find(t)
 	if i < 0 {
 		return fmt.Errorf("checkpoint: time level %d not cached", t)
@@ -336,10 +405,10 @@ func (s *Store) LoadLevel(t int) error {
 	return nil
 }
 
-// PruneLevels drops cached levels outside [lo, hi], bounding the cache to
-// the segment the reverse sweep is consuming. Their buffers go to the
+// prune drops cached levels outside [lo, hi], bounding the cache to the
+// segment the reverse sweep is consuming. Their buffers go to the
 // free-list.
-func (s *Store) PruneLevels(lo, hi int) {
+func (s *Store) prune(lo, hi int) {
 	for i := 0; i < s.live; {
 		if t := s.levels[i].t; t < lo || t > hi {
 			s.live--
@@ -348,19 +417,4 @@ func (s *Store) PruneLevels(lo, hi int) {
 		}
 		i++
 	}
-}
-
-// Reset empties the store for another run over the same fields: every
-// snapshot and cached level is forgotten and Stats is zeroed, while their
-// buffers stay for Save and RecordLevel to reuse. The next run reports
-// what a fresh store would, and allocates nothing a previous run already
-// did.
-func (s *Store) Reset() {
-	for t, snap := range s.snaps {
-		s.spare = append(s.spare, snap)
-		delete(s.snaps, t)
-	}
-	s.live = 0
-	clear(s.resident)
-	s.Stats = Stats{}
 }

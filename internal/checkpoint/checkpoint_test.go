@@ -7,9 +7,12 @@ import (
 	"devigo/internal/grid"
 )
 
-func testField(t *testing.T) *field.TimeFunction {
+func testField(t *testing.T) *field.TimeFunction { return fieldOf(t, 6, 6) }
+
+// fieldOf is a second-order-in-time field over a grid of the given shape.
+func fieldOf(t *testing.T, shape ...int) *field.TimeFunction {
 	t.Helper()
-	g, err := grid.New([]int{6, 6}, nil)
+	g, err := grid.New(shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,19 +104,22 @@ func TestSaveIsIdempotentInStats(t *testing.T) {
 	}
 }
 
+// TestSaveIfDueInterval: the forward pass of an nt-step run snapshots
+// the multiples of the interval at or below its cached tail, nt-k-1.
 func TestSaveIfDueInterval(t *testing.T) {
 	u := testField(t)
 	s := New(3, &u.Function)
-	for t := 0; t <= 10; t++ {
-		s.SaveIfDue(t)
+	s.Begin(14) // the tail is 10
+	for t := 1; t <= 14; t++ {
+		s.Keep(t)
 	}
 	if s.Stats.Snapshots != 4 {
 		t.Fatalf("%d snapshots, want 4 (steps 0, 3, 6, 9)", s.Stats.Snapshots)
 	}
-	for step := 0; step <= 10; step++ {
-		got, err := s.SnapshotAtOrBefore(step)
-		if err != nil || got != step/3*3 {
-			t.Fatalf("snapshot at or before %d = %d (%v), want %d", step, got, err, step/3*3)
+	for step := 0; step <= 14; step++ {
+		got, err := s.snapshotAtOrBefore(step)
+		if want := min(step/3*3, 9); err != nil || got != want {
+			t.Fatalf("snapshot at or before %d = %d (%v), want %d", step, got, err, want)
 		}
 	}
 }
@@ -125,15 +131,15 @@ func TestSnapshotAtOrBefore(t *testing.T) {
 	s.Save(4)
 	s.Save(8)
 	for _, tc := range []struct{ q, want int }{{0, 0}, {3, 0}, {4, 4}, {7, 4}, {11, 8}} {
-		got, err := s.SnapshotAtOrBefore(tc.q)
+		got, err := s.snapshotAtOrBefore(tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != tc.want {
-			t.Fatalf("SnapshotAtOrBefore(%d) = %d, want %d", tc.q, got, tc.want)
+			t.Fatalf("snapshotAtOrBefore(%d) = %d, want %d", tc.q, got, tc.want)
 		}
 	}
-	if _, err := s.SnapshotAtOrBefore(-1); err == nil {
+	if _, err := s.snapshotAtOrBefore(-1); err == nil {
 		t.Fatal("expected error below first snapshot")
 	}
 }
@@ -144,13 +150,13 @@ func TestLevelCacheCyclicAndPrune(t *testing.T) {
 	// Record levels 4..7; level t lives in cyclic buffer t%3.
 	for lvl := 4; lvl <= 7; lvl++ {
 		fill(u, lvl, float32(10*lvl))
-		s.RecordLevel(lvl)
+		s.record(lvl)
 	}
 	// Negative levels address the trailing cyclic buffer.
 	fill(u, -1, -5)
-	s.RecordLevel(-1)
+	s.record(-1)
 	u.Buf(5).Fill(-3)
-	if err := s.LoadLevel(5); err != nil {
+	if err := s.load(5); err != nil {
 		t.Fatal(err)
 	}
 	offs := domainOffsets(u)
@@ -166,139 +172,215 @@ func TestLevelCacheCyclicAndPrune(t *testing.T) {
 	}
 	for i, got := range u.Buf(5).Data {
 		if !inDomain[i] && got != -3 {
-			t.Fatalf("LoadLevel(5) wrote halo point %d = %v, want it left at -3", i, got)
+			t.Fatalf("load(5) wrote halo point %d = %v, want it left at -3", i, got)
 		}
 	}
-	if err := s.LoadLevel(-1); err != nil {
+	if err := s.load(-1); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := u.Buf(-1).Data[offs[0]], -5+float32(offs[0]); got != want {
 		t.Fatalf("level -1 reload = %v, want %v", got, want)
 	}
-	s.PruneLevels(6, 7)
-	if s.HasLevel(5) || s.HasLevel(-1) {
+	s.prune(6, 7)
+	if s.find(5) >= 0 || s.find(-1) >= 0 {
 		t.Fatal("pruned levels still cached")
 	}
-	if !s.HasLevel(6) || !s.HasLevel(7) {
+	if s.find(6) < 0 || s.find(7) < 0 {
 		t.Fatal("kept levels lost")
 	}
-	if err := s.LoadLevel(5); err == nil {
+	if err := s.load(5); err == nil {
 		t.Fatal("expected error loading pruned level")
 	}
 }
 
-// TestLevelCacheThroughTwoSegments drives the store the way the reverse
-// sweep drives a recompute — restore a snapshot, prune, re-integrate the
-// segment forward recording every level, then consume levels j-1, j, j+1
-// downwards — over two whole segments of interval 4, and holds every
-// LoadLevel to the recorded DOMAIN bits whether it copied or found the
-// level resident.
+// levelVal is the value sweep's steps write at level lvl's flat offset 0.
+func levelVal(lvl int) float32 { return float32(1000 * (lvl + 2)) }
+
+// sweep runs an nt-step gradient's schedule on s: a forward pass whose
+// step t writes level t+1 (write, when not nil, stands for the step) and
+// hands state t+1 to Keep, then a reverse sweep that asks Load for levels
+// j-1..j+1 at j = nt-1..0 and replays missing steps the same way. check,
+// when not nil, runs after each Load.
+func sweep(s *Store, nt int, write, check func(int)) error {
+	step := func(t int) {
+		if write != nil {
+			write(t + 1)
+		}
+		s.Keep(t + 1)
+	}
+	replay := func(from, to int) error {
+		for t := from; t < to; t++ {
+			step(t)
+		}
+		return nil
+	}
+	if write != nil {
+		write(-1)
+		write(0)
+	}
+	s.Begin(nt)
+	for t := 0; t < nt; t++ {
+		step(t)
+	}
+	for j := nt - 1; j >= 0; j-- {
+		if err := s.Load(j-1, j+1, replay); err != nil {
+			return err
+		}
+		if check != nil {
+			check(j)
+		}
+	}
+	return nil
+}
+
+// writeLevels returns the write of a sweep over u: level lvl's known
+// values.
+func writeLevels(u *field.TimeFunction) func(int) {
+	return func(lvl int) { fill(u, lvl, levelVal(lvl)) }
+}
+
+// TestStoreRunsTheSchedule runs the schedule for every nt <= 100 and
+// interval k <= nt+2, and holds it to the package doc: (nt-1)/k
+// snapshots, nt-k-2·((nt-1)/k) replayed steps (one more when k divides
+// nt-1, none when k >= nt or k <= 2), at most min(k, nt)+2 cached levels,
+// and every Load leaves its levels' bits in the buffers.
+func TestStoreRunsTheSchedule(t *testing.T) {
+	u := fieldOf(t, 2, 2)
+	offs := domainOffsets(u)
+	levelBytes := int64(4 * len(offs))
+	for nt := 1; nt <= 100; nt++ {
+		for k := 1; k <= nt+2; k++ {
+			s := New(k, &u.Function)
+			err := sweep(s, nt, writeLevels(u), func(j int) {
+				for lvl := j - 1; lvl <= j+1; lvl++ {
+					for _, i := range offs {
+						if got, want := u.Buf(lvl).Data[i], levelVal(lvl)+float32(i); got != want {
+							t.Fatalf("nt=%d k=%d j=%d: Buf(%d)[%d] = %v, want %v", nt, k, j, lvl, i, got, want)
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("nt=%d k=%d: %v", nt, k, err)
+			}
+			want := 0
+			if k < nt && k > 2 {
+				want = nt - k - 2*((nt-1)/k)
+				if (nt-1)%k == 0 {
+					want++
+				}
+			}
+			if got := s.Stats.RecomputedSteps; got != want {
+				t.Errorf("nt=%d k=%d: %d replayed steps, want %d", nt, k, got, want)
+			}
+			if got, want := s.Stats.Snapshots, (nt-1)/k; got != want {
+				t.Errorf("nt=%d k=%d: %d snapshots, want %d", nt, k, got, want)
+			}
+			if got, want := s.Stats.LevelBytes, int64(min(k, nt)+2)*levelBytes; got > want {
+				t.Errorf("nt=%d k=%d: level cache peaked at %d bytes, over min(k, nt)+2 levels = %d", nt, k, got, want)
+			}
+		}
+	}
+	// The survey shot's shape.
+	s := New(35, &u.Function)
+	if err := sweep(s, 96, writeLevels(u), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Stats, (Stats{Snapshots: 2, SnapshotBytes: 2 * 2 * 4 * int64(len(u.Bufs[0].Data)),
+		LevelBytes: 37 * levelBytes, RecomputedSteps: 57}); got != want {
+		t.Errorf("nt=96 k=35: stats %+v, want %+v", got, want)
+	}
+}
+
+// TestLevelCacheThroughTwoSegments runs the schedule the way a gradient
+// does over two replayed segments of interval 4, and holds every Load to
+// the recorded DOMAIN bits whether it copied or found the level resident.
 func TestLevelCacheThroughTwoSegments(t *testing.T) {
-	const k, nt = 4, 8
+	const k, nt = 4, 12
 	u := testField(t)
 	s := New(k, &u.Function)
 	offs := domainOffsets(u)
 	d0 := offs[0]
-	val := func(lvl int) float32 { return float32(1000 * (lvl + 2)) }
-	step := func(t int) { fill(u, t+1, val(t+1)) } // a forward step writes Buf(t+1)
 	expect := func(what string, lvl int) {
 		t.Helper()
 		for _, i := range offs {
-			if got, want := u.Buf(lvl).Data[i], val(lvl)+float32(i); got != want {
+			if got, want := u.Buf(lvl).Data[i], levelVal(lvl)+float32(i); got != want {
 				t.Fatalf("%s: Buf(%d)[%d] = %v, want level %d's %v", what, lvl, i, got, lvl, want)
 			}
 		}
 	}
-	load := func(what string, lvl int) {
+	// reload asks for levels j-1..j+1 again: all are cached, so nothing
+	// is replayed.
+	reload := func(j int) {
 		t.Helper()
-		if err := s.LoadLevel(lvl); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		expect(what, lvl)
-	}
-
-	fill(u, -1, val(-1))
-	fill(u, 0, val(0))
-	s.SaveIfDue(0)
-	for t := 0; t < nt; t++ {
-		step(t)
-		s.SaveIfDue(t + 1)
-	}
-
-	for _, seg := range []struct{ snap, top int }{{4, 8}, {0, 4}} {
-		if err := s.Restore(seg.snap); err != nil {
+		if err := s.Load(j-1, j+1, func(from, to int) error {
+			t.Fatalf("j=%d: cached levels replayed from %d to %d", j, from, to)
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-		s.PruneLevels(seg.snap-1, seg.snap+k)
-		s.RecordLevel(seg.snap - 1)
-		s.RecordLevel(seg.snap)
-		for t := seg.snap; t < seg.snap+k; t++ {
-			step(t)
-			s.RecordLevel(t + 1)
-		}
-		for j := seg.top - 1; j >= seg.snap; j-- {
-			for _, lvl := range []int{j - 1, j, j + 1} {
-				load("first load", lvl)
-				// A resident level is not copied again: a write the store
-				// cannot see survives the second load.
-				u.Buf(lvl).Data[d0] = -1
-				if err := s.LoadLevel(lvl); err != nil {
-					t.Fatal(err)
-				}
-				if got := u.Buf(lvl).Data[d0]; got != -1 {
-					t.Fatalf("level %d was resident but LoadLevel copied it again (Data[%d] = %v)", lvl, d0, got)
-				}
-				u.Buf(lvl).Data[d0] = val(lvl) + float32(d0)
-				// Corrupt the buffer through the store — load the cached
-				// level sharing it — then reload: a load wrongly skipped on
-				// stale residency leaves the other level's bits behind.
-				other := lvl + 3
-				if !s.HasLevel(other) {
-					other = lvl - 3
-				}
-				load("aliasing load", other)
-				load("reload", lvl)
+	}
+	err := sweep(s, nt, writeLevels(u), func(j int) {
+		for lvl := j - 1; lvl <= j+1; lvl++ {
+			expect("Load", lvl)
+			// A resident level is not copied again: a write the store
+			// cannot see survives the second Load.
+			u.Buf(lvl).Data[d0] = -1
+			reload(j)
+			if got := u.Buf(lvl).Data[d0]; got != -1 {
+				t.Fatalf("level %d was resident but Load copied it again (Data[%d] = %v)", lvl, d0, got)
 			}
-		}
-		if seg.snap == 0 {
-			break
-		}
-		// Restore rewrites Buf(snap-1) and Buf(snap) whole, halos
-		// included, and leaves Buf(snap+1), which step snap overwrites,
-		// alone. Nothing stays resident, so the next loads copy.
-		for _, lvl := range []int{seg.snap - 1, seg.snap} {
-			u.Buf(lvl).Fill(-7)
-		}
-		kept := append([]float32(nil), u.Buf(seg.snap+1).Data...)
-		if err := s.Restore(seg.snap); err != nil {
-			t.Fatal(err)
-		}
-		for _, lvl := range []int{seg.snap - 1, seg.snap} {
-			for i, got := range u.Buf(lvl).Data {
-				if want := val(lvl) + float32(i); got != want {
-					t.Fatalf("restored snapshot: Buf(%d)[%d] = %v, want %v", lvl, i, got, want)
-				}
+			u.Buf(lvl).Data[d0] = levelVal(lvl) + float32(d0)
+			// Corrupt the buffer through the store — load the cached
+			// level sharing it — then reload: a load wrongly skipped on
+			// stale residency leaves the other level's bits behind.
+			other := lvl + 3
+			if s.find(other) < 0 {
+				other = lvl - 3
 			}
-		}
-		for i, got := range u.Buf(seg.snap + 1).Data {
-			if got != kept[i] {
-				t.Fatalf("Restore(%d) wrote Buf(%d)[%d] = %v, want it left at %v", seg.snap, seg.snap+1, i, got, kept[i])
+			if err := s.load(other); err != nil {
+				t.Fatal(err)
 			}
+			expect("aliasing load", other)
+			reload(j)
+			expect("reload", lvl)
 		}
-		for _, lvl := range []int{seg.snap - 1, seg.snap, seg.snap + 1} {
-			load("load after Restore", lvl)
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two segments, 4..6 and 0..2, each two levels short of the cached
+	// levels above it.
+	if s.Stats.RecomputedSteps != 4 {
+		t.Errorf("replayed %d steps, want 4", s.Stats.RecomputedSteps)
 	}
 	if want := int64((k + 2) * 4 * len(offs)); s.Stats.LevelBytes != want {
 		t.Errorf("level cache peaked at %d bytes, want k+2 DOMAIN levels = %d", s.Stats.LevelBytes, want)
+	}
+	// Restore(0) writes levels -1 and 0 into the buffers levels 2 and 3
+	// are resident in, and leaves the one level 4 is resident in alone:
+	// the next Load copies 2 and 3 again.
+	reload(3)
+	for lvl := -1; lvl <= 0; lvl++ {
+		u.Buf(lvl).Fill(-7)
+	}
+	if err := s.Restore(0); err != nil {
+		t.Fatal(err)
+	}
+	expect("Restore(0)", -1)
+	expect("Restore(0)", 0)
+	expect("Restore(0) leaves Buf(1)", 4)
+	reload(3)
+	for lvl := 2; lvl <= 4; lvl++ {
+		expect("Load after Restore", lvl)
 	}
 
 	// Steady state: a segment's levels come from the ones the previous
 	// segment's prune freed.
 	if allocs := testing.AllocsPerRun(10, func() {
-		s.PruneLevels(0, -1) // an empty window frees every level
+		s.prune(0, -1) // an empty window frees every level
 		for lvl := 10; lvl < 10+k+2; lvl++ {
-			s.RecordLevel(lvl)
+			s.record(lvl)
 		}
 	}); allocs != 0 {
 		t.Errorf("recording a segment's %d levels after a prune allocates %v times, want 0", k+2, allocs)
@@ -336,12 +418,19 @@ func TestDefaultInterval(t *testing.T) {
 // the default interval's bound fits the sqrt(nt) interval's, and it
 // recomputes no more than the sqrt(nt) interval did.
 func TestScheduleNeverCostsMore(t *testing.T) {
-	// The sweep re-integrates each segment from its snapshot s up to level
-	// min(s+k, nt-k)-2: the next snapshot's restore or the forward tail
-	// holds the two levels above it.
-	recomputed := func(nt, k int) (n int) {
-		for s := 0; s < nt-k; s += k {
-			n += max(min(s+k, nt-k)-2-s, 0)
+	// The steps the store's own sweep replays, run once per nt and k.
+	// A sweep costs O(nt·k) level lookups, so every interval's count is
+	// compared up to nt = 200 and the default interval's up to 400.
+	counts := map[[2]int]int{}
+	recomputed := func(nt, k int) int {
+		n, ok := counts[[2]int{nt, k}]
+		if !ok {
+			s := New(k)
+			if err := sweep(s, nt, nil, nil); err != nil {
+				t.Fatalf("nt=%d k=%d: %v", nt, k, err)
+			}
+			n = s.Stats.RecomputedSteps
+			counts[[2]int{nt, k}] = n
 		}
 		return n
 	}
@@ -359,8 +448,8 @@ func TestScheduleNeverCostsMore(t *testing.T) {
 				if got := snapshots(nt, k); got > oldSnaps {
 					t.Fatalf("nt=%d k=%d: %d snapshots, the old schedule took %d", nt, k, got, oldSnaps)
 				}
-				if got := recomputed(nt, k); got > oldRecomputed {
-					t.Fatalf("nt=%d k=%d: %d recomputed steps, the old schedule %d", nt, k, got, oldRecomputed)
+				if nt <= 200 && recomputed(nt, k) > oldRecomputed {
+					t.Fatalf("nt=%d k=%d: %d recomputed steps, the old schedule %d", nt, k, recomputed(nt, k), oldRecomputed)
 				}
 				if got := levels(nt, k); got > oldLevels {
 					t.Fatalf("nt=%d k=%d: %d cached levels, the old schedule %d", nt, k, got, oldLevels)
@@ -397,45 +486,35 @@ func TestNewPanicsOnNonPositiveInterval(t *testing.T) {
 	}
 }
 
-// TestResetForgetsAndReuses: after Reset a store serves nothing of the
+// TestResetForgetsAndReuses: after Begin a store serves nothing of the
 // run before, reports for the next run exactly what a fresh store would,
 // and takes that run's snapshot and level buffers from the last one's.
 func TestResetForgetsAndReuses(t *testing.T) {
 	u := testField(t)
 	run := func(s *Store) {
-		for step := 0; step < 9; step++ {
-			fill(u, step, float32(step))
-			s.SaveIfDue(step)
-			s.RecordLevel(step)
+		if err := sweep(s, 12, writeLevels(u), nil); err != nil {
+			t.Fatal(err)
 		}
-		s.PruneLevels(5, 8)
-		s.RecordLevel(9)
 	}
 	fresh := New(4, &u.Function)
 	run(fresh)
 
 	s := New(4, &u.Function)
 	run(s)
-	s.Reset()
-	if _, err := s.SnapshotAtOrBefore(8); err == nil {
-		t.Error("a reset store still serves a snapshot of the run before")
+	s.Begin(2) // a run with nothing below its tail: no snapshot but step 0
+	if got := s.Stats; got != (Stats{LevelBytes: got.LevelBytes}) {
+		t.Errorf("stats after Begin = %+v, want nothing but the initial levels", got)
 	}
-	if s.HasLevel(8) {
-		t.Error("a reset store still holds a cached level of the run before")
+	if _, err := s.snapshotAtOrBefore(8); err == nil {
+		t.Error("a begun store still serves a snapshot of the run before")
 	}
-	if s.Stats != (Stats{}) {
-		t.Errorf("stats after Reset = %+v, want zero", s.Stats)
+	if s.find(8) >= 0 {
+		t.Error("a begun store still holds a cached level of the run before")
 	}
-	if n := testing.AllocsPerRun(3, func() {
-		s.Reset()
-		run(s)
-	}); n != 0 {
-		t.Errorf("a run through a reset store allocates %v times, want 0", n)
+	if n := testing.AllocsPerRun(3, func() { run(s) }); n != 0 {
+		t.Errorf("a run through a reused store allocates %v times, want 0", n)
 	}
 	if s.Stats != fresh.Stats {
 		t.Errorf("reused store reports %+v, a fresh one %+v", s.Stats, fresh.Stats)
-	}
-	if err := s.LoadLevel(9); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -64,6 +64,10 @@ type GradientResult struct {
 	// sides of the adjoint identity (dhat is the back-propagated series);
 	// RelErr is their relative gap.
 	DotForward, DotAdjoint, RelErr float64
+	// Misfit is the data misfit 0.5*sum(residual^2) over all receivers and
+	// timesteps, the objective whose gradient this is (residual =
+	// synthetics without observed data).
+	Misfit float64
 	// Checkpoint reports the memory/recompute cost counters: both terms of
 	// the memory bound (SnapshotBytes, LevelBytes) and RecomputedSteps.
 	Checkpoint checkpoint.Stats
@@ -163,7 +167,10 @@ func newGradientSolver(m *Model, ctx *core.Context, gc GradientConfig, cache *op
 		// same on every rank.
 		k = checkpoint.DefaultInterval(nt, m.Grid.Shape, u.Halo)
 	}
-	s.store = checkpoint.New(k, u) // forward() stamps it with this rank
+	s.store = checkpoint.New(k, u)
+	if ctx != nil {
+		s.store.Rank = ctx.Comm.Rank()
+	}
 	return s, nil
 }
 
@@ -178,9 +185,9 @@ func (s *gradientSolver) close() {
 
 // reset returns the solver to its state after construction: every buffer
 // of the forward and adjoint wavefields and of the gradient is zeroed,
-// halos included, the store forgets its snapshots and cached levels, and
-// the operators' counters restart. The parameter fields and the
-// operators' tuned configurations stay.
+// halos included, and the operators' counters restart; the forward pass
+// begins the store's next run, which forgets the last. The parameter
+// fields and the operators' tuned configurations stay.
 func (s *gradientSolver) reset() {
 	for _, md := range []*Model{s.m, s.adj} {
 		for _, name := range md.WaveFields {
@@ -192,7 +199,6 @@ func (s *gradientSolver) reset() {
 	for _, b := range s.grad.Bufs {
 		clear(b.Data)
 	}
-	s.store.Reset()
 	for _, op := range []*core.Operator{s.fwdOp, s.adjOp, s.imgOp} {
 		op.ResetPerf()
 	}
@@ -227,7 +233,6 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 		s.reset()
 	}
 	s.used = true
-	k := store.Interval
 
 	// Phase 1: checkpointed forward integration recording synthetics.
 	fres, err := forward(m, ctx, s.fwdOp, srcs, autotune, store, nt, dt)
@@ -254,55 +259,19 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 	}
 	syms := map[string]float64{"dt": dt}
 
-	// ensureLevels re-materialises the forward time levels lo..hi from
-	// the newest snapshot s at or below hi-1, replaying the source
-	// injection so the recomputation is bit-identical. Basing the lookup
-	// on hi-1 (not lo) makes the window s-1..e cover hi even when hi sits
-	// on a snapshot step; lo >= s-1 holds because snapshots are k apart.
-	// The window ends at the next snapshot or one above the lowest level
-	// the forward pass cached, whichever comes first: the sweep asks for
-	// levels above that only while they are still cached. The top of the
-	// window is still cached too — the two levels the next snapshot's
-	// restore recorded, or the forward tail's lowest two — so the
-	// recompute steps only up to the highest level below them.
-	tail := checkpoint.TailLevel(nt, k)
-	ensureLevels := func(lo, hi int) error {
-		if store.HasLevel(lo) && store.HasLevel(hi) {
-			return nil
-		}
-		s, err := store.SnapshotAtOrBefore(hi - 1)
-		if err != nil {
-			return err
-		}
-		if err := store.Restore(s); err != nil {
-			return err
-		}
-		e := min(s+k, tail+1)
-		store.PruneLevels(s-1, e)
-		for e > s && store.HasLevel(e) {
-			e--
-		}
-		store.RecordLevel(s - 1)
-		store.RecordLevel(s)
-		if e == s {
-			return nil
-		}
+	// recompute re-integrates the forward field from state from to state
+	// to for the store, replaying the source injection so the
+	// recomputation is bit-identical.
+	recompute := func(from, to int) error {
 		var hook firstErr
-		if err := fres.Op.Apply(&core.ApplyOpts{
-			TimeM: s, TimeN: e - 1, Syms: syms,
-			PostStep: func(t int) {
-				hook.keep(srcs.inject(m, t, fres.Op.InjectDepth()))
-				store.RecordLevel(t + 1)
-			},
+		if err := s.fwdOp.Apply(&core.ApplyOpts{
+			TimeM: from, TimeN: to - 1, Syms: syms,
+			PostStep: srcs.step(m, s.fwdOp, store, &hook),
 			Autotune: autotune,
 		}); err != nil {
 			return err
 		}
-		if hook.err != nil {
-			return hook.err
-		}
-		store.Stats.RecomputedSteps += e - s
-		return nil
+		return hook.err
 	}
 
 	// Phase 2: the reverse sweep. Iteration t writes the adjoint state
@@ -313,13 +282,8 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 	// sweep's values untouched.
 	image := func(t int) error {
 		j := t - 1
-		if err := ensureLevels(j-1, j+1); err != nil {
+		if err := store.Load(j-1, j+1, recompute); err != nil {
 			return err
-		}
-		for _, lvl := range []int{j - 1, j, j + 1} {
-			if err := store.LoadLevel(lvl); err != nil {
-				return err
-			}
 		}
 		return s.imgOp.Apply(&core.ApplyOpts{TimeM: j, TimeN: j, Syms: syms, Autotune: autotune})
 	}
@@ -334,9 +298,11 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 	res.AdjointConfig = s.adjOp.Config()
 	res.RecomputePerf = s.fwdOp.Report()
 	res.Checkpoint = store.Stats
+	sum := 0.0
 	for t := 0; t < nt; t++ {
-		for r := range adjSrc[t] {
-			res.DotForward += fres.Receivers[t][r] * adjSrc[t][r]
+		for r, d := range adjSrc[t] {
+			res.DotForward += fres.Receivers[t][r] * d
+			sum += d * d
 		}
 		var q float64
 		if srcs.wavelet != nil && t < len(srcs.wavelet) {
@@ -345,6 +311,7 @@ func (s *gradientSolver) solve(shot Shot) (*GradientResult, error) {
 		res.DotAdjoint += q * res.SrcTraces[t]
 	}
 	res.RelErr = RelDot(res.DotForward, res.DotAdjoint)
+	res.Misfit = 0.5 * sum
 	return res, nil
 }
 

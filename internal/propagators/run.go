@@ -119,35 +119,17 @@ func stepDT(name string, dt, critical float64) (float64, error) {
 }
 
 // forward steps a compiled model nt times, injecting srcs' source and
-// sampling its receivers after every step. When store is not nil it keeps
-// what the reverse sweep reads back (checkpoint.TailLevel): the levels of
-// the last k steps, which the sweep then never recomputes (k+2 at most,
-// the cache's bound), and a snapshot of every multiple of k below them.
-// Receivers are sampled rank-locally into one nt×nrec table, and a
-// distributed run reduces it once, after the last step, as it does the
-// norm: the step loop synchronises with halo neighbours only.
+// sampling its receivers after every step. When store is not nil it hands
+// the store every state it reaches (checkpoint.Store.Keep), which keeps
+// what the reverse sweep reads back. Receivers are sampled rank-locally
+// into one nt×nrec table, and a distributed run reduces it once, after
+// the last step, as it does the norm: the step loop synchronises with
+// halo neighbours only.
 func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	autotune string, store *checkpoint.Store, nt int, dt float64) (*RunResult, error) {
 	res := &RunResult{NT: nt, DT: dt, Op: op}
-	// keep takes what store keeps of the state ready for step t.
-	var keep func(t int)
 	if store != nil {
-		if ctx != nil {
-			store.Rank = ctx.Comm.Rank()
-		}
-		tail := checkpoint.TailLevel(nt, store.Interval)
-		keep = func(t int) {
-			if t <= tail {
-				store.SaveIfDue(t)
-			}
-			if t >= tail {
-				store.RecordLevel(t)
-			}
-		}
-		if tail < 0 {
-			store.RecordLevel(-1)
-		}
-		keep(0)
+		store.Begin(nt)
 	}
 	var traces []float64
 	nrec := 0
@@ -157,13 +139,11 @@ func forward(m *Model, ctx *core.Context, op *core.Operator, srcs *sourceSetup,
 	}
 	u := m.Fields[m.WaveFields[0]]
 	var hook firstErr
+	step := srcs.step(m, op, store, &hook)
 	postStep := func(t int) {
-		hook.keep(srcs.inject(m, t, op.InjectDepth()))
+		step(t)
 		if srcs.rec != nil {
 			copy(traces[t*nrec:], srcs.rec.Interpolate(u, t+1, nil))
-		}
-		if keep != nil {
-			keep(t + 1)
 		}
 	}
 	if err := op.Apply(&core.ApplyOpts{
@@ -318,6 +298,18 @@ func (s *sourceSetup) inject(m *Model, t int, depth []int) error {
 		}
 	}
 	return nil
+}
+
+// step returns the post-step hook a forward integration and its replay
+// share: it injects step t's source sample into buffer t+1, keeping the
+// first error in hook, then hands state t+1 to store (nil keeps nothing).
+func (s *sourceSetup) step(m *Model, op *core.Operator, store *checkpoint.Store, hook *firstErr) func(t int) {
+	return func(t int) {
+		hook.keep(s.inject(m, t, op.InjectDepth()))
+		if store != nil {
+			store.Keep(t + 1)
+		}
+	}
 }
 
 // sumRanks sums vals over the ranks of a distributed run, in ascending

@@ -200,8 +200,7 @@ func RunShots(model string, cfg Config, sc ShotsConfig) (*ShotsResult, error) {
 		domainRows(res.Gradient, 0, func(_ []int, row []float32) {
 			off += copy(out.grad[off:], row)
 		})
-		out.misfit = misfitOf(res.Receivers, gc.withShot(sc.Shots[shot]).ObsData)
-		out.gradNorm, out.relErr = res.GradNorm, res.RelErr
+		out.misfit, out.gradNorm, out.relErr = res.Misfit, res.GradNorm, res.RelErr
 		out.seconds = time.Since(t0).Seconds()
 		return out, nil
 	}
@@ -373,21 +372,4 @@ func clampWorkers(computeWorkers, shotsInFlight, hostCores int) int {
 		return computeWorkers
 	}
 	return max(1, hostCores/shotsInFlight)
-}
-
-// misfitOf is the least-squares data misfit 0.5*sum(residual^2) with
-// residual = synthetics - observed (or the synthetics themselves without
-// observed data) — the objective whose gradient the adjoint computes.
-func misfitOf(syn [][]float64, obs [][]float64) float64 {
-	sum := 0.0
-	for t := range syn {
-		for r := range syn[t] {
-			d := syn[t][r]
-			if obs != nil {
-				d -= obs[t][r]
-			}
-			sum += d * d
-		}
-	}
-	return 0.5 * sum
 }

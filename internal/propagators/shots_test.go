@@ -149,7 +149,8 @@ func TestRunShotsBitExactSerial(t *testing.T) {
 // both operators and reproduces the bytecode engine's gradient, receivers
 // and source traces bit for bit — at a checkpoint interval that divides NT
 // and at one with NT % k == 1, where the last reverse step needs a forward
-// level one past the final segment's window (ensureLevels' edge).
+// level one past the final segment's window (the edge of
+// checkpoint.Store.Load's replay).
 func TestRunGradientDefaultEngineBitExact(t *testing.T) {
 	run := func(engine string, k int) *GradientResult {
 		t.Helper()
@@ -361,7 +362,7 @@ func solveShots(t *testing.T, cfg Config, gc GradientConfig, shots []Shot, reuse
 				r.state = append(r.state, b.Data...)
 			}
 		}
-		r.gradNorm, r.misfit, r.rel = res.GradNorm, misfitOf(res.Receivers, gc.withShot(shot).ObsData), res.RelErr
+		r.gradNorm, r.misfit, r.rel = res.GradNorm, res.Misfit, res.RelErr
 		r.ckpt = res.Checkpoint
 		r.fwdSteps, r.adjSteps = res.ForwardPerf.Timesteps, res.AdjointPerf.Timesteps
 		r.fwdPoints, r.adjPoints = res.ForwardPerf.PointsUpdated, res.AdjointPerf.PointsUpdated
@@ -957,4 +958,22 @@ func scatterOwned(dst []float32, gshape []int, f *field.Function, t int) {
 		}
 		copy(dst[off:off+len(row)], row)
 	})
+}
+
+// misfitOf is the reference least-squares data misfit
+// 0.5*sum(residual^2) with residual = synthetics - observed (or the
+// synthetics themselves without observed data), summed apart from the
+// solver's own GradientResult.Misfit.
+func misfitOf(syn [][]float64, obs [][]float64) float64 {
+	sum := 0.0
+	for t := range syn {
+		for r := range syn[t] {
+			d := syn[t][r]
+			if obs != nil {
+				d -= obs[t][r]
+			}
+			sum += d * d
+		}
+	}
+	return 0.5 * sum
 }

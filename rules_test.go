@@ -152,6 +152,11 @@ var rules = []rule{{
 	why:    "RunShots solves each shot serially on its worker's solver; it stands up no MPI world",
 	sample: repoFile{"internal/propagators/shots.go", "\tw := shotWorld(cfg.Ranks)"},
 }, {
+	name:   "the checkpoint store owns its schedule",
+	checks: []check{{re: `TailLevel|SaveIfDue|SnapshotAtOrBefore|PruneLevels|HasLevel|RecordLevel|LoadLevel|ensureLevels`, paths: []string{"*.go", ":!internal/checkpoint/"}}},
+	why:    "the forward pass hands every state to checkpoint.Store.Keep and the reverse sweep asks Store.Load for levels; no other package computes a tail, picks a snapshot, prunes, or records or loads a level",
+	sample: repoFile{"internal/propagators/gradient.go", "\t\tstore.RecordLevel(s - 1)"},
+}, {
 	name:   "benchmark numbers have one home",
 	checks: []check{{re: `(?i)observatory|BENCH_history`, paths: []string{".", ":!CHANGES.md", ":!ROADMAP.md"}}},
 	why:    "benchmark numbers live in CHANGES.md tables made from bench/run.sh pairs (docs/OBSERVABILITY.md)",
