@@ -11,6 +11,7 @@ package devigo
 // Run: go test -run '^$' -bench . -benchmem
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"devigo/internal/core"
@@ -40,6 +41,13 @@ func benchKernelExec(b *testing.B, model string, shape []int, so, nbl int) {
 		pts *= s
 	}
 	b.SetBytes(int64(pts) * 4)
+	// Field storage is allocated at first use: allocate it here and
+	// collect what set-up left, so the timed steps neither allocate nor
+	// overlap a collection.
+	for _, f := range m.Fields {
+		f.Buf(0)
+	}
+	goruntime.GC()
 	b.ResetTimer()
 	// One Apply of b.N steps: the steady template a multi-step run
 	// executes, its time-invariant chains primed once per Apply.

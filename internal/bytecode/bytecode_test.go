@@ -124,7 +124,7 @@ func TestBitExactNestWithTempsAndPow(t *testing.T) {
 	uI, mI := mk()
 	patternInit(uB, uI)
 	for _, mm := range []*field.Function{mB, mI} {
-		buf := mm.Bufs[0]
+		buf := mm.Buf(0)
 		for i := range buf.Data {
 			buf.Data[i] = 1.5 + float32(i%7)*0.25
 		}

@@ -60,11 +60,17 @@ type Store struct {
 	spare [][][2][]float32
 	// levels[:live] is the recompute cache of the segment the reverse
 	// sweep is consuming: the DOMAIN of each field's cyclic buffer Buf(t)
-	// per cached level, in no particular order (at most Interval+2
-	// levels, so lookups scan). levels[live:] is the free-list: entries
-	// prune dropped, whose buffers the next record reuses.
+	// per cached level, in no particular order. levels[live:] is the
+	// free-list: entries prune dropped, whose buffers the next record
+	// reuses.
 	levels []level
 	live   int
+	// ring indexes the cache by level: ring[t mod len(ring)] is the index
+	// in levels[:live] of cached level t, or -1. The schedule's cached
+	// levels are consecutive, at most min(Interval, nt)+2 of them (Begin
+	// sizes the ring so), so no two share a slot; record widens the ring
+	// when two would.
+	ring []int
 	// resident names the cached level a live cyclic buffer's DOMAIN is
 	// known to hold (no entry when unknown), so load can skip a copy that
 	// would change nothing.
@@ -189,6 +195,12 @@ func (s *Store) Begin(nt int) {
 		delete(s.snaps, t)
 	}
 	s.live = 0
+	if n := levels(nt, s.Interval); len(s.ring) < n {
+		s.ring = make([]int, n)
+	}
+	for i := range s.ring {
+		s.ring[i] = -1
+	}
 	clear(s.resident)
 	s.Stats = Stats{}
 	s.tail = max(nt-s.Interval, 0) - 1
@@ -338,12 +350,37 @@ func (s *Store) snapshotAtOrBefore(t int) (int, error) {
 
 // find returns the index of cached level t in levels[:live], or -1.
 func (s *Store) find(t int) int {
-	for i := range s.levels[:s.live] {
-		if s.levels[i].t == t {
-			return i
-		}
+	if len(s.ring) == 0 {
+		return -1
+	}
+	if i := s.ring[s.slot(t)]; i >= 0 && s.levels[i].t == t {
+		return i
 	}
 	return -1
+}
+
+// slot is level t's entry in ring.
+func (s *Store) slot(t int) int {
+	n := len(s.ring)
+	return (t%n + n) % n
+}
+
+// widen makes ring long enough that t and every cached level have slots
+// of their own: at least as long as the span of those levels, whose
+// slots are then distinct.
+func (s *Store) widen(t int) {
+	lo, hi := t, t
+	for _, lv := range s.levels[:s.live] {
+		lo, hi = min(lo, lv.t), max(hi, lv.t)
+	}
+	n := max(hi-lo+1, 2*len(s.ring), s.Interval+2)
+	s.ring = slices.Grow(s.ring[:0], n)[:n]
+	for i := range s.ring {
+		s.ring[i] = -1
+	}
+	for i, lv := range s.levels[:s.live] {
+		s.ring[s.slot(lv.t)] = i
+	}
 }
 
 // domain returns field fi's DOMAIN region.
@@ -364,6 +401,9 @@ func (s *Store) domain(fi int) field.Region {
 func (s *Store) record(t int) {
 	i := s.find(t)
 	if i < 0 {
+		if len(s.ring) == 0 || s.ring[s.slot(t)] >= 0 {
+			s.widen(t)
+		}
 		i = s.live
 		if i == len(s.levels) {
 			lv := level{bufs: make([][]float32, len(s.fields))}
@@ -373,6 +413,7 @@ func (s *Store) record(t int) {
 			s.levels = append(s.levels, lv)
 		}
 		s.levels[i].t = t
+		s.ring[s.slot(t)] = i
 		s.live++
 		var bytes int64
 		for _, b := range s.levels[i].bufs {
@@ -411,8 +452,12 @@ func (s *Store) load(t int) error {
 func (s *Store) prune(lo, hi int) {
 	for i := 0; i < s.live; {
 		if t := s.levels[i].t; t < lo || t > hi {
+			s.ring[s.slot(t)] = -1
 			s.live--
 			s.levels[i], s.levels[s.live] = s.levels[s.live], s.levels[i]
+			if i < s.live {
+				s.ring[s.slot(s.levels[i].t)] = i
+			}
 			continue
 		}
 		i++

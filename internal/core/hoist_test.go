@@ -79,7 +79,8 @@ func (b bitsOf) floats(name string, vs ...float64) {
 
 func (b bitsOf) fields(m *propagators.Model) {
 	for name, f := range m.Fields {
-		for bi, buf := range f.Bufs {
+		for bi := range f.Bufs {
+			buf := f.Buf(bi)
 			key := fmt.Sprintf("%s[%d]", name, bi)
 			for _, v := range buf.Data {
 				b[key] = append(b[key], uint64(math.Float32bits(v)))
@@ -91,7 +92,8 @@ func (b bitsOf) fields(m *propagators.Model) {
 // roughen varies a parameter from point to point, so that a hoisted row
 // read at the wrong point shows.
 func roughen(f *field.Function) {
-	for _, b := range f.Bufs {
+	for bi := range f.Bufs {
+		b := f.Buf(bi)
 		for i, v := range b.Data {
 			b.Data[i] = v * (1 + 0.125*float32(i%7)/7)
 		}
@@ -153,7 +155,7 @@ func runHoisted(t *testing.T, budget int, model string, shape []int, c hoistConf
 			for _, row := range res.Receivers {
 				b.floats("receivers", row...)
 			}
-			for _, v := range res.Gradient.Bufs[0].Data {
+			for _, v := range res.Gradient.Buf(0).Data {
 				b["gradient"] = append(b["gradient"], uint64(math.Float32bits(v)))
 			}
 		} else {
@@ -309,7 +311,8 @@ func pairOps(t *testing.T) (nat, ref *core.Operator, mNat, mRef *propagators.Mod
 			t.Fatal(err)
 		}
 		roughen(m.Fields["m"])
-		for _, b := range m.Fields["u"].Bufs {
+		for bi := range m.Fields["u"].Bufs {
+			b := m.Fields["u"].Buf(bi)
 			for i := range b.Data {
 				b.Data[i] = float32(i%11) / 11
 			}
@@ -328,9 +331,10 @@ func pairOps(t *testing.T) (nat, ref *core.Operator, mNat, mRef *propagators.Mod
 // bit.
 func sameWavefield(t *testing.T, what string, a, b *propagators.Model) {
 	t.Helper()
-	for bi, buf := range a.Fields["u"].Bufs {
+	for bi := range a.Fields["u"].Bufs {
+		buf := a.Fields["u"].Buf(bi)
 		for i, v := range buf.Data {
-			if w := b.Fields["u"].Bufs[bi].Data[i]; math.Float32bits(v) != math.Float32bits(w) {
+			if w := b.Fields["u"].Buf(bi).Data[i]; math.Float32bits(v) != math.Float32bits(w) {
 				t.Fatalf("%s: u buffer %d point %d: native %v, bytecode %v", what, bi, i, v, w)
 			}
 		}
@@ -352,8 +356,8 @@ func TestHoistSeesParameterWrites(t *testing.T) {
 	apply(ref, mRef, 0)
 	sameWavefield(t, "first Apply", mNat, mRef)
 	for _, m := range []*propagators.Model{mNat, mRef} {
-		for i := range m.Fields["m"].Bufs[0].Data {
-			m.Fields["m"].Bufs[0].Data[i] *= 1.25
+		for i := range m.Fields["m"].Buf(0).Data {
+			m.Fields["m"].Buf(0).Data[i] *= 1.25
 		}
 	}
 	apply(nat, mNat, 5)
@@ -373,8 +377,8 @@ func TestBareKernelRunRunsEveryChain(t *testing.T) {
 		if err := c.op.Apply(&core.ApplyOpts{TimeM: 0, TimeN: 2, Syms: map[string]float64{"dt": c.m.CriticalDt}, Autotune: core.AutotuneOff}); err != nil {
 			t.Fatal(err)
 		}
-		for i := range c.m.Fields["m"].Bufs[0].Data {
-			c.m.Fields["m"].Bufs[0].Data[i] *= 0.75
+		for i := range c.m.Fields["m"].Buf(0).Data {
+			c.m.Fields["m"].Buf(0).Data[i] *= 0.75
 		}
 		box := runtime.Box{Lo: []int{0, 0}, Hi: append([]int(nil), c.m.Fields["u"].LocalShape...)}
 		for i, k := range c.op.Kernels() {

@@ -561,8 +561,8 @@ func TestSteadyStepAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Bufs[0].Data {
-		m.Bufs[0].Data[i], damp.Bufs[0].Data[i] = 0.5, float32(i%3)
+	for i := range m.Buf(0).Data {
+		m.Buf(0).Data[i], damp.Buf(0).Data[i] = 0.5, float32(i%3)
 	}
 	wave := symbolic.Eq{LHS: symbolic.NewAdd(
 		symbolic.NewMul(symbolic.At(m.Ref), symbolic.Dt2(ut, 2)),

@@ -16,20 +16,34 @@ type Buffer struct {
 
 // NewBuffer allocates a zeroed buffer of the given shape.
 func NewBuffer(shape []int) *Buffer {
-	n := 1
+	b := newHeader(shape)
+	b.Data = make([]float32, b.size())
+	return b
+}
+
+// newHeader returns a buffer of the given shape and its row-major strides,
+// with no Data yet.
+func newHeader(shape []int) *Buffer {
 	strides := make([]int, len(shape))
+	n := 1
 	for d := len(shape) - 1; d >= 0; d-- {
 		strides[d] = n
 		n *= shape[d]
 	}
-	return &Buffer{
-		Shape:   append([]int(nil), shape...),
-		Strides: strides,
-		Data:    make([]float32, n),
-	}
+	return &Buffer{Shape: append([]int(nil), shape...), Strides: strides}
 }
 
-// Index converts multi-dimensional coordinates into a flat offset.
+// size is the number of elements the buffer's shape holds.
+func (b *Buffer) size() int {
+	if len(b.Shape) == 0 {
+		return 1
+	}
+	return b.Shape[0] * b.Strides[0]
+}
+
+// Index converts multi-dimensional coordinates into a flat offset. A
+// coordinate outside the shape panics, naming it: like a slice index, the
+// bounds are the caller's to keep (TestBufferIndexPanicsOutOfBounds).
 func (b *Buffer) Index(idx []int) int {
 	off := 0
 	for d, i := range idx {

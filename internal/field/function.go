@@ -12,6 +12,12 @@ import (
 // parameter field like the squared slowness m. Its storage covers the local
 // domain plus a halo of width SpaceOrder/2 on each side (the read-only ghost
 // region in serial runs, the exchanged region under DMP).
+//
+// Storage is allocated once, by the first call that needs data (Buf and
+// everything built on it), at the ghost depth in force at that moment; the
+// constructors record the geometry only. So an operator that deepens the
+// halo of a fresh field (GrowHalo) allocates it once, at the deeper depth,
+// and copies nothing.
 type Function struct {
 	Name       string
 	Grid       *grid.Grid
@@ -19,7 +25,7 @@ type Function struct {
 
 	// Halo is the ghost width per dimension per side.
 	Halo []int
-	// BaseHalo is the ghost width the function was allocated with.
+	// BaseHalo is the ghost width the function was created with.
 	// GrowHalo widens Halo and leaves BaseHalo alone: it is the depth an
 	// exchange-every-step schedule exchanges.
 	BaseHalo []int
@@ -28,12 +34,19 @@ type Function struct {
 	LocalShape []int
 	// Origin is the global index of the first owned point per dimension.
 	Origin []int
-	// Bufs holds the time buffers; plain Functions have exactly one.
+	// Bufs holds the time buffers; plain Functions have exactly one. Their
+	// shapes and strides are set from the start, their Data only once the
+	// storage is allocated: read data through Buf.
 	Bufs []*Buffer
 	// Ref is the symbolic handle used in equations.
 	Ref *symbolic.FuncRef
 	// Stagger marks half-node storage per dimension (0 or 1).
 	Stagger []int
+
+	// stored is set once the buffers hold their Data.
+	stored bool
+	// inits fill the storage when it is allocated (see Initialize).
+	inits []func(*Function)
 }
 
 // TimeFunction is a time-varying discrete function with TimeOrder+1
@@ -64,7 +77,7 @@ func NewFunction(name string, g *grid.Grid, spaceOrder int, cfg *Config) (*Funct
 	if err := f.initGeometry(cfg); err != nil {
 		return nil, err
 	}
-	f.Bufs = []*Buffer{NewBuffer(f.FullShape())}
+	f.Bufs = []*Buffer{newHeader(f.FullShape())}
 	f.Ref = &symbolic.FuncRef{Name: name, NDims: g.NDims(), Stagger: f.Stagger}
 	return f, nil
 }
@@ -84,7 +97,7 @@ func NewTimeFunction(name string, g *grid.Grid, spaceOrder, timeOrder int, cfg *
 	nbufs := timeOrder + 1
 	tf.Bufs = make([]*Buffer, nbufs)
 	for i := range tf.Bufs {
-		tf.Bufs[i] = NewBuffer(tf.FullShape())
+		tf.Bufs[i] = newHeader(tf.FullShape())
 	}
 	tf.Ref = &symbolic.FuncRef{Name: name, NDims: g.NDims(), IsTime: true, NumBufs: nbufs, Stagger: tf.Stagger}
 	return tf, nil
@@ -137,14 +150,42 @@ func (f *Function) initGeometry(cfg *Config) error {
 	return nil
 }
 
-// GrowHalo widens the allocated ghost region to at least halo[d] points
-// per side, reallocating every time buffer with the new strides and
-// copying the old allocation (owned data and existing ghost content) into
-// place; newly gained ghost cells are zero, like a fresh allocation.
-// Dimensions already wide enough are untouched and shrinking is not
-// supported, so repeated calls are monotone; BaseHalo keeps the width
-// the function was allocated with. Compiled kernels survive a
-// grow because they resolve strides and halo offsets at execution time —
+// Initialize has fn fill f's storage: when it is allocated, after the
+// zeroing, in the order the calls were made, or at once when f already
+// holds storage. A parameter field hands its values over this way, so
+// they are written once, at the ghost depth the field is allocated with.
+func (f *Function) Initialize(fn func(*Function)) {
+	if f.stored {
+		fn(f)
+		return
+	}
+	f.inits = append(f.inits, fn)
+}
+
+// alloc gives every buffer zeroed Data of its shape and runs the
+// initializers.
+func (f *Function) alloc() {
+	for _, b := range f.Bufs {
+		b.Data = make([]float32, b.size())
+	}
+	f.stored = true
+	inits := f.inits
+	f.inits = nil
+	for _, fn := range inits {
+		fn(f)
+	}
+}
+
+// GrowHalo widens the ghost region to at least halo[d] points per side.
+// On a function with no storage yet it only widens Halo (and the buffers'
+// shapes and strides): the storage is allocated later, once, at the new
+// depth. Otherwise every time buffer is reallocated with the new strides
+// and the old allocation (owned data and existing ghost content) is copied
+// into place, each buffer once; newly gained ghost cells are zero, like a
+// fresh allocation. Dimensions already wide enough are untouched and
+// shrinking is not supported, so repeated calls are monotone; BaseHalo
+// keeps the width the function was created with. Compiled kernels survive
+// a grow because they resolve strides and halo offsets at execution time —
 // this is what lets an operator deepen ghost storage for a larger exchange
 // interval without recompiling.
 func (f *Function) GrowHalo(halo []int) {
@@ -160,19 +201,21 @@ func (f *Function) GrowHalo(halo []int) {
 	if !grew {
 		return
 	}
-	old := f.FullRegion()
-	shifted := Region{Lo: make([]int, nd), Hi: make([]int, nd)}
+	// A buffer's Data is its full region packed row-major, so it unpacks
+	// straight into the same region shifted by the added ghost width.
+	shifted := f.FullRegion()
 	for d := 0; d < nd; d++ {
 		off := newHalo[d] - f.Halo[d]
-		shifted.Lo[d] = old.Lo[d] + off
-		shifted.Hi[d] = old.Hi[d] + off
+		shifted.Lo[d] += off
+		shifted.Hi[d] += off
 	}
-	tmp := make([]float32, old.Size())
 	f.Halo = newHalo
 	for bi, b := range f.Bufs {
-		b.Pack(old, tmp)
-		nb := NewBuffer(f.FullShape())
-		nb.Unpack(shifted, tmp)
+		nb := newHeader(f.FullShape())
+		if f.stored {
+			nb.Data = make([]float32, nb.size())
+			nb.Unpack(shifted, b.Data)
+		}
 		f.Bufs[bi] = nb
 	}
 }
@@ -189,9 +232,13 @@ func (f *Function) FullShape() []int {
 // NDims returns the space dimensionality.
 func (f *Function) NDims() int { return f.Grid.NDims() }
 
-// Buf returns the time buffer for logical time index t (cyclic). Plain
-// functions ignore t.
+// Buf returns the time buffer for logical time index t (cyclic), first
+// allocating the function's storage if it has none. Plain functions
+// ignore t.
 func (f *Function) Buf(t int) *Buffer {
+	if !f.stored {
+		f.alloc()
+	}
 	n := len(f.Bufs)
 	if n == 1 {
 		return f.Bufs[0]
@@ -227,6 +274,11 @@ func (f *Function) FullRegion() Region {
 // span the owned extent; includeHalo widens them by depth[d] ghost points
 // per side — the part of the halo a depth-wide sweep of that dimension
 // has already filled (the basic pattern's dimension sweep).
+//
+// An offset entry outside {-1, 0, 1} panics. That is an invariant, not an
+// input check: every offset comes from the halo package's enumeration of
+// a topology's nearest neighbours, never from a user, so a wider one is a
+// bug in the caller and no error could be handled.
 func Slab(local, halo, offset []int, includeHalo []bool, depth []int, recv bool) Region {
 	nd := len(local)
 	r := Region{Lo: make([]int, nd), Hi: make([]int, nd)}

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestGrowHaloPreservesData(t *testing.T) {
 		}
 	}
 	// Other buffers reallocated too (all zero before, stay zero).
-	if len(f.Bufs[0].Data) != len(nb.Data) {
+	if len(f.Buf(0).Data) != len(nb.Data) {
 		t.Errorf("buffer 0 not reallocated with buffer 1")
 	}
 
@@ -90,6 +91,65 @@ func TestGrowHaloPreservesData(t *testing.T) {
 	}
 	if f.Halo[0] != 5 || f.Halo[1] != 4 {
 		t.Errorf("halo changed by no-op grow: %v", f.Halo)
+	}
+}
+
+// A function's storage is allocated at first use, at the ghost depth in
+// force then: GrowHalo on a fresh function allocates nothing, and the
+// first Buf allocates every buffer once, at the grown depth, and runs the
+// initializers over it, so DOMAIN holds their values and the halos are
+// zero. On a function that holds storage Initialize runs at once.
+func TestStorageAllocatedAtFirstUse(t *testing.T) {
+	g := grid.MustNew([]int{6, 5}, nil)
+	tf, err := NewTimeFunction("u", g, 2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &tf.Function
+	calls := 0
+	f.Initialize(func(f *Function) {
+		calls++
+		for i := range f.LocalShape[0] {
+			for j := range f.LocalShape[1] {
+				f.SetDomain(0, 7, i, j)
+			}
+		}
+	})
+	f.GrowHalo([]int{5, 4})
+	for bi, b := range f.Bufs {
+		if b.Data != nil {
+			t.Fatalf("buffer %d allocated before first use", bi)
+		}
+		if b.Shape[0] != 6+10 || b.Shape[1] != 5+8 || b.Strides[0] != 5+8 {
+			t.Fatalf("buffer %d shape %v strides %v after grow, want [16 13] and [13 1]", bi, b.Shape, b.Strides)
+		}
+	}
+	if calls != 0 {
+		t.Fatal("initializer ran before first use")
+	}
+	f.Buf(2)
+	f.Buf(1)
+	if calls != 1 {
+		t.Fatalf("initializer ran %d times, want once", calls)
+	}
+	dom := f.DomainRegion()
+	for bi := range f.Bufs {
+		b := f.Buf(bi)
+		for i := range b.Shape[0] {
+			for j := range b.Shape[1] {
+				want := float32(0)
+				if bi == 0 && i >= dom.Lo[0] && i < dom.Hi[0] && j >= dom.Lo[1] && j < dom.Hi[1] {
+					want = 7
+				}
+				if got := b.At(i, j); got != want {
+					t.Fatalf("buffer %d (%d,%d) = %v, want %v", bi, i, j, got, want)
+				}
+			}
+		}
+	}
+	f.Initialize(func(*Function) { calls++ })
+	if calls != 2 {
+		t.Error("Initialize on allocated storage did not run at once")
 	}
 }
 
@@ -125,4 +185,20 @@ func TestSendRecvRegionDepth(t *testing.T) {
 	if s.Lo[0] != 4 || s.Hi[0] != 18 {
 		t.Errorf("includeHalo depth-2 span dim0 = [%d,%d), want [4,18)", s.Lo[0], s.Hi[0])
 	}
+}
+
+// TestSlabPanicsOnNonNeighbourOffset reaches Slab's invariant: an offset
+// entry outside {-1, 0, 1} names no nearest neighbour.
+func TestSlabPanicsOnNonNeighbourOffset(t *testing.T) {
+	g := grid.MustNew([]int{10, 10}, nil)
+	f, err := NewFunction("u", g, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "offset entries must be -1, 0 or 1") {
+			t.Errorf("SendRegionDepth with offset 2 recovered %v, want the offset panic", r)
+		}
+	}()
+	f.SendRegionDepth([]int{2, 0}, nil, nil)
 }

@@ -16,7 +16,8 @@ import (
 func seedBuffers(f *field.Function, bias float32) {
 	nd := f.NDims()
 	idx, g := make([]int, nd), make([]int, nd)
-	for b, buf := range f.Bufs {
+	for b := range f.Bufs {
+		buf := f.Buf(b)
 		buf.Fill(-1)
 		var rec func(d int)
 		rec = func(d int) {
@@ -91,7 +92,8 @@ func TestPartsFillWhatSeparateExchangersFill(t *testing.T) {
 						o := &out[c.Rank()]
 						snapshot := func() (s [][]float32) {
 							for _, f := range []*field.Function{a, b, &u.Function} {
-								for _, buf := range f.Bufs {
+								for bi := range f.Bufs {
+									buf := f.Buf(bi)
 									s = append(s, slices.Clone(buf.Data))
 								}
 							}

@@ -105,7 +105,7 @@ func confScenarios(t *testing.T) map[string]confNest {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf := m.Bufs[0]
+			buf := m.Buf(0)
 			for i := range buf.Data {
 				buf.Data[i] = 1.5 + float32(i%7)*0.25
 			}
@@ -416,7 +416,7 @@ func confSameFields(t *testing.T, n confNest, label string) {
 	for _, name := range n.outs {
 		fb, fn := n.fB[name], n.fN[name]
 		for bi := range fb.Bufs {
-			da, db := fb.Bufs[bi].Data, fn.Bufs[bi].Data
+			da, db := fb.Buf(bi).Data, fn.Buf(bi).Data
 			for i := range da {
 				if da[i] != db[i] && !(math.IsNaN(float64(da[i])) && math.IsNaN(float64(db[i]))) {
 					t.Fatalf("%s: field %s buf %d lane %d: reference %v, native %v", label, name, bi, i, da[i], db[i])

@@ -54,13 +54,14 @@ func gcSweep(t *testing.T, stress bool) [][]float32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, b := range u.Bufs {
+	for bi := range u.Bufs {
+		b := u.Buf(bi)
 		for i := range b.Data {
 			b.Data[i] = float32((i*13+bi*7)%29)*0.0625 - 0.875
 		}
 	}
-	for i := range m.Bufs[0].Data {
-		m.Bufs[0].Data[i] = 1 + float32(i%5)*0.25
+	for i := range m.Buf(0).Data {
+		m.Buf(0).Data[i] = 1 + float32(i%5)*0.25
 	}
 	// The Laplacian is a per-point temporary, so the run drains it into a
 	// register row (torow) and reads it back: field rows and register rows
@@ -125,7 +126,8 @@ func gcSweep(t *testing.T, stress bool) [][]float32 {
 	close(stop)
 	wg.Wait()
 	out := make([][]float32, len(u.Bufs))
-	for bi, b := range u.Bufs {
+	for bi := range u.Bufs {
+		b := u.Buf(bi)
 		out[bi] = append([]float32(nil), b.Data...)
 	}
 	return out

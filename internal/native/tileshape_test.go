@@ -29,8 +29,8 @@ func tileNest(t *testing.T, shape []int, grow string) confNest {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range f.Bufs[0].Data {
-			f.Bufs[0].Data[i] = scale * (1 + float32(i%5)*0.25)
+		for i := range f.Buf(0).Data {
+			f.Buf(0).Data[i] = scale * (1 + float32(i%5)*0.25)
 		}
 		return f
 	}

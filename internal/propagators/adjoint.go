@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"devigo/internal/core"
+	"devigo/internal/field"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
 )
@@ -102,7 +103,7 @@ func dotTestModel(c *mpi.Comm, mode halo.Mode) (*Model, *core.Context, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fillConst(m.Fields["m"], 2)
+	m.Fields["m"].Initialize(func(f *field.Function) { fillConst(f, 2) })
 	return m, ctx, nil
 }
 

@@ -169,7 +169,7 @@ func TestGradientCheckpointInvariance(t *testing.T) {
 		if res.GradNorm == 0 {
 			t.Errorf("interval %d: zero gradient", k)
 		}
-		grads[k] = append([]float32(nil), res.Gradient.Bufs[0].Data...)
+		grads[k] = append([]float32(nil), res.Gradient.Buf(0).Data...)
 		stats[k] = res.Checkpoint.RecomputedSteps
 		// The forward pass snapshots only the multiples of k below its
 		// last k steps, whose levels it caches.

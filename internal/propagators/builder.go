@@ -10,12 +10,12 @@ import (
 )
 
 // builder is the one place a model is put together: it validates the
-// configuration, makes the grid, allocates and registers the fields,
+// configuration, makes the grid, creates and registers the fields,
 // solves each update for its target and assembles the Model, whose
-// working set is the number of buffers registered. Allocation and solve
-// keep the first error, returned by model, so a model's builder reads as
-// its physics; a builder checks err once before it writes equations over
-// the fields it allocated.
+// working set is the number of buffers registered. Field creation and
+// solve keep the first error, returned by model, so a model's builder
+// reads as its physics; a builder checks err once before it writes
+// equations over the fields it created.
 type builder struct {
 	c      Config
 	g      *grid.Grid
@@ -74,7 +74,7 @@ func (b *builder) register(f *field.Function) {
 	b.buffers += len(f.Bufs)
 }
 
-// timeField allocates and registers an unknown with timeOrder+1 buffers,
+// timeField creates and registers an unknown with timeOrder+1 buffers,
 // staggered by stagger (nil: node-centred).
 func (b *builder) timeField(name string, timeOrder int, stagger []int) *field.TimeFunction {
 	if b.err != nil {
@@ -89,8 +89,10 @@ func (b *builder) timeField(name string, timeOrder int, stagger []int) *field.Ti
 	return tf
 }
 
-// param allocates and registers a node-centred parameter field holding
-// the homogeneous value v (a fresh buffer is already 0).
+// param registers a node-centred parameter field holding the homogeneous
+// value v (a fresh buffer is already 0). The field fills its DOMAIN when
+// its storage is allocated, at the ghost depth its first operator
+// provisions.
 func (b *builder) param(name string, v float64) *field.Function {
 	if b.err != nil {
 		return nil
@@ -101,18 +103,19 @@ func (b *builder) param(name string, v float64) *field.Function {
 		return nil
 	}
 	if v != 0 {
-		fillConst(f, float32(v))
+		f.Initialize(func(f *field.Function) { fillConst(f, float32(v)) })
 	}
 	b.register(f)
 	return f
 }
 
-// damp allocates and registers the absorbing-boundary profile "damp"
-// over the configured layer.
+// damp registers the absorbing-boundary profile "damp" over the
+// configured layer, filled like a param's value.
 func (b *builder) damp(coeff float64) *field.Function {
 	f := b.param("damp", 0)
 	if f != nil {
-		dampField(f, b.c.NBL, coeff)
+		nbl := b.c.NBL
+		f.Initialize(func(f *field.Function) { dampField(f, nbl, coeff) })
 	}
 	return f
 }

@@ -49,7 +49,7 @@ func compareModels(t *testing.T, label, engine string, a, b *Model) {
 	for name, fa := range a.Fields {
 		fb := b.Fields[name]
 		for bi := range fa.Bufs {
-			da, db := fa.Bufs[bi].Data, fb.Bufs[bi].Data
+			da, db := fa.Buf(bi).Data, fb.Buf(bi).Data
 			for i := range da {
 				if da[i] != db[i] && (da[i] == da[i] || db[i] == db[i]) { // NaN==NaN passes
 					t.Fatalf("%s: field %s buf %d diverges at %d: bytecode=%v %s=%v",

@@ -175,7 +175,7 @@ func TestRunGradientDefaultEngineBitExact(t *testing.T) {
 		if want.ForwardConfig.Engine != core.EngineBytecode {
 			t.Fatalf("k=%d: reference ran %q", k, want.ForwardConfig.Engine)
 		}
-		g, w := got.Gradient.Bufs[0].Data, want.Gradient.Bufs[0].Data
+		g, w := got.Gradient.Buf(0).Data, want.Gradient.Buf(0).Data
 		for i := range w {
 			if g[i] != w[i] {
 				t.Fatalf("k=%d: gradient diverges from bytecode at %d: %v vs %v", k, i, g[i], w[i])
@@ -358,7 +358,8 @@ func solveShots(t *testing.T, cfg Config, gc GradientConfig, shots []Shot, reuse
 		r.grad = make([]float32, cfg.Shape[0]*cfg.Shape[1])
 		scatterOwned(r.grad, cfg.Shape, res.Gradient, 0)
 		for _, f := range []*field.Function{sv.m.Fields["u"], sv.adj.Fields["v"]} {
-			for _, b := range f.Bufs {
+			for bi := range f.Bufs {
+				b := f.Buf(bi)
 				r.state = append(r.state, b.Data...)
 			}
 		}
@@ -372,7 +373,8 @@ func solveShots(t *testing.T, cfg Config, gc GradientConfig, shots []Shot, reuse
 	if reused != nil {
 		reused.reset()
 		for _, f := range []*field.Function{reused.m.Fields["u"], reused.adj.Fields["v"], reused.grad} {
-			for bi, b := range f.Bufs {
+			for bi := range f.Bufs {
+				b := f.Buf(bi)
 				if i := slices.IndexFunc(b.Data, func(v float32) bool { return v != 0 }); i >= 0 {
 					t.Fatalf("reset left %s buffer %d [%d] = %v", f.Name, bi, i, b.Data[i])
 				}

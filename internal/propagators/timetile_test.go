@@ -3,6 +3,7 @@ package propagators
 import (
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"slices"
 	"testing"
 
@@ -314,5 +315,57 @@ func TestTracedTiledRunKeepsBits(t *testing.T) {
 				t.Fatalf("buffer %d point %d: traced %v != untraced %v", b, i, got[b][i], want[b][i])
 			}
 		}
+	}
+}
+
+// A time-tiled operator allocates each field once, at the depth it
+// provisions: on a 2-rank full-mode k = 4 acoustic world, Build,
+// NewOperator and a one-step Apply allocate at most 1.1x the bytes the
+// fields hold afterwards, not the base allocation plus the grown one. The
+// run gives the k = 1 norm bits (the multi-step bits are
+// TestTimeTile_DMPBitExactAllModelsAllModes').
+func TestTimeTile_FieldsAllocatedOnceAtProvisionedDepth(t *testing.T) {
+	shape := []int{2048, 1024}
+	run := func(k int) (norm float64, allocated, held uint64) {
+		held2 := make([]uint64, 2)
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		err := mpi.RunRanks(2, func(c *mpi.Comm) error {
+			m, ctx, err := OnRank(c, "acoustic", serialCfg(shape, 8), halo.ModeFull, nil)
+			if err != nil {
+				return err
+			}
+			res, err := Run(m, ctx, RunConfig{NT: 1, Exec: Exec{TimeTile: k, Workers: 1, Autotune: core.AutotuneOff}})
+			if err != nil {
+				return err
+			}
+			res.Op.Close()
+			if eff := res.Op.TimeTile(); eff != k {
+				return fmt.Errorf("effective interval %d, want %d", eff, k)
+			}
+			for _, f := range m.Fields {
+				for bi := range f.Bufs {
+					held2[c.Rank()] += uint64(4 * len(f.Bufs[bi].Data))
+				}
+			}
+			if c.Rank() == 0 {
+				norm = res.Norm
+			}
+			return nil
+		})
+		goruntime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return norm, m1.TotalAlloc - m0.TotalAlloc, held2[0] + held2[1]
+	}
+	ref, _, _ := run(1)
+	norm, allocated, held := run(4)
+	t.Logf("k=4: %d bytes allocated, fields hold %d (%.3fx)", allocated, held, float64(allocated)/float64(held))
+	if norm != ref {
+		t.Errorf("k=4 norm %v != k=1 norm %v", norm, ref)
+	}
+	if float64(allocated) > 1.1*float64(held) {
+		t.Errorf("k=4 allocated %d bytes, more than 1.1x the %d its fields hold", allocated, held)
 	}
 }

@@ -81,7 +81,7 @@ func TestInjectSerialBilinear(t *testing.T) {
 	check(2, 3, 0.5*0.25)
 	// Total mass injected equals the value.
 	sum := 0.0
-	for _, v := range f.Bufs[0].Data {
+	for _, v := range f.Buf(0).Data {
 		sum += float64(v)
 	}
 	if math.Abs(sum-8) > 1e-5 {
@@ -128,7 +128,7 @@ func TestInjectExactlyOnceAcrossRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	serialSum := 0.0
-	for _, v := range fS.Bufs[0].Data {
+	for _, v := range fS.Buf(0).Data {
 		serialSum += float64(v)
 	}
 
@@ -148,7 +148,7 @@ func TestInjectExactlyOnceAcrossRanks(t *testing.T) {
 		// Sum only DOMAIN cells (halo untouched anyway) and all-reduce.
 		dom := f.DomainRegion()
 		tmp := make([]float32, dom.Size())
-		f.Bufs[0].Pack(dom, tmp)
+		f.Buf(0).Pack(dom, tmp)
 		local := 0.0
 		for _, v := range tmp {
 			local += float64(v)
